@@ -1,0 +1,89 @@
+#!/usr/bin/env python3
+"""Compare the library's lattice kernels with the reference kernels and print
+the largest difference.
+
+The chain kernel (`flows._pfaff_core`, gathers over two band families) and
+the Volterra kernel (`flows._volterra_rhs_padded`, slices of a padded line)
+repeat the arithmetic of the per-band loop and the np.roll stencil kept in
+tests/reference_kernels.py, so every difference printed should be exactly 0.
+Shapes cover the benchmark's ranges: N 32-1024 sites, 2-9 bands each side,
+Volterra flows 2, 4 and 6.  Exits 1 if any difference is nonzero.
+
+    PYTHONPATH=src python3 scripts/kernel_equiv.py --samples 40 --seed 1
+"""
+
+import argparse
+import os
+import sys
+
+import numpy as np
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "tests"))
+import reference_kernels as ref  # noqa: E402
+from taulattice import VolterraState, evolve_pfaff, evolve_volterra, flows, goe_lax_init  # noqa: E402
+
+
+def chain_gap(Q, k_neg, k_pos, n):
+    plan = flows._band_plan(k_neg, k_pos, n)
+    return float(np.abs(flows._pfaff_core(Q, plan) - ref.pfaff_rates(Q, plan)).max())
+
+
+def volterra_gap(Bp, flow):
+    return float(np.abs(flows._volterra_rhs_padded(Bp, flow)
+                        - ref.volterra_rates(Bp, flow)).max())
+
+
+def trajectory_gap(run, field, name, reference):
+    """Largest difference between a trajectory and its rerun on `reference`."""
+    new = run()
+    saved = getattr(flows, name)
+    setattr(flows, name, reference)
+    try:
+        old = run()
+    finally:
+        setattr(flows, name, saved)
+    return max(float(np.abs(getattr(a, field) - getattr(b, field)).max())
+               for a, b in zip(new.states, old.states))
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--samples", type=int, default=40, help="random shapes per kernel")
+    ap.add_argument("--seed", type=int, default=1)
+    args = ap.parse_args()
+    rng = np.random.default_rng(args.seed)
+
+    chain = volterra = 0.0
+    for _ in range(args.samples):
+        N = int(rng.integers(32, 1025))
+        k_neg, k_pos = (int(k) for k in rng.integers(2, 10, 2))
+        pad = max(k_neg, k_pos) + 1
+        Q = rng.uniform(-2.0, 2.0, (k_neg + k_pos + 3, 1 + N + pad))
+        chain = max(chain, chain_gap(Q, k_neg, k_pos, N))
+        # the closed-form window itself, zero-padded as pfaff_chain_rhs does
+        Q = np.zeros_like(Q)
+        Q[1:-1, 1:N + 1] = goe_lax_init(N, k_pos, k_neg).w
+        chain = max(chain, chain_gap(Q, k_neg, k_pos, N))
+        Bp = rng.uniform(0.1, 3.0, N + 8)
+        for flow in (2, 4, 6):
+            volterra = max(volterra, volterra_gap(Bp, flow))
+
+    traj_pfaff = trajectory_gap(
+        lambda: evolve_pfaff(goe_lax_init(256, 9, 7), [0.05, 0.1], h=1e-3),
+        "w", "_pfaff_core", ref.pfaff_rates)
+    traj_volterra = trajectory_gap(
+        lambda: evolve_volterra(VolterraState(np.arange(1.0, 33.0)), 4, [1e-4], h=1e-5),
+        "B", "_volterra_rhs_padded", ref.volterra_rates)
+
+    rows = [("chain kernel, %d windows x2" % args.samples, chain),
+            ("Volterra kernel, %d lines x3 flows" % args.samples, volterra),
+            ("evolve_pfaff N=256 9+7 bands, t=0.1", traj_pfaff),
+            ("evolve_volterra N=32 flow 4, C12 leg", traj_volterra)]
+    for label, gap in rows:
+        print(f"{label:<40} max |new - reference| = {gap:.3g}")
+    return 0 if all(gap == 0.0 for _, gap in rows) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

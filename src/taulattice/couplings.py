@@ -25,7 +25,6 @@ __all__ = [
     "QuadratureGrid",
     "weight_eval",
     "build_quadrature",
-    "cumulative_weighted_moment",
     "cumulative_integral",
     "widen_grid",
 ]
@@ -296,16 +295,3 @@ def cumulative_integral(grid: QuadratureGrid, fvals: np.ndarray):
     offsets = np.concatenate(([0.0], np.cumsum(totals)[:-1]))
     cum = (inner + offsets[:, None]).ravel()
     return cum, float(totals.sum())
-
-
-def cumulative_weighted_moment(grid: QuadratureGrid, j: int) -> np.ndarray:
-    """G_j(x) = int sgn(y - x) y^j rho(y) dy at every grid node.
-
-    Computed as (total j-th moment) - 2 * (cumulative integral up to x);
-    G_j(-R) ~ +mu_j and G_j(+R) ~ -mu_j to quadrature tolerance.
-    """
-    if j < 0:
-        raise ValueError("moment degree must be non-negative")
-    f = grid.nodes**j * grid.rho
-    cum, total = cumulative_integral(grid, f)
-    return total - 2.0 * cum

@@ -55,7 +55,7 @@ class PreBreakingViolated(TauLatticeError):
 
 
 class DivergedField(TauLatticeError):
-    """A continuum field exceeded the configured magnitude bound."""
+    """An integrated field became non-finite, or exceeded a magnitude bound."""
 
 
 class IndexOutOfWindow(TauLatticeError):

@@ -15,17 +15,32 @@ doubling test is the empirical guard elsewhere.  Frozen ("pin") and plain
 linear extrapolation closures remain available: pinning is simple but
 feeds O(1) errors inward once edge amplitudes grow, and fails the scaling
 oracle at desk tolerances.
+
+Kernels: each RHS evaluation is a fixed handful of array operations, not a
+loop over sites or bands.  The Volterra stencil reads its neighbours by
+slicing a line padded with 4 ghost sites on each side, never by
+wrap-around, so it returns rates for the unpadded sites only.  The chain
+kernel evaluates the band families l <= -2 and l >= 2 in one expression
+each, with integer gathers from a `_BandPlan` built from the window shape;
+`evolve_pfaff` builds its plan, closure data and padded buffer once per call
+and caches nothing beyond it.
+
+Divergence: the fixed-step RK4 branch of `evolve` checks the state for NaN
+or infinity at every sample time and raises DivergedField, so no RK4
+trajectory comes back non-finite; a diverging adaptive run ends in
+StepUnderflow.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import StepUnderflow, StructureViolation
+from .errors import DivergedField, StepUnderflow, StructureViolation
 from .lax import PfaffLax, TodaLax
 
 __all__ = [
@@ -57,7 +72,7 @@ class VolterraState:
         B = np.asarray(self.B, dtype=float)
         if B.ndim != 1 or len(B) == 0:
             raise ValueError("B must be a non-empty vector")
-        if np.any(B <= 0):
+        if not np.all(B > 0):
             raise ValueError("B must stay positive")
         B.setflags(write=False)
         object.__setattr__(self, "B", B)
@@ -164,21 +179,21 @@ def toda_rhs(state: TodaLax, flow: int = 1):
 
 
 def _volterra_potential(Bp: np.ndarray, flow: int) -> np.ndarray:
+    """Flow potential on sites 3 .. len-4 of the padded line Bp."""
     if flow == 2:
-        return Bp
-    left, right = np.roll(Bp, 1), np.roll(Bp, -1)
-    V4 = Bp * (left + Bp + right)
+        return Bp[3:-3]
     if flow == 4:
-        return V4
+        return Bp[3:-3] * (Bp[2:-4] + Bp[3:-3] + Bp[4:-2])
     if flow == 6:
-        return Bp * (left * right + np.roll(V4, 1) + V4 + np.roll(V4, -1))
+        V4 = Bp[2:-2] * (Bp[1:-3] + Bp[2:-2] + Bp[3:-1])      # sites 2 .. len-3
+        return Bp[3:-3] * (Bp[2:-4] * Bp[4:-2] + V4[:-2] + V4[1:-1] + V4[2:])
     raise ValueError(f"Volterra flows are 2, 4 or 6, got {flow}")
 
 
 def _volterra_rhs_padded(Bp: np.ndarray, flow: int) -> np.ndarray:
-    # valid wherever 4 neighbours each side are trustworthy
+    """Rates of the sites Bp[4:-4]; the 4 ghost sites each side feed the stencil."""
     V = _volterra_potential(Bp, flow)
-    return Bp * (np.roll(V, -1) - np.roll(V, 1))
+    return Bp[4:-4] * (V[2:] - V[:-2])
 
 
 def volterra_rhs(B: np.ndarray, flow: int = 2) -> np.ndarray:
@@ -186,52 +201,75 @@ def volterra_rhs(B: np.ndarray, flow: int = 2) -> np.ndarray:
     B = np.asarray(B, dtype=float)
     Bp = np.concatenate([np.zeros(4), B, np.zeros(4)])
     Bp[-4:] = B[-1] + (B[-1] - B[-2]) * np.arange(1, 5)
-    return _volterra_rhs_padded(Bp, flow)[4:-4]
+    return _volterra_rhs_padded(Bp, flow)
 
 
-def _pfaff_core(Q: np.ndarray, k_neg: int, k_pos: int, n_sites: int) -> np.ndarray:
+class _BandPlan(NamedTuple):
+    """Gather indices of the chain kernel for one window shape.
+
+    Row m of `neg` holds the columns 1 + i + (k - 1), i < n_sites, for the
+    band l = -k, k running k_neg .. 2 in window-row order; `pos` holds the
+    same for l = k, k = 2 .. k_pos.  `neg_lo` is neg - 1, `pos_hi` pos + 1.
+    """
+
+    k_neg: int
+    k_pos: int
+    n_sites: int
+    neg: np.ndarray
+    neg_lo: np.ndarray
+    pos: np.ndarray
+    pos_hi: np.ndarray
+
+
+def _band_plan(k_neg: int, k_pos: int, n_sites: int) -> _BandPlan:
+    i = np.arange(n_sites)
+    neg = np.arange(k_neg, 1, -1)[:, None] + i
+    pos = np.arange(2, k_pos + 1)[:, None] + i
+    return _BandPlan(k_neg, k_pos, n_sites, neg, neg - 1, pos, pos + 1)
+
+
+def _pfaff_core(Q: np.ndarray, plan: _BandPlan) -> np.ndarray:
     """Five-branch chain RHS on a padded window.
 
     Q rows hold bands -k_neg-1 .. k_pos+1 (ghost row each side), columns
-    hold sites 0 .. n_sites+pad.  Returns dQ with ghost rows/cols zero.
+    hold sites 0 .. n_sites+pad.  Returns the rates of bands -k_neg .. k_pos
+    on sites 1 .. n_sites.
     """
-    dQ = np.zeros_like(Q)
+    k_neg, k_pos, n = plan.k_neg, plan.k_pos, plan.n_sites
     off = k_neg + 1
-
-    def s(d):
-        return slice(1 + d, 1 + n_sites + d)
-
+    s0, sm, sp = slice(1, n + 1), slice(0, n), slice(2, n + 2)
     W0 = Q[off]
     P = Q[off] * Q[off + 1]
-    for ell in range(-k_neg, k_pos + 1):
-        r = ell + off
-        w = Q[r]
-        if ell <= -2:
-            k = -ell
-            dQ[r, s(0)] = (
-                0.5 * w[s(0)] * (P[s(0)] - P[s(-1)] + P[s(k - 1)] - P[s(k - 2)])
-                + Q[r + 1][s(1)] * W0[s(0)] - Q[r + 1][s(0)] * W0[s(k - 2)]
-                + Q[r - 1][s(0)] * W0[s(k - 1)] - Q[r - 1][s(-1)] * W0[s(-1)])
-        elif ell == -1:
-            wm2 = Q[r - 1]
-            dQ[r, s(0)] = (
-                w[s(0)] * (P[s(0)] - P[s(-1)])
-                + W0[s(0)] * (W0[s(0)] + wm2[s(0)])
-                - W0[s(-1)] * (W0[s(-1)] + wm2[s(-1)]))
-        elif ell == 0:
-            dQ[r, s(0)] = (
-                0.5 * w[s(0)] * (P[s(1)] - P[s(-1)])
-                + w[s(0)] * (Q[r - 1][s(1)] - Q[r - 1][s(0)]))
-        elif ell == 1:
-            dQ[r, s(0)] = (
-                0.5 * w[s(0)] * (P[s(-1)] - P[s(1)])
-                + W0[s(1)] * Q[r + 1][s(0)] - W0[s(-1)] * Q[r + 1][s(-1)])
-        else:
-            k = ell
-            dQ[r, s(0)] = (
-                0.5 * w[s(0)] * (P[s(-1)] - P[s(0)] + P[s(k - 1)] - P[s(k)])
-                + Q[r + 1][s(0)] * W0[s(k)] - Q[r + 1][s(-1)] * W0[s(-1)]
-                + Q[r - 1][s(1)] * W0[s(0)] - Q[r - 1][s(0)] * W0[s(k - 1)])
+    P0, Pm, Pp = P[s0], P[sm], P[sp]
+    W00, W0m, W0p = W0[s0], W0[sm], W0[sp]
+    dQ = np.empty((k_neg + k_pos + 1, n))
+    if k_neg >= 2:
+        # bands l = -k_neg .. -2 sit in rows 1 .. k_neg-1
+        w, up, dn = Q[1:off - 1], Q[2:off], Q[:off - 2]
+        dQ[:k_neg - 1] = (
+            0.5 * w[:, s0] * (P0 - Pm + P[plan.neg] - P[plan.neg_lo])
+            + up[:, sp] * W00 - up[:, s0] * W0[plan.neg_lo]
+            + dn[:, s0] * W0[plan.neg] - dn[:, sm] * W0m)
+    if k_neg >= 1:
+        w, wm2 = Q[off - 1], Q[off - 2]
+        dQ[k_neg - 1] = (
+            w[s0] * (P0 - Pm)
+            + W00 * (W00 + wm2[s0])
+            - W0m * (W0m + wm2[sm]))
+    wm1 = Q[off - 1]
+    dQ[k_neg] = 0.5 * W00 * (Pp - Pm) + W00 * (wm1[sp] - wm1[s0])
+    if k_pos >= 1:
+        w, w2 = Q[off + 1], Q[off + 2]
+        dQ[k_neg + 1] = (
+            0.5 * w[s0] * (Pm - Pp)
+            + W0p * w2[s0] - W0m * w2[sm])
+    if k_pos >= 2:
+        # bands l = 2 .. k_pos sit in rows off+2 .. off+k_pos
+        w, up, dn = Q[off + 2:-1], Q[off + 3:], Q[off + 1:-2]
+        dQ[k_neg + 2:] = (
+            0.5 * w[:, s0] * (Pm - P0 + P[plan.pos] - P[plan.pos_hi])
+            + up[:, s0] * W0[plan.pos_hi] - up[:, sm] * W0m
+            + dn[:, sp] * W00 - dn[:, s0] * W0[plan.pos])
     return dQ
 
 
@@ -245,7 +283,7 @@ def pfaff_chain_rhs(state: PfaffLax) -> np.ndarray:
     pad = max(k_neg, k_pos) + 1
     Q = np.zeros((k_neg + k_pos + 3, 1 + n + pad))
     Q[1:-1, 1:n + 1] = state.w
-    return _pfaff_core(Q, k_neg, k_pos, n)[1:-1, 1:n + 1]
+    return _pfaff_core(Q, _band_plan(k_neg, k_pos, n))
 
 
 def _dense_embedding(state: PfaffLax) -> np.ndarray:
@@ -356,7 +394,8 @@ def evolve(rhs, y0: np.ndarray, times, *, stepper: str = "rk4", h: float = 1e-3,
 
     Fixed-step classical RK4 (steps shortened to land on each sample), or
     an embedded adaptive pair when stepper="adaptive".  Returns (states,
-    stats).
+    stats).  The RK4 branch raises DivergedField if a sampled state is not
+    finite.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0 or np.any(np.diff(times) <= 0):
@@ -374,6 +413,10 @@ def evolve(rhs, y0: np.ndarray, times, *, stepper: str = "rk4", h: float = 1e-3,
             if t > t_prev:
                 y, steps = _rk4_segment(rhs, y, t_prev, t, h)
                 total += steps
+            if not np.isfinite(y).all():
+                raise DivergedField(
+                    f"trajectory not finite at t={t:g} after {total} RK4 steps "
+                    f"of h={h:g}")
             out.append(y.copy())
             t_prev = t
         return out, {"stepper": "rk4", "h": h, "steps": total}
@@ -388,18 +431,20 @@ def evolve(rhs, y0: np.ndarray, times, *, stepper: str = "rk4", h: float = 1e-3,
     raise ValueError(f"stepper must be 'rk4' or 'adaptive', got {stepper!r}")
 
 
-def _ghost_line(current2, init2, init_ghost, policy):
-    """Ghost values ahead of the edge: initial shape times extrapolated ratio."""
-    a2, a1 = current2
+def _ghost_line(init2, init_ghost, policy):
+    """Map (a2, a1), the two current edge values, to the ghost values ahead of
+    the edge: initial shape times extrapolated ratio."""
     i2, i1 = init2
-    pad = len(init_ghost)
-    j = np.arange(1.0, pad + 1)
+    j = np.arange(1.0, len(init_ghost) + 1)
     if policy == "pin":
-        return init_ghost.copy()
+        return lambda a2, a1: init_ghost
     if policy == "linear" or min(abs(i1), abs(i2)) < 1e-12 * (abs(i1) + abs(i2) + 1.0):
-        return a1 + j * (a1 - a2)
-    r1, r2 = a1 / i1, a2 / i2
-    return init_ghost * (r1 + j * (r1 - r2))
+        return lambda a2, a1: a1 + j * (a1 - a2)
+
+    def scaled(a2, a1):
+        r1, r2 = a1 / i1, a2 / i2
+        return init_ghost * (r1 + j * (r1 - r2))
+    return scaled
 
 
 def evolve_volterra(state: VolterraState, flow: int, times, *, h: float = 1e-3,
@@ -417,21 +462,18 @@ def evolve_volterra(state: VolterraState, flow: int, times, *, h: float = 1e-3,
     width = max(pad, N - n_evolve)
     init_ghost = np.concatenate([B0[n_evolve:], B0[-1] + (B0[-1] - B0[-2])
                                  * np.arange(1.0, width + 1)])[:width]
-    anchors = (B0[n_evolve - 2], B0[n_evolve - 1])
-
-    def line(y):
-        return _ghost_line((y[-2], y[-1]), anchors, init_ghost, ghost)
+    line = _ghost_line((B0[n_evolve - 2], B0[n_evolve - 1]), init_ghost, ghost)
+    Bp = np.zeros(4 + n_evolve + pad)           # left ghosts stay 0
 
     def rhs(y):
-        Bp = np.zeros(4 + n_evolve + pad)
         Bp[4:4 + n_evolve] = y
-        Bp[4 + n_evolve:] = line(y)[:pad]
-        return _volterra_rhs_padded(Bp, flow)[4:4 + n_evolve]
+        Bp[4 + n_evolve:] = line(y[-2], y[-1])[:pad]
+        return _volterra_rhs_padded(Bp, flow)
 
     ys, stats = evolve(rhs, B0[:n_evolve], times, h=h)
     front = _influence_front(times, ys, lambda y: 2.0 * abs(y[-1]), n_evolve)
     stats.update(ghost=ghost, n_evolve=n_evolve, influence_index=front)
-    states = [VolterraState(np.concatenate([y, line(y)[:N - n_evolve]]))
+    states = [VolterraState(np.concatenate([y, line(y[-2], y[-1])[:N - n_evolve]]))
               for y in ys]
     return EvolutionResult(times, states, stats)
 
@@ -488,36 +530,42 @@ def evolve_pfaff(state: PfaffLax, times, *, h: float = 1e-3, ghost: str = "scale
     rows = slice(row_margin, k_neg + k_pos + 1 - row_margin)
     n_rows = K1 + K2 + 1
     init_active = W0[rows]
-    ghost_row_lo = W0[row_margin - 1, :n_evolve + pad]
-    ghost_row_hi = W0[k_neg + k_pos + 1 - row_margin, :n_evolve + pad]
+
+    # closure data from the initial window, fixed for the whole call
+    i1 = init_active[:, n_evolve - 1]
+    i2 = init_active[:, n_evolve - 2]
+    j = np.arange(1.0, width + 1)
+    ig = init_active[:, n_evolve:]
+    ok = (np.minimum(np.abs(i1), np.abs(i2))
+          >= 1e-12 * (np.abs(i1) + np.abs(i2) + 1.0))
+    flat = np.flatnonzero(~ok)      # edge rows near 0 at t=0 extrapolate linearly
+    i1, i2 = np.where(ok, i1, 1.0), np.where(ok, i2, 1.0)
+
+    def lin(a1, a2):
+        return a1[:, None] + j * (a1 - a2)[:, None]
 
     def ghosts_for(y2d):
-        a1, a2 = y2d[:, -1], y2d[:, -2]
-        i1 = init_active[:, n_evolve - 1]
-        i2 = init_active[:, n_evolve - 2]
-        j = np.arange(1.0, width + 1)
-        lin = a1[:, None] + j[None, :] * (a1 - a2)[:, None]
-        if ghost == "linear":
-            return lin
-        ig = init_active[:, n_evolve:]
         if ghost == "pin":
-            return ig.copy()
-        ok = (np.minimum(np.abs(i1), np.abs(i2))
-              >= 1e-12 * (np.abs(i1) + np.abs(i2) + 1.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r1 = np.where(ok, a1 / i1, 0.0)
-            r2 = np.where(ok, a2 / i2, 0.0)
-        scaled = ig * (r1[:, None] + j[None, :] * (r1 - r2)[:, None])
-        return np.where(ok[:, None], scaled, lin)
+            return ig
+        a1, a2 = y2d[:, -1], y2d[:, -2]
+        if ghost == "linear":
+            return lin(a1, a2)
+        r1, r2 = a1 / i1, a2 / i2
+        out = ig * (r1[:, None] + j * (r1 - r2)[:, None])
+        if flat.size:
+            out[flat] = lin(a1[flat], a2[flat])
+        return out
+
+    plan = _band_plan(K1, K2, n_evolve)
+    Q = np.zeros((n_rows + 2, 1 + n_evolve + pad))   # ghost rows and site 0 fixed
+    Q[0, 1:] = W0[row_margin - 1, :n_evolve + pad]
+    Q[-1, 1:] = W0[k_neg + k_pos + 1 - row_margin, :n_evolve + pad]
 
     def rhs(y):
         y2d = y.reshape(n_rows, n_evolve)
-        Q = np.zeros((n_rows + 2, 1 + n_evolve + pad))
         Q[1:-1, 1:n_evolve + 1] = y2d
         Q[1:-1, n_evolve + 1:] = ghosts_for(y2d)[:, :pad]
-        Q[0, 1:] = ghost_row_lo
-        Q[-1, 1:] = ghost_row_hi
-        return _pfaff_core(Q, K1, K2, n_evolve)[1:-1, 1:n_evolve + 1].ravel()
+        return _pfaff_core(Q, plan).ravel()
 
     y0 = init_active[:, :n_evolve].ravel()
     ys, stats = evolve(rhs, y0, times, h=h)

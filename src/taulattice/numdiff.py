@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import StepTooLarge
 
-__all__ = ["stencil", "richardson_derivative", "mixed_derivative"]
+__all__ = ["stencil", "mixed_derivative"]
 
 
 @lru_cache(maxsize=32)
@@ -56,37 +56,6 @@ def stencil(p: int):
                 A[r] = [x - f * y for x, y in zip(A[r], A[col])]
                 b[r] -= f * b[col]
     return tuple(offsets), np.array([float(x) for x in b])
-
-
-def _apply(f, x0: float, p: int, h: float):
-    offs, wts = stencil(p)
-    acc = None
-    for o, w in zip(offs, wts):
-        val = w * np.asarray(f(x0 + o * h), dtype=float)
-        acc = val if acc is None else acc + val
-    return acc / h**p
-
-
-def richardson_derivative(f, x0: float, p: int, h: float, *,
-                          check_tol: float | None = None):
-    """Order-p derivative of f at x0 with one Richardson level.
-
-    f may return a scalar or an ndarray.  If check_tol is given, the two
-    Richardson levels must agree to check_tol relative to the result scale,
-    else StepTooLarge is raised.
-    """
-    if p == 0:
-        return np.asarray(f(x0), dtype=float)
-    coarse = _apply(f, x0, p, h)
-    fine = _apply(f, x0, p, h / 2)
-    best = (16.0 * fine - coarse) / 15.0
-    if check_tol is not None:
-        scale = float(np.max(np.abs(best)))
-        gap = float(np.max(np.abs(fine - coarse)))
-        if gap > check_tol * max(scale, 1.0):
-            raise StepTooLarge(
-                f"Richardson levels disagree by {gap:.3e} at order {p}, step {h}")
-    return best
 
 
 def mixed_derivative(f, axes: dict, steps: dict, *, richardson: bool = True,

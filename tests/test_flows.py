@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from taulattice import (EvolutionResult, PfaffLax, ReducedChainState, TodaLax,
-                        UnsupportedKind, VolterraState, c_coeff, evolve_pfaff,
-                        evolve_reduced, evolve_toda, evolve_volterra,
-                        exact_oracles, goe_lax_init, gue_lax_init,
-                        pfaff_chain_rhs, pfaff_commutator_rhs,
-                        reduced_chain_rhs, toda_rhs, volterra_rhs)
+import reference_kernels as ref
+from taulattice import (DivergedField, EvolutionResult, PfaffLax,
+                        ReducedChainState, TodaLax, UnsupportedKind,
+                        VolterraState, c_coeff, evolve_pfaff, evolve_reduced,
+                        evolve_toda, evolve_volterra, exact_oracles,
+                        goe_lax_init, gue_lax_init, pfaff_chain_rhs,
+                        pfaff_commutator_rhs, reduced_chain_rhs, toda_rhs,
+                        volterra_rhs)
+from taulattice import flows
 from taulattice.flows import evolve
 
 
@@ -55,6 +59,15 @@ class TestVolterra:
             VolterraState(np.array([1.0, -0.5]))
         with pytest.raises(ValueError):
             VolterraState(np.array([]))
+        with pytest.raises(ValueError):
+            VolterraState(np.array([1.0, np.nan, 2.0]))
+
+    def test_past_blow_up_raises(self):
+        # B_n = n/(1-2t) blows up at t = 1/2
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergedField):
+                evolve_volterra(VolterraState(np.arange(1.0, 65.0)), 2, [0.6],
+                                h=1e-3)
 
     def test_ghost_policies_on_scaling_family(self):
         B0 = np.arange(1.0, 25.0)
@@ -96,6 +109,12 @@ class TestStepper:
         assert stats["stepper"] == "adaptive"
         assert abs(ys[0][0] - 4.0 / 3.0) < 1e-9
         assert abs(ys[1][0] - 2.0) < 1e-9
+
+    def test_non_finite_sample_raises(self):
+        rhs = lambda y: y * y                    # 1/(1-t) blows up at t=1
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergedField):
+                evolve(rhs, np.array([1.0]), [0.5, 2.0], h=0.05)
 
     def test_input_validation(self):
         rhs = lambda y: y
@@ -139,12 +158,86 @@ class TestBandedChain:
         err = np.abs(res.states[0].w[:, :8] - oracle.states[0].w[:, :8])
         assert err.max() < 1e-11
 
+    def test_unstable_step_raises_typed_error(self):
+        # h = 1e-3 is past the edge's stability limit at this size
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergedField):
+                evolve_pfaff(goe_lax_init(768, 5, 7), [0.2], h=1e-3)
+
     def test_evolution_preserves_container(self):
         res = evolve_pfaff(goe_lax_init(12, 3, 3), [0.01], h=1e-3)
         state = res.states[-1]
         assert isinstance(state, PfaffLax)
         assert state.k_neg == 3 and state.k_pos == 3
         assert state.n_sites == 12
+
+
+_RAMP64 = np.arange(1.0, 65.0)
+_BUMP64 = 0.5 + 0.25 * np.exp(-(((_RAMP64 - 10.0) / 4.0) ** 2))   # C06's profile
+
+
+def _padded_window(seed, k_neg, k_pos, n_sites):
+    pad = max(k_neg, k_pos) + 1
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-2.0, 2.0, (k_neg + k_pos + 3, 1 + n_sites + pad))
+
+
+class TestKernelEquivalence:
+    """The slice and gather kernels repeat the reference arithmetic exactly."""
+
+    @given(st.integers(0, 9), st.integers(0, 9), st.integers(3, 300),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_chain_kernel_matches_band_loop(self, k_neg, k_pos, n_sites, seed):
+        Q = _padded_window(seed, k_neg, k_pos, n_sites)
+        plan = flows._band_plan(k_neg, k_pos, n_sites)
+        assert np.array_equal(flows._pfaff_core(Q, plan),
+                              ref.pfaff_rates(Q, plan))
+
+    @pytest.mark.parametrize("k_neg, k_pos", [(2, 2), (9, 2), (2, 9)])
+    def test_single_band_families(self, k_neg, k_pos):
+        # a side with k = 2 has one band in its uniform family
+        Q = _padded_window(k_neg + k_pos, k_neg, k_pos, 3)
+        plan = flows._band_plan(k_neg, k_pos, 3)
+        assert np.array_equal(flows._pfaff_core(Q, plan),
+                              ref.pfaff_rates(Q, plan))
+
+    @given(st.sampled_from([2, 4, 6]), st.integers(1, 300),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_volterra_kernel_matches_roll_stencil(self, flow, n_sites, seed):
+        Bp = np.random.default_rng(seed).uniform(0.1, 3.0, n_sites + 8)
+        assert np.array_equal(flows._volterra_rhs_padded(Bp, flow),
+                              ref.volterra_rates(Bp, flow))
+
+    @pytest.mark.parametrize("ghost", ["scaled", "linear", "pin"])
+    @pytest.mark.parametrize("shape", [(64, 6, 6), (48, 9, 7)])
+    def test_pfaff_trajectory_bitwise(self, monkeypatch, shape, ghost):
+        # C03 / C04 shapes: the scaling window and the asymmetric band window
+        state = goe_lax_init(*shape)
+        times = [0.05, 0.1]
+        new = evolve_pfaff(state, times, h=1e-3, ghost=ghost)
+        monkeypatch.setattr(flows, "_pfaff_core", ref.pfaff_rates)
+        old = evolve_pfaff(state, times, h=1e-3, ghost=ghost)
+        for a, b in zip(new.states, old.states):
+            assert np.array_equal(a.w, b.w)
+        assert new.stats == old.stats
+
+    @pytest.mark.parametrize("flow, B0, times, h", [
+        (2, _RAMP64, [0.05, 0.1, 0.15, 0.2], 1e-3),
+        (2, _RAMP64[:32], [0.002, 0.005], 1e-5),
+        (4, _RAMP64[:32], [1e-4], 1e-5),
+        (6, _BUMP64, [0.02, 0.05], 1e-3),
+    ], ids=["C03", "C12-flow2", "C12-flow4", "C06-flow6"])
+    def test_volterra_trajectory_bitwise(self, monkeypatch, flow, B0, times, h):
+        state = VolterraState(B0)
+        new = evolve_volterra(state, flow, times, h=h)
+        monkeypatch.setattr(flows, "_volterra_rhs_padded",
+                            ref.volterra_rates)
+        old = evolve_volterra(state, flow, times, h=h)
+        for a, b in zip(new.states, old.states):
+            assert np.array_equal(a.B, b.B)
+        assert new.stats == old.stats
 
 
 class TestReducedChain:

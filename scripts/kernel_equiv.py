@@ -1,13 +1,21 @@
 #!/usr/bin/env python3
-"""Compare the library's lattice kernels with the reference kernels and print
-the largest difference.
+"""Compare the library's lattice and continuum kernels with the reference
+kernels and print the largest difference.
 
 The chain kernel (`flows._pfaff_core`, gathers over two band families) and
 the Volterra kernel (`flows._volterra_rhs_padded`, slices of a padded line)
 repeat the arithmetic of the per-band loop and the np.roll stencil kept in
 tests/reference_kernels.py, so every difference printed should be exactly 0.
 Shapes cover the benchmark's ranges: N 32-1024 sites, 2-9 bands each side,
-Volterra flows 2, 4 and 6.  Exits 1 if any difference is nonzero.
+Volterra flows 2, 4 and 6.
+
+The hydrodynamic chain's RHS, coefficient matrix and gradient are read from
+one monomial table (`continuum._chain_table`).  The matrix and gradient must
+equal the per-monomial loops exactly, and the RHS's v rate must equal the
+hand-written chain's.  Its u rates sum each row's monomials in another
+order, so they are held to 1e-13 relative to the largest rate.  Shapes are
+the benchmark's: 161-241 cells, 4 bands below and 6 above, windows 10-14.
+Exits 1 if any difference exceeds its limit.
 
     PYTHONPATH=src python3 scripts/kernel_equiv.py --samples 40 --seed 1
 """
@@ -21,7 +29,9 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "tests"))
 import reference_kernels as ref  # noqa: E402
-from taulattice import VolterraState, evolve_pfaff, evolve_volterra, flows, goe_lax_init  # noqa: E402
+from taulattice import (HydroChainField, TensorPoint, VolterraState, chain_matrix,  # noqa: E402
+                        continuum, evolve_pfaff, evolve_volterra, flows,
+                        goe_lax_init, hydro_chain_rhs)
 
 
 def chain_gap(Q, k_neg, k_pos, n):
@@ -32,6 +42,26 @@ def chain_gap(Q, k_neg, k_pos, n):
 def volterra_gap(Bp, flow):
     return float(np.abs(flows._volterra_rhs_padded(Bp, flow)
                         - ref.volterra_rates(Bp, flow)).max())
+
+
+def hydro_gaps(rng, n_x, top, bottom):
+    """(relative u-rate gap, absolute v-rate gap) on a random chain field."""
+    k_neg, k_pos = 4, 6
+    x = np.linspace(0.25, 2.25, n_x)
+    u = rng.uniform(-2.0, 2.0, (k_neg + k_pos + 1, n_x))
+    u[k_neg] = rng.uniform(0.5, 2.0, n_x)
+    field = HydroChainField(x, u, rng.uniform(-1.0, 1.0, n_x), k_neg)
+    du, dv = hydro_chain_rhs(field, top=top, bottom=bottom)
+    ref_du, ref_dv = ref.chain_rhs_arrays(x, field.dx, field.u, field.v, k_neg,
+                                          top, bottom, 50.0)
+    return (float(np.abs(du - ref_du).max() / np.abs(ref_du).max()),
+            float(np.abs(dv - ref_dv).max()))
+
+
+def matrix_gaps(rng, window):
+    pt = TensorPoint(rng.uniform(-3.0, 3.0, 2 * window + 1), window)
+    return (float(np.abs(chain_matrix(pt) - ref.chain_matrix(pt)).max()),
+            float(np.abs(continuum._matrix_gradient(pt) - ref.matrix_gradient(pt)).max()))
 
 
 def trajectory_gap(run, field, name, reference):
@@ -76,13 +106,26 @@ def main():
         lambda: evolve_volterra(VolterraState(np.arange(1.0, 33.0)), 4, [1e-4], h=1e-5),
         "B", "_volterra_rhs_padded", ref.volterra_rates)
 
-    rows = [("chain kernel, %d windows x2" % args.samples, chain),
-            ("Volterra kernel, %d lines x3 flows" % args.samples, volterra),
-            ("evolve_pfaff N=256 9+7 bands, t=0.1", traj_pfaff),
-            ("evolve_volterra N=32 flow 4, C12 leg", traj_volterra)]
-    for label, gap in rows:
-        print(f"{label:<40} max |new - reference| = {gap:.3g}")
-    return 0 if all(gap == 0.0 for _, gap in rows) else 1
+    hydro_du = hydro_dv = matrix = gradient = 0.0
+    for i in range(args.samples):
+        closures = [("copy", "copy"), (2.0, "copy"), ("copy", 0.0)][i % 3]
+        gu, gv = hydro_gaps(rng, int(rng.integers(161, 242)), *closures)
+        hydro_du, hydro_dv = max(hydro_du, gu), max(hydro_dv, gv)
+        ga, gd = matrix_gaps(rng, int(rng.integers(10, 15)))
+        matrix, gradient = max(matrix, ga), max(gradient, gd)
+
+    # (label, largest difference, limit)
+    rows = [("chain kernel, %d windows x2" % args.samples, chain, 0.0),
+            ("Volterra kernel, %d lines x3 flows" % args.samples, volterra, 0.0),
+            ("evolve_pfaff N=256 9+7 bands, t=0.1", traj_pfaff, 0.0),
+            ("evolve_volterra N=32 flow 4, C12 leg", traj_volterra, 0.0),
+            ("hydro du, %d fields (relative)" % args.samples, hydro_du, 1e-13),
+            ("hydro dv, %d fields" % args.samples, hydro_dv, 0.0),
+            ("chain_matrix, %d points" % args.samples, matrix, 0.0),
+            ("_matrix_gradient, %d points" % args.samples, gradient, 0.0)]
+    for label, gap, limit in rows:
+        print(f"{label:<40} max |new - reference| = {gap:.3g}  (limit {limit:g})")
+    return 0 if all(gap <= limit for _, gap, limit in rows) else 1
 
 
 if __name__ == "__main__":

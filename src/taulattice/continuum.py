@@ -9,6 +9,11 @@ diagnostic for the chain's coefficient matrix (Nijenhuis / Haantjes), and
 convergence harnesses comparing lattice output to the limit solutions under
 grid refinement.
 
+The monomial table `_matrix_terms` is the single encoding of the chain: the
+RHS that `evolve_hydro_chain` integrates, the coefficient matrix and its
+gradient all read it, compiled once per window shape into index arrays, so
+the Haantjes scan certifies the matrix of the chain being integrated.
+
 Sign conventions follow the lattice: the k>=0 half of the chain never reads
 negative-index fields, so it can be integrated on its own.
 """
@@ -217,45 +222,38 @@ def _closure_row(u: np.ndarray, edge: int, spec) -> np.ndarray:
     return np.full(u.shape[1], float(spec))
 
 
-def _chain_rhs_arrays(x, dx, u, v, k_neg, top, bottom, bound):
+@lru_cache(maxsize=None)
+def _rhs_plan(k_neg: int, k_pos: int):
+    """(coef, first factor, second factor, column, row starts) of the
+    monomials of rows -k_neg .. k_pos, row by row in table order; factors and
+    columns index the rows of `ext` in `_chain_rhs_arrays`."""
+    W = max(k_neg, k_pos) + 1
+    row, col, coef, factors = _chain_table(W)
+    keep = np.flatnonzero((row >= W - k_neg) & (row <= W + k_pos))
+    keep = keep[np.argsort(row[keep], kind="stable")]
+    shift = k_neg + 1 - W
+    f = np.where(factors[keep] == 2 * W + 1, k_neg + k_pos + 3, factors[keep] + shift)
+    starts = np.flatnonzero(np.diff(row[keep], prepend=-1))
+    return coef[keep, None], f[:, 0], f[:, 1], col[keep] + shift, starts
+
+
+def _chain_rhs_arrays(dx, u, v, k_neg, top, bottom, bound):
     """Core chain RHS on raw arrays; `top`/`bottom` close the band window by
     copying the edge row or pinning a constant."""
     if bound is not None and max(np.max(np.abs(u)), np.max(np.abs(v))) > bound:
         raise DivergedField(f"field magnitude exceeded {bound}")
-    K = u.shape[0] - 1 - k_neg
-    ext = np.vstack([_closure_row(u, 0, bottom)[None, :], u,
-                     _closure_row(u, -1, top)[None, :]])
-    ux = spatial_derivative(ext, dx)
-    off = k_neg + 1
-
-    def U(ell):
-        return ext[ell + off]
-
-    def Ux(ell):
-        return ux[ell + off]
-
-    u0, u1 = U(0), U(1)
-    ux0, ux1 = Ux(0), Ux(1)
-    du = np.empty_like(u)
-
-    # non-negative half: closed in itself
-    du[k_neg] = u0 * u1 * ux0 + u0 ** 2 * ux1
-    du[k_neg + 1] = (2.0 * U(2) - u1 ** 2) * ux0 - u0 * u1 * ux1 + u0 * Ux(2)
-    for k in range(2, K + 1):
-        du[k_neg + k] = (((k + 1) * U(k + 1) - (k - 1) * U(k - 1) - U(k) * u1) * ux0
-                         - u0 * U(k) * ux1 + u0 * (Ux(k + 1) + Ux(k - 1)))
-
-    du[k_neg - 1] = (U(-1) * u1 + U(-2)) * ux0 + u0 * U(-1) * ux1 + u0 * Ux(-2)
-    du[k_neg - 2] = ((U(-2) * u1 + 2.0 * U(-3)) * ux0 + u0 * U(-2) * ux1
-                     + u0 * Ux(-3) + 2.0 * u0 * Ux(-1))
-    for k in range(3, k_neg + 1):
-        du[k_neg - k] = ((k * U(-k - 1) - (k - 2) * U(-k + 1) + U(-k) * u1) * ux0
-                        + u0 * U(-k) * ux1 + u0 * (Ux(-k + 1) + Ux(-k - 1)))
+    coef, fa, fb, col, starts = _rhs_plan(k_neg, u.shape[0] - 1 - k_neg)
+    # closure rows around the window, then the ones row of one-factor monomials
+    ext = np.vstack([_closure_row(u, 0, bottom), u, _closure_row(u, -1, top),
+                     np.ones(u.shape[1])])
+    ux = spatial_derivative(ext[:-1], dx)
+    du = np.add.reduceat(coef * ext[fa] * ext[fb] * ux[col], starts, axis=0)
 
     # scalar transport; the closure source u0 d/dx(u0 * 1/(2 u0)) is written
     # out literally so its cancellation is a property of the formula, not of
     # this implementation
-    dv = (spatial_derivative(u0 * u1 * v, dx) + u0 * Ux(-1)
+    u0, u1 = ext[k_neg + 1], ext[k_neg + 2]
+    dv = (spatial_derivative(u0 * u1 * v, dx) + u0 * ux[k_neg]       # ux[k_neg]: u^{-1}_x
           + u0 * spatial_derivative(u0 * (1.0 / (2.0 * u0)), dx))
     return du, dv
 
@@ -266,8 +264,8 @@ def hydro_chain_rhs(field: HydroChainField, *, top="copy", bottom="copy",
 
     Raises DivergedField once any field magnitude exceeds `bound`.
     """
-    return _chain_rhs_arrays(field.x, field.dx, field.u, field.v,
-                             field.k_neg, top, bottom, bound)
+    return _chain_rhs_arrays(field.dx, field.u, field.v, field.k_neg,
+                             top, bottom, bound)
 
 
 def evolve_hydro_chain(field: HydroChainField, t_target: float, *, cfl: float = 0.2,
@@ -298,7 +296,7 @@ def evolve_hydro_chain(field: HydroChainField, t_target: float, *, cfl: float = 
             vc = vc.copy()
             uc[:, strip] = ud
             vc[strip] = vd
-        du, dv = _chain_rhs_arrays(x, dx, uc, vc, k_neg, top, bottom, bound)
+        du, dv = _chain_rhs_arrays(dx, uc, vc, k_neg, top, bottom, bound)
         du[:, strip] = 0.0
         dv[strip] = 0.0
         return du, dv
@@ -439,7 +437,6 @@ class TensorPoint:
         return float(self.u[ell + self.window])
 
 
-@lru_cache(maxsize=None)
 def _matrix_terms(window: int):
     """Monomial table of the chain's coefficient matrix on the window.
 
@@ -487,34 +484,39 @@ def _matrix_terms(window: int):
     return tuple(terms)
 
 
+@lru_cache(maxsize=None)
+def _chain_table(window: int):
+    """`_matrix_terms(window)` as arrays in table order: rows, columns,
+    coefficients and (terms, 2) factor pairs.  Indices count from -window;
+    a one-factor monomial's second factor is 2*window + 1, a ones entry."""
+    W = window
+    row, col, coef, a, b = map(np.array, zip(*[
+        (i + W, j + W, c, f[0] + W, f[1] + W if len(f) == 2 else 2 * W + 1)
+        for i, j, c, f in _matrix_terms(W)]))
+    return row, col, coef, np.stack([a, b], axis=1)
+
+
 def chain_matrix(point: TensorPoint) -> np.ndarray:
     """The quasilinear coefficient matrix A at the point, (2W+1)x(2W+1)."""
     W = point.window
-    n = 2 * W + 1
-    A = np.zeros((n, n))
-    u = point.u
-    for i, j, c, f in _matrix_terms(W):
-        val = c
-        for idx in f:
-            val *= u[idx + W]
-        A[i + W, j + W] += val
+    row, col, coef, factors = _chain_table(W)
+    ue = np.append(point.u, 1.0)
+    A = np.zeros((2 * W + 1, 2 * W + 1))
+    np.add.at(A, (row, col), coef * ue[factors[:, 0]] * ue[factors[:, 1]])
     return A
 
 
 def _matrix_gradient(point: TensorPoint) -> np.ndarray:
-    """dA[l, i, j] = dA^i_j / du^l, exact from the monomial table."""
+    """dA[l, i, j] = dA^i_j / du^l, exact from the monomial table; the
+    derivative by the ones entry fills an extra slab l = n, cut off."""
     W = point.window
     n = 2 * W + 1
-    dA = np.zeros((n, n, n))
-    u = point.u
-    for i, j, c, f in _matrix_terms(W):
-        if len(f) == 1:
-            dA[f[0] + W, i + W, j + W] += c
-        else:
-            a, b = f
-            dA[a + W, i + W, j + W] += c * u[b + W]
-            dA[b + W, i + W, j + W] += c * u[a + W]
-    return dA
+    row, col, coef, factors = _chain_table(W)
+    ue = np.append(point.u, 1.0)
+    dA = np.zeros((n + 1, n, n))
+    np.add.at(dA, (factors, row[:, None], col[:, None]),
+              coef[:, None] * ue[factors[:, ::-1]])
+    return dA[:n]
 
 
 def _nijenhuis_tensor(A: np.ndarray, dA: np.ndarray) -> np.ndarray:

@@ -14,7 +14,9 @@ every row is shape(n) * amplitude(t), so this closure is exact there; a
 doubling test is the empirical guard elsewhere.  Frozen ("pin") and plain
 linear extrapolation closures remain available: pinning is simple but
 feeds O(1) errors inward once edge amplitudes grow, and fails the scaling
-oracle at desk tolerances.
+oracle at desk tolerances.  One routine, `_ghost_closure`, implements the
+three policies for the Volterra line (scalar edge values) and for every
+row of the band window at once ((rows, 1) edge columns).
 
 Kernels: each RHS evaluation is a fixed handful of array operations, not a
 loop over sites or bands.  The Volterra stencil reads its neighbours by
@@ -25,10 +27,11 @@ each, with integer gathers from a `_BandPlan` built from the window shape;
 `evolve_pfaff` builds its plan, closure data and padded buffer once per call
 and caches nothing beyond it.
 
-Divergence: the fixed-step RK4 branch of `evolve` checks the state for NaN
-or infinity at every sample time and raises DivergedField, so no RK4
-trajectory comes back non-finite; a diverging adaptive run ends in
-StepUnderflow.
+Divergence: each RK4 segment runs with floating-point overflow and invalid
+operations raising, so the first overflowing step ends the run with
+DivergedField naming the segment, at no per-step cost.  The state is also
+checked for NaN or infinity at every sample time, which catches NaN input.
+The adaptive branch raises DivergedField as soon as the RHS is not finite.
 """
 
 from __future__ import annotations
@@ -379,12 +382,17 @@ def _rk4_segment(rhs, y, t0, t1, h):
     span = t1 - t0
     steps = max(1, int(math.ceil(span / h - 1e-12)))
     hs = span / steps
-    for _ in range(steps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * hs * k1)
-        k3 = rhs(y + 0.5 * hs * k2)
-        k4 = rhs(y + hs * k3)
-        y = y + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for _ in range(steps):
+                k1 = rhs(y)
+                k2 = rhs(y + 0.5 * hs * k1)
+                k3 = rhs(y + 0.5 * hs * k2)
+                k4 = rhs(y + hs * k3)
+                y = y + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    except FloatingPointError as exc:
+        raise DivergedField(f"RK4 segment [{t0:g}, {t1:g}] ({steps} steps of "
+                            f"h={hs:g}) overflowed: {exc}") from exc
     return y, steps
 
 
@@ -394,8 +402,8 @@ def evolve(rhs, y0: np.ndarray, times, *, stepper: str = "rk4", h: float = 1e-3,
 
     Fixed-step classical RK4 (steps shortened to land on each sample), or
     an embedded adaptive pair when stepper="adaptive".  Returns (states,
-    stats).  The RK4 branch raises DivergedField if a sampled state is not
-    finite.
+    stats).  Raises DivergedField when an RK4 segment overflows or a sampled
+    state is not finite, and when the adaptive RHS is not finite.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0 or np.any(np.diff(times) <= 0):
@@ -421,7 +429,13 @@ def evolve(rhs, y0: np.ndarray, times, *, stepper: str = "rk4", h: float = 1e-3,
             t_prev = t
         return out, {"stepper": "rk4", "h": h, "steps": total}
     if stepper == "adaptive":
-        sol = solve_ivp(lambda _t, y: rhs(y), (0.0, float(times[-1])), y0,
+        def finite_rhs(t, y):
+            dy = rhs(y)
+            if not np.isfinite(dy).all():
+                raise DivergedField(f"adaptive stepper met a non-finite RHS at t={t:g}")
+            return dy
+
+        sol = solve_ivp(finite_rhs, (0.0, float(times[-1])), y0,
                         method="RK45", t_eval=times, rtol=tol, atol=tol * 1e-2,
                         max_step=np.inf)
         if not sol.success:
@@ -431,27 +445,36 @@ def evolve(rhs, y0: np.ndarray, times, *, stepper: str = "rk4", h: float = 1e-3,
     raise ValueError(f"stepper must be 'rk4' or 'adaptive', got {stepper!r}")
 
 
-def _ghost_line(init2, init_ghost, policy):
+def _ghost_closure(i2, i1, init_ghost, policy):
     """Map (a2, a1), the two current edge values, to the ghost values ahead of
-    the edge: initial shape times extrapolated ratio."""
-    i2, i1 = init2
-    j = np.arange(1.0, len(init_ghost) + 1)
+    the edge; (i2, i1) are the initial ones.  Edges are scalars (a lattice
+    line) or (rows, 1) columns (a band window).  Rows whose initial edge is
+    near 0 extrapolate linearly under "scaled"."""
+    if policy not in _GHOSTS:
+        raise ValueError(f"ghost policy must be one of {_GHOSTS}")
+    j = np.arange(1.0, np.shape(init_ghost)[-1] + 1)
+
+    def linear(a2, a1):
+        return a1 + j * (a1 - a2)
+
+    ok = np.minimum(np.abs(i1), np.abs(i2)) >= 1e-12 * (np.abs(i1) + np.abs(i2) + 1.0)
     if policy == "pin":
         return lambda a2, a1: init_ghost
-    if policy == "linear" or min(abs(i1), abs(i2)) < 1e-12 * (abs(i1) + abs(i2) + 1.0):
-        return lambda a2, a1: a1 + j * (a1 - a2)
+    if policy == "linear" or not ok.any():
+        return linear
 
     def scaled(a2, a1):
         r1, r2 = a1 / i1, a2 / i2
         return init_ghost * (r1 + j * (r1 - r2))
-    return scaled
+    if ok.all():
+        return scaled
+    i1, i2 = np.where(ok, i1, 1.0), np.where(ok, i2, 1.0)     # read by scaled
+    return lambda a2, a1: np.where(ok, scaled(a2, a1), linear(a2, a1))
 
 
 def evolve_volterra(state: VolterraState, flow: int, times, *, h: float = 1e-3,
                     ghost: str = "scaled", n_evolve: int | None = None) -> EvolutionResult:
     """Volterra trajectory; the outer 4 sites of `state` anchor the closure."""
-    if ghost not in _GHOSTS:
-        raise ValueError(f"ghost policy must be one of {_GHOSTS}")
     B0 = state.B
     N = len(B0)
     pad = 4
@@ -462,7 +485,7 @@ def evolve_volterra(state: VolterraState, flow: int, times, *, h: float = 1e-3,
     width = max(pad, N - n_evolve)
     init_ghost = np.concatenate([B0[n_evolve:], B0[-1] + (B0[-1] - B0[-2])
                                  * np.arange(1.0, width + 1)])[:width]
-    line = _ghost_line((B0[n_evolve - 2], B0[n_evolve - 1]), init_ghost, ghost)
+    line = _ghost_closure(B0[n_evolve - 2], B0[n_evolve - 1], init_ghost, ghost)
     Bp = np.zeros(4 + n_evolve + pad)           # left ghosts stay 0
 
     def rhs(y):
@@ -514,8 +537,6 @@ def evolve_pfaff(state: PfaffLax, times, *, h: float = 1e-3, ghost: str = "scale
     the initial values, closing the truncation.  Returned windows have the
     full input shape with ghost strips filled by the closure.
     """
-    if ghost not in _GHOSTS:
-        raise ValueError(f"ghost policy must be one of {_GHOSTS}")
     k_neg, k_pos, N = state.k_neg, state.k_pos, state.n_sites
     K1, K2 = k_neg - row_margin, k_pos - row_margin
     if K1 < 2 or K2 < 1:
@@ -525,37 +546,13 @@ def evolve_pfaff(state: PfaffLax, times, *, h: float = 1e-3, ghost: str = "scale
         n_evolve = N - pad
     if not 2 <= n_evolve <= N - pad:
         raise ValueError("need %d trailing anchor sites" % pad)
-    width = N - n_evolve
     W0 = state.w
     rows = slice(row_margin, k_neg + k_pos + 1 - row_margin)
     n_rows = K1 + K2 + 1
     init_active = W0[rows]
-
-    # closure data from the initial window, fixed for the whole call
-    i1 = init_active[:, n_evolve - 1]
-    i2 = init_active[:, n_evolve - 2]
-    j = np.arange(1.0, width + 1)
-    ig = init_active[:, n_evolve:]
-    ok = (np.minimum(np.abs(i1), np.abs(i2))
-          >= 1e-12 * (np.abs(i1) + np.abs(i2) + 1.0))
-    flat = np.flatnonzero(~ok)      # edge rows near 0 at t=0 extrapolate linearly
-    i1, i2 = np.where(ok, i1, 1.0), np.where(ok, i2, 1.0)
-
-    def lin(a1, a2):
-        return a1[:, None] + j * (a1 - a2)[:, None]
-
-    def ghosts_for(y2d):
-        if ghost == "pin":
-            return ig
-        a1, a2 = y2d[:, -1], y2d[:, -2]
-        if ghost == "linear":
-            return lin(a1, a2)
-        r1, r2 = a1 / i1, a2 / i2
-        out = ig * (r1[:, None] + j * (r1 - r2)[:, None])
-        if flat.size:
-            out[flat] = lin(a1[flat], a2[flat])
-        return out
-
+    closure = _ghost_closure(init_active[:, n_evolve - 2:n_evolve - 1],
+                             init_active[:, n_evolve - 1:n_evolve],
+                             init_active[:, n_evolve:], ghost)
     plan = _band_plan(K1, K2, n_evolve)
     Q = np.zeros((n_rows + 2, 1 + n_evolve + pad))   # ghost rows and site 0 fixed
     Q[0, 1:] = W0[row_margin - 1, :n_evolve + pad]
@@ -564,7 +561,7 @@ def evolve_pfaff(state: PfaffLax, times, *, h: float = 1e-3, ghost: str = "scale
     def rhs(y):
         y2d = y.reshape(n_rows, n_evolve)
         Q[1:-1, 1:n_evolve + 1] = y2d
-        Q[1:-1, n_evolve + 1:] = ghosts_for(y2d)[:, :pad]
+        Q[1:-1, n_evolve + 1:] = closure(y2d[:, -2:-1], y2d[:, -1:])[:, :pad]
         return _pfaff_core(Q, plan).ravel()
 
     y0 = init_active[:, :n_evolve].ravel()
@@ -579,7 +576,7 @@ def evolve_pfaff(state: PfaffLax, times, *, h: float = 1e-3, ghost: str = "scale
         y2d = y.reshape(n_rows, n_evolve)
         w = W0.copy()
         w[rows, :n_evolve] = y2d
-        w[rows, n_evolve:] = ghosts_for(y2d)
+        w[rows, n_evolve:] = closure(y2d[:, -2:-1], y2d[:, -1:])
         states.append(PfaffLax(w, k_neg, k_pos))
     return EvolutionResult(times, states, stats)
 

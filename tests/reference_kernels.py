@@ -1,12 +1,19 @@
-"""Reference lattice kernels: the per-band loop and the np.roll stencil.
+"""Reference kernels: the per-band loop, the np.roll stencil and the
+hand-written hydrodynamic chain.
 
 These are the straightforward forms of the Pfaff-chain and Volterra
-right-hand sides.  The library's kernels evaluate the same arithmetic with
-slices and precomputed gathers; the tests and scripts/kernel_equiv.py hold
-them to these references bit for bit.
+right-hand sides, of the continuum chain's RHS written row by row, and of
+the coefficient matrix and its gradient built by a loop over the monomial
+table.  The library's kernels evaluate the same arithmetic with slices and
+precomputed gathers; the tests and scripts/kernel_equiv.py hold them to
+these references bit for bit, except the chain RHS, whose table gather sums
+each row's terms in another order and is held to 1e-13 relative.
 """
 
 import numpy as np
+
+from taulattice.continuum import _closure_row, _matrix_terms, spatial_derivative
+from taulattice.errors import DivergedField
 
 
 def volterra_potential(Bp: np.ndarray, flow: int) -> np.ndarray:
@@ -82,3 +89,73 @@ def pfaff_rates(Q: np.ndarray, plan) -> np.ndarray:
 def volterra_rates(Bp: np.ndarray, flow: int) -> np.ndarray:
     """volterra_rhs_padded in the calling convention of flows._volterra_rhs_padded."""
     return volterra_rhs_padded(Bp, flow)[4:-4]
+
+
+def chain_rhs_arrays(x, dx, u, v, k_neg, top, bottom, bound):
+    """Hydrodynamic chain RHS with every row written out; `top`/`bottom`
+    close the band window by copying the edge row or pinning a constant."""
+    if bound is not None and max(np.max(np.abs(u)), np.max(np.abs(v))) > bound:
+        raise DivergedField(f"field magnitude exceeded {bound}")
+    K = u.shape[0] - 1 - k_neg
+    ext = np.vstack([_closure_row(u, 0, bottom)[None, :], u,
+                     _closure_row(u, -1, top)[None, :]])
+    ux = spatial_derivative(ext, dx)
+    off = k_neg + 1
+
+    def U(ell):
+        return ext[ell + off]
+
+    def Ux(ell):
+        return ux[ell + off]
+
+    u0, u1 = U(0), U(1)
+    ux0, ux1 = Ux(0), Ux(1)
+    du = np.empty_like(u)
+
+    # non-negative half: closed in itself
+    du[k_neg] = u0 * u1 * ux0 + u0 ** 2 * ux1
+    du[k_neg + 1] = (2.0 * U(2) - u1 ** 2) * ux0 - u0 * u1 * ux1 + u0 * Ux(2)
+    for k in range(2, K + 1):
+        du[k_neg + k] = (((k + 1) * U(k + 1) - (k - 1) * U(k - 1) - U(k) * u1) * ux0
+                         - u0 * U(k) * ux1 + u0 * (Ux(k + 1) + Ux(k - 1)))
+
+    du[k_neg - 1] = (U(-1) * u1 + U(-2)) * ux0 + u0 * U(-1) * ux1 + u0 * Ux(-2)
+    du[k_neg - 2] = ((U(-2) * u1 + 2.0 * U(-3)) * ux0 + u0 * U(-2) * ux1
+                     + u0 * Ux(-3) + 2.0 * u0 * Ux(-1))
+    for k in range(3, k_neg + 1):
+        du[k_neg - k] = ((k * U(-k - 1) - (k - 2) * U(-k + 1) + U(-k) * u1) * ux0
+                        + u0 * U(-k) * ux1 + u0 * (Ux(-k + 1) + Ux(-k - 1)))
+
+    dv = (spatial_derivative(u0 * u1 * v, dx) + u0 * Ux(-1)
+          + u0 * spatial_derivative(u0 * (1.0 / (2.0 * u0)), dx))
+    return du, dv
+
+
+def chain_matrix(point) -> np.ndarray:
+    """The coefficient matrix, one monomial of the table at a time."""
+    W = point.window
+    n = 2 * W + 1
+    A = np.zeros((n, n))
+    u = point.u
+    for i, j, c, f in _matrix_terms(W):
+        val = c
+        for idx in f:
+            val *= u[idx + W]
+        A[i + W, j + W] += val
+    return A
+
+
+def matrix_gradient(point) -> np.ndarray:
+    """dA[l, i, j] = dA^i_j / du^l, one monomial of the table at a time."""
+    W = point.window
+    n = 2 * W + 1
+    dA = np.zeros((n, n, n))
+    u = point.u
+    for i, j, c, f in _matrix_terms(W):
+        if len(f) == 1:
+            dA[f[0] + W, i + W, j + W] += c
+        else:
+            a, b = f
+            dA[a + W, i + W, j + W] += c * u[b + W]
+            dA[b + W, i + W, j + W] += c * u[a + W]
+    return dA

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference_kernels as ref
 from taulattice import (HydroChainField, IndexOutOfWindow, PreBreakingViolated,
-                        ReducedChainState, TensorPoint, continuum_convergence,
-                        dtl_rhs, haantjes, haantjes_scan, hopf_solve,
-                        hydro_chain_rhs, hydro_scaling_check, nijenhuis,
-                        nijenhuis_closed_form, reduced_chain_rhs,
-                        reduced_continuum_rhs, spatial_derivative)
+                        ReducedChainState, TensorPoint, chain_matrix,
+                        continuum_convergence, dtl_rhs, haantjes,
+                        haantjes_scan, hopf_solve, hydro_chain_rhs,
+                        hydro_scaling_check, nijenhuis, nijenhuis_closed_form,
+                        reduced_chain_rhs, reduced_continuum_rhs,
+                        spatial_derivative)
+from taulattice.continuum import _matrix_gradient
 
 
 class TestSpatialDerivative:
@@ -109,6 +113,39 @@ class TestHydroChain:
         report = hydro_scaling_check(t_target=0.1, n_x=101)
         assert report.passed
         assert report.residual_abs < 1e-7
+
+
+_CLOSURES = st.one_of(st.just("copy"), st.floats(-2.0, 2.0))
+
+
+class TestChainTable:
+    """The RHS, matrix and gradient read from one monomial table agree with
+    the hand-written rows and the per-monomial loops."""
+
+    @given(st.integers(2, 9), st.integers(2, 9), st.integers(5, 241),
+           _CLOSURES, _CLOSURES, st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_rhs_matches_written_rows(self, k_neg, k_pos, n_x, top, bottom, seed):
+        rng = np.random.default_rng(seed)
+        x = np.linspace(0.25, 2.25, n_x)
+        u = rng.uniform(-2.0, 2.0, (k_neg + k_pos + 1, n_x))
+        u[k_neg] = rng.uniform(0.5, 2.0, n_x)
+        v = rng.uniform(-1.0, 1.0, n_x)
+        field = HydroChainField(x, u, v, k_neg)
+        du, dv = hydro_chain_rhs(field, top=top, bottom=bottom)
+        ref_du, ref_dv = ref.chain_rhs_arrays(x, field.dx, field.u, field.v,
+                                              k_neg, top, bottom, 50.0)
+        # the table sums each row's monomials in its own order
+        assert np.max(np.abs(du - ref_du)) <= 1e-13 * np.max(np.abs(ref_du))
+        assert np.array_equal(dv, ref_dv)
+
+    @given(st.integers(4, 12), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matrix_and_gradient_match_term_loop(self, window, seed):
+        u = np.random.default_rng(seed).uniform(-3.0, 3.0, 2 * window + 1)
+        pt = TensorPoint(u, window)
+        assert np.array_equal(chain_matrix(pt), ref.chain_matrix(pt))
+        assert np.array_equal(_matrix_gradient(pt), ref.matrix_gradient(pt))
 
 
 class TestReducedContinuum:

@@ -1,3 +1,7 @@
+import signal
+import warnings
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -95,6 +99,20 @@ class TestVolterra:
         assert res.stats["influence_index"] < res.stats["n_evolve"]
 
 
+@contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the main thread if the block runs too long."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestStepper:
     def test_rk4_fourth_order(self):
         rhs = lambda y: y * y                    # blows up at t=1, exact 1/(1-t)
@@ -115,6 +133,14 @@ class TestStepper:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergedField):
                 evolve(rhs, np.array([1.0]), [0.5, 2.0], h=0.05)
+        # NaN input raises no floating-point error; the sample check catches it
+        with pytest.raises(DivergedField, match="not finite"):
+            evolve(lambda y: y, np.array([np.nan]), [0.1])
+
+    def test_adaptive_non_finite_rhs_raises(self):
+        with _deadline(1.0), pytest.raises(DivergedField):
+            evolve(lambda y: y * np.nan, np.array([1.0]), [0.5, 2.0],
+                   stepper="adaptive")
 
     def test_input_validation(self):
         rhs = lambda y: y
@@ -162,6 +188,13 @@ class TestBandedChain:
         # h = 1e-3 is past the edge's stability limit at this size
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergedField):
+                evolve_pfaff(goe_lax_init(768, 5, 7), [0.2], h=1e-3)
+
+    def test_overflow_stops_the_segment(self):
+        # the first overflow ends the run: no RuntimeWarning, no further steps
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergedField, match="segment"):
                 evolve_pfaff(goe_lax_init(768, 5, 7), [0.2], h=1e-3)
 
     def test_evolution_preserves_container(self):

@@ -12,15 +12,19 @@ Volterra flows 2, 4 and 6.
 The hydrodynamic chain's RHS, coefficient matrix and gradient are read from
 one monomial table (`continuum._chain_table`).  The matrix and gradient must
 equal the per-monomial loops exactly, and the RHS's v rate must equal the
-hand-written chain's.  Its u rates sum each row's monomials in another
-order, so they are held to 1e-13 relative to the largest rate.  Shapes are
-the benchmark's: 161-241 cells, 4 bands below and 6 above, windows 10-14.
-Exits 1 if any difference exceeds its limit.
+hand-written chain's.  Its u rates come from one product with the
+coefficient matrix, which sums each row's monomials in another order, so
+they are held to 1e-13 relative to the largest rate.  The march inside
+`hydro_scaling_check` is run on both RHS kernels: the step counts must be
+equal and the final fields within 1e-12.  Shapes are the benchmark's:
+161-241 cells, 4 bands below and 6 above, windows 10-14, marches to
+t = 0.1 and 0.2.  Exits 1 if any difference exceeds its limit.
 
     PYTHONPATH=src python3 scripts/kernel_equiv.py --samples 40 --seed 1
 """
 
 import argparse
+import math
 import os
 import sys
 
@@ -52,7 +56,7 @@ def hydro_gaps(rng, n_x, top, bottom):
     u[k_neg] = rng.uniform(0.5, 2.0, n_x)
     field = HydroChainField(x, u, rng.uniform(-1.0, 1.0, n_x), k_neg)
     du, dv = hydro_chain_rhs(field, top=top, bottom=bottom)
-    ref_du, ref_dv = ref.chain_rhs_arrays(x, field.dx, field.u, field.v, k_neg,
+    ref_du, ref_dv = ref.chain_rhs_arrays(field.dx, field.u, field.v, k_neg,
                                           top, bottom, 50.0)
     return (float(np.abs(du - ref_du).max() / np.abs(ref_du).max()),
             float(np.abs(dv - ref_dv).max()))
@@ -75,6 +79,18 @@ def trajectory_gap(run, field, name, reference):
         setattr(flows, name, saved)
     return max(float(np.abs(getattr(a, field) - getattr(b, field)).max())
                for a, b in zip(new.states, old.states))
+
+
+def hydro_march_gap(n_x, t_target):
+    """(step counts equal, final-field gap) of the scaling march on the
+    table and on the written rows."""
+    table, t_stats = ref.hydro_scaling_run(continuum._chain_rhs_arrays,
+                                           n_x=n_x, t_target=t_target)
+    rows, r_stats = ref.hydro_scaling_run(ref.chain_rhs_arrays,
+                                          n_x=n_x, t_target=t_target)
+    return (t_stats["steps"] == r_stats["steps"],
+            max(float(np.abs(table.u - rows.u).max()),
+                float(np.abs(table.v - rows.v).max())))
 
 
 def main():
@@ -114,6 +130,10 @@ def main():
         ga, gd = matrix_gaps(rng, int(rng.integers(10, 15)))
         matrix, gradient = max(matrix, ga), max(gradient, gd)
 
+    marches = [hydro_march_gap(n_x, t) for n_x in (161, 241) for t in (0.1, 0.2)]
+    same_steps = all(same for same, _ in marches)
+    march = max(gap for _, gap in marches) if same_steps else math.inf
+
     # (label, largest difference, limit)
     rows = [("chain kernel, %d windows x2" % args.samples, chain, 0.0),
             ("Volterra kernel, %d lines x3 flows" % args.samples, volterra, 0.0),
@@ -121,6 +141,8 @@ def main():
             ("evolve_volterra N=32 flow 4, C12 leg", traj_volterra, 0.0),
             ("hydro du, %d fields (relative)" % args.samples, hydro_du, 1e-13),
             ("hydro dv, %d fields" % args.samples, hydro_dv, 0.0),
+            ("hydro march x4, steps %s" % ("equal" if same_steps else "differ"),
+             march, 1e-12),
             ("chain_matrix, %d points" % args.samples, matrix, 0.0),
             ("_matrix_gradient, %d points" % args.samples, gradient, 0.0)]
     for label, gap, limit in rows:

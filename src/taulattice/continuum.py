@@ -14,6 +14,12 @@ RHS that `evolve_hydro_chain` integrates, the coefficient matrix and its
 gradient all read it, compiled once per window shape into index arrays, so
 the Haantjes scan certifies the matrix of the chain being integrated.
 
+Each RHS evaluation makes one stencil pass over one buffer holding the
+window, its two closure rows and the two sources of the v equation, then
+forms the u rates as one product with the dense (rows x terms) coefficient
+matrix S compiled from the table.  The Haantjes scan plans the contraction
+path of each tensor sum once per matrix size.
+
 Sign conventions follow the lattice: the k>=0 half of the chain never reads
 negative-index fields, so it can be integrated on its own.
 """
@@ -224,17 +230,19 @@ def _closure_row(u: np.ndarray, edge: int, spec) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _rhs_plan(k_neg: int, k_pos: int):
-    """(coef, first factor, second factor, column, row starts) of the
-    monomials of rows -k_neg .. k_pos, row by row in table order; factors and
-    columns index the rows of `ext` in `_chain_rhs_arrays`."""
+    """(S, first factor, second factor, column) of the monomials of rows
+    -k_neg .. k_pos in table order.  Factors and columns index the rows of
+    `ext` in `_chain_rhs_arrays`; S is the dense (rows, terms) matrix of the
+    monomials' coefficients, so row r's rate is S[r] @ (monomial values)."""
     W = max(k_neg, k_pos) + 1
+    R = k_neg + k_pos + 1
     row, col, coef, factors = _chain_table(W)
     keep = np.flatnonzero((row >= W - k_neg) & (row <= W + k_pos))
-    keep = keep[np.argsort(row[keep], kind="stable")]
     shift = k_neg + 1 - W
-    f = np.where(factors[keep] == 2 * W + 1, k_neg + k_pos + 3, factors[keep] + shift)
-    starts = np.flatnonzero(np.diff(row[keep], prepend=-1))
-    return coef[keep, None], f[:, 0], f[:, 1], col[keep] + shift, starts
+    f = np.where(factors[keep] == 2 * W + 1, R + 4, factors[keep] + shift)
+    S = np.zeros((R, len(keep)))
+    S[row[keep] - (W - k_neg), np.arange(len(keep))] = coef[keep]
+    return S, f[:, 0], f[:, 1], col[keep] + shift
 
 
 def _chain_rhs_arrays(dx, u, v, k_neg, top, bottom, bound):
@@ -242,19 +250,24 @@ def _chain_rhs_arrays(dx, u, v, k_neg, top, bottom, bound):
     copying the edge row or pinning a constant."""
     if bound is not None and max(np.max(np.abs(u)), np.max(np.abs(v))) > bound:
         raise DivergedField(f"field magnitude exceeded {bound}")
-    coef, fa, fb, col, starts = _rhs_plan(k_neg, u.shape[0] - 1 - k_neg)
-    # closure rows around the window, then the ones row of one-factor monomials
-    ext = np.vstack([_closure_row(u, 0, bottom), u, _closure_row(u, -1, top),
-                     np.ones(u.shape[1])])
-    ux = spatial_derivative(ext[:-1], dx)
-    du = np.add.reduceat(coef * ext[fa] * ext[fb] * ux[col], starts, axis=0)
-
-    # scalar transport; the closure source u0 d/dx(u0 * 1/(2 u0)) is written
-    # out literally so its cancellation is a property of the formula, not of
-    # this implementation
+    R = u.shape[0]
+    S, fa, fb, col = _rhs_plan(k_neg, R - 1 - k_neg)
+    # rows: bottom closure, the window, top closure, the two sources of the
+    # v equation, and the ones row of one-factor monomials; one stencil pass
+    # differentiates all but the ones row
+    ext = np.empty((R + 5, u.shape[1]))
+    ext[0] = _closure_row(u, 0, bottom)
+    ext[1:R + 1] = u
+    ext[R + 1] = _closure_row(u, -1, top)
     u0, u1 = ext[k_neg + 1], ext[k_neg + 2]
-    dv = (spatial_derivative(u0 * u1 * v, dx) + u0 * ux[k_neg]       # ux[k_neg]: u^{-1}_x
-          + u0 * spatial_derivative(u0 * (1.0 / (2.0 * u0)), dx))
+    ext[R + 2] = u0 * u1 * v
+    # the closure source u0 * 1/(2 u0) is written out literally so its
+    # cancellation is a property of the formula, not of this implementation
+    ext[R + 3] = u0 * (1.0 / (2.0 * u0))
+    ext[R + 4] = 1.0
+    ux = spatial_derivative(ext[:-1], dx)
+    du = S @ (ext[fa] * ext[fb] * ux[col])
+    dv = ux[R + 2] + u0 * ux[k_neg] + u0 * ux[R + 3]     # ux[k_neg]: u^{-1}_x
     return du, dv
 
 
@@ -519,20 +532,36 @@ def _matrix_gradient(point: TensorPoint) -> np.ndarray:
     return dA[:n]
 
 
+# the contractions of the Nijenhuis and Haantjes tensors; A is (n, n), the
+# gradient and N are (n, n, n)
+_NIJENHUIS_SUMS = ("pj,pik->ijk", "ip,jpk->ijk")
+_HAANTJES_SUMS = ("ipr,pj,rk->ijk", "pjr,ip,rk->ijk", "prk,ip,rj->ijk",
+                  "pjk,ir,rp->ijk")
+
+
+@lru_cache(maxsize=None)
+def _einsum_paths(n: int) -> dict:
+    """The greedy contraction path of each tensor sum for matrices of size
+    n; a path depends on the operand shapes only, so it is planned once."""
+    paths = {}
+    for expr in _NIJENHUIS_SUMS + _HAANTJES_SUMS:
+        operands = [np.zeros((n,) * len(s)) for s in expr.split("->")[0].split(",")]
+        paths[expr] = np.einsum_path(expr, *operands, optimize=True)[0]
+    return paths
+
+
 def _nijenhuis_tensor(A: np.ndarray, dA: np.ndarray) -> np.ndarray:
     # N^i_{jk} = A^p_j d_p A^i_k - A^p_k d_p A^i_j - A^i_p (d_j A^p_k - d_k A^p_j)
-    t1 = np.einsum("pj,pik->ijk", A, dA, optimize=True)
-    t3 = np.einsum("ip,jpk->ijk", A, dA, optimize=True)
+    path = _einsum_paths(A.shape[0])
+    t1, t3 = (np.einsum(e, A, dA, optimize=path[e]) for e in _NIJENHUIS_SUMS)
     return t1 - t1.transpose(0, 2, 1) - t3 + t3.transpose(0, 2, 1)
 
 
 def _haantjes_tensor(N: np.ndarray, A: np.ndarray) -> np.ndarray:
     # H^i_{jk} = N^i_{pr} A^p_j A^r_k - N^p_{jr} A^i_p A^r_k
     #            - N^p_{rk} A^i_p A^r_j + N^p_{jk} A^i_r A^r_p
-    t1 = np.einsum("ipr,pj,rk->ijk", N, A, A, optimize=True)
-    t2 = np.einsum("pjr,ip,rk->ijk", N, A, A, optimize=True)
-    t3 = np.einsum("prk,ip,rj->ijk", N, A, A, optimize=True)
-    t4 = np.einsum("pjk,ir,rp->ijk", N, A, A, optimize=True)
+    path = _einsum_paths(A.shape[0])
+    t1, t2, t3, t4 = (np.einsum(e, N, A, A, optimize=path[e]) for e in _HAANTJES_SUMS)
     return t1 - t2 - t3 + t4
 
 

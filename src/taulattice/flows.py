@@ -289,20 +289,27 @@ def pfaff_chain_rhs(state: PfaffLax) -> np.ndarray:
     return _pfaff_core(Q, _band_plan(k_neg, k_pos, n))
 
 
+def _embedding_index(n: int, k_neg: int, k_pos: int):
+    """Where the dense embedding holds the window: a (bands, sites) mask of
+    the entries it keeps and their dense rows and columns under that mask.
+    Band l > 0 of site j sits at (2(j+l)-2, 2j-1), band 0 at (2j-1, 2j) and
+    band -l at (2j+2l-3, 2j-2); entries past the 2n x 2n matrix are dropped."""
+    ell = np.arange(-k_neg, k_pos + 1)[:, None]
+    j = np.arange(1, n + 1)[None, :]
+    rows = np.where(ell > 0, 2 * (j + ell) - 2,
+                    np.where(ell < 0, 2 * (j - ell) - 3, 2 * j - 1))
+    cols = np.where(ell > 0, 2 * j - 1, np.where(ell < 0, 2 * j - 2, 2 * j))
+    keep = (rows < 2 * n) & (cols < 2 * n)
+    return keep, rows[keep], cols[keep]
+
+
 def _dense_embedding(state: PfaffLax) -> np.ndarray:
     n = state.n_sites
-    dim = 2 * n
-    L = np.zeros((dim, dim))
-    for j in range(1, n + 1):
-        L[2 * j - 2, 2 * j - 1] = 1.0
-        if 2 * j < dim:
-            L[2 * j - 1, 2 * j] = state.get(0, j)
-        for k in range(1, state.k_pos + 1):
-            if j + k <= n:
-                L[2 * (j + k) - 2, 2 * j - 1] = state.get(k, j)
-        for k in range(1, state.k_neg + 1):
-            if 2 * j + 2 * k - 3 < dim:
-                L[2 * j + 2 * k - 3, 2 * j - 2] = state.get(-k, j)
+    L = np.zeros((2 * n, 2 * n))
+    sites = np.arange(n)
+    L[2 * sites, 2 * sites + 1] = 1.0
+    keep, rows, cols = _embedding_index(n, state.k_neg, state.k_pos)
+    L[rows, cols] = state.w[keep]
     return L
 
 
@@ -334,26 +341,22 @@ def pfaff_commutator_rhs(state: PfaffLax, *, check_tol: float = 1e-10) -> np.nda
     kmax = max(k_neg, k_pos)
     scale = max(1.0, float(np.abs(state.w).max()))
     thresh = check_tol * scale ** 3
-    guard = 2 * (n - (kmax + 2))
-    for i in range(min(guard, dim)):
-        for j in range(min(guard, dim)):
-            if (i + j) % 2 == 0 or j > i + 1:
-                if abs(D[i, j]) > thresh:
-                    raise StructureViolation(
-                        f"derivative {D[i, j]:.3e} at protected position ({i}, {j})")
-            elif j == i + 1 and i % 2 == 0 and abs(D[i, j]) > thresh:
-                raise StructureViolation(
-                    f"unit superdiagonal drifts by {D[i, j]:.3e} at row {i}")
+    g = max(min(2 * (n - (kmax + 2)), dim), 0)
+    r, c = np.ogrid[:g, :g]
+    protected = ((r + c) % 2 == 0) | (c > r + 1)
+    unit = (c == r + 1) & (r % 2 == 0)
+    bad = np.argwhere((protected | unit) & (np.abs(D[:g, :g]) > thresh))
+    if len(bad):
+        # the first offending position in row-major order
+        i, j = bad[0]
+        if protected[i, j]:
+            raise StructureViolation(
+                f"derivative {D[i, j]:.3e} at protected position ({i}, {j})")
+        raise StructureViolation(
+            f"unit superdiagonal drifts by {D[i, j]:.3e} at row {i}")
     out = np.full((k_neg + k_pos + 1, n), np.nan)
-    for j in range(1, n + 1):
-        if 2 * j < dim:
-            out[k_neg, j - 1] = D[2 * j - 1, 2 * j]
-        for k in range(1, k_pos + 1):
-            if j + k <= n:
-                out[k_neg + k, j - 1] = D[2 * (j + k) - 2, 2 * j - 1]
-        for k in range(1, k_neg + 1):
-            if 2 * j + 2 * k - 3 < dim:
-                out[k_neg - k, j - 1] = D[2 * j + 2 * k - 3, 2 * j - 2]
+    keep, rows, cols = _embedding_index(n, k_neg, k_pos)
+    out[keep] = D[rows, cols]
     return out
 
 

@@ -1,19 +1,23 @@
-"""Reference kernels: the per-band loop, the np.roll stencil and the
-hand-written hydrodynamic chain.
+"""Reference kernels: the per-band loop, the np.roll stencil, the
+hand-written hydrodynamic chain and the site-by-site dense commutator.
 
 These are the straightforward forms of the Pfaff-chain and Volterra
-right-hand sides, of the continuum chain's RHS written row by row, and of
-the coefficient matrix and its gradient built by a loop over the monomial
-table.  The library's kernels evaluate the same arithmetic with slices and
-precomputed gathers; the tests and scripts/kernel_equiv.py hold them to
-these references bit for bit, except the chain RHS, whose table gather sums
-each row's terms in another order and is held to 1e-13 relative.
+right-hand sides, of the continuum chain's RHS written row by row, of the
+coefficient matrix and its gradient built by a loop over the monomial
+table, and of the dense embedding and protected-position scan of the
+commutator form.  The library's kernels evaluate the same arithmetic with
+slices, precomputed gathers and masks; the tests and scripts/kernel_equiv.py
+hold them to these references bit for bit, except the chain RHS, whose
+coefficient product sums each row's terms in another order and is held to
+1e-13 relative.
 """
 
 import numpy as np
 
+from taulattice import continuum
 from taulattice.continuum import _closure_row, _matrix_terms, spatial_derivative
-from taulattice.errors import DivergedField
+from taulattice.errors import DivergedField, StructureViolation
+from taulattice.flows import _skew_block_projection
 
 
 def volterra_potential(Bp: np.ndarray, flow: int) -> np.ndarray:
@@ -91,9 +95,10 @@ def volterra_rates(Bp: np.ndarray, flow: int) -> np.ndarray:
     return volterra_rhs_padded(Bp, flow)[4:-4]
 
 
-def chain_rhs_arrays(x, dx, u, v, k_neg, top, bottom, bound):
+def chain_rhs_arrays(dx, u, v, k_neg, top, bottom, bound):
     """Hydrodynamic chain RHS with every row written out; `top`/`bottom`
-    close the band window by copying the edge row or pinning a constant."""
+    close the band window by copying the edge row or pinning a constant.
+    Same calling convention as continuum._chain_rhs_arrays."""
     if bound is not None and max(np.max(np.abs(u)), np.max(np.abs(v))) > bound:
         raise DivergedField(f"field magnitude exceeded {bound}")
     K = u.shape[0] - 1 - k_neg
@@ -131,6 +136,25 @@ def chain_rhs_arrays(x, dx, u, v, k_neg, top, bottom, bound):
     return du, dv
 
 
+def hydro_scaling_run(rhs, **kwargs):
+    """(final field, stats) of the march inside
+    `continuum.hydro_scaling_check(**kwargs)` with `rhs` standing in for
+    `continuum._chain_rhs_arrays`."""
+    runs = []
+    evolve, kernel = continuum.evolve_hydro_chain, continuum._chain_rhs_arrays
+
+    def record(*args, **kw):
+        runs.append(evolve(*args, **kw))
+        return runs[-1]
+
+    continuum.evolve_hydro_chain, continuum._chain_rhs_arrays = record, rhs
+    try:
+        continuum.hydro_scaling_check(**kwargs)
+    finally:
+        continuum.evolve_hydro_chain, continuum._chain_rhs_arrays = evolve, kernel
+    return runs[0]
+
+
 def chain_matrix(point) -> np.ndarray:
     """The coefficient matrix, one monomial of the table at a time."""
     W = point.window
@@ -159,3 +183,55 @@ def matrix_gradient(point) -> np.ndarray:
             dA[a + W, i + W, j + W] += c * u[b + W]
             dA[b + W, i + W, j + W] += c * u[a + W]
     return dA
+
+
+def dense_embedding(state) -> np.ndarray:
+    """The 2n x 2n embedding of a banded window, one site at a time."""
+    n = state.n_sites
+    dim = 2 * n
+    L = np.zeros((dim, dim))
+    for j in range(1, n + 1):
+        L[2 * j - 2, 2 * j - 1] = 1.0
+        if 2 * j < dim:
+            L[2 * j - 1, 2 * j] = state.get(0, j)
+        for k in range(1, state.k_pos + 1):
+            if j + k <= n:
+                L[2 * (j + k) - 2, 2 * j - 1] = state.get(k, j)
+        for k in range(1, state.k_neg + 1):
+            if 2 * j + 2 * k - 3 < dim:
+                L[2 * j + 2 * k - 3, 2 * j - 2] = state.get(-k, j)
+    return L
+
+
+def pfaff_commutator_rhs(state, *, check_tol: float = 1e-10) -> np.ndarray:
+    """flows.pfaff_commutator_rhs with the embedding, the protected-position
+    scan and the read-out written as loops over sites and positions."""
+    L = dense_embedding(state)
+    Pi = _skew_block_projection(L @ L)
+    D = L @ Pi - Pi @ L
+    n, k_neg, k_pos = state.n_sites, state.k_neg, state.k_pos
+    dim = 2 * n
+    kmax = max(k_neg, k_pos)
+    scale = max(1.0, float(np.abs(state.w).max()))
+    thresh = check_tol * scale ** 3
+    guard = 2 * (n - (kmax + 2))
+    for i in range(min(guard, dim)):
+        for j in range(min(guard, dim)):
+            if (i + j) % 2 == 0 or j > i + 1:
+                if abs(D[i, j]) > thresh:
+                    raise StructureViolation(
+                        f"derivative {D[i, j]:.3e} at protected position ({i}, {j})")
+            elif j == i + 1 and i % 2 == 0 and abs(D[i, j]) > thresh:
+                raise StructureViolation(
+                    f"unit superdiagonal drifts by {D[i, j]:.3e} at row {i}")
+    out = np.full((k_neg + k_pos + 1, n), np.nan)
+    for j in range(1, n + 1):
+        if 2 * j < dim:
+            out[k_neg, j - 1] = D[2 * j - 1, 2 * j]
+        for k in range(1, k_pos + 1):
+            if j + k <= n:
+                out[k_neg + k, j - 1] = D[2 * (j + k) - 2, 2 * j - 1]
+        for k in range(1, k_neg + 1):
+            if 2 * j + 2 * k - 3 < dim:
+                out[k_neg - k, j - 1] = D[2 * j + 2 * k - 3, 2 * j - 2]
+    return out

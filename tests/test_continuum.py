@@ -10,7 +10,9 @@ from taulattice import (HydroChainField, IndexOutOfWindow, PreBreakingViolated,
                         hydro_scaling_check, nijenhuis, nijenhuis_closed_form,
                         reduced_chain_rhs, reduced_continuum_rhs,
                         spatial_derivative)
-from taulattice.continuum import _matrix_gradient
+from taulattice import continuum
+from taulattice.continuum import (_haantjes_tensor, _matrix_gradient,
+                                  _nijenhuis_tensor)
 
 
 class TestSpatialDerivative:
@@ -133,11 +135,20 @@ class TestChainTable:
         v = rng.uniform(-1.0, 1.0, n_x)
         field = HydroChainField(x, u, v, k_neg)
         du, dv = hydro_chain_rhs(field, top=top, bottom=bottom)
-        ref_du, ref_dv = ref.chain_rhs_arrays(x, field.dx, field.u, field.v,
+        ref_du, ref_dv = ref.chain_rhs_arrays(field.dx, field.u, field.v,
                                               k_neg, top, bottom, 50.0)
         # the table sums each row's monomials in its own order
         assert np.max(np.abs(du - ref_du)) <= 1e-13 * np.max(np.abs(ref_du))
         assert np.array_equal(dv, ref_dv)
+
+    def test_march_matches_written_rows(self):
+        table, t_stats = ref.hydro_scaling_run(continuum._chain_rhs_arrays,
+                                               t_target=0.1, n_x=101)
+        rows, r_stats = ref.hydro_scaling_run(ref.chain_rhs_arrays,
+                                              t_target=0.1, n_x=101)
+        assert t_stats == r_stats
+        assert np.max(np.abs(table.u - rows.u)) <= 1e-12
+        assert np.max(np.abs(table.v - rows.v)) <= 1e-12
 
     @given(st.integers(4, 12), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -204,6 +215,21 @@ class TestTensors:
         pt = TensorPoint(u, W)
         for i, j, k in ((2, 0, 1), (0, 1, -1), (5, -3, 4)):
             assert abs(haantjes(i, j, k, pt)) < 1e-10
+
+    @pytest.mark.parametrize("W", [4, 10, 14])
+    def test_planned_paths_match_einsum(self, rng, W):
+        # the cached contraction paths are the ones einsum plans itself
+        pt = TensorPoint(rng.uniform(-3.0, 3.0, 2 * W + 1), W)
+        A, dA = chain_matrix(pt), _matrix_gradient(pt)
+        t1 = np.einsum("pj,pik->ijk", A, dA, optimize=True)
+        t3 = np.einsum("ip,jpk->ijk", A, dA, optimize=True)
+        N = t1 - t1.transpose(0, 2, 1) - t3 + t3.transpose(0, 2, 1)
+        H = (np.einsum("ipr,pj,rk->ijk", N, A, A, optimize=True)
+             - np.einsum("pjr,ip,rk->ijk", N, A, A, optimize=True)
+             - np.einsum("prk,ip,rj->ijk", N, A, A, optimize=True)
+             + np.einsum("pjk,ir,rp->ijk", N, A, A, optimize=True))
+        assert np.array_equal(_nijenhuis_tensor(A, dA), N)
+        assert np.array_equal(_haantjes_tensor(N, A), H)
 
     def test_scan(self):
         report = haantjes_scan(window=10, n_points=5, seed=99)

@@ -8,12 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 import reference_kernels as ref
 from taulattice import (DivergedField, EvolutionResult, PfaffLax,
-                        ReducedChainState, TodaLax, UnsupportedKind,
-                        VolterraState, c_coeff, evolve_pfaff, evolve_reduced,
-                        evolve_toda, evolve_volterra, exact_oracles,
-                        goe_lax_init, gue_lax_init, pfaff_chain_rhs,
-                        pfaff_commutator_rhs, reduced_chain_rhs, toda_rhs,
-                        volterra_rhs)
+                        ReducedChainState, StructureViolation, TodaLax,
+                        UnsupportedKind, VolterraState, c_coeff, evolve_pfaff,
+                        evolve_reduced, evolve_toda, evolve_volterra,
+                        exact_oracles, goe_lax_init, gue_lax_init,
+                        pfaff_chain_rhs, pfaff_commutator_rhs,
+                        reduced_chain_rhs, toda_rhs, volterra_rhs)
 from taulattice import flows
 from taulattice.flows import evolve
 
@@ -271,6 +271,62 @@ class TestKernelEquivalence:
         for a, b in zip(new.states, old.states):
             assert np.array_equal(a.B, b.B)
         assert new.stats == old.stats
+
+
+_PROJECT = flows._skew_block_projection
+
+
+def _commutator_outcomes(state, leak):
+    """The library's and the reference's commutator RHS, or the message of the
+    StructureViolation each raised, with `leak` added to the projection so
+    the derivative leaves the band structure."""
+    def project(A):
+        return _PROJECT(A) + leak
+
+    outcomes = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(flows, "_skew_block_projection", project)
+        m.setattr(ref, "_skew_block_projection", project)
+        for rhs in (flows.pfaff_commutator_rhs, ref.pfaff_commutator_rhs):
+            try:
+                outcomes.append(rhs(state))
+            except StructureViolation as exc:
+                outcomes.append(str(exc))
+    return outcomes
+
+
+class TestDenseCommutator:
+    """The masked embedding, scan and read-out against the site loops."""
+
+    @pytest.mark.parametrize("p, q, message", [
+        (0, 0, "unit superdiagonal drifts by -1.000e-03 at row 0"),
+        (0, 1, "derivative -5.000e-04 at protected position (0, 0)"),
+        (0, 17, None)])
+    def test_first_violation(self, p, q, message):
+        leak = np.zeros((24, 24))
+        leak[p, q] = 1e-3
+        new, old = _commutator_outcomes(goe_lax_init(12, 3, 3), leak)
+        if message is None:
+            assert np.array_equal(new, old, equal_nan=True)
+        else:
+            assert new == old == message
+
+    @given(st.integers(3, 30), st.integers(2, 6), st.integers(1, 6),
+           st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_site_loops(self, n_sites, k_neg, k_pos, seed, leaky):
+        rng = np.random.default_rng(seed)
+        state = PfaffLax(rng.uniform(-2.0, 2.0, (k_neg + k_pos + 1, n_sites)),
+                         k_neg, k_pos)
+        assert np.array_equal(flows._dense_embedding(state), ref.dense_embedding(state))
+        leak = np.zeros((2 * n_sites, 2 * n_sites))
+        if leaky:
+            leak[tuple(rng.integers(0, 2 * n_sites, 2))] = rng.uniform(-1.0, 1.0)
+        new, old = _commutator_outcomes(state, leak)
+        if isinstance(old, str):
+            assert new == old
+        else:
+            assert np.array_equal(new, old, equal_nan=True)
 
 
 class TestReducedChain:

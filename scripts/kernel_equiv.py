@@ -16,7 +16,9 @@ hand-written chain's.  Its u rates come from one product with the
 coefficient matrix, which sums each row's monomials in another order, so
 they are held to 1e-13 relative to the largest rate.  The march inside
 `hydro_scaling_check` is run on both RHS kernels: the step counts must be
-equal and the final fields within 1e-12.  Shapes are the benchmark's:
+equal and the final fields within 1e-12.  The same march is run on the
+library's RK4 step and on the stages written out on the (u, v) pair: the
+stats and the final fields must be equal.  Shapes are the benchmark's:
 161-241 cells, 4 bands below and 6 above, windows 10-14, marches to
 t = 0.1 and 0.2.  Exits 1 if any difference exceeds its limit.
 
@@ -56,8 +58,9 @@ def hydro_gaps(rng, n_x, top, bottom):
     u[k_neg] = rng.uniform(0.5, 2.0, n_x)
     field = HydroChainField(x, u, rng.uniform(-1.0, 1.0, n_x), k_neg)
     du, dv = hydro_chain_rhs(field, top=top, bottom=bottom)
-    ref_du, ref_dv = ref.chain_rhs_arrays(field.dx, field.u, field.v, k_neg,
-                                          top, bottom, 50.0)
+    ref_rates = ref.chain_rhs_arrays(field.dx, np.vstack([field.u, field.v]), k_neg,
+                                     top, bottom, 50.0)
+    ref_du, ref_dv = ref_rates[:-1], ref_rates[-1]
     return (float(np.abs(du - ref_du).max() / np.abs(ref_du).max()),
             float(np.abs(dv - ref_dv).max()))
 
@@ -91,6 +94,17 @@ def hydro_march_gap(n_x, t_target):
     return (t_stats["steps"] == r_stats["steps"],
             max(float(np.abs(table.u - rows.u).max()),
                 float(np.abs(table.v - rows.v).max())))
+
+
+def hydro_stepper_gap(n_x, t_target):
+    """(stats equal, final-field gap) of the scaling march on the shared RK4
+    step and on the written-out stages."""
+    lib, l_stats = ref.hydro_scaling_run(n_x=n_x, t_target=t_target)
+    loop, r_stats = ref.hydro_scaling_run(march=ref.evolve_hydro_chain,
+                                          n_x=n_x, t_target=t_target)
+    return (l_stats == r_stats,
+            max(float(np.abs(lib.u - loop.u).max()),
+                float(np.abs(lib.v - loop.v).max())))
 
 
 def main():
@@ -133,6 +147,9 @@ def main():
     marches = [hydro_march_gap(n_x, t) for n_x in (161, 241) for t in (0.1, 0.2)]
     same_steps = all(same for same, _ in marches)
     march = max(gap for _, gap in marches) if same_steps else math.inf
+    steppers = [hydro_stepper_gap(n_x, t) for n_x in (161, 241) for t in (0.1, 0.2)]
+    same_stats = all(same for same, _ in steppers)
+    stepper = max(gap for _, gap in steppers) if same_stats else math.inf
 
     # (label, largest difference, limit)
     rows = [("chain kernel, %d windows x2" % args.samples, chain, 0.0),
@@ -143,6 +160,8 @@ def main():
             ("hydro dv, %d fields" % args.samples, hydro_dv, 0.0),
             ("hydro march x4, steps %s" % ("equal" if same_steps else "differ"),
              march, 1e-12),
+            ("hydro RK4 step x4, stats %s" % ("equal" if same_stats else "differ"),
+             stepper, 0.0),
             ("chain_matrix, %d points" % args.samples, matrix, 0.0),
             ("_matrix_gradient, %d points" % args.samples, gradient, 0.0)]
     for label, gap, limit in rows:

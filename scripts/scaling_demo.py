@@ -37,7 +37,7 @@ def main():
     pf = evolve_pfaff(goe_lax_init(args.N, 6, 6), times, h=args.h)
     pf_oracle = exact_oracles("t2-scaling", ensemble="orthogonal", times=times,
                               n_sites=args.N, k_pos=6, k_neg=6)
-    red = evolve_reduced(ReducedChainState(0.5, np.full(6, 2.0)), times)
+    red = evolve_reduced(ReducedChainState(0.5, np.full(6, 2.0)), times, h=args.h)
 
     for i, t in enumerate(times):
         s = 1.0 - 2.0 * t

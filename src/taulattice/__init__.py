@@ -16,8 +16,8 @@ from .couplings import CouplingVector, QuadratureGrid, build_quadrature
 from .errors import (DivergedField, GridTooCoarse, IllConditioned,
                      IndexOutOfWindow, NonIntegrableWeight, OddDimension,
                      PreBreakingViolated, SingularMinor, StepTooLarge,
-                     StepUnderflow, StructureViolation, TauLatticeError,
-                     ToleranceUnreachable, UnsupportedKind)
+                     StructureViolation, TauLatticeError, ToleranceUnreachable,
+                     UnsupportedKind)
 from .flows import (EvolutionResult, ReducedChainState, VolterraState,
                     evolve_pfaff, evolve_reduced, evolve_toda, evolve_volterra,
                     pfaff_chain_rhs, pfaff_commutator_rhs, reduced_chain_rhs,
@@ -59,6 +59,6 @@ __all__ = [
     "IdentityReport",
     "TauLatticeError", "NonIntegrableWeight", "ToleranceUnreachable",
     "OddDimension", "IllConditioned", "StepTooLarge", "SingularMinor",
-    "StructureViolation", "StepUnderflow", "GridTooCoarse", "UnsupportedKind",
+    "StructureViolation", "GridTooCoarse", "UnsupportedKind",
     "PreBreakingViolated", "DivergedField", "IndexOutOfWindow",
 ]

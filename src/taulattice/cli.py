@@ -248,7 +248,7 @@ def _cmd_evolve(opt: _Options, outdir: str) -> int:
         flow, horizon = _horizon(opt, (2,))
         k_max = int(opt.get("k_pos", 6))
         state = ReducedChainState(0.5, np.full(k_max, 2.0))
-        res = evolve_reduced(state, _sample_times(horizon, samples))
+        res = evolve_reduced(state, _sample_times(horizon, samples), h=h)
         path = _write(outdir, "evolve_reduced.csv", res.to_csv())
         summary.update(horizon=horizon, k_max=k_max, artifact=path)
     else:  # hydro

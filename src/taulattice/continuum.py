@@ -20,6 +20,10 @@ forms the u rates as one product with the dense (rows x terms) coefficient
 matrix S compiled from the table.  The Haantjes scan plans the contraction
 path of each tensor sum once per matrix size.
 
+The chain march stacks u over v in one array and takes each step with the
+lattice evolvers' `flows._rk4_step`, with overflow and invalid operations
+raising, so a diverging march stops with DivergedField at its first bad step.
+
 Sign conventions follow the lattice: the k>=0 half of the chain never reads
 negative-index fields, so it can be integrated on its own.
 """
@@ -34,7 +38,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import DivergedField, IndexOutOfWindow, PreBreakingViolated
-from .flows import VolterraState, evolve_pfaff, evolve_volterra
+from .flows import VolterraState, _rk4_step, evolve_pfaff, evolve_volterra
 from .lax import c_coeff, goe_lax_init
 from .report import IdentityReport
 
@@ -104,6 +108,8 @@ class HydroChainField:
             raise ValueError("need rows down to -2 and up to at least +2")
         if u.shape[1] != len(x) or v.shape != x.shape:
             raise ValueError("field shapes must match the grid")
+        if not (np.isfinite(x).all() and np.isfinite(u).all() and np.isfinite(v).all()):
+            raise ValueError("grid and fields must be finite")
         if np.any(u[self.k_neg] <= 0):
             raise ValueError("u^0 must stay positive on the grid")
         for a in (x, u, v):
@@ -245,17 +251,19 @@ def _rhs_plan(k_neg: int, k_pos: int):
     return S, f[:, 0], f[:, 1], col[keep] + shift
 
 
-def _chain_rhs_arrays(dx, u, v, k_neg, top, bottom, bound):
-    """Core chain RHS on raw arrays; `top`/`bottom` close the band window by
-    copying the edge row or pinning a constant."""
-    if bound is not None and max(np.max(np.abs(u)), np.max(np.abs(v))) > bound:
+def _chain_rhs_arrays(dx, y, k_neg, top, bottom, bound):
+    """Core chain RHS on raw arrays: `y` stacks the window rows u over the
+    row v and the rates come back stacked the same way; `top`/`bottom` close
+    the band window by copying the edge row or pinning a constant."""
+    if bound is not None and (y.max() > bound or y.min() < -bound):
         raise DivergedField(f"field magnitude exceeded {bound}")
-    R = u.shape[0]
+    R = y.shape[0] - 1
+    u, v = y[:R], y[R]
     S, fa, fb, col = _rhs_plan(k_neg, R - 1 - k_neg)
     # rows: bottom closure, the window, top closure, the two sources of the
     # v equation, and the ones row of one-factor monomials; one stencil pass
     # differentiates all but the ones row
-    ext = np.empty((R + 5, u.shape[1]))
+    ext = np.empty((R + 5, y.shape[1]))
     ext[0] = _closure_row(u, 0, bottom)
     ext[1:R + 1] = u
     ext[R + 1] = _closure_row(u, -1, top)
@@ -266,9 +274,10 @@ def _chain_rhs_arrays(dx, u, v, k_neg, top, bottom, bound):
     ext[R + 3] = u0 * (1.0 / (2.0 * u0))
     ext[R + 4] = 1.0
     ux = spatial_derivative(ext[:-1], dx)
-    du = S @ (ext[fa] * ext[fb] * ux[col])
-    dv = ux[R + 2] + u0 * ux[k_neg] + u0 * ux[R + 3]     # ux[k_neg]: u^{-1}_x
-    return du, dv
+    rates = np.empty_like(y)
+    np.matmul(S, ext[fa] * ext[fb] * ux[col], out=rates[:R])
+    rates[R] = ux[R + 2] + u0 * ux[k_neg] + u0 * ux[R + 3]     # ux[k_neg]: u^{-1}_x
+    return rates
 
 
 def hydro_chain_rhs(field: HydroChainField, *, top="copy", bottom="copy",
@@ -277,8 +286,9 @@ def hydro_chain_rhs(field: HydroChainField, *, top="copy", bottom="copy",
 
     Raises DivergedField once any field magnitude exceeds `bound`.
     """
-    return _chain_rhs_arrays(field.dx, field.u, field.v, field.k_neg,
-                             top, bottom, bound)
+    rates = _chain_rhs_arrays(field.dx, np.vstack((field.u, field.v)), field.k_neg,
+                              top, bottom, bound)
+    return rates[:-1], rates[-1]
 
 
 def evolve_hydro_chain(field: HydroChainField, t_target: float, *, cfl: float = 0.2,
@@ -289,52 +299,50 @@ def evolve_hydro_chain(field: HydroChainField, t_target: float, *, cfl: float = 
     The two cells at each end are boundary strips: with edge_drive=None they
     are frozen at their current values, otherwise edge_drive(x_strip, t) must
     return (u_rows, v_vals) imposed after every step.  Returns the final
-    field and a stats dict.
+    field and a stats dict.  Raises DivergedField at the first overflowing
+    or invalid operation, when a field magnitude exceeds `bound`, or when
+    `max_steps` is spent before t_target.
     """
     if t_target < field.time:
         raise ValueError("t_target must not precede the field's time stamp")
     x, dx, k_neg = field.x, field.dx, field.k_neg
-    u = field.u.copy()
-    v = field.v.copy()
+    y = np.vstack((field.u, field.v))          # rows u^{-k_neg} .. u^{k_pos}, then v
     t = field.time
     strip = np.r_[0:2, len(x) - 2:len(x)]
     h_used = []
 
-    def rhs(uc, vc, ts):
+    def drive(y, ts):
+        y[:-1, strip], y[-1, strip] = edge_drive(x[strip], ts)
+
+    def rhs(ts, y):
         # stage states see the prescribed strip values at the stage time, so
         # interior stencils near the edge stay O(h^4) consistent
         if edge_drive is not None:
-            ud, vd = edge_drive(x[strip], ts)
-            uc = uc.copy()
-            vc = vc.copy()
-            uc[:, strip] = ud
-            vc[strip] = vd
-        du, dv = _chain_rhs_arrays(dx, uc, vc, k_neg, top, bottom, bound)
-        du[:, strip] = 0.0
-        dv[strip] = 0.0
-        return du, dv
+            y = y.copy()
+            drive(y, ts)
+        rates = _chain_rhs_arrays(dx, y, k_neg, top, bottom, bound)
+        rates[:, strip] = 0.0
+        return rates
 
     steps = 0
-    while t < t_target - 1e-15:
-        speed = float(np.max(np.abs(u[k_neg] * u[k_neg + 1]))) + 1e-30
-        h = min(cfl * dx / speed, t_target - t)
-        k1 = rhs(u, v, t)
-        k2 = rhs(u + 0.5 * h * k1[0], v + 0.5 * h * k1[1], t + 0.5 * h)
-        k3 = rhs(u + 0.5 * h * k2[0], v + 0.5 * h * k2[1], t + 0.5 * h)
-        k4 = rhs(u + h * k3[0], v + h * k3[1], t + h)
-        u = u + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        v = v + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        t += h
-        if edge_drive is not None:
-            ud, vd = edge_drive(x[strip], t)
-            u[:, strip] = ud
-            v[strip] = vd
-        h_used.append(h)
-        steps += 1
-        if steps > max_steps:
-            raise DivergedField("step budget exhausted before t_target")
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            while t < t_target - 1e-15:
+                speed = float(np.max(np.abs(y[k_neg] * y[k_neg + 1]))) + 1e-30
+                h = min(cfl * dx / speed, t_target - t)
+                y = _rk4_step(rhs, t, y, h)
+                t += h
+                if edge_drive is not None:
+                    drive(y, t)
+                h_used.append(h)
+                steps += 1
+                if steps > max_steps:
+                    raise DivergedField("step budget exhausted before t_target")
+    except FloatingPointError as exc:
+        raise DivergedField(f"chain march overflowed at t={t:g} after {steps} "
+                            f"steps: {exc}") from exc
 
-    out = HydroChainField(x, u, v, k_neg, t_target)
+    out = HydroChainField(x, y[:-1], y[-1], k_neg, t_target)
     stats = {"steps": steps, "cfl": cfl,
              "h_min": min(h_used) if h_used else 0.0,
              "h_max": max(h_used) if h_used else 0.0}

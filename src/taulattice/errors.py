@@ -38,10 +38,6 @@ class StructureViolation(TauLatticeError):
     """A commutator produced nonzero entries at positions pinned to 0 or 1."""
 
 
-class StepUnderflow(TauLatticeError):
-    """The adaptive stepper shrank below the minimum usable step."""
-
-
 class GridTooCoarse(TauLatticeError):
     """Flow-parameter grid refinement disagrees by more than 10x the tolerance."""
 

@@ -27,11 +27,16 @@ each, with integer gathers from a `_BandPlan` built from the window shape;
 `evolve_pfaff` builds its plan, closure data and padded buffer once per call
 and caches nothing beyond it.
 
+Stepping: every evolver, here and in `continuum`, takes classical RK4
+steps through `_rk4_step`, the one place the RK4 weights are written
+(Hairer, Norsett & Wanner, Solving ODEs I, sec. II.1).  Right-hand sides
+take (t, y), so the stepper calls them without a wrapper.  `evolve` takes
+fixed steps of at most h, shortened to land on each sample time.
+
 Divergence: each RK4 segment runs with floating-point overflow and invalid
 operations raising, so the first overflowing step ends the run with
 DivergedField naming the segment, at no per-step cost.  The state is also
 checked for NaN or infinity at every sample time, which catches NaN input.
-The adaptive branch raises DivergedField as soon as the RHS is not finite.
 """
 
 from __future__ import annotations
@@ -41,9 +46,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .errors import DivergedField, StepUnderflow, StructureViolation
+from .errors import DivergedField, StructureViolation
 from .lax import PfaffLax, TodaLax
 
 __all__ = [
@@ -381,71 +385,59 @@ def reduced_chain_rhs(state: ReducedChainState, *, ghost: str = "copy"):
 # ---------------------------------------------------------------------------
 # steppers
 
+def _rk4_step(f, t, y, h):
+    """One classical RK4 step of dy/dt = f(t, y) from (t, y)."""
+    half = 0.5 * h
+    k1 = f(t, y)
+    k2 = f(t + half, y + half * k1)
+    k3 = f(t + half, y + half * k2)
+    k4 = f(t + h, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def _rk4_segment(rhs, y, t0, t1, h):
     span = t1 - t0
     steps = max(1, int(math.ceil(span / h - 1e-12)))
     hs = span / steps
     try:
         with np.errstate(over="raise", invalid="raise"):
-            for _ in range(steps):
-                k1 = rhs(y)
-                k2 = rhs(y + 0.5 * hs * k1)
-                k3 = rhs(y + 0.5 * hs * k2)
-                k4 = rhs(y + hs * k3)
-                y = y + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            for i in range(steps):
+                y = _rk4_step(rhs, t0 + i * hs, y, hs)
     except FloatingPointError as exc:
         raise DivergedField(f"RK4 segment [{t0:g}, {t1:g}] ({steps} steps of "
                             f"h={hs:g}) overflowed: {exc}") from exc
     return y, steps
 
 
-def evolve(rhs, y0: np.ndarray, times, *, stepper: str = "rk4", h: float = 1e-3,
-           tol: float = 1e-10):
-    """Integrate dy/dt = rhs(y) from t=0, sampling at `times`.
+def evolve(rhs, y0: np.ndarray, times, *, h: float = 1e-3):
+    """Integrate dy/dt = rhs(t, y) from t=0, sampling at `times`.
 
-    Fixed-step classical RK4 (steps shortened to land on each sample), or
-    an embedded adaptive pair when stepper="adaptive".  Returns (states,
-    stats).  Raises DivergedField when an RK4 segment overflows or a sampled
-    state is not finite, and when the adaptive RHS is not finite.
+    Classical RK4 with steps of at most h, shortened to land on each
+    sample.  Returns (states, stats).  Raises DivergedField when a segment
+    overflows or a sampled state is not finite.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be a strictly increasing vector")
     if times[0] < 0:
         raise ValueError("sampling starts at t >= 0")
-    if stepper == "rk4":
-        if h <= 0:
-            raise ValueError("h must be positive")
-        out = []
-        y = np.array(y0, dtype=float)
-        t_prev = 0.0
-        total = 0
-        for t in times:
-            if t > t_prev:
-                y, steps = _rk4_segment(rhs, y, t_prev, t, h)
-                total += steps
-            if not np.isfinite(y).all():
-                raise DivergedField(
-                    f"trajectory not finite at t={t:g} after {total} RK4 steps "
-                    f"of h={h:g}")
-            out.append(y.copy())
-            t_prev = t
-        return out, {"stepper": "rk4", "h": h, "steps": total}
-    if stepper == "adaptive":
-        def finite_rhs(t, y):
-            dy = rhs(y)
-            if not np.isfinite(dy).all():
-                raise DivergedField(f"adaptive stepper met a non-finite RHS at t={t:g}")
-            return dy
-
-        sol = solve_ivp(finite_rhs, (0.0, float(times[-1])), y0,
-                        method="RK45", t_eval=times, rtol=tol, atol=tol * 1e-2,
-                        max_step=np.inf)
-        if not sol.success:
-            raise StepUnderflow(f"adaptive stepper failed: {sol.message}")
-        return list(sol.y.T), {"stepper": "adaptive", "tol": tol,
-                               "steps": int(sol.nfev)}
-    raise ValueError(f"stepper must be 'rk4' or 'adaptive', got {stepper!r}")
+    if h <= 0:
+        raise ValueError("h must be positive")
+    out = []
+    y = np.array(y0, dtype=float)
+    t_prev = 0.0
+    total = 0
+    for t in times:
+        if t > t_prev:
+            y, steps = _rk4_segment(rhs, y, t_prev, t, h)
+            total += steps
+        if not np.isfinite(y).all():
+            raise DivergedField(
+                f"trajectory not finite at t={t:g} after {total} RK4 steps "
+                f"of h={h:g}")
+        out.append(y.copy())
+        t_prev = t
+    return out, {"stepper": "rk4", "h": h, "steps": total}
 
 
 def _ghost_closure(i2, i1, init_ghost, policy):
@@ -491,7 +483,7 @@ def evolve_volterra(state: VolterraState, flow: int, times, *, h: float = 1e-3,
     line = _ghost_closure(B0[n_evolve - 2], B0[n_evolve - 1], init_ghost, ghost)
     Bp = np.zeros(4 + n_evolve + pad)           # left ghosts stay 0
 
-    def rhs(y):
+    def rhs(t, y):
         Bp[4:4 + n_evolve] = y
         Bp[4 + n_evolve:] = line(y[-2], y[-1])[:pad]
         return _volterra_rhs_padded(Bp, flow)
@@ -518,7 +510,7 @@ def evolve_toda(state: TodaLax, flow: int, times, *, h: float = 1e-3) -> Evoluti
     """Tridiagonal trajectory under the finite-matrix closure."""
     N = state.n_sites
 
-    def rhs(y):
+    def rhs(t, y):
         lax = TodaLax(y[:N], np.maximum(y[N:], 1e-300))
         da, db = toda_rhs(lax, flow)
         return np.concatenate([da, db])
@@ -561,7 +553,7 @@ def evolve_pfaff(state: PfaffLax, times, *, h: float = 1e-3, ghost: str = "scale
     Q[0, 1:] = W0[row_margin - 1, :n_evolve + pad]
     Q[-1, 1:] = W0[k_neg + k_pos + 1 - row_margin, :n_evolve + pad]
 
-    def rhs(y):
+    def rhs(t, y):
         y2d = y.reshape(n_rows, n_evolve)
         Q[1:-1, 1:n_evolve + 1] = y2d
         Q[1:-1, n_evolve + 1:] = closure(y2d[:, -2:-1], y2d[:, -1:])[:, :pad]
@@ -584,20 +576,18 @@ def evolve_pfaff(state: PfaffLax, times, *, h: float = 1e-3, ghost: str = "scale
     return EvolutionResult(times, states, stats)
 
 
-def evolve_reduced(state: ReducedChainState, times, *, stepper: str = "adaptive",
-                   tol: float = 1e-11, h: float = 1e-3,
+def evolve_reduced(state: ReducedChainState, times, *, h: float = 1e-3,
                    ghost: str = "copy") -> EvolutionResult:
-    """Reduced-chain trajectory; adaptive by default (the system is small
-    and smooth), fixed RK4 on request."""
+    """Reduced-chain trajectory by fixed-step RK4 on W^{-1}, W^1..W^K."""
     K = state.k_max
 
-    def rhs(y):
+    def rhs(t, y):
         dWm1, dW = reduced_chain_rhs(ReducedChainState(y[0], y[1:]), ghost=ghost)
         return np.concatenate([[dWm1], dW])
 
     y0 = np.concatenate([[state.Wm1], state.W])
-    ys, stats = evolve(rhs, y0, times, stepper=stepper, h=h, tol=tol)
+    ys, stats = evolve(rhs, y0, times, h=h)
     front = _influence_front(times, ys, lambda y: 2.0 * abs(y[0]) * (K + 1), K)
-    stats.update(ghost=ghost, influence_index=front)
+    stats.update(ghost=ghost, n_evolve=K + 1, influence_index=front)
     states = [ReducedChainState(y[0], y[1:]) for y in ys]
     return EvolutionResult(times, states, stats)

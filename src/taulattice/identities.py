@@ -43,7 +43,7 @@ def _evolve_signed(B: np.ndarray, flow: int, t_target: float, h: float) -> np.nd
     if t_target == 0.0:
         return B
     sign = 1.0 if t_target > 0 else -1.0
-    rhs = lambda y: sign * volterra_rhs(y, flow)
+    rhs = lambda t, y: sign * volterra_rhs(y, flow)
     y, _ = _rk4_segment(rhs, B, 0.0, abs(t_target), h)
     return y
 

@@ -1,15 +1,17 @@
 """Reference kernels: the per-band loop, the np.roll stencil, the
-hand-written hydrodynamic chain and the site-by-site dense commutator.
+hand-written hydrodynamic chain and its RK4 march, and the site-by-site
+dense commutator.
 
 These are the straightforward forms of the Pfaff-chain and Volterra
 right-hand sides, of the continuum chain's RHS written row by row, of the
+chain march with its RK4 stages written out on the (u, v) pair, of the
 coefficient matrix and its gradient built by a loop over the monomial
 table, and of the dense embedding and protected-position scan of the
 commutator form.  The library's kernels evaluate the same arithmetic with
-slices, precomputed gathers and masks; the tests and scripts/kernel_equiv.py
-hold them to these references bit for bit, except the chain RHS, whose
-coefficient product sums each row's terms in another order and is held to
-1e-13 relative.
+slices, precomputed gathers, masks and one shared RK4 step; the tests and
+scripts/kernel_equiv.py hold them to these references bit for bit, except
+the chain RHS, whose coefficient product sums each row's terms in another
+order and is held to 1e-13 relative.
 """
 
 import numpy as np
@@ -95,10 +97,12 @@ def volterra_rates(Bp: np.ndarray, flow: int) -> np.ndarray:
     return volterra_rhs_padded(Bp, flow)[4:-4]
 
 
-def chain_rhs_arrays(dx, u, v, k_neg, top, bottom, bound):
+def chain_rhs_arrays(dx, y, k_neg, top, bottom, bound):
     """Hydrodynamic chain RHS with every row written out; `top`/`bottom`
     close the band window by copying the edge row or pinning a constant.
-    Same calling convention as continuum._chain_rhs_arrays."""
+    Same calling convention as continuum._chain_rhs_arrays: `y` stacks u
+    over v, and so do the rates."""
+    u, v = y[:-1], y[-1]
     if bound is not None and max(np.max(np.abs(u)), np.max(np.abs(v))) > bound:
         raise DivergedField(f"field magnitude exceeded {bound}")
     K = u.shape[0] - 1 - k_neg
@@ -133,21 +137,78 @@ def chain_rhs_arrays(dx, u, v, k_neg, top, bottom, bound):
 
     dv = (spatial_derivative(u0 * u1 * v, dx) + u0 * Ux(-1)
           + u0 * spatial_derivative(u0 * (1.0 / (2.0 * u0)), dx))
-    return du, dv
+    return np.vstack([du, dv])
 
 
-def hydro_scaling_run(rhs, **kwargs):
+def evolve_hydro_chain(field, t_target, *, cfl=0.2, top="copy", bottom="copy",
+                       bound=50.0, edge_drive=None, max_steps=200000):
+    """continuum.evolve_hydro_chain with its RK4 stages written out on the
+    (u, v) pair; the RHS is continuum._chain_rhs_arrays."""
+    if t_target < field.time:
+        raise ValueError("t_target must not precede the field's time stamp")
+    x, dx, k_neg = field.x, field.dx, field.k_neg
+    u = field.u.copy()
+    v = field.v.copy()
+    t = field.time
+    strip = np.r_[0:2, len(x) - 2:len(x)]
+    h_used = []
+
+    def rhs(uc, vc, ts):
+        if edge_drive is not None:
+            ud, vd = edge_drive(x[strip], ts)
+            uc = uc.copy()
+            vc = vc.copy()
+            uc[:, strip] = ud
+            vc[strip] = vd
+        rates = continuum._chain_rhs_arrays(dx, np.vstack([uc, vc]), k_neg,
+                                            top, bottom, bound)
+        du, dv = rates[:-1], rates[-1]
+        du[:, strip] = 0.0
+        dv[strip] = 0.0
+        return du, dv
+
+    steps = 0
+    while t < t_target - 1e-15:
+        speed = float(np.max(np.abs(u[k_neg] * u[k_neg + 1]))) + 1e-30
+        h = min(cfl * dx / speed, t_target - t)
+        k1 = rhs(u, v, t)
+        k2 = rhs(u + 0.5 * h * k1[0], v + 0.5 * h * k1[1], t + 0.5 * h)
+        k3 = rhs(u + 0.5 * h * k2[0], v + 0.5 * h * k2[1], t + 0.5 * h)
+        k4 = rhs(u + h * k3[0], v + h * k3[1], t + h)
+        u = u + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+        v = v + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+        t += h
+        if edge_drive is not None:
+            ud, vd = edge_drive(x[strip], t)
+            u[:, strip] = ud
+            v[strip] = vd
+        h_used.append(h)
+        steps += 1
+        if steps > max_steps:
+            raise DivergedField("step budget exhausted before t_target")
+
+    out = continuum.HydroChainField(x, u, v, k_neg, t_target)
+    stats = {"steps": steps, "cfl": cfl,
+             "h_min": min(h_used) if h_used else 0.0,
+             "h_max": max(h_used) if h_used else 0.0}
+    return out, stats
+
+
+def hydro_scaling_run(rhs=None, march=None, **kwargs):
     """(final field, stats) of the march inside
-    `continuum.hydro_scaling_check(**kwargs)` with `rhs` standing in for
-    `continuum._chain_rhs_arrays`."""
+    `continuum.hydro_scaling_check(**kwargs)`, with `rhs` standing in for
+    `continuum._chain_rhs_arrays` and `march` for
+    `continuum.evolve_hydro_chain` where given."""
     runs = []
     evolve, kernel = continuum.evolve_hydro_chain, continuum._chain_rhs_arrays
+    march = march or evolve
 
     def record(*args, **kw):
-        runs.append(evolve(*args, **kw))
+        runs.append(march(*args, **kw))
         return runs[-1]
 
-    continuum.evolve_hydro_chain, continuum._chain_rhs_arrays = record, rhs
+    continuum.evolve_hydro_chain = record
+    continuum._chain_rhs_arrays = rhs or kernel
     try:
         continuum.hydro_scaling_check(**kwargs)
     finally:

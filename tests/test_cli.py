@@ -119,6 +119,25 @@ def test_evolve_reduced(tmp_path, capsys):
     assert abs(final[1] - 0.5 / 0.6) < 1e-8
 
 
+def test_evolve_reduced_step_flag(tmp_path, capsys):
+    csv = {}
+    for label, extra in (("default", ()), ("coarse", ("--h", "0.05"))):
+        out = tmp_path / label
+        rc, _, _ = run(capsys, "--out", str(out), "evolve", "reduced", "--t2", "0.2",
+                       *extra)
+        assert rc == 0
+        csv[label] = (out / "evolve_reduced.csv").read_text()
+    assert csv["coarse"] != csv["default"]
+    # the config file's h reaches the march too
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"h": 0.05}))
+    out = tmp_path / "config"
+    rc, _, _ = run(capsys, "--config", str(cfg), "--out", str(out), "evolve",
+                   "reduced", "--t2", "0.2")
+    assert rc == 0
+    assert (out / "evolve_reduced.csv").read_text() == csv["coarse"]
+
+
 def test_verify_pass_and_artifact(tmp_path, capsys):
     rc, out, _ = run(capsys, "--out", str(tmp_path), "verify", "init-gue")
     assert rc == 0

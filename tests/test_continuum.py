@@ -1,11 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_kernels as ref
-from taulattice import (HydroChainField, IndexOutOfWindow, PreBreakingViolated,
-                        ReducedChainState, TensorPoint, chain_matrix,
-                        continuum_convergence, dtl_rhs, haantjes,
+from taulattice import (DivergedField, HydroChainField, IndexOutOfWindow,
+                        PreBreakingViolated, ReducedChainState, TensorPoint,
+                        chain_matrix, continuum_convergence, dtl_rhs,
+                        evolve_hydro_chain, haantjes,
                         haantjes_scan, hopf_solve, hydro_chain_rhs,
                         hydro_scaling_check, nijenhuis, nijenhuis_closed_form,
                         reduced_chain_rhs, reduced_continuum_rhs,
@@ -76,6 +79,24 @@ class TestHydroField:
         with pytest.raises(ValueError):
             HydroChainField(x, good.u[:4], good.v, 4)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, value):
+        x = np.linspace(0.5, 1.5, 11)
+        good = HydroChainField.initial(x)
+        for row in (good.k_neg, good.k_neg + 2):
+            u = good.u.copy()
+            u[row, 4] = value
+            with pytest.raises(ValueError, match="finite"):
+                HydroChainField(x, u, good.v, good.k_neg)
+        v = good.v.copy()
+        v[-1] = value
+        with pytest.raises(ValueError, match="finite"):
+            HydroChainField(x, good.u, v, good.k_neg)
+        xs = x.copy()
+        xs[-1] = value
+        with pytest.raises(ValueError):
+            HydroChainField(xs, good.u, good.v, good.k_neg)
+
     def test_initial_rows(self):
         x = np.linspace(0.5, 1.5, 11)
         f = HydroChainField.initial(x, 3, 5)
@@ -116,6 +137,58 @@ class TestHydroChain:
         assert report.passed
         assert report.residual_abs < 1e-7
 
+    # u^0 must stay positive, so it is pushed past the bound upwards only
+    @pytest.mark.parametrize("row,sign", [("u^-3", 1.0), ("u^-3", -1.0), ("u^0", 1.0),
+                                          ("u^2", 1.0), ("u^2", -1.0),
+                                          ("v", 1.0), ("v", -1.0)])
+    def test_bound_guard(self, row, sign):
+        x = np.linspace(0.25, 2.25, 41)
+        f = HydroChainField.initial(x)
+        bound = 3.0
+        for value, fires in ((sign * bound, False),
+                             (sign * np.nextafter(bound, np.inf), True)):
+            u, v = f.u.copy(), f.v.copy()
+            if row == "v":
+                v[7] = value
+            else:
+                u[f.k_neg + int(row[2:]), 7] = value
+            field = HydroChainField(x, u, v, f.k_neg)
+            if fires:
+                with pytest.raises(DivergedField, match="exceeded 3.0"):
+                    hydro_chain_rhs(field, bound=bound)
+            else:
+                hydro_chain_rhs(field, bound=bound)
+            hydro_chain_rhs(field, bound=None)
+
+    def test_overflow_raises_typed_error(self):
+        # without the magnitude bound, cfl = 5 overflows within a few steps;
+        # the march stops at the first overflow, with no RuntimeWarning
+        field = HydroChainField.initial(np.linspace(0.25, 2.25, 81))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergedField, match="chain march overflowed"):
+                evolve_hydro_chain(field, 0.3, bound=None, cfl=5.0)
+
+
+class TestHydroStepper:
+    """The march on the shared RK4 step equals the stages written out on the
+    (u, v) pair, bit for bit."""
+
+    def test_driven_strips(self):
+        lib, l_stats = ref.hydro_scaling_run()
+        loop, r_stats = ref.hydro_scaling_run(march=ref.evolve_hydro_chain)
+        assert l_stats == r_stats
+        assert np.array_equal(lib.u, loop.u) and np.array_equal(lib.v, loop.v)
+        assert lib.time == loop.time
+
+    @pytest.mark.parametrize("top,bottom", [("copy", "copy"), (2.0, 0.0)])
+    def test_frozen_strips(self, top, bottom):
+        field = HydroChainField.initial(np.linspace(0.25, 2.25, 201), 4, 6)
+        lib, l_stats = evolve_hydro_chain(field, 0.05, top=top, bottom=bottom)
+        loop, r_stats = ref.evolve_hydro_chain(field, 0.05, top=top, bottom=bottom)
+        assert l_stats == r_stats and l_stats["steps"] > 1
+        assert np.array_equal(lib.u, loop.u) and np.array_equal(lib.v, loop.v)
+
 
 _CLOSURES = st.one_of(st.just("copy"), st.floats(-2.0, 2.0))
 
@@ -135,8 +208,9 @@ class TestChainTable:
         v = rng.uniform(-1.0, 1.0, n_x)
         field = HydroChainField(x, u, v, k_neg)
         du, dv = hydro_chain_rhs(field, top=top, bottom=bottom)
-        ref_du, ref_dv = ref.chain_rhs_arrays(field.dx, field.u, field.v,
-                                              k_neg, top, bottom, 50.0)
+        ref_rates = ref.chain_rhs_arrays(field.dx, np.vstack([field.u, field.v]),
+                                         k_neg, top, bottom, 50.0)
+        ref_du, ref_dv = ref_rates[:-1], ref_rates[-1]
         # the table sums each row's monomials in its own order
         assert np.max(np.abs(du - ref_du)) <= 1e-13 * np.max(np.abs(ref_du))
         assert np.array_equal(dv, ref_dv)

@@ -1,6 +1,4 @@
-import signal
 import warnings
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -99,59 +97,37 @@ class TestVolterra:
         assert res.stats["influence_index"] < res.stats["n_evolve"]
 
 
-@contextmanager
-def _deadline(seconds):
-    """Raise TimeoutError in the main thread if the block runs too long."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 class TestStepper:
     def test_rk4_fourth_order(self):
-        rhs = lambda y: y * y                    # blows up at t=1, exact 1/(1-t)
+        rhs = lambda t, y: y * y                 # blows up at t=1, exact 1/(1-t)
         e = [abs(evolve(rhs, np.array([1.0]), [0.5], h=h)[0][0][0] - 2.0)
              for h in (0.05, 0.025)]
         assert 14.0 < e[0] / e[1] < 18.0
 
-    def test_adaptive_matches_exact(self):
-        rhs = lambda y: y * y
-        ys, stats = evolve(rhs, np.array([1.0]), [0.25, 0.5],
-                           stepper="adaptive", tol=1e-11)
-        assert stats["stepper"] == "adaptive"
-        assert abs(ys[0][0] - 4.0 / 3.0) < 1e-9
-        assert abs(ys[1][0] - 2.0) < 1e-9
+    def test_stages_see_their_times(self):
+        # dy/dt = 3t^2 is integrated exactly only if each stage gets its time
+        ys, stats = evolve(lambda t, y: 3.0 * t * t + 0.0 * y, np.zeros(1),
+                           [0.5, 1.0], h=0.1)
+        assert np.allclose([y[0] for y in ys], [0.125, 1.0], rtol=0, atol=1e-15)
+        assert stats == {"stepper": "rk4", "h": 0.1, "steps": 10}
 
     def test_non_finite_sample_raises(self):
-        rhs = lambda y: y * y                    # 1/(1-t) blows up at t=1
+        rhs = lambda t, y: y * y                 # 1/(1-t) blows up at t=1
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergedField):
                 evolve(rhs, np.array([1.0]), [0.5, 2.0], h=0.05)
         # NaN input raises no floating-point error; the sample check catches it
         with pytest.raises(DivergedField, match="not finite"):
-            evolve(lambda y: y, np.array([np.nan]), [0.1])
-
-    def test_adaptive_non_finite_rhs_raises(self):
-        with _deadline(1.0), pytest.raises(DivergedField):
-            evolve(lambda y: y * np.nan, np.array([1.0]), [0.5, 2.0],
-                   stepper="adaptive")
+            evolve(lambda t, y: y, np.array([np.nan]), [0.1])
 
     def test_input_validation(self):
-        rhs = lambda y: y
+        rhs = lambda t, y: y
         with pytest.raises(ValueError):
             evolve(rhs, np.ones(1), [0.2, 0.1])
         with pytest.raises(ValueError):
             evolve(rhs, np.ones(1), [-0.1, 0.2])
         with pytest.raises(ValueError):
             evolve(rhs, np.ones(1), [0.1], h=0.0)
-        with pytest.raises(ValueError):
-            evolve(rhs, np.ones(1), [0.1], stepper="euler")
 
 
 class TestBandedChain:
@@ -336,6 +312,17 @@ class TestReducedChain:
         for t, got in zip(res.times, res.states):
             assert abs(got.Wm1 - 0.5 / (1.0 - 2.0 * t)) < 1e-9
             assert np.max(np.abs(got.W - 2.0)) < 1e-8
+
+    def test_fixed_rk4_stats_and_step(self):
+        state = ReducedChainState(0.5, np.full(6, 2.0))
+        res = evolve_reduced(state, [0.1, 0.2])
+        assert res.stats["stepper"] == "rk4"
+        assert res.stats["steps"] == 200 and res.stats["h"] == 1e-3
+        assert res.stats["n_evolve"] == 7                   # W^{-1} and W^1..W^6
+        coarse = evolve_reduced(state, [0.1, 0.2], h=0.05)
+        assert coarse.stats["steps"] == 4
+        err = [abs(r.states[-1].Wm1 - 0.5 / 0.6) for r in (res, coarse)]
+        assert err[0] < 1e-11 < err[1]
 
     def test_rhs_at_initial_point(self):
         state = ReducedChainState(0.5, np.full(4, 2.0))

@@ -20,7 +20,15 @@ equal and the final fields within 1e-12.  The same march is run on the
 library's RK4 step and on the stages written out on the (u, v) pair: the
 stats and the final fields must be equal.  Shapes are the benchmark's:
 161-241 cells, 4 bands below and 6 above, windows 10-14, marches to
-t = 0.1 and 0.2.  Exits 1 if any difference exceeds its limit.
+t = 0.1 and 0.2.  A march whose edge drive is counted must call it once
+per distinct time (2 per step plus the start) and equal the reference loop,
+which calls it at every stage, bit for bit.
+
+The reduced chain's array kernel must equal its form on a state
+(concatenated rows) bit for bit, per call on K = 2-12 and along evolve_reduced
+trajectories.  The Gauss-Legendre rule behind every quadrature grid is held
+to a 50-digit mpmath rule for 8-48 points: nodes to 2e-16 absolute, weights
+to 5e-14 relative.  Exits 1 if any difference exceeds its limit.
 
     PYTHONPATH=src python3 scripts/kernel_equiv.py --samples 40 --seed 1
 """
@@ -35,9 +43,11 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "tests"))
 import reference_kernels as ref  # noqa: E402
-from taulattice import (HydroChainField, TensorPoint, VolterraState, chain_matrix,  # noqa: E402
-                        continuum, evolve_pfaff, evolve_volterra, flows,
-                        goe_lax_init, hydro_chain_rhs)
+from taulattice import (HydroChainField, ReducedChainState, TensorPoint,  # noqa: E402
+                        VolterraState, chain_matrix, continuum, couplings,
+                        evolve_hydro_chain, evolve_pfaff, evolve_reduced,
+                        evolve_volterra, flows, goe_lax_init, hydro_chain_rhs,
+                        reduced_chain_rhs)
 
 
 def chain_gap(Q, k_neg, k_pos, n):
@@ -107,6 +117,48 @@ def hydro_stepper_gap(n_x, t_target):
                 float(np.abs(lib.v - loop.v).max())))
 
 
+def hydro_drive_gap(n_x, t_target, top, bottom):
+    """(one drive call per distinct time, stats equal, final-field gap) of a
+    driven march on the library and on the reference loop."""
+    drive, calls = ref.counted_scaling_drive()
+    start = HydroChainField.initial(np.linspace(0.25, 2.25, n_x), 4, 6)
+    lib, l_stats = evolve_hydro_chain(start, t_target, top=top, bottom=bottom,
+                                      edge_drive=drive)
+    once = len(calls) == 2 * l_stats["steps"] + 1 == len(set(calls))
+    loop, r_stats = ref.evolve_hydro_chain(start, t_target, top=top, bottom=bottom,
+                                           edge_drive=drive)
+    return (once, l_stats == r_stats,
+            max(float(np.abs(lib.u - loop.u).max()),
+                float(np.abs(lib.v - loop.v).max())))
+
+
+def reduced_gap(rng, K, ghost):
+    """Largest difference of the reduced array kernel from the state form,
+    on one random state and along a trajectory from it."""
+    wm1, W = rng.uniform(-1.0, 1.0), rng.uniform(0.5, 3.0, K)
+    dWm1, dW = reduced_chain_rhs(ReducedChainState(wm1, W), ghost=ghost)
+    ref_dWm1, ref_dW = ref.reduced_chain_rhs(wm1, W, ghost)
+    gap = max(abs(dWm1 - ref_dWm1), float(np.abs(dW - ref_dW).max()))
+    start = ReducedChainState(0.5, 2.0 + 0.1 * rng.standard_normal(K))
+    res = evolve_reduced(start, [0.05, 0.1], ghost=ghost)
+    ys, _ = flows.evolve(lambda t, y: ref.reduced_rates(y, ghost),
+                         np.concatenate([[start.Wm1], start.W]), [0.05, 0.1])
+    return max([gap] + [max(abs(s.Wm1 - y[0]), float(np.abs(s.W - y[1:]).max()))
+                        for s, y in zip(res.states, ys)])
+
+
+def legendre_gaps(points):
+    """(node gap, relative weight gap) of the library's Gauss-Legendre rules
+    against the mpmath rule."""
+    node = weight = 0.0
+    for p in points:
+        x, w = couplings._gauss_legendre(p)
+        ref_x, ref_w = ref.gauss_legendre_mp(p)
+        node = max([node] + [float(abs(a - b)) for a, b in zip(x, ref_x)])
+        weight = max([weight] + [float(abs(a / b - 1)) for a, b in zip(w, ref_w)])
+    return node, weight
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--samples", type=int, default=40, help="random shapes per kernel")
@@ -151,6 +203,17 @@ def main():
     same_stats = all(same for same, _ in steppers)
     stepper = max(gap for _, gap in steppers) if same_stats else math.inf
 
+    drives = [hydro_drive_gap(n_x, t, *closures)
+              for n_x, t, closures in ((161, 0.1, ("copy", "copy")),
+                                       (241, 0.2, ("copy", "copy")),
+                                       (201, 0.05, (2.0, 0.0)),
+                                       (101, 0.1, ("copy", 0.0)))]
+    drive_once = all(once and same for once, same, _ in drives)
+    drive = max(gap for _, _, gap in drives) if drive_once else math.inf
+    reduced = max(reduced_gap(rng, int(rng.integers(2, 13)), ghost)
+                  for ghost in ("copy", "two") for _ in range(max(1, args.samples // 8)))
+    node, weight = legendre_gaps((8, 16, 24, 32, 48))
+
     # (label, largest difference, limit)
     rows = [("chain kernel, %d windows x2" % args.samples, chain, 0.0),
             ("Volterra kernel, %d lines x3 flows" % args.samples, volterra, 0.0),
@@ -162,6 +225,11 @@ def main():
              march, 1e-12),
             ("hydro RK4 step x4, stats %s" % ("equal" if same_stats else "differ"),
              stepper, 0.0),
+            ("hydro drive x4, %s" % ("once per time" if drive_once else "calls differ"),
+             drive, 0.0),
+            ("reduced kernel + trajectories, 2 ghosts", reduced, 0.0),
+            ("Gauss-Legendre nodes, 8-48 points", node, 2e-16),
+            ("Gauss-Legendre weights (relative)", weight, 5e-14),
             ("chain_matrix, %d points" % args.samples, matrix, 0.0),
             ("_matrix_gradient, %d points" % args.samples, gradient, 0.0)]
     for label, gap, limit in rows:

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DivergedField, IndexOutOfWindow, PreBreakingViolated
 from .flows import VolterraState, _rk4_step, evolve_pfaff, evolve_volterra
@@ -174,7 +173,8 @@ def hopf_solve(u0, c: float, k: int, x, t: float) -> np.ndarray:
     The implicit relation is inverted through the characteristic map
     X(s) = s - c u0(s)^k t: the map is probed on a widened bracket, required
     to be strictly increasing over the span of the grid (else the profile has
-    started to break), and each grid point is then refined by brentq.
+    started to break), and every grid point's root is then found by one
+    vectorised bisection on its bracketing cell.  u0 must accept arrays.
     """
     x = np.asarray(x, dtype=float)
     if t == 0.0:
@@ -201,16 +201,19 @@ def hopf_solve(u0, c: float, k: int, x, t: float) -> np.ndarray:
     if np.any(np.diff(X[a:b]) <= 0):
         raise PreBreakingViolated("characteristic map folds on the grid")
 
-    def g(si, xi):
-        return si - c * float(u0(si)) ** k * t - xi
-
-    out = np.empty_like(x)
-    pos = np.searchsorted(X, x)
-    for i, xi in enumerate(x):
-        j = min(max(int(pos[i]), 1), len(s) - 1)
-        root = brentq(g, s[j - 1], s[j], args=(xi,), xtol=1e-14, rtol=8.9e-16)
-        out[i] = float(u0(root))
-    return out
+    # X(lo) < x <= X(hi) on each cell; halve every cell until no midpoint
+    # is a new double, at most 100 times
+    j = np.clip(np.searchsorted(X, x), 1, len(s) - 1)
+    lo, hi = s[j - 1], s[j]
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if not np.any((lo < mid) & (mid < hi)):
+            break
+        below = mid - c * np.asarray(u0(mid), dtype=float) ** k * t < x
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    root = 0.5 * (lo + hi)
+    return np.broadcast_to(np.asarray(u0(root), dtype=float), x.shape).copy()
 
 
 def dtl_rhs(u: np.ndarray, v: np.ndarray, dx: float):
@@ -310,15 +313,21 @@ def evolve_hydro_chain(field: HydroChainField, t_target: float, *, cfl: float = 
     t = field.time
     strip = np.r_[0:2, len(x) - 2:len(x)]
     h_used = []
+    last = [None, None]                        # time and values of the last drive call
 
     def drive(y, ts):
-        y[:-1, strip], y[-1, strip] = edge_drive(x[strip], ts)
+        # a step's stages repeat t + h/2, and its last stage time t + h is
+        # where the strips are set after the step and where the next begins
+        if ts != last[0]:
+            last[:] = ts, edge_drive(x[strip], ts)
+        y[:-1, strip], y[-1, strip] = last[1]
 
     def rhs(ts, y):
         # stage states see the prescribed strip values at the stage time, so
-        # interior stencils near the edge stay O(h^4) consistent
+        # interior stencils near the edge stay O(h^4) consistent.  Driving in
+        # place is safe: stages 2-4 get fresh arrays, and the strips of the
+        # first stage's state have zero rate and are reset after the step.
         if edge_drive is not None:
-            y = y.copy()
             drive(y, ts)
         rates = _chain_rhs_arrays(dx, y, k_neg, top, bottom, bound)
         rates[:, strip] = 0.0

@@ -5,6 +5,10 @@ couplings t_k.  Everything downstream (moment tables, tau values, skew
 products) integrates against rho on a symmetric truncated interval, so the
 grid builder has to pick a radius large enough that the discarded tail is
 below tolerance for every integrand degree the caller will use.
+
+The reference Gauss-Legendre rule on each panel is computed here, once per
+point count: Golub-Welsch starting nodes (eigenvalues of the Jacobi matrix)
+polished by Newton steps on the three-term recurrence.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
-from scipy.special import eval_legendre, roots_legendre
 
 from .errors import NonIntegrableWeight, ToleranceUnreachable
 
@@ -195,9 +198,53 @@ def _radius_for(t: CouplingVector, tol: float, max_degree: int) -> float:
         f"no radius suppresses the tail of {t.as_dict()} at degree {d}")
 
 
+def _legendre_table(p: int, x: np.ndarray) -> np.ndarray:
+    """P_0..P_p (p >= 1) at x by the three-term recurrence, shape (p+1, len(x))."""
+    P = np.empty((p + 1, len(x)))
+    P[0] = 1.0
+    P[1] = x
+    for k in range(1, p):
+        P[k + 1] = ((2 * k + 1) * x * P[k] - k * P[k - 1]) / (k + 1)
+    return P
+
+
+@lru_cache(maxsize=8)
+def _gauss_legendre(p: int):
+    """Read-only nodes and weights of the p-point Gauss-Legendre rule on [-1, 1].
+
+    Golub-Welsch nodes (eigenvalues of the Jacobi matrix, off-diagonal
+    k/sqrt(4k^2-1)) start Newton on P_p, with P_p' = p (P_{p-1} - x P_p) /
+    (1 - x^2) from the recurrence.  Weights are 2 / ((1 - x^2) P_p'(x)^2).
+    Both arrays are symmetrised about 0.
+    """
+    if p < 1:
+        raise ValueError(f"need at least one Gauss point, got {p}")
+    k = np.arange(1.0, p)
+    x = np.linalg.eigvalsh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+
+    def newton_parts(x):
+        P = _legendre_table(p, x)
+        gap = (1.0 - x) * (1.0 + x)        # 1 - x^2 without cancellation near +-1
+        return P[p], p * (P[p - 1] - x * P[p]) / gap, gap
+
+    for _ in range(10):
+        Pp, dP, _ = newton_parts(x)
+        step = Pp / dP
+        x = x - step
+        if np.max(np.abs(step)) <= 1e-16:
+            break
+    _, dP, gap = newton_parts(x)
+    w = 2.0 / (gap * dP * dP)
+    x = 0.5 * (x - x[::-1])
+    w = 0.5 * (w + w[::-1])
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def _panel_nodes(radius: float, panels: int, p: int):
     edges = np.linspace(-radius, radius, panels + 1)
-    ref_x, ref_w = roots_legendre(p)
+    ref_x, ref_w = _gauss_legendre(p)
     half = radius / panels
     mids = 0.5 * (edges[:-1] + edges[1:])
     nodes = (mids[:, None] + half * ref_x[None, :]).ravel()
@@ -268,8 +315,8 @@ def _cumulative_matrix(p: int) -> np.ndarray:
     c_k = (2k+1)/2 * sum_i w_i P_k(xi_i) f_i and
     int_{-1}^{xi} P_k = (P_{k+1}(xi) - P_{k-1}(xi)) / (2k+1) for k >= 1.
     """
-    xi, w = roots_legendre(p)
-    P = np.stack([eval_legendre(k, xi) for k in range(p + 1)])  # (p+1, p)
+    xi, w = _gauss_legendre(p)
+    P = _legendre_table(p, xi)  # (p+1, p)
     coeff = ((2 * np.arange(p) + 1) / 2.0)[:, None] * P[:p] * w[None, :]  # (p, p): k,i
     anti = np.empty((p, p))  # k, j -> int_{-1}^{xi_j} P_k
     anti[0] = xi + 1.0
@@ -290,7 +337,7 @@ def cumulative_integral(grid: QuadratureGrid, fvals: np.ndarray):
     F = np.asarray(fvals, dtype=float).reshape(panels, p)
     M = _cumulative_matrix(p)
     inner = half * F @ M.T  # (panels, p): cumulative within each panel
-    _, ref_w = roots_legendre(p)
+    _, ref_w = _gauss_legendre(p)
     totals = half * F @ ref_w
     offsets = np.concatenate(([0.0], np.cumsum(totals)[:-1]))
     cum = (inner + offsets[:, None]).ravel()

@@ -25,7 +25,8 @@ wrap-around, so it returns rates for the unpadded sites only.  The chain
 kernel evaluates the band families l <= -2 and l >= 2 in one expression
 each, with integer gathers from a `_BandPlan` built from the window shape;
 `evolve_pfaff` builds its plan, closure data and padded buffer once per call
-and caches nothing beyond it.
+and caches nothing beyond it.  The reduced chain's kernel works on the flat
+array (W^{-1}, W^1..W^K); `reduced_chain_rhs` wraps it for one state.
 
 Stepping: every evolver, here and in `continuum`, takes classical RK4
 steps through `_rk4_step`, the one place the RK4 weights are written
@@ -364,22 +365,35 @@ def pfaff_commutator_rhs(state: PfaffLax, *, check_tol: float = 1e-10) -> np.nda
     return out
 
 
+def _reduced_kernel(K: int, ghost: str):
+    """Autonomous RHS rates(t, y) of the reduced chain on the flat state
+    y = (W^{-1}, W^1..W^K), with the truncation closed by W^{K+1} := W^K
+    ("copy") or := 2 ("two")."""
+    if ghost not in ("copy", "two"):
+        raise ValueError(f"reduced ghost must be 'copy' or 'two', got {ghost!r}")
+    copy = ghost == "copy"
+    up = np.arange(2.0, K + 2.0)               # k + 1 for k = 1..K
+    down = np.arange(0.0, K)                   # k - 1
+
+    def rates(t, y):
+        Wm1, W = y[0], y[1:]
+        Wp = np.empty(K + 2)                   # 0, W^1..W^K, ghost W^{K+1}
+        Wp[0] = 0.0
+        Wp[1:-1] = W
+        Wp[-1] = W[-1] if copy else 2.0
+        out = np.empty(K + 1)
+        out[0] = 2.0 * Wm1 * Wm1 * W[0]
+        out[1:] = 2.0 * Wm1 * (up * Wp[2:] - W[0] * W - down * Wp[:-2])
+        return out
+
+    return rates
+
+
 def reduced_chain_rhs(state: ReducedChainState, *, ghost: str = "copy"):
     """(dWm1, dW) with the truncation closed by W^{K+1} := W^K or := 2."""
-    Wm1, W = state.Wm1, state.W
-    K = len(W)
-    if ghost == "copy":
-        top = W[-1]
-    elif ghost == "two":
-        top = 2.0
-    else:
-        raise ValueError(f"reduced ghost must be 'copy' or 'two', got {ghost!r}")
-    We = np.concatenate([W, [top]])
-    k = np.arange(1, K + 1, dtype=float)
-    dW = 2.0 * Wm1 * ((k + 1) * We[1:] - W[0] * We[:-1]
-                      - (k - 1) * np.concatenate([[0.0], W[:-1]]))
-    dWm1 = 2.0 * Wm1 * Wm1 * W[0]
-    return dWm1, dW
+    y = np.concatenate([[state.Wm1], state.W])
+    rates = _reduced_kernel(state.k_max, ghost)(0.0, y)
+    return rates[0], rates[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -580,13 +594,8 @@ def evolve_reduced(state: ReducedChainState, times, *, h: float = 1e-3,
                    ghost: str = "copy") -> EvolutionResult:
     """Reduced-chain trajectory by fixed-step RK4 on W^{-1}, W^1..W^K."""
     K = state.k_max
-
-    def rhs(t, y):
-        dWm1, dW = reduced_chain_rhs(ReducedChainState(y[0], y[1:]), ghost=ghost)
-        return np.concatenate([[dWm1], dW])
-
     y0 = np.concatenate([[state.Wm1], state.W])
-    ys, stats = evolve(rhs, y0, times, h=h)
+    ys, stats = evolve(_reduced_kernel(K, ghost), y0, times, h=h)
     front = _influence_front(times, ys, lambda y: 2.0 * abs(y[0]) * (K + 1), K)
     stats.update(ghost=ghost, n_evolve=K + 1, influence_index=front)
     states = [ReducedChainState(y[0], y[1:]) for y in ys]

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .couplings import (CouplingVector, build_quadrature, cumulative_integral,
                         weight_eval, widen_grid)
@@ -341,7 +340,8 @@ def pfaff_lax_from_basis(basis: SkewOrthoBasis, n_sites: int, k_pos: int,
         raise ValueError("basis too small for the requested window")
     Wn = basis.normalized_work()
     M = Wn @ _z_transfer(n_pairs)
-    L = solve_triangular(Wn.T, M.T, lower=False).T
+    # Wn is lower triangular, so the LU pivots stay on the diagonal
+    L = np.linalg.solve(Wn.T, M.T).T
     # row 2*n_pairs - 1 of L is truncation-corrupted; nothing below reads it
     scale = max(1.0, float(np.abs(L[: 2 * n_pairs - 1]).max()))
     dim = 2 * n_pairs - 1

@@ -1,17 +1,20 @@
 """Reference kernels: the per-band loop, the np.roll stencil, the
-hand-written hydrodynamic chain and its RK4 march, and the site-by-site
-dense commutator.
+hand-written hydrodynamic chain and its RK4 march, the reduced chain on
+concatenated rows, the site-by-site dense commutator, and a 50-digit
+Gauss-Legendre rule.
 
 These are the straightforward forms of the Pfaff-chain and Volterra
 right-hand sides, of the continuum chain's RHS written row by row, of the
-chain march with its RK4 stages written out on the (u, v) pair, of the
-coefficient matrix and its gradient built by a loop over the monomial
-table, and of the dense embedding and protected-position scan of the
-commutator form.  The library's kernels evaluate the same arithmetic with
+chain march with its RK4 stages written out on the (u, v) pair and the edge
+drive called at every stage (with a drive that records its call times), of
+the reduced chain's RHS on a state, of the coefficient matrix and its
+gradient built by a loop over the monomial table, and of the dense
+embedding and protected-position scan of the commutator form.  The library's kernels evaluate the same arithmetic with
 slices, precomputed gathers, masks and one shared RK4 step; the tests and
 scripts/kernel_equiv.py hold them to these references bit for bit, except
 the chain RHS, whose coefficient product sums each row's terms in another
-order and is held to 1e-13 relative.
+order and is held to 1e-13 relative.  The mpmath rule is the accuracy
+reference for `couplings._gauss_legendre`.
 """
 
 import numpy as np
@@ -192,6 +195,71 @@ def evolve_hydro_chain(field, t_target, *, cfl=0.2, top="copy", bottom="copy",
              "h_min": min(h_used) if h_used else 0.0,
              "h_max": max(h_used) if h_used else 0.0}
     return out, stats
+
+
+def counted_scaling_drive(k_neg=4, k_pos=6):
+    """(drive, times): the exact scaling solution as the edge drive that
+    hydro_scaling_check imposes, and the list of times it is called at."""
+    times = []
+
+    def drive(xs, t):
+        times.append(t)
+        s = 1.0 - 2.0 * t
+        rows = np.zeros((k_neg + k_pos + 1, len(xs)))
+        rows[k_neg - 1] = 0.5 / s
+        rows[k_neg] = xs / s
+        rows[k_neg + 1:] = 2.0
+        return rows, np.full(len(xs), -0.25 / s)
+
+    return drive, times
+
+
+def reduced_chain_rhs(Wm1, W, ghost="copy"):
+    """flows.reduced_chain_rhs as written on a state: the ghost row and the
+    shifted row built by concatenation at every call."""
+    K = len(W)
+    top = W[-1] if ghost == "copy" else 2.0
+    We = np.concatenate([W, [top]])
+    k = np.arange(1, K + 1, dtype=float)
+    dW = 2.0 * Wm1 * ((k + 1) * We[1:] - W[0] * We[:-1]
+                      - (k - 1) * np.concatenate([[0.0], W[:-1]]))
+    dWm1 = 2.0 * Wm1 * Wm1 * W[0]
+    return dWm1, dW
+
+
+def reduced_rates(y, ghost="copy"):
+    """reduced_chain_rhs on the flat state (W^{-1}, W^1..W^K), concatenated."""
+    dWm1, dW = reduced_chain_rhs(float(y[0]), y[1:], ghost)
+    return np.concatenate([[dWm1], dW])
+
+
+def gauss_legendre_mp(p, dps=50):
+    """(nodes, weights) of the p-point Gauss-Legendre rule as mpmath numbers
+    at `dps` digits, ascending: Newton on the three-term recurrence from the
+    asymptotic guesses cos(pi (i + 3/4) / (p + 1/2))."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        def legendre(x):
+            prev, cur = mpmath.mpf(1), x
+            for k in range(1, p):
+                prev, cur = cur, ((2 * k + 1) * x * cur - k * prev) / (k + 1)
+            return cur, p * (prev - x * cur) / (1 - x * x)
+
+        tiny = mpmath.mpf(10) ** (5 - dps)
+        nodes, weights = [], []
+        for i in range(p):
+            x = mpmath.cos(mpmath.pi * (i + mpmath.mpf(3) / 4) / (p + mpmath.mpf(1) / 2))
+            for _ in range(100):
+                P, dP = legendre(x)
+                step = P / dP
+                x -= step
+                if abs(step) < tiny:
+                    break
+            _, dP = legendre(x)
+            nodes.append(x)
+            weights.append(2 / ((1 - x * x) * dP * dP))
+    return nodes[::-1], weights[::-1]
 
 
 def hydro_scaling_run(rhs=None, march=None, **kwargs):

@@ -1,11 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import taulattice
 from taulattice import PfaffLax, goe_lax_init
 from taulattice.cli import main
 
@@ -202,6 +204,15 @@ def test_continuum_hopf_csv(tmp_path, capsys):
     assert lines[0] == "x,u"
     x0, u0 = (float(v) for v in lines[1].split(","))
     assert abs(u0 - x0 / 0.8) < 1e-12
+
+
+def test_import_leaves_scipy_out():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(taulattice.__file__)))
+    code = ("import sys, taulattice, taulattice.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_script(tmp_path):

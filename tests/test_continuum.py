@@ -51,6 +51,16 @@ class TestHopf:
         u = hopf_solve(lambda s: s, 2.0, 1, x, 0.15)
         assert np.max(np.abs(u - x / 0.7)) < 1e-13
 
+    @pytest.mark.parametrize("c,k,t", [(2.0, 1, 0.15), (-1.5, 1, 0.3),
+                                       (1.0, 2, 0.1), (-1.5, 2, 0.05)])
+    def test_linear_profile_closed_forms(self, c, k, t):
+        # u0 = id: u = x + c t u^k, so u = x/(1-ct) for k = 1 and
+        # u = 2x/(1 + sqrt(1 - 4ctx)) for k = 2
+        x = np.linspace(0.25, 2.0, 501)
+        u = hopf_solve(lambda s: s, c, k, x, t)
+        exact = x / (1.0 - c * t) if k == 1 else 2.0 * x / (1.0 + np.sqrt(1.0 - 4.0 * c * t * x))
+        assert np.max(np.abs(u / exact - 1.0)) <= 1e-13
+
     def test_folding_detected(self):
         x = np.linspace(0.25, 2.0, 15)
         with pytest.raises(PreBreakingViolated):
@@ -180,6 +190,17 @@ class TestHydroStepper:
         assert l_stats == r_stats
         assert np.array_equal(lib.u, loop.u) and np.array_equal(lib.v, loop.v)
         assert lib.time == loop.time
+
+    def test_one_drive_call_per_distinct_time(self):
+        x = np.linspace(0.25, 2.25, 101)
+        drive, times = ref.counted_scaling_drive()
+        _, stats = evolve_hydro_chain(HydroChainField.initial(x, 4, 6), 0.05,
+                                      edge_drive=drive)
+        # the start, then t + h/2 and t + h of every step; the stage at t
+        # reuses the values set at the end of the step before
+        assert stats["steps"] > 1
+        assert len(times) == 2 * stats["steps"] + 1
+        assert len(set(times)) == len(times) and times == sorted(times)
 
     @pytest.mark.parametrize("top,bottom", [("copy", "copy"), (2.0, 0.0)])
     def test_frozen_strips(self, top, bottom):

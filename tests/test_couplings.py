@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+import reference_kernels as ref
 from taulattice import CouplingVector, build_quadrature
-from taulattice.couplings import cumulative_integral, weight_eval, widen_grid
+from taulattice.couplings import (_cumulative_matrix, _gauss_legendre,
+                                  cumulative_integral, weight_eval, widen_grid)
 from taulattice.errors import NonIntegrableWeight
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -91,3 +93,35 @@ def test_cumulative_integral_matches_error_function(t0):
         exact = SQRT_2PI * 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
         assert abs(cum[i] - exact) < 1e-10 * SQRT_2PI
     assert np.all(np.diff(cum) >= -1e-13)
+
+
+@pytest.mark.parametrize("p", [8, 16, 24, 32, 48])
+def test_gauss_legendre_against_mpmath(p):
+    mpmath = pytest.importorskip("mpmath")
+    x, w = _gauss_legendre(p)
+    ref_x, ref_w = ref.gauss_legendre_mp(p)
+    node_gap = max(abs(mpmath.mpf(float(a)) - b) for a, b in zip(x, ref_x))
+    weight_gap = max(abs(mpmath.mpf(float(a)) / b - 1) for a, b in zip(w, ref_w))
+    assert node_gap <= 2e-16
+    assert weight_gap <= 5e-14
+
+
+def test_gauss_legendre_cached_symmetric_read_only():
+    x, w = _gauss_legendre(7)
+    assert _gauss_legendre(7)[0] is x
+    assert not x.flags.writeable and not w.flags.writeable
+    assert np.array_equal(x, -x[::-1]) and x[3] == 0.0
+    assert np.array_equal(w, w[::-1])
+    assert np.all(np.diff(x) > 0)
+    assert _gauss_legendre(1)[0].tolist() == [0.0] and _gauss_legendre(1)[1].tolist() == [2.0]
+    with pytest.raises(ValueError):
+        _gauss_legendre(0)
+
+
+def test_cumulative_matrix_exact_on_monomials():
+    p = 24
+    xi, _ = _gauss_legendre(p)
+    M = _cumulative_matrix(p)
+    for k in range(p):
+        exact = (xi ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
+        assert np.max(np.abs(M @ xi**k - exact)) <= 1e-14, k

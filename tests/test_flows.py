@@ -334,6 +334,27 @@ class TestReducedChain:
     def test_state_validation(self):
         with pytest.raises(ValueError):
             ReducedChainState(0.5, np.array([2.0]))
+        with pytest.raises(ValueError):
+            evolve_reduced(ReducedChainState(0.5, np.full(3, 2.0)), [0.1], ghost="pin")
+
+    @given(st.integers(2, 12), st.sampled_from(["copy", "two"]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_array_kernel_matches_state_rhs(self, K, ghost, seed):
+        rng = np.random.default_rng(seed)
+        wm1, W = rng.uniform(-1.0, 1.0), rng.uniform(0.5, 3.0, K)
+        dWm1, dW = reduced_chain_rhs(ReducedChainState(wm1, W), ghost=ghost)
+        ref_dWm1, ref_dW = ref.reduced_chain_rhs(wm1, W, ghost)
+        assert dWm1 == ref_dWm1 and np.array_equal(dW, ref_dW)
+
+    @pytest.mark.parametrize("ghost", ["copy", "two"])
+    def test_trajectory_matches_state_rhs(self, ghost):
+        W = 2.0 + 0.1 * np.random.default_rng(7).standard_normal(6)
+        res = evolve_reduced(ReducedChainState(0.5, W), [0.05, 0.2], ghost=ghost)
+        ys, _ = evolve(lambda t, y: ref.reduced_rates(y, ghost),
+                       np.concatenate([[0.5], W]), [0.05, 0.2])
+        for got, y in zip(res.states, ys):
+            assert got.Wm1 == y[0] and np.array_equal(got.W, y[1:])
 
 
 class TestOracles:

@@ -28,7 +28,10 @@ The reduced chain's array kernel must equal its form on a state
 (concatenated rows) bit for bit, per call on K = 2-12 and along evolve_reduced
 trajectories.  The Gauss-Legendre rule behind every quadrature grid is held
 to a 50-digit mpmath rule for 8-48 points: nodes to 2e-16 absolute, weights
-to 5e-14 relative.  Exits 1 if any difference exceeds its limit.
+to 5e-14 relative.  `log_tau` is held to the closed forms on the t2 family
+(t2 = -0.15, 0, 0.15; unitary n and orthogonal size up to 40) and to a
+60-digit Hankel determinant at t2 = 0.1, t4 = -0.05 (n = 10-40), both to
+1e-10 in log.  Exits 1 if any difference exceeds its limit.
 
     PYTHONPATH=src python3 scripts/kernel_equiv.py --samples 40 --seed 1
 """
@@ -43,10 +46,11 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "tests"))
 import reference_kernels as ref  # noqa: E402
-from taulattice import (HydroChainField, ReducedChainState, TensorPoint,  # noqa: E402
-                        VolterraState, chain_matrix, continuum, couplings,
-                        evolve_hydro_chain, evolve_pfaff, evolve_reduced,
-                        evolve_volterra, flows, goe_lax_init, hydro_chain_rhs,
+from taulattice import (CouplingVector, HydroChainField,  # noqa: E402
+                        ReducedChainState, TensorPoint, VolterraState,
+                        chain_matrix, continuum, couplings, evolve_hydro_chain,
+                        evolve_pfaff, evolve_reduced, evolve_volterra, flows,
+                        goe_lax_init, hydro_chain_rhs, log_tau,
                         reduced_chain_rhs)
 
 
@@ -159,6 +163,30 @@ def legendre_gaps(points):
     return node, weight
 
 
+def log_tau_closed_gap():
+    """Largest log gap of log_tau from the closed forms on the t2 family
+    (infinite if a sign comes out wrong)."""
+    worst = 0.0
+    for t2 in (-0.15, 0.0, 0.15):
+        t = CouplingVector.from_mapping({2: t2})
+        for ensemble, sizes in (("unitary", range(1, 41)),
+                                ("orthogonal", range(2, 41, 2))):
+            for n in sizes:
+                sign, log_abs = log_tau(ensemble, n, t)
+                gap = abs(log_abs - ref.log_tau_closed_form(ensemble, n, t2))
+                worst = max(worst, gap if sign == 1.0 else math.inf)
+    return worst
+
+
+def log_tau_quartic_gap():
+    """Largest log gap of the unitary log_tau from the 60-digit Hankel
+    determinant at t2 = 0.1, t4 = -0.05."""
+    t = CouplingVector.from_mapping({2: 0.1, 4: -0.05})
+    return max(abs(log_tau("unitary", n, t)[1]
+                   - float(ref.log_tau_quartic_mp(n, 0.1, -0.05)))
+               for n in (10, 20, 30, 40))
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--samples", type=int, default=40, help="random shapes per kernel")
@@ -230,6 +258,8 @@ def main():
             ("reduced kernel + trajectories, 2 ghosts", reduced, 0.0),
             ("Gauss-Legendre nodes, 8-48 points", node, 2e-16),
             ("Gauss-Legendre weights (relative)", weight, 5e-14),
+            ("log_tau vs closed forms, sizes <= 40", log_tau_closed_gap(), 1e-10),
+            ("log_tau vs 60-digit quartic Hankel", log_tau_quartic_gap(), 1e-10),
             ("chain_matrix, %d points" % args.samples, matrix, 0.0),
             ("_matrix_gradient, %d points" % args.samples, gradient, 0.0)]
     for label, gap, limit in rows:

@@ -30,7 +30,7 @@ from .lax import (PfaffLax, TodaLax, c_coeff, goe_lax_init, gue_lax_init,
                   pfaff_lax_from_basis, skew_hermite_map_check,
                   skew_orthonormal_basis, sqrt_ratio_product,
                   toda_lax_from_moments)
-from .moments import (SkewMomentMatrix, SymmetricMomentTable, pfaffian,
+from .moments import (SkewMomentMatrix, SymmetricMomentTable, log_tau, pfaffian,
                       skew_moment_matrix, symmetric_moment_table,
                       tau_coupling_derivative, tau_orthogonal, tau_unitary)
 from .report import IdentityReport
@@ -41,7 +41,7 @@ __all__ = [
     "CouplingVector", "QuadratureGrid", "build_quadrature",
     "SymmetricMomentTable", "SkewMomentMatrix", "pfaffian",
     "symmetric_moment_table", "skew_moment_matrix",
-    "tau_unitary", "tau_orthogonal", "tau_coupling_derivative",
+    "log_tau", "tau_unitary", "tau_orthogonal", "tau_coupling_derivative",
     "TodaLax", "PfaffLax", "c_coeff", "nu_values", "sqrt_ratio_product",
     "gue_lax_init", "goe_lax_init", "toda_lax_from_moments",
     "hermite_map_coeffs", "skew_orthonormal_basis", "pfaff_lax_from_basis",

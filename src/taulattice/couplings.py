@@ -328,17 +328,19 @@ def _cumulative_matrix(p: int) -> np.ndarray:
 def cumulative_integral(grid: QuadratureGrid, fvals: np.ndarray):
     """Cumulative integral int_{-R}^{x_i} f at every node, plus the total.
 
-    f is given by its values at grid.nodes.  Within each panel the integral
+    f is given by its values at grid.nodes, or by a stack of such rows (then
+    cum and total have one entry per row).  Within each panel the integral
     is spectral; panel totals are prefix-summed.
     """
     p = grid.points_per_panel
-    panels = grid.panels
-    half = grid.radius / panels
-    F = np.asarray(fvals, dtype=float).reshape(panels, p)
-    M = _cumulative_matrix(p)
-    inner = half * F @ M.T  # (panels, p): cumulative within each panel
+    half = grid.radius / grid.panels
+    F = np.asarray(fvals, dtype=float)
+    rows = F.reshape(-1, grid.panels, p)  # (functions, panels, p)
+    inner = half * rows @ _cumulative_matrix(p).T  # cumulative within each panel
     _, ref_w = _gauss_legendre(p)
-    totals = half * F @ ref_w
-    offsets = np.concatenate(([0.0], np.cumsum(totals)[:-1]))
-    cum = (inner + offsets[:, None]).ravel()
-    return cum, float(totals.sum())
+    totals = half * rows @ ref_w
+    offsets = np.zeros_like(totals)
+    offsets[:, 1:] = np.cumsum(totals[:, :-1], axis=1)
+    cum = (inner + offsets[:, :, None]).reshape(F.shape)
+    total = totals.sum(axis=1)
+    return cum, (total if F.ndim > 1 else float(total[0]))

@@ -23,7 +23,7 @@ class OddDimension(TauLatticeError):
 
 
 class IllConditioned(TauLatticeError):
-    """A Cholesky or linear solve failed; the matrix is numerically singular."""
+    """A factorisation, solve or recurrence broke down, or tau has no double value."""
 
 
 class StepTooLarge(TauLatticeError):

@@ -13,15 +13,14 @@ import math
 
 import numpy as np
 
-from .couplings import (CouplingVector, build_quadrature, cumulative_integral,
-                        weight_eval, widen_grid)
+from .couplings import CouplingVector, build_quadrature, cumulative_integral
 from .errors import GridTooCoarse, StepTooLarge, UnsupportedKind
 from .flows import (EvolutionResult, ReducedChainState, VolterraState,
                     _rk4_segment, pfaff_chain_rhs, reduced_chain_rhs,
                     volterra_rhs)
 from .lax import (PfaffLax, TodaLax, c_coeff, goe_lax_init,
                   pfaff_entries_from_tau, sqrt_ratio_product)
-from .moments import pfaffian, skew_matrix_on_grid
+from .moments import _tau_grid, log_tau
 from .numdiff import mixed_derivative
 from .report import IdentityReport
 
@@ -159,28 +158,14 @@ def kp_residual(n: int, t: CouplingVector | None = None, *,
         t = CouplingVector.from_mapping({})
     if steps is None:
         steps = {1: 0.1, 2: 0.05, 3: 4e-3}
-    deg = 2 * (n - 1) + 2
-    grid = build_quadrature(t, quad_tol, max_degree=deg)
-    grid = widen_grid(grid, 1e-20, deg)
-    powers = grid.nodes[None, :] ** np.arange(deg + 1)[:, None]
-    base = {k: v for k, v in t.entries}
+    grid = _tau_grid("unitary", n, t, quad_tol, frozen=True)
     logtau_cache = {}
 
-    def log_tau(shifts: dict) -> float:
+    def log_tau_at(shifts: dict) -> float:
         key = tuple(sorted((a, round(s, 12)) for a, s in shifts.items() if s))
-        if key in logtau_cache:
-            return logtau_cache[key]
-        tc = dict(base)
-        for a, s in shifts.items():
-            tc[a] = tc.get(a, 0.0) + s
-        rho = weight_eval(grid.nodes, CouplingVector.from_mapping(tc))
-        mu = powers @ (grid.weights * rho)
-        H = mu[np.arange(n)[:, None] + np.arange(n)[None, :]]
-        sign, logdet = np.linalg.slogdet(H)
-        if sign <= 0:
-            raise ValueError("Hankel determinant lost positivity")
-        logtau_cache[key] = logdet
-        return logdet
+        if key not in logtau_cache:
+            logtau_cache[key] = log_tau("unitary", n, t.shifted(shifts), grid=grid)[1]
+        return logtau_cache[key]
 
     w2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
 
@@ -189,7 +174,7 @@ def kp_residual(n: int, t: CouplingVector | None = None, *,
         for off, wgt in zip((-2, -1, 0, 1, 2), w2):
             s = dict(shifts)
             s[1] = s.get(1, 0.0) + off * inner_step
-            acc += wgt * log_tau(s)
+            acc += wgt * log_tau_at(s)
         return 2.0 * acc / inner_step ** 2
 
     u0 = u({})
@@ -215,17 +200,9 @@ def kp_residual(n: int, t: CouplingVector | None = None, *,
 def _triangle_moments(t: CouplingVector, max_degree: int, tol: float = 1e-12):
     """T[i, j] = int_{x<y} x^i y^j rho(x) rho(y) dx dy, spectrally accurate."""
     grid = build_quadrature(t, tol, max_degree=2 * max_degree + 2)
-    rho = weight_eval(grid.nodes, t)
     powers = grid.nodes[None, :] ** np.arange(max_degree + 1)[:, None]
-    T = np.empty((max_degree + 1, max_degree + 1))
-    cums = [cumulative_integral(grid, powers[i] * rho)[0]
-            for i in range(max_degree + 1)]
-    wr = grid.weights * rho
-    for j in range(max_degree + 1):
-        yv = powers[j] * wr
-        for i in range(max_degree + 1):
-            T[i, j] = yv @ cums[i]
-    return T
+    cums, _ = cumulative_integral(grid, powers * grid.rho)
+    return cums @ (powers * (grid.weights * grid.rho)).T
 
 
 def _pair_expectation(poly: dict, T: np.ndarray) -> float:
@@ -251,15 +228,11 @@ def observables_check(n: int, t: CouplingVector | None = None, *,
     if t is None:
         t = CouplingVector.from_mapping({})
     entries = pfaff_entries_from_tau(t, n_pairs)
-    grid = build_quadrature(t, 1e-12, max_degree=2 * n_pairs + 4)
-    taus = {}
-    for m in range(0, n_pairs + 2):
-        if m == 0:
-            taus[0] = 1.0
-        else:
-            taus[2 * m] = pfaffian(skew_matrix_on_grid(grid, t, 2 * m))
-    w0_next = math.sqrt(taus[2 * n] * taus[2 * n + 4]) / taus[2 * n + 2]
-    dmu = math.log(taus[2 * n] * taus[2 * n + 4] / taus[2 * n + 2] ** 2)
+    sizes = (2 * n, 2 * n + 2, 2 * n + 4)
+    grid = _tau_grid("orthogonal", sizes[-1], t)
+    lo, mid, hi = (log_tau("orthogonal", size, t, grid=grid)[1] for size in sizes)
+    dmu = lo + hi - 2.0 * mid
+    w0_next = math.exp(0.5 * (lo + hi) - mid)
     res_mu = abs(dmu - 2.0 * math.log(w0_next)) / max(abs(dmu), 1.0)
     meta = {"n": n, "delta_mu": dmu, "w0_next": w0_next, "mu_residual": res_mu}
     residual = res_mu * (tolerance / tol_mu)  # budget-normalized piece

@@ -20,11 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .couplings import (CouplingVector, build_quadrature, cumulative_integral,
-                        weight_eval, widen_grid)
+from .couplings import CouplingVector, build_quadrature, weight_eval
 from .errors import IllConditioned, SingularMinor, StructureViolation
-from .moments import (SkewMomentMatrix, SymmetricMomentTable, skew_matrix_on_grid,
-                      skew_moment_matrix, tau_coupling_derivative, tau_orthogonal)
+from .moments import (SkewMomentMatrix, SymmetricMomentTable, _skew_products,
+                      _tau_grid, log_tau, tau_coupling_derivative)
 from .report import IdentityReport
 
 __all__ = [
@@ -245,26 +244,14 @@ class SkewOrthoBasis:
         return self.work_coeffs / scale[:, None]
 
 
-def _skew_gram(coeff_rows: np.ndarray, t: CouplingVector, grid) -> np.ndarray:
-    """<f_i, f_j> for polynomials given by coefficient rows, by quadrature."""
-    dim = coeff_rows.shape[1]
-    powers = grid.nodes[None, :] ** np.arange(dim)[:, None]
-    fvals = coeff_rows @ powers
-    rho = weight_eval(grid.nodes, t)
-    G = np.empty_like(fvals)
-    for j in range(len(fvals)):
-        cum, total = cumulative_integral(grid, fvals[j] * rho)
-        G[j] = total - 2.0 * cum
-    F = 0.5 * (fvals * (grid.weights * rho)[None, :]) @ G.T
-    return 0.5 * (F - F.T)
-
-
 def _working_gram(t: CouplingVector, n_pairs: int, tol: float, grid=None) -> tuple:
     """Skew Gram of the scaled parity-Hermite basis, by direct quadrature.
 
     The scaling P_k / sqrt(nu_{k//2}) keeps every entry O(k!-free); building
     the Gram from the monomial skew matrix by congruence would cancel
-    catastrophically instead.
+    catastrophically instead.  This fixed basis serves the skew Gram-Schmidt
+    oracle only: away from zero coupling its Gram loses accuracy with size,
+    so `moments.log_tau` builds its basis from the weight itself (Stieltjes).
     """
     dim = 2 * n_pairs
     if grid is None:
@@ -272,7 +259,8 @@ def _working_gram(t: CouplingVector, n_pairs: int, tol: float, grid=None) -> tup
     C = _parity_hermite_coeffs(dim)
     scale = np.repeat(np.sqrt(nu_values(n_pairs)), 2)
     Cs = C / scale[:, None]
-    F = _skew_gram(Cs, t, grid)
+    rows = Cs @ grid.nodes ** np.arange(dim)[:, None]
+    F = _skew_products(grid, rows, weight_eval(grid.nodes, t))
     return F, Cs, grid
 
 
@@ -379,32 +367,23 @@ def pfaff_entries_from_tau(t: CouplingVector, n_pairs: int, step: float = 5e-3,
     An independent route to the window: tau values and their first/second
     coupling derivatives, all on one widened frozen grid.
     """
-    tau = {0: 1.0}
-    d11 = {}
-    d2 = {}
+    log_t = {0: 0.0}
+    d11, d2 = {0: 0.0}, {0: 0.0}     # tau_0 = 1 at every coupling
     top = 2 * n_pairs + 2
-    grid = build_quadrature(t, tol, max_degree=top + 2)
-    grid = widen_grid(grid, 1e-20, top + 2)
+    grid = _tau_grid("orthogonal", top, t, tol, frozen=True)
     for size in range(2, top + 1, 2):
-        matrix = SkewMomentMatrix(skew_matrix_on_grid(grid, t, size), t)
-        tau[size] = tau_orthogonal(t, size, tol, matrix=matrix)
+        log_t[size] = log_tau("orthogonal", size, t, grid=grid)[1]
         if size <= 2 * n_pairs:
-            d11[size] = tau_coupling_derivative("orthogonal", size, t, {1: 2},
-                                                step, grid=grid)
-            d2[size] = tau_coupling_derivative("orthogonal", size, t, {2: 1},
-                                               step, grid=grid)
+            d11[size] = tau_coupling_derivative("orthogonal", size, t, {1: 2}, step, grid=grid)
+            d2[size] = tau_coupling_derivative("orthogonal", size, t, {2: 1}, step, grid=grid)
     out = {}
     for n in range(1, n_pairs + 1):
-        lo, mid, hi = tau[2 * n - 2], tau[2 * n], tau[2 * n + 2]
-        out[(0, n)] = math.sqrt(lo * hi) / mid
-        out[(1, n)] = d11[2 * n] / math.sqrt(lo * hi)
-        term_mid = (d2[2 * n] - d11[2 * n]) / (2.0 * mid)
-        prev = 2 * n - 2
-        if prev == 0:
-            term_prev = 0.0
-        else:
-            term_prev = (d2[prev] + d11[prev]) / (2.0 * tau[prev])
-        out[(-1, n)] = term_mid - term_prev
+        prev, mid = 2 * n - 2, 2 * n
+        log_outer = 0.5 * (log_t[prev] + log_t[mid + 2])   # log sqrt(tau_lo tau_hi)
+        out[(0, n)] = math.exp(log_outer - log_t[mid])
+        out[(1, n)] = d11[mid] * math.exp(-log_outer)
+        out[(-1, n)] = (0.5 * (d2[mid] - d11[mid]) * math.exp(-log_t[mid])
+                        - 0.5 * (d2[prev] + d11[prev]) * math.exp(-log_t[prev]))
     return out
 
 
@@ -431,7 +410,7 @@ def skew_hermite_map_check(n_pairs: int, *, tol: float = 1e-9) -> IdentityReport
     grid = build_quadrature(t0, 1e-12, max_degree=dim + 2)
     nu = nu_values(n_pairs)
     Qs = hermite_map_coeffs(n_pairs) / np.repeat(np.sqrt(nu), 2)[:, None]
-    S = _skew_gram(Qs, t0, grid)
+    S = _skew_products(grid, Qs @ grid.nodes ** np.arange(dim)[:, None], grid.rho)
     expected = np.zeros_like(S)
     for n in range(n_pairs):
         expected[2 * n, 2 * n + 1] = 1.0

@@ -1,16 +1,21 @@
 """Moment matrices, Pfaffians, and the two tau-sequences.
 
-The unitary-ensemble tau_n is the determinant of the (n x n) Hankel matrix
-of ordinary moments; the orthogonal-ensemble tau_{2n} is the Pfaffian of
-the skew moment matrix built from the half-line products
-m[i][j] = (1/2) int x^i G_j(x) rho(x) dx with G_j the signed cumulative
-moment.  Coupling derivatives of tau are central finite differences
-evaluated on a grid frozen at the base couplings, so a perturbed weight is
-always integrated on the geometry chosen for the base point.
+tau_n (unitary) is the Hankel determinant of the moments of rho; tau_{2n}
+(orthogonal) is the Pfaffian of the skew moments
+m[i][j] = (1/2) int x^i G_j(x) rho(x) dx, G_j the signed cumulative moment.
+`log_tau` forms neither matrix.  A discretised Stieltjes procedure on the
+quadrature grid (Gautschi 2004) gives orthonormal polynomials q_k and the
+log norms log h_k of their monic versions; monic basis changes are
+unit-triangular, so log tau_n = sum_{k<n} log h_k for rho dz, and
+log tau_{2n} = log|pf F| + (1/2) sum_{k<2n} log h_k for rho^2 dz with F the
+skew Gram of the q_k.  Coupling derivatives of tau are central finite
+differences on a grid frozen at the base couplings, so a perturbed weight
+is always integrated on the geometry chosen for the base point.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +30,8 @@ __all__ = [
     "SkewMomentMatrix",
     "symmetric_moment_table",
     "skew_moment_matrix",
-    "skew_matrix_on_grid",
     "pfaffian",
+    "log_tau",
     "tau_unitary",
     "tau_orthogonal",
     "tau_coupling_derivative",
@@ -36,11 +41,8 @@ __all__ = [
 # shifts: the extra tail margin costs ~10% more nodes and nothing else.
 _SHIFT_RADIUS_TOL = 1e-20
 
-
-def _moment_vector(grid: QuadratureGrid, t: CouplingVector, max_degree: int) -> np.ndarray:
-    rho = weight_eval(grid.nodes, t)
-    powers = grid.nodes[None, :] ** np.arange(max_degree + 1)[:, None]
-    return powers @ (grid.weights * rho)
+# log|tau| outside this range has no normal double value.
+_LOG_RANGE = tuple(np.log([np.finfo(float).tiny, np.finfo(float).max]))
 
 
 @dataclass(frozen=True)
@@ -73,31 +75,26 @@ def symmetric_moment_table(t: CouplingVector, max_degree: int, tol: float = 1e-1
     """Moments mu_k, k <= max_degree, to tol relative accuracy.
 
     Degrees above 40 are refused: Hankel conditioning makes them useless in
-    double precision, and lattice evolution is the intended route to larger n.
+    double precision.  `log_tau` reaches larger determinants without them.
     """
     if not 0 <= max_degree <= 40:
         raise ValueError(f"max_degree must lie in [0, 40], got {max_degree}")
     if grid is None:
         grid = build_quadrature(t, tol, max_degree=max_degree)
-    mu = _moment_vector(grid, t, max_degree)
+    powers = grid.nodes[None, :] ** np.arange(max_degree + 1)[:, None]
+    mu = powers @ (grid.weights * weight_eval(grid.nodes, t))
     if t.parity_even_only:
         mu[1::2] = 0.0
     return SymmetricMomentTable(mu, t)
 
 
-def skew_matrix_on_grid(grid: QuadratureGrid, t: CouplingVector, size: int) -> np.ndarray:
-    """Raw skew product values on a caller-supplied grid (t may differ from
-    the couplings the grid was built for, if its radius allows)."""
-    rho = weight_eval(grid.nodes, t)
-    powers = grid.nodes[None, :] ** np.arange(size)[:, None]
-    G = np.empty((size, len(grid.nodes)))
-    for j in range(size):
-        cum, total = cumulative_integral(grid, powers[j] * rho)
-        G[j] = total - 2.0 * cum
-    m = 0.5 * (powers * (grid.weights * rho)[None, :]) @ G.T
-    m = 0.5 * (m - m.T)  # exact antisymmetry; quadrature asymmetry is O(tol)
-    np.fill_diagonal(m, 0.0)
-    return m
+def _skew_products(grid: QuadratureGrid, rows: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """F[i][j] = (1/2) int int f_i(x) f_j(y) sgn(y - x) rho(x) rho(y), exactly
+    antisymmetric, for f_i given by its values at grid.nodes (one per row)."""
+    frho = rows * rho
+    cum, total = cumulative_integral(grid, frho)
+    F = 0.5 * (frho * grid.weights) @ (total[:, None] - 2.0 * cum).T
+    return 0.5 * (F - F.T)
 
 
 @dataclass(frozen=True)
@@ -126,7 +123,31 @@ def skew_moment_matrix(t: CouplingVector, size: int, tol: float = 1e-12,
         raise ValueError(f"size must be a positive even integer, got {size}")
     if grid is None:
         grid = build_quadrature(t, tol, max_degree=size + 2)
-    return SkewMomentMatrix(skew_matrix_on_grid(grid, t, size), t)
+    powers = grid.nodes[None, :] ** np.arange(size)[:, None]
+    return SkewMomentMatrix(_skew_products(grid, powers, weight_eval(grid.nodes, t)), t)
+
+
+def _pfaffian_pivots(A: np.ndarray):
+    """(sign, pivots) with pf A = sign * prod(pivots), by skew elimination with
+    partial pivoting in place on antisymmetric A.  Pivots from a vanishing
+    pivot column on are 0.  pf diag([[0,1],[-1,0]], ...) = +1."""
+    n = A.shape[0]
+    sign = 1.0
+    pivots = np.zeros(n // 2)
+    for k in range(0, n - 2, 2):
+        kp = k + 1 + int(np.abs(A[k + 1:, k]).argmax())
+        if A[kp, k] == 0.0:
+            return sign, pivots
+        if kp != k + 1:
+            A[[k + 1, kp]] = A[[kp, k + 1]]
+            A[:, [k + 1, kp]] = A[:, [kp, k + 1]]
+            sign = -sign
+        pivots[k // 2] = A[k, k + 1]
+        tau = A[k + 2:, k] / A[k + 1, k]
+        col = A[k + 2:, k + 1].copy()
+        A[k + 2:, k + 2:] += np.outer(tau, col) - np.outer(col, tau)
+    pivots[-1] = A[n - 2, n - 1]
+    return sign, pivots
 
 
 def pfaffian(m) -> float:
@@ -135,8 +156,7 @@ def pfaffian(m) -> float:
     Skew-symmetric elimination with partial pivoting; the sign convention
     makes pf of the canonical block matrix diag([[0,1],[-1,0]], ...) equal +1.
     """
-    A = m.m if isinstance(m, SkewMomentMatrix) else np.asarray(m, dtype=float)
-    A = np.array(A, dtype=float)
+    A = np.asarray(m.m if isinstance(m, SkewMomentMatrix) else m, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("pfaffian needs a square matrix")
     n = A.shape[0]
@@ -147,51 +167,95 @@ def pfaffian(m) -> float:
     scale = max(1.0, float(np.abs(A).max()))
     if float(np.abs(A + A.T).max()) > 1e-12 * scale:
         raise ValueError("matrix is not antisymmetric")
-    A = 0.5 * (A - A.T)
-    pf = 1.0
-    for k in range(0, n - 2, 2):
-        kp = k + 1 + int(np.abs(A[k + 1:, k]).argmax())
-        if A[kp, k] == 0.0:
-            return 0.0
-        if kp != k + 1:
-            A[[k + 1, kp]] = A[[kp, k + 1]]
-            A[:, [k + 1, kp]] = A[:, [kp, k + 1]]
-            pf = -pf
-        pivot = A[k, k + 1]
-        pf *= pivot
-        tau = A[k + 2:, k] / A[k + 1, k]
-        col = A[k + 2:, k + 1].copy()
-        A[k + 2:, k + 2:] += np.outer(tau, col) - np.outer(col, tau)
-    return pf * A[n - 2, n - 1]
+    sign, pivots = _pfaffian_pivots(0.5 * (A - A.T))
+    return sign * float(np.prod(pivots))
 
 
-def tau_unitary(t: CouplingVector, n: int, tol: float = 1e-12, *,
-                table: SymmetricMomentTable | None = None) -> float:
-    """Determinant of the n x n Hankel moment matrix; tau_0 = 1."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
+def _stieltjes(nodes: np.ndarray, measure: np.ndarray, count: int):
+    """(q, log_h) for the measure sum_i measure_i delta(x_i), k < count: the
+    orthonormal q_k at the nodes and log h_k = log(beta_0 ... beta_k), the
+    monic norms, with beta_0 = int dmu and
+    beta_{k+1} = |(x - a_k) q_k - sqrt(beta_k) q_{k-1}|^2."""
+    q = np.empty((count, len(nodes)))
+    log_beta = np.empty(count)
+    r, prev = np.ones(len(nodes)), np.zeros(len(nodes))
+    for k in range(count):
+        mr2 = measure * r * r
+        beta = float(mr2.sum())
+        if not 0.0 < beta < math.inf:
+            raise IllConditioned(
+                f"Stieltjes recurrence broke down at degree {k}: beta = {beta:.3e}")
+        log_beta[k] = math.log(beta)
+        root = math.sqrt(beta)
+        q[k] = r / root
+        a = float(mr2 @ nodes) / beta   # <x q_k, q_k>
+        r = (nodes - a) * q[k] - root * prev
+        prev = q[k]
+    return q, np.cumsum(log_beta)
+
+
+def _tau_grid(ensemble: str, n: int, t: CouplingVector, tol: float = 1e-12, *,
+              frozen: bool = False) -> QuadratureGrid:
+    """Grid on which log_tau(ensemble, m, t) is accurate for every m <= n.
+
+    Its radius leaves a negligible tail of every q_k^2 rho: degree 4n
+    (unitary) or 2n (orthogonal, n the matrix size).  A frozen grid is
+    widened so that slightly shifted couplings can be integrated on it.
+    """
+    deg = max(4 * n if ensemble == "unitary" else 2 * n, 2)
+    grid = build_quadrature(t, tol, max_degree=deg)
+    return widen_grid(grid, _SHIFT_RADIUS_TOL, deg) if frozen else grid
+
+
+def log_tau(ensemble: str, n: int, t: CouplingVector, tol: float = 1e-12, *,
+            grid: QuadratureGrid | None = None) -> tuple[float, float]:
+    """(sign, log|tau_n|) for ensemble "unitary" or "orthogonal"; tau_0 = 1.
+
+    n is the matrix size in both cases (even for orthogonal).  On a
+    caller-supplied grid the weight is evaluated at t, which may differ from
+    the couplings the grid was built for.  Raises IllConditioned when the
+    Stieltjes recurrence breaks down or the skew Gram has a zero pivot.
+    """
+    if ensemble not in ("unitary", "orthogonal"):
+        raise ValueError(f"unknown ensemble {ensemble!r}")
+    if n < 0 or (ensemble == "orthogonal" and n % 2):
+        raise ValueError(f"no {ensemble} tau of size {n}")
     if n == 0:
-        return 1.0
-    if table is None:
-        table = symmetric_moment_table(t, 2 * (n - 1), tol)
-    H = table.hankel(n)
-    try:
-        L = np.linalg.cholesky(H)
-    except np.linalg.LinAlgError as exc:
-        raise IllConditioned(f"Hankel matrix of order {n} is not positive definite") from exc
-    return float(np.prod(np.diag(L)) ** 2)
+        return 1.0, 0.0
+    if grid is None:
+        grid = _tau_grid(ensemble, n, t, tol)
+    rho = weight_eval(grid.nodes, t)
+    if ensemble == "unitary":
+        _, log_h = _stieltjes(grid.nodes, grid.weights * rho, n)
+        return 1.0, float(log_h.sum())
+    with np.errstate(over="ignore"):   # an overflowing weight fails in _stieltjes
+        measure = grid.weights * rho * rho
+    q, log_h = _stieltjes(grid.nodes, measure, n)
+    sign, pivots = _pfaffian_pivots(_skew_products(grid, q, rho))
+    if not np.all(np.isfinite(pivots) & (pivots != 0.0)):
+        raise IllConditioned(f"skew Gram of order {n} has a zero or non-finite pivot")
+    sign *= float(np.prod(np.sign(pivots)))
+    return sign, float(np.log(np.abs(pivots)).sum() + 0.5 * log_h.sum())
 
 
-def tau_orthogonal(t: CouplingVector, two_n: int, tol: float = 1e-12, *,
-                   matrix: SkewMomentMatrix | None = None) -> float:
+def _tau_value(ensemble: str, n: int, sign: float, log_abs: float) -> float:
+    """sign * exp(log_abs), refusing a tau that is not positive or has no
+    normal double value (tau of a positive weight is positive)."""
+    if sign <= 0 or not _LOG_RANGE[0] < log_abs < _LOG_RANGE[1]:
+        raise IllConditioned(
+            f"{ensemble} tau_{n} has sign {sign:+g} and log|tau| = {log_abs:.6g}: "
+            "no positive double holds it")
+    return math.exp(log_abs)
+
+
+def tau_unitary(t: CouplingVector, n: int, tol: float = 1e-12) -> float:
+    """Determinant of the n x n Hankel moment matrix; tau_0 = 1."""
+    return _tau_value("unitary", n, *log_tau("unitary", n, t, tol))
+
+
+def tau_orthogonal(t: CouplingVector, two_n: int, tol: float = 1e-12) -> float:
     """Pfaffian of the leading 2n x 2n skew moment matrix; tau_0 = 1."""
-    if two_n < 0 or two_n % 2:
-        raise ValueError(f"two_n must be a non-negative even integer, got {two_n}")
-    if two_n == 0:
-        return 1.0
-    if matrix is None:
-        matrix = skew_moment_matrix(t, two_n, tol)
-    return pfaffian(matrix.m[:two_n, :two_n])
+    return _tau_value("orthogonal", two_n, *log_tau("orthogonal", two_n, t, tol))
 
 
 def tau_coupling_derivative(ensemble: str, n: int, t: CouplingVector,
@@ -207,37 +271,16 @@ def tau_coupling_derivative(ensemble: str, n: int, t: CouplingVector,
     the base couplings with extra radius margin so that every shifted weight
     is evaluated on the same geometry.
     """
-    if ensemble not in ("unitary", "orthogonal"):
-        raise ValueError(f"unknown ensemble {ensemble!r}")
     orders = {int(k): int(p) for k, p in multi_index.items() if int(p) != 0}
     if any(p < 0 for p in orders.values()):
         raise ValueError("derivative orders must be non-negative")
     if sum(orders.values()) > 4:
         raise ValueError("total derivative order must be <= 4")
-    if ensemble == "orthogonal" and n % 2:
-        raise ValueError("orthogonal tau is defined for even sizes only")
     if grid is None:
-        deg = max((2 * (n - 1) if ensemble == "unitary" else n) + 2, 2)
-        grid = build_quadrature(t, tol, max_degree=deg)
-        grid = widen_grid(grid, _SHIFT_RADIUS_TOL, deg)
+        grid = _tau_grid(ensemble, n, t, tol, frozen=True)
 
     def tau_at(shift: dict) -> float:
-        ts = t.shifted(shift)
-        if ensemble == "unitary":
-            if n == 0:
-                return 1.0
-            mu = _moment_vector(grid, ts, 2 * (n - 1))
-            idx = np.arange(n)
-            H = mu[idx[:, None] + idx[None, :]]
-            try:
-                L = np.linalg.cholesky(H)
-            except np.linalg.LinAlgError as exc:
-                raise IllConditioned("shifted Hankel matrix lost positivity") from exc
-            return float(np.prod(np.diag(L)) ** 2)
-        if n == 0:
-            return 1.0
-        return pfaffian(skew_matrix_on_grid(grid, ts, n))
+        return _tau_value(ensemble, n, *log_tau(ensemble, n, t.shifted(shift), grid=grid))
 
     steps = {k: float(step) for k in orders}
-    val = mixed_derivative(lambda s: tau_at(s), orders, steps, check_tol=check_tol)
-    return float(val)
+    return float(mixed_derivative(tau_at, orders, steps, check_tol=check_tol))

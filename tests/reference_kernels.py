@@ -15,11 +15,20 @@ scripts/kernel_equiv.py hold them to these references bit for bit, except
 the chain RHS, whose coefficient product sums each row's terms in another
 order and is held to 1e-13 relative.  The mpmath rule is the accuracy
 reference for `couplings._gauss_legendre`.
+
+The tau references are the monomial routes `moments.log_tau` replaced: a
+Cholesky factor of the Hankel moment matrix and a Pfaffian of monomial skew
+moments with one cumulative integral per row.  Their conditioning grows
+like the moments, so they are references for sizes <= 12 only.  The
+60-digit quartic Hankel determinant is the reference at any size.
 """
+
+import math
 
 import numpy as np
 
-from taulattice import continuum
+from taulattice import continuum, pfaffian
+from taulattice.couplings import build_quadrature, cumulative_integral, weight_eval
 from taulattice.continuum import _closure_row, _matrix_terms, spatial_derivative
 from taulattice.errors import DivergedField, StructureViolation
 from taulattice.flows import _skew_block_projection
@@ -260,6 +269,71 @@ def gauss_legendre_mp(p, dps=50):
             nodes.append(x)
             weights.append(2 / ((1 - x * x) * dP * dP))
     return nodes[::-1], weights[::-1]
+
+
+def log_tau_closed_form(ensemble, n, t2=0.0):
+    """log tau_n on the t2 family: Selberg's prod_{k<n} sqrt(2 pi) k! (unitary)
+    or prod_{k<n/2} nu_k with nu_k = sqrt(pi) (2k)! / 4^k (orthogonal, n the
+    matrix size), times (1 - 2 t2)^(-1/2) per entry of the quadratic form."""
+    log_scale = -0.5 * math.log(1.0 - 2.0 * t2)
+    if ensemble == "unitary":
+        base = sum(0.5 * math.log(2.0 * math.pi) + math.lgamma(k + 1) for k in range(n))
+        return base + n * n * log_scale
+    m = n // 2
+    base = sum(0.5 * math.log(math.pi) + math.lgamma(2 * k + 1) - k * math.log(4.0)
+               for k in range(m))
+    return base + m * (2 * m + 1) * log_scale
+
+
+def skew_moment_rows(t, size, grid):
+    """Monomial skew moments m[i][j] = <x^i, y^j>, one cumulative integral per row."""
+    rho = weight_eval(grid.nodes, t)
+    powers = grid.nodes[None, :] ** np.arange(size)[:, None]
+    G = np.empty((size, len(grid.nodes)))
+    for j in range(size):
+        cum, total = cumulative_integral(grid, powers[j] * rho)
+        G[j] = total - 2.0 * cum
+    m = 0.5 * (powers * (grid.weights * rho)[None, :]) @ G.T
+    return 0.5 * (m - m.T)
+
+
+def log_tau_unitary_monomial(t, n, tol=1e-12):
+    """log det of the n x n monomial Hankel matrix, by Cholesky."""
+    grid = build_quadrature(t, tol, max_degree=2 * (n - 1))
+    powers = grid.nodes[None, :] ** np.arange(2 * n - 1)[:, None]
+    mu = powers @ (grid.weights * weight_eval(grid.nodes, t))
+    idx = np.arange(n)
+    L = np.linalg.cholesky(mu[idx[:, None] + idx[None, :]])
+    return 2.0 * float(np.log(np.diag(L)).sum())
+
+
+def log_tau_orthogonal_monomial(t, size, tol=1e-12):
+    """log pf of the size x size monomial skew moment matrix."""
+    grid = build_quadrature(t, tol, max_degree=size + 2)
+    return math.log(pfaffian(skew_moment_rows(t, size, grid)))
+
+
+def log_tau_quartic_mp(n, t2, t4, dps=60):
+    """log tau_n of the unitary ensemble for rho = exp(-(1/2 - t2) z^2 + t4 z^4),
+    t4 < 0, as an mpmath number at `dps` digits.
+
+    mu_0 and mu_2 come from quadrature; integrating (z^(2k+1) rho)' = 0 gives
+    (2k+1) mu_2k = 2a mu_(2k+2) + 4b mu_(2k+4) with a = 1/2 - t2, b = -t4,
+    which fixes the higher even moments (odd ones vanish).
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        a, b = mpmath.mpf(0.5) - mpmath.mpf(t2), -mpmath.mpf(t4)
+        even = [2 * mpmath.quad(lambda z: z ** k * mpmath.exp(-a * z * z - b * z ** 4),
+                                [0, 2, 5, 10, mpmath.inf]) for k in (0, 2)]
+        for k in range(n - 2):
+            even.append(((2 * k + 1) * even[k] - 2 * a * even[k + 1]) / (4 * b))
+        H = mpmath.matrix(n, n)
+        for i in range(n):
+            for j in range(i % 2, n, 2):
+                H[i, j] = even[(i + j) // 2]
+        return mpmath.log(mpmath.det(H))
 
 
 def hydro_scaling_run(rhs=None, march=None, **kwargs):

@@ -95,6 +95,17 @@ def test_cumulative_integral_matches_error_function(t0):
     assert np.all(np.diff(cum) >= -1e-13)
 
 
+def test_cumulative_integral_on_a_stack_of_rows():
+    t = CouplingVector.from_mapping({2: 0.1, 4: -0.05})
+    grid = build_quadrature(t, 1e-12, max_degree=20)
+    rows = grid.nodes[None, :] ** np.arange(12)[:, None] * grid.rho
+    cum, totals = cumulative_integral(grid, rows)
+    assert cum.shape == rows.shape and totals.shape == (12,)
+    for row, c, total in zip(rows, cum, totals):
+        one_cum, one_total = cumulative_integral(grid, row)
+        assert np.array_equal(c, one_cum) and total == one_total
+
+
 @pytest.mark.parametrize("p", [8, 16, 24, 32, 48])
 def test_gauss_legendre_against_mpmath(p):
     mpmath = pytest.importorskip("mpmath")

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from taulattice import (CouplingVector, pfaffian, skew_moment_matrix,
+import reference_kernels as ref
+from taulattice import (CouplingVector, QuadratureGrid, build_quadrature, log_tau,
+                        moments, pfaffian, skew_moment_matrix,
                         symmetric_moment_table, tau_coupling_derivative,
                         tau_orthogonal, tau_unitary)
 from taulattice.errors import IllConditioned, OddDimension
@@ -72,6 +74,13 @@ class TestSkewMoments:
     def test_size_must_be_even(self, t0):
         with pytest.raises(ValueError):
             skew_moment_matrix(t0, 5)
+
+    def test_matches_per_row_kernel(self):
+        t = CouplingVector.from_mapping({1: 0.2, 4: -0.05})
+        grid = build_quadrature(t, 1e-12, max_degree=14)
+        m = skew_moment_matrix(t, 12, grid=grid).m
+        expect = ref.skew_moment_rows(t, 12, grid)
+        assert np.abs(m - expect).max() <= 1e-14 * np.abs(expect).max()
 
 
 class TestPfaffian:
@@ -151,9 +160,98 @@ class TestCouplingDerivatives:
             tau_coupling_derivative("symplectic", 2, t0, {1: 1})
 
 
-def test_tau_unitary_ill_conditioned_raises(t0):
-    # handcrafted table whose order-3 Hankel is indefinite
-    from taulattice import SymmetricMomentTable
-    table = SymmetricMomentTable(np.array([1.0, 0.0, 1.0, 0.0, 0.5]), t0)
+class TestLogTau:
+    @pytest.mark.parametrize("t2", [-0.15, 0.0, 0.15])
+    def test_closed_forms_to_size_40(self, t2):
+        t = CouplingVector.from_mapping({2: t2})
+        for ensemble, sizes in (("unitary", range(1, 41)),
+                                ("orthogonal", range(2, 41, 2))):
+            for n in sizes:
+                sign, log_abs = log_tau(ensemble, n, t)
+                expect = ref.log_tau_closed_form(ensemble, n, t2)
+                assert sign == 1.0 and abs(log_abs - expect) < 1e-10, (ensemble, n)
+
+    def test_quartic_against_60_digit_hankel(self):
+        pytest.importorskip("mpmath")
+        t = CouplingVector.from_mapping({2: 0.1, 4: -0.05})
+        for n in (10, 20, 30, 40):
+            expect = float(ref.log_tau_quartic_mp(n, 0.1, -0.05))
+            assert abs(log_tau("unitary", n, t)[1] - expect) < 1e-10, n
+
+    @pytest.mark.parametrize("mapping", [{4: -0.05}, {1: 0.2, 3: 0.05, 4: -0.1}])
+    def test_small_sizes_match_monomial_routes(self, mapping):
+        t = CouplingVector.from_mapping(mapping)
+        for n in range(1, 13):
+            expect = ref.log_tau_unitary_monomial(t, n)
+            assert abs(log_tau("unitary", n, t)[1] - expect) < 1e-10, n
+        for size in range(2, 13, 2):
+            expect = ref.log_tau_orthogonal_monomial(t, size)
+            assert abs(log_tau("orthogonal", size, t)[1] - expect) < 1e-10, size
+
+    def test_tau_values_are_exp_of_log_tau(self):
+        t = CouplingVector.from_mapping({2: 0.1, 4: -0.05})
+        assert tau_unitary(t, 7) == math.exp(log_tau("unitary", 7, t)[1])
+        assert tau_orthogonal(t, 8) == math.exp(log_tau("orthogonal", 8, t)[1])
+        assert log_tau("orthogonal", 0, t) == (1.0, 0.0)
+
+    def test_size_validation(self, t0):
+        with pytest.raises(ValueError):
+            log_tau("orthogonal", 5, t0)
+        with pytest.raises(ValueError):
+            log_tau("unitary", -1, t0)
+        with pytest.raises(ValueError):
+            log_tau("symplectic", 2, t0)
+
+
+class TestTauReach:
+    def test_unitary_beyond_the_moment_table_cap(self, t0):
+        # needs Hankel degree 48, past symmetric_moment_table's 40
+        expect = ref.log_tau_closed_form("unitary", 25, 0.0)
+        assert abs(math.log(tau_unitary(t0, 25)) - expect) < 1e-10
+
+    def test_orthogonal_size_32_positive(self, t0):
+        value = tau_orthogonal(t0, 32)
+        expect = ref.log_tau_closed_form("orthogonal", 32, 0.0)
+        assert value > 0.0 and abs(math.log(value) - expect) < 1e-10
+
+    def test_stieltjes_breakdown_raises(self, t0):
+        # one node carries only the constant polynomial: beta_1 = 0
+        grid = QuadratureGrid(t0, np.array([0.0]), np.array([1.0]), np.array([1.0]),
+                              1.0, 1e-12, 1, 1)
+        assert log_tau("unitary", 1, t0, grid=grid) == (1.0, 0.0)
+        with pytest.raises(IllConditioned):
+            log_tau("unitary", 2, t0, grid=grid)
+
+    def test_overflowing_weight_raises(self, t0):
+        # a grid built for the Gaussian cannot hold a growing quartic weight
+        grid = moments._tau_grid("unitary", 3, t0)
+        grown = CouplingVector.from_mapping({4: 5.0})
+        for ensemble in ("unitary", "orthogonal"):
+            with pytest.raises(IllConditioned):
+                log_tau(ensemble, 2, grown, grid=grid)
+
+    def test_zero_pfaffian_pivot_raises(self, t0, monkeypatch):
+        monkeypatch.setattr(moments, "_skew_products",
+                            lambda grid, rows, rho: np.zeros((len(rows), len(rows))))
+        with pytest.raises(IllConditioned):
+            log_tau("orthogonal", 4, t0)
+
+    def test_negative_tau_raises(self, t0, monkeypatch):
+        # a skew Gram with pf = -1: log_tau reports the sign, tau refuses it
+        F = np.zeros((4, 4))
+        F[0, 1], F[2, 3] = 1.0, -1.0
+        monkeypatch.setattr(moments, "_skew_products", lambda grid, rows, rho: F - F.T)
+        assert log_tau("orthogonal", 4, t0)[0] == -1.0
+        with pytest.raises(IllConditioned):
+            tau_orthogonal(t0, 4)
+
+
+def test_tau_unitary_ill_conditioned_raises():
+    # log tau_30 is about 1071 at t2 = 0.15: no double holds tau itself
+    t = CouplingVector.from_mapping({2: 0.15})
+    expect = ref.log_tau_closed_form("unitary", 30, 0.15)
+    assert abs(log_tau("unitary", 30, t)[1] - expect) < 1e-10
     with pytest.raises(IllConditioned):
-        tau_unitary(t0, 3, table=table)
+        tau_unitary(t, 30)
+    with pytest.raises(IllConditioned):
+        tau_coupling_derivative("unitary", 30, t, {2: 1})

@@ -31,7 +31,12 @@ to a 50-digit mpmath rule for 8-48 points: nodes to 2e-16 absolute, weights
 to 5e-14 relative.  `log_tau` is held to the closed forms on the t2 family
 (t2 = -0.15, 0, 0.15; unitary n and orthogonal size up to 40) and to a
 60-digit Hankel determinant at t2 = 0.1, t4 = -0.05 (n = 10-40), both to
-1e-10 in log.  Exits 1 if any difference exceeds its limit.
+1e-10 in log.  The skew basis's pair products h (relative) and banded
+window are held to the parity-Hermite working basis it replaced, at 6-10
+pairs for couplings {}, {2: 0.1}, {1: 0.1} and {1: 0.05, 4: -0.03}, to
+1e-10; the zero-coupling window at 27 pairs (`verify_init_goe` with N = 16,
+K = 10) is held to its closed form to 1e-12.  Exits 1 if any difference
+exceeds its limit.
 
     PYTHONPATH=src python3 scripts/kernel_equiv.py --samples 40 --seed 1
 """
@@ -51,7 +56,9 @@ from taulattice import (CouplingVector, HydroChainField,  # noqa: E402
                         chain_matrix, continuum, couplings, evolve_hydro_chain,
                         evolve_pfaff, evolve_reduced, evolve_volterra, flows,
                         goe_lax_init, hydro_chain_rhs, log_tau,
-                        reduced_chain_rhs)
+                        pfaff_lax_from_basis, reduced_chain_rhs,
+                        skew_moment_matrix, skew_orthonormal_basis)
+from taulattice.cli import verify_init_goe  # noqa: E402
 
 
 def chain_gap(Q, k_neg, k_pos, n):
@@ -187,6 +194,21 @@ def log_tau_quartic_gap():
                for n in (10, 20, 30, 40))
 
 
+def skew_window_gap():
+    """Largest gap of the skew basis's h (relative) and window from the
+    parity-Hermite reference."""
+    worst = 0.0
+    for mapping in ({}, {2: 0.1}, {1: 0.1}, {1: 0.05, 4: -0.03}):
+        t = CouplingVector.from_mapping(mapping)
+        for n_pairs, n_sites, k_band in ((6, 3, 2), (8, 5, 3), (10, 6, 3)):
+            basis = skew_orthonormal_basis(skew_moment_matrix(t, 2 * n_pairs), n_pairs)
+            w = pfaff_lax_from_basis(basis, n_sites, k_band, k_band).w
+            ref_h, ref_w = ref.parity_hermite_window(t, n_pairs, n_sites, k_band)
+            worst = max(worst, float(np.abs(basis.h / ref_h - 1.0).max()),
+                        float(np.abs(w - ref_w).max()))
+    return worst
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--samples", type=int, default=40, help="random shapes per kernel")
@@ -260,6 +282,8 @@ def main():
             ("Gauss-Legendre weights (relative)", weight, 5e-14),
             ("log_tau vs closed forms, sizes <= 40", log_tau_closed_gap(), 1e-10),
             ("log_tau vs 60-digit quartic Hankel", log_tau_quartic_gap(), 1e-10),
+            ("skew basis vs parity-Hermite, 6-10 pairs", skew_window_gap(), 1e-10),
+            ("init-goe residual, 27 pairs", verify_init_goe(16, 10).residual_abs, 1e-12),
             ("chain_matrix, %d points" % args.samples, matrix, 0.0),
             ("_matrix_gradient, %d points" % args.samples, gradient, 0.0)]
     for label, gap, limit in rows:

@@ -288,7 +288,8 @@ def verify_init_gue(n_max: int = 10, tolerance: float = 1e-8) -> IdentityReport:
 
 def verify_init_goe(n_sites: int = 8, k_band: int = 6,
                     tolerance: float = 1e-9) -> IdentityReport:
-    """Closed-form band entries against the skew Gram-Schmidt oracle."""
+    """Closed-form band entries against the skew Gram-Schmidt oracle, which
+    orthogonalizes the Stieltjes basis of rho^2 on N + K + 1 pairs."""
     n_pairs = n_sites + k_band + 1
     basis = skew_orthonormal_basis(skew_moment_matrix(_T0, 2 * n_pairs), n_pairs)
     oracle = pfaff_lax_from_basis(basis, n_sites, k_band, k_band)

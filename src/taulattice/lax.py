@@ -9,7 +9,10 @@ band into a 2N x 2N matrix with unit entries on part of the superdiagonal.
 
 Both have closed-form initial data at zero couplings (Gaussian ensembles),
 and both can be rebuilt from moment data, which is what the consistency
-oracles exercise.
+oracles exercise.  The skew-orthonormal pairs come from a skew Gram-Schmidt
+on the Stieltjes basis of rho^2 that `moments.log_tau` also uses, and the
+window is read off its Jacobi matrix; the parity-Hermite polynomials here
+serve the closed-form side only.
 """
 
 from __future__ import annotations
@@ -20,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .couplings import CouplingVector, build_quadrature, weight_eval
+from .couplings import CouplingVector, build_quadrature
 from .errors import IllConditioned, SingularMinor, StructureViolation
 from .moments import (SkewMomentMatrix, SymmetricMomentTable, _skew_products,
-                      _tau_grid, log_tau, tau_coupling_derivative)
+                      _skew_stieltjes, _tau_grid, log_tau, tau_coupling_derivative)
 from .report import IdentityReport
 
 __all__ = [
@@ -217,18 +220,18 @@ def _parity_hermite_coeffs(count: int) -> np.ndarray:
 class SkewOrthoBasis:
     """Monic polynomial pairs (Q_{2n}, Q_{2n+1}) with skew-diagonal Gram.
 
-    mono_coeffs[i] are monomial coefficients of Q_i; h[n] is the pair
-    product <Q_{2n}, Q_{2n+1}>.  work_coeffs stores the same rows in the
-    scaled parity-Hermite basis actually used during orthogonalization.
+    coeffs[i] holds Q_i in the orthonormal polynomials q_k of rho^2 dz;
+    h[n] is the pair product <Q_{2n}, Q_{2n+1}>; jacobi is the truncated
+    Jacobi matrix of the q_k, i.e. multiplication by z in that basis.
     """
 
-    mono_coeffs: np.ndarray
+    coeffs: np.ndarray
     h: np.ndarray
-    work_coeffs: np.ndarray
+    jacobi: TodaLax
     couplings: CouplingVector
 
     def __post_init__(self):
-        for name in ("mono_coeffs", "h", "work_coeffs"):
+        for name in ("coeffs", "h"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -239,50 +242,28 @@ class SkewOrthoBasis:
     def n_pairs(self) -> int:
         return len(self.h)
 
-    def normalized_work(self) -> np.ndarray:
-        scale = np.repeat(np.sqrt(self.h), 2)
-        return self.work_coeffs / scale[:, None]
-
-
-def _working_gram(t: CouplingVector, n_pairs: int, tol: float, grid=None) -> tuple:
-    """Skew Gram of the scaled parity-Hermite basis, by direct quadrature.
-
-    The scaling P_k / sqrt(nu_{k//2}) keeps every entry O(k!-free); building
-    the Gram from the monomial skew matrix by congruence would cancel
-    catastrophically instead.  This fixed basis serves the skew Gram-Schmidt
-    oracle only: away from zero coupling its Gram loses accuracy with size,
-    so `moments.log_tau` builds its basis from the weight itself (Stieltjes).
-    """
-    dim = 2 * n_pairs
-    if grid is None:
-        grid = build_quadrature(t, tol, max_degree=dim + 2)
-    C = _parity_hermite_coeffs(dim)
-    scale = np.repeat(np.sqrt(nu_values(n_pairs)), 2)
-    Cs = C / scale[:, None]
-    rows = Cs @ grid.nodes ** np.arange(dim)[:, None]
-    F = _skew_products(grid, rows, weight_eval(grid.nodes, t))
-    return F, Cs, grid
-
 
 def skew_orthonormal_basis(m: SkewMomentMatrix, n_pairs: int, *,
-                           tol: float = 1e-12, grid=None) -> SkewOrthoBasis:
+                           tol: float = 1e-12) -> SkewOrthoBasis:
     """Skew Gram-Schmidt producing monic pairs with <Q_{2n}, Q_{2n+1}> = h_n.
 
-    The odd member of each pair is pinned by removing its z^{2n} monomial
-    component, which fixes the in-pair gauge freedom Q_{2n+1} += c Q_{2n}.
+    Runs on the skew Gram of the Stieltjes basis that `log_tau` uses for
+    the orthogonal tau; only m.couplings and m.size are read.  The odd member
+    of each pair is pinned by removing its z^{2n} monomial component, which
+    fixes the in-pair gauge freedom Q_{2n+1} += c Q_{2n}.
     """
     dim = 2 * n_pairs
     if m.size < dim:
         raise ValueError(f"skew matrix of size {m.size} cannot support {n_pairs} pairs")
-    F, Cs, grid = _working_gram(m.couplings, n_pairs, tol, grid)
-    root_nu = np.repeat(np.sqrt(nu_values(n_pairs)), 2)
+    F, log_h, a, b = _skew_stieltjes(dim, m.couplings, tol)
+    root_h = np.exp(0.5 * log_h)    # monic p_k = root_h[k] q_k
+    sub_lead = -np.cumsum(a)        # z^k coefficient of p_{k+1}
     W = np.zeros((dim, dim))
     h = np.empty(n_pairs)
     for n in range(n_pairs):
         for i in (2 * n, 2 * n + 1):
-            # monic start: f_i carries leading coefficient 1/sqrt(nu), undo it
             q = np.zeros(dim)
-            q[i] = root_nu[i]
+            q[i] = root_h[i]
             for p in range(n):
                 # remove the pair-p component; the product is antisymmetric,
                 # so <Q_2p, q> fixes the odd coefficient and vice versa
@@ -291,43 +272,30 @@ def skew_orthonormal_basis(m: SkewMomentMatrix, n_pairs: int, *,
                 beta = W[2 * p + 1] @ prods / h[p]
                 q = q + beta * W[2 * p] - alpha * W[2 * p + 1]
             W[i] = q
-        # gauge pin: strip the even partner's leading working mode
-        gamma = W[2 * n + 1, 2 * n] / W[2 * n, 2 * n]
+        # gauge pin: the z^{2n} coefficient of Q_{2n+1}, removed with monic Q_{2n}
+        gamma = W[2 * n + 1, 2 * n] / root_h[2 * n] + sub_lead[2 * n]
         W[2 * n + 1] -= gamma * W[2 * n]
         h[n] = W[2 * n] @ F @ W[2 * n + 1]
         if not h[n] > tol * max(1.0, abs(F).max()):
             raise SingularMinor(f"pair product h_{n} = {h[n]:.3e} is not positive")
-    mono = W @ Cs
-    return SkewOrthoBasis(mono, h, W, m.couplings)
-
-
-def _z_transfer(n_pairs: int) -> np.ndarray:
-    """Multiplication by z in the scaled parity-Hermite basis (rows: input mode)."""
-    dim = 2 * n_pairs
-    nu = nu_values(n_pairs + 1)
-    root = np.sqrt(nu)
-    Z = np.zeros((dim, dim + 1))
-    for k in range(dim):
-        Z[k, k + 1] = root[(k + 1) // 2] / root[k // 2]
-        if k >= 1:
-            Z[k, k - 1] = 0.5 * k * root[(k - 1) // 2] / root[k // 2]
-    return Z[:, :dim]
+    return SkewOrthoBasis(W, h, TodaLax(a, b[1:]), m.couplings)
 
 
 def pfaff_lax_from_basis(basis: SkewOrthoBasis, n_sites: int, k_pos: int,
                          k_neg: int = 6, *, check_tol: float = 1e-6) -> PfaffLax:
     """Read the banded window off the multiplication operator in the normalized basis.
 
-    Requires n_sites + max(k_pos, k_neg) <= basis.n_pairs so every extracted
-    entry sits inside the representable block.  Raises StructureViolation if
-    the operator's fixed pattern (unit entries, vanishing upper fringe) is
-    not reproduced to check_tol.
+    With W the normalized pairs in q-coordinates and J the Jacobi matrix,
+    the operator is L = W J W^{-1}.  Requires n_sites + max(k_pos, k_neg) <=
+    basis.n_pairs so every extracted entry sits inside the representable
+    block.  Raises StructureViolation if the operator's fixed pattern (unit
+    entries, vanishing upper fringe) is not reproduced to check_tol.
     """
     n_pairs = basis.n_pairs
     if n_sites + max(k_pos, k_neg) > n_pairs or n_sites >= n_pairs:
         raise ValueError("basis too small for the requested window")
-    Wn = basis.normalized_work()
-    M = Wn @ _z_transfer(n_pairs)
+    Wn = basis.coeffs / np.repeat(np.sqrt(basis.h), 2)[:, None]
+    M = Wn @ basis.jacobi.matrix()
     # Wn is lower triangular, so the LU pivots stay on the diagonal
     L = np.linalg.solve(Wn.T, M.T).T
     # row 2*n_pairs - 1 of L is truncation-corrupted; nothing below reads it

@@ -8,9 +8,12 @@ quadrature grid (Gautschi 2004) gives orthonormal polynomials q_k and the
 log norms log h_k of their monic versions; monic basis changes are
 unit-triangular, so log tau_n = sum_{k<n} log h_k for rho dz, and
 log tau_{2n} = log|pf F| + (1/2) sum_{k<2n} log h_k for rho^2 dz with F the
-skew Gram of the q_k.  Coupling derivatives of tau are central finite
-differences on a grid frozen at the base couplings, so a perturbed weight
-is always integrated on the geometry chosen for the base point.
+skew Gram of the q_k.  That rho^2 basis, its skew Gram and its recurrence
+coefficients come from `_skew_stieltjes`, which also feeds the skew
+Gram-Schmidt in `lax`: the map from orthogonal to skew-orthogonal
+polynomials runs on the one basis.  Coupling derivatives of tau are central
+finite differences on a grid frozen at the base couplings, so a perturbed
+weight is always integrated on the geometry chosen for the base point.
 """
 
 from __future__ import annotations
@@ -172,11 +175,13 @@ def pfaffian(m) -> float:
 
 
 def _stieltjes(nodes: np.ndarray, measure: np.ndarray, count: int):
-    """(q, log_h) for the measure sum_i measure_i delta(x_i), k < count: the
-    orthonormal q_k at the nodes and log h_k = log(beta_0 ... beta_k), the
-    monic norms, with beta_0 = int dmu and
-    beta_{k+1} = |(x - a_k) q_k - sqrt(beta_k) q_{k-1}|^2."""
+    """(q, log_h, a, b) for the measure sum_i measure_i delta(x_i), k < count:
+    the orthonormal q_k at the nodes, log h_k = log(beta_0 ... beta_k) (the
+    monic norms), and the recurrence z q_k = b_{k+1} q_{k+1} + a_k q_k +
+    b_k q_{k-1} with b_k = sqrt(beta_k), beta_0 = int dmu and
+    beta_{k+1} = |(x - a_k) q_k - b_k q_{k-1}|^2."""
     q = np.empty((count, len(nodes)))
+    a, b = np.empty(count), np.empty(count)
     log_beta = np.empty(count)
     r, prev = np.ones(len(nodes)), np.zeros(len(nodes))
     for k in range(count):
@@ -186,12 +191,12 @@ def _stieltjes(nodes: np.ndarray, measure: np.ndarray, count: int):
             raise IllConditioned(
                 f"Stieltjes recurrence broke down at degree {k}: beta = {beta:.3e}")
         log_beta[k] = math.log(beta)
-        root = math.sqrt(beta)
-        q[k] = r / root
-        a = float(mr2 @ nodes) / beta   # <x q_k, q_k>
-        r = (nodes - a) * q[k] - root * prev
+        b[k] = math.sqrt(beta)
+        q[k] = r / b[k]
+        a[k] = float(mr2 @ nodes) / beta   # <x q_k, q_k>
+        r = (nodes - a[k]) * q[k] - b[k] * prev
         prev = q[k]
-    return q, np.cumsum(log_beta)
+    return q, np.cumsum(log_beta), a, b
 
 
 def _tau_grid(ensemble: str, n: int, t: CouplingVector, tol: float = 1e-12, *,
@@ -205,6 +210,20 @@ def _tau_grid(ensemble: str, n: int, t: CouplingVector, tol: float = 1e-12, *,
     deg = max(4 * n if ensemble == "unitary" else 2 * n, 2)
     grid = build_quadrature(t, tol, max_degree=deg)
     return widen_grid(grid, _SHIFT_RADIUS_TOL, deg) if frozen else grid
+
+
+def _skew_stieltjes(dim: int, t: CouplingVector, tol: float = 1e-12, *,
+                    grid: QuadratureGrid | None = None):
+    """(F, log_h, a, b): the Stieltjes basis q_k, k < dim, of rho^2 dz (see
+    `_stieltjes`) and its skew Gram F = `_skew_products` under rho, on
+    `_tau_grid("orthogonal", dim)` unless a grid is given."""
+    if grid is None:
+        grid = _tau_grid("orthogonal", dim, t, tol)
+    rho = weight_eval(grid.nodes, t)
+    with np.errstate(over="ignore"):   # an overflowing weight fails in _stieltjes
+        measure = grid.weights * rho * rho
+    q, log_h, a, b = _stieltjes(grid.nodes, measure, dim)
+    return _skew_products(grid, q, rho), log_h, a, b
 
 
 def log_tau(ensemble: str, n: int, t: CouplingVector, tol: float = 1e-12, *,
@@ -222,20 +241,17 @@ def log_tau(ensemble: str, n: int, t: CouplingVector, tol: float = 1e-12, *,
         raise ValueError(f"no {ensemble} tau of size {n}")
     if n == 0:
         return 1.0, 0.0
+    if ensemble == "orthogonal":
+        F, log_h, _, _ = _skew_stieltjes(n, t, tol, grid=grid)
+        sign, pivots = _pfaffian_pivots(F)
+        if not np.all(np.isfinite(pivots) & (pivots != 0.0)):
+            raise IllConditioned(f"skew Gram of order {n} has a zero or non-finite pivot")
+        sign *= float(np.prod(np.sign(pivots)))
+        return sign, float(np.log(np.abs(pivots)).sum() + 0.5 * log_h.sum())
     if grid is None:
         grid = _tau_grid(ensemble, n, t, tol)
-    rho = weight_eval(grid.nodes, t)
-    if ensemble == "unitary":
-        _, log_h = _stieltjes(grid.nodes, grid.weights * rho, n)
-        return 1.0, float(log_h.sum())
-    with np.errstate(over="ignore"):   # an overflowing weight fails in _stieltjes
-        measure = grid.weights * rho * rho
-    q, log_h = _stieltjes(grid.nodes, measure, n)
-    sign, pivots = _pfaffian_pivots(_skew_products(grid, q, rho))
-    if not np.all(np.isfinite(pivots) & (pivots != 0.0)):
-        raise IllConditioned(f"skew Gram of order {n} has a zero or non-finite pivot")
-    sign *= float(np.prod(np.sign(pivots)))
-    return sign, float(np.log(np.abs(pivots)).sum() + 0.5 * log_h.sum())
+    _, log_h, _, _ = _stieltjes(grid.nodes, grid.weights * weight_eval(grid.nodes, t), n)
+    return 1.0, float(log_h.sum())
 
 
 def _tau_value(ensemble: str, n: int, sign: float, log_abs: float) -> float:

@@ -20,15 +20,20 @@ The tau references are the monomial routes `moments.log_tau` replaced: a
 Cholesky factor of the Hankel moment matrix and a Pfaffian of monomial skew
 moments with one cumulative integral per row.  Their conditioning grows
 like the moments, so they are references for sizes <= 12 only.  The
-60-digit quartic Hankel determinant is the reference at any size.
+60-digit quartic Hankel determinant is the reference at any size.  The
+skew-basis reference is the parity-Hermite working basis that
+`lax.skew_orthonormal_basis` replaced with the Stieltjes basis of
+`log_tau`; its Gram loses accuracy with size, so it is a reference to
+1e-10 through 10 pairs.
 """
 
 import math
 
 import numpy as np
 
-from taulattice import continuum, pfaffian
+from taulattice import continuum, lax, pfaffian
 from taulattice.couplings import build_quadrature, cumulative_integral, weight_eval
+from taulattice.moments import _skew_products
 from taulattice.continuum import _closure_row, _matrix_terms, spatial_derivative
 from taulattice.errors import DivergedField, StructureViolation
 from taulattice.flows import _skew_block_projection
@@ -311,6 +316,51 @@ def log_tau_orthogonal_monomial(t, size, tol=1e-12):
     """log pf of the size x size monomial skew moment matrix."""
     grid = build_quadrature(t, tol, max_degree=size + 2)
     return math.log(pfaffian(skew_moment_rows(t, size, grid)))
+
+
+def parity_hermite_window(t, n_pairs, n_sites, k_band, tol=1e-12):
+    """(h, w) from the skew Gram-Schmidt in the nu-scaled parity-Hermite
+    basis f_k = P_k / sqrt(nu_{k//2}) that `lax.skew_orthonormal_basis` ran
+    before it moved onto the Stieltjes basis.  h are the monic pair products
+    and w[l + k_band, n - 1] the window entries w^l_n, |l| <= k_band, read off
+    L = W Z W^{-1} with Z multiplication by z on the f_k.  Q_{2n+1} carries
+    no z^{2n} term.  At {1: 0.05, 4: -0.03} its last pair product is off by
+    3.6e-9 relative at 11 pairs, against 3.3e-11 at 10."""
+    dim = 2 * n_pairs
+    grid = build_quadrature(t, tol, max_degree=dim + 2)
+    root_nu = np.repeat(np.sqrt(lax.nu_values(n_pairs + 1)), 2)
+    Cs = lax._parity_hermite_coeffs(dim) / root_nu[:dim, None]
+    F = _skew_products(grid, Cs @ grid.nodes ** np.arange(dim)[:, None],
+                       weight_eval(grid.nodes, t))
+    W = np.zeros((dim, dim))
+    h = np.empty(n_pairs)
+    for n in range(n_pairs):
+        for i in (2 * n, 2 * n + 1):
+            q = np.zeros(dim)
+            q[i] = root_nu[i]
+            for p in range(n):
+                prods = F @ q
+                alpha = W[2 * p] @ prods / h[p]
+                beta = W[2 * p + 1] @ prods / h[p]
+                q = q + beta * W[2 * p] - alpha * W[2 * p + 1]
+            W[i] = q
+        # P_{2n+1} has no z^{2n} term, so only the f_{2n} mode carries one
+        W[2 * n + 1] -= W[2 * n + 1, 2 * n] / W[2 * n, 2 * n] * W[2 * n]
+        h[n] = W[2 * n] @ F @ W[2 * n + 1]
+    Z = np.zeros((dim, dim + 1))
+    for k in range(dim):
+        Z[k, k + 1] = root_nu[k + 1] / root_nu[k]
+        if k >= 1:
+            Z[k, k - 1] = 0.5 * k * root_nu[k - 1] / root_nu[k]
+    Wn = W / np.repeat(np.sqrt(h), 2)[:, None]
+    L = Wn @ Z[:, :dim] @ np.linalg.inv(Wn)
+    w = np.zeros((2 * k_band + 1, n_sites))
+    for n in range(1, n_sites + 1):
+        w[k_band, n - 1] = L[2 * n - 1, 2 * n]
+        for k in range(1, k_band + 1):
+            w[k_band + k, n - 1] = L[2 * (n + k) - 2, 2 * n - 1]
+            w[k_band - k, n - 1] = L[2 * n + 2 * k - 3, 2 * n - 2]
+    return h, w
 
 
 def log_tau_quartic_mp(n, t2, t4, dps=60):

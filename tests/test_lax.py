@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from taulattice import (PfaffLax, c_coeff, goe_lax_init, gue_lax_init,
+import reference_kernels as ref
+from taulattice import (CouplingVector, PfaffLax, c_coeff, goe_lax_init, gue_lax_init,
                         hermite_map_coeffs, nu_values, pfaff_entries_from_tau,
                         pfaff_lax_from_basis, skew_hermite_map_check,
                         skew_moment_matrix, skew_orthonormal_basis,
                         sqrt_ratio_product, toda_lax_from_moments)
+from taulattice.cli import verify_init_goe
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -146,6 +148,37 @@ def test_basis_extraction_matches_closed_form(t0):
     oracle = pfaff_lax_from_basis(basis, n_sites, k, k)
     closed = goe_lax_init(n_sites, k, k)
     assert np.max(np.abs(oracle.w - closed.w)) < 1e-10
+
+
+def _window(mapping, n_pairs, n_sites, k_band):
+    t = CouplingVector.from_mapping(mapping)
+    basis = skew_orthonormal_basis(skew_moment_matrix(t, 2 * n_pairs), n_pairs)
+    return basis, pfaff_lax_from_basis(basis, n_sites, k_band, k_band)
+
+
+@pytest.mark.parametrize("mapping", [{}, {2: 0.1}, {1: 0.1}, {1: 0.05, 4: -0.03}])
+@pytest.mark.parametrize("n_pairs,n_sites,k_band", [(6, 3, 2), (10, 6, 3)])
+def test_basis_matches_parity_hermite_reference(mapping, n_pairs, n_sites, k_band):
+    # odd couplings give a_k != 0 and so pin the general gauge of Q_{2n+1};
+    # at 11 pairs and {1: 0.05, 4: -0.03} the reference's own h drifts 3.6e-9
+    basis, window = _window(mapping, n_pairs, n_sites, k_band)
+    h, w = ref.parity_hermite_window(CouplingVector.from_mapping(mapping),
+                                     n_pairs, n_sites, k_band)
+    assert np.max(np.abs(basis.h / h - 1.0)) < 1e-10
+    assert np.max(np.abs(window.w - w)) < 1e-10
+
+
+@pytest.mark.parametrize("n_sites,k_band", [(12, 6), (12, 8), (16, 10)])
+def test_init_goe_holds_past_eighteen_pairs(n_sites, k_band):
+    report = verify_init_goe(n_sites, k_band, tolerance=1e-9)
+    assert report.passed, report.residual_abs
+
+
+@pytest.mark.parametrize("mapping", [{4: -0.05}, {2: 0.025, 4: -0.05}])
+def test_window_independent_of_basis_size(mapping):
+    _, small = _window(mapping, 14, 10, 4)
+    _, large = _window(mapping, 22, 10, 4)
+    assert np.max(np.abs(small.w - large.w)) < 1e-12
 
 
 def test_basis_too_small_rejected(t0):

@@ -35,7 +35,10 @@ to 5e-14 relative.  `log_tau` is held to the closed forms on the t2 family
 window are held to the parity-Hermite working basis it replaced, at 6-10
 pairs for couplings {}, {2: 0.1}, {1: 0.1} and {1: 0.05, 4: -0.03}, to
 1e-10; the zero-coupling window at 27 pairs (`verify_init_goe` with N = 16,
-K = 10) is held to its closed form to 1e-12.  Exits 1 if any difference
+K = 10) is held to its closed form to 1e-12.  The tridiagonal Lax operator
+read off the Stieltjes recurrence of rho is held to the Cholesky factor of
+the monomial Hankel matrix it replaced, for 1-10 sites at {2: 0.1},
+{1: 0.05, 4: -0.03} and {4: -0.05}, to 1e-11.  Exits 1 if any difference
 exceeds its limit.
 
     PYTHONPATH=src python3 scripts/kernel_equiv.py --samples 40 --seed 1
@@ -57,7 +60,8 @@ from taulattice import (CouplingVector, HydroChainField,  # noqa: E402
                         evolve_pfaff, evolve_reduced, evolve_volterra, flows,
                         goe_lax_init, hydro_chain_rhs, log_tau,
                         pfaff_lax_from_basis, reduced_chain_rhs,
-                        skew_moment_matrix, skew_orthonormal_basis)
+                        skew_moment_matrix, skew_orthonormal_basis,
+                        toda_lax_from_quadrature)
 from taulattice.cli import verify_init_goe  # noqa: E402
 
 
@@ -209,6 +213,18 @@ def skew_window_gap():
     return worst
 
 
+def toda_read_off_gap():
+    worst = 0.0
+    for mapping in ({2: 0.1}, {1: 0.05, 4: -0.03}, {4: -0.05}):
+        t = CouplingVector.from_mapping(mapping)
+        for n in range(1, 11):
+            lax = toda_lax_from_quadrature(t, n)
+            a, b = ref.toda_lax_hankel(t, n)
+            worst = max(worst, float(np.abs(lax.a - a).max()),
+                        float(np.abs(lax.b - b).max(initial=0.0)))
+    return worst
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--samples", type=int, default=40, help="random shapes per kernel")
@@ -284,6 +300,7 @@ def main():
             ("log_tau vs 60-digit quartic Hankel", log_tau_quartic_gap(), 1e-10),
             ("skew basis vs parity-Hermite, 6-10 pairs", skew_window_gap(), 1e-10),
             ("init-goe residual, 27 pairs", verify_init_goe(16, 10).residual_abs, 1e-12),
+            ("Toda read-off vs Hankel, 1-10 sites", toda_read_off_gap(), 1e-11),
             ("chain_matrix, %d points" % args.samples, matrix, 0.0),
             ("_matrix_gradient, %d points" % args.samples, gradient, 0.0)]
     for label, gap, limit in rows:

@@ -1,7 +1,7 @@
 """Lattice hierarchies of Gaussian matrix ensembles and their continuum limits.
 
 The package is organized in layers: coupling vectors and quadrature
-(`couplings`), moment tables and tau-functions (`moments`), operator windows
+(`couplings`), Stieltjes bases and tau-functions (`moments`), operator windows
 (`lax`), time evolution (`flows`), cross-check identities (`identities`),
 and the hydrodynamic limit (`continuum`).  `taulattice.cli` exposes all of
 it from the command line.
@@ -29,9 +29,8 @@ from .lax import (PfaffLax, TodaLax, c_coeff, goe_lax_init, gue_lax_init,
                   hermite_map_coeffs, nu_values, pfaff_entries_from_tau,
                   pfaff_lax_from_basis, skew_hermite_map_check,
                   skew_orthonormal_basis, sqrt_ratio_product,
-                  toda_lax_from_moments)
-from .moments import (SkewMomentMatrix, SymmetricMomentTable, log_tau, pfaffian,
-                      skew_moment_matrix, symmetric_moment_table,
+                  toda_lax_from_quadrature)
+from .moments import (SkewMomentMatrix, log_tau, pfaffian, skew_moment_matrix,
                       tau_coupling_derivative, tau_orthogonal, tau_unitary)
 from .report import IdentityReport
 
@@ -39,11 +38,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CouplingVector", "QuadratureGrid", "build_quadrature",
-    "SymmetricMomentTable", "SkewMomentMatrix", "pfaffian",
-    "symmetric_moment_table", "skew_moment_matrix",
+    "SkewMomentMatrix", "pfaffian", "skew_moment_matrix",
     "log_tau", "tau_unitary", "tau_orthogonal", "tau_coupling_derivative",
     "TodaLax", "PfaffLax", "c_coeff", "nu_values", "sqrt_ratio_product",
-    "gue_lax_init", "goe_lax_init", "toda_lax_from_moments",
+    "gue_lax_init", "goe_lax_init", "toda_lax_from_quadrature",
     "hermite_map_coeffs", "skew_orthonormal_basis", "pfaff_lax_from_basis",
     "pfaff_entries_from_tau", "skew_hermite_map_check",
     "VolterraState", "ReducedChainState", "EvolutionResult",

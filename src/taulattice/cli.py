@@ -28,9 +28,9 @@ from .identities import (kp_residual, mkp_residuals, observables_check,
 from .lax import (PfaffLax, c_coeff, goe_lax_init, gue_lax_init,
                   pfaff_entries_from_tau, pfaff_lax_from_basis,
                   skew_hermite_map_check, skew_orthonormal_basis,
-                  sqrt_ratio_product, toda_lax_from_moments)
-from .moments import (skew_moment_matrix, symmetric_moment_table,
-                      tau_coupling_derivative, tau_orthogonal, tau_unitary)
+                  sqrt_ratio_product, toda_lax_from_quadrature)
+from .moments import (skew_moment_matrix, tau_coupling_derivative, tau_orthogonal,
+                      tau_unitary)
 from .report import IdentityReport
 
 _T0 = CouplingVector.from_mapping({})
@@ -109,22 +109,6 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-class _Options:
-    """Flag values backed by config-file defaults; flags win."""
-
-    def __init__(self, args: argparse.Namespace, cfg: dict):
-        self._args = args
-        self._cfg = cfg
-
-    def get(self, name: str, default=None):
-        val = getattr(self._args, name, None)
-        if val is not None:
-            return val
-        if name in self._cfg:
-            return self._cfg[name]
-        return default
-
-
 def _outdir(args, cfg) -> str:
     if args.out:
         return args.out
@@ -146,7 +130,7 @@ def _emit(summary: dict) -> None:
     print(json.dumps(summary, sort_keys=True))
 
 
-def _couplings(opt: _Options) -> CouplingVector:
+def _couplings(opt: dict) -> CouplingVector:
     raw = opt.get("couplings")
     if raw is None:
         return _T0
@@ -159,7 +143,7 @@ def _couplings(opt: _Options) -> CouplingVector:
 # ---------------------------------------------------------------------------
 # command handlers
 
-def _cmd_tau(opt: _Options, outdir: str) -> int:
+def _cmd_tau(opt: dict, outdir: str) -> int:
     ensemble = opt.get("ensemble")
     n = int(opt.get("n"))
     t = _couplings(opt)
@@ -175,7 +159,7 @@ def _cmd_tau(opt: _Options, outdir: str) -> int:
     return 0
 
 
-def _cmd_lax_init(opt: _Options, outdir: str) -> int:
+def _cmd_lax_init(opt: dict, outdir: str) -> int:
     ensemble = opt.get("ensemble", "goe")
     N = int(opt.get("N", 8))
     if ensemble == "gue":
@@ -197,7 +181,7 @@ def _cmd_lax_init(opt: _Options, outdir: str) -> int:
     return 0
 
 
-def _horizon(opt: _Options, allowed: tuple) -> tuple[int, float]:
+def _horizon(opt: dict, allowed: tuple) -> tuple[int, float]:
     """Pick (flow, horizon) from the t-flags; exactly one must be set."""
     given = [(k, opt.get(f"t{k}")) for k in allowed if opt.get(f"t{k}") is not None]
     if len(given) != 1:
@@ -212,7 +196,7 @@ def _sample_times(horizon: float, samples: int):
     return horizon * np.arange(1, samples + 1) / samples
 
 
-def _cmd_evolve(opt: _Options, outdir: str) -> int:
+def _cmd_evolve(opt: dict, outdir: str) -> int:
     system = opt.get("system")
     h = float(opt.get("h", 1e-3))
     samples = int(opt.get("samples", 5))
@@ -270,8 +254,9 @@ def _cmd_evolve(opt: _Options, outdir: str) -> int:
 def verify_init_gue(n_max: int = 10, tolerance: float = 1e-8) -> IdentityReport:
     """Quadrature-built tridiagonal data against the closed forms a=0, b=sqrt(n),
     plus vanishing first-coupling log-derivative of the determinant tau."""
-    table = symmetric_moment_table(_T0, 2 * n_max)
-    lax = toda_lax_from_moments(table, n_max)
+    if n_max < 2:
+        raise ValueError(f"n_max must be at least 2, got {n_max}")
+    lax = toda_lax_from_quadrature(_T0, n_max)
     n = np.arange(1.0, n_max)
     err_a = float(np.max(np.abs(lax.a)))
     err_b = float(np.max(np.abs(lax.b / np.sqrt(n) - 1.0)))
@@ -290,6 +275,8 @@ def verify_init_goe(n_sites: int = 8, k_band: int = 6,
                     tolerance: float = 1e-9) -> IdentityReport:
     """Closed-form band entries against the skew Gram-Schmidt oracle, which
     orthogonalizes the Stieltjes basis of rho^2 on N + K + 1 pairs."""
+    if n_sites < 1:
+        raise ValueError(f"n_sites must be at least 1, got {n_sites}")
     n_pairs = n_sites + k_band + 1
     basis = skew_orthonormal_basis(skew_moment_matrix(_T0, 2 * n_pairs), n_pairs)
     oracle = pfaff_lax_from_basis(basis, n_sites, k_band, k_band)
@@ -304,10 +291,12 @@ def verify_init_goe(n_sites: int = 8, k_band: int = 6,
 def verify_scaling(n_sites: int = 64, horizon: float = 0.2,
                    tolerance: float = 1e-8) -> IdentityReport:
     """Integrated pure-t2 trajectories against the exact scaling family."""
+    margin = 8
+    if n_sites <= margin:
+        raise ValueError(f"n_sites must exceed the margin {margin}, got {n_sites}")
     times = _sample_times(horizon, 4)
     state = VolterraState(np.arange(1.0, n_sites + 1))
     res = evolve_volterra(state, 2, times, h=1e-3)
-    margin = 8
     worst = 0.0
     for t, s in zip(res.times, res.states):
         exact = np.arange(1.0, n_sites + 1) / (1.0 - 2.0 * t)
@@ -397,7 +386,7 @@ _SUITES = {
 }
 
 
-def _cmd_verify(opt: _Options, outdir: str) -> int:
+def _cmd_verify(opt: dict, outdir: str) -> int:
     suite = opt.get("suite")
     report = _SUITES[suite](opt)
     path = _write(outdir, f"verify_{suite}.json", report.to_json() + "\n")
@@ -407,7 +396,7 @@ def _cmd_verify(opt: _Options, outdir: str) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_continuum(opt: _Options, outdir: str) -> int:
+def _cmd_continuum(opt: dict, outdir: str) -> int:
     mode = opt.get("mode")
     if mode == "hopf":
         t2 = float(opt.get("t2", 0.2))
@@ -431,7 +420,7 @@ def _cmd_continuum(opt: _Options, outdir: str) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_scan(opt: _Options, outdir: str) -> int:
+def _cmd_scan(opt: dict, outdir: str) -> int:
     report = haantjes_scan(window=int(opt.get("window", 10)),
                            n_points=int(opt.get("points", 100)),
                            seed=int(opt.get("seed", 20260823)))
@@ -459,7 +448,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         cfg = _load_config(args.config)
-        opt = _Options(args, cfg)
+        opt = {**cfg, **{k: v for k, v in vars(args).items() if v is not None}}
         outdir = _outdir(args, cfg)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)

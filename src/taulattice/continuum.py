@@ -659,6 +659,8 @@ def haantjes_scan(*, window: int = 10, n_points: int = 100, seed: int = 20260823
     """
     if window < 10:
         raise ValueError("window must be at least 10 for a meaningful scan")
+    if n_points < 1:
+        raise ValueError(f"n_points must be at least 1, got {n_points}")
     rng = np.random.default_rng(seed)
     W = window
     g = window - 3

@@ -1,7 +1,7 @@
 """Coupling vectors, the exponential weight they define, and quadrature grids.
 
 The weight is rho(z) = exp(-z^2/2 + sum_k t_k z^k) for a finite set of
-couplings t_k.  Everything downstream (moment tables, tau values, skew
+couplings t_k.  Everything downstream (Stieltjes bases, tau values, skew
 products) integrates against rho on a symmetric truncated interval, so the
 grid builder has to pick a radius large enough that the discarded tail is
 below tolerance for every integrand degree the caller will use.
@@ -256,24 +256,26 @@ def build_quadrature(t: CouplingVector, tol: float = 1e-12, *,
                      max_degree: int = 0, points_per_panel: int = 24) -> QuadratureGrid:
     """Composite Gauss-Legendre grid whose panel count has converged.
 
-    Doubles the panel count until int(rho) (and the max_degree moment, when
-    one was requested) moves by less than tol relatively.  `max_degree`
-    widens the radius so that high moments keep full accuracy; the default
-    0 is the bare-weight rule.
+    Doubles the panel count until int(rho) (and the max_degree moment of
+    z / radius, when one was requested) moves by less than tol relatively.
+    `max_degree` widens the radius so that high moments keep full accuracy;
+    the default 0 is the bare-weight rule.
     """
     if not t.integrable:
         raise NonIntegrableWeight(f"weight for couplings {t.as_dict()} has a divergent tail")
     if not (0.0 < tol <= 1e-6):
         raise ValueError(f"tol must lie in (0, 1e-6], got {tol}")
     radius = _radius_for(t, tol, max_degree)
-    deg = 2 * (int(max_degree) // 2)  # even companion moment for the convergence test
+    # even companion moment for the convergence test, in units of the radius
+    # so that z^deg cannot overflow at high degree
+    deg = 2 * (int(max_degree) // 2)
 
     def convergence_values(panels):
         nodes, weights = _panel_nodes(radius, panels, points_per_panel)
         rho = weight_eval(nodes, t)
         vals = [float(weights @ rho)]
         if deg > 0:
-            vals.append(float(weights @ (nodes**deg * rho)))
+            vals.append(float(weights @ ((nodes / radius)**deg * rho)))
         return nodes, weights, rho, vals
 
     panels = 8

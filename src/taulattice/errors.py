@@ -23,7 +23,7 @@ class OddDimension(TauLatticeError):
 
 
 class IllConditioned(TauLatticeError):
-    """A factorisation, solve or recurrence broke down, or tau has no double value."""
+    """A recurrence or skew elimination broke down, or tau has no double value."""
 
 
 class StepTooLarge(TauLatticeError):

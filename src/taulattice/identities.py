@@ -225,6 +225,8 @@ def observables_check(n: int, t: CouplingVector | None = None, *,
     (ii) E[(z1+z2)^2] = w0_1 w1_1 and (iii) E[z1^2+z2^2] = 2 w^-1_1 +
     w0_1 w1_1 against direct two-eigenvalue quadrature.
     """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     if t is None:
         t = CouplingVector.from_mapping({})
     entries = pfaff_entries_from_tau(t, n_pairs)

@@ -8,11 +8,12 @@ skew-orthonormal polynomial basis; its dense embedding interleaves the
 band into a 2N x 2N matrix with unit entries on part of the superdiagonal.
 
 Both have closed-form initial data at zero couplings (Gaussian ensembles),
-and both can be rebuilt from moment data, which is what the consistency
-oracles exercise.  The skew-orthonormal pairs come from a skew Gram-Schmidt
-on the Stieltjes basis of rho^2 that `moments.log_tau` also uses, and the
-window is read off its Jacobi matrix; the parity-Hermite polynomials here
-serve the closed-form side only.
+and both are rebuilt by quadrature from the Stieltjes bases that
+`moments.log_tau` also uses, which is what the consistency oracles
+exercise.  The tridiagonal form is the Jacobi matrix of the basis of rho.
+The skew-orthonormal pairs come from a skew Gram-Schmidt on the basis of
+rho^2, and the window is read off its Jacobi matrix; the parity-Hermite
+polynomials here serve the closed-form side only.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .couplings import CouplingVector, build_quadrature
-from .errors import IllConditioned, SingularMinor, StructureViolation
-from .moments import (SkewMomentMatrix, SymmetricMomentTable, _skew_products,
-                      _skew_stieltjes, _tau_grid, log_tau, tau_coupling_derivative)
+from .errors import SingularMinor, StructureViolation
+from .moments import (SkewMomentMatrix, _skew_products, _stieltjes_basis, _tau_grid,
+                      log_tau, tau_coupling_derivative)
 from .report import IdentityReport
 
 __all__ = [
@@ -35,7 +36,7 @@ __all__ = [
     "SkewOrthoBasis",
     "gue_lax_init",
     "goe_lax_init",
-    "toda_lax_from_moments",
+    "toda_lax_from_quadrature",
     "skew_orthonormal_basis",
     "pfaff_lax_from_basis",
     "pfaff_entries_from_tau",
@@ -113,26 +114,17 @@ def gue_lax_init(n_sites: int) -> TodaLax:
     return TodaLax(np.zeros(n_sites), np.sqrt(np.arange(1.0, n_sites)))
 
 
-def toda_lax_from_moments(table: SymmetricMomentTable, n_sites: int) -> TodaLax:
-    """Recurrence coefficients from the Cholesky factor of the Hankel matrix.
+def toda_lax_from_quadrature(t: CouplingVector, n_sites: int) -> TodaLax:
+    """Recurrence coefficients of the orthonormal polynomials of rho dz.
 
-    Needs moments through degree 2*n_sites.  With H = L L^T,
-    b_{n+1} = L[n+1,n+1]/L[n,n] and a_{n+1} = L[n+1,n]/L[n,n] - L[n,n-1]/L[n-1,n-1].
+    The Jacobi matrix of the Stieltjes basis behind the unitary `log_tau`:
+    z q_k = b_{k+1} q_{k+1} + a_k q_k + b_k q_{k-1} gives a_k, k < n_sites,
+    and b_k, 1 <= k < n_sites.
     """
-    H = table.hankel(n_sites + 1)
-    try:
-        L = np.linalg.cholesky(H)
-    except np.linalg.LinAlgError as exc:
-        raise IllConditioned(
-            f"Hankel matrix of order {n_sites + 1} lost positivity") from exc
-    d = np.diag(L)
-    sub = np.diag(L, -1)
-    b = d[1:n_sites] / d[:n_sites - 1]
-    ratios = sub / d[:-1]
-    a = np.empty(n_sites)
-    a[0] = ratios[0]
-    a[1:] = ratios[1:n_sites] - ratios[:n_sites - 1]
-    return TodaLax(a, b)
+    if n_sites < 1:
+        raise ValueError(f"n_sites must be at least 1, got {n_sites}")
+    _, _, a, b = _stieltjes_basis("unitary", n_sites, t)
+    return TodaLax(a, b[1:])
 
 
 @dataclass(frozen=True)
@@ -255,7 +247,7 @@ def skew_orthonormal_basis(m: SkewMomentMatrix, n_pairs: int, *,
     dim = 2 * n_pairs
     if m.size < dim:
         raise ValueError(f"skew matrix of size {m.size} cannot support {n_pairs} pairs")
-    F, log_h, a, b = _skew_stieltjes(dim, m.couplings, tol)
+    F, log_h, a, b = _stieltjes_basis("orthogonal", dim, m.couplings, tol)
     root_h = np.exp(0.5 * log_h)    # monic p_k = root_h[k] q_k
     sub_lead = -np.cumsum(a)        # z^k coefficient of p_{k+1}
     W = np.zeros((dim, dim))
@@ -335,6 +327,8 @@ def pfaff_entries_from_tau(t: CouplingVector, n_pairs: int, step: float = 5e-3,
     An independent route to the window: tau values and their first/second
     coupling derivatives, all on one widened frozen grid.
     """
+    if n_pairs < 1:
+        raise ValueError(f"n_pairs must be at least 1, got {n_pairs}")
     log_t = {0: 0.0}
     d11, d2 = {0: 0.0}, {0: 0.0}     # tau_0 = 1 at every coupling
     top = 2 * n_pairs + 2
@@ -373,6 +367,8 @@ def skew_hermite_map_check(n_pairs: int, *, tol: float = 1e-9) -> IdentityReport
     nu_n delta_{mn} (and zero same-parity pairings) by quadrature; the
     residual is the largest violation of the nu-scaled Gram.
     """
+    if n_pairs < 1:
+        raise ValueError(f"n_pairs must be at least 1, got {n_pairs}")
     t0 = CouplingVector.from_mapping({})
     dim = 2 * n_pairs
     grid = build_quadrature(t0, 1e-12, max_degree=dim + 2)

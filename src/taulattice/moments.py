@@ -1,19 +1,21 @@
-"""Moment matrices, Pfaffians, and the two tau-sequences.
+"""Skew moment matrices, Pfaffians, and the two tau-sequences.
 
 tau_n (unitary) is the Hankel determinant of the moments of rho; tau_{2n}
 (orthogonal) is the Pfaffian of the skew moments
 m[i][j] = (1/2) int x^i G_j(x) rho(x) dx, G_j the signed cumulative moment.
 `log_tau` forms neither matrix.  A discretised Stieltjes procedure on the
-quadrature grid (Gautschi 2004) gives orthonormal polynomials q_k and the
-log norms log h_k of their monic versions; monic basis changes are
-unit-triangular, so log tau_n = sum_{k<n} log h_k for rho dz, and
-log tau_{2n} = log|pf F| + (1/2) sum_{k<2n} log h_k for rho^2 dz with F the
-skew Gram of the q_k.  That rho^2 basis, its skew Gram and its recurrence
-coefficients come from `_skew_stieltjes`, which also feeds the skew
-Gram-Schmidt in `lax`: the map from orthogonal to skew-orthogonal
-polynomials runs on the one basis.  Coupling derivatives of tau are central
-finite differences on a grid frozen at the base couplings, so a perturbed
-weight is always integrated on the geometry chosen for the base point.
+quadrature grid (Gautschi 2004) gives orthonormal polynomials q_k, their
+recurrence coefficients and the log norms log h_k of their monic versions;
+monic basis changes are unit-triangular, so log tau_n = sum_{k<n} log h_k
+for rho dz, and log tau_{2n} = log|pf F| + (1/2) sum_{k<2n} log h_k for
+rho^2 dz with F the skew Gram of the q_k.  Both bases come from
+`_stieltjes_basis`, the one place that knows the measure (rho or rho^2), the
+grid degree and the skew product.  It also feeds `lax`: the tridiagonal Lax
+operator is the Jacobi matrix of the rho basis, and the skew Gram-Schmidt
+that maps orthogonal to skew-orthogonal polynomials runs on the rho^2
+basis.  Coupling derivatives of tau are central finite differences on a
+grid frozen at the base couplings, so a perturbed weight is always
+integrated on the geometry chosen for the base point.
 """
 
 from __future__ import annotations
@@ -29,9 +31,7 @@ from .errors import IllConditioned, OddDimension
 from .numdiff import mixed_derivative
 
 __all__ = [
-    "SymmetricMomentTable",
     "SkewMomentMatrix",
-    "symmetric_moment_table",
     "skew_moment_matrix",
     "pfaffian",
     "log_tau",
@@ -46,49 +46,6 @@ _SHIFT_RADIUS_TOL = 1e-20
 
 # log|tau| outside this range has no normal double value.
 _LOG_RANGE = tuple(np.log([np.finfo(float).tiny, np.finfo(float).max]))
-
-
-@dataclass(frozen=True)
-class SymmetricMomentTable:
-    """mu_0..mu_max of z^k against rho, with the couplings that made them."""
-
-    mu: np.ndarray
-    couplings: CouplingVector
-
-    def __post_init__(self):
-        arr = np.asarray(self.mu, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "mu", arr)
-        if arr[0] <= 0:
-            raise ValueError("mu_0 must be positive")
-
-    @property
-    def max_degree(self) -> int:
-        return len(self.mu) - 1
-
-    def hankel(self, n: int) -> np.ndarray:
-        if 2 * (n - 1) > self.max_degree:
-            raise ValueError(f"table holds degrees <= {self.max_degree}, need {2 * (n - 1)}")
-        idx = np.arange(n)
-        return self.mu[idx[:, None] + idx[None, :]]
-
-
-def symmetric_moment_table(t: CouplingVector, max_degree: int, tol: float = 1e-12,
-                           *, grid: QuadratureGrid | None = None) -> SymmetricMomentTable:
-    """Moments mu_k, k <= max_degree, to tol relative accuracy.
-
-    Degrees above 40 are refused: Hankel conditioning makes them useless in
-    double precision.  `log_tau` reaches larger determinants without them.
-    """
-    if not 0 <= max_degree <= 40:
-        raise ValueError(f"max_degree must lie in [0, 40], got {max_degree}")
-    if grid is None:
-        grid = build_quadrature(t, tol, max_degree=max_degree)
-    powers = grid.nodes[None, :] ** np.arange(max_degree + 1)[:, None]
-    mu = powers @ (grid.weights * weight_eval(grid.nodes, t))
-    if t.parity_even_only:
-        mu[1::2] = 0.0
-    return SymmetricMomentTable(mu, t)
 
 
 def _skew_products(grid: QuadratureGrid, rows: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -212,18 +169,22 @@ def _tau_grid(ensemble: str, n: int, t: CouplingVector, tol: float = 1e-12, *,
     return widen_grid(grid, _SHIFT_RADIUS_TOL, deg) if frozen else grid
 
 
-def _skew_stieltjes(dim: int, t: CouplingVector, tol: float = 1e-12, *,
-                    grid: QuadratureGrid | None = None):
-    """(F, log_h, a, b): the Stieltjes basis q_k, k < dim, of rho^2 dz (see
-    `_stieltjes`) and its skew Gram F = `_skew_products` under rho, on
-    `_tau_grid("orthogonal", dim)` unless a grid is given."""
+def _stieltjes_basis(ensemble: str, n: int, t: CouplingVector, tol: float = 1e-12, *,
+                     grid: QuadratureGrid | None = None):
+    """(F, log_h, a, b): the Stieltjes basis q_k, k < n, of rho dz (unitary)
+    or rho^2 dz (orthogonal), see `_stieltjes`, on `_tau_grid(ensemble, n)`
+    unless a grid is given.  F is the skew Gram `_skew_products` of the q_k
+    under rho for orthogonal and None for unitary."""
     if grid is None:
-        grid = _tau_grid("orthogonal", dim, t, tol)
+        grid = _tau_grid(ensemble, n, t, tol)
     rho = weight_eval(grid.nodes, t)
-    with np.errstate(over="ignore"):   # an overflowing weight fails in _stieltjes
-        measure = grid.weights * rho * rho
-    q, log_h, a, b = _stieltjes(grid.nodes, measure, dim)
-    return _skew_products(grid, q, rho), log_h, a, b
+    measure = grid.weights * rho
+    if ensemble == "orthogonal":
+        with np.errstate(over="ignore"):   # an overflowing weight fails in _stieltjes
+            measure = measure * rho
+    q, log_h, a, b = _stieltjes(grid.nodes, measure, n)
+    F = _skew_products(grid, q, rho) if ensemble == "orthogonal" else None
+    return F, log_h, a, b
 
 
 def log_tau(ensemble: str, n: int, t: CouplingVector, tol: float = 1e-12, *,
@@ -241,17 +202,14 @@ def log_tau(ensemble: str, n: int, t: CouplingVector, tol: float = 1e-12, *,
         raise ValueError(f"no {ensemble} tau of size {n}")
     if n == 0:
         return 1.0, 0.0
-    if ensemble == "orthogonal":
-        F, log_h, _, _ = _skew_stieltjes(n, t, tol, grid=grid)
-        sign, pivots = _pfaffian_pivots(F)
-        if not np.all(np.isfinite(pivots) & (pivots != 0.0)):
-            raise IllConditioned(f"skew Gram of order {n} has a zero or non-finite pivot")
-        sign *= float(np.prod(np.sign(pivots)))
-        return sign, float(np.log(np.abs(pivots)).sum() + 0.5 * log_h.sum())
-    if grid is None:
-        grid = _tau_grid(ensemble, n, t, tol)
-    _, log_h, _, _ = _stieltjes(grid.nodes, grid.weights * weight_eval(grid.nodes, t), n)
-    return 1.0, float(log_h.sum())
+    F, log_h, _, _ = _stieltjes_basis(ensemble, n, t, tol, grid=grid)
+    if F is None:
+        return 1.0, float(log_h.sum())
+    sign, pivots = _pfaffian_pivots(F)
+    if not np.all(np.isfinite(pivots) & (pivots != 0.0)):
+        raise IllConditioned(f"skew Gram of order {n} has a zero or non-finite pivot")
+    sign *= float(np.prod(np.sign(pivots)))
+    return sign, float(np.log(np.abs(pivots)).sum() + 0.5 * log_h.sum())
 
 
 def _tau_value(ensemble: str, n: int, sign: float, log_abs: float) -> float:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from taulattice import CouplingVector, symmetric_moment_table
+from taulattice import CouplingVector
 
 
 def pytest_configure(config):
@@ -32,12 +32,6 @@ def acceptance(request):
 @pytest.fixture(scope="session")
 def t0():
     return CouplingVector.from_mapping({})
-
-
-@pytest.fixture(scope="session")
-def gauss_moments(t0):
-    """Zero-coupling moment table up to degree 24, shared across tests."""
-    return symmetric_moment_table(t0, 24)
 
 
 @pytest.fixture

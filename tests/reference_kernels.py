@@ -19,7 +19,12 @@ reference for `couplings._gauss_legendre`.
 The tau references are the monomial routes `moments.log_tau` replaced: a
 Cholesky factor of the Hankel moment matrix and a Pfaffian of monomial skew
 moments with one cumulative integral per row.  Their conditioning grows
-like the moments, so they are references for sizes <= 12 only.  The
+like the moments, so they are references for sizes <= 12 only.  The same
+Cholesky factor gave the tridiagonal Lax operator before
+`lax.toda_lax_from_quadrature` read it off the Stieltjes recurrence; it is
+a reference through 10 sites.  The grid builder's panel count with the
+unscaled companion moment z^deg rho is the reference for the scaled one
+below degree 240.  The
 60-digit quartic Hankel determinant is the reference at any size.  The
 skew-basis reference is the parity-Hermite working basis that
 `lax.skew_orthonormal_basis` replaced with the Stieltjes basis of
@@ -32,7 +37,8 @@ import math
 import numpy as np
 
 from taulattice import continuum, lax, pfaffian
-from taulattice.couplings import build_quadrature, cumulative_integral, weight_eval
+from taulattice.couplings import (_panel_nodes, build_quadrature, cumulative_integral,
+                                  weight_eval)
 from taulattice.moments import _skew_products
 from taulattice.continuum import _closure_row, _matrix_terms, spatial_derivative
 from taulattice.errors import DivergedField, StructureViolation
@@ -316,6 +322,51 @@ def log_tau_orthogonal_monomial(t, size, tol=1e-12):
     """log pf of the size x size monomial skew moment matrix."""
     grid = build_quadrature(t, tol, max_degree=size + 2)
     return math.log(pfaffian(skew_moment_rows(t, size, grid)))
+
+
+def toda_lax_hankel(t, n_sites, tol=1e-12):
+    """(a, b) of the tridiagonal Lax operator from the Cholesky factor of the
+    monomial Hankel matrix of order n_sites + 1, the read-off that
+    `lax.toda_lax_from_quadrature` replaced.  With H = L L^T,
+    b_{n+1} = L[n+1,n+1]/L[n,n] and a_{n+1} = L[n+1,n]/L[n,n] - L[n,n-1]/L[n-1,n-1]."""
+    grid = build_quadrature(t, tol, max_degree=2 * n_sites)
+    powers = grid.nodes[None, :] ** np.arange(2 * n_sites + 1)[:, None]
+    mu = powers @ (grid.weights * weight_eval(grid.nodes, t))
+    idx = np.arange(n_sites + 1)
+    L = np.linalg.cholesky(mu[idx[:, None] + idx[None, :]])
+    d, sub = np.diag(L), np.diag(L, -1)
+    ratios = sub / d[:-1]
+    a = np.empty(n_sites)
+    a[0] = ratios[0]
+    a[1:] = ratios[1:n_sites] - ratios[:n_sites - 1]
+    return a, d[1:n_sites] / d[:n_sites - 1]
+
+
+def plain_moment_panels(grid, max_degree):
+    """Panel count of `couplings.build_quadrature` with the plain companion
+    moment z^deg rho in its convergence test instead of (z / radius)^deg rho,
+    for the couplings, tolerance, radius and panel rule of `grid`.  z^deg
+    overflows near degree 240, so this is a reference below that."""
+    t, tol, radius = grid.couplings, grid.target_tol, grid.radius
+    points_per_panel = grid.points_per_panel
+    deg = 2 * (int(max_degree) // 2)
+
+    def values(panels):
+        nodes, weights = _panel_nodes(radius, panels, points_per_panel)
+        rho = weight_eval(nodes, t)
+        vals = [float(weights @ rho)]
+        if deg > 0:
+            vals.append(float(weights @ (nodes**deg * rho)))
+        return vals
+
+    panels, prev = 8, values(8)
+    while panels <= 4096:
+        panels *= 2
+        cur = values(panels)
+        if all(abs(c - p) <= tol * abs(c) for c, p in zip(cur, prev)):
+            return panels
+        prev = cur
+    return None
 
 
 def parity_hermite_window(t, n_pairs, n_sites, k_band, tol=1e-12):

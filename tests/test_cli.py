@@ -69,6 +69,22 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert json.loads(err)["error"] == "config"
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "init-gue", "--N", "0"),
+    ("verify", "init-gue", "--N", "1"),
+    ("verify", "init-goe", "--N", "0"),
+    ("verify", "scaling", "--N", "8"),
+    ("verify", "skew-map", "--n", "0"),
+    ("verify", "tau-cross", "--n", "0"),
+    ("verify", "observables", "--n", "0"),
+    ("scan-haantjes", "--points", "0"),
+])
+def test_sizes_with_nothing_to_check_are_config_errors(tmp_path, capsys, argv):
+    rc, _, err = run(capsys, "--out", str(tmp_path), *argv)
+    assert rc == 2
+    assert json.loads(err)["error"] == "config"
+
+
 def test_lax_init_gue_csv(tmp_path, capsys):
     rc, _, _ = run(capsys, "--out", str(tmp_path), "lax-init",
                    "--ensemble", "gue", "--N", "5")

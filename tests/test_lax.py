@@ -8,8 +8,8 @@ from taulattice import (CouplingVector, PfaffLax, c_coeff, goe_lax_init, gue_lax
                         hermite_map_coeffs, nu_values, pfaff_entries_from_tau,
                         pfaff_lax_from_basis, skew_hermite_map_check,
                         skew_moment_matrix, skew_orthonormal_basis,
-                        sqrt_ratio_product, toda_lax_from_moments)
-from taulattice.cli import verify_init_goe
+                        sqrt_ratio_product, toda_lax_from_quadrature)
+from taulattice.cli import verify_init_goe, verify_init_gue
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -39,14 +39,31 @@ def test_sqrt_ratio_product():
         assert abs(sqrt_ratio_product(1, k) - direct) < 1e-13 * direct
 
 
-def test_gue_init_and_moment_route(gauss_moments):
-    lax = toda_lax_from_moments(gauss_moments, 10)
+def test_gue_init_and_moment_route(t0):
+    lax = toda_lax_from_quadrature(t0, 10)
     assert np.max(np.abs(lax.a)) < 1e-10
     expect = np.sqrt(np.arange(1.0, 10.0))
     assert np.max(np.abs(lax.b / expect - 1.0)) < 1e-10
     closed = gue_lax_init(10)
     assert np.allclose(closed.b, expect, rtol=0, atol=0)
     assert np.allclose(closed.matrix(), closed.matrix().T)
+
+
+@pytest.mark.parametrize("mapping", [{2: 0.1}, {1: 0.05, 4: -0.03}, {4: -0.05}])
+def test_toda_read_off_matches_hankel_reference(mapping):
+    t = CouplingVector.from_mapping(mapping)
+    for n in range(1, 11):
+        lax = toda_lax_from_quadrature(t, n)
+        a, b = ref.toda_lax_hankel(t, n)
+        assert np.max(np.abs(lax.a - a)) < 1e-11, n
+        assert np.max(np.abs(lax.b - b), initial=0.0) < 1e-11, n
+
+
+def test_init_gue_past_the_moment_table_cap():
+    # 24 sites: a Hankel read-off would need moments through degree 48
+    report = verify_init_gue(n_max=24)
+    assert report.passed
+    assert report.meta["err_a"] <= 1e-14 and report.meta["err_b_rel"] <= 1e-14
 
 
 def test_goe_init_window_values():

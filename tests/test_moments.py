@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,8 +7,7 @@ import pytest
 import reference_kernels as ref
 from taulattice import (CouplingVector, QuadratureGrid, build_quadrature, log_tau,
                         moments, pfaffian, skew_moment_matrix,
-                        symmetric_moment_table, tau_coupling_derivative,
-                        tau_orthogonal, tau_unitary)
+                        tau_coupling_derivative, tau_orthogonal, tau_unitary)
 from taulattice.errors import IllConditioned, OddDimension
 
 SQRT_PI = math.sqrt(math.pi)
@@ -15,8 +15,9 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 class TestSymmetricMoments:
-    def test_gaussian_values(self, gauss_moments):
-        mu = gauss_moments.mu
+    def test_gaussian_values(self, t0):
+        grid = build_quadrature(t0, max_degree=24)
+        mu = np.array([grid.integrate_weighted(grid.nodes**k) for k in range(25)])
         # mu_{2k} = (2k-1)!! sqrt(2 pi); odd moments vanish
         assert abs(mu[0] - SQRT_2PI) < 1e-12 * SQRT_2PI
         assert abs(mu[2] - SQRT_2PI) < 1e-12 * SQRT_2PI
@@ -25,19 +26,6 @@ class TestSymmetricMoments:
         # symmetric grid: odd moments cancel to roundoff of the even neighbours
         assert np.max(np.abs(mu[1:9:2])) < 1e-10
         assert np.all(np.abs(mu[1::2]) <= 1e-14 * mu[2::2])
-
-    def test_parity_flag_zeroes_odd(self):
-        t = CouplingVector.from_mapping({2: -0.1}, parity_even_only=True)
-        table = symmetric_moment_table(t, 8)
-        assert np.all(table.mu[1::2] == 0.0)
-
-    def test_hankel_degree_guard(self, gauss_moments):
-        with pytest.raises(ValueError):
-            gauss_moments.hankel(14)
-
-    def test_degree_cap(self, t0):
-        with pytest.raises(ValueError):
-            symmetric_moment_table(t0, 42)
 
 
 class TestTauUnitary:
@@ -205,9 +193,26 @@ class TestLogTau:
 
 class TestTauReach:
     def test_unitary_beyond_the_moment_table_cap(self, t0):
-        # needs Hankel degree 48, past symmetric_moment_table's 40
+        # a Hankel route would need moments through degree 48
         expect = ref.log_tau_closed_form("unitary", 25, 0.0)
         assert abs(math.log(tau_unitary(t0, 25)) - expect) < 1e-10
+
+    @pytest.mark.parametrize("n", [60, 80])
+    def test_unitary_past_degree_240(self, n):
+        # grid degree 4n >= 240, where the plain moment z^deg rho overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t2 in (-0.15, 0.0, 0.15):
+                t = CouplingVector.from_mapping({2: t2})
+                expect = ref.log_tau_closed_form("unitary", n, t2)
+                assert abs(log_tau("unitary", n, t)[1] - expect) < 1e-10, t2
+
+    @pytest.mark.parametrize("mapping", [{2: -0.15}, {}, {2: 0.15}, {4: -0.05}])
+    def test_scaled_companion_moment_keeps_the_grid(self, mapping):
+        t = CouplingVector.from_mapping(mapping)
+        for deg in range(201):
+            grid = build_quadrature(t, max_degree=deg)
+            assert grid.panels == ref.plain_moment_panels(grid, deg), deg
 
     def test_orthogonal_size_32_positive(self, t0):
         value = tau_orthogonal(t0, 32)

@@ -5,10 +5,10 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from taulattice import (CouplingVector, HydroChainField, PfaffLax,
-                        TensorPoint, VolterraState, evolve_volterra,
-                        hydro_chain_rhs, nijenhuis, nijenhuis_closed_form,
-                        pfaff_chain_rhs, pfaff_commutator_rhs, pfaffian,
-                        spatial_derivative, symmetric_moment_table)
+                        TensorPoint, VolterraState, build_quadrature,
+                        evolve_volterra, hydro_chain_rhs, nijenhuis,
+                        nijenhuis_closed_form, pfaff_chain_rhs,
+                        pfaff_commutator_rhs, pfaffian, spatial_derivative)
 
 couplings = st.dictionaries(
     st.integers(min_value=1, max_value=8),
@@ -39,7 +39,8 @@ def test_pfaffian_squares_to_determinant(half_dim, seed):
 @settings(max_examples=15, deadline=None)
 def test_even_weight_has_no_odd_moments(t2, t4):
     t = CouplingVector.from_mapping({2: t2, 4: t4})
-    mu = symmetric_moment_table(t, 10).mu
+    grid = build_quadrature(t, max_degree=10)
+    mu = np.array([grid.integrate_weighted(grid.nodes**k) for k in range(11)])
     assert np.max(np.abs(mu[1::2])) < 1e-10 * np.max(mu[::2])
 
 
@@ -47,8 +48,8 @@ def test_even_weight_has_no_odd_moments(t2, t4):
 @settings(max_examples=15, deadline=None)
 def test_moment_mass_stable_under_tolerance(t2):
     t = CouplingVector.from_mapping({2: t2})
-    coarse = symmetric_moment_table(t, 0, tol=1e-9).mu[0]
-    fine = symmetric_moment_table(t, 0, tol=1e-13).mu[0]
+    coarse = build_quadrature(t, 1e-9).integrate_weighted(1.0)
+    fine = build_quadrature(t, 1e-13).integrate_weighted(1.0)
     assert abs(coarse - fine) < 1e-8 * fine
 
 

@@ -9,6 +9,7 @@ passes.  Exit codes: 0 pass, 1 check failure, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -25,18 +26,22 @@ from .flows import (ReducedChainState, VolterraState, evolve_pfaff, evolve_reduc
                     pfaff_commutator_rhs)
 from .identities import (kp_residual, mkp_residuals, observables_check,
                          reduction_invariants)
-from .lax import (PfaffLax, c_coeff, goe_lax_init, gue_lax_init,
+from .lax import (PfaffLax, _skew_basis, c_coeff, goe_lax_init, gue_lax_init,
                   pfaff_entries_from_tau, pfaff_lax_from_basis,
-                  skew_hermite_map_check, skew_orthonormal_basis,
-                  sqrt_ratio_product, toda_lax_from_quadrature)
-from .moments import (skew_moment_matrix, tau_coupling_derivative, tau_orthogonal,
-                      tau_unitary)
+                  skew_hermite_map_check, sqrt_ratio_product,
+                  toda_lax_from_quadrature)
+from .moments import (_tau_grid, _tau_value, log_tau, tau_coupling_derivative,
+                      tau_orthogonal, tau_unitary)
 from .report import IdentityReport
 
 _T0 = CouplingVector.from_mapping({})
 
 
+@functools.lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process: `parse_args` reads it and
+    returns a fresh namespace, so calls of `main` share it without leaking
+    flags into each other."""
     p = argparse.ArgumentParser(
         prog="taulattice",
         description="lattice flows, tau-functions, and their verification suites")
@@ -253,17 +258,22 @@ def _cmd_evolve(opt: dict, outdir: str) -> int:
 
 def verify_init_gue(n_max: int = 10, tolerance: float = 1e-8) -> IdentityReport:
     """Quadrature-built tridiagonal data against the closed forms a=0, b=sqrt(n),
-    plus vanishing first-coupling log-derivative of the determinant tau."""
+    plus vanishing first-coupling log-derivative of the determinant tau.
+
+    Every tau_m and its derivative, m <= n_max, is evaluated on one frozen
+    grid built for n_max, which `_tau_grid` makes accurate for every m <= n_max.
+    """
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2, got {n_max}")
     lax = toda_lax_from_quadrature(_T0, n_max)
     n = np.arange(1.0, n_max)
     err_a = float(np.max(np.abs(lax.a)))
     err_b = float(np.max(np.abs(lax.b / np.sqrt(n) - 1.0)))
+    grid = _tau_grid("unitary", n_max, _T0, frozen=True)
     worst_d = 0.0
     for m in range(1, n_max + 1):
-        tau_m = tau_unitary(_T0, m)
-        d = tau_coupling_derivative("unitary", m, _T0, {1: 1})
+        tau_m = _tau_value("unitary", m, *log_tau("unitary", m, _T0, grid=grid))
+        d = tau_coupling_derivative("unitary", m, _T0, {1: 1}, grid=grid)
         worst_d = max(worst_d, abs(d) / tau_m)
     resid = max(err_a, err_b, worst_d)
     meta = {"n_max": n_max, "err_a": err_a, "err_b_rel": err_b,
@@ -278,8 +288,7 @@ def verify_init_goe(n_sites: int = 8, k_band: int = 6,
     if n_sites < 1:
         raise ValueError(f"n_sites must be at least 1, got {n_sites}")
     n_pairs = n_sites + k_band + 1
-    basis = skew_orthonormal_basis(skew_moment_matrix(_T0, 2 * n_pairs), n_pairs)
-    oracle = pfaff_lax_from_basis(basis, n_sites, k_band, k_band)
+    oracle = pfaff_lax_from_basis(_skew_basis(_T0, n_pairs), n_sites, k_band, k_band)
     closed = goe_lax_init(n_sites, k_band, k_band)
     resid = float(np.max(np.abs(oracle.w - closed.w)))
     meta = {"n_sites": n_sites, "k_band": k_band,
@@ -441,9 +450,8 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

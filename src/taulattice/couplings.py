@@ -302,7 +302,11 @@ def widen_grid(grid: QuadratureGrid, radius_tol: float,
     radius = _radius_for(grid.couplings, radius_tol, max_degree)
     if radius <= grid.radius:
         return grid
-    panels = int(np.ceil(grid.panels * radius / grid.radius))
+    return _regrid(grid, radius, int(np.ceil(grid.panels * radius / grid.radius)))
+
+
+def _regrid(grid: QuadratureGrid, radius: float, panels: int) -> QuadratureGrid:
+    """The grid's couplings, rule and tolerance on [-radius, radius] in `panels` panels."""
     nodes, weights = _panel_nodes(radius, panels, grid.points_per_panel)
     rho = weight_eval(nodes, grid.couplings)
     return QuadratureGrid(grid.couplings, nodes, weights, rho, radius,

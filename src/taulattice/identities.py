@@ -18,8 +18,9 @@ from .errors import GridTooCoarse, StepTooLarge, UnsupportedKind
 from .flows import (EvolutionResult, ReducedChainState, VolterraState,
                     _rk4_segment, pfaff_chain_rhs, reduced_chain_rhs,
                     volterra_rhs)
-from .lax import (PfaffLax, TodaLax, c_coeff, goe_lax_init,
-                  pfaff_entries_from_tau, sqrt_ratio_product)
+from .lax import (PfaffLax, TodaLax, _skew_basis, c_coeff, goe_lax_init,
+                  pfaff_entries_from_tau, pfaff_lax_from_basis,
+                  sqrt_ratio_product)
 from .moments import _tau_grid, log_tau
 from .numdiff import mixed_derivative
 from .report import IdentityReport
@@ -216,29 +217,32 @@ def _pair_expectation(poly: dict, T: np.ndarray) -> float:
 
 
 def observables_check(n: int, t: CouplingVector | None = None, *,
-                      tolerance: float = 1e-8, tol_mu: float = 1e-12,
-                      n_pairs: int = 6) -> IdentityReport:
+                      tolerance: float = 1e-8, tol_mu: float = 1e-12) -> IdentityReport:
     """Orthogonal-ensemble observable identities at coupling t.
 
-    (i) the chemical-potential increment equals 2 log w0_{n+1} given the
-    Pfaffian values (an exact log identity, checked to tol_mu); for n = 1,
+    (i) the chemical-potential increment log tau_{2n} + log tau_{2n+4} -
+    2 log tau_{2n+2} equals 2 log w0_{n+1}, with w0_{n+1} read off the
+    skew window that `pfaff_lax_from_basis` builds by quadrature on n + 2
+    pairs, a route that evaluates no tau (checked to tol_mu); for n = 1,
     (ii) E[(z1+z2)^2] = w0_1 w1_1 and (iii) E[z1^2+z2^2] = 2 w^-1_1 +
-    w0_1 w1_1 against direct two-eigenvalue quadrature.
+    w0_1 w1_1 against direct two-eigenvalue quadrature, with the entries
+    of pair 1 from Pfaffian tau-ratios.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     if t is None:
         t = CouplingVector.from_mapping({})
-    entries = pfaff_entries_from_tau(t, n_pairs)
     sizes = (2 * n, 2 * n + 2, 2 * n + 4)
     grid = _tau_grid("orthogonal", sizes[-1], t)
     lo, mid, hi = (log_tau("orthogonal", size, t, grid=grid)[1] for size in sizes)
     dmu = lo + hi - 2.0 * mid
-    w0_next = math.exp(0.5 * (lo + hi) - mid)
-    res_mu = abs(dmu - 2.0 * math.log(w0_next)) / max(abs(dmu), 1.0)
+    w0_next = float(pfaff_lax_from_basis(_skew_basis(t, n + 2), n + 1, 1, 1).w[1, n])
+    log_w0 = math.log(w0_next) if w0_next > 0.0 else math.inf   # w0 < 0 fails
+    res_mu = abs(dmu - 2.0 * log_w0) / max(abs(dmu), 1.0)
     meta = {"n": n, "delta_mu": dmu, "w0_next": w0_next, "mu_residual": res_mu}
     residual = res_mu * (tolerance / tol_mu)  # budget-normalized piece
     if n == 1:
+        entries = pfaff_entries_from_tau(t, 1)
         T = _triangle_moments(t, 4)
         e_sum_sq = _pair_expectation({(0, 0): 0.0, (2, 0): 1.0, (0, 2): 1.0,
                                       (1, 1): 2.0}, T)

@@ -239,15 +239,22 @@ def skew_orthonormal_basis(m: SkewMomentMatrix, n_pairs: int, *,
                            tol: float = 1e-12) -> SkewOrthoBasis:
     """Skew Gram-Schmidt producing monic pairs with <Q_{2n}, Q_{2n+1}> = h_n.
 
-    Runs on the skew Gram of the Stieltjes basis that `log_tau` uses for
-    the orthogonal tau; only m.couplings and m.size are read.  The odd member
+    Reads only m.couplings and m.size, which must cover the 2 n_pairs
+    polynomials; the work is `_skew_basis` at those couplings.
+    """
+    if m.size < 2 * n_pairs:
+        raise ValueError(f"skew matrix of size {m.size} cannot support {n_pairs} pairs")
+    return _skew_basis(m.couplings, n_pairs, tol)
+
+
+def _skew_basis(t: CouplingVector, n_pairs: int, tol: float = 1e-12) -> SkewOrthoBasis:
+    """Skew Gram-Schmidt on the skew Gram of the Stieltjes basis that
+    `log_tau` uses for the orthogonal tau, at couplings t.  The odd member
     of each pair is pinned by removing its z^{2n} monomial component, which
     fixes the in-pair gauge freedom Q_{2n+1} += c Q_{2n}.
     """
     dim = 2 * n_pairs
-    if m.size < dim:
-        raise ValueError(f"skew matrix of size {m.size} cannot support {n_pairs} pairs")
-    F, log_h, a, b = _stieltjes_basis("orthogonal", dim, m.couplings, tol)
+    F, log_h, a, b = _stieltjes_basis("orthogonal", dim, t, tol)
     root_h = np.exp(0.5 * log_h)    # monic p_k = root_h[k] q_k
     sub_lead = -np.cumsum(a)        # z^k coefficient of p_{k+1}
     W = np.zeros((dim, dim))
@@ -270,7 +277,7 @@ def skew_orthonormal_basis(m: SkewMomentMatrix, n_pairs: int, *,
         h[n] = W[2 * n] @ F @ W[2 * n + 1]
         if not h[n] > tol * max(1.0, abs(F).max()):
             raise SingularMinor(f"pair product h_{n} = {h[n]:.3e} is not positive")
-    return SkewOrthoBasis(W, h, TodaLax(a, b[1:]), m.couplings)
+    return SkewOrthoBasis(W, h, TodaLax(a, b[1:]), t)
 
 
 def pfaff_lax_from_basis(basis: SkewOrthoBasis, n_sites: int, k_pos: int,

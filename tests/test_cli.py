@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import taulattice
-from taulattice import PfaffLax, goe_lax_init
+from taulattice import PfaffLax, cli, goe_lax_init
 from taulattice.cli import main
 
 
@@ -164,6 +164,18 @@ def test_verify_pass_and_artifact(tmp_path, capsys):
     report = json.loads((tmp_path / "verify_init-gue.json").read_text())
     assert report["pass"] is True
     assert report["residual_rel"] < 1e-9
+
+
+def test_parser_shared_without_leaking_flags(tmp_path, capsys):
+    # the argument tree is built once; a flag of one call must not become
+    # the default of the next
+    assert cli._parser() is cli._parser()
+    rc, _, _ = run(capsys, "--out", str(tmp_path / "a"), "verify", "kp", "--n", "3")
+    assert rc == 0
+    assert json.loads((tmp_path / "a" / "verify_kp.json").read_text())["meta"]["n"] == 3
+    rc, _, _ = run(capsys, "--out", str(tmp_path / "b"), "verify", "kp")
+    assert rc == 0
+    assert json.loads((tmp_path / "b" / "verify_kp.json").read_text())["meta"]["n"] == 2
 
 
 def test_verify_tight_tolerance_fails(tmp_path, capsys):

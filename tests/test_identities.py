@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from taulattice import (CouplingVector, VolterraState, exact_oracles,
-                        kp_residual, mkp_residuals, observables_check,
+from taulattice import (CouplingVector, VolterraState, exact_oracles, identities,
+                        kp_residual, mkp_residuals, moments, observables_check,
                         reduction_invariants, sample_gaussian_ensemble)
 
 
@@ -66,6 +66,39 @@ class TestObservables:
         t = CouplingVector.from_mapping({2: 0.02})
         report = observables_check(1, t)
         assert report.passed
+
+    @pytest.mark.parametrize("mapping", [{}, {2: 0.1}, {4: -0.05}, {1: 0.05, 4: -0.03}])
+    def test_chemical_potential_against_skew_window(self, mapping):
+        t = CouplingVector.from_mapping(mapping)
+        for n in range(1, 5):
+            report = observables_check(n, t)
+            assert report.passed, (n, report.meta)
+            assert report.meta["mu_residual"] <= 1e-14, n
+
+    def test_tau_ratios_only_for_the_first_pair(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("pair entries are read only at n = 1")
+
+        monkeypatch.setattr(identities, "pfaff_entries_from_tau", refuse)
+        assert observables_check(2).passed
+
+    def test_perturbed_pfaffian_fails(self, monkeypatch):
+        # a relative error of 1e-9 in the third Pfaffian pivot moves log
+        # tau_6 and log tau_8 but not log tau_4, so delta_mu shifts by 1e-9
+        # while the skew window, which never forms a Pfaffian, does not
+        exact = moments._pfaffian_pivots
+
+        def perturbed(A):
+            sign, pivots = exact(A)
+            if len(pivots) > 2:
+                pivots[2] *= 1.0 + 1e-9
+            return sign, pivots
+
+        assert observables_check(2).passed
+        monkeypatch.setattr(moments, "_pfaffian_pivots", perturbed)
+        report = observables_check(2)
+        assert not report.passed
+        assert report.meta["mu_residual"] > 1e-10
 
 
 class TestReductionInvariants:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import reference_kernels as ref
-from taulattice import (CouplingVector, PfaffLax, c_coeff, goe_lax_init, gue_lax_init,
+from taulattice import (CouplingVector, PfaffLax, c_coeff, couplings, goe_lax_init,
+                        gue_lax_init,
                         hermite_map_coeffs, nu_values, pfaff_entries_from_tau,
                         pfaff_lax_from_basis, skew_hermite_map_check,
                         skew_moment_matrix, skew_orthonormal_basis,
@@ -64,6 +65,23 @@ def test_init_gue_past_the_moment_table_cap():
     report = verify_init_gue(n_max=24)
     assert report.passed
     assert report.meta["err_a"] <= 1e-14 and report.meta["err_b_rel"] <= 1e-14
+
+
+@pytest.mark.parametrize("n_max", [2, 14, 24])
+def test_init_gue_solves_for_three_radii(n_max, monkeypatch):
+    # one grid for the Lax read-off, one frozen grid (build and widen) for
+    # every tau_m and its derivative, m <= n_max
+    calls = []
+    solve = couplings._radius_for
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(couplings, "_radius_for", counted)
+    report = verify_init_gue(n_max=n_max)
+    assert report.passed, report.residual_abs
+    assert len(calls) <= 3, len(calls)
 
 
 def test_goe_init_window_values():

@@ -214,6 +214,25 @@ class TestTauReach:
             grid = build_quadrature(t, max_degree=deg)
             assert grid.panels == ref.plain_moment_panels(grid, deg), deg
 
+    @pytest.mark.parametrize("mapping", [{}, {2: -0.15}, {2: 0.15}, {4: -0.05}])
+    def test_orthogonal_grid_unchanged_through_size_64(self, mapping):
+        t = CouplingVector.from_mapping(mapping)
+        for size in range(2, 65, 2):
+            grid = moments._tau_grid("orthogonal", size, t)
+            plain = build_quadrature(t, max_degree=2 * size)
+            assert (grid.panels, grid.radius) == (plain.panels, plain.radius), size
+            assert np.array_equal(grid.nodes, plain.nodes), size
+
+    @pytest.mark.parametrize("t2", [-0.1, 0.0, 0.1])
+    def test_orthogonal_sizes_70_to_140(self, t2):
+        # 16 panels lose 2.4e-9 in log at size 80 and 5.5e-2 at 140
+        t = CouplingVector.from_mapping({2: t2})
+        for size in range(70, 141, 2):
+            grid = moments._tau_grid("orthogonal", size, t)
+            assert grid.panels >= size / 4, size
+            expect = ref.log_tau_closed_form("orthogonal", size, t2)
+            assert abs(log_tau("orthogonal", size, t)[1] - expect) <= 1e-10, size
+
     def test_orthogonal_size_32_positive(self, t0):
         value = tau_orthogonal(t0, 32)
         expect = ref.log_tau_closed_form("orthogonal", 32, 0.0)

@@ -4,6 +4,11 @@ Runs computations and verification suites from flags plus an optional JSON
 config file (flags win), writes CSV/JSON artifacts to an output directory,
 prints a one-line JSON summary, and exits 0 only when every requested check
 passes.  Exit codes: 0 pass, 1 check failure, 2 usage or config error.
+
+`main` can be called many times in one process: the argument tree is built
+on the first call and shared.  Each verify suite computes its inputs once;
+`verify_init_gue` evaluates every tau_m, m <= n_max, on one frozen grid,
+and `verify_init_goe` builds its skew basis from the couplings alone.
 """
 
 from __future__ import annotations

@@ -4,7 +4,10 @@ to ensemble statistics.
 Everything here is deliberately indirect: derivatives in the coupling
 directions are taken by finite differences over freshly evolved lattices
 or re-quadratured determinants, never by reusing the algebraic flow rules,
-so a bug in the flow module cannot certify itself.
+so a bug in the flow module cannot certify itself.  Likewise the
+observables check holds a log-tau increment (Pfaffian pivots of the skew
+Gram) against a skew-window entry (skew Gram-Schmidt of the same basis),
+so an error in either step shows.
 """
 
 from __future__ import annotations
@@ -222,8 +225,8 @@ def observables_check(n: int, t: CouplingVector | None = None, *,
 
     (i) the chemical-potential increment log tau_{2n} + log tau_{2n+4} -
     2 log tau_{2n+2} equals 2 log w0_{n+1}, with w0_{n+1} read off the
-    skew window that `pfaff_lax_from_basis` builds by quadrature on n + 2
-    pairs, a route that evaluates no tau (checked to tol_mu); for n = 1,
+    skew window that `pfaff_lax_from_basis` builds on n + 2 pairs, a route
+    that takes no Pfaffian (checked to tol_mu); for n = 1,
     (ii) E[(z1+z2)^2] = w0_1 w1_1 and (iii) E[z1^2+z2^2] = 2 w^-1_1 +
     w0_1 w1_1 against direct two-eigenvalue quadrature, with the entries
     of pair 1 from Pfaffian tau-ratios.
@@ -237,7 +240,7 @@ def observables_check(n: int, t: CouplingVector | None = None, *,
     lo, mid, hi = (log_tau("orthogonal", size, t, grid=grid)[1] for size in sizes)
     dmu = lo + hi - 2.0 * mid
     w0_next = float(pfaff_lax_from_basis(_skew_basis(t, n + 2), n + 1, 1, 1).w[1, n])
-    log_w0 = math.log(w0_next) if w0_next > 0.0 else math.inf   # w0 < 0 fails
+    log_w0 = math.log(w0_next) if w0_next > 0.0 else math.inf   # w0 <= 0 fails
     res_mu = abs(dmu - 2.0 * log_w0) / max(abs(dmu), 1.0)
     meta = {"n": n, "delta_mu": dmu, "w0_next": w0_next, "mu_residual": res_mu}
     residual = res_mu * (tolerance / tol_mu)  # budget-normalized piece

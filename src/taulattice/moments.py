@@ -161,19 +161,18 @@ def _tau_grid(ensemble: str, n: int, t: CouplingVector, tol: float = 1e-12, *,
     """Grid on which log_tau(ensemble, m, t) is accurate for every m <= n.
 
     Its radius leaves a negligible tail of every q_k^2 rho: degree 4n
-    (unitary) or 2n (orthogonal, n the matrix size).  The orthogonal grid
-    also keeps at least n/4 panels, about six zeros of q_n per panel:
-    `build_quadrature`'s panel doubling sees only smooth moments, and its
-    16 panels leave the oscillating skew-Gram integrands unresolved from
-    size about 70 (log error 2.4e-9 at 80, 5.5e-2 at 140).  Below size 66
-    the floor never binds.  A frozen grid is widened so that slightly
-    shifted couplings can be integrated on it.
+    (unitary) or 2n (orthogonal, n the matrix size).  It also keeps at
+    least n/4 panels, five to six zeros of q_n per panel: `build_quadrature`'s
+    panel doubling sees only smooth moments, and its 16 panels leave the
+    oscillating integrands q_j q_k rho unresolved from size about 70
+    (orthogonal log error 2.4e-9 at 80 and 5.5e-2 at 140; unitary 1.6e-7
+    at 100).  Below size 66 the floor never binds.  A frozen grid is
+    widened so that slightly shifted couplings can be integrated on it.
     """
     deg = max(4 * n if ensemble == "unitary" else 2 * n, 2)
     grid = build_quadrature(t, tol, max_degree=deg)
-    floor = -(-n // 4) if ensemble == "orthogonal" else 0
-    if grid.panels < floor:
-        grid = _regrid(grid, grid.radius, floor)
+    if grid.panels < n / 4:
+        grid = _regrid(grid, grid.radius, -(-n // 4))
     return widen_grid(grid, _SHIFT_RADIUS_TOL, deg) if frozen else grid
 
 

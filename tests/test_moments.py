@@ -215,23 +215,28 @@ class TestTauReach:
             assert grid.panels == ref.plain_moment_panels(grid, deg), deg
 
     @pytest.mark.parametrize("mapping", [{}, {2: -0.15}, {2: 0.15}, {4: -0.05}])
-    def test_orthogonal_grid_unchanged_through_size_64(self, mapping):
+    def test_grids_unchanged_through_size_64(self, mapping):
+        # the panel floor leaves every grid it did not need to refine as
+        # panel doubling built it
         t = CouplingVector.from_mapping(mapping)
-        for size in range(2, 65, 2):
-            grid = moments._tau_grid("orthogonal", size, t)
-            plain = build_quadrature(t, max_degree=2 * size)
-            assert (grid.panels, grid.radius) == (plain.panels, plain.radius), size
-            assert np.array_equal(grid.nodes, plain.nodes), size
+        for ensemble, degree in (("orthogonal", 2), ("unitary", 4)):
+            for size in range(2, 65, 2):
+                grid = moments._tau_grid(ensemble, size, t)
+                plain = build_quadrature(t, max_degree=degree * size)
+                assert (grid.panels, grid.radius) == (plain.panels, plain.radius), size
+                assert np.array_equal(grid.nodes, plain.nodes), size
 
     @pytest.mark.parametrize("t2", [-0.1, 0.0, 0.1])
-    def test_orthogonal_sizes_70_to_140(self, t2):
-        # 16 panels lose 2.4e-9 in log at size 80 and 5.5e-2 at 140
+    def test_sizes_70_to_140(self, t2):
+        # 16 panels lose 2.4e-9 in log at orthogonal size 80, 5.5e-2 at
+        # 140, and 1.6e-7 at unitary size 100
         t = CouplingVector.from_mapping({2: t2})
-        for size in range(70, 141, 2):
-            grid = moments._tau_grid("orthogonal", size, t)
-            assert grid.panels >= size / 4, size
-            expect = ref.log_tau_closed_form("orthogonal", size, t2)
-            assert abs(log_tau("orthogonal", size, t)[1] - expect) <= 1e-10, size
+        for ensemble in ("orthogonal", "unitary"):
+            for size in range(70, 141, 2):
+                grid = moments._tau_grid(ensemble, size, t)
+                assert grid.panels >= size / 4, size
+                expect = ref.log_tau_closed_form(ensemble, size, t2)
+                assert abs(log_tau(ensemble, size, t)[1] - expect) <= 1e-10, (ensemble, size)
 
     def test_orthogonal_size_32_positive(self, t0):
         value = tau_orthogonal(t0, 32)

@@ -4,9 +4,10 @@
     python3 scripts/bench_pair.py PARENT_DIR CHANGE_DIR --workload verify_suite \\
         --seeds 611..620 --out BENCH_verify_path.json
 
-For each seed, `perfbench/run.py --trace 0` runs once in each checkout,
-the parent first on even pair indices and the change first on odd ones, so
-a drift in machine load falls on both sides alike.  `--workload all` runs
+For each seed, `perfbench/run.py --trace 0` runs once in each checkout, for
+the `run_seconds` of the change's `BENCHMARK.json`, the parent first on
+even pair indices and the change first on odd ones, so a drift in machine
+load falls on both sides alike.  `--workload all` runs
 every workload that the change's `BENCHMARK.json` declares.  The output
 file holds both checkouts' git SHAs, source digests and library versions,
 every run's end-to-end metrics and attempted/failed counts per workload,
@@ -86,7 +87,6 @@ def main(argv=None) -> int:
     p.add_argument("change_dir")
     p.add_argument("--workload", required=True, help="a workload name or 'all'")
     p.add_argument("--seeds", required=True, help="one seed or a range A..B")
-    p.add_argument("--seconds", type=float, default=15.0)
     p.add_argument("--out", default="BENCH_pair.json")
     args = p.parse_args(argv)
     dirs = {"parent": os.path.abspath(args.parent_dir),
@@ -97,6 +97,7 @@ def main(argv=None) -> int:
     if args.workload != "all" and args.workload not in declared:
         p.error("unknown workload %r; declared: %s" % (args.workload, ", ".join(declared)))
     names = declared if args.workload == "all" else [args.workload]
+    seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
     runs = []
@@ -104,7 +105,7 @@ def main(argv=None) -> int:
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         run = {"seed": seed, "first": order[0]}
         for side in order:
-            run[side] = _run(dirs[side], args.workload, names, seed, args.seconds)
+            run[side] = _run(dirs[side], args.workload, names, seed, seconds)
             print("seed %d %-6s %s" % (seed, side, "  ".join(
                 "%s %.4g/s %d/%d" % (n, run[side][n]["metrics"]["checks_per_s"],
                                      run[side][n]["attempted"], run[side][n]["failed"])
@@ -123,7 +124,7 @@ def main(argv=None) -> int:
             for name in names:
                 run[side][name].pop("provenance")
     result = {"command": ["python3", "perfbench/run.py", "--workload", args.workload,
-                          "--seconds", args.seconds, "--trace", 0],
+                          "--seconds", seconds, "--trace", 0],
               "workloads": names, "seeds": [r["seed"] for r in runs],
               "machine": machine,
               "sides": sides, "summary": summarize(runs, names, better), "runs": runs}

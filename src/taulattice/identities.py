@@ -6,8 +6,9 @@ directions are taken by finite differences over freshly evolved lattices
 or re-quadratured determinants, never by reusing the algebraic flow rules,
 so a bug in the flow module cannot certify itself.  Likewise the
 observables check holds a log-tau increment (Pfaffian pivots of the skew
-Gram) against a skew-window entry (skew Gram-Schmidt of the same basis),
-so an error in either step shows.
+Gram) against a skew-window entry (skew Gram-Schmidt of the same Gram),
+so an error in the pivot elimination or in the Gram-Schmidt shows; one in
+the grid or the skew Gram, which both sides share, does not.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from .errors import GridTooCoarse, StepTooLarge, UnsupportedKind
 from .flows import (EvolutionResult, ReducedChainState, VolterraState,
                     _rk4_segment, pfaff_chain_rhs, reduced_chain_rhs,
                     volterra_rhs)
-from .lax import (PfaffLax, TodaLax, _skew_basis, c_coeff, goe_lax_init,
-                  pfaff_entries_from_tau, pfaff_lax_from_basis,
+from .lax import (PfaffLax, TodaLax, _skew_gram_schmidt, c_coeff,
+                  goe_lax_init, pfaff_entries_from_tau, pfaff_lax_from_basis,
                   sqrt_ratio_product)
-from .moments import _tau_grid, log_tau
+from .moments import _log_tau_of_basis, _stieltjes_basis, _tau_grid, log_tau
 from .numdiff import mixed_derivative
 from .report import IdentityReport
 
@@ -226,7 +227,9 @@ def observables_check(n: int, t: CouplingVector | None = None, *,
     (i) the chemical-potential increment log tau_{2n} + log tau_{2n+4} -
     2 log tau_{2n+2} equals 2 log w0_{n+1}, with w0_{n+1} read off the
     skew window that `pfaff_lax_from_basis` builds on n + 2 pairs, a route
-    that takes no Pfaffian (checked to tol_mu); for n = 1,
+    that takes no Pfaffian (checked to tol_mu).  Both sides read one grid
+    and one skew Gram of size 2n + 4, so (i) tests the Pfaffian pivots
+    against the skew Gram-Schmidt, not the quadrature.  For n = 1,
     (ii) E[(z1+z2)^2] = w0_1 w1_1 and (iii) E[z1^2+z2^2] = 2 w^-1_1 +
     w0_1 w1_1 against direct two-eigenvalue quadrature, with the entries
     of pair 1 from Pfaffian tau-ratios.
@@ -237,9 +240,12 @@ def observables_check(n: int, t: CouplingVector | None = None, *,
         t = CouplingVector.from_mapping({})
     sizes = (2 * n, 2 * n + 2, 2 * n + 4)
     grid = _tau_grid("orthogonal", sizes[-1], t)
-    lo, mid, hi = (log_tau("orthogonal", size, t, grid=grid)[1] for size in sizes)
+    stieltjes = _stieltjes_basis("orthogonal", sizes[-1], t, grid=grid)
+    lo, mid = (log_tau("orthogonal", size, t, grid=grid)[1] for size in sizes[:2])
+    hi = _log_tau_of_basis(stieltjes[0].copy(), stieltjes[1])[1]   # pivots overwrite F
     dmu = lo + hi - 2.0 * mid
-    w0_next = float(pfaff_lax_from_basis(_skew_basis(t, n + 2), n + 1, 1, 1).w[1, n])
+    window = pfaff_lax_from_basis(_skew_gram_schmidt(stieltjes, t), n + 1, 1, 1)
+    w0_next = float(window.w[1, n])
     log_w0 = math.log(w0_next) if w0_next > 0.0 else math.inf   # w0 <= 0 fails
     res_mu = abs(dmu - 2.0 * log_w0) / max(abs(dmu), 1.0)
     meta = {"n": n, "delta_mu": dmu, "w0_next": w0_next, "mu_residual": res_mu}

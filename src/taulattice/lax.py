@@ -249,12 +249,20 @@ def skew_orthonormal_basis(m: SkewMomentMatrix, n_pairs: int, *,
 
 def _skew_basis(t: CouplingVector, n_pairs: int, tol: float = 1e-12) -> SkewOrthoBasis:
     """Skew Gram-Schmidt on the skew Gram of the Stieltjes basis that
-    `log_tau` uses for the orthogonal tau, at couplings t.  The odd member
+    `log_tau` uses for the orthogonal tau, at couplings t."""
+    return _skew_gram_schmidt(_stieltjes_basis("orthogonal", 2 * n_pairs, t, tol), t, tol)
+
+
+def _skew_gram_schmidt(stieltjes: tuple, t: CouplingVector,
+                       tol: float = 1e-12) -> SkewOrthoBasis:
+    """Skew Gram-Schmidt on an orthogonal `_stieltjes_basis` (F, log_h, a, b)
+    built at couplings t, one pair per two basis polynomials.  The odd member
     of each pair is pinned by removing its z^{2n} monomial component, which
     fixes the in-pair gauge freedom Q_{2n+1} += c Q_{2n}.
     """
-    dim = 2 * n_pairs
-    F, log_h, a, b = _stieltjes_basis("orthogonal", dim, t, tol)
+    F, log_h, a, b = stieltjes
+    dim = len(F)
+    n_pairs = dim // 2
     root_h = np.exp(0.5 * log_h)    # monic p_k = root_h[k] q_k
     sub_lead = -np.cumsum(a)        # z^k coefficient of p_{k+1}
     W = np.zeros((dim, dim))

@@ -210,11 +210,18 @@ def log_tau(ensemble: str, n: int, t: CouplingVector, tol: float = 1e-12, *,
     if n == 0:
         return 1.0, 0.0
     F, log_h, _, _ = _stieltjes_basis(ensemble, n, t, tol, grid=grid)
+    return _log_tau_of_basis(F, log_h)
+
+
+def _log_tau_of_basis(F: np.ndarray | None, log_h: np.ndarray) -> tuple[float, float]:
+    """(sign, log|tau|) of the size of a `_stieltjes_basis` (F, log_h): the
+    Hankel product for unitary (F None), the Pfaffian of F times the
+    normalizations for orthogonal.  The Pfaffian pivots overwrite F."""
     if F is None:
         return 1.0, float(log_h.sum())
     sign, pivots = _pfaffian_pivots(F)
     if not np.all(np.isfinite(pivots) & (pivots != 0.0)):
-        raise IllConditioned(f"skew Gram of order {n} has a zero or non-finite pivot")
+        raise IllConditioned(f"skew Gram of order {len(F)} has a zero or non-finite pivot")
     sign *= float(np.prod(np.sign(pivots)))
     return sign, float(np.log(np.abs(pivots)).sum() + 0.5 * log_h.sum())
 

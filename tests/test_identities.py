@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from taulattice import (CouplingVector, VolterraState, exact_oracles, identities,
+from taulattice import (CouplingVector, VolterraState, couplings, exact_oracles, identities,
                         kp_residual, mkp_residuals, moments, observables_check,
                         reduction_invariants, sample_gaussian_ensemble)
 
@@ -81,6 +81,28 @@ class TestObservables:
 
         monkeypatch.setattr(identities, "pfaff_entries_from_tau", refuse)
         assert observables_check(2).passed
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_one_grid_and_one_full_basis(self, n, monkeypatch):
+        # log tau_{2n+4} and the skew window read one Stieltjes basis of
+        # size 2n + 4; every size reads one grid, solved for once
+        radii, sizes = [], []
+        solve, basis = couplings._radius_for, moments._stieltjes_basis
+
+        def counted_solve(*args, **kwargs):
+            radii.append(args)
+            return solve(*args, **kwargs)
+
+        def counted_basis(ensemble, size, *args, **kwargs):
+            sizes.append(size)
+            return basis(ensemble, size, *args, **kwargs)
+
+        monkeypatch.setattr(couplings, "_radius_for", counted_solve)
+        monkeypatch.setattr(moments, "_stieltjes_basis", counted_basis)
+        monkeypatch.setattr(identities, "_stieltjes_basis", counted_basis)
+        assert observables_check(n).passed
+        assert len(radii) == 1, len(radii)
+        assert sorted(sizes) == [2 * n, 2 * n + 2, 2 * n + 4], sizes
 
     def test_perturbed_pfaffian_fails(self, monkeypatch):
         # a relative error of 1e-9 in the third Pfaffian pivot moves log

@@ -8,7 +8,12 @@ For each seed, `perfbench/run.py --trace 0` runs once in each checkout, for
 the `run_seconds` of the change's `BENCHMARK.json`, the parent first on
 even pair indices and the change first on odd ones, so a drift in machine
 load falls on both sides alike.  `--workload all` runs
-every workload that the change's `BENCHMARK.json` declares.  The output
+every workload that the change's `BENCHMARK.json` declares, one
+`perfbench/run.py --workload NAME` process per workload, so no workload
+runs in a process that an earlier workload has already warmed or grown:
+paired runs of `run.py --workload all` moved continuum_march by 11-17% on
+unchanged continuum code, while one process per workload read within 1%.
+The output
 file holds both checkouts' git SHAs, source digests and library versions,
 every run's end-to-end metrics and attempted/failed counts per workload,
 and for each metric the two sides' median and quartiles, the ratio of the
@@ -33,17 +38,18 @@ def _seeds(text: str) -> list:
     return list(range(int(lo), int(hi) + 1)) if sep else [int(lo)]
 
 
-def _run(checkout: str, workload: str, names: list, seed: int, seconds: float) -> dict:
-    """One benchmark run in `checkout`: per workload, its record's counts,
-    metric values and provenance."""
-    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-                          cwd=checkout, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise RuntimeError("benchmark failed in %s (seed %d):\n%s"
-                           % (checkout, seed, proc.stderr[-2000:]))
+def _run(checkout: str, names: list, seed: int, seconds: float) -> dict:
+    """One benchmark run in `checkout`, one process per workload: per
+    workload, its record's counts, metric values and provenance."""
     out = {}
     for name in names:
+        proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", name,
+                               "--seed", str(seed), "--seconds", str(seconds),
+                               "--trace", "0"],
+                              cwd=checkout, capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise RuntimeError("benchmark failed in %s (%s, seed %d):\n%s"
+                               % (checkout, name, seed, proc.stderr[-2000:]))
         path = os.path.join(checkout, ".perfbench", "%s-seed%d-trace0.json" % (name, seed))
         with open(path) as f:
             record = json.load(f)
@@ -105,7 +111,7 @@ def main(argv=None) -> int:
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         run = {"seed": seed, "first": order[0]}
         for side in order:
-            run[side] = _run(dirs[side], args.workload, names, seed, seconds)
+            run[side] = _run(dirs[side], names, seed, seconds)
             print("seed %d %-6s %s" % (seed, side, "  ".join(
                 "%s %.4g/s %d/%d" % (n, run[side][n]["metrics"]["checks_per_s"],
                                      run[side][n]["attempted"], run[side][n]["failed"])
@@ -123,7 +129,7 @@ def main(argv=None) -> int:
         for run in runs:
             for name in names:
                 run[side][name].pop("provenance")
-    result = {"command": ["python3", "perfbench/run.py", "--workload", args.workload,
+    result = {"command": ["python3", "perfbench/run.py", "--workload", "<one workload>",
                           "--seconds", seconds, "--trace", 0],
               "workloads": names, "seeds": [r["seed"] for r in runs],
               "machine": machine,

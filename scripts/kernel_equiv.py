@@ -38,8 +38,13 @@ pairs for couplings {}, {2: 0.1}, {1: 0.1} and {1: 0.05, 4: -0.03}, to
 K = 10) is held to its closed form to 1e-12.  The tridiagonal Lax operator
 read off the Stieltjes recurrence of rho is held to the Cholesky factor of
 the monomial Hankel matrix it replaced, for 1-10 sites at {2: 0.1},
-{1: 0.05, 4: -0.03} and {4: -0.05}, to 1e-11.  Exits 1 if any difference
-exceeds its limit.
+{1: 0.05, 4: -0.03} and {4: -0.05}, to 1e-11.  The mKP check's nested
+Volterra fields, computed one flow at a time as columns of one stack, must
+equal the per-shift chains it replaced (`mkp_fields_nested`) bit for bit
+at every requested shift, on C06's bump with RK4 h = 1e-3, at the default
+steps {2: 1e-2, 4: 1e-2, 6: 1e-2} and at {2: 0.013, 4: 0.0071, 6: 0.0093}
+and {2: 3e-3, 4: 2e-2, 6: 1e-3}.  Exits 1 if any difference exceeds its
+limit.
 
     PYTHONPATH=src python3 scripts/kernel_equiv.py --samples 40 --seed 1
 """
@@ -58,11 +63,12 @@ from taulattice import (CouplingVector, HydroChainField,  # noqa: E402
                         ReducedChainState, TensorPoint, VolterraState,
                         chain_matrix, continuum, couplings, evolve_hydro_chain,
                         evolve_pfaff, evolve_reduced, evolve_volterra, flows,
+                        identities,
                         goe_lax_init, hydro_chain_rhs, log_tau,
                         pfaff_lax_from_basis, reduced_chain_rhs,
                         skew_moment_matrix, skew_orthonormal_basis,
                         toda_lax_from_quadrature)
-from taulattice.cli import verify_init_goe  # noqa: E402
+from taulattice.cli import _mkp_state, verify_init_goe  # noqa: E402
 
 
 def chain_gap(Q, k_neg, k_pos, n):
@@ -225,6 +231,20 @@ def toda_read_off_gap():
     return worst
 
 
+def mkp_fields_gap():
+    """Largest difference of the batched mKP field table from the per-shift
+    chains, over every shift at three step sets."""
+    B0 = _mkp_state().B
+    worst = 0.0
+    for steps in ({2: 1e-2, 4: 1e-2, 6: 1e-2}, {2: 0.013, 4: 0.0071, 6: 0.0093},
+                  {2: 3e-3, 4: 2e-2, 6: 1e-3}):
+        shifts = identities._mkp_shifts(steps)
+        lines, _, _ = identities._mkp_field_table(B0, shifts, 1e-3)
+        oracle = ref.mkp_fields_nested(B0, shifts, 1e-3)
+        worst = max([worst] + [float(np.abs(lines[k] - oracle[k]).max()) for k in shifts])
+    return worst
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--samples", type=int, default=40, help="random shapes per kernel")
@@ -301,6 +321,7 @@ def main():
             ("skew basis vs parity-Hermite, 6-10 pairs", skew_window_gap(), 1e-10),
             ("init-goe residual, 27 pairs", verify_init_goe(16, 10).residual_abs, 1e-12),
             ("Toda read-off vs Hankel, 1-10 sites", toda_read_off_gap(), 1e-11),
+            ("mkp nested fields, batched vs per-key", mkp_fields_gap(), 0.0),
             ("chain_matrix, %d points" % args.samples, matrix, 0.0),
             ("_matrix_gradient, %d points" % args.samples, gradient, 0.0)]
     for label, gap, limit in rows:

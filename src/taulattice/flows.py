@@ -21,7 +21,9 @@ row of the band window at once ((rows, 1) edge columns).
 Kernels: each RHS evaluation is a fixed handful of array operations, not a
 loop over sites or bands.  The Volterra stencil reads its neighbours by
 slicing a line padded with 4 ghost sites on each side, never by
-wrap-around, so it returns rates for the unpadded sites only.  The chain
+wrap-around, so it returns rates for the unpadded sites only; it slices
+axis 0, so `volterra_rhs` serves a (sites, batch) stack of lines as it
+serves one line, with the same arithmetic per column.  The chain
 kernel evaluates the band families l <= -2 and l >= 2 in one expression
 each, with integer gathers from a `_BandPlan` built from the window shape;
 `evolve_pfaff` builds its plan, closure data and padded buffer once per call
@@ -30,7 +32,8 @@ array (W^{-1}, W^1..W^K); `reduced_chain_rhs` wraps it for one state.
 
 Stepping: every evolver, here and in `continuum`, takes classical RK4
 steps through `_rk4_step`, the one place the RK4 weights are written
-(Hairer, Norsett & Wanner, Solving ODEs I, sec. II.1).  Right-hand sides
+(Hairer, Norsett & Wanner, Solving ODEs I, sec. II.1); h may be a scalar,
+or one step per column of a stacked state.  Right-hand sides
 take (t, y), so the stepper calls them without a wrapper.  `evolve` takes
 fixed steps of at most h, shortened to land on each sample time.
 
@@ -205,10 +208,13 @@ def _volterra_rhs_padded(Bp: np.ndarray, flow: int) -> np.ndarray:
 
 
 def volterra_rhs(B: np.ndarray, flow: int = 2) -> np.ndarray:
-    """dB/dt_{flow}; the last flow//2 + 1 sites lean on a linear extension."""
+    """dB/dt_{flow} of a (sites,) line, or of each column of a (sites, batch)
+    stack; the last flow//2 + 1 sites lean on a linear extension."""
     B = np.asarray(B, dtype=float)
-    Bp = np.concatenate([np.zeros(4), B, np.zeros(4)])
-    Bp[-4:] = B[-1] + (B[-1] - B[-2]) * np.arange(1, 5)
+    ghosts = np.zeros((4,) + B.shape[1:])
+    Bp = np.concatenate([ghosts, B, ghosts])
+    j = np.arange(1, 5).reshape((4,) + (1,) * (B.ndim - 1))
+    Bp[-4:] = B[-1] + (B[-1] - B[-2]) * j
     return _volterra_rhs_padded(Bp, flow)
 
 

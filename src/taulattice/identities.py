@@ -4,7 +4,14 @@ to ensemble statistics.
 Everything here is deliberately indirect: derivatives in the coupling
 directions are taken by finite differences over freshly evolved lattices
 or re-quadratured determinants, never by reusing the algebraic flow rules,
-so a bug in the flow module cannot certify itself.  Likewise the
+so a bug in the flow module cannot certify itself.  The mKP check lists
+every coupling shift its finite differences will request, then evolves
+them one flow at a time: each distinct flow-2 shift, each flow-4 shift
+from the flow-2 state it needs, each flow-6 shift from its (2, 4) state,
+with all of a flow's evolutions advanced together as the columns of one
+stack.  Every column keeps the step count and step size an evolution of
+its own would take, so the fields equal independent per-shift runs bit
+for bit.  Likewise the
 observables check holds a log-tau increment (Pfaffian pivots of the skew
 Gram) against a skew-window entry (skew Gram-Schmidt of the same Gram),
 so an error in the pivot elimination or in the Gram-Schmidt shows; one in
@@ -18,15 +25,15 @@ import math
 import numpy as np
 
 from .couplings import CouplingVector, build_quadrature, cumulative_integral
-from .errors import GridTooCoarse, StepTooLarge, UnsupportedKind
+from .errors import DivergedField, GridTooCoarse, StepTooLarge, UnsupportedKind
 from .flows import (EvolutionResult, ReducedChainState, VolterraState,
-                    _rk4_segment, pfaff_chain_rhs, reduced_chain_rhs,
+                    _rk4_step, pfaff_chain_rhs, reduced_chain_rhs,
                     volterra_rhs)
 from .lax import (PfaffLax, TodaLax, _skew_gram_schmidt, c_coeff,
                   goe_lax_init, pfaff_entries_from_tau, pfaff_lax_from_basis,
                   sqrt_ratio_product)
 from .moments import _log_tau_of_basis, _stieltjes_basis, _tau_grid, log_tau
-from .numdiff import mixed_derivative
+from .numdiff import mixed_derivative, stencil_shifts
 from .report import IdentityReport
 
 __all__ = [
@@ -42,14 +49,77 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # mKP residuals on nested Volterra evolutions
 
-def _evolve_signed(B: np.ndarray, flow: int, t_target: float, h: float) -> np.ndarray:
-    """Plain full-window RK4 to a signed time (the flows are autonomous)."""
-    if t_target == 0.0:
-        return B
-    sign = 1.0 if t_target > 0 else -1.0
-    rhs = lambda t, y: sign * volterra_rhs(y, flow)
-    y, _ = _rk4_segment(rhs, B, 0.0, abs(t_target), h)
-    return y
+_MKP_FLOWS = (2, 4, 6)
+# the derivatives of (phi, psi) that mkp_residuals takes: x, xx, xxx, y, t, xy
+_MKP_AXES = ({2: 1}, {2: 2}, {2: 3}, {4: 1}, {6: 1}, {2: 1, 4: 1})
+
+
+def _positive_finite(x) -> bool:
+    try:
+        return math.isfinite(x) and x > 0
+    except TypeError:
+        return False
+
+
+def _mkp_shifts(steps: dict) -> list:
+    """Every coupling shift mkp_residuals' derivatives request, as (s2, s4, s6)."""
+    return list(dict.fromkeys(
+        (s.get(2, 0.0), s.get(4, 0.0), s.get(6, 0.0))
+        for axes in _MKP_AXES for s in stencil_shifts(axes, steps)))
+
+
+def _march_columns(Y: np.ndarray, flow: int, spans: list, h: float) -> tuple:
+    """Evolve column j of Y along `flow` to the signed time spans[j].
+
+    Column j takes the ceil(|s|/h) RK4 steps of size |s|/ceil(|s|/h) that a
+    march of its own would take (the flows are autonomous, so a negative
+    span is a march of the negated RHS).  The columns run longest first, so
+    those still stepping are a leading block of the stack.  Returns the
+    evolved stack and the number of stack steps.
+    """
+    counts = [max(1, int(math.ceil(abs(s) / h - 1e-12))) for s in spans]
+    order = sorted(range(len(spans)), key=lambda j: -counts[j])
+    sign = np.array([1.0 if spans[j] > 0 else -1.0 for j in order])
+    hs = np.array([abs(spans[j]) / counts[j] for j in order])
+    left = [counts[j] for j in order]
+    y = Y[:, order]
+    rhs = lambda t, z: sign[:z.shape[1]] * volterra_rhs(z, flow)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for i in range(left[0]):
+                m = sum(c > i for c in left)
+                y[:, :m] = _rk4_step(rhs, 0.0, y[:, :m], hs[:m])
+    except FloatingPointError as exc:
+        raise DivergedField(f"flow-{flow} march of {len(spans)} evolutions "
+                            f"overflowed: {exc}") from exc
+    out = np.empty_like(y)
+    out[:, order] = y
+    return out, left[0]
+
+
+def _mkp_field_table(B0: np.ndarray, shifts: list, h: float) -> tuple:
+    """The line B0 evolved by flow 2, then 4, then 6 to each (s2, s4, s6)
+    in `shifts`.  Each distinct nonzero prefix of a shift is one evolution,
+    started from the state of its prefix without the last flow.  Returns
+    (lines by shift, evolutions, stack steps).
+    """
+    def trim(prefix):
+        while prefix and prefix[-1] == 0.0:
+            prefix = prefix[:-1]
+        return prefix
+
+    states = {(): B0}
+    evolutions = steps = 0
+    for level, flow in enumerate(_MKP_FLOWS, 1):
+        cols = list(dict.fromkeys(trim(k[:level]) for k in shifts if k[level - 1]))
+        if not cols:
+            continue
+        starts = np.column_stack([states[trim(c[:-1])] for c in cols])
+        ends, taken = _march_columns(starts, flow, [c[-1] for c in cols], h)
+        states.update(zip(cols, ends.T))
+        evolutions += len(cols)
+        steps += taken
+    return {k: states[trim(k)] for k in shifts}, evolutions, steps
 
 
 def mkp_residuals(n: int, state: VolterraState, *, steps: dict | None = None,
@@ -60,10 +130,13 @@ def mkp_residuals(n: int, state: VolterraState, *, steps: dict | None = None,
     base couplings, for phi = B_n and psi = B_{n-1}.
 
     All coupling derivatives (x = second, y = fourth, t = sixth flow) come
-    from finite differences over nested evolutions of `state`.  The report
-    carries one relative residual per identity in meta; the headline
+    from finite differences over nested evolutions of `state`, taken by
+    RK4 steps of at most h_ode and computed up front, one flow at a time.
+    The report carries one relative residual per identity in meta, and the
+    number of evolutions and stack steps the fields took; the headline
     residual is the worst of them with the printed-variant block reduced
-    to its best candidate.
+    to its best candidate.  `steps` needs a positive finite step for each
+    of the axes 2, 4 and 6.
     """
     if n < 2:
         raise ValueError("need n >= 2 so that psi = B_{n-1} exists")
@@ -71,17 +144,16 @@ def mkp_residuals(n: int, state: VolterraState, *, steps: dict | None = None,
         raise ValueError("site too close to the window edge")
     if steps is None:
         steps = {2: 1e-2, 4: 1e-2, 6: 1e-2}
-    B0 = state.B
-    cache = {}
+    if not all(_positive_finite(steps.get(ax)) for ax in _MKP_FLOWS):
+        raise ValueError(f"steps needs a positive finite step for each of the "
+                         f"axes 2, 4 and 6, got {steps!r}")
+    if not _positive_finite(h_ode):
+        raise ValueError(f"h_ode must be positive and finite, got {h_ode!r}")
+    lines, evolutions, rk4_steps = _mkp_field_table(state.B, _mkp_shifts(steps), h_ode)
+    pairs = {k: np.array([B[n - 1], B[n - 2]]) for k, B in lines.items()}
 
     def fields(shifts: dict) -> np.ndarray:
-        key = tuple(sorted((ax, round(v, 12)) for ax, v in shifts.items() if v))
-        if key not in cache:
-            B = B0
-            for flow in (2, 4, 6):
-                B = _evolve_signed(B, flow, shifts.get(flow, 0.0), h_ode)
-            cache[key] = np.array([B[n - 1], B[n - 2]])
-        return cache[key]
+        return pairs[shifts.get(2, 0.0), shifts.get(4, 0.0), shifts.get(6, 0.0)]
 
     def deriv(axes: dict) -> np.ndarray:
         try:
@@ -90,12 +162,7 @@ def mkp_residuals(n: int, state: VolterraState, *, steps: dict | None = None,
             raise GridTooCoarse(str(exc)) from exc
 
     phi, psi = fields({})
-    d1 = deriv({2: 1})
-    d2 = deriv({2: 2})
-    d3 = deriv({2: 3})
-    dy = deriv({4: 1})
-    dt = deriv({6: 1})
-    dxy = deriv({2: 1, 4: 1})
+    d1, d2, d3, dy, dt, dxy = (deriv(axes) for axes in _MKP_AXES)
     phx, psx = d1
     phxx, psxx = d2
     phxxx, psxxx = d3
@@ -139,7 +206,8 @@ def mkp_residuals(n: int, state: VolterraState, *, steps: dict | None = None,
     residual = max(cons_a, cons_b, pot, variants[best])
     meta = {"site": n, "steps": dict(steps),
             "conservation_a": cons_a, "conservation_b": cons_b,
-            "potential": pot, "variants": variants, "variant_passing": best}
+            "potential": pot, "variants": variants, "variant_passing": best,
+            "evolutions": evolutions, "rk4_steps": rk4_steps}
     return IdentityReport.from_residual("mkp-residuals", residual, tolerance,
                                         relative=True, scale=1.0, meta=meta)
 

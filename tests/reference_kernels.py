@@ -30,13 +30,19 @@ skew-basis reference is the parity-Hermite working basis that
 `lax.skew_orthonormal_basis` replaced with the Stieltjes basis of
 `log_tau`; its Gram loses accuracy with size, so it is a reference to
 1e-10 through 10 pairs.
+
+`mkp_fields_nested` is the per-shift chain that `identities.mkp_residuals`
+ran before it batched its evolutions: each requested (s2, s4, s6) shift
+marches its own line through flows 2, 4 and 6 with `flows._rk4_segment`,
+one 1-D `volterra_rhs` call per stage.  The batched table must equal it
+bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from taulattice import continuum, lax, pfaffian
+from taulattice import continuum, flows, lax, pfaffian
 from taulattice.couplings import (_panel_nodes, build_quadrature, cumulative_integral,
                                   weight_eval)
 from taulattice.moments import _skew_products
@@ -61,6 +67,27 @@ def volterra_rhs_padded(Bp: np.ndarray, flow: int) -> np.ndarray:
     """Full-length rates; valid wherever 4 neighbours each side are real."""
     V = volterra_potential(Bp, flow)
     return Bp * (np.roll(V, -1) - np.roll(V, 1))
+
+
+def mkp_fields_nested(B0: np.ndarray, shifts, h: float) -> dict:
+    """B0 evolved by flow 2, then 4, then 6 to each (s2, s4, s6) in
+    `shifts`, one independent chain of signed RK4 segments per shift, as
+    identities._mkp_field_table's first return value."""
+    def evolve_signed(B, flow, t_target):
+        if t_target == 0.0:
+            return B
+        sign = 1.0 if t_target > 0 else -1.0
+        rhs = lambda t, y: sign * flows.volterra_rhs(y, flow)
+        y, _ = flows._rk4_segment(rhs, B, 0.0, abs(t_target), h)
+        return y
+
+    lines = {}
+    for key in shifts:
+        B = B0
+        for flow, s in zip((2, 4, 6), key):
+            B = evolve_signed(B, flow, s)
+        lines[key] = B
+    return lines
 
 
 def pfaff_core(Q: np.ndarray, k_neg: int, k_pos: int, n_sites: int) -> np.ndarray:

@@ -219,6 +219,16 @@ class TestKernelEquivalence:
         assert np.array_equal(flows._volterra_rhs_padded(Bp, flow),
                               ref.volterra_rates(Bp, flow))
 
+    @given(st.sampled_from([2, 4, 6]), st.integers(2, 80), st.integers(1, 40),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_volterra_stack_matches_lines(self, flow, n_sites, batch, seed):
+        stack = np.random.default_rng(seed).uniform(0.1, 3.0, (n_sites, batch))
+        rates = volterra_rhs(stack, flow)
+        assert rates.shape == stack.shape
+        for j in range(batch):
+            assert np.array_equal(rates[:, j], volterra_rhs(stack[:, j], flow))
+
     @pytest.mark.parametrize("ghost", ["scaled", "linear", "pin"])
     @pytest.mark.parametrize("shape", [(64, 6, 6), (48, 9, 7)])
     def test_pfaff_trajectory_bitwise(self, monkeypatch, shape, ghost):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from taulattice import (CouplingVector, VolterraState, couplings, exact_oracles, identities,
-                        kp_residual, mkp_residuals, moments, observables_check,
-                        reduction_invariants, sample_gaussian_ensemble)
+import reference_kernels as ref
+from taulattice import (CouplingVector, DivergedField, VolterraState, couplings,
+                        exact_oracles, identities, kp_residual, mkp_residuals, moments,
+                        observables_check, reduction_invariants, sample_gaussian_ensemble)
+from taulattice.numdiff import mixed_derivative, stencil_shifts
 
 
 def bump_state(n_sites=64, centre=10.0, width=4.0):
@@ -30,6 +33,92 @@ class TestMkp:
             mkp_residuals(1, bump_state(32))
         with pytest.raises(ValueError):
             mkp_residuals(30, bump_state(32))
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"steps": {2: 1e-2, 6: 1e-2}}, "steps"),
+        ({"steps": {2: 1e-2, 4: 0.0, 6: 1e-2}}, "steps"),
+        ({"steps": {2: -1e-2, 4: 1e-2, 6: 1e-2}}, "steps"),
+        ({"steps": {2: 1e-2, 4: 1e-2, 6: float("nan")}}, "steps"),
+        ({"steps": {2: float("inf"), 4: 1e-2, 6: 1e-2}}, "steps"),
+        ({"steps": {2: 1e-2, 4: None, 6: 1e-2}}, "steps"),
+        ({"h_ode": 0.0}, "h_ode"),
+        ({"h_ode": -1e-3}, "h_ode"),
+        ({"h_ode": float("inf")}, "h_ode"),
+        ({"h_ode": float("nan")}, "h_ode"),
+    ])
+    def test_argument_guards(self, monkeypatch, kwargs, name):
+        def refuse(*args):
+            raise AssertionError("no evolution runs before the arguments are checked")
+        monkeypatch.setattr(identities, "_mkp_field_table", refuse)
+        with pytest.raises(ValueError, match=name):
+            mkp_residuals(8, bump_state(), **kwargs)
+
+    def test_work_counted_in_meta(self, monkeypatch):
+        calls = []
+
+        def counted(B, flow=2):
+            calls.append(B.shape)
+            return flows_rhs(B, flow)
+        flows_rhs = identities.volterra_rhs
+        monkeypatch.setattr(identities, "volterra_rhs", counted)
+        meta = mkp_residuals(8, bump_state()).meta
+        # 10 flow-2, 34 flow-4 and 6 flow-6 evolutions; 30 + 20 + 20 stack steps
+        assert (meta["evolutions"], meta["rk4_steps"]) == (50, 70)
+        assert len(calls) == 4 * 70
+        assert max(shape[1] for shape in calls) == 34
+        assert len(identities._mkp_shifts({2: 1e-2, 4: 1e-2, 6: 1e-2})) == 51
+
+    @pytest.mark.parametrize("axes", identities._MKP_AXES)
+    def test_listed_shifts_are_the_requested_ones(self, axes):
+        steps = {2: 0.013, 4: 0.0071, 6: 0.0093}
+        seen = []
+
+        def record(shift):
+            seen.append(shift)
+            return np.zeros(2)
+        mixed_derivative(record, axes, steps)
+        unique = []
+        for shift in seen:
+            if shift not in unique:
+                unique.append(shift)
+        assert stencil_shifts(axes, steps) == unique
+
+    @given(st.floats(1e-3, 2e-2), st.floats(1e-3, 2e-2), st.floats(1e-3, 2e-2),
+           st.sampled_from([5e-4, 1e-3, 3e-3, 1e-2]),
+           st.sampled_from(["bump", "ramp"]), st.floats(6.0, 20.0), st.floats(2.0, 6.0))
+    @settings(max_examples=20, deadline=None)
+    def test_batched_fields_equal_per_shift_chains(self, s2, s4, s6, h, shape,
+                                                   centre, width):
+        state = (bump_state(32, centre, width) if shape == "bump"
+                 else VolterraState(0.4 + 0.01 * np.arange(1.0, 33.0)))
+        shifts = identities._mkp_shifts({2: s2, 4: s4, 6: s6})
+        lines, _, _ = identities._mkp_field_table(state.B, shifts, h)
+        oracle = ref.mkp_fields_nested(state.B, shifts, h)
+        assert lines.keys() == oracle.keys()
+        for key in shifts:
+            assert np.array_equal(lines[key], oracle[key]), key
+
+    def test_reports_equal_per_shift_chains(self, monkeypatch):
+        state = bump_state()
+        new = [mkp_residuals(n, state).to_dict() for n in range(2, 31)]
+        shifts = identities._mkp_shifts({2: 1e-2, 4: 1e-2, 6: 1e-2})
+        oracle = ref.mkp_fields_nested(state.B, shifts, 1e-3)
+
+        def per_shift(B0, requested, h):
+            assert requested == shifts and h == 1e-3 and B0 is state.B
+            return oracle, None, None
+        monkeypatch.setattr(identities, "_mkp_field_table", per_shift)
+        for n, report in zip(range(2, 31), new):
+            old = mkp_residuals(n, state).to_dict()
+            for key in ("evolutions", "rk4_steps"):
+                report["meta"].pop(key)
+                old["meta"].pop(key)
+            assert report == old, n
+
+    def test_diverging_batch_raises(self):
+        state = VolterraState(1e80 * bump_state().B)
+        with pytest.raises(DivergedField, match="march of 10 evolutions overflowed"):
+            mkp_residuals(8, state)
 
 
 class TestKp:

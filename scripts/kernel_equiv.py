@@ -63,8 +63,7 @@ from taulattice import (CouplingVector, HydroChainField,  # noqa: E402
                         ReducedChainState, TensorPoint, VolterraState,
                         chain_matrix, continuum, couplings, evolve_hydro_chain,
                         evolve_pfaff, evolve_reduced, evolve_volterra, flows,
-                        identities,
-                        goe_lax_init, hydro_chain_rhs, log_tau,
+                        goe_lax_init, hydro_chain_rhs, identities, log_tau,
                         pfaff_lax_from_basis, reduced_chain_rhs,
                         skew_moment_matrix, skew_orthonormal_basis,
                         toda_lax_from_quadrature)

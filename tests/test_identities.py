@@ -54,12 +54,11 @@ class TestMkp:
             mkp_residuals(8, bump_state(), **kwargs)
 
     def test_work_counted_in_meta(self, monkeypatch):
-        calls = []
+        rhs, calls = identities.volterra_rhs, []
 
         def counted(B, flow=2):
             calls.append(B.shape)
-            return flows_rhs(B, flow)
-        flows_rhs = identities.volterra_rhs
+            return rhs(B, flow)
         monkeypatch.setattr(identities, "volterra_rhs", counted)
         meta = mkp_residuals(8, bump_state()).meta
         # 10 flow-2, 34 flow-4 and 6 flow-6 evolutions; 30 + 20 + 20 stack steps

@@ -7,14 +7,13 @@
 For each seed, `perfbench/run.py --trace 0` runs once in each checkout, for
 the `run_seconds` of the change's `BENCHMARK.json`, the parent first on
 even pair indices and the change first on odd ones, so a drift in machine
-load falls on both sides alike.  `--workload all` runs
-every workload that the change's `BENCHMARK.json` declares, one
-`perfbench/run.py --workload NAME` process per workload, so no workload
-runs in a process that an earlier workload has already warmed or grown:
-paired runs of `run.py --workload all` moved continuum_march by 11-17% on
-unchanged continuum code, while one process per workload read within 1%.
-The output
-file holds both checkouts' git SHAs, source digests and library versions,
+load falls on both sides alike.  `--workload all` runs every workload that
+the change's `BENCHMARK.json` declares, one `perfbench/run.py --workload
+NAME` process per workload, so no workload runs in a process that an
+earlier workload has already warmed or grown: paired runs of `run.py
+--workload all` moved continuum_march by 11-17% on unchanged continuum
+code, while one process per workload read within 1%.  The output file
+holds both checkouts' git SHAs, source digests and library versions,
 every run's end-to-end metrics and attempted/failed counts per workload,
 and for each metric the two sides' median and quartiles, the ratio of the
 medians and how many pairs the change won (ties count for neither side).

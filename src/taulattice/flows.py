@@ -415,10 +415,15 @@ def _rk4_step(f, t, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk4_segment(rhs, y, t0, t1, h):
-    span = t1 - t0
+def _segment_steps(span: float, h: float) -> tuple:
+    """(count, size) of the equal RK4 steps, at most h each, that cover a
+    positive span."""
     steps = max(1, int(math.ceil(span / h - 1e-12)))
-    hs = span / steps
+    return steps, span / steps
+
+
+def _rk4_segment(rhs, y, t0, t1, h):
+    steps, hs = _segment_steps(t1 - t0, h)
     try:
         with np.errstate(over="raise", invalid="raise"):
             for i in range(steps):

@@ -27,13 +27,13 @@ import numpy as np
 from .couplings import CouplingVector, build_quadrature, cumulative_integral
 from .errors import DivergedField, GridTooCoarse, StepTooLarge, UnsupportedKind
 from .flows import (EvolutionResult, ReducedChainState, VolterraState,
-                    _rk4_step, pfaff_chain_rhs, reduced_chain_rhs,
+                    _rk4_step, _segment_steps, pfaff_chain_rhs, reduced_chain_rhs,
                     volterra_rhs)
 from .lax import (PfaffLax, TodaLax, _skew_gram_schmidt, c_coeff,
                   goe_lax_init, pfaff_entries_from_tau, pfaff_lax_from_basis,
                   sqrt_ratio_product)
 from .moments import _log_tau_of_basis, _stieltjes_basis, _tau_grid, log_tau
-from .numdiff import mixed_derivative, stencil_shifts
+from .numdiff import mixed_derivative
 from .report import IdentityReport
 
 __all__ = [
@@ -62,26 +62,33 @@ def _positive_finite(x) -> bool:
 
 
 def _mkp_shifts(steps: dict) -> list:
-    """Every coupling shift mkp_residuals' derivatives request, as (s2, s4, s6)."""
-    return list(dict.fromkeys(
-        (s.get(2, 0.0), s.get(4, 0.0), s.get(6, 0.0))
-        for axes in _MKP_AXES for s in stencil_shifts(axes, steps)))
+    """Every coupling shift mkp_residuals' derivatives request, as (s2, s4, s6),
+    in request order: each derivative is run once on a stub that records
+    its shifts."""
+    shifts = []
+
+    def record(shift: dict) -> np.ndarray:
+        shifts.append((shift.get(2, 0.0), shift.get(4, 0.0), shift.get(6, 0.0)))
+        return np.zeros(2)
+    for axes in _MKP_AXES:
+        mixed_derivative(record, axes, steps)
+    return list(dict.fromkeys(shifts))
 
 
 def _march_columns(Y: np.ndarray, flow: int, spans: list, h: float) -> tuple:
     """Evolve column j of Y along `flow` to the signed time spans[j].
 
-    Column j takes the ceil(|s|/h) RK4 steps of size |s|/ceil(|s|/h) that a
-    march of its own would take (the flows are autonomous, so a negative
-    span is a march of the negated RHS).  The columns run longest first, so
-    those still stepping are a leading block of the stack.  Returns the
-    evolved stack and the number of stack steps.
+    Column j takes the `_segment_steps(|s|, h)` RK4 steps that a march of
+    its own would take (the flows are autonomous, so a negative span is a
+    march of the negated RHS).  The columns run longest first, so those
+    still stepping are a leading block of the stack.  Returns the evolved
+    stack and the number of stack steps.
     """
-    counts = [max(1, int(math.ceil(abs(s) / h - 1e-12))) for s in spans]
-    order = sorted(range(len(spans)), key=lambda j: -counts[j])
+    plan = [_segment_steps(abs(s), h) for s in spans]
+    order = sorted(range(len(spans)), key=lambda j: -plan[j][0])
     sign = np.array([1.0 if spans[j] > 0 else -1.0 for j in order])
-    hs = np.array([abs(spans[j]) / counts[j] for j in order])
-    left = [counts[j] for j in order]
+    hs = np.array([plan[j][1] for j in order])
+    left = [plan[j][0] for j in order]
     y = Y[:, order]
     rhs = lambda t, z: sign[:z.shape[1]] * volterra_rhs(z, flow)
     try:

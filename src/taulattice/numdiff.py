@@ -4,8 +4,6 @@ An order-p derivative uses a (p+3)-point symmetric stencil, which is the
 smallest central family with O(h^4) truncation for every p.  Combining the
 step-h and step-h/2 evaluations as (16 D(h/2) - D(h)) / 15 removes the h^4
 term; the disagreement between the two levels doubles as an error estimate.
-`stencil_shifts` lists the shifts a `mixed_derivative` call will request, so
-a caller can compute them all before the derivative runs.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ import numpy as np
 
 from .errors import StepTooLarge
 
-__all__ = ["stencil", "stencil_shifts", "mixed_derivative"]
+__all__ = ["stencil", "mixed_derivative"]
 
 
 @lru_cache(maxsize=32)
@@ -60,40 +58,6 @@ def stencil(p: int):
     return tuple(offsets), np.array([float(x) for x in b])
 
 
-def _orders(axes: dict):
-    order = {a: int(p) for a, p in axes.items() if int(p) > 0}
-    return order, sorted(order)
-
-
-def _stencil_terms(order: dict, names: list, scale: int):
-    """(units, coefficient) of one level's tensor-product stencil.  Units are
-    per-axis integer multiples of steps[a] / 2; scale is 2 for step h and 1
-    for step h/2."""
-    combos = [((), 1.0)]
-    for a in names:
-        offs, wts = stencil(order[a])
-        combos = [(u + (o * scale,), c * w)
-                  for u, c in combos for o, w in zip(offs, wts)]
-    return combos
-
-
-def _shift(names: list, units: tuple, steps: dict) -> dict:
-    return {a: u * steps[a] / 2.0 for a, u in zip(names, units) if u}
-
-
-def stencil_shifts(axes: dict, steps: dict, *, richardson: bool = True) -> list:
-    """The shifts `mixed_derivative(f, axes, steps, richardson=...)` passes
-    to f, each once, in the order it first requests them."""
-    order, names = _orders(axes)
-    if not order:
-        return [{}]
-    shifts = {}
-    for scale in ((2, 1) if richardson else (2,)):
-        for units, _ in _stencil_terms(order, names, scale):
-            shifts.setdefault(units, _shift(names, units, steps))
-    return list(shifts.values())
-
-
 def mixed_derivative(f, axes: dict, steps: dict, *, richardson: bool = True,
                      check_tol: float | None = None):
     """Mixed partial of f over several axes by tensor-product stencils.
@@ -103,22 +67,29 @@ def mixed_derivative(f, axes: dict, steps: dict, *, richardson: bool = True,
     the Richardson level, so shifts land on an exact half-step lattice and
     evaluations are shared between levels through one cache.
     """
-    order, names = _orders(axes)
+    order = {a: int(p) for a, p in axes.items() if int(p) > 0}
     if not order:
         return np.asarray(f({}), dtype=float)
+    names = sorted(order)
     cache: dict[tuple, np.ndarray] = {}
 
     def f_units(units):
         # units: per-axis integer multiples of steps[a] / 2.
         key = tuple(units)
         if key not in cache:
-            cache[key] = np.asarray(f(_shift(names, units, steps)), dtype=float)
+            shift = {a: u * steps[a] / 2.0 for a, u in zip(names, units) if u}
+            cache[key] = np.asarray(f(shift), dtype=float)
         return cache[key]
 
     def level(scale):
         # scale = 2 for step h, 1 for step h/2 (in half-step units).
+        combos = [((), 1.0)]
+        for a in names:
+            offs, wts = stencil(order[a])
+            combos = [(u + (o * scale,), c * w)
+                      for u, c in combos for o, w in zip(offs, wts)]
         acc = None
-        for units, coef in _stencil_terms(order, names, scale):
+        for units, coef in combos:
             val = coef * f_units(units)
             acc = val if acc is None else acc + val
         denom = np.prod([(steps[a] * scale / 2.0) ** order[a] for a in names])

@@ -33,9 +33,11 @@ skew-basis reference is the parity-Hermite working basis that
 
 `mkp_fields_nested` is the per-shift chain that `identities.mkp_residuals`
 ran before it batched its evolutions: each requested (s2, s4, s6) shift
-marches its own line through flows 2, 4 and 6 with `flows._rk4_segment`,
-one 1-D `volterra_rhs` call per stage.  The batched table must equal it
-bit for bit.
+marches its own line through flows 2, 4 and 6 in RK4 segments of its own,
+one call per stage to `volterra_rhs_line`, the 1-D padding that
+`flows.volterra_rhs` used before it took stacks.  Only `flows._rk4_step`
+and `flows._volterra_rhs_padded` are shared with the code under test.  The
+batched table must equal it bit for bit.
 """
 
 import math
@@ -69,6 +71,15 @@ def volterra_rhs_padded(Bp: np.ndarray, flow: int) -> np.ndarray:
     return Bp * (np.roll(V, -1) - np.roll(V, 1))
 
 
+def volterra_rhs_line(B: np.ndarray, flow: int) -> np.ndarray:
+    """dB/dt_{flow} of one (sites,) line, padded as `flows.volterra_rhs` did
+    before it took stacks: zeros ahead of site 0, a linear extension past
+    the last site."""
+    Bp = np.concatenate([np.zeros(4), B, np.zeros(4)])
+    Bp[-4:] = B[-1] + (B[-1] - B[-2]) * np.arange(1, 5)
+    return flows._volterra_rhs_padded(Bp, flow)
+
+
 def mkp_fields_nested(B0: np.ndarray, shifts, h: float) -> dict:
     """B0 evolved by flow 2, then 4, then 6 to each (s2, s4, s6) in
     `shifts`, one independent chain of signed RK4 segments per shift, as
@@ -77,9 +88,13 @@ def mkp_fields_nested(B0: np.ndarray, shifts, h: float) -> dict:
         if t_target == 0.0:
             return B
         sign = 1.0 if t_target > 0 else -1.0
-        rhs = lambda t, y: sign * flows.volterra_rhs(y, flow)
-        y, _ = flows._rk4_segment(rhs, B, 0.0, abs(t_target), h)
-        return y
+        span = abs(t_target)
+        steps = max(1, int(math.ceil(span / h - 1e-12)))
+        hs = span / steps
+        rhs = lambda t, y: sign * volterra_rhs_line(y, flow)
+        for i in range(steps):
+            B = flows._rk4_step(rhs, i * hs, B, hs)
+        return B
 
     lines = {}
     for key in shifts:

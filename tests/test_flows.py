@@ -228,6 +228,7 @@ class TestKernelEquivalence:
         assert rates.shape == stack.shape
         for j in range(batch):
             assert np.array_equal(rates[:, j], volterra_rhs(stack[:, j], flow))
+            assert np.array_equal(rates[:, j], ref.volterra_rhs_line(stack[:, j], flow))
 
     @pytest.mark.parametrize("ghost", ["scaled", "linear", "pin"])
     @pytest.mark.parametrize("shape", [(64, 6, 6), (48, 9, 7)])

@@ -6,7 +6,6 @@ import reference_kernels as ref
 from taulattice import (CouplingVector, DivergedField, VolterraState, couplings,
                         exact_oracles, identities, kp_residual, mkp_residuals, moments,
                         observables_check, reduction_invariants, sample_gaussian_ensemble)
-from taulattice.numdiff import mixed_derivative, stencil_shifts
 
 
 def bump_state(n_sites=64, centre=10.0, width=4.0):
@@ -66,21 +65,6 @@ class TestMkp:
         assert len(calls) == 4 * 70
         assert max(shape[1] for shape in calls) == 34
         assert len(identities._mkp_shifts({2: 1e-2, 4: 1e-2, 6: 1e-2})) == 51
-
-    @pytest.mark.parametrize("axes", identities._MKP_AXES)
-    def test_listed_shifts_are_the_requested_ones(self, axes):
-        steps = {2: 0.013, 4: 0.0071, 6: 0.0093}
-        seen = []
-
-        def record(shift):
-            seen.append(shift)
-            return np.zeros(2)
-        mixed_derivative(record, axes, steps)
-        unique = []
-        for shift in seen:
-            if shift not in unique:
-                unique.append(shift)
-        assert stencil_shifts(axes, steps) == unique
 
     @given(st.floats(1e-3, 2e-2), st.floats(1e-3, 2e-2), st.floats(1e-3, 2e-2),
            st.sampled_from([5e-4, 1e-3, 3e-3, 1e-2]),

@@ -2,12 +2,21 @@
 """Compare the library's lattice and continuum kernels with the reference
 kernels and print the largest difference.
 
-The chain kernel (`flows._pfaff_core`, gathers over two band families) and
-the Volterra kernel (`flows._volterra_rhs_padded`, slices of a padded line)
-repeat the arithmetic of the per-band loop and the np.roll stencil kept in
+The chain kernel (`flows._chain_kernel`, views of its buffer bound once,
+with the two band families read through strided windows) and the Volterra
+kernel (`flows._volterra_rhs_padded`, slices of a padded line) repeat the
+arithmetic of the per-band loop and the np.roll stencil kept in
 tests/reference_kernels.py, so every difference printed should be exactly 0.
 Shapes cover the benchmark's ranges: N 32-1024 sites, 2-9 bands each side,
 Volterra flows 2, 4 and 6.
+
+The right-edge closure is read as coefficients (`flows._ghost_closure`:
+ghosts = c2 a2 + c1 a1 + c0), which rounds differently from the closure
+evaluated from the edge values at every call (`ghost_closure` in the
+reference kernels).  Their gap, on random edges for the three policies
+with a zero-edge row, is held to 1e-14 relative to the sum of the terms'
+magnitudes; evolve_pfaff at N = 256 (9 + 7 bands, t = 0.1) on the two
+closures is held to 1e-11 relative.
 
 The hydrodynamic chain's RHS, coefficient matrix and gradient are read from
 one monomial table (`continuum._chain_table`).  The matrix and gradient must
@@ -71,8 +80,34 @@ from taulattice.cli import _mkp_state, verify_init_goe  # noqa: E402
 
 
 def chain_gap(Q, k_neg, k_pos, n):
-    plan = flows._band_plan(k_neg, k_pos, n)
-    return float(np.abs(flows._pfaff_core(Q, plan) - ref.pfaff_rates(Q, plan)).max())
+    return float(np.abs(flows._chain_kernel(Q, k_neg, k_pos, n)()
+                        - ref.pfaff_rates(Q, k_neg, k_pos, n)).max())
+
+
+def closure_gap(rng, rows, width):
+    """Largest gap of the coefficient closure from the reference closure over
+    the three policies, relative to the sum of the terms' magnitudes; row 0
+    has a zero edge."""
+    i2, i1 = rng.uniform(0.5, 3.0, (rows, 1)), rng.uniform(0.5, 3.0, (rows, 1))
+    i2[0] = i1[0] = 0.0
+    init_ghost = rng.uniform(-3.0, 3.0, (rows, width))
+    a2, a1 = rng.uniform(-3.0, 3.0, (rows, 1)), rng.uniform(-3.0, 3.0, (rows, 1))
+    worst = 0.0
+    for policy in ("scaled", "linear", "pin"):
+        c2, c1, c0 = flows._ghost_closure(i2, i1, init_ghost, policy)
+        want = ref.ghost_closure(i2, i1, init_ghost, policy)(a2, a1)
+        scale = np.abs(c2 * a2) + np.abs(c1 * a1) + np.abs(c0)
+        worst = max(worst, float((np.abs(c2 * a2 + c1 * a1 + c0 - want) / scale).max()))
+    return worst
+
+
+def closure_drift():
+    """Relative gap of evolve_pfaff on the coefficient closure from the same
+    run on the reference closure."""
+    state, times = goe_lax_init(256, 9, 7), [0.05, 0.1]
+    res = evolve_pfaff(state, times, h=1e-3)
+    return max(float(np.abs(g.w - w).max() / np.abs(w).max())
+               for g, w in zip(res.states, ref.evolve_pfaff(state, times, 1e-3)))
 
 
 def volterra_gap(Bp, flow):
@@ -251,7 +286,7 @@ def main():
     args = ap.parse_args()
     rng = np.random.default_rng(args.seed)
 
-    chain = volterra = 0.0
+    chain = volterra = closure = 0.0
     for _ in range(args.samples):
         N = int(rng.integers(32, 1025))
         k_neg, k_pos = (int(k) for k in rng.integers(2, 10, 2))
@@ -265,10 +300,11 @@ def main():
         Bp = rng.uniform(0.1, 3.0, N + 8)
         for flow in (2, 4, 6):
             volterra = max(volterra, volterra_gap(Bp, flow))
+        closure = max(closure, closure_gap(rng, k_neg + k_pos - 1, N % 9 + 1))
 
     traj_pfaff = trajectory_gap(
         lambda: evolve_pfaff(goe_lax_init(256, 9, 7), [0.05, 0.1], h=1e-3),
-        "w", "_pfaff_core", ref.pfaff_rates)
+        "w", "_chain_kernel", ref.chain_kernel)
     traj_volterra = trajectory_gap(
         lambda: evolve_volterra(VolterraState(np.arange(1.0, 33.0)), 4, [1e-4], h=1e-5),
         "B", "_volterra_rhs_padded", ref.volterra_rates)
@@ -303,6 +339,8 @@ def main():
     rows = [("chain kernel, %d windows x2" % args.samples, chain, 0.0),
             ("Volterra kernel, %d lines x3 flows" % args.samples, volterra, 0.0),
             ("evolve_pfaff N=256 9+7 bands, t=0.1", traj_pfaff, 0.0),
+            ("ghost closure, %d windows x3 (relative)" % args.samples, closure, 1e-14),
+            ("evolve_pfaff N=256 vs reference closure", closure_drift(), 1e-11),
             ("evolve_volterra N=32 flow 4, C12 leg", traj_volterra, 0.0),
             ("hydro du, %d fields (relative)" % args.samples, hydro_du, 1e-13),
             ("hydro dv, %d fields" % args.samples, hydro_dv, 0.0),

@@ -14,9 +14,13 @@ every row is shape(n) * amplitude(t), so this closure is exact there; a
 doubling test is the empirical guard elsewhere.  Frozen ("pin") and plain
 linear extrapolation closures remain available: pinning is simple but
 feeds O(1) errors inward once edge amplitudes grow, and fails the scaling
-oracle at desk tolerances.  One routine, `_ghost_closure`, implements the
-three policies for the Volterra line (scalar edge values) and for every
-row of the band window at once ((rows, 1) edge columns).
+oracle at desk tolerances.  One routine, `_ghost_closure`, resolves the
+policy, and the linear fallback of "scaled" rows whose initial edge is
+near 0, when an evolver starts: it returns per-ghost coefficients with
+ghosts = c2 a2 + c1 a1 + c0 in the two current edge values (a2, a1), for
+the Volterra line (scalar edges) and for every row of the band window at
+once ((rows, 1) edge columns).  The RHS and the ghost strips of the
+returned states read the same coefficients.
 
 Kernels: each RHS evaluation is a fixed handful of array operations, not a
 loop over sites or bands.  The Volterra stencil reads its neighbours by
@@ -25,10 +29,15 @@ wrap-around, so it returns rates for the unpadded sites only; it slices
 axis 0, so `volterra_rhs` serves a (sites, batch) stack of lines as it
 serves one line, with the same arithmetic per column.  The chain
 kernel evaluates the band families l <= -2 and l >= 2 in one expression
-each, with integer gathers from a `_BandPlan` built from the window shape;
-`evolve_pfaff` builds its plan, closure data and padded buffer once per call
-and caches nothing beyond it.  The reduced chain's kernel works on the flat
-array (W^{-1}, W^1..W^K); `reduced_chain_rhs` wraps it for one state.
+each.  `_chain_kernel` binds it to one padded buffer: every slice of the
+buffer, and the shifted windows the families read, as strided views of
+sliding windows, are made once, so an evaluation is arithmetic only.
+Each evolver builds its right-hand side once per call, with its buffers,
+views and closure coefficients, and caches nothing beyond it; the Volterra
+closure is one product of a (4, 2) coefficient matrix with the two edge
+sites, written into the padded line.  The tridiagonal and reduced chains'
+kernels work on flat arrays, (a, b) and (W^{-1}, W^1..W^K); `toda_rhs`
+and `reduced_chain_rhs` wrap them for one state.
 
 Stepping: every evolver, here and in `continuum`, takes classical RK4
 steps through `_rk4_step`, the one place the RK4 weights are written
@@ -47,9 +56,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DivergedField, StructureViolation
 from .lax import PfaffLax, TodaLax
@@ -167,26 +176,42 @@ def _csv_columns(states):
 # ---------------------------------------------------------------------------
 # right-hand sides
 
-def toda_rhs(state: TodaLax, flow: int = 1):
-    """(da, db) for the first or second tridiagonal flow.
+def _toda_kernel(n: int, flow: int):
+    """Autonomous RHS rates(t, y) of the first or second tridiagonal flow on
+    the flat state y = (a_1..a_n, b_1..b_{n-1}).
 
     Out-of-window b is zero (finite-matrix closure, exact for the truncated
-    operator); under it a_{N+1} only ever appears multiplied by b_N.
+    operator); under it a_{n+1} only ever appears multiplied by b_n.
     """
-    a, b = state.a, state.b
-    n = len(a)
-    bsq = np.zeros(n + 1)
-    bsq[1:n] = b * b
-    ap = np.append(a, 0.0)
-    if flow == 1:
-        da = bsq[1:] - bsq[:-1]
-        db = 0.5 * b * (a[1:] - a[:-1])
-    elif flow == 2:
-        da = (a + ap[1:]) * bsq[1:] - (np.insert(a[:-1], 0, 0.0) + a) * bsq[:-1]
-        db = 0.5 * b * (bsq[2:] - bsq[:n - 1] + a[1:] ** 2 - a[:-1] ** 2)
-    else:
+    if flow not in (1, 2):
         raise ValueError(f"tridiagonal flows are 1 or 2, got {flow}")
-    return da, db
+    bsq = np.zeros(n + 1)                      # b_0^2, b_1^2..b_{n-1}^2, b_n^2 = 0
+    bsq_in, bsq_hi, bsq_lo = bsq[1:n], bsq[1:], bsq[:-1]
+    ap = np.zeros(n + 2)                       # a_0 = 0, a_1..a_n, a_{n+1} = 0
+    a_in, a_up, a_dn = ap[1:n + 1], ap[2:], ap[:n]
+
+    def rates(t, y):
+        a, b = y[:n], y[n:]
+        np.multiply(b, b, out=bsq_in)
+        out = np.empty(2 * n - 1)
+        if flow == 1:
+            out[:n] = bsq_hi - bsq_lo
+            out[n:] = 0.5 * b * (a[1:] - a[:-1])
+        else:
+            a_in[:] = a
+            out[:n] = (a + a_up) * bsq_hi - (a_dn + a) * bsq_lo
+            out[n:] = 0.5 * b * (bsq[2:] - bsq[:n - 1] + a[1:] ** 2 - a[:-1] ** 2)
+        return out
+
+    return rates
+
+
+def toda_rhs(state: TodaLax, flow: int = 1):
+    """(da, db) for the first or second tridiagonal flow, under the
+    finite-matrix closure."""
+    n = state.n_sites
+    rates = _toda_kernel(n, flow)(0.0, np.concatenate([state.a, state.b]))
+    return rates[:n], rates[n:]
 
 
 def _volterra_potential(Bp: np.ndarray, flow: int) -> np.ndarray:
@@ -218,73 +243,69 @@ def volterra_rhs(B: np.ndarray, flow: int = 2) -> np.ndarray:
     return _volterra_rhs_padded(Bp, flow)
 
 
-class _BandPlan(NamedTuple):
-    """Gather indices of the chain kernel for one window shape.
-
-    Row m of `neg` holds the columns 1 + i + (k - 1), i < n_sites, for the
-    band l = -k, k running k_neg .. 2 in window-row order; `pos` holds the
-    same for l = k, k = 2 .. k_pos.  `neg_lo` is neg - 1, `pos_hi` pos + 1.
-    """
-
-    k_neg: int
-    k_pos: int
-    n_sites: int
-    neg: np.ndarray
-    neg_lo: np.ndarray
-    pos: np.ndarray
-    pos_hi: np.ndarray
-
-
-def _band_plan(k_neg: int, k_pos: int, n_sites: int) -> _BandPlan:
-    i = np.arange(n_sites)
-    neg = np.arange(k_neg, 1, -1)[:, None] + i
-    pos = np.arange(2, k_pos + 1)[:, None] + i
-    return _BandPlan(k_neg, k_pos, n_sites, neg, neg - 1, pos, pos + 1)
-
-
-def _pfaff_core(Q: np.ndarray, plan: _BandPlan) -> np.ndarray:
-    """Five-branch chain RHS on a padded window.
+def _chain_kernel(Q: np.ndarray, k_neg: int, k_pos: int, n: int):
+    """Five-branch chain RHS on the padded window buffer Q, as a function of
+    no arguments that reads Q's current values.
 
     Q rows hold bands -k_neg-1 .. k_pos+1 (ghost row each side), columns
-    hold sites 0 .. n_sites+pad.  Returns the rates of bands -k_neg .. k_pos
-    on sites 1 .. n_sites.
+    hold sites 0 .. n+pad.  Each call returns the rates of bands -k_neg .. k_pos
+    on sites 1 .. n.  Every slice of Q is bound here once, and so is every
+    shifted window the band families read: row k of a sliding-window view
+    holds the n sites from column k, so band -k (k = k_neg .. 2) reads rows
+    k and k - 1, and band k (k = 2 .. k_pos) rows k and k + 1, as strided
+    views of Q's band-0 row and of a product buffer refilled with w0 * w1 at
+    each call.
     """
-    k_neg, k_pos, n = plan.k_neg, plan.k_pos, plan.n_sites
     off = k_neg + 1
     s0, sm, sp = slice(1, n + 1), slice(0, n), slice(2, n + 2)
-    W0 = Q[off]
-    P = Q[off] * Q[off + 1]
+    W0, W1 = Q[off], Q[off + 1]
+    P = np.empty_like(W0)
     P0, Pm, Pp = P[s0], P[sm], P[sp]
     W00, W0m, W0p = W0[s0], W0[sm], W0[sp]
-    dQ = np.empty((k_neg + k_pos + 1, n))
-    if k_neg >= 2:
-        # bands l = -k_neg .. -2 sit in rows 1 .. k_neg-1
-        w, up, dn = Q[1:off - 1], Q[2:off], Q[:off - 2]
-        dQ[:k_neg - 1] = (
-            0.5 * w[:, s0] * (P0 - Pm + P[plan.neg] - P[plan.neg_lo])
-            + up[:, sp] * W00 - up[:, s0] * W0[plan.neg_lo]
-            + dn[:, s0] * W0[plan.neg] - dn[:, sm] * W0m)
-    if k_neg >= 1:
-        w, wm2 = Q[off - 1], Q[off - 2]
-        dQ[k_neg - 1] = (
-            w[s0] * (P0 - Pm)
-            + W00 * (W00 + wm2[s0])
-            - W0m * (W0m + wm2[sm]))
-    wm1 = Q[off - 1]
-    dQ[k_neg] = 0.5 * W00 * (Pp - Pm) + W00 * (wm1[sp] - wm1[s0])
-    if k_pos >= 1:
-        w, w2 = Q[off + 1], Q[off + 2]
-        dQ[k_neg + 1] = (
-            0.5 * w[s0] * (Pm - Pp)
-            + W0p * w2[s0] - W0m * w2[sm])
-    if k_pos >= 2:
-        # bands l = 2 .. k_pos sit in rows off+2 .. off+k_pos
-        w, up, dn = Q[off + 2:-1], Q[off + 3:], Q[off + 1:-2]
-        dQ[k_neg + 2:] = (
-            0.5 * w[:, s0] * (Pm - P0 + P[plan.pos] - P[plan.pos_hi])
-            + up[:, s0] * W0[plan.pos_hi] - up[:, sm] * W0m
-            + dn[:, sp] * W00 - dn[:, s0] * W0[plan.pos])
-    return dQ
+    Pwin, Wwin = sliding_window_view(P, n), sliding_window_view(W0, n)
+    # bands l = -k_neg .. -2 sit in rows 1 .. k_neg-1
+    nw, nup, nup_p = Q[1:off - 1, s0], Q[2:off, s0], Q[2:off, sp]
+    ndn, ndn_m = Q[:off - 2, s0], Q[:off - 2, sm]
+    Pneg, Pneg_lo = Pwin[k_neg:1:-1], Pwin[k_neg - 1:0:-1]
+    Wneg, Wneg_lo = Wwin[k_neg:1:-1], Wwin[k_neg - 1:0:-1]
+    # band -1 (when k_neg >= 1) and band 0
+    m1, m1_p, m2, m2_m = Q[off - 1, s0], Q[off - 1, sp], Q[off - 2, s0], Q[off - 2, sm]
+    # band 1 (when k_pos >= 1), which reads band 2 or the ghost row above it
+    p1 = Q[off + 1, s0]
+    p2, p2_m = (Q[off + 2, s0], Q[off + 2, sm]) if k_pos >= 1 else (None, None)
+    # bands l = 2 .. k_pos sit in rows off+2 .. off+k_pos
+    pw, pup, pup_m = Q[off + 2:-1, s0], Q[off + 3:, s0], Q[off + 3:, sm]
+    pdn_p, pdn = Q[off + 1:-2, sp], Q[off + 1:-2, s0]
+    Ppos, Ppos_hi = Pwin[2:k_pos + 1], Pwin[3:k_pos + 2]
+    Wpos, Wpos_hi = Wwin[2:k_pos + 1], Wwin[3:k_pos + 2]
+    shape = (k_neg + k_pos + 1, n)
+
+    def rates():
+        np.multiply(W0, W1, out=P)
+        dQ = np.empty(shape)
+        if k_neg >= 2:
+            dQ[:k_neg - 1] = (
+                0.5 * nw * (P0 - Pm + Pneg - Pneg_lo)
+                + nup_p * W00 - nup * Wneg_lo
+                + ndn * Wneg - ndn_m * W0m)
+        if k_neg >= 1:
+            dQ[k_neg - 1] = (
+                m1 * (P0 - Pm)
+                + W00 * (W00 + m2)
+                - W0m * (W0m + m2_m))
+        dQ[k_neg] = 0.5 * W00 * (Pp - Pm) + W00 * (m1_p - m1)
+        if k_pos >= 1:
+            dQ[k_neg + 1] = (
+                0.5 * p1 * (Pm - Pp)
+                + W0p * p2 - W0m * p2_m)
+        if k_pos >= 2:
+            dQ[k_neg + 2:] = (
+                0.5 * pw * (Pm - P0 + Ppos - Ppos_hi)
+                + pup * Wpos_hi - pup_m * W0m
+                + pdn_p * W00 - pdn * Wpos)
+        return dQ
+
+    return rates
 
 
 def pfaff_chain_rhs(state: PfaffLax) -> np.ndarray:
@@ -297,7 +318,7 @@ def pfaff_chain_rhs(state: PfaffLax) -> np.ndarray:
     pad = max(k_neg, k_pos) + 1
     Q = np.zeros((k_neg + k_pos + 3, 1 + n + pad))
     Q[1:-1, 1:n + 1] = state.w
-    return _pfaff_core(Q, _band_plan(k_neg, k_pos, n))
+    return _chain_kernel(Q, k_neg, k_pos, n)()
 
 
 def _embedding_index(n: int, k_neg: int, k_pos: int):
@@ -466,30 +487,31 @@ def evolve(rhs, y0: np.ndarray, times, *, h: float = 1e-3):
 
 
 def _ghost_closure(i2, i1, init_ghost, policy):
-    """Map (a2, a1), the two current edge values, to the ghost values ahead of
-    the edge; (i2, i1) are the initial ones.  Edges are scalars (a lattice
-    line) or (rows, 1) columns (a band window).  Rows whose initial edge is
-    near 0 extrapolate linearly under "scaled"."""
+    """Coefficients (c2, c1, c0), each of init_ghost's shape, that give the
+    ghost values ahead of the edge as c2 a2 + c1 a1 + c0 from the two
+    current edge values (a2, a1).
+
+    (i2, i1) are the initial edge values and init_ghost the initial ghosts;
+    edges are scalars (a lattice line) or (rows, 1) columns (a band window).
+    "pin" keeps the initial ghosts, "linear" extrapolates the edge, and
+    "scaled" rescales each initial ghost by the linearly extrapolated ratio
+    of current to initial edge values; rows whose initial edge is near 0
+    extrapolate linearly under "scaled".
+    """
     if policy not in _GHOSTS:
         raise ValueError(f"ghost policy must be one of {_GHOSTS}")
-    j = np.arange(1.0, np.shape(init_ghost)[-1] + 1)
-
-    def linear(a2, a1):
-        return a1 + j * (a1 - a2)
-
-    ok = np.minimum(np.abs(i1), np.abs(i2)) >= 1e-12 * (np.abs(i1) + np.abs(i2) + 1.0)
+    g = np.asarray(init_ghost, dtype=float)
+    zero = np.zeros_like(g)
     if policy == "pin":
-        return lambda a2, a1: init_ghost
-    if policy == "linear" or not ok.any():
-        return linear
-
-    def scaled(a2, a1):
-        r1, r2 = a1 / i1, a2 / i2
-        return init_ghost * (r1 + j * (r1 - r2))
-    if ok.all():
-        return scaled
-    i1, i2 = np.where(ok, i1, 1.0), np.where(ok, i2, 1.0)     # read by scaled
-    return lambda a2, a1: np.where(ok, scaled(a2, a1), linear(a2, a1))
+        return zero, zero, g.copy()
+    j = np.arange(1.0, g.shape[-1] + 1) + zero
+    c2, c1 = -j, 1.0 + j
+    if policy == "scaled":
+        ok = np.minimum(np.abs(i1), np.abs(i2)) >= 1e-12 * (np.abs(i1) + np.abs(i2) + 1.0)
+        i1, i2 = np.where(ok, i1, 1.0), np.where(ok, i2, 1.0)
+        c2 = np.where(ok, -j * g / i2, c2)
+        c1 = np.where(ok, (1.0 + j) * g / i1, c1)
+    return c2, c1, zero
 
 
 def evolve_volterra(state: VolterraState, flow: int, times, *, h: float = 1e-3,
@@ -505,45 +527,53 @@ def evolve_volterra(state: VolterraState, flow: int, times, *, h: float = 1e-3,
     width = max(pad, N - n_evolve)
     init_ghost = np.concatenate([B0[n_evolve:], B0[-1] + (B0[-1] - B0[-2])
                                  * np.arange(1.0, width + 1)])[:width]
-    line = _ghost_closure(B0[n_evolve - 2], B0[n_evolve - 1], init_ghost, ghost)
+    c2, c1, c0 = _ghost_closure(B0[n_evolve - 2], B0[n_evolve - 1], init_ghost, ghost)
+    C = np.column_stack([c2, c1])               # ghosts = C @ (a2, a1) + c0
+    C_pad, c0_pad = C[:pad], c0[:pad]
     Bp = np.zeros(4 + n_evolve + pad)           # left ghosts stay 0
+    sites, edge, ghosts = Bp[4:4 + n_evolve], Bp[2 + n_evolve:4 + n_evolve], Bp[4 + n_evolve:]
 
     def rhs(t, y):
-        Bp[4:4 + n_evolve] = y
-        Bp[4 + n_evolve:] = line(y[-2], y[-1])[:pad]
+        sites[:] = y
+        np.dot(C_pad, edge, out=ghosts)
+        np.add(ghosts, c0_pad, out=ghosts)
         return _volterra_rhs_padded(Bp, flow)
 
-    ys, stats = evolve(rhs, B0[:n_evolve], times, h=h)
-    front = _influence_front(times, ys, lambda y: 2.0 * abs(y[-1]), n_evolve)
+    y0 = B0[:n_evolve]
+    ys, stats = evolve(rhs, y0, times, h=h)
+    front = _influence_front(times, y0, ys, lambda y: 2.0 * abs(y[-1]), n_evolve)
     stats.update(ghost=ghost, n_evolve=n_evolve, influence_index=front)
-    states = [VolterraState(np.concatenate([y, line(y[-2], y[-1])[:N - n_evolve]]))
-              for y in ys]
+    m = N - n_evolve
+    states = [VolterraState(np.concatenate([y, C[:m] @ y[-2:] + c0[:m]])) for y in ys]
     return EvolutionResult(times, states, stats)
 
 
-def _influence_front(times, ys, speed_of, start):
-    """Sonic bound on boundary-signal penetration, integrated over samples."""
+def _influence_front(times, y0, ys, speed_of, start):
+    """Sonic bound on boundary-signal penetration from t = 0: each sampling
+    interval, the first one from 0 included, moves the front in by its
+    length times the speed of the state at its start."""
     front = float(start)
-    for i in range(1, len(times)):
-        dt = times[i] - times[i - 1]
-        front -= dt * speed_of(ys[i - 1])
-        front = max(front, 1.0)
+    t_prev, y_prev = 0.0, y0
+    for t, y in zip(times, ys):
+        front = max(front - (t - t_prev) * speed_of(y_prev), 1.0)
+        t_prev, y_prev = t, y
     return int(math.floor(front))
 
 
 def evolve_toda(state: TodaLax, flow: int, times, *, h: float = 1e-3) -> EvolutionResult:
-    """Tridiagonal trajectory under the finite-matrix closure."""
+    """Tridiagonal trajectory under the finite-matrix closure.
+
+    Raises DivergedField when a sampled off-diagonal entry is not positive.
+    """
     N = state.n_sites
-
-    def rhs(t, y):
-        lax = TodaLax(y[:N], np.maximum(y[N:], 1e-300))
-        da, db = toda_rhs(lax, flow)
-        return np.concatenate([da, db])
-
     y0 = np.concatenate([state.a, state.b])
-    ys, stats = evolve(rhs, y0, times, h=h)
+    ys, stats = evolve(_toda_kernel(N, flow), y0, times, h=h)
+    for t, y in zip(np.asarray(times, dtype=float), ys):
+        if np.any(y[N:] <= 0):
+            raise DivergedField(f"off-diagonal entry {y[N:].min():.3g} <= 0 at t={t:g} "
+                                f"after RK4 steps of h={h:g}")
     speed = (lambda y: 2.0 * abs(y[-1])) if flow == 1 else (lambda y: 2.0 * y[-1] ** 2)
-    stats.update(influence_index=_influence_front(times, ys, speed, N))
+    stats.update(influence_index=_influence_front(times, y0, ys, speed, N))
     states = [TodaLax(y[:N], y[N:]) for y in ys]
     return EvolutionResult(times, states, stats)
 
@@ -570,19 +600,23 @@ def evolve_pfaff(state: PfaffLax, times, *, h: float = 1e-3, ghost: str = "scale
     rows = slice(row_margin, k_neg + k_pos + 1 - row_margin)
     n_rows = K1 + K2 + 1
     init_active = W0[rows]
-    closure = _ghost_closure(init_active[:, n_evolve - 2:n_evolve - 1],
-                             init_active[:, n_evolve - 1:n_evolve],
-                             init_active[:, n_evolve:], ghost)
-    plan = _band_plan(K1, K2, n_evolve)
+    c2, c1, c0 = _ghost_closure(init_active[:, n_evolve - 2:n_evolve - 1],
+                                init_active[:, n_evolve - 1:n_evolve],
+                                init_active[:, n_evolve:], ghost)
+    c2_pad, c1_pad, c0_pad = c2[:, :pad], c1[:, :pad], c0[:, :pad]
     Q = np.zeros((n_rows + 2, 1 + n_evolve + pad))   # ghost rows and site 0 fixed
     Q[0, 1:] = W0[row_margin - 1, :n_evolve + pad]
     Q[-1, 1:] = W0[k_neg + k_pos + 1 - row_margin, :n_evolve + pad]
+    sites, strip = Q[1:-1, 1:n_evolve + 1], Q[1:-1, n_evolve + 1:]
+    a2, a1 = Q[1:-1, n_evolve - 1:n_evolve], Q[1:-1, n_evolve:n_evolve + 1]
+    kernel = _chain_kernel(Q, K1, K2, n_evolve)
 
     def rhs(t, y):
-        y2d = y.reshape(n_rows, n_evolve)
-        Q[1:-1, 1:n_evolve + 1] = y2d
-        Q[1:-1, n_evolve + 1:] = closure(y2d[:, -2:-1], y2d[:, -1:])[:, :pad]
-        return _pfaff_core(Q, plan).ravel()
+        sites[:] = y.reshape(n_rows, n_evolve)
+        np.multiply(c2_pad, a2, out=strip)
+        np.add(strip, c1_pad * a1, out=strip)
+        np.add(strip, c0_pad, out=strip)
+        return kernel().ravel()
 
     y0 = init_active[:, :n_evolve].ravel()
     ys, stats = evolve(rhs, y0, times, h=h)
@@ -590,13 +624,13 @@ def evolve_pfaff(state: PfaffLax, times, *, h: float = 1e-3, ghost: str = "scale
     speed = lambda y: abs(y.reshape(n_rows, n_evolve)[r0, -1]
                           * y.reshape(n_rows, n_evolve)[r0 + 1, -1])
     stats.update(ghost=ghost, n_evolve=n_evolve, row_margin=row_margin,
-                 influence_index=_influence_front(times, ys, speed, n_evolve))
+                 influence_index=_influence_front(times, y0, ys, speed, n_evolve))
     states = []
     for y in ys:
         y2d = y.reshape(n_rows, n_evolve)
         w = W0.copy()
         w[rows, :n_evolve] = y2d
-        w[rows, n_evolve:] = closure(y2d[:, -2:-1], y2d[:, -1:])
+        w[rows, n_evolve:] = c2 * y2d[:, -2:-1] + c1 * y2d[:, -1:] + c0
         states.append(PfaffLax(w, k_neg, k_pos))
     return EvolutionResult(times, states, stats)
 
@@ -607,7 +641,7 @@ def evolve_reduced(state: ReducedChainState, times, *, h: float = 1e-3,
     K = state.k_max
     y0 = np.concatenate([[state.Wm1], state.W])
     ys, stats = evolve(_reduced_kernel(K, ghost), y0, times, h=h)
-    front = _influence_front(times, ys, lambda y: 2.0 * abs(y[0]) * (K + 1), K)
+    front = _influence_front(times, y0, ys, lambda y: 2.0 * abs(y[0]) * (K + 1), K)
     stats.update(ghost=ghost, n_evolve=K + 1, influence_index=front)
     states = [ReducedChainState(y[0], y[1:]) for y in ys]
     return EvolutionResult(times, states, stats)

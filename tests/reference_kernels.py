@@ -31,6 +31,16 @@ skew-basis reference is the parity-Hermite working basis that
 `log_tau`; its Gram loses accuracy with size, so it is a reference to
 1e-10 through 10 pairs.
 
+`ghost_closure` is the right-edge closure as the evolvers used it before
+they read it as coefficients: a function of the current edge values,
+evaluated at every RHS call.  It rounds differently from the coefficients,
+so it is held to them at 1e-14 relative per evaluation, and
+`evolve_volterra` and `evolve_pfaff` here, which run it with the shared
+stepper and the reference chain loop, bound the trajectory drift.
+`toda_rates` is the tridiagonal RHS as written on a validated state, with
+its b clamped at 1e-300; the raw-array kernel must equal it bit for bit on
+healthy trajectories.
+
 `mkp_fields_nested` is the per-shift chain that `identities.mkp_residuals`
 ran before it batched its evolutions: each requested (s2, s4, s6) shift
 marches its own line through flows 2, 4 and 6 in RK4 segments of its own,
@@ -151,10 +161,112 @@ def pfaff_core(Q: np.ndarray, k_neg: int, k_pos: int, n_sites: int) -> np.ndarra
     return dQ
 
 
-def pfaff_rates(Q: np.ndarray, plan) -> np.ndarray:
-    """pfaff_core in the calling convention of flows._pfaff_core."""
-    n = plan.n_sites
-    return pfaff_core(Q, plan.k_neg, plan.k_pos, n)[1:-1, 1:n + 1]
+def pfaff_rates(Q: np.ndarray, k_neg: int, k_pos: int, n_sites: int) -> np.ndarray:
+    """pfaff_core's rates of bands -k_neg .. k_pos on sites 1 .. n_sites."""
+    return pfaff_core(Q, k_neg, k_pos, n_sites)[1:-1, 1:n_sites + 1]
+
+
+def chain_kernel(Q: np.ndarray, k_neg: int, k_pos: int, n_sites: int):
+    """pfaff_rates in the calling convention of flows._chain_kernel: a
+    function of no arguments that reads Q's current values."""
+    return lambda: pfaff_rates(Q, k_neg, k_pos, n_sites)
+
+
+def ghost_closure(i2, i1, init_ghost, policy):
+    """The right-edge closure as a map (a2, a1) -> ghost values, evaluated
+    from the edge values at every call, as the evolvers used it before they
+    read it as coefficients (`flows._ghost_closure`).  (i2, i1) are the
+    initial edge values; edges are scalars or (rows, 1) columns.  Rows whose
+    initial edge is near 0 extrapolate linearly under "scaled"."""
+    if policy not in ("scaled", "pin", "linear"):
+        raise ValueError(f"unknown ghost policy {policy!r}")
+    j = np.arange(1.0, np.shape(init_ghost)[-1] + 1)
+
+    def linear(a2, a1):
+        return a1 + j * (a1 - a2)
+
+    ok = np.minimum(np.abs(i1), np.abs(i2)) >= 1e-12 * (np.abs(i1) + np.abs(i2) + 1.0)
+    if policy == "pin":
+        return lambda a2, a1: init_ghost
+    if policy == "linear" or not ok.any():
+        return linear
+
+    def scaled(a2, a1):
+        r1, r2 = a1 / i1, a2 / i2
+        return init_ghost * (r1 + j * (r1 - r2))
+    if ok.all():
+        return scaled
+    i1, i2 = np.where(ok, i1, 1.0), np.where(ok, i2, 1.0)     # read by scaled
+    return lambda a2, a1: np.where(ok, scaled(a2, a1), linear(a2, a1))
+
+
+def evolve_volterra(B0: np.ndarray, flow: int, times, h: float, ghost: str = "scaled"):
+    """flows.evolve_volterra's sampled lines (n_evolve sites, then the ghost
+    strip) with the edge closure of `ghost_closure`, called at every RHS
+    evaluation; the stencil is flows._volterra_rhs_padded."""
+    N, pad = len(B0), 4
+    n_ev = N - pad
+    init_ghost = B0[n_ev:]
+    line = ghost_closure(B0[n_ev - 2], B0[n_ev - 1], init_ghost, ghost)
+    Bp = np.zeros(4 + n_ev + pad)
+
+    def rhs(t, y):
+        Bp[4:4 + n_ev] = y
+        Bp[4 + n_ev:] = line(y[-2], y[-1])
+        return flows._volterra_rhs_padded(Bp, flow)
+
+    ys, _ = flows.evolve(rhs, B0[:n_ev], times, h=h)
+    return [np.concatenate([y, line(y[-2], y[-1])]) for y in ys]
+
+
+def evolve_pfaff(state, times, h: float, ghost: str = "scaled"):
+    """flows.evolve_pfaff's sampled windows (row margin 1, default n_evolve)
+    with the edge closure of `ghost_closure`, called at every RHS
+    evaluation, and the per-band loop `pfaff_rates` as the chain kernel."""
+    k_neg, k_pos, N = state.k_neg, state.k_pos, state.n_sites
+    K1, K2 = k_neg - 1, k_pos - 1
+    pad = max(K1, K2) + 1
+    n_ev, n_rows = N - pad, K1 + K2 + 1
+    W0 = state.w
+    init_active = W0[1:-1]
+    closure = ghost_closure(init_active[:, n_ev - 2:n_ev - 1],
+                            init_active[:, n_ev - 1:n_ev], init_active[:, n_ev:], ghost)
+    Q = np.zeros((n_rows + 2, 1 + n_ev + pad))
+    Q[0, 1:] = W0[0, :n_ev + pad]
+    Q[-1, 1:] = W0[-1, :n_ev + pad]
+
+    def rhs(t, y):
+        y2d = y.reshape(n_rows, n_ev)
+        Q[1:-1, 1:n_ev + 1] = y2d
+        Q[1:-1, n_ev + 1:] = closure(y2d[:, -2:-1], y2d[:, -1:])[:, :pad]
+        return pfaff_rates(Q, K1, K2, n_ev).ravel()
+
+    ys, _ = flows.evolve(rhs, init_active[:, :n_ev].ravel(), times, h=h)
+    out = []
+    for y in ys:
+        y2d = y.reshape(n_rows, n_ev)
+        w = W0.copy()
+        w[1:-1, :n_ev] = y2d
+        w[1:-1, n_ev:] = closure(y2d[:, -2:-1], y2d[:, -1:])
+        out.append(w)
+    return out
+
+
+def toda_rates(y: np.ndarray, n: int, flow: int) -> np.ndarray:
+    """flows.toda_rhs as written on a validated state, with b clamped at
+    1e-300 and the shifted diagonals built by insertion, on the flat state
+    (a_1..a_n, b_1..b_{n-1})."""
+    a, b = y[:n], np.maximum(y[n:], 1e-300)
+    bsq = np.zeros(n + 1)
+    bsq[1:n] = b * b
+    ap = np.append(a, 0.0)
+    if flow == 1:
+        da = bsq[1:] - bsq[:-1]
+        db = 0.5 * b * (a[1:] - a[:-1])
+    else:
+        da = (a + ap[1:]) * bsq[1:] - (np.insert(a[:-1], 0, 0.0) + a) * bsq[:-1]
+        db = 0.5 * b * (bsq[2:] - bsq[:n - 1] + a[1:] ** 2 - a[:-1] ** 2)
+    return np.concatenate([da, db])
 
 
 def volterra_rates(Bp: np.ndarray, flow: int) -> np.ndarray:

@@ -36,6 +36,14 @@ class TestTridiagonal:
         with pytest.raises(ValueError):
             toda_rhs(gue_lax_init(4), flow=3)
 
+    @pytest.mark.parametrize("times, h, match", [
+        ([3.0], 0.8, "segment"),            # the step overflows
+        ([1.2], 1.2, "off-diagonal"),       # a finite sample leaves b > 0
+    ])
+    def test_non_positive_b_raises_typed_error(self, times, h, match):
+        with pytest.raises(DivergedField, match=match):
+            evolve_toda(gue_lax_init(16), 1, times, h=h)
+
     def test_evolve_toda_first_flow_translation(self):
         res = evolve_toda(gue_lax_init(24), 1, [0.1, 0.3], h=1e-2)
         oracle = exact_oracles("t1-translation", times=[0.1, 0.3], n_sites=24)
@@ -95,6 +103,24 @@ class TestVolterra:
         res = evolve_volterra(VolterraState(np.arange(1.0, 33.0)), 2,
                               [0.05, 0.1], h=1e-3)
         assert res.stats["influence_index"] < res.stats["n_evolve"]
+
+    @given(st.integers(8, 256), st.floats(1e-6, 0.2))
+    @settings(max_examples=20, deadline=None)
+    def test_influence_front_counts_from_zero(self, N, horizon):
+        # the interval [0, first sample] moves the front too: one sample at
+        # a positive horizon leaves it below n_evolve (N = 256 to t = 0.2
+        # read 252 = n_evolve when that interval was skipped)
+        res = evolve_volterra(VolterraState(np.arange(1.0, N + 1.0)), 2, [horizon],
+                              h=1e-3)
+        assert res.stats["influence_index"] < res.stats["n_evolve"]
+
+    def test_influence_front_one_sample_other_evolvers(self):
+        pfaff = evolve_pfaff(goe_lax_init(64, 6, 6), [0.2], h=1e-3)
+        assert pfaff.stats["influence_index"] < pfaff.stats["n_evolve"]
+        red = evolve_reduced(ReducedChainState(0.5, np.full(6, 2.0)), [0.2])
+        assert red.stats["influence_index"] < 6
+        toda = evolve_toda(gue_lax_init(64), 1, [0.2])
+        assert toda.stats["influence_index"] < 64
 
 
 class TestStepper:
@@ -192,24 +218,26 @@ def _padded_window(seed, k_neg, k_pos, n_sites):
 
 
 class TestKernelEquivalence:
-    """The slice and gather kernels repeat the reference arithmetic exactly."""
+    """The bound chain kernel and the slice kernels repeat the reference
+    arithmetic exactly."""
 
     @given(st.integers(0, 9), st.integers(0, 9), st.integers(3, 300),
            st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_chain_kernel_matches_band_loop(self, k_neg, k_pos, n_sites, seed):
         Q = _padded_window(seed, k_neg, k_pos, n_sites)
-        plan = flows._band_plan(k_neg, k_pos, n_sites)
-        assert np.array_equal(flows._pfaff_core(Q, plan),
-                              ref.pfaff_rates(Q, plan))
+        kernel = flows._chain_kernel(Q, k_neg, k_pos, n_sites)
+        assert np.array_equal(kernel(), ref.pfaff_rates(Q, k_neg, k_pos, n_sites))
+        # the kernel reads the buffer it was bound to at every call
+        Q[...] = _padded_window(seed + 1, k_neg, k_pos, n_sites)
+        assert np.array_equal(kernel(), ref.pfaff_rates(Q, k_neg, k_pos, n_sites))
 
     @pytest.mark.parametrize("k_neg, k_pos", [(2, 2), (9, 2), (2, 9)])
     def test_single_band_families(self, k_neg, k_pos):
         # a side with k = 2 has one band in its uniform family
         Q = _padded_window(k_neg + k_pos, k_neg, k_pos, 3)
-        plan = flows._band_plan(k_neg, k_pos, 3)
-        assert np.array_equal(flows._pfaff_core(Q, plan),
-                              ref.pfaff_rates(Q, plan))
+        assert np.array_equal(flows._chain_kernel(Q, k_neg, k_pos, 3)(),
+                              ref.pfaff_rates(Q, k_neg, k_pos, 3))
 
     @given(st.sampled_from([2, 4, 6]), st.integers(1, 300),
            st.integers(0, 2**32 - 1))
@@ -237,7 +265,7 @@ class TestKernelEquivalence:
         state = goe_lax_init(*shape)
         times = [0.05, 0.1]
         new = evolve_pfaff(state, times, h=1e-3, ghost=ghost)
-        monkeypatch.setattr(flows, "_pfaff_core", ref.pfaff_rates)
+        monkeypatch.setattr(flows, "_chain_kernel", ref.chain_kernel)
         old = evolve_pfaff(state, times, h=1e-3, ghost=ghost)
         for a, b in zip(new.states, old.states):
             assert np.array_equal(a.w, b.w)
@@ -258,6 +286,93 @@ class TestKernelEquivalence:
         for a, b in zip(new.states, old.states):
             assert np.array_equal(a.B, b.B)
         assert new.stats == old.stats
+
+    @pytest.mark.parametrize("flow", [1, 2])
+    def test_toda_trajectory_bitwise(self, flow):
+        # the kernel on raw arrays against the rates of a validated state
+        state = gue_lax_init(24)
+        times = [0.05, 0.1]
+        res = evolve_toda(state, flow, times, h=1e-3)
+        N = state.n_sites
+        ys, _ = evolve(lambda t, y: ref.toda_rates(y, N, flow),
+                       np.concatenate([state.a, state.b]), times, h=1e-3)
+        for got, y in zip(res.states, ys):
+            assert np.array_equal(got.a, y[:N]) and np.array_equal(got.b, y[N:])
+
+
+class TestGhostClosure:
+    """The coefficient closure against the closure evaluated from the edge
+    values at every call.  Both round differently, so they are held to 1e-14
+    relative to the sum of the magnitudes of the terms, c2 a2, c1 a1 and c0."""
+
+    @pytest.mark.parametrize("policy", ["scaled", "linear", "pin"])
+    @given(st.integers(1, 6), st.integers(1, 9), st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_reference(self, policy, rows, width, seed):
+        rng = np.random.default_rng(seed)
+        i2, i1 = rng.uniform(0.5, 3.0, (rows, 1)), rng.uniform(0.5, 3.0, (rows, 1))
+        if rows > 1:
+            i2[0] = i1[0] = 0.0            # a zero-edge row
+        init_ghost = rng.uniform(-3.0, 3.0, (rows, width))
+        a2, a1 = rng.uniform(-3.0, 3.0, (rows, 1)), rng.uniform(-3.0, 3.0, (rows, 1))
+        c2, c1, c0 = flows._ghost_closure(i2, i1, init_ghost, policy)
+        want = ref.ghost_closure(i2, i1, init_ghost, policy)(a2, a1)
+        got = c2 * a2 + c1 * a1 + c0
+        scale = np.abs(c2 * a2) + np.abs(c1 * a1) + np.abs(c0)
+        assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+    @pytest.mark.parametrize("policy", ["scaled", "linear", "pin"])
+    def test_scalar_edges(self, policy):
+        # a lattice line: scalar edge values, one row of ghosts
+        init_ghost = np.array([5.0, 6.0, 7.0, 8.0])
+        c2, c1, c0 = flows._ghost_closure(3.0, 4.0, init_ghost, policy)
+        want = ref.ghost_closure(3.0, 4.0, init_ghost, policy)(3.3, 4.4)
+        assert c2.shape == c1.shape == c0.shape == init_ghost.shape
+        assert np.allclose(c2 * 3.3 + c1 * 4.4 + c0, want, rtol=1e-14, atol=0)
+
+    def test_zero_edge_row_extrapolates_linearly(self):
+        c2, c1, c0 = flows._ghost_closure(np.zeros((1, 1)), np.zeros((1, 1)),
+                                          np.zeros((1, 3)), "scaled")
+        assert np.array_equal(c2, [[-1.0, -2.0, -3.0]])
+        assert np.array_equal(c1, [[2.0, 3.0, 4.0]])
+        assert np.array_equal(c0, np.zeros((1, 3)))
+
+    def test_bad_policy(self):
+        with pytest.raises(ValueError):
+            flows._ghost_closure(1.0, 2.0, np.ones(4), "mirror")
+
+
+def _rel_drift(got, want):
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+class TestClosureDrift:
+    """Trajectories on the coefficient closure stay within 1e-11 relative of
+    the same runs on the reference closure, at the C03, C04 and C12 shapes.
+    The closures differ by a few ulp at the edge, and the edge grows them
+    along the run: the C03 doubling run (N = 128 to t = 0.2) drifts 1.3e-12,
+    the others at most 1.4e-13."""
+
+    @pytest.mark.parametrize("shape, times", [
+        ((64, 6, 6), [0.05, 0.1, 0.15, 0.2]),
+        ((48, 9, 7), [0.05, 0.1, 0.15]),
+    ], ids=["C03", "C04"])
+    def test_pfaff(self, shape, times):
+        state = goe_lax_init(*shape)
+        res = evolve_pfaff(state, times, h=1e-3)
+        for got, want in zip(res.states, ref.evolve_pfaff(state, times, 1e-3)):
+            assert _rel_drift(got.w, want) <= 1e-11
+
+    @pytest.mark.parametrize("flow, B0, times, h", [
+        (2, _RAMP64, [0.05, 0.1, 0.15, 0.2], 1e-3),
+        (2, np.arange(1.0, 129.0), [0.05, 0.1, 0.15, 0.2], 1e-3),
+        (2, _RAMP64[:32], [0.05], 1e-5),
+        (4, _RAMP64[:32], [1e-4], 1e-5),
+    ], ids=["C03", "C03-doubled", "C12-flow2", "C12-flow4"])
+    def test_volterra(self, flow, B0, times, h):
+        res = evolve_volterra(VolterraState(B0), flow, times, h=h)
+        for got, want in zip(res.states, ref.evolve_volterra(B0, flow, times, h)):
+            assert _rel_drift(got.B, want) <= 1e-11
 
 
 _PROJECT = flows._skew_block_projection

@@ -38,7 +38,7 @@ class TestTridiagonal:
 
     @pytest.mark.parametrize("times, h, match", [
         ([3.0], 0.8, "segment"),            # the step overflows
-        ([1.2], 1.2, "off-diagonal"),       # a finite sample leaves b > 0
+        ([1.2], 1.2, "off-diagonal"),       # a finite sample has b <= 0
     ])
     def test_non_positive_b_raises_typed_error(self, times, h, match):
         with pytest.raises(DivergedField, match=match):
@@ -288,9 +288,9 @@ class TestKernelEquivalence:
         assert new.stats == old.stats
 
     @pytest.mark.parametrize("flow", [1, 2])
-    def test_toda_trajectory_bitwise(self, flow):
+    def test_toda_trajectory_bitwise(self, flow, rng):
         # the kernel on raw arrays against the rates of a validated state
-        state = gue_lax_init(24)
+        state = TodaLax(rng.uniform(-1.0, 1.0, 24), rng.uniform(0.5, 2.0, 23))
         times = [0.05, 0.1]
         res = evolve_toda(state, flow, times, h=1e-3)
         N = state.n_sites
@@ -337,19 +337,20 @@ def _rel_drift(got, want):
 
 class TestClosureDrift:
     """Trajectories on the coefficient closure stay within 1e-11 relative of
-    the same runs on the reference closure, at the C03, C04 and C12 shapes.
-    The closures differ by a few ulp at the edge, and the edge grows them
-    along the run: the C03 doubling run (N = 128 to t = 0.2) drifts 1.3e-12,
-    the others at most 1.4e-13."""
+    the same runs on the reference closure, at the C03, C04 and C12 shapes,
+    for each policy.  The closures differ by a few ulp at the edge, and the
+    edge grows them along the run: the scaled C03 doubling run (N = 128 to
+    t = 0.2) drifts 1.3e-12, the other runs at most 1.4e-13; "pin" is exact."""
 
+    @pytest.mark.parametrize("ghost", ["scaled", "linear", "pin"])
     @pytest.mark.parametrize("shape, times", [
         ((64, 6, 6), [0.05, 0.1, 0.15, 0.2]),
         ((48, 9, 7), [0.05, 0.1, 0.15]),
     ], ids=["C03", "C04"])
-    def test_pfaff(self, shape, times):
+    def test_pfaff(self, shape, times, ghost):
         state = goe_lax_init(*shape)
-        res = evolve_pfaff(state, times, h=1e-3)
-        for got, want in zip(res.states, ref.evolve_pfaff(state, times, 1e-3)):
+        res = evolve_pfaff(state, times, h=1e-3, ghost=ghost)
+        for got, want in zip(res.states, ref.evolve_pfaff(state, times, 1e-3, ghost)):
             assert _rel_drift(got.w, want) <= 1e-11
 
     @pytest.mark.parametrize("flow, B0, times, h", [
@@ -358,9 +359,10 @@ class TestClosureDrift:
         (2, _RAMP64[:32], [0.05], 1e-5),
         (4, _RAMP64[:32], [1e-4], 1e-5),
     ], ids=["C03", "C03-doubled", "C12-flow2", "C12-flow4"])
-    def test_volterra(self, flow, B0, times, h):
-        res = evolve_volterra(VolterraState(B0), flow, times, h=h)
-        for got, want in zip(res.states, ref.evolve_volterra(B0, flow, times, h)):
+    @pytest.mark.parametrize("ghost", ["scaled", "linear", "pin"])
+    def test_volterra(self, flow, B0, times, h, ghost):
+        res = evolve_volterra(VolterraState(B0), flow, times, h=h, ghost=ghost)
+        for got, want in zip(res.states, ref.evolve_volterra(B0, flow, times, h, ghost)):
             assert _rel_drift(got.B, want) <= 1e-11
 
 

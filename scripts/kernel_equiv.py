@@ -76,7 +76,7 @@ from taulattice import (CouplingVector, HydroChainField,  # noqa: E402
                         pfaff_lax_from_basis, reduced_chain_rhs,
                         skew_moment_matrix, skew_orthonormal_basis,
                         toda_lax_from_quadrature)
-from taulattice.cli import _mkp_state, verify_init_goe  # noqa: E402
+from taulattice.identities import mkp_bump_state, verify_init_goe  # noqa: E402
 
 
 def chain_gap(Q, k_neg, k_pos, n):
@@ -268,7 +268,7 @@ def toda_read_off_gap():
 def mkp_fields_gap():
     """Largest difference of the batched mKP field table from the per-shift
     chains, over every shift at three step sets."""
-    B0 = _mkp_state().B
+    B0 = mkp_bump_state(64).B
     worst = 0.0
     for steps in ({2: 1e-2, 4: 1e-2, 6: 1e-2}, {2: 0.013, 4: 0.0071, 6: 0.0093},
                   {2: 3e-3, 4: 2e-2, 6: 1e-3}):

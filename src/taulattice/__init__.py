@@ -2,9 +2,9 @@
 
 The package is organized in layers: coupling vectors and quadrature
 (`couplings`), Stieltjes bases and tau-functions (`moments`), operator windows
-(`lax`), time evolution (`flows`), cross-check identities (`identities`),
-and the hydrodynamic limit (`continuum`).  `taulattice.cli` exposes all of
-it from the command line.
+(`lax`), time evolution (`flows`), cross-check identities and the
+verification suites (`identities`), and the hydrodynamic limit
+(`continuum`).  `taulattice.cli` exposes all of it from the command line.
 """
 
 from .continuum import (HydroChainField, TensorPoint, chain_matrix,

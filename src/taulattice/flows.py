@@ -443,6 +443,12 @@ def _segment_steps(span: float, h: float) -> tuple:
     return steps, span / steps
 
 
+def _sample_times(horizon: float, samples: int) -> np.ndarray:
+    """`samples` equally spaced times after 0, the last at `horizon`."""
+    samples = max(int(samples), 1)
+    return horizon * np.arange(1, samples + 1) / samples
+
+
 def _rk4_segment(rhs, y, t0, t1, h):
     steps, hs = _segment_steps(t1 - t0, h)
     try:

@@ -375,7 +375,7 @@ def hermite_map_coeffs(n_pairs: int) -> np.ndarray:
     return Q
 
 
-def skew_hermite_map_check(n_pairs: int, *, tol: float = 1e-9) -> IdentityReport:
+def skew_hermite_map_check(n_pairs: int = 6, *, tolerance: float = 1e-9) -> IdentityReport:
     """Verify the closed-form pair basis is skew-orthogonal at zero coupling.
 
     Builds Q from hermite_map_coeffs and checks <Q_{2n}, Q_{2m+1}> =
@@ -400,4 +400,4 @@ def skew_hermite_map_check(n_pairs: int, *, tol: float = 1e-9) -> IdentityReport
         meta["<Q2,Q1>"] = float(S[2, 1] * math.sqrt(nu[1] * nu[0]))
         meta["<Q2,Q3>"] = float(S[2, 3] * nu[1])
     return IdentityReport.from_residual(
-        "skew-map-orthogonality", residual, tol, meta=meta)
+        "skew-map-orthogonality", residual, tolerance, meta=meta)

@@ -19,8 +19,8 @@ from taulattice import (CouplingVector, VolterraState, evolve_pfaff,
                         sample_gaussian_ensemble, skew_moment_matrix,
                         skew_orthonormal_basis, sqrt_ratio_product,
                         continuum_convergence, hydro_scaling_check)
-from taulattice.cli import (verify_commute, verify_init_goe, verify_init_gue,
-                            verify_reduction, verify_scaling)
+from taulattice.identities import (mkp_bump_state, verify_commute, verify_init_goe,
+                                   verify_init_gue, verify_reduction, verify_scaling)
 
 SCALING_TIMES = [0.05, 0.1, 0.15, 0.2]
 
@@ -105,9 +105,7 @@ def test_c05_chain_versus_dense_commutator(acceptance):
 
 
 def test_c06_conservation_law_suite(acceptance):
-    n = np.arange(1.0, 65.0)
-    state = VolterraState(0.5 + 0.25 * np.exp(-(((n - 10.0) / 4.0) ** 2)))
-    report = mkp_residuals(8, state, tolerance=1e-3)
+    report = mkp_residuals(8, mkp_bump_state(64), tolerance=1e-3)
     meta = report.meta
     variants = meta["variants"]
     winners = [k for k, v in variants.items() if v <= 1e-3]

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import taulattice
-from taulattice import PfaffLax, cli, goe_lax_init
+from taulattice import PfaffLax, cli, goe_lax_init, identities
 from taulattice.cli import main
+from taulattice.identities import SUITES
 
 
 def run(capsys, *argv):
@@ -178,6 +179,40 @@ def test_parser_shared_without_leaking_flags(tmp_path, capsys):
     assert json.loads((tmp_path / "b" / "verify_kp.json").read_text())["meta"]["n"] == 2
 
 
+@pytest.mark.parametrize("name", list(SUITES))
+def test_suite_table_entry_runs_as_verify(tmp_path, capsys, name):
+    # the call shapes the benchmark makes: repeated in-process main calls
+    # and taulattice.cli.verify_commute
+    assert cli._parser().parse_args(["verify", name]).suite == name
+    direct = getattr(identities, SUITES[name][0])()
+    for run_dir in ("a", "b"):
+        rc, out, _ = run(capsys, "--out", str(tmp_path / run_dir), "verify", name)
+        assert rc == (0 if direct.passed else 1)
+        assert json.loads(out)["residual"] == direct.residual_abs
+        artifact = (tmp_path / run_dir / f"verify_{name}.json").read_text()
+        assert artifact == direct.to_json() + "\n"
+    assert cli.verify_commute(seed=5).to_dict() == identities.verify_commute(seed=5).to_dict()
+
+
+@pytest.mark.parametrize("suite,flag", [("commute", "--N"), ("tau-cross", "--N"),
+                                        ("kp", "--seed"), ("init-gue", "--K")])
+def test_verify_flag_the_suite_does_not_read_is_usage_error(tmp_path, capsys, suite, flag):
+    rc, _, err = run(capsys, "--out", str(tmp_path), "verify", suite, flag, "3")
+    assert rc == 2
+    error = json.loads(err)
+    assert error["error"] == "config" and flag in error["message"]
+    assert not any(tmp_path.iterdir())
+
+
+def test_verify_config_keys_serve_every_suite(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": 40, "n": 3}))
+    rc, _, _ = run(capsys, "--config", str(cfg), "--out", str(tmp_path / "out"),
+                   "verify", "kp")
+    assert rc == 0
+    assert json.loads((tmp_path / "out" / "verify_kp.json").read_text())["meta"]["n"] == 3
+
+
 def test_verify_tight_tolerance_fails(tmp_path, capsys):
     rc, out, _ = run(capsys, "--out", str(tmp_path), "verify", "init-gue",
                      "--tolerance", "1e-30")
@@ -215,6 +250,17 @@ def test_config_file_merge(tmp_path, capsys):
     assert rc == 0
     lines = (tmp_path / "cfgout" / "lax_init.csv").read_text().strip().split("\n")
     assert len(lines) == 5                            # flag wins
+
+
+def test_config_value_outside_choices_is_config_error(tmp_path, capsys):
+    # argparse never sees a config value; "GUE" once wrote a GOE window
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ensemble": "GUE", "N": 4}))
+    rc, _, err = run(capsys, "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "lax-init")
+    assert rc == 2
+    assert json.loads(err)["error"] == "config"
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_missing_file(tmp_path, capsys):

@@ -10,7 +10,7 @@ from taulattice import (CouplingVector, PfaffLax, c_coeff, couplings, goe_lax_in
                         pfaff_lax_from_basis, skew_hermite_map_check,
                         skew_moment_matrix, skew_orthonormal_basis,
                         sqrt_ratio_product, toda_lax_from_quadrature)
-from taulattice.cli import verify_init_goe, verify_init_gue
+from taulattice.identities import verify_init_goe, verify_init_gue
 
 SQRT_PI = math.sqrt(math.pi)
 

@@ -52,8 +52,13 @@ Volterra fields, computed one flow at a time as columns of one stack, must
 equal the per-shift chains it replaced (`mkp_fields_nested`) bit for bit
 at every requested shift, on C06's bump with RK4 h = 1e-3, at the default
 steps {2: 1e-2, 4: 1e-2, 6: 1e-2} and at {2: 0.013, 4: 0.0071, 6: 0.0093}
-and {2: 3e-3, 4: 2e-2, 6: 1e-3}.  Exits 1 if any difference exceeds its
-limit.
+and {2: 3e-3, 4: 2e-2, 6: 1e-3}.  The coupling derivatives of tau read off
+exact jets of log tau (`tau_coupling_derivative`) are held to the central
+finite differences they replaced (`tau_derivative_fd`, step 5e-3 on a
+widened grid) at {1: 0.05, 4: -0.03} and {2: 0.1, 3: 0.02, 4: -0.05}, for
+unitary sizes 1-3 and orthogonal 2 and 4, first and second orders in t1,
+t2 and t3, to 1e-7 relative to the larger of the derivative and tau: the
+reference's own noise.  Exits 1 if any difference exceeds its limit.
 
     PYTHONPATH=src python3 scripts/kernel_equiv.py --samples 40 --seed 1
 """
@@ -75,7 +80,7 @@ from taulattice import (CouplingVector, HydroChainField,  # noqa: E402
                         goe_lax_init, hydro_chain_rhs, identities, log_tau,
                         pfaff_lax_from_basis, reduced_chain_rhs,
                         skew_moment_matrix, skew_orthonormal_basis,
-                        toda_lax_from_quadrature)
+                        tau_coupling_derivative, toda_lax_from_quadrature)
 from taulattice.identities import mkp_bump_state, verify_init_goe  # noqa: E402
 
 
@@ -279,6 +284,22 @@ def mkp_fields_gap():
     return worst
 
 
+def tau_jets_gap():
+    """Largest gap of the jet-built tau derivatives from the finite-difference
+    reference, relative to the larger of the reference and tau."""
+    worst = 0.0
+    for mapping in ({1: 0.05, 4: -0.03}, {2: 0.1, 3: 0.02, 4: -0.05}):
+        t = CouplingVector.from_mapping(mapping)
+        for ensemble, n in (("unitary", 1), ("unitary", 2), ("unitary", 3),
+                            ("orthogonal", 2), ("orthogonal", 4)):
+            tau = math.exp(log_tau(ensemble, n, t)[1])
+            for orders in ({1: 1}, {1: 2}, {2: 1}, {3: 1}, {1: 1, 2: 1}, {2: 2}):
+                fd = ref.tau_derivative_fd(ensemble, n, t, orders)
+                jet = tau_coupling_derivative(ensemble, n, t, orders)
+                worst = max(worst, abs(jet - fd) / max(abs(fd), tau))
+    return worst
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--samples", type=int, default=40, help="random shapes per kernel")
@@ -359,6 +380,7 @@ def main():
             ("init-goe residual, 27 pairs", verify_init_goe(16, 10).residual_abs, 1e-12),
             ("Toda read-off vs Hankel, 1-10 sites", toda_read_off_gap(), 1e-11),
             ("mkp nested fields, batched vs per-key", mkp_fields_gap(), 0.0),
+            ("tau jets vs finite diffs (relative)", tau_jets_gap(), 1e-7),
             ("chain_matrix, %d points" % args.samples, matrix, 0.0),
             ("_matrix_gradient, %d points" % args.samples, gradient, 0.0)]
     for label, gap, limit in rows:

@@ -199,8 +199,19 @@ def _cmd_lax_init(opt: dict, outdir: str) -> int:
                      "K_pos": k_pos, "K_neg": k_neg})
 
 
-def _horizon(opt: dict, allowed: tuple) -> tuple[int, float]:
-    """Pick (flow, horizon) from the t-flags; exactly one must be set."""
+# evolve system -> the flags it reads
+_EVOLVE_READS = {
+    "toda": ("t1", "t2", "N", "h", "samples"),
+    "volterra": ("t2", "t4", "t6", "N", "h", "ghost", "samples"),
+    "pfaff": ("t2", "N", "h", "ghost", "k_pos", "k_neg", "samples"),
+    "reduced": ("t2", "h", "k_pos", "samples"),
+    "hydro": ("t2", "k_neg", "k_pos", "x_lo", "x_hi", "n_x"),
+}
+
+
+def _horizon(opt: dict, system: str) -> tuple[int, float]:
+    """Pick (flow, horizon) from the system's t-flags; exactly one must be set."""
+    allowed = [int(f[1:]) for f in _EVOLVE_READS[system] if f.startswith("t")]
     given = [(k, opt.get(f"t{k}")) for k in allowed if opt.get(f"t{k}") is not None]
     if len(given) != 1:
         names = ", ".join(f"--t{k}" for k in allowed)
@@ -211,24 +222,22 @@ def _horizon(opt: dict, allowed: tuple) -> tuple[int, float]:
 
 def _cmd_evolve(opt: dict, outdir: str) -> int:
     system = opt.get("system")
+    flow, horizon = _horizon(opt, system)
     times = lambda horizon: _sample_times(horizon, opt.get("samples", 5))
     step, closure = _given(opt, {"h": "h"}), _given(opt, {"h": "h", "ghost": "ghost"})
     summary = {"command": "evolve", "system": system}
 
     if system == "volterra":
-        flow, horizon = _horizon(opt, (2, 4, 6))
         N = int(opt.get("N", 64))
         res = evolve_volterra(VolterraState(np.arange(1.0, N + 1)), flow, times(horizon),
                               **closure)
         summary.update(flow=flow, horizon=horizon, N=N,
                        influence_index=res.stats.get("influence_index"))
     elif system == "toda":
-        flow, horizon = _horizon(opt, (1, 2))
         N = int(opt.get("N", 32))
         res = evolve_toda(gue_lax_init(N), flow, times(horizon), **step)
         summary.update(flow=flow, horizon=horizon, N=N)
     elif system == "pfaff":
-        flow, horizon = _horizon(opt, (2,))
         N = int(opt.get("N", 32))
         k_pos = int(opt.get("k_pos", 6))
         k_neg = int(opt.get("k_neg", 6))
@@ -236,13 +245,11 @@ def _cmd_evolve(opt: dict, outdir: str) -> int:
         summary.update(horizon=horizon, N=N, K_pos=k_pos, K_neg=k_neg,
                        influence_index=res.stats.get("influence_index"))
     elif system == "reduced":
-        flow, horizon = _horizon(opt, (2,))
         k_max = int(opt.get("k_pos", 6))
         res = evolve_reduced(ReducedChainState(0.5, np.full(k_max, 2.0)), times(horizon),
                              **step)
         summary.update(horizon=horizon, k_max=k_max)
     else:  # hydro
-        flow, horizon = _horizon(opt, (2,))
         x = np.linspace(float(opt.get("x_lo", 0.25)), float(opt.get("x_hi", 2.25)),
                         int(opt.get("n_x", 201)))
         field = HydroChainField.initial(x, **_given(opt, {"k_neg": "k_neg", "k_pos": "k_pos"}))
@@ -305,11 +312,14 @@ def main(argv=None) -> int:
         cfg = _load_config(args.config, args.command)
         opt = {**cfg, **flags}
         outdir = _outdir(args, cfg)
-        if args.command == "verify":   # config keys stay free: one file serves all
-            options = _options("verify")
-            unread = (options.keys() & flags.keys()) - {*SUITES[args.suite][1], "tolerance"}
+        if args.command in ("verify", "evolve"):   # config keys stay free: one file serves all
+            choice = args.suite if args.command == "verify" else args.system
+            reads = ((*SUITES[choice][1], "tolerance") if args.command == "verify"
+                     else _EVOLVE_READS[choice])
+            options = _options(args.command)
+            unread = (options.keys() & flags.keys()) - set(reads)
             if unread:
-                raise ValueError(f"verify {args.suite} does not read " + ", ".join(
+                raise ValueError(f"{args.command} {choice} does not read " + ", ".join(
                     options[dest].option_strings[0] for dest in sorted(unread)))
     except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
@@ -320,7 +330,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 1
-    except (ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:   # OSError: an unusable --out
         print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
         return 2
 

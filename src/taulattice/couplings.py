@@ -29,7 +29,6 @@ __all__ = [
     "weight_eval",
     "build_quadrature",
     "cumulative_integral",
-    "widen_grid",
 ]
 
 
@@ -289,20 +288,6 @@ def build_quadrature(t: CouplingVector, tol: float = 1e-12, *,
         prev = cur
     raise ToleranceUnreachable(
         f"panel doubling stalled at {panels} panels for tol {tol}")
-
-
-def widen_grid(grid: QuadratureGrid, radius_tol: float,
-               max_degree: int = 0) -> QuadratureGrid:
-    """Same grid geometry pushed out to a more suppressed tail radius.
-
-    Panel count grows with the radius so panel width never exceeds the width
-    that already converged.  Useful when slightly shifted weights will be
-    integrated on this grid: the extra margin keeps their tails negligible.
-    """
-    radius = _radius_for(grid.couplings, radius_tol, max_degree)
-    if radius <= grid.radius:
-        return grid
-    return _regrid(grid, radius, int(np.ceil(grid.panels * radius / grid.radius)))
 
 
 def _regrid(grid: QuadratureGrid, radius: float, panels: int) -> QuadratureGrid:

@@ -1,10 +1,10 @@
 """Cross-checks tying the lattice flows to their continuum PDE limits and
 to ensemble statistics.
 
-Everything here is deliberately indirect: derivatives in the coupling
-directions are taken by finite differences over freshly evolved lattices
-or re-quadratured determinants, never by reusing the algebraic flow rules,
-so a bug in the flow module cannot certify itself.  The mKP check lists
+Everything here is deliberately indirect: coupling derivatives are finite
+differences over freshly evolved lattices or exact jets of log tau, never
+the algebraic flow rules, so a bug in the flow module cannot certify
+itself.  The mKP check lists
 every coupling shift its finite differences will request, then evolves
 them one flow at a time: each distinct flow-2 shift, each flow-4 shift
 from the flow-2 state it needs, each flow-6 shift from its (2, 4) state,
@@ -32,10 +32,8 @@ from .flows import (EvolutionResult, ReducedChainState, VolterraState,
                     pfaff_commutator_rhs, reduced_chain_rhs, volterra_rhs)
 from .lax import (PfaffLax, TodaLax, _skew_basis, _skew_gram_schmidt, c_coeff,
                   goe_lax_init, pfaff_entries_from_tau, pfaff_lax_from_basis,
-                  skew_hermite_map_check, sqrt_ratio_product,
-                  toda_lax_from_quadrature)
-from .moments import (_log_tau_of_basis, _stieltjes_basis, _tau_grid, _tau_value,
-                      log_tau, tau_coupling_derivative)
+                  skew_hermite_map_check, sqrt_ratio_product)
+from .moments import _log_tau_jets, _log_tau_of_basis, _stieltjes_basis, _tau_grid, log_tau
 from .numdiff import mixed_derivative
 from .report import IdentityReport
 
@@ -51,6 +49,7 @@ __all__ = [
 ]
 
 _T0 = CouplingVector.from_mapping({})
+_GUE_SHIFT = CouplingVector.from_mapping({1: 0.25})
 
 
 # ---------------------------------------------------------------------------
@@ -230,45 +229,20 @@ def mkp_residuals(n: int, state: VolterraState, *, steps: dict | None = None,
 # KP residual from re-quadratured determinants
 
 def kp_residual(n: int = 2, t: CouplingVector = _T0, *,
-                steps: dict | None = None, inner_step: float = 5e-3,
-                tolerance: float = 1e-3, quad_tol: float = 1e-12,
-                check_tol: float | None = None) -> IdentityReport:
+                tolerance: float = 1e-3) -> IdentityReport:
     """KP residual for u = 2 d^2/dt1^2 log tau_n at the given couplings.
 
-    Evaluates d/dt1(d^3 u + 6 u u' - 4 du/dt3) + 3 d^2u/dt2^2 where every u
-    sample is itself a centred second difference of log tau on one frozen
-    quadrature grid.  tau_n never sees the flow modules.
+    Evaluates d/dt1(d^3 u + 6 u u' - 4 du/dt3) + 3 d^2u/dt2^2, with u and
+    every derivative read off one exact jet of log tau_n in (t1, t2, t3)
+    (`moments._log_tau_jets`).  tau_n never sees the flow modules.
     """
-    if n < 1 or n > 4:
-        raise ValueError("determinant size n must be 1..4")
-    if steps is None:
-        steps = {1: 0.1, 2: 0.05, 3: 4e-3}
-    grid = _tau_grid("unitary", n, t, quad_tol, frozen=True)
-    logtau_cache = {}
+    if n < 1 or n > 32:
+        raise ValueError("determinant size n must be 1..32")
+    jet = _log_tau_jets("unitary", [n], t, (1, 2, 3), [(6, 0, 0), (3, 0, 1), (2, 2, 0)])[n][2]
 
-    def log_tau_at(shifts: dict) -> float:
-        key = tuple(sorted((a, round(s, 12)) for a, s in shifts.items() if s))
-        if key not in logtau_cache:
-            logtau_cache[key] = log_tau("unitary", n, t.shifted(shifts), grid=grid)[1]
-        return logtau_cache[key]
-
-    w2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
-
-    def u(shifts: dict) -> float:
-        acc = 0.0
-        for off, wgt in zip((-2, -1, 0, 1, 2), w2):
-            s = dict(shifts)
-            s[1] = s.get(1, 0.0) + off * inner_step
-            acc += wgt * log_tau_at(s)
-        return 2.0 * acc / inner_step ** 2
-
-    u0 = u({})
-    d = lambda axes: mixed_derivative(u, axes, steps, check_tol=check_tol)
-    ux = d({1: 1})
-    uxx = d({1: 2})
-    uxxxx = d({1: 4})
-    uxt3 = d({1: 1, 3: 1})
-    uyy = d({2: 2})
+    d = lambda *g: 2.0 * math.prod(map(math.factorial, g)) * jet[g]   # 2 d^g log tau
+    u0, ux, uxx, uxxxx = d(2, 0, 0), d(3, 0, 0), d(4, 0, 0), d(6, 0, 0)
+    uxt3, uyy = d(3, 0, 1), d(2, 2, 0)
     residual = uxxxx + 6.0 * (ux * ux + u0 * uxx) - 4.0 * uxt3 + 3.0 * uyy
     scale = max(abs(uxxxx), abs(6 * ux * ux), abs(6 * u0 * uxx),
                 abs(4 * uxt3), abs(3 * uyy))
@@ -516,26 +490,24 @@ def sample_gaussian_ensemble(beta: int, n: int, count: int, seed: int) -> dict:
 
 def verify_init_gue(n_max: int = 10, tolerance: float = 1e-8) -> IdentityReport:
     """Quadrature-built tridiagonal data against the closed forms a=0, b=sqrt(n),
-    plus vanishing first-coupling log-derivative of the determinant tau.
+    plus the translation law log tau_m(t1) - log tau_m(0) = m t1^2/2 at
+    t1 = 1/4 for every m <= n_max.
 
-    Every tau_m and its derivative, m <= n_max, is evaluated on one frozen
-    grid built for n_max, which `_tau_grid` makes accurate for every m <= n_max.
+    Each side of the law is a sum of monic log norms of a Stieltjes basis on
+    its own grid; the basis at zero couplings also gives the Jacobi data.
     """
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2, got {n_max}")
-    lax = toda_lax_from_quadrature(_T0, n_max)
-    n = np.arange(1.0, n_max)
-    err_a = float(np.max(np.abs(lax.a)))
-    err_b = float(np.max(np.abs(lax.b / np.sqrt(n) - 1.0)))
-    grid = _tau_grid("unitary", n_max, _T0, frozen=True)
-    worst_d = 0.0
-    for m in range(1, n_max + 1):
-        tau_m = _tau_value("unitary", m, *log_tau("unitary", m, _T0, grid=grid))
-        d = tau_coupling_derivative("unitary", m, _T0, {1: 1}, grid=grid)
-        worst_d = max(worst_d, abs(d) / tau_m)
-    resid = max(err_a, err_b, worst_d)
+    _, log_h, a, b = _stieltjes_basis("unitary", n_max, _T0)
+    _, log_h_shifted, _, _ = _stieltjes_basis("unitary", n_max, _GUE_SHIFT)
+    m = np.arange(1.0, n_max + 1)
+    err_a = float(np.max(np.abs(a)))
+    err_b = float(np.max(np.abs(b[1:] / np.sqrt(m[:-1]) - 1.0)))
+    err_shift = float(np.max(np.abs(np.cumsum(log_h_shifted) - np.cumsum(log_h)
+                                    - m * _GUE_SHIFT.get(1) ** 2 / 2.0)))
+    resid = max(err_a, err_b, err_shift)
     meta = {"n_max": n_max, "err_a": err_a, "err_b_rel": err_b,
-            "max_t1_logderiv": worst_d}
+            "t1_translation_err": err_shift}
     return IdentityReport.from_residual("gue-initial-data", resid, tolerance, meta=meta)
 
 

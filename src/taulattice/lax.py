@@ -26,8 +26,7 @@ import numpy as np
 
 from .couplings import CouplingVector, build_quadrature
 from .errors import SingularMinor, StructureViolation
-from .moments import (SkewMomentMatrix, _skew_products, _stieltjes_basis, _tau_grid,
-                      log_tau, tau_coupling_derivative)
+from .moments import SkewMomentMatrix, _log_tau_jets, _skew_products, _stieltjes_basis
 from .report import IdentityReport
 
 __all__ = [
@@ -335,32 +334,29 @@ def pfaff_lax_from_basis(basis: SkewOrthoBasis, n_sites: int, k_pos: int,
     return PfaffLax(w, k_neg, k_pos)
 
 
-def pfaff_entries_from_tau(t: CouplingVector, n_pairs: int, step: float = 5e-3,
-                           *, tol: float = 1e-12) -> dict:
+def pfaff_entries_from_tau(t: CouplingVector, n_pairs: int, *,
+                           tol: float = 1e-12) -> dict:
     """w^0, w^1, w^{-1} at sites 1..n_pairs from Pfaffian tau-ratios.
 
-    An independent route to the window: tau values and their first/second
-    coupling derivatives, all on one widened frozen grid.
+    An independent route to the window: log tau values and their exact
+    d^2/dt1^2 and d/dt2 jets (`moments._log_tau_jets`), all from one
+    orthogonal Stieltjes basis.
     """
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be at least 1, got {n_pairs}")
-    log_t = {0: 0.0}
-    d11, d2 = {0: 0.0}, {0: 0.0}     # tau_0 = 1 at every coupling
-    top = 2 * n_pairs + 2
-    grid = _tau_grid("orthogonal", top, t, tol, frozen=True)
-    for size in range(2, top + 1, 2):
-        log_t[size] = log_tau("orthogonal", size, t, grid=grid)[1]
-        if size <= 2 * n_pairs:
-            d11[size] = tau_coupling_derivative("orthogonal", size, t, {1: 2}, step, grid=grid)
-            d2[size] = tau_coupling_derivative("orthogonal", size, t, {2: 1}, step, grid=grid)
+    jets = _log_tau_jets("orthogonal", range(0, 2 * n_pairs + 3, 2), t, (1, 2),
+                         [(2, 0), (0, 1)], tol)
+    log_t = {size: log_abs for size, (_, log_abs, _) in jets.items()}
+    # tau''/tau and tau'/tau from the Taylor coefficients c of log tau
+    d11 = {size: 2.0 * c[2, 0] + c[1, 0] ** 2 for size, (_, _, c) in jets.items()}
+    d2 = {size: c[0, 1] for size, (_, _, c) in jets.items()}
     out = {}
     for n in range(1, n_pairs + 1):
         prev, mid = 2 * n - 2, 2 * n
         log_outer = 0.5 * (log_t[prev] + log_t[mid + 2])   # log sqrt(tau_lo tau_hi)
         out[(0, n)] = math.exp(log_outer - log_t[mid])
-        out[(1, n)] = d11[mid] * math.exp(-log_outer)
-        out[(-1, n)] = (0.5 * (d2[mid] - d11[mid]) * math.exp(-log_t[mid])
-                        - 0.5 * (d2[prev] + d11[prev]) * math.exp(-log_t[prev]))
+        out[(1, n)] = d11[mid] * math.exp(log_t[mid] - log_outer)
+        out[(-1, n)] = 0.5 * (d2[mid] - d11[mid]) - 0.5 * (d2[prev] + d11[prev])
     return out
 
 

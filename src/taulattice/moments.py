@@ -13,22 +13,22 @@ rho^2 dz with F the skew Gram of the q_k.  Both bases come from
 grid degree and the skew product.  It also feeds `lax`: the tridiagonal Lax
 operator is the Jacobi matrix of the rho basis, and the skew Gram-Schmidt
 that maps orthogonal to skew-orthogonal polynomials runs on the rho^2
-basis.  Coupling derivatives of tau are central finite differences on a
-grid frozen at the base couplings, so a perturbed weight is always
-integrated on the geometry chosen for the base point.
+basis.  Coupling derivatives of log tau are exact jets on the same basis:
+shifting t_a multiplies rho by e^{s z^a}, and z q = J q with J the Jacobi
+matrix of the recurrence (Gautschi 2004; Adler & van Moerbeke 2002).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .couplings import (CouplingVector, QuadratureGrid, _regrid, build_quadrature,
-                        cumulative_integral, weight_eval, widen_grid)
+                        cumulative_integral, weight_eval)
 from .errors import IllConditioned, OddDimension
-from .numdiff import mixed_derivative
 
 __all__ = [
     "SkewMomentMatrix",
@@ -39,10 +39,6 @@ __all__ = [
     "tau_orthogonal",
     "tau_coupling_derivative",
 ]
-
-# Radius suppression used whenever a frozen grid must absorb small coupling
-# shifts: the extra tail margin costs ~10% more nodes and nothing else.
-_SHIFT_RADIUS_TOL = 1e-20
 
 # log|tau| outside this range has no normal double value.
 _LOG_RANGE = tuple(np.log([np.finfo(float).tiny, np.finfo(float).max]))
@@ -156,8 +152,7 @@ def _stieltjes(nodes: np.ndarray, measure: np.ndarray, count: int):
     return q, np.cumsum(log_beta), a, b
 
 
-def _tau_grid(ensemble: str, n: int, t: CouplingVector, tol: float = 1e-12, *,
-              frozen: bool = False) -> QuadratureGrid:
+def _tau_grid(ensemble: str, n: int, t: CouplingVector, tol: float = 1e-12) -> QuadratureGrid:
     """Grid on which log_tau(ensemble, m, t) is accurate for every m <= n.
 
     Its radius leaves a negligible tail of every q_k^2 rho: degree 4n
@@ -166,14 +161,10 @@ def _tau_grid(ensemble: str, n: int, t: CouplingVector, tol: float = 1e-12, *,
     panel doubling sees only smooth moments, and its 16 panels leave the
     oscillating integrands q_j q_k rho unresolved from size about 70
     (orthogonal log error 2.4e-9 at 80 and 5.5e-2 at 140; unitary 1.6e-7
-    at 100).  Below size 66 the floor never binds.  A frozen grid is
-    widened so that slightly shifted couplings can be integrated on it.
+    at 100).  Below size 66 the floor never binds.
     """
-    deg = max(4 * n if ensemble == "unitary" else 2 * n, 2)
-    grid = build_quadrature(t, tol, max_degree=deg)
-    if grid.panels < n / 4:
-        grid = _regrid(grid, grid.radius, -(-n // 4))
-    return widen_grid(grid, _SHIFT_RADIUS_TOL, deg) if frozen else grid
+    grid = build_quadrature(t, tol, max_degree=max(4 * n if ensemble == "unitary" else 2 * n, 2))
+    return grid if grid.panels >= n / 4 else _regrid(grid, grid.radius, -(-n // 4))
 
 
 def _stieltjes_basis(ensemble: str, n: int, t: CouplingVector, tol: float = 1e-12, *,
@@ -203,27 +194,76 @@ def log_tau(ensemble: str, n: int, t: CouplingVector, tol: float = 1e-12, *,
     the couplings the grid was built for.  Raises IllConditioned when the
     Stieltjes recurrence breaks down or the skew Gram has a zero pivot.
     """
-    if ensemble not in ("unitary", "orthogonal"):
-        raise ValueError(f"unknown ensemble {ensemble!r}")
-    if n < 0 or (ensemble == "orthogonal" and n % 2):
-        raise ValueError(f"no {ensemble} tau of size {n}")
+    _check_size(ensemble, n)
     if n == 0:
         return 1.0, 0.0
     F, log_h, _, _ = _stieltjes_basis(ensemble, n, t, tol, grid=grid)
     return _log_tau_of_basis(F, log_h)
 
 
+def _check_size(ensemble: str, n: int) -> None:
+    if ensemble not in ("unitary", "orthogonal") or n < 0 or (ensemble == "orthogonal" and n % 2):
+        raise ValueError(f"no {ensemble!r} tau of size {n}")
+
+
 def _log_tau_of_basis(F: np.ndarray | None, log_h: np.ndarray) -> tuple[float, float]:
     """(sign, log|tau|) of the size of a `_stieltjes_basis` (F, log_h): the
     Hankel product for unitary (F None), the Pfaffian of F times the
     normalizations for orthogonal.  The Pfaffian pivots overwrite F."""
-    if F is None:
+    if F is None or not len(F):   # unitary, or tau_0 = 1
         return 1.0, float(log_h.sum())
     sign, pivots = _pfaffian_pivots(F)
     if not np.all(np.isfinite(pivots) & (pivots != 0.0)):
         raise IllConditioned(f"skew Gram of order {len(F)} has a zero or non-finite pivot")
     sign *= float(np.prod(np.sign(pivots)))
     return sign, float(np.log(np.abs(pivots)).sum() + 0.5 * log_h.sum())
+
+
+def _log_tau_jets(ensemble: str, sizes, t: CouplingVector, axes: tuple, tops,
+                  tol: float = 1e-12) -> dict:
+    """{m: (sign, log|tau_m|, jet)} for every size m in `sizes`, from one
+    Stieltjes basis.  jet maps each multi-index g at or below one of `tops`
+    (orders in the couplings `axes`) to the Taylor coefficient of s^g in
+    log tau_m(t + s) - log tau_m(t), s_a shifting the coupling axes[a].
+
+    Shifting t_a multiplies rho by e^{s_a z^a}, and z q = J q for the basis q
+    with Jacobi matrix J, so the weight acts as E(s) = exp(sum_a s_a J^a),
+    whose coefficient of s^g is J^{sum_a a g_a} / g!.  The jet is tr log E_[m]
+    (unitary) or (1/2) tr log([E F E^T]_[m] F_[m]^-1), F the skew Gram
+    (orthogonal).  It is exact on m + p/2 (unitary) or m + p (orthogonal)
+    basis terms, p the highest power of J read; two more are taken.
+    """
+    for m in sizes:
+        _check_size(ensemble, m)
+    monos = sorted({g for top in tops for g in itertools.product(*(range(k + 1) for k in top))},
+                   key=lambda g: (sum(g), g))   # by total order, 0 first
+    degree = [sum(a * k for a, k in zip(axes, g)) for g in monos]
+    reach = max(degree) if ensemble == "orthogonal" else -(-max(degree) // 2)
+    top = max(sizes)
+    F, log_h, a, b = _stieltjes_basis(ensemble, top + reach + 2, t, tol)
+    J = np.diag(a) + np.diag(b[1:], 1) + np.diag(b[1:], -1)
+    rows = np.stack([np.linalg.matrix_power(J, d)[:top] / math.prod(map(math.factorial, g))
+                     for g, d in zip(monos, degree)])   # E(s)'s leading rows
+    i, j, k = np.array([(i, j, monos.index(s)) for i, g in enumerate(monos) for j, h in
+                        enumerate(monos) if (s := tuple(map(sum, zip(g, h)))) in monos]).T
+
+    def product(P, Q):   # of two series: sum P_g Q_h into monomial g + h
+        out = np.zeros(P.shape[:2] + Q.shape[2:])
+        np.add.at(out, k, P[i] @ Q[j])
+        return out
+
+    S = rows[:, :, :top] if F is None else product(rows @ F, rows.transpose(0, 2, 1))
+    out = {}
+    for m in sizes:
+        sign, log_abs = _log_tau_of_basis(None if F is None else F[:m, :m].copy(), log_h[:m])
+        X = S[:, :m, :m] @ (np.eye(m) if F is None else np.linalg.inv(F[:m, :m]))
+        X[0] = 0.0   # the identity: expand tr log(I + X)
+        coeffs, power = np.zeros(len(monos)), X
+        for order in range(1, sum(monos[-1]) + 1):
+            coeffs += (-1) ** (order + 1) / order * np.trace(power, axis1=1, axis2=2)
+            power = product(power, X)
+        out[m] = sign, log_abs, dict(zip(monos, (1.0 if F is None else 0.5) * coeffs))
+    return out
 
 
 def _tau_value(ensemble: str, n: int, sign: float, log_abs: float) -> float:
@@ -247,28 +287,28 @@ def tau_orthogonal(t: CouplingVector, two_n: int, tol: float = 1e-12) -> float:
 
 
 def tau_coupling_derivative(ensemble: str, n: int, t: CouplingVector,
-                            multi_index: dict, step: float = 5e-3, *,
-                            check_tol: float | None = None,
-                            grid: QuadratureGrid | None = None,
-                            tol: float = 1e-12) -> float:
-    """Mixed coupling derivative of tau_n by central FD with one Richardson level.
+                            multi_index: dict, *, tol: float = 1e-12) -> float:
+    """Mixed coupling derivative of tau_n, exact from the jet of log tau_n.
 
     ensemble is "unitary" or "orthogonal" (n is the matrix size subscript in
     both cases, even for orthogonal).  multi_index maps coupling index ->
-    derivative order, total order <= 4.  The quadrature grid is frozen at
-    the base couplings with extra radius margin so that every shifted weight
-    is evaluated on the same geometry.
+    derivative order, total order <= 4.  With L(s) = log tau_n(t + s) -
+    log tau_n(t) from `_log_tau_jets`, the derivative is tau_n(t) times that
+    of exp(L) at s = 0.
     """
     orders = {int(k): int(p) for k, p in multi_index.items() if int(p) != 0}
     if any(p < 0 for p in orders.values()):
         raise ValueError("derivative orders must be non-negative")
     if sum(orders.values()) > 4:
         raise ValueError("total derivative order must be <= 4")
-    if grid is None:
-        grid = _tau_grid(ensemble, n, t, tol, frozen=True)
-
-    def tau_at(shift: dict) -> float:
-        return _tau_value(ensemble, n, *log_tau(ensemble, n, t.shifted(shift), grid=grid))
-
-    steps = {k: float(step) for k in orders}
-    return float(mixed_derivative(tau_at, orders, steps, check_tol=check_tol))
+    axes, top = tuple(sorted(orders)), tuple(p for _, p in sorted(orders.items()))
+    sign, log_abs, jet = _log_tau_jets(ensemble, [n], t, axes, [top], tol)[n]
+    tau = _tau_value(ensemble, n, sign, log_abs)
+    # E = exp(L) by g_i E_g = sum_a a_i L_a E_{g-a}, i the first axis of g
+    exp_jet = {}
+    for g in jet:   # by total order, so every E_{g-a} is known
+        i = next((k for k, o in enumerate(g) if o), None)
+        exp_jet[g] = 1.0 if i is None else sum(
+            a[i] * jet[a] * exp_jet[tuple(x - y for x, y in zip(g, a))]
+            for a in jet if a[i] and all(x <= y for x, y in zip(a, g))) / g[i]
+    return tau * exp_jet[top] * math.prod(map(math.factorial, top))

@@ -58,8 +58,7 @@ def stencil(p: int):
     return tuple(offsets), np.array([float(x) for x in b])
 
 
-def mixed_derivative(f, axes: dict, steps: dict, *, richardson: bool = True,
-                     check_tol: float | None = None):
+def mixed_derivative(f, axes: dict, steps: dict, *, check_tol: float | None = None):
     """Mixed partial of f over several axes by tensor-product stencils.
 
     f takes a dict axis -> shift.  `axes` maps axis -> derivative order,
@@ -96,8 +95,6 @@ def mixed_derivative(f, axes: dict, steps: dict, *, richardson: bool = True,
         return acc / denom
 
     coarse = level(2)
-    if not richardson:
-        return coarse
     fine = level(1)
     best = (16.0 * fine - coarse) / 15.0
     if check_tol is not None:

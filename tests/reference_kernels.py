@@ -41,6 +41,14 @@ stepper and the reference chain loop, bound the trajectory drift.
 its b clamped at 1e-300; the raw-array kernel must equal it bit for bit on
 healthy trajectories.
 
+`tau_derivative_fd` is the route `moments.tau_coupling_derivative` took
+before it read exact jets of log tau off the Stieltjes basis: central
+finite differences with one Richardson level (`numdiff.mixed_derivative`),
+every shifted tau integrated on one grid built at the base couplings and
+widened (`widen_grid`) so that the shifted tails stay negligible.  Its
+noise is about 1e-8 relative at step 5e-3, so it is a reference to that
+noise for small sizes.
+
 `mkp_fields_nested` is the per-shift chain that `identities.mkp_residuals`
 ran before it batched its evolutions: each requested (s2, s4, s6) shift
 marches its own line through flows 2, 4 and 6 in RK4 segments of its own,
@@ -55,9 +63,10 @@ import math
 import numpy as np
 
 from taulattice import continuum, flows, lax, pfaffian
-from taulattice.couplings import (_panel_nodes, build_quadrature, cumulative_integral,
-                                  weight_eval)
-from taulattice.moments import _skew_products
+from taulattice.couplings import (_panel_nodes, _radius_for, _regrid, build_quadrature,
+                                  cumulative_integral, weight_eval)
+from taulattice.moments import _skew_products, _tau_grid, _tau_value, log_tau
+from taulattice.numdiff import mixed_derivative
 from taulattice.continuum import _closure_row, _matrix_terms, spatial_derivative
 from taulattice.errors import DivergedField, StructureViolation
 from taulattice.flows import _skew_block_projection
@@ -448,6 +457,28 @@ def log_tau_closed_form(ensemble, n, t2=0.0):
     base = sum(0.5 * math.log(math.pi) + math.lgamma(2 * k + 1) - k * math.log(4.0)
                for k in range(m))
     return base + m * (2 * m + 1) * log_scale
+
+
+def widen_grid(grid, radius_tol, max_degree=0):
+    """Same grid geometry pushed out to a more suppressed tail radius, the
+    panel count grown with the radius so that no panel gets wider."""
+    radius = _radius_for(grid.couplings, radius_tol, max_degree)
+    if radius <= grid.radius:
+        return grid
+    return _regrid(grid, radius, int(np.ceil(grid.panels * radius / grid.radius)))
+
+
+def tau_derivative_fd(ensemble, n, t, multi_index, step=5e-3, tol=1e-12):
+    """Mixed coupling derivative of tau_n by central finite differences with
+    one Richardson level, every shifted tau on the tau grid at t widened to
+    a 1e-20 tail."""
+    orders = {int(k): int(p) for k, p in multi_index.items() if int(p) != 0}
+    deg = max(4 * n if ensemble == "unitary" else 2 * n, 2)
+    grid = widen_grid(_tau_grid(ensemble, n, t, tol), 1e-20, deg)
+
+    def tau_at(shift):
+        return _tau_value(ensemble, n, *log_tau(ensemble, n, t.shifted(shift), grid=grid))
+    return float(mixed_derivative(tau_at, orders, {k: step for k in orders}))
 
 
 def skew_moment_rows(t, size, grid):

@@ -43,7 +43,7 @@ def test_c02_tridiagonal_initial_data(acceptance):
     report = verify_init_gue(n_max=10, tolerance=1e-8)
     acceptance("C02", "tridiagonal initial data", report.passed,
                f"rel err {report.residual_rel:.2e} <= 1e-08 "
-               f"(recurrence and first-coupling stationarity)")
+               f"(recurrence and t1 translation law)")
 
 
 def test_c03_exact_scaling_trajectories(acceptance):

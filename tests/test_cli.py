@@ -204,6 +204,42 @@ def test_verify_flag_the_suite_does_not_read_is_usage_error(tmp_path, capsys, su
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("system,flags,unread", [
+    ("toda", ["--t1", "0.1", "--ghost", "linear", "--K-pos", "3"], ["--ghost", "--K-pos"]),
+    ("volterra", ["--t2", "0.1", "--K-neg", "3"], ["--K-neg"]),
+    ("pfaff", ["--t2", "0.01", "--t4", "0.01"], ["--t4"]),
+    ("reduced", ["--t2", "0.1", "--N", "8"], ["--N"]),
+    ("hydro", ["--t2", "0.01", "--h", "0.001", "--samples", "3"], ["--h", "--samples"]),
+])
+def test_evolve_flag_the_system_does_not_read_is_usage_error(tmp_path, capsys, system,
+                                                             flags, unread):
+    rc, _, err = run(capsys, "--out", str(tmp_path), "evolve", system, *flags)
+    assert rc == 2
+    error = json.loads(err)
+    assert error["error"] == "config"
+    assert all(flag in error["message"] for flag in unread)
+    assert not any(tmp_path.iterdir())
+
+
+def test_evolve_config_keys_serve_every_system(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ghost": "linear", "K_pos": 3, "N": 8}))
+    rc, _, _ = run(capsys, "--config", str(cfg), "--out", str(tmp_path / "out"),
+                   "evolve", "toda", "--t1", "0.01")
+    assert rc == 0
+    assert (tmp_path / "out" / "evolve_toda.csv").exists()
+
+
+def test_out_that_cannot_be_a_directory_is_config_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    rc, out, err = run(capsys, "--out", str(blocker / "x"), "tau",
+                       "--ensemble", "unitary", "--n", "1")
+    assert rc == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "config"
+
+
 def test_verify_config_keys_serve_every_suite(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"N": 40, "n": 3}))

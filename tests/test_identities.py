@@ -120,7 +120,20 @@ class TestKp:
         with pytest.raises(ValueError):
             kp_residual(0)
         with pytest.raises(ValueError):
-            kp_residual(5)
+            kp_residual(33)
+
+    @pytest.mark.parametrize("mapping", [{}, {4: -0.05}, {1: 0.05, 4: -0.03}])
+    def test_exact_jets_hold_the_equation(self, mapping):
+        t = CouplingVector.from_mapping(mapping)
+        for n in range(1, 5):
+            report = kp_residual(n, t)
+            assert report.residual_rel <= 1e-10, (n, report.residual_rel)
+            if not mapping:   # u = 2 n / (1 - 2 t2) on the Gaussian family
+                assert abs(report.meta["u"] - 2.0 * n) <= 1e-12 * n
+
+    def test_largest_size(self):
+        report = kp_residual(32, CouplingVector.from_mapping({4: -0.05}))
+        assert report.residual_rel <= 1e-8
 
 
 class TestObservables:

@@ -10,7 +10,7 @@ from taulattice import (CouplingVector, PfaffLax, c_coeff, couplings, goe_lax_in
                         pfaff_lax_from_basis, skew_hermite_map_check,
                         skew_moment_matrix, skew_orthonormal_basis,
                         sqrt_ratio_product, toda_lax_from_quadrature)
-from taulattice.identities import verify_init_goe, verify_init_gue
+from taulattice.identities import verify_init_goe, verify_init_gue, verify_tau_cross
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -69,8 +69,8 @@ def test_init_gue_past_the_moment_table_cap():
 
 @pytest.mark.parametrize("n_max", [2, 14, 24])
 def test_init_gue_solves_for_three_radii(n_max, monkeypatch):
-    # one grid for the Lax read-off, one frozen grid (build and widen) for
-    # every tau_m and its derivative, m <= n_max
+    # one grid at zero couplings for the Jacobi data and log tau_m, one at
+    # t1 = 1/4 for the other side of the translation law
     calls = []
     solve = couplings._radius_for
 
@@ -81,7 +81,7 @@ def test_init_gue_solves_for_three_radii(n_max, monkeypatch):
     monkeypatch.setattr(couplings, "_radius_for", counted)
     report = verify_init_gue(n_max=n_max)
     assert report.passed, report.residual_abs
-    assert len(calls) <= 3, len(calls)
+    assert len(calls) <= 2, len(calls)
 
 
 def test_goe_init_window_values():
@@ -229,3 +229,10 @@ def test_entries_from_tau_ratios(t0):
         assert abs(entries[(0, n)] - 0.5 * c) < 1e-8
         assert abs(entries[(-1, n)] - 0.5) < 1e-6
         assert abs(entries[(1, n)] - 2.0 * sqrt_ratio_product(n, 1)) < 1e-6
+
+
+@pytest.mark.parametrize("n_pairs,bound", [(5, 1e-6), (12, 1e-12)])
+def test_tau_cross_from_exact_jets(n_pairs, bound):
+    report = verify_tau_cross(n_pairs)
+    assert report.passed
+    assert report.residual_abs <= bound

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reference_kernels as ref
 from taulattice import (CouplingVector, QuadratureGrid, build_quadrature, log_tau,
@@ -146,6 +147,75 @@ class TestCouplingDerivatives:
     def test_unknown_ensemble(self, t0):
         with pytest.raises(ValueError):
             tau_coupling_derivative("symplectic", 2, t0, {1: 1})
+
+    @pytest.mark.parametrize("mapping", [{1: 0.05, 4: -0.03}, {2: 0.1, 3: 0.02, 4: -0.05}])
+    @pytest.mark.parametrize("ensemble,n", [("unitary", 1), ("unitary", 2), ("unitary", 3),
+                                            ("orthogonal", 2), ("orthogonal", 4)])
+    def test_jets_against_finite_differences(self, mapping, ensemble, n):
+        # off the Gaussian family: the finite-difference reference at step
+        # 5e-3 is good to about 1e-8 in these directions and orders
+        t = CouplingVector.from_mapping(mapping)
+        tau = math.exp(log_tau(ensemble, n, t)[1])
+        for orders in ({1: 1}, {1: 2}, {2: 1}, {3: 1}, {1: 1, 2: 1}, {1: 2, 2: 1}, {2: 2}):
+            fd = ref.tau_derivative_fd(ensemble, n, t, orders)
+            jet = tau_coupling_derivative(ensemble, n, t, orders)
+            assert abs(jet - fd) <= 1e-7 * max(abs(fd), tau), orders
+
+
+def _gaussian_log_tau_coefficient(ensemble, n, t1, t2, g):
+    """Taylor coefficient of s1^g[0] s2^g[1] in log tau_n(t1 + s1, t2 + s2)
+    - log tau_n(t1, t2) on the Gaussian family, where log tau_n = const +
+    n t1^2 / (2 alpha) - e_n log alpha with alpha = 1 - 2 t2, e_n = n^2/2
+    (unitary) or n(n+1)/4 (orthogonal)."""
+    j, k = g
+    alpha = 1.0 - 2.0 * t2
+    square = {0: t1 * t1, 1: 2.0 * t1, 2: 1.0}.get(j, 0.0)   # of (t1 + s1)^2
+    coeff = 0.5 * n * square * 2.0 ** k / alpha ** (k + 1)
+    if j == 0 and k > 0:
+        e_n = n * n / 2.0 if ensemble == "unitary" else n * (n + 1) / 4.0
+        coeff += e_n * 2.0 ** k / (k * alpha ** k)
+    return coeff if j or k else 0.0
+
+
+@given(st.sampled_from(["unitary", "orthogonal"]), st.integers(1, 24),
+       st.floats(-0.2, 0.2), st.floats(-0.2, 0.2))
+@settings(max_examples=40, deadline=None)
+def test_jets_meet_the_gaussian_closed_form(ensemble, size, t1, t2):
+    # every (t1, t2) derivative of log tau through total order 4, each
+    # order's derivatives relative to the largest of them (several vanish)
+    n = size + size % 2 if ensemble == "orthogonal" else size
+    t = CouplingVector.from_mapping({1: t1, 2: t2})
+    tops = [(4, 0), (3, 1), (2, 2), (1, 3), (0, 4)]
+    sign, log_abs, jet = moments._log_tau_jets(ensemble, [n], t, (1, 2), tops)[n]
+    assert sign == 1.0
+    assert abs(log_abs - log_tau(ensemble, n, t)[1]) <= 1e-12 * max(abs(log_abs), 1.0)
+    for order in range(1, 5):
+        got, want = [], []
+        for g in (g for g in jet if sum(g) == order):
+            factorial = math.factorial(g[0]) * math.factorial(g[1])
+            got.append(factorial * jet[g])
+            want.append(factorial * _gaussian_log_tau_coefficient(ensemble, n, t1, t2, g))
+        gap = np.max(np.abs(np.subtract(got, want)))
+        assert gap <= 1e-10 * max(np.max(np.abs(want)), 1.0), (order, gap)
+
+
+def test_jet_sizes_share_one_basis(t0, monkeypatch):
+    calls = []
+    build = moments._stieltjes_basis
+
+    def counted(ensemble, n, *args, **kwargs):
+        calls.append(n)
+        return build(ensemble, n, *args, **kwargs)
+
+    monkeypatch.setattr(moments, "_stieltjes_basis", counted)
+    jets = moments._log_tau_jets("orthogonal", [0, 2, 4, 6], t0, (1, 2), [(2, 0), (0, 1)])
+    # highest power J^2: the orthogonal basis reaches 6 + 2 + 2
+    assert calls == [10]
+    assert jets[0] == (1.0, 0.0, dict.fromkeys([(0, 0), (0, 1), (1, 0), (2, 0)], 0.0))
+    for size in (2, 4, 6):
+        assert abs(jets[size][1] - log_tau("orthogonal", size, t0)[1]) < 1e-12
+        # d log tau_n / dt2 = 2 e_n = n (n + 1) / 2 at zero couplings
+        assert abs(jets[size][2][0, 1] - size * (size + 1) / 2.0) < 1e-12 * size ** 2
 
 
 class TestLogTau:

@@ -47,18 +47,19 @@ pairs for couplings {}, {2: 0.1}, {1: 0.1} and {1: 0.05, 4: -0.03}, to
 K = 10) is held to its closed form to 1e-12.  The tridiagonal Lax operator
 read off the Stieltjes recurrence of rho is held to the Cholesky factor of
 the monomial Hankel matrix it replaced, for 1-10 sites at {2: 0.1},
-{1: 0.05, 4: -0.03} and {4: -0.05}, to 1e-11.  The mKP check's nested
-Volterra fields, computed one flow at a time as columns of one stack, must
-equal the per-shift chains it replaced (`mkp_fields_nested`) bit for bit
-at every requested shift, on C06's bump with RK4 h = 1e-3, at the default
-steps {2: 1e-2, 4: 1e-2, 6: 1e-2} and at {2: 0.013, 4: 0.0071, 6: 0.0093}
-and {2: 3e-3, 4: 2e-2, 6: 1e-3}.  The coupling derivatives of tau read off
-exact jets of log tau (`tau_coupling_derivative`) are held to the central
-finite differences they replaced (`tau_derivative_fd`, step 5e-3 on a
-widened grid) at {1: 0.05, 4: -0.03} and {2: 0.1, 3: 0.02, 4: -0.05}, for
-unitary sizes 1-3 and orthogonal 2 and 4, first and second orders in t1,
-t2 and t3, to 1e-7 relative to the larger of the derivative and tau: the
-reference's own noise.  Exits 1 if any difference exceeds its limit.
+{1: 0.05, 4: -0.03} and {4: -0.05}, to 1e-11.  The mKP check's exact
+Volterra flow jets (`identities._mkp_jets`) are held to the nested RK4
+evolutions and Richardson finite differences they replaced
+(`mkp_derivatives_fd`, steps 1e-2, RK4 h = 1e-3) on C06's bump at sites
+2-20, to 2e-8 of the larger of 1 and the largest derivative: the
+reference's own noise, which reads up to 7.6e-9.  The coupling
+derivatives of tau read off exact jets of log tau
+(`tau_coupling_derivative`) are held to the central finite differences
+they replaced (`tau_derivative_fd`, step 5e-3 on a widened grid) at
+{1: 0.05, 4: -0.03} and {2: 0.1, 3: 0.02, 4: -0.05}, for unitary sizes 1-3
+and orthogonal 2 and 4, first and second orders in t1, t2 and t3, to 1e-7
+relative to the larger of the derivative and tau: the reference's own
+noise.  Exits 1 if any difference exceeds its limit.
 
     PYTHONPATH=src python3 scripts/kernel_equiv.py --samples 40 --seed 1
 """
@@ -270,17 +271,17 @@ def toda_read_off_gap():
     return worst
 
 
-def mkp_fields_gap():
-    """Largest difference of the batched mKP field table from the per-shift
-    chains, over every shift at three step sets."""
+def mkp_jets_gap():
+    """Largest gap of the mKP check's Volterra flow jets from the nested
+    finite differences they replaced, over C06's bump at sites 2-20,
+    relative to the larger of 1 and the site's largest derivative."""
     B0 = mkp_bump_state(64).B
+    jets = identities._mkp_jets(B0)
     worst = 0.0
-    for steps in ({2: 1e-2, 4: 1e-2, 6: 1e-2}, {2: 0.013, 4: 0.0071, 6: 0.0093},
-                  {2: 3e-3, 4: 2e-2, 6: 1e-3}):
-        shifts = identities._mkp_shifts(steps)
-        lines, _, _ = identities._mkp_field_table(B0, shifts, 1e-3)
-        oracle = ref.mkp_fields_nested(B0, shifts, 1e-3)
-        worst = max([worst] + [float(np.abs(lines[k] - oracle[k]).max()) for k in shifts])
+    for n in (2, 5, 8, 10, 11, 14, 20):
+        fd = ref.mkp_derivatives_fd(B0, n, {2: 1e-2, 4: 1e-2, 6: 1e-2}, 1e-3)
+        got = np.array([[d[n - 1], d[n - 2]] for d in jets])
+        worst = max(worst, float(np.abs(got - fd).max()) / max(1.0, float(np.abs(fd).max())))
     return worst
 
 
@@ -379,7 +380,7 @@ def main():
             ("skew basis vs parity-Hermite, 6-10 pairs", skew_window_gap(), 1e-10),
             ("init-goe residual, 27 pairs", verify_init_goe(16, 10).residual_abs, 1e-12),
             ("Toda read-off vs Hankel, 1-10 sites", toda_read_off_gap(), 1e-11),
-            ("mkp nested fields, batched vs per-key", mkp_fields_gap(), 0.0),
+            ("mkp jets vs nested finite differences", mkp_jets_gap(), 2e-8),
             ("tau jets vs finite diffs (relative)", tau_jets_gap(), 1e-7),
             ("chain_matrix, %d points" % args.samples, matrix, 0.0),
             ("_matrix_gradient, %d points" % args.samples, gradient, 0.0)]

@@ -38,10 +38,6 @@ class StructureViolation(TauLatticeError):
     """A commutator produced nonzero entries at positions pinned to 0 or 1."""
 
 
-class GridTooCoarse(TauLatticeError):
-    """Flow-parameter grid refinement disagrees by more than 10x the tolerance."""
-
-
 class UnsupportedKind(TauLatticeError):
     """No closed-form reference trajectory exists for the requested kind."""
 

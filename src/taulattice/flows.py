@@ -39,6 +39,12 @@ sites, written into the padded line.  The tridiagonal and reduced chains'
 kernels work on flat arrays, (a, b) and (W^{-1}, W^1..W^K); `toda_rhs`
 and `reduced_chain_rhs` wrap them for one state.
 
+Jets: `_volterra_jet` reads a Taylor coefficient of the Volterra rates
+along a power series of lines, exact up to rounding, by running the same
+padded stencil once on a complex stack of the series' values on a circle
+and taking one FFT.  Coefficients of a flow's orbit follow one from the
+last, so coupling derivatives of a line need no time step.
+
 Stepping: every evolver, here and in `continuum`, takes classical RK4
 steps through `_rk4_step`, the one place the RK4 weights are written
 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.1); h may be a scalar,
@@ -232,15 +238,53 @@ def _volterra_rhs_padded(Bp: np.ndarray, flow: int) -> np.ndarray:
     return Bp[4:-4] * (V[2:] - V[:-2])
 
 
-def volterra_rhs(B: np.ndarray, flow: int = 2) -> np.ndarray:
-    """dB/dt_{flow} of a (sites,) line, or of each column of a (sites, batch)
-    stack; the last flow//2 + 1 sites lean on a linear extension."""
-    B = np.asarray(B, dtype=float)
-    ghosts = np.zeros((4,) + B.shape[1:])
+def _volterra_pad(B: np.ndarray) -> np.ndarray:
+    """B with 4 ghost sites on each side along axis 0: zeros ahead of site 0
+    and the linear extension of the last two sites past the end.  Keeps B's
+    dtype and its trailing (batch) axes."""
+    ghosts = np.zeros((4,) + B.shape[1:], dtype=B.dtype)
     Bp = np.concatenate([ghosts, B, ghosts])
     j = np.arange(1, 5).reshape((4,) + (1,) * (B.ndim - 1))
     Bp[-4:] = B[-1] + (B[-1] - B[-2]) * j
-    return _volterra_rhs_padded(Bp, flow)
+    return Bp
+
+
+def volterra_rhs(B: np.ndarray, flow: int = 2) -> np.ndarray:
+    """dB/dt_{flow} of a (sites,) line, or of each column of a (sites, batch)
+    stack; the last flow//2 + 1 sites lean on a linear extension."""
+    return _volterra_rhs_padded(_volterra_pad(np.asarray(B, dtype=float)), flow)
+
+
+def _volterra_jet(C: np.ndarray, flow: int, k: int) -> np.ndarray:
+    """Taylor coefficient k of the rates X_flow(B(x)) along the series
+    B(x) = sum_j C[j] x^j of lines C[0], C[1], ..., padded as `volterra_rhs`
+    pads a line.
+
+    X_flow is a polynomial of degree flow/2 + 1 in the sites, and only
+    C[0..k] reach coefficient k, so the rates along the series cut there are
+    a polynomial in x of degree (flow/2 + 1) k.  The stencil runs once on
+    the complex (sites, M) stack of the series' values at M = that degree
+    + 1 points of a circle, and one FFT reads the coefficient exactly, up
+    to rounding (Lyness & Moler 1967).  The radius, a power of two near
+    max|C[0]| / max|C[1]|, sets only the rounding.  With k = 0 this is
+    `volterra_rhs(C[0], flow)`.  Raises DivergedField when the coefficient
+    is not finite.
+    """
+    C = np.asarray(C[:k + 1], dtype=float)
+    M = (flow // 2 + 1) * k + 1
+    radius = 1.0
+    with np.errstate(all="ignore"):
+        ratio = np.abs(C[0]).max() / np.abs(C[1]).max() if k else 1.0
+        if 0.0 < ratio < math.inf:
+            radius = math.ldexp(1.0, min(max(round(math.log2(ratio)), -128), 128))
+        powers = radius ** np.arange(k + 1.0)[:, None]
+        values = np.fft.ifft(C * powers, n=M, axis=0) * M          # (M, sites)
+        rates = _volterra_rhs_padded(_volterra_pad(values.T), flow)
+        coeff = np.fft.fft(rates, axis=1)[:, k] / (M * radius ** k)
+    if not np.isfinite(coeff).all():
+        raise DivergedField(f"flow-{flow} jet coefficient {k} of a line of "
+                            f"{C.shape[1]} sites is not finite")
+    return coeff.real
 
 
 def _chain_kernel(Q: np.ndarray, k_neg: int, k_pos: int, n: int):

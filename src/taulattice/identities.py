@@ -1,17 +1,13 @@
 """Cross-checks tying the lattice flows to their continuum PDE limits and
 to ensemble statistics.
 
-Everything here is deliberately indirect: coupling derivatives are finite
-differences over freshly evolved lattices or exact jets of log tau, never
-the algebraic flow rules, so a bug in the flow module cannot certify
-itself.  The mKP check lists
-every coupling shift its finite differences will request, then evolves
-them one flow at a time: each distinct flow-2 shift, each flow-4 shift
-from the flow-2 state it needs, each flow-6 shift from its (2, 4) state,
-with all of a flow's evolutions advanced together as the columns of one
-stack.  Every column keeps the step count and step size an evolution of
-its own would take, so the fields equal independent per-shift runs bit
-for bit.  Likewise the
+Everything here is deliberately indirect: coupling derivatives are exact
+Taylor jets, of log tau or of the coded Volterra right-hand side along its
+own flows, never the algebraic identity under test, so a bug in the flow
+module cannot certify itself.  The mKP check's jets read only that
+right-hand side, as evolving the lattice would, and never the mKP algebra;
+C03's scaling family and C12's flow commutation test the right-hand side
+along other routes.  Likewise the
 observables check holds a log-tau increment (Pfaffian pivots of the skew
 Gram) against a skew-window entry (skew Gram-Schmidt of the same Gram),
 so an error in the pivot elimination or in the Gram-Schmidt shows; one in
@@ -25,16 +21,15 @@ import math
 import numpy as np
 
 from .couplings import CouplingVector, build_quadrature, cumulative_integral
-from .errors import DivergedField, GridTooCoarse, StepTooLarge, UnsupportedKind
+from .errors import UnsupportedKind
 from .flows import (EvolutionResult, ReducedChainState, VolterraState,
-                    _rk4_step, _sample_times, _segment_steps, evolve_pfaff,
-                    evolve_reduced, evolve_volterra, pfaff_chain_rhs,
-                    pfaff_commutator_rhs, reduced_chain_rhs, volterra_rhs)
+                    _sample_times, _volterra_jet, evolve_pfaff, evolve_reduced,
+                    evolve_volterra, pfaff_chain_rhs, pfaff_commutator_rhs,
+                    reduced_chain_rhs)
 from .lax import (PfaffLax, TodaLax, _skew_basis, _skew_gram_schmidt, c_coeff,
                   goe_lax_init, pfaff_entries_from_tau, pfaff_lax_from_basis,
                   skew_hermite_map_check, sqrt_ratio_product)
 from .moments import _log_tau_jets, _log_tau_of_basis, _stieltjes_basis, _tau_grid, log_tau
-from .numdiff import mixed_derivative
 from .report import IdentityReport
 
 __all__ = [
@@ -53,145 +48,57 @@ _GUE_SHIFT = CouplingVector.from_mapping({1: 0.25})
 
 
 # ---------------------------------------------------------------------------
-# mKP residuals on nested Volterra evolutions
+# mKP residuals from exact Volterra flow jets
 
-_MKP_FLOWS = (2, 4, 6)
-# the derivatives of (phi, psi) that mkp_residuals takes: x, xx, xxx, y, t, xy
-_MKP_AXES = ({2: 1}, {2: 2}, {2: 3}, {4: 1}, {6: 1}, {2: 1, 4: 1})
+def _mkp_jets(B: np.ndarray) -> tuple:
+    """d_x, d_xx, d_xxx, d_y, d_t and d_xy of every site of the line B, for
+    x, y, t the couplings of flows 2, 4 and 6.
 
-
-def _positive_finite(x) -> bool:
-    try:
-        return math.isfinite(x) and x > 0
-    except TypeError:
-        return False
-
-
-def _mkp_shifts(steps: dict) -> list:
-    """Every coupling shift mkp_residuals' derivatives request, as (s2, s4, s6),
-    in request order: each derivative is run once on a stub that records
-    its shifts."""
-    shifts = []
-
-    def record(shift: dict) -> np.ndarray:
-        shifts.append((shift.get(2, 0.0), shift.get(4, 0.0), shift.get(6, 0.0)))
-        return np.zeros(2)
-    for axes in _MKP_AXES:
-        mixed_derivative(record, axes, steps)
-    return list(dict.fromkeys(shifts))
-
-
-def _march_columns(Y: np.ndarray, flow: int, spans: list, h: float) -> tuple:
-    """Evolve column j of Y along `flow` to the signed time spans[j].
-
-    Column j takes the `_segment_steps(|s|, h)` RK4 steps that a march of
-    its own would take (the flows are autonomous, so a negative span is a
-    march of the negated RHS).  The columns run longest first, so those
-    still stepping are a leading block of the stack.  Returns the evolved
-    stack and the number of stack steps.
+    The flow-2 orbit B(x) = sum_k c_k x^k has c_{k+1} = [X_2(B(x))]_k / (k + 1),
+    so d^k/dx^k is k! c_k; d/dy and d/dt are X_4(B) and X_6(B); and d^2/dxdy
+    is [X_4(c_0 + c_1 x)]_1.
     """
-    plan = [_segment_steps(abs(s), h) for s in spans]
-    order = sorted(range(len(spans)), key=lambda j: -plan[j][0])
-    sign = np.array([1.0 if spans[j] > 0 else -1.0 for j in order])
-    hs = np.array([plan[j][1] for j in order])
-    left = [plan[j][0] for j in order]
-    y = Y[:, order]
-    rhs = lambda t, z: sign[:z.shape[1]] * volterra_rhs(z, flow)
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            for i in range(left[0]):
-                m = sum(c > i for c in left)
-                y[:, :m] = _rk4_step(rhs, 0.0, y[:, :m], hs[:m])
-    except FloatingPointError as exc:
-        raise DivergedField(f"flow-{flow} march of {len(spans)} evolutions "
-                            f"overflowed: {exc}") from exc
-    out = np.empty_like(y)
-    out[:, order] = y
-    return out, left[0]
+    series = B[None, :]
+    for k in range(3):
+        series = np.vstack([series, _volterra_jet(series, 2, k) / (k + 1)])
+    return (series[1], 2.0 * series[2], 6.0 * series[3], _volterra_jet(series, 4, 0),
+            _volterra_jet(series, 6, 0), _volterra_jet(series, 4, 1))
 
 
-def _mkp_field_table(B0: np.ndarray, shifts: list, h: float) -> tuple:
-    """The line B0 evolved by flow 2, then 4, then 6 to each (s2, s4, s6)
-    in `shifts`.  Each distinct nonzero prefix of a shift is one evolution,
-    started from the state of its prefix without the last flow.  Returns
-    (lines by shift, evolutions, stack steps).
-    """
-    def trim(prefix):
-        while prefix and prefix[-1] == 0.0:
-            prefix = prefix[:-1]
-        return prefix
-
-    states = {(): B0}
-    evolutions = steps = 0
-    for level, flow in enumerate(_MKP_FLOWS, 1):
-        cols = list(dict.fromkeys(trim(k[:level]) for k in shifts if k[level - 1]))
-        if not cols:
-            continue
-        starts = np.column_stack([states[trim(c[:-1])] for c in cols])
-        ends, taken = _march_columns(starts, flow, [c[-1] for c in cols], h)
-        states.update(zip(cols, ends.T))
-        evolutions += len(cols)
-        steps += taken
-    return {k: states[trim(k)] for k in shifts}, evolutions, steps
-
-
-def mkp_residuals(n: int, state: VolterraState, *, steps: dict | None = None,
-                  tolerance: float = 1e-3, h_ode: float = 1e-3,
-                  check_tol: float | None = None) -> IdentityReport:
+def mkp_residuals(n: int, state: VolterraState, *,
+                  tolerance: float = 1e-3) -> IdentityReport:
     """Residuals of the two conservation-law systems, their potential form,
     and both printed coefficient variants of the scalar equation, at the
     base couplings, for phi = B_n and psi = B_{n-1}.
 
-    All coupling derivatives (x = second, y = fourth, t = sixth flow) come
-    from finite differences over nested evolutions of `state`, taken by
-    RK4 steps of at most h_ode and computed up front, one flow at a time.
-    The report carries one relative residual per identity in meta, and the
-    number of evolutions and stack steps the fields took; the headline
-    residual is the worst of them with the printed-variant block reduced
-    to its best candidate.  `steps` needs a positive finite step for each
-    of the axes 2, 4 and 6.
+    Every coupling derivative (x = second, y = fourth, t = sixth flow) is
+    read off exact Taylor jets of the coded Volterra right-hand side at
+    `state` (`_mkp_jets`).  The report carries one relative and one
+    absolute residual per identity in meta; the headline residual is the
+    worst relative one with the printed-variant block reduced to its best
+    candidate.  Raises DivergedField when a jet is not finite.
     """
     if n < 2:
         raise ValueError("need n >= 2 so that psi = B_{n-1} exists")
     if state.n_sites < n + 8:
         raise ValueError("site too close to the window edge")
-    if steps is None:
-        steps = {2: 1e-2, 4: 1e-2, 6: 1e-2}
-    if not all(_positive_finite(steps.get(ax)) for ax in _MKP_FLOWS):
-        raise ValueError(f"steps needs a positive finite step for each of the "
-                         f"axes 2, 4 and 6, got {steps!r}")
-    if not _positive_finite(h_ode):
-        raise ValueError(f"h_ode must be positive and finite, got {h_ode!r}")
-    lines, evolutions, rk4_steps = _mkp_field_table(state.B, _mkp_shifts(steps), h_ode)
-    pairs = {k: np.array([B[n - 1], B[n - 2]]) for k, B in lines.items()}
-
-    def fields(shifts: dict) -> np.ndarray:
-        return pairs[shifts.get(2, 0.0), shifts.get(4, 0.0), shifts.get(6, 0.0)]
-
-    def deriv(axes: dict) -> np.ndarray:
-        try:
-            return mixed_derivative(fields, axes, steps, check_tol=check_tol)
-        except StepTooLarge as exc:
-            raise GridTooCoarse(str(exc)) from exc
-
-    phi, psi = fields({})
-    d1, d2, d3, dy, dt, dxy = (deriv(axes) for axes in _MKP_AXES)
-    phx, psx = d1
-    phxx, psxx = d2
-    phxxx, psxxx = d3
-    phy, psy = dy
-    pht, pst = dt
-    phxy = dxy[0]
+    (phx, psx), (phxx, psxx), (phxxx, psxxx), (phy, psy), (pht, pst), (phxy, _) = (
+        (float(d[n - 1]), float(d[n - 2])) for d in _mkp_jets(state.B))
+    phi, psi = float(state.B[n - 1]), float(state.B[n - 2])
 
     def rel(residual, terms):
+        """(relative, absolute) residual; the scale is the largest term."""
         scale = max(abs(t) for t in terms)
-        return abs(residual) / max(scale, 1e-300)
+        return abs(residual) / max(scale, 1e-300), abs(residual)
+
+    def worst(*pairs):
+        return tuple(map(max, zip(*pairs)))
 
     # first conservation system: phi_y = (phi^2 + 2 phi psi + phi_x)_x
     flux_a_phi_x = 2 * phi * phx + 2 * (phx * psi + phi * psx) + phxx
     flux_a_psi_x = 2 * psi * psx + 2 * (phx * psi + phi * psx) - psxx
-    cons_a = max(rel(phy - flux_a_phi_x, [phy, 2 * phi * phx, phxx]),
-                 rel(psy - flux_a_psi_x, [psy, 2 * psi * psx, psxx]))
+    cons_a, cons_a_abs = worst(rel(phy - flux_a_phi_x, [phy, 2 * phi * phx, phxx]),
+                               rel(psy - flux_a_psi_x, [psy, 2 * psi * psx, psxx]))
 
     # second system: phi_t = (phi^3 + 3(psi+2phi)phi psi + 3(phi+psi)phi_x + phi_xx)_x
     cross = phx * psi + phi * psx
@@ -201,26 +108,28 @@ def mkp_residuals(n: int, state: VolterraState, *, steps: dict | None = None,
     flux_b_psi_x = (3 * psi ** 2 * psx
                     + 3 * ((phx + 2 * psx) * phi * psi + (phi + 2 * psi) * cross)
                     - 3 * ((phx + psx) * psx + (phi + psi) * psxx) + psxxx)
-    cons_b = max(rel(pht - flux_b_phi_x, [pht, 3 * phi ** 2 * phx, phxxx]),
-                 rel(pst - flux_b_psi_x, [pst, 3 * psi ** 2 * psx, psxxx]))
+    cons_b, cons_b_abs = worst(rel(pht - flux_b_phi_x, [pht, 3 * phi ** 2 * phx, phxxx]),
+                               rel(pst - flux_b_psi_x, [pst, 3 * psi ** 2 * psx, psxxx]))
 
     # potential identity: 3 xi_y - 4 phi_t = -6 xi phi_x + 6 phi^2 phi_x - phi_xxx
     xi = phi ** 2 + 2 * phi * psi + phx
     xiy = 2 * phi * phy + 2 * (phy * psi + phi * psy) + phxy
     pot_res = (3 * xiy - 4 * pht) - (-6 * xi * phx + 6 * phi ** 2 * phx - phxxx)
-    pot = rel(pot_res, [3 * xiy, 4 * pht, 6 * xi * phx, phxxx])
+    pot, pot_abs = rel(pot_res, [3 * xiy, 4 * pht, 6 * xi * phx, phxxx])
 
     # printed-variant adjudication: 4 phi_t = 6 phi_x (xi - C phi^2) + phi_xxx + 3 xi_y
-    variants = {}
+    variants, variants_abs = {}, {}
     for C, name in ((1, "xi-phi2"), (6, "xi-6phi2")):
         res = 4 * pht - 6 * phx * (xi - C * phi ** 2) - phxxx - 3 * xiy
-        variants[name] = rel(res, [4 * pht, 6 * phx * xi, phxxx, 3 * xiy])
+        variants[name], variants_abs[name] = rel(res, [4 * pht, 6 * phx * xi,
+                                                       phxxx, 3 * xiy])
     best = min(variants, key=variants.get)
     residual = max(cons_a, cons_b, pot, variants[best])
-    meta = {"site": n, "steps": dict(steps),
+    meta = {"site": n,
             "conservation_a": cons_a, "conservation_b": cons_b,
             "potential": pot, "variants": variants, "variant_passing": best,
-            "evolutions": evolutions, "rk4_steps": rk4_steps}
+            "conservation_a_abs": cons_a_abs, "conservation_b_abs": cons_b_abs,
+            "potential_abs": pot_abs, "variants_abs": variants_abs}
     return IdentityReport.from_residual("mkp-residuals", residual, tolerance,
                                         relative=True, scale=1.0, meta=meta)
 

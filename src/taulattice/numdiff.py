@@ -4,6 +4,9 @@ An order-p derivative uses a (p+3)-point symmetric stencil, which is the
 smallest central family with O(h^4) truncation for every p.  Combining the
 step-h and step-h/2 evaluations as (16 D(h/2) - D(h)) / 15 removes the h^4
 term; the disagreement between the two levels doubles as an error estimate.
+
+The library takes no finite difference: the tests' reference routes for
+the tau and mKP jets (`tests/reference_kernels.py`) call this module.
 """
 
 from __future__ import annotations

@@ -49,13 +49,17 @@ widened (`widen_grid`) so that the shifted tails stay negligible.  Its
 noise is about 1e-8 relative at step 5e-3, so it is a reference to that
 noise for small sizes.
 
-`mkp_fields_nested` is the per-shift chain that `identities.mkp_residuals`
-ran before it batched its evolutions: each requested (s2, s4, s6) shift
-marches its own line through flows 2, 4 and 6 in RK4 segments of its own,
-one call per stage to `volterra_rhs_line`, the 1-D padding that
-`flows.volterra_rhs` used before it took stacks.  Only `flows._rk4_step`
-and `flows._volterra_rhs_padded` are shared with the code under test.  The
-batched table must equal it bit for bit.
+`mkp_fields_nested` and `mkp_derivatives_fd` are the route
+`identities.mkp_residuals` took before it read exact Volterra flow jets:
+each (s2, s4, s6) coupling shift marches its own line through flows 2, 4
+and 6 in signed RK4 segments, one call per stage to `volterra_rhs_line`,
+the 1-D padding that `flows.volterra_rhs` used before it took stacks, and
+central finite differences with one Richardson level
+(`numdiff.mixed_derivative`) take the x (flow 2), y (flow 4) and t (flow 6)
+derivatives of (B_n, B_{n-1}) from those lines.  Only `flows._rk4_step` and
+`flows._volterra_rhs_padded` are shared with the code under test.  Its
+noise is about 1e-8 of the largest derivative of a kind at steps 1e-2 and
+RK4 h = 1e-3, so it is a reference to that noise.
 """
 
 import math
@@ -101,8 +105,7 @@ def volterra_rhs_line(B: np.ndarray, flow: int) -> np.ndarray:
 
 def mkp_fields_nested(B0: np.ndarray, shifts, h: float) -> dict:
     """B0 evolved by flow 2, then 4, then 6 to each (s2, s4, s6) in
-    `shifts`, one independent chain of signed RK4 segments per shift, as
-    identities._mkp_field_table's first return value."""
+    `shifts`, one independent chain of signed RK4 segments per shift."""
     def evolve_signed(B, flow, t_target):
         if t_target == 0.0:
             return B
@@ -122,6 +125,19 @@ def mkp_fields_nested(B0: np.ndarray, shifts, h: float) -> dict:
             B = evolve_signed(B, flow, s)
         lines[key] = B
     return lines
+
+
+MKP_AXES = ({2: 1}, {2: 2}, {2: 3}, {4: 1}, {6: 1}, {2: 1, 4: 1})
+
+
+def mkp_derivatives_fd(B0: np.ndarray, n: int, steps: dict, h: float) -> np.ndarray:
+    """(6, 2) array: d_x, d_xx, d_xxx, d_y, d_t and d_xy of (B_n, B_{n-1})
+    by finite differences over `mkp_fields_nested` lines."""
+    def fields(shift: dict) -> np.ndarray:
+        key = (shift.get(2, 0.0), shift.get(4, 0.0), shift.get(6, 0.0))
+        B = mkp_fields_nested(B0, [key], h)[key]
+        return np.array([B[n - 1], B[n - 2]])
+    return np.array([mixed_derivative(fields, axes, steps) for axes in MKP_AXES])
 
 
 def pfaff_core(Q: np.ndarray, k_neg: int, k_pos: int, n_sites: int) -> np.ndarray:

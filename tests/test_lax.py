@@ -60,6 +60,19 @@ def test_toda_read_off_matches_hankel_reference(mapping):
         assert np.max(np.abs(lax.b - b), initial=0.0) < 1e-11, n
 
 
+@pytest.mark.parametrize("t4", [-0.01, -0.05, -0.2])
+def test_toda_read_off_meets_freud_equation(t4):
+    # rho = exp(-z^2/2 + t4 z^4), so V' = z - 4 t4 z^3, and n = b_n (V'(J))_{n,n-1}
+    # becomes Freud's n = R_n (1 - 4 t4 (R_{n-1} + R_n + R_{n+1})), R_n = b_n^2,
+    # R_0 = 0; the even weight gives a = 0.  Readings <= 9.4e-15 and 1.5e-15.
+    lax = toda_lax_from_quadrature(CouplingVector.from_mapping({4: t4}), 122)
+    R = np.concatenate([[0.0], lax.b ** 2])
+    n = np.arange(1, 121)
+    freud = R[n] * (1.0 - 4.0 * t4 * (R[n - 1] + R[n] + R[n + 1]))
+    assert np.abs(freud / n - 1.0).max() <= 1e-12
+    assert np.abs(lax.a).max() <= 1e-12 * lax.b.max()
+
+
 def test_init_gue_past_the_moment_table_cap():
     # 24 sites: a Hankel read-off would need moments through degree 48
     report = verify_init_gue(n_max=24)

@@ -4,11 +4,16 @@ kernels and print the largest difference.
 
 The chain kernel (`flows._chain_kernel`, views of its buffer bound once,
 with the two band families read through strided windows) and the Volterra
-kernel (`flows._volterra_rhs_padded`, slices of a padded line) repeat the
-arithmetic of the per-band loop and the np.roll stencil kept in
-tests/reference_kernels.py, so every difference printed should be exactly 0.
-Shapes cover the benchmark's ranges: N 32-1024 sites, 2-9 bands each side,
-Volterra flows 2, 4 and 6.
+kernel (`flows._volterra_kernel`, slices of a padded line), both writing
+into a buffer they are given, repeat the arithmetic of the per-band loop
+and the np.roll stencil kept in tests/reference_kernels.py, so every
+difference printed should be exactly 0.  Shapes cover the benchmark's
+ranges: N 32-1024 sites, 2-9 bands each side, Volterra flows 2, 4 and 6.
+The RK4 stepper on stage buffers (`flows._rk4_segment`) must equal the
+fresh-array step `rk4_step` bit for bit, at the same stage times, on random
+linear and quadratic systems (scalar, line and stacked states, h 1e-3 to
+0.1), and `goe_lax_init`'s running products must equal the site-by-site
+`sqrt_ratio_product` loop bit for bit over the benchmark's window shapes.
 
 The right-edge closure is read as coefficients (`flows._ghost_closure`:
 ghosts = c2 a2 + c1 a1 + c0), which rounds differently from the closure
@@ -81,12 +86,14 @@ from taulattice import (CouplingVector, HydroChainField,  # noqa: E402
                         goe_lax_init, hydro_chain_rhs, identities, log_tau,
                         pfaff_lax_from_basis, reduced_chain_rhs,
                         skew_moment_matrix, skew_orthonormal_basis,
-                        tau_coupling_derivative, toda_lax_from_quadrature)
+                        sqrt_ratio_product, tau_coupling_derivative,
+                        toda_lax_from_quadrature)
 from taulattice.identities import mkp_bump_state, verify_init_goe  # noqa: E402
 
 
 def chain_gap(Q, k_neg, k_pos, n):
-    return float(np.abs(flows._chain_kernel(Q, k_neg, k_pos, n)()
+    out = np.empty((k_neg + k_pos + 1, n))
+    return float(np.abs(flows._chain_kernel(Q, k_neg, k_pos, n)(out)
                         - ref.pfaff_rates(Q, k_neg, k_pos, n)).max())
 
 
@@ -117,8 +124,62 @@ def closure_drift():
 
 
 def volterra_gap(Bp, flow):
-    return float(np.abs(flows._volterra_rhs_padded(Bp, flow)
+    out = np.empty(len(Bp) - 8)
+    return float(np.abs(flows._volterra_kernel(Bp, flow)(out)
                         - ref.volterra_rates(Bp, flow)).max())
+
+
+def stepper_gap(rng, samples):
+    """Largest difference of `flows._rk4_segment`, the stepper on stage
+    buffers, from the fresh-array RK4 step on random linear and quadratic
+    systems with a time-dependent source, on scalar, line and stacked
+    states; infinite if the two call their right-hand sides at different
+    times."""
+    worst = 0.0
+    for i in range(samples):
+        shape = [(), (9,), (6, 4)][i % 3]
+        n = shape[0] if shape else 1
+        A = rng.normal(0.0, 1.0 / n, (n, n))
+        c = rng.normal(0.0, 0.1, shape)
+        lin = (lambda y: A @ y) if shape else (lambda y: A[0, 0] * y)
+        if i % 2:
+            f = lambda t, y: 0.5 * y * lin(y) - 0.25 * y * y + t * c
+        else:
+            f = lambda t, y: lin(y) + np.cos(t) * c
+        y0 = rng.uniform(-0.5, 0.5, shape)
+        t0, t1, h = float(rng.uniform(0.0, 0.5)), 1.0, float(rng.choice([1e-3, 0.01, 0.1]))
+        steps, hs = flows._segment_steps(t1 - t0, h)
+        seen, want = [], []
+
+        def rhs(t, y, out):
+            seen.append(t)
+            out[...] = f(t, y)
+
+        def direct(t, y):
+            want.append(t)
+            return f(t, y)
+        y = np.array(y0)
+        flows._rk4_segment(rhs, y, t0, t1, h)
+        expect = np.array(y0)
+        for k in range(steps):
+            expect = ref.rk4_step(direct, t0 + k * hs, expect, hs)
+        gap = float(np.abs(y - expect).max()) if seen == want else math.inf
+        worst = max(worst, gap)
+    return worst
+
+
+def goe_init_gap(rng, samples):
+    """Largest difference of `goe_lax_init`'s upper bands from the
+    site-by-site `sqrt_ratio_product` loop they were built with before."""
+    worst = 0.0
+    for _ in range(samples):
+        N = int(rng.integers(32, 1025))
+        k_pos, k_neg = (int(k) for k in rng.integers(2, 10, 2))
+        w = goe_lax_init(N, k_pos, k_neg).w
+        for k in range(1, k_pos + 1):
+            loop = [2.0 * sqrt_ratio_product(n, k) for n in range(1, N + 1)]
+            worst = max(worst, float(np.abs(w[k_neg + k] - loop).max()))
+    return worst
 
 
 def hydro_gaps(rng, n_x, top, bottom):
@@ -169,7 +230,7 @@ def hydro_march_gap(n_x, t_target):
 
 def hydro_stepper_gap(n_x, t_target):
     """(stats equal, final-field gap) of the scaling march on the shared RK4
-    step and on the written-out stages."""
+    stepper and on the written-out stages."""
     lib, l_stats = ref.hydro_scaling_run(n_x=n_x, t_target=t_target)
     loop, r_stats = ref.hydro_scaling_run(march=ref.evolve_hydro_chain,
                                           n_x=n_x, t_target=t_target)
@@ -329,7 +390,7 @@ def main():
         "w", "_chain_kernel", ref.chain_kernel)
     traj_volterra = trajectory_gap(
         lambda: evolve_volterra(VolterraState(np.arange(1.0, 33.0)), 4, [1e-4], h=1e-5),
-        "B", "_volterra_rhs_padded", ref.volterra_rates)
+        "B", "_volterra_kernel", ref.volterra_kernel)
 
     hydro_du = hydro_dv = matrix = gradient = 0.0
     for i in range(args.samples):
@@ -364,6 +425,10 @@ def main():
             ("ghost closure, %d windows x3 (relative)" % args.samples, closure, 1e-14),
             ("evolve_pfaff N=256 vs reference closure", closure_drift(), 1e-11),
             ("evolve_volterra N=32 flow 4, C12 leg", traj_volterra, 0.0),
+            ("stepper vs reference RK4, %d systems" % args.samples,
+             stepper_gap(rng, args.samples), 0.0),
+            ("goe_lax_init vs sqrt_ratio_product loop",
+             goe_init_gap(rng, max(1, args.samples // 4)), 0.0),
             ("hydro du, %d fields (relative)" % args.samples, hydro_du, 1e-13),
             ("hydro dv, %d fields" % args.samples, hydro_dv, 0.0),
             ("hydro march x4, steps %s" % ("equal" if same_steps else "differ"),

@@ -20,9 +20,11 @@ forms the u rates as one product with the dense (rows x terms) coefficient
 matrix S compiled from the table.  The Haantjes scan plans the contraction
 path of each tensor sum once per matrix size.
 
-The chain march stacks u over v in one array and takes each step with the
-lattice evolvers' `flows._rk4_step`, with overflow and invalid operations
-raising, so a diverging march stops with DivergedField at its first bad step.
+The chain march stacks u over v in one array and steps it in place with the
+lattice evolvers' RK4 stepper, `flows._rk4_stepper`, whose stage buffers
+are made once per march and whose right-hand sides write their rates into
+a buffer it passes (`rhs(t, y, out)`).  Overflow and invalid operations
+raise, so a diverging march stops with DivergedField at its first bad step.
 
 Sign conventions follow the lattice: the k>=0 half of the chain never reads
 negative-index fields, so it can be integrated on its own.
@@ -37,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DivergedField, IndexOutOfWindow, PreBreakingViolated
-from .flows import VolterraState, _rk4_step, evolve_pfaff, evolve_volterra
+from .flows import VolterraState, _rk4_stepper, evolve_pfaff, evolve_volterra
 from .lax import c_coeff, goe_lax_init
 from .report import IdentityReport
 
@@ -254,10 +256,11 @@ def _rhs_plan(k_neg: int, k_pos: int):
     return S, f[:, 0], f[:, 1], col[keep] + shift
 
 
-def _chain_rhs_arrays(dx, y, k_neg, top, bottom, bound):
+def _chain_rhs_arrays(dx, y, k_neg, top, bottom, bound, out=None):
     """Core chain RHS on raw arrays: `y` stacks the window rows u over the
-    row v and the rates come back stacked the same way; `top`/`bottom` close
-    the band window by copying the edge row or pinning a constant."""
+    row v and the rates come back stacked the same way, in `out` when it is
+    given; `top`/`bottom` close the band window by copying the edge row or
+    pinning a constant."""
     if bound is not None and (y.max() > bound or y.min() < -bound):
         raise DivergedField(f"field magnitude exceeded {bound}")
     R = y.shape[0] - 1
@@ -277,7 +280,7 @@ def _chain_rhs_arrays(dx, y, k_neg, top, bottom, bound):
     ext[R + 3] = u0 * (1.0 / (2.0 * u0))
     ext[R + 4] = 1.0
     ux = spatial_derivative(ext[:-1], dx)
-    rates = np.empty_like(y)
+    rates = np.empty_like(y) if out is None else out
     np.matmul(S, ext[fa] * ext[fb] * ux[col], out=rates[:R])
     rates[R] = ux[R + 2] + u0 * ux[k_neg] + u0 * ux[R + 3]     # ux[k_neg]: u^{-1}_x
     return rates
@@ -322,24 +325,25 @@ def evolve_hydro_chain(field: HydroChainField, t_target: float, *, cfl: float = 
             last[:] = ts, edge_drive(x[strip], ts)
         y[:-1, strip], y[-1, strip] = last[1]
 
-    def rhs(ts, y):
+    def rhs(ts, y, out):
         # stage states see the prescribed strip values at the stage time, so
         # interior stencils near the edge stay O(h^4) consistent.  Driving in
-        # place is safe: stages 2-4 get fresh arrays, and the strips of the
-        # first stage's state have zero rate and are reset after the step.
+        # place is safe: stages 2-4 read the stepper's stage buffer, and the
+        # strips of the first stage's state, the march's own y, have zero
+        # rate and are reset after the step.
         if edge_drive is not None:
             drive(y, ts)
-        rates = _chain_rhs_arrays(dx, y, k_neg, top, bottom, bound)
-        rates[:, strip] = 0.0
-        return rates
+        _chain_rhs_arrays(dx, y, k_neg, top, bottom, bound, out)
+        out[:, strip] = 0.0
 
+    step = _rk4_stepper(rhs, y)
     steps = 0
     try:
         with np.errstate(over="raise", invalid="raise"):
             while t < t_target - 1e-15:
                 speed = float(np.max(np.abs(y[k_neg] * y[k_neg + 1]))) + 1e-30
                 h = min(cfl * dx / speed, t_target - t)
-                y = _rk4_step(rhs, t, y, h)
+                step(t, h)
                 t += h
                 if edge_drive is not None:
                     drive(y, t)

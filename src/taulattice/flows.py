@@ -23,19 +23,23 @@ once ((rows, 1) edge columns).  The RHS and the ghost strips of the
 returned states read the same coefficients.
 
 Kernels: each RHS evaluation is a fixed handful of array operations, not a
-loop over sites or bands.  The Volterra stencil reads its neighbours by
-slicing a line padded with 4 ghost sites on each side, never by
-wrap-around, so it returns rates for the unpadded sites only; it slices
-axis 0, so `volterra_rhs` serves a (sites, batch) stack of lines as it
-serves one line, with the same arithmetic per column.  The chain
-kernel evaluates the band families l <= -2 and l >= 2 in one expression
-each.  `_chain_kernel` binds it to one padded buffer: every slice of the
-buffer, and the shifted windows the families read, as strided views of
-sliding windows, are made once, so an evaluation is arithmetic only.
-Each evolver builds its right-hand side once per call, with its buffers,
-views and closure coefficients, and caches nothing beyond it; the Volterra
-closure is one product of a (4, 2) coefficient matrix with the two edge
-sites, written into the padded line.  The tridiagonal and reduced chains'
+loop over sites or bands, and it writes its rates into a buffer it is
+given.  The Volterra stencil, `_volterra_kernel`, is bound once to a line
+padded with 4 ghost sites on each side: it reads neighbours by slicing,
+never by wrap-around, keeps its potential in buffers made at binding, and
+rates the unpadded sites only.  It slices axis 0, so `volterra_rhs` serves
+a (sites, batch) stack of lines as it serves one line, with the same
+arithmetic per column; `volterra_rhs`, the jets and `evolve_volterra` all
+bind it.  The chain kernel evaluates the band families l <= -2 and l >= 2
+in one expression each.  `_chain_kernel` binds it to one padded buffer:
+every slice of the buffer, and the shifted windows the families read, as
+strided views of sliding windows, are made once, with the temporaries, so
+an evaluation is arithmetic only, and the differences of the product
+w0 w1 that several bands read are formed once per call.  Each evolver
+builds its right-hand side once per call, with its buffers, views and
+closure coefficients, and caches nothing beyond it; the Volterra closure
+is one product of a (4, 2) coefficient matrix with the two edge sites,
+written into the padded line.  The tridiagonal and reduced chains'
 kernels work on flat arrays, (a, b) and (W^{-1}, W^1..W^K); `toda_rhs`
 and `reduced_chain_rhs` wrap them for one state.
 
@@ -46,11 +50,16 @@ and taking one FFT.  Coefficients of a flow's orbit follow one from the
 last, so coupling derivatives of a line need no time step.
 
 Stepping: every evolver, here and in `continuum`, takes classical RK4
-steps through `_rk4_step`, the one place the RK4 weights are written
-(Hairer, Norsett & Wanner, Solving ODEs I, sec. II.1); h may be a scalar,
-or one step per column of a stacked state.  Right-hand sides
-take (t, y), so the stepper calls them without a wrapper.  `evolve` takes
-fixed steps of at most h, shortened to land on each sample time.
+steps through `_rk4_stepper`, the one place the RK4 weights are written
+(Hairer, Norsett & Wanner, Solving ODEs I, sec. II.1).  It advances the
+state in place, and its four rates, stage state and weighted sum live in
+buffers of the state's shape made once per segment (once per march in
+`continuum`).  Right-hand sides take (t, y, out) and write their rates into
+out, so a step allocates nothing; each stage takes the same floating-point
+operations, in the same order, as the step written with fresh arrays.
+`evolve` takes fixed steps of at most h, shortened to land on each sample
+time; its public form takes rhs(t, y) returning the rates and adapts it in
+one line.
 
 Divergence: each RK4 segment runs with floating-point overflow and invalid
 operations raising, so the first overflowing step ends the run with
@@ -183,8 +192,8 @@ def _csv_columns(states):
 # right-hand sides
 
 def _toda_kernel(n: int, flow: int):
-    """Autonomous RHS rates(t, y) of the first or second tridiagonal flow on
-    the flat state y = (a_1..a_n, b_1..b_{n-1}).
+    """Autonomous RHS rates(t, y, out) of the first or second tridiagonal
+    flow on the flat state y = (a_1..a_n, b_1..b_{n-1}), written into out.
 
     Out-of-window b is zero (finite-matrix closure, exact for the truncated
     operator); under it a_{n+1} only ever appears multiplied by b_n.
@@ -195,18 +204,28 @@ def _toda_kernel(n: int, flow: int):
     bsq_in, bsq_hi, bsq_lo = bsq[1:n], bsq[1:], bsq[:-1]
     ap = np.zeros(n + 2)                       # a_0 = 0, a_1..a_n, a_{n+1} = 0
     a_in, a_up, a_dn = ap[1:n + 1], ap[2:], ap[:n]
+    ta, tb = np.empty(n), np.empty(n - 1)
+    mul, add, sub = np.multiply, np.add, np.subtract
 
-    def rates(t, y):
+    def rates(t, y, out):
         a, b = y[:n], y[n:]
-        np.multiply(b, b, out=bsq_in)
-        out = np.empty(2 * n - 1)
+        da, db = out[:n], out[n:]
+        mul(b, b, out=bsq_in)
         if flow == 1:
-            out[:n] = bsq_hi - bsq_lo
-            out[n:] = 0.5 * b * (a[1:] - a[:-1])
+            sub(bsq_hi, bsq_lo, out=da)
+            sub(a[1:], a[:-1], out=db)
         else:
             a_in[:] = a
-            out[:n] = (a + a_up) * bsq_hi - (a_dn + a) * bsq_lo
-            out[n:] = 0.5 * b * (bsq[2:] - bsq[:n - 1] + a[1:] ** 2 - a[:-1] ** 2)
+            add(a, a_up, out=da)
+            mul(da, bsq_hi, out=da)
+            add(a_dn, a, out=ta)
+            mul(ta, bsq_lo, out=ta)
+            sub(da, ta, out=da)
+            sub(bsq[2:], bsq[:n - 1], out=db)
+            add(db, np.square(a[1:], out=ta[1:]), out=db)
+            sub(db, np.square(a[:-1], out=ta[1:]), out=db)
+        mul(b, 0.5, out=tb)
+        mul(tb, db, out=db)
         return out
 
     return rates
@@ -216,26 +235,53 @@ def toda_rhs(state: TodaLax, flow: int = 1):
     """(da, db) for the first or second tridiagonal flow, under the
     finite-matrix closure."""
     n = state.n_sites
-    rates = _toda_kernel(n, flow)(0.0, np.concatenate([state.a, state.b]))
+    rates = _toda_kernel(n, flow)(0.0, np.concatenate([state.a, state.b]),
+                                  np.empty(2 * n - 1))
     return rates[:n], rates[n:]
 
 
-def _volterra_potential(Bp: np.ndarray, flow: int) -> np.ndarray:
-    """Flow potential on sites 3 .. len-4 of the padded line Bp."""
-    if flow == 2:
-        return Bp[3:-3]
-    if flow == 4:
-        return Bp[3:-3] * (Bp[2:-4] + Bp[3:-3] + Bp[4:-2])
+def _volterra_kernel(Bp: np.ndarray, flow: int):
+    """The Volterra stencil bound to the padded line Bp, as rates(out): it
+    writes the flow's rates of the sites Bp[4:-4] into out from Bp's current
+    values, and returns out.
+
+    The 4 ghost sites each side feed the stencil.  Bp may be a (sites,
+    batch) stack; every slice along axis 0 and the flow potential's buffers
+    (of Bp's dtype) are made here once, so a call is arithmetic only.  The
+    potential of flow 4 is B_n (B_{n-1} + B_n + B_{n+1}), that of flow 6 is
+    B_n (B_{n-1} B_{n+1} + V4_{n-1} + V4_n + V4_{n+1}) with V4 the flow-4
+    potential, and the rates are B_n (V_{n+1} - V_{n-1}).
+    """
+    if flow not in (2, 4, 6):
+        raise ValueError(f"Volterra flows are 2, 4 or 6, got {flow}")
+    mul, add, sub = np.multiply, np.add, np.subtract
+    mid, c = Bp[4:-4], Bp[3:-3]               # the rated sites; potential sites
+    lo, hi = Bp[2:-4], Bp[4:-2]
+    V = c if flow == 2 else np.empty_like(c)
+    V_hi, V_lo = V[2:], V[:-2]
     if flow == 6:
-        V4 = Bp[2:-2] * (Bp[1:-3] + Bp[2:-2] + Bp[3:-1])      # sites 2 .. len-3
-        return Bp[3:-3] * (Bp[2:-4] * Bp[4:-2] + V4[:-2] + V4[1:-1] + V4[2:])
-    raise ValueError(f"Volterra flows are 2, 4 or 6, got {flow}")
+        V4 = np.empty_like(Bp[2:-2])           # flow-4 potential on sites 2 .. len-3
+        c4, lo4, hi4 = Bp[2:-2], Bp[1:-3], Bp[3:-1]
 
+    def rates(out):
+        if flow == 4:
+            add(lo, c, out=V)
+            add(V, hi, out=V)
+            mul(c, V, out=V)
+        elif flow == 6:
+            add(lo4, c4, out=V4)
+            add(V4, hi4, out=V4)
+            mul(c4, V4, out=V4)
+            mul(lo, hi, out=V)
+            add(V, V4[:-2], out=V)
+            add(V, V4[1:-1], out=V)
+            add(V, V4[2:], out=V)
+            mul(c, V, out=V)
+        sub(V_hi, V_lo, out=out)
+        mul(mid, out, out=out)
+        return out
 
-def _volterra_rhs_padded(Bp: np.ndarray, flow: int) -> np.ndarray:
-    """Rates of the sites Bp[4:-4]; the 4 ghost sites each side feed the stencil."""
-    V = _volterra_potential(Bp, flow)
-    return Bp[4:-4] * (V[2:] - V[:-2])
+    return rates
 
 
 def _volterra_pad(B: np.ndarray) -> np.ndarray:
@@ -252,7 +298,8 @@ def _volterra_pad(B: np.ndarray) -> np.ndarray:
 def volterra_rhs(B: np.ndarray, flow: int = 2) -> np.ndarray:
     """dB/dt_{flow} of a (sites,) line, or of each column of a (sites, batch)
     stack; the last flow//2 + 1 sites lean on a linear extension."""
-    return _volterra_rhs_padded(_volterra_pad(np.asarray(B, dtype=float)), flow)
+    B = np.asarray(B, dtype=float)
+    return _volterra_kernel(_volterra_pad(B), flow)(np.empty_like(B))
 
 
 def _volterra_jet(C: np.ndarray, flow: int, k: int) -> np.ndarray:
@@ -279,7 +326,8 @@ def _volterra_jet(C: np.ndarray, flow: int, k: int) -> np.ndarray:
             radius = math.ldexp(1.0, min(max(round(math.log2(ratio)), -128), 128))
         powers = radius ** np.arange(k + 1.0)[:, None]
         values = np.fft.ifft(C * powers, n=M, axis=0) * M          # (M, sites)
-        rates = _volterra_rhs_padded(_volterra_pad(values.T), flow)
+        rates = np.empty(values.T.shape, complex)
+        _volterra_kernel(_volterra_pad(values.T), flow)(rates)
         coeff = np.fft.fft(rates, axis=1)[:, k] / (M * radius ** k)
     if not np.isfinite(coeff).all():
         raise DivergedField(f"flow-{flow} jet coefficient {k} of a line of "
@@ -288,17 +336,20 @@ def _volterra_jet(C: np.ndarray, flow: int, k: int) -> np.ndarray:
 
 
 def _chain_kernel(Q: np.ndarray, k_neg: int, k_pos: int, n: int):
-    """Five-branch chain RHS on the padded window buffer Q, as a function of
-    no arguments that reads Q's current values.
+    """Five-branch chain RHS on the padded window buffer Q, as rates(out):
+    it writes the rates of bands -k_neg .. k_pos on sites 1 .. n into the
+    (k_neg + k_pos + 1, n) array out from Q's current values, and returns
+    out.
 
     Q rows hold bands -k_neg-1 .. k_pos+1 (ghost row each side), columns
-    hold sites 0 .. n+pad.  Each call returns the rates of bands -k_neg .. k_pos
-    on sites 1 .. n.  Every slice of Q is bound here once, and so is every
-    shifted window the band families read: row k of a sliding-window view
-    holds the n sites from column k, so band -k (k = k_neg .. 2) reads rows
-    k and k - 1, and band k (k = 2 .. k_pos) rows k and k + 1, as strided
-    views of Q's band-0 row and of a product buffer refilled with w0 * w1 at
-    each call.
+    hold sites 0 .. n+pad.  Every slice of Q is bound here once, and so is
+    every shifted window the band families read: row k of a sliding-window
+    view holds the n sites from column k, so band -k (k = k_neg .. 2) reads
+    rows k and k - 1, and band k (k = 2 .. k_pos) rows k and k + 1, as
+    strided views of Q's band-0 row and of a product buffer refilled with
+    w0 * w1 at each call.  The temporaries are allocated here too, and the
+    differences P_n - P_{n-1} and P_{n+1} - P_{n-1} of that product are
+    formed once per call for every band that reads them.
     """
     off = k_neg + 1
     s0, sm, sp = slice(1, n + 1), slice(0, n), slice(2, n + 2)
@@ -322,32 +373,64 @@ def _chain_kernel(Q: np.ndarray, k_neg: int, k_pos: int, n: int):
     pdn_p, pdn = Q[off + 1:-2, sp], Q[off + 1:-2, s0]
     Ppos, Ppos_hi = Pwin[2:k_pos + 1], Pwin[3:k_pos + 2]
     Wpos, Wpos_hi = Wwin[2:k_pos + 1], Wwin[3:k_pos + 2]
-    shape = (k_neg + k_pos + 1, n)
+    D, E, T = np.empty(n), np.empty(n), np.empty(n)
+    Tneg, Tpos = np.empty((max(k_neg - 1, 0), n)), np.empty((max(k_pos - 1, 0), n))
+    mul, add, sub = np.multiply, np.add, np.subtract
 
-    def rates():
-        np.multiply(W0, W1, out=P)
-        dQ = np.empty(shape)
+    def family(o, Tf, w, a, a_w, b, b_w, c, c_w, d, d_w):
+        # o holds X on entry and 0.5 w X + a a_w - b b_w + c c_w - d d_w on exit
+        mul(w, 0.5, out=Tf)
+        mul(Tf, o, out=o)
+        mul(a, a_w, out=Tf)
+        add(o, Tf, out=o)
+        mul(b, b_w, out=Tf)
+        sub(o, Tf, out=o)
+        mul(c, c_w, out=Tf)
+        add(o, Tf, out=o)
+        mul(d, d_w, out=Tf)
+        sub(o, Tf, out=o)
+
+    def rates(out):
+        mul(W0, W1, out=P)
+        sub(P0, Pm, out=D)
+        sub(Pp, Pm, out=E)
         if k_neg >= 2:
-            dQ[:k_neg - 1] = (
-                0.5 * nw * (P0 - Pm + Pneg - Pneg_lo)
-                + nup_p * W00 - nup * Wneg_lo
-                + ndn * Wneg - ndn_m * W0m)
+            o = out[:k_neg - 1]
+            add(D, Pneg, out=o)
+            sub(o, Pneg_lo, out=o)
+            family(o, Tneg, nw, nup_p, W00, nup, Wneg_lo, ndn, Wneg, ndn_m, W0m)
         if k_neg >= 1:
-            dQ[k_neg - 1] = (
-                m1 * (P0 - Pm)
-                + W00 * (W00 + m2)
-                - W0m * (W0m + m2_m))
-        dQ[k_neg] = 0.5 * W00 * (Pp - Pm) + W00 * (m1_p - m1)
+            o = out[k_neg - 1]
+            mul(m1, D, out=o)
+            add(W00, m2, out=T)
+            mul(W00, T, out=T)
+            add(o, T, out=o)
+            add(W0m, m2_m, out=T)
+            mul(W0m, T, out=T)
+            sub(o, T, out=o)
+        o = out[k_neg]
+        mul(W00, 0.5, out=T)
+        mul(T, E, out=o)
+        sub(m1_p, m1, out=T)
+        mul(W00, T, out=T)
+        add(o, T, out=o)
         if k_pos >= 1:
-            dQ[k_neg + 1] = (
-                0.5 * p1 * (Pm - Pp)
-                + W0p * p2 - W0m * p2_m)
+            # 0.5 p1 (P_{n-1} - P_{n+1}) + W0p p2 - W0m p2_m, with the
+            # first term's sign moved onto its sum: exact
+            o = out[k_neg + 1]
+            mul(p1, 0.5, out=T)
+            mul(T, E, out=T)
+            mul(W0p, p2, out=o)
+            sub(o, T, out=o)
+            mul(W0m, p2_m, out=T)
+            sub(o, T, out=o)
         if k_pos >= 2:
-            dQ[k_neg + 2:] = (
-                0.5 * pw * (Pm - P0 + Ppos - Ppos_hi)
-                + pup * Wpos_hi - pup_m * W0m
-                + pdn_p * W00 - pdn * Wpos)
-        return dQ
+            # P_{n-1} - P_n + P_{n+k-1} is P_{n+k-1} - D exactly
+            o = out[k_neg + 2:]
+            sub(Ppos, D, out=o)
+            sub(o, Ppos_hi, out=o)
+            family(o, Tpos, pw, pup, Wpos_hi, pup_m, W0m, pdn_p, W00, pdn, Wpos)
+        return out
 
     return rates
 
@@ -362,7 +445,7 @@ def pfaff_chain_rhs(state: PfaffLax) -> np.ndarray:
     pad = max(k_neg, k_pos) + 1
     Q = np.zeros((k_neg + k_pos + 3, 1 + n + pad))
     Q[1:-1, 1:n + 1] = state.w
-    return _chain_kernel(Q, k_neg, k_pos, n)()
+    return _chain_kernel(Q, k_neg, k_pos, n)(np.empty(state.w.shape))
 
 
 def _embedding_index(n: int, k_neg: int, k_pos: int):
@@ -437,24 +520,30 @@ def pfaff_commutator_rhs(state: PfaffLax, *, check_tol: float = 1e-10) -> np.nda
 
 
 def _reduced_kernel(K: int, ghost: str):
-    """Autonomous RHS rates(t, y) of the reduced chain on the flat state
-    y = (W^{-1}, W^1..W^K), with the truncation closed by W^{K+1} := W^K
-    ("copy") or := 2 ("two")."""
+    """Autonomous RHS rates(t, y, out) of the reduced chain on the flat state
+    y = (W^{-1}, W^1..W^K), written into out, with the truncation closed by
+    W^{K+1} := W^K ("copy") or := 2 ("two")."""
     if ghost not in ("copy", "two"):
         raise ValueError(f"reduced ghost must be 'copy' or 'two', got {ghost!r}")
     copy = ghost == "copy"
     up = np.arange(2.0, K + 2.0)               # k + 1 for k = 1..K
     down = np.arange(0.0, K)                   # k - 1
+    Wp = np.zeros(K + 2)                       # 0, W^1..W^K, ghost W^{K+1}
+    Wp[-1] = 2.0
+    T = np.empty(K)
+    mul, sub = np.multiply, np.subtract
 
-    def rates(t, y):
+    def rates(t, y, out):
         Wm1, W = y[0], y[1:]
-        Wp = np.empty(K + 2)                   # 0, W^1..W^K, ghost W^{K+1}
-        Wp[0] = 0.0
         Wp[1:-1] = W
-        Wp[-1] = W[-1] if copy else 2.0
-        out = np.empty(K + 1)
+        if copy:
+            Wp[-1] = W[-1]
         out[0] = 2.0 * Wm1 * Wm1 * W[0]
-        out[1:] = 2.0 * Wm1 * (up * Wp[2:] - W[0] * W - down * Wp[:-2])
+        o = out[1:]
+        mul(up, Wp[2:], out=o)
+        sub(o, mul(W, W[0], out=T), out=o)
+        sub(o, mul(down, Wp[:-2], out=T), out=o)
+        mul(o, 2.0 * Wm1, out=o)
         return out
 
     return rates
@@ -463,21 +552,43 @@ def _reduced_kernel(K: int, ghost: str):
 def reduced_chain_rhs(state: ReducedChainState, *, ghost: str = "copy"):
     """(dWm1, dW) with the truncation closed by W^{K+1} := W^K or := 2."""
     y = np.concatenate([[state.Wm1], state.W])
-    rates = _reduced_kernel(state.k_max, ghost)(0.0, y)
+    rates = _reduced_kernel(state.k_max, ghost)(0.0, y, np.empty(len(y)))
     return rates[0], rates[1:]
 
 
 # ---------------------------------------------------------------------------
 # steppers
 
-def _rk4_step(f, t, y, h):
-    """One classical RK4 step of dy/dt = f(t, y) from (t, y)."""
-    half = 0.5 * h
-    k1 = f(t, y)
-    k2 = f(t + half, y + half * k1)
-    k3 = f(t + half, y + half * k2)
-    k4 = f(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_stepper(rhs, y: np.ndarray):
+    """Classical RK4 on y in place, as step(t, h): one step of
+    dy/dt = rhs(t, y, out) from (t, y) to t + h.
+
+    rhs writes its rates into out.  The four rates, the stage state and the
+    weighted sum live in buffers of y's shape made here once, and each stage
+    takes the same floating-point operations, in the same order, as
+    y + (h/2) k1, y + (h/2) k2, y + h k3 and
+    y + (h/6) (k1 + 2 k2 + 2 k3 + k4) written with fresh arrays.  Every rhs
+    call after the first reads the stage buffer, so a rhs may write into the
+    state it is given; at the first stage that is y itself.
+    """
+    k1, k2, k3, k4, stage, acc = (np.empty_like(y) for _ in range(6))
+    mul, add = np.multiply, np.add
+
+    def step(t, h):
+        half = 0.5 * h
+        rhs(t, y, k1)
+        add(y, mul(k1, half, out=stage), out=stage)
+        rhs(t + half, stage, k2)
+        add(y, mul(k2, half, out=stage), out=stage)
+        rhs(t + half, stage, k3)
+        add(y, mul(k3, h, out=stage), out=stage)
+        rhs(t + h, stage, k4)
+        add(k1, add(k2, k2, out=acc), out=acc)           # 2 k = k + k exactly
+        add(acc, add(k3, k3, out=stage), out=acc)
+        add(acc, k4, out=acc)
+        add(y, mul(acc, h / 6.0, out=acc), out=y)
+
+    return step
 
 
 def _segment_steps(span: float, h: float) -> tuple:
@@ -494,24 +605,23 @@ def _sample_times(horizon: float, samples: int) -> np.ndarray:
 
 
 def _rk4_segment(rhs, y, t0, t1, h):
+    """Advance y in place from t0 to t1 by equal RK4 steps of at most h on
+    dy/dt = rhs(t, y, out); returns the step count."""
     steps, hs = _segment_steps(t1 - t0, h)
+    step = _rk4_stepper(rhs, y)
     try:
         with np.errstate(over="raise", invalid="raise"):
             for i in range(steps):
-                y = _rk4_step(rhs, t0 + i * hs, y, hs)
+                step(t0 + i * hs, hs)
     except FloatingPointError as exc:
         raise DivergedField(f"RK4 segment [{t0:g}, {t1:g}] ({steps} steps of "
                             f"h={hs:g}) overflowed: {exc}") from exc
-    return y, steps
+    return steps
 
 
-def evolve(rhs, y0: np.ndarray, times, *, h: float = 1e-3):
-    """Integrate dy/dt = rhs(t, y) from t=0, sampling at `times`.
-
-    Classical RK4 with steps of at most h, shortened to land on each
-    sample.  Returns (states, stats).  Raises DivergedField when a segment
-    overflows or a sampled state is not finite.
-    """
+def _evolve(rhs, y0: np.ndarray, times, h: float):
+    """`evolve` for a right-hand side rhs(t, y, out) that writes its rates
+    into out."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be a strictly increasing vector")
@@ -525,8 +635,7 @@ def evolve(rhs, y0: np.ndarray, times, *, h: float = 1e-3):
     total = 0
     for t in times:
         if t > t_prev:
-            y, steps = _rk4_segment(rhs, y, t_prev, t, h)
-            total += steps
+            total += _rk4_segment(rhs, y, t_prev, t, h)
         if not np.isfinite(y).all():
             raise DivergedField(
                 f"trajectory not finite at t={t:g} after {total} RK4 steps "
@@ -534,6 +643,16 @@ def evolve(rhs, y0: np.ndarray, times, *, h: float = 1e-3):
         out.append(y.copy())
         t_prev = t
     return out, {"stepper": "rk4", "h": h, "steps": total}
+
+
+def evolve(rhs, y0: np.ndarray, times, *, h: float = 1e-3):
+    """Integrate dy/dt = rhs(t, y) from t=0, sampling at `times`.
+
+    Classical RK4 with steps of at most h, shortened to land on each
+    sample.  Returns (states, stats).  Raises DivergedField when a segment
+    overflows or a sampled state is not finite.
+    """
+    return _evolve(lambda t, y, out: np.copyto(out, rhs(t, y)), y0, times, h)
 
 
 def _ghost_closure(i2, i1, init_ghost, policy):
@@ -583,14 +702,16 @@ def evolve_volterra(state: VolterraState, flow: int, times, *, h: float = 1e-3,
     Bp = np.zeros(4 + n_evolve + pad)           # left ghosts stay 0
     sites, edge, ghosts = Bp[4:4 + n_evolve], Bp[2 + n_evolve:4 + n_evolve], Bp[4 + n_evolve:]
 
-    def rhs(t, y):
+    kernel = _volterra_kernel(Bp, flow)
+
+    def rhs(t, y, out):
         sites[:] = y
         np.dot(C_pad, edge, out=ghosts)
         np.add(ghosts, c0_pad, out=ghosts)
-        return _volterra_rhs_padded(Bp, flow)
+        kernel(out)
 
     y0 = B0[:n_evolve]
-    ys, stats = evolve(rhs, y0, times, h=h)
+    ys, stats = _evolve(rhs, y0, times, h)
     front = _influence_front(times, y0, ys, lambda y: 2.0 * abs(y[-1]), n_evolve)
     stats.update(ghost=ghost, n_evolve=n_evolve, influence_index=front)
     m = N - n_evolve
@@ -617,7 +738,7 @@ def evolve_toda(state: TodaLax, flow: int, times, *, h: float = 1e-3) -> Evoluti
     """
     N = state.n_sites
     y0 = np.concatenate([state.a, state.b])
-    ys, stats = evolve(_toda_kernel(N, flow), y0, times, h=h)
+    ys, stats = _evolve(_toda_kernel(N, flow), y0, times, h)
     for t, y in zip(np.asarray(times, dtype=float), ys):
         if np.any(y[N:] <= 0):
             raise DivergedField(f"off-diagonal entry {y[N:].min():.3g} <= 0 at t={t:g} "
@@ -660,27 +781,26 @@ def evolve_pfaff(state: PfaffLax, times, *, h: float = 1e-3, ghost: str = "scale
     sites, strip = Q[1:-1, 1:n_evolve + 1], Q[1:-1, n_evolve + 1:]
     a2, a1 = Q[1:-1, n_evolve - 1:n_evolve], Q[1:-1, n_evolve:n_evolve + 1]
     kernel = _chain_kernel(Q, K1, K2, n_evolve)
+    term = np.empty_like(strip)
 
-    def rhs(t, y):
-        sites[:] = y.reshape(n_rows, n_evolve)
+    def rhs(t, y, out):
+        sites[:] = y
         np.multiply(c2_pad, a2, out=strip)
-        np.add(strip, c1_pad * a1, out=strip)
+        np.add(strip, np.multiply(c1_pad, a1, out=term), out=strip)
         np.add(strip, c0_pad, out=strip)
-        return kernel().ravel()
+        kernel(out)
 
-    y0 = init_active[:, :n_evolve].ravel()
-    ys, stats = evolve(rhs, y0, times, h=h)
+    y0 = init_active[:, :n_evolve]             # the state keeps the window's shape
+    ys, stats = _evolve(rhs, y0, times, h)
     r0 = K1  # band-0 position inside the active block
-    speed = lambda y: abs(y.reshape(n_rows, n_evolve)[r0, -1]
-                          * y.reshape(n_rows, n_evolve)[r0 + 1, -1])
+    speed = lambda y: abs(y[r0, -1] * y[r0 + 1, -1])
     stats.update(ghost=ghost, n_evolve=n_evolve, row_margin=row_margin,
                  influence_index=_influence_front(times, y0, ys, speed, n_evolve))
     states = []
     for y in ys:
-        y2d = y.reshape(n_rows, n_evolve)
         w = W0.copy()
-        w[rows, :n_evolve] = y2d
-        w[rows, n_evolve:] = c2 * y2d[:, -2:-1] + c1 * y2d[:, -1:] + c0
+        w[rows, :n_evolve] = y
+        w[rows, n_evolve:] = c2 * y[:, -2:-1] + c1 * y[:, -1:] + c0
         states.append(PfaffLax(w, k_neg, k_pos))
     return EvolutionResult(times, states, stats)
 
@@ -690,7 +810,7 @@ def evolve_reduced(state: ReducedChainState, times, *, h: float = 1e-3,
     """Reduced-chain trajectory by fixed-step RK4 on W^{-1}, W^1..W^K."""
     K = state.k_max
     y0 = np.concatenate([[state.Wm1], state.W])
-    ys, stats = evolve(_reduced_kernel(K, ghost), y0, times, h=h)
+    ys, stats = _evolve(_reduced_kernel(K, ghost), y0, times, h)
     front = _influence_front(times, y0, ys, lambda y: 2.0 * abs(y[0]) * (K + 1), K)
     stats.update(ghost=ghost, n_evolve=K + 1, influence_index=front)
     states = [ReducedChainState(y[0], y[1:]) for y in ys]

@@ -232,12 +232,19 @@ def observables_check(n: int = 1, t: CouplingVector = _T0, *,
 # ---------------------------------------------------------------------------
 # reduction structure along a chain trajectory
 
-def _closed_form_wk(n: np.ndarray, k: int, wk1: float) -> np.ndarray:
-    """w^k_n from w^k_1 on the reduced manifold."""
-    binom = np.array([math.comb(int(m) + k - 1, k) for m in n], dtype=float)
-    num = np.prod(c_coeff(np.arange(1, k + 1)))
-    den = np.array([np.prod(c_coeff(np.arange(m, m + k))) for m in n])
-    return binom * num / den * wk1
+def _closed_form_wk_ratios(n: np.ndarray, k_max: int) -> np.ndarray:
+    """w^k_n / w^k_1 on the reduced manifold, in row k - 1 for
+    k = 1 .. k_max: C(n + k - 1, k) c_1 .. c_k / (c_n .. c_{n+k-1}), each
+    product taken factor by factor from its lowest index."""
+    c = c_coeff(np.arange(1, int(n.max()) + k_max))   # c_1 .. c_{max n + k_max - 1}
+    out = np.empty((k_max, len(n)))
+    num, den = 1.0, np.ones(len(n))
+    for k in range(1, k_max + 1):
+        num = num * c[k - 1]
+        den = den * c[n + k - 2]
+        binom = np.array([math.comb(int(m) + k - 1, k) for m in n], dtype=float)
+        out[k - 1] = binom * num / den
+    return out
 
 
 def reduction_invariants(trajectory: EvolutionResult, *,
@@ -260,12 +267,17 @@ def reduction_invariants(trajectory: EvolutionResult, *,
         n_max = max(4, min(influence, lax0.n_sites - 8))
     if k_max is None:
         k_max = min(6, lax0.k_pos - 2)
+    if n_max > lax0.n_sites or k_max > lax0.k_pos:
+        raise IndexError(f"n_max {n_max} or k_max {k_max} reaches past the "
+                         f"{lax0.n_sites} sites and {lax0.k_pos} upper bands")
     idx = np.arange(1, n_max + 1)
     cn = c_coeff(idx)
+    wk_ratios = _closed_form_wk_ratios(idx, k_max)
+    Fk = np.array([sqrt_ratio_product(1, k) for k in range(1, k_max + 1)])
     worst = {"deep": 0.0, "wm1_spread": 0.0, "w0": 0.0, "wm2": 0.0,
              "wk": 0.0, "pn_linear": 0.0, "ode": 0.0}
     for lax in states:
-        sl = lambda ell: np.array([lax.get(ell, int(m)) for m in idx])
+        sl = lambda ell: lax.w[ell + lax.k_neg, :n_max]
         wm1 = sl(-1)
         wm1_bar = wm1.mean()
         scale = max(1.0, abs(wm1_bar) * cn[-1])
@@ -279,7 +291,7 @@ def reduction_invariants(trajectory: EvolutionResult, *,
         w1 = sl(1)
         for k in range(1, k_max + 1):
             wk = sl(k)
-            ref = _closed_form_wk(idx, k, lax.get(k, 1))
+            ref = wk_ratios[k - 1] * wk[0]
             worst["wk"] = max(worst["wk"],
                               np.abs(wk - ref).max() / max(np.abs(ref).max(), 1.0))
         P = w0 * w1
@@ -287,8 +299,7 @@ def reduction_invariants(trajectory: EvolutionResult, *,
                                  np.abs(P - idx * P[0]).max() / max(abs(P[-1]), 1.0))
         # reduced-ODE consistency: extract (W^-1, W^k) and their chain rates
         rates = pfaff_chain_rhs(lax)
-        Fk = np.array([sqrt_ratio_product(1, k) for k in range(1, k_max + 1)])
-        W = np.array([lax.get(k, 1) for k in range(1, k_max + 1)]) / Fk
+        W = lax.w[lax.k_neg + 1:lax.k_neg + k_max + 1, 0] / Fk
         dW = np.array([rates[lax.k_neg + k, 0] for k in range(1, k_max + 1)]) / Fk
         dWm1_chain = rates[lax.k_neg - 1, :n_max].mean()
         red = ReducedChainState(wm1_bar, W)

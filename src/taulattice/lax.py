@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .couplings import CouplingVector, build_quadrature
-from .errors import SingularMinor, StructureViolation
+from .errors import IllConditioned, SingularMinor, StructureViolation
 from .moments import SkewMomentMatrix, _log_tau_jets, _skew_products, _stieltjes_basis
 from .report import IdentityReport
 
@@ -180,7 +180,10 @@ def goe_lax_init(n_sites: int, k_pos: int, k_neg: int = 6) -> PfaffLax:
     """Closed-form window at zero couplings.
 
     w^0_n = c_n/2, w^{-1}_n = 1/2, w^{-2}_n = -c_n/2, deeper negatives vanish,
-    and w^k_n for k >= 1 is 2 sqrt(prod_{i=n}^{n+k-1} 2i/(2i-1)).
+    and w^k_n for k >= 1 is 2 sqrt(prod_{i=n}^{n+k-1} 2i/(2i-1)).  Band k
+    takes the running product of band k - 1 times the factor at i = n + k - 1,
+    so every site multiplies the factors of `sqrt_ratio_product(n, k)` in
+    its order.
     """
     if k_neg < 2:
         raise ValueError("window must reach at least two steps below the diagonal")
@@ -190,8 +193,12 @@ def goe_lax_init(n_sites: int, k_pos: int, k_neg: int = 6) -> PfaffLax:
     w[k_neg - 2] = -0.5 * c
     w[k_neg - 1] = 0.5
     w[k_neg] = 0.5 * c
+    i = np.arange(1.0, n_sites + k_pos)
+    ratio = 2.0 * i / (2.0 * i - 1.0)          # the factor at i = 1, 2, ...
+    acc = np.ones(n_sites)
     for k in range(1, k_pos + 1):
-        w[k_neg + k] = [2.0 * sqrt_ratio_product(n, k) for n in range(1, n_sites + 1)]
+        acc *= ratio[k - 1:k - 1 + n_sites]
+        w[k_neg + k] = 2.0 * np.sqrt(acc)
     return PfaffLax(w, k_neg, k_pos)
 
 
@@ -266,24 +273,32 @@ def _skew_gram_schmidt(stieltjes: tuple, t: CouplingVector,
     sub_lead = -np.cumsum(a)        # z^k coefficient of p_{k+1}
     W = np.zeros((dim, dim))
     h = np.empty(n_pairs)
-    for n in range(n_pairs):
-        for i in (2 * n, 2 * n + 1):
-            q = np.zeros(dim)
-            q[i] = root_h[i]
-            for p in range(n):
-                # remove the pair-p component; the product is antisymmetric,
-                # so <Q_2p, q> fixes the odd coefficient and vice versa
-                prods = F @ q
-                alpha = W[2 * p] @ prods / h[p]
-                beta = W[2 * p + 1] @ prods / h[p]
-                q = q + beta * W[2 * p] - alpha * W[2 * p + 1]
-            W[i] = q
-        # gauge pin: the z^{2n} coefficient of Q_{2n+1}, removed with monic Q_{2n}
-        gamma = W[2 * n + 1, 2 * n] / root_h[2 * n] + sub_lead[2 * n]
-        W[2 * n + 1] -= gamma * W[2 * n]
-        h[n] = W[2 * n] @ F @ W[2 * n + 1]
-        if not h[n] > tol * max(1.0, abs(F).max()):
-            raise SingularMinor(f"pair product h_{n} = {h[n]:.3e} is not positive")
+    # the monic scale grows like sqrt(k!): past about 96 pairs the pair
+    # coefficients leave the double range, which is reported, not warned
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(n_pairs):
+            for i in (2 * n, 2 * n + 1):
+                q = np.zeros(dim)
+                q[i] = root_h[i]
+                for p in range(n):
+                    # remove the pair-p component; the product is antisymmetric,
+                    # so <Q_2p, q> fixes the odd coefficient and vice versa
+                    prods = F @ q
+                    alpha = W[2 * p] @ prods / h[p]
+                    beta = W[2 * p + 1] @ prods / h[p]
+                    q = q + beta * W[2 * p] - alpha * W[2 * p + 1]
+                W[i] = q
+            # gauge pin: the z^{2n} coefficient of Q_{2n+1}, removed with monic Q_{2n}
+            gamma = W[2 * n + 1, 2 * n] / root_h[2 * n] + sub_lead[2 * n]
+            W[2 * n + 1] -= gamma * W[2 * n]
+            h[n] = W[2 * n] @ F @ W[2 * n + 1]
+            if not (np.isfinite(h[n]) and np.isfinite(W[2 * n:2 * n + 2]).all()):
+                raise IllConditioned(
+                    f"skew Gram-Schmidt overflowed at pair {n}: in the monic scale "
+                    f"(leading coefficient {root_h[2 * n + 1]:.3e}) the pair or its "
+                    f"product h_{n} = {h[n]:.3e} is not finite")
+            if not h[n] > tol * max(1.0, abs(F).max()):
+                raise SingularMinor(f"pair product h_{n} = {h[n]:.3e} is not positive")
     return SkewOrthoBasis(W, h, TodaLax(a, b[1:]), t)
 
 

@@ -137,18 +137,27 @@ def _stieltjes(nodes: np.ndarray, measure: np.ndarray, count: int):
     a, b = np.empty(count), np.empty(count)
     log_beta = np.empty(count)
     r, prev = np.ones(len(nodes)), np.zeros(len(nodes))
-    for k in range(count):
-        mr2 = measure * r * r
-        beta = float(mr2.sum())
-        if not 0.0 < beta < math.inf:
-            raise IllConditioned(
-                f"Stieltjes recurrence broke down at degree {k}: beta = {beta:.3e}")
-        log_beta[k] = math.log(beta)
-        b[k] = math.sqrt(beta)
-        q[k] = r / b[k]
-        a[k] = float(mr2 @ nodes) / beta   # <x q_k, q_k>
-        r = (nodes - a[k]) * q[k] - b[k] * prev
-        prev = q[k]
+    # where the measure underflows, q_k can grow past the double range; that
+    # is reported below with its degree, not warned
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(count):
+            mr2 = measure * r * r
+            beta = float(mr2.sum())
+            if not 0.0 < beta < math.inf:
+                bad = int(np.count_nonzero(~np.isfinite(r)))
+                if bad:
+                    raise IllConditioned(
+                        f"Stieltjes recurrence overflowed at degree {k}: the "
+                        f"unnormalized q_{k} is not finite at {bad} of {len(nodes)} "
+                        f"nodes (beta = {beta:.3e})")
+                raise IllConditioned(
+                    f"Stieltjes recurrence broke down at degree {k}: beta = {beta:.3e}")
+            log_beta[k] = math.log(beta)
+            b[k] = math.sqrt(beta)
+            q[k] = r / b[k]
+            a[k] = float(mr2 @ nodes) / beta   # <x q_k, q_k>
+            r = (nodes - a[k]) * q[k] - b[k] * prev
+            prev = q[k]
     return q, np.cumsum(log_beta), a, b
 
 

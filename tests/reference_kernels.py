@@ -1,16 +1,18 @@
 """Reference kernels: the per-band loop, the np.roll stencil, the
 hand-written hydrodynamic chain and its RK4 march, the reduced chain on
-concatenated rows, the site-by-site dense commutator, and a 50-digit
-Gauss-Legendre rule.
+concatenated rows, the site-by-site dense commutator, an RK4 step with its
+stages in fresh arrays, and a 50-digit Gauss-Legendre rule.
 
 These are the straightforward forms of the Pfaff-chain and Volterra
 right-hand sides, of the continuum chain's RHS written row by row, of the
 chain march with its RK4 stages written out on the (u, v) pair and the edge
 drive called at every stage (with a drive that records its call times), of
 the reduced chain's RHS on a state, of the coefficient matrix and its
-gradient built by a loop over the monomial table, and of the dense
-embedding and protected-position scan of the commutator form.  The library's kernels evaluate the same arithmetic with
-slices, precomputed gathers, masks and one shared RK4 step; the tests and
+gradient built by a loop over the monomial table, of the classical RK4
+step, and of the dense embedding and protected-position scan of the
+commutator form.  The library's kernels evaluate the same arithmetic with
+slices, precomputed gathers, masks, buffers written in place and one RK4
+stepper whose stages live in buffers made once per segment; the tests and
 scripts/kernel_equiv.py hold them to these references bit for bit, except
 the chain RHS, whose coefficient product sums each row's terms in another
 order and is held to 1e-13 relative.  The mpmath rule is the accuracy
@@ -56,8 +58,10 @@ and 6 in signed RK4 segments, one call per stage to `volterra_rhs_line`,
 the 1-D padding that `flows.volterra_rhs` used before it took stacks, and
 central finite differences with one Richardson level
 (`numdiff.mixed_derivative`) take the x (flow 2), y (flow 4) and t (flow 6)
-derivatives of (B_n, B_{n-1}) from those lines.  Only `flows._rk4_step` and
-`flows._volterra_rhs_padded` are shared with the code under test.  Its
+derivatives of (B_n, B_{n-1}) from those lines.  The RK4 steps are
+`rk4_step`, the step with every stage in fresh arrays that the library
+took before its stages lived in buffers; only the stencil,
+`flows._volterra_kernel`, is shared with the code under test.  Its
 noise is about 1e-8 of the largest derivative of a kind at steps 1e-2 and
 RK4 h = 1e-3, so it is a reference to that noise.
 """
@@ -100,7 +104,19 @@ def volterra_rhs_line(B: np.ndarray, flow: int) -> np.ndarray:
     the last site."""
     Bp = np.concatenate([np.zeros(4), B, np.zeros(4)])
     Bp[-4:] = B[-1] + (B[-1] - B[-2]) * np.arange(1, 5)
-    return flows._volterra_rhs_padded(Bp, flow)
+    return flows._volterra_kernel(Bp, flow)(np.empty(len(B)))
+
+
+def rk4_step(f, t, y, h):
+    """One classical RK4 step of dy/dt = f(t, y) from (t, y), every stage in
+    fresh arrays: the step the library took before its stepper kept its
+    stages in buffers (`flows._rk4_stepper`)."""
+    half = 0.5 * h
+    k1 = f(t, y)
+    k2 = f(t + half, y + half * k1)
+    k3 = f(t + half, y + half * k2)
+    k4 = f(t + h, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def mkp_fields_nested(B0: np.ndarray, shifts, h: float) -> dict:
@@ -115,7 +131,7 @@ def mkp_fields_nested(B0: np.ndarray, shifts, h: float) -> dict:
         hs = span / steps
         rhs = lambda t, y: sign * volterra_rhs_line(y, flow)
         for i in range(steps):
-            B = flows._rk4_step(rhs, i * hs, B, hs)
+            B = rk4_step(rhs, i * hs, B, hs)
         return B
 
     lines = {}
@@ -193,8 +209,12 @@ def pfaff_rates(Q: np.ndarray, k_neg: int, k_pos: int, n_sites: int) -> np.ndarr
 
 def chain_kernel(Q: np.ndarray, k_neg: int, k_pos: int, n_sites: int):
     """pfaff_rates in the calling convention of flows._chain_kernel: a
-    function of no arguments that reads Q's current values."""
-    return lambda: pfaff_rates(Q, k_neg, k_pos, n_sites)
+    function rates(out) that writes the rates from Q's current values into
+    out and returns out."""
+    def rates(out):
+        out[...] = pfaff_rates(Q, k_neg, k_pos, n_sites)
+        return out
+    return rates
 
 
 def ghost_closure(i2, i1, init_ghost, policy):
@@ -228,17 +248,18 @@ def ghost_closure(i2, i1, init_ghost, policy):
 def evolve_volterra(B0: np.ndarray, flow: int, times, h: float, ghost: str = "scaled"):
     """flows.evolve_volterra's sampled lines (n_evolve sites, then the ghost
     strip) with the edge closure of `ghost_closure`, called at every RHS
-    evaluation; the stencil is flows._volterra_rhs_padded."""
+    evaluation; the stencil is flows._volterra_kernel."""
     N, pad = len(B0), 4
     n_ev = N - pad
     init_ghost = B0[n_ev:]
     line = ghost_closure(B0[n_ev - 2], B0[n_ev - 1], init_ghost, ghost)
     Bp = np.zeros(4 + n_ev + pad)
+    kernel = flows._volterra_kernel(Bp, flow)
 
     def rhs(t, y):
         Bp[4:4 + n_ev] = y
         Bp[4 + n_ev:] = line(y[-2], y[-1])
-        return flows._volterra_rhs_padded(Bp, flow)
+        return kernel(np.empty(n_ev))
 
     ys, _ = flows.evolve(rhs, B0[:n_ev], times, h=h)
     return [np.concatenate([y, line(y[-2], y[-1])]) for y in ys]
@@ -295,15 +316,25 @@ def toda_rates(y: np.ndarray, n: int, flow: int) -> np.ndarray:
 
 
 def volterra_rates(Bp: np.ndarray, flow: int) -> np.ndarray:
-    """volterra_rhs_padded in the calling convention of flows._volterra_rhs_padded."""
+    """volterra_rhs_padded's rates of the sites Bp[4:-4]."""
     return volterra_rhs_padded(Bp, flow)[4:-4]
 
 
-def chain_rhs_arrays(dx, y, k_neg, top, bottom, bound):
+def volterra_kernel(Bp: np.ndarray, flow: int):
+    """volterra_rates in the calling convention of flows._volterra_kernel: a
+    function rates(out) that writes the rates from Bp's current values into
+    out and returns out."""
+    def rates(out):
+        out[...] = volterra_rates(Bp, flow)
+        return out
+    return rates
+
+
+def chain_rhs_arrays(dx, y, k_neg, top, bottom, bound, out=None):
     """Hydrodynamic chain RHS with every row written out; `top`/`bottom`
     close the band window by copying the edge row or pinning a constant.
     Same calling convention as continuum._chain_rhs_arrays: `y` stacks u
-    over v, and so do the rates."""
+    over v, and so do the rates, written into `out` when it is given."""
     u, v = y[:-1], y[-1]
     if bound is not None and max(np.max(np.abs(u)), np.max(np.abs(v))) > bound:
         raise DivergedField(f"field magnitude exceeded {bound}")
@@ -339,7 +370,10 @@ def chain_rhs_arrays(dx, y, k_neg, top, bottom, bound):
 
     dv = (spatial_derivative(u0 * u1 * v, dx) + u0 * Ux(-1)
           + u0 * spatial_derivative(u0 * (1.0 / (2.0 * u0)), dx))
-    return np.vstack([du, dv])
+    if out is None:
+        return np.vstack([du, dv])
+    out[:-1], out[-1] = du, dv
+    return out
 
 
 def evolve_hydro_chain(field, t_target, *, cfl=0.2, top="copy", bottom="copy",

@@ -173,7 +173,100 @@ class TestVolterraJets:
                 flows._volterra_jet(B, 4, 0)
 
 
+def _stepper_system(kind, shape, seed):
+    """f(t, y) of a random linear or quadratic system with a time-dependent
+    source, on a state of `shape`: () for a scalar, (n,) for a line and
+    (n, m) for a stack of m columns."""
+    rng = np.random.default_rng(seed)
+    n = shape[0] if shape else 1
+    A = rng.normal(0.0, 1.0 / n, (n, n))       # tame: no blow-up before t = 2
+    c = rng.normal(0.0, 0.1, shape)
+
+    def lin(y):
+        return A @ y if shape else A[0, 0] * y
+
+    if kind == "linear":
+        return lambda t, y: lin(y) + np.cos(t) * c
+    if kind == "quadratic":
+        return lambda t, y: 0.5 * y * lin(y) - 0.25 * y * y + t * c
+    return lambda t, y: y * y + 1.0        # blows up at t = pi/2 - arctan(y0)
+
+
+def _counted(f):
+    """(rhs(t, y, out), reference f(t, y), calls): both evaluate f and
+    append to calls."""
+    calls = []
+
+    def rhs(t, y, out):
+        calls.append(t)
+        out[...] = f(t, y)
+
+    def direct(t, y):
+        calls.append(t)
+        return f(t, y)
+    return rhs, direct, calls
+
+
 class TestStepper:
+    @given(st.sampled_from(["linear", "quadratic"]),
+           st.sampled_from([(), (1,), (7,), (5, 3)]),
+           st.sampled_from([4e-3, 0.02, 0.05, 0.2]),
+           st.sampled_from([0.0, 0.3]), st.sampled_from([0.01, 0.25, 1.0]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_stepper_equals_reference_rk4(self, kind, shape, h, t0, span, seed):
+        # the stage buffers repeat the fresh-array RK4 step bit for bit,
+        # with each stage at its time
+        f = _stepper_system(kind, shape, seed)
+        y0 = np.random.default_rng(seed + 1).uniform(-0.5, 0.5, shape)
+        t1 = t0 + span
+        steps, hs = flows._segment_steps(t1 - t0, h)
+        rhs, direct, calls = _counted(f)
+        expect = np.array(y0)
+        with np.errstate(over="raise", invalid="raise"):
+            for i in range(steps):
+                expect = ref.rk4_step(direct, t0 + i * hs, expect, hs)
+        ref_calls = calls[:]
+        calls.clear()
+        y = np.array(y0)
+        assert flows._rk4_segment(rhs, y, t0, t1, h) == steps
+        assert y.tobytes() == np.asarray(expect).tobytes()
+        assert calls == ref_calls
+        # the public contract, rhs(t, y) -> array, samples the same states
+        times = t0 + span * np.array([0.5, 1.0])
+        states, stats = evolve(f, y0, times, h=h)
+        expect = np.array(y0)
+        t_prev = 0.0
+        for t, got in zip(times, states):
+            steps, hs = flows._segment_steps(t - t_prev, h)
+            for i in range(steps):
+                expect = ref.rk4_step(f, t_prev + i * hs, expect, hs)
+            assert got.tobytes() == np.asarray(expect).tobytes()
+            t_prev = t
+        assert stats["steps"] == sum(flows._segment_steps(d, h)[0]
+                                     for d in np.diff(np.r_[0.0, times]))
+
+    @given(st.sampled_from([(), (4,), (3, 2)]), st.sampled_from([0.05, 0.2]),
+           st.floats(0.5, 20.0))
+    @settings(max_examples=30, deadline=None)
+    def test_divergence_at_the_reference_step(self, shape, h, y_start):
+        # y' = y^2 + 1 overflows; both steppers stop at the same RHS call
+        f = _stepper_system("blowup", shape, 0)
+        y0 = np.full(shape, y_start)
+        rhs, direct, calls = _counted(f)
+        expect = np.array(y0)
+        with pytest.raises(FloatingPointError):
+            with np.errstate(over="raise", invalid="raise"):
+                for i in range(10**6):
+                    expect = ref.rk4_step(direct, i * h, expect, h)
+        ref_calls = calls[:]
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergedField, match="segment"):
+                flows._rk4_segment(rhs, np.array(y0), 0.0, 10**6 * h, h)
+        assert calls == ref_calls
+
     def test_rk4_fourth_order(self):
         rhs = lambda t, y: y * y                 # blows up at t=1, exact 1/(1-t)
         e = [abs(evolve(rhs, np.array([1.0]), [0.5], h=h)[0][0][0] - 2.0)
@@ -277,25 +370,35 @@ class TestKernelEquivalence:
     def test_chain_kernel_matches_band_loop(self, k_neg, k_pos, n_sites, seed):
         Q = _padded_window(seed, k_neg, k_pos, n_sites)
         kernel = flows._chain_kernel(Q, k_neg, k_pos, n_sites)
-        assert np.array_equal(kernel(), ref.pfaff_rates(Q, k_neg, k_pos, n_sites))
-        # the kernel reads the buffer it was bound to at every call
+        out = np.full((k_neg + k_pos + 1, n_sites), np.nan)
+        assert kernel(out) is out
+        assert np.array_equal(out, ref.pfaff_rates(Q, k_neg, k_pos, n_sites))
+        # the kernel reads the buffer it was bound to at every call, and
+        # fills every entry of the buffer it is given
         Q[...] = _padded_window(seed + 1, k_neg, k_pos, n_sites)
-        assert np.array_equal(kernel(), ref.pfaff_rates(Q, k_neg, k_pos, n_sites))
+        out[...] = np.nan
+        assert np.array_equal(kernel(out), ref.pfaff_rates(Q, k_neg, k_pos, n_sites))
 
     @pytest.mark.parametrize("k_neg, k_pos", [(2, 2), (9, 2), (2, 9)])
     def test_single_band_families(self, k_neg, k_pos):
         # a side with k = 2 has one band in its uniform family
         Q = _padded_window(k_neg + k_pos, k_neg, k_pos, 3)
-        assert np.array_equal(flows._chain_kernel(Q, k_neg, k_pos, 3)(),
+        out = np.empty((k_neg + k_pos + 1, 3))
+        assert np.array_equal(flows._chain_kernel(Q, k_neg, k_pos, 3)(out),
                               ref.pfaff_rates(Q, k_neg, k_pos, 3))
 
     @given(st.sampled_from([2, 4, 6]), st.integers(1, 300),
            st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_volterra_kernel_matches_roll_stencil(self, flow, n_sites, seed):
-        Bp = np.random.default_rng(seed).uniform(0.1, 3.0, n_sites + 8)
-        assert np.array_equal(flows._volterra_rhs_padded(Bp, flow),
-                              ref.volterra_rates(Bp, flow))
+        rng = np.random.default_rng(seed)
+        Bp = rng.uniform(0.1, 3.0, n_sites + 8)
+        kernel, out = flows._volterra_kernel(Bp, flow), np.full(n_sites, np.nan)
+        assert kernel(out) is out
+        assert np.array_equal(out, ref.volterra_rates(Bp, flow))
+        # the kernel reads the line it was bound to at every call
+        Bp[...] = rng.uniform(0.1, 3.0, n_sites + 8)
+        assert np.array_equal(kernel(out), ref.volterra_rates(Bp, flow))
 
     @given(st.sampled_from([2, 4, 6]), st.integers(2, 80), st.integers(1, 40),
            st.integers(0, 2**32 - 1))
@@ -330,8 +433,7 @@ class TestKernelEquivalence:
     def test_volterra_trajectory_bitwise(self, monkeypatch, flow, B0, times, h):
         state = VolterraState(B0)
         new = evolve_volterra(state, flow, times, h=h)
-        monkeypatch.setattr(flows, "_volterra_rhs_padded",
-                            ref.volterra_rates)
+        monkeypatch.setattr(flows, "_volterra_kernel", ref.volterra_kernel)
         old = evolve_volterra(state, flow, times, h=h)
         for a, b in zip(new.states, old.states):
             assert np.array_equal(a.B, b.B)

@@ -56,16 +56,20 @@ class TestMkp:
             identities.verify_mkp(8, **kwargs)
 
     def test_work_is_six_stencil_calls(self, monkeypatch):
-        stencil, calls = flows._volterra_rhs_padded, []
+        factory, calls = flows._volterra_kernel, []
 
         def counted(Bp, flow):
-            calls.append((flow, Bp.shape))
-            return stencil(Bp, flow)
+            kernel = factory(Bp, flow)
+
+            def rates(out):
+                calls.append((flow, Bp.shape))
+                return kernel(out)
+            return rates
 
         def refuse(*args):
             raise AssertionError("the jets take no RK4 step")
-        monkeypatch.setattr(flows, "_volterra_rhs_padded", counted)
-        monkeypatch.setattr(flows, "_rk4_step", refuse)
+        monkeypatch.setattr(flows, "_volterra_kernel", counted)
+        monkeypatch.setattr(flows, "_rk4_stepper", refuse)
         meta = mkp_residuals(8, bump_state()).meta
         # c_1, c_2, c_3 of the flow-2 orbit on 1, 3 and 5 circle points;
         # X_4 and X_6 on the line; X_4 along c_0 + c_1 x on 4 points
@@ -219,6 +223,14 @@ class TestReductionInvariants:
         assert report.passed
         assert report.residual_rel < 1e-10
         assert report.meta["samples"] == 3
+
+    def test_rejects_sites_and_bands_past_the_window(self):
+        trajectory = exact_oracles("t2-scaling", ensemble="orthogonal",
+                                   times=[0.05], n_sites=24, k_pos=6, k_neg=6)
+        with pytest.raises(IndexError):
+            reduction_invariants(trajectory, n_max=25)
+        with pytest.raises(IndexError):
+            reduction_invariants(trajectory, k_max=7)
 
     def test_rejects_wrong_trajectory(self):
         trajectory = exact_oracles("t2-scaling", times=[0.1], n_sites=24)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from taulattice import (CouplingVector, PfaffLax, c_coeff, couplings, goe_lax_in
                         pfaff_lax_from_basis, skew_hermite_map_check,
                         skew_moment_matrix, skew_orthonormal_basis,
                         sqrt_ratio_product, toda_lax_from_quadrature)
+from taulattice.errors import IllConditioned
 from taulattice.identities import verify_init_goe, verify_init_gue, verify_tau_cross
+from taulattice.lax import _skew_basis
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -227,6 +230,18 @@ def test_window_independent_of_basis_size(mapping):
     _, small = _window(mapping, 14, 10, 4)
     _, large = _window(mapping, 22, 10, 4)
     assert np.max(np.abs(small.w - large.w)) < 1e-12
+
+
+def test_skew_basis_overflow_is_typed(t0):
+    # the monic pair scale leaves the double range at pair 99 of 100; no
+    # numpy warning escapes, and the error names the overflow and the pair
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IllConditioned, match="overflowed at pair 99"):
+            _skew_basis(t0, 100)
+        basis = _skew_basis(t0, 96)
+    assert np.isfinite(basis.coeffs).all()
+    assert np.abs(basis.h / nu_values(96) - 1.0).max() < 1e-10
 
 
 def test_basis_too_small_rejected(t0):

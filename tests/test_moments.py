@@ -329,6 +329,17 @@ class TestTauReach:
             with pytest.raises(IllConditioned):
                 log_tau(ensemble, 2, grown, grid=grid)
 
+    @pytest.mark.parametrize("size, degree", [(600, 530), (800, 459)])
+    def test_orthogonal_stieltjes_overflow_is_typed(self, t0, size, degree):
+        # past the grid's reach q_k overflows at nodes where rho^2 has
+        # underflowed; no numpy warning escapes, and the error names the
+        # overflow and its degree
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IllConditioned,
+                               match=f"overflowed at degree {degree}"):
+                log_tau("orthogonal", size, t0)
+
     def test_zero_pfaffian_pivot_raises(self, t0, monkeypatch):
         monkeypatch.setattr(moments, "_skew_products",
                             lambda grid, rows, rho: np.zeros((len(rows), len(rows))))

@@ -21,7 +21,15 @@ evaluated from the edge values at every call (`ghost_closure` in the
 reference kernels).  Their gap, on random edges for the three policies
 with a zero-edge row, is held to 1e-14 relative to the sum of the terms'
 magnitudes; evolve_pfaff at N = 256 (9 + 7 bands, t = 0.1) on the two
-closures is held to 1e-11 relative.
+closures is held to 1e-11 relative.  evolve_volterra is held to the
+reference evolver (`evolve_volterra` there) for the three policies, relative
+to the largest site: C12's flow-2 and flow-4 legs (N 28-36, h = 1e-5) to
+1e-11, and the benchmark's flow-2 ramps (N 32-1024, t <= 0.2, h = 1e-3,
+inside its stability bound) to 1e-11 on the sites below `influence_index`.
+Past that index the closure's rounding gap grows with the edge speed h 2B_N
+(up to 3): the whole line reads up to 2.3e-11 under "scaled", the size of
+the run's own error against the exact scaling family there, and is held to
+1e-10.
 
 The hydrodynamic chain's RHS, coefficient matrix and gradient are read from
 one monomial table (`continuum._chain_table`).  The matrix and gradient must
@@ -121,6 +129,56 @@ def closure_drift():
     res = evolve_pfaff(state, times, h=1e-3)
     return max(float(np.abs(g.w - w).max() / np.abs(w).max())
                for g, w in zip(res.states, ref.evolve_pfaff(state, times, 1e-3)))
+
+
+def _volterra_drifts(B0, flow, times, h):
+    """(whole-line drift, drift below the influence index, last states) of
+    evolve_volterra from the reference evolver over the three ghost
+    policies, relative to the largest site."""
+    whole = clean = 0.0
+    last = {}
+    for ghost in ("scaled", "linear", "pin"):
+        res = evolve_volterra(VolterraState(B0), flow, times, h=h, ghost=ghost)
+        m = res.stats["influence_index"]
+        for got, want in zip(res.states, ref.evolve_volterra(B0, flow, times, h, ghost)):
+            scale = float(np.abs(want).max())
+            whole = max(whole, float(np.abs(got.B - want).max()) / scale)
+            clean = max(clean, float(np.abs(got.B[:m] - want[:m]).max()) / scale)
+        last[ghost] = res.states[-1].B
+    return whole, clean, last
+
+
+def volterra_drift(rng, samples):
+    """(ramp drift on the whole line, ramp drift below the influence index,
+    C12 leg drift) of evolve_volterra from `ref.evolve_volterra`, the same
+    run with the closure evaluated from the edge at every call.
+
+    Ramps are the benchmark's: flow 2 on 1..N to t_end at 4 samples, h =
+    1e-3, t_end 0.05-0.2 and N 32-1024 inside its declared stability bound
+    2e-3 N / (1 - 2 t_end) < 3.2.  C12's legs start from 1..N, N 28-36,
+    flow 2 to t2 in 0.02-0.025 and flow 4 to t4 in 5e-5-1.5e-4 at h = 1e-5,
+    each leg also from the other's end state under the same policy."""
+    ramp = clean = legs = 0.0
+    for _ in range(max(1, samples // 4)):
+        t_end = float(rng.uniform(0.05, 0.2))
+        n_max = min(1024, math.ceil(1600.0 * (1.0 - 2.0 * t_end)) - 1)
+        N = int(rng.integers(32, n_max + 1))
+        whole, below, _ = _volterra_drifts(np.arange(1.0, N + 1.0), 2,
+                                           t_end * np.arange(1, 5) / 4, 1e-3)
+        ramp, clean = max(ramp, whole), max(clean, below)
+    for _ in range(max(1, samples // 20)):
+        B0 = np.arange(1.0, int(rng.integers(28, 37)) + 1.0)
+        t2, t4 = float(rng.uniform(0.02, 0.025)), float(rng.uniform(5e-5, 1.5e-4))
+        for flow, horizon, other, other_horizon in ((2, t2, 4, t4), (4, t4, 2, t2)):
+            whole, _, last = _volterra_drifts(B0, flow, [horizon], 1e-5)
+            legs = max(legs, whole)
+            for ghost, B in last.items():
+                res = evolve_volterra(VolterraState(B), other, [other_horizon], h=1e-5,
+                                      ghost=ghost)
+                want = ref.evolve_volterra(B, other, [other_horizon], 1e-5, ghost)[0]
+                legs = max(legs, float(np.abs(res.states[0].B - want).max()
+                                       / np.abs(want).max()))
+    return ramp, clean, legs
 
 
 def volterra_gap(Bp, flow):
@@ -417,6 +475,7 @@ def main():
     reduced = max(reduced_gap(rng, int(rng.integers(2, 13)), ghost)
                   for ghost in ("copy", "two") for _ in range(max(1, args.samples // 8)))
     node, weight = legendre_gaps((8, 16, 24, 32, 48))
+    ramp_drift, clean_drift, leg_drift = volterra_drift(rng, args.samples)
 
     # (label, largest difference, limit)
     rows = [("chain kernel, %d windows x2" % args.samples, chain, 0.0),
@@ -425,6 +484,9 @@ def main():
             ("ghost closure, %d windows x3 (relative)" % args.samples, closure, 1e-14),
             ("evolve_pfaff N=256 vs reference closure", closure_drift(), 1e-11),
             ("evolve_volterra N=32 flow 4, C12 leg", traj_volterra, 0.0),
+            ("Volterra closure drift, C12 legs", leg_drift, 1e-11),
+            ("Volterra closure drift, ramps, clean", clean_drift, 1e-11),
+            ("Volterra closure drift, ramps, whole", ramp_drift, 1e-10),
             ("stepper vs reference RK4, %d systems" % args.samples,
              stepper_gap(rng, args.samples), 0.0),
             ("goe_lax_init vs sqrt_ratio_product loop",

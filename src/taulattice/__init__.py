@@ -8,7 +8,7 @@ verification suites (`identities`), and the hydrodynamic limit
 """
 
 from .continuum import (HydroChainField, TensorPoint, chain_matrix,
-                        continuum_convergence, dtl_rhs, evolve_hydro_chain,
+                        continuum_convergence, evolve_hydro_chain,
                         haantjes, haantjes_scan, hopf_solve, hydro_chain_rhs,
                         hydro_scaling_check, nijenhuis, nijenhuis_closed_form,
                         reduced_continuum_rhs, spatial_derivative)
@@ -51,7 +51,7 @@ __all__ = [
     "mkp_residuals", "kp_residual", "observables_check",
     "reduction_invariants", "exact_oracles", "sample_gaussian_ensemble",
     "HydroChainField", "TensorPoint", "spatial_derivative", "hopf_solve",
-    "dtl_rhs", "hydro_chain_rhs", "evolve_hydro_chain", "hydro_scaling_check",
+    "hydro_chain_rhs", "evolve_hydro_chain", "hydro_scaling_check",
     "reduced_continuum_rhs", "continuum_convergence", "chain_matrix",
     "nijenhuis", "haantjes", "nijenhuis_closed_form", "haantjes_scan",
     "IdentityReport",

@@ -48,7 +48,6 @@ __all__ = [
     "TensorPoint",
     "spatial_derivative",
     "hopf_solve",
-    "dtl_rhs",
     "hydro_chain_rhs",
     "evolve_hydro_chain",
     "hydro_scaling_check",
@@ -77,6 +76,18 @@ def spatial_derivative(f: np.ndarray, dx: float) -> np.ndarray:
     g[..., -2] = (f[..., -1] - f[..., -3]) / (2.0 * dx)
     g[..., -1] = (3.0 * f[..., -1] - 4.0 * f[..., -2] + f[..., -3]) / (2.0 * dx)
     return g
+
+
+def _scaling_rows(x: np.ndarray, t: float, k_neg: int, k_pos: int):
+    """(u, v) of the exact pure-t2 solution of the chain at time t on the
+    points x: u^{-k}=0 (k>1), u^{-1}=1/(2s), u^0=x/s, u^k=2 (k>0) and
+    v=-1/(4s), with s = 1 - 2t."""
+    s = 1.0 - 2.0 * t
+    u = np.zeros((k_neg + k_pos + 1, len(x)))
+    u[k_neg - 1] = 0.5 / s
+    u[k_neg] = x / s
+    u[k_neg + 1:] = 2.0
+    return u, np.full(len(x), -0.25 / s)
 
 
 @dataclass(frozen=True)
@@ -136,26 +147,16 @@ class HydroChainField:
     @classmethod
     def initial(cls, x, k_neg: int = 4, k_pos: int = 6) -> "HydroChainField":
         """Lattice-derived initial data: u^{-k}=0 (k>1), u^{-1}=1/2, u^0=x,
-        u^k=2 (k>0), v=-1/4."""
-        x = np.asarray(x, dtype=float)
-        u = np.zeros((k_neg + k_pos + 1, len(x)))
-        u[k_neg - 1] = 0.5
-        u[k_neg] = x
-        u[k_neg + 1:] = 2.0
-        return cls(x, u, np.full_like(x, -0.25), k_neg, 0.0)
+        u^k=2 (k>0), v=-1/4: the scaling family at t = 0."""
+        return cls.scaling(x, 0.0, k_neg, k_pos)
 
     @classmethod
     def scaling(cls, x, t: float, k_neg: int = 4, k_pos: int = 6) -> "HydroChainField":
         """The exact pure-t2 solution of the chain started from `initial`."""
         if t >= 0.5:
             raise PreBreakingViolated("scaling family blows up at t = 1/2")
-        s = 1.0 - 2.0 * t
         x = np.asarray(x, dtype=float)
-        u = np.zeros((k_neg + k_pos + 1, len(x)))
-        u[k_neg - 1] = 0.5 / s
-        u[k_neg] = x / s
-        u[k_neg + 1:] = 2.0
-        return cls(x, u, np.full_like(x, -0.25 / s), k_neg, t)
+        return cls(x, *_scaling_rows(x, t, k_neg, k_pos), k_neg, t)
 
     def to_csv(self) -> str:
         heads = ["x", "v"] + [f"u[{ell}]" for ell in range(-self.k_neg, self.k_pos + 1)]
@@ -167,7 +168,7 @@ class HydroChainField:
 
 
 # ---------------------------------------------------------------------------
-# characteristic solver and dispersionless tridiagonal limit
+# characteristic solver
 
 def hopf_solve(u0, c: float, k: int, x, t: float) -> np.ndarray:
     """Solve u = u0(x + c u^k t) pointwise on the grid.
@@ -216,16 +217,6 @@ def hopf_solve(u0, c: float, k: int, x, t: float) -> np.ndarray:
         hi = np.where(below, hi, mid)
     root = 0.5 * (lo + hi)
     return np.broadcast_to(np.asarray(u0(root), dtype=float), x.shape).copy()
-
-
-def dtl_rhs(u: np.ndarray, v: np.ndarray, dx: float):
-    """Dispersionless tridiagonal-flow pair: returns (du, dv) with
-    dv = 2 u u_x and du = (1/2) u v_x."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    dv = 2.0 * u * spatial_derivative(u, dx)
-    du = 0.5 * u * spatial_derivative(v, dx)
-    return du, dv
 
 
 # ---------------------------------------------------------------------------
@@ -375,12 +366,7 @@ def hydro_scaling_check(*, t_target: float = 0.15, x_lo: float = 0.25,
     start = HydroChainField.initial(x, k_neg, k_pos)
 
     def drive_exact(xs, t):
-        s = 1.0 - 2.0 * t
-        rows = np.zeros((k_neg + k_pos + 1, len(xs)))
-        rows[k_neg - 1] = 0.5 / s
-        rows[k_neg] = xs / s
-        rows[k_neg + 1:] = 2.0
-        return rows, np.full(len(xs), -0.25 / s)
+        return _scaling_rows(xs, t, k_neg, k_pos)
 
     final, stats = evolve_hydro_chain(start, t_target, cfl=cfl,
                                       edge_drive=drive_exact)
@@ -417,7 +403,7 @@ def reduced_continuum_rhs(wm1: float, w, *, x_lo: float = 0.5, x_hi: float = 1.5
     field = HydroChainField(x, rows, np.full_like(x, -float(wm1) / 2.0), k_neg)
     du, dv = hydro_chain_rhs(field, top="copy", bottom=0.0)
 
-    deep = float(np.max(np.abs(du[:k_neg - 1]))) if k_neg > 1 else 0.0
+    deep = float(np.max(np.abs(du[:k_neg - 1])))
     spread = float(max(np.ptp(du[k_neg - 1]),
                        max(np.ptp(du[k_neg + k]) for k in range(1, K + 1))))
     dwm1 = float(np.mean(du[k_neg - 1]))

@@ -34,14 +34,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CouplingVector:
-    """Finite map k -> t_k with an optional even-parity restriction.
+    """Finite map k -> t_k.
 
     Entries are stored as a sorted tuple of (k, t_k) pairs with exact zeros
     dropped, so equal vectors compare and hash equal.
     """
 
     entries: tuple[tuple[int, float], ...] = ()
-    parity_even_only: bool = False
 
     def __post_init__(self):
         cleaned = []
@@ -57,14 +56,12 @@ class CouplingVector:
             if v != 0.0:
                 cleaned.append((k, v))
         cleaned.sort()
-        if self.parity_even_only and any(k % 2 for k, _ in cleaned):
-            raise ValueError("parity_even_only vector has a nonzero odd-index coupling")
         object.__setattr__(self, "entries", tuple(cleaned))
 
     @classmethod
-    def from_mapping(cls, m: Mapping[int, float] | None, parity_even_only: bool = False):
+    def from_mapping(cls, m: Mapping[int, float] | None):
         m = m or {}
-        return cls(tuple((int(k), float(v)) for k, v in m.items()), parity_even_only)
+        return cls(tuple((int(k), float(v)) for k, v in m.items()))
 
     def as_dict(self) -> dict[int, float]:
         return dict(self.entries)
@@ -75,6 +72,12 @@ class CouplingVector:
     def max_index(self) -> int:
         """Largest index with a nonzero coupling; 0 if none."""
         return self.entries[-1][0] if self.entries else 0
+
+    @property
+    def parity_even_only(self) -> bool:
+        """Whether every nonzero coupling has an even index, so the weight is
+        even: read off the entries, never set."""
+        return all(k % 2 == 0 for k, _ in self.entries)
 
     @property
     def integrable(self) -> bool:
@@ -98,21 +101,19 @@ class CouplingVector:
         return out
 
     def shifted(self, delta: Mapping[int, float]) -> "CouplingVector":
-        """New vector with delta added entrywise; parity flag is dropped if broken."""
+        """New vector with delta added entrywise."""
         d = self.as_dict()
         for k, dv in delta.items():
             d[int(k)] = d.get(int(k), 0.0) + float(dv)
-        even = self.parity_even_only and all(int(k) % 2 == 0 for k in delta)
-        return CouplingVector.from_mapping(d, parity_even_only=even)
+        return CouplingVector.from_mapping(d)
 
     def to_json(self) -> str:
         return json.dumps({"t": {str(k): v for k, v in self.entries}})
 
     @classmethod
-    def from_json(cls, text: str, parity_even_only: bool = False):
+    def from_json(cls, text: str):
         data = json.loads(text)
-        return cls.from_mapping({int(k): float(v) for k, v in data.get("t", {}).items()},
-                                parity_even_only)
+        return cls.from_mapping({int(k): float(v) for k, v in data.get("t", {}).items()})
 
 
 def weight_eval(z, t: CouplingVector):

@@ -6,21 +6,24 @@ banded skew window, and the one-dimensional reduced chain in the W
 variables.  The chain also has a dense commutator form used as an
 independent cross-check of the banded RHS.
 
-Truncation policy: site 0 is exactly zero for every lattice.  At the right
-edge the evolvers close the window with ghost sites built from the
-caller-supplied initial data, rescaled by the linearly extrapolated ratio
-of current to initial values ("scaled").  On the Gaussian scaling family
-every row is shape(n) * amplitude(t), so this closure is exact there; a
-doubling test is the empirical guard elsewhere.  Frozen ("pin") and plain
-linear extrapolation closures remain available: pinning is simple but
-feeds O(1) errors inward once edge amplitudes grow, and fails the scaling
-oracle at desk tolerances.  One routine, `_ghost_closure`, resolves the
-policy, and the linear fallback of "scaled" rows whose initial edge is
-near 0, when an evolver starts: it returns per-ghost coefficients with
-ghosts = c2 a2 + c1 a1 + c0 in the two current edge values (a2, a1), for
-the Volterra line (scalar edges) and for every row of the band window at
-once ((rows, 1) edge columns).  The RHS and the ghost strips of the
-returned states read the same coefficients.
+Truncation policy: site 0 is exactly zero for every lattice.  Each evolver
+has one layout: `evolve_volterra` evolves all but the last 4 sites of its
+line, and `evolve_pfaff` bands -k_neg+1 .. k_pos-1 on all but the last
+max(k_neg, k_pos) sites, its outer band on each side pinned to the initial
+values.  At the right edge the evolvers close the window with ghost sites
+built from those trailing initial sites, rescaled by the linearly
+extrapolated ratio of current to initial values ("scaled").  On the
+Gaussian scaling family every row is shape(n) * amplitude(t), so this
+closure is exact there; a doubling test is the empirical guard elsewhere.
+Frozen ("pin") and plain linear extrapolation closures remain available:
+pinning is simple but feeds O(1) errors inward once edge amplitudes grow,
+and fails the scaling oracle at desk tolerances.  One routine,
+`_ghost_closure`, resolves the policy, and the linear fallback of "scaled"
+rows whose initial edge is near 0, when an evolver starts: it returns
+per-ghost coefficients with ghosts = c2 a2 + c1 a1 + c0 in the two current
+edge values (a2, a1), for the Volterra line (scalar edges) and for every
+row of the band window at once ((rows, 1) edge columns).  The RHS and the
+ghost strips of the returned states read the same coefficients.
 
 Kernels: each RHS evaluation is a fixed handful of array operations, not a
 loop over sites or bands, and it writes its rates into a buffer it is
@@ -684,38 +687,31 @@ def _ghost_closure(i2, i1, init_ghost, policy):
 
 
 def evolve_volterra(state: VolterraState, flow: int, times, *, h: float = 1e-3,
-                    ghost: str = "scaled", n_evolve: int | None = None) -> EvolutionResult:
-    """Volterra trajectory; the outer 4 sites of `state` anchor the closure."""
+                    ghost: str = "scaled") -> EvolutionResult:
+    """Volterra trajectory; the outer 4 sites of `state` anchor the closure,
+    so a line needs at least 6 sites."""
     B0 = state.B
-    N = len(B0)
-    pad = 4
-    if n_evolve is None:
-        n_evolve = N - pad
-    if not 2 <= n_evolve <= N - 1:
-        raise ValueError("n_evolve must leave at least one anchor site")
-    width = max(pad, N - n_evolve)
-    init_ghost = np.concatenate([B0[n_evolve:], B0[-1] + (B0[-1] - B0[-2])
-                                 * np.arange(1.0, width + 1)])[:width]
-    c2, c1, c0 = _ghost_closure(B0[n_evolve - 2], B0[n_evolve - 1], init_ghost, ghost)
+    n = len(B0) - 4                             # evolved sites
+    if n < 2:
+        raise ValueError("need at least 6 sites: 2 evolved and 4 anchors")
+    c2, c1, c0 = _ghost_closure(B0[n - 2], B0[n - 1], B0[n:], ghost)
     C = np.column_stack([c2, c1])               # ghosts = C @ (a2, a1) + c0
-    C_pad, c0_pad = C[:pad], c0[:pad]
-    Bp = np.zeros(4 + n_evolve + pad)           # left ghosts stay 0
-    sites, edge, ghosts = Bp[4:4 + n_evolve], Bp[2 + n_evolve:4 + n_evolve], Bp[4 + n_evolve:]
+    Bp = np.zeros(n + 8)                        # left ghosts stay 0
+    sites, edge, ghosts = Bp[4:-4], Bp[n + 2:n + 4], Bp[-4:]
 
     kernel = _volterra_kernel(Bp, flow)
 
     def rhs(t, y, out):
         sites[:] = y
-        np.dot(C_pad, edge, out=ghosts)
-        np.add(ghosts, c0_pad, out=ghosts)
+        np.dot(C, edge, out=ghosts)
+        np.add(ghosts, c0, out=ghosts)
         kernel(out)
 
-    y0 = B0[:n_evolve]
+    y0 = B0[:n]
     ys, stats = _evolve(rhs, y0, times, h)
-    front = _influence_front(times, y0, ys, lambda y: 2.0 * abs(y[-1]), n_evolve)
-    stats.update(ghost=ghost, n_evolve=n_evolve, influence_index=front)
-    m = N - n_evolve
-    states = [VolterraState(np.concatenate([y, C[:m] @ y[-2:] + c0[:m]])) for y in ys]
+    front = _influence_front(times, y0, ys, lambda y: 2.0 * abs(y[-1]), n)
+    stats.update({"ghost": ghost, "n_evolve": n, "influence_index": front})
+    states = [VolterraState(np.concatenate([y, C @ y[-2:] + c0])) for y in ys]
     return EvolutionResult(times, states, stats)
 
 
@@ -749,58 +745,52 @@ def evolve_toda(state: TodaLax, flow: int, times, *, h: float = 1e-3) -> Evoluti
     return EvolutionResult(times, states, stats)
 
 
-def evolve_pfaff(state: PfaffLax, times, *, h: float = 1e-3, ghost: str = "scaled",
-                 n_evolve: int | None = None, row_margin: int = 1) -> EvolutionResult:
+def evolve_pfaff(state: PfaffLax, times, *, h: float = 1e-3,
+                 ghost: str = "scaled") -> EvolutionResult:
     """Chain trajectory for the banded window.
 
-    The outermost `row_margin` bands and trailing sites of `state` are not
-    evolved: they are ghost data pinned to (bands) or rescaled from (sites)
-    the initial values, closing the truncation.  Returned windows have the
-    full input shape with ghost strips filled by the closure.
+    The outermost band on each side and the trailing max(k_neg, k_pos)
+    sites of `state` are not evolved: they are ghost data pinned to (bands)
+    or rescaled from (sites) the initial values, closing the truncation.  So
+    the window needs k_neg >= 3, k_pos >= 2 and 2 evolved sites.  Returned
+    windows have the full input shape with ghost strips filled by the
+    closure.
     """
     k_neg, k_pos, N = state.k_neg, state.k_pos, state.n_sites
-    K1, K2 = k_neg - row_margin, k_pos - row_margin
+    K1, K2 = k_neg - 1, k_pos - 1               # evolved bands below and above
     if K1 < 2 or K2 < 1:
-        raise ValueError("window too shallow for the requested row margin")
-    pad = max(K1, K2) + 1
-    if n_evolve is None:
-        n_evolve = N - pad
-    if not 2 <= n_evolve <= N - pad:
-        raise ValueError("need %d trailing anchor sites" % pad)
+        raise ValueError("window too shallow: need k_neg >= 3 and k_pos >= 2")
+    pad = max(k_neg, k_pos)
+    n = N - pad                                 # evolved sites
+    if n < 2:
+        raise ValueError("need %d trailing anchor sites after 2 evolved sites" % pad)
     W0 = state.w
-    rows = slice(row_margin, k_neg + k_pos + 1 - row_margin)
-    n_rows = K1 + K2 + 1
-    init_active = W0[rows]
-    c2, c1, c0 = _ghost_closure(init_active[:, n_evolve - 2:n_evolve - 1],
-                                init_active[:, n_evolve - 1:n_evolve],
-                                init_active[:, n_evolve:], ghost)
-    c2_pad, c1_pad, c0_pad = c2[:, :pad], c1[:, :pad], c0[:, :pad]
-    Q = np.zeros((n_rows + 2, 1 + n_evolve + pad))   # ghost rows and site 0 fixed
-    Q[0, 1:] = W0[row_margin - 1, :n_evolve + pad]
-    Q[-1, 1:] = W0[k_neg + k_pos + 1 - row_margin, :n_evolve + pad]
-    sites, strip = Q[1:-1, 1:n_evolve + 1], Q[1:-1, n_evolve + 1:]
-    a2, a1 = Q[1:-1, n_evolve - 1:n_evolve], Q[1:-1, n_evolve:n_evolve + 1]
-    kernel = _chain_kernel(Q, K1, K2, n_evolve)
+    init = W0[1:-1]
+    c2, c1, c0 = _ghost_closure(init[:, n - 2:n - 1], init[:, n - 1:n], init[:, n:], ghost)
+    Q = np.zeros((K1 + K2 + 3, 1 + N))         # site 0 stays 0
+    Q[:, 1:] = W0                               # the outer rows are the ghost bands
+    sites, strip = Q[1:-1, 1:n + 1], Q[1:-1, n + 1:]
+    a2, a1 = Q[1:-1, n - 1:n], Q[1:-1, n:n + 1]
+    kernel = _chain_kernel(Q, K1, K2, n)
     term = np.empty_like(strip)
 
     def rhs(t, y, out):
         sites[:] = y
-        np.multiply(c2_pad, a2, out=strip)
-        np.add(strip, np.multiply(c1_pad, a1, out=term), out=strip)
-        np.add(strip, c0_pad, out=strip)
+        np.multiply(c2, a2, out=strip)
+        np.add(strip, np.multiply(c1, a1, out=term), out=strip)
+        np.add(strip, c0, out=strip)
         kernel(out)
 
-    y0 = init_active[:, :n_evolve]             # the state keeps the window's shape
+    y0 = init[:, :n]                            # the state keeps the window's shape
     ys, stats = _evolve(rhs, y0, times, h)
-    r0 = K1  # band-0 position inside the active block
-    speed = lambda y: abs(y[r0, -1] * y[r0 + 1, -1])
-    stats.update(ghost=ghost, n_evolve=n_evolve, row_margin=row_margin,
-                 influence_index=_influence_front(times, y0, ys, speed, n_evolve))
+    speed = lambda y: abs(y[K1, -1] * y[K1 + 1, -1])     # band 0 sits in row K1
+    stats.update({"ghost": ghost, "n_evolve": n,
+                  "influence_index": _influence_front(times, y0, ys, speed, n)})
     states = []
     for y in ys:
         w = W0.copy()
-        w[rows, :n_evolve] = y
-        w[rows, n_evolve:] = c2 * y[:, -2:-1] + c1 * y[:, -1:] + c0
+        w[1:-1, :n] = y
+        w[1:-1, n:] = c2 * y[:, -2:-1] + c1 * y[:, -1:] + c0
         states.append(PfaffLax(w, k_neg, k_pos))
     return EvolutionResult(times, states, stats)
 
@@ -812,6 +802,6 @@ def evolve_reduced(state: ReducedChainState, times, *, h: float = 1e-3,
     y0 = np.concatenate([[state.Wm1], state.W])
     ys, stats = _evolve(_reduced_kernel(K, ghost), y0, times, h)
     front = _influence_front(times, y0, ys, lambda y: 2.0 * abs(y[0]) * (K + 1), K)
-    stats.update(ghost=ghost, n_evolve=K + 1, influence_index=front)
+    stats.update({"ghost": ghost, "n_evolve": K + 1, "influence_index": front})
     states = [ReducedChainState(y[0], y[1:]) for y in ys]
     return EvolutionResult(times, states, stats)

@@ -310,7 +310,10 @@ def pfaff_lax_from_basis(basis: SkewOrthoBasis, n_sites: int, k_pos: int,
     the operator is L = W J W^{-1}.  Requires n_sites + max(k_pos, k_neg) <=
     basis.n_pairs so every extracted entry sits inside the representable
     block.  Raises StructureViolation if the operator's fixed pattern (unit
-    entries, vanishing upper fringe) is not reproduced to check_tol.
+    entries, vanishing upper fringe) is not reproduced to check_tol, or, when
+    the couplings give an even weight (`parity_even_only`), if an entry the
+    parity forbids (same-parity modes, on or below the superdiagonal)
+    exceeds check_tol relative to the operator's scale.
     """
     n_pairs = basis.n_pairs
     if n_sites + max(k_pos, k_neg) > n_pairs or n_sites >= n_pairs:

@@ -266,9 +266,9 @@ def evolve_volterra(B0: np.ndarray, flow: int, times, h: float, ghost: str = "sc
 
 
 def evolve_pfaff(state, times, h: float, ghost: str = "scaled"):
-    """flows.evolve_pfaff's sampled windows (row margin 1, default n_evolve)
-    with the edge closure of `ghost_closure`, called at every RHS
-    evaluation, and the per-band loop `pfaff_rates` as the chain kernel."""
+    """flows.evolve_pfaff's sampled windows with the edge closure of
+    `ghost_closure`, called at every RHS evaluation, and the per-band loop
+    `pfaff_rates` as the chain kernel."""
     k_neg, k_pos, N = state.k_neg, state.k_pos, state.n_sites
     K1, K2 = k_neg - 1, k_pos - 1
     pad = max(K1, K2) + 1

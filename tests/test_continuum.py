@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import reference_kernels as ref
 from taulattice import (DivergedField, HydroChainField, IndexOutOfWindow,
                         PreBreakingViolated, ReducedChainState, TensorPoint,
-                        chain_matrix, continuum_convergence, dtl_rhs,
+                        chain_matrix, continuum_convergence,
                         evolve_hydro_chain, haantjes,
                         haantjes_scan, hopf_solve, hydro_chain_rhs,
                         hydro_scaling_check, nijenhuis, nijenhuis_closed_form,
@@ -65,13 +65,6 @@ class TestHopf:
         x = np.linspace(0.25, 2.0, 15)
         with pytest.raises(PreBreakingViolated):
             hopf_solve(lambda s: 2.0 * s, 2.0, 1, x, 0.3)
-
-
-def test_dispersionless_pair_rates():
-    x = np.linspace(0.5, 2.5, 31)
-    du, dv = dtl_rhs(x, x**2, x[1] - x[0])
-    assert np.max(np.abs(dv - 2.0 * x)) < 1e-11
-    assert np.max(np.abs(du - x**2)) < 1e-11
 
 
 class TestHydroField:

@@ -34,8 +34,17 @@ def test_bad_indices_rejected():
         CouplingVector.from_mapping({0: 1.0})
     with pytest.raises(ValueError):
         CouplingVector(((2, 0.1), (2, 0.2)))
-    with pytest.raises(ValueError):
-        CouplingVector.from_mapping({3: 0.1}, parity_even_only=True)
+
+
+@pytest.mark.parametrize("mapping, even", [
+    ({}, True), ({2: 0.1}, True), ({4: -0.03, 6: -0.002}, True), ({3: 0.1}, False)])
+def test_parity_read_off_entries(mapping, even):
+    t = CouplingVector.from_mapping(mapping)
+    assert t.parity_even_only is even
+    # an odd shift breaks an even weight; cancelling it restores the parity
+    assert t.shifted({1: 0.1}).parity_even_only is False
+    assert t.shifted({1: 0.1}).shifted({1: -0.1}).parity_even_only is even
+    assert CouplingVector.from_json(t.to_json()).parity_even_only is even
 
 
 def test_integrable_classification():

@@ -518,6 +518,33 @@ class TestClosureDrift:
             assert _rel_drift(got.B, want) <= 1e-11
 
 
+class TestEvolverLayout:
+    """The evolvers' fixed layout: 4 Volterra anchor sites; one ghost band
+    each side and max(k_neg, k_pos) anchor sites for the chain.  Each runs
+    at its smallest shape and refuses the next smaller one."""
+
+    def test_volterra_needs_six_sites(self):
+        res = evolve_volterra(VolterraState(np.arange(1.0, 7.0)), 2, [1e-3])
+        assert res.stats["n_evolve"] == 2
+        assert res.states[-1].n_sites == 6
+        with pytest.raises(ValueError):
+            evolve_volterra(VolterraState(np.arange(1.0, 6.0)), 2, [1e-3])
+
+    @pytest.mark.parametrize("N, k_pos, k_neg", [(12, 2, 3), (5, 3, 3), (6, 2, 4)])
+    def test_pfaff_runs_at_the_boundary(self, N, k_pos, k_neg):
+        state = goe_lax_init(N, k_pos, k_neg)
+        res = evolve_pfaff(state, [1e-3])
+        assert res.stats["n_evolve"] == N - max(k_neg, k_pos)
+        assert res.states[-1].w.shape == state.w.shape
+
+    @pytest.mark.parametrize("N, k_pos, k_neg", [
+        (12, 4, 2), (12, 1, 4), (4, 3, 3), (5, 2, 4), (5, 4, 3)],
+        ids=["k_neg=2", "k_pos=1", "one-site", "one-site-k_neg", "one-site-k_pos"])
+    def test_pfaff_refuses_past_the_boundary(self, N, k_pos, k_neg):
+        with pytest.raises(ValueError):
+            evolve_pfaff(goe_lax_init(N, k_pos, k_neg), [1e-3])
+
+
 _PROJECT = flows._skew_block_projection
 
 

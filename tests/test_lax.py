@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -11,7 +12,7 @@ from taulattice import (CouplingVector, PfaffLax, c_coeff, couplings, goe_lax_in
                         pfaff_lax_from_basis, skew_hermite_map_check,
                         skew_moment_matrix, skew_orthonormal_basis,
                         sqrt_ratio_product, toda_lax_from_quadrature)
-from taulattice.errors import IllConditioned
+from taulattice.errors import IllConditioned, StructureViolation
 from taulattice.identities import verify_init_goe, verify_init_gue, verify_tau_cross
 from taulattice.lax import _skew_basis
 
@@ -248,6 +249,32 @@ def test_basis_too_small_rejected(t0):
     basis = skew_orthonormal_basis(skew_moment_matrix(t0, 12), 6)
     with pytest.raises(ValueError):
         pfaff_lax_from_basis(basis, 4, 4, 4)
+
+
+def _shifted_diagonal(basis, shift):
+    """The basis with its Jacobi diagonal moved by `shift`, which adds
+    shift times the identity to the operator read off it."""
+    jacobi = dataclasses.replace(basis.jacobi, a=basis.jacobi.a + shift)
+    return dataclasses.replace(basis, jacobi=jacobi)
+
+
+@pytest.mark.parametrize("mapping", [{}, {4: -0.05}])
+def test_parity_check_runs_for_even_weights(mapping):
+    # an even weight forbids same-parity entries such as the diagonal, so a
+    # shifted diagonal must be refused; the unshifted operator passes
+    basis = _skew_basis(CouplingVector.from_mapping(mapping), 10)
+    pfaff_lax_from_basis(basis, 4, 3, 3)
+    with pytest.raises(StructureViolation, match="parity-forbidden"):
+        pfaff_lax_from_basis(_shifted_diagonal(basis, 1e-3), 4, 3, 3)
+
+
+def test_parity_check_skips_odd_weights():
+    # an odd coupling lets the operator connect same-parity modes; the
+    # shifted diagonal is not read into the window
+    basis = _skew_basis(CouplingVector.from_mapping({1: 0.05}), 10)
+    window = pfaff_lax_from_basis(basis, 4, 3, 3)
+    shifted = pfaff_lax_from_basis(_shifted_diagonal(basis, 1e-3), 4, 3, 3)
+    assert np.max(np.abs(shifted.w - window.w)) < 1e-12
 
 
 def test_entries_from_tau_ratios(t0):

@@ -32,9 +32,15 @@ the run's own error against the exact scaling family there, and is held to
 1e-10.
 
 The hydrodynamic chain's RHS, coefficient matrix and gradient are read from
-one monomial table (`continuum._chain_table`).  The matrix and gradient must
-equal the per-monomial loops exactly, and the RHS's v rate must equal the
-hand-written chain's.  Its u rates come from one product with the
+one monomial table (`continuum._chain_table`).  The matrix and the gradient
+entries that `continuum._tensor_plan` collects must equal the per-monomial
+loops exactly, and the RHS's v rate must equal the hand-written chain's.
+The compiled Nijenhuis tensor, and the Haantjes tensor on its guarded block
+|i|, |j|, |k| <= W - 3, sum the products of the dense einsum contractions
+in the reference kernels in another order; at random points of windows
+10-14 each component is held to 8 eps of the size of the terms it sums
+(the sums on |A| and |dA| with every sign +), and a structural zero must be
+exactly 0.  Its u rates come from one product with the
 coefficient matrix, which sums each row's monomials in another order, so
 they are held to 1e-13 relative to the largest rate.  The march inside
 `hydro_scaling_check` is run on both RHS kernels: the step counts must be
@@ -255,10 +261,39 @@ def hydro_gaps(rng, n_x, top, bottom):
             float(np.abs(dv - ref_dv).max()))
 
 
+def _dense(plan, codes, values):
+    out = np.zeros(plan.n ** 3)
+    out[codes] = values
+    return out.reshape((plan.n,) * 3)
+
+
 def matrix_gaps(rng, window):
     pt = TensorPoint(rng.uniform(-3.0, 3.0, 2 * window + 1), window)
+    plan = continuum._tensor_plan(window)
+    dA = _dense(plan, plan.d_code, continuum._matrix_entries(pt, plan)[1])
     return (float(np.abs(chain_matrix(pt) - ref.chain_matrix(pt)).max()),
-            float(np.abs(continuum._matrix_gradient(pt) - ref.matrix_gradient(pt)).max()))
+            float(np.abs(dA - ref.matrix_gradient(pt)).max()))
+
+
+def tensor_gap(rng, window):
+    """Largest gap of the compiled N, and of the compiled H on the guarded
+    block, from the dense contractions, relative to the size of the terms
+    each component sums; a structural zero that is not exactly 0 reads inf."""
+    u = rng.uniform(-3.0, 3.0, 2 * window + 1)
+    u[window] = rng.uniform(0.5, 2.0)
+    pt = TensorPoint(u, window)
+    plan = continuum._tensor_plan(window)
+    A, dA = ref.chain_matrix(pt), ref.matrix_gradient(pt)
+    N_ref = ref.nijenhuis_tensor(A, dA)
+    N_mag, H_mag = ref.tensor_magnitudes(A, dA)
+    N, H = continuum._tensor_entries(pt, plan)
+    H_gap = np.abs(_dense(plan, plan.h_code, H) - ref.haantjes_tensor(N_ref, A))
+    g = slice(3, plan.n - 3)
+    gaps = [(np.abs(_dense(plan, plan.n_code, N) - N_ref), N_mag),
+            (H_gap[g, g, g], H_mag[g, g, g])]
+    return max(float(np.max(np.divide(gap, mag, out=np.where(gap > 0, np.inf, 0.0),
+                                      where=mag > 0)))
+               for gap, mag in gaps)
 
 
 def trajectory_gap(run, field, name, reference):
@@ -450,13 +485,14 @@ def main():
         lambda: evolve_volterra(VolterraState(np.arange(1.0, 33.0)), 4, [1e-4], h=1e-5),
         "B", "_volterra_kernel", ref.volterra_kernel)
 
-    hydro_du = hydro_dv = matrix = gradient = 0.0
+    hydro_du = hydro_dv = matrix = gradient = tensors = 0.0
     for i in range(args.samples):
         closures = [("copy", "copy"), (2.0, "copy"), ("copy", 0.0)][i % 3]
         gu, gv = hydro_gaps(rng, int(rng.integers(161, 242)), *closures)
         hydro_du, hydro_dv = max(hydro_du, gu), max(hydro_dv, gv)
         ga, gd = matrix_gaps(rng, int(rng.integers(10, 15)))
         matrix, gradient = max(matrix, ga), max(gradient, gd)
+        tensors = max(tensors, tensor_gap(rng, int(rng.integers(10, 15))))
 
     marches = [hydro_march_gap(n_x, t) for n_x in (161, 241) for t in (0.1, 0.2)]
     same_steps = all(same for same, _ in marches)
@@ -510,7 +546,9 @@ def main():
             ("mkp jets vs nested finite differences", mkp_jets_gap(), 2e-8),
             ("tau jets vs finite diffs (relative)", tau_jets_gap(), 1e-7),
             ("chain_matrix, %d points" % args.samples, matrix, 0.0),
-            ("_matrix_gradient, %d points" % args.samples, gradient, 0.0)]
+            ("gradient entries, %d points" % args.samples, gradient, 0.0),
+            ("Nijenhuis/Haantjes compiled vs dense, windows 10-14",
+             tensors, 8.0 * np.finfo(float).eps)]
     for label, gap, limit in rows:
         print(f"{label:<40} max |new - reference| = {gap:.3g}  (limit {limit:g})")
     return 0 if all(gap <= limit for _, gap, limit in rows) else 1

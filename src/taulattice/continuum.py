@@ -17,8 +17,12 @@ the Haantjes scan certifies the matrix of the chain being integrated.
 Each RHS evaluation makes one stencil pass over one buffer holding the
 window, its two closure rows and the two sources of the v equation, then
 forms the u rates as one product with the dense (rows x terms) coefficient
-matrix S compiled from the table.  The Haantjes scan plans the contraction
-path of each tensor sum once per matrix size.
+matrix S compiled from the table.  The Nijenhuis and Haantjes tensors are
+evaluated sparsely: once per window, `_tensor_plan` compiles from the same
+table which entries of A, its gradient and N meet in each contraction, and
+at each point every tensor sum is one `np.bincount` over those products.
+H is formed on the guarded block only, the part the scan and the component
+queries read.
 
 The chain march stacks u over v in one array and steps it in place with the
 lattice evolvers' RK4 stepper, `flows._rk4_stepper`, whose stage buffers
@@ -439,6 +443,8 @@ class TensorPoint:
             raise ValueError("window must be at least 4")
         if u.shape != (2 * self.window + 1,):
             raise ValueError("u must have length 2*window + 1")
+        if not np.isfinite(u).all():
+            raise ValueError("u must be finite")
         u.setflags(write=False)
         object.__setattr__(self, "u", u)
         if self.triple is not None:
@@ -516,80 +522,248 @@ def _chain_table(window: int):
     return row, col, coef, np.stack([a, b], axis=1)
 
 
-def chain_matrix(point: TensorPoint) -> np.ndarray:
-    """The quasilinear coefficient matrix A at the point, (2W+1)x(2W+1)."""
-    W = point.window
-    row, col, coef, factors = _chain_table(W)
-    ue = np.append(point.u, 1.0)
-    A = np.zeros((2 * W + 1, 2 * W + 1))
-    np.add.at(A, (row, col), coef * ue[factors[:, 0]] * ue[factors[:, 1]])
-    return A
+def _join(left: np.ndarray, right: np.ndarray):
+    """Every index pair (l, r) with left[l] == right[r]: l ascending, and r
+    ascending within each l."""
+    order = np.argsort(right, kind="stable")
+    ranked = right[order]
+    lo = np.searchsorted(ranked, left, "left")
+    count = np.searchsorted(ranked, left, "right") - lo
+    first = np.cumsum(count) - count
+    return (np.repeat(np.arange(len(left)), count),
+            order[np.arange(count.sum()) - np.repeat(first - lo, count)])
 
 
-def _matrix_gradient(point: TensorPoint) -> np.ndarray:
-    """dA[l, i, j] = dA^i_j / du^l, exact from the monomial table; the
-    derivative by the ones entry fills an extra slab l = n, cut off."""
-    W = point.window
-    n = 2 * W + 1
-    row, col, coef, factors = _chain_table(W)
-    ue = np.append(point.u, 1.0)
-    dA = np.zeros((n + 1, n, n))
-    np.add.at(dA, (factors, row[:, None], col[:, None]),
-              coef[:, None] * ue[factors[:, ::-1]])
-    return dA[:n]
+def _contract(left, lax, right, rax, out, keep):
+    """The product pairs of a sum over one shared index of two sparse
+    operands, given as (entries, axes) key arrays: left axis `lax` meets
+    right axis `rax`, and `out` lists the (side, axis) each output axis is
+    read from (side 0 left, 1 right).  Returns the pairs (l, r) and their
+    output keys, for the outputs that `keep` selects."""
+    pair = _join(left[:, lax], right[:, rax])
+    keys = np.stack([(left, right)[s][pair[s], a] for s, a in out], axis=1)
+    ok = keep(keys)
+    return pair[0][ok], pair[1][ok], keys[ok]
 
 
-# the contractions of the Nijenhuis and Haantjes tensors; A is (n, n), the
-# gradient and N are (n, n, n)
-_NIJENHUIS_SUMS = ("pj,pik->ijk", "ip,jpk->ijk")
-_HAANTJES_SUMS = ("ipr,pj,rk->ijk", "pjr,ip,rk->ijk", "prk,ip,rj->ijk",
-                  "pjk,ir,rp->ijk")
+def _code(keys: np.ndarray, n: int) -> np.ndarray:
+    return keys @ n ** np.arange(keys.shape[1] - 1, -1, -1)
+
+
+def _collect(terms, n):
+    """Lay the terms' distinct output entries end to end.  Returns the slot
+    of every pair, each term's sorted entry codes and its first slot."""
+    slots, codes, offsets, size = [], [], [], 0
+    for _, _, keys in terms:
+        code, slot = np.unique(_code(keys, n), return_inverse=True)
+        slots.append(slot + size)
+        codes.append(code)
+        offsets.append(size)
+        size += len(code)
+    return np.concatenate(slots), codes, offsets, size
+
+
+def _lookup(table: np.ndarray, codes: np.ndarray, missing: int) -> np.ndarray:
+    """Position of each code in the sorted, nonempty `table`, `missing`
+    where absent."""
+    pos = np.minimum(np.searchsorted(table, codes), len(table) - 1)
+    return np.where(table[pos] == codes, pos, missing)
+
+
+def _signed_sum(codes, offsets, size, support, swaps, n):
+    """(4, entries) slots of the four terms of a signed sum on `support`; a
+    swapped term is read with its last two axes exchanged, and a term with
+    no entry at a position reads the zero slot `size`."""
+    keys = np.stack(np.unravel_index(support, (n, n, n)), axis=1)
+    read = {False: support, True: _code(keys[:, [0, 2, 1]], n)}
+    return np.stack([_lookup(c, read[s], size - o) + o
+                     for c, o, s in zip(codes, offsets, swaps)]).astype(np.int32)
+
+
+@dataclass(frozen=True)
+class _TensorPlan:
+    """Index arrays that evaluate A, its gradient, N and the guarded block
+    of H at any point of one window (see `_tensor_plan`)."""
+
+    n: int
+    terms: tuple          # (coef, first factor, second factor) of each monomial
+    a_slot: np.ndarray
+    a_code: np.ndarray    # flat (row, col) of each A entry
+    d_slot: np.ndarray
+    d_coef: np.ndarray
+    d_other: np.ndarray
+    d_code: np.ndarray    # flat (l, row, col) of each gradient entry
+    n_pairs: tuple        # (A entry, gradient entry, slot) of each product
+    n_size: int
+    n_terms: np.ndarray   # (4, entries) slots of t1, t1', t3, t3'
+    n_code: np.ndarray    # flat (i, j, k) of each N entry, sorted
+    i_pairs: tuple        # products of (A, N) entries, intermediate slots
+    i_size: int
+    h_pairs: tuple        # products of (intermediates, A, N) entries
+    h_size: int
+    h_terms: np.ndarray   # (4, entries) slots of the four Haantjes terms
+    h_code: np.ndarray    # flat (i, j, k) of each guarded H entry, sorted
+    n_guarded: np.ndarray  # the N entries inside the guarded block
+    block_code: np.ndarray  # their flat (i, j, k) in the guarded block
 
 
 @lru_cache(maxsize=None)
-def _einsum_paths(n: int) -> dict:
-    """The greedy contraction path of each tensor sum for matrices of size
-    n; a path depends on the operand shapes only, so it is planned once."""
-    paths = {}
-    for expr in _NIJENHUIS_SUMS + _HAANTJES_SUMS:
-        operands = [np.zeros((n,) * len(s)) for s in expr.split("->")[0].split(",")]
-        paths[expr] = np.einsum_path(expr, *operands, optimize=True)[0]
-    return paths
+def _tensor_plan(window: int) -> _TensorPlan:
+    """Compile the Nijenhuis and Haantjes contractions of the window from
+    the monomial table.
+
+    A and dA[l, i, j] = dA^i_j / du^l are collected by position, in table
+    order, from the monomials and from each monomial differentiated by
+    each factor.  Every contraction below is a list of products of two
+    entries that share the summed index, and each product's slot is its
+    output position; a sum is one `np.bincount` over the slots:
+
+        N:  t1[i,j,k] = A[p,j] dA[p,i,k],  t3[i,j,k] = A[i,p] dA[j,p,k],
+            N = t1 - t1' - t3 + t3'   (' swaps j and k; N[i,j,j] = 0)
+        intermediates:  X[i,j,r] = N[i,p,r] A[p,j],  M[i,a,b] = A[i,p] N[p,a,b],
+                        A2[i,p] = A[i,r] A[r,p]
+        H:  X[i,j,r] A[r,k] - M[i,j,r] A[r,k] - M[i,r,k] A[r,j] + A2[i,p] N[p,j,k]
+
+    Each term is aggregated by position before the signed sums, as the
+    dense contractions are.  H is kept on the guarded block
+    |i|, |j|, |k| <= window - 3 only, and the intermediates only where they
+    feed it.
+    """
+    W = window
+    n = 2 * W + 1
+    row, col, coef, factors = _chain_table(W)
+    a_code, a_slot = np.unique(row * n + col, return_inverse=True)
+    A = np.stack(np.divmod(a_code, n), axis=1)
+    # each monomial by each factor, in table order; the ones entry n is no field
+    t = np.repeat(np.arange(len(row)), 2)
+    dl, other = factors.ravel(), factors[:, ::-1].ravel()
+    real = dl < n
+    d_code, d_slot = np.unique(((dl * n + row[t]) * n + col[t])[real],
+                               return_inverse=True)
+    dA = np.stack(np.unravel_index(d_code, (n, n, n)), axis=1)
+
+    def every(keys):
+        return np.ones(len(keys), dtype=bool)
+
+    def guarded(*axes):
+        # |index - W| <= W - 3 on each of the key's `axes`
+        return lambda keys: np.all(np.abs(keys[:, axes] - W) <= W - 3, axis=1)
+
+    def pairs(terms, offsets):
+        return tuple(np.concatenate(a).astype(np.int32) for a in zip(
+            *[(l + lo, r + ro) for (l, r, _), (lo, ro) in zip(terms, offsets)]))
+
+    # N on its structural nonzeros off the j == k diagonal
+    tN = [_contract(A, 0, dA, 0, ((1, 1), (0, 1), (1, 2)), every),
+          _contract(A, 1, dA, 1, ((0, 0), (1, 0), (1, 2)), every)]
+    slot, codes, offsets, n_size = _collect(tN, n)
+    flip = [_code(k[:, [0, 2, 1]], n) for _, _, k in tN]
+    support = np.union1d(np.union1d(*codes), np.union1d(*flip))
+    keys = np.stack(np.unravel_index(support, (n, n, n)), axis=1)
+    support = support[keys[:, 1] != keys[:, 2]]
+    n_terms = _signed_sum([codes[0], codes[0], codes[1], codes[1]],
+                          [offsets[0], offsets[0], offsets[1], offsets[1]],
+                          n_size, support, (False, True, False, True), n)
+    Nk = np.stack(np.unravel_index(support, (n, n, n)), axis=1)
+    n_pairs = (*pairs(tN, [(0, 0)] * 2), slot.astype(np.int32))
+
+    # intermediates; values are read from (A, N) laid end to end
+    nA = len(A)
+    g0 = guarded(0)
+    tI = [_contract(Nk, 1, A, 0, ((0, 0), (1, 1), (0, 2)), guarded(0, 1)),
+          _contract(A, 1, Nk, 0, ((0, 0), (1, 1), (1, 2)),
+                    lambda k: g0(k) & (guarded(1)(k) | guarded(2)(k))),
+          _contract(A, 1, A, 0, ((0, 0), (1, 1)), g0)]
+    slot, icodes, ioff, i_size = _collect(tI, n)
+    i_pairs = (*pairs(tI, [(nA, 0), (0, nA), (0, 0)]), slot.astype(np.int32))
+    X, M = (np.stack(np.unravel_index(c, (n, n, n)), axis=1) for c in icodes[:2])
+    A2 = np.stack(np.divmod(icodes[2], n), axis=1)
+
+    # H; values are read from (intermediates, A, N) laid end to end
+    jk = guarded(1, 2)
+    tH = [_contract(X, 2, A, 0, ((0, 0), (0, 1), (1, 1)), guarded(2)),
+          _contract(M, 2, A, 0, ((0, 0), (0, 1), (1, 1)), jk),
+          _contract(M, 1, A, 0, ((0, 0), (1, 1), (0, 2)), jk),
+          _contract(A2, 1, Nk, 0, ((0, 0), (1, 1), (1, 2)), jk)]
+    slot, hcodes, hoff, h_size = _collect(tH, n)
+    h_code = np.unique(np.concatenate(hcodes))
+    h_terms = _signed_sum(hcodes, hoff, h_size, h_code, (False,) * 4, n)
+    h_pairs = (*pairs(tH, [(ioff[0], i_size), (ioff[1], i_size),
+                           (ioff[1], i_size), (ioff[2], i_size + nA)]),
+               slot.astype(np.int32))
+
+    inside = guarded(0, 1, 2)(Nk)
+    m = 2 * (W - 3) + 1
+    return _TensorPlan(
+        n, (coef, factors[:, 0], factors[:, 1]), a_slot.astype(np.int32),
+        a_code.astype(np.int32), d_slot.astype(np.int32), coef[t][real],
+        other[real].astype(np.int32), d_code.astype(np.int32), n_pairs, n_size,
+        n_terms, support.astype(np.int32), i_pairs, i_size, h_pairs, h_size,
+        h_terms, h_code.astype(np.int32), np.flatnonzero(inside).astype(np.int32),
+        _code(Nk[inside] - 3, m).astype(np.int32))
 
 
-def _nijenhuis_tensor(A: np.ndarray, dA: np.ndarray) -> np.ndarray:
-    # N^i_{jk} = A^p_j d_p A^i_k - A^p_k d_p A^i_j - A^i_p (d_j A^p_k - d_k A^p_j)
-    path = _einsum_paths(A.shape[0])
-    t1, t3 = (np.einsum(e, A, dA, optimize=path[e]) for e in _NIJENHUIS_SUMS)
-    return t1 - t1.transpose(0, 2, 1) - t3 + t3.transpose(0, 2, 1)
+def _matrix_entries(point: TensorPoint, plan: _TensorPlan):
+    """Values of A and its gradient on the plan's entries, each summed over
+    its monomials in table order."""
+    ue = np.append(point.u, 1.0)
+    coef, fa, fb = plan.terms
+    A = np.bincount(plan.a_slot, coef * ue[fa] * ue[fb], len(plan.a_code))
+    dA = np.bincount(plan.d_slot, plan.d_coef * ue[plan.d_other], len(plan.d_code))
+    return A, dA
 
 
-def _haantjes_tensor(N: np.ndarray, A: np.ndarray) -> np.ndarray:
-    # H^i_{jk} = N^i_{pr} A^p_j A^r_k - N^p_{jr} A^i_p A^r_k
-    #            - N^p_{rk} A^i_p A^r_j + N^p_{jk} A^i_r A^r_p
-    path = _einsum_paths(A.shape[0])
-    t1, t2, t3, t4 = (np.einsum(e, N, A, A, optimize=path[e]) for e in _HAANTJES_SUMS)
-    return t1 - t2 - t3 + t4
+def _tensor_entries(point: TensorPoint, plan: _TensorPlan, *, haantjes: bool = True):
+    """N on `plan.n_code` and, with `haantjes`, H on `plan.h_code`."""
+    A, dA = _matrix_entries(point, plan)
+    l, r, slot = plan.n_pairs
+    t = np.bincount(slot, A[l] * dA[r], plan.n_size + 1)
+    t1, t1s, t3, t3s = t[plan.n_terms]
+    N = t1 - t1s - t3 + t3s
+    if not haantjes:
+        return N, None
+    V = np.concatenate((A, N))
+    l, r, slot = plan.i_pairs
+    V = np.concatenate((np.bincount(slot, V[l] * V[r], plan.i_size), V))
+    l, r, slot = plan.h_pairs
+    h = np.bincount(slot, V[l] * V[r], plan.h_size + 1)
+    h1, h2, h3, h4 = h[plan.h_terms]
+    return N, h1 - h2 - h3 + h4
+
+
+def chain_matrix(point: TensorPoint) -> np.ndarray:
+    """The quasilinear coefficient matrix A at the point, (2W+1)x(2W+1)."""
+    plan = _tensor_plan(point.window)
+    A = np.zeros(plan.n ** 2)
+    A[plan.a_code] = _matrix_entries(point, plan)[0]
+    return A.reshape(plan.n, plan.n)
+
+
+def _component(point: TensorPoint, i: int, j: int, k: int, haantjes: bool) -> float:
+    point.guard(i, j, k)
+    plan = _tensor_plan(point.window)
+    with np.errstate(over="ignore", invalid="ignore"):
+        N, H = _tensor_entries(point, plan, haantjes=haantjes)
+    codes, values = (plan.h_code, H) if haantjes else (plan.n_code, N)
+    W, n = point.window, plan.n
+    pos = _lookup(codes, np.array([((i + W) * n + j + W) * n + k + W]), -1)[0]
+    value = float(values[pos]) if pos >= 0 else 0.0
+    if not math.isfinite(value):
+        raise DivergedField(f"{'Haantjes' if haantjes else 'Nijenhuis'} component "
+                            f"({i}, {j}, {k}) is not finite: the point's "
+                            f"products overflow")
+    return value
 
 
 def nijenhuis(i: int, j: int, k: int, point: TensorPoint) -> float:
     """One component of the Nijenhuis tensor of the chain matrix."""
-    point.guard(i, j, k)
-    W = point.window
-    A = chain_matrix(point)
-    N = _nijenhuis_tensor(A, _matrix_gradient(point))
-    return float(N[i + W, j + W, k + W])
+    return _component(point, i, j, k, haantjes=False)
 
 
 def haantjes(i: int, j: int, k: int, point: TensorPoint) -> float:
     """One component of the Haantjes obstruction tensor; its vanishing is the
     diagonalizability certificate for the chain."""
-    point.guard(i, j, k)
-    W = point.window
-    A = chain_matrix(point)
-    N = _nijenhuis_tensor(A, _matrix_gradient(point))
-    H = _haantjes_tensor(N, A)
-    return float(H[i + W, j + W, k + W])
+    return _component(point, i, j, k, haantjes=True)
 
 
 def _closed_table(point: TensorPoint, i: int) -> dict:
@@ -645,35 +819,52 @@ def haantjes_scan(*, window: int = 10, n_points: int = 100, seed: int = 20260823
 
     At each seeded point the full Haantjes tensor must vanish on the guarded
     window, and every computed Nijenhuis component must match the closed-form
-    table -- including the zero claimed for everything off the list.
+    table -- including the zero claimed for everything off the list.  Raises
+    DivergedField, naming the point, when a tensor or table entry there is
+    not finite.
     """
     if window < 10:
         raise ValueError("window must be at least 10 for a meaningful scan")
     if n_points < 1:
         raise ValueError(f"n_points must be at least 1, got {n_points}")
+    if not (u_bound > 0 and math.isfinite(2.0 * u_bound)):
+        raise ValueError(f"u_bound must be positive with [-u_bound, u_bound] "
+                         f"of finite width, got {u_bound}")
+    lo, hi = (float(q) for q in u0_range)
+    if not (lo <= hi and math.isfinite(hi - lo)):
+        raise ValueError(f"u0_range must be finite with lo <= hi, got {u0_range}")
     rng = np.random.default_rng(seed)
     W = window
     g = window - 3
+    m = 2 * g + 1
+    plan = _tensor_plan(W)
     worst_h = 0.0
     worst_closed = 0.0
-    sl = slice(W - g, W + g + 1)
-    for _ in range(n_points):
+    for p in range(n_points):
         u = rng.uniform(-u_bound, u_bound, 2 * W + 1)
-        u[W] = rng.uniform(*u0_range)
+        u[W] = rng.uniform(lo, hi)
         pt = TensorPoint(u, W)
-        A = chain_matrix(pt)
-        N = _nijenhuis_tensor(A, _matrix_gradient(pt))
-        H = _haantjes_tensor(N, A)
-        worst_h = max(worst_h, float(np.max(np.abs(H[sl, sl, sl]))))
-        expect = np.zeros_like(N)
+        with np.errstate(over="ignore", invalid="ignore"):
+            N, H = _tensor_entries(pt, plan)
+        if not (np.isfinite(N).all() and np.isfinite(H).all()):
+            raise DivergedField(f"scan point {p} (seed {seed}): the Nijenhuis or "
+                                f"Haantjes tensor is not finite")
+        got = np.zeros(m ** 3)
+        got[plan.block_code] = N[plan.n_guarded]
+        at, vals = [], []
         for i in range(-g, g + 1):
             for (j, k), val in _closed_table(pt, i).items():
-                if max(abs(j), abs(k)) > g:
-                    continue
-                expect[i + W, j + W, k + W] = val
-                expect[i + W, k + W, j + W] = -val
-        diff = np.abs(N[sl, sl, sl] - expect[sl, sl, sl])
-        worst_closed = max(worst_closed, float(np.max(diff)))
+                if max(abs(j), abs(k)) <= g:
+                    at += [((i + g) * m + j + g) * m + k + g,
+                           ((i + g) * m + k + g) * m + j + g]
+                    vals += [val, -val]
+        expect = np.zeros(m ** 3)
+        expect[at] = vals
+        if not np.isfinite(expect).all():
+            raise DivergedField(f"scan point {p} (seed {seed}): a closed-form "
+                                f"Nijenhuis entry is not finite")
+        worst_h = max(worst_h, float(np.max(np.abs(H), initial=0.0)))
+        worst_closed = max(worst_closed, float(np.max(np.abs(got - expect))))
     passed = worst_h <= tolerance and worst_closed <= closed_tol
     meta = {"window": window, "n_points": n_points, "seed": seed,
             "max_haantjes": worst_h, "max_closed_form_error": worst_closed,
@@ -697,7 +888,10 @@ def continuum_convergence(*, epsilons=(1.0 / 32, 1.0 / 64, 1.0 / 128),
     per-site closed form c_n/(2(1-2t)), scaled by eps.  Leg 3: t=0 sampling
     error of the band's diagonal, again first order in eps.
     """
-    epsilons = sorted(float(e) for e in epsilons)[::-1]
+    epsilons = sorted({float(e) for e in epsilons}, reverse=True)
+    if len(epsilons) < 2:
+        raise ValueError(f"need at least two distinct epsilons to check the "
+                         f"halving ratio, got {len(epsilons)}")
     xs = x_hi * np.array([0.25, 0.375, 0.5, 0.625, 0.75])
     exact = hopf_solve(lambda q: q, 2.0, 1, xs, t2)
 

@@ -15,7 +15,11 @@ slices, precomputed gathers, masks, buffers written in place and one RK4
 stepper whose stages live in buffers made once per segment; the tests and
 scripts/kernel_equiv.py hold them to these references bit for bit, except
 the chain RHS, whose coefficient product sums each row's terms in another
-order and is held to 1e-13 relative.  The mpmath rule is the accuracy
+order and is held to 1e-13 relative.  The dense `einsum` contractions of
+the Nijenhuis and Haantjes tensors are the reference for the sums the
+library compiles from the monomial table; those add the same products in
+another order, so each component is held to 8 eps of the size of the terms
+it sums (`tensor_magnitudes`), and a structural zero to exactly 0.  The mpmath rule is the accuracy
 reference for `couplings._gauss_legendre`.
 
 The tau references are the monomial routes `moments.log_tau` replaced: a
@@ -722,6 +726,37 @@ def matrix_gradient(point) -> np.ndarray:
             dA[a + W, i + W, j + W] += c * u[b + W]
             dA[b + W, i + W, j + W] += c * u[a + W]
     return dA
+
+
+# the contractions of the Nijenhuis and Haantjes tensors; A is (n, n), the
+# gradient and N are (n, n, n)
+NIJENHUIS_SUMS = ("pj,pik->ijk", "ip,jpk->ijk")
+HAANTJES_SUMS = ("ipr,pj,rk->ijk", "pjr,ip,rk->ijk", "prk,ip,rj->ijk",
+                 "pjk,ir,rp->ijk")
+
+
+def nijenhuis_tensor(A: np.ndarray, dA: np.ndarray, signs=(1, -1, -1, 1)) -> np.ndarray:
+    """N^i_{jk} = A^p_j d_p A^i_k - A^p_k d_p A^i_j - A^i_p (d_j A^p_k - d_k A^p_j),
+    as dense contractions; `signs` weigh t1, t1', t3, t3' (' swaps j, k)."""
+    t1, t3 = (np.einsum(e, A, dA, optimize=True) for e in NIJENHUIS_SUMS)
+    s1, s1t, s3, s3t = signs
+    return s1 * t1 + s1t * t1.transpose(0, 2, 1) + s3 * t3 + s3t * t3.transpose(0, 2, 1)
+
+
+def haantjes_tensor(N: np.ndarray, A: np.ndarray, signs=(1, -1, -1, 1)) -> np.ndarray:
+    """H^i_{jk} = N^i_{pr} A^p_j A^r_k - N^p_{jr} A^i_p A^r_k
+    - N^p_{rk} A^i_p A^r_j + N^p_{jk} A^i_r A^r_p, as dense contractions."""
+    terms = [np.einsum(e, N, A, A, optimize=True) for e in HAANTJES_SUMS]
+    return sum(s * t for s, t in zip(signs, terms))
+
+
+def tensor_magnitudes(A: np.ndarray, dA: np.ndarray):
+    """(|N|, |H|): the two sums on |A| and |dA| with every sign +, so each
+    entry is the size of the terms its component sums, the scale its
+    rounding error is relative to."""
+    A, dA = np.abs(A), np.abs(dA)
+    N = nijenhuis_tensor(A, dA, signs=(1, 1, 1, 1))
+    return N, haantjes_tensor(N, A, signs=(1, 1, 1, 1))
 
 
 def dense_embedding(state) -> np.ndarray:

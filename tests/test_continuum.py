@@ -14,8 +14,13 @@ from taulattice import (DivergedField, HydroChainField, IndexOutOfWindow,
                         reduced_chain_rhs, reduced_continuum_rhs,
                         spatial_derivative)
 from taulattice import continuum
-from taulattice.continuum import (_haantjes_tensor, _matrix_gradient,
-                                  _nijenhuis_tensor)
+from taulattice.continuum import _matrix_entries, _tensor_entries, _tensor_plan
+
+
+def _dense(plan, codes, values, dims):
+    out = np.zeros(plan.n ** dims)
+    out[codes] = values
+    return out.reshape((plan.n,) * dims)
 
 
 class TestSpatialDerivative:
@@ -243,8 +248,11 @@ class TestChainTable:
     def test_matrix_and_gradient_match_term_loop(self, window, seed):
         u = np.random.default_rng(seed).uniform(-3.0, 3.0, 2 * window + 1)
         pt = TensorPoint(u, window)
+        plan = _tensor_plan(window)
+        A, dA = _matrix_entries(pt, plan)
         assert np.array_equal(chain_matrix(pt), ref.chain_matrix(pt))
-        assert np.array_equal(_matrix_gradient(pt), ref.matrix_gradient(pt))
+        assert np.array_equal(_dense(plan, plan.a_code, A, 2), ref.chain_matrix(pt))
+        assert np.array_equal(_dense(plan, plan.d_code, dA, 3), ref.matrix_gradient(pt))
 
 
 class TestReducedContinuum:
@@ -304,26 +312,80 @@ class TestTensors:
         for i, j, k in ((2, 0, 1), (0, 1, -1), (5, -3, 4)):
             assert abs(haantjes(i, j, k, pt)) < 1e-10
 
-    @pytest.mark.parametrize("W", [4, 10, 14])
-    def test_planned_paths_match_einsum(self, rng, W):
-        # the cached contraction paths are the ones einsum plans itself
-        pt = TensorPoint(rng.uniform(-3.0, 3.0, 2 * W + 1), W)
-        A, dA = chain_matrix(pt), _matrix_gradient(pt)
-        t1 = np.einsum("pj,pik->ijk", A, dA, optimize=True)
-        t3 = np.einsum("ip,jpk->ijk", A, dA, optimize=True)
-        N = t1 - t1.transpose(0, 2, 1) - t3 + t3.transpose(0, 2, 1)
-        H = (np.einsum("ipr,pj,rk->ijk", N, A, A, optimize=True)
-             - np.einsum("pjr,ip,rk->ijk", N, A, A, optimize=True)
-             - np.einsum("prk,ip,rj->ijk", N, A, A, optimize=True)
-             + np.einsum("pjk,ir,rp->ijk", N, A, A, optimize=True))
-        assert np.array_equal(_nijenhuis_tensor(A, dA), N)
-        assert np.array_equal(_haantjes_tensor(N, A), H)
+    @given(st.integers(4, 14), st.integers(0, 2**32 - 1),
+           st.sampled_from([1e-2, 1.0, 3.0, 1e2]))
+    @settings(max_examples=60, deadline=None)
+    def test_compiled_tensors_match_dense(self, window, seed, scale):
+        # The compiled sums add the same products as the dense contractions,
+        # aggregated by position and signed the same way, but in their own
+        # order.  Each component may differ by a few roundings of the size
+        # of the terms it sums (read off the sums on |A|, |dA| with every
+        # sign +); 8 eps of that size bounds it (at most 1.01 eps is seen
+        # over windows 4-14).  Structural zeros must come out exactly 0.
+        rng = np.random.default_rng(seed)
+        u = scale * rng.uniform(-1.0, 1.0, 2 * window + 1)
+        u[window] = rng.uniform(0.5, 2.0)
+        pt = TensorPoint(u, window)
+        plan = _tensor_plan(window)
+        A, dA = ref.chain_matrix(pt), ref.matrix_gradient(pt)
+        N_ref = ref.nijenhuis_tensor(A, dA)
+        H_ref = ref.haantjes_tensor(N_ref, A)
+        N_mag, H_mag = ref.tensor_magnitudes(A, dA)
+        N, H = _tensor_entries(pt, plan)
+        N, H = _dense(plan, plan.n_code, N, 3), _dense(plan, plan.h_code, H, 3)
+        rel = 8.0 * np.finfo(float).eps
+        assert np.all(np.abs(N - N_ref) <= rel * N_mag)
+        g = slice(3, plan.n - 3)
+        assert np.all(np.abs(H - H_ref)[g, g, g] <= rel * H_mag[g, g, g])
+        # the compiled H holds the guarded block only, and the queries read it
+        inside = _dense(plan, plan.h_code, 1.0, 3)[g, g, g]
+        assert len(plan.h_code) == np.count_nonzero(inside)
+        i, j, k = rng.integers(3 - window, window - 2, 3)
+        assert nijenhuis(i, j, k, pt) == N[i + window, j + window, k + window]
+        assert haantjes(i, j, k, pt) == H[i + window, j + window, k + window]
+
+    def test_point_refuses_non_finite(self):
+        with pytest.raises(ValueError, match="finite"):
+            TensorPoint(np.full(21, np.nan), 10)
+        u = np.ones(21)
+        u[4] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            TensorPoint(u, 10)
+
+    def test_overflowing_component_raises(self):
+        u = np.full(21, 1e120)
+        with pytest.raises(DivergedField, match="not finite"):
+            haantjes(1, 2, 3, TensorPoint(u, 10))
 
     def test_scan(self):
         report = haantjes_scan(window=10, n_points=5, seed=99)
         assert report.passed
         with pytest.raises(ValueError):
             haantjes_scan(window=8)
+
+    @pytest.mark.parametrize("u_bound", [1e120, 1e80])
+    def test_scan_overflow_raises(self, u_bound):
+        # max() used to drop NaN tensors, so these scans passed at 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergedField, match="scan point 0 "):
+                haantjes_scan(window=10, n_points=3, u_bound=u_bound)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"u_bound": np.inf}, {"u_bound": -3.0}, {"u_bound": 0.0},
+        {"u_bound": np.nan}, {"u_bound": 1e308},
+        {"u0_range": (0.5, np.inf)}, {"u0_range": (-np.inf, 2.0)},
+        {"u0_range": (2.0, 0.5)}, {"u0_range": (np.nan, 2.0)}])
+    def test_scan_refuses_bad_ranges(self, kwargs):
+        with pytest.raises(ValueError, match="u_bound|u0_range"):
+            haantjes_scan(window=10, n_points=3, **kwargs)
+
+
+@pytest.mark.parametrize("epsilons", [(1.0 / 32,), (1.0 / 32, 1.0 / 32), ()])
+def test_convergence_needs_two_epsilons(epsilons):
+    # with one epsilon there is no halving ratio, and all([]) used to pass
+    with pytest.raises(ValueError, match="two distinct epsilons"):
+        continuum_convergence(epsilons=epsilons)
 
 
 def test_lattice_continuum_convergence():

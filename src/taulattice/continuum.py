@@ -550,6 +550,15 @@ def _code(keys: np.ndarray, n: int) -> np.ndarray:
     return keys @ n ** np.arange(keys.shape[1] - 1, -1, -1)
 
 
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    """The sorted distinct codes (`np.unique` without its index outputs
+    would import numpy.ma, about 1 MB, for this)."""
+    codes = np.sort(codes)
+    new = np.ones(len(codes), dtype=bool)
+    new[1:] = codes[1:] != codes[:-1]
+    return codes[new]
+
+
 def _collect(terms, n):
     """Lay the terms' distinct output entries end to end.  Returns the slot
     of every pair, each term's sorted entry codes and its first slot."""
@@ -658,7 +667,7 @@ def _tensor_plan(window: int) -> _TensorPlan:
           _contract(A, 1, dA, 1, ((0, 0), (1, 0), (1, 2)), every)]
     slot, codes, offsets, n_size = _collect(tN, n)
     flip = [_code(k[:, [0, 2, 1]], n) for _, _, k in tN]
-    support = np.union1d(np.union1d(*codes), np.union1d(*flip))
+    support = _distinct(np.concatenate(codes + flip))
     keys = np.stack(np.unravel_index(support, (n, n, n)), axis=1)
     support = support[keys[:, 1] != keys[:, 2]]
     n_terms = _signed_sum([codes[0], codes[0], codes[1], codes[1]],
@@ -686,7 +695,7 @@ def _tensor_plan(window: int) -> _TensorPlan:
           _contract(M, 1, A, 0, ((0, 0), (1, 1), (0, 2)), jk),
           _contract(A2, 1, Nk, 0, ((0, 0), (1, 1), (1, 2)), jk)]
     slot, hcodes, hoff, h_size = _collect(tH, n)
-    h_code = np.unique(np.concatenate(hcodes))
+    h_code = _distinct(np.concatenate(hcodes))
     h_terms = _signed_sum(hcodes, hoff, h_size, h_code, (False,) * 4, n)
     h_pairs = (*pairs(tH, [(ioff[0], i_size), (ioff[1], i_size),
                            (ioff[1], i_size), (ioff[2], i_size + nA)]),

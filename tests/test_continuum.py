@@ -343,6 +343,28 @@ class TestTensors:
         assert nijenhuis(i, j, k, pt) == N[i + window, j + window, k + window]
         assert haantjes(i, j, k, pt) == H[i + window, j + window, k + window]
 
+    @pytest.mark.parametrize("W", [4, 10, 14])
+    def test_planned_paths_match_einsum(self, rng, W):
+        # the window's planned sums against einsum's own dense contractions,
+        # to the same 8 eps of the term sizes as the test above
+        pt = TensorPoint(rng.uniform(-3.0, 3.0, 2 * W + 1), W)
+        plan = _tensor_plan(W)
+        A, dA = ref.chain_matrix(pt), ref.matrix_gradient(pt)
+        t1 = np.einsum("pj,pik->ijk", A, dA, optimize=True)
+        t3 = np.einsum("ip,jpk->ijk", A, dA, optimize=True)
+        N_ref = t1 - t1.transpose(0, 2, 1) - t3 + t3.transpose(0, 2, 1)
+        H_ref = (np.einsum("ipr,pj,rk->ijk", N_ref, A, A, optimize=True)
+                 - np.einsum("pjr,ip,rk->ijk", N_ref, A, A, optimize=True)
+                 - np.einsum("prk,ip,rj->ijk", N_ref, A, A, optimize=True)
+                 + np.einsum("pjk,ir,rp->ijk", N_ref, A, A, optimize=True))
+        N_mag, H_mag = ref.tensor_magnitudes(A, dA)
+        N, H = _tensor_entries(pt, plan)
+        N, H = _dense(plan, plan.n_code, N, 3), _dense(plan, plan.h_code, H, 3)
+        rel = 8.0 * np.finfo(float).eps
+        assert np.all(np.abs(N - N_ref) <= rel * N_mag)
+        g = slice(3, plan.n - 3)
+        assert np.all(np.abs(H - H_ref)[g, g, g] <= rel * H_mag[g, g, g])
+
     def test_point_refuses_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
             TensorPoint(np.full(21, np.nan), 10)

@@ -12,7 +12,9 @@ ranges: N 32-1024 sites, 2-9 bands each side, Volterra flows 2, 4 and 6.
 The RK4 stepper on stage buffers (`flows._rk4_segment`) must equal the
 fresh-array step `rk4_step` bit for bit, at the same stage times, on random
 linear and quadratic systems (scalar, line and stacked states, h 1e-3 to
-0.1), and `goe_lax_init`'s running products must equal the site-by-site
+0.1), over equal steps and through one stepper whose h changes between
+steps, since it keeps h/2, h and h/6 as 0-d arrays renewed when h changes;
+and `goe_lax_init`'s running products must equal the site-by-site
 `sqrt_ratio_product` loop bit for bit over the benchmark's window shapes.
 
 The right-edge closure is read as coefficients (`flows._ghost_closure`:
@@ -32,7 +34,11 @@ the run's own error against the exact scaling family there, and is held to
 1e-10.
 
 The hydrodynamic chain's RHS, coefficient matrix and gradient are read from
-one monomial table (`continuum._chain_table`).  The matrix and the gradient
+one monomial table (`continuum._chain_table`).  The RHS bound once per march
+(`continuum._hydro_kernel`) must equal the allocating table RHS
+(`table_rhs_arrays`) bit for bit, on two random states in turn through the
+same buffers, at 2-9 bands each side and 5-241 cells: full width, and
+inside the strips for the march's kernel, which skips their derivatives.  The matrix and the gradient
 entries that `continuum._tensor_plan` collects must equal the per-monomial
 loops exactly, and the RHS's v rate must equal the hand-written chain's.
 The compiled Nijenhuis tensor, and the Haantjes tensor on its guarded block
@@ -197,8 +203,9 @@ def stepper_gap(rng, samples):
     """Largest difference of `flows._rk4_segment`, the stepper on stage
     buffers, from the fresh-array RK4 step on random linear and quadratic
     systems with a time-dependent source, on scalar, line and stacked
-    states; infinite if the two call their right-hand sides at different
-    times."""
+    states, over a segment of equal steps and through one stepper whose step
+    size changes; infinite if the two call their right-hand sides at
+    different times."""
     worst = 0.0
     for i in range(samples):
         shape = [(), (9,), (6, 4)][i % 3]
@@ -227,7 +234,16 @@ def stepper_gap(rng, samples):
         expect = np.array(y0)
         for k in range(steps):
             expect = ref.rk4_step(direct, t0 + k * hs, expect, hs)
-        gap = float(np.abs(y - expect).max()) if seen == want else math.inf
+        # one stepper through steps of changing size, as the chain march takes
+        sizes = rng.choice([1e-3, 0.01, 0.1 / 3.0], int(rng.integers(2, 12)))
+        y2, expect2, t = np.array(y0), np.array(y0), t0
+        step = flows._rk4_stepper(rhs, y2)
+        for size in sizes:
+            step(t, float(size))
+            expect2 = ref.rk4_step(direct, t, expect2, float(size))
+            t += float(size)
+        gap = (max(float(np.abs(y - expect).max()), float(np.abs(y2 - expect2).max()))
+               if seen == want else math.inf)
         worst = max(worst, gap)
     return worst
 
@@ -259,6 +275,27 @@ def hydro_gaps(rng, n_x, top, bottom):
     ref_du, ref_dv = ref_rates[:-1], ref_rates[-1]
     return (float(np.abs(du - ref_du).max() / np.abs(ref_du).max()),
             float(np.abs(dv - ref_dv).max()))
+
+
+def hydro_kernel_gap(rng, k_neg, k_pos, n_x, top, bottom):
+    """Largest difference of `continuum._hydro_kernel`, bound once, from the
+    allocating table RHS on two random states in turn: full width, and
+    inside the strips for the march's kernel, which skips their
+    derivatives."""
+    dx = 2.0 / (n_x - 1)
+    shape = (k_neg + k_pos + 2, n_x)
+    full = continuum._hydro_kernel(dx, shape, k_neg, top, bottom, 50.0)
+    inner = continuum._hydro_kernel(dx, shape, k_neg, top, bottom, 50.0, edges=False)
+    out, out_inner = np.empty(shape), np.empty(shape)
+    worst = 0.0
+    for _ in range(2):
+        y = rng.uniform(-2.0, 2.0, shape)
+        y[k_neg] = rng.uniform(0.5, 2.0, n_x)
+        want = ref.table_rhs_arrays(dx, y, k_neg, top, bottom, 50.0)
+        inner(y, out_inner)
+        worst = max(worst, float(np.abs(full(y, out) - want).max()),
+                    float(np.abs(out_inner[:, 2:-2] - want[:, 2:-2]).max()))
+    return worst
 
 
 def _dense(plan, codes, values):
@@ -312,8 +349,7 @@ def trajectory_gap(run, field, name, reference):
 def hydro_march_gap(n_x, t_target):
     """(step counts equal, final-field gap) of the scaling march on the
     table and on the written rows."""
-    table, t_stats = ref.hydro_scaling_run(continuum._chain_rhs_arrays,
-                                           n_x=n_x, t_target=t_target)
+    table, t_stats = ref.hydro_scaling_run(n_x=n_x, t_target=t_target)
     rows, r_stats = ref.hydro_scaling_run(ref.chain_rhs_arrays,
                                           n_x=n_x, t_target=t_target)
     return (t_stats["steps"] == r_stats["steps"],
@@ -485,11 +521,14 @@ def main():
         lambda: evolve_volterra(VolterraState(np.arange(1.0, 33.0)), 4, [1e-4], h=1e-5),
         "B", "_volterra_kernel", ref.volterra_kernel)
 
-    hydro_du = hydro_dv = matrix = gradient = tensors = 0.0
+    hydro_du = hydro_dv = hydro_kernel = matrix = gradient = tensors = 0.0
     for i in range(args.samples):
         closures = [("copy", "copy"), (2.0, "copy"), ("copy", 0.0)][i % 3]
         gu, gv = hydro_gaps(rng, int(rng.integers(161, 242)), *closures)
         hydro_du, hydro_dv = max(hydro_du, gu), max(hydro_dv, gv)
+        k_neg, k_pos = (int(k) for k in rng.integers(2, 10, 2))
+        hydro_kernel = max(hydro_kernel, hydro_kernel_gap(
+            rng, k_neg, k_pos, int(rng.integers(5, 242)), *closures))
         ga, gd = matrix_gaps(rng, int(rng.integers(10, 15)))
         matrix, gradient = max(matrix, ga), max(gradient, gd)
         tensors = max(tensors, tensor_gap(rng, int(rng.integers(10, 15))))
@@ -529,6 +568,7 @@ def main():
              goe_init_gap(rng, max(1, args.samples // 4)), 0.0),
             ("hydro du, %d fields (relative)" % args.samples, hydro_du, 1e-13),
             ("hydro dv, %d fields" % args.samples, hydro_dv, 0.0),
+            ("hydro kernel, bound vs allocating", hydro_kernel, 0.0),
             ("hydro march x4, steps %s" % ("equal" if same_steps else "differ"),
              march, 1e-12),
             ("hydro RK4 step x4, stats %s" % ("equal" if same_stats else "differ"),

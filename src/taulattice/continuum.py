@@ -17,7 +17,11 @@ the Haantjes scan certifies the matrix of the chain being integrated.
 Each RHS evaluation makes one stencil pass over one buffer holding the
 window, its two closure rows and the two sources of the v equation, then
 forms the u rates as one product with the dense (rows x terms) coefficient
-matrix S compiled from the table.  The Nijenhuis and Haantjes tensors are
+matrix S compiled from the table.  `_hydro_kernel` binds the RHS once per
+march: the buffers, the stencil's views and the monomial buffer are made
+there, so an evaluation is arithmetic only, in the operations and order of
+the formulas on fresh arrays.  `hydro_chain_rhs` binds it for one call,
+and `spatial_derivative` runs the same bound stencil.  The Nijenhuis and Haantjes tensors are
 evaluated sparsely: once per window, `_tensor_plan` compiles from the same
 table which entries of A, its gradient and N meet in each contraction, and
 at each point every tensor sum is one `np.bincount` over those products.
@@ -27,7 +31,8 @@ queries read.
 The chain march stacks u over v in one array and steps it in place with the
 lattice evolvers' RK4 stepper, `flows._rk4_stepper`, whose stage buffers
 are made once per march and whose right-hand sides write their rates into
-a buffer it passes (`rhs(t, y, out)`).  Overflow and invalid operations
+a buffer it passes (`rhs(t, y, out)`).  The march zeroes the rates of its
+boundary strips, so its kernel skips their one-sided derivatives.  Overflow and invalid operations
 raise, so a diverging march stops with DivergedField at its first bad step.
 
 Sign conventions follow the lattice: the k>=0 half of the chain never reads
@@ -65,20 +70,63 @@ __all__ = [
 ]
 
 
+def _stencil(f: np.ndarray, dx: float, *, edges: bool = True):
+    """The derivative stencil of `spatial_derivative` bound to the
+    C-contiguous buffer f, as (g, apply): apply() writes d/dx of f's current
+    values along the last axis into g, taking the same floating-point
+    operations, in the same order, as the formulas written on fresh arrays.
+    Every view and temporary is made here once.
+
+    The central stencil runs over f and g flattened, one contiguous pass;
+    where it reaches across the end of a row it lands on the two cells at
+    each end, which the one-sided formulas then overwrite.  With
+    edges=False they are not formed, and those cells of g hold no
+    derivative.
+    """
+    n = f.shape[-1]
+    g = np.zeros_like(f)
+    mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
+    eight, three, four = np.array(8.0), np.array(3.0), np.array(4.0)
+    minus3, wide, narrow = np.array(-3.0), np.array(12.0 * dx), np.array(2.0 * dx)
+    ff, gf = f.reshape(-1), g.reshape(-1)
+    f04, f13, f31, f4, g22 = ff[:-4], ff[1:-3], ff[3:-1], ff[4:], gf[2:-2]
+    T = np.empty(g22.shape)
+    c0, c1, c2, e1, e2, e3 = (f[..., i] for i in (0, 1, 2, n - 1, n - 2, n - 3))
+    g0, g1, ge2, ge1 = (g[..., i] for i in (0, 1, n - 2, n - 1))
+    C = np.empty(c0.shape)
+
+    def apply():
+        mul(eight, f13, g22)
+        sub(f04, g22, g22)
+        mul(eight, f31, T)
+        add(g22, T, g22)
+        sub(g22, f4, g22)
+        div(g22, wide, g22)
+        if edges:
+            # (-3 f0 + 4 f1 - f2) / (2 dx), (f2 - f0) / (2 dx) and their mirrors
+            mul(minus3, c0, g0)
+            add(g0, mul(four, c1, C), g0)
+            sub(g0, c2, g0)
+            div(g0, narrow, g0)
+            div(sub(c2, c0, g1), narrow, g1)
+            div(sub(e1, e3, ge2), narrow, ge2)
+            mul(three, e1, ge1)
+            sub(ge1, mul(four, e2, C), ge1)
+            add(ge1, e3, ge1)
+            div(ge1, narrow, ge1)
+
+    return g, apply
+
+
 def spatial_derivative(f: np.ndarray, dx: float) -> np.ndarray:
     """d/dx along the last axis: 4th-order central stencil on the interior,
     2nd-order one-sided on the two cells at each end (exact for linear data,
     which is all the boundary strips ever carry in the checks here)."""
-    f = np.asarray(f, dtype=float)
+    f = np.ascontiguousarray(f, dtype=float)
     if f.shape[-1] < 5:
         raise ValueError("need at least five grid points")
-    g = np.empty_like(f)
-    g[..., 2:-2] = (f[..., :-4] - 8.0 * f[..., 1:-3]
-                    + 8.0 * f[..., 3:-1] - f[..., 4:]) / (12.0 * dx)
-    g[..., 0] = (-3.0 * f[..., 0] + 4.0 * f[..., 1] - f[..., 2]) / (2.0 * dx)
-    g[..., 1] = (f[..., 2] - f[..., 0]) / (2.0 * dx)
-    g[..., -2] = (f[..., -1] - f[..., -3]) / (2.0 * dx)
-    g[..., -1] = (3.0 * f[..., -1] - 4.0 * f[..., -2] + f[..., -3]) / (2.0 * dx)
+    g, apply = _stencil(f, dx)
+    apply()
     return g
 
 
@@ -226,20 +274,23 @@ def hopf_solve(u0, c: float, k: int, x, t: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the double chain
 
-def _closure_row(u: np.ndarray, edge: int, spec) -> np.ndarray:
+def _closure_copies(spec) -> bool:
+    """True for a closure that copies the window's edge row, False for one
+    pinned to a number."""
     if isinstance(spec, str):
         if spec != "copy":
             raise ValueError("closure must be 'copy' or a number")
-        return u[edge]
-    return np.full(u.shape[1], float(spec))
+        return True
+    return False
 
 
 @lru_cache(maxsize=None)
 def _rhs_plan(k_neg: int, k_pos: int):
     """(S, first factor, second factor, column) of the monomials of rows
     -k_neg .. k_pos in table order.  Factors and columns index the rows of
-    `ext` in `_chain_rhs_arrays`; S is the dense (rows, terms) matrix of the
-    monomials' coefficients, so row r's rate is S[r] @ (monomial values)."""
+    the `ext` buffer in `_hydro_kernel`; S is the dense (rows, terms) matrix
+    of the monomials' coefficients, so row r's rate is S[r] @ (monomial
+    values)."""
     W = max(k_neg, k_pos) + 1
     R = k_neg + k_pos + 1
     row, col, coef, factors = _chain_table(W)
@@ -251,33 +302,64 @@ def _rhs_plan(k_neg: int, k_pos: int):
     return S, f[:, 0], f[:, 1], col[keep] + shift
 
 
-def _chain_rhs_arrays(dx, y, k_neg, top, bottom, bound, out=None):
-    """Core chain RHS on raw arrays: `y` stacks the window rows u over the
-    row v and the rates come back stacked the same way, in `out` when it is
-    given; `top`/`bottom` close the band window by copying the edge row or
-    pinning a constant."""
-    if bound is not None and (y.max() > bound or y.min() < -bound):
-        raise DivergedField(f"field magnitude exceeded {bound}")
-    R = y.shape[0] - 1
-    u, v = y[:R], y[R]
+def _hydro_kernel(dx, shape, k_neg, top, bottom, bound, *, edges: bool = True):
+    """The chain RHS bound to states of `shape`, as rates(y, out): `y`
+    stacks the window rows u over the row v, and the rates are written into
+    `out`, stacked the same way, which is returned.  `top`/`bottom` close
+    the band window by copying the edge row or pinning a constant.  Raises
+    DivergedField once any field magnitude exceeds `bound`.
+
+    One buffer `ext` holds the rows: bottom closure, the window, top
+    closure, the two sources of the v equation, and the ones row of
+    one-factor monomials; one stencil pass differentiates all but the ones
+    row.  The buffers, with the ones row and a pinned closure row written
+    in once, the stencil's views and the monomial buffer are made here, so
+    a call is arithmetic only, in the operations and order of the formulas
+    written on fresh arrays.  With edges=False the derivative's two cells
+    at each end are not formed, and the rates there are not the chain's:
+    for a caller that discards them.
+    """
+    R, n = shape[0] - 1, shape[1]
     S, fa, fb, col = _rhs_plan(k_neg, R - 1 - k_neg)
-    # rows: bottom closure, the window, top closure, the two sources of the
-    # v equation, and the ones row of one-factor monomials; one stencil pass
-    # differentiates all but the ones row
-    ext = np.empty((R + 5, y.shape[1]))
-    ext[0] = _closure_row(u, 0, bottom)
-    ext[1:R + 1] = u
-    ext[R + 1] = _closure_row(u, -1, top)
-    u0, u1 = ext[k_neg + 1], ext[k_neg + 2]
-    ext[R + 2] = u0 * u1 * v
-    # the closure source u0 * 1/(2 u0) is written out literally so its
-    # cancellation is a property of the formula, not of this implementation
-    ext[R + 3] = u0 * (1.0 / (2.0 * u0))
+    copy_bottom, copy_top = _closure_copies(bottom), _closure_copies(top)
+    ext = np.empty((R + 5, n))
+    if not copy_bottom:
+        ext[0] = float(bottom)
+    if not copy_top:
+        ext[R + 1] = float(top)
     ext[R + 4] = 1.0
-    ux = spatial_derivative(ext[:-1], dx)
-    rates = np.empty_like(y) if out is None else out
-    np.matmul(S, ext[fa] * ext[fb] * ux[col], out=rates[:R])
-    rates[R] = ux[R + 2] + u0 * ux[k_neg] + u0 * ux[R + 3]     # ux[k_neg]: u^{-1}_x
+    ux, stencil = _stencil(ext[:-1], dx, edges=edges)
+    window, first, last, low, high = ext[1:R + 1], ext[1], ext[R], ext[0], ext[R + 1]
+    u0, u1, src, closure_src = ext[k_neg + 1], ext[k_neg + 2], ext[R + 2], ext[R + 3]
+    um1_x, src_x, closure_x = ux[k_neg], ux[R + 2], ux[R + 3]     # um1_x: u^{-1}_x
+    M = np.empty((len(fa), n))
+    T = np.empty(n)
+    one, two = np.array(1.0), np.array(2.0)
+    mul, add, div, copyto = np.multiply, np.add, np.divide, np.copyto
+
+    def rates(y, out):
+        if bound is not None and (y.max() > bound or y.min() < -bound):
+            raise DivergedField(f"field magnitude exceeded {bound}")
+        copyto(window, y[:R])
+        if copy_bottom:
+            copyto(low, first)
+        if copy_top:
+            copyto(high, last)
+        mul(u0, u1, src)
+        mul(src, y[R], src)
+        # the closure source u0 * 1/(2 u0) is written out literally so its
+        # cancellation is a property of the formula, not of this implementation
+        div(one, mul(two, u0, closure_src), closure_src)
+        mul(u0, closure_src, closure_src)
+        stencil()
+        mul(ext[fa], ext[fb], M)
+        mul(M, ux[col], M)
+        np.matmul(S, M, out[:R])
+        v_rate = out[R]
+        add(src_x, mul(u0, um1_x, T), v_rate)
+        add(v_rate, mul(u0, closure_x, T), v_rate)
+        return out
+
     return rates
 
 
@@ -287,8 +369,9 @@ def hydro_chain_rhs(field: HydroChainField, *, top="copy", bottom="copy",
 
     Raises DivergedField once any field magnitude exceeds `bound`.
     """
-    rates = _chain_rhs_arrays(field.dx, np.vstack((field.u, field.v)), field.k_neg,
-                              top, bottom, bound)
+    y = np.vstack((field.u, field.v))
+    rates = _hydro_kernel(field.dx, y.shape, field.k_neg, top, bottom, bound)(
+        y, np.empty_like(y))
     return rates[:-1], rates[-1]
 
 
@@ -309,16 +392,23 @@ def evolve_hydro_chain(field: HydroChainField, t_target: float, *, cfl: float = 
     x, dx, k_neg = field.x, field.dx, field.k_neg
     y = np.vstack((field.u, field.v))          # rows u^{-k_neg} .. u^{k_pos}, then v
     t = field.time
-    strip = np.r_[0:2, len(x) - 2:len(x)]
+    # the strips' rates are zeroed, so the kernel skips their derivatives
+    kernel = _hydro_kernel(dx, y.shape, k_neg, top, bottom, bound, edges=False)
+    x_strip = np.concatenate((x[:2], x[-2:]))
     h_used = []
-    last = [None, None]                        # time and values of the last drive call
+    last = [None]                              # time of the last drive call
+    strip = np.empty((len(y), 4))              # its (u, v) values, stacked
+    strip_lo, strip_hi = strip[:, :2], strip[:, 2:]
+    u0, u1, speeds = y[k_neg], y[k_neg + 1], np.empty(y.shape[1])
 
     def drive(y, ts):
         # a step's stages repeat t + h/2, and its last stage time t + h is
         # where the strips are set after the step and where the next begins
         if ts != last[0]:
-            last[:] = ts, edge_drive(x[strip], ts)
-        y[:-1, strip], y[-1, strip] = last[1]
+            strip[:-1], strip[-1] = edge_drive(x_strip, ts)
+            last[0] = ts
+        y[:, :2] = strip_lo
+        y[:, -2:] = strip_hi
 
     def rhs(ts, y, out):
         # stage states see the prescribed strip values at the stage time, so
@@ -328,15 +418,16 @@ def evolve_hydro_chain(field: HydroChainField, t_target: float, *, cfl: float = 
         # rate and are reset after the step.
         if edge_drive is not None:
             drive(y, ts)
-        _chain_rhs_arrays(dx, y, k_neg, top, bottom, bound, out)
-        out[:, strip] = 0.0
+        kernel(y, out)
+        out[:, :2] = 0.0
+        out[:, -2:] = 0.0
 
     step = _rk4_stepper(rhs, y)
     steps = 0
     try:
         with np.errstate(over="raise", invalid="raise"):
             while t < t_target - 1e-15:
-                speed = float(np.max(np.abs(y[k_neg] * y[k_neg + 1]))) + 1e-30
+                speed = float(np.abs(np.multiply(u0, u1, speeds), speeds).max()) + 1e-30
                 h = min(cfl * dx / speed, t_target - t)
                 step(t, h)
                 t += h
@@ -811,14 +902,43 @@ def _closed_table(point: TensorPoint, i: int) -> dict:
 
 
 def nijenhuis_closed_form(i: int, j: int, k: int, point: TensorPoint) -> float:
-    """Tabulated value of N^i_{jk}; 0 for components off the nonzero list."""
+    """Tabulated value of N^i_{jk}; 0 for components off the nonzero list.
+    Raises DivergedField when the tabulated value overflows."""
     point.guard(i, j, k)
-    table = _closed_table(point, i)
+    try:
+        table = _closed_table(point, i)
+    except OverflowError as exc:
+        raise DivergedField(f"closed-form Nijenhuis row {i} overflows: {exc}") from exc
     if (j, k) in table:
-        return float(table[(j, k)])
-    if (k, j) in table:
-        return -float(table[(k, j)])
-    return 0.0
+        value = float(table[(j, k)])
+    elif (k, j) in table:
+        value = -float(table[(k, j)])
+    else:
+        return 0.0
+    if not math.isfinite(value):
+        raise DivergedField(f"closed-form Nijenhuis component ({i}, {j}, {k}) "
+                            f"is not finite")
+    return value
+
+
+def _closed_layout(g: int):
+    """Where the closed-form table lands in the guarded block |.| <= g, which
+    depends on the row alone: (keep, at), with `keep` the entries of the
+    rows -g .. g laid end to end in table order that fall inside the block
+    and `at` the flat (i, j, k) and mirrored (i, k, j) position of each, in
+    pairs."""
+    m = 2 * g + 1
+    point = TensorPoint(np.ones(2 * g + 7), g + 3)
+    keep, at, offset = [], [], 0
+    for i in range(-g, g + 1):
+        keys = list(_closed_table(point, i))
+        for e, (j, k) in enumerate(keys):
+            if max(abs(j), abs(k)) <= g:
+                keep.append(offset + e)
+                at += [((i + g) * m + j + g) * m + k + g,
+                       ((i + g) * m + k + g) * m + j + g]
+        offset += len(keys)
+    return np.array(keep, dtype=np.intp), np.array(at, dtype=np.intp)
 
 
 def haantjes_scan(*, window: int = 10, n_points: int = 100, seed: int = 20260823,
@@ -847,6 +967,8 @@ def haantjes_scan(*, window: int = 10, n_points: int = 100, seed: int = 20260823
     g = window - 3
     m = 2 * g + 1
     plan = _tensor_plan(W)
+    keep, at = _closed_layout(g)
+    signed = np.empty(len(at))
     worst_h = 0.0
     worst_closed = 0.0
     for p in range(n_points):
@@ -860,18 +982,19 @@ def haantjes_scan(*, window: int = 10, n_points: int = 100, seed: int = 20260823
                                 f"Haantjes tensor is not finite")
         got = np.zeros(m ** 3)
         got[plan.block_code] = N[plan.n_guarded]
-        at, vals = [], []
-        for i in range(-g, g + 1):
-            for (j, k), val in _closed_table(pt, i).items():
-                if max(abs(j), abs(k)) <= g:
-                    at += [((i + g) * m + j + g) * m + k + g,
-                           ((i + g) * m + k + g) * m + j + g]
-                    vals += [val, -val]
+        bad = DivergedField(f"scan point {p} (seed {seed}): a closed-form "
+                            f"Nijenhuis entry is not finite")
+        try:
+            vals = np.array([v for i in range(-g, g + 1)
+                             for v in _closed_table(pt, i).values()])[keep]
+        except OverflowError as exc:
+            raise bad from exc
+        if not np.isfinite(vals).all():
+            raise bad
+        signed[0::2] = vals
+        np.negative(vals, signed[1::2])
         expect = np.zeros(m ** 3)
-        expect[at] = vals
-        if not np.isfinite(expect).all():
-            raise DivergedField(f"scan point {p} (seed {seed}): a closed-form "
-                                f"Nijenhuis entry is not finite")
+        expect[at] = signed
         worst_h = max(worst_h, float(np.max(np.abs(H), initial=0.0)))
         worst_closed = max(worst_closed, float(np.max(np.abs(got - expect))))
     passed = worst_h <= tolerance and worst_closed <= closed_tol

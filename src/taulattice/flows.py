@@ -59,7 +59,11 @@ state in place, and its four rates, stage state and weighted sum live in
 buffers of the state's shape made once per segment (once per march in
 `continuum`).  Right-hand sides take (t, y, out) and write their rates into
 out, so a step allocates nothing; each stage takes the same floating-point
-operations, in the same order, as the step written with fresh arrays.
+operations, in the same order, as the step written with fresh arrays.  The
+stepper and the kernels take numpy's cheapest call: the output passed
+positionally, and scalar factors (0.5, h/2, h, h/6) held as 0-d arrays,
+since a Python float operand costs each ufunc call a conversion.  The
+closures skip adding c0, which is zero under every policy but "pin".
 `evolve` takes fixed steps of at most h, shortened to land on each sample
 time; its public form takes rhs(t, y) returning the rates and adapts it in
 one line.
@@ -208,27 +212,28 @@ def _toda_kernel(n: int, flow: int):
     ap = np.zeros(n + 2)                       # a_0 = 0, a_1..a_n, a_{n+1} = 0
     a_in, a_up, a_dn = ap[1:n + 1], ap[2:], ap[:n]
     ta, tb = np.empty(n), np.empty(n - 1)
+    half = np.array(0.5)
     mul, add, sub = np.multiply, np.add, np.subtract
 
     def rates(t, y, out):
         a, b = y[:n], y[n:]
         da, db = out[:n], out[n:]
-        mul(b, b, out=bsq_in)
+        mul(b, b, bsq_in)
         if flow == 1:
-            sub(bsq_hi, bsq_lo, out=da)
-            sub(a[1:], a[:-1], out=db)
+            sub(bsq_hi, bsq_lo, da)
+            sub(a[1:], a[:-1], db)
         else:
             a_in[:] = a
-            add(a, a_up, out=da)
-            mul(da, bsq_hi, out=da)
-            add(a_dn, a, out=ta)
-            mul(ta, bsq_lo, out=ta)
-            sub(da, ta, out=da)
-            sub(bsq[2:], bsq[:n - 1], out=db)
-            add(db, np.square(a[1:], out=ta[1:]), out=db)
-            sub(db, np.square(a[:-1], out=ta[1:]), out=db)
-        mul(b, 0.5, out=tb)
-        mul(tb, db, out=db)
+            add(a, a_up, da)
+            mul(da, bsq_hi, da)
+            add(a_dn, a, ta)
+            mul(ta, bsq_lo, ta)
+            sub(da, ta, da)
+            sub(bsq[2:], bsq[:n - 1], db)
+            add(db, np.square(a[1:], ta[1:]), db)
+            sub(db, np.square(a[:-1], ta[1:]), db)
+        mul(b, half, tb)
+        mul(tb, db, db)
         return out
 
     return rates
@@ -268,20 +273,20 @@ def _volterra_kernel(Bp: np.ndarray, flow: int):
 
     def rates(out):
         if flow == 4:
-            add(lo, c, out=V)
-            add(V, hi, out=V)
-            mul(c, V, out=V)
+            add(lo, c, V)
+            add(V, hi, V)
+            mul(c, V, V)
         elif flow == 6:
-            add(lo4, c4, out=V4)
-            add(V4, hi4, out=V4)
-            mul(c4, V4, out=V4)
-            mul(lo, hi, out=V)
-            add(V, V4[:-2], out=V)
-            add(V, V4[1:-1], out=V)
-            add(V, V4[2:], out=V)
-            mul(c, V, out=V)
-        sub(V_hi, V_lo, out=out)
-        mul(mid, out, out=out)
+            add(lo4, c4, V4)
+            add(V4, hi4, V4)
+            mul(c4, V4, V4)
+            mul(lo, hi, V)
+            add(V, V4[:-2], V)
+            add(V, V4[1:-1], V)
+            add(V, V4[2:], V)
+            mul(c, V, V)
+        sub(V_hi, V_lo, out)
+        mul(mid, out, out)
         return out
 
     return rates
@@ -377,61 +382,62 @@ def _chain_kernel(Q: np.ndarray, k_neg: int, k_pos: int, n: int):
     Ppos, Ppos_hi = Pwin[2:k_pos + 1], Pwin[3:k_pos + 2]
     Wpos, Wpos_hi = Wwin[2:k_pos + 1], Wwin[3:k_pos + 2]
     D, E, T = np.empty(n), np.empty(n), np.empty(n)
+    half = np.array(0.5)
     Tneg, Tpos = np.empty((max(k_neg - 1, 0), n)), np.empty((max(k_pos - 1, 0), n))
     mul, add, sub = np.multiply, np.add, np.subtract
 
     def family(o, Tf, w, a, a_w, b, b_w, c, c_w, d, d_w):
         # o holds X on entry and 0.5 w X + a a_w - b b_w + c c_w - d d_w on exit
-        mul(w, 0.5, out=Tf)
-        mul(Tf, o, out=o)
-        mul(a, a_w, out=Tf)
-        add(o, Tf, out=o)
-        mul(b, b_w, out=Tf)
-        sub(o, Tf, out=o)
-        mul(c, c_w, out=Tf)
-        add(o, Tf, out=o)
-        mul(d, d_w, out=Tf)
-        sub(o, Tf, out=o)
+        mul(w, half, Tf)
+        mul(Tf, o, o)
+        mul(a, a_w, Tf)
+        add(o, Tf, o)
+        mul(b, b_w, Tf)
+        sub(o, Tf, o)
+        mul(c, c_w, Tf)
+        add(o, Tf, o)
+        mul(d, d_w, Tf)
+        sub(o, Tf, o)
 
     def rates(out):
-        mul(W0, W1, out=P)
-        sub(P0, Pm, out=D)
-        sub(Pp, Pm, out=E)
+        mul(W0, W1, P)
+        sub(P0, Pm, D)
+        sub(Pp, Pm, E)
         if k_neg >= 2:
             o = out[:k_neg - 1]
-            add(D, Pneg, out=o)
-            sub(o, Pneg_lo, out=o)
+            add(D, Pneg, o)
+            sub(o, Pneg_lo, o)
             family(o, Tneg, nw, nup_p, W00, nup, Wneg_lo, ndn, Wneg, ndn_m, W0m)
         if k_neg >= 1:
             o = out[k_neg - 1]
-            mul(m1, D, out=o)
-            add(W00, m2, out=T)
-            mul(W00, T, out=T)
-            add(o, T, out=o)
-            add(W0m, m2_m, out=T)
-            mul(W0m, T, out=T)
-            sub(o, T, out=o)
+            mul(m1, D, o)
+            add(W00, m2, T)
+            mul(W00, T, T)
+            add(o, T, o)
+            add(W0m, m2_m, T)
+            mul(W0m, T, T)
+            sub(o, T, o)
         o = out[k_neg]
-        mul(W00, 0.5, out=T)
-        mul(T, E, out=o)
-        sub(m1_p, m1, out=T)
-        mul(W00, T, out=T)
-        add(o, T, out=o)
+        mul(W00, half, T)
+        mul(T, E, o)
+        sub(m1_p, m1, T)
+        mul(W00, T, T)
+        add(o, T, o)
         if k_pos >= 1:
             # 0.5 p1 (P_{n-1} - P_{n+1}) + W0p p2 - W0m p2_m, with the
             # first term's sign moved onto its sum: exact
             o = out[k_neg + 1]
-            mul(p1, 0.5, out=T)
-            mul(T, E, out=T)
-            mul(W0p, p2, out=o)
-            sub(o, T, out=o)
-            mul(W0m, p2_m, out=T)
-            sub(o, T, out=o)
+            mul(p1, half, T)
+            mul(T, E, T)
+            mul(W0p, p2, o)
+            sub(o, T, o)
+            mul(W0m, p2_m, T)
+            sub(o, T, o)
         if k_pos >= 2:
             # P_{n-1} - P_n + P_{n+k-1} is P_{n+k-1} - D exactly
             o = out[k_neg + 2:]
-            sub(Ppos, D, out=o)
-            sub(o, Ppos_hi, out=o)
+            sub(Ppos, D, o)
+            sub(o, Ppos_hi, o)
             family(o, Tpos, pw, pup, Wpos_hi, pup_m, W0m, pdn_p, W00, pdn, Wpos)
         return out
 
@@ -543,10 +549,10 @@ def _reduced_kernel(K: int, ghost: str):
             Wp[-1] = W[-1]
         out[0] = 2.0 * Wm1 * Wm1 * W[0]
         o = out[1:]
-        mul(up, Wp[2:], out=o)
-        sub(o, mul(W, W[0], out=T), out=o)
-        sub(o, mul(down, Wp[:-2], out=T), out=o)
-        mul(o, 2.0 * Wm1, out=o)
+        mul(up, Wp[2:], o)
+        sub(o, mul(W, W[0], T), o)
+        sub(o, mul(down, Wp[:-2], T), o)
+        mul(o, 2.0 * Wm1, o)
         return out
 
     return rates
@@ -570,26 +576,35 @@ def _rk4_stepper(rhs, y: np.ndarray):
     weighted sum live in buffers of y's shape made here once, and each stage
     takes the same floating-point operations, in the same order, as
     y + (h/2) k1, y + (h/2) k2, y + h k3 and
-    y + (h/6) (k1 + 2 k2 + 2 k3 + k4) written with fresh arrays.  Every rhs
-    call after the first reads the stage buffer, so a rhs may write into the
-    state it is given; at the first stage that is y itself.
+    y + (h/6) (k1 + 2 k2 + 2 k3 + k4) written with fresh arrays.  The
+    factors h/2, h and h/6 are held as 0-d arrays, set again only when h
+    changes, since a Python float operand costs each ufunc call a
+    conversion.  Every rhs call after the first reads the stage buffer, so
+    a rhs may write into the state it is given; at the first stage that is
+    y itself.
     """
     k1, k2, k3, k4, stage, acc = (np.empty_like(y) for _ in range(6))
+    factors = np.empty(3)
+    half, full, sixth = (factors[i, ...] for i in range(3))
+    size = [None, 0.0]                          # h and h/2 of the factors
     mul, add = np.multiply, np.add
 
     def step(t, h):
-        half = 0.5 * h
+        if h != size[0]:
+            size[:] = h, 0.5 * h
+            factors[:] = size[1], h, h / 6.0
+        t_half = t + size[1]
         rhs(t, y, k1)
-        add(y, mul(k1, half, out=stage), out=stage)
-        rhs(t + half, stage, k2)
-        add(y, mul(k2, half, out=stage), out=stage)
-        rhs(t + half, stage, k3)
-        add(y, mul(k3, h, out=stage), out=stage)
+        add(y, mul(k1, half, stage), stage)
+        rhs(t_half, stage, k2)
+        add(y, mul(k2, half, stage), stage)
+        rhs(t_half, stage, k3)
+        add(y, mul(k3, full, stage), stage)
         rhs(t + h, stage, k4)
-        add(k1, add(k2, k2, out=acc), out=acc)           # 2 k = k + k exactly
-        add(acc, add(k3, k3, out=stage), out=acc)
-        add(acc, k4, out=acc)
-        add(y, mul(acc, h / 6.0, out=acc), out=y)
+        add(k1, add(k2, k2, acc), acc)                  # 2 k = k + k exactly
+        add(acc, add(k3, k3, stage), acc)
+        add(acc, k4, acc)
+        add(y, mul(acc, sixth, acc), y)
 
     return step
 
@@ -701,10 +716,13 @@ def evolve_volterra(state: VolterraState, flow: int, times, *, h: float = 1e-3,
 
     kernel = _volterra_kernel(Bp, flow)
 
+    pinned = bool(c0.any())                     # c0 is 0 unless the policy pins
+
     def rhs(t, y, out):
         sites[:] = y
-        np.dot(C, edge, out=ghosts)
-        np.add(ghosts, c0, out=ghosts)
+        np.dot(C, edge, ghosts)
+        if pinned:
+            np.add(ghosts, c0, ghosts)
         kernel(out)
 
     y0 = B0[:n]
@@ -773,12 +791,14 @@ def evolve_pfaff(state: PfaffLax, times, *, h: float = 1e-3,
     a2, a1 = Q[1:-1, n - 1:n], Q[1:-1, n:n + 1]
     kernel = _chain_kernel(Q, K1, K2, n)
     term = np.empty_like(strip)
+    pinned = bool(c0.any())                     # c0 is 0 unless the policy pins
 
     def rhs(t, y, out):
         sites[:] = y
-        np.multiply(c2, a2, out=strip)
-        np.add(strip, np.multiply(c1, a1, out=term), out=strip)
-        np.add(strip, c0, out=strip)
+        np.multiply(c2, a2, strip)
+        np.add(strip, np.multiply(c1, a1, term), strip)
+        if pinned:
+            np.add(strip, c0, strip)
         kernel(out)
 
     y0 = init[:, :n]                            # the state keeps the window's shape

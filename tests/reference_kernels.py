@@ -4,9 +4,12 @@ concatenated rows, the site-by-site dense commutator, an RK4 step with its
 stages in fresh arrays, and a 50-digit Gauss-Legendre rule.
 
 These are the straightforward forms of the Pfaff-chain and Volterra
-right-hand sides, of the continuum chain's RHS written row by row, of the
-chain march with its RK4 stages written out on the (u, v) pair and the edge
-drive called at every stage (with a drive that records its call times), of
+right-hand sides, of the continuum chain's RHS written row by row and read
+from the monomial table with every buffer fresh at every call
+(`table_rhs_arrays`, what `continuum._hydro_kernel` binds once per march),
+of the chain march with its RK4 stages written out on the (u, v) pair, the
+edge drive called at every stage and the strips' rates formed full width
+(with a drive that records its call times), of
 the reduced chain's RHS on a state, of the coefficient matrix and its
 gradient built by a loop over the monomial table, of the classical RK4
 step, and of the dense embedding and protected-position scan of the
@@ -79,7 +82,7 @@ from taulattice.couplings import (_panel_nodes, _radius_for, _regrid, build_quad
                                   cumulative_integral, weight_eval)
 from taulattice.moments import _skew_products, _tau_grid, _tau_value, log_tau
 from taulattice.numdiff import mixed_derivative
-from taulattice.continuum import _closure_row, _matrix_terms, spatial_derivative
+from taulattice.continuum import _matrix_terms, _rhs_plan, spatial_derivative
 from taulattice.errors import DivergedField, StructureViolation
 from taulattice.flows import _skew_block_projection
 
@@ -334,11 +337,52 @@ def volterra_kernel(Bp: np.ndarray, flow: int):
     return rates
 
 
+def _closure_row(u: np.ndarray, edge: int, spec) -> np.ndarray:
+    if isinstance(spec, str):
+        if spec != "copy":
+            raise ValueError("closure must be 'copy' or a number")
+        return u[edge]
+    return np.full(u.shape[1], float(spec))
+
+
+def table_rhs_arrays(dx, y, k_neg, top, bottom, bound, out=None):
+    """The chain RHS read from the monomial table (`continuum._rhs_plan`),
+    every buffer fresh at every call: what `continuum._hydro_kernel` binds
+    once.  `y` stacks the window rows u over the row v and the rates come
+    back stacked the same way, in `out` when it is given."""
+    if bound is not None and (y.max() > bound or y.min() < -bound):
+        raise DivergedField(f"field magnitude exceeded {bound}")
+    R = y.shape[0] - 1
+    u, v = y[:R], y[R]
+    S, fa, fb, col = _rhs_plan(k_neg, R - 1 - k_neg)
+    ext = np.empty((R + 5, y.shape[1]))
+    ext[0] = _closure_row(u, 0, bottom)
+    ext[1:R + 1] = u
+    ext[R + 1] = _closure_row(u, -1, top)
+    u0, u1 = ext[k_neg + 1], ext[k_neg + 2]
+    ext[R + 2] = u0 * u1 * v
+    ext[R + 3] = u0 * (1.0 / (2.0 * u0))
+    ext[R + 4] = 1.0
+    ux = spatial_derivative(ext[:-1], dx)
+    rates = np.empty_like(y) if out is None else out
+    np.matmul(S, ext[fa] * ext[fb] * ux[col], out=rates[:R])
+    rates[R] = ux[R + 2] + u0 * ux[k_neg] + u0 * ux[R + 3]
+    return rates
+
+
+def kernel_of(rhs_arrays):
+    """An allocating RHS (`table_rhs_arrays`, `chain_rhs_arrays`) in the
+    calling convention of `continuum._hydro_kernel`."""
+    def bind(dx, shape, k_neg, top, bottom, bound, *, edges=True):
+        return lambda y, out: rhs_arrays(dx, y, k_neg, top, bottom, bound, out)
+    return bind
+
+
 def chain_rhs_arrays(dx, y, k_neg, top, bottom, bound, out=None):
     """Hydrodynamic chain RHS with every row written out; `top`/`bottom`
     close the band window by copying the edge row or pinning a constant.
-    Same calling convention as continuum._chain_rhs_arrays: `y` stacks u
-    over v, and so do the rates, written into `out` when it is given."""
+    Same calling convention as `table_rhs_arrays`: `y` stacks u over v, and
+    so do the rates, written into `out` when it is given."""
     u, v = y[:-1], y[-1]
     if bound is not None and max(np.max(np.abs(u)), np.max(np.abs(v))) > bound:
         raise DivergedField(f"field magnitude exceeded {bound}")
@@ -383,7 +427,8 @@ def chain_rhs_arrays(dx, y, k_neg, top, bottom, bound, out=None):
 def evolve_hydro_chain(field, t_target, *, cfl=0.2, top="copy", bottom="copy",
                        bound=50.0, edge_drive=None, max_steps=200000):
     """continuum.evolve_hydro_chain with its RK4 stages written out on the
-    (u, v) pair; the RHS is continuum._chain_rhs_arrays."""
+    (u, v) pair and the edge drive called at every stage; the RHS is
+    `table_rhs_arrays`, full width, with the strip rates zeroed after."""
     if t_target < field.time:
         raise ValueError("t_target must not precede the field's time stamp")
     x, dx, k_neg = field.x, field.dx, field.k_neg
@@ -400,8 +445,7 @@ def evolve_hydro_chain(field, t_target, *, cfl=0.2, top="copy", bottom="copy",
             vc = vc.copy()
             uc[:, strip] = ud
             vc[strip] = vd
-        rates = continuum._chain_rhs_arrays(dx, np.vstack([uc, vc]), k_neg,
-                                            top, bottom, bound)
+        rates = table_rhs_arrays(dx, np.vstack([uc, vc]), k_neg, top, bottom, bound)
         du, dv = rates[:-1], rates[-1]
         du[:, strip] = 0.0
         dv[strip] = 0.0
@@ -678,11 +722,12 @@ def log_tau_quartic_mp(n, t2, t4, dps=60):
 
 def hydro_scaling_run(rhs=None, march=None, **kwargs):
     """(final field, stats) of the march inside
-    `continuum.hydro_scaling_check(**kwargs)`, with `rhs` standing in for
-    `continuum._chain_rhs_arrays` and `march` for
+    `continuum.hydro_scaling_check(**kwargs)`, with the allocating `rhs`
+    (`table_rhs_arrays`, `chain_rhs_arrays`) standing in for
+    `continuum._hydro_kernel` and `march` for
     `continuum.evolve_hydro_chain` where given."""
     runs = []
-    evolve, kernel = continuum.evolve_hydro_chain, continuum._chain_rhs_arrays
+    evolve, kernel = continuum.evolve_hydro_chain, continuum._hydro_kernel
     march = march or evolve
 
     def record(*args, **kw):
@@ -690,11 +735,12 @@ def hydro_scaling_run(rhs=None, march=None, **kwargs):
         return runs[-1]
 
     continuum.evolve_hydro_chain = record
-    continuum._chain_rhs_arrays = rhs or kernel
+    if rhs is not None:
+        continuum._hydro_kernel = kernel_of(rhs)
     try:
         continuum.hydro_scaling_check(**kwargs)
     finally:
-        continuum.evolve_hydro_chain, continuum._chain_rhs_arrays = evolve, kernel
+        continuum.evolve_hydro_chain, continuum._hydro_kernel = evolve, kernel
     return runs[0]
 
 

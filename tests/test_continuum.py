@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -212,6 +213,74 @@ class TestHydroStepper:
 _CLOSURES = st.one_of(st.just("copy"), st.floats(-2.0, 2.0))
 
 
+def _chain_state(rng, k_neg, k_pos, n_x):
+    y = rng.uniform(-2.0, 2.0, (k_neg + k_pos + 2, n_x))
+    y[k_neg] = rng.uniform(0.5, 2.0, n_x)
+    y[-1] = rng.uniform(-1.0, 1.0, n_x)
+    return y
+
+
+class TestHydroKernel:
+    """The RHS bound once per march repeats the allocating table RHS bit for
+    bit, call after call."""
+
+    @given(st.integers(2, 9), st.integers(2, 9), st.integers(5, 241),
+           _CLOSURES, _CLOSURES, st.sampled_from([None, 1.5, 2.0, 50.0]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_bound_kernel_matches_allocating(self, k_neg, k_pos, n_x, top, bottom,
+                                             bound, seed):
+        rng = np.random.default_rng(seed)
+        states = [_chain_state(rng, k_neg, k_pos, n_x) for _ in range(2)]
+        dx = 2.0 / (n_x - 1)
+        args = (dx, states[0].shape, k_neg, top, bottom, bound)
+        full = continuum._hydro_kernel(*args)
+        inner = continuum._hydro_kernel(*args, edges=False)
+        out, out_inner = np.full_like(states[0], np.nan), np.full_like(states[0], np.nan)
+        # two states through the same kernel and buffers, each against a fresh call
+        for y in states:
+            try:
+                want = ref.table_rhs_arrays(dx, y, k_neg, top, bottom, bound)
+            except DivergedField as exc:
+                for kernel, o in ((full, out), (inner, out_inner)):
+                    with pytest.raises(DivergedField, match=f"^{re.escape(str(exc))}$"):
+                        kernel(y, o)
+                continue
+            assert full(y, out) is out
+            assert out.tobytes() == want.tobytes()
+            # the march's kernel leaves the strips' rates, which it zeroes
+            inner(y, out_inner)
+            assert out_inner[:, 2:-2].tobytes() == want[:, 2:-2].tobytes()
+        # the public RHS binds the same kernel for one call
+        field = HydroChainField(np.linspace(0.25, 2.25, n_x), states[1][:-1].copy(),
+                                states[1][-1].copy(), k_neg)
+        try:
+            du, dv = hydro_chain_rhs(field, top=top, bottom=bottom, bound=bound)
+        except DivergedField:
+            return
+        want = ref.table_rhs_arrays(field.dx, np.vstack([field.u, field.v]), k_neg,
+                                    top, bottom, bound)
+        assert du.tobytes() == want[:-1].tobytes() and dv.tobytes() == want[-1].tobytes()
+
+    @pytest.mark.parametrize("k_neg,k_pos,n_x,top,bottom,driven", [
+        (4, 6, 201, "copy", "copy", True), (3, 4, 57, 2.0, 0.0, True),
+        (2, 2, 9, "copy", -0.5, False), (9, 9, 241, 1.0, "copy", False)])
+    def test_skipped_strip_march_bitwise(self, k_neg, k_pos, n_x, top, bottom, driven):
+        # the march skips the strips' derivatives, whose rates it zeroes; the
+        # reference loop forms them full width at every stage
+        x = np.linspace(0.25, 2.25, n_x)
+        start = HydroChainField.initial(x, k_neg, k_pos)
+        u = start.u + 0.01 * np.random.default_rng(n_x).standard_normal(start.u.shape)
+        field = HydroChainField(x, u, start.v, k_neg)
+        drive = ref.counted_scaling_drive(k_neg, k_pos)[0] if driven else None
+        lib, l_stats = evolve_hydro_chain(field, 0.04, top=top, bottom=bottom,
+                                          edge_drive=drive)
+        loop, r_stats = ref.evolve_hydro_chain(field, 0.04, top=top, bottom=bottom,
+                                               edge_drive=drive)
+        assert l_stats == r_stats and l_stats["steps"] > 1
+        assert lib.u.tobytes() == loop.u.tobytes() and lib.v.tobytes() == loop.v.tobytes()
+
+
 class TestChainTable:
     """The RHS, matrix and gradient read from one monomial table agree with
     the hand-written rows and the per-monomial loops."""
@@ -235,8 +304,7 @@ class TestChainTable:
         assert np.array_equal(dv, ref_dv)
 
     def test_march_matches_written_rows(self):
-        table, t_stats = ref.hydro_scaling_run(continuum._chain_rhs_arrays,
-                                               t_target=0.1, n_x=101)
+        table, t_stats = ref.hydro_scaling_run(t_target=0.1, n_x=101)
         rows, r_stats = ref.hydro_scaling_run(ref.chain_rhs_arrays,
                                               t_target=0.1, n_x=101)
         assert t_stats == r_stats
@@ -391,6 +459,27 @@ class TestTensors:
             warnings.simplefilter("error")
             with pytest.raises(DivergedField, match="scan point 0 "):
                 haantjes_scan(window=10, n_points=3, u_bound=u_bound)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("ijk,u0,u1", [((1, 1, 2), 1e200, 1.0), ((3, 0, 4), 1e160, 1.0),
+                                           ((3, 0, 2), 1e150, 1e200)])
+    def test_closed_form_overflow_is_typed(self, ijk, u0, u1):
+        # u0 ** 2 on Python floats raised a bare OverflowError; u0 * u1 gave inf
+        u = np.ones(21)
+        u[10], u[11] = u0, u1
+        with pytest.raises(DivergedField, match="closed-form"):
+            nijenhuis_closed_form(*ijk, TensorPoint(u, 10))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("u0,u_bound", [(1e200, 3.0), (1e150, 1e200)])
+    def test_scan_closed_form_overflow_raises(self, monkeypatch, u0, u_bound):
+        # the tensors overflow first at such points; finite stand-ins let the
+        # scan reach its closed-form fill
+        def finite(point, plan):
+            return np.zeros(len(plan.n_code)), np.zeros(len(plan.h_code))
+        monkeypatch.setattr(continuum, "_tensor_entries", finite)
+        with pytest.raises(DivergedField, match="scan point 0 .*closed-form"):
+            haantjes_scan(window=10, n_points=2, u0_range=(u0, u0), u_bound=u_bound)
 
     @pytest.mark.parametrize("kwargs", [
         {"u_bound": np.inf}, {"u_bound": -3.0}, {"u_bound": 0.0},

@@ -246,6 +246,31 @@ class TestStepper:
         assert stats["steps"] == sum(flows._segment_steps(d, h)[0]
                                      for d in np.diff(np.r_[0.0, times]))
 
+    @given(st.sampled_from(["linear", "quadratic"]), st.sampled_from([(), (7,), (5, 3)]),
+           st.lists(st.sampled_from([4e-3, 0.01, 0.01 / 3.0, 0.05]), min_size=1,
+                    max_size=12),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_step_sizes_may_change_between_steps(self, kind, shape, sizes, seed):
+        # the stepper keeps h/2, h and h/6 between steps and must renew them
+        # whenever h changes, as the chain march's CFL steps do
+        f = _stepper_system(kind, shape, seed)
+        y0 = np.random.default_rng(seed + 1).uniform(-0.5, 0.5, shape)
+        rhs, direct, calls = _counted(f)
+        expect, t = np.array(y0), 0.1
+        for h in sizes:
+            expect = ref.rk4_step(direct, t, expect, h)
+            t += h
+        ref_calls = calls[:]
+        calls.clear()
+        y, t = np.array(y0), 0.1
+        step = flows._rk4_stepper(rhs, y)
+        for h in sizes:
+            step(t, h)
+            t += h
+        assert y.tobytes() == np.asarray(expect).tobytes()
+        assert calls == ref_calls
+
     @given(st.sampled_from([(), (4,), (3, 2)]), st.sampled_from([0.05, 0.2]),
            st.floats(0.5, 20.0))
     @settings(max_examples=30, deadline=None)

@@ -21,19 +21,23 @@ matrix S compiled from the table.  `_hydro_kernel` binds the RHS once per
 march: the buffers, the stencil's views and the monomial buffer are made
 there, so an evaluation is arithmetic only, in the operations and order of
 the formulas on fresh arrays.  `hydro_chain_rhs` binds it for one call,
-and `spatial_derivative` runs the same bound stencil.  The Nijenhuis and Haantjes tensors are
-evaluated sparsely: once per window, `_tensor_plan` compiles from the same
-table which entries of A, its gradient and N meet in each contraction, and
-at each point every tensor sum is one `np.bincount` over those products.
-H is formed on the guarded block only, the part the scan and the component
-queries read.
+and `spatial_derivative` runs the same bound stencil.
+
+The Nijenhuis and Haantjes tensors are evaluated sparsely: once per
+window, `_tensor_plan` compiles from the same table which entries of A, its
+gradient and N meet in each contraction, and at each point every tensor
+sum is one `np.bincount` over those products.  H is formed on the guarded
+block only, the part the scan and the component queries read.  Where the
+closed-form Nijenhuis table lands in that block depends on the row alone,
+so the scan finds it once and reads only the table's values at each point.
 
 The chain march stacks u over v in one array and steps it in place with the
 lattice evolvers' RK4 stepper, `flows._rk4_stepper`, whose stage buffers
 are made once per march and whose right-hand sides write their rates into
 a buffer it passes (`rhs(t, y, out)`).  The march zeroes the rates of its
-boundary strips, so its kernel skips their one-sided derivatives.  Overflow and invalid operations
-raise, so a diverging march stops with DivergedField at its first bad step.
+boundary strips, so its kernel skips their one-sided derivatives.
+Overflow and invalid operations raise, so a diverging march stops with
+DivergedField at its first bad step.
 
 Sign conventions follow the lattice: the k>=0 half of the chain never reads
 negative-index fields, so it can be integrated on its own.
@@ -982,15 +986,15 @@ def haantjes_scan(*, window: int = 10, n_points: int = 100, seed: int = 20260823
                                 f"Haantjes tensor is not finite")
         got = np.zeros(m ** 3)
         got[plan.block_code] = N[plan.n_guarded]
-        bad = DivergedField(f"scan point {p} (seed {seed}): a closed-form "
-                            f"Nijenhuis entry is not finite")
         try:
             vals = np.array([v for i in range(-g, g + 1)
                              for v in _closed_table(pt, i).values()])[keep]
-        except OverflowError as exc:
-            raise bad from exc
-        if not np.isfinite(vals).all():
-            raise bad
+            finite = np.isfinite(vals).all()
+        except OverflowError:                  # u0 ** 2 on Python floats
+            finite = False
+        if not finite:
+            raise DivergedField(f"scan point {p} (seed {seed}): a closed-form "
+                                f"Nijenhuis entry is not finite")
         signed[0::2] = vals
         np.negative(vals, signed[1::2])
         expect = np.zeros(m ** 3)

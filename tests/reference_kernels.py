@@ -1,5 +1,6 @@
 """Reference kernels: the per-band loop, the np.roll stencil, the
-hand-written hydrodynamic chain and its RK4 march, the reduced chain on
+hand-written hydrodynamic chain and its RK4 march, the derivative stencil
+on fresh arrays, the reduced chain on
 concatenated rows, the site-by-site dense commutator, an RK4 step with its
 stages in fresh arrays, and a 50-digit Gauss-Legendre rule.
 
@@ -82,7 +83,7 @@ from taulattice.couplings import (_panel_nodes, _radius_for, _regrid, build_quad
                                   cumulative_integral, weight_eval)
 from taulattice.moments import _skew_products, _tau_grid, _tau_value, log_tau
 from taulattice.numdiff import mixed_derivative
-from taulattice.continuum import _matrix_terms, _rhs_plan, spatial_derivative
+from taulattice.continuum import _matrix_terms, _rhs_plan
 from taulattice.errors import DivergedField, StructureViolation
 from taulattice.flows import _skew_block_projection
 
@@ -335,6 +336,21 @@ def volterra_kernel(Bp: np.ndarray, flow: int):
         out[...] = volterra_rates(Bp, flow)
         return out
     return rates
+
+
+def spatial_derivative(f, dx):
+    """continuum.spatial_derivative written on fresh arrays: the stencil the
+    library binds once (`continuum._stencil`) and runs over its buffer
+    flattened."""
+    f = np.asarray(f, dtype=float)
+    g = np.empty_like(f)
+    g[..., 2:-2] = (f[..., :-4] - 8.0 * f[..., 1:-3]
+                    + 8.0 * f[..., 3:-1] - f[..., 4:]) / (12.0 * dx)
+    g[..., 0] = (-3.0 * f[..., 0] + 4.0 * f[..., 1] - f[..., 2]) / (2.0 * dx)
+    g[..., 1] = (f[..., 2] - f[..., 0]) / (2.0 * dx)
+    g[..., -2] = (f[..., -1] - f[..., -3]) / (2.0 * dx)
+    g[..., -1] = (3.0 * f[..., -1] - 4.0 * f[..., -2] + f[..., -3]) / (2.0 * dx)
+    return g
 
 
 def _closure_row(u: np.ndarray, edge: int, spec) -> np.ndarray:

@@ -51,6 +51,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .couplings import _own_arrays
 from .errors import DivergedField, IndexOutOfWindow, PreBreakingViolated
 from .flows import VolterraState, _rk4_stepper, evolve_pfaff, evolve_volterra
 from .lax import c_coeff, goe_lax_init
@@ -162,9 +163,7 @@ class HydroChainField:
     time: float = 0.0
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        u = np.asarray(self.u, dtype=float)
-        v = np.asarray(self.v, dtype=float)
+        x, u, v = _own_arrays(self, "x", "u", "v")
         if x.ndim != 1 or len(x) < 5:
             raise ValueError("grid must be 1-d with at least five points")
         d = np.diff(x)
@@ -180,11 +179,6 @@ class HydroChainField:
             raise ValueError("grid and fields must be finite")
         if np.any(u[self.k_neg] <= 0):
             raise ValueError("u^0 must stay positive on the grid")
-        for a in (x, u, v):
-            a.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
         object.__setattr__(self, "time", float(self.time))
 
     @property
@@ -235,6 +229,8 @@ def hopf_solve(u0, c: float, k: int, x, t: float) -> np.ndarray:
     started to break), and every grid point's root is then found by one
     vectorised bisection on its bracketing cell.  u0 must accept arrays.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     x = np.asarray(x, dtype=float)
     if t == 0.0:
         return np.broadcast_to(np.asarray(u0(x), dtype=float), x.shape).copy()
@@ -381,7 +377,7 @@ def hydro_chain_rhs(field: HydroChainField, *, top="copy", bottom="copy",
 
 def evolve_hydro_chain(field: HydroChainField, t_target: float, *, cfl: float = 0.2,
                        top="copy", bottom="copy", bound: float | None = 50.0,
-                       edge_drive=None, max_steps: int = 200000):
+                       edge_drive=None):
     """March the chain with RK4 under the step bound h <= cfl*dx/max|u0 u1|.
 
     The two cells at each end are boundary strips: with edge_drive=None they
@@ -389,8 +385,10 @@ def evolve_hydro_chain(field: HydroChainField, t_target: float, *, cfl: float = 
     return (u_rows, v_vals) imposed after every step.  Returns the final
     field and a stats dict.  Raises DivergedField at the first overflowing
     or invalid operation, when a field magnitude exceeds `bound`, or when
-    `max_steps` is spent before t_target.
+    200000 steps are spent before t_target.
     """
+    if not math.isfinite(t_target):
+        raise ValueError(f"t_target must be finite, got {t_target}")
     if t_target < field.time:
         raise ValueError("t_target must not precede the field's time stamp")
     x, dx, k_neg = field.x, field.dx, field.k_neg
@@ -439,7 +437,7 @@ def evolve_hydro_chain(field: HydroChainField, t_target: float, *, cfl: float = 
                     drive(y, t)
                 h_used.append(h)
                 steps += 1
-                if steps > max_steps:
+                if steps > 200000:
                     raise DivergedField("step budget exhausted before t_target")
     except FloatingPointError as exc:
         raise DivergedField(f"chain march overflowed at t={t:g} after {steps} "
@@ -452,23 +450,22 @@ def evolve_hydro_chain(field: HydroChainField, t_target: float, *, cfl: float = 
     return out, stats
 
 
-def hydro_scaling_check(*, t_target: float = 0.15, x_lo: float = 0.25,
-                        x_hi: float = 2.25, n_x: int = 201, k_neg: int = 4,
-                        k_pos: int = 6, cfl: float = 0.2,
+def hydro_scaling_check(*, t_target: float = 0.15, n_x: int = 201,
                         tolerance: float = 1e-6) -> IdentityReport:
     """Method-of-lines chain run against the exact scaling family.
 
-    Boundary strips are driven with the exact solution (inflow data); the
-    comparison covers interior cells only.
+    The window holds rows -4 .. 6 on n_x cells of [0.25, 2.25], marched at
+    the default CFL number.  Boundary strips are driven with the exact solution
+    (inflow data); the comparison covers interior cells only.
     """
-    x = np.linspace(x_lo, x_hi, n_x)
+    k_neg, k_pos = 4, 6
+    x = np.linspace(0.25, 2.25, n_x)
     start = HydroChainField.initial(x, k_neg, k_pos)
 
     def drive_exact(xs, t):
         return _scaling_rows(xs, t, k_neg, k_pos)
 
-    final, stats = evolve_hydro_chain(start, t_target, cfl=cfl,
-                                      edge_drive=drive_exact)
+    final, stats = evolve_hydro_chain(start, t_target, edge_drive=drive_exact)
     exact = HydroChainField.scaling(x, t_target, k_neg, k_pos)
     interior = slice(2, -2)
     err_u = float(np.max(np.abs(final.u[:, interior] - exact.u[:, interior])))
@@ -480,19 +477,19 @@ def hydro_scaling_check(*, t_target: float = 0.15, x_lo: float = 0.25,
                                         tolerance, meta=meta)
 
 
-def reduced_continuum_rhs(wm1: float, w, *, x_lo: float = 0.5, x_hi: float = 1.5,
-                          n_x: int = 41, check_tol: float = 1e-9):
+def reduced_continuum_rhs(wm1: float, w):
     """Rates of the x-independent reduction, read off the full chain RHS.
 
     On the manifold u^{-k}=0 (k>1), u^{-1}=wm1, u^0=2x*wm1, u^k=w[k-1] the
     chain collapses to one ODE system in t alone.  This routine builds the
-    constrained field, evaluates hydro_chain_rhs, verifies the collapse
-    (negative rows stay zero, rates are x-independent, the u^0 rate is 2x
-    times the u^{-1} rate) and returns (dwm1, dw, meta).
+    constrained field on 41 cells of [0.5, 1.5], evaluates hydro_chain_rhs,
+    verifies the collapse to 1e-9 of the rates' scale (negative rows stay
+    zero, rates are x-independent, the u^0 rate is 2x times the u^{-1}
+    rate) and returns (dwm1, dw, meta).
     """
     w = np.asarray(w, dtype=float)
     K = len(w)
-    x = np.linspace(x_lo, x_hi, n_x)
+    x = np.linspace(0.5, 1.5, 41)
     k_neg = 3
     rows = np.zeros((k_neg + K + 1, len(x)))
     rows[k_neg - 1] = float(wm1)
@@ -508,7 +505,7 @@ def reduced_continuum_rhs(wm1: float, w, *, x_lo: float = 0.5, x_hi: float = 1.5
     dwm1 = float(np.mean(du[k_neg - 1]))
     proportional = float(np.max(np.abs(du[k_neg] - 2.0 * x * dwm1)))
     scale = float(np.max(np.abs(du))) + 1.0
-    if max(deep, spread, proportional) > check_tol * scale:
+    if max(deep, spread, proportional) > 1e-9 * scale:
         raise DivergedField("field left the x-independent reduction manifold")
     dw = du[k_neg + 1:].mean(axis=1)
     meta = {"deep_rows": deep, "x_independence": spread,
@@ -533,15 +530,13 @@ class TensorPoint:
     triple: tuple | None = None
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
+        u, = _own_arrays(self, "u")
         if self.window < 4:
             raise ValueError("window must be at least 4")
         if u.shape != (2 * self.window + 1,):
             raise ValueError("u must have length 2*window + 1")
         if not np.isfinite(u).all():
             raise ValueError("u must be finite")
-        u.setflags(write=False)
-        object.__setattr__(self, "u", u)
         if self.triple is not None:
             object.__setattr__(self, "triple", tuple(int(q) for q in self.triple))
             self.guard(*self.triple)
@@ -1013,17 +1008,18 @@ def haantjes_scan(*, window: int = 10, n_points: int = 100, seed: int = 20260823
 # lattice-to-continuum convergence
 
 def continuum_convergence(*, epsilons=(1.0 / 32, 1.0 / 64, 1.0 / 128),
-                          t2: float = 0.1, x_hi: float = 2.0, h: float = 1e-3,
-                          ratio_window=(1.7, 2.3),
-                          pf_tol: float = 1e-6) -> IdentityReport:
+                          t2: float = 0.1) -> IdentityReport:
     """Compare evolved lattices against their continuum solutions.
 
+    The lattices span x = eps*n in (0, 2] and take RK4 steps of 1e-3.
     Leg 1: Volterra sites B_n(0) = n - 1/4 (genuine O(eps) offset from the
     linear profile) against the characteristic solution; errors must halve
-    with eps.  Leg 2: the banded skew lattice at the finest eps against the
-    per-site closed form c_n/(2(1-2t)), scaled by eps.  Leg 3: t=0 sampling
-    error of the band's diagonal, again first order in eps.
+    with eps, each ratio in [1.7, 2.3].  Leg 2: the banded skew lattice at
+    the finest eps against the per-site closed form c_n/(2(1-2t)), scaled by
+    eps, to 1e-6.  Leg 3: t=0 sampling error of the band's diagonal, again
+    first order in eps.
     """
+    x_hi, h, ratio_window, pf_tol = 2.0, 1e-3, (1.7, 2.3), 1e-6
     epsilons = sorted({float(e) for e in epsilons}, reverse=True)
     if len(epsilons) < 2:
         raise ValueError(f"need at least two distinct epsilons to check the "

@@ -116,6 +116,18 @@ class CouplingVector:
         return cls.from_mapping({int(k): float(v) for k, v in data.get("t", {}).items()})
 
 
+def _own_arrays(record, *names) -> tuple:
+    """Store a read-only float copy of each named array field of the frozen
+    dataclass `record` in the field's place; returns the copies.  Records
+    validate these, which no caller can write to, and the caller's arrays
+    stay writable."""
+    copies = tuple(np.array(getattr(record, name), dtype=float) for name in names)
+    for name, arr in zip(names, copies):
+        arr.setflags(write=False)
+        object.__setattr__(record, name, arr)
+    return copies
+
+
 def weight_eval(z, t: CouplingVector):
     """rho(z) = exp(exponent).  Overflow saturates to inf silently."""
     with np.errstate(over="ignore"):
@@ -141,14 +153,7 @@ class QuadratureGrid:
     points_per_panel: int
 
     def __post_init__(self):
-        for name in ("nodes", "weights", "rho"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    def integrate(self, fvals: np.ndarray) -> float:
-        """Plain quadrature sum of f(nodes) against the bare measure dz."""
-        return float(self.weights @ fvals)
+        _own_arrays(self, "nodes", "weights", "rho")
 
     def integrate_weighted(self, fvals: np.ndarray) -> float:
         """Quadrature of f against rho(z) dz."""
@@ -252,8 +257,11 @@ def _panel_nodes(radius: float, panels: int, p: int):
     return nodes, weights
 
 
+_POINTS_PER_PANEL = 24                          # Gauss points of every grid's panels
+
+
 def build_quadrature(t: CouplingVector, tol: float = 1e-12, *,
-                     max_degree: int = 0, points_per_panel: int = 24) -> QuadratureGrid:
+                     max_degree: int = 0) -> QuadratureGrid:
     """Composite Gauss-Legendre grid whose panel count has converged.
 
     Doubles the panel count until int(rho) (and the max_degree moment of
@@ -271,7 +279,7 @@ def build_quadrature(t: CouplingVector, tol: float = 1e-12, *,
     deg = 2 * (int(max_degree) // 2)
 
     def convergence_values(panels):
-        nodes, weights = _panel_nodes(radius, panels, points_per_panel)
+        nodes, weights = _panel_nodes(radius, panels, _POINTS_PER_PANEL)
         rho = weight_eval(nodes, t)
         vals = [float(weights @ rho)]
         if deg > 0:
@@ -285,7 +293,7 @@ def build_quadrature(t: CouplingVector, tol: float = 1e-12, *,
         nodes, weights, rho, cur = convergence_values(panels)
         if all(abs(c - p) <= tol * abs(c) for c, p in zip(cur, prev)):
             return QuadratureGrid(t, nodes, weights, rho, radius, tol,
-                                  panels, points_per_panel)
+                                  panels, _POINTS_PER_PANEL)
         prev = cur
     raise ToleranceUnreachable(
         f"panel doubling stalled at {panels} panels for tol {tol}")

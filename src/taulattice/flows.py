@@ -82,6 +82,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .couplings import _own_arrays
 from .errors import DivergedField, StructureViolation
 from .lax import PfaffLax, TodaLax
 
@@ -111,13 +112,11 @@ class VolterraState:
     B: np.ndarray
 
     def __post_init__(self):
-        B = np.asarray(self.B, dtype=float)
+        B, = _own_arrays(self, "B")
         if B.ndim != 1 or len(B) == 0:
             raise ValueError("B must be a non-empty vector")
         if not np.all(B > 0):
             raise ValueError("B must stay positive")
-        B.setflags(write=False)
-        object.__setattr__(self, "B", B)
 
     @property
     def n_sites(self) -> int:
@@ -132,11 +131,9 @@ class ReducedChainState:
     W: np.ndarray
 
     def __post_init__(self):
-        W = np.asarray(self.W, dtype=float)
+        W, = _own_arrays(self, "W")
         if W.ndim != 1 or len(W) < 2:
             raise ValueError("need at least W^1 and W^2")
-        W.setflags(write=False)
-        object.__setattr__(self, "W", W)
         object.__setattr__(self, "Wm1", float(self.Wm1))
 
     @property
@@ -158,11 +155,9 @@ class EvolutionResult:
     stats: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
+        times, = _own_arrays(self, "times")
         if np.any(np.diff(times) <= 0):
             raise ValueError("sample times must be strictly increasing")
-        times.setflags(write=False)
-        object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", tuple(self.states))
 
     def to_csv(self) -> str:
@@ -493,13 +488,13 @@ def _skew_block_projection(A: np.ndarray) -> np.ndarray:
     return A_minus - J @ A_plus.T @ J + 0.5 * (A_zero - J @ A_zero.T @ J)
 
 
-def pfaff_commutator_rhs(state: PfaffLax, *, check_tol: float = 1e-10) -> np.ndarray:
+def pfaff_commutator_rhs(state: PfaffLax) -> np.ndarray:
     """Window derivative via the dense form -[(L^2)_proj, L].
 
     Entries whose dense positions fall outside the embedding are NaN.
     Raises StructureViolation if the derivative leaks into positions the
     band structure pins to 0 (unit superdiagonal, even diagonals) on
-    interior rows.
+    interior rows by more than 1e-10 max(1, max|w|)^3.
     """
     L = _dense_embedding(state)
     Pi = _skew_block_projection(L @ L)
@@ -508,7 +503,7 @@ def pfaff_commutator_rhs(state: PfaffLax, *, check_tol: float = 1e-10) -> np.nda
     dim = 2 * n
     kmax = max(k_neg, k_pos)
     scale = max(1.0, float(np.abs(state.w).max()))
-    thresh = check_tol * scale ** 3
+    thresh = 1e-10 * scale ** 3
     g = max(min(2 * (n - (kmax + 2)), dim), 0)
     r, c = np.ogrid[:g, :g]
     protected = ((r + c) % 2 == 0) | (c > r + 1)
@@ -641,6 +636,8 @@ def _evolve(rhs, y0: np.ndarray, times, h: float):
     """`evolve` for a right-hand side rhs(t, y, out) that writes its rates
     into out."""
     times = np.asarray(times, dtype=float)
+    if not np.isfinite(times).all():
+        raise ValueError("times must be finite")
     if times.ndim != 1 or len(times) == 0 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be a strictly increasing vector")
     if times[0] < 0:
@@ -807,8 +804,8 @@ def evolve_pfaff(state: PfaffLax, times, *, h: float = 1e-3,
     stats.update({"ghost": ghost, "n_evolve": n,
                   "influence_index": _influence_front(times, y0, ys, speed, n)})
     states = []
+    w = W0.copy()                               # one buffer: each PfaffLax copies it
     for y in ys:
-        w = W0.copy()
         w[1:-1, :n] = y
         w[1:-1, n:] = c2 * y[:, -2:-1] + c1 * y[:, -1:] + c0
         states.append(PfaffLax(w, k_neg, k_pos))

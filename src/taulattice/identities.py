@@ -184,13 +184,13 @@ def _pair_expectation(poly: dict, T: np.ndarray) -> float:
 
 
 def observables_check(n: int = 1, t: CouplingVector = _T0, *,
-                      tolerance: float = 1e-8, tol_mu: float = 1e-12) -> IdentityReport:
+                      tolerance: float = 1e-8) -> IdentityReport:
     """Orthogonal-ensemble observable identities at coupling t.
 
     (i) the chemical-potential increment log tau_{2n} + log tau_{2n+4} -
     2 log tau_{2n+2} equals 2 log w0_{n+1}, with w0_{n+1} read off the
     skew window that `pfaff_lax_from_basis` builds on n + 2 pairs, a route
-    that takes no Pfaffian (checked to tol_mu).  Both sides read one grid
+    that takes no Pfaffian (checked to 1e-12).  Both sides read one grid
     and one skew Gram of size 2n + 4, so (i) tests the Pfaffian pivots
     against the skew Gram-Schmidt, not the quadrature.  For n = 1,
     (ii) E[(z1+z2)^2] = w0_1 w1_1 and (iii) E[z1^2+z2^2] = 2 w^-1_1 +
@@ -210,7 +210,7 @@ def observables_check(n: int = 1, t: CouplingVector = _T0, *,
     log_w0 = math.log(w0_next) if w0_next > 0.0 else math.inf   # w0 <= 0 fails
     res_mu = abs(dmu - 2.0 * log_w0) / max(abs(dmu), 1.0)
     meta = {"n": n, "delta_mu": dmu, "w0_next": w0_next, "mu_residual": res_mu}
-    residual = res_mu * (tolerance / tol_mu)  # budget-normalized piece
+    residual = res_mu * (tolerance / 1e-12)  # budget-normalized: (i) is held to 1e-12
     if n == 1:
         entries = pfaff_entries_from_tau(t, 1)
         T = _triangle_moments(t, 4)
@@ -247,6 +247,18 @@ def _closed_form_wk_ratios(n: np.ndarray, k_max: int) -> np.ndarray:
     return out
 
 
+def _reduced_coordinates(lax: PfaffLax, n_max: int, k_max: int) -> tuple:
+    """(W^{-1}, W, dW^{-1}, dW) read off a band window: W^{-1} is the mean of
+    w^{-1}_n over the sites n <= n_max, W^k = w^k_1 / F_k for k <= k_max with
+    F_k = sqrt_ratio_product(1, k), and the rates are the same extractions
+    of the chain's rates at the window."""
+    Fk = np.array([sqrt_ratio_product(1, k) for k in range(1, k_max + 1)])
+    rows = slice(lax.k_neg + 1, lax.k_neg + k_max + 1)
+    rates = pfaff_chain_rhs(lax)
+    return (lax.w[lax.k_neg - 1, :n_max].mean(), lax.w[rows, 0] / Fk,
+            rates[lax.k_neg - 1, :n_max].mean(), rates[rows, 0] / Fk)
+
+
 def reduction_invariants(trajectory: EvolutionResult, *,
                          tolerance: float = 1e-8,
                          n_max: int | None = None,
@@ -273,13 +285,12 @@ def reduction_invariants(trajectory: EvolutionResult, *,
     idx = np.arange(1, n_max + 1)
     cn = c_coeff(idx)
     wk_ratios = _closed_form_wk_ratios(idx, k_max)
-    Fk = np.array([sqrt_ratio_product(1, k) for k in range(1, k_max + 1)])
     worst = {"deep": 0.0, "wm1_spread": 0.0, "w0": 0.0, "wm2": 0.0,
              "wk": 0.0, "pn_linear": 0.0, "ode": 0.0}
     for lax in states:
         sl = lambda ell: lax.w[ell + lax.k_neg, :n_max]
         wm1 = sl(-1)
-        wm1_bar = wm1.mean()
+        wm1_bar, W, dWm1_chain, dW = _reduced_coordinates(lax, n_max, k_max)
         scale = max(1.0, abs(wm1_bar) * cn[-1])
         for k in range(3, lax.k_neg + 1):
             worst["deep"] = max(worst["deep"], np.abs(sl(-k)).max() / scale)
@@ -297,11 +308,7 @@ def reduction_invariants(trajectory: EvolutionResult, *,
         P = w0 * w1
         worst["pn_linear"] = max(worst["pn_linear"],
                                  np.abs(P - idx * P[0]).max() / max(abs(P[-1]), 1.0))
-        # reduced-ODE consistency: extract (W^-1, W^k) and their chain rates
-        rates = pfaff_chain_rhs(lax)
-        W = lax.w[lax.k_neg + 1:lax.k_neg + k_max + 1, 0] / Fk
-        dW = np.array([rates[lax.k_neg + k, 0] for k in range(1, k_max + 1)]) / Fk
-        dWm1_chain = rates[lax.k_neg - 1, :n_max].mean()
+        # reduced-ODE consistency of the extracted (W^-1, W^k)
         red = ReducedChainState(wm1_bar, W)
         dWm1_red, dW_red = reduced_chain_rhs(red, ghost="copy")
         ode_scale = max(1.0, np.abs(dW_red).max(), abs(dWm1_red))
@@ -343,9 +350,9 @@ def exact_oracles(kind: str, **params) -> EvolutionResult:
             k_neg = int(params.get("k_neg", 6))
             lax0 = goe_lax_init(n_sites, k_pos, k_neg)
             states = []
+            w = lax0.w.copy()                          # one buffer: each PfaffLax copies it
             for t in times:
                 s = 1.0 - 2.0 * t
-                w = lax0.w.copy()
                 w[k_neg - 2] = lax0.w[k_neg - 2] / s       # w^-2 row
                 w[k_neg - 1] = lax0.w[k_neg - 1] / s       # w^-1 row
                 w[k_neg] = lax0.w[k_neg] / s               # w^0 row
@@ -490,10 +497,9 @@ def verify_commute(n_states: int = 20, seed: int = 811, n_sites: int = 20,
     return IdentityReport.from_residual("chain-commutator", worst, tolerance, meta=meta)
 
 
-def verify_reduction(n_sites: int = 48, horizon: float = 0.15,
-                     tolerance: float = 1e-8) -> IdentityReport:
-    traj = evolve_pfaff(goe_lax_init(n_sites, 9, 7), _sample_times(horizon, 3),
-                        h=1e-3)
+def verify_reduction(n_sites: int = 48, tolerance: float = 1e-8) -> IdentityReport:
+    """`reduction_invariants` along a banded GOE trajectory to t = 0.15."""
+    traj = evolve_pfaff(goe_lax_init(n_sites, 9, 7), _sample_times(0.15, 3), h=1e-3)
     return reduction_invariants(traj, tolerance=tolerance)
 
 

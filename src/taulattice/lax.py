@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .couplings import CouplingVector, build_quadrature
+from .couplings import CouplingVector, _own_arrays, build_quadrature
 from .errors import IllConditioned, SingularMinor, StructureViolation
 from .moments import SkewMomentMatrix, _log_tau_jets, _skew_products, _stieltjes_basis
 from .report import IdentityReport
@@ -85,16 +85,11 @@ class TodaLax:
     b: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
+        a, b = _own_arrays(self, "a", "b")
         if a.ndim != 1 or b.ndim != 1 or len(b) != len(a) - 1:
             raise ValueError("need len(b) == len(a) - 1")
         if np.any(b <= 0):
             raise ValueError("off-diagonal entries must be positive")
-        a.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
 
     @property
     def n_sites(self) -> int:
@@ -138,12 +133,10 @@ class PfaffLax:
     k_pos: int
 
     def __post_init__(self):
-        w = np.asarray(self.w, dtype=float)
+        w, = _own_arrays(self, "w")
         if w.ndim != 2 or w.shape[0] != self.k_neg + self.k_pos + 1:
             raise ValueError(
                 f"window array must have {self.k_neg + self.k_pos + 1} rows")
-        w.setflags(write=False)
-        object.__setattr__(self, "w", w)
 
     @property
     def n_sites(self) -> int:
@@ -229,11 +222,8 @@ class SkewOrthoBasis:
     couplings: CouplingVector
 
     def __post_init__(self):
-        for name in ("coeffs", "h"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if np.any(self.h <= 0):
+        _, h = _own_arrays(self, "coeffs", "h")
+        if np.any(h <= 0):
             raise ValueError("pair products must be positive")
 
     @property

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .couplings import (CouplingVector, QuadratureGrid, _regrid, build_quadrature,
-                        cumulative_integral, weight_eval)
+from .couplings import (CouplingVector, QuadratureGrid, _own_arrays, _regrid,
+                        build_quadrature, cumulative_integral, weight_eval)
 from .errors import IllConditioned, OddDimension
 
 __all__ = [
@@ -61,11 +61,9 @@ class SkewMomentMatrix:
     couplings: CouplingVector
 
     def __post_init__(self):
-        arr = np.asarray(self.m, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        m, = _own_arrays(self, "m")
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("skew moment matrix must be square")
-        arr.setflags(write=False)
-        object.__setattr__(self, "m", arr)
 
     @property
     def size(self) -> int:

@@ -13,14 +13,13 @@ import numpy as np
 from taulattice import (CouplingVector, VolterraState, evolve_pfaff,
                         evolve_volterra, exact_oracles, goe_lax_init,
                         haantjes_scan, kp_residual, mkp_residuals,
-                        observables_check, pfaff_chain_rhs,
-                        pfaff_lax_from_basis, reduced_chain_rhs,
-                        reduced_continuum_rhs, ReducedChainState,
-                        sample_gaussian_ensemble, skew_moment_matrix,
-                        skew_orthonormal_basis, sqrt_ratio_product,
+                        observables_check, pfaff_lax_from_basis,
+                        reduced_continuum_rhs, sample_gaussian_ensemble,
+                        skew_moment_matrix, skew_orthonormal_basis,
                         continuum_convergence, hydro_scaling_check)
-from taulattice.identities import (mkp_bump_state, verify_commute, verify_init_goe,
-                                   verify_init_gue, verify_reduction, verify_scaling)
+from taulattice.identities import (_reduced_coordinates, mkp_bump_state, verify_commute,
+                                   verify_init_goe, verify_init_gue, verify_reduction,
+                                   verify_scaling)
 
 SCALING_TIMES = [0.05, 0.1, 0.15, 0.2]
 
@@ -78,14 +77,7 @@ def test_c04_reduction_theorems(acceptance):
     # the extracted W variables must satisfy the same ODE system the
     # continuum reduction produces, rates read from both sides independently
     lax = evolve_pfaff(goe_lax_init(48, 9, 7), [0.1], h=1e-3).states[-1]
-    k_max = 6
-    n_int = 16
-    Fk = np.array([sqrt_ratio_product(1, k) for k in range(1, k_max + 1)])
-    wm1 = float(np.mean([lax.get(-1, n) for n in range(1, n_int + 1)]))
-    W = np.array([lax.get(k, 1) for k in range(1, k_max + 1)]) / Fk
-    rates = pfaff_chain_rhs(lax)
-    dWm1_lat = float(rates[lax.k_neg - 1, :n_int].mean())
-    dW_lat = np.array([rates[lax.k_neg + k, 0] for k in range(1, k_max + 1)]) / Fk
+    wm1, W, dWm1_lat, dW_lat = _reduced_coordinates(lax, n_max=16, k_max=6)
     dWm1_cont, dW_cont, _ = reduced_continuum_rhs(wm1, W)
     cross = max(abs(dWm1_lat - dWm1_cont),
                 float(np.abs(dW_lat[:-1] - dW_cont[:-1]).max()))

@@ -127,6 +127,14 @@ def test_evolve_needs_one_time_flag(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("system,t2", [("volterra", "inf"), ("hydro", "nan")])
+def test_evolve_non_finite_horizon_is_config_error(tmp_path, capsys, system, t2):
+    rc, out, err = run(capsys, "--out", str(tmp_path), "evolve", system, "--t2", t2)
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"] == "config"
+    assert "finite" in json.loads(err)["message"]
+
+
 def test_evolve_reduced(tmp_path, capsys):
     rc, _, _ = run(capsys, "--out", str(tmp_path), "evolve", "reduced",
                    "--t2", "0.2")

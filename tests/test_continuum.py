@@ -82,6 +82,13 @@ class TestHopf:
         with pytest.raises(PreBreakingViolated):
             hopf_solve(lambda s: 2.0 * s, 2.0, 1, x, 0.3)
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_refused(self, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="t must be finite"):
+                hopf_solve(lambda s: s, 2.0, 1, np.linspace(0.5, 2.0, 11), t)
+
 
 class TestHydroField:
     def test_validation(self):
@@ -187,6 +194,13 @@ class TestHydroChain:
             warnings.simplefilter("error")
             with pytest.raises(DivergedField, match="chain march overflowed"):
                 evolve_hydro_chain(field, 0.3, bound=None, cfl=5.0)
+
+    @pytest.mark.parametrize("t_target", [np.nan, np.inf])
+    def test_non_finite_target_refused(self, t_target):
+        # a NaN target used to return the start field, stamped NaN, after 0 steps
+        field = HydroChainField.initial(np.linspace(0.25, 2.25, 21))
+        with pytest.raises(ValueError, match="t_target must be finite"):
+            evolve_hydro_chain(field, t_target)
 
 
 class TestHydroStepper:

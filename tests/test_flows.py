@@ -123,6 +123,25 @@ class TestVolterra:
         assert toda.stats["influence_index"] < 64
 
 
+@pytest.mark.parametrize("times", [[np.inf], [np.nan], [0.1, np.inf]])
+@pytest.mark.parametrize("march", [
+    lambda times: evolve_volterra(VolterraState(np.arange(1.0, 9.0)), 2, times),
+    lambda times: evolve_toda(gue_lax_init(6), 1, times),
+    lambda times: evolve_pfaff(goe_lax_init(12, 4, 4), times),
+    lambda times: evolve_reduced(ReducedChainState(0.5, np.full(4, 2.0)), times),
+    lambda times: evolve(lambda t, y: y, np.ones(2), times),
+], ids=["volterra", "toda", "pfaff", "reduced", "evolve"])
+def test_non_finite_times_refused_before_the_march(monkeypatch, march, times):
+    def no_march(*args):
+        raise AssertionError("marched before the times were checked")
+
+    monkeypatch.setattr(flows, "_rk4_segment", no_march)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="times must be finite"):
+            march(times)
+
+
 def _orbit(B, flow, order):
     """Taylor coefficients c_0..c_order of the flow's orbit through B."""
     series = B[None, :]

@@ -17,21 +17,21 @@ steps, since it keeps h/2, h and h/6 as 0-d arrays renewed when h changes;
 and `goe_lax_init`'s running products must equal the site-by-site
 `sqrt_ratio_product` loop bit for bit over the benchmark's window shapes.
 
-The right-edge closure is read as coefficients (`flows._ghost_closure`:
-ghosts = c2 a2 + c1 a1 + c0), which rounds differently from the closure
-evaluated from the edge values at every call (`ghost_closure` in the
-reference kernels).  Their gap, on random edges for the three policies
-with a zero-edge row, is held to 1e-14 relative to the sum of the terms'
-magnitudes; evolve_pfaff at N = 256 (9 + 7 bands, t = 0.1) on the two
-closures is held to 1e-11 relative.  evolve_volterra is held to the
-reference evolver (`evolve_volterra` there) for the three policies, relative
-to the largest site: C12's flow-2 and flow-4 legs (N 28-36, h = 1e-5) to
-1e-11, and the benchmark's flow-2 ramps (N 32-1024, t <= 0.2, h = 1e-3,
-inside its stability bound) to 1e-11 on the sites below `influence_index`.
-Past that index the closure's rounding gap grows with the edge speed h 2B_N
-(up to 3): the whole line reads up to 2.3e-11 under "scaled", the size of
-the run's own error against the exact scaling family there, and is held to
-1e-10.
+The evolvers' one right-edge closure (initial ghosts rescaled by the
+extrapolated edge ratio, rows with a zero initial edge extrapolated
+linearly) is read as coefficients (`flows._ghost_closure`: ghosts =
+c2 a2 + c1 a1), which rounds differently from the closure evaluated from
+the edge values at every call (`ghost_closure` in the reference kernels).
+Their gap, on random edges with a zero-edge row, is held to 1e-14 relative
+to the sum of the terms' magnitudes; evolve_pfaff at N = 256 (9 + 7 bands,
+t = 0.1) on the two closures is held to 1e-11 relative.  evolve_volterra is
+held to the reference evolver (`evolve_volterra` there), relative to the
+largest site: C12's flow-2 and flow-4 legs (N 28-36, h = 1e-5) to 1e-11,
+and the benchmark's flow-2 ramps (N 32-1024, t <= 0.2, h = 1e-3, inside its
+stability bound) to 1e-11 on the sites below `influence_index`.  Past that
+index the closure's rounding gap grows with the edge speed h 2B_N (up to
+3): the whole line reads up to 2.3e-11, the size of the run's own error
+against the exact scaling family there, and is held to 1e-10.
 
 The hydrodynamic chain's RHS, coefficient matrix and gradient are read from
 one monomial table (`continuum._chain_table`).  The RHS bound once per march
@@ -118,20 +118,16 @@ def chain_gap(Q, k_neg, k_pos, n):
 
 
 def closure_gap(rng, rows, width):
-    """Largest gap of the coefficient closure from the reference closure over
-    the three policies, relative to the sum of the terms' magnitudes; row 0
-    has a zero edge."""
+    """Largest gap of the coefficient closure from the reference closure,
+    relative to the sum of the terms' magnitudes; row 0 has a zero edge."""
     i2, i1 = rng.uniform(0.5, 3.0, (rows, 1)), rng.uniform(0.5, 3.0, (rows, 1))
     i2[0] = i1[0] = 0.0
     init_ghost = rng.uniform(-3.0, 3.0, (rows, width))
     a2, a1 = rng.uniform(-3.0, 3.0, (rows, 1)), rng.uniform(-3.0, 3.0, (rows, 1))
-    worst = 0.0
-    for policy in ("scaled", "linear", "pin"):
-        c2, c1, c0 = flows._ghost_closure(i2, i1, init_ghost, policy)
-        want = ref.ghost_closure(i2, i1, init_ghost, policy)(a2, a1)
-        scale = np.abs(c2 * a2) + np.abs(c1 * a1) + np.abs(c0)
-        worst = max(worst, float((np.abs(c2 * a2 + c1 * a1 + c0 - want) / scale).max()))
-    return worst
+    c2, c1 = flows._ghost_closure(i2, i1, init_ghost)
+    want = ref.ghost_closure(i2, i1, init_ghost)(a2, a1)
+    scale = np.abs(c2 * a2) + np.abs(c1 * a1)
+    return float((np.abs(c2 * a2 + c1 * a1 - want) / scale).max())
 
 
 def closure_drift():
@@ -144,20 +140,17 @@ def closure_drift():
 
 
 def _volterra_drifts(B0, flow, times, h):
-    """(whole-line drift, drift below the influence index, last states) of
-    evolve_volterra from the reference evolver over the three ghost
-    policies, relative to the largest site."""
+    """(whole-line drift, drift below the influence index, last state) of
+    evolve_volterra from the reference evolver, relative to the largest
+    site."""
     whole = clean = 0.0
-    last = {}
-    for ghost in ("scaled", "linear", "pin"):
-        res = evolve_volterra(VolterraState(B0), flow, times, h=h, ghost=ghost)
-        m = res.stats["influence_index"]
-        for got, want in zip(res.states, ref.evolve_volterra(B0, flow, times, h, ghost)):
-            scale = float(np.abs(want).max())
-            whole = max(whole, float(np.abs(got.B - want).max()) / scale)
-            clean = max(clean, float(np.abs(got.B[:m] - want[:m]).max()) / scale)
-        last[ghost] = res.states[-1].B
-    return whole, clean, last
+    res = evolve_volterra(VolterraState(B0), flow, times, h=h)
+    m = res.stats["influence_index"]
+    for got, want in zip(res.states, ref.evolve_volterra(B0, flow, times, h)):
+        scale = float(np.abs(want).max())
+        whole = max(whole, float(np.abs(got.B - want).max()) / scale)
+        clean = max(clean, float(np.abs(got.B[:m] - want[:m]).max()) / scale)
+    return whole, clean, res.states[-1].B
 
 
 def volterra_drift(rng, samples):
@@ -169,7 +162,7 @@ def volterra_drift(rng, samples):
     1e-3, t_end 0.05-0.2 and N 32-1024 inside its declared stability bound
     2e-3 N / (1 - 2 t_end) < 3.2.  C12's legs start from 1..N, N 28-36,
     flow 2 to t2 in 0.02-0.025 and flow 4 to t4 in 5e-5-1.5e-4 at h = 1e-5,
-    each leg also from the other's end state under the same policy."""
+    each leg also from the other's end state."""
     ramp = clean = legs = 0.0
     for _ in range(max(1, samples // 4)):
         t_end = float(rng.uniform(0.05, 0.2))
@@ -183,13 +176,10 @@ def volterra_drift(rng, samples):
         t2, t4 = float(rng.uniform(0.02, 0.025)), float(rng.uniform(5e-5, 1.5e-4))
         for flow, horizon, other, other_horizon in ((2, t2, 4, t4), (4, t4, 2, t2)):
             whole, _, last = _volterra_drifts(B0, flow, [horizon], 1e-5)
-            legs = max(legs, whole)
-            for ghost, B in last.items():
-                res = evolve_volterra(VolterraState(B), other, [other_horizon], h=1e-5,
-                                      ghost=ghost)
-                want = ref.evolve_volterra(B, other, [other_horizon], 1e-5, ghost)[0]
-                legs = max(legs, float(np.abs(res.states[0].B - want).max()
-                                       / np.abs(want).max()))
+            res = evolve_volterra(VolterraState(last), other, [other_horizon], h=1e-5)
+            want = ref.evolve_volterra(last, other, [other_horizon], 1e-5)[0]
+            legs = max(legs, whole, float(np.abs(res.states[0].B - want).max()
+                                          / np.abs(want).max()))
     return ramp, clean, legs
 
 
@@ -556,7 +546,7 @@ def main():
     rows = [("chain kernel, %d windows x2" % args.samples, chain, 0.0),
             ("Volterra kernel, %d lines x3 flows" % args.samples, volterra, 0.0),
             ("evolve_pfaff N=256 9+7 bands, t=0.1", traj_pfaff, 0.0),
-            ("ghost closure, %d windows x3 (relative)" % args.samples, closure, 1e-14),
+            ("ghost closure, %d windows (relative)" % args.samples, closure, 1e-14),
             ("evolve_pfaff N=256 vs reference closure", closure_drift(), 1e-11),
             ("evolve_volterra N=32 flow 4, C12 leg", traj_volterra, 0.0),
             ("Volterra closure drift, C12 legs", leg_drift, 1e-11),

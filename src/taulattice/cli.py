@@ -68,7 +68,6 @@ def _parser() -> argparse.ArgumentParser:
     q.add_argument("--t6", type=float)
     q.add_argument("--N", type=int)
     q.add_argument("--h", type=float)
-    q.add_argument("--ghost", choices=("scaled", "pin", "linear"))
     q.add_argument("--K-pos", dest="k_pos", type=int)
     q.add_argument("--K-neg", dest="k_neg", type=int)
     q.add_argument("--samples", type=int)
@@ -202,8 +201,8 @@ def _cmd_lax_init(opt: dict, outdir: str) -> int:
 # evolve system -> the flags it reads
 _EVOLVE_READS = {
     "toda": ("t1", "t2", "N", "h", "samples"),
-    "volterra": ("t2", "t4", "t6", "N", "h", "ghost", "samples"),
-    "pfaff": ("t2", "N", "h", "ghost", "k_pos", "k_neg", "samples"),
+    "volterra": ("t2", "t4", "t6", "N", "h", "samples"),
+    "pfaff": ("t2", "N", "h", "k_pos", "k_neg", "samples"),
     "reduced": ("t2", "h", "k_pos", "samples"),
     "hydro": ("t2", "k_neg", "k_pos", "x_lo", "x_hi", "n_x"),
 }
@@ -224,13 +223,13 @@ def _cmd_evolve(opt: dict, outdir: str) -> int:
     system = opt.get("system")
     flow, horizon = _horizon(opt, system)
     times = lambda horizon: _sample_times(horizon, opt.get("samples", 5))
-    step, closure = _given(opt, {"h": "h"}), _given(opt, {"h": "h", "ghost": "ghost"})
+    step = _given(opt, {"h": "h"})
     summary = {"command": "evolve", "system": system}
 
     if system == "volterra":
         N = int(opt.get("N", 64))
         res = evolve_volterra(VolterraState(np.arange(1.0, N + 1)), flow, times(horizon),
-                              **closure)
+                              **step)
         summary.update(flow=flow, horizon=horizon, N=N,
                        influence_index=res.stats.get("influence_index"))
     elif system == "toda":
@@ -241,7 +240,7 @@ def _cmd_evolve(opt: dict, outdir: str) -> int:
         N = int(opt.get("N", 32))
         k_pos = int(opt.get("k_pos", 6))
         k_neg = int(opt.get("k_neg", 6))
-        res = evolve_pfaff(goe_lax_init(N, k_pos, k_neg), times(horizon), **closure)
+        res = evolve_pfaff(goe_lax_init(N, k_pos, k_neg), times(horizon), **step)
         summary.update(horizon=horizon, N=N, K_pos=k_pos, K_neg=k_neg,
                        influence_index=res.stats.get("influence_index"))
     elif system == "reduced":

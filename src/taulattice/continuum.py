@@ -391,6 +391,8 @@ def evolve_hydro_chain(field: HydroChainField, t_target: float, *, cfl: float = 
         raise ValueError(f"t_target must be finite, got {t_target}")
     if t_target < field.time:
         raise ValueError("t_target must not precede the field's time stamp")
+    if not 0.0 < cfl < math.inf:
+        raise ValueError(f"cfl must be finite and positive, got {cfl}")
     x, dx, k_neg = field.x, field.dx, field.k_neg
     y = np.vstack((field.u, field.v))          # rows u^{-k_neg} .. u^{k_pos}, then v
     t = field.time
@@ -521,13 +523,11 @@ class TensorPoint:
     """A u-window for tensor evaluation: indices -window..window.
 
     Queries must keep |i|,|j|,|k| <= window-3 so that every index sum stays
-    strictly inside the truncation; `triple` optionally pre-declares the
-    component of interest and is validated on construction.
+    strictly inside the truncation.
     """
 
     u: np.ndarray
     window: int
-    triple: tuple | None = None
 
     def __post_init__(self):
         u, = _own_arrays(self, "u")
@@ -537,9 +537,6 @@ class TensorPoint:
             raise ValueError("u must have length 2*window + 1")
         if not np.isfinite(u).all():
             raise ValueError("u must be finite")
-        if self.triple is not None:
-            object.__setattr__(self, "triple", tuple(int(q) for q in self.triple))
-            self.guard(*self.triple)
 
     def guard(self, *indices):
         g = self.window - 3

@@ -9,21 +9,18 @@ independent cross-check of the banded RHS.
 Truncation policy: site 0 is exactly zero for every lattice.  Each evolver
 has one layout: `evolve_volterra` evolves all but the last 4 sites of its
 line, and `evolve_pfaff` bands -k_neg+1 .. k_pos-1 on all but the last
-max(k_neg, k_pos) sites, its outer band on each side pinned to the initial
+max(k_neg, k_pos) sites, its outer band on each side held at the initial
 values.  At the right edge the evolvers close the window with ghost sites
 built from those trailing initial sites, rescaled by the linearly
-extrapolated ratio of current to initial values ("scaled").  On the
-Gaussian scaling family every row is shape(n) * amplitude(t), so this
-closure is exact there; a doubling test is the empirical guard elsewhere.
-Frozen ("pin") and plain linear extrapolation closures remain available:
-pinning is simple but feeds O(1) errors inward once edge amplitudes grow,
-and fails the scaling oracle at desk tolerances.  One routine,
-`_ghost_closure`, resolves the policy, and the linear fallback of "scaled"
-rows whose initial edge is near 0, when an evolver starts: it returns
-per-ghost coefficients with ghosts = c2 a2 + c1 a1 + c0 in the two current
-edge values (a2, a1), for the Volterra line (scalar edges) and for every
-row of the band window at once ((rows, 1) edge columns).  The RHS and the
-ghost strips of the returned states read the same coefficients.
+extrapolated ratio of current to initial values; rows whose initial edge
+is near 0 extrapolate the edge linearly instead.  On the Gaussian scaling
+family every row is shape(n) * amplitude(t), so this closure is exact
+there; a doubling test is the empirical guard elsewhere.  One routine,
+`_ghost_closure`, resolves the closure when an evolver starts: it returns
+per-ghost coefficients with ghosts = c2 a2 + c1 a1 in the two current edge
+values (a2, a1), for the Volterra line (scalar edges) and for every row of
+the band window at once ((rows, 1) edge columns).  The RHS and the ghost
+strips of the returned states read the same coefficients.
 
 Kernels: each RHS evaluation is a fixed handful of array operations, not a
 loop over sites or bands, and it writes its rates into a buffer it is
@@ -62,8 +59,7 @@ out, so a step allocates nothing; each stage takes the same floating-point
 operations, in the same order, as the step written with fresh arrays.  The
 stepper and the kernels take numpy's cheapest call: the output passed
 positionally, and scalar factors (0.5, h/2, h, h/6) held as 0-d arrays,
-since a Python float operand costs each ufunc call a conversion.  The
-closures skip adding c0, which is zero under every policy but "pin".
+since a Python float operand costs each ufunc call a conversion.
 `evolve` takes fixed steps of at most h, shortened to land on each sample
 time; its public form takes rhs(t, y) returning the rates and adapts it in
 one line.
@@ -84,7 +80,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .couplings import _own_arrays
 from .errors import DivergedField, StructureViolation
-from .lax import PfaffLax, TodaLax
+from .lax import PfaffLax, TodaLax, _embedding_index
 
 __all__ = [
     "VolterraState",
@@ -101,9 +97,6 @@ __all__ = [
     "evolve_pfaff",
     "evolve_reduced",
 ]
-
-_GHOSTS = ("scaled", "pin", "linear")
-
 
 @dataclass(frozen=True)
 class VolterraState:
@@ -452,26 +445,12 @@ def pfaff_chain_rhs(state: PfaffLax) -> np.ndarray:
     return _chain_kernel(Q, k_neg, k_pos, n)(np.empty(state.w.shape))
 
 
-def _embedding_index(n: int, k_neg: int, k_pos: int):
-    """Where the dense embedding holds the window: a (bands, sites) mask of
-    the entries it keeps and their dense rows and columns under that mask.
-    Band l > 0 of site j sits at (2(j+l)-2, 2j-1), band 0 at (2j-1, 2j) and
-    band -l at (2j+2l-3, 2j-2); entries past the 2n x 2n matrix are dropped."""
-    ell = np.arange(-k_neg, k_pos + 1)[:, None]
-    j = np.arange(1, n + 1)[None, :]
-    rows = np.where(ell > 0, 2 * (j + ell) - 2,
-                    np.where(ell < 0, 2 * (j - ell) - 3, 2 * j - 1))
-    cols = np.where(ell > 0, 2 * j - 1, np.where(ell < 0, 2 * j - 2, 2 * j))
-    keep = (rows < 2 * n) & (cols < 2 * n)
-    return keep, rows[keep], cols[keep]
-
-
 def _dense_embedding(state: PfaffLax) -> np.ndarray:
     n = state.n_sites
     L = np.zeros((2 * n, 2 * n))
     sites = np.arange(n)
     L[2 * sites, 2 * sites + 1] = 1.0
-    keep, rows, cols = _embedding_index(n, state.k_neg, state.k_pos)
+    keep, rows, cols = _embedding_index(n, state.k_neg, state.k_pos, 2 * n)
     L[rows, cols] = state.w[keep]
     return L
 
@@ -518,7 +497,7 @@ def pfaff_commutator_rhs(state: PfaffLax) -> np.ndarray:
         raise StructureViolation(
             f"unit superdiagonal drifts by {D[i, j]:.3e} at row {i}")
     out = np.full((k_neg + k_pos + 1, n), np.nan)
-    keep, rows, cols = _embedding_index(n, k_neg, k_pos)
+    keep, rows, cols = _embedding_index(n, k_neg, k_pos, dim)
     out[keep] = D[rows, cols]
     return out
 
@@ -642,8 +621,8 @@ def _evolve(rhs, y0: np.ndarray, times, h: float):
         raise ValueError("times must be a strictly increasing vector")
     if times[0] < 0:
         raise ValueError("sampling starts at t >= 0")
-    if h <= 0:
-        raise ValueError("h must be positive")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"h must be finite and positive, got {h}")
     out = []
     y = np.array(y0, dtype=float)
     t_prev = 0.0
@@ -670,63 +649,49 @@ def evolve(rhs, y0: np.ndarray, times, *, h: float = 1e-3):
     return _evolve(lambda t, y, out: np.copyto(out, rhs(t, y)), y0, times, h)
 
 
-def _ghost_closure(i2, i1, init_ghost, policy):
-    """Coefficients (c2, c1, c0), each of init_ghost's shape, that give the
-    ghost values ahead of the edge as c2 a2 + c1 a1 + c0 from the two
-    current edge values (a2, a1).
+def _ghost_closure(i2, i1, init_ghost):
+    """Coefficients (c2, c1), each of init_ghost's shape, that give the ghost
+    values ahead of the edge as c2 a2 + c1 a1 from the two current edge
+    values (a2, a1).
 
     (i2, i1) are the initial edge values and init_ghost the initial ghosts;
     edges are scalars (a lattice line) or (rows, 1) columns (a band window).
-    "pin" keeps the initial ghosts, "linear" extrapolates the edge, and
-    "scaled" rescales each initial ghost by the linearly extrapolated ratio
-    of current to initial edge values; rows whose initial edge is near 0
-    extrapolate linearly under "scaled".
+    Each initial ghost is rescaled by the linearly extrapolated ratio of
+    current to initial edge values; rows whose initial edge is near 0
+    extrapolate the edge linearly instead.
     """
-    if policy not in _GHOSTS:
-        raise ValueError(f"ghost policy must be one of {_GHOSTS}")
     g = np.asarray(init_ghost, dtype=float)
-    zero = np.zeros_like(g)
-    if policy == "pin":
-        return zero, zero, g.copy()
-    j = np.arange(1.0, g.shape[-1] + 1) + zero
-    c2, c1 = -j, 1.0 + j
-    if policy == "scaled":
-        ok = np.minimum(np.abs(i1), np.abs(i2)) >= 1e-12 * (np.abs(i1) + np.abs(i2) + 1.0)
-        i1, i2 = np.where(ok, i1, 1.0), np.where(ok, i2, 1.0)
-        c2 = np.where(ok, -j * g / i2, c2)
-        c1 = np.where(ok, (1.0 + j) * g / i1, c1)
-    return c2, c1, zero
+    j = np.arange(1.0, g.shape[-1] + 1) + np.zeros_like(g)
+    ok = np.minimum(np.abs(i1), np.abs(i2)) >= 1e-12 * (np.abs(i1) + np.abs(i2) + 1.0)
+    i1, i2 = np.where(ok, i1, 1.0), np.where(ok, i2, 1.0)
+    return np.where(ok, -j * g / i2, -j), np.where(ok, (1.0 + j) * g / i1, 1.0 + j)
 
 
-def evolve_volterra(state: VolterraState, flow: int, times, *, h: float = 1e-3,
-                    ghost: str = "scaled") -> EvolutionResult:
+def evolve_volterra(state: VolterraState, flow: int, times, *,
+                    h: float = 1e-3) -> EvolutionResult:
     """Volterra trajectory; the outer 4 sites of `state` anchor the closure,
     so a line needs at least 6 sites."""
     B0 = state.B
     n = len(B0) - 4                             # evolved sites
     if n < 2:
         raise ValueError("need at least 6 sites: 2 evolved and 4 anchors")
-    c2, c1, c0 = _ghost_closure(B0[n - 2], B0[n - 1], B0[n:], ghost)
-    C = np.column_stack([c2, c1])               # ghosts = C @ (a2, a1) + c0
+    # ghosts = C @ (a2, a1)
+    C = np.column_stack(_ghost_closure(B0[n - 2], B0[n - 1], B0[n:]))
     Bp = np.zeros(n + 8)                        # left ghosts stay 0
     sites, edge, ghosts = Bp[4:-4], Bp[n + 2:n + 4], Bp[-4:]
 
     kernel = _volterra_kernel(Bp, flow)
 
-    pinned = bool(c0.any())                     # c0 is 0 unless the policy pins
-
     def rhs(t, y, out):
         sites[:] = y
         np.dot(C, edge, ghosts)
-        if pinned:
-            np.add(ghosts, c0, ghosts)
         kernel(out)
 
     y0 = B0[:n]
     ys, stats = _evolve(rhs, y0, times, h)
     front = _influence_front(times, y0, ys, lambda y: 2.0 * abs(y[-1]), n)
-    stats.update({"ghost": ghost, "n_evolve": n, "influence_index": front})
-    states = [VolterraState(np.concatenate([y, C @ y[-2:] + c0])) for y in ys]
+    stats.update({"n_evolve": n, "influence_index": front})
+    states = [VolterraState(np.concatenate([y, C @ y[-2:]])) for y in ys]
     return EvolutionResult(times, states, stats)
 
 
@@ -760,12 +725,11 @@ def evolve_toda(state: TodaLax, flow: int, times, *, h: float = 1e-3) -> Evoluti
     return EvolutionResult(times, states, stats)
 
 
-def evolve_pfaff(state: PfaffLax, times, *, h: float = 1e-3,
-                 ghost: str = "scaled") -> EvolutionResult:
+def evolve_pfaff(state: PfaffLax, times, *, h: float = 1e-3) -> EvolutionResult:
     """Chain trajectory for the banded window.
 
     The outermost band on each side and the trailing max(k_neg, k_pos)
-    sites of `state` are not evolved: they are ghost data pinned to (bands)
+    sites of `state` are not evolved: they are ghost data held at (bands)
     or rescaled from (sites) the initial values, closing the truncation.  So
     the window needs k_neg >= 3, k_pos >= 2 and 2 evolved sites.  Returned
     windows have the full input shape with ghost strips filled by the
@@ -781,33 +745,30 @@ def evolve_pfaff(state: PfaffLax, times, *, h: float = 1e-3,
         raise ValueError("need %d trailing anchor sites after 2 evolved sites" % pad)
     W0 = state.w
     init = W0[1:-1]
-    c2, c1, c0 = _ghost_closure(init[:, n - 2:n - 1], init[:, n - 1:n], init[:, n:], ghost)
+    c2, c1 = _ghost_closure(init[:, n - 2:n - 1], init[:, n - 1:n], init[:, n:])
     Q = np.zeros((K1 + K2 + 3, 1 + N))         # site 0 stays 0
     Q[:, 1:] = W0                               # the outer rows are the ghost bands
     sites, strip = Q[1:-1, 1:n + 1], Q[1:-1, n + 1:]
     a2, a1 = Q[1:-1, n - 1:n], Q[1:-1, n:n + 1]
     kernel = _chain_kernel(Q, K1, K2, n)
     term = np.empty_like(strip)
-    pinned = bool(c0.any())                     # c0 is 0 unless the policy pins
 
     def rhs(t, y, out):
         sites[:] = y
         np.multiply(c2, a2, strip)
         np.add(strip, np.multiply(c1, a1, term), strip)
-        if pinned:
-            np.add(strip, c0, strip)
         kernel(out)
 
     y0 = init[:, :n]                            # the state keeps the window's shape
     ys, stats = _evolve(rhs, y0, times, h)
     speed = lambda y: abs(y[K1, -1] * y[K1 + 1, -1])     # band 0 sits in row K1
-    stats.update({"ghost": ghost, "n_evolve": n,
+    stats.update({"n_evolve": n,
                   "influence_index": _influence_front(times, y0, ys, speed, n)})
     states = []
     w = W0.copy()                               # one buffer: each PfaffLax copies it
     for y in ys:
         w[1:-1, :n] = y
-        w[1:-1, n:] = c2 * y[:, -2:-1] + c1 * y[:, -1:] + c0
+        w[1:-1, n:] = c2 * y[:, -2:-1] + c1 * y[:, -1:]
         states.append(PfaffLax(w, k_neg, k_pos))
     return EvolutionResult(times, states, stats)
 

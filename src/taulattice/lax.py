@@ -46,6 +46,10 @@ __all__ = [
     "sqrt_ratio_product",
 ]
 
+# The skew Gram-Schmidt refuses a pair product at or below this fraction of
+# the largest skew Gram entry (or of 1, when larger) as SingularMinor.
+_PAIR_FLOOR = 1e-12
+
 
 def c_coeff(n) -> np.ndarray | float:
     """sqrt(2n(2n-1)), the site-dependent factor of the Gaussian skew window."""
@@ -169,6 +173,20 @@ class PfaffLax:
         return cls(w, k_neg, k_pos)
 
 
+def _embedding_index(n_sites: int, k_neg: int, k_pos: int, dim: int):
+    """Where a dim x dim dense operator holds the band window: a (bands,
+    sites) mask of the entries inside it and their dense rows and columns
+    under that mask.  Band l > 0 of site j sits at (2(j+l)-2, 2j-1), band 0
+    at (2j-1, 2j) and band -l at (2j+2l-3, 2j-2)."""
+    ell = np.arange(-k_neg, k_pos + 1)[:, None]
+    j = np.arange(1, n_sites + 1)[None, :]
+    rows = np.where(ell > 0, 2 * (j + ell) - 2,
+                    np.where(ell < 0, 2 * (j - ell) - 3, 2 * j - 1))
+    cols = np.where(ell > 0, 2 * j - 1, np.where(ell < 0, 2 * j - 2, 2 * j))
+    keep = (rows < dim) & (cols < dim)
+    return keep, rows[keep], cols[keep]
+
+
 def goe_lax_init(n_sites: int, k_pos: int, k_neg: int = 6) -> PfaffLax:
     """Closed-form window at zero couplings.
 
@@ -231,8 +249,7 @@ class SkewOrthoBasis:
         return len(self.h)
 
 
-def skew_orthonormal_basis(m: SkewMomentMatrix, n_pairs: int, *,
-                           tol: float = 1e-12) -> SkewOrthoBasis:
+def skew_orthonormal_basis(m: SkewMomentMatrix, n_pairs: int) -> SkewOrthoBasis:
     """Skew Gram-Schmidt producing monic pairs with <Q_{2n}, Q_{2n+1}> = h_n.
 
     Reads only m.couplings and m.size, which must cover the 2 n_pairs
@@ -240,17 +257,16 @@ def skew_orthonormal_basis(m: SkewMomentMatrix, n_pairs: int, *,
     """
     if m.size < 2 * n_pairs:
         raise ValueError(f"skew matrix of size {m.size} cannot support {n_pairs} pairs")
-    return _skew_basis(m.couplings, n_pairs, tol)
+    return _skew_basis(m.couplings, n_pairs)
 
 
-def _skew_basis(t: CouplingVector, n_pairs: int, tol: float = 1e-12) -> SkewOrthoBasis:
+def _skew_basis(t: CouplingVector, n_pairs: int) -> SkewOrthoBasis:
     """Skew Gram-Schmidt on the skew Gram of the Stieltjes basis that
     `log_tau` uses for the orthogonal tau, at couplings t."""
-    return _skew_gram_schmidt(_stieltjes_basis("orthogonal", 2 * n_pairs, t, tol), t, tol)
+    return _skew_gram_schmidt(_stieltjes_basis("orthogonal", 2 * n_pairs, t), t)
 
 
-def _skew_gram_schmidt(stieltjes: tuple, t: CouplingVector,
-                       tol: float = 1e-12) -> SkewOrthoBasis:
+def _skew_gram_schmidt(stieltjes: tuple, t: CouplingVector) -> SkewOrthoBasis:
     """Skew Gram-Schmidt on an orthogonal `_stieltjes_basis` (F, log_h, a, b)
     built at couplings t, one pair per two basis polynomials.  The odd member
     of each pair is pinned by removing its z^{2n} monomial component, which
@@ -287,7 +303,7 @@ def _skew_gram_schmidt(stieltjes: tuple, t: CouplingVector,
                     f"skew Gram-Schmidt overflowed at pair {n}: in the monic scale "
                     f"(leading coefficient {root_h[2 * n + 1]:.3e}) the pair or its "
                     f"product h_{n} = {h[n]:.3e} is not finite")
-            if not h[n] > tol * max(1.0, abs(F).max()):
+            if not h[n] > _PAIR_FLOOR * max(1.0, abs(F).max()):
                 raise SingularMinor(f"pair product h_{n} = {h[n]:.3e} is not positive")
     return SkewOrthoBasis(W, h, TodaLax(a, b[1:]), t)
 
@@ -333,17 +349,12 @@ def pfaff_lax_from_basis(basis: SkewOrthoBasis, n_sites: int, k_pos: int,
             raise StructureViolation(
                 f"parity-forbidden entry of size {worst:.3e} in the operator")
     w = np.zeros((k_neg + k_pos + 1, n_sites))
-    for n in range(1, n_sites + 1):
-        w[k_neg, n - 1] = L[2 * n - 1, 2 * n]
-        for k in range(1, k_pos + 1):
-            w[k_neg + k, n - 1] = L[2 * (n + k) - 2, 2 * n - 1]
-        for k in range(1, k_neg + 1):
-            w[k_neg - k, n - 1] = L[2 * n + 2 * k - 3, 2 * n - 2]
+    keep, rows, cols = _embedding_index(n_sites, k_neg, k_pos, len(L))
+    w[keep] = L[rows, cols]
     return PfaffLax(w, k_neg, k_pos)
 
 
-def pfaff_entries_from_tau(t: CouplingVector, n_pairs: int, *,
-                           tol: float = 1e-12) -> dict:
+def pfaff_entries_from_tau(t: CouplingVector, n_pairs: int) -> dict:
     """w^0, w^1, w^{-1} at sites 1..n_pairs from Pfaffian tau-ratios.
 
     An independent route to the window: log tau values and their exact
@@ -353,7 +364,7 @@ def pfaff_entries_from_tau(t: CouplingVector, n_pairs: int, *,
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be at least 1, got {n_pairs}")
     jets = _log_tau_jets("orthogonal", range(0, 2 * n_pairs + 3, 2), t, (1, 2),
-                         [(2, 0), (0, 1)], tol)
+                         [(2, 0), (0, 1)])
     log_t = {size: log_abs for size, (_, log_abs, _) in jets.items()}
     # tau''/tau and tau'/tau from the Taylor coefficients c of log tau
     d11 = {size: 2.0 * c[2, 0] + c[1, 0] ** 2 for size, (_, _, c) in jets.items()}

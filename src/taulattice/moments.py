@@ -40,6 +40,11 @@ __all__ = [
     "tau_coupling_derivative",
 ]
 
+# Relative tolerance of the panel doubling (`build_quadrature`) behind every
+# tau route: the skew moments, the Stieltjes bases and their jets, and the
+# skew bases and small-ensemble moments built on them.
+_TAU_TOL = 1e-12
+
 # log|tau| outside this range has no normal double value.
 _LOG_RANGE = tuple(np.log([np.finfo(float).tiny, np.finfo(float).max]))
 
@@ -70,13 +75,13 @@ class SkewMomentMatrix:
         return self.m.shape[0]
 
 
-def skew_moment_matrix(t: CouplingVector, size: int, tol: float = 1e-12,
-                       *, grid: QuadratureGrid | None = None) -> SkewMomentMatrix:
+def skew_moment_matrix(t: CouplingVector, size: int, *,
+                       grid: QuadratureGrid | None = None) -> SkewMomentMatrix:
     """Skew products m[i][j] = <x^i, y^j> for i, j < size (size even)."""
     if size % 2 or size <= 0:
         raise ValueError(f"size must be a positive even integer, got {size}")
     if grid is None:
-        grid = build_quadrature(t, tol, max_degree=size + 2)
+        grid = build_quadrature(t, _TAU_TOL, max_degree=size + 2)
     powers = grid.nodes[None, :] ** np.arange(size)[:, None]
     return SkewMomentMatrix(_skew_products(grid, powers, weight_eval(grid.nodes, t)), t)
 
@@ -159,7 +164,7 @@ def _stieltjes(nodes: np.ndarray, measure: np.ndarray, count: int):
     return q, np.cumsum(log_beta), a, b
 
 
-def _tau_grid(ensemble: str, n: int, t: CouplingVector, tol: float = 1e-12) -> QuadratureGrid:
+def _tau_grid(ensemble: str, n: int, t: CouplingVector) -> QuadratureGrid:
     """Grid on which log_tau(ensemble, m, t) is accurate for every m <= n.
 
     Its radius leaves a negligible tail of every q_k^2 rho: degree 4n
@@ -170,18 +175,19 @@ def _tau_grid(ensemble: str, n: int, t: CouplingVector, tol: float = 1e-12) -> Q
     (orthogonal log error 2.4e-9 at 80 and 5.5e-2 at 140; unitary 1.6e-7
     at 100).  Below size 66 the floor never binds.
     """
-    grid = build_quadrature(t, tol, max_degree=max(4 * n if ensemble == "unitary" else 2 * n, 2))
+    grid = build_quadrature(t, _TAU_TOL,
+                            max_degree=max(4 * n if ensemble == "unitary" else 2 * n, 2))
     return grid if grid.panels >= n / 4 else _regrid(grid, grid.radius, -(-n // 4))
 
 
-def _stieltjes_basis(ensemble: str, n: int, t: CouplingVector, tol: float = 1e-12, *,
+def _stieltjes_basis(ensemble: str, n: int, t: CouplingVector, *,
                      grid: QuadratureGrid | None = None):
     """(F, log_h, a, b): the Stieltjes basis q_k, k < n, of rho dz (unitary)
     or rho^2 dz (orthogonal), see `_stieltjes`, on `_tau_grid(ensemble, n)`
     unless a grid is given.  F is the skew Gram `_skew_products` of the q_k
     under rho for orthogonal and None for unitary."""
     if grid is None:
-        grid = _tau_grid(ensemble, n, t, tol)
+        grid = _tau_grid(ensemble, n, t)
     rho = weight_eval(grid.nodes, t)
     measure = grid.weights * rho
     if ensemble == "orthogonal":
@@ -192,7 +198,7 @@ def _stieltjes_basis(ensemble: str, n: int, t: CouplingVector, tol: float = 1e-1
     return F, log_h, a, b
 
 
-def log_tau(ensemble: str, n: int, t: CouplingVector, tol: float = 1e-12, *,
+def log_tau(ensemble: str, n: int, t: CouplingVector, *,
             grid: QuadratureGrid | None = None) -> tuple[float, float]:
     """(sign, log|tau_n|) for ensemble "unitary" or "orthogonal"; tau_0 = 1.
 
@@ -204,7 +210,7 @@ def log_tau(ensemble: str, n: int, t: CouplingVector, tol: float = 1e-12, *,
     _check_size(ensemble, n)
     if n == 0:
         return 1.0, 0.0
-    F, log_h, _, _ = _stieltjes_basis(ensemble, n, t, tol, grid=grid)
+    F, log_h, _, _ = _stieltjes_basis(ensemble, n, t, grid=grid)
     return _log_tau_of_basis(F, log_h)
 
 
@@ -226,8 +232,7 @@ def _log_tau_of_basis(F: np.ndarray | None, log_h: np.ndarray) -> tuple[float, f
     return sign, float(np.log(np.abs(pivots)).sum() + 0.5 * log_h.sum())
 
 
-def _log_tau_jets(ensemble: str, sizes, t: CouplingVector, axes: tuple, tops,
-                  tol: float = 1e-12) -> dict:
+def _log_tau_jets(ensemble: str, sizes, t: CouplingVector, axes: tuple, tops) -> dict:
     """{m: (sign, log|tau_m|, jet)} for every size m in `sizes`, from one
     Stieltjes basis.  jet maps each multi-index g at or below one of `tops`
     (orders in the couplings `axes`) to the Taylor coefficient of s^g in
@@ -247,7 +252,7 @@ def _log_tau_jets(ensemble: str, sizes, t: CouplingVector, axes: tuple, tops,
     degree = [sum(a * k for a, k in zip(axes, g)) for g in monos]
     reach = max(degree) if ensemble == "orthogonal" else -(-max(degree) // 2)
     top = max(sizes)
-    F, log_h, a, b = _stieltjes_basis(ensemble, top + reach + 2, t, tol)
+    F, log_h, a, b = _stieltjes_basis(ensemble, top + reach + 2, t)
     J = np.diag(a) + np.diag(b[1:], 1) + np.diag(b[1:], -1)
     rows = np.stack([np.linalg.matrix_power(J, d)[:top] / math.prod(map(math.factorial, g))
                      for g, d in zip(monos, degree)])   # E(s)'s leading rows
@@ -283,18 +288,18 @@ def _tau_value(ensemble: str, n: int, sign: float, log_abs: float) -> float:
     return math.exp(log_abs)
 
 
-def tau_unitary(t: CouplingVector, n: int, tol: float = 1e-12) -> float:
+def tau_unitary(t: CouplingVector, n: int) -> float:
     """Determinant of the n x n Hankel moment matrix; tau_0 = 1."""
-    return _tau_value("unitary", n, *log_tau("unitary", n, t, tol))
+    return _tau_value("unitary", n, *log_tau("unitary", n, t))
 
 
-def tau_orthogonal(t: CouplingVector, two_n: int, tol: float = 1e-12) -> float:
+def tau_orthogonal(t: CouplingVector, two_n: int) -> float:
     """Pfaffian of the leading 2n x 2n skew moment matrix; tau_0 = 1."""
-    return _tau_value("orthogonal", two_n, *log_tau("orthogonal", two_n, t, tol))
+    return _tau_value("orthogonal", two_n, *log_tau("orthogonal", two_n, t))
 
 
 def tau_coupling_derivative(ensemble: str, n: int, t: CouplingVector,
-                            multi_index: dict, *, tol: float = 1e-12) -> float:
+                            multi_index: dict) -> float:
     """Mixed coupling derivative of tau_n, exact from the jet of log tau_n.
 
     ensemble is "unitary" or "orthogonal" (n is the matrix size subscript in
@@ -309,7 +314,7 @@ def tau_coupling_derivative(ensemble: str, n: int, t: CouplingVector,
     if sum(orders.values()) > 4:
         raise ValueError("total derivative order must be <= 4")
     axes, top = tuple(sorted(orders)), tuple(p for _, p in sorted(orders.items()))
-    sign, log_abs, jet = _log_tau_jets(ensemble, [n], t, axes, [top], tol)[n]
+    sign, log_abs, jet = _log_tau_jets(ensemble, [n], t, axes, [top])[n]
     tau = _tau_value(ensemble, n, sign, log_abs)
     # E = exp(L) by g_i E_g = sum_a a_i L_a E_{g-a}, i the first axis of g
     exp_jet = {}

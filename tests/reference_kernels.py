@@ -225,23 +225,21 @@ def chain_kernel(Q: np.ndarray, k_neg: int, k_pos: int, n_sites: int):
     return rates
 
 
-def ghost_closure(i2, i1, init_ghost, policy):
+def ghost_closure(i2, i1, init_ghost):
     """The right-edge closure as a map (a2, a1) -> ghost values, evaluated
     from the edge values at every call, as the evolvers used it before they
     read it as coefficients (`flows._ghost_closure`).  (i2, i1) are the
-    initial edge values; edges are scalars or (rows, 1) columns.  Rows whose
-    initial edge is near 0 extrapolate linearly under "scaled"."""
-    if policy not in ("scaled", "pin", "linear"):
-        raise ValueError(f"unknown ghost policy {policy!r}")
+    initial edge values; edges are scalars or (rows, 1) columns.  Each
+    initial ghost is rescaled by the linearly extrapolated ratio of current
+    to initial edge values; rows whose initial edge is near 0 extrapolate
+    the edge linearly."""
     j = np.arange(1.0, np.shape(init_ghost)[-1] + 1)
 
     def linear(a2, a1):
         return a1 + j * (a1 - a2)
 
     ok = np.minimum(np.abs(i1), np.abs(i2)) >= 1e-12 * (np.abs(i1) + np.abs(i2) + 1.0)
-    if policy == "pin":
-        return lambda a2, a1: init_ghost
-    if policy == "linear" or not ok.any():
+    if not ok.any():
         return linear
 
     def scaled(a2, a1):
@@ -253,14 +251,14 @@ def ghost_closure(i2, i1, init_ghost, policy):
     return lambda a2, a1: np.where(ok, scaled(a2, a1), linear(a2, a1))
 
 
-def evolve_volterra(B0: np.ndarray, flow: int, times, h: float, ghost: str = "scaled"):
+def evolve_volterra(B0: np.ndarray, flow: int, times, h: float):
     """flows.evolve_volterra's sampled lines (n_evolve sites, then the ghost
     strip) with the edge closure of `ghost_closure`, called at every RHS
     evaluation; the stencil is flows._volterra_kernel."""
     N, pad = len(B0), 4
     n_ev = N - pad
     init_ghost = B0[n_ev:]
-    line = ghost_closure(B0[n_ev - 2], B0[n_ev - 1], init_ghost, ghost)
+    line = ghost_closure(B0[n_ev - 2], B0[n_ev - 1], init_ghost)
     Bp = np.zeros(4 + n_ev + pad)
     kernel = flows._volterra_kernel(Bp, flow)
 
@@ -273,7 +271,7 @@ def evolve_volterra(B0: np.ndarray, flow: int, times, h: float, ghost: str = "sc
     return [np.concatenate([y, line(y[-2], y[-1])]) for y in ys]
 
 
-def evolve_pfaff(state, times, h: float, ghost: str = "scaled"):
+def evolve_pfaff(state, times, h: float):
     """flows.evolve_pfaff's sampled windows with the edge closure of
     `ghost_closure`, called at every RHS evaluation, and the per-band loop
     `pfaff_rates` as the chain kernel."""
@@ -284,7 +282,7 @@ def evolve_pfaff(state, times, h: float, ghost: str = "scaled"):
     W0 = state.w
     init_active = W0[1:-1]
     closure = ghost_closure(init_active[:, n_ev - 2:n_ev - 1],
-                            init_active[:, n_ev - 1:n_ev], init_active[:, n_ev:], ghost)
+                            init_active[:, n_ev - 1:n_ev], init_active[:, n_ev:])
     Q = np.zeros((n_rows + 2, 1 + n_ev + pad))
     Q[0, 1:] = W0[0, :n_ev + pad]
     Q[-1, 1:] = W0[-1, :n_ev + pad]
@@ -582,13 +580,13 @@ def widen_grid(grid, radius_tol, max_degree=0):
     return _regrid(grid, radius, int(np.ceil(grid.panels * radius / grid.radius)))
 
 
-def tau_derivative_fd(ensemble, n, t, multi_index, step=5e-3, tol=1e-12):
+def tau_derivative_fd(ensemble, n, t, multi_index, step=5e-3):
     """Mixed coupling derivative of tau_n by central finite differences with
     one Richardson level, every shifted tau on the tau grid at t widened to
     a 1e-20 tail."""
     orders = {int(k): int(p) for k, p in multi_index.items() if int(p) != 0}
     deg = max(4 * n if ensemble == "unitary" else 2 * n, 2)
-    grid = widen_grid(_tau_grid(ensemble, n, t, tol), 1e-20, deg)
+    grid = widen_grid(_tau_grid(ensemble, n, t), 1e-20, deg)
 
     def tau_at(shift):
         return _tau_value(ensemble, n, *log_tau(ensemble, n, t.shifted(shift), grid=grid))

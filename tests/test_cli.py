@@ -135,6 +135,16 @@ def test_evolve_non_finite_horizon_is_config_error(tmp_path, capsys, system, t2)
     assert "finite" in json.loads(err)["message"]
 
 
+@pytest.mark.parametrize("h", ["inf", "nan", "0", "-1"])
+def test_evolve_bad_step_is_config_error(tmp_path, capsys, h):
+    rc, out, err = run(capsys, "--out", str(tmp_path), "evolve", "volterra", "--t2", "0.1",
+                       "--h", h)
+    assert rc == 2 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "config" and "h must be finite and positive" in error["message"]
+    assert not any(tmp_path.iterdir())
+
+
 def test_evolve_reduced(tmp_path, capsys):
     rc, _, _ = run(capsys, "--out", str(tmp_path), "evolve", "reduced",
                    "--t2", "0.2")
@@ -213,7 +223,7 @@ def test_verify_flag_the_suite_does_not_read_is_usage_error(tmp_path, capsys, su
 
 
 @pytest.mark.parametrize("system,flags,unread", [
-    ("toda", ["--t1", "0.1", "--ghost", "linear", "--K-pos", "3"], ["--ghost", "--K-pos"]),
+    ("toda", ["--t1", "0.1", "--K-neg", "3", "--K-pos", "3"], ["--K-neg", "--K-pos"]),
     ("volterra", ["--t2", "0.1", "--K-neg", "3"], ["--K-neg"]),
     ("pfaff", ["--t2", "0.01", "--t4", "0.01"], ["--t4"]),
     ("reduced", ["--t2", "0.1", "--N", "8"], ["--N"]),

@@ -202,6 +202,18 @@ class TestHydroChain:
         with pytest.raises(ValueError, match="t_target must be finite"):
             evolve_hydro_chain(field, t_target)
 
+    @pytest.mark.parametrize("cfl", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_cfl_refused_before_the_march(self, monkeypatch, cfl):
+        # each used to end in an error that blamed the field, or (cfl = 0)
+        # in the step budget after 200000 steps
+        def no_march(*args, **kwargs):
+            raise AssertionError("marched before cfl was checked")
+
+        monkeypatch.setattr(continuum, "_hydro_kernel", no_march)
+        field = HydroChainField.initial(np.linspace(0.25, 2.25, 41))
+        with pytest.raises(ValueError, match="cfl must be finite and positive"):
+            evolve_hydro_chain(field, 0.1, cfl=cfl)
+
 
 class TestHydroStepper:
     """The march on the shared RK4 step equals the stages written out on the

@@ -12,7 +12,7 @@ from taulattice import (DivergedField, EvolutionResult, PfaffLax,
                         exact_oracles, goe_lax_init, gue_lax_init,
                         pfaff_chain_rhs, pfaff_commutator_rhs,
                         reduced_chain_rhs, toda_rhs, volterra_rhs)
-from taulattice import flows
+from taulattice import cli, flows
 from taulattice.flows import evolve
 
 
@@ -80,24 +80,19 @@ class TestVolterra:
                                 h=1e-3)
 
     def test_ghost_policies_on_scaling_family(self):
+        # the right-edge closure is exact on B_n = n/(1-2t)
         B0 = np.arange(1.0, 25.0)
-        exact = B0 / 0.8
-        errs = {}
-        for policy in ("scaled", "linear", "pin"):
-            res = evolve_volterra(VolterraState(B0), 2, [0.1], h=1e-3,
-                                  ghost=policy)
-            n_ev = res.stats["n_evolve"]
-            errs[policy] = np.abs(res.states[-1].B[:n_ev] - exact[:n_ev])
-        # both extrapolating closures are exact on B_n = n/(1-2t)
-        assert errs["scaled"].max() < 1e-10
-        assert errs["linear"].max() < 1e-10
-        # pinning freezes the edge at its t=0 value and the defect moves in
-        assert errs["pin"].max() > 1e-2
-        assert errs["pin"][:12].max() > 1e-5
+        res = evolve_volterra(VolterraState(B0), 2, [0.1], h=1e-3)
+        n_ev = res.stats["n_evolve"]
+        assert np.abs(res.states[-1].B[:n_ev] - B0[:n_ev] / 0.8).max() < 1e-10
 
-    def test_bad_ghost(self):
-        with pytest.raises(ValueError):
-            evolve_volterra(VolterraState(np.ones(8)), 2, [0.1], ghost="mirror")
+    def test_bad_ghost(self, capsys):
+        # one right-edge closure: neither evolver nor the CLI takes a choice
+        with pytest.raises(TypeError):
+            evolve_volterra(VolterraState(np.arange(1.0, 9.0)), 2, [0.1], ghost="scaled")
+        with pytest.raises(TypeError):
+            evolve_pfaff(goe_lax_init(12, 4, 4), [0.1], ghost="scaled")
+        assert cli.main(["evolve", "volterra", "--t2", "0.1", "--ghost", "pin"]) == 2
 
     def test_influence_front_shrinks(self):
         res = evolve_volterra(VolterraState(np.arange(1.0, 33.0)), 2,
@@ -123,23 +118,38 @@ class TestVolterra:
         assert toda.stats["influence_index"] < 64
 
 
-@pytest.mark.parametrize("times", [[np.inf], [np.nan], [0.1, np.inf]])
-@pytest.mark.parametrize("march", [
-    lambda times: evolve_volterra(VolterraState(np.arange(1.0, 9.0)), 2, times),
-    lambda times: evolve_toda(gue_lax_init(6), 1, times),
-    lambda times: evolve_pfaff(goe_lax_init(12, 4, 4), times),
-    lambda times: evolve_reduced(ReducedChainState(0.5, np.full(4, 2.0)), times),
-    lambda times: evolve(lambda t, y: y, np.ones(2), times),
+_EVERY_MARCH = pytest.mark.parametrize("march", [
+    lambda times, h=1e-3: evolve_volterra(VolterraState(np.arange(1.0, 9.0)), 2, times, h=h),
+    lambda times, h=1e-3: evolve_toda(gue_lax_init(6), 1, times, h=h),
+    lambda times, h=1e-3: evolve_pfaff(goe_lax_init(12, 4, 4), times, h=h),
+    lambda times, h=1e-3: evolve_reduced(ReducedChainState(0.5, np.full(4, 2.0)), times, h=h),
+    lambda times, h=1e-3: evolve(lambda t, y: y, np.ones(2), times, h=h),
 ], ids=["volterra", "toda", "pfaff", "reduced", "evolve"])
-def test_non_finite_times_refused_before_the_march(monkeypatch, march, times):
+
+
+def _refused_before_the_march(monkeypatch, match, march, *args):
     def no_march(*args):
-        raise AssertionError("marched before the times were checked")
+        raise AssertionError("marched before the arguments were checked")
 
     monkeypatch.setattr(flows, "_rk4_segment", no_march)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="times must be finite"):
-            march(times)
+        with pytest.raises(ValueError, match=match):
+            march(*args)
+
+
+@pytest.mark.parametrize("times", [[np.inf], [np.nan], [0.1, np.inf]])
+@_EVERY_MARCH
+def test_non_finite_times_refused_before_the_march(monkeypatch, march, times):
+    _refused_before_the_march(monkeypatch, "times must be finite", march, times)
+
+
+@pytest.mark.parametrize("h", [np.inf, np.nan, 0.0, -1.0])
+@_EVERY_MARCH
+def test_bad_step_refused_before_the_march(monkeypatch, march, h):
+    # h = inf used to take one step per sample interval, h = nan to end in
+    # a bare float-to-integer conversion error
+    _refused_before_the_march(monkeypatch, "h must be finite and positive", march, [0.1], h)
 
 
 def _orbit(B, flow, order):
@@ -455,15 +465,14 @@ class TestKernelEquivalence:
             assert np.array_equal(rates[:, j], volterra_rhs(stack[:, j], flow))
             assert np.array_equal(rates[:, j], ref.volterra_rhs_line(stack[:, j], flow))
 
-    @pytest.mark.parametrize("ghost", ["scaled", "linear", "pin"])
     @pytest.mark.parametrize("shape", [(64, 6, 6), (48, 9, 7)])
-    def test_pfaff_trajectory_bitwise(self, monkeypatch, shape, ghost):
+    def test_pfaff_trajectory_bitwise(self, monkeypatch, shape):
         # C03 / C04 shapes: the scaling window and the asymmetric band window
         state = goe_lax_init(*shape)
         times = [0.05, 0.1]
-        new = evolve_pfaff(state, times, h=1e-3, ghost=ghost)
+        new = evolve_pfaff(state, times, h=1e-3)
         monkeypatch.setattr(flows, "_chain_kernel", ref.chain_kernel)
-        old = evolve_pfaff(state, times, h=1e-3, ghost=ghost)
+        old = evolve_pfaff(state, times, h=1e-3)
         for a, b in zip(new.states, old.states):
             assert np.array_equal(a.w, b.w)
         assert new.stats == old.stats
@@ -499,32 +508,33 @@ class TestKernelEquivalence:
 class TestGhostClosure:
     """The coefficient closure against the closure evaluated from the edge
     values at every call.  Both round differently, so they are held to 1e-14
-    relative to the sum of the magnitudes of the terms, c2 a2, c1 a1 and c0."""
+    relative to the sum of the magnitudes of the terms, c2 a2 and c1 a1.
+    Rows whose initial edge is 0 take the linear fallback: none of them
+    ("scaled"), each with probability 1/2 ("mixed"), or all ("linear")."""
 
-    @pytest.mark.parametrize("policy", ["scaled", "linear", "pin"])
+    @pytest.mark.parametrize("zero_share", [0.0, 0.5, 1.0], ids=["scaled", "mixed", "linear"])
     @given(st.integers(1, 6), st.integers(1, 9), st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
-    def test_matches_reference(self, policy, rows, width, seed):
+    def test_matches_reference(self, zero_share, rows, width, seed):
         rng = np.random.default_rng(seed)
         i2, i1 = rng.uniform(0.5, 3.0, (rows, 1)), rng.uniform(0.5, 3.0, (rows, 1))
-        zero_edge = rng.random(rows) < 0.5     # none, some or all rows
+        zero_edge = rng.random(rows) < zero_share
         i2[zero_edge] = i1[zero_edge] = 0.0
         init_ghost = rng.uniform(-3.0, 3.0, (rows, width))
         a2, a1 = rng.uniform(-3.0, 3.0, (rows, 1)), rng.uniform(-3.0, 3.0, (rows, 1))
-        c2, c1, c0 = flows._ghost_closure(i2, i1, init_ghost, policy)
-        want = ref.ghost_closure(i2, i1, init_ghost, policy)(a2, a1)
-        got = c2 * a2 + c1 * a1 + c0
-        scale = np.abs(c2 * a2) + np.abs(c1 * a1) + np.abs(c0)
-        assert np.all(np.abs(got - want) <= 1e-14 * scale)
+        c2, c1 = flows._ghost_closure(i2, i1, init_ghost)
+        want = ref.ghost_closure(i2, i1, init_ghost)(a2, a1)
+        scale = np.abs(c2 * a2) + np.abs(c1 * a1)
+        assert np.all(np.abs(c2 * a2 + c1 * a1 - want) <= 1e-14 * scale)
 
-    @pytest.mark.parametrize("policy", ["scaled", "linear", "pin"])
-    def test_scalar_edges(self, policy):
+    @pytest.mark.parametrize("i2, i1", [(3.0, 4.0), (0.0, 0.0)], ids=["scaled", "linear"])
+    def test_scalar_edges(self, i2, i1):
         # a lattice line: scalar edge values, one row of ghosts
         init_ghost = np.array([5.0, 6.0, 7.0, 8.0])
-        c2, c1, c0 = flows._ghost_closure(3.0, 4.0, init_ghost, policy)
-        want = ref.ghost_closure(3.0, 4.0, init_ghost, policy)(3.3, 4.4)
-        assert c2.shape == c1.shape == c0.shape == init_ghost.shape
-        assert np.allclose(c2 * 3.3 + c1 * 4.4 + c0, want, rtol=1e-14, atol=0)
+        c2, c1 = flows._ghost_closure(i2, i1, init_ghost)
+        want = ref.ghost_closure(i2, i1, init_ghost)(3.3, 4.4)
+        assert c2.shape == c1.shape == init_ghost.shape
+        assert np.allclose(c2 * 3.3 + c1 * 4.4, want, rtol=1e-14, atol=0)
 
 
 def _rel_drift(got, want):
@@ -533,20 +543,19 @@ def _rel_drift(got, want):
 
 class TestClosureDrift:
     """Trajectories on the coefficient closure stay within 1e-11 relative of
-    the same runs on the reference closure, at the C03, C04 and C12 shapes,
-    for each policy.  The closures differ by a few ulp at the edge, and the
-    edge grows them along the run: the scaled C03 doubling run (N = 128 to
-    t = 0.2) drifts 1.3e-12, the other runs at most 1.4e-13; "pin" is exact."""
+    the same runs on the reference closure, at the C03, C04 and C12 shapes.
+    The closures differ by a few ulp at the edge, and the edge grows them
+    along the run: the C03 doubling run (N = 128 to t = 0.2) drifts 1.3e-12,
+    the other runs at most 1.4e-13."""
 
-    @pytest.mark.parametrize("ghost", ["scaled", "linear", "pin"])
     @pytest.mark.parametrize("shape, times", [
         ((64, 6, 6), [0.05, 0.1, 0.15, 0.2]),
         ((48, 9, 7), [0.05, 0.1, 0.15]),
     ], ids=["C03", "C04"])
-    def test_pfaff(self, shape, times, ghost):
+    def test_pfaff(self, shape, times):
         state = goe_lax_init(*shape)
-        res = evolve_pfaff(state, times, h=1e-3, ghost=ghost)
-        for got, want in zip(res.states, ref.evolve_pfaff(state, times, 1e-3, ghost)):
+        res = evolve_pfaff(state, times, h=1e-3)
+        for got, want in zip(res.states, ref.evolve_pfaff(state, times, 1e-3)):
             assert _rel_drift(got.w, want) <= 1e-11
 
     @pytest.mark.parametrize("flow, B0, times, h", [
@@ -555,10 +564,9 @@ class TestClosureDrift:
         (2, _RAMP64[:32], [0.05], 1e-5),
         (4, _RAMP64[:32], [1e-4], 1e-5),
     ], ids=["C03", "C03-doubled", "C12-flow2", "C12-flow4"])
-    @pytest.mark.parametrize("ghost", ["scaled", "linear", "pin"])
-    def test_volterra(self, flow, B0, times, h, ghost):
-        res = evolve_volterra(VolterraState(B0), flow, times, h=h, ghost=ghost)
-        for got, want in zip(res.states, ref.evolve_volterra(B0, flow, times, h, ghost)):
+    def test_volterra(self, flow, B0, times, h):
+        res = evolve_volterra(VolterraState(B0), flow, times, h=h)
+        for got, want in zip(res.states, ref.evolve_volterra(B0, flow, times, h)):
             assert _rel_drift(got.B, want) <= 1e-11
 
 

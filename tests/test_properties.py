@@ -5,9 +5,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from taulattice import (CouplingVector, HydroChainField, PfaffLax,
-                        TensorPoint, VolterraState, build_quadrature,
-                        evolve_volterra, hydro_chain_rhs, nijenhuis,
-                        nijenhuis_closed_form, pfaff_chain_rhs,
+                        TensorPoint, build_quadrature, hydro_chain_rhs,
+                        nijenhuis, nijenhuis_closed_form, pfaff_chain_rhs,
                         pfaff_commutator_rhs, pfaffian, spatial_derivative)
 
 couplings = st.dictionaries(
@@ -77,20 +76,6 @@ def test_banded_chain_agrees_with_commutator(seed):
     chain = pfaff_chain_rhs(state)[:, :8]
     comm = pfaff_commutator_rhs(state)[:, :8]
     assert np.max(np.abs(chain - comm)) < 1e-11 * np.max(np.abs(chain))
-
-
-@given(st.floats(min_value=0.01, max_value=0.15),
-       st.integers(min_value=16, max_value=28))
-@settings(max_examples=10, deadline=None)
-def test_extrapolating_ghosts_agree_on_scaling_family(horizon, n_sites):
-    # both closures reproduce B_n = n/(1-2t) exactly, so they must agree
-    state = VolterraState(np.arange(1.0, n_sites + 1.0))
-    runs = {}
-    for policy in ("scaled", "linear"):
-        res = evolve_volterra(state, 2, [horizon], h=2e-3, ghost=policy)
-        runs[policy] = res.states[-1].B[:res.stats["n_evolve"]]
-    scale = np.max(runs["scaled"])
-    assert np.max(np.abs(runs["scaled"] - runs["linear"])) < 1e-9 * scale
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -86,7 +86,7 @@ class TestVolterra:
         n_ev = res.stats["n_evolve"]
         assert np.abs(res.states[-1].B[:n_ev] - B0[:n_ev] / 0.8).max() < 1e-10
 
-    def test_bad_ghost(self, capsys):
+    def test_bad_ghost(self):
         # one right-edge closure: neither evolver nor the CLI takes a choice
         with pytest.raises(TypeError):
             evolve_volterra(VolterraState(np.arange(1.0, 9.0)), 2, [0.1], ghost="scaled")

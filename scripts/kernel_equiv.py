@@ -60,7 +60,11 @@ which calls it at every stage, bit for bit.
 
 The reduced chain's array kernel must equal its form on a state
 (concatenated rows) bit for bit, per call on K = 2-12 and along evolve_reduced
-trajectories.  The Gauss-Legendre rule behind every quadrature grid is held
+trajectories.  The radius search of every quadrature grid
+(`couplings._radius_for`, its bisections replayed in vectorised rounds) must
+equal the same bisections run one midpoint at a time
+(`radius_sequential`) exactly, on 10 x --samples random keys.  The
+Gauss-Legendre rule behind every quadrature grid is held
 to a 50-digit mpmath rule for 8-48 points: nodes to 2e-16 absolute, weights
 to 5e-14 relative.  `log_tau` is held to the closed forms on the t2 family
 (t2 = -0.15, 0, 0.15; unitary n and orthogonal size up to 40) and to a
@@ -481,6 +485,24 @@ def tau_jets_gap():
     return worst
 
 
+def radius_gap(rng, samples):
+    """Largest |replayed - sequential| radius search over random keys: t2 in
+    (-0.3, 0.45), a quartic t4 < 0 on half of them, t6 <= 0 and odd t1, t3
+    beside it, tol 1e-14 to 1e-6 and degree 0-1200."""
+    gap = 0.0
+    for i in range(samples):
+        mapping = {2: rng.uniform(-0.3, 0.45)}
+        if i % 2:
+            mapping.update({4: -rng.uniform(1e-3, 0.1), 6: -rng.uniform(0.0, 0.01)})
+            if i % 4 == 3:
+                mapping.update({1: rng.uniform(-0.3, 0.3), 3: rng.uniform(-0.05, 0.05)})
+        t = CouplingVector.from_mapping(mapping)
+        tol, degree = 10.0 ** rng.uniform(-14.0, -6.0), int(rng.integers(0, 1201))
+        gap = max(gap, abs(couplings._radius_for(t, tol, degree)
+                           - ref.radius_sequential(t, tol, degree)))
+    return gap
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--samples", type=int, default=40, help="random shapes per kernel")
@@ -566,6 +588,8 @@ def main():
             ("hydro drive x4, %s" % ("once per time" if drive_once else "calls differ"),
              drive, 0.0),
             ("reduced kernel + trajectories, 2 ghosts", reduced, 0.0),
+            ("radius search, replay vs sequential bisection",
+             radius_gap(rng, 10 * args.samples), 0.0),
             ("Gauss-Legendre nodes, 8-48 points", node, 2e-16),
             ("Gauss-Legendre weights (relative)", weight, 5e-14),
             ("log_tau vs closed forms, sizes <= 40", log_tau_closed_gap(), 1e-10),

@@ -6,6 +6,20 @@ products) integrates against rho on a symmetric truncated interval, so the
 grid builder has to pick a radius large enough that the discarded tail is
 below tolerance for every integrand degree the caller will use.
 
+The radius comes from an 8193-point scan and a bisection on each side.
+The bisections compare the same midpoints with the same target as a loop
+of scalar evaluations would, but evaluate them in vectorised rounds: each
+round predicts both sides' paths from a guess of the crossing and keeps
+the steps whose comparisons the guess got right (`_bisect_replayed`).  The
+panel count then doubles until the mass and a companion high moment
+settle; the companion is scaled by an exact power of two when it would
+not be a normal number.
+
+`build_quadrature` keeps the last 32 grids it built in a process-wide
+memo keyed on (couplings, tol, max_degree), so repeated requests share
+one grid.  Grids are frozen records with read-only arrays, so sharing
+them is safe; failed builds are not kept.
+
 The reference Gauss-Legendre rule on each panel is computed here, once per
 point count: Golub-Welsch starting nodes (eigenvalues of the Jacobi matrix)
 polished by Newton steps on the three-term recurrence.
@@ -15,6 +29,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping
@@ -160,12 +176,96 @@ class QuadratureGrid:
         return float(self.weights @ (fvals * self.rho))
 
 
+_SCAN_POINTS = 8193                             # points of the radius search's scan
+_BISECT_STEPS = 200                             # cap on each bisection's steps
+
+
+@lru_cache(maxsize=8)
+def _scan_rows(bracket: float):
+    """Read-only scan points on [-bracket, bracket] and log(max(|z|, 1)) at
+    them: the rows of the radius search's scan that do not depend on the
+    weight."""
+    zs = np.linspace(-bracket, bracket, _SCAN_POINTS)
+    logs = np.log(np.maximum(np.abs(zs), 1.0))
+    zs.setflags(write=False)
+    logs.setflags(write=False)
+    return zs, logs
+
+
+def _bisect_replayed(F, target: float, sides) -> list:
+    """Final hi of the bisection of each (lo, hi, f_lo, f_hi, guess) side.
+
+    Each side is bisected for F = target as a sequential loop would:
+    mid = 0.5 * (lo + hi), lo = mid if F(mid) >= target else hi = mid,
+    until |hi - lo| < 1e-12 * max(1, |hi|) or 200 steps.  The midpoints are
+    evaluated in rounds instead of one by one.  A round predicts each open
+    side's path from a guess of its crossing, evaluates every predicted
+    midpoint of every side in one call of F, and keeps each path up to and
+    including its first comparison the guess got wrong.  The next guess is
+    the secant through the bracket's two evaluated ends.  Every kept step
+    compares the same midpoint with the same target as the loop, so the
+    result is the loop's, bit for bit; f_lo, f_hi and guess only steer the
+    rounds.
+    """
+    state = [[lo, hi, f_lo, f_hi, guess, 0] for lo, hi, f_lo, f_hi, guess in sides]
+    live = state
+    while live:
+        paths = []
+        for lo, hi, _, _, guess, steps in live:
+            path = []
+            while steps < _BISECT_STEPS:
+                mid = 0.5 * (lo + hi)
+                path.append(mid)
+                steps += 1
+                if (mid - guess) * (hi - lo) <= 0.0:    # mid on lo's side of the guess
+                    lo = mid
+                else:
+                    hi = mid
+                if abs(hi - lo) < 1e-12 * max(1.0, abs(hi)):
+                    break
+            paths.append(path)
+        values = F(np.array([mid for path in paths for mid in path])).tolist()
+        start, still = 0, []
+        for side, path in zip(live, paths):
+            lo, hi, f_lo, f_hi, guess, steps = side
+            for mid, f in zip(path, values[start:start + len(path)]):
+                guessed = (mid - guess) * (hi - lo) <= 0.0
+                steps += 1
+                if f >= target:
+                    lo, f_lo = mid, f
+                else:
+                    hi, f_hi = mid, f
+                if abs(hi - lo) < 1e-12 * max(1.0, abs(hi)) or steps == _BISECT_STEPS:
+                    steps = _BISECT_STEPS
+                    break
+                if guessed != (f >= target):
+                    break
+            start += len(path)
+            if steps < _BISECT_STEPS:
+                guess = 0.5 * (lo + hi)
+                if math.isfinite(f_lo - f_hi) and f_lo != f_hi:
+                    secant = lo + (target - f_lo) * (hi - lo) / (f_hi - f_lo)
+                    if min(lo, hi) <= secant <= max(lo, hi):
+                        guess = secant
+                still.append(side)
+            side[:] = lo, hi, f_lo, f_hi, guess, steps
+        live = still
+    return [side[1] for side in state]
+
+
 def _radius_for(t: CouplingVector, tol: float, max_degree: int) -> float:
     """Largest |z| beyond which z^d * rho is below tol relative to its peak.
 
     Solves F(z) = F(z*) + log(tol) for the decay function
-    F(z) = exponent(z) + d*log(max(|z|,1)), bisecting outward from R0 = 10.
-    d = 0 reduces to the bare-weight rule.
+    F(z) = exponent(z) + d*log(max(|z|,1)).  An 8193-point scan of
+    [-B, B], B = 10, 20, 40, ..., finds the first bracket whose ends both
+    read below the target and the scan's peak z*; each side is then
+    bisected from max(z*, 0) or min(z*, 0) out to +B or -B
+    (`_bisect_replayed`, guessed from the scan's outermost crossings).  A
+    side whose scan holds a point at or above the target beyond the radius
+    so found (its bisection started below the target and collapsed
+    inward) is bisected again from its outermost such point.  d = 0
+    reduces to the bare-weight rule.
     """
     d = int(max_degree)
     tgt_gap = math.log(tol)
@@ -176,28 +276,32 @@ def _radius_for(t: CouplingVector, tol: float, max_degree: int) -> float:
 
     bracket = 10.0
     for _ in range(40):
-        zs = np.linspace(-bracket, bracket, 8193)
-        Fs = F(zs)
+        zs, logs = _scan_rows(bracket)
+        Fs = t.exponent(zs) + d * logs
         fmax = float(Fs.max())
         target = fmax + tgt_gap
-        if float(F(bracket)) < target and float(F(-bracket)) < target:
+        if Fs[-1] < target and Fs[0] < target:
             zstar = float(zs[int(Fs.argmax())])
+            above = np.flatnonzero(Fs >= target)
+            i, j = int(above[-1]), int(above[0])
+            # the scan's outermost crossings, interpolated linearly
+            out_right = float(zs[i] + (Fs[i] - target) / (Fs[i] - Fs[i + 1]) * (zs[i + 1] - zs[i]))
+            out_left = float(zs[j] - (Fs[j] - target) / (Fs[j] - Fs[j - 1]) * (zs[j] - zs[j - 1]))
 
-            def crossing(lo, hi):
-                # F(lo) >= target > F(hi); bisect for the boundary.
-                for _ in range(200):
-                    mid = 0.5 * (lo + hi)
-                    if float(F(mid)) >= target:
-                        lo = mid
-                    else:
-                        hi = mid
-                    if abs(hi - lo) < 1e-12 * max(1.0, abs(hi)):
-                        break
-                return hi
-
-            right = crossing(max(zstar, 0.0), bracket)
-            left = crossing(min(zstar, 0.0), -bracket)
-            return max(abs(left), abs(right))
+            right_lo, left_lo = max(zstar, 0.0), min(zstar, 0.0)
+            # F(z*) = fmax and F(0) = 0 at the starting ends
+            right, left = _bisect_replayed(F, target, [
+                (right_lo, bracket, fmax if right_lo == zstar else 0.0, float(Fs[-1]),
+                 min(max(out_right, right_lo), bracket)),
+                (left_lo, -bracket, fmax if left_lo == zstar else 0.0, float(Fs[0]),
+                 max(min(out_left, left_lo), -bracket))])
+            radius = max(abs(left), abs(right))
+            redo = []
+            if zs[i] > radius:
+                redo.append((float(zs[i]), bracket, float(Fs[i]), float(Fs[-1]), out_right))
+            if zs[j] < -radius:
+                redo.append((float(zs[j]), -bracket, float(Fs[j]), float(Fs[0]), out_left))
+            return max([radius] + [abs(r) for r in _bisect_replayed(F, target, redo)])
         bracket *= 2.0
     raise NonIntegrableWeight(
         f"no radius suppresses the tail of {t.as_dict()} at degree {d}")
@@ -258,6 +362,7 @@ def _panel_nodes(radius: float, panels: int, p: int):
 
 
 _POINTS_PER_PANEL = 24                          # Gauss points of every grid's panels
+_GRID_MEMO_SIZE = 32                            # grids build_quadrature keeps, least recently used out
 
 
 def build_quadrature(t: CouplingVector, tol: float = 1e-12, *,
@@ -268,35 +373,70 @@ def build_quadrature(t: CouplingVector, tol: float = 1e-12, *,
     z / radius, when one was requested) moves by less than tol relatively.
     `max_degree` widens the radius so that high moments keep full accuracy;
     the default 0 is the bare-weight rule.
+
+    The last 32 grids built are kept, keyed on (t, tol, max_degree): a
+    repeated request returns the grid already built, the same frozen
+    record with read-only arrays.  A build that raises is not kept.
     """
     if not t.integrable:
         raise NonIntegrableWeight(f"weight for couplings {t.as_dict()} has a divergent tail")
     if not (0.0 < tol <= 1e-6):
         raise ValueError(f"tol must lie in (0, 1e-6], got {tol}")
+    if isinstance(max_degree, bool) or not isinstance(max_degree, numbers.Integral) \
+            or max_degree < 0:
+        raise ValueError(f"max_degree must be a non-negative integer, got {max_degree!r}")
+    return _converged_grid(t, tol, int(max_degree))
+
+
+@lru_cache(maxsize=_GRID_MEMO_SIZE)
+def _converged_grid(t: CouplingVector, tol: float, max_degree: int) -> QuadratureGrid:
+    """`build_quadrature` on validated arguments, behind its memo."""
     radius = _radius_for(t, tol, max_degree)
     # even companion moment for the convergence test, in units of the radius
     # so that z^deg cannot overflow at high degree
-    deg = 2 * (int(max_degree) // 2)
-
-    def convergence_values(panels):
-        nodes, weights = _panel_nodes(radius, panels, _POINTS_PER_PANEL)
-        rho = weight_eval(nodes, t)
-        vals = [float(weights @ rho)]
-        if deg > 0:
-            vals.append(float(weights @ ((nodes / radius)**deg * rho)))
-        return nodes, weights, rho, vals
-
+    deg = 2 * (max_degree // 2)
     panels = 8
-    _, _, _, prev = convergence_values(panels)
+    scale, prev = _companion_scale(t, radius, deg)
     while panels <= 4096:
         panels *= 2
-        nodes, weights, rho, cur = convergence_values(panels)
+        nodes, weights, rho, cur = _convergence_values(t, radius, panels, deg, scale)
         if all(abs(c - p) <= tol * abs(c) for c, p in zip(cur, prev)):
             return QuadratureGrid(t, nodes, weights, rho, radius, tol,
                                   panels, _POINTS_PER_PANEL)
         prev = cur
     raise ToleranceUnreachable(
         f"panel doubling stalled at {panels} panels for tol {tol}")
+
+
+def _convergence_values(t: CouplingVector, radius: float, panels: int, deg: int,
+                        scale: float):
+    """Nodes, weights and rho of the grid on `panels` panels, and the values
+    its panel doubling compares: int(rho) and, for deg > 0, the companion
+    scale * int (z / radius)^deg rho."""
+    nodes, weights = _panel_nodes(radius, panels, _POINTS_PER_PANEL)
+    rho = weight_eval(nodes, t)
+    vals = [float(weights @ rho)]
+    if deg > 0:
+        vals.append(float(weights @ ((nodes / radius)**deg * scale * rho)))
+    return nodes, weights, rho, vals
+
+
+def _companion_scale(t: CouplingVector, radius: float, deg: int):
+    """(scale, values) of the panel doubling's 8-panel start.
+
+    The scale is 1, which changes no bit, unless the companion moment at 8
+    panels is a finite number below the normal range; then it is the exact
+    power of two 2^s, s <= 1023, that brings the largest (z / radius)^deg
+    rho at the 8-panel nodes to about 1, both factors taken in logs so that
+    their product cannot underflow.
+    """
+    nodes, _, rho, vals = _convergence_values(t, radius, 8, deg, 1.0)
+    if deg == 0 or not vals[1] < sys.float_info.min:
+        return 1.0, vals
+    with np.errstate(divide="ignore"):
+        peak = float(np.max(deg * np.log(np.abs(nodes / radius)) + np.log(rho)))
+    scale = 2.0 ** min(1023, max(0, -math.floor(peak / math.log(2.0))))
+    return scale, _convergence_values(t, radius, 8, deg, scale)[3]
 
 
 def _regrid(grid: QuadratureGrid, radius: float, panels: int) -> QuadratureGrid:

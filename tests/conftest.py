@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from taulattice import CouplingVector
+from taulattice import CouplingVector, couplings
 
 
 def pytest_configure(config):
@@ -32,6 +32,13 @@ def acceptance(request):
 @pytest.fixture(scope="session")
 def t0():
     return CouplingVector.from_mapping({})
+
+
+@pytest.fixture
+def fresh_grids():
+    """An empty grid memo, so that a test counting radius solves sees every
+    grid its code builds, not one an earlier test left in the memo."""
+    couplings._converged_grid.cache_clear()
 
 
 @pytest.fixture

@@ -32,7 +32,10 @@ moments with one cumulative integral per row.  Their conditioning grows
 like the moments, so they are references for sizes <= 12 only.  The same
 Cholesky factor gave the tridiagonal Lax operator before
 `lax.toda_lax_from_quadrature` read it off the Stieltjes recurrence; it is
-a reference through 10 sites.  The grid builder's panel count with the
+a reference through 10 sites.  `radius_sequential` is the radius search
+with its bisections run one midpoint at a time, each a 0-d call of the
+decay function, as `couplings._radius_for` ran them before it replayed
+them in vectorised rounds; the two must agree with ==.  The grid builder's panel count with the
 unscaled companion moment z^deg rho is the reference for the scaled one
 below degree 240.  The
 60-digit quartic Hankel determinant is the reference at any size.  The
@@ -569,6 +572,55 @@ def log_tau_closed_form(ensemble, n, t2=0.0):
     base = sum(0.5 * math.log(math.pi) + math.lgamma(2 * k + 1) - k * math.log(4.0)
                for k in range(m))
     return base + m * (2 * m + 1) * log_scale
+
+
+def radius_sequential(t, tol, max_degree):
+    """`couplings._radius_for` with one scalar evaluation per bisection step.
+
+    The 8193-point scan of [-B, B], B = 10, 20, 40, ..., finds the first
+    bracket whose ends read below the target; each side bisects from
+    max(z*, 0) or min(z*, 0) out to +-B, and a side whose scan holds a point
+    at or above the target beyond the radius so found bisects again from its
+    outermost such point."""
+    d = int(max_degree)
+    tgt_gap = math.log(tol)
+
+    def F(z):
+        z = np.asarray(z, dtype=float)
+        return t.exponent(z) + d * np.log(np.maximum(np.abs(z), 1.0))
+
+    bracket = 10.0
+    for _ in range(40):
+        zs = np.linspace(-bracket, bracket, 8193)
+        Fs = F(zs)
+        fmax = float(Fs.max())
+        target = fmax + tgt_gap
+        if float(F(bracket)) < target and float(F(-bracket)) < target:
+            zstar = float(zs[int(Fs.argmax())])
+
+            def crossing(lo, hi):
+                # F(lo) >= target > F(hi); bisect for the boundary.
+                for _ in range(200):
+                    mid = 0.5 * (lo + hi)
+                    if float(F(mid)) >= target:
+                        lo = mid
+                    else:
+                        hi = mid
+                    if abs(hi - lo) < 1e-12 * max(1.0, abs(hi)):
+                        break
+                return hi
+
+            right = crossing(max(zstar, 0.0), bracket)
+            left = crossing(min(zstar, 0.0), -bracket)
+            radius = max(abs(left), abs(right))
+            above = zs[Fs >= target]
+            if above[-1] > radius:
+                right = crossing(float(above[-1]), bracket)
+            if above[0] < -radius:
+                left = crossing(float(above[0]), -bracket)
+            return max(radius, abs(left), abs(right))
+        bracket *= 2.0
+    raise ValueError(f"no radius suppresses the tail of {t.as_dict()} at degree {d}")
 
 
 def widen_grid(grid, radius_tol, max_degree=0):

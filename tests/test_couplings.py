@@ -3,12 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import reference_kernels as ref
-from taulattice import CouplingVector, build_quadrature
-from taulattice.couplings import (_cumulative_matrix, _gauss_legendre,
+from taulattice import CouplingVector, build_quadrature, couplings
+from taulattice.couplings import (_cumulative_matrix, _gauss_legendre, _radius_for,
                                   cumulative_integral, weight_eval)
-from taulattice.errors import NonIntegrableWeight
+from taulattice.errors import NonIntegrableWeight, ToleranceUnreachable
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -145,3 +146,124 @@ def test_cumulative_matrix_exact_on_monomials():
     for k in range(p):
         exact = (xi ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
         assert np.max(np.abs(M @ xi**k - exact)) <= 1e-14, k
+
+
+# the radius search
+
+# t2 in (-0.3, 0.45), t4 < 0 or 0, t6 <= 0 beside a t4 < 0, and small odd
+# t1, t3 beside a t4 < 0
+@st.composite
+def radius_couplings(draw):
+    quartic = draw(st.booleans())
+    t4 = draw(st.floats(-0.1, 0.0, exclude_max=True)) if quartic else 0.0
+    mapping = {2: draw(st.floats(-0.3, 0.45, exclude_min=True, exclude_max=True)), 4: t4,
+               6: draw(st.floats(-0.01, 0.0)) if quartic else 0.0}
+    if quartic and draw(st.booleans()):
+        mapping[1] = draw(st.floats(-0.3, 0.3))
+        mapping[3] = draw(st.floats(-0.05, 0.05))
+    return CouplingVector.from_mapping(mapping)
+
+
+@given(radius_couplings(), st.floats(-14.0, -6.0), st.integers(0, 1200))
+@settings(max_examples=60, deadline=None)
+def test_radius_equals_the_sequential_bisection(t, log10_tol, degree):
+    tol = 10.0 ** log10_tol
+    assert _radius_for(t, tol, degree) == ref.radius_sequential(t, tol, degree)
+
+
+# the side without the global peak started below the target: its
+# bisection collapsed toward 0 and the radius came from the other side
+STOPPED_SHORT = {1: -0.24386249867809406, 3: 0.005120315345446803, 4: -0.025490217959271713}
+
+
+def decay(t, degree, z):
+    return t.exponent(z) + degree * np.log(np.maximum(np.abs(z), 1.0))
+
+
+def test_radius_covers_the_side_without_the_peak():
+    t = CouplingVector.from_mapping(STOPPED_SHORT)
+    radius = build_quadrature(t, 1e-12, max_degree=266).radius
+    assert radius == _radius_for(t, 1e-12, 266) == ref.radius_sequential(t, 1e-12, 266)
+    assert 8.405 < radius < 8.406        # without the second bisection: 8.3528
+    zs = np.linspace(-10.0, 10.0, 8193)
+    peak = decay(t, 266, zs).max()
+    assert np.all(decay(t, 266, np.array([-radius, radius])) - peak < math.log(1e-12))
+
+
+@given(st.floats(-0.3, 0.3), st.floats(-0.05, 0.05), st.floats(-0.1, -0.005),
+       st.integers(0, 800))
+@example(STOPPED_SHORT[1], STOPPED_SHORT[3], STOPPED_SHORT[4], 266)
+@settings(max_examples=40, deadline=None)
+def test_radius_covers_a_dense_scan(t1, t3, t4, degree):
+    # every point of a scan eight times denser than the search's that reads
+    # at or above the target lies inside the radius
+    t = CouplingVector.from_mapping({1: t1, 3: t3, 4: t4})
+    radius = _radius_for(t, 1e-12, degree)
+    zs = np.linspace(-2.0 * radius, 2.0 * radius, 65537)
+    F = decay(t, degree, zs)
+    beyond = np.abs(zs) > radius
+    assert np.all(F[beyond] < F.max() + math.log(1e-12))
+
+
+# the grid memo
+
+def counted_radii(monkeypatch):
+    calls = []
+    solve = couplings._radius_for
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(couplings, "_radius_for", counted)
+    return calls
+
+
+def test_equal_keys_share_one_read_only_grid(fresh_grids, monkeypatch):
+    calls = counted_radii(monkeypatch)
+    grid = build_quadrature(CouplingVector.from_mapping({2: 0.1, 4: -0.05}), max_degree=12)
+    again = build_quadrature(CouplingVector.from_mapping({4: -0.05, 2: 0.1}), 1e-12,
+                             max_degree=np.int64(12))
+    assert again is grid and len(calls) == 1
+    for arr in (grid.nodes, grid.weights, grid.rho):
+        assert not arr.flags.writeable
+    assert build_quadrature(grid.couplings, 1e-11, max_degree=12) is not grid
+    assert build_quadrature(grid.couplings, max_degree=13) is not grid
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("mapping, kwargs, error", [
+    ({3: 0.2}, {}, NonIntegrableWeight),                    # no radius brackets the tail
+    ({}, {"max_degree": 1200}, ToleranceUnreachable),      # rho underflows under the companion
+])
+def test_failed_builds_are_not_kept(fresh_grids, monkeypatch, mapping, kwargs, error):
+    calls = counted_radii(monkeypatch)
+    t = CouplingVector.from_mapping(mapping)
+    for _ in range(2):
+        with pytest.raises(error):
+            build_quadrature(t, **kwargs)
+    assert len(calls) == 2
+    assert couplings._converged_grid.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("max_degree", [-5, 2.5, True, False, np.float64(4.0), "4", None])
+def test_nonsense_degrees_refused(fresh_grids, t0, max_degree):
+    with pytest.raises(ValueError, match="max_degree"):
+        build_quadrature(t0, max_degree=max_degree)
+    with pytest.raises(ValueError, match="tol"):
+        build_quadrature(t0, 0.0)
+    assert couplings._converged_grid.cache_info().currsize == 0
+
+
+def test_memo_stays_within_its_bound(fresh_grids, monkeypatch):
+    calls = counted_radii(monkeypatch)
+    size = couplings._GRID_MEMO_SIZE
+    vectors = [CouplingVector.from_mapping({2: 0.01 * k}) for k in range(size + 8)]
+    for t in vectors:
+        build_quadrature(t)
+        assert couplings._converged_grid.cache_info().currsize <= size
+    assert couplings._converged_grid.cache_info().currsize == size
+    build_quadrature(vectors[-1])                   # kept
+    assert len(calls) == size + 8
+    build_quadrature(vectors[0])                    # dropped, least recently used
+    assert len(calls) == size + 9

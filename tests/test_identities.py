@@ -174,7 +174,7 @@ class TestObservables:
         assert observables_check(2).passed
 
     @pytest.mark.parametrize("n", [2, 4])
-    def test_one_grid_and_one_full_basis(self, n, monkeypatch):
+    def test_one_grid_and_one_full_basis(self, n, monkeypatch, fresh_grids):
         # log tau_{2n+4} and the skew window read one Stieltjes basis of
         # size 2n + 4; every size reads one grid, solved for once
         radii, sizes = [], []

@@ -85,7 +85,7 @@ def test_init_gue_past_the_moment_table_cap():
 
 
 @pytest.mark.parametrize("n_max", [2, 14, 24])
-def test_init_gue_solves_for_three_radii(n_max, monkeypatch):
+def test_init_gue_solves_for_three_radii(n_max, monkeypatch, fresh_grids):
     # one grid at zero couplings for the Jacobi data and log tau_m, one at
     # t1 = 1/4 for the other side of the translation law
     calls = []

@@ -195,14 +195,20 @@ def test_radius_covers_the_side_without_the_peak():
 @example(STOPPED_SHORT[1], STOPPED_SHORT[3], STOPPED_SHORT[4], 266)
 @settings(max_examples=40, deadline=None)
 def test_radius_covers_a_dense_scan(t1, t3, t4, degree):
-    # every point of a scan eight times denser than the search's that reads
-    # at or above the target lies inside the radius
+    # on a scan eight times denser than the search's, over its bracket
+    # [-B, B], every eighth point being the search's own scan: each of the
+    # search's points at or above its target lies inside the radius, and
+    # each dense one within one search spacing of it (a crossing between
+    # the outermost such point and the next is not bisected again)
     t = CouplingVector.from_mapping({1: t1, 3: t3, 4: t4})
     radius = _radius_for(t, 1e-12, degree)
-    zs = np.linspace(-2.0 * radius, 2.0 * radius, 65537)
+    bracket = 10.0 * 2.0 ** max(0, math.ceil(math.log2(radius / 10.0)))
+    zs = np.linspace(-bracket, bracket, 65537)
     F = decay(t, degree, zs)
-    beyond = np.abs(zs) > radius
-    assert np.all(F[beyond] < F.max() + math.log(1e-12))
+    target = F[::8].max() + math.log(1e-12)
+    assert F[0] < target and F[-1] < target
+    assert np.all(np.abs(zs[::8][F[::8] >= target]) <= radius)
+    assert np.all(np.abs(zs[F >= target]) < radius + bracket / 4096)
 
 
 # the grid memo

@@ -202,7 +202,9 @@ def _bisect_replayed(F, target: float, sides) -> list:
     side's path from a guess of its crossing, evaluates every predicted
     midpoint of every side in one call of F, and keeps each path up to and
     including its first comparison the guess got wrong.  The next guess is
-    the secant through the bracket's two evaluated ends.  Every kept step
+    the secant through the bracket's two evaluated ends, or lo itself when
+    F(lo) reads below the target too (a side started below the target
+    collapses onto its start).  Every kept step
     compares the same midpoint with the same target as the loop, so the
     result is the loop's, bit for bit; f_lo, f_hi and guess only steer the
     rounds.
@@ -242,11 +244,14 @@ def _bisect_replayed(F, target: float, sides) -> list:
                     break
             start += len(path)
             if steps < _BISECT_STEPS:
-                guess = 0.5 * (lo + hi)
-                if math.isfinite(f_lo - f_hi) and f_lo != f_hi:
-                    secant = lo + (target - f_lo) * (hi - lo) / (f_hi - f_lo)
-                    if min(lo, hi) <= secant <= max(lo, hi):
-                        guess = secant
+                if f_lo < target:               # both ends below: hi closes in on lo
+                    guess = lo
+                else:
+                    guess = 0.5 * (lo + hi)
+                    if math.isfinite(f_lo - f_hi) and f_lo != f_hi:
+                        secant = lo + (target - f_lo) * (hi - lo) / (f_hi - f_lo)
+                        if min(lo, hi) <= secant <= max(lo, hi):
+                            guess = secant
                 still.append(side)
             side[:] = lo, hi, f_lo, f_hi, guess, steps
         live = still

@@ -87,7 +87,7 @@ from taulattice.couplings import (_panel_nodes, _radius_for, _regrid, build_quad
 from taulattice.moments import _skew_products, _tau_grid, _tau_value, log_tau
 from taulattice.numdiff import mixed_derivative
 from taulattice.continuum import _matrix_terms, _rhs_plan
-from taulattice.errors import DivergedField, StructureViolation
+from taulattice.errors import DivergedField, NonIntegrableWeight, StructureViolation
 from taulattice.flows import _skew_block_projection
 
 
@@ -620,7 +620,7 @@ def radius_sequential(t, tol, max_degree):
                 left = crossing(float(above[0]), -bracket)
             return max(radius, abs(left), abs(right))
         bracket *= 2.0
-    raise ValueError(f"no radius suppresses the tail of {t.as_dict()} at degree {d}")
+    raise NonIntegrableWeight(f"no radius suppresses the tail of {t.as_dict()} at degree {d}")
 
 
 def widen_grid(grid, radius_tol, max_degree=0):

@@ -167,8 +167,14 @@ def radius_couplings(draw):
 @given(radius_couplings(), st.floats(-14.0, -6.0), st.integers(0, 1200))
 @settings(max_examples=60, deadline=None)
 def test_radius_equals_the_sequential_bisection(t, log10_tol, degree):
-    tol = 10.0 ** log10_tol
-    assert _radius_for(t, tol, degree) == ref.radius_sequential(t, tol, degree)
+    # a vanishing t4 beside t3 leaves no bracket below 10 * 2^40: both refuse
+    def outcome(search):
+        try:
+            return search(t, 10.0 ** log10_tol, degree)
+        except NonIntegrableWeight as err:
+            return str(err)
+
+    assert outcome(_radius_for) == outcome(ref.radius_sequential)
 
 
 # the side without the global peak started below the target: its

@@ -401,10 +401,10 @@ def _converged_grid(t: CouplingVector, tol: float, max_degree: int) -> Quadratur
     # so that z^deg cannot overflow at high degree
     deg = 2 * (max_degree // 2)
     panels = 8
-    scale, prev = _companion_scale(t, radius, deg)
+    shift, prev = _companion_shift(t, radius, deg)
     while panels <= 4096:
         panels *= 2
-        nodes, weights, rho, cur = _convergence_values(t, radius, panels, deg, scale)
+        nodes, weights, rho, cur = _convergence_values(t, radius, panels, deg, shift)
         if all(abs(c - p) <= tol * abs(c) for c, p in zip(cur, prev)):
             return QuadratureGrid(t, nodes, weights, rho, radius, tol,
                                   panels, _POINTS_PER_PANEL)
@@ -414,34 +414,39 @@ def _converged_grid(t: CouplingVector, tol: float, max_degree: int) -> Quadratur
 
 
 def _convergence_values(t: CouplingVector, radius: float, panels: int, deg: int,
-                        scale: float):
+                        shift: int):
     """Nodes, weights and rho of the grid on `panels` panels, and the values
     its panel doubling compares: int(rho) and, for deg > 0, the companion
-    scale * int (z / radius)^deg rho."""
+    2^shift * int (z / radius)^deg rho.  A nonzero shift takes the
+    companion's integrand in logs, so that it cannot underflow where rho
+    already has; shift 0 is the plain product."""
     nodes, weights = _panel_nodes(radius, panels, _POINTS_PER_PANEL)
     rho = weight_eval(nodes, t)
     vals = [float(weights @ rho)]
-    if deg > 0:
-        vals.append(float(weights @ ((nodes / radius)**deg * scale * rho)))
+    if deg > 0 and shift == 0:
+        vals.append(float(weights @ ((nodes / radius)**deg * rho)))
+    elif deg > 0:
+        with np.errstate(divide="ignore"):
+            logs = deg * np.log(np.abs(nodes / radius)) + t.exponent(nodes)
+        vals.append(float(weights @ np.exp(logs + shift * math.log(2.0))))
     return nodes, weights, rho, vals
 
 
-def _companion_scale(t: CouplingVector, radius: float, deg: int):
-    """(scale, values) of the panel doubling's 8-panel start.
+def _companion_shift(t: CouplingVector, radius: float, deg: int):
+    """(shift, values) of the panel doubling's 8-panel start.
 
-    The scale is 1, which changes no bit, unless the companion moment at 8
-    panels is a finite number below the normal range; then it is the exact
-    power of two 2^s, s <= 1023, that brings the largest (z / radius)^deg
-    rho at the 8-panel nodes to about 1, both factors taken in logs so that
-    their product cannot underflow.
+    The shift is 0 unless the companion moment at 8 panels is a finite
+    number below the normal range; then it is the s <= 1023 for which
+    2^s brings the largest (z / radius)^deg rho at the 8-panel nodes to
+    about 1, and `_convergence_values` takes the companion in logs.
     """
-    nodes, _, rho, vals = _convergence_values(t, radius, 8, deg, 1.0)
+    nodes, _, _, vals = _convergence_values(t, radius, 8, deg, 0)
     if deg == 0 or not vals[1] < sys.float_info.min:
-        return 1.0, vals
+        return 0, vals
     with np.errstate(divide="ignore"):
-        peak = float(np.max(deg * np.log(np.abs(nodes / radius)) + np.log(rho)))
-    scale = 2.0 ** min(1023, max(0, -math.floor(peak / math.log(2.0))))
-    return scale, _convergence_values(t, radius, 8, deg, scale)[3]
+        peak = float(np.max(deg * np.log(np.abs(nodes / radius)) + t.exponent(nodes)))
+    shift = min(1023, max(0, -math.floor(peak / math.log(2.0))))
+    return shift, _convergence_values(t, radius, 8, deg, shift)[3]
 
 
 def _regrid(grid: QuadratureGrid, radius: float, panels: int) -> QuadratureGrid:

@@ -244,16 +244,26 @@ def test_equal_keys_share_one_read_only_grid(fresh_grids, monkeypatch):
     assert len(calls) == 3
 
 
-@pytest.mark.parametrize("mapping, kwargs, error", [
-    ({3: 0.2}, {}, NonIntegrableWeight),                    # no radius brackets the tail
-    ({}, {"max_degree": 1200}, ToleranceUnreachable),      # rho underflows under the companion
+def stalled(convergence_values):
+    # a panel doubling whose mass never settles
+    def values(t, radius, panels, deg, shift):
+        nodes, weights, rho, vals = convergence_values(t, radius, panels, deg, shift)
+        return nodes, weights, rho, [vals[0] * (1.0 + 1e-9 * panels)] + vals[1:]
+    return values
+
+
+@pytest.mark.parametrize("mapping, error", [
+    ({3: 0.2}, NonIntegrableWeight),                # no radius brackets the tail
+    ({2: 0.1}, ToleranceUnreachable),               # the panel doubling stalls
 ])
-def test_failed_builds_are_not_kept(fresh_grids, monkeypatch, mapping, kwargs, error):
+def test_failed_builds_are_not_kept(fresh_grids, monkeypatch, mapping, error):
     calls = counted_radii(monkeypatch)
+    monkeypatch.setattr(couplings, "_convergence_values",
+                        stalled(couplings._convergence_values))
     t = CouplingVector.from_mapping(mapping)
     for _ in range(2):
         with pytest.raises(error):
-            build_quadrature(t, **kwargs)
+            build_quadrature(t)
     assert len(calls) == 2
     assert couplings._converged_grid.cache_info().currsize == 0
 

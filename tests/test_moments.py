@@ -10,7 +10,7 @@ import reference_kernels as ref
 from taulattice import (CouplingVector, QuadratureGrid, build_quadrature, couplings,
                         log_tau, moments, pfaffian, skew_moment_matrix,
                         tau_coupling_derivative, tau_orthogonal, tau_unitary)
-from taulattice.errors import IllConditioned, OddDimension, ToleranceUnreachable
+from taulattice.errors import IllConditioned, OddDimension
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -330,19 +330,22 @@ class TestTauReach:
             with pytest.raises(IllConditioned):
                 log_tau(ensemble, 2, grown, grid=grid)
 
-    def test_unitary_280_past_the_companion_underflow(self, t0):
-        # the unscaled companion moment at degree 1120 is the subnormal
-        # 5.5e-316, whose relative change never fell below 1e-12
-        expect = ref.log_tau_closed_form("unitary", 280, 0.0)
-        assert abs(log_tau("unitary", 280, t0)[1] - expect) < 1e-10
+    @pytest.mark.parametrize("n, bound", [(280, 1e-10), (300, 1e-10), (340, 1e-7)])
+    def test_unitary_past_the_companion_underflow(self, t0, n, bound):
+        # unshifted, the companion moment read the subnormal 5.5e-316 at
+        # degree 1120, whose relative change never fell below 1e-12, and
+        # exactly 0 from degree 1200, where rho itself underflows under it.
+        # log tau_340 is 2.5e5, read to 9e-14 relatively
+        expect = ref.log_tau_closed_form("unitary", n, 0.0)
+        assert abs(log_tau("unitary", n, t0)[1] - expect) < bound
 
     @pytest.mark.parametrize("mapping", [{}, {2: 0.1}, {2: -0.1}, {4: -0.05}])
     def test_companion_moment_stays_normal(self, mapping):
         t = CouplingVector.from_mapping(mapping)
         for deg in (2, 240, 600, 1000, 1120, 1200, 1416, 1500, 1600, 1800, 2000, 2048):
             radius = couplings._radius_for(t, 1e-12, deg)
-            scale, start = couplings._companion_scale(t, radius, deg)
-            doubled = couplings._convergence_values(t, radius, 16, deg, scale)[3]
+            shift, start = couplings._companion_shift(t, radius, deg)
+            doubled = couplings._convergence_values(t, radius, 16, deg, shift)[3]
             for value in (start[1], doubled[1]):
                 assert sys.float_info.min <= value < math.inf, deg
 
@@ -350,18 +353,11 @@ class TestTauReach:
     def test_orthogonal_stieltjes_overflow_is_typed(self, t0, size, degree):
         # past the grid's reach q_k overflows at nodes where rho^2 has
         # underflowed; no numpy warning escapes, and the error names the
-        # overflow and its degree.  The grid is the one _tau_grid built
-        # while its companion moment underflowed to 0: the degree-2 size
-        # radius, refined to size / 4 panels.  With the companion scaled,
-        # the grid build itself refuses that degree.
-        grid = couplings._regrid(build_quadrature(t0),
-                                 couplings._radius_for(t0, 1e-12, 2 * size), size // 4)
+        # overflow and its degree
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(IllConditioned,
                                match=f"overflowed at degree {degree}"):
-                log_tau("orthogonal", size, t0, grid=grid)
-            with pytest.raises(ToleranceUnreachable):
                 log_tau("orthogonal", size, t0)
 
     def test_zero_pfaffian_pivot_raises(self, t0, monkeypatch):

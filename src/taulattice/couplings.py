@@ -180,18 +180,6 @@ _SCAN_POINTS = 8193                             # points of the radius search's 
 _BISECT_STEPS = 200                             # cap on each bisection's steps
 
 
-@lru_cache(maxsize=8)
-def _scan_rows(bracket: float):
-    """Read-only scan points on [-bracket, bracket] and log(max(|z|, 1)) at
-    them: the rows of the radius search's scan that do not depend on the
-    weight."""
-    zs = np.linspace(-bracket, bracket, _SCAN_POINTS)
-    logs = np.log(np.maximum(np.abs(zs), 1.0))
-    zs.setflags(write=False)
-    logs.setflags(write=False)
-    return zs, logs
-
-
 def _bisect_replayed(F, target: float, sides) -> list:
     """Final hi of the bisection of each (lo, hi, f_lo, f_hi, guess) side.
 
@@ -281,8 +269,8 @@ def _radius_for(t: CouplingVector, tol: float, max_degree: int) -> float:
 
     bracket = 10.0
     for _ in range(40):
-        zs, logs = _scan_rows(bracket)
-        Fs = t.exponent(zs) + d * logs
+        zs = np.linspace(-bracket, bracket, _SCAN_POINTS)
+        Fs = F(zs)
         fmax = float(Fs.max())
         target = fmax + tgt_gap
         if Fs[-1] < target and Fs[0] < target:

@@ -12,8 +12,8 @@ of scalar evaluations would, but evaluate them in vectorised rounds: each
 round predicts both sides' paths from a guess of the crossing and keeps
 the steps whose comparisons the guess got right (`_bisect_replayed`).  The
 panel count then doubles until the mass and a companion high moment
-settle; the companion is scaled by an exact power of two when it would
-not be a normal number.
+settle; where the companion would not be a normal number, its integrand
+is taken in logs and shifted by a power of two.
 
 `build_quadrature` keeps the last 32 grids it built in a process-wide
 memo keyed on (couplings, tol, max_degree), so repeated requests share

@@ -34,9 +34,10 @@ index the closure's rounding gap grows with the edge speed h 2B_N (up to
 against the exact scaling family there, and is held to 1e-10.
 
 The hydrodynamic chain's RHS, coefficient matrix and gradient are read from
-one monomial table (`continuum._chain_table`).  The RHS bound once per march
-(`continuum._hydro_kernel`) must equal the allocating table RHS
-(`table_rhs_arrays`) bit for bit, on two random states in turn through the
+one monomial table (`continuum._chain_table`), the window closed by copying
+its edge rows.  The RHS bound once per march (`continuum._hydro_kernel`)
+must equal the allocating table RHS (`table_rhs_arrays`, given the same
+closure) bit for bit, on two random states in turn through the
 same buffers, at 2-9 bands each side and 5-241 cells: full width, and
 inside the strips for the march's kernel, which skips their derivatives.  The matrix and the gradient
 entries that `continuum._tensor_plan` collects must equal the per-monomial
@@ -58,8 +59,8 @@ t = 0.1 and 0.2.  A march whose edge drive is counted must call it once
 per distinct time (2 per step plus the start) and equal the reference loop,
 which calls it at every stage, bit for bit.
 
-The reduced chain's array kernel must equal its form on a state
-(concatenated rows) bit for bit, per call on K = 2-12 and along evolve_reduced
+The reduced chain's array kernel, closed by W^{K+1} := W^K, must equal its
+form on a state (concatenated rows) bit for bit, per call on K = 2-12 and along evolve_reduced
 trajectories.  The radius search of every quadrature grid
 (`couplings._radius_for`, its bisections replayed in vectorised rounds) must
 equal the same bisections run one midpoint at a time
@@ -256,36 +257,36 @@ def goe_init_gap(rng, samples):
     return worst
 
 
-def hydro_gaps(rng, n_x, top, bottom):
+def hydro_gaps(rng, n_x):
     """(relative u-rate gap, absolute v-rate gap) on a random chain field."""
     k_neg, k_pos = 4, 6
     x = np.linspace(0.25, 2.25, n_x)
     u = rng.uniform(-2.0, 2.0, (k_neg + k_pos + 1, n_x))
     u[k_neg] = rng.uniform(0.5, 2.0, n_x)
     field = HydroChainField(x, u, rng.uniform(-1.0, 1.0, n_x), k_neg)
-    du, dv = hydro_chain_rhs(field, top=top, bottom=bottom)
+    du, dv = hydro_chain_rhs(field)
     ref_rates = ref.chain_rhs_arrays(field.dx, np.vstack([field.u, field.v]), k_neg,
-                                     top, bottom, 50.0)
+                                     "copy", "copy", 50.0)
     ref_du, ref_dv = ref_rates[:-1], ref_rates[-1]
     return (float(np.abs(du - ref_du).max() / np.abs(ref_du).max()),
             float(np.abs(dv - ref_dv).max()))
 
 
-def hydro_kernel_gap(rng, k_neg, k_pos, n_x, top, bottom):
+def hydro_kernel_gap(rng, k_neg, k_pos, n_x):
     """Largest difference of `continuum._hydro_kernel`, bound once, from the
     allocating table RHS on two random states in turn: full width, and
     inside the strips for the march's kernel, which skips their
     derivatives."""
     dx = 2.0 / (n_x - 1)
     shape = (k_neg + k_pos + 2, n_x)
-    full = continuum._hydro_kernel(dx, shape, k_neg, top, bottom, 50.0)
-    inner = continuum._hydro_kernel(dx, shape, k_neg, top, bottom, 50.0, edges=False)
+    full = continuum._hydro_kernel(dx, shape, k_neg, 50.0)
+    inner = continuum._hydro_kernel(dx, shape, k_neg, 50.0, edges=False)
     out, out_inner = np.empty(shape), np.empty(shape)
     worst = 0.0
     for _ in range(2):
         y = rng.uniform(-2.0, 2.0, shape)
         y[k_neg] = rng.uniform(0.5, 2.0, n_x)
-        want = ref.table_rhs_arrays(dx, y, k_neg, top, bottom, 50.0)
+        want = ref.table_rhs_arrays(dx, y, k_neg, "copy", "copy", 50.0)
         inner(y, out_inner)
         worst = max(worst, float(np.abs(full(y, out) - want).max()),
                     float(np.abs(out_inner[:, 2:-2] - want[:, 2:-2]).max()))
@@ -362,31 +363,29 @@ def hydro_stepper_gap(n_x, t_target):
                 float(np.abs(lib.v - loop.v).max())))
 
 
-def hydro_drive_gap(n_x, t_target, top, bottom):
+def hydro_drive_gap(n_x, t_target):
     """(one drive call per distinct time, stats equal, final-field gap) of a
     driven march on the library and on the reference loop."""
     drive, calls = ref.counted_scaling_drive()
     start = HydroChainField.initial(np.linspace(0.25, 2.25, n_x), 4, 6)
-    lib, l_stats = evolve_hydro_chain(start, t_target, top=top, bottom=bottom,
-                                      edge_drive=drive)
+    lib, l_stats = evolve_hydro_chain(start, t_target, edge_drive=drive)
     once = len(calls) == 2 * l_stats["steps"] + 1 == len(set(calls))
-    loop, r_stats = ref.evolve_hydro_chain(start, t_target, top=top, bottom=bottom,
-                                           edge_drive=drive)
+    loop, r_stats = ref.evolve_hydro_chain(start, t_target, edge_drive=drive)
     return (once, l_stats == r_stats,
             max(float(np.abs(lib.u - loop.u).max()),
                 float(np.abs(lib.v - loop.v).max())))
 
 
-def reduced_gap(rng, K, ghost):
+def reduced_gap(rng, K):
     """Largest difference of the reduced array kernel from the state form,
     on one random state and along a trajectory from it."""
     wm1, W = rng.uniform(-1.0, 1.0), rng.uniform(0.5, 3.0, K)
-    dWm1, dW = reduced_chain_rhs(ReducedChainState(wm1, W), ghost=ghost)
-    ref_dWm1, ref_dW = ref.reduced_chain_rhs(wm1, W, ghost)
+    dWm1, dW = reduced_chain_rhs(ReducedChainState(wm1, W))
+    ref_dWm1, ref_dW = ref.reduced_chain_rhs(wm1, W)
     gap = max(abs(dWm1 - ref_dWm1), float(np.abs(dW - ref_dW).max()))
     start = ReducedChainState(0.5, 2.0 + 0.1 * rng.standard_normal(K))
-    res = evolve_reduced(start, [0.05, 0.1], ghost=ghost)
-    ys, _ = flows.evolve(lambda t, y: ref.reduced_rates(y, ghost),
+    res = evolve_reduced(start, [0.05, 0.1])
+    ys, _ = flows.evolve(lambda t, y: ref.reduced_rates(y),
                          np.concatenate([[start.Wm1], start.W]), [0.05, 0.1])
     return max([gap] + [max(abs(s.Wm1 - y[0]), float(np.abs(s.W - y[1:]).max()))
                         for s, y in zip(res.states, ys)])
@@ -534,13 +533,12 @@ def main():
         "B", "_volterra_kernel", ref.volterra_kernel)
 
     hydro_du = hydro_dv = hydro_kernel = matrix = gradient = tensors = 0.0
-    for i in range(args.samples):
-        closures = [("copy", "copy"), (2.0, "copy"), ("copy", 0.0)][i % 3]
-        gu, gv = hydro_gaps(rng, int(rng.integers(161, 242)), *closures)
+    for _ in range(args.samples):
+        gu, gv = hydro_gaps(rng, int(rng.integers(161, 242)))
         hydro_du, hydro_dv = max(hydro_du, gu), max(hydro_dv, gv)
         k_neg, k_pos = (int(k) for k in rng.integers(2, 10, 2))
         hydro_kernel = max(hydro_kernel, hydro_kernel_gap(
-            rng, k_neg, k_pos, int(rng.integers(5, 242)), *closures))
+            rng, k_neg, k_pos, int(rng.integers(5, 242))))
         ga, gd = matrix_gaps(rng, int(rng.integers(10, 15)))
         matrix, gradient = max(matrix, ga), max(gradient, gd)
         tensors = max(tensors, tensor_gap(rng, int(rng.integers(10, 15))))
@@ -552,15 +550,12 @@ def main():
     same_stats = all(same for same, _ in steppers)
     stepper = max(gap for _, gap in steppers) if same_stats else math.inf
 
-    drives = [hydro_drive_gap(n_x, t, *closures)
-              for n_x, t, closures in ((161, 0.1, ("copy", "copy")),
-                                       (241, 0.2, ("copy", "copy")),
-                                       (201, 0.05, (2.0, 0.0)),
-                                       (101, 0.1, ("copy", 0.0)))]
+    drives = [hydro_drive_gap(n_x, t)
+              for n_x, t in ((161, 0.1), (241, 0.2), (201, 0.05), (101, 0.1))]
     drive_once = all(once and same for once, same, _ in drives)
     drive = max(gap for _, _, gap in drives) if drive_once else math.inf
-    reduced = max(reduced_gap(rng, int(rng.integers(2, 13)), ghost)
-                  for ghost in ("copy", "two") for _ in range(max(1, args.samples // 8)))
+    reduced = max(reduced_gap(rng, int(rng.integers(2, 13)))
+                  for _ in range(max(2, args.samples // 4)))
     node, weight = legendre_gaps((8, 16, 24, 32, 48))
     ramp_drift, clean_drift, leg_drift = volterra_drift(rng, args.samples)
 
@@ -587,7 +582,7 @@ def main():
              stepper, 0.0),
             ("hydro drive x4, %s" % ("once per time" if drive_once else "calls differ"),
              drive, 0.0),
-            ("reduced kernel + trajectories, 2 ghosts", reduced, 0.0),
+            ("reduced kernel + trajectories", reduced, 0.0),
             ("radius search, replay vs sequential bisection",
              radius_gap(rng, 10 * args.samples), 0.0),
             ("Gauss-Legendre nodes, 8-48 points", node, 2e-16),

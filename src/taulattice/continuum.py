@@ -15,7 +15,8 @@ gradient all read it, compiled once per window shape into index arrays, so
 the Haantjes scan certifies the matrix of the chain being integrated.
 
 Each RHS evaluation makes one stencil pass over one buffer holding the
-window, its two closure rows and the two sources of the v equation, then
+window, its two closure rows (each a copy of the window's edge row: the
+chain's one truncation) and the two sources of the v equation, then
 forms the u rates as one product with the dense (rows x terms) coefficient
 matrix S compiled from the table.  `_hydro_kernel` binds the RHS once per
 march: the buffers, the stencil's views and the monomial buffer are made
@@ -274,16 +275,6 @@ def hopf_solve(u0, c: float, k: int, x, t: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the double chain
 
-def _closure_copies(spec) -> bool:
-    """True for a closure that copies the window's edge row, False for one
-    pinned to a number."""
-    if isinstance(spec, str):
-        if spec != "copy":
-            raise ValueError("closure must be 'copy' or a number")
-        return True
-    return False
-
-
 @lru_cache(maxsize=None)
 def _rhs_plan(k_neg: int, k_pos: int):
     """(S, first factor, second factor, column) of the monomials of rows
@@ -302,31 +293,26 @@ def _rhs_plan(k_neg: int, k_pos: int):
     return S, f[:, 0], f[:, 1], col[keep] + shift
 
 
-def _hydro_kernel(dx, shape, k_neg, top, bottom, bound, *, edges: bool = True):
+def _hydro_kernel(dx, shape, k_neg, bound, *, edges: bool = True):
     """The chain RHS bound to states of `shape`, as rates(y, out): `y`
     stacks the window rows u over the row v, and the rates are written into
-    `out`, stacked the same way, which is returned.  `top`/`bottom` close
-    the band window by copying the edge row or pinning a constant.  Raises
-    DivergedField once any field magnitude exceeds `bound`.
+    `out`, stacked the same way, which is returned.  The band window is
+    closed by copying each edge row one row outward.  Raises DivergedField
+    once any field magnitude exceeds `bound`.
 
     One buffer `ext` holds the rows: bottom closure, the window, top
     closure, the two sources of the v equation, and the ones row of
     one-factor monomials; one stencil pass differentiates all but the ones
-    row.  The buffers, with the ones row and a pinned closure row written
-    in once, the stencil's views and the monomial buffer are made here, so
-    a call is arithmetic only, in the operations and order of the formulas
-    written on fresh arrays.  With edges=False the derivative's two cells
-    at each end are not formed, and the rates there are not the chain's:
-    for a caller that discards them.
+    row.  The buffers, with the ones row written in once, the stencil's
+    views and the monomial buffer are made here, so a call is arithmetic
+    only, in the operations and order of the formulas written on fresh
+    arrays.  With edges=False the derivative's two cells at each end are
+    not formed, and the rates there are not the chain's: for a caller that
+    discards them.
     """
     R, n = shape[0] - 1, shape[1]
     S, fa, fb, col = _rhs_plan(k_neg, R - 1 - k_neg)
-    copy_bottom, copy_top = _closure_copies(bottom), _closure_copies(top)
     ext = np.empty((R + 5, n))
-    if not copy_bottom:
-        ext[0] = float(bottom)
-    if not copy_top:
-        ext[R + 1] = float(top)
     ext[R + 4] = 1.0
     ux, stencil = _stencil(ext[:-1], dx, edges=edges)
     window, first, last, low, high = ext[1:R + 1], ext[1], ext[R], ext[0], ext[R + 1]
@@ -341,10 +327,8 @@ def _hydro_kernel(dx, shape, k_neg, top, bottom, bound, *, edges: bool = True):
         if bound is not None and (y.max() > bound or y.min() < -bound):
             raise DivergedField(f"field magnitude exceeded {bound}")
         copyto(window, y[:R])
-        if copy_bottom:
-            copyto(low, first)
-        if copy_top:
-            copyto(high, last)
+        copyto(low, first)
+        copyto(high, last)
         mul(u0, u1, src)
         mul(src, y[R], src)
         # the closure source u0 * 1/(2 u0) is written out literally so its
@@ -363,22 +347,21 @@ def _hydro_kernel(dx, shape, k_neg, top, bottom, bound, *, edges: bool = True):
     return rates
 
 
-def hydro_chain_rhs(field: HydroChainField, *, top="copy", bottom="copy",
-                    bound: float | None = 50.0):
-    """Time derivatives (du, dv) of the chain window.
+def hydro_chain_rhs(field: HydroChainField, *, bound: float | None = 50.0):
+    """Time derivatives (du, dv) of the chain window, closed by copying each
+    edge row one row outward.
 
     Raises DivergedField once any field magnitude exceeds `bound`.
     """
     y = np.vstack((field.u, field.v))
-    rates = _hydro_kernel(field.dx, y.shape, field.k_neg, top, bottom, bound)(
-        y, np.empty_like(y))
+    rates = _hydro_kernel(field.dx, y.shape, field.k_neg, bound)(y, np.empty_like(y))
     return rates[:-1], rates[-1]
 
 
 def evolve_hydro_chain(field: HydroChainField, t_target: float, *, cfl: float = 0.2,
-                       top="copy", bottom="copy", bound: float | None = 50.0,
-                       edge_drive=None):
-    """March the chain with RK4 under the step bound h <= cfl*dx/max|u0 u1|.
+                       bound: float | None = 50.0, edge_drive=None):
+    """March the chain with RK4 under the step bound h <= cfl*dx/max|u0 u1|,
+    the band window closed as in `hydro_chain_rhs`.
 
     The two cells at each end are boundary strips: with edge_drive=None they
     are frozen at their current values, otherwise edge_drive(x_strip, t) must
@@ -397,7 +380,7 @@ def evolve_hydro_chain(field: HydroChainField, t_target: float, *, cfl: float = 
     y = np.vstack((field.u, field.v))          # rows u^{-k_neg} .. u^{k_pos}, then v
     t = field.time
     # the strips' rates are zeroed, so the kernel skips their derivatives
-    kernel = _hydro_kernel(dx, y.shape, k_neg, top, bottom, bound, edges=False)
+    kernel = _hydro_kernel(dx, y.shape, k_neg, bound, edges=False)
     x_strip = np.concatenate((x[:2], x[-2:]))
     h_used = []
     last = [None]                              # time of the last drive call
@@ -487,7 +470,9 @@ def reduced_continuum_rhs(wm1: float, w):
     constrained field on 41 cells of [0.5, 1.5], evaluates hydro_chain_rhs,
     verifies the collapse to 1e-9 of the rates' scale (negative rows stay
     zero, rates are x-independent, the u^0 rate is 2x times the u^{-1}
-    rate) and returns (dwm1, dw, meta).
+    rate) and returns (dwm1, dw, meta).  The window's bottom row u^{-3} is
+    zero on the manifold, so its copied closure row is zero too; the top
+    closure copies u^K, as the lattice reduced chain sets W^{K+1} := W^K.
     """
     w = np.asarray(w, dtype=float)
     K = len(w)
@@ -499,7 +484,7 @@ def reduced_continuum_rhs(wm1: float, w):
     for k in range(1, K + 1):
         rows[k_neg + k] = w[k - 1]
     field = HydroChainField(x, rows, np.full_like(x, -float(wm1) / 2.0), k_neg)
-    du, dv = hydro_chain_rhs(field, top="copy", bottom=0.0)
+    du, dv = hydro_chain_rhs(field)
 
     deep = float(np.max(np.abs(du[:k_neg - 1])))
     spread = float(max(np.ptp(du[k_neg - 1]),

@@ -255,10 +255,11 @@ def _radius_for(t: CouplingVector, tol: float, max_degree: int) -> float:
     read below the target and the scan's peak z*; each side is then
     bisected from max(z*, 0) or min(z*, 0) out to +B or -B
     (`_bisect_replayed`, guessed from the scan's outermost crossings).  A
-    side whose scan holds a point at or above the target beyond the radius
-    so found (its bisection started below the target and collapsed
-    inward) is bisected again from its outermost such point.  d = 0
-    reduces to the bare-weight rule.
+    side whose bisection started below the target collapses inward, so it
+    is bisected again: from its outermost scan point at or above the target
+    when one lies beyond the radius so found, otherwise from +-radius when F
+    reads at or above the target there (its crossing lies within one scan
+    spacing past the radius).  d = 0 reduces to the bare-weight rule.
     """
     d = int(max_degree)
     tgt_gap = math.log(tol)
@@ -289,11 +290,18 @@ def _radius_for(t: CouplingVector, tol: float, max_degree: int) -> float:
                 (left_lo, -bracket, fmax if left_lo == zstar else 0.0, float(Fs[0]),
                  max(min(out_left, left_lo), -bracket))])
             radius = max(abs(left), abs(right))
+            f_right, f_left = F(np.array([radius, -radius])).tolist()
             redo = []
             if zs[i] > radius:
                 redo.append((float(zs[i]), bracket, float(Fs[i]), float(Fs[-1]), out_right))
+            elif f_right >= target:
+                redo.append((radius, bracket, f_right, float(Fs[-1]),
+                             min(max(out_right, radius), bracket)))
             if zs[j] < -radius:
                 redo.append((float(zs[j]), -bracket, float(Fs[j]), float(Fs[0]), out_left))
+            elif f_left >= target:
+                redo.append((-radius, -bracket, f_left, float(Fs[0]),
+                             max(min(out_left, -radius), -bracket)))
             return max([radius] + [abs(r) for r in _bisect_replayed(F, target, redo)])
         bracket *= 2.0
     raise NonIntegrableWeight(

@@ -40,8 +40,9 @@ builds its right-hand side once per call, with its buffers, views and
 closure coefficients, and caches nothing beyond it; the Volterra closure
 is one product of a (4, 2) coefficient matrix with the two edge sites,
 written into the padded line.  The tridiagonal and reduced chains'
-kernels work on flat arrays, (a, b) and (W^{-1}, W^1..W^K); `toda_rhs`
-and `reduced_chain_rhs` wrap them for one state.
+kernels work on flat arrays, (a, b) and (W^{-1}, W^1..W^K), the latter
+truncated by its one closure W^{K+1} := W^K; `toda_rhs` and
+`reduced_chain_rhs` wrap them for one state.
 
 Jets: `_volterra_jet` reads a Taylor coefficient of the Volterra rates
 along a power series of lines, exact up to rounding, by running the same
@@ -502,25 +503,20 @@ def pfaff_commutator_rhs(state: PfaffLax) -> np.ndarray:
     return out
 
 
-def _reduced_kernel(K: int, ghost: str):
+def _reduced_kernel(K: int):
     """Autonomous RHS rates(t, y, out) of the reduced chain on the flat state
     y = (W^{-1}, W^1..W^K), written into out, with the truncation closed by
-    W^{K+1} := W^K ("copy") or := 2 ("two")."""
-    if ghost not in ("copy", "two"):
-        raise ValueError(f"reduced ghost must be 'copy' or 'two', got {ghost!r}")
-    copy = ghost == "copy"
+    W^{K+1} := W^K."""
     up = np.arange(2.0, K + 2.0)               # k + 1 for k = 1..K
     down = np.arange(0.0, K)                   # k - 1
     Wp = np.zeros(K + 2)                       # 0, W^1..W^K, ghost W^{K+1}
-    Wp[-1] = 2.0
     T = np.empty(K)
     mul, sub = np.multiply, np.subtract
 
     def rates(t, y, out):
         Wm1, W = y[0], y[1:]
         Wp[1:-1] = W
-        if copy:
-            Wp[-1] = W[-1]
+        Wp[-1] = W[-1]
         out[0] = 2.0 * Wm1 * Wm1 * W[0]
         o = out[1:]
         mul(up, Wp[2:], o)
@@ -533,9 +529,12 @@ def _reduced_kernel(K: int, ghost: str):
 
 
 def reduced_chain_rhs(state: ReducedChainState, *, ghost: str = "copy"):
-    """(dWm1, dW) with the truncation closed by W^{K+1} := W^K or := 2."""
+    """(dWm1, dW) with the truncation closed by W^{K+1} := W^K, which `ghost`
+    names: "copy" only (perfbench's reduced-RHS task passes it)."""
+    if ghost != "copy":
+        raise ValueError(f"reduced ghost must be 'copy', got {ghost!r}")
     y = np.concatenate([[state.Wm1], state.W])
-    rates = _reduced_kernel(state.k_max, ghost)(0.0, y, np.empty(len(y)))
+    rates = _reduced_kernel(state.k_max)(0.0, y, np.empty(len(y)))
     return rates[0], rates[1:]
 
 
@@ -773,13 +772,13 @@ def evolve_pfaff(state: PfaffLax, times, *, h: float = 1e-3) -> EvolutionResult:
     return EvolutionResult(times, states, stats)
 
 
-def evolve_reduced(state: ReducedChainState, times, *, h: float = 1e-3,
-                   ghost: str = "copy") -> EvolutionResult:
-    """Reduced-chain trajectory by fixed-step RK4 on W^{-1}, W^1..W^K."""
+def evolve_reduced(state: ReducedChainState, times, *, h: float = 1e-3) -> EvolutionResult:
+    """Reduced-chain trajectory by fixed-step RK4 on W^{-1}, W^1..W^K, the
+    truncation closed by W^{K+1} := W^K."""
     K = state.k_max
     y0 = np.concatenate([[state.Wm1], state.W])
-    ys, stats = _evolve(_reduced_kernel(K, ghost), y0, times, h)
+    ys, stats = _evolve(_reduced_kernel(K), y0, times, h)
     front = _influence_front(times, y0, ys, lambda y: 2.0 * abs(y[0]) * (K + 1), K)
-    stats.update({"ghost": ghost, "n_evolve": K + 1, "influence_index": front})
+    stats.update({"n_evolve": K + 1, "influence_index": front})
     states = [ReducedChainState(y[0], y[1:]) for y in ys]
     return EvolutionResult(times, states, stats)

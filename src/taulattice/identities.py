@@ -311,7 +311,7 @@ def reduction_invariants(trajectory: EvolutionResult, *,
                                  np.abs(P - idx * P[0]).max() / max(abs(P[-1]), 1.0))
         # reduced-ODE consistency of the extracted (W^-1, W^k)
         red = ReducedChainState(wm1_bar, W)
-        dWm1_red, dW_red = reduced_chain_rhs(red, ghost="copy")
+        dWm1_red, dW_red = reduced_chain_rhs(red)
         ode_scale = max(1.0, np.abs(dW_red).max(), abs(dWm1_red))
         # the last extracted rate leans on W^{k_max+1}: compare the rest
         worst["ode"] = max(worst["ode"],

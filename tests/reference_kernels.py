@@ -389,9 +389,10 @@ def table_rhs_arrays(dx, y, k_neg, top, bottom, bound, out=None):
 
 def kernel_of(rhs_arrays):
     """An allocating RHS (`table_rhs_arrays`, `chain_rhs_arrays`) in the
-    calling convention of `continuum._hydro_kernel`."""
-    def bind(dx, shape, k_neg, top, bottom, bound, *, edges=True):
-        return lambda y, out: rhs_arrays(dx, y, k_neg, top, bottom, bound, out)
+    calling convention of `continuum._hydro_kernel`, whose window is closed
+    by copying its edge rows."""
+    def bind(dx, shape, k_neg, bound, *, edges=True):
+        return lambda y, out: rhs_arrays(dx, y, k_neg, "copy", "copy", bound, out)
     return bind
 
 
@@ -512,12 +513,12 @@ def counted_scaling_drive(k_neg=4, k_pos=6):
     return drive, times
 
 
-def reduced_chain_rhs(Wm1, W, ghost="copy"):
-    """flows.reduced_chain_rhs as written on a state: the ghost row and the
-    shifted row built by concatenation at every call."""
+def reduced_chain_rhs(Wm1, W):
+    """flows.reduced_chain_rhs as written on a state: the ghost row
+    W^{K+1} := W^K and the shifted row built by concatenation at every
+    call."""
     K = len(W)
-    top = W[-1] if ghost == "copy" else 2.0
-    We = np.concatenate([W, [top]])
+    We = np.concatenate([W, [W[-1]]])
     k = np.arange(1, K + 1, dtype=float)
     dW = 2.0 * Wm1 * ((k + 1) * We[1:] - W[0] * We[:-1]
                       - (k - 1) * np.concatenate([[0.0], W[:-1]]))
@@ -525,9 +526,9 @@ def reduced_chain_rhs(Wm1, W, ghost="copy"):
     return dWm1, dW
 
 
-def reduced_rates(y, ghost="copy"):
+def reduced_rates(y):
     """reduced_chain_rhs on the flat state (W^{-1}, W^1..W^K), concatenated."""
-    dWm1, dW = reduced_chain_rhs(float(y[0]), y[1:], ghost)
+    dWm1, dW = reduced_chain_rhs(float(y[0]), y[1:])
     return np.concatenate([[dWm1], dW])
 
 
@@ -579,9 +580,10 @@ def radius_sequential(t, tol, max_degree):
 
     The 8193-point scan of [-B, B], B = 10, 20, 40, ..., finds the first
     bracket whose ends read below the target; each side bisects from
-    max(z*, 0) or min(z*, 0) out to +-B, and a side whose scan holds a point
-    at or above the target beyond the radius so found bisects again from its
-    outermost such point."""
+    max(z*, 0) or min(z*, 0) out to +-B.  A side whose scan holds a point at
+    or above the target beyond the radius so found bisects again from its
+    outermost such point; otherwise, where F reads at or above the target at
+    +-radius, it bisects again from there."""
     d = int(max_degree)
     tgt_gap = math.log(tol)
 
@@ -616,8 +618,12 @@ def radius_sequential(t, tol, max_degree):
             above = zs[Fs >= target]
             if above[-1] > radius:
                 right = crossing(float(above[-1]), bracket)
+            elif float(F(radius)) >= target:
+                right = crossing(radius, bracket)
             if above[0] < -radius:
                 left = crossing(float(above[0]), -bracket)
+            elif float(F(-radius)) >= target:
+                left = crossing(-radius, -bracket)
             return max(radius, abs(left), abs(right))
         bracket *= 2.0
     raise NonIntegrableWeight(f"no radius suppresses the tail of {t.as_dict()} at degree {d}")

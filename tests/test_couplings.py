@@ -196,16 +196,20 @@ def test_radius_covers_the_side_without_the_peak():
     assert np.all(decay(t, 266, np.array([-radius, radius])) - peak < math.log(1e-12))
 
 
+# the collapsed side's crossing lay within one scan spacing past the radius,
+# with no scan point at or above the target beyond it
+JUST_PAST = {1: 0.29944717531013026, 3: -0.0051554511554822505, 4: -0.08678586745731506}
+
+
 @given(st.floats(-0.3, 0.3), st.floats(-0.05, 0.05), st.floats(-0.1, -0.005),
        st.integers(0, 800))
 @example(STOPPED_SHORT[1], STOPPED_SHORT[3], STOPPED_SHORT[4], 266)
+@example(JUST_PAST[1], JUST_PAST[3], JUST_PAST[4], 772)
 @settings(max_examples=40, deadline=None)
 def test_radius_covers_a_dense_scan(t1, t3, t4, degree):
     # on a scan eight times denser than the search's, over its bracket
-    # [-B, B], every eighth point being the search's own scan: each of the
-    # search's points at or above its target lies inside the radius, and
-    # each dense one within one search spacing of it (a crossing between
-    # the outermost such point and the next is not bisected again)
+    # [-B, B], every eighth point being the search's own scan, every point
+    # at or above the search's target lies inside the radius
     t = CouplingVector.from_mapping({1: t1, 3: t3, 4: t4})
     radius = _radius_for(t, 1e-12, degree)
     bracket = 10.0 * 2.0 ** max(0, math.ceil(math.log2(radius / 10.0)))
@@ -214,7 +218,7 @@ def test_radius_covers_a_dense_scan(t1, t3, t4, degree):
     target = F[::8].max() + math.log(1e-12)
     assert F[0] < target and F[-1] < target
     assert np.all(np.abs(zs[::8][F[::8] >= target]) <= radius)
-    assert np.all(np.abs(zs[F >= target]) < radius + bracket / 4096)
+    assert np.all(np.abs(zs[F >= target]) <= radius)
 
 
 # the grid memo

@@ -131,6 +131,8 @@ def spatial_derivative(f: np.ndarray, dx: float) -> np.ndarray:
     f = np.ascontiguousarray(f, dtype=float)
     if f.shape[-1] < 5:
         raise ValueError("need at least five grid points")
+    if not (math.isfinite(dx) and dx != 0.0):
+        raise ValueError(f"dx must be finite and nonzero, got {dx!r}")
     g, apply = _stencil(f, dx)
     apply()
     return g

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .couplings import CouplingVector, build_quadrature, cumulative_integral
-from .errors import UnsupportedKind
+from .errors import PreBreakingViolated, UnsupportedKind
 from .flows import (EvolutionResult, ReducedChainState, VolterraState,
                     _sample_times, _volterra_jet, evolve_pfaff, evolve_reduced,
                     evolve_volterra, pfaff_chain_rhs, pfaff_commutator_rhs,
@@ -280,6 +280,8 @@ def reduction_invariants(trajectory: EvolutionResult, *,
         n_max = max(4, min(influence, lax0.n_sites - 8))
     if k_max is None:
         k_max = min(6, lax0.k_pos - 2)
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     if n_max > lax0.n_sites or k_max > lax0.k_pos:
         raise IndexError(f"n_max {n_max} or k_max {k_max} reaches past the "
                          f"{lax0.n_sites} sites and {lax0.k_pos} upper bands")
@@ -332,7 +334,8 @@ def exact_oracles(kind: str, **params) -> EvolutionResult:
 
     kind "t1-translation": unitary first flow, a_n(t) = t, b_n = sqrt(n).
     kind "t2-scaling": second flow; ensemble "volterra" gives
-    B_n = n/(1-2t); ensemble "orthogonal" the banded closed forms.
+    B_n = n/(1-2t); ensemble "orthogonal" the banded closed forms.  Both
+    blow up at t = 1/2, so later times raise PreBreakingViolated.
     """
     times = np.asarray(params.get("times", [0.0]), dtype=float)
     n_sites = int(params.get("n_sites", 16))
@@ -341,6 +344,8 @@ def exact_oracles(kind: str, **params) -> EvolutionResult:
         states = [TodaLax(np.full(n_sites, t), b) for t in times]
         return EvolutionResult(times, states, {"kind": kind})
     if kind == "t2-scaling":
+        if np.any(times >= 0.5):
+            raise PreBreakingViolated("scaling family blows up at t = 1/2")
         ensemble = params.get("ensemble", "volterra")
         if ensemble == "volterra":
             base = np.arange(1.0, n_sites + 1)
@@ -482,9 +487,11 @@ def verify_commute(n_states: int = 20, seed: int = 811, n_sites: int = 20,
                    k_band: int = 6, tolerance: float = 1e-12) -> IdentityReport:
     """Banded chain right-hand side against the projected dense commutator at
     random structurally valid states; interior columns only."""
+    interior = n_sites - 8
+    if interior < 1:
+        raise ValueError(f"n_sites must exceed the 8 edge columns left out, got {n_sites}")
     rng = np.random.default_rng(seed)
     worst = 0.0
-    interior = n_sites - 8
     for _ in range(n_states):
         w = rng.uniform(0.3, 2.0, (2 * k_band + 1, n_sites))
         w[:k_band - 2] *= 1e-2

@@ -61,6 +61,8 @@ def c_coeff(n) -> np.ndarray | float:
 def nu_values(count: int) -> np.ndarray:
     """Skew norms sqrt(pi) (2n)! / 4^n for n = 0..count-1, by stable recursion."""
     nu = np.empty(count)
+    if count == 0:
+        return nu
     nu[0] = math.sqrt(math.pi)
     for m in range(count - 1):
         nu[m + 1] = nu[m] * (2 * m + 1) * (m + 1) / 2.0
@@ -382,6 +384,8 @@ def pfaff_entries_from_tau(t: CouplingVector, n_pairs: int) -> dict:
 def hermite_map_coeffs(n_pairs: int) -> np.ndarray:
     """Closed-form zero-coupling pair basis: Q_{2n} = P_{2n} and
     Q_{2n+1} = P_{2n+1} - n P_{2n-1}, P monic parity-Hermite."""
+    if n_pairs < 1:
+        raise ValueError(f"n_pairs must be at least 1, got {n_pairs}")
     dim = 2 * n_pairs
     C = _parity_hermite_coeffs(dim)
     Q = C.copy()

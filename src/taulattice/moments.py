@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,6 +124,8 @@ def pfaffian(m) -> float:
         raise OddDimension(f"pfaffian undefined for odd dimension {n}")
     if n == 0:
         return 1.0
+    if not np.isfinite(A).all():
+        raise ValueError("pfaffian needs finite entries")
     scale = max(1.0, float(np.abs(A).max()))
     if float(np.abs(A + A.T).max()) > 1e-12 * scale:
         raise ValueError("matrix is not antisymmetric")
@@ -303,14 +306,17 @@ def tau_coupling_derivative(ensemble: str, n: int, t: CouplingVector,
     """Mixed coupling derivative of tau_n, exact from the jet of log tau_n.
 
     ensemble is "unitary" or "orthogonal" (n is the matrix size subscript in
-    both cases, even for orthogonal).  multi_index maps coupling index ->
-    derivative order, total order <= 4.  With L(s) = log tau_n(t + s) -
-    log tau_n(t) from `_log_tau_jets`, the derivative is tau_n(t) times that
-    of exp(L) at s = 0.
+    both cases, even for orthogonal).  multi_index maps positive integer
+    coupling indices to non-negative integer orders, total order <= 4.
+    With L(s) = log tau_n(t + s) - log tau_n(t) from `_log_tau_jets`, the
+    derivative is tau_n(t) times that of exp(L) at s = 0.
     """
-    orders = {int(k): int(p) for k, p in multi_index.items() if int(p) != 0}
-    if any(p < 0 for p in orders.values()):
-        raise ValueError("derivative orders must be non-negative")
+    if not all(isinstance(k, numbers.Integral) and k > 0
+               and isinstance(p, numbers.Integral) and p >= 0
+               for k, p in multi_index.items()):
+        raise ValueError("multi_index must map positive integer coupling indices "
+                         f"to non-negative integer orders, got {multi_index!r}")
+    orders = {int(k): int(p) for k, p in multi_index.items() if p}
     if sum(orders.values()) > 4:
         raise ValueError("total derivative order must be <= 4")
     axes, top = tuple(sorted(orders)), tuple(p for _, p in sorted(orders.items()))

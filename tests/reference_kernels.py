@@ -16,8 +16,8 @@ gradient built by a loop over the monomial table, of the classical RK4
 step, and of the dense embedding and protected-position scan of the
 commutator form.  The library's kernels evaluate the same arithmetic with
 slices, precomputed gathers, masks, buffers written in place and one RK4
-stepper whose stages live in buffers made once per segment; the tests and
-scripts/kernel_equiv.py hold them to these references bit for bit, except
+stepper whose stages live in buffers made once per segment; the tests
+hold them to these references bit for bit, except
 the chain RHS, whose coefficient product sums each row's terms in another
 order and is held to 1e-13 relative.  The dense `einsum` contractions of
 the Nijenhuis and Haantjes tensors are the reference for the sums the

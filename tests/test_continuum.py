@@ -39,6 +39,13 @@ class TestSpatialDerivative:
         with pytest.raises(ValueError):
             spatial_derivative(np.ones(4), 0.1)
 
+    @pytest.mark.parametrize("dx", [0.0, np.nan, np.inf, -np.inf])
+    def test_bad_spacing_refused(self, dx):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="dx"):
+                spatial_derivative(np.arange(6.0), dx)
+
     @given(st.sampled_from([(5,), (9,), (201,), (3, 7), (15, 201), (2, 3, 11)]),
            st.booleans(), st.floats(1e-3, 1.0), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -338,7 +345,7 @@ class TestChainTable:
         assert np.max(np.abs(table.u - rows.u)) <= 1e-12
         assert np.max(np.abs(table.v - rows.v)) <= 1e-12
 
-    @given(st.integers(4, 12), st.integers(0, 2**32 - 1))
+    @given(st.integers(4, 14), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_matrix_and_gradient_match_term_loop(self, window, seed):
         u = np.random.default_rng(seed).uniform(-3.0, 3.0, 2 * window + 1)

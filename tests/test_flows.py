@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_kernels as ref
 from taulattice import (DivergedField, EvolutionResult, PfaffLax,
-                        ReducedChainState, StructureViolation, TodaLax,
+                        PreBreakingViolated, ReducedChainState, StructureViolation, TodaLax,
                         UnsupportedKind, VolterraState, c_coeff, evolve_pfaff,
                         evolve_reduced, evolve_toda, evolve_volterra,
                         exact_oracles, goe_lax_init, gue_lax_init,
@@ -730,6 +730,15 @@ class TestOracles:
             exact_oracles("t3-cubic")
         with pytest.raises(UnsupportedKind):
             exact_oracles("t2-scaling", ensemble="symplectic")
+
+    @pytest.mark.parametrize("ensemble, times", [("orthogonal", [0.5]), ("volterra", [0.1, 0.6])])
+    def test_scaling_family_refuses_blow_up(self, ensemble, times):
+        # as HydroChainField.scaling does; orthogonal at 1/2 gave inf rows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreBreakingViolated, match="1/2"):
+                exact_oracles("t2-scaling", ensemble=ensemble, times=times, n_sites=8,
+                              k_pos=3, k_neg=3)
 
 
 class TestEvolutionResult:

@@ -231,11 +231,20 @@ class TestReductionInvariants:
             reduction_invariants(trajectory, n_max=25)
         with pytest.raises(IndexError):
             reduction_invariants(trajectory, k_max=7)
+        with pytest.raises(ValueError, match="n_max"):
+            reduction_invariants(trajectory, n_max=0)
 
     def test_rejects_wrong_trajectory(self):
         trajectory = exact_oracles("t2-scaling", times=[0.1], n_sites=24)
         with pytest.raises(TypeError):
             reduction_invariants(trajectory)
+
+
+@pytest.mark.parametrize("n_sites", [8, 3])
+def test_commute_needs_interior_columns(n_sites):
+    # the check compares the columns left of the last 8
+    with pytest.raises(ValueError, match="n_sites"):
+        identities.verify_commute(n_states=1, n_sites=n_sites)
 
 
 class TestEnsembleSampling:

@@ -31,6 +31,7 @@ def test_nu_values_closed_form():
     for n in range(6):
         expect = SQRT_PI * math.factorial(2 * n) / 4**n
         assert abs(nu[n] - expect) < 1e-12 * expect
+    assert nu_values(0).shape == (0,)
 
 
 def test_sqrt_ratio_product():
@@ -154,6 +155,12 @@ def test_goe_reduced_normalization():
     lax = goe_lax_init(4, 8, 2)
     for k in range(1, 9):
         assert abs(lax.get(k, 1) / sqrt_ratio_product(1, k) - 2.0) < 1e-13
+    # the running products repeat the site-by-site loop at every site, bit for bit
+    for N, k_pos, k_neg in ((4, 8, 2), (40, 9, 9), (33, 2, 9), (64, 9, 4)):
+        w = goe_lax_init(N, k_pos, k_neg).w
+        for k in range(1, k_pos + 1):
+            loop = [2.0 * sqrt_ratio_product(n, k) for n in range(1, N + 1)]
+            assert w[k_neg + k].tolist() == loop, (N, k_pos, k_neg, k)
 
 
 def test_goe_requires_two_lower_bands():
@@ -181,6 +188,8 @@ def test_hermite_map_coefficients():
     # Q_2 = z^2 - 1/2, Q_3 = z^3 - (5/2) z
     assert np.allclose(Q[2], [-0.5, 0.0, 1.0, 0.0], rtol=0, atol=1e-15)
     assert np.allclose(Q[3], [0.0, -2.5, 0.0, 1.0], rtol=0, atol=1e-15)
+    with pytest.raises(ValueError, match="n_pairs"):
+        hermite_map_coeffs(0)
 
 
 def test_skew_map_check_report(t0):
@@ -222,7 +231,8 @@ def test_basis_matches_parity_hermite_reference(mapping, n_pairs, n_sites, k_ban
 
 @pytest.mark.parametrize("n_sites,k_band", [(12, 6), (12, 8), (16, 10)])
 def test_init_goe_holds_past_eighteen_pairs(n_sites, k_band):
-    report = verify_init_goe(n_sites, k_band, tolerance=1e-9)
+    # 19, 21 and 27 pairs; each reads at most 2.6e-14
+    report = verify_init_goe(n_sites, k_band, tolerance=1e-12)
     assert report.passed, report.residual_abs
 
 

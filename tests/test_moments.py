@@ -96,6 +96,16 @@ class TestPfaffian:
         with pytest.raises(ValueError):
             pfaffian(np.eye(4))
 
+    def test_non_finite_rejected(self):
+        # a NaN pair passes the antisymmetry test's `>`; inf + -inf warns
+        nan_pair = np.zeros((4, 4))
+        nan_pair[0, 1] = nan_pair[1, 0] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for A in (nan_pair, np.array([[0.0, np.inf], [-np.inf, 0.0]])):
+                with pytest.raises(ValueError, match="finite"):
+                    pfaffian(A)
+
     def test_singular_matrix(self):
         S = np.zeros((4, 4))
         S[0, 1], S[1, 0] = 1.0, -1.0
@@ -148,6 +158,12 @@ class TestCouplingDerivatives:
     def test_unknown_ensemble(self, t0):
         with pytest.raises(ValueError):
             tau_coupling_derivative("symplectic", 2, t0, {1: 1})
+
+    @pytest.mark.parametrize("multi_index", [{-2: 1}, {0: 1}, {1.5: 1}, {1: 1.7}, {1: -1}])
+    def test_bad_index_or_order_rejected(self, t0, multi_index):
+        # {-2: 1} read J^-2 through matrix_power; 1.7 and 1.5 were truncated
+        with pytest.raises(ValueError, match="multi_index"):
+            tau_coupling_derivative("orthogonal", 2, t0, multi_index)
 
     @pytest.mark.parametrize("mapping", [{1: 0.05, 4: -0.03}, {2: 0.1, 3: 0.02, 4: -0.05}])
     @pytest.mark.parametrize("ensemble,n", [("unitary", 1), ("unitary", 2), ("unitary", 3),

@@ -733,7 +733,6 @@ class TestOracles:
 
     @pytest.mark.parametrize("ensemble, times", [("orthogonal", [0.5]), ("volterra", [0.1, 0.6])])
     def test_scaling_family_refuses_blow_up(self, ensemble, times):
-        # as HydroChainField.scaling does; orthogonal at 1/2 gave inf rows
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(PreBreakingViolated, match="1/2"):

@@ -242,7 +242,6 @@ class TestReductionInvariants:
 
 @pytest.mark.parametrize("n_sites", [8, 3])
 def test_commute_needs_interior_columns(n_sites):
-    # the check compares the columns left of the last 8
     with pytest.raises(ValueError, match="n_sites"):
         identities.verify_commute(n_states=1, n_sites=n_sites)
 

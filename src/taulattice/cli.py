@@ -1,11 +1,13 @@
 """Command-line front end.
 
-Runs computations and the verification suites of `identities.SUITES` from
-flags plus an optional JSON config file (flags win; config values meet the
-same types and choices as flags), writes CSV/JSON artifacts to an output
-directory, prints a one-line JSON summary, and exits 0 only when every
-requested check passes.  Exit codes: 0 pass, 1 check failure, 2 usage or
-config error.
+Four commands: `tau` (a partition-function value), `lax-init` (an initial
+operator window), `evolve` (a lattice flow, the hydrodynamic chain, or the
+Hopf solution) and `verify` (one suite of `identities.SUITES`, the continuum
+checks among them).  Each reads flags plus an optional JSON config file
+(flags win; config values meet the same types and choices as flags), writes
+a CSV/JSON artifact to an output directory, prints a one-line JSON summary,
+and exits 0 only when every requested check passes.  Exit codes: 0 pass,
+1 check failure, 2 usage or config error.
 
 `main` can be called many times in one process: the argument tree is built
 on the first call and shared.
@@ -22,8 +24,7 @@ import sys
 import numpy as np
 
 from . import identities
-from .continuum import (HydroChainField, continuum_convergence, evolve_hydro_chain,
-                        haantjes_scan, hopf_solve, hydro_scaling_check)
+from .continuum import HydroChainField, evolve_hydro_chain, hopf_solve
 from .couplings import CouplingVector
 from .errors import TauLatticeError
 from .flows import (ReducedChainState, VolterraState, _sample_times, evolve_pfaff,
@@ -32,7 +33,6 @@ from .flows import (ReducedChainState, VolterraState, _sample_times, evolve_pfaf
 from .identities import SUITES, verify_commute  # noqa: F401
 from .lax import goe_lax_init, gue_lax_init
 from .moments import tau_orthogonal, tau_unitary
-from .report import IdentityReport
 
 
 @functools.lru_cache(maxsize=1)
@@ -61,7 +61,7 @@ def _parser() -> argparse.ArgumentParser:
     q.add_argument("--K-neg", dest="k_neg", type=int)
 
     q = sub.add_parser("evolve", help="integrate one of the flows")
-    q.add_argument("system", choices=("toda", "volterra", "pfaff", "reduced", "hydro"))
+    q.add_argument("system", choices=tuple(_EVOLVE_READS))
     q.add_argument("--t1", type=float)
     q.add_argument("--t2", type=float)
     q.add_argument("--t4", type=float)
@@ -74,26 +74,14 @@ def _parser() -> argparse.ArgumentParser:
     q.add_argument("--x-lo", dest="x_lo", type=float)
     q.add_argument("--x-hi", dest="x_hi", type=float)
     q.add_argument("--n-x", dest="n_x", type=int)
+    q.add_argument("--c", type=float)
+    q.add_argument("--k", type=int)
 
     q = sub.add_parser("verify", help="run one verification suite")
     q.add_argument("suite", choices=tuple(SUITES))
     for flag in dict.fromkeys(f for _, reads in SUITES.values() for f in reads):
         q.add_argument("--" + flag, type=int)
     q.add_argument("--tolerance", type=float)
-
-    q = sub.add_parser("continuum", help="continuum-limit runs and checks")
-    q.add_argument("mode", choices=("hopf", "chain", "converge"))
-    q.add_argument("--t2", type=float)
-    q.add_argument("--c", type=float)
-    q.add_argument("--k", type=int)
-    q.add_argument("--x-lo", dest="x_lo", type=float)
-    q.add_argument("--x-hi", dest="x_hi", type=float)
-    q.add_argument("--n-x", dest="n_x", type=int)
-
-    q = sub.add_parser("scan-haantjes", help="diagonalizability scan of the chain matrix")
-    q.add_argument("--window", type=int)
-    q.add_argument("--points", type=int)
-    q.add_argument("--seed", type=int)
     return p
 
 
@@ -139,13 +127,6 @@ def _publish(outdir: str, name: str, text: str, summary: dict, passed: bool = Tr
         f.write(text)
     print(json.dumps({**summary, "artifact": path}, sort_keys=True))
     return 0 if passed else 1
-
-
-def _publish_report(outdir: str, name: str, report: IdentityReport, **summary) -> int:
-    verdict = {"identity": report.identity, "pass": report.passed,
-               "residual": report.residual_abs}
-    return _publish(outdir, name, report.to_json() + "\n", {**summary, **verdict},
-                    report.passed)
 
 
 def _given(opt: dict, keywords: dict) -> dict:
@@ -205,6 +186,7 @@ _EVOLVE_READS = {
     "pfaff": ("t2", "N", "h", "k_pos", "k_neg", "samples"),
     "reduced": ("t2", "h", "k_pos", "samples"),
     "hydro": ("t2", "k_neg", "k_pos", "x_lo", "x_hi", "n_x"),
+    "hopf": ("t2", "c", "k", "x_lo", "x_hi", "n_x"),
 }
 
 
@@ -248,6 +230,15 @@ def _cmd_evolve(opt: dict, outdir: str) -> int:
         res = evolve_reduced(ReducedChainState(0.5, np.full(k_max, 2.0)), times(horizon),
                              **step)
         summary.update(horizon=horizon, k_max=k_max)
+    elif system == "hopf":
+        c = float(opt.get("c", 2.0))
+        k = int(opt.get("k", 1))
+        x = np.linspace(float(opt.get("x_lo", 0.5)), float(opt.get("x_hi", 2.0)),
+                        int(opt.get("n_x", 101)))
+        u = hopf_solve(lambda q: q, c, k, x, horizon)
+        lines = ["x,u"] + ["%.17g,%.17g" % (xi, ui) for xi, ui in zip(x, u)]
+        summary.update(horizon=horizon, c=c, k=k)
+        return _publish(outdir, "evolve_hopf.csv", "\n".join(lines) + "\n", summary)
     else:  # hydro
         x = np.linspace(float(opt.get("x_lo", 0.25)), float(opt.get("x_hi", 2.25)),
                         int(opt.get("n_x", 201)))
@@ -261,34 +252,11 @@ def _cmd_verify(opt: dict, outdir: str) -> int:
     name = opt["suite"]
     check, reads = SUITES[name]
     report = getattr(identities, check)(**_given(opt, {**reads, "tolerance": "tolerance"}))
-    return _publish_report(outdir, f"verify_{name}.json", report, command="verify",
-                           suite=name, tolerance=report.tolerance)
-
-
-def _cmd_continuum(opt: dict, outdir: str) -> int:
-    mode = opt.get("mode")
-    if mode == "hopf":
-        t2 = float(opt.get("t2", 0.2))
-        c = float(opt.get("c", 2.0))
-        k = int(opt.get("k", 1))
-        x = np.linspace(float(opt.get("x_lo", 0.5)), float(opt.get("x_hi", 2.0)),
-                        int(opt.get("n_x", 101)))
-        u = hopf_solve(lambda q: q, c, k, x, t2)
-        lines = ["x,u"] + ["%.17g,%.17g" % (xi, ui) for xi, ui in zip(x, u)]
-        return _publish(outdir, "continuum_hopf.csv", "\n".join(lines) + "\n",
-                        {"command": "continuum", "mode": "hopf", "t2": t2, "c": c, "k": k})
-    if mode == "chain":
-        report = hydro_scaling_check(**_given(opt, {"t2": "t_target"}))
-    else:
-        report = continuum_convergence(**_given(opt, {"t2": "t2"}))
-    return _publish_report(outdir, f"continuum_{mode}.json", report,
-                           command="continuum", mode=mode)
-
-
-def _cmd_scan(opt: dict, outdir: str) -> int:
-    report = haantjes_scan(**_given(opt, {"window": "window", "points": "n_points",
-                                          "seed": "seed"}))
-    return _publish_report(outdir, "scan_haantjes.json", report, command="scan-haantjes")
+    summary = {"command": "verify", "suite": name, "tolerance": report.tolerance,
+               "identity": report.identity, "pass": report.passed,
+               "residual": report.residual_abs}
+    return _publish(outdir, f"verify_{name}.json", report.to_json() + "\n", summary,
+                    report.passed)
 
 
 _HANDLERS = {
@@ -296,8 +264,6 @@ _HANDLERS = {
     "lax-init": _cmd_lax_init,
     "evolve": _cmd_evolve,
     "verify": _cmd_verify,
-    "continuum": _cmd_continuum,
-    "scan-haantjes": _cmd_scan,
 }
 
 

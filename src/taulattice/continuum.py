@@ -992,7 +992,7 @@ def haantjes_scan(*, window: int = 10, n_points: int = 100, seed: int = 20260823
 # lattice-to-continuum convergence
 
 def continuum_convergence(*, epsilons=(1.0 / 32, 1.0 / 64, 1.0 / 128),
-                          t2: float = 0.1) -> IdentityReport:
+                          t2: float = 0.1, tolerance: float = 1e-6) -> IdentityReport:
     """Compare evolved lattices against their continuum solutions.
 
     The lattices span x = eps*n in (0, 2] and take RK4 steps of 1e-3.
@@ -1000,10 +1000,10 @@ def continuum_convergence(*, epsilons=(1.0 / 32, 1.0 / 64, 1.0 / 128),
     linear profile) against the characteristic solution; errors must halve
     with eps, each ratio in [1.7, 2.3].  Leg 2: the banded skew lattice at
     the finest eps against the per-site closed form c_n/(2(1-2t)), scaled by
-    eps, to 1e-6.  Leg 3: t=0 sampling error of the band's diagonal, again
-    first order in eps.
+    eps, to `tolerance`.  Leg 3: t=0 sampling error of the band's diagonal,
+    again first order in eps.
     """
-    x_hi, h, ratio_window, pf_tol = 2.0, 1e-3, (1.7, 2.3), 1e-6
+    x_hi, h, ratio_window = 2.0, 1e-3, (1.7, 2.3)
     epsilons = sorted({float(e) for e in epsilons}, reverse=True)
     if len(epsilons) < 2:
         raise ValueError(f"need at least two distinct epsilons to check the "
@@ -1039,11 +1039,11 @@ def continuum_convergence(*, epsilons=(1.0 / 32, 1.0 / 64, 1.0 / 128),
         init_errs.append(float(np.max(np.abs(e * c_coeff(n_i) / 2.0 - e * n_i))))
     init_ratios = [init_errs[i] / init_errs[i + 1] for i in range(len(init_errs) - 1)]
 
-    passed = ratio_ok and pf_err <= pf_tol
+    passed = ratio_ok and pf_err <= tolerance
     meta = {"epsilons": list(epsilons), "volterra_errors": errs,
             "volterra_ratios": ratios, "ratio_window": list(ratio_window),
-            "pfaff_error_scaled": pf_err, "pfaff_tol": pf_tol,
+            "pfaff_error_scaled": pf_err, "pfaff_tol": tolerance,
             "init_sampling_errors": init_errs, "init_sampling_ratios": init_ratios,
             "t2": t2}
     return IdentityReport("continuum-convergence", pf_err, pf_err,
-                          pf_tol, passed, meta)
+                          tolerance, passed, meta)

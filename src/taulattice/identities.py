@@ -20,6 +20,8 @@ import math
 
 import numpy as np
 
+# the three continuum checks are SUITES entries, looked up here by name
+from .continuum import continuum_convergence, haantjes_scan, hydro_scaling_check  # noqa: F401
 from .couplings import CouplingVector, build_quadrature, cumulative_integral
 from .errors import PreBreakingViolated, UnsupportedKind
 from .flows import (EvolutionResult, ReducedChainState, VolterraState,
@@ -131,8 +133,7 @@ def mkp_residuals(n: int, state: VolterraState, *,
             "potential": pot, "variants": variants, "variant_passing": best,
             "conservation_a_abs": cons_a_abs, "conservation_b_abs": cons_b_abs,
             "potential_abs": pot_abs, "variants_abs": variants_abs}
-    return IdentityReport.from_residual("mkp-residuals", residual, tolerance,
-                                        relative=True, scale=1.0, meta=meta)
+    return IdentityReport.from_residual("mkp-residuals", residual, tolerance, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +158,7 @@ def kp_residual(n: int = 2, t: CouplingVector = _T0, *,
     scale = max(abs(uxxxx), abs(6 * ux * ux), abs(6 * u0 * uxx),
                 abs(4 * uxt3), abs(3 * uyy))
     return IdentityReport.from_residual(
-        "kp-residual", residual, tolerance, scale=scale, relative=True,
+        "kp-residual", residual, tolerance, scale=scale,
         meta={"n": n, "u": u0, "terms": {"uxxxx": uxxxx, "ux^2": ux * ux,
                                          "u*uxx": u0 * uxx, "uxt3": uxt3,
                                          "uyy": uyy}})
@@ -226,8 +227,7 @@ def observables_check(n: int = 1, t: CouplingVector = _T0, *,
                     rhs_variance=2 * wm1 + w0 * w1,
                     pair_residuals=(res2, res3))
         residual = max(residual, res2, res3)
-    return IdentityReport.from_residual("observables", residual, tolerance,
-                                        relative=True, scale=1.0, meta=meta)
+    return IdentityReport.from_residual("observables", residual, tolerance, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +322,7 @@ def reduction_invariants(trajectory: EvolutionResult, *,
     residual = max(worst.values())
     meta = {"n_max": n_max, "k_max": k_max, "samples": len(states), **worst}
     return IdentityReport.from_residual("reduction-invariants", residual,
-                                        tolerance, relative=True, scale=1.0,
-                                        meta=meta)
+                                        tolerance, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +489,10 @@ def verify_commute(n_states: int = 20, seed: int = 811, n_sites: int = 20,
     interior = n_sites - 8
     if interior < 1:
         raise ValueError(f"n_sites must exceed the 8 edge columns left out, got {n_sites}")
+    if n_states < 1:
+        raise ValueError(f"n_states must be at least 1, got {n_states}")
+    if k_band < 2:
+        raise ValueError(f"k_band must be at least 2, got {k_band}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_states):
@@ -555,4 +558,7 @@ SUITES = {
     "observables": ("observables_check", {"n": "n"}),
     "tau-cross": ("verify_tau_cross", {"n": "n_pairs"}),
     "skew-map": ("skew_hermite_map_check", {"n": "n_pairs"}),
+    "hydro-chain": ("hydro_scaling_check", {"N": "n_x"}),
+    "continuum": ("continuum_convergence", {}),
+    "haantjes": ("haantjes_scan", {"window": "window", "points": "n_points", "seed": "seed"}),
 }

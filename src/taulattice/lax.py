@@ -52,8 +52,11 @@ _PAIR_FLOOR = 1e-12
 
 
 def c_coeff(n) -> np.ndarray | float:
-    """sqrt(2n(2n-1)), the site-dependent factor of the Gaussian skew window."""
+    """sqrt(2n(2n-1)), the site-dependent factor of the Gaussian skew window,
+    for sites n >= 1."""
     n = np.asarray(n, dtype=float)
+    if not np.all(n >= 1.0):            # NaN fails too
+        raise ValueError(f"sites must be at least 1, got {np.min(n)}")
     out = np.sqrt(2.0 * n * (2.0 * n - 1.0))
     return float(out) if out.ndim == 0 else out
 
@@ -75,6 +78,8 @@ def sqrt_ratio_product(start: int, count: int) -> float:
     Each factor is barely above 1, so this form never overflows where the
     equivalent factorial ratio would.
     """
+    if start < 1:
+        raise ValueError(f"start must be at least 1, got {start}")
     if count <= 0:
         return 1.0
     acc = 1.0
@@ -198,6 +203,8 @@ def goe_lax_init(n_sites: int, k_pos: int, k_neg: int = 6) -> PfaffLax:
     so every site multiplies the factors of `sqrt_ratio_product(n, k)` in
     its order.
     """
+    if n_sites < 1:
+        raise ValueError(f"n_sites must be at least 1, got {n_sites}")
     if k_neg < 2:
         raise ValueError("window must reach at least two steps below the diagonal")
     w = np.zeros((k_neg + k_pos + 1, n_sites))

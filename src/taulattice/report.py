@@ -24,16 +24,15 @@ class IdentityReport:
 
     @classmethod
     def from_residual(cls, identity: str, residual: float, tolerance: float,
-                      scale: float = 1.0, *, relative: bool = False,
+                      scale: float = 1.0, *,
                       meta: dict | None = None) -> "IdentityReport":
-        """Build a report; the tolerance applies to residual_rel when
-        relative=True, to residual_abs otherwise."""
+        """Build a report; the tolerance applies to residual_rel, the
+        residual over `scale` (1 by default, which checks residual_abs)."""
         residual = float(abs(residual))
         scale = max(float(abs(scale)), 1e-300)
         rel = residual / scale
-        check = rel if relative else residual
         return cls(identity, residual, rel, float(tolerance),
-                   bool(check <= tolerance), dict(meta or {}))
+                   bool(rel <= tolerance), dict(meta or {}))
 
     def to_dict(self) -> dict:
         return {

@@ -1,14 +1,18 @@
+import importlib
+import inspect
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
+import typing
 
 import numpy as np
 import pytest
 
 import taulattice
-from taulattice import PfaffLax, cli, goe_lax_init, identities
+from taulattice import IdentityReport, PfaffLax, cli, goe_lax_init, identities
 from taulattice.cli import main
 from taulattice.identities import SUITES
 
@@ -78,7 +82,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     ("verify", "skew-map", "--n", "0"),
     ("verify", "tau-cross", "--n", "0"),
     ("verify", "observables", "--n", "0"),
-    ("scan-haantjes", "--points", "0"),
+    ("verify", "haantjes", "--points", "0"),
+    ("verify", "hydro-chain", "--N", "4"),
 ])
 def test_sizes_with_nothing_to_check_are_config_errors(tmp_path, capsys, argv):
     rc, _, err = run(capsys, "--out", str(tmp_path), *argv)
@@ -212,8 +217,34 @@ def test_suite_table_entry_runs_as_verify(tmp_path, capsys, name):
     assert cli.verify_commute(seed=5).to_dict() == identities.verify_commute(seed=5).to_dict()
 
 
+def test_every_check_that_runs_at_its_defaults_is_a_suite():
+    # a public function returning a report with no required parameter is a
+    # check; each one is reachable as `verify <suite>`
+    suites = {check for check, _ in SUITES.values()}
+    missing = []
+    for info in pkgutil.iter_modules(taulattice.__path__):
+        mod = importlib.import_module(f"taulattice.{info.name}")
+        for name in getattr(mod, "__all__", ()):
+            fn = getattr(mod, name)
+            if not inspect.isfunction(fn) or typing.get_type_hints(fn).get("return") \
+                    is not IdentityReport:
+                continue
+            required = [p for p in inspect.signature(fn).parameters.values()
+                        if p.default is p.empty
+                        and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)]
+            if not required and name not in suites:
+                missing.append(f"{info.name}.{name}")
+    assert missing == []
+
+
+def test_commands():
+    sub = next(a for a in cli._parser()._actions if a.dest == "command")
+    assert list(sub.choices) == ["tau", "lax-init", "evolve", "verify"]
+
+
 @pytest.mark.parametrize("suite,flag", [("commute", "--N"), ("tau-cross", "--N"),
-                                        ("kp", "--seed"), ("init-gue", "--K")])
+                                        ("kp", "--seed"), ("init-gue", "--K"),
+                                        ("continuum", "--N")])
 def test_verify_flag_the_suite_does_not_read_is_usage_error(tmp_path, capsys, suite, flag):
     rc, _, err = run(capsys, "--out", str(tmp_path), "verify", suite, flag, "3")
     assert rc == 2
@@ -228,6 +259,7 @@ def test_verify_flag_the_suite_does_not_read_is_usage_error(tmp_path, capsys, su
     ("pfaff", ["--t2", "0.01", "--t4", "0.01"], ["--t4"]),
     ("reduced", ["--t2", "0.1", "--N", "8"], ["--N"]),
     ("hydro", ["--t2", "0.01", "--h", "0.001", "--samples", "3"], ["--h", "--samples"]),
+    ("hopf", ["--t2", "0.1", "--N", "8", "--K-pos", "3"], ["--N", "--K-pos"]),
 ])
 def test_evolve_flag_the_system_does_not_read_is_usage_error(tmp_path, capsys, system,
                                                              flags, unread):
@@ -275,14 +307,14 @@ def test_verify_tight_tolerance_fails(tmp_path, capsys):
 
 
 def test_scan_determinism(tmp_path, capsys):
-    args = ("scan-haantjes", "--window", "10", "--points", "3", "--seed", "5")
+    args = ("verify", "haantjes", "--window", "10", "--points", "3", "--seed", "5")
     rc1, out1, _ = run(capsys, "--out", str(tmp_path / "a"), *args)
     rc2, out2, _ = run(capsys, "--out", str(tmp_path / "b"), *args)
     assert rc1 == rc2 == 0
     strip = lambda s: s.replace(str(tmp_path / "a"), "").replace(str(tmp_path / "b"), "")
     assert strip(out1) == strip(out2)
-    assert ((tmp_path / "a" / "scan_haantjes.json").read_bytes()
-            == (tmp_path / "b" / "scan_haantjes.json").read_bytes())
+    assert ((tmp_path / "a" / "verify_haantjes.json").read_bytes()
+            == (tmp_path / "b" / "verify_haantjes.json").read_bytes())
 
 
 def test_outdir_from_environment(tmp_path, capsys, monkeypatch):
@@ -325,10 +357,10 @@ def test_config_missing_file(tmp_path, capsys):
 
 
 def test_continuum_hopf_csv(tmp_path, capsys):
-    rc, _, _ = run(capsys, "--out", str(tmp_path), "continuum", "hopf",
+    rc, _, _ = run(capsys, "--out", str(tmp_path), "evolve", "hopf",
                    "--t2", "0.1", "--n-x", "11")
     assert rc == 0
-    lines = (tmp_path / "continuum_hopf.csv").read_text().strip().split("\n")
+    lines = (tmp_path / "evolve_hopf.csv").read_text().strip().split("\n")
     assert lines[0] == "x,u"
     x0, u0 = (float(v) for v in lines[1].split(","))
     assert abs(u0 - x0 / 0.8) < 1e-12

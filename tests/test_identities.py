@@ -246,6 +246,15 @@ def test_commute_needs_interior_columns(n_sites):
         identities.verify_commute(n_states=1, n_sites=n_sites)
 
 
+@pytest.mark.parametrize("argument,value", [("n_states", 0), ("n_states", -3),
+                                            ("k_band", 1), ("k_band", 0)])
+def test_commute_refuses_a_vacuous_comparison(argument, value):
+    # n_states 0 once passed after comparing nothing, and k_band 1 damped
+    # every band but the last and still passed
+    with pytest.raises(ValueError, match=argument):
+        identities.verify_commute(**{"n_states": 1, argument: value})
+
+
 class TestEnsembleSampling:
     def test_deterministic_for_seed(self):
         a = sample_gaussian_ensemble(1, 2, 5000, seed=42)

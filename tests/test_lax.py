@@ -26,6 +26,13 @@ def test_c_coeff_values():
     assert np.allclose(arr**2, [2.0, 12.0, 30.0], rtol=1e-15)
 
 
+@pytest.mark.parametrize("sites", [0, -1, 0.5, math.nan, [1, 2, 0], [3, math.nan]])
+def test_c_coeff_refuses_sites_below_one(sites):
+    # c_coeff(0) once read -0.0 and c_coeff(-1) 2.449
+    with pytest.raises(ValueError, match="sites"):
+        c_coeff(np.array(sites))
+
+
 def test_nu_values_closed_form():
     nu = nu_values(6)
     for n in range(6):
@@ -43,6 +50,13 @@ def test_sqrt_ratio_product():
     for k in (1, 2, 5, 10):
         direct = 2.0**k * math.factorial(k) / math.sqrt(math.factorial(2 * k))
         assert abs(sqrt_ratio_product(1, k) - direct) < 1e-13 * direct
+
+
+@pytest.mark.parametrize("start,count", [(0, 2), (-1, 3), (0, 0)])
+def test_sqrt_ratio_product_refuses_start_below_one(start, count):
+    # (0, 2) once read -0.0
+    with pytest.raises(ValueError, match="start"):
+        sqrt_ratio_product(start, count)
 
 
 def test_gue_init_and_moment_route(t0):
@@ -163,6 +177,13 @@ def test_goe_reduced_normalization():
 def test_goe_requires_two_lower_bands():
     with pytest.raises(ValueError):
         goe_lax_init(4, 3, 1)
+
+
+@pytest.mark.parametrize("n_sites", [0, -2])
+def test_goe_requires_a_site(n_sites):
+    # goe_lax_init(0, 3, 3) once returned an empty (7, 0) window
+    with pytest.raises(ValueError, match="n_sites"):
+        goe_lax_init(n_sites, 3, 3)
 
 
 def test_pfaff_lax_json_round_trip():

@@ -15,7 +15,7 @@ from .continuum import (HydroChainField, TensorPoint, chain_matrix,
 from .couplings import CouplingVector, QuadratureGrid, build_quadrature
 from .errors import (DivergedField, IllConditioned, IndexOutOfWindow,
                      NonIntegrableWeight, OddDimension, PreBreakingViolated,
-                     SingularMinor, StepTooLarge, StructureViolation,
+                     SingularMinor, StructureViolation,
                      TauLatticeError, ToleranceUnreachable, UnsupportedKind)
 from .flows import (EvolutionResult, ReducedChainState, VolterraState,
                     evolve_pfaff, evolve_reduced, evolve_toda, evolve_volterra,
@@ -56,7 +56,7 @@ __all__ = [
     "nijenhuis", "haantjes", "nijenhuis_closed_form", "haantjes_scan",
     "IdentityReport",
     "TauLatticeError", "NonIntegrableWeight", "ToleranceUnreachable",
-    "OddDimension", "IllConditioned", "StepTooLarge", "SingularMinor",
+    "OddDimension", "IllConditioned", "SingularMinor",
     "StructureViolation", "UnsupportedKind",
     "PreBreakingViolated", "DivergedField", "IndexOutOfWindow",
 ]

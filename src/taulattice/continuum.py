@@ -230,11 +230,15 @@ def hopf_solve(u0, c: float, k: int, x, t: float) -> np.ndarray:
     X(s) = s - c u0(s)^k t: the map is probed on a widened bracket, required
     to be strictly increasing over the span of the grid (else the profile has
     started to break), and every grid point's root is then found by one
-    vectorised bisection on its bracketing cell.  u0 must accept arrays.
+    vectorised bisection on its bracketing cell.  u0 must accept arrays, and
+    the grid x must be a non-empty, finite and strictly ascending 1-d array.
     """
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
     x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or not len(x) or not np.isfinite(x).all() or np.any(np.diff(x) <= 0):
+        raise ValueError(f"grid x must be non-empty, finite and strictly ascending, "
+                         f"got {np.array2string(x, threshold=6)}")
     if t == 0.0:
         return np.broadcast_to(np.asarray(u0(x), dtype=float), x.shape).copy()
 

@@ -26,10 +26,6 @@ class IllConditioned(TauLatticeError):
     """A recurrence or skew elimination broke down, or tau has no double value."""
 
 
-class StepTooLarge(TauLatticeError):
-    """Finite-difference Richardson levels disagree beyond the requested tolerance."""
-
-
 class SingularMinor(TauLatticeError):
     """A leading Pfaffian minor vanished during skew-orthogonalization."""
 

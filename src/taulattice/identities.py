@@ -31,8 +31,7 @@ from .flows import (EvolutionResult, ReducedChainState, VolterraState,
 from .lax import (PfaffLax, TodaLax, _skew_basis, _skew_gram_schmidt, c_coeff,
                   goe_lax_init, pfaff_entries_from_tau, pfaff_lax_from_basis,
                   skew_hermite_map_check, sqrt_ratio_product)
-from .moments import (_TAU_TOL, _log_tau_jets, _log_tau_of_basis, _stieltjes_basis, _tau_grid,
-                      log_tau)
+from .moments import _TAU_TOL, _log_tau_jets, _log_tau_of_basis, _stieltjes_basis
 from .report import IdentityReport
 
 __all__ = [
@@ -192,8 +191,9 @@ def observables_check(n: int = 1, t: CouplingVector = _T0, *,
     (i) the chemical-potential increment log tau_{2n} + log tau_{2n+4} -
     2 log tau_{2n+2} equals 2 log w0_{n+1}, with w0_{n+1} read off the
     skew window that `pfaff_lax_from_basis` builds on n + 2 pairs, a route
-    that takes no Pfaffian (checked to 1e-12).  Both sides read one grid
-    and one skew Gram of size 2n + 4, so (i) tests the Pfaffian pivots
+    that takes no Pfaffian (checked to 1e-12).  Both sides read one
+    Stieltjes basis of size 2n + 4: the three log tau are Pfaffians of
+    leading blocks of its skew Gram, so (i) tests the Pfaffian pivots
     against the skew Gram-Schmidt, not the quadrature.  For n = 1,
     (ii) E[(z1+z2)^2] = w0_1 w1_1 and (iii) E[z1^2+z2^2] = 2 w^-1_1 +
     w0_1 w1_1 against direct two-eigenvalue quadrature, with the entries
@@ -201,11 +201,11 @@ def observables_check(n: int = 1, t: CouplingVector = _T0, *,
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    sizes = (2 * n, 2 * n + 2, 2 * n + 4)
-    grid = _tau_grid("orthogonal", sizes[-1], t)
-    stieltjes = _stieltjes_basis("orthogonal", sizes[-1], t, grid=grid)
-    lo, mid = (log_tau("orthogonal", size, t, grid=grid)[1] for size in sizes[:2])
-    hi = _log_tau_of_basis(stieltjes[0].copy(), stieltjes[1])[1]   # pivots overwrite F
+    stieltjes = _stieltjes_basis("orthogonal", 2 * n + 4, t)
+    F, log_h = stieltjes[:2]
+    # the pivots overwrite F, so each size eliminates a copy of its block
+    lo, mid, hi = (_log_tau_of_basis(F[:m, :m].copy(), log_h[:m])[1]
+                   for m in (2 * n, 2 * n + 2, 2 * n + 4))
     dmu = lo + hi - 2.0 * mid
     window = pfaff_lax_from_basis(_skew_gram_schmidt(stieltjes, t), n + 1, 1, 1)
     w0_next = float(window.w[1, n])

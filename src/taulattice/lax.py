@@ -12,8 +12,10 @@ and both are rebuilt by quadrature from the Stieltjes bases that
 `moments.log_tau` also uses, which is what the consistency oracles
 exercise.  The tridiagonal form is the Jacobi matrix of the basis of rho.
 The skew-orthonormal pairs come from a skew Gram-Schmidt on the basis of
-rho^2, and the window is read off its Jacobi matrix; the parity-Hermite
-polynomials here serve the closed-form side only.
+rho^2, one block step per pair that removes every earlier pair at once,
+and the window is read off its Jacobi matrix with the operator's fixed
+pattern checked by array reductions; the parity-Hermite polynomials here
+serve the closed-form side only.
 """
 
 from __future__ import annotations
@@ -277,32 +279,30 @@ def _skew_basis(t: CouplingVector, n_pairs: int) -> SkewOrthoBasis:
 
 def _skew_gram_schmidt(stieltjes: tuple, t: CouplingVector) -> SkewOrthoBasis:
     """Skew Gram-Schmidt on an orthogonal `_stieltjes_basis` (F, log_h, a, b)
-    built at couplings t, one pair per two basis polynomials.  The odd member
-    of each pair is pinned by removing its z^{2n} monomial component, which
-    fixes the in-pair gauge freedom Q_{2n+1} += c Q_{2n}.
+    built at couplings t, one pair per two basis polynomials, each pair in
+    one block step.  The odd member of each pair is pinned by removing its
+    z^{2n} monomial component, which fixes the in-pair gauge freedom
+    Q_{2n+1} += c Q_{2n}.
     """
     F, log_h, a, b = stieltjes
     dim = len(F)
     n_pairs = dim // 2
     root_h = np.exp(0.5 * log_h)    # monic p_k = root_h[k] q_k
     sub_lead = -np.cumsum(a)        # z^k coefficient of p_{k+1}
+    floor = _PAIR_FLOOR * max(1.0, abs(F).max())
     W = np.zeros((dim, dim))
     h = np.empty(n_pairs)
     # the monic scale grows like sqrt(k!): past about 96 pairs the pair
     # coefficients leave the double range, which is reported, not warned
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_pairs):
-            for i in (2 * n, 2 * n + 1):
-                q = np.zeros(dim)
-                q[i] = root_h[i]
-                for p in range(n):
-                    # remove the pair-p component; the product is antisymmetric,
-                    # so <Q_2p, q> fixes the odd coefficient and vice versa
-                    prods = F @ q
-                    alpha = W[2 * p] @ prods / h[p]
-                    beta = W[2 * p + 1] @ prods / h[p]
-                    q = q + beta * W[2 * p] - alpha * W[2 * p + 1]
-                W[i] = q
+            Q = W[2 * n:2 * n + 2]   # a view: the pair is built in place
+            Q[[0, 1], [2 * n, 2 * n + 1]] = root_h[2 * n:2 * n + 2]
+            # remove every earlier pair p at once; the product is
+            # antisymmetric, so G[2p] = <Q_2p, .>/h_p fixes the odd member's
+            # coefficient and G[2p + 1] the even one's
+            G = W[:2 * n] @ (F @ Q.T) / np.repeat(h[:n], 2)[:, None]
+            Q += G[1::2].T @ W[0:2 * n:2] - G[0::2].T @ W[1:2 * n:2]
             # gauge pin: the z^{2n} coefficient of Q_{2n+1}, removed with monic Q_{2n}
             gamma = W[2 * n + 1, 2 * n] / root_h[2 * n] + sub_lead[2 * n]
             W[2 * n + 1] -= gamma * W[2 * n]
@@ -312,7 +312,7 @@ def _skew_gram_schmidt(stieltjes: tuple, t: CouplingVector) -> SkewOrthoBasis:
                     f"skew Gram-Schmidt overflowed at pair {n}: in the monic scale "
                     f"(leading coefficient {root_h[2 * n + 1]:.3e}) the pair or its "
                     f"product h_{n} = {h[n]:.3e} is not finite")
-            if not h[n] > _PAIR_FLOOR * max(1.0, abs(F).max()):
+            if not h[n] > floor:
                 raise SingularMinor(f"pair product h_{n} = {h[n]:.3e} is not positive")
     return SkewOrthoBasis(W, h, TodaLax(a, b[1:]), t)
 
@@ -340,18 +340,19 @@ def pfaff_lax_from_basis(basis: SkewOrthoBasis, n_sites: int, k_pos: int,
     # row 2*n_pairs - 1 of L is truncation-corrupted; nothing below reads it
     scale = max(1.0, float(np.abs(L[: 2 * n_pairs - 1]).max()))
     dim = 2 * n_pairs - 1
-    for i in range(dim):
-        fringe = L[i, i + 2:]
-        if len(fringe) and float(np.abs(fringe).max()) > check_tol * scale:
-            raise StructureViolation(
-                f"row {i} has weight beyond the superdiagonal: {np.abs(fringe).max():.3e}")
-    for n in range(1, n_sites + 1):
-        if abs(L[2 * n - 2, 2 * n - 1] - 1.0) > check_tol:
-            raise StructureViolation(
-                f"unit superdiagonal entry at pair {n} reads {L[2 * n - 2, 2 * n - 1]:.6f}")
+    fringe = np.triu(np.abs(L[:dim]), 2).max(axis=1)   # each row beyond i + 1
+    bad = np.flatnonzero(fringe > check_tol * scale)
+    if bad.size:
+        raise StructureViolation(
+            f"row {bad[0]} has weight beyond the superdiagonal: {fringe[bad[0]]:.3e}")
+    unit = L[np.arange(0, 2 * n_sites, 2), np.arange(1, 2 * n_sites, 2)]
+    bad = np.flatnonzero(np.abs(unit - 1.0) > check_tol)
+    if bad.size:
+        raise StructureViolation(
+            f"unit superdiagonal entry at pair {bad[0] + 1} reads {unit[bad[0]]:.6f}")
     if basis.couplings.parity_even_only:
         # even weight: the operator only connects opposite-parity modes
-        ii, jj = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")
+        ii, jj = np.indices((dim, dim))
         board = (jj <= ii + 1) & ((ii + jj) % 2 == 0)
         worst = float(np.abs(L[:dim, :dim][board]).max())
         if worst > check_tol * scale:
@@ -416,10 +417,7 @@ def skew_hermite_map_check(n_pairs: int = 6, *, tolerance: float = 1e-9) -> Iden
     nu = nu_values(n_pairs)
     Qs = hermite_map_coeffs(n_pairs) / np.repeat(np.sqrt(nu), 2)[:, None]
     S = _skew_products(grid, Qs @ grid.nodes ** np.arange(dim)[:, None], grid.rho)
-    expected = np.zeros_like(S)
-    for n in range(n_pairs):
-        expected[2 * n, 2 * n + 1] = 1.0
-        expected[2 * n + 1, 2 * n] = -1.0
+    expected = np.kron(np.eye(n_pairs), [[0.0, 1.0], [-1.0, 0.0]])
     residual = float(np.abs(S - expected).max())
     meta = {"n_pairs": n_pairs, "<Q0,Q1>": float(S[0, 1] * nu[0])}
     if n_pairs >= 2:

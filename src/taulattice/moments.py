@@ -10,7 +10,9 @@ monic basis changes are unit-triangular, so log tau_n = sum_{k<n} log h_k
 for rho dz, and log tau_{2n} = log|pf F| + (1/2) sum_{k<2n} log h_k for
 rho^2 dz with F the skew Gram of the q_k.  Both bases come from
 `_stieltjes_basis`, the one place that knows the measure (rho or rho^2), the
-grid degree and the skew product.  It also feeds `lax`: the tridiagonal Lax
+grid degree and the skew product; it builds its own grid, and a caller
+that needs several sizes reads leading blocks of one basis (log tau_m is
+that of F[:m, :m] and log_h[:m]).  It also feeds `lax`: the tridiagonal Lax
 operator is the Jacobi matrix of the rho basis, and the skew Gram-Schmidt
 that maps orthogonal to skew-orthogonal polynomials runs on the rho^2
 basis.  Coupling derivatives of log tau are exact jets on the same basis:
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .couplings import (CouplingVector, QuadratureGrid, _own_arrays, _regrid,
-                        build_quadrature, cumulative_integral, weight_eval)
+                        build_quadrature, cumulative_integral)
 from .errors import IllConditioned, OddDimension
 
 __all__ = [
@@ -76,15 +78,13 @@ class SkewMomentMatrix:
         return self.m.shape[0]
 
 
-def skew_moment_matrix(t: CouplingVector, size: int, *,
-                       grid: QuadratureGrid | None = None) -> SkewMomentMatrix:
+def skew_moment_matrix(t: CouplingVector, size: int) -> SkewMomentMatrix:
     """Skew products m[i][j] = <x^i, y^j> for i, j < size (size even)."""
     if size % 2 or size <= 0:
         raise ValueError(f"size must be a positive even integer, got {size}")
-    if grid is None:
-        grid = build_quadrature(t, _TAU_TOL, max_degree=size + 2)
+    grid = build_quadrature(t, _TAU_TOL, max_degree=size + 2)
     powers = grid.nodes[None, :] ** np.arange(size)[:, None]
-    return SkewMomentMatrix(_skew_products(grid, powers, weight_eval(grid.nodes, t)), t)
+    return SkewMomentMatrix(_skew_products(grid, powers, grid.rho), t)
 
 
 def _pfaffian_pivots(A: np.ndarray):
@@ -183,15 +183,13 @@ def _tau_grid(ensemble: str, n: int, t: CouplingVector) -> QuadratureGrid:
     return grid if grid.panels >= n / 4 else _regrid(grid, grid.radius, -(-n // 4))
 
 
-def _stieltjes_basis(ensemble: str, n: int, t: CouplingVector, *,
-                     grid: QuadratureGrid | None = None):
+def _stieltjes_basis(ensemble: str, n: int, t: CouplingVector):
     """(F, log_h, a, b): the Stieltjes basis q_k, k < n, of rho dz (unitary)
-    or rho^2 dz (orthogonal), see `_stieltjes`, on `_tau_grid(ensemble, n)`
-    unless a grid is given.  F is the skew Gram `_skew_products` of the q_k
-    under rho for orthogonal and None for unitary."""
-    if grid is None:
-        grid = _tau_grid(ensemble, n, t)
-    rho = weight_eval(grid.nodes, t)
+    or rho^2 dz (orthogonal), see `_stieltjes`, on `_tau_grid(ensemble, n)`.
+    F is the skew Gram `_skew_products` of the q_k under rho for orthogonal
+    and None for unitary."""
+    grid = _tau_grid(ensemble, n, t)
+    rho = grid.rho
     measure = grid.weights * rho
     if ensemble == "orthogonal":
         with np.errstate(over="ignore"):   # an overflowing weight fails in _stieltjes
@@ -201,19 +199,17 @@ def _stieltjes_basis(ensemble: str, n: int, t: CouplingVector, *,
     return F, log_h, a, b
 
 
-def log_tau(ensemble: str, n: int, t: CouplingVector, *,
-            grid: QuadratureGrid | None = None) -> tuple[float, float]:
+def log_tau(ensemble: str, n: int, t: CouplingVector) -> tuple[float, float]:
     """(sign, log|tau_n|) for ensemble "unitary" or "orthogonal"; tau_0 = 1.
 
-    n is the matrix size in both cases (even for orthogonal).  On a
-    caller-supplied grid the weight is evaluated at t, which may differ from
-    the couplings the grid was built for.  Raises IllConditioned when the
-    Stieltjes recurrence breaks down or the skew Gram has a zero pivot.
+    n is the matrix size in both cases (even for orthogonal).  Raises
+    IllConditioned when the Stieltjes recurrence breaks down or the skew
+    Gram has a zero pivot.
     """
     _check_size(ensemble, n)
     if n == 0:
         return 1.0, 0.0
-    F, log_h, _, _ = _stieltjes_basis(ensemble, n, t, grid=grid)
+    F, log_h, _, _ = _stieltjes_basis(ensemble, n, t)
     return _log_tau_of_basis(F, log_h)
 
 

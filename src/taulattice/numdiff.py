@@ -3,7 +3,7 @@
 An order-p derivative uses a (p+3)-point symmetric stencil, which is the
 smallest central family with O(h^4) truncation for every p.  Combining the
 step-h and step-h/2 evaluations as (16 D(h/2) - D(h)) / 15 removes the h^4
-term; the disagreement between the two levels doubles as an error estimate.
+term.
 
 The library takes no finite difference: the tests' reference routes for
 the tau and mKP jets (`tests/reference_kernels.py`) call this module.
@@ -16,8 +16,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-
-from .errors import StepTooLarge
 
 __all__ = ["stencil", "mixed_derivative"]
 
@@ -61,7 +59,7 @@ def stencil(p: int):
     return tuple(offsets), np.array([float(x) for x in b])
 
 
-def mixed_derivative(f, axes: dict, steps: dict, *, check_tol: float | None = None):
+def mixed_derivative(f, axes: dict, steps: dict):
     """Mixed partial of f over several axes by tensor-product stencils.
 
     f takes a dict axis -> shift.  `axes` maps axis -> derivative order,
@@ -97,13 +95,4 @@ def mixed_derivative(f, axes: dict, steps: dict, *, check_tol: float | None = No
         denom = np.prod([(steps[a] * scale / 2.0) ** order[a] for a in names])
         return acc / denom
 
-    coarse = level(2)
-    fine = level(1)
-    best = (16.0 * fine - coarse) / 15.0
-    if check_tol is not None:
-        scale = float(np.max(np.abs(best)))
-        gap = float(np.max(np.abs(fine - coarse)))
-        if gap > check_tol * max(scale, 1.0):
-            raise StepTooLarge(
-                f"Richardson levels disagree by {gap:.3e} for orders {order}")
-    return best
+    return (16.0 * level(1) - level(2)) / 15.0

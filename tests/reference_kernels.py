@@ -84,7 +84,8 @@ import numpy as np
 from taulattice import continuum, flows, lax, pfaffian
 from taulattice.couplings import (_panel_nodes, _radius_for, _regrid, build_quadrature,
                                   cumulative_integral, weight_eval)
-from taulattice.moments import _skew_products, _tau_grid, _tau_value, log_tau
+from taulattice.moments import (_log_tau_of_basis, _skew_products, _stieltjes, _tau_grid,
+                                _tau_value)
 from taulattice.numdiff import mixed_derivative
 from taulattice.continuum import _matrix_terms, _rhs_plan
 from taulattice.errors import DivergedField, NonIntegrableWeight, StructureViolation
@@ -647,7 +648,14 @@ def tau_derivative_fd(ensemble, n, t, multi_index, step=5e-3):
     grid = widen_grid(_tau_grid(ensemble, n, t), 1e-20, deg)
 
     def tau_at(shift):
-        return _tau_value(ensemble, n, *log_tau(ensemble, n, t.shifted(shift), grid=grid))
+        # the Stieltjes basis of the shifted weight on the shared grid
+        rho = weight_eval(grid.nodes, t.shifted(shift))
+        measure = grid.weights * rho
+        if ensemble == "orthogonal":
+            measure = measure * rho
+        q, log_h, _, _ = _stieltjes(grid.nodes, measure, n)
+        F = _skew_products(grid, q, rho) if ensemble == "orthogonal" else None
+        return _tau_value(ensemble, n, *_log_tau_of_basis(F, log_h))
     return float(mixed_derivative(tau_at, orders, {k: step for k in orders}))
 
 

@@ -14,6 +14,8 @@ import pytest
 import taulattice
 from taulattice import IdentityReport, PfaffLax, cli, goe_lax_init, identities
 from taulattice.cli import main
+from taulattice.continuum import HydroChainField, evolve_hydro_chain
+from taulattice.flows import _sample_times, evolve_pfaff
 from taulattice.identities import SUITES
 
 
@@ -365,6 +367,42 @@ def test_continuum_hopf_csv(tmp_path, capsys):
     x0, u0 = (float(v) for v in lines[1].split(","))
     assert abs(u0 - x0 / 0.8) < 1e-12
 
+
+
+@pytest.mark.parametrize("flags", [["--x-lo", "2", "--x-hi", "1"], ["--n-x", "0"]])
+def test_evolve_hopf_grid_refused(tmp_path, capsys, flags):
+    rc, out, err = run(capsys, "--out", str(tmp_path), "evolve", "hopf", "--t2", "0.1", *flags)
+    assert rc == 2 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "config" and "grid" in error["message"]
+    assert not any(tmp_path.iterdir())
+
+
+def _csv_rows(path):
+    head, *rows = path.read_text().strip().split("\n")
+    return head.split(","), np.array([[float(v) for v in row.split(",")] for row in rows])
+
+
+def test_evolve_pfaff_csv(tmp_path, capsys):
+    rc, _, _ = run(capsys, "--out", str(tmp_path), "evolve", "pfaff", "--t2", "0.01",
+                   "--N", "6", "--K-pos", "2", "--K-neg", "3", "--samples", "3")
+    assert rc == 0
+    heads, rows = _csv_rows(tmp_path / "evolve_pfaff.csv")
+    assert heads == ["time"] + [f"w[{ell}][{n}]" for ell in range(-3, 3) for n in range(1, 7)]
+    res = evolve_pfaff(goe_lax_init(6, 2, 3), _sample_times(0.01, 3))
+    assert rows.tolist() == [[t, *s.w.ravel()] for t, s in zip(res.times, res.states)]
+
+
+def test_evolve_hydro_csv(tmp_path, capsys):
+    rc, _, _ = run(capsys, "--out", str(tmp_path), "evolve", "hydro", "--t2", "0.01",
+                   "--K-neg", "2", "--K-pos", "3", "--x-lo", "0.5", "--x-hi", "1.5",
+                   "--n-x", "11")
+    assert rc == 0
+    field = HydroChainField.initial(np.linspace(0.5, 1.5, 11), k_neg=2, k_pos=3)
+    res, _ = evolve_hydro_chain(field, 0.01)
+    heads, rows = _csv_rows(tmp_path / "evolve_hydro.csv")
+    assert heads == ["x", "v"] + [f"u[{ell}]" for ell in range(-2, 4)]
+    assert rows.tolist() == np.vstack([res.x, res.v, res.u]).T.tolist()
 
 def test_import_leaves_scipy_out():
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(taulattice.__file__)))

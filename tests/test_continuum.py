@@ -97,6 +97,18 @@ class TestHopf:
                 hopf_solve(lambda s: s, 2.0, 1, np.linspace(0.5, 2.0, 11), t)
 
 
+    @pytest.mark.parametrize("x", [np.array([]), np.array([0.5, np.nan, 1.5]),
+                                   np.array([0.5, np.inf]), np.linspace(2.0, 1.0, 11),
+                                   np.array([0.5, 1.0, 1.0, 1.5])])
+    @pytest.mark.parametrize("t", [0.0, 0.1])
+    def test_grid_that_is_empty_non_finite_or_not_ascending_refused(self, x, t):
+        # a descending grid once escaped as an IndexError, an empty one as
+        # numpy's zero-size message and a NaN point as PreBreakingViolated
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="grid"):
+                hopf_solve(lambda s: s, 2.0, 1, x, t)
+
 class TestHydroField:
     def test_validation(self):
         x = np.linspace(0.5, 1.5, 11)

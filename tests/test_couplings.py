@@ -205,6 +205,10 @@ JUST_PAST = {1: 0.29944717531013026, 3: -0.0051554511554822505, 4: -0.0867858674
        st.integers(0, 800))
 @example(STOPPED_SHORT[1], STOPPED_SHORT[3], STOPPED_SHORT[4], 266)
 @example(JUST_PAST[1], JUST_PAST[3], JUST_PAST[4], 772)
+# their mirror images z -> -z re-bisect the other side: from the outermost
+# scan point (-STOPPED_SHORT) and from the radius (-JUST_PAST)
+@example(-STOPPED_SHORT[1], -STOPPED_SHORT[3], STOPPED_SHORT[4], 266)
+@example(-JUST_PAST[1], -JUST_PAST[3], JUST_PAST[4], 772)
 @settings(max_examples=40, deadline=None)
 def test_radius_covers_a_dense_scan(t1, t3, t4, degree):
     # on a scan eight times denser than the search's, over its bracket
@@ -219,6 +223,16 @@ def test_radius_covers_a_dense_scan(t1, t3, t4, degree):
     assert F[0] < target and F[-1] < target
     assert np.all(np.abs(zs[::8][F[::8] >= target]) <= radius)
     assert np.all(np.abs(zs[F >= target]) <= radius)
+
+
+@pytest.mark.parametrize("mapping,degree", [(STOPPED_SHORT, 266), (JUST_PAST, 772)])
+@pytest.mark.parametrize("mirror", [1.0, -1.0])
+def test_radius_of_a_re_bisected_side_equals_the_sequential_bisection(mapping, degree, mirror):
+    # the four re-bisection branches, one per case: each side, from the
+    # outermost scan point or from the radius
+    t = CouplingVector.from_mapping({1: mirror * mapping[1], 3: mirror * mapping[3],
+                                     4: mapping[4]})
+    assert _radius_for(t, 1e-12, degree) == ref.radius_sequential(t, 1e-12, degree)
 
 
 # the grid memo

@@ -175,8 +175,8 @@ class TestObservables:
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_one_grid_and_one_full_basis(self, n, monkeypatch, fresh_grids):
-        # log tau_{2n+4} and the skew window read one Stieltjes basis of
-        # size 2n + 4; every size reads one grid, solved for once
+        # the three log tau and the skew window read one Stieltjes basis of
+        # size 2n + 4, on one grid solved for once
         radii, sizes = [], []
         solve, basis = couplings._radius_for, moments._stieltjes_basis
 
@@ -193,7 +193,7 @@ class TestObservables:
         monkeypatch.setattr(identities, "_stieltjes_basis", counted_basis)
         assert observables_check(n).passed
         assert len(radii) == 1, len(radii)
-        assert sorted(sizes) == [2 * n, 2 * n + 2, 2 * n + 4], sizes
+        assert sizes == [2 * n + 4], sizes
 
     def test_perturbed_pfaffian_fails(self, monkeypatch):
         # a relative error of 1e-9 in the third Pfaffian pivot moves log

@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 
 import reference_kernels as ref
-from taulattice import (CouplingVector, PfaffLax, c_coeff, couplings, goe_lax_init,
-                        gue_lax_init,
+from taulattice import (CouplingVector, PfaffLax, TodaLax, c_coeff, couplings,
+                        goe_lax_init, gue_lax_init,
                         hermite_map_coeffs, nu_values, pfaff_entries_from_tau,
                         pfaff_lax_from_basis, skew_hermite_map_check,
                         skew_moment_matrix, skew_orthonormal_basis,
                         sqrt_ratio_product, toda_lax_from_quadrature)
-from taulattice.errors import IllConditioned, StructureViolation
+from taulattice.errors import IllConditioned, SingularMinor, StructureViolation
 from taulattice.identities import verify_init_goe, verify_init_gue, verify_tau_cross
-from taulattice.lax import _skew_basis
+from taulattice.lax import SkewOrthoBasis, _skew_basis, _skew_gram_schmidt
+from taulattice.moments import _stieltjes_basis
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -277,6 +278,59 @@ def test_basis_too_small_rejected(t0):
     basis = skew_orthonormal_basis(skew_moment_matrix(t0, 12), 6)
     with pytest.raises(ValueError):
         pfaff_lax_from_basis(basis, 4, 4, 4)
+
+
+@pytest.mark.parametrize("a,b,match", [
+    (np.zeros(3), np.ones(3), "len"),
+    (np.zeros((2, 2)), np.ones(1), "len"),
+    (np.zeros(3), np.array([1.0, 0.0]), "positive"),
+    (np.zeros(3), np.array([1.0, -2.0]), "positive"),
+])
+def test_toda_lax_refuses_bad_shapes_and_signs(a, b, match):
+    with pytest.raises(ValueError, match=match):
+        TodaLax(a, b)
+
+
+@pytest.mark.parametrize("w", [np.zeros((4, 3)), np.zeros(5), np.zeros((5, 3, 1))])
+def test_pfaff_lax_refuses_a_window_of_the_wrong_shape(w):
+    with pytest.raises(ValueError, match="5 rows"):
+        PfaffLax(w, 2, 2)
+
+
+@pytest.mark.parametrize("h", [[1.0, 0.0], [1.0, -1.0]])
+def test_skew_basis_refuses_pair_products_that_are_not_positive(t0, h):
+    with pytest.raises(ValueError, match="positive"):
+        SkewOrthoBasis(np.eye(4), np.array(h), gue_lax_init(4), t0)
+
+
+def test_skew_gram_schmidt_refuses_a_reversed_gram(t0):
+    # the skew Gram of the opposite orientation gives h_0 = -sqrt(pi)
+    F, log_h, a, b = _stieltjes_basis("orthogonal", 4, t0)
+    with pytest.raises(SingularMinor, match="h_0 = -1.772e"):
+        _skew_gram_schmidt((-F, log_h, a, b), t0)
+
+
+def _unit_basis(t, coeffs, b_value=1.0):
+    """Four pairs with coefficients `coeffs`, unit pair products and the
+    Jacobi matrix of constant off-diagonal b_value."""
+    return SkewOrthoBasis(coeffs, np.ones(4), TodaLax(np.zeros(8), np.full(7, b_value)), t)
+
+
+def test_operator_with_weight_beyond_the_superdiagonal_is_refused(t0):
+    # an upper-triangular coefficient moves row 0 of the operator to
+    # columns 4 and 6; the unit basis itself passes
+    pfaff_lax_from_basis(_unit_basis(t0, np.eye(8)), 2, 1, 1)
+    coeffs = np.eye(8)
+    coeffs[0, 5] = 1e-3
+    with pytest.raises(StructureViolation, match="row 0 has weight beyond"):
+        pfaff_lax_from_basis(_unit_basis(t0, coeffs), 2, 1, 1)
+
+
+def test_operator_without_unit_superdiagonal_is_refused(t0):
+    # with unit coefficients the operator is the Jacobi matrix: b = 2 puts 2
+    # where the skew form has its unit entries
+    with pytest.raises(StructureViolation, match="pair 1 reads 2.000000"):
+        pfaff_lax_from_basis(_unit_basis(t0, np.eye(8), 2.0), 2, 1, 1)
 
 
 def _shifted_diagonal(basis, shift):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_kernels as ref
-from taulattice import (CouplingVector, QuadratureGrid, build_quadrature, couplings,
+from taulattice import (CouplingVector, build_quadrature, couplings,
                         log_tau, moments, pfaffian, skew_moment_matrix,
                         tau_coupling_derivative, tau_orthogonal, tau_unitary)
 from taulattice.errors import IllConditioned, OddDimension
@@ -67,8 +67,8 @@ class TestSkewMoments:
 
     def test_matches_per_row_kernel(self):
         t = CouplingVector.from_mapping({1: 0.2, 4: -0.05})
-        grid = build_quadrature(t, 1e-12, max_degree=14)
-        m = skew_moment_matrix(t, 12, grid=grid).m
+        m = skew_moment_matrix(t, 12).m
+        grid = build_quadrature(t, 1e-12, max_degree=14)   # the memo's grid of size 12
         expect = ref.skew_moment_rows(t, 12, grid)
         assert np.abs(m - expect).max() <= 1e-14 * np.abs(expect).max()
 
@@ -330,21 +330,18 @@ class TestTauReach:
         expect = ref.log_tau_closed_form("orthogonal", 32, 0.0)
         assert value > 0.0 and abs(math.log(value) - expect) < 1e-10
 
-    def test_stieltjes_breakdown_raises(self, t0):
+    def test_stieltjes_breakdown_raises(self):
         # one node carries only the constant polynomial: beta_1 = 0
-        grid = QuadratureGrid(t0, np.array([0.0]), np.array([1.0]), np.array([1.0]),
-                              1.0, 1e-12, 1, 1)
-        assert log_tau("unitary", 1, t0, grid=grid) == (1.0, 0.0)
-        with pytest.raises(IllConditioned):
-            log_tau("unitary", 2, t0, grid=grid)
+        nodes, measure = np.array([0.0]), np.array([1.0])
+        assert moments._stieltjes(nodes, measure, 1)[1].tolist() == [0.0]
+        with pytest.raises(IllConditioned, match="broke down at degree 1"):
+            moments._stieltjes(nodes, measure, 2)
 
-    def test_overflowing_weight_raises(self, t0):
-        # a grid built for the Gaussian cannot hold a growing quartic weight
-        grid = moments._tau_grid("unitary", 3, t0)
-        grown = CouplingVector.from_mapping({4: 5.0})
-        for ensemble in ("unitary", "orthogonal"):
-            with pytest.raises(IllConditioned):
-                log_tau(ensemble, 2, grown, grid=grid)
+    def test_overflowing_weight_raises(self):
+        # rho peaks at e^450 near z = 30, so the orthogonal measure rho^2
+        # overflows
+        with pytest.raises(IllConditioned, match="broke down at degree 0"):
+            log_tau("orthogonal", 2, CouplingVector.from_mapping({1: 30}))
 
     @pytest.mark.parametrize("n, bound", [(280, 1e-10), (300, 1e-10), (340, 1e-7)])
     def test_unitary_past_the_companion_underflow(self, t0, n, bound):

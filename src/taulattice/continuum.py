@@ -47,6 +47,7 @@ negative-index fields, so it can be integrated on its own.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -509,12 +510,17 @@ def reduced_continuum_rhs(wm1: float, w):
 # ---------------------------------------------------------------------------
 # coefficient-matrix tensors
 
+def _is_integer(q) -> bool:
+    return isinstance(q, numbers.Integral) and not isinstance(q, bool)
+
+
 @dataclass(frozen=True)
 class TensorPoint:
     """A u-window for tensor evaluation: indices -window..window.
 
     Queries must keep |i|,|j|,|k| <= window-3 so that every index sum stays
-    strictly inside the truncation.
+    strictly inside the truncation.  The window and every index are
+    integers (numpy's included, bool not).
     """
 
     u: np.ndarray
@@ -522,6 +528,8 @@ class TensorPoint:
 
     def __post_init__(self):
         u, = _own_arrays(self, "u")
+        if not _is_integer(self.window):
+            raise ValueError(f"window must be an integer, got {self.window!r}")
         if self.window < 4:
             raise ValueError("window must be at least 4")
         if u.shape != (2 * self.window + 1,):
@@ -532,7 +540,9 @@ class TensorPoint:
     def guard(self, *indices):
         g = self.window - 3
         for q in indices:
-            if abs(int(q)) > g:
+            if not _is_integer(q):
+                raise ValueError(f"tensor index must be an integer, got {q!r}")
+            if abs(q) > g:
                 raise IndexOutOfWindow(f"index {q} outside guarded range |.| <= {g}")
 
     def value(self, ell: int) -> float:
@@ -929,26 +939,20 @@ def _closed_layout(g: int):
 
 
 def haantjes_scan(*, window: int = 10, n_points: int = 100, seed: int = 20260823,
-                  u_bound: float = 3.0, u0_range=(0.5, 2.0),
-                  tolerance: float = 1e-9, closed_tol: float = 1e-10) -> IdentityReport:
+                  tolerance: float = 1e-9) -> IdentityReport:
     """Certify diagonalizability of the chain matrix at random points.
 
     At each seeded point the full Haantjes tensor must vanish on the guarded
     window, and every computed Nijenhuis component must match the closed-form
-    table -- including the zero claimed for everything off the list.  Raises
-    DivergedField, naming the point, when a tensor or table entry there is
-    not finite.
+    table -- including the zero claimed for everything off the list -- to
+    1e-10.  Each point draws u^k uniformly from [-3, 3] and then u^0 from
+    [0.5, 2].
     """
+    u_bound, (lo, hi), closed_tol = 3.0, (0.5, 2.0), 1e-10
     if window < 10:
         raise ValueError("window must be at least 10 for a meaningful scan")
     if n_points < 1:
         raise ValueError(f"n_points must be at least 1, got {n_points}")
-    if not (u_bound > 0 and math.isfinite(2.0 * u_bound)):
-        raise ValueError(f"u_bound must be positive with [-u_bound, u_bound] "
-                         f"of finite width, got {u_bound}")
-    lo, hi = (float(q) for q in u0_range)
-    if not (lo <= hi and math.isfinite(hi - lo)):
-        raise ValueError(f"u0_range must be finite with lo <= hi, got {u0_range}")
     rng = np.random.default_rng(seed)
     W = window
     g = window - 3
@@ -958,26 +962,15 @@ def haantjes_scan(*, window: int = 10, n_points: int = 100, seed: int = 20260823
     signed = np.empty(len(at))
     worst_h = 0.0
     worst_closed = 0.0
-    for p in range(n_points):
+    for _ in range(n_points):
         u = rng.uniform(-u_bound, u_bound, 2 * W + 1)
         u[W] = rng.uniform(lo, hi)
         pt = TensorPoint(u, W)
-        with np.errstate(over="ignore", invalid="ignore"):
-            N, H = _tensor_entries(pt, plan)
-        if not (np.isfinite(N).all() and np.isfinite(H).all()):
-            raise DivergedField(f"scan point {p} (seed {seed}): the Nijenhuis or "
-                                f"Haantjes tensor is not finite")
+        N, H = _tensor_entries(pt, plan)
         got = np.zeros(m ** 3)
         got[plan.block_code] = N[plan.n_guarded]
-        try:
-            vals = np.array([v for i in range(-g, g + 1)
-                             for v in _closed_table(pt, i).values()])[keep]
-            finite = np.isfinite(vals).all()
-        except OverflowError:                  # u0 ** 2 on Python floats
-            finite = False
-        if not finite:
-            raise DivergedField(f"scan point {p} (seed {seed}): a closed-form "
-                                f"Nijenhuis entry is not finite")
+        vals = np.array([v for i in range(-g, g + 1)
+                         for v in _closed_table(pt, i).values()])[keep]
         signed[0::2] = vals
         np.negative(vals, signed[1::2])
         expect = np.zeros(m ** 3)
@@ -995,11 +988,11 @@ def haantjes_scan(*, window: int = 10, n_points: int = 100, seed: int = 20260823
 # ---------------------------------------------------------------------------
 # lattice-to-continuum convergence
 
-def continuum_convergence(*, epsilons=(1.0 / 32, 1.0 / 64, 1.0 / 128),
-                          t2: float = 0.1, tolerance: float = 1e-6) -> IdentityReport:
+def continuum_convergence(*, t2: float = 0.1, tolerance: float = 1e-6) -> IdentityReport:
     """Compare evolved lattices against their continuum solutions.
 
-    The lattices span x = eps*n in (0, 2] and take RK4 steps of 1e-3.
+    The lattices span x = eps*n in (0, 2] for eps = 1/32, 1/64 and 1/128,
+    and take RK4 steps of 1e-3.
     Leg 1: Volterra sites B_n(0) = n - 1/4 (genuine O(eps) offset from the
     linear profile) against the characteristic solution; errors must halve
     with eps, each ratio in [1.7, 2.3].  Leg 2: the banded skew lattice at
@@ -1008,10 +1001,7 @@ def continuum_convergence(*, epsilons=(1.0 / 32, 1.0 / 64, 1.0 / 128),
     again first order in eps.
     """
     x_hi, h, ratio_window = 2.0, 1e-3, (1.7, 2.3)
-    epsilons = sorted({float(e) for e in epsilons}, reverse=True)
-    if len(epsilons) < 2:
-        raise ValueError(f"need at least two distinct epsilons to check the "
-                         f"halving ratio, got {len(epsilons)}")
+    epsilons = (1.0 / 32, 1.0 / 64, 1.0 / 128)
     xs = x_hi * np.array([0.25, 0.375, 0.5, 0.625, 0.75])
     exact = hopf_solve(lambda q: q, 2.0, 1, xs, t2)
 

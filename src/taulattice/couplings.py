@@ -37,7 +37,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import NonIntegrableWeight, ToleranceUnreachable
+from .errors import IllConditioned, NonIntegrableWeight, ToleranceUnreachable
 
 __all__ = [
     "CouplingVector",
@@ -415,10 +415,15 @@ def _convergence_values(t: CouplingVector, radius: float, panels: int, deg: int,
     its panel doubling compares: int(rho) and, for deg > 0, the companion
     2^shift * int (z / radius)^deg rho.  A nonzero shift takes the
     companion's integrand in logs, so that it cannot underflow where rho
-    already has; shift 0 is the plain product."""
+    already has; shift 0 is the plain product.  Raises IllConditioned when
+    int(rho) is not finite, so no grid holds a weight past the double
+    range."""
     nodes, weights = _panel_nodes(radius, panels, _POINTS_PER_PANEL)
     rho = weight_eval(nodes, t)
     vals = [float(weights @ rho)]
+    if not math.isfinite(vals[0]):
+        raise IllConditioned(f"weight for couplings {t.as_dict()} overflows the "
+                             f"double range: its mass on {panels} panels is not finite")
     if deg > 0 and shift == 0:
         vals.append(float(weights @ ((nodes / radius)**deg * rho)))
     elif deg > 0:

@@ -261,30 +261,33 @@ def _reduced_coordinates(lax: PfaffLax, n_max: int, k_max: int) -> tuple:
 
 
 def reduction_invariants(trajectory: EvolutionResult, *,
-                         tolerance: float = 1e-8,
-                         n_max: int | None = None,
-                         k_max: int | None = None) -> IdentityReport:
+                         tolerance: float = 1e-8) -> IdentityReport:
     """Verify the orthogonal scaling-manifold structure along a trajectory.
 
     Per sample: w^{-k} (k>2) stay zero; w^{-1}_n is n-independent;
     w0_n = c_n w^{-1}; w^{-2}_n = -w0_n; w^k_n follows from w^k_1;
     w0_n w1_n grows linearly in n; and the extracted (W^{-1}, W^k) satisfy
     the reduced chain ODE (rates read from the full chain RHS, no time FD).
+
+    The checks read the sites n <= n_max = max(4, min(influence index,
+    N - 8)) and the bands -2..k_max with k_max = min(6, k_pos - 2).  The
+    window must hold k_neg >= 2 and k_pos >= 4 (ValueError), since the
+    reduced chain needs W^1 and W^2, and at least 4 sites (IndexError).
     """
     states = trajectory.states
     if not isinstance(states[0], PfaffLax):
         raise TypeError("expected a banded-window trajectory")
     lax0 = states[0]
+    if lax0.k_neg < 2 or lax0.k_pos < 4:
+        raise ValueError(f"the window must hold k_neg >= 2 and k_pos >= 4 (the "
+                         f"checks read w^-2, W^1 and W^2), got k_neg {lax0.k_neg} "
+                         f"and k_pos {lax0.k_pos}")
     influence = trajectory.stats.get("influence_index", lax0.n_sites - 8)
-    if n_max is None:
-        n_max = max(4, min(influence, lax0.n_sites - 8))
-    if k_max is None:
-        k_max = min(6, lax0.k_pos - 2)
-    if n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
-    if n_max > lax0.n_sites or k_max > lax0.k_pos:
-        raise IndexError(f"n_max {n_max} or k_max {k_max} reaches past the "
-                         f"{lax0.n_sites} sites and {lax0.k_pos} upper bands")
+    n_max = max(4, min(influence, lax0.n_sites - 8))
+    k_max = min(6, lax0.k_pos - 2)
+    if n_max > lax0.n_sites:
+        raise IndexError(f"the checks read {n_max} sites, past the window's "
+                         f"{lax0.n_sites}")
     idx = np.arange(1, n_max + 1)
     cn = c_coeff(idx)
     wk_ratios = _closed_form_wk_ratios(idx, k_max)
@@ -455,15 +458,15 @@ def verify_init_goe(n_sites: int = 8, k_band: int = 6,
     closed = goe_lax_init(n_sites, k_band, k_band)
     resid = float(np.max(np.abs(oracle.w - closed.w)))
     meta = {"n_sites": n_sites, "k_band": k_band,
-            "w[1][2]": float(oracle.w[k_band + 1, 1]),
+            "w[1][2]": float(oracle.w[k_band + 1, 1]) if n_sites >= 2 else math.nan,
             "w[2][1]": float(oracle.w[k_band + 2, 0]) if k_band >= 2 else math.nan}
     return IdentityReport.from_residual("goe-initial-data", resid, tolerance, meta=meta)
 
 
-def verify_scaling(n_sites: int = 64, horizon: float = 0.2,
-                   tolerance: float = 1e-8) -> IdentityReport:
-    """Integrated pure-t2 trajectories against the exact scaling family."""
-    margin = 8
+def verify_scaling(n_sites: int = 64, tolerance: float = 1e-8) -> IdentityReport:
+    """Integrated pure-t2 trajectories against the exact scaling family, at
+    four times up to the horizon 0.2, off the last 8 sites."""
+    horizon, margin = 0.2, 8
     if n_sites <= margin:
         raise ValueError(f"n_sites must exceed the margin {margin}, got {n_sites}")
     times = _sample_times(horizon, 4)
@@ -482,17 +485,12 @@ def verify_scaling(n_sites: int = 64, horizon: float = 0.2,
     return IdentityReport.from_residual("t2-scaling", worst, tolerance, meta=meta)
 
 
-def verify_commute(n_states: int = 20, seed: int = 811, n_sites: int = 20,
-                   k_band: int = 6, tolerance: float = 1e-12) -> IdentityReport:
+def verify_commute(seed: int = 811, tolerance: float = 1e-12) -> IdentityReport:
     """Banded chain right-hand side against the projected dense commutator at
-    random structurally valid states; interior columns only."""
+    20 random structurally valid states of 20 sites and 6 bands each side;
+    interior columns only, the 12 that keep clear of the 8 edge columns."""
+    n_states, n_sites, k_band = 20, 20, 6
     interior = n_sites - 8
-    if interior < 1:
-        raise ValueError(f"n_sites must exceed the 8 edge columns left out, got {n_sites}")
-    if n_states < 1:
-        raise ValueError(f"n_states must be at least 1, got {n_states}")
-    if k_band < 2:
-        raise ValueError(f"k_band must be at least 2, got {k_band}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_states):
@@ -538,9 +536,9 @@ def mkp_bump_state(n_sites: int) -> VolterraState:
     return VolterraState(0.5 + 0.25 * np.exp(-(((n - 10.0) / 4.0) ** 2)))
 
 
-def verify_mkp(n: int = 8, n_sites: int = 64, **options) -> IdentityReport:
-    """`mkp_residuals(n, mkp_bump_state(n_sites), **options)`."""
-    return mkp_residuals(n, mkp_bump_state(n_sites), **options)
+def verify_mkp(n: int = 8, n_sites: int = 64, tolerance: float = 1e-3) -> IdentityReport:
+    """`mkp_residuals(n, mkp_bump_state(n_sites), tolerance=tolerance)`."""
+    return mkp_residuals(n, mkp_bump_state(n_sites), tolerance=tolerance)
 
 
 # suite -> (its check, named so that a wrapper bound over the name in this

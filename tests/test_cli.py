@@ -93,6 +93,17 @@ def test_sizes_with_nothing_to_check_are_config_errors(tmp_path, capsys, argv):
     assert json.loads(err)["error"] == "config"
 
 
+def test_verify_init_goe_on_one_site(tmp_path, capsys):
+    # the meta read w^1_2, which a one-site window does not have, and the
+    # IndexError escaped main; it reads NaN there, as w^2_1 does without band 2
+    rc, out, _ = run(capsys, "--out", str(tmp_path), "verify", "init-goe", "--N", "1",
+                     "--K", "2")
+    assert rc == 0 and json.loads(out)["pass"] is True
+    meta = json.loads((tmp_path / "verify_init-goe.json").read_text())["meta"]
+    assert math.isnan(meta["w[1][2]"])
+    assert abs(meta["w[2][1]"] - 8.0 / math.sqrt(6.0)) < 1e-9
+
+
 def test_lax_init_gue_csv(tmp_path, capsys):
     rc, _, _ = run(capsys, "--out", str(tmp_path), "lax-init",
                    "--ensemble", "gue", "--N", "5")

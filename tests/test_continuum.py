@@ -517,14 +517,6 @@ class TestTensors:
         with pytest.raises(ValueError):
             haantjes_scan(window=8)
 
-    @pytest.mark.parametrize("u_bound", [1e120, 1e80])
-    def test_scan_overflow_raises(self, u_bound):
-        # max() used to drop NaN tensors, so these scans passed at 0.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DivergedField, match="scan point 0 "):
-                haantjes_scan(window=10, n_points=3, u_bound=u_bound)
-
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("ijk,u0,u1", [((1, 1, 2), 1e200, 1.0), ((3, 0, 4), 1e160, 1.0),
                                            ((3, 0, 2), 1e150, 1e200)])
@@ -535,32 +527,30 @@ class TestTensors:
         with pytest.raises(DivergedField, match="closed-form"):
             nijenhuis_closed_form(*ijk, TensorPoint(u, 10))
 
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("u0,u_bound", [(1e200, 3.0), (1e150, 1e200)])
-    def test_scan_closed_form_overflow_raises(self, monkeypatch, u0, u_bound):
-        # the tensors overflow first at such points; finite stand-ins let the
-        # scan reach its closed-form fill
-        def finite(point, plan):
-            return np.zeros(len(plan.n_code)), np.zeros(len(plan.h_code))
-        monkeypatch.setattr(continuum, "_tensor_entries", finite)
-        with pytest.raises(DivergedField, match="scan point 0 .*closed-form"):
-            haantjes_scan(window=10, n_points=2, u0_range=(u0, u0), u_bound=u_bound)
+    @pytest.mark.parametrize("window,n_u", [(10.5, 22), (10.0, 21), (np.float64(10.0), 21),
+                                            (True, 3), ("10", 21)],
+                             ids=["10.5", "float", "float64", "bool", "str"])
+    def test_point_refuses_a_window_that_is_not_an_integer(self, window, n_u):
+        # 10.5 with 22 values was accepted, and later queries failed with a
+        # bare TypeError or IndexError
+        with pytest.raises(ValueError, match="window must be an integer"):
+            TensorPoint(np.ones(n_u), window)
 
-    @pytest.mark.parametrize("kwargs", [
-        {"u_bound": np.inf}, {"u_bound": -3.0}, {"u_bound": 0.0},
-        {"u_bound": np.nan}, {"u_bound": 1e308},
-        {"u0_range": (0.5, np.inf)}, {"u0_range": (-np.inf, 2.0)},
-        {"u0_range": (2.0, 0.5)}, {"u0_range": (np.nan, 2.0)}])
-    def test_scan_refuses_bad_ranges(self, kwargs):
-        with pytest.raises(ValueError, match="u_bound|u0_range"):
-            haantjes_scan(window=10, n_points=3, **kwargs)
+    def test_point_takes_numpy_integers(self):
+        pt = TensorPoint(np.ones(21), np.int64(10))
+        assert nijenhuis(np.int64(1), np.int32(0), np.int64(1), pt) == -6.0
 
-
-@pytest.mark.parametrize("epsilons", [(1.0 / 32,), (1.0 / 32, 1.0 / 32), ()])
-def test_convergence_needs_two_epsilons(epsilons):
-    # with one epsilon there is no halving ratio, and all([]) used to pass
-    with pytest.raises(ValueError, match="two distinct epsilons"):
-        continuum_convergence(epsilons=epsilons)
+    @pytest.mark.parametrize("query", [nijenhuis, nijenhuis_closed_form, haantjes])
+    @pytest.mark.parametrize("ijk", [(1.7, 0, 2), (0, 2.0, 1), (True, 0, 1),
+                                     (1, 0, np.bool_(True)), (np.nan, 0, 1)],
+                             ids=["1.7", "2.0", "True", "bool_", "nan"])
+    def test_index_that_is_not_an_integer_refused(self, query, ijk):
+        # int() truncated 1.7 to 1 (a component of 0.0), read True as 1
+        # (N^1_{01} = -6 at u = 1) and raised numpy's message on NaN
+        bad = next(q for q in ijk if not isinstance(q, int) or isinstance(q, bool))
+        with pytest.raises(ValueError, match=f"tensor index must be an integer, "
+                                             f"got {re.escape(repr(bad))}"):
+            query(*ijk, TensorPoint(np.ones(21), 10))
 
 
 def test_lattice_continuum_convergence():

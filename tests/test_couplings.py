@@ -9,7 +9,7 @@ import reference_kernels as ref
 from taulattice import CouplingVector, build_quadrature, couplings
 from taulattice.couplings import (_cumulative_matrix, _gauss_legendre, _radius_for,
                                   cumulative_integral, weight_eval)
-from taulattice.errors import NonIntegrableWeight, ToleranceUnreachable
+from taulattice.errors import IllConditioned, NonIntegrableWeight, ToleranceUnreachable
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -284,6 +284,29 @@ def test_failed_builds_are_not_kept(fresh_grids, monkeypatch, mapping, error):
             build_quadrature(t)
     assert len(calls) == 2
     assert couplings._converged_grid.cache_info().currsize == 0
+
+
+def test_weight_past_the_double_range_refused_before_doubling(fresh_grids, monkeypatch):
+    # rho(38) = e^722 reads inf: the panel doubling ran to 8192 panels and
+    # raised ToleranceUnreachable, which blamed the tolerance
+    panels, values = [], couplings._convergence_values
+
+    def counted(t, radius, n_panels, deg, shift):
+        panels.append(n_panels)
+        return values(t, radius, n_panels, deg, shift)
+    monkeypatch.setattr(couplings, "_convergence_values", counted)
+    with pytest.raises(IllConditioned, match=r"\{1: 38.0\} overflows the double range"):
+        build_quadrature(CouplingVector.from_mapping({1: 38}))
+    assert panels == [8]
+
+
+def test_weight_just_inside_the_double_range_builds(fresh_grids):
+    # rho peaks at e^703.125; its mass is sqrt(2 pi) e^703.125
+    grid = build_quadrature(CouplingVector.from_mapping({1: 37.5}))
+    assert grid.panels == 16
+    assert np.isfinite(grid.rho).all()
+    mass = float(grid.weights @ grid.rho)
+    assert abs(mass / (SQRT_2PI * math.exp(703.125)) - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("max_degree", [-5, 2.5, True, False, np.float64(4.0), "4", None])

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_kernels as ref
-from taulattice import (CouplingVector, DivergedField, VolterraState, couplings,
-                        exact_oracles, flows, identities, kp_residual, mkp_residuals, moments,
+from taulattice import (CouplingVector, DivergedField, EvolutionResult, PfaffLax,
+                        VolterraState, couplings, exact_oracles, flows, goe_lax_init,
+                        identities, kp_residual, mkp_residuals, moments,
                         observables_check, reduction_invariants, sample_gaussian_ensemble)
 
 
@@ -225,34 +226,31 @@ class TestReductionInvariants:
         assert report.meta["samples"] == 3
 
     def test_rejects_sites_and_bands_past_the_window(self):
+        # k_neg 1 read w^-2 from a wrapped row and failed at 15.5; k_pos 2
+        # and 3 left the reduced chain fewer than two W, and k_pos 1 a
+        # negative band count
+        for k_neg, k_pos in [(1, 6), (0, 6), (6, 3), (6, 2), (6, 1)]:
+            lax = goe_lax_init(24, k_pos, 6)
+            trajectory = EvolutionResult(np.array([0.05]),
+                                         (PfaffLax(lax.w[6 - k_neg:], k_neg, k_pos),))
+            with pytest.raises(ValueError, match="k_neg >= 2 and k_pos >= 4"):
+                reduction_invariants(trajectory)
         trajectory = exact_oracles("t2-scaling", ensemble="orthogonal",
-                                   times=[0.05], n_sites=24, k_pos=6, k_neg=6)
-        with pytest.raises(IndexError):
-            reduction_invariants(trajectory, n_max=25)
-        with pytest.raises(IndexError):
-            reduction_invariants(trajectory, k_max=7)
-        with pytest.raises(ValueError, match="n_max"):
-            reduction_invariants(trajectory, n_max=0)
+                                   times=[0.05], n_sites=3, k_pos=6, k_neg=6)
+        with pytest.raises(IndexError, match="4 sites"):
+            reduction_invariants(trajectory)
+
+    def test_reads_the_smallest_window_it_accepts(self):
+        trajectory = exact_oracles("t2-scaling", ensemble="orthogonal",
+                                   times=[0.0, 0.05], n_sites=4, k_pos=4, k_neg=2)
+        report = reduction_invariants(trajectory)
+        assert report.passed
+        assert (report.meta["n_max"], report.meta["k_max"]) == (4, 2)
 
     def test_rejects_wrong_trajectory(self):
         trajectory = exact_oracles("t2-scaling", times=[0.1], n_sites=24)
         with pytest.raises(TypeError):
             reduction_invariants(trajectory)
-
-
-@pytest.mark.parametrize("n_sites", [8, 3])
-def test_commute_needs_interior_columns(n_sites):
-    with pytest.raises(ValueError, match="n_sites"):
-        identities.verify_commute(n_states=1, n_sites=n_sites)
-
-
-@pytest.mark.parametrize("argument,value", [("n_states", 0), ("n_states", -3),
-                                            ("k_band", 1), ("k_band", 0)])
-def test_commute_refuses_a_vacuous_comparison(argument, value):
-    # n_states 0 once passed after comparing nothing, and k_band 1 damped
-    # every band but the last and still passed
-    with pytest.raises(ValueError, match=argument):
-        identities.verify_commute(**{"n_states": 1, argument: value})
 
 
 class TestEnsembleSampling:

@@ -343,6 +343,12 @@ class TestTauReach:
         with pytest.raises(IllConditioned, match="broke down at degree 0"):
             log_tau("orthogonal", 2, CouplingVector.from_mapping({1: 30}))
 
+    def test_weight_past_the_double_range_raises(self):
+        # rho peaks at e^722 near z = 38, past the double range: the grid
+        # build refuses it, where it raised ToleranceUnreachable
+        with pytest.raises(IllConditioned, match="overflows the double range"):
+            log_tau("unitary", 2, CouplingVector.from_mapping({1: 38}))
+
     @pytest.mark.parametrize("n, bound", [(280, 1e-10), (300, 1e-10), (340, 1e-7)])
     def test_unitary_past_the_companion_underflow(self, t0, n, bound):
         # unshifted, the companion moment read the subnormal 5.5e-316 at

@@ -22,6 +22,7 @@ import numpy as np
 
 # the three continuum checks are SUITES entries, looked up here by name
 from .continuum import continuum_convergence, haantjes_scan, hydro_scaling_check  # noqa: F401
+from .continuum import _is_integer
 from .couplings import CouplingVector, build_quadrature, cumulative_integral
 from .errors import PreBreakingViolated, UnsupportedKind
 from .flows import (EvolutionResult, ReducedChainState, VolterraState,
@@ -467,6 +468,8 @@ def verify_scaling(n_sites: int = 64, tolerance: float = 1e-8) -> IdentityReport
     """Integrated pure-t2 trajectories against the exact scaling family, at
     four times up to the horizon 0.2, off the last 8 sites."""
     horizon, margin = 0.2, 8
+    if not _is_integer(n_sites):
+        raise ValueError(f"n_sites must be an integer, got {n_sites!r}")
     if n_sites <= margin:
         raise ValueError(f"n_sites must exceed the margin {margin}, got {n_sites}")
     times = _sample_times(horizon, 4)
@@ -481,7 +484,7 @@ def verify_scaling(n_sites: int = 64, tolerance: float = 1e-8) -> IdentityReport
     for t, s in zip(red.times, red.states):
         worst = max(worst, abs(s.Wm1 - 0.5 / (1.0 - 2.0 * t)),
                     float(np.max(np.abs(s.W - 2.0))))
-    meta = {"n_sites": n_sites, "horizon": horizon, "margin": margin}
+    meta = {"n_sites": int(n_sites), "horizon": horizon, "margin": margin}
     return IdentityReport.from_residual("t2-scaling", worst, tolerance, meta=meta)
 
 

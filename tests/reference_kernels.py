@@ -23,8 +23,14 @@ order and is held to 1e-13 relative.  The dense `einsum` contractions of
 the Nijenhuis and Haantjes tensors are the reference for the sums the
 library compiles from the monomial table; those add the same products in
 another order, so each component is held to 8 eps of the size of the terms
-it sums (`tensor_magnitudes`), and a structural zero to exactly 0.  The mpmath rule is the accuracy
-reference for `couplings._gauss_legendre`.
+it sums (`tensor_magnitudes`), and a structural zero to exactly 0.
+`haantjes_scan` is the scan as it ran before it tabulated the closed form
+over all points at once: a dict of Python floats per row and point
+(`closed_table_row`, which `nijenhuis_closed_form` here reads), and a
+dense guarded block filled once with N and once with the table, compared
+entry by entry.  Its N and H come from the library's compiled sums, so
+the two scans must serialise byte for byte alike.  The mpmath rule is the
+accuracy reference for `couplings._gauss_legendre`.
 
 The tau references are the monomial routes `moments.log_tau` replaced: a
 Cholesky factor of the Hankel moment matrix and a Pfaffian of monomial skew
@@ -87,8 +93,10 @@ from taulattice.couplings import (_panel_nodes, _radius_for, _regrid, build_quad
 from taulattice.moments import (_log_tau_of_basis, _skew_products, _stieltjes, _tau_grid,
                                 _tau_value)
 from taulattice.numdiff import mixed_derivative
-from taulattice.continuum import _matrix_terms, _rhs_plan
+from taulattice.continuum import (TensorPoint, _matrix_terms, _rhs_plan, _tensor_entries,
+                                  _tensor_plan)
 from taulattice.errors import DivergedField, NonIntegrableWeight, StructureViolation
+from taulattice.report import IdentityReport
 from taulattice.flows import _skew_block_projection
 
 
@@ -883,6 +891,98 @@ def tensor_magnitudes(A: np.ndarray, dA: np.ndarray):
     A, dA = np.abs(A), np.abs(dA)
     N = nijenhuis_tensor(A, dA, signs=(1, 1, 1, 1))
     return N, haantjes_tensor(N, A, signs=(1, 1, 1, 1))
+
+
+def closed_table_row(point, i: int) -> dict:
+    """Nonzero Nijenhuis components of row i at one point, keyed (j, k),
+    as Python floats; u0 ** 2 raises OverflowError past the double range."""
+    u = point.value
+    u0 = u(0)
+    if i == 0:
+        return {}
+    if i > 2:
+        return {(0, 1): u0 * ((i - 1) * u(i - 1) - (i + 1) * u(i + 1)),
+                (0, i): -4.0 * u0,
+                (0, i - 1): u0 * u(1), (0, i + 1): u0 * u(1),
+                (1, i - 1): u0 ** 2, (1, i + 1): u0 ** 2}
+    if i < -2:
+        return {(0, 1): u0 * (i * u(i - 1) - (i + 2) * u(i + 1)),
+                (0, i): -4.0 * u0,
+                (0, i - 1): u0 * u(1), (0, i + 1): u0 * u(1),
+                (1, i - 1): u0 ** 2, (1, i + 1): u0 ** 2}
+    if i == 2:
+        return {(0, 1): u0 * (2.0 * u(1) - 3.0 * u(3)),
+                (0, 2): -4.0 * u0, (0, 3): u0 * u(1), (1, 3): u0 ** 2}
+    if i == 1:
+        return {(0, 1): -2.0 * u0 * (2.0 + u(2)),
+                (0, 2): u0 * u(1), (1, 2): u0 ** 2}
+    if i == -1:
+        return {(0, -1): -4.0 * u0, (0, -2): u0 * u(1), (1, -2): u0 ** 2,
+                (0, 1): -u0 * u(-2)}
+    return {(0, -2): -4.0 * u0, (0, -3): u0 * u(1), (1, -3): u0 ** 2,
+            (0, 1): -2.0 * u0 * u(-3), (-1, 1): -2.0 * u0 ** 2,
+            (0, -1): 2.0 * u0 * u(1)}
+
+
+def nijenhuis_closed_form(i: int, j: int, k: int, point) -> float:
+    """The closed-form component read off `closed_table_row`."""
+    point.guard(i, j, k)
+    try:
+        table = closed_table_row(point, i)
+    except OverflowError as exc:
+        raise DivergedField(f"closed-form Nijenhuis row {i} overflows: {exc}") from exc
+    if (j, k) in table:
+        value = float(table[(j, k)])
+    elif (k, j) in table:
+        value = -float(table[(k, j)])
+    else:
+        return 0.0
+    if not math.isfinite(value):
+        raise DivergedField(f"closed-form Nijenhuis component ({i}, {j}, {k}) "
+                            f"is not finite")
+    return value
+
+
+def haantjes_scan(*, window: int = 10, n_points: int = 100, seed: int = 20260823,
+                  tolerance: float = 1e-9) -> IdentityReport:
+    """The Haantjes scan point by point, each point's closed form as dicts
+    and its comparison on the dense guarded block of side 2(window-3)+1."""
+    rng = np.random.default_rng(seed)
+    W, g = window, window - 3
+    m = 2 * g + 1
+    plan = _tensor_plan(W)
+    keep, at, offset = [], [], 0
+    ones = TensorPoint(np.ones(2 * W + 1), W)
+    for i in range(-g, g + 1):
+        keys = list(closed_table_row(ones, i))
+        for e, (j, k) in enumerate(keys):
+            if max(abs(j), abs(k)) <= g:
+                keep.append(offset + e)
+                at += [((i + g) * m + j + g) * m + k + g,
+                       ((i + g) * m + k + g) * m + j + g]
+        offset += len(keys)
+    signed = np.empty(len(at))
+    worst_h = worst_closed = 0.0
+    for _ in range(n_points):
+        u = rng.uniform(-3.0, 3.0, 2 * W + 1)
+        u[W] = rng.uniform(0.5, 2.0)
+        pt = TensorPoint(u, W)
+        N, H = _tensor_entries(pt, plan)
+        got = np.zeros(m ** 3)
+        got[plan.block_code] = N[plan.n_guarded]
+        vals = np.array([v for i in range(-g, g + 1)
+                         for v in closed_table_row(pt, i).values()])[keep]
+        signed[0::2] = vals
+        np.negative(vals, signed[1::2])
+        expect = np.zeros(m ** 3)
+        expect[at] = signed
+        worst_h = max(worst_h, float(np.max(np.abs(H), initial=0.0)))
+        worst_closed = max(worst_closed, float(np.max(np.abs(got - expect))))
+    meta = {"window": window, "n_points": n_points, "seed": seed,
+            "max_haantjes": worst_h, "max_closed_form_error": worst_closed,
+            "closed_tol": 1e-10}
+    return IdentityReport("chain-diagonalizability", worst_h, worst_h, tolerance,
+                          worst_h <= tolerance and worst_closed <= 1e-10, meta)
 
 
 def dense_embedding(state) -> np.ndarray:

@@ -15,7 +15,8 @@ from taulattice import (DivergedField, HydroChainField, IndexOutOfWindow,
                         reduced_chain_rhs, reduced_continuum_rhs,
                         spatial_derivative)
 from taulattice import continuum
-from taulattice.continuum import _matrix_entries, _tensor_entries, _tensor_plan
+from taulattice.continuum import (_closed_layout, _closed_table, _matrix_entries,
+                                  _tensor_entries, _tensor_plan)
 
 
 def _dense(plan, codes, values, dims):
@@ -516,6 +517,82 @@ class TestTensors:
         assert report.passed
         with pytest.raises(ValueError):
             haantjes_scan(window=8)
+
+    @given(st.integers(10, 14), st.integers(1, 60), st.integers(0, 2**31 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_scan_equals_the_point_by_point_reference(self, window, n_points, seed):
+        report = haantjes_scan(window=window, n_points=n_points, seed=seed)
+        want = ref.haantjes_scan(window=window, n_points=n_points, seed=seed)
+        assert report.to_json() == want.to_json()
+
+    def test_default_scan_equals_the_point_by_point_reference(self):
+        assert haantjes_scan().to_json() == ref.haantjes_scan().to_json()
+
+    @given(st.integers(4, 14), st.integers(1, 8), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_closed_table_equals_the_scalar_rows(self, window, n_points, seed):
+        # u0 = 1.8903560604397107 squares to another last bit as u0 * u0
+        # than as Python's u0 ** 2; the table squares as the scalar rows do
+        rng = np.random.default_rng(seed)
+        u = rng.uniform(-3.0, 3.0, (n_points, 2 * window + 1))
+        u[:, window] = rng.uniform(0.5, 2.0, n_points)
+        u[0, window] = 1.8903560604397107
+        g = window - 3
+        for i in range(-g, g + 1):
+            table = _closed_table(u, i)
+            for p in range(n_points):
+                row = ref.closed_table_row(TensorPoint(u[p], window), i)
+                assert list(table) == list(row)
+                assert all(table[key][p] == value for key, value in row.items())
+
+    @pytest.mark.parametrize("W", range(10, 15))
+    def test_closed_form_lands_on_guarded_n_entries(self, W):
+        # every tabulated position is one of N's guarded entries, once each,
+        # so the scan compares on those entries alone
+        plan, at, g = _tensor_plan(W), _closed_layout(W), W - 3
+        kept = sum(max(abs(j), abs(k)) <= g for i in range(-g, g + 1)
+                   for j, k in _closed_table(np.ones((1, 2 * W + 1)), i))
+        assert len(at) == len(plan.n_guarded)
+        assert np.count_nonzero(at < at.max()) == 2 * kept
+
+    @pytest.mark.parametrize("W", range(10, 15))
+    def test_plan_indices_are_intp(self, W):
+        plan = _tensor_plan(W)
+        coef, first, second = plan.terms
+        arrays = [first, second, plan.a_slot, plan.a_code, plan.d_slot, plan.d_other,
+                  plan.d_code, *plan.n_pairs, plan.n_terms, plan.n_code, *plan.i_pairs,
+                  *plan.h_pairs, plan.h_terms, plan.h_code, plan.n_guarded,
+                  plan.block_code]
+        assert [a.dtype for a in arrays] == [np.dtype(np.intp)] * len(arrays)
+
+    @pytest.mark.parametrize("kwargs,name", [({"window": 10.5, "n_points": 1}, "window"),
+                                             ({"window": True}, "window"),
+                                             ({"n_points": 2.5}, "n_points"),
+                                             ({"n_points": 2.0}, "n_points"),
+                                             ({"n_points": True}, "n_points")])
+    def test_scan_refuses_a_size_that_is_not_an_integer(self, kwargs, name):
+        # 10.5 and 2.5 failed inside with a bare TypeError, and n_points=True
+        # ran one point
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            haantjes_scan(**kwargs)
+
+    def test_scan_takes_numpy_integers(self):
+        report = haantjes_scan(window=np.int64(11), n_points=np.int32(3), seed=5)
+        assert report.to_json() == haantjes_scan(window=11, n_points=3, seed=5).to_json()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("ijk,u0,u1", [((1, 1, 2), 1e200, 1.0), ((3, 0, 4), 1e160, 1.0),
+                                           ((3, 0, 2), 1e150, 1e200)])
+    def test_closed_form_overflow_refused_as_the_scalar_rows(self, ijk, u0, u1):
+        u = np.ones(21)
+        u[10], u[11] = u0, u1
+        pt = TensorPoint(u, 10)
+        with pytest.raises(DivergedField) as want:
+            ref.nijenhuis_closed_form(*ijk, pt)
+        with pytest.raises(DivergedField) as got:
+            nijenhuis_closed_form(*ijk, pt)
+        assert str(got.value) == str(want.value)
+        assert type(got.value.__cause__) is type(want.value.__cause__)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("ijk,u0,u1", [((1, 1, 2), 1e200, 1.0), ((3, 0, 4), 1e160, 1.0),

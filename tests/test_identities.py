@@ -281,3 +281,15 @@ class TestEnsembleSampling:
             sample_gaussian_ensemble(3, 2, 100, seed=1)
         with pytest.raises(ValueError):
             sample_gaussian_ensemble(1, 2, 1, seed=1)
+
+
+@pytest.mark.parametrize("n_sites", [10.5, 16.0, True])
+def test_scaling_refuses_a_size_that_is_not_an_integer(n_sites):
+    # 10.5 failed inside with a bare TypeError from a slice
+    with pytest.raises(ValueError, match="n_sites must be an integer"):
+        identities.verify_scaling(n_sites=n_sites)
+
+
+def test_scaling_takes_a_numpy_integer():
+    report = identities.verify_scaling(n_sites=np.int64(16))
+    assert report.to_json() == identities.verify_scaling(n_sites=16).to_json()

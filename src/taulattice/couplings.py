@@ -4,7 +4,9 @@ The weight is rho(z) = exp(-z^2/2 + sum_k t_k z^k) for a finite set of
 couplings t_k.  Everything downstream (Stieltjes bases, tau values, skew
 products) integrates against rho on a symmetric truncated interval, so the
 grid builder has to pick a radius large enough that the discarded tail is
-below tolerance for every integrand degree the caller will use.
+below tolerance for every integrand degree the caller will use.  Every
+grid is built by one recipe: 24-point Gauss-Legendre panels, and a radius
+and panel count held to 1e-12 relative (`_POINTS_PER_PANEL`, `_GRID_TOL`).
 
 The radius comes from an 8193-point scan and a bisection on each side.
 The bisections compare the same midpoints with the same target as a loop
@@ -16,13 +18,13 @@ settle; where the companion would not be a normal number, its integrand
 is taken in logs and shifted by a power of two.
 
 `build_quadrature` keeps the last 32 grids it built in a process-wide
-memo keyed on (couplings, tol, max_degree), so repeated requests share
+memo keyed on (couplings, max_degree), so repeated requests share
 one grid.  Grids are frozen records with read-only arrays, so sharing
 them is safe; failed builds are not kept.
 
-The reference Gauss-Legendre rule on each panel is computed here, once per
-point count: Golub-Welsch starting nodes (eigenvalues of the Jacobi matrix)
-polished by Newton steps on the three-term recurrence.
+The reference Gauss-Legendre rule on each panel is computed here, once:
+Golub-Welsch starting nodes (eigenvalues of the Jacobi matrix) polished by
+Newton steps on the three-term recurrence.
 """
 
 from __future__ import annotations
@@ -155,8 +157,8 @@ class QuadratureGrid:
     """Composite Gauss-Legendre rule on [-R, R] with cached weight values.
 
     nodes/weights are flat arrays over all panels in left-to-right order;
-    the panel structure (uniform width, p points each) is kept so cumulative
-    integrals can be done panel-spectrally.
+    the panel structure (uniform width, `_POINTS_PER_PANEL` points each) is
+    kept so cumulative integrals can be done panel-spectrally.
     """
 
     couplings: CouplingVector
@@ -164,18 +166,15 @@ class QuadratureGrid:
     weights: np.ndarray
     rho: np.ndarray
     radius: float
-    target_tol: float
     panels: int
-    points_per_panel: int
 
     def __post_init__(self):
         _own_arrays(self, "nodes", "weights", "rho")
 
-    def integrate_weighted(self, fvals: np.ndarray) -> float:
-        """Quadrature of f against rho(z) dz."""
-        return float(self.weights @ (fvals * self.rho))
 
-
+_POINTS_PER_PANEL = 24                          # Gauss points of every grid's panels
+_GRID_TOL = 1e-12                               # relative tolerance of every grid's radius and panels
+_GRID_MEMO_SIZE = 32                            # grids build_quadrature keeps, least recently used out
 _SCAN_POINTS = 8193                             # points of the radius search's scan
 _BISECT_STEPS = 200                             # cap on each bisection's steps
 
@@ -246,10 +245,10 @@ def _bisect_replayed(F, target: float, sides) -> list:
     return [side[1] for side in state]
 
 
-def _radius_for(t: CouplingVector, tol: float, max_degree: int) -> float:
-    """Largest |z| beyond which z^d * rho is below tol relative to its peak.
+def _radius_for(t: CouplingVector, max_degree: int) -> float:
+    """Largest |z| beyond which z^d * rho is below `_GRID_TOL` relative to its peak.
 
-    Solves F(z) = F(z*) + log(tol) for the decay function
+    Solves F(z) = F(z*) + log(_GRID_TOL) for the decay function
     F(z) = exponent(z) + d*log(max(|z|,1)).  An 8193-point scan of
     [-B, B], B = 10, 20, 40, ..., finds the first bracket whose ends both
     read below the target and the scan's peak z*; each side is then
@@ -262,7 +261,7 @@ def _radius_for(t: CouplingVector, tol: float, max_degree: int) -> float:
     spacing past the radius).  d = 0 reduces to the bare-weight rule.
     """
     d = int(max_degree)
-    tgt_gap = math.log(tol)
+    tgt_gap = math.log(_GRID_TOL)
 
     def F(z):
         z = np.asarray(z, dtype=float)
@@ -318,17 +317,17 @@ def _legendre_table(p: int, x: np.ndarray) -> np.ndarray:
     return P
 
 
-@lru_cache(maxsize=8)
-def _gauss_legendre(p: int):
-    """Read-only nodes and weights of the p-point Gauss-Legendre rule on [-1, 1].
+@lru_cache(maxsize=1)
+def _gauss_legendre():
+    """Read-only nodes and weights of the p-point Gauss-Legendre rule on [-1, 1],
+    p = `_POINTS_PER_PANEL`.
 
     Golub-Welsch nodes (eigenvalues of the Jacobi matrix, off-diagonal
     k/sqrt(4k^2-1)) start Newton on P_p, with P_p' = p (P_{p-1} - x P_p) /
     (1 - x^2) from the recurrence.  Weights are 2 / ((1 - x^2) P_p'(x)^2).
     Both arrays are symmetrised about 0.
     """
-    if p < 1:
-        raise ValueError(f"need at least one Gauss point, got {p}")
+    p = _POINTS_PER_PANEL
     k = np.arange(1.0, p)
     x = np.linalg.eigvalsh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
 
@@ -352,9 +351,9 @@ def _gauss_legendre(p: int):
     return x, w
 
 
-def _panel_nodes(radius: float, panels: int, p: int):
+def _panel_nodes(radius: float, panels: int):
     edges = np.linspace(-radius, radius, panels + 1)
-    ref_x, ref_w = _gauss_legendre(p)
+    ref_x, ref_w = _gauss_legendre()
     half = radius / panels
     mids = 0.5 * (edges[:-1] + edges[1:])
     nodes = (mids[:, None] + half * ref_x[None, :]).ravel()
@@ -362,37 +361,31 @@ def _panel_nodes(radius: float, panels: int, p: int):
     return nodes, weights
 
 
-_POINTS_PER_PANEL = 24                          # Gauss points of every grid's panels
-_GRID_MEMO_SIZE = 32                            # grids build_quadrature keeps, least recently used out
-
-
-def build_quadrature(t: CouplingVector, tol: float = 1e-12, *,
-                     max_degree: int = 0) -> QuadratureGrid:
+def build_quadrature(t: CouplingVector, *, max_degree: int = 0) -> QuadratureGrid:
     """Composite Gauss-Legendre grid whose panel count has converged.
 
     Doubles the panel count until int(rho) (and the max_degree moment of
-    z / radius, when one was requested) moves by less than tol relatively.
+    z / radius, when one was requested) moves by less than `_GRID_TOL`
+    relatively.
     `max_degree` widens the radius so that high moments keep full accuracy;
     the default 0 is the bare-weight rule.
 
-    The last 32 grids built are kept, keyed on (t, tol, max_degree): a
+    The last 32 grids built are kept, keyed on (t, max_degree): a
     repeated request returns the grid already built, the same frozen
     record with read-only arrays.  A build that raises is not kept.
     """
     if not t.integrable:
         raise NonIntegrableWeight(f"weight for couplings {t.as_dict()} has a divergent tail")
-    if not (0.0 < tol <= 1e-6):
-        raise ValueError(f"tol must lie in (0, 1e-6], got {tol}")
     if isinstance(max_degree, bool) or not isinstance(max_degree, numbers.Integral) \
             or max_degree < 0:
         raise ValueError(f"max_degree must be a non-negative integer, got {max_degree!r}")
-    return _converged_grid(t, tol, int(max_degree))
+    return _converged_grid(t, int(max_degree))
 
 
 @lru_cache(maxsize=_GRID_MEMO_SIZE)
-def _converged_grid(t: CouplingVector, tol: float, max_degree: int) -> QuadratureGrid:
+def _converged_grid(t: CouplingVector, max_degree: int) -> QuadratureGrid:
     """`build_quadrature` on validated arguments, behind its memo."""
-    radius = _radius_for(t, tol, max_degree)
+    radius = _radius_for(t, max_degree)
     # even companion moment for the convergence test, in units of the radius
     # so that z^deg cannot overflow at high degree
     deg = 2 * (max_degree // 2)
@@ -401,12 +394,11 @@ def _converged_grid(t: CouplingVector, tol: float, max_degree: int) -> Quadratur
     while panels <= 4096:
         panels *= 2
         nodes, weights, rho, cur = _convergence_values(t, radius, panels, deg, shift)
-        if all(abs(c - p) <= tol * abs(c) for c, p in zip(cur, prev)):
-            return QuadratureGrid(t, nodes, weights, rho, radius, tol,
-                                  panels, _POINTS_PER_PANEL)
+        if all(abs(c - p) <= _GRID_TOL * abs(c) for c, p in zip(cur, prev)):
+            return QuadratureGrid(t, nodes, weights, rho, radius, panels)
         prev = cur
     raise ToleranceUnreachable(
-        f"panel doubling stalled at {panels} panels for tol {tol}")
+        f"panel doubling stalled at {panels} panels for tol {_GRID_TOL}")
 
 
 def _convergence_values(t: CouplingVector, radius: float, panels: int, deg: int,
@@ -418,7 +410,7 @@ def _convergence_values(t: CouplingVector, radius: float, panels: int, deg: int,
     already has; shift 0 is the plain product.  Raises IllConditioned when
     int(rho) is not finite, so no grid holds a weight past the double
     range."""
-    nodes, weights = _panel_nodes(radius, panels, _POINTS_PER_PANEL)
+    nodes, weights = _panel_nodes(radius, panels)
     rho = weight_eval(nodes, t)
     vals = [float(weights @ rho)]
     if not math.isfinite(vals[0]):
@@ -451,22 +443,23 @@ def _companion_shift(t: CouplingVector, radius: float, deg: int):
 
 
 def _regrid(grid: QuadratureGrid, radius: float, panels: int) -> QuadratureGrid:
-    """The grid's couplings, rule and tolerance on [-radius, radius] in `panels` panels."""
-    nodes, weights = _panel_nodes(radius, panels, grid.points_per_panel)
-    rho = weight_eval(nodes, grid.couplings)
-    return QuadratureGrid(grid.couplings, nodes, weights, rho, radius,
-                          grid.target_tol, panels, grid.points_per_panel)
+    """The grid's couplings on [-radius, radius] in `panels` panels."""
+    nodes, weights = _panel_nodes(radius, panels)
+    return QuadratureGrid(grid.couplings, nodes, weights, weight_eval(nodes, grid.couplings),
+                          radius, panels)
 
 
-@lru_cache(maxsize=8)
-def _cumulative_matrix(p: int) -> np.ndarray:
-    """Matrix M with (M f)_j = int_{-1}^{xi_j} f on the p-point reference panel.
+@lru_cache(maxsize=1)
+def _cumulative_matrix() -> np.ndarray:
+    """Matrix M with (M f)_j = int_{-1}^{xi_j} f on the reference panel's
+    p = `_POINTS_PER_PANEL` Gauss points.
 
     Built from the Legendre expansion of f at the Gauss nodes:
     c_k = (2k+1)/2 * sum_i w_i P_k(xi_i) f_i and
     int_{-1}^{xi} P_k = (P_{k+1}(xi) - P_{k-1}(xi)) / (2k+1) for k >= 1.
     """
-    xi, w = _gauss_legendre(p)
+    p = _POINTS_PER_PANEL
+    xi, w = _gauss_legendre()
     P = _legendre_table(p, xi)  # (p+1, p)
     coeff = ((2 * np.arange(p) + 1) / 2.0)[:, None] * P[:p] * w[None, :]  # (p, p): k,i
     anti = np.empty((p, p))  # k, j -> int_{-1}^{xi_j} P_k
@@ -483,12 +476,11 @@ def cumulative_integral(grid: QuadratureGrid, fvals: np.ndarray):
     cum and total have one entry per row).  Within each panel the integral
     is spectral; panel totals are prefix-summed.
     """
-    p = grid.points_per_panel
     half = grid.radius / grid.panels
     F = np.asarray(fvals, dtype=float)
-    rows = F.reshape(-1, grid.panels, p)  # (functions, panels, p)
-    inner = half * rows @ _cumulative_matrix(p).T  # cumulative within each panel
-    _, ref_w = _gauss_legendre(p)
+    rows = F.reshape(-1, grid.panels, _POINTS_PER_PANEL)  # (functions, panels, p)
+    inner = half * rows @ _cumulative_matrix().T  # cumulative within each panel
+    _, ref_w = _gauss_legendre()
     totals = half * rows @ ref_w
     offsets = np.zeros_like(totals)
     offsets[:, 1:] = np.cumsum(totals[:, :-1], axis=1)

@@ -32,7 +32,7 @@ from .flows import (EvolutionResult, ReducedChainState, VolterraState,
 from .lax import (PfaffLax, TodaLax, _skew_basis, _skew_gram_schmidt, c_coeff,
                   goe_lax_init, pfaff_entries_from_tau, pfaff_lax_from_basis,
                   skew_hermite_map_check, sqrt_ratio_product)
-from .moments import _TAU_TOL, _log_tau_jets, _log_tau_of_basis, _stieltjes_basis
+from .moments import _log_tau_jets, _log_tau_of_basis, _stieltjes_basis
 from .report import IdentityReport
 
 __all__ = [
@@ -169,7 +169,7 @@ def kp_residual(n: int = 2, t: CouplingVector = _T0, *,
 
 def _triangle_moments(t: CouplingVector, max_degree: int):
     """T[i, j] = int_{x<y} x^i y^j rho(x) rho(y) dx dy, spectrally accurate."""
-    grid = build_quadrature(t, _TAU_TOL, max_degree=2 * max_degree + 2)
+    grid = build_quadrature(t, max_degree=2 * max_degree + 2)
     powers = grid.nodes[None, :] ** np.arange(max_degree + 1)[:, None]
     cums, _ = cumulative_integral(grid, powers * grid.rho)
     return cums @ (powers * (grid.weights * grid.rho)).T

@@ -413,7 +413,7 @@ def skew_hermite_map_check(n_pairs: int = 6, *, tolerance: float = 1e-9) -> Iden
         raise ValueError(f"n_pairs must be at least 1, got {n_pairs}")
     t0 = CouplingVector.from_mapping({})
     dim = 2 * n_pairs
-    grid = build_quadrature(t0, 1e-12, max_degree=dim + 2)
+    grid = build_quadrature(t0, max_degree=dim + 2)
     nu = nu_values(n_pairs)
     Qs = hermite_map_coeffs(n_pairs) / np.repeat(np.sqrt(nu), 2)[:, None]
     S = _skew_products(grid, Qs @ grid.nodes ** np.arange(dim)[:, None], grid.rho)

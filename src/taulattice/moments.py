@@ -18,6 +18,11 @@ that maps orthogonal to skew-orthogonal polynomials runs on the rho^2
 basis.  Coupling derivatives of log tau are exact jets on the same basis:
 shifting t_a multiplies rho by e^{s z^a}, and z q = J q with J the Jacobi
 matrix of the recurrence (Gautschi 2004; Adler & van Moerbeke 2002).
+
+Every tau route (the skew moments, the Stieltjes bases and their jets, and
+the skew bases and small-ensemble moments built on them) reads grids of
+`build_quadrature`'s one recipe: 24-point panels whose radius and panel
+count are held to 1e-12 relative.  No route chooses a tolerance.
 """
 
 from __future__ import annotations
@@ -42,11 +47,6 @@ __all__ = [
     "tau_orthogonal",
     "tau_coupling_derivative",
 ]
-
-# Relative tolerance of the panel doubling (`build_quadrature`) behind every
-# tau route: the skew moments, the Stieltjes bases and their jets, and the
-# skew bases and small-ensemble moments built on them.
-_TAU_TOL = 1e-12
 
 # log|tau| outside this range has no normal double value.
 _LOG_RANGE = tuple(np.log([np.finfo(float).tiny, np.finfo(float).max]))
@@ -82,7 +82,7 @@ def skew_moment_matrix(t: CouplingVector, size: int) -> SkewMomentMatrix:
     """Skew products m[i][j] = <x^i, y^j> for i, j < size (size even)."""
     if size % 2 or size <= 0:
         raise ValueError(f"size must be a positive even integer, got {size}")
-    grid = build_quadrature(t, _TAU_TOL, max_degree=size + 2)
+    grid = build_quadrature(t, max_degree=size + 2)
     powers = grid.nodes[None, :] ** np.arange(size)[:, None]
     return SkewMomentMatrix(_skew_products(grid, powers, grid.rho), t)
 
@@ -178,8 +178,7 @@ def _tau_grid(ensemble: str, n: int, t: CouplingVector) -> QuadratureGrid:
     (orthogonal log error 2.4e-9 at 80 and 5.5e-2 at 140; unitary 1.6e-7
     at 100).  Below size 66 the floor never binds.
     """
-    grid = build_quadrature(t, _TAU_TOL,
-                            max_degree=max(4 * n if ensemble == "unitary" else 2 * n, 2))
+    grid = build_quadrature(t, max_degree=max(4 * n if ensemble == "unitary" else 2 * n, 2))
     return grid if grid.panels >= n / 4 else _regrid(grid, grid.radius, -(-n // 4))
 
 

@@ -88,7 +88,7 @@ import math
 import numpy as np
 
 from taulattice import continuum, flows, lax, pfaffian
-from taulattice.couplings import (_panel_nodes, _radius_for, _regrid, build_quadrature,
+from taulattice.couplings import (_GRID_TOL, _panel_nodes, _regrid, build_quadrature,
                                   cumulative_integral, weight_eval)
 from taulattice.moments import (_log_tau_of_basis, _skew_products, _stieltjes, _tau_grid,
                                 _tau_value)
@@ -641,7 +641,7 @@ def radius_sequential(t, tol, max_degree):
 def widen_grid(grid, radius_tol, max_degree=0):
     """Same grid geometry pushed out to a more suppressed tail radius, the
     panel count grown with the radius so that no panel gets wider."""
-    radius = _radius_for(grid.couplings, radius_tol, max_degree)
+    radius = radius_sequential(grid.couplings, radius_tol, max_degree)
     if radius <= grid.radius:
         return grid
     return _regrid(grid, radius, int(np.ceil(grid.panels * radius / grid.radius)))
@@ -679,9 +679,9 @@ def skew_moment_rows(t, size, grid):
     return 0.5 * (m - m.T)
 
 
-def log_tau_unitary_monomial(t, n, tol=1e-12):
+def log_tau_unitary_monomial(t, n):
     """log det of the n x n monomial Hankel matrix, by Cholesky."""
-    grid = build_quadrature(t, tol, max_degree=2 * (n - 1))
+    grid = build_quadrature(t, max_degree=2 * (n - 1))
     powers = grid.nodes[None, :] ** np.arange(2 * n - 1)[:, None]
     mu = powers @ (grid.weights * weight_eval(grid.nodes, t))
     idx = np.arange(n)
@@ -689,18 +689,18 @@ def log_tau_unitary_monomial(t, n, tol=1e-12):
     return 2.0 * float(np.log(np.diag(L)).sum())
 
 
-def log_tau_orthogonal_monomial(t, size, tol=1e-12):
+def log_tau_orthogonal_monomial(t, size):
     """log pf of the size x size monomial skew moment matrix."""
-    grid = build_quadrature(t, tol, max_degree=size + 2)
+    grid = build_quadrature(t, max_degree=size + 2)
     return math.log(pfaffian(skew_moment_rows(t, size, grid)))
 
 
-def toda_lax_hankel(t, n_sites, tol=1e-12):
+def toda_lax_hankel(t, n_sites):
     """(a, b) of the tridiagonal Lax operator from the Cholesky factor of the
     monomial Hankel matrix of order n_sites + 1, the read-off that
     `lax.toda_lax_from_quadrature` replaced.  With H = L L^T,
     b_{n+1} = L[n+1,n+1]/L[n,n] and a_{n+1} = L[n+1,n]/L[n,n] - L[n,n-1]/L[n-1,n-1]."""
-    grid = build_quadrature(t, tol, max_degree=2 * n_sites)
+    grid = build_quadrature(t, max_degree=2 * n_sites)
     powers = grid.nodes[None, :] ** np.arange(2 * n_sites + 1)[:, None]
     mu = powers @ (grid.weights * weight_eval(grid.nodes, t))
     idx = np.arange(n_sites + 1)
@@ -716,14 +716,13 @@ def toda_lax_hankel(t, n_sites, tol=1e-12):
 def plain_moment_panels(grid, max_degree):
     """Panel count of `couplings.build_quadrature` with the plain companion
     moment z^deg rho in its convergence test instead of (z / radius)^deg rho,
-    for the couplings, tolerance, radius and panel rule of `grid`.  z^deg
-    overflows near degree 240, so this is a reference below that."""
-    t, tol, radius = grid.couplings, grid.target_tol, grid.radius
-    points_per_panel = grid.points_per_panel
+    for the couplings and radius of `grid`.  z^deg overflows near degree
+    240, so this is a reference below that."""
+    t, radius = grid.couplings, grid.radius
     deg = 2 * (int(max_degree) // 2)
 
     def values(panels):
-        nodes, weights = _panel_nodes(radius, panels, points_per_panel)
+        nodes, weights = _panel_nodes(radius, panels)
         rho = weight_eval(nodes, t)
         vals = [float(weights @ rho)]
         if deg > 0:
@@ -734,13 +733,13 @@ def plain_moment_panels(grid, max_degree):
     while panels <= 4096:
         panels *= 2
         cur = values(panels)
-        if all(abs(c - p) <= tol * abs(c) for c, p in zip(cur, prev)):
+        if all(abs(c - p) <= _GRID_TOL * abs(c) for c, p in zip(cur, prev)):
             return panels
         prev = cur
     return None
 
 
-def parity_hermite_window(t, n_pairs, n_sites, k_band, tol=1e-12):
+def parity_hermite_window(t, n_pairs, n_sites, k_band):
     """(h, w) from the skew Gram-Schmidt in the nu-scaled parity-Hermite
     basis f_k = P_k / sqrt(nu_{k//2}) that `lax.skew_orthonormal_basis` ran
     before it moved onto the Stieltjes basis.  h are the monic pair products
@@ -749,7 +748,7 @@ def parity_hermite_window(t, n_pairs, n_sites, k_band, tol=1e-12):
     no z^{2n} term.  At {1: 0.05, 4: -0.03} its last pair product is off by
     3.6e-9 relative at 11 pairs, against 3.3e-11 at 10."""
     dim = 2 * n_pairs
-    grid = build_quadrature(t, tol, max_degree=dim + 2)
+    grid = build_quadrature(t, max_degree=dim + 2)
     root_nu = np.repeat(np.sqrt(lax.nu_values(n_pairs + 1)), 2)
     Cs = lax._parity_hermite_coeffs(dim) / root_nu[:dim, None]
     F = _skew_products(grid, Cs @ grid.nodes ** np.arange(dim)[:, None],

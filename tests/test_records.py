@@ -20,8 +20,7 @@ _FIELD = HydroChainField.initial(np.linspace(0.25, 2.25, 9))
 RECORDS = {
     QuadratureGrid: ({"nodes": np.linspace(-1.0, 1.0, 4), "weights": np.full(4, 0.5),
                       "rho": np.exp(-0.5 * np.linspace(-1.0, 1.0, 4) ** 2)},
-                     {"couplings": _T0, "radius": 1.0, "target_tol": 1e-12,
-                      "panels": 1, "points_per_panel": 4}),
+                     {"couplings": _T0, "radius": 1.0, "panels": 1}),
     SkewMomentMatrix: ({"m": np.array([[0.0, 1.0], [-1.0, 0.0]])}, {"couplings": _T0}),
     TodaLax: ({"a": np.zeros(4), "b": np.sqrt(np.arange(1.0, 4.0))}, {}),
     PfaffLax: ({"w": np.ones((5, 6))}, {"k_neg": 2, "k_pos": 2}),

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import numbers
 import os
 import sys
 
@@ -135,13 +136,17 @@ def _given(opt: dict, keywords: dict) -> dict:
 
 
 def _couplings(opt: dict) -> CouplingVector:
+    """The couplings option: a JSON object of index -> number, bare or under
+    "t", as text (the flag) or parsed (a config file)."""
     raw = opt.get("couplings")
     if raw is None:
         return CouplingVector.from_mapping({})
-    if isinstance(raw, dict):
-        return CouplingVector.from_mapping({int(k): float(v)
-                                            for k, v in raw.get("t", raw).items()})
-    return CouplingVector.from_json(raw)
+    data = json.loads(raw) if isinstance(raw, str) else raw
+    t = data.get("t", data) if isinstance(data, dict) else data
+    if not isinstance(t, dict) or not all(isinstance(v, numbers.Real)
+                                          and not isinstance(v, bool) for v in t.values()):
+        raise ValueError(f"couplings must be a JSON object of index -> number, got {raw!r}")
+    return CouplingVector.from_mapping({int(k): v for k, v in t.items()})
 
 
 # ---------------------------------------------------------------------------

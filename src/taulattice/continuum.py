@@ -52,13 +52,12 @@ negative-index fields, so it can be integrated on its own.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .couplings import _own_arrays
+from .couplings import _checked_int, _checked_seed, _is_integer, _own_arrays
 from .errors import DivergedField, IndexOutOfWindow, PreBreakingViolated
 from .flows import VolterraState, _rk4_stepper, evolve_pfaff, evolve_volterra
 from .lax import c_coeff, goe_lax_init
@@ -456,6 +455,7 @@ def hydro_scaling_check(*, t_target: float = 0.15, n_x: int = 201,
     (inflow data); the comparison covers interior cells only.
     """
     k_neg, k_pos = 4, 6
+    n_x = _checked_int("n_x", n_x)
     x = np.linspace(0.25, 2.25, n_x)
     start = HydroChainField.initial(x, k_neg, k_pos)
 
@@ -514,10 +514,6 @@ def reduced_continuum_rhs(wm1: float, w):
 
 # ---------------------------------------------------------------------------
 # coefficient-matrix tensors
-
-def _is_integer(q) -> bool:
-    return isinstance(q, numbers.Integral) and not isinstance(q, bool)
-
 
 @dataclass(frozen=True)
 class TensorPoint:
@@ -969,9 +965,8 @@ def haantjes_scan(*, window: int = 10, n_points: int = 100, seed: int = 20260823
     [0.5, 2].
     """
     u_bound, (lo, hi), closed_tol = 3.0, (0.5, 2.0), 1e-10
-    for name, size in (("window", window), ("n_points", n_points)):
-        if not _is_integer(size):
-            raise ValueError(f"{name} must be an integer, got {size!r}")
+    window, n_points = _checked_int("window", window), _checked_int("n_points", n_points)
+    seed = _checked_seed(seed)
     if window < 10:
         raise ValueError("window must be at least 10 for a meaningful scan")
     if n_points < 1:
@@ -997,7 +992,7 @@ def haantjes_scan(*, window: int = 10, n_points: int = 100, seed: int = 20260823
     signed = np.concatenate((table, -table, np.zeros((n_points, 1))), axis=1)
     worst_closed = float(np.max(np.abs(got - signed[:, at])))
     passed = worst_h <= tolerance and worst_closed <= closed_tol
-    meta = {"window": int(window), "n_points": int(n_points), "seed": seed,
+    meta = {"window": window, "n_points": n_points, "seed": seed,
             "max_haantjes": worst_h, "max_closed_form_error": worst_closed,
             "closed_tol": closed_tol}
     return IdentityReport("chain-diagonalizability", worst_h, worst_h,

@@ -146,6 +146,27 @@ def _own_arrays(record, *names) -> tuple:
     return copies
 
 
+def _is_integer(q) -> bool:
+    return isinstance(q, numbers.Integral) and not isinstance(q, bool)
+
+
+def _checked_int(name: str, value) -> int:
+    """`value` as an int; a ValueError naming `name` when it is not an
+    integer (numpy's are) or is a bool."""
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _checked_seed(seed) -> int:
+    """`seed` as an int; a ValueError naming it unless it is a non-negative
+    integer."""
+    seed = _checked_int("seed", seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def weight_eval(z, t: CouplingVector):
     """rho(z) = exp(exponent).  Overflow saturates to inf silently."""
     with np.errstate(over="ignore"):

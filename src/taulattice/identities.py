@@ -22,8 +22,8 @@ import numpy as np
 
 # the three continuum checks are SUITES entries, looked up here by name
 from .continuum import continuum_convergence, haantjes_scan, hydro_scaling_check  # noqa: F401
-from .continuum import _is_integer
-from .couplings import CouplingVector, build_quadrature, cumulative_integral
+from .couplings import (CouplingVector, _checked_int, _checked_seed, build_quadrature,
+                        cumulative_integral)
 from .errors import PreBreakingViolated, UnsupportedKind
 from .flows import (EvolutionResult, ReducedChainState, VolterraState,
                     _sample_times, _volterra_jet, evolve_pfaff, evolve_reduced,
@@ -81,6 +81,7 @@ def mkp_residuals(n: int, state: VolterraState, *,
     worst relative one with the printed-variant block reduced to its best
     candidate.  Raises DivergedField when a jet is not finite.
     """
+    n = _checked_int("n", n)
     if n < 2:
         raise ValueError("need n >= 2 so that psi = B_{n-1} exists")
     if state.n_sites < n + 8:
@@ -147,6 +148,7 @@ def kp_residual(n: int = 2, t: CouplingVector = _T0, *,
     every derivative read off one exact jet of log tau_n in (t1, t2, t3)
     (`moments._log_tau_jets`).  tau_n never sees the flow modules.
     """
+    n = _checked_int("n", n)
     if n < 1 or n > 32:
         raise ValueError("determinant size n must be 1..32")
     jet = _log_tau_jets("unitary", [n], t, (1, 2, 3), [(6, 0, 0), (3, 0, 1), (2, 2, 0)])[n][2]
@@ -200,6 +202,7 @@ def observables_check(n: int = 1, t: CouplingVector = _T0, *,
     w0_1 w1_1 against direct two-eigenvalue quadrature, with the entries
     of pair 1 from Pfaffian tau-ratios.
     """
+    n = _checked_int("n", n)
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     stieltjes = _stieltjes_basis("orthogonal", 2 * n + 4, t)
@@ -432,6 +435,7 @@ def verify_init_gue(n_max: int = 10, tolerance: float = 1e-8) -> IdentityReport:
     Each side of the law is a sum of monic log norms of a Stieltjes basis on
     its own grid; the basis at zero couplings also gives the Jacobi data.
     """
+    n_max = _checked_int("n_max", n_max)
     if n_max < 2:
         raise ValueError(f"n_max must be at least 2, got {n_max}")
     _, log_h, a, b = _stieltjes_basis("unitary", n_max, _T0)
@@ -452,6 +456,7 @@ def verify_init_goe(n_sites: int = 8, k_band: int = 6,
     """Closed-form band entries against the skew Gram-Schmidt oracle, which
     orthogonalizes the Stieltjes basis of rho^2 on N + K + 1 pairs, built
     from the couplings alone."""
+    n_sites, k_band = _checked_int("n_sites", n_sites), _checked_int("k_band", k_band)
     if n_sites < 1:
         raise ValueError(f"n_sites must be at least 1, got {n_sites}")
     n_pairs = n_sites + k_band + 1
@@ -468,8 +473,7 @@ def verify_scaling(n_sites: int = 64, tolerance: float = 1e-8) -> IdentityReport
     """Integrated pure-t2 trajectories against the exact scaling family, at
     four times up to the horizon 0.2, off the last 8 sites."""
     horizon, margin = 0.2, 8
-    if not _is_integer(n_sites):
-        raise ValueError(f"n_sites must be an integer, got {n_sites!r}")
+    n_sites = _checked_int("n_sites", n_sites)
     if n_sites <= margin:
         raise ValueError(f"n_sites must exceed the margin {margin}, got {n_sites}")
     times = _sample_times(horizon, 4)
@@ -484,7 +488,7 @@ def verify_scaling(n_sites: int = 64, tolerance: float = 1e-8) -> IdentityReport
     for t, s in zip(red.times, red.states):
         worst = max(worst, abs(s.Wm1 - 0.5 / (1.0 - 2.0 * t)),
                     float(np.max(np.abs(s.W - 2.0))))
-    meta = {"n_sites": int(n_sites), "horizon": horizon, "margin": margin}
+    meta = {"n_sites": n_sites, "horizon": horizon, "margin": margin}
     return IdentityReport.from_residual("t2-scaling", worst, tolerance, meta=meta)
 
 
@@ -494,6 +498,7 @@ def verify_commute(seed: int = 811, tolerance: float = 1e-12) -> IdentityReport:
     interior columns only, the 12 that keep clear of the 8 edge columns."""
     n_states, n_sites, k_band = 20, 20, 6
     interior = n_sites - 8
+    seed = _checked_seed(seed)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_states):
@@ -517,6 +522,7 @@ def verify_reduction(n_sites: int = 48, tolerance: float = 1e-8) -> IdentityRepo
 
 def verify_tau_cross(n_pairs: int = 4, tolerance: float = 1e-6) -> IdentityReport:
     """Band entries recovered from tau-ratio derivatives against closed forms."""
+    n_pairs = _checked_int("n_pairs", n_pairs)
     entries = pfaff_entries_from_tau(_T0, n_pairs)
     worst = 0.0
     per = {}
@@ -541,7 +547,8 @@ def mkp_bump_state(n_sites: int) -> VolterraState:
 
 def verify_mkp(n: int = 8, n_sites: int = 64, tolerance: float = 1e-3) -> IdentityReport:
     """`mkp_residuals(n, mkp_bump_state(n_sites), tolerance=tolerance)`."""
-    return mkp_residuals(n, mkp_bump_state(n_sites), tolerance=tolerance)
+    return mkp_residuals(n, mkp_bump_state(_checked_int("n_sites", n_sites)),
+                         tolerance=tolerance)
 
 
 # suite -> (its check, named so that a wrapper bound over the name in this

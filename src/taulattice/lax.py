@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .couplings import CouplingVector, _own_arrays, build_quadrature
+from .couplings import CouplingVector, _checked_int, _own_arrays, build_quadrature
 from .errors import IllConditioned, SingularMinor, StructureViolation
 from .moments import SkewMomentMatrix, _log_tau_jets, _skew_products, _stieltjes_basis
 from .report import IdentityReport
@@ -118,6 +118,8 @@ class TodaLax:
 
 def gue_lax_init(n_sites: int) -> TodaLax:
     """a_n = 0, b_n = sqrt(n): the zero-coupling Gaussian recurrence."""
+    if _checked_int("n_sites", n_sites) < 1:
+        raise ValueError(f"n_sites must be at least 1, got {n_sites}")
     return TodaLax(np.zeros(n_sites), np.sqrt(np.arange(1.0, n_sites)))
 
 
@@ -205,8 +207,12 @@ def goe_lax_init(n_sites: int, k_pos: int, k_neg: int = 6) -> PfaffLax:
     so every site multiplies the factors of `sqrt_ratio_product(n, k)` in
     its order.
     """
+    n_sites, k_pos, k_neg = (_checked_int(name, size) for name, size in
+                             (("n_sites", n_sites), ("k_pos", k_pos), ("k_neg", k_neg)))
     if n_sites < 1:
         raise ValueError(f"n_sites must be at least 1, got {n_sites}")
+    if k_pos < 0:
+        raise ValueError(f"k_pos must be non-negative, got {k_pos}")
     if k_neg < 2:
         raise ValueError("window must reach at least two steps below the diagonal")
     w = np.zeros((k_neg + k_pos + 1, n_sites))
@@ -409,6 +415,7 @@ def skew_hermite_map_check(n_pairs: int = 6, *, tolerance: float = 1e-9) -> Iden
     nu_n delta_{mn} (and zero same-parity pairings) by quadrature; the
     residual is the largest violation of the nu-scaled Gram.
     """
+    n_pairs = _checked_int("n_pairs", n_pairs)
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be at least 1, got {n_pairs}")
     t0 = CouplingVector.from_mapping({})

@@ -362,6 +362,46 @@ def test_config_value_outside_choices_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("couplings", ['[1, 2]', '3', 'null', '{"t": [1]}',
+                                       '{"t": {"2": "0.1"}}', '{"t": {"2": true}}'])
+def test_couplings_that_are_not_an_object_of_numbers_are_config_errors(tmp_path, capsys,
+                                                                        couplings):
+    # a list, a number or null raised AttributeError out of main
+    rc, out, err = run(capsys, "--out", str(tmp_path), "tau", "--ensemble", "unitary",
+                       "--n", "1", "--couplings", couplings)
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"] == "config"
+
+
+def test_config_couplings_that_are_not_an_object_of_numbers_are_config_errors(tmp_path,
+                                                                               capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"couplings": {"t": [1]}}))
+    rc, out, err = run(capsys, "--config", str(cfg), "--out", str(tmp_path / "out"),
+                       "tau", "--ensemble", "unitary", "--n", "1")
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"] == "config"
+
+
+def test_couplings_flag_reads_a_bare_object(tmp_path, capsys):
+    # without "t" the flag's object was read as no couplings at all
+    rc, out, _ = run(capsys, "--out", str(tmp_path), "tau", "--ensemble", "unitary",
+                     "--n", "1", "--couplings", '{"2": -0.05}')
+    assert rc == 0
+    assert json.loads(out)["couplings"] == {"2": -0.05}
+
+
+@pytest.mark.parametrize("argv", [
+    ("lax-init", "--ensemble", "goe", "--K-pos", "-1"),
+    ("evolve", "pfaff", "--t2", "0.1", "--K-pos", "-1"),
+])
+def test_negative_band_count_is_a_config_error(tmp_path, capsys, argv):
+    # goe_lax_init raised IndexError out of main
+    rc, out, err = run(capsys, "--out", str(tmp_path), *argv)
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"] == "config" and "k_pos" in json.loads(err)["message"]
+
+
 def test_config_missing_file(tmp_path, capsys):
     rc, _, err = run(capsys, "--config", str(tmp_path / "nope.json"),
                      "tau", "--ensemble", "unitary", "--n", "1")

@@ -293,3 +293,46 @@ def test_scaling_refuses_a_size_that_is_not_an_integer(n_sites):
 def test_scaling_takes_a_numpy_integer():
     report = identities.verify_scaling(n_sites=np.int64(16))
     assert report.to_json() == identities.verify_scaling(n_sites=16).to_json()
+
+
+# each check's smallest accepted value of each keyword its suite's flags set,
+# the others at their defaults
+SMALLEST = {
+    ("init-gue", "n_max"): 2, ("init-goe", "n_sites"): 1, ("init-goe", "k_band"): 2,
+    ("scaling", "n_sites"): 9, ("mkp", "n"): 2, ("mkp", "n_sites"): 16, ("kp", "n"): 1,
+    ("commute", "seed"): 0, ("reduction", "n_sites"): 11, ("observables", "n"): 1,
+    ("tau-cross", "n_pairs"): 1, ("skew-map", "n_pairs"): 1, ("hydro-chain", "n_x"): 5,
+    ("haantjes", "window"): 10, ("haantjes", "n_points"): 1, ("haantjes", "seed"): 0,
+}
+SUITE_KEYWORDS = [(suite, keyword) for suite, (_, reads) in identities.SUITES.items()
+                  for keyword in reads.values()]
+
+
+def test_every_suite_keyword_has_a_smallest_size():
+    assert sorted(SMALLEST) == sorted(SUITE_KEYWORDS)
+
+
+@pytest.mark.parametrize("suite, keyword", SUITE_KEYWORDS)
+@pytest.mark.parametrize("value", [2.5, True])
+def test_suite_refuses_a_size_that_is_not_an_integer(suite, keyword, value):
+    # 2.5 blamed another argument, raised a bare TypeError or an IndexError
+    check = getattr(identities, identities.SUITES[suite][0])
+    with pytest.raises(ValueError, match=f"{keyword} must be an integer"):
+        check(**{keyword: value})
+
+
+@pytest.mark.parametrize("suite, keyword", SUITE_KEYWORDS)
+def test_suite_records_a_numpy_integer_size_as_an_int(suite, keyword):
+    # the meta held the numpy integer, and to_json() raised
+    check = getattr(identities, identities.SUITES[suite][0])
+    size = SMALLEST[suite, keyword]
+    assert check(**{keyword: np.int64(size)}).to_json() == check(**{keyword: size}).to_json()
+
+
+@pytest.mark.parametrize("check", [identities.verify_commute, identities.haantjes_scan])
+def test_seed_must_be_a_non_negative_integer(check):
+    # -1 raised numpy's message, which does not name the argument
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        check(seed=-1)
+    report = check(seed=np.uint32(5))
+    assert type(report.meta["seed"]) is int and report.meta["seed"] == 5

@@ -187,6 +187,34 @@ def test_goe_requires_a_site(n_sites):
         goe_lax_init(n_sites, 3, 3)
 
 
+def test_goe_refuses_a_negative_upper_band_count():
+    # k_pos = -1 raised IndexError from the band loop
+    with pytest.raises(ValueError, match="k_pos must be non-negative, got -1"):
+        goe_lax_init(4, -1, 3)
+
+
+@pytest.mark.parametrize("args, name", [((2.5, 3, 3), "n_sites"), ((True, 3, 3), "n_sites"),
+                                        ((4, 2.5, 3), "k_pos"), ((4, 3, 3.0), "k_neg")])
+def test_goe_refuses_a_size_that_is_not_an_integer(args, name):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        goe_lax_init(*args)
+
+
+@pytest.mark.parametrize("n_sites, message", [(0, "at least 1, got 0"),
+                                              (-2, "at least 1, got -2"),
+                                              (2.5, "an integer, got 2.5"),
+                                              (True, "an integer, got True")])
+def test_gue_refuses_a_size_below_one_or_not_an_integer(n_sites, message):
+    # 0 blamed len(b), -2 raised numpy's negative dimensions, 2.5 a TypeError
+    with pytest.raises(ValueError, match=f"n_sites must be {message}"):
+        gue_lax_init(n_sites)
+
+
+def test_lax_inits_take_numpy_integers():
+    assert np.array_equal(gue_lax_init(np.int64(5)).b, gue_lax_init(5).b)
+    assert goe_lax_init(np.int32(4), np.int64(3)).to_json() == goe_lax_init(4, 3).to_json()
+
+
 def test_pfaff_lax_json_round_trip():
     lax = goe_lax_init(3, 2, 2)
     back = PfaffLax.from_json(lax.to_json())

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import numbers
 import os
 import sys
 
@@ -141,12 +140,7 @@ def _couplings(opt: dict) -> CouplingVector:
     raw = opt.get("couplings")
     if raw is None:
         return CouplingVector.from_mapping({})
-    data = json.loads(raw) if isinstance(raw, str) else raw
-    t = data.get("t", data) if isinstance(data, dict) else data
-    if not isinstance(t, dict) or not all(isinstance(v, numbers.Real)
-                                          and not isinstance(v, bool) for v in t.values()):
-        raise ValueError(f"couplings must be a JSON object of index -> number, got {raw!r}")
-    return CouplingVector.from_mapping({int(k): v for k, v in t.items()})
+    return CouplingVector.from_object(json.loads(raw) if isinstance(raw, str) else raw)
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,11 @@ gradient and N meet in each contraction, and at each point every tensor
 sum is one `np.bincount` over those products.  The plan's index arrays are
 `np.intp`, numpy's own index type, so no gather or `np.bincount` converts
 them.  H is formed on the guarded block only, the part the scan and the
-component queries read.  The scan draws all its points first and
-tabulates the closed-form Nijenhuis values over them, one call per row;
+component queries read.  The scan draws all its points with one call,
+a row per point that the tensor sums read as it is, so it makes no
+`TensorPoint`; it collects every point's N and H, and takes max|H| and
+N's guarded entries once over all points.  It tabulates the closed-form
+Nijenhuis values over all points, one call per row on u^0 squared once;
 where the table lands among N's entries in the guarded block depends on
 the row alone, so a map compiled once per window (`_closed_layout`) pairs
 each of those entries with its tabulated value, and N is compared with
@@ -798,19 +801,25 @@ def _tensor_plan(window: int) -> _TensorPlan:
         _code(Nk[inside] - 3, m))
 
 
-def _matrix_entries(point: TensorPoint, plan: _TensorPlan):
-    """Values of A and its gradient on the plan's entries, each summed over
-    its monomials in table order."""
-    ue = np.append(point.u, 1.0)
+def _point_row(point: TensorPoint) -> np.ndarray:
+    """The point's values u^-W .. u^W with the ones entry 1 appended: the
+    row `_matrix_entries` reads."""
+    return np.append(point.u, 1.0)
+
+
+def _matrix_entries(ue: np.ndarray, plan: _TensorPlan):
+    """Values of A and its gradient on the plan's entries at the point row
+    `ue` (`_point_row`), each summed over its monomials in table order."""
     coef, fa, fb = plan.terms
     A = np.bincount(plan.a_slot, coef * ue[fa] * ue[fb], len(plan.a_code))
     dA = np.bincount(plan.d_slot, plan.d_coef * ue[plan.d_other], len(plan.d_code))
     return A, dA
 
 
-def _tensor_entries(point: TensorPoint, plan: _TensorPlan, *, haantjes: bool = True):
-    """N on `plan.n_code` and, with `haantjes`, H on `plan.h_code`."""
-    A, dA = _matrix_entries(point, plan)
+def _tensor_entries(ue: np.ndarray, plan: _TensorPlan, *, haantjes: bool = True):
+    """N on `plan.n_code` and, with `haantjes`, H on `plan.h_code`, at the
+    point row `ue` (`_point_row`)."""
+    A, dA = _matrix_entries(ue, plan)
     l, r, slot = plan.n_pairs
     t = np.bincount(slot, A[l] * dA[r], plan.n_size + 1)
     t1, t1s, t3, t3s = t[plan.n_terms]
@@ -830,7 +839,7 @@ def chain_matrix(point: TensorPoint) -> np.ndarray:
     """The quasilinear coefficient matrix A at the point, (2W+1)x(2W+1)."""
     plan = _tensor_plan(point.window)
     A = np.zeros(plan.n ** 2)
-    A[plan.a_code] = _matrix_entries(point, plan)[0]
+    A[plan.a_code] = _matrix_entries(_point_row(point), plan)[0]
     return A.reshape(plan.n, plan.n)
 
 
@@ -838,7 +847,7 @@ def _component(point: TensorPoint, i: int, j: int, k: int, haantjes: bool) -> fl
     point.guard(i, j, k)
     plan = _tensor_plan(point.window)
     with np.errstate(over="ignore", invalid="ignore"):
-        N, H = _tensor_entries(point, plan, haantjes=haantjes)
+        N, H = _tensor_entries(_point_row(point), plan, haantjes=haantjes)
     codes, values = (plan.h_code, H) if haantjes else (plan.n_code, N)
     W, n = point.window, plan.n
     pos = _lookup(codes, np.array([((i + W) * n + j + W) * n + k + W]), -1)[0]
@@ -861,22 +870,26 @@ def haantjes(i: int, j: int, k: int, point: TensorPoint) -> float:
     return _component(point, i, j, k, haantjes=True)
 
 
-def _closed_table(u: np.ndarray, i: int) -> dict:
+def _u0_squares(u: np.ndarray) -> np.ndarray:
+    """u^0 squared at each point of the (points, 2W+1) window array u, with
+    Python's float power, whose last bit differs from u0 * u0 at some
+    points; a square past the double range raises OverflowError."""
+    return np.array([q ** 2 for q in u[:, u.shape[1] // 2].tolist()])
+
+
+def _closed_table(u: np.ndarray, sq: np.ndarray, i: int) -> dict:
     """Nonzero Nijenhuis components of row i at each point of the
     (points, 2W+1) window array u, keyed (j, k) as tabulated, each a
-    (points,) array.
+    (points,) array; sq is `_u0_squares(u)`, taken once for every row.
 
     Near-diagonal rows |i| <= 2 carry exceptional values where the generic
-    family formulas collide and add.  u^0 is squared with Python's float
-    power, whose last bit differs from u0 * u0 at some points; a square
-    past the double range raises OverflowError, and a product past it
+    family formulas collide and add.  A product past the double range
     reads inf.
     """
     if i == 0:
         return {}
     W = u.shape[1] // 2
     u0, u1 = u[:, W], u[:, W + 1]
-    sq = np.array([q ** 2 for q in u0.tolist()])
     if i > 2 or i < -2:
         lo, hi = u[:, W + i - 1], u[:, W + i + 1]
         c = (i - 1, i + 1) if i > 2 else (i, i + 2)
@@ -902,9 +915,10 @@ def nijenhuis_closed_form(i: int, j: int, k: int, point: TensorPoint) -> float:
     """Tabulated value of N^i_{jk}; 0 for components off the nonzero list.
     Raises DivergedField when the tabulated value overflows."""
     point.guard(i, j, k)
+    u = point.u[None]
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            table = _closed_table(point.u[None], i)
+            table = _closed_table(u, _u0_squares(u), i)
     except OverflowError as exc:
         raise DivergedField(f"closed-form Nijenhuis row {i} overflows: {exc}") from exc
     if (j, k) in table:
@@ -938,7 +952,7 @@ def _closed_layout(window: int) -> np.ndarray:
     ones = np.ones((1, 2 * window + 1))
     ijk, src, size = [], [], 0
     for i in range(-g, g + 1):
-        keys = list(_closed_table(ones, i))
+        keys = list(_closed_table(ones, ones[:, 0], i))   # 1 squares to 1
         for e, (j, k) in enumerate(keys):
             if max(abs(j), abs(k)) <= g:
                 ijk.append((i + g, j + g, k + g))
@@ -971,24 +985,29 @@ def haantjes_scan(*, window: int = 10, n_points: int = 100, seed: int = 20260823
         raise ValueError("window must be at least 10 for a meaningful scan")
     if n_points < 1:
         raise ValueError(f"n_points must be at least 1, got {n_points}")
-    rng = np.random.default_rng(seed)
     W = window
-    u = np.empty((n_points, 2 * W + 1))
-    for p in range(n_points):
-        u[p] = rng.uniform(-u_bound, u_bound, 2 * W + 1)
-        u[p, W] = rng.uniform(lo, hi)
+    # one draw call, the stream of two per point: each row's 2W+1 values on
+    # the u bound, then u^0, which replaces the row's middle draw; its last
+    # column then holds the ones entry of `_point_row`
+    low, high = np.full(2 * W + 2, -u_bound), np.full(2 * W + 2, u_bound)
+    low[-1], high[-1] = lo, hi
+    ue = np.random.default_rng(seed).uniform(low, high, (n_points, 2 * W + 2))
+    ue[:, W] = ue[:, -1]
+    ue[:, -1] = 1.0
+    u = ue[:, :-1]
     plan = _tensor_plan(W)
     at = _closed_layout(W)
+    N = np.empty((n_points, len(plan.n_code)))
+    H = np.empty((n_points, len(plan.h_code)))
+    for p in range(n_points):
+        N[p], H[p] = _tensor_entries(ue[p], plan)
+    worst_h = float(np.max(np.abs(H), initial=0.0))
     # N on the compared entries at every point; positions N lacks read 0
     got = np.zeros((n_points, len(at)))
-    worst_h = 0.0
-    for p in range(n_points):
-        N, H = _tensor_entries(TensorPoint(u[p], W), plan)
-        got[p, :len(plan.n_guarded)] = N[plan.n_guarded]
-        worst_h = max(worst_h, float(np.max(np.abs(H), initial=0.0)))
-    g = W - 3
+    got[:, :len(plan.n_guarded)] = N[:, plan.n_guarded]
+    g, sq = W - 3, _u0_squares(u)
     table = np.stack([v for i in range(-g, g + 1)
-                      for v in _closed_table(u, i).values()], axis=1)
+                      for v in _closed_table(u, sq, i).values()], axis=1)
     signed = np.concatenate((table, -table, np.zeros((n_points, 1))), axis=1)
     worst_closed = float(np.max(np.abs(got - signed[:, at])))
     passed = worst_h <= tolerance and worst_closed <= closed_tol

@@ -55,7 +55,9 @@ class CouplingVector:
     """Finite map k -> t_k.
 
     Entries are stored as a sorted tuple of (k, t_k) pairs with exact zeros
-    dropped, so equal vectors compare and hash equal.
+    dropped, so equal vectors compare and hash equal.  An index must be a
+    positive integer (numpy's included, bool not) and a value finite; a
+    ValueError names the entry that is not.
     """
 
     entries: tuple[tuple[int, float], ...] = ()
@@ -64,10 +66,11 @@ class CouplingVector:
         cleaned = []
         seen = set()
         for k, v in self.entries:
-            k = int(k)
-            v = float(v)
-            if k < 1:
-                raise ValueError(f"coupling index must be a positive integer, got {k}")
+            if not _is_integer(k) or k < 1:
+                raise ValueError(f"coupling index must be a positive integer, got {k!r}")
+            k, v = int(k), float(v)
+            if not math.isfinite(v):
+                raise ValueError(f"coupling t_{k} must be finite, got {v!r}")
             if k in seen:
                 raise ValueError(f"duplicate coupling index {k}")
             seen.add(k)
@@ -78,8 +81,26 @@ class CouplingVector:
 
     @classmethod
     def from_mapping(cls, m: Mapping[int, float] | None):
-        m = m or {}
-        return cls(tuple((int(k), float(v)) for k, v in m.items()))
+        return cls(tuple((m or {}).items()))
+
+    @classmethod
+    def from_object(cls, data) -> "CouplingVector":
+        """Couplings from a parsed JSON value: an object of index -> number,
+        bare or under "t", its indices decimal strings or integers.  Anything
+        else raises a ValueError."""
+        t = data.get("t", data) if isinstance(data, dict) else data
+        if not isinstance(t, dict) or not all(isinstance(v, numbers.Real)
+                                              and not isinstance(v, bool) for v in t.values()):
+            raise ValueError(f"couplings must be a JSON object of index -> number, "
+                             f"got {data!r}")
+        entries = []
+        for k, v in t.items():
+            try:
+                entries.append((int(k) if isinstance(k, str) else k, v))
+            except ValueError:
+                raise ValueError(f"coupling index must be a positive integer, "
+                                 f"got {k!r}") from None
+        return cls(tuple(entries))
 
     def as_dict(self) -> dict[int, float]:
         return dict(self.entries)
@@ -121,17 +142,17 @@ class CouplingVector:
     def shifted(self, delta: Mapping[int, float]) -> "CouplingVector":
         """New vector with delta added entrywise."""
         d = self.as_dict()
-        for k, dv in delta.items():
-            d[int(k)] = d.get(int(k), 0.0) + float(dv)
+        for k, dv in CouplingVector.from_mapping(delta).entries:
+            d[k] = d.get(k, 0.0) + dv
         return CouplingVector.from_mapping(d)
 
     def to_json(self) -> str:
         return json.dumps({"t": {str(k): v for k, v in self.entries}})
 
     @classmethod
-    def from_json(cls, text: str):
-        data = json.loads(text)
-        return cls.from_mapping({int(k): float(v) for k, v in data.get("t", {}).items()})
+    def from_json(cls, text: str) -> "CouplingVector":
+        """Couplings from JSON text, read as `from_object` reads its value."""
+        return cls.from_object(json.loads(text))
 
 
 def _own_arrays(record, *names) -> tuple:

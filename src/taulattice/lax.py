@@ -130,7 +130,7 @@ def toda_lax_from_quadrature(t: CouplingVector, n_sites: int) -> TodaLax:
     z q_k = b_{k+1} q_{k+1} + a_k q_k + b_k q_{k-1} gives a_k, k < n_sites,
     and b_k, 1 <= k < n_sites.
     """
-    if n_sites < 1:
+    if _checked_int("n_sites", n_sites) < 1:
         raise ValueError(f"n_sites must be at least 1, got {n_sites}")
     _, _, a, b = _stieltjes_basis("unitary", n_sites, t)
     return TodaLax(a, b[1:])
@@ -377,6 +377,7 @@ def pfaff_entries_from_tau(t: CouplingVector, n_pairs: int) -> dict:
     d^2/dt1^2 and d/dt2 jets (`moments._log_tau_jets`), all from one
     orthogonal Stieltjes basis.
     """
+    n_pairs = _checked_int("n_pairs", n_pairs)
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be at least 1, got {n_pairs}")
     jets = _log_tau_jets("orthogonal", range(0, 2 * n_pairs + 3, 2), t, (1, 2),

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .couplings import (CouplingVector, QuadratureGrid, _own_arrays, _regrid,
+from .couplings import (CouplingVector, QuadratureGrid, _checked_int, _own_arrays, _regrid,
                         build_quadrature, cumulative_integral)
 from .errors import IllConditioned, OddDimension
 
@@ -205,16 +205,20 @@ def log_tau(ensemble: str, n: int, t: CouplingVector) -> tuple[float, float]:
     IllConditioned when the Stieltjes recurrence breaks down or the skew
     Gram has a zero pivot.
     """
-    _check_size(ensemble, n)
+    n = _check_size(ensemble, n)
     if n == 0:
         return 1.0, 0.0
     F, log_h, _, _ = _stieltjes_basis(ensemble, n, t)
     return _log_tau_of_basis(F, log_h)
 
 
-def _check_size(ensemble: str, n: int) -> None:
+def _check_size(ensemble: str, n: int) -> int:
+    """n as an int; a ValueError naming n when it is not an integer, and
+    one naming the size when the ensemble has no tau of that size."""
+    n = _checked_int("n", n)
     if ensemble not in ("unitary", "orthogonal") or n < 0 or (ensemble == "orthogonal" and n % 2):
         raise ValueError(f"no {ensemble!r} tau of size {n}")
+    return n
 
 
 def _log_tau_of_basis(F: np.ndarray | None, log_h: np.ndarray) -> tuple[float, float]:
@@ -293,6 +297,7 @@ def tau_unitary(t: CouplingVector, n: int) -> float:
 
 def tau_orthogonal(t: CouplingVector, two_n: int) -> float:
     """Pfaffian of the leading 2n x 2n skew moment matrix; tau_0 = 1."""
+    two_n = _checked_int("two_n", two_n)
     return _tau_value("orthogonal", two_n, *log_tau("orthogonal", two_n, t))
 
 

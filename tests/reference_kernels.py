@@ -25,7 +25,8 @@ library compiles from the monomial table; those add the same products in
 another order, so each component is held to 8 eps of the size of the terms
 it sums (`tensor_magnitudes`), and a structural zero to exactly 0.
 `haantjes_scan` is the scan as it ran before it tabulated the closed form
-over all points at once: a dict of Python floats per row and point
+over all points at once and drew them with one call: two draws and a
+`TensorPoint` per point, a dict of Python floats per row and point
 (`closed_table_row`, which `nijenhuis_closed_form` here reads), and a
 dense guarded block filled once with N and once with the table, compared
 entry by entry.  Its N and H come from the library's compiled sums, so
@@ -93,8 +94,8 @@ from taulattice.couplings import (_GRID_TOL, _panel_nodes, _regrid, build_quadra
 from taulattice.moments import (_log_tau_of_basis, _skew_products, _stieltjes, _tau_grid,
                                 _tau_value)
 from taulattice.numdiff import mixed_derivative
-from taulattice.continuum import (TensorPoint, _matrix_terms, _rhs_plan, _tensor_entries,
-                                  _tensor_plan)
+from taulattice.continuum import (TensorPoint, _matrix_terms, _point_row, _rhs_plan,
+                                  _tensor_entries, _tensor_plan)
 from taulattice.errors import DivergedField, NonIntegrableWeight, StructureViolation
 from taulattice.report import IdentityReport
 from taulattice.flows import _skew_block_projection
@@ -966,7 +967,7 @@ def haantjes_scan(*, window: int = 10, n_points: int = 100, seed: int = 20260823
         u = rng.uniform(-3.0, 3.0, 2 * W + 1)
         u[W] = rng.uniform(0.5, 2.0)
         pt = TensorPoint(u, W)
-        N, H = _tensor_entries(pt, plan)
+        N, H = _tensor_entries(_point_row(pt), plan)
         got = np.zeros(m ** 3)
         got[plan.block_code] = N[plan.n_guarded]
         vals = np.array([v for i in range(-g, g + 1)

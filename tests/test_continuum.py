@@ -16,7 +16,7 @@ from taulattice import (DivergedField, HydroChainField, IndexOutOfWindow,
                         spatial_derivative)
 from taulattice import continuum
 from taulattice.continuum import (_closed_layout, _closed_table, _matrix_entries,
-                                  _tensor_entries, _tensor_plan)
+                                  _point_row, _tensor_entries, _tensor_plan, _u0_squares)
 
 
 def _dense(plan, codes, values, dims):
@@ -364,7 +364,7 @@ class TestChainTable:
         u = np.random.default_rng(seed).uniform(-3.0, 3.0, 2 * window + 1)
         pt = TensorPoint(u, window)
         plan = _tensor_plan(window)
-        dA = _matrix_entries(pt, plan)[1]
+        dA = _matrix_entries(_point_row(pt), plan)[1]
         assert np.array_equal(chain_matrix(pt), ref.chain_matrix(pt))
         assert np.array_equal(_dense(plan, plan.d_code, dA, 3), ref.matrix_gradient(pt))
 
@@ -464,7 +464,7 @@ class TestTensors:
         N_ref = ref.nijenhuis_tensor(A, dA)
         H_ref = ref.haantjes_tensor(N_ref, A)
         N_mag, H_mag = ref.tensor_magnitudes(A, dA)
-        N, H = _tensor_entries(pt, plan)
+        N, H = _tensor_entries(_point_row(pt), plan)
         N, H = _dense(plan, plan.n_code, N, 3), _dense(plan, plan.h_code, H, 3)
         rel = 8.0 * np.finfo(float).eps
         assert np.all(np.abs(N - N_ref) <= rel * N_mag)
@@ -492,7 +492,7 @@ class TestTensors:
                  - np.einsum("prk,ip,rj->ijk", N_ref, A, A, optimize=True)
                  + np.einsum("pjk,ir,rp->ijk", N_ref, A, A, optimize=True))
         N_mag, H_mag = ref.tensor_magnitudes(A, dA)
-        N, H = _tensor_entries(pt, plan)
+        N, H = _tensor_entries(_point_row(pt), plan)
         N, H = _dense(plan, plan.n_code, N, 3), _dense(plan, plan.h_code, H, 3)
         rel = 8.0 * np.finfo(float).eps
         assert np.all(np.abs(N - N_ref) <= rel * N_mag)
@@ -537,9 +537,9 @@ class TestTensors:
         u = rng.uniform(-3.0, 3.0, (n_points, 2 * window + 1))
         u[:, window] = rng.uniform(0.5, 2.0, n_points)
         u[0, window] = 1.8903560604397107
-        g = window - 3
+        g, sq = window - 3, _u0_squares(u)
         for i in range(-g, g + 1):
-            table = _closed_table(u, i)
+            table = _closed_table(u, sq, i)
             for p in range(n_points):
                 row = ref.closed_table_row(TensorPoint(u[p], window), i)
                 assert list(table) == list(row)
@@ -551,7 +551,7 @@ class TestTensors:
         # so the scan compares on those entries alone
         plan, at, g = _tensor_plan(W), _closed_layout(W), W - 3
         kept = sum(max(abs(j), abs(k)) <= g for i in range(-g, g + 1)
-                   for j, k in _closed_table(np.ones((1, 2 * W + 1)), i))
+                   for j, k in _closed_table(np.ones((1, 2 * W + 1)), np.ones(1), i))
         assert len(at) == len(plan.n_guarded)
         assert np.count_nonzero(at < at.max()) == 2 * kept
 

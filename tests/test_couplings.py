@@ -37,6 +37,49 @@ def test_bad_indices_rejected():
         CouplingVector(((2, 0.1), (2, 0.2)))
 
 
+@pytest.mark.parametrize("text", ['{"2": 0.1, "4": -0.05}', '{"t": {"2": 0.1, "4": -0.05}}'])
+def test_from_json_reads_a_bare_object_or_one_under_t(text):
+    # a bare object was read as no couplings at all
+    assert CouplingVector.from_json(text).as_dict() == {2: 0.1, 4: -0.05}
+
+
+@pytest.mark.parametrize("text", ['[1]', '3', 'null', '"2"', '{"t": [1]}', '{"t": 3}',
+                                  '{"2": "0.1"}', '{"2": true}', '{"t": {"2": null}}',
+                                  '{"2.5": 0.1}', '{"two": 0.1}', '{"0": 0.1}',
+                                  '{"2": NaN}', '{"t": {"4": -Infinity}}', 'not json'])
+def test_from_json_refuses_what_is_not_an_object_of_numbers(text):
+    # '[1]', '3' and '{"t": [1]}' raised AttributeError, '{"2": true}' read t_2 = 1
+    with pytest.raises(ValueError):
+        CouplingVector.from_json(text)
+
+
+@pytest.mark.parametrize("index", [2.5, 2.0, True, np.float64(2.0), "2", -1, 0])
+def test_coupling_index_must_be_a_positive_integer(index):
+    # 2.5 was read as 2 and True as 1
+    with pytest.raises(ValueError, match="coupling index must be a positive integer"):
+        CouplingVector.from_mapping({index: 0.1})
+    with pytest.raises(ValueError, match="coupling index"):
+        CouplingVector(((index, 0.1),))
+    with pytest.raises(ValueError, match="coupling index"):
+        CouplingVector.from_mapping({2: 0.1}).shifted({index: 0.1})
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("index, value", [(2, math.nan), (2, math.inf), (4, -math.inf),
+                                          (1, np.float64(np.nan))])
+def test_coupling_value_must_be_finite(index, value):
+    # {2: inf} surfaced as a "divergent tail", {4: -inf} after RuntimeWarnings
+    with pytest.raises(ValueError, match=f"coupling t_{index} must be finite"):
+        CouplingVector.from_mapping({index: value})
+
+
+def test_numpy_indices_and_values_are_taken():
+    t = CouplingVector.from_mapping({np.int64(2): np.float64(0.1), np.int32(4): -0.05})
+    assert t == CouplingVector.from_mapping({2: 0.1, 4: -0.05})
+    assert all(type(k) is int and type(v) is float for k, v in t.entries)
+    assert t.shifted({np.int64(2): 0.1}).as_dict() == {2: 0.2, 4: -0.05}
+
+
 @pytest.mark.parametrize("mapping, even", [
     ({}, True), ({2: 0.1}, True), ({4: -0.03, 6: -0.002}, True), ({3: 0.1}, False)])
 def test_parity_read_off_entries(mapping, even):

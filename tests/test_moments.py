@@ -11,6 +11,7 @@ from taulattice import (CouplingVector, build_quadrature, couplings,
                         log_tau, moments, pfaffian, skew_moment_matrix,
                         tau_coupling_derivative, tau_orthogonal, tau_unitary)
 from taulattice.errors import IllConditioned, OddDimension
+from taulattice.lax import pfaff_entries_from_tau, toda_lax_from_quadrature
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -404,3 +405,21 @@ def test_tau_unitary_ill_conditioned_raises():
         tau_unitary(t, 30)
     with pytest.raises(IllConditioned):
         tau_coupling_derivative("unitary", 30, t, {2: 1})
+
+
+@pytest.mark.parametrize("size", [2.5, 2.0, True])
+@pytest.mark.parametrize("call, name", [
+    (lambda t, n: log_tau("unitary", n, t), "n"),
+    (lambda t, n: log_tau("orthogonal", n, t), "n"),
+    (lambda t, n: tau_unitary(t, n), "n"),
+    (lambda t, n: tau_orthogonal(t, n), "two_n"),
+    (lambda t, n: tau_coupling_derivative("unitary", n, t, {1: 1}), "n"),
+    (lambda t, n: tau_coupling_derivative("orthogonal", n, t, {2: 1}), "n"),
+    (lambda t, n: toda_lax_from_quadrature(t, n), "n_sites"),
+    (lambda t, n: pfaff_entries_from_tau(t, n), "n_pairs"),
+], ids=["log_tau-unitary", "log_tau-orthogonal", "tau_unitary", "tau_orthogonal",
+        "derivative-unitary", "derivative-orthogonal", "toda_lax", "pfaff_entries"])
+def test_size_that_is_not_an_integer_is_refused_by_name(t0, call, name, size):
+    # 2.5 blamed max_degree, which no caller passed; True raised a bare TypeError
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        call(t0, size)

@@ -8,14 +8,11 @@ below tolerance for every integrand degree the caller will use.  Every
 grid is built by one recipe: 24-point Gauss-Legendre panels, and a radius
 and panel count held to 1e-12 relative (`_POINTS_PER_PANEL`, `_GRID_TOL`).
 
-The radius comes from an 8193-point scan and a bisection on each side.
-The bisections compare the same midpoints with the same target as a loop
-of scalar evaluations would, but evaluate them in vectorised rounds: each
-round predicts both sides' paths from a guess of the crossing and keeps
-the steps whose comparisons the guess got right (`_bisect_replayed`).  The
-panel count then doubles until the mass and a companion high moment
-settle; where the companion would not be a normal number, its integrand
-is taken in logs and shifted by a power of two.
+The radius is read off an 8193-point scan of z^d rho: it is the scan point
+just past the outermost one where z^d rho is at least 1e-12 times its
+peak.  The panel count then doubles until the mass and a companion high
+moment settle; where the companion would not be a normal number, its
+integrand is taken in logs and shifted by a power of two.
 
 `build_quadrature` keeps the last 32 grids it built in a process-wide
 memo keyed on (couplings, max_degree), so repeated requests share
@@ -33,7 +30,7 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
@@ -56,8 +53,9 @@ class CouplingVector:
 
     Entries are stored as a sorted tuple of (k, t_k) pairs with exact zeros
     dropped, so equal vectors compare and hash equal.  An index must be a
-    positive integer (numpy's included, bool not) and a value finite; a
-    ValueError names the entry that is not.
+    positive integer (numpy's included, bool not) and a value a finite
+    number (not a string or a bool); a ValueError names the entry that is
+    not.
     """
 
     entries: tuple[tuple[int, float], ...] = ()
@@ -68,6 +66,8 @@ class CouplingVector:
         for k, v in self.entries:
             if not _is_integer(k) or k < 1:
                 raise ValueError(f"coupling index must be a positive integer, got {k!r}")
+            if isinstance(v, (str, bytes, bool, np.bool_)):
+                raise ValueError(f"coupling t_{k} must be a number, got {v!r}")
             k, v = int(k), float(v)
             if not math.isfinite(v):
                 raise ValueError(f"coupling t_{k} must be finite, got {v!r}")
@@ -171,21 +171,21 @@ def _is_integer(q) -> bool:
     return isinstance(q, numbers.Integral) and not isinstance(q, bool)
 
 
-def _checked_int(name: str, value) -> int:
+def _checked_int(name: str, value, low=None) -> int:
     """`value` as an int; a ValueError naming `name` when it is not an
-    integer (numpy's are) or is a bool."""
+    integer (numpy's are), is a bool or is below `low`."""
     if not _is_integer(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        bound = "non-negative" if low == 0 else f"at least {low}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
     return int(value)
 
 
 def _checked_seed(seed) -> int:
     """`seed` as an int; a ValueError naming it unless it is a non-negative
     integer."""
-    seed = _checked_int("seed", seed)
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    return seed
+    return _checked_int("seed", seed, 0)
 
 
 def weight_eval(z, t: CouplingVector):
@@ -218,132 +218,28 @@ _POINTS_PER_PANEL = 24                          # Gauss points of every grid's p
 _GRID_TOL = 1e-12                               # relative tolerance of every grid's radius and panels
 _GRID_MEMO_SIZE = 32                            # grids build_quadrature keeps, least recently used out
 _SCAN_POINTS = 8193                             # points of the radius search's scan
-_BISECT_STEPS = 200                             # cap on each bisection's steps
-
-
-def _bisect_replayed(F, target: float, sides) -> list:
-    """Final hi of the bisection of each (lo, hi, f_lo, f_hi, guess) side.
-
-    Each side is bisected for F = target as a sequential loop would:
-    mid = 0.5 * (lo + hi), lo = mid if F(mid) >= target else hi = mid,
-    until |hi - lo| < 1e-12 * max(1, |hi|) or 200 steps.  The midpoints are
-    evaluated in rounds instead of one by one.  A round predicts each open
-    side's path from a guess of its crossing, evaluates every predicted
-    midpoint of every side in one call of F, and keeps each path up to and
-    including its first comparison the guess got wrong.  The next guess is
-    the secant through the bracket's two evaluated ends, or lo itself when
-    F(lo) reads below the target too (a side started below the target
-    collapses onto its start).  Every kept step
-    compares the same midpoint with the same target as the loop, so the
-    result is the loop's, bit for bit; f_lo, f_hi and guess only steer the
-    rounds.
-    """
-    state = [[lo, hi, f_lo, f_hi, guess, 0] for lo, hi, f_lo, f_hi, guess in sides]
-    live = state
-    while live:
-        paths = []
-        for lo, hi, _, _, guess, steps in live:
-            path = []
-            while steps < _BISECT_STEPS:
-                mid = 0.5 * (lo + hi)
-                path.append(mid)
-                steps += 1
-                if (mid - guess) * (hi - lo) <= 0.0:    # mid on lo's side of the guess
-                    lo = mid
-                else:
-                    hi = mid
-                if abs(hi - lo) < 1e-12 * max(1.0, abs(hi)):
-                    break
-            paths.append(path)
-        values = F(np.array([mid for path in paths for mid in path])).tolist()
-        start, still = 0, []
-        for side, path in zip(live, paths):
-            lo, hi, f_lo, f_hi, guess, steps = side
-            for mid, f in zip(path, values[start:start + len(path)]):
-                guessed = (mid - guess) * (hi - lo) <= 0.0
-                steps += 1
-                if f >= target:
-                    lo, f_lo = mid, f
-                else:
-                    hi, f_hi = mid, f
-                if abs(hi - lo) < 1e-12 * max(1.0, abs(hi)) or steps == _BISECT_STEPS:
-                    steps = _BISECT_STEPS
-                    break
-                if guessed != (f >= target):
-                    break
-            start += len(path)
-            if steps < _BISECT_STEPS:
-                if f_lo < target:               # both ends below: hi closes in on lo
-                    guess = lo
-                else:
-                    guess = 0.5 * (lo + hi)
-                    if math.isfinite(f_lo - f_hi) and f_lo != f_hi:
-                        secant = lo + (target - f_lo) * (hi - lo) / (f_hi - f_lo)
-                        if min(lo, hi) <= secant <= max(lo, hi):
-                            guess = secant
-                still.append(side)
-            side[:] = lo, hi, f_lo, f_hi, guess, steps
-        live = still
-    return [side[1] for side in state]
 
 
 def _radius_for(t: CouplingVector, max_degree: int) -> float:
     """Largest |z| beyond which z^d * rho is below `_GRID_TOL` relative to its peak.
 
-    Solves F(z) = F(z*) + log(_GRID_TOL) for the decay function
-    F(z) = exponent(z) + d*log(max(|z|,1)).  An 8193-point scan of
-    [-B, B], B = 10, 20, 40, ..., finds the first bracket whose ends both
-    read below the target and the scan's peak z*; each side is then
-    bisected from max(z*, 0) or min(z*, 0) out to +B or -B
-    (`_bisect_replayed`, guessed from the scan's outermost crossings).  A
-    side whose bisection started below the target collapses inward, so it
-    is bisected again: from its outermost scan point at or above the target
-    when one lies beyond the radius so found, otherwise from +-radius when F
-    reads at or above the target there (its crossing lies within one scan
-    spacing past the radius).  d = 0 reduces to the bare-weight rule.
+    For the decay function F(z) = exponent(z) + d*log(max(|z|,1)) the target
+    is F(z*) + log(_GRID_TOL), z* the peak of an 8193-point scan of [-B, B].
+    B = 10, 20, 40, ... grows until both ends of the scan read below the
+    target; the radius is then the |z| of the scan point just past the
+    outermost point at or above it, on whichever side lies farther out.  It
+    is never inside the tail crossing and lies at most one scan spacing,
+    2B/8192, beyond it.  d = 0 reduces to the bare-weight rule.
     """
     d = int(max_degree)
-    tgt_gap = math.log(_GRID_TOL)
-
-    def F(z):
-        z = np.asarray(z, dtype=float)
-        return t.exponent(z) + d * np.log(np.maximum(np.abs(z), 1.0))
-
     bracket = 10.0
     for _ in range(40):
         zs = np.linspace(-bracket, bracket, _SCAN_POINTS)
-        Fs = F(zs)
-        fmax = float(Fs.max())
-        target = fmax + tgt_gap
+        Fs = t.exponent(zs) + d * np.log(np.maximum(np.abs(zs), 1.0))
+        target = Fs.max() + math.log(_GRID_TOL)
         if Fs[-1] < target and Fs[0] < target:
-            zstar = float(zs[int(Fs.argmax())])
             above = np.flatnonzero(Fs >= target)
-            i, j = int(above[-1]), int(above[0])
-            # the scan's outermost crossings, interpolated linearly
-            out_right = float(zs[i] + (Fs[i] - target) / (Fs[i] - Fs[i + 1]) * (zs[i + 1] - zs[i]))
-            out_left = float(zs[j] - (Fs[j] - target) / (Fs[j] - Fs[j - 1]) * (zs[j] - zs[j - 1]))
-
-            right_lo, left_lo = max(zstar, 0.0), min(zstar, 0.0)
-            # F(z*) = fmax and F(0) = 0 at the starting ends
-            right, left = _bisect_replayed(F, target, [
-                (right_lo, bracket, fmax if right_lo == zstar else 0.0, float(Fs[-1]),
-                 min(max(out_right, right_lo), bracket)),
-                (left_lo, -bracket, fmax if left_lo == zstar else 0.0, float(Fs[0]),
-                 max(min(out_left, left_lo), -bracket))])
-            radius = max(abs(left), abs(right))
-            f_right, f_left = F(np.array([radius, -radius])).tolist()
-            redo = []
-            if zs[i] > radius:
-                redo.append((float(zs[i]), bracket, float(Fs[i]), float(Fs[-1]), out_right))
-            elif f_right >= target:
-                redo.append((radius, bracket, f_right, float(Fs[-1]),
-                             min(max(out_right, radius), bracket)))
-            if zs[j] < -radius:
-                redo.append((float(zs[j]), -bracket, float(Fs[j]), float(Fs[0]), out_left))
-            elif f_left >= target:
-                redo.append((-radius, -bracket, f_left, float(Fs[0]),
-                             max(min(out_left, -radius), -bracket)))
-            return max([radius] + [abs(r) for r in _bisect_replayed(F, target, redo)])
+            return float(max(zs[above[-1] + 1], -zs[above[0] - 1]))
         bracket *= 2.0
     raise NonIntegrableWeight(
         f"no radius suppresses the tail of {t.as_dict()} at degree {d}")

@@ -202,9 +202,7 @@ def observables_check(n: int = 1, t: CouplingVector = _T0, *,
     w0_1 w1_1 against direct two-eigenvalue quadrature, with the entries
     of pair 1 from Pfaffian tau-ratios.
     """
-    n = _checked_int("n", n)
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    n = _checked_int("n", n, 1)
     stieltjes = _stieltjes_basis("orthogonal", 2 * n + 4, t)
     F, log_h = stieltjes[:2]
     # the pivots overwrite F, so each size eliminates a copy of its block
@@ -335,43 +333,51 @@ def reduction_invariants(trajectory: EvolutionResult, *,
 # ---------------------------------------------------------------------------
 # closed-form reference trajectories
 
+_ORACLE_KEYWORDS = {"t1-translation": {"times", "n_sites"},
+                    "t2-scaling": {"times", "n_sites", "ensemble", "k_pos", "k_neg"}}
+
+
 def exact_oracles(kind: str, **params) -> EvolutionResult:
     """Reference trajectories for the two single-coupling exact families.
 
     kind "t1-translation": unitary first flow, a_n(t) = t, b_n = sqrt(n).
     kind "t2-scaling": second flow; ensemble "volterra" gives
     B_n = n/(1-2t); ensemble "orthogonal" the banded closed forms.  Both
-    blow up at t = 1/2, so later times raise PreBreakingViolated.
+    blow up at t = 1/2, so later times raise PreBreakingViolated.  Keywords:
+    times, n_sites, and for t2-scaling ensemble, k_pos and k_neg; any other
+    keyword and any size that is not an integer raise a ValueError.
     """
+    if kind not in _ORACLE_KEYWORDS:
+        raise UnsupportedKind(f"unknown oracle kind {kind!r}")
+    unread = sorted(set(params) - _ORACLE_KEYWORDS[kind])
+    if unread:
+        raise ValueError(f"oracle kind {kind!r} reads no keyword {unread[0]!r}")
     times = np.asarray(params.get("times", [0.0]), dtype=float)
-    n_sites = int(params.get("n_sites", 16))
+    n_sites = _checked_int("n_sites", params.get("n_sites", 16), 1)
+    k_pos, k_neg = (_checked_int(name, params.get(name, 6)) for name in ("k_pos", "k_neg"))
     if kind == "t1-translation":
         b = np.sqrt(np.arange(1.0, n_sites))
         states = [TodaLax(np.full(n_sites, t), b) for t in times]
         return EvolutionResult(times, states, {"kind": kind})
-    if kind == "t2-scaling":
-        if np.any(times >= 0.5):
-            raise PreBreakingViolated("scaling family blows up at t = 1/2")
-        ensemble = params.get("ensemble", "volterra")
-        if ensemble == "volterra":
-            base = np.arange(1.0, n_sites + 1)
-            states = [VolterraState(base / (1.0 - 2.0 * t)) for t in times]
-            return EvolutionResult(times, states, {"kind": kind})
-        if ensemble == "orthogonal":
-            k_pos = int(params.get("k_pos", 6))
-            k_neg = int(params.get("k_neg", 6))
-            lax0 = goe_lax_init(n_sites, k_pos, k_neg)
-            states = []
-            w = lax0.w.copy()                          # one buffer: each PfaffLax copies it
-            for t in times:
-                s = 1.0 - 2.0 * t
-                w[k_neg - 2] = lax0.w[k_neg - 2] / s       # w^-2 row
-                w[k_neg - 1] = lax0.w[k_neg - 1] / s       # w^-1 row
-                w[k_neg] = lax0.w[k_neg] / s               # w^0 row
-                states.append(PfaffLax(w, k_neg, k_pos))
-            return EvolutionResult(times, states, {"kind": kind})
-        raise UnsupportedKind(f"no t2-scaling ensemble {ensemble!r}")
-    raise UnsupportedKind(f"unknown oracle kind {kind!r}")
+    if np.any(times >= 0.5):
+        raise PreBreakingViolated("scaling family blows up at t = 1/2")
+    ensemble = params.get("ensemble", "volterra")
+    if ensemble == "volterra":
+        base = np.arange(1.0, n_sites + 1)
+        states = [VolterraState(base / (1.0 - 2.0 * t)) for t in times]
+        return EvolutionResult(times, states, {"kind": kind})
+    if ensemble == "orthogonal":
+        lax0 = goe_lax_init(n_sites, k_pos, k_neg)
+        states = []
+        w = lax0.w.copy()                          # one buffer: each PfaffLax copies it
+        for t in times:
+            s = 1.0 - 2.0 * t
+            w[k_neg - 2] = lax0.w[k_neg - 2] / s       # w^-2 row
+            w[k_neg - 1] = lax0.w[k_neg - 1] / s       # w^-1 row
+            w[k_neg] = lax0.w[k_neg] / s               # w^0 row
+            states.append(PfaffLax(w, k_neg, k_pos))
+        return EvolutionResult(times, states, {"kind": kind})
+    raise UnsupportedKind(f"no t2-scaling ensemble {ensemble!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -383,12 +389,16 @@ def sample_gaussian_ensemble(beta: int, n: int, count: int, seed: int) -> dict:
     beta=1: real symmetric, diagonal N(0,1), off-diagonal N(0,1/2).
     beta=2: complex Hermitian, off-diagonal (a+ib)/sqrt(2).  Uses a
     counter-based generator so results are bit-reproducible for a seed;
-    returns {"trace": (mean, stderr), ...} computed in one pass.
+    returns {"trace": (mean, stderr), ...} computed in one pass.  Each
+    argument must be an integer, and n at least 1.
     """
+    beta, n = _checked_int("beta", beta), _checked_int("n", n, 1)
     if beta not in (1, 2):
-        raise ValueError("beta must be 1 or 2")
+        raise ValueError(f"beta must be 1 or 2, got {beta}")
+    count = _checked_int("count", count)
     if count < 2 or count > 10_000_000:
-        raise ValueError("count out of supported range")
+        raise ValueError(f"count out of supported range, got {count}")
+    seed = _checked_seed(seed)
     rng = np.random.Generator(np.random.Philox(seed))
     pairs = n * (n - 1) // 2
     sums = np.zeros(3)
@@ -435,9 +445,7 @@ def verify_init_gue(n_max: int = 10, tolerance: float = 1e-8) -> IdentityReport:
     Each side of the law is a sum of monic log norms of a Stieltjes basis on
     its own grid; the basis at zero couplings also gives the Jacobi data.
     """
-    n_max = _checked_int("n_max", n_max)
-    if n_max < 2:
-        raise ValueError(f"n_max must be at least 2, got {n_max}")
+    n_max = _checked_int("n_max", n_max, 2)
     _, log_h, a, b = _stieltjes_basis("unitary", n_max, _T0)
     _, log_h_shifted, _, _ = _stieltjes_basis("unitary", n_max, _GUE_SHIFT)
     m = np.arange(1.0, n_max + 1)
@@ -456,9 +464,7 @@ def verify_init_goe(n_sites: int = 8, k_band: int = 6,
     """Closed-form band entries against the skew Gram-Schmidt oracle, which
     orthogonalizes the Stieltjes basis of rho^2 on N + K + 1 pairs, built
     from the couplings alone."""
-    n_sites, k_band = _checked_int("n_sites", n_sites), _checked_int("k_band", k_band)
-    if n_sites < 1:
-        raise ValueError(f"n_sites must be at least 1, got {n_sites}")
+    n_sites, k_band = _checked_int("n_sites", n_sites, 1), _checked_int("k_band", k_band)
     n_pairs = n_sites + k_band + 1
     oracle = pfaff_lax_from_basis(_skew_basis(_T0, n_pairs), n_sites, k_band, k_band)
     closed = goe_lax_init(n_sites, k_band, k_band)

@@ -65,6 +65,7 @@ def c_coeff(n) -> np.ndarray | float:
 
 def nu_values(count: int) -> np.ndarray:
     """Skew norms sqrt(pi) (2n)! / 4^n for n = 0..count-1, by stable recursion."""
+    count = _checked_int("count", count, 0)
     nu = np.empty(count)
     if count == 0:
         return nu
@@ -80,8 +81,7 @@ def sqrt_ratio_product(start: int, count: int) -> float:
     Each factor is barely above 1, so this form never overflows where the
     equivalent factorial ratio would.
     """
-    if start < 1:
-        raise ValueError(f"start must be at least 1, got {start}")
+    start, count = _checked_int("start", start, 1), _checked_int("count", count)
     if count <= 0:
         return 1.0
     acc = 1.0
@@ -118,8 +118,7 @@ class TodaLax:
 
 def gue_lax_init(n_sites: int) -> TodaLax:
     """a_n = 0, b_n = sqrt(n): the zero-coupling Gaussian recurrence."""
-    if _checked_int("n_sites", n_sites) < 1:
-        raise ValueError(f"n_sites must be at least 1, got {n_sites}")
+    n_sites = _checked_int("n_sites", n_sites, 1)
     return TodaLax(np.zeros(n_sites), np.sqrt(np.arange(1.0, n_sites)))
 
 
@@ -130,8 +129,7 @@ def toda_lax_from_quadrature(t: CouplingVector, n_sites: int) -> TodaLax:
     z q_k = b_{k+1} q_{k+1} + a_k q_k + b_k q_{k-1} gives a_k, k < n_sites,
     and b_k, 1 <= k < n_sites.
     """
-    if _checked_int("n_sites", n_sites) < 1:
-        raise ValueError(f"n_sites must be at least 1, got {n_sites}")
+    n_sites = _checked_int("n_sites", n_sites, 1)
     _, _, a, b = _stieltjes_basis("unitary", n_sites, t)
     return TodaLax(a, b[1:])
 
@@ -140,7 +138,8 @@ def toda_lax_from_quadrature(t: CouplingVector, n_sites: int) -> TodaLax:
 class PfaffLax:
     """Banded window of the skew-basis multiplication operator.
 
-    w[l + k_neg, n - 1] holds w^l_n for -k_neg <= l <= k_pos, 1 <= n <= n_sites.
+    w[l + k_neg, n - 1] holds w^l_n for -k_neg <= l <= k_pos, 1 <= n <= n_sites;
+    the band counts k_neg and k_pos are non-negative integers.
     """
 
     w: np.ndarray
@@ -148,6 +147,8 @@ class PfaffLax:
     k_pos: int
 
     def __post_init__(self):
+        for name in ("k_neg", "k_pos"):
+            object.__setattr__(self, name, _checked_int(name, getattr(self, name), 0))
         w, = _own_arrays(self, "w")
         if w.ndim != 2 or w.shape[0] != self.k_neg + self.k_pos + 1:
             raise ValueError(
@@ -207,12 +208,8 @@ def goe_lax_init(n_sites: int, k_pos: int, k_neg: int = 6) -> PfaffLax:
     so every site multiplies the factors of `sqrt_ratio_product(n, k)` in
     its order.
     """
-    n_sites, k_pos, k_neg = (_checked_int(name, size) for name, size in
-                             (("n_sites", n_sites), ("k_pos", k_pos), ("k_neg", k_neg)))
-    if n_sites < 1:
-        raise ValueError(f"n_sites must be at least 1, got {n_sites}")
-    if k_pos < 0:
-        raise ValueError(f"k_pos must be non-negative, got {k_pos}")
+    n_sites, k_pos = _checked_int("n_sites", n_sites, 1), _checked_int("k_pos", k_pos, 0)
+    k_neg = _checked_int("k_neg", k_neg)
     if k_neg < 2:
         raise ValueError("window must reach at least two steps below the diagonal")
     w = np.zeros((k_neg + k_pos + 1, n_sites))
@@ -377,9 +374,7 @@ def pfaff_entries_from_tau(t: CouplingVector, n_pairs: int) -> dict:
     d^2/dt1^2 and d/dt2 jets (`moments._log_tau_jets`), all from one
     orthogonal Stieltjes basis.
     """
-    n_pairs = _checked_int("n_pairs", n_pairs)
-    if n_pairs < 1:
-        raise ValueError(f"n_pairs must be at least 1, got {n_pairs}")
+    n_pairs = _checked_int("n_pairs", n_pairs, 1)
     jets = _log_tau_jets("orthogonal", range(0, 2 * n_pairs + 3, 2), t, (1, 2),
                          [(2, 0), (0, 1)])
     log_t = {size: log_abs for size, (_, log_abs, _) in jets.items()}
@@ -399,8 +394,7 @@ def pfaff_entries_from_tau(t: CouplingVector, n_pairs: int) -> dict:
 def hermite_map_coeffs(n_pairs: int) -> np.ndarray:
     """Closed-form zero-coupling pair basis: Q_{2n} = P_{2n} and
     Q_{2n+1} = P_{2n+1} - n P_{2n-1}, P monic parity-Hermite."""
-    if n_pairs < 1:
-        raise ValueError(f"n_pairs must be at least 1, got {n_pairs}")
+    n_pairs = _checked_int("n_pairs", n_pairs, 1)
     dim = 2 * n_pairs
     C = _parity_hermite_coeffs(dim)
     Q = C.copy()
@@ -416,9 +410,7 @@ def skew_hermite_map_check(n_pairs: int = 6, *, tolerance: float = 1e-9) -> Iden
     nu_n delta_{mn} (and zero same-parity pairings) by quadrature; the
     residual is the largest violation of the nu-scaled Gram.
     """
-    n_pairs = _checked_int("n_pairs", n_pairs)
-    if n_pairs < 1:
-        raise ValueError(f"n_pairs must be at least 1, got {n_pairs}")
+    n_pairs = _checked_int("n_pairs", n_pairs, 1)
     t0 = CouplingVector.from_mapping({})
     dim = 2 * n_pairs
     grid = build_quadrature(t0, max_degree=dim + 2)

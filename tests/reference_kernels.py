@@ -40,9 +40,11 @@ like the moments, so they are references for sizes <= 12 only.  The same
 Cholesky factor gave the tridiagonal Lax operator before
 `lax.toda_lax_from_quadrature` read it off the Stieltjes recurrence; it is
 a reference through 10 sites.  `radius_sequential` is the radius search
-with its bisections run one midpoint at a time, each a 0-d call of the
-decay function, as `couplings._radius_for` ran them before it replayed
-them in vectorised rounds; the two must agree with ==.  The grid builder's panel count with the
+as it ran before `couplings._radius_for` read the radius off its scan: a
+bisection of each side, one midpoint at a time, that pins the tail
+crossing to 1e-12 relative.  It gives `widen_grid` a radius at any
+tolerance and bounds the scan's radius, which may lie at most one scan
+spacing past it.  The grid builder's panel count with the
 unscaled companion moment z^deg rho is the reference for the scaled one
 below degree 240.  The
 60-digit quartic Hankel determinant is the reference at any size.  The
@@ -586,7 +588,7 @@ def log_tau_closed_form(ensemble, n, t2=0.0):
 
 
 def radius_sequential(t, tol, max_degree):
-    """`couplings._radius_for` with one scalar evaluation per bisection step.
+    """The tail radius at `tol`, bisected with one scalar evaluation per step.
 
     The 8193-point scan of [-B, B], B = 10, 20, 40, ..., finds the first
     bracket whose ends read below the target; each side bisects from

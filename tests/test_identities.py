@@ -282,6 +282,41 @@ class TestEnsembleSampling:
         with pytest.raises(ValueError):
             sample_gaussian_ensemble(1, 2, 1, seed=1)
 
+    @pytest.mark.parametrize("args, message", [
+        ((True, 2, 100, 1), "beta must be an integer, got True"),
+        ((1, -2, 100, 1), "n must be at least 1, got -2"),
+        ((1, 0, 100, 1), "n must be at least 1, got 0"),
+        ((1, 2.5, 100, 1), "n must be an integer, got 2.5"),
+        ((1, 2, 2.5, 1), "count must be an integer, got 2.5"),
+        ((1, 2, 100, 2.5), "seed must be an integer, got 2.5"),
+        ((1, 2, 100, -1), "seed must be non-negative, got -1")])
+    def test_refuses_arguments_by_name(self, args, message):
+        # True ran and was recorded, -2 and both seeds raised numpy's
+        # messages, and count 2.5 a bare TypeError
+        with pytest.raises(ValueError, match=message):
+            sample_gaussian_ensemble(*args)
+
+    def test_records_numpy_integers_as_ints(self):
+        out = sample_gaussian_ensemble(np.int64(1), np.int64(2), np.int64(100), np.uint32(3))
+        assert out == sample_gaussian_ensemble(1, 2, 100, 3)
+        assert all(type(out[key]) is int for key in ("beta", "n", "count", "seed"))
+
+
+@pytest.mark.parametrize("kind, params, message", [
+    ("t1-translation", {"n_site": 5}, "reads no keyword 'n_site'"),
+    ("t1-translation", {"k_pos": 6}, "reads no keyword 'k_pos'"),
+    ("t2-scaling", {"n_site": 5}, "reads no keyword 'n_site'"),
+    ("t1-translation", {"n_sites": 2.5}, "n_sites must be an integer, got 2.5"),
+    ("t2-scaling", {"n_sites": True}, "n_sites must be an integer, got True"),
+    ("t2-scaling", {"n_sites": 0}, "n_sites must be at least 1, got 0"),
+    ("t2-scaling", {"ensemble": "orthogonal", "k_pos": True}, "k_pos must be an integer"),
+    ("t2-scaling", {"ensemble": "orthogonal", "k_neg": 6.0}, "k_neg must be an integer")])
+def test_oracles_refuse_unread_keywords_and_sizes_that_are_not_integers(kind, params, message):
+    # n_sites 2.5 returned 2 sites, n_site=5 the default 16 and k_pos True
+    # a one-band window
+    with pytest.raises(ValueError, match=message):
+        exact_oracles(kind, times=[0.1], **params)
+
 
 @pytest.mark.parametrize("n_sites", [10.5, 16.0, True])
 def test_scaling_refuses_a_size_that_is_not_an_integer(n_sites):

@@ -325,6 +325,36 @@ def test_pfaff_lax_refuses_a_window_of_the_wrong_shape(w):
         PfaffLax(w, 2, 2)
 
 
+@pytest.mark.parametrize("k_neg, k_pos, message", [
+    (2.5, 1.5, "k_neg must be an integer, got 2.5"), (2, True, "k_pos must be an integer, got True"),
+    (-1, 4, "k_neg must be non-negative, got -1"), (4, -1, "k_pos must be non-negative, got -1")])
+def test_pfaff_lax_refuses_a_band_count_that_is_not_a_non_negative_integer(k_neg, k_pos, message):
+    # (2.5, 1.5) built a window
+    with pytest.raises(ValueError, match=message):
+        PfaffLax(np.ones((5, 3)), k_neg, k_pos)
+
+
+def test_pfaff_lax_stores_numpy_band_counts_as_ints():
+    lax = PfaffLax(np.ones((5, 3)), np.int64(2), np.int32(2))
+    assert type(lax.k_neg) is int and type(lax.k_pos) is int
+    assert lax.to_json() == PfaffLax(np.ones((5, 3)), 2, 2).to_json()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: nu_values(2.5), "count must be an integer, got 2.5"),
+    (lambda: nu_values(-1), "count must be non-negative, got -1"),
+    (lambda: nu_values(True), "count must be an integer, got True"),
+    (lambda: sqrt_ratio_product(1.5, 2), "start must be an integer, got 1.5"),
+    (lambda: sqrt_ratio_product(1, 2.5), "count must be an integer, got 2.5"),
+    (lambda: hermite_map_coeffs(True), "n_pairs must be an integer, got True"),
+    (lambda: hermite_map_coeffs(2.5), "n_pairs must be an integer, got 2.5")])
+def test_closed_forms_refuse_sizes_by_name(call, message):
+    # nu_values and sqrt_ratio_product raised numpy's or range's messages,
+    # and hermite_map_coeffs(True) returned a one-pair basis
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 @pytest.mark.parametrize("h", [[1.0, 0.0], [1.0, -1.0]])
 def test_skew_basis_refuses_pair_products_that_are_not_positive(t0, h):
     with pytest.raises(ValueError, match="positive"):

@@ -345,7 +345,8 @@ def exact_oracles(kind: str, **params) -> EvolutionResult:
     B_n = n/(1-2t); ensemble "orthogonal" the banded closed forms.  Both
     blow up at t = 1/2, so later times raise PreBreakingViolated.  Keywords:
     times, n_sites, and for t2-scaling ensemble, k_pos and k_neg; any other
-    keyword and any size that is not an integer raise a ValueError.
+    keyword, any size that is not an integer and any time that is not
+    finite raise a ValueError.
     """
     if kind not in _ORACLE_KEYWORDS:
         raise UnsupportedKind(f"unknown oracle kind {kind!r}")
@@ -353,6 +354,8 @@ def exact_oracles(kind: str, **params) -> EvolutionResult:
     if unread:
         raise ValueError(f"oracle kind {kind!r} reads no keyword {unread[0]!r}")
     times = np.asarray(params.get("times", [0.0]), dtype=float)
+    if not np.all(np.isfinite(times)):
+        raise ValueError(f"oracle times must be finite, got {times}")
     n_sites = _checked_int("n_sites", params.get("n_sites", 16), 1)
     k_pos, k_neg = (_checked_int(name, params.get(name, 6)) for name in ("k_pos", "k_neg"))
     if kind == "t1-translation":

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -316,6 +317,15 @@ def test_oracles_refuse_unread_keywords_and_sizes_that_are_not_integers(kind, pa
     # a one-band window
     with pytest.raises(ValueError, match=message):
         exact_oracles(kind, times=[0.1], **params)
+
+
+@pytest.mark.parametrize("kind, params", [("t1-translation", {}), ("t2-scaling", {}),
+                                          ("t2-scaling", {"ensemble": "orthogonal"})])
+def test_oracles_refuse_times_that_are_not_finite(kind, params):
+    # the orthogonal window at t = nan held nan rows
+    for times in ([math.nan], [0.0, math.inf], [-math.inf, 0.1]):
+        with pytest.raises(ValueError, match="oracle times must be finite"):
+            exact_oracles(kind, times=times, n_sites=6, **params)
 
 
 @pytest.mark.parametrize("n_sites", [10.5, 16.0, True])

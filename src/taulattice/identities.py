@@ -346,7 +346,7 @@ def exact_oracles(kind: str, **params) -> EvolutionResult:
     blow up at t = 1/2, so later times raise PreBreakingViolated.  Keywords:
     times, n_sites, and for t2-scaling ensemble, k_pos and k_neg; any other
     keyword, any size that is not an integer and any time that is not
-    finite raise a ValueError.
+    finite, or whose t2 scale 1 - 2t is not, raise a ValueError.
     """
     if kind not in _ORACLE_KEYWORDS:
         raise UnsupportedKind(f"unknown oracle kind {kind!r}")
@@ -364,6 +364,8 @@ def exact_oracles(kind: str, **params) -> EvolutionResult:
         return EvolutionResult(times, states, {"kind": kind})
     if np.any(times >= 0.5):
         raise PreBreakingViolated("scaling family blows up at t = 1/2")
+    if np.any(times < -np.finfo(float).max / 2):        # 2t, so 1 - 2t, overflows
+        raise ValueError(f"oracle time {float(times.min())!r} has no finite scale 1 - 2t")
     ensemble = params.get("ensemble", "volterra")
     if ensemble == "volterra":
         base = np.arange(1.0, n_sites + 1)

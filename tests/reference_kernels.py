@@ -374,13 +374,11 @@ def _closure_row(u: np.ndarray, edge: int, spec) -> np.ndarray:
     return np.full(u.shape[1], float(spec))
 
 
-def table_rhs_arrays(dx, y, k_neg, top, bottom, bound, out=None):
+def table_rhs_arrays(dx, y, k_neg, top, bottom, out=None):
     """The chain RHS read from the monomial table (`continuum._rhs_plan`),
     every buffer fresh at every call: what `continuum._hydro_kernel` binds
     once.  `y` stacks the window rows u over the row v and the rates come
     back stacked the same way, in `out` when it is given."""
-    if bound is not None and (y.max() > bound or y.min() < -bound):
-        raise DivergedField(f"field magnitude exceeded {bound}")
     R = y.shape[0] - 1
     u, v = y[:R], y[R]
     S, fa, fb, col = _rhs_plan(k_neg, R - 1 - k_neg)
@@ -403,19 +401,17 @@ def kernel_of(rhs_arrays):
     """An allocating RHS (`table_rhs_arrays`, `chain_rhs_arrays`) in the
     calling convention of `continuum._hydro_kernel`, whose window is closed
     by copying its edge rows."""
-    def bind(dx, shape, k_neg, bound, *, edges=True):
-        return lambda y, out: rhs_arrays(dx, y, k_neg, "copy", "copy", bound, out)
+    def bind(dx, shape, k_neg, *, edges=True):
+        return lambda y, out: rhs_arrays(dx, y, k_neg, "copy", "copy", out)
     return bind
 
 
-def chain_rhs_arrays(dx, y, k_neg, top, bottom, bound, out=None):
+def chain_rhs_arrays(dx, y, k_neg, top, bottom, out=None):
     """Hydrodynamic chain RHS with every row written out; `top`/`bottom`
     close the band window by copying the edge row or pinning a constant.
     Same calling convention as `table_rhs_arrays`: `y` stacks u over v, and
     so do the rates, written into `out` when it is given."""
     u, v = y[:-1], y[-1]
-    if bound is not None and max(np.max(np.abs(u)), np.max(np.abs(v))) > bound:
-        raise DivergedField(f"field magnitude exceeded {bound}")
     K = u.shape[0] - 1 - k_neg
     ext = np.vstack([_closure_row(u, 0, bottom)[None, :], u,
                      _closure_row(u, -1, top)[None, :]])
@@ -454,11 +450,13 @@ def chain_rhs_arrays(dx, y, k_neg, top, bottom, bound, out=None):
     return out
 
 
-def evolve_hydro_chain(field, t_target, *, cfl=0.2, top="copy", bottom="copy",
-                       bound=50.0, edge_drive=None, max_steps=200000):
+def evolve_hydro_chain(field, t_target, *, top="copy", bottom="copy",
+                       edge_drive=None, max_steps=200000):
     """continuum.evolve_hydro_chain with its RK4 stages written out on the
     (u, v) pair and the edge drive called at every stage; the RHS is
-    `table_rhs_arrays`, full width, with the strip rates zeroed after."""
+    `table_rhs_arrays`, full width, with the strip rates zeroed after.  The
+    step number 0.2 and the magnitude bound 50, checked on the state before
+    each step, are the march's."""
     if t_target < field.time:
         raise ValueError("t_target must not precede the field's time stamp")
     x, dx, k_neg = field.x, field.dx, field.k_neg
@@ -467,6 +465,7 @@ def evolve_hydro_chain(field, t_target, *, cfl=0.2, top="copy", bottom="copy",
     t = field.time
     strip = np.r_[0:2, len(x) - 2:len(x)]
     h_used = []
+    cfl, bound = 0.2, 50.0
 
     def rhs(uc, vc, ts):
         if edge_drive is not None:
@@ -475,7 +474,7 @@ def evolve_hydro_chain(field, t_target, *, cfl=0.2, top="copy", bottom="copy",
             vc = vc.copy()
             uc[:, strip] = ud
             vc[strip] = vd
-        rates = table_rhs_arrays(dx, np.vstack([uc, vc]), k_neg, top, bottom, bound)
+        rates = table_rhs_arrays(dx, np.vstack([uc, vc]), k_neg, top, bottom)
         du, dv = rates[:-1], rates[-1]
         du[:, strip] = 0.0
         dv[strip] = 0.0
@@ -483,6 +482,8 @@ def evolve_hydro_chain(field, t_target, *, cfl=0.2, top="copy", bottom="copy",
 
     steps = 0
     while t < t_target - 1e-15:
+        if max(np.max(np.abs(u)), np.max(np.abs(v))) > bound:
+            raise DivergedField(f"field magnitude exceeded {bound}")
         speed = float(np.max(np.abs(u[k_neg] * u[k_neg + 1]))) + 1e-30
         h = min(cfl * dx / speed, t_target - t)
         k1 = rhs(u, v, t)

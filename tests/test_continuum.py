@@ -187,33 +187,68 @@ class TestHydroChain:
     @pytest.mark.parametrize("row,sign", [("u^-3", 1.0), ("u^-3", -1.0), ("u^0", 1.0),
                                           ("u^2", 1.0), ("u^2", -1.0),
                                           ("v", 1.0), ("v", -1.0)])
-    def test_bound_guard(self, row, sign):
+    def test_bound_guard(self, monkeypatch, row, sign):
+        # the march holds its state to the bound 50 before each step: 50
+        # marches, and the next double past it raises before any kernel
+        # call; the RHS evaluates both fields
         x = np.linspace(0.25, 2.25, 41)
         f = HydroChainField.initial(x)
-        bound = 3.0
-        for value, fires in ((sign * bound, False),
-                             (sign * np.nextafter(bound, np.inf), True)):
+
+        def no_rates(*args, **kwargs):
+            def rates(y, out):
+                raise AssertionError("the kernel ran before the guard")
+            return rates
+
+        for value, fires in ((sign * 50.0, False),
+                             (sign * np.nextafter(50.0, np.inf), True)):
             u, v = f.u.copy(), f.v.copy()
             if row == "v":
                 v[7] = value
             else:
                 u[f.k_neg + int(row[2:]), 7] = value
             field = HydroChainField(x, u, v, f.k_neg)
+            hydro_chain_rhs(field)
             if fires:
-                with pytest.raises(DivergedField, match="exceeded 3.0"):
-                    hydro_chain_rhs(field, bound=bound)
+                with monkeypatch.context() as m:
+                    m.setattr(continuum, "_hydro_kernel", no_rates)
+                    with pytest.raises(DivergedField, match="exceeded 50.0 at t=0 after 0"):
+                        evolve_hydro_chain(field, 1e-6)
             else:
-                hydro_chain_rhs(field, bound=bound)
-            hydro_chain_rhs(field, bound=None)
+                assert evolve_hydro_chain(field, 1e-6)[1]["steps"] == 1
 
-    def test_overflow_raises_typed_error(self):
-        # without the magnitude bound, cfl = 5 overflows within a few steps;
+    def test_overflow_raises_typed_error(self, monkeypatch):
+        # without the magnitude bound, CFL 5 overflows within a few steps;
         # the march stops at the first overflow, with no RuntimeWarning
+        monkeypatch.setattr(continuum, "_CFL", 5.0)
+        monkeypatch.setattr(continuum, "_BOUND", np.inf)
         field = HydroChainField.initial(np.linspace(0.25, 2.25, 81))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DivergedField, match="chain march overflowed"):
-                evolve_hydro_chain(field, 0.3, bound=None, cfl=5.0)
+                evolve_hydro_chain(field, 0.3)
+
+    def test_rhs_evaluates_past_the_march_bound(self):
+        # u^0 reaches 112 at t = 0.49; the RHS used to refuse any field past 50
+        x = np.linspace(0.25, 2.25, 81)
+        field = HydroChainField.scaling(x, 0.49)
+        assert np.max(field.u) > 100.0
+        du, dv = hydro_chain_rhs(field)
+        want = ref.chain_rhs_arrays(field.dx, np.vstack([field.u, field.v]),
+                                    field.k_neg, "copy", "copy")
+        assert np.max(np.abs(du - want[:-1])) <= 1e-13 * np.max(np.abs(want[:-1]))
+        assert np.array_equal(dv, want[-1])
+
+    def test_rhs_overflow_raises_typed_error(self):
+        # u^0, u^1 and so u^0_x near 1e110 put u^1 u^1 u^0_x past the double range
+        x = np.linspace(0.25, 2.25, 41)
+        f = HydroChainField.initial(x)
+        u = f.u.copy()
+        u[f.k_neg:f.k_neg + 2] = 1e110 * (1.0 + x)
+        field = HydroChainField(x, u, f.v, f.k_neg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergedField, match="chain rates overflowed"):
+                hydro_chain_rhs(field)
 
     @pytest.mark.parametrize("t_target", [np.nan, np.inf])
     def test_non_finite_target_refused(self, t_target):
@@ -222,17 +257,15 @@ class TestHydroChain:
         with pytest.raises(ValueError, match="t_target must be finite"):
             evolve_hydro_chain(field, t_target)
 
-    @pytest.mark.parametrize("cfl", [np.nan, np.inf, 0.0, -1.0])
-    def test_bad_cfl_refused_before_the_march(self, monkeypatch, cfl):
-        # each used to end in an error that blamed the field, or (cfl = 0)
-        # in the step budget after 200000 steps
+    @pytest.mark.parametrize("t_target", [0.5, 0.6])
+    def test_scaling_check_refuses_blow_up_before_the_march(self, monkeypatch, t_target):
+        # each marched about 0.1 s, then raised "field magnitude exceeded 50.0"
         def no_march(*args, **kwargs):
-            raise AssertionError("marched before cfl was checked")
+            raise AssertionError("marched past the blow-up")
 
-        monkeypatch.setattr(continuum, "_hydro_kernel", no_march)
-        field = HydroChainField.initial(np.linspace(0.25, 2.25, 41))
-        with pytest.raises(ValueError, match="cfl must be finite and positive"):
-            evolve_hydro_chain(field, 0.1, cfl=cfl)
+        monkeypatch.setattr(continuum, "evolve_hydro_chain", no_march)
+        with pytest.raises(PreBreakingViolated, match="1/2"):
+            hydro_scaling_check(t_target=t_target, n_x=41)
 
 
 class TestHydroStepper:
@@ -277,25 +310,19 @@ class TestHydroKernel:
     bit, call after call."""
 
     @given(st.integers(2, 9), st.integers(2, 9), st.integers(5, 241),
-           st.sampled_from([None, 1.5, 2.0, 50.0]), st.integers(0, 2**32 - 1))
+           st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
-    def test_bound_kernel_matches_allocating(self, k_neg, k_pos, n_x, bound, seed):
+    def test_bound_kernel_matches_allocating(self, k_neg, k_pos, n_x, seed):
         rng = np.random.default_rng(seed)
         states = [_chain_state(rng, k_neg, k_pos, n_x) for _ in range(2)]
         dx = 2.0 / (n_x - 1)
-        args = (dx, states[0].shape, k_neg, bound)
+        args = (dx, states[0].shape, k_neg)
         full = continuum._hydro_kernel(*args)
         inner = continuum._hydro_kernel(*args, edges=False)
         out, out_inner = np.full_like(states[0], np.nan), np.full_like(states[0], np.nan)
         # two states through the same kernel and buffers, each against a fresh call
         for y in states:
-            try:
-                want = ref.table_rhs_arrays(dx, y, k_neg, "copy", "copy", bound)
-            except DivergedField as exc:
-                for kernel, o in ((full, out), (inner, out_inner)):
-                    with pytest.raises(DivergedField, match=f"^{re.escape(str(exc))}$"):
-                        kernel(y, o)
-                continue
+            want = ref.table_rhs_arrays(dx, y, k_neg, "copy", "copy")
             assert full(y, out) is out
             assert out.tobytes() == want.tobytes()
             # the march's kernel leaves the strips' rates, which it zeroes
@@ -304,12 +331,9 @@ class TestHydroKernel:
         # the public RHS binds the same kernel for one call
         field = HydroChainField(np.linspace(0.25, 2.25, n_x), states[1][:-1].copy(),
                                 states[1][-1].copy(), k_neg)
-        try:
-            du, dv = hydro_chain_rhs(field, bound=bound)
-        except DivergedField:
-            return
+        du, dv = hydro_chain_rhs(field)
         want = ref.table_rhs_arrays(field.dx, np.vstack([field.u, field.v]), k_neg,
-                                    "copy", "copy", bound)
+                                    "copy", "copy")
         assert du.tobytes() == want[:-1].tobytes() and dv.tobytes() == want[-1].tobytes()
 
     @pytest.mark.parametrize("k_neg,k_pos,n_x,driven", [
@@ -344,7 +368,7 @@ class TestChainTable:
         field = HydroChainField(x, u, v, k_neg)
         du, dv = hydro_chain_rhs(field)
         ref_rates = ref.chain_rhs_arrays(field.dx, np.vstack([field.u, field.v]),
-                                         k_neg, "copy", "copy", 50.0)
+                                         k_neg, "copy", "copy")
         ref_du, ref_dv = ref_rates[:-1], ref_rates[-1]
         # the table sums each row's monomials in its own order
         assert np.max(np.abs(du - ref_du)) <= 1e-13 * np.max(np.abs(ref_du))
@@ -383,6 +407,15 @@ class TestReducedContinuum:
         assert abs(dwm1 - l_dwm1) < 1e-12
         assert np.max(np.abs(dw[:-1] - l_dw[:-1])) < 1e-12
 
+    def test_matches_lattice_reduction_past_the_march_bound(self):
+        # W^1 = 60 lies past the march's bound, which the RHS no longer reads
+        dwm1, dw, _ = reduced_continuum_rhs(0.5, [60.0, 2.0, 2.0, 2.0])
+        l_dwm1, l_dw = reduced_chain_rhs(
+            ReducedChainState(0.5, np.array([60.0, 2.0, 2.0, 2.0])))
+        scale = max(abs(l_dwm1), np.max(np.abs(l_dw)))
+        assert abs(dwm1 - l_dwm1) <= 1e-14 * scale
+        assert np.max(np.abs(dw[:-1] - l_dw[:-1])) <= 1e-14 * scale
+
     @given(st.integers(2, 12), st.floats(0.1, 3.0, exclude_min=True, exclude_max=True),
            st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -399,7 +432,7 @@ class TestReducedContinuum:
         field = HydroChainField(x, rows, np.full_like(x, -wm1 / 2.0), k_neg)
         du, dv = hydro_chain_rhs(field)
         want = ref.table_rhs_arrays(field.dx, np.vstack([field.u, field.v]), k_neg,
-                                    "copy", 0.0, 50.0)
+                                    "copy", 0.0)
         assert du.tobytes() == want[:-1].tobytes() and dv.tobytes() == want[-1].tobytes()
 
 

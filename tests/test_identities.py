@@ -328,6 +328,19 @@ def test_oracles_refuse_times_that_are_not_finite(kind, params):
             exact_oracles(kind, times=times, n_sites=6, **params)
 
 
+@pytest.mark.parametrize("ensemble", ["volterra", "orthogonal"])
+def test_oracles_refuse_a_time_whose_scale_overflows(ensemble):
+    # 1 - 2t overflowed with a RuntimeWarning: the orthogonal window read
+    # +-0 rows, the Volterra state raised a bare "B must stay positive"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"oracle time -1e\+308 has no finite scale"):
+            exact_oracles("t2-scaling", ensemble=ensemble, times=[-1e308, 0.1], n_sites=6)
+        # the last time whose doubling stays finite is still served
+        far = -np.finfo(float).max / 2
+        assert exact_oracles("t2-scaling", ensemble=ensemble, times=[far], n_sites=6).times[0] == far
+
+
 @pytest.mark.parametrize("n_sites", [10.5, 16.0, True])
 def test_scaling_refuses_a_size_that_is_not_an_integer(n_sites):
     # 10.5 failed inside with a bare TypeError from a slice

@@ -27,18 +27,22 @@ and `spatial_derivative` runs the same bound stencil.
 The Nijenhuis and Haantjes tensors are evaluated sparsely: once per
 window, `_tensor_plan` compiles from the same table which entries of A, its
 gradient and N meet in each contraction, and at each point every tensor
-sum is one `np.bincount` over those products.  The plan's index arrays are
-`np.intp`, numpy's own index type, so no gather or `np.bincount` converts
-them.  H is formed on the guarded block only, the part the scan and the
-component queries read.  The scan draws all its points with one call,
-a row per point that the tensor sums read as it is, so it makes no
-`TensorPoint`; it collects every point's N and H, and takes max|H| and
-N's guarded entries once over all points.  It tabulates the closed-form
-Nijenhuis values over all points, one call per row on u^0 squared once;
-where the table lands among N's entries in the guarded block depends on
-the row alone, so a map compiled once per window (`_closed_layout`) pairs
-each of those entries with its tabulated value, and N is compared with
-the table on those entries only (208 at window 10, 352 at window 14).
+sum is one `np.bincount` over those products.  Each operand is a dense map
+of its entry numbers, -1 where it has none, and each contraction an einsum
+spec such as "pj,pik->ijk" whose products `_products` lists; each term's
+output positions and the signed sums of N and H are dense slot maps of the
+same kind.  The plan's index arrays are `np.intp`, numpy's own index type,
+so no gather or `np.bincount` converts them.  H is formed on the guarded
+block only, the part the scan and the component queries read.  The scan
+draws all its points with one call, a row per point that the tensor sums
+read as it is, so it makes no `TensorPoint`; it collects every point's N
+and H, and takes max|H| and N's guarded entries once over all points.  It
+tabulates the closed-form Nijenhuis values over all points, one call per
+row on u^0 squared once; where the table lands among N's entries in the
+guarded block depends on the row alone, so a map compiled once per window
+(`_closed_layout`) pairs each of those entries with its tabulated value,
+and N is compared with the table on those entries only (208 at window 10,
+352 at window 14).
 
 The chain march stacks u over v in one array and steps it in place with the
 lattice evolvers' RK4 stepper, `flows._rk4_stepper`, whose stage buffers
@@ -184,6 +188,7 @@ class HydroChainField:
             raise ValueError("grid must be uniform and increasing")
         if x[0] <= 0:
             raise ValueError("grid must satisfy x > 0")
+        object.__setattr__(self, "k_neg", _checked_int("k_neg", self.k_neg))
         if self.k_neg < 2 or u.ndim != 2 or u.shape[0] < self.k_neg + 3:
             raise ValueError("need rows down to -2 and up to at least +2")
         if u.shape[1] != len(x) or v.shape != x.shape:
@@ -216,6 +221,7 @@ class HydroChainField:
     @classmethod
     def scaling(cls, x, t: float, k_neg: int = 4, k_pos: int = 6) -> "HydroChainField":
         """The exact pure-t2 solution of the chain started from `initial`."""
+        k_neg, k_pos = _checked_int("k_neg", k_neg, 2), _checked_int("k_pos", k_pos, 2)
         if t >= 0.5:
             raise PreBreakingViolated("scaling family blows up at t = 1/2")
         x = np.asarray(x, dtype=float)
@@ -245,6 +251,9 @@ def hopf_solve(u0, c: float, k: int, x, t: float) -> np.ndarray:
     """
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
+    if not math.isfinite(c):
+        raise ValueError(f"c must be finite, got {c}")
+    k = _checked_int("k", k)
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or not len(x) or not np.isfinite(x).all() or np.any(np.diff(x) <= 0):
         raise ValueError(f"grid x must be non-empty, finite and strictly ascending, "
@@ -619,71 +628,28 @@ def _chain_table(window: int):
     return row, col, coef, np.stack([a, b], axis=1)
 
 
-def _join(left: np.ndarray, right: np.ndarray):
-    """Every index pair (l, r) with left[l] == right[r]: l ascending, and r
-    ascending within each l."""
-    order = np.argsort(right, kind="stable")
-    ranked = right[order]
-    lo = np.searchsorted(ranked, left, "left")
-    count = np.searchsorted(ranked, left, "right") - lo
-    first = np.cumsum(count) - count
-    return (np.repeat(np.arange(len(left)), count),
-            order[np.arange(count.sum()) - np.repeat(first - lo, count)])
+def _products(spec: str, left: np.ndarray, right: np.ndarray, keep) -> tuple:
+    """The products of the contraction `spec`, written as for `np.einsum`
+    (such as "pj,pik->ijk"), of two operands given as dense maps of their
+    entry numbers, -1 where an operand has no entry.
 
-
-def _contract(left, lax, right, rax, out, keep):
-    """The product pairs of a sum over one shared index of two sparse
-    operands, given as (entries, axes) key arrays: left axis `lax` meets
-    right axis `rax`, and `out` lists the (side, axis) each output axis is
-    read from (side 0 left, 1 right).  Returns the pairs (l, r) and their
-    output keys, for the outputs that `keep` selects."""
-    pair = _join(left[:, lax], right[:, rax])
-    keys = np.stack([(left, right)[s][pair[s], a] for s, a in out], axis=1)
-    ok = keep(keys)
-    return pair[0][ok], pair[1][ok], keys[ok]
-
-
-def _code(keys: np.ndarray, n: int) -> np.ndarray:
-    return keys @ n ** np.arange(keys.shape[1] - 1, -1, -1)
-
-
-def _distinct(codes: np.ndarray) -> np.ndarray:
-    """The sorted distinct codes (`np.unique` without its index outputs
-    would import numpy.ma, about 1 MB, for this)."""
-    codes = np.sort(codes)
-    new = np.ones(len(codes), dtype=bool)
-    new[1:] = codes[1:] != codes[:-1]
-    return codes[new]
-
-
-def _collect(terms, n):
-    """Lay the terms' distinct output entries end to end.  Returns the slot
-    of every pair, each term's sorted entry codes and its first slot."""
-    slots, codes, offsets, size = [], [], [], 0
-    for _, _, keys in terms:
-        code, slot = np.unique(_code(keys, n), return_inverse=True)
-        slots.append(slot + size)
-        codes.append(code)
-        offsets.append(size)
-        size += len(code)
-    return np.concatenate(slots), codes, offsets, size
-
-
-def _lookup(table: np.ndarray, codes: np.ndarray, missing: int) -> np.ndarray:
-    """Position of each code in the sorted, nonempty `table`, `missing`
-    where absent."""
-    pos = np.minimum(np.searchsorted(table, codes), len(table) - 1)
-    return np.where(table[pos] == codes, pos, missing)
-
-
-def _signed_sum(codes, offsets, size, support, swaps, n):
-    """(4, entries) slots of the four terms of a signed sum on `support`; a
-    swapped term is read with its last two axes exchanged, and a term with
-    no entry at a position reads the zero slot `size`."""
-    keys = np.stack(np.unravel_index(support, (n, n, n)), axis=1)
-    read = {False: support, True: _code(keys[:, [0, 2, 1]], n)}
-    return np.stack([_lookup(c, read[s], size - o) + o
-                     for c, o, s in zip(codes, offsets, swaps)])
+    Lists the left operand's entries in position order and, for each, the
+    right entries at the indices it shares, in position order; a product is
+    kept where the boolean map `keep`, broadcast over the output, is set.
+    Returns the left and right entry numbers of each kept product and its
+    output position, one index array per output letter.
+    """
+    ins, out = spec.split("->")
+    ls, rs = ins.split(",")
+    shared, free = [c for c in rs if c in ls], [c for c in rs if c not in ls]
+    at = dict(zip(ls, np.nonzero(left >= 0)))
+    has = (right >= 0).transpose([rs.index(c) for c in shared + free])
+    l, *rest = np.nonzero(has[tuple(at[c] for c in shared)])
+    at = {c: at[c][l] for c in ls} | dict(zip(free, rest))
+    pos = tuple(at[c] for c in out)
+    ok = np.broadcast_to(keep, (len(left),) * len(out))[pos]
+    return (left[tuple(at[c] for c in ls)][ok], right[tuple(at[c] for c in rs)][ok],
+            tuple(p[ok] for p in pos))
 
 
 @dataclass(frozen=True)
@@ -720,90 +686,88 @@ def _tensor_plan(window: int) -> _TensorPlan:
 
     A and dA[l, i, j] = dA^i_j / du^l are collected by position, in table
     order, from the monomials and from each monomial differentiated by
-    each factor.  Every contraction below is a list of products of two
-    entries that share the summed index, and each product's slot is its
-    output position; a sum is one `np.bincount` over the slots:
+    each factor.  Every operand is a dense map of its entry numbers, which
+    ascend in position order, and every term of a contraction is written as
+    its einsum spec (`_products`): a product's slot is its output position,
+    and a sum is one `np.bincount` over the slots.  Each term is aggregated
+    by position before the signed sums, as the dense contractions are:
 
-        N:  t1[i,j,k] = A[p,j] dA[p,i,k],  t3[i,j,k] = A[i,p] dA[j,p,k],
-            N = t1 - t1' - t3 + t3'   (' swaps j and k; N[i,j,j] = 0)
-        intermediates:  X[i,j,r] = N[i,p,r] A[p,j],  M[i,a,b] = A[i,p] N[p,a,b],
-                        A2[i,p] = A[i,r] A[r,p]
-        H:  X[i,j,r] A[r,k] - M[i,j,r] A[r,k] - M[i,r,k] A[r,j] + A2[i,p] N[p,j,k]
+        N = t1 - t1' - t3 + t3'   (' swaps j and k; N[i,j,j] = 0)
+        H = h1 - h2 - h3 + h4     (its terms in the order written below)
 
-    Each term is aggregated by position before the signed sums, as the
-    dense contractions are.  H is kept on the guarded block
-    |i|, |j|, |k| <= window - 3 only, and the intermediates only where they
-    feed it.
+    H is kept on the guarded block |i|, |j|, |k| <= window - 3 only, and
+    the intermediates X, M and A2 only where they feed it.
     """
     W = window
     n = 2 * W + 1
     row, col, coef, factors = _chain_table(W)
-    a_code, a_slot = np.unique(row * n + col, return_inverse=True)
-    A = np.stack(np.divmod(a_code, n), axis=1)
+
+    def numbered(pos, start=0):
+        # map numbering the distinct positions `pos` in order from `start`
+        hit = np.zeros((n,) * len(pos), dtype=bool)
+        hit[pos] = True
+        entry = np.full(hit.shape, -1, dtype=np.intp)
+        entry[hit] = np.arange(start, start + np.count_nonzero(hit))
+        return entry
+
+    def contract(terms, offsets):
+        # the (left, right, slot) of each product of the (spec, left, right,
+        # keep) terms, its values read `offsets` on, and each term's slot map:
+        # its distinct output positions, slotted term after term
+        pairs, maps, size = [], [], 0
+        for (spec, *operands), (lo, ro) in zip(terms, offsets):
+            l, r, pos = _products(spec, *operands)
+            maps.append(numbered(pos, size))
+            size += int(np.count_nonzero(maps[-1] >= 0))
+            pairs.append((l + lo, r + ro, maps[-1][pos]))
+        return tuple(map(np.concatenate, zip(*pairs))), maps, size
+
+    def sums(maps, size, hit):
+        # each map's slot at the positions `hit` marks, the zero slot where it has none
+        slots = np.stack([m[hit] for m in maps])
+        slots[slots < 0] = size
+        return np.flatnonzero(hit), slots
+
+    A = numbered((row, col))
+    a_slot, a_code = A[row, col], np.flatnonzero(A >= 0)
     # each monomial by each factor, in table order; the ones entry n is no field
     t = np.repeat(np.arange(len(row)), 2)
     dl, other = factors.ravel(), factors[:, ::-1].ravel()
     real = dl < n
-    d_code, d_slot = np.unique(((dl * n + row[t]) * n + col[t])[real],
-                               return_inverse=True)
-    dA = np.stack(np.unravel_index(d_code, (n, n, n)), axis=1)
-
-    def every(keys):
-        return np.ones(len(keys), dtype=bool)
-
-    def guarded(*axes):
-        # |index - W| <= W - 3 on each of the key's `axes`
-        return lambda keys: np.all(np.abs(keys[:, axes] - W) <= W - 3, axis=1)
-
-    def pairs(terms, offsets):
-        return tuple(np.concatenate(a) for a in zip(
-            *[(l + lo, r + ro) for (l, r, _), (lo, ro) in zip(terms, offsets)]))
+    at = (dl[real], row[t][real], col[t][real])
+    dA = numbered(at)
+    d_slot, d_code = dA[at], np.flatnonzero(dA >= 0)
+    g = np.abs(np.arange(n) - W) <= W - 3   # the guarded indices
+    gi, gj, gk = g[:, None, None], g[:, None], g   # on the output's i, j, k
 
     # N on its structural nonzeros off the j == k diagonal
-    tN = [_contract(A, 0, dA, 0, ((1, 1), (0, 1), (1, 2)), every),
-          _contract(A, 1, dA, 1, ((0, 0), (1, 0), (1, 2)), every)]
-    slot, codes, offsets, n_size = _collect(tN, n)
-    flip = [_code(k[:, [0, 2, 1]], n) for _, _, k in tN]
-    support = _distinct(np.concatenate(codes + flip))
-    keys = np.stack(np.unravel_index(support, (n, n, n)), axis=1)
-    support = support[keys[:, 1] != keys[:, 2]]
-    n_terms = _signed_sum([codes[0], codes[0], codes[1], codes[1]],
-                          [offsets[0], offsets[0], offsets[1], offsets[1]],
-                          n_size, support, (False, True, False, True), n)
-    Nk = np.stack(np.unravel_index(support, (n, n, n)), axis=1)
-    n_pairs = (*pairs(tN, [(0, 0)] * 2), slot)
+    n_pairs, (t1, t3), n_size = contract(
+        [("pj,pik->ijk", A, dA, True), ("ip,jpk->ijk", A, dA, True)], [(0, 0)] * 2)
+    hit = (t1 >= 0) | (t3 >= 0)
+    hit = (hit | hit.transpose(0, 2, 1)) & ~np.eye(n, dtype=bool)
+    support, n_terms = sums([t1, t1.transpose(0, 2, 1), t3, t3.transpose(0, 2, 1)],
+                            n_size, hit)
+    N, nA = numbered(np.nonzero(hit)), len(a_code)
 
-    # intermediates; values are read from (A, N) laid end to end
-    nA = len(A)
-    g0 = guarded(0)
-    tI = [_contract(Nk, 1, A, 0, ((0, 0), (1, 1), (0, 2)), guarded(0, 1)),
-          _contract(A, 1, Nk, 0, ((0, 0), (1, 1), (1, 2)),
-                    lambda k: g0(k) & (guarded(1)(k) | guarded(2)(k))),
-          _contract(A, 1, A, 0, ((0, 0), (1, 1)), g0)]
-    slot, icodes, ioff, i_size = _collect(tI, n)
-    i_pairs = (*pairs(tI, [(nA, 0), (0, nA), (0, 0)]), slot)
-    X, M = (np.stack(np.unravel_index(c, (n, n, n)), axis=1) for c in icodes[:2])
-    A2 = np.stack(np.divmod(icodes[2], n), axis=1)
+    # intermediates, numbered by their slots; values are read from (A, N)
+    # laid end to end
+    i_pairs, (X, M, A2), i_size = contract(
+        [("ipr,pj->ijr", N, A, gi & gj), ("ip,pab->iab", A, N, gi & (gj | gk)),
+         ("ir,rp->ip", A, A, g[:, None])], [(nA, 0), (0, nA), (0, 0)])
 
     # H; values are read from (intermediates, A, N) laid end to end
-    jk = guarded(1, 2)
-    tH = [_contract(X, 2, A, 0, ((0, 0), (0, 1), (1, 1)), guarded(2)),
-          _contract(M, 2, A, 0, ((0, 0), (0, 1), (1, 1)), jk),
-          _contract(M, 1, A, 0, ((0, 0), (1, 1), (0, 2)), jk),
-          _contract(A2, 1, Nk, 0, ((0, 0), (1, 1), (1, 2)), jk)]
-    slot, hcodes, hoff, h_size = _collect(tH, n)
-    h_code = _distinct(np.concatenate(hcodes))
-    h_terms = _signed_sum(hcodes, hoff, h_size, h_code, (False,) * 4, n)
-    h_pairs = (*pairs(tH, [(ioff[0], i_size), (ioff[1], i_size),
-                           (ioff[1], i_size), (ioff[2], i_size + nA)]), slot)
-
-    inside = guarded(0, 1, 2)(Nk)
-    m = 2 * (W - 3) + 1
+    jk = gj & gk
+    h_pairs, hmaps, h_size = contract(
+        [("ijr,rk->ijk", X, A, gk), ("ijr,rk->ijk", M, A, jk),
+         ("irk,rj->ijk", M, A, jk), ("ip,pjk->ijk", A2, N, jk)],
+        [(0, i_size)] * 3 + [(0, i_size + nA)])
+    h_code, h_terms = sums(hmaps, h_size, np.any([m >= 0 for m in hmaps], axis=0))
+    inside = hit & gi & gj & gk
     return _TensorPlan(
         n, (coef, factors[:, 0], factors[:, 1]), a_slot, a_code, d_slot,
         coef[t][real], other[real], d_code, n_pairs, n_size, n_terms, support,
-        i_pairs, i_size, h_pairs, h_size, h_terms, h_code, np.flatnonzero(inside),
-        _code(Nk[inside] - 3, m))
+        i_pairs, i_size, h_pairs, h_size, h_terms, h_code, N[inside],
+        np.flatnonzero(inside[3:n - 3, 3:n - 3, 3:n - 3]))
 
 
 def _point_row(point: TensorPoint) -> np.ndarray:
@@ -855,8 +819,9 @@ def _component(point: TensorPoint, i: int, j: int, k: int, haantjes: bool) -> fl
         N, H = _tensor_entries(_point_row(point), plan, haantjes=haantjes)
     codes, values = (plan.h_code, H) if haantjes else (plan.n_code, N)
     W, n = point.window, plan.n
-    pos = _lookup(codes, np.array([((i + W) * n + j + W) * n + k + W]), -1)[0]
-    value = float(values[pos]) if pos >= 0 else 0.0
+    code = ((i + W) * n + j + W) * n + k + W
+    pos = np.searchsorted(codes, code)
+    value = float(values[pos]) if pos < len(codes) and codes[pos] == code else 0.0
     if not math.isfinite(value):
         raise DivergedField(f"{'Haantjes' if haantjes else 'Nijenhuis'} component "
                             f"({i}, {j}, {k}) is not finite: the point's "
@@ -943,34 +908,31 @@ def _closed_layout(window: int) -> np.ndarray:
     """Which closed-form value each entry the scan compares must equal.
 
     The scan compares N on its entries inside the guarded block
-    |.| <= g = window - 3 (`plan.n_guarded`, in that order), followed by
-    any position of the block that the table names and N has no entry at
-    (none, on every window up to 60), which N reads as 0.  Its signed
-    table row lays rows -g .. g of `_closed_table` end to end in table
-    order, then their negations, then one 0: entry (j, k) of row i is
+    |.| <= g = window - 3 (`plan.n_guarded`, in that order), followed, in
+    position order, by any position of the block that the table names and
+    N has no entry at (none, on every window up to 60), which N reads as 0.
+    Its signed table row lays rows -g .. g of `_closed_table` end to end in
+    table order, then their negations, then one 0: entry (j, k) of row i is
     N^i_{jk}, its negation N^i_{kj}, and an entry the table leaves out
-    reads the 0.  Returns the place in that row of each compared entry.
-    Where the table lands depends on the row alone.
+    reads the 0.  Returns the place in that row of each compared entry,
+    read off one dense map of the block.  Where the table lands depends on
+    the row alone.
     """
     g = window - 3
     plan = _tensor_plan(window)
     ones = np.ones((1, 2 * window + 1))
-    ijk, src, size = [], [], 0
+    ijk, size = [], 0
     for i in range(-g, g + 1):
         keys = list(_closed_table(ones, ones[:, 0], i))   # 1 squares to 1
-        for e, (j, k) in enumerate(keys):
-            if max(abs(j), abs(k)) <= g:
-                ijk.append((i + g, j + g, k + g))
-                src.append(size + e)
+        ijk += [(i + g, j + g, k + g, size + e) for e, (j, k) in enumerate(keys)
+                if max(abs(j), abs(k)) <= g]
         size += len(keys)
-    ijk, src = np.array(ijk), np.array(src)
-    codes = np.concatenate((_code(ijk, 2 * g + 1), _code(ijk[:, [0, 2, 1]], 2 * g + 1)))
-    pos = _lookup(plan.block_code, codes, -1)
-    outside = pos < 0
-    pos[outside] = len(plan.n_guarded) + np.arange(np.count_nonzero(outside))
-    at = np.full(len(plan.n_guarded) + np.count_nonzero(outside), 2 * size)
-    at[pos] = np.concatenate((src, src + size))
-    return at
+    i, j, k, src = np.array(ijk).T
+    place = np.full((2 * g + 1,) * 3, 2 * size)
+    place[i, j, k], place[i, k, j] = src, src + size
+    named = place < 2 * size
+    named.flat[plan.block_code] = False
+    return np.concatenate((place.flat[plan.block_code], place[named]))
 
 
 def haantjes_scan(*, window: int = 10, n_points: int = 100, seed: int = 20260823,

@@ -129,6 +129,8 @@ class ReducedChainState:
         if W.ndim != 1 or len(W) < 2:
             raise ValueError("need at least W^1 and W^2")
         object.__setattr__(self, "Wm1", float(self.Wm1))
+        if not (math.isfinite(self.Wm1) and np.isfinite(W).all()):
+            raise ValueError("W^-1 and W must be finite")
 
     @property
     def k_max(self) -> int:

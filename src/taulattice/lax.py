@@ -101,6 +101,8 @@ class TodaLax:
         a, b = _own_arrays(self, "a", "b")
         if a.ndim != 1 or b.ndim != 1 or len(b) != len(a) - 1:
             raise ValueError("need len(b) == len(a) - 1")
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ValueError("a and b must be finite")
         if np.any(b <= 0):
             raise ValueError("off-diagonal entries must be positive")
 
@@ -153,6 +155,8 @@ class PfaffLax:
         if w.ndim != 2 or w.shape[0] != self.k_neg + self.k_pos + 1:
             raise ValueError(
                 f"window array must have {self.k_neg + self.k_pos + 1} rows")
+        if not np.isfinite(w).all():
+            raise ValueError("window entries must be finite")
 
     @property
     def n_sites(self) -> int:
@@ -269,6 +273,7 @@ def skew_orthonormal_basis(m: SkewMomentMatrix, n_pairs: int) -> SkewOrthoBasis:
     Reads only m.couplings and m.size, which must cover the 2 n_pairs
     polynomials; the work is `_skew_basis` at those couplings.
     """
+    n_pairs = _checked_int("n_pairs", n_pairs, 1)
     if m.size < 2 * n_pairs:
         raise ValueError(f"skew matrix of size {m.size} cannot support {n_pairs} pairs")
     return _skew_basis(m.couplings, n_pairs)
@@ -333,6 +338,8 @@ def pfaff_lax_from_basis(basis: SkewOrthoBasis, n_sites: int, k_pos: int,
     parity forbids (same-parity modes, on or below the superdiagonal)
     exceeds check_tol relative to the operator's scale.
     """
+    n_sites = _checked_int("n_sites", n_sites, 1)
+    k_pos, k_neg = _checked_int("k_pos", k_pos, 0), _checked_int("k_neg", k_neg, 0)
     n_pairs = basis.n_pairs
     if n_sites + max(k_pos, k_neg) > n_pairs or n_sites >= n_pairs:
         raise ValueError("basis too small for the requested window")

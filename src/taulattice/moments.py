@@ -29,13 +29,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .couplings import (CouplingVector, QuadratureGrid, _checked_int, _own_arrays, _regrid,
-                        build_quadrature, cumulative_integral)
+from .couplings import (CouplingVector, QuadratureGrid, _checked_int, _is_integer, _own_arrays,
+                        _regrid, build_quadrature, cumulative_integral)
 from .errors import IllConditioned, OddDimension
 
 __all__ = [
@@ -80,7 +79,8 @@ class SkewMomentMatrix:
 
 def skew_moment_matrix(t: CouplingVector, size: int) -> SkewMomentMatrix:
     """Skew products m[i][j] = <x^i, y^j> for i, j < size (size even)."""
-    if size % 2 or size <= 0:
+    size = _checked_int("size", size, 1)
+    if size % 2:
         raise ValueError(f"size must be a positive even integer, got {size}")
     grid = build_quadrature(t, max_degree=size + 2)
     powers = grid.nodes[None, :] ** np.arange(size)[:, None]
@@ -311,8 +311,7 @@ def tau_coupling_derivative(ensemble: str, n: int, t: CouplingVector,
     With L(s) = log tau_n(t + s) - log tau_n(t) from `_log_tau_jets`, the
     derivative is tau_n(t) times that of exp(L) at s = 0.
     """
-    if not all(isinstance(k, numbers.Integral) and k > 0
-               and isinstance(p, numbers.Integral) and p >= 0
+    if not all(_is_integer(k) and k > 0 and _is_integer(p) and p >= 0
                for k, p in multi_index.items()):
         raise ValueError("multi_index must map positive integer coupling indices "
                          f"to non-negative integer orders, got {multi_index!r}")

@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -90,6 +93,19 @@ class TestHopf:
         with pytest.raises(PreBreakingViolated):
             hopf_solve(lambda s: 2.0 * s, 2.0, 1, x, 0.3)
 
+    @pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf])
+    def test_non_finite_speed_refused(self, c):
+        # c = inf let "invalid value encountered in multiply" escape
+        with pytest.raises(ValueError, match="c must be finite"):
+            hopf_solve(lambda s: s, c, 1, np.linspace(0.5, 2.0, 11), 0.1)
+
+    @pytest.mark.parametrize("k", [0.5, 1.0, True])
+    def test_power_that_is_not_an_integer_refused(self, k):
+        # k = 0.5 on a profile that goes negative let "invalid value
+        # encountered in sqrt" escape, and k = True ran as k = 1
+        with pytest.raises(ValueError, match=f"k must be an integer, got {k}"):
+            hopf_solve(lambda s: s - 1.0, 0.5, k, np.linspace(0.5, 2.0, 11), 0.1)
+
     @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
     def test_non_finite_time_refused(self, t):
         with warnings.catch_warnings():
@@ -124,6 +140,26 @@ class TestHydroField:
             HydroChainField(x, bad, good.v, good.k_neg)            # u^0 > 0
         with pytest.raises(ValueError):
             HydroChainField(x, good.u[:4], good.v, 4)
+
+    @pytest.mark.parametrize("build, name", [
+        (lambda x, f: HydroChainField(x, f.u, f.v, 4.0), "k_neg"),
+        (lambda x, f: HydroChainField(x, f.u, f.v, True), "k_neg"),
+        (lambda x, f: HydroChainField.initial(x, 4.0, 6), "k_neg"),
+        (lambda x, f: HydroChainField.initial(x, 4, True), "k_pos"),
+        (lambda x, f: HydroChainField.scaling(x, 0.1, True, 6), "k_neg"),
+        (lambda x, f: HydroChainField.scaling(x, 0.1, 4, 6.0), "k_pos"),
+        (lambda x, f: HydroChainField.initial(x, 4, -1), "k_pos")])
+    def test_band_count_that_is_not_an_integer_refused(self, build, name):
+        # 4.0 raised a bare IndexError (field) or TypeError (initial, scaling),
+        # as did k_pos = -1
+        x = np.linspace(0.5, 1.5, 11)
+        with pytest.raises(ValueError, match=f"^{name} must be (an integer|at least 2)"):
+            build(x, HydroChainField.initial(x))
+
+    def test_numpy_band_count_is_stored_as_an_int(self):
+        x = np.linspace(0.5, 1.5, 11)
+        f = HydroChainField.initial(x, np.int64(4), np.int32(6))
+        assert type(f.k_neg) is int and f.to_csv() == HydroChainField.initial(x).to_csv()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, value):
@@ -587,6 +623,20 @@ class TestTensors:
                    for j, k in _closed_table(np.ones((1, 2 * W + 1)), np.ones(1), i))
         assert len(at) == len(plan.n_guarded)
         assert np.count_nonzero(at < at.max()) == 2 * kept
+
+    def test_compiling_and_scanning_leave_numpy_ma_out(self):
+        # a plain np.unique imports numpy.ma, about 1 MB of memory
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(continuum.__file__)))
+        code = ("import sys, taulattice\n"
+                "from taulattice.continuum import _closed_layout, _tensor_plan, haantjes_scan\n"
+                "for W in range(10, 15):\n"
+                "    _tensor_plan(W), _closed_layout(W)\n"
+                "haantjes_scan(window=10, n_points=3)\n"
+                "print('numpy.ma' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     @pytest.mark.parametrize("W", range(10, 15))
     def test_plan_indices_are_intp(self, W):

@@ -682,6 +682,11 @@ class TestReducedChain:
     def test_state_validation(self):
         with pytest.raises(ValueError):
             ReducedChainState(0.5, np.array([2.0]))
+        # these gave NaN rates
+        for wm1, W in [(np.nan, np.full(4, 2.0)), (0.5, [2.0, np.inf, 2.0]),
+                       (-np.inf, np.full(3, 2.0))]:
+            with pytest.raises(ValueError, match="must be finite"):
+                ReducedChainState(wm1, W)
         # the closure's name takes its one value only
         for ghost in ("pin", "two"):
             with pytest.raises(ValueError):

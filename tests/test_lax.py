@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -313,6 +314,9 @@ def test_basis_too_small_rejected(t0):
     (np.zeros((2, 2)), np.ones(1), "len"),
     (np.zeros(3), np.array([1.0, 0.0]), "positive"),
     (np.zeros(3), np.array([1.0, -2.0]), "positive"),
+    (np.array([np.nan, 0.0]), np.ones(1), "finite"),
+    (np.zeros(3), np.array([1.0, np.inf]), "finite"),
+    (np.zeros(3), np.array([np.nan, 1.0]), "finite"),
 ])
 def test_toda_lax_refuses_bad_shapes_and_signs(a, b, match):
     with pytest.raises(ValueError, match=match):
@@ -334,6 +338,15 @@ def test_pfaff_lax_refuses_a_band_count_that_is_not_a_non_negative_integer(k_neg
         PfaffLax(np.ones((5, 3)), k_neg, k_pos)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_pfaff_lax_refuses_entries_that_are_not_finite(value):
+    # a NaN window gave NaN chain rates
+    w = np.ones((5, 6))
+    w[2, 3] = value
+    with pytest.raises(ValueError, match="window entries must be finite"):
+        PfaffLax(w, 2, 2)
+
+
 def test_pfaff_lax_stores_numpy_band_counts_as_ints():
     lax = PfaffLax(np.ones((5, 3)), np.int64(2), np.int32(2))
     assert type(lax.k_neg) is int and type(lax.k_pos) is int
@@ -353,6 +366,24 @@ def test_closed_forms_refuse_sizes_by_name(call, message):
     # and hermite_map_coeffs(True) returned a one-pair basis
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda t, m, b: skew_moment_matrix(t, 4.0), "size must be an integer, got 4.0"),
+    (lambda t, m, b: skew_moment_matrix(t, True), "size must be an integer, got True"),
+    (lambda t, m, b: skew_orthonormal_basis(m, 2.5), "n_pairs must be an integer, got 2.5"),
+    (lambda t, m, b: skew_orthonormal_basis(m, True), "n_pairs must be an integer, got True"),
+    (lambda t, m, b: skew_orthonormal_basis(m, 0), "n_pairs must be at least 1, got 0"),
+    (lambda t, m, b: skew_orthonormal_basis(m, -1), "n_pairs must be at least 1, got -1"),
+    (lambda t, m, b: pfaff_lax_from_basis(b, 2.5, 2, 2), "n_sites must be an integer, got 2.5"),
+    (lambda t, m, b: pfaff_lax_from_basis(b, 0, 2, 2), "n_sites must be at least 1, got 0"),
+    (lambda t, m, b: pfaff_lax_from_basis(b, 2, 2.5, 2), "k_pos must be an integer, got 2.5")])
+def test_skew_route_refuses_sizes_by_name(t0, call, message):
+    # these blamed max_degree, raised numpy's or a bare IndexError, or (n_sites=0)
+    # returned an empty window
+    m = skew_moment_matrix(t0, 16)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(t0, m, skew_orthonormal_basis(m, 8))
 
 
 @pytest.mark.parametrize("h", [[1.0, 0.0], [1.0, -1.0]])

@@ -160,7 +160,8 @@ class TestCouplingDerivatives:
         with pytest.raises(ValueError):
             tau_coupling_derivative("symplectic", 2, t0, {1: 1})
 
-    @pytest.mark.parametrize("multi_index", [{-2: 1}, {0: 1}, {1.5: 1}, {1: 1.7}, {1: -1}])
+    @pytest.mark.parametrize("multi_index", [{-2: 1}, {0: 1}, {1.5: 1}, {1: 1.7}, {1: -1},
+                                             {True: 1}, {1: True}])
     def test_bad_index_or_order_rejected(self, t0, multi_index):
         # {-2: 1} read J^-2 through matrix_power; 1.7 and 1.5 were truncated
         with pytest.raises(ValueError, match="multi_index"):

@@ -246,8 +246,9 @@ def hopf_solve(u0, c: float, k: int, x, t: float) -> np.ndarray:
     X(s) = s - c u0(s)^k t: the map is probed on a widened bracket, required
     to be strictly increasing over the span of the grid (else the profile has
     started to break), and every grid point's root is then found by one
-    vectorised bisection on its bracketing cell.  u0 must accept arrays, and
-    the grid x must be a non-empty, finite and strictly ascending 1-d array.
+    vectorised bisection on its bracketing cell.  u0 must accept arrays, c
+    must be finite and k an integer, and the grid x must be a non-empty,
+    finite and strictly ascending 1-d array.
     """
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")

@@ -243,12 +243,12 @@ def hopf_solve(u0, c: float, k: int, x, t: float) -> np.ndarray:
     """Solve u = u0(x + c u^k t) pointwise on the grid.
 
     The implicit relation is inverted through the characteristic map
-    X(s) = s - c u0(s)^k t: the map is probed on a widened bracket, required
-    to be strictly increasing over the span of the grid (else the profile has
-    started to break), and every grid point's root is then found by one
-    vectorised bisection on its bracketing cell.  u0 must accept arrays, c
-    must be finite and k an integer, and the grid x must be a non-empty,
-    finite and strictly ascending 1-d array.
+    X(s) = s - c u0(s)^k t, probed on a bracket grown from the grid until its
+    ends cover it: the map must be finite and strictly increasing over the
+    grid's span (else the profile has started to break), and every grid
+    point's root is then found by one vectorised bisection on its cell.
+    u0 must accept arrays, c must be finite and k an integer, and the grid x
+    must be a non-empty, finite and strictly ascending 1-d array.
     """
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
@@ -262,36 +262,38 @@ def hopf_solve(u0, c: float, k: int, x, t: float) -> np.ndarray:
     if t == 0.0:
         return np.broadcast_to(np.asarray(u0(x), dtype=float), x.shape).copy()
 
-    amp = float(np.max(np.abs(np.asarray(u0(x), dtype=float)))) + 1.0
-    span = abs(c) * abs(t) * amp ** abs(k) + (x[-1] - x[0]) + 1.0
-    lo, hi = x[0] - span, x[-1] + span
-    for _ in range(6):
-        s = np.linspace(lo, hi, 4097)
-        X = s - c * np.asarray(u0(s), dtype=float) ** k * t
-        if X[0] <= x[0] and X[-1] >= x[-1]:
+    X = np.errstate(over="ignore", divide="ignore", invalid="ignore")(   # inf is refused below
+        lambda s: s - c * np.asarray(u0(s), dtype=float) ** k * t)
+    span = (x[-1] - x[0] + 1.0) / 64.0
+    for _ in range(64):
+        ends = X(np.array([x[0] - span, x[-1] + span]))
+        if ends[0] <= x[0] and ends[1] >= x[-1]:
             break
-        lo -= span
-        hi += span
-    else:
+        span *= 2.0
+    s = np.linspace(x[0] - span, x[-1] + span, 4097)
+    Xs = X(s)
+    if not np.isfinite(Xs).all():
+        raise PreBreakingViolated(f"characteristic map leaves the double range at power k = {k}")
+    if not (Xs[0] <= x[0] and Xs[-1] >= x[-1]):
         raise PreBreakingViolated("characteristic map does not cover the grid")
 
     # monotonicity only matters where the map lands on the requested grid
-    inside = (X >= x[0] - span / 4096.0) & (X <= x[-1] + span / 4096.0)
+    inside = (Xs >= x[0] - span / 4096.0) & (Xs <= x[-1] + span / 4096.0)
     idx = np.flatnonzero(inside)
     a = max(int(idx[0]) - 1, 0)
     b = min(int(idx[-1]) + 2, len(s))
-    if np.any(np.diff(X[a:b]) <= 0):
+    if np.any(np.diff(Xs[a:b]) <= 0):
         raise PreBreakingViolated("characteristic map folds on the grid")
 
     # X(lo) < x <= X(hi) on each cell; halve every cell until no midpoint
     # is a new double, at most 100 times
-    j = np.clip(np.searchsorted(X, x), 1, len(s) - 1)
+    j = np.clip(np.searchsorted(Xs, x), 1, len(s) - 1)
     lo, hi = s[j - 1], s[j]
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         if not np.any((lo < mid) & (mid < hi)):
             break
-        below = mid - c * np.asarray(u0(mid), dtype=float) ** k * t < x
+        below = X(mid) < x
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     root = 0.5 * (lo + hi)
@@ -563,11 +565,6 @@ class TensorPoint:
                 raise ValueError(f"tensor index must be an integer, got {q!r}")
             if abs(q) > g:
                 raise IndexOutOfWindow(f"index {q} outside guarded range |.| <= {g}")
-
-    def value(self, ell: int) -> float:
-        if abs(ell) > self.window:
-            raise IndexOutOfWindow(f"u^{ell} outside the window")
-        return float(self.u[ell + self.window])
 
 
 def _matrix_terms(window: int):

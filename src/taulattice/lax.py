@@ -12,10 +12,10 @@ and both are rebuilt by quadrature from the Stieltjes bases that
 `moments.log_tau` also uses, which is what the consistency oracles
 exercise.  The tridiagonal form is the Jacobi matrix of the basis of rho.
 The skew-orthonormal pairs come from a skew Gram-Schmidt on the basis of
-rho^2, one block step per pair that removes every earlier pair at once,
-and the window is read off its Jacobi matrix with the operator's fixed
-pattern checked by array reductions; the parity-Hermite polynomials here
-serve the closed-form side only.
+rho^2, in the scale of its orthonormal q_k, one block step per pair that
+removes every earlier pair at once, and the window is read off its Jacobi
+matrix with the operator's fixed pattern checked by array reductions; the
+parity-Hermite polynomials here serve the closed-form side only.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .couplings import CouplingVector, _checked_int, _own_arrays, build_quadrature
-from .errors import IllConditioned, SingularMinor, StructureViolation
+from .errors import SingularMinor, StructureViolation
 from .moments import SkewMomentMatrix, _log_tau_jets, _skew_products, _stieltjes_basis
 from .report import IdentityReport
 
@@ -245,11 +245,12 @@ def _parity_hermite_coeffs(count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SkewOrthoBasis:
-    """Monic polynomial pairs (Q_{2n}, Q_{2n+1}) with skew-diagonal Gram.
+    """Polynomial pairs (Q_{2n}, Q_{2n+1}) with skew-diagonal Gram, each the
+    monic pair over r_{2n}, r_k^2 the monic norm of q_k.
 
     coeffs[i] holds Q_i in the orthonormal polynomials q_k of rho^2 dz;
-    h[n] is the pair product <Q_{2n}, Q_{2n+1}>; jacobi is the truncated
-    Jacobi matrix of the q_k, i.e. multiplication by z in that basis.
+    h[n] is the pair product <Q_{2n}, Q_{2n+1}> (1 at zero coupling); jacobi
+    is the truncated Jacobi matrix of the q_k, i.e. multiplication by z.
     """
 
     coeffs: np.ndarray
@@ -268,7 +269,7 @@ class SkewOrthoBasis:
 
 
 def skew_orthonormal_basis(m: SkewMomentMatrix, n_pairs: int) -> SkewOrthoBasis:
-    """Skew Gram-Schmidt producing monic pairs with <Q_{2n}, Q_{2n+1}> = h_n.
+    """Skew Gram-Schmidt producing pairs with <Q_{2n}, Q_{2n+1}> = h_n.
 
     Reads only m.couplings and m.size, which must cover the 2 n_pairs
     polynomials; the work is `_skew_basis` at those couplings.
@@ -287,41 +288,33 @@ def _skew_basis(t: CouplingVector, n_pairs: int) -> SkewOrthoBasis:
 
 def _skew_gram_schmidt(stieltjes: tuple, t: CouplingVector) -> SkewOrthoBasis:
     """Skew Gram-Schmidt on an orthogonal `_stieltjes_basis` (F, log_h, a, b)
-    built at couplings t, one pair per two basis polynomials, each pair in
-    one block step.  The odd member of each pair is pinned by removing its
-    z^{2n} monomial component, which fixes the in-pair gauge freedom
-    Q_{2n+1} += c Q_{2n}.
+    built at couplings t, one block step per pair, seeded with q_{2n} and
+    b_{2n+1} q_{2n+1}: both lead with z^{2n} / r_{2n}, so log_h is not read.
+    Removing Q_{2n+1}'s z^{2n} term fixes the gauge Q_{2n+1} += c Q_{2n}.
     """
-    F, log_h, a, b = stieltjes
+    F, _, a, b = stieltjes
     dim = len(F)
     n_pairs = dim // 2
-    root_h = np.exp(0.5 * log_h)    # monic p_k = root_h[k] q_k
-    sub_lead = -np.cumsum(a)        # z^k coefficient of p_{k+1}
+    sub_lead = -np.cumsum(a)        # z^k coefficient of monic p_{k+1}
     floor = _PAIR_FLOOR * max(1.0, abs(F).max())
     W = np.zeros((dim, dim))
     h = np.empty(n_pairs)
-    # the monic scale grows like sqrt(k!): past about 96 pairs the pair
-    # coefficients leave the double range, which is reported, not warned
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(n_pairs):
-            Q = W[2 * n:2 * n + 2]   # a view: the pair is built in place
-            Q[[0, 1], [2 * n, 2 * n + 1]] = root_h[2 * n:2 * n + 2]
-            # remove every earlier pair p at once; the product is
-            # antisymmetric, so G[2p] = <Q_2p, .>/h_p fixes the odd member's
-            # coefficient and G[2p + 1] the even one's
-            G = W[:2 * n] @ (F @ Q.T) / np.repeat(h[:n], 2)[:, None]
-            Q += G[1::2].T @ W[0:2 * n:2] - G[0::2].T @ W[1:2 * n:2]
-            # gauge pin: the z^{2n} coefficient of Q_{2n+1}, removed with monic Q_{2n}
-            gamma = W[2 * n + 1, 2 * n] / root_h[2 * n] + sub_lead[2 * n]
-            W[2 * n + 1] -= gamma * W[2 * n]
-            h[n] = W[2 * n] @ F @ W[2 * n + 1]
-            if not (np.isfinite(h[n]) and np.isfinite(W[2 * n:2 * n + 2]).all()):
-                raise IllConditioned(
-                    f"skew Gram-Schmidt overflowed at pair {n}: in the monic scale "
-                    f"(leading coefficient {root_h[2 * n + 1]:.3e}) the pair or its "
-                    f"product h_{n} = {h[n]:.3e} is not finite")
-            if not h[n] > floor:
-                raise SingularMinor(f"pair product h_{n} = {h[n]:.3e} is not positive")
+    for n in range(n_pairs):
+        Q = W[2 * n:2 * n + 2]   # a view: the pair is built in place
+        Q[[0, 1], [2 * n, 2 * n + 1]] = 1.0, b[2 * n + 1]
+        # remove every earlier pair p at once; the product is antisymmetric,
+        # so G[2p] = <Q_2p, .>/h_p fixes the odd member's coefficient and
+        # G[2p + 1] the even one's
+        G = W[:2 * n] @ (F @ Q.T) / np.repeat(h[:n], 2)[:, None]
+        Q += G[1::2].T @ W[0:2 * n:2] - G[0::2].T @ W[1:2 * n:2]
+        # gauge pin: Q_{2n+1}'s z^{2n} term, sub_lead[2n] / r_{2n}, is all from
+        # b_{2n+1} q_{2n+1} = p_{2n+1} / r_{2n}; Q_{2n} leads with 1 / r_{2n}
+        W[2 * n + 1] -= sub_lead[2 * n] * W[2 * n]
+        h[n] = W[2 * n] @ F @ W[2 * n + 1]
+        if not floor < h[n] < math.inf:   # NaN fails too
+            raise SingularMinor(f"pair product h_{n} = {h[n]:.3e} is not finite and above "
+                                f"the floor {floor:.3e} = {_PAIR_FLOOR:g} * max(1, max|F| = "
+                                f"{abs(F).max():.3e})")
     return SkewOrthoBasis(W, h, TodaLax(a, b[1:]), t)
 
 
@@ -336,10 +329,12 @@ def pfaff_lax_from_basis(basis: SkewOrthoBasis, n_sites: int, k_pos: int,
     entries, vanishing upper fringe) is not reproduced to check_tol, or, when
     the couplings give an even weight (`parity_even_only`), if an entry the
     parity forbids (same-parity modes, on or below the superdiagonal)
-    exceeds check_tol relative to the operator's scale.
+    exceeds check_tol (finite and positive) relative to the operator's scale.
     """
     n_sites = _checked_int("n_sites", n_sites, 1)
     k_pos, k_neg = _checked_int("k_pos", k_pos, 0), _checked_int("k_neg", k_neg, 0)
+    if not 0.0 < check_tol < math.inf:   # NaN fails too
+        raise ValueError(f"check_tol must be finite and positive, got {check_tol}")
     n_pairs = basis.n_pairs
     if n_sites + max(k_pos, k_neg) > n_pairs or n_sites >= n_pairs:
         raise ValueError("basis too small for the requested window")

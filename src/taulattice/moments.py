@@ -115,6 +115,7 @@ def pfaffian(m) -> float:
 
     Skew-symmetric elimination with partial pivoting; the sign convention
     makes pf of the canonical block matrix diag([[0,1],[-1,0]], ...) equal +1.
+    A zero pivot gives 0.0; a pf with no normal double raises IllConditioned.
     """
     A = np.asarray(m.m if isinstance(m, SkewMomentMatrix) else m, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -130,7 +131,12 @@ def pfaffian(m) -> float:
     if float(np.abs(A + A.T).max()) > 1e-12 * scale:
         raise ValueError("matrix is not antisymmetric")
     sign, pivots = _pfaffian_pivots(0.5 * (A - A.T))
-    return sign * float(np.prod(pivots))
+    if not pivots.all():
+        return 0.0
+    log_abs = float(np.log(np.abs(pivots)).sum())
+    if not _LOG_RANGE[0] < log_abs < _LOG_RANGE[1]:
+        raise IllConditioned(f"pfaffian of order {n} has log|pf| = {log_abs:.6g}: no double value")
+    return sign * float(np.prod(np.sign(pivots))) * math.exp(log_abs)
 
 
 def _stieltjes(nodes: np.ndarray, measure: np.ndarray, count: int):

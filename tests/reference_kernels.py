@@ -899,7 +899,9 @@ def tensor_magnitudes(A: np.ndarray, dA: np.ndarray):
 def closed_table_row(point, i: int) -> dict:
     """Nonzero Nijenhuis components of row i at one point, keyed (j, k),
     as Python floats; u0 ** 2 raises OverflowError past the double range."""
-    u = point.value
+    def u(ell):
+        return float(point.u[ell + point.window])
+
     u0 = u(0)
     if i == 0:
         return {}

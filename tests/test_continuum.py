@@ -106,6 +106,26 @@ class TestHopf:
         with pytest.raises(ValueError, match=f"k must be an integer, got {k}"):
             hopf_solve(lambda s: s - 1.0, 0.5, k, np.linspace(0.5, 2.0, 11), 0.1)
 
+    @pytest.mark.parametrize("k", [10, 400, 1000])
+    def test_large_power_solves_before_the_map_folds(self, k):
+        # on [0.5, 0.9] u stays below 1, so c t u^k is tiny; the bracket
+        # sized by (max|u0| + 1)^k left the double range (k = 400 warned,
+        # k = 1000 raised a bare OverflowError) or missed the grid (k = 10)
+        x = np.linspace(0.5, 0.9, 11)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = hopf_solve(lambda s: s, 0.5, k, x, 0.1)
+        assert np.max(np.abs(u - (x + 0.05 * u ** k))) <= 1e-15
+
+    @pytest.mark.parametrize("k", [400, 1000])
+    def test_large_power_past_the_fold_is_refused(self, k):
+        # on [0.5, 2] the map s - 0.05 s^k peaks below 1, so no solution
+        # exists; u0^k overflows while the bracket grows, and that is typed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreBreakingViolated, match=f"double range at power k = {k}"):
+                hopf_solve(lambda s: s, 0.5, k, np.linspace(0.5, 2.0, 11), 0.1)
+
     @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
     def test_non_finite_time_refused(self, t):
         with warnings.catch_warnings():

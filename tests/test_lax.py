@@ -13,7 +13,7 @@ from taulattice import (CouplingVector, PfaffLax, TodaLax, c_coeff, couplings,
                         pfaff_lax_from_basis, skew_hermite_map_check,
                         skew_moment_matrix, skew_orthonormal_basis,
                         sqrt_ratio_product, toda_lax_from_quadrature)
-from taulattice.errors import IllConditioned, SingularMinor, StructureViolation
+from taulattice.errors import SingularMinor, StructureViolation
 from taulattice.identities import verify_init_goe, verify_init_gue, verify_tau_cross
 from taulattice.lax import SkewOrthoBasis, _skew_basis, _skew_gram_schmidt
 from taulattice.moments import _stieltjes_basis
@@ -249,11 +249,18 @@ def test_skew_map_check_report(t0):
     assert abs(report.meta["<Q2,Q3>"] - 0.5 * SQRT_PI) < 1e-11
 
 
+def _monic_h(basis):
+    """The pair products of `basis` in the monic scale: h_n r_{2n}^2, with
+    r_k^2 = exp(log_h[k]) the monic norms of the same Stieltjes basis."""
+    _, log_h, _, _ = _stieltjes_basis("orthogonal", 2 * basis.n_pairs, basis.couplings)
+    return basis.h * np.exp(log_h[::2])
+
+
 def test_basis_extraction_matches_closed_form(t0):
     n_pairs, n_sites, k = 8, 4, 4
     basis = skew_orthonormal_basis(skew_moment_matrix(t0, 2 * n_pairs), n_pairs)
     pair_products = nu_values(n_pairs)
-    assert np.max(np.abs(basis.h / pair_products - 1.0)) < 1e-10
+    assert np.max(np.abs(_monic_h(basis) / pair_products - 1.0)) < 1e-10
     oracle = pfaff_lax_from_basis(basis, n_sites, k, k)
     closed = goe_lax_init(n_sites, k, k)
     assert np.max(np.abs(oracle.w - closed.w)) < 1e-10
@@ -273,7 +280,7 @@ def test_basis_matches_parity_hermite_reference(mapping, n_pairs, n_sites, k_ban
     basis, window = _window(mapping, n_pairs, n_sites, k_band)
     h, w = ref.parity_hermite_window(CouplingVector.from_mapping(mapping),
                                      n_pairs, n_sites, k_band)
-    assert np.max(np.abs(basis.h / h - 1.0)) < 1e-10
+    assert np.max(np.abs(_monic_h(basis) / h - 1.0)) < 1e-10
     assert np.max(np.abs(window.w - w)) < 1e-10
 
 
@@ -291,16 +298,17 @@ def test_window_independent_of_basis_size(mapping):
     assert np.max(np.abs(small.w - large.w)) < 1e-12
 
 
-def test_skew_basis_overflow_is_typed(t0):
-    # the monic pair scale leaves the double range at pair 99 of 100; no
-    # numpy warning escapes, and the error names the overflow and the pair
+def test_skew_basis_reaches_past_the_monic_range(t0):
+    # 180 sites and 6 bands take 187 pairs; pairs built in the monic scale
+    # left the double range at pair 99.  At zero coupling every pair
+    # product is 1.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(IllConditioned, match="overflowed at pair 99"):
-            _skew_basis(t0, 100)
+        report = verify_init_goe(180, 6, tolerance=1e-12)
         basis = _skew_basis(t0, 96)
+    assert report.passed, report.residual_abs
     assert np.isfinite(basis.coeffs).all()
-    assert np.abs(basis.h / nu_values(96) - 1.0).max() < 1e-10
+    assert np.abs(basis.h - 1.0).max() < 1e-10
 
 
 def test_basis_too_small_rejected(t0):
@@ -377,10 +385,16 @@ def test_closed_forms_refuse_sizes_by_name(call, message):
     (lambda t, m, b: skew_orthonormal_basis(m, -1), "n_pairs must be at least 1, got -1"),
     (lambda t, m, b: pfaff_lax_from_basis(b, 2.5, 2, 2), "n_sites must be an integer, got 2.5"),
     (lambda t, m, b: pfaff_lax_from_basis(b, 0, 2, 2), "n_sites must be at least 1, got 0"),
-    (lambda t, m, b: pfaff_lax_from_basis(b, 2, 2.5, 2), "k_pos must be an integer, got 2.5")])
+    (lambda t, m, b: pfaff_lax_from_basis(b, 2, 2.5, 2), "k_pos must be an integer, got 2.5"),
+    (lambda t, m, b: pfaff_lax_from_basis(b, 2, 2, 2, check_tol=math.nan),
+     "check_tol must be finite and positive, got nan"),
+    (lambda t, m, b: pfaff_lax_from_basis(b, 2, 2, 2, check_tol=0.0),
+     "check_tol must be finite and positive, got 0.0"),
+    (lambda t, m, b: pfaff_lax_from_basis(b, 2, 2, 2, check_tol=math.inf),
+     "check_tol must be finite and positive, got inf")])
 def test_skew_route_refuses_sizes_by_name(t0, call, message):
     # these blamed max_degree, raised numpy's or a bare IndexError, or (n_sites=0)
-    # returned an empty window
+    # returned an empty window; check_tol = nan passed every structure check
     m = skew_moment_matrix(t0, 16)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(t0, m, skew_orthonormal_basis(m, 8))
@@ -393,10 +407,25 @@ def test_skew_basis_refuses_pair_products_that_are_not_positive(t0, h):
 
 
 def test_skew_gram_schmidt_refuses_a_reversed_gram(t0):
-    # the skew Gram of the opposite orientation gives h_0 = -sqrt(pi)
+    # the skew Gram of the opposite orientation gives h_0 = -1
     F, log_h, a, b = _stieltjes_basis("orthogonal", 4, t0)
-    with pytest.raises(SingularMinor, match="h_0 = -1.772e"):
+    with pytest.raises(SingularMinor, match=r"h_0 = -1\.000e\+00 is not finite and above"):
         _skew_gram_schmidt((-F, log_h, a, b), t0)
+
+
+@pytest.mark.parametrize("scale, corner, message", [
+    (1e-13, 1e-13, "h_0 = 1.000e-13 is not finite and above the floor 1.000e-12 = "
+                   "1e-12 * max(1, max|F| = 1.414e-13)"),
+    (1.0, 1e13, "h_0 = 1.000e+00 is not finite and above the floor 1.000e+01 = "
+                "1e-12 * max(1, max|F| = 1.000e+13)")])
+def test_skew_gram_schmidt_names_the_floor_it_missed(t0, scale, corner, message):
+    # a positive pair product at or below the floor read "is not positive";
+    # the scaled Gaussian Gram has its last pair product at `corner`
+    F, log_h, a, b = _stieltjes_basis("orthogonal", 4, t0)
+    F = scale * F
+    F[2, 3], F[3, 2] = corner, -corner
+    with pytest.raises(SingularMinor, match=f"^pair product {re.escape(message)}$"):
+        _skew_gram_schmidt((F, log_h, a, b), t0)
 
 
 def _unit_basis(t, coeffs, b_value=1.0):

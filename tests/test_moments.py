@@ -112,6 +112,17 @@ class TestPfaffian:
         S[0, 1], S[1, 0] = 1.0, -1.0
         assert pfaffian(S) == 0.0
 
+    @pytest.mark.parametrize("entry, log_abs", [(1e40, "921.034"), (1e-40, "-921.034")])
+    def test_product_past_the_double_range_is_refused(self, entry, log_abs):
+        # pf = 1e400 returned inf with a RuntimeWarning, and pf = 1e-400 a
+        # silent 0.0
+        A = np.kron(np.eye(10), [[0.0, entry], [-entry, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IllConditioned, match=f"order 20 has log\\|pf\\| = {log_abs}: no double"):
+                pfaffian(A)
+        assert pfaffian(A[:14, :14]) == pytest.approx(entry ** 7, rel=1e-13)
+
 
 class TestTauOrthogonal:
     def test_closed_forms_at_zero(self, t0):

@@ -273,7 +273,8 @@ def hopf_solve(u0, c: float, k: int, x, t: float) -> np.ndarray:
     s = np.linspace(x[0] - span, x[-1] + span, 4097)
     Xs = X(s)
     if not np.isfinite(Xs).all():
-        raise PreBreakingViolated(f"characteristic map leaves the double range at power k = {k}")
+        raise PreBreakingViolated(
+            f"characteristic map s - c u0(s)^k t is not finite on the bracket (k = {k})")
     if not (Xs[0] <= x[0] and Xs[-1] >= x[-1]):
         raise PreBreakingViolated("characteristic map does not cover the grid")
 

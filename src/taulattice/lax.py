@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .couplings import CouplingVector, _checked_int, _own_arrays, build_quadrature
-from .errors import SingularMinor, StructureViolation
+from .errors import IllConditioned, SingularMinor, StructureViolation
 from .moments import SkewMomentMatrix, _log_tau_jets, _skew_products, _stieltjes_basis
 from .report import IdentityReport
 
@@ -49,7 +49,8 @@ __all__ = [
 ]
 
 # The skew Gram-Schmidt refuses a pair product at or below this fraction of
-# the largest skew Gram entry (or of 1, when larger) as SingularMinor.
+# the largest skew Gram entry (or of 1, when larger) as SingularMinor, and
+# one whose rounding error exceeds this fraction of itself as IllConditioned.
 _PAIR_FLOOR = 1e-12
 
 
@@ -291,12 +292,19 @@ def _skew_gram_schmidt(stieltjes: tuple, t: CouplingVector) -> SkewOrthoBasis:
     built at couplings t, one block step per pair, seeded with q_{2n} and
     b_{2n+1} q_{2n+1}: both lead with z^{2n} / r_{2n}, so log_h is not read.
     Removing Q_{2n+1}'s z^{2n} term fixes the gauge Q_{2n+1} += c Q_{2n}.
+
+    h_n sums terms of total size K_n = |Q_{2n}| |F| |Q_{2n+1}|, within about
+    10 h_n while the q_k are orthonormal under rho^2.  Past the breakdown of
+    the rho^2 recurrence (at the Gaussian point from about 190 pairs) K_n
+    grows and no structure check sees the window go wrong, so a rounding
+    error K_n eps above _PAIR_FLOOR h_n is refused as IllConditioned.
     """
     F, _, a, b = stieltjes
     dim = len(F)
     n_pairs = dim // 2
     sub_lead = -np.cumsum(a)        # z^k coefficient of monic p_{k+1}
-    floor = _PAIR_FLOOR * max(1.0, abs(F).max())
+    abs_F = np.abs(F)
+    floor = _PAIR_FLOOR * max(1.0, abs_F.max())
     W = np.zeros((dim, dim))
     h = np.empty(n_pairs)
     for n in range(n_pairs):
@@ -314,7 +322,13 @@ def _skew_gram_schmidt(stieltjes: tuple, t: CouplingVector) -> SkewOrthoBasis:
         if not floor < h[n] < math.inf:   # NaN fails too
             raise SingularMinor(f"pair product h_{n} = {h[n]:.3e} is not finite and above "
                                 f"the floor {floor:.3e} = {_PAIR_FLOOR:g} * max(1, max|F| = "
-                                f"{abs(F).max():.3e})")
+                                f"{abs_F.max():.3e})")
+    K = np.einsum("ij,ij->i", np.abs(W[0::2]) @ abs_F, np.abs(W[1::2]))
+    lost = np.flatnonzero(K * np.finfo(float).eps > _PAIR_FLOOR * h)
+    if lost.size:
+        n = int(lost[0])
+        raise IllConditioned(f"pair product h_{n} = {h[n]:.3e} cancels terms of total size "
+                             f"{K[n]:.3e}: its rounding error passes {_PAIR_FLOOR:g} of it")
     return SkewOrthoBasis(W, h, TodaLax(a, b[1:]), t)
 
 

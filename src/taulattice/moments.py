@@ -136,7 +136,11 @@ def pfaffian(m) -> float:
     log_abs = float(np.log(np.abs(pivots)).sum())
     if not _LOG_RANGE[0] < log_abs < _LOG_RANGE[1]:
         raise IllConditioned(f"pfaffian of order {n} has log|pf| = {log_abs:.6g}: no double value")
-    return sign * float(np.prod(np.sign(pivots))) * math.exp(log_abs)
+    try:
+        with np.errstate(over="raise", under="raise"):
+            return sign * float(np.prod(pivots))
+    except FloatingPointError:   # a partial product left the normal range
+        return sign * float(np.prod(np.sign(pivots))) * math.exp(log_abs)
 
 
 def _stieltjes(nodes: np.ndarray, measure: np.ndarray, count: int):

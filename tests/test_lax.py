@@ -13,7 +13,7 @@ from taulattice import (CouplingVector, PfaffLax, TodaLax, c_coeff, couplings,
                         pfaff_lax_from_basis, skew_hermite_map_check,
                         skew_moment_matrix, skew_orthonormal_basis,
                         sqrt_ratio_product, toda_lax_from_quadrature)
-from taulattice.errors import SingularMinor, StructureViolation
+from taulattice.errors import IllConditioned, SingularMinor, StructureViolation
 from taulattice.identities import verify_init_goe, verify_init_gue, verify_tau_cross
 from taulattice.lax import SkewOrthoBasis, _skew_basis, _skew_gram_schmidt
 from taulattice.moments import _stieltjes_basis
@@ -309,6 +309,18 @@ def test_skew_basis_reaches_past_the_monic_range(t0):
     assert report.passed, report.residual_abs
     assert np.isfinite(basis.coeffs).all()
     assert np.abs(basis.h - 1.0).max() < 1e-10
+
+
+def test_skew_basis_refuses_the_broken_rho2_basis(t0):
+    # past about 200 pairs the rho^2 Stieltjes recurrence breaks down at the
+    # Gaussian point; at 217 pairs the window read 0.76 off goe_lax_init with
+    # no structure check failing.  The pair products now cancel terms some
+    # 1e4 times larger, which is refused with the first such pair.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IllConditioned, match=r"^pair product h_(19\d|20\d|21\d) = .* "
+                                                 r"cancels terms of total size .* passes 1e-12 of it$"):
+            _skew_basis(t0, 217)
 
 
 def test_basis_too_small_rejected(t0):

@@ -112,6 +112,16 @@ class TestPfaffian:
         S[0, 1], S[1, 0] = 1.0, -1.0
         assert pfaffian(S) == 0.0
 
+    def test_product_in_range_is_kept_exact(self):
+        # in-range pivots multiply as they are (pf of 2 * the canonical block
+        # is 8.0, not 7.999999999999998); a partial product that underflows
+        # (1e-320) falls back to the log sum, not the subnormal's few digits
+        assert pfaffian(np.kron(np.eye(3), [[0.0, 2.0], [-2.0, 0.0]])) == 8.0
+        A = np.kron(np.diag([1e-160, 1e-160, 1e200]), [[0.0, 1.0], [-1.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert abs(pfaffian(A) / 1e-120 - 1.0) < 1e-13
+
     @pytest.mark.parametrize("entry, log_abs", [(1e40, "921.034"), (1e-40, "-921.034")])
     def test_product_past_the_double_range_is_refused(self, entry, log_abs):
         # pf = 1e400 returned inf with a RuntimeWarning, and pf = 1e-400 a
@@ -121,7 +131,7 @@ class TestPfaffian:
             warnings.simplefilter("error")
             with pytest.raises(IllConditioned, match=f"order 20 has log\\|pf\\| = {log_abs}: no double"):
                 pfaffian(A)
-        assert pfaffian(A[:14, :14]) == pytest.approx(entry ** 7, rel=1e-13)
+        assert abs(pfaffian(A[:14, :14]) / entry ** 7 - 1.0) < 1e-13
 
 
 class TestTauOrthogonal:

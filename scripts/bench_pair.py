@@ -17,7 +17,13 @@ holds both checkouts' git SHAs, source digests and library versions,
 every run's end-to-end metrics and attempted/failed counts per workload,
 and for each metric the two sides' median and quartiles, the ratio of the
 medians and how many pairs the change won (ties count for neither side).
-Nothing is gated: the exit status is 0 whenever every run completed.
+Beside these it records what a reading of the result turns on: the
+parent's quartile spread q3 - q1, whether the medians differ by more than
+that spread, and whether the change's median is worse than the parent's by
+more than the metric's `bound` in `BENCHMARK.json`, read as a fraction of
+the parent's median; and, per workload, the seeds of any pair whose
+attempted or failed counts differ.  Nothing is gated: the exit status is 0
+whenever every run completed.
 
 Both sides start with the same bytecode caches: every `__pycache__`
 directory under either checkout is emptied before the first pair, and the
@@ -83,25 +89,42 @@ def _quartiles(xs: list) -> dict:
     return {"median": q2, "q1": q1, "q3": q3}
 
 
-def summarize(runs: list, names: list, better: dict) -> dict:
+def summarize(runs: list, names: list, end_to_end: list) -> dict:
     """Per workload and metric: each side's median and quartiles, the ratio
-    change/parent of the medians and the change's wins over the pairs."""
+    change/parent of the medians, the parent's quartile spread and whether
+    the medians differ by more than it.  For a metric of `end_to_end`
+    (`BENCHMARK.json`'s list, each with `better` and `bound`), also the
+    change's wins over the pairs and whether its median is worse than the
+    parent's by more than `bound` times the parent's median."""
+    declared = {m["name"]: m for m in end_to_end}
     out = {}
     for name in names:
         per_metric = {}
         for metric in runs[0]["parent"][name]["metrics"]:
             vals = {side: [r[side][name]["metrics"][metric] for r in runs] for side in SIDES}
             entry = {side: _quartiles(vals[side]) for side in SIDES}
-            base = entry["parent"]["median"]
-            entry["ratio"] = entry["change"]["median"] / base if base else None
-            if metric in better:
-                sign = 1.0 if better[metric] == "higher" else -1.0
+            base, med = entry["parent"]["median"], entry["change"]["median"]
+            entry["ratio"] = med / base if base else None
+            entry["parent_spread"] = entry["parent"]["q3"] - entry["parent"]["q1"]
+            entry["resolved"] = abs(med - base) > entry["parent_spread"]
+            if metric in declared:
+                sign = 1.0 if declared[metric]["better"] == "higher" else -1.0
                 entry["change_wins"] = sum(sign * (c - p) > 0
                                            for p, c in zip(vals["parent"], vals["change"]))
                 entry["pairs"] = len(runs)
+                entry["past_bound"] = sign * (base - med) > declared[metric]["bound"] * abs(base)
             per_metric[metric] = entry
         out[name] = per_metric
     return out
+
+
+def count_mismatches(runs: list, names: list) -> dict:
+    """Per workload, the seeds of the pairs whose two sides differ in
+    attempted or failed tasks."""
+    return {name: [r["seed"] for r in runs
+                   if len({(r[side][name]["attempted"], r[side][name]["failed"])
+                           for side in SIDES}) > 1]
+            for name in names}
 
 
 def main(argv=None) -> int:
@@ -121,7 +144,6 @@ def main(argv=None) -> int:
         p.error("unknown workload %r; declared: %s" % (args.workload, ", ".join(declared)))
     names = declared if args.workload == "all" else [args.workload]
     seconds = spec["run_seconds"]
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
     for checkout in dirs.values():
         _empty_bytecode_caches(checkout)
@@ -152,16 +174,23 @@ def main(argv=None) -> int:
                           "--seconds", seconds, "--trace", 0],
               "workloads": names, "seeds": [r["seed"] for r in runs],
               "machine": machine,
-              "sides": sides, "summary": summarize(runs, names, better), "runs": runs}
+              "sides": sides, "summary": summarize(runs, names, spec["end_to_end"]),
+              "counts_differ": count_mismatches(runs, names), "runs": runs}
     with open(args.out, "w") as f:
         json.dump(result, f, indent=1)
         f.write("\n")
     for name in names:
         for metric, e in result["summary"][name].items():
-            print("%-16s %-20s parent %-10.4g change %-10.4g ratio %-7.3f wins %s"
+            print("%-16s %-20s parent %-10.4g change %-10.4g ratio %-7.3f wins %-5s "
+                  "spread %-9.3g resolved %-3s past bound %s"
                   % (name, metric, e["parent"]["median"], e["change"]["median"],
                      e["ratio"] if e["ratio"] is not None else float("nan"),
-                     "%d/%d" % (e["change_wins"], e["pairs"]) if "change_wins" in e else "-"))
+                     "%d/%d" % (e["change_wins"], e["pairs"]) if "change_wins" in e else "-",
+                     e["parent_spread"], "yes" if e["resolved"] else "no",
+                     {True: "yes", False: "no"}.get(e.get("past_bound"), "-")))
+        seeds = result["counts_differ"][name]
+        print("%-16s attempted/failed %s" % (name, "differ at seeds %s" % seeds if seeds
+                                             else "equal in every pair"))
     print("wrote %s" % args.out)
     return 0
 

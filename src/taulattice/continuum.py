@@ -33,7 +33,9 @@ spec such as "pj,pik->ijk" whose products `_products` lists; each term's
 output positions and the signed sums of N and H are dense slot maps of the
 same kind.  The plan's index arrays are `np.intp`, numpy's own index type,
 so no gather or `np.bincount` converts them.  H is formed on the guarded
-block only, the part the scan and the component queries read.  The scan
+block only, and there on its independent half j < k: like N it is
+antisymmetric in its lower indices, so `haantjes` reads H^i_kj as -H^i_jk
+and H^i_jj as 0, and the scan's max|H| is taken over that half.  The scan
 draws all its points with one call, a row per point that the tensor sums
 read as it is, so it makes no `TensorPoint`; it collects every point's N
 and H, and takes max|H| and N's guarded entries once over all points.  It
@@ -59,6 +61,7 @@ negative-index fields, so it can be integrated on its own.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -247,14 +250,20 @@ def hopf_solve(u0, c: float, k: int, x, t: float) -> np.ndarray:
     ends cover it: the map must be finite and strictly increasing over the
     grid's span (else the profile has started to break), and every grid
     point's root is then found by one vectorised bisection on its cell.
-    u0 must accept arrays, c must be finite and k an integer, and the grid x
-    must be a non-empty, finite and strictly ascending 1-d array.
+    u0 must accept arrays, c must be finite, k an integer with a double
+    value (|k| up to about 1.8e308) and the grid x a non-empty, finite and
+    strictly ascending 1-d array.
     """
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
     if not math.isfinite(c):
         raise ValueError(f"c must be finite, got {c}")
     k = _checked_int("k", k)
+    try:
+        float(k)                   # the power u0(s) ** k takes k as a double
+    except OverflowError:
+        raise ValueError(f"k has no double value: |k| = 10^{math.log10(abs(k)):.2f} "
+                         f"> {sys.float_info.max:.4g}") from None
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or not len(x) or not np.isfinite(x).all() or np.any(np.diff(x) <= 0):
         raise ValueError(f"grid x must be non-empty, finite and strictly ascending, "
@@ -653,8 +662,8 @@ def _products(spec: str, left: np.ndarray, right: np.ndarray, keep) -> tuple:
 
 @dataclass(frozen=True)
 class _TensorPlan:
-    """Index arrays that evaluate A, its gradient, N and the guarded block
-    of H at any point of one window (see `_tensor_plan`)."""
+    """Index arrays that evaluate A, its gradient, N and the j < k half of
+    the guarded block of H at any point of one window (see `_tensor_plan`)."""
 
     n: int
     terms: tuple          # (coef, first factor, second factor) of each monomial
@@ -673,7 +682,7 @@ class _TensorPlan:
     h_pairs: tuple        # products of (intermediates, A, N) entries
     h_size: int
     h_terms: np.ndarray   # (4, entries) slots of the four Haantjes terms
-    h_code: np.ndarray    # flat (i, j, k) of each guarded H entry, sorted
+    h_code: np.ndarray    # flat (i, j, k) of each guarded H entry with j < k, sorted
     n_guarded: np.ndarray  # the N entries inside the guarded block
     block_code: np.ndarray  # their flat (i, j, k) in the guarded block
 
@@ -695,7 +704,10 @@ def _tensor_plan(window: int) -> _TensorPlan:
         H = h1 - h2 - h3 + h4     (its terms in the order written below)
 
     H is kept on the guarded block |i|, |j|, |k| <= window - 3 only, and
-    the intermediates X, M and A2 only where they feed it.
+    there on its independent half j < k; the intermediates X, M and A2 are
+    kept where they feed the guarded block.  H^i_jk = -H^i_kj, as for N,
+    so the half holds every value: the products an entry keeps are the
+    ones it had on the whole block, summed in the same order.
     """
     W = window
     n = 2 * W + 1
@@ -754,10 +766,10 @@ def _tensor_plan(window: int) -> _TensorPlan:
         [("ipr,pj->ijr", N, A, gi & gj), ("ip,pab->iab", A, N, gi & (gj | gk)),
          ("ir,rp->ip", A, A, g[:, None])], [(nA, 0), (0, nA), (0, 0)])
 
-    # H; values are read from (intermediates, A, N) laid end to end
-    jk = gj & gk
+    # H on j < k; values are read from (intermediates, A, N) laid end to end
+    jk = gj & gk & np.triu(np.ones((n, n), dtype=bool), 1)
     h_pairs, hmaps, h_size = contract(
-        [("ijr,rk->ijk", X, A, gk), ("ijr,rk->ijk", M, A, jk),
+        [("ijr,rk->ijk", X, A, jk), ("ijr,rk->ijk", M, A, jk),
          ("irk,rj->ijk", M, A, jk), ("ip,pjk->ijk", A2, N, jk)],
         [(0, i_size)] * 3 + [(0, i_size + nA)])
     h_code, h_terms = sums(hmaps, h_size, np.any([m >= 0 for m in hmaps], axis=0))
@@ -818,9 +830,13 @@ def _component(point: TensorPoint, i: int, j: int, k: int, haantjes: bool) -> fl
         N, H = _tensor_entries(_point_row(point), plan, haantjes=haantjes)
     codes, values = (plan.h_code, H) if haantjes else (plan.n_code, N)
     W, n = point.window, plan.n
-    code = ((i + W) * n + j + W) * n + k + W
+    swap = haantjes and j > k          # the plan holds H on j < k; H^i_kj = -H^i_jk
+    a, b = (k, j) if swap else (j, k)
+    code = ((i + W) * n + a + W) * n + b + W
     pos = np.searchsorted(codes, code)
     value = float(values[pos]) if pos < len(codes) and codes[pos] == code else 0.0
+    if swap:
+        value = -value
     if not math.isfinite(value):
         raise DivergedField(f"{'Haantjes' if haantjes else 'Nijenhuis'} component "
                             f"({i}, {j}, {k}) is not finite: the point's "
@@ -835,7 +851,10 @@ def nijenhuis(i: int, j: int, k: int, point: TensorPoint) -> float:
 
 def haantjes(i: int, j: int, k: int, point: TensorPoint) -> float:
     """One component of the Haantjes obstruction tensor; its vanishing is the
-    diagonalizability certificate for the chain."""
+    diagonalizability certificate for the chain.
+
+    The plan computes H on j < k only: for j > k this is -H^i_kj of the
+    same evaluation, and for j == k exactly 0."""
     return _component(point, i, j, k, haantjes=True)
 
 
@@ -938,11 +957,11 @@ def haantjes_scan(*, window: int = 10, n_points: int = 100, seed: int = 20260823
                   tolerance: float = 1e-9) -> IdentityReport:
     """Certify diagonalizability of the chain matrix at random points.
 
-    At each seeded point the full Haantjes tensor must vanish on the guarded
-    window, and every computed Nijenhuis component must match the closed-form
-    table -- including the zero claimed for everything off the list -- to
-    1e-10.  Each point draws u^k uniformly from [-3, 3] and then u^0 from
-    [0.5, 2].
+    At each seeded point the Haantjes tensor must vanish on the guarded
+    window (read on its independent half j < k, which holds every value),
+    and every computed Nijenhuis component must match the closed-form table
+    -- including the zero claimed for everything off the list -- to 1e-10.
+    Each point draws u^k uniformly from [-3, 3] and then u^0 from [0.5, 2].
     """
     u_bound, (lo, hi), closed_tol = 3.0, (0.5, 2.0), 1e-10
     window, n_points = _checked_int("window", window), _checked_int("n_points", n_points)

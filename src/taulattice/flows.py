@@ -671,7 +671,11 @@ def _ghost_closure(i2, i1, init_ghost):
 def evolve_volterra(state: VolterraState, flow: int, times, *,
                     h: float = 1e-3) -> EvolutionResult:
     """Volterra trajectory; the outer 4 sites of `state` anchor the closure,
-    so a line needs at least 6 sites."""
+    so a line needs at least 6 sites.
+
+    Raises DivergedField when a sampled site, the closure's included, is
+    not positive.
+    """
     B0 = state.B
     n = len(B0) - 4                             # evolved sites
     if n < 2:
@@ -692,7 +696,15 @@ def evolve_volterra(state: VolterraState, flow: int, times, *,
     ys, stats = _evolve(rhs, y0, times, h)
     front = _influence_front(times, y0, ys, lambda y: 2.0 * abs(y[-1]), n)
     stats.update({"n_evolve": n, "influence_index": front})
-    states = [VolterraState(np.concatenate([y, C @ y[-2:]])) for y in ys]
+    states = []
+    for t, y in zip(np.asarray(times, dtype=float), ys):
+        B = np.concatenate([y, C @ y[-2:]])
+        if not np.all(B > 0):
+            site = int(np.argmin(B > 0))
+            where = " (closure)" if site >= n else ""
+            raise DivergedField(f"site B_{site + 1}{where} = {B[site]:.3g} <= 0 at "
+                                f"t={t:g} after RK4 steps of h={h:g}")
+        states.append(VolterraState(B))
     return EvolutionResult(times, states, stats)
 
 

@@ -1,0 +1,68 @@
+"""`scripts/bench_pair.py`'s summary on synthetic runs: what it records for
+each metric and which pairs it flags."""
+
+import importlib.util
+import os
+
+import pytest
+
+_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                     "scripts", "bench_pair.py")
+_SPEC = importlib.util.spec_from_file_location("bench_pair", _PATH)
+bench_pair = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pair)
+
+END_TO_END = [{"name": "check_ms.p50", "better": "lower", "bound": 0.24},
+              {"name": "checks_per_s", "better": "higher", "bound": 0.24},
+              {"name": "pass_ratio", "better": "higher", "bound": 0.1}]
+
+
+def _runs(columns, counts):
+    """Pairs from {metric: (parent values, change values)} and, per pair,
+    ((attempted, failed) of the parent, of the change)."""
+    runs = []
+    for p, (parent, change) in enumerate(counts):
+        run = {"seed": 100 + p}
+        for side, (attempted, failed) in zip(bench_pair.SIDES, (parent, change)):
+            metrics = {m: vals[bench_pair.SIDES.index(side)][p] for m, vals in columns.items()}
+            run[side] = {"w": {"attempted": attempted, "failed": failed, "metrics": metrics}}
+        runs.append(run)
+    return runs
+
+
+def test_summary_records_spread_resolution_and_bound():
+    runs = _runs({"check_ms.p50": ([2.0, 2.1, 2.2, 2.3], [1.6, 1.7, 1.8, 1.9]),
+                  "checks_per_s": ([10.0, 10.0, 10.0, 10.0], [7.0, 7.0, 7.0, 8.0]),
+                  "pass_ratio": ([1.0] * 4, [1.0] * 4),
+                  "peak_rss_mb": ([1.0, 2.0, 3.0, 4.0], [2.0, 3.0, 4.0, 5.0])},
+                 [((121, 0), (121, 0))] * 4)
+    s = bench_pair.summarize(runs, ["w"], END_TO_END)["w"]
+    p50 = s["check_ms.p50"]
+    assert p50["parent"] == pytest.approx({"median": 2.15, "q1": 2.075, "q3": 2.225})
+    assert p50["parent_spread"] == pytest.approx(0.15)
+    assert p50["resolved"] and not p50["past_bound"]
+    assert (p50["change_wins"], p50["pairs"]) == (4, 4)
+    # 3/s below a parent median of 10/s is past a bound of 0.24 of it
+    rate = s["checks_per_s"]
+    assert rate["parent_spread"] == 0.0 and rate["ratio"] == pytest.approx(0.7)
+    assert rate["resolved"] and rate["past_bound"] and rate["change_wins"] == 0
+    ties = s["pass_ratio"]
+    assert not ties["resolved"] and not ties["past_bound"] and ties["change_wins"] == 0
+    # a metric without a bound gets the spread but neither wins nor a bound
+    rss = s["peak_rss_mb"]
+    assert rss["parent_spread"] == pytest.approx(1.5) and not rss["resolved"]
+    assert "past_bound" not in rss and "change_wins" not in rss
+
+
+@pytest.mark.parametrize("change,past", [(7.7, False), (7.5, True)])
+def test_bound_is_a_fraction_of_the_parent_median(change, past):
+    runs = _runs({"checks_per_s": ([10.0] * 3, [change] * 3)}, [((1, 0), (1, 0))] * 3)
+    assert bench_pair.summarize(runs, ["w"], END_TO_END)["w"]["checks_per_s"]["past_bound"] is past
+
+
+def test_pairs_whose_counts_differ_are_flagged():
+    runs = _runs({"check_ms.p50": ([1.0] * 4, [1.0] * 4)},
+                 [((76, 18), (76, 18)), ((76, 18), (76, 19)), ((76, 18), (76, 18)),
+                  ((75, 18), (76, 18))])
+    assert bench_pair.count_mismatches(runs, ["w"]) == {"w": [101, 103]}
+    assert bench_pair.count_mismatches(runs[:1], ["w"]) == {"w": []}

@@ -1,3 +1,4 @@
+import itertools
 import os
 import re
 import subprocess
@@ -26,6 +27,11 @@ def _dense(plan, codes, values, dims):
     out = np.zeros(plan.n ** dims)
     out[codes] = values
     return out.reshape((plan.n,) * dims)
+
+
+def _upper(plan):
+    """The positions (j, k) with j < k, where the plan computes H."""
+    return np.triu(np.ones((plan.n, plan.n), dtype=bool), 1)
 
 
 class TestSpatialDerivative:
@@ -125,6 +131,29 @@ class TestHopf:
             warnings.simplefilter("error")
             with pytest.raises(PreBreakingViolated, match=rf"not finite on the bracket \(k = {k}\)"):
                 hopf_solve(lambda s: s, 0.5, k, np.linspace(0.5, 2.0, 11), 0.1)
+
+    @pytest.mark.parametrize("k,exponent", [(10**400, "400.00"), (-10**400, "400.00"),
+                                            (2**1024, "308.25")],
+                             ids=["1e400", "-1e400", "2^1024"])
+    def test_power_without_a_double_value_refused(self, k, exponent):
+        # u0(s) ** k raised numpy's bare OverflowError ("int too large to
+        # convert to float"); it is refused before u0 is called
+        def u0(s):
+            raise AssertionError("u0 evaluated")
+
+        with pytest.raises(ValueError, match=rf"k has no double value: \|k\| = 10\^{exponent}"):
+            hopf_solve(u0, 0.5, k, np.linspace(0.5, 2.0, 11), 0.1)
+
+    def test_largest_double_power_still_solves_or_is_refused_as_past_the_fold(self):
+        k = int(sys.float_info.max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = np.linspace(0.5, 0.9, 11)
+            assert np.max(np.abs(hopf_solve(lambda s: s, 0.5, k, x, 0.1) - x)) <= 1e-15
+            with pytest.raises(PreBreakingViolated, match="not finite on the bracket"):
+                hopf_solve(lambda s: s, 0.5, k, np.linspace(0.5, 2.0, 11), 0.1)
+            with pytest.raises(PreBreakingViolated, match="not finite on the bracket"):
+                hopf_solve(lambda s: s, 0.5, -k, x, 0.1)
 
     @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
     def test_non_finite_time_refused(self, t):
@@ -558,10 +587,13 @@ class TestTensors:
         rel = 8.0 * np.finfo(float).eps
         assert np.all(np.abs(N - N_ref) <= rel * N_mag)
         g = slice(3, plan.n - 3)
-        assert np.all(np.abs(H - H_ref)[g, g, g] <= rel * H_mag[g, g, g])
-        # the compiled H holds the guarded block only, and the queries read it
+        half = _upper(plan)[g, g]
+        assert np.all((np.abs(H - H_ref)[g, g, g] <= rel * H_mag[g, g, g])[:, half])
+        # the compiled H holds the j < k half of the guarded block only, and
+        # the queries read it and its mirror
         inside = _dense(plan, plan.h_code, 1.0, 3)[g, g, g]
-        assert len(plan.h_code) == np.count_nonzero(inside)
+        assert len(plan.h_code) == np.count_nonzero(inside[:, half])
+        H = H - H.transpose(0, 2, 1)
         i, j, k = rng.integers(3 - window, window - 2, 3)
         assert nijenhuis(i, j, k, pt) == N[i + window, j + window, k + window]
         assert haantjes(i, j, k, pt) == H[i + window, j + window, k + window]
@@ -586,7 +618,33 @@ class TestTensors:
         rel = 8.0 * np.finfo(float).eps
         assert np.all(np.abs(N - N_ref) <= rel * N_mag)
         g = slice(3, plan.n - 3)
-        assert np.all(np.abs(H - H_ref)[g, g, g] <= rel * H_mag[g, g, g])
+        half = _upper(plan)[g, g]
+        assert np.all((np.abs(H - H_ref)[g, g, g] <= rel * H_mag[g, g, g])[:, half])
+
+    @pytest.mark.parametrize("W", range(4, 15))
+    def test_h_is_compiled_on_its_guarded_half(self, rng, W):
+        # H^i_jk = -H^i_kj, so the plan computes j < k only: its entries are
+        # the guarded positions with j < k where some product lands, which
+        # the sums on |A|, |dA| read as nonzero at a generic point
+        pt = TensorPoint(rng.uniform(0.5, 2.0, 2 * W + 1), W)
+        plan = _tensor_plan(W)
+        H_mag = ref.tensor_magnitudes(ref.chain_matrix(pt), ref.matrix_gradient(pt))[1]
+        g = np.abs(np.arange(plan.n) - W) <= W - 3
+        keep = (H_mag != 0) & g[:, None, None] & g[:, None] & g & _upper(plan)
+        assert plan.h_code.tolist() == np.flatnonzero(keep).tolist()
+
+    @pytest.mark.parametrize("W", [5, 6])
+    def test_haantjes_queries_are_antisymmetric_bit_for_bit(self, rng, W):
+        # the mirrored half is read off the computed one, so the two agree
+        # to the bit, and the diagonal j == k is exactly 0
+        u = rng.uniform(-3.0, 3.0, 2 * W + 1)
+        u[W] = rng.uniform(0.5, 2.0)
+        pt, g = TensorPoint(u, W), W - 3
+        for i, j, k in itertools.product(range(-g, g + 1), repeat=3):
+            if j < k:
+                assert haantjes(i, j, k, pt) == -haantjes(i, k, j, pt)
+            elif j == k:
+                assert haantjes(i, j, k, pt) == 0.0
 
     def test_point_refuses_non_finite(self):
         with pytest.raises(ValueError, match="finite"):

@@ -2,11 +2,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference_kernels as ref
 from taulattice import (DivergedField, EvolutionResult, PfaffLax,
-                        PreBreakingViolated, ReducedChainState, StructureViolation, TodaLax,
+                        PreBreakingViolated, ReducedChainState, StructureViolation,
+                        TauLatticeError, TodaLax,
                         UnsupportedKind, VolterraState, c_coeff, evolve_pfaff,
                         evolve_reduced, evolve_toda, evolve_volterra,
                         exact_oracles, goe_lax_init, gue_lax_init,
@@ -78,6 +79,26 @@ class TestVolterra:
             with pytest.raises(DivergedField):
                 evolve_volterra(VolterraState(np.arange(1.0, 65.0)), 2, [0.6],
                                 h=1e-3)
+
+    def test_site_that_turns_non_positive_is_named(self):
+        # a closure site extrapolated below 0 ended in VolterraState's bare
+        # "B must stay positive"
+        B = np.random.default_rng(1).uniform(0.5, 1.5, 40)
+        with pytest.raises(DivergedField, match=r"site B_40 \(closure\) = -0\.0429 <= 0 "
+                                                r"at t=0\.3 after RK4 steps of h=0\.001"):
+            evolve_volterra(VolterraState(B), 4, [0.1, 0.2, 0.3], h=1e-3)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4]),
+           st.lists(st.floats(1e-3, 0.3), min_size=1, max_size=3, unique=True).map(sorted))
+    @example(1, 4, [0.1, 0.2, 0.3])
+    @settings(max_examples=20, deadline=None)
+    def test_rough_lines_stay_positive_or_are_refused(self, seed, flow, times):
+        B = np.random.default_rng(seed).uniform(0.5, 1.5, 40)
+        try:
+            res = evolve_volterra(VolterraState(B), flow, times, h=1e-3)
+        except TauLatticeError:
+            return
+        assert all(np.all(state.B > 0) for state in res.states)
 
     def test_ghost_policies_on_scaling_family(self):
         # the right-edge closure is exact on B_n = n/(1-2t)

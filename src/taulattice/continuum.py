@@ -61,7 +61,6 @@ negative-index fields, so it can be integrated on its own.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -263,7 +262,7 @@ def hopf_solve(u0, c: float, k: int, x, t: float) -> np.ndarray:
         float(k)                   # the power u0(s) ** k takes k as a double
     except OverflowError:
         raise ValueError(f"k has no double value: |k| = 10^{math.log10(abs(k)):.2f} "
-                         f"> {sys.float_info.max:.4g}") from None
+                         f"> {np.finfo(float).max:.4g}") from None
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or not len(x) or not np.isfinite(x).all() or np.any(np.diff(x) <= 0):
         raise ValueError(f"grid x must be non-empty, finite and strictly ascending, "

@@ -27,8 +27,8 @@ from . import identities
 from .continuum import HydroChainField, evolve_hydro_chain, hopf_solve
 from .couplings import CouplingVector
 from .errors import TauLatticeError
-from .flows import (ReducedChainState, VolterraState, _sample_times, evolve_pfaff,
-                    evolve_reduced, evolve_toda, evolve_volterra)
+from .flows import (ReducedChainState, VolterraState, _csv_text, _sample_times,
+                    evolve_pfaff, evolve_reduced, evolve_toda, evolve_volterra)
 # verify_commute is re-exported: the benchmark runs it as taulattice.cli's
 from .identities import SUITES, verify_commute  # noqa: F401
 from .lax import goe_lax_init, gue_lax_init
@@ -165,11 +165,8 @@ def _cmd_lax_init(opt: dict, outdir: str) -> int:
     N = int(opt.get("N", 8))
     if ensemble == "gue":
         lax = gue_lax_init(N)
-        lines = ["n,a,b"]
-        for i in range(N):
-            b = lax.b[i] if i < N - 1 else 0.0
-            lines.append("%d,%.17g,%.17g" % (i + 1, lax.a[i], b))
-        return _publish(outdir, "lax_init.csv", "\n".join(lines) + "\n",
+        rows = zip(range(1, N + 1), lax.a, np.append(lax.b, 0.0))
+        return _publish(outdir, "lax_init.csv", _csv_text(["n", "a", "b"], rows),
                         {"command": "lax-init", "ensemble": "gue", "N": N})
     k_pos = int(opt.get("k_pos", 6))
     k_neg = int(opt.get("k_neg", 6))
@@ -235,9 +232,8 @@ def _cmd_evolve(opt: dict, outdir: str) -> int:
         x = np.linspace(float(opt.get("x_lo", 0.5)), float(opt.get("x_hi", 2.0)),
                         int(opt.get("n_x", 101)))
         u = hopf_solve(lambda q: q, c, k, x, horizon)
-        lines = ["x,u"] + ["%.17g,%.17g" % (xi, ui) for xi, ui in zip(x, u)]
         summary.update(horizon=horizon, c=c, k=k)
-        return _publish(outdir, "evolve_hopf.csv", "\n".join(lines) + "\n", summary)
+        return _publish(outdir, "evolve_hopf.csv", _csv_text(["x", "u"], zip(x, u)), summary)
     else:  # hydro
         x = np.linspace(float(opt.get("x_lo", 0.25)), float(opt.get("x_hi", 2.25)),
                         int(opt.get("n_x", 201)))

@@ -68,7 +68,7 @@ import numpy as np
 
 from .couplings import _checked_int, _checked_seed, _is_integer, _own_arrays
 from .errors import DivergedField, IndexOutOfWindow, PreBreakingViolated
-from .flows import VolterraState, _rk4_stepper, evolve_pfaff, evolve_volterra
+from .flows import VolterraState, _csv_text, _rk4_stepper, evolve_pfaff, evolve_volterra
 from .lax import c_coeff, goe_lax_init
 from .report import IdentityReport
 
@@ -231,11 +231,7 @@ class HydroChainField:
 
     def to_csv(self) -> str:
         heads = ["x", "v"] + [f"u[{ell}]" for ell in range(-self.k_neg, self.k_pos + 1)]
-        lines = [",".join(heads)]
-        for i in range(len(self.x)):
-            vals = [self.x[i], self.v[i]] + list(self.u[:, i])
-            lines.append(",".join("%.17g" % v for v in vals))
-        return "\n".join(lines) + "\n"
+        return _csv_text(heads, np.vstack((self.x, self.v, self.u)).T)
 
 
 # ---------------------------------------------------------------------------

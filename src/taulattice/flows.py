@@ -158,10 +158,14 @@ class EvolutionResult:
 
     def to_csv(self) -> str:
         heads, rows = _csv_columns(self.states)
-        lines = [",".join(["time"] + heads)]
-        for t, vals in zip(self.times, rows):
-            lines.append(",".join(["%.17g" % t] + ["%.17g" % v for v in vals]))
-        return "\n".join(lines) + "\n"
+        return _csv_text(["time"] + heads, ([t] + vals for t, vals in zip(self.times, rows)))
+
+
+def _csv_text(heads, rows) -> str:
+    """A header line, then one line per row of numbers, each written as %.17g
+    (an integer prints as under %d)."""
+    lines = [",".join(heads)] + [",".join("%.17g" % v for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _csv_columns(states):

@@ -29,7 +29,7 @@ from .flows import (EvolutionResult, ReducedChainState, VolterraState,
                     _sample_times, _volterra_jet, evolve_pfaff, evolve_reduced,
                     evolve_volterra, pfaff_chain_rhs, pfaff_commutator_rhs,
                     reduced_chain_rhs)
-from .lax import (PfaffLax, TodaLax, _skew_basis, _skew_gram_schmidt, c_coeff,
+from .lax import (PfaffLax, TodaLax, _manifold_window, _skew_basis, _skew_gram_schmidt,
                   goe_lax_init, pfaff_entries_from_tau, pfaff_lax_from_basis,
                   skew_hermite_map_check, sqrt_ratio_product)
 from .moments import _log_tau_jets, _log_tau_of_basis, _stieltjes_basis
@@ -235,21 +235,6 @@ def observables_check(n: int = 1, t: CouplingVector = _T0, *,
 # ---------------------------------------------------------------------------
 # reduction structure along a chain trajectory
 
-def _closed_form_wk_ratios(n: np.ndarray, k_max: int) -> np.ndarray:
-    """w^k_n / w^k_1 on the reduced manifold, in row k - 1 for
-    k = 1 .. k_max: C(n + k - 1, k) c_1 .. c_k / (c_n .. c_{n+k-1}), each
-    product taken factor by factor from its lowest index."""
-    c = c_coeff(np.arange(1, int(n.max()) + k_max))   # c_1 .. c_{max n + k_max - 1}
-    out = np.empty((k_max, len(n)))
-    num, den = 1.0, np.ones(len(n))
-    for k in range(1, k_max + 1):
-        num = num * c[k - 1]
-        den = den * c[n + k - 2]
-        binom = np.array([math.comb(int(m) + k - 1, k) for m in n], dtype=float)
-        out[k - 1] = binom * num / den
-    return out
-
-
 def _reduced_coordinates(lax: PfaffLax, n_max: int, k_max: int) -> tuple:
     """(W^{-1}, W, dW^{-1}, dW) read off a band window: W^{-1} is the mean of
     w^{-1}_n over the sites n <= n_max, W^k = w^k_1 / F_k for k <= k_max with
@@ -266,10 +251,11 @@ def reduction_invariants(trajectory: EvolutionResult, *,
                          tolerance: float = 1e-8) -> IdentityReport:
     """Verify the orthogonal scaling-manifold structure along a trajectory.
 
-    Per sample: w^{-k} (k>2) stay zero; w^{-1}_n is n-independent;
-    w0_n = c_n w^{-1}; w^{-2}_n = -w0_n; w^k_n follows from w^k_1;
-    w0_n w1_n grows linearly in n; and the extracted (W^{-1}, W^k) satisfy
-    the reduced chain ODE (rates read from the full chain RHS, no time FD).
+    Per sample: w^{-1}_n is n-independent; w^{-2}_n = -w0_n; the deep
+    bands, w0 and w^k match the manifold window (`lax._manifold_window`) of
+    the sample's own extracted (W^{-1}, W^k); w0_n w1_n grows linearly in n;
+    and the extracted (W^{-1}, W^k) satisfy the reduced chain ODE (rates
+    read from the full chain RHS, no time FD).
 
     The checks read the sites n <= n_max = max(4, min(influence index,
     N - 8)) and the bands -2..k_max with k_max = min(6, k_pos - 2).  The
@@ -291,28 +277,23 @@ def reduction_invariants(trajectory: EvolutionResult, *,
         raise IndexError(f"the checks read {n_max} sites, past the window's "
                          f"{lax0.n_sites}")
     idx = np.arange(1, n_max + 1)
-    cn = c_coeff(idx)
-    wk_ratios = _closed_form_wk_ratios(idx, k_max)
     worst = {"deep": 0.0, "wm1_spread": 0.0, "w0": 0.0, "wm2": 0.0,
              "wk": 0.0, "pn_linear": 0.0, "ode": 0.0}
     for lax in states:
-        sl = lambda ell: lax.w[ell + lax.k_neg, :n_max]
-        wm1 = sl(-1)
+        w, k_neg = lax.w[:, :n_max], lax.k_neg
         wm1_bar, W, dWm1_chain, dW = _reduced_coordinates(lax, n_max, k_max)
-        scale = max(1.0, abs(wm1_bar) * cn[-1])
-        for k in range(3, lax.k_neg + 1):
-            worst["deep"] = max(worst["deep"], np.abs(sl(-k)).max() / scale)
+        ref = _manifold_window(wm1_bar, W, n_max, k_neg).w     # bands -k_neg..k_max
+        wm1, w0, w1 = w[k_neg - 1], w[k_neg], w[k_neg + 1]
+        scale = max(1.0, abs(ref[k_neg, -1]))
+        for row in range(k_neg - 2):
+            worst["deep"] = max(worst["deep"], np.abs(w[row] - ref[row]).max() / scale)
         worst["wm1_spread"] = max(worst["wm1_spread"],
                                   (wm1.max() - wm1.min()) / max(abs(wm1_bar), 1e-300))
-        w0 = sl(0)
-        worst["w0"] = max(worst["w0"], np.abs(w0 - cn * wm1_bar).max() / scale)
-        worst["wm2"] = max(worst["wm2"], np.abs(sl(-2) + w0).max() / scale)
-        w1 = sl(1)
-        for k in range(1, k_max + 1):
-            wk = sl(k)
-            ref = wk_ratios[k - 1] * wk[0]
-            worst["wk"] = max(worst["wk"],
-                              np.abs(wk - ref).max() / max(np.abs(ref).max(), 1.0))
+        worst["w0"] = max(worst["w0"], np.abs(w0 - ref[k_neg]).max() / scale)
+        worst["wm2"] = max(worst["wm2"], np.abs(w[k_neg - 2] + w0).max() / scale)
+        wk, wk_ref = w[k_neg + 1:k_neg + k_max + 1], ref[k_neg + 1:]
+        worst["wk"] = max(worst["wk"], (np.abs(wk - wk_ref).max(axis=1)
+                                        / np.maximum(np.abs(wk_ref).max(axis=1), 1.0)).max())
         P = w0 * w1
         worst["pn_linear"] = max(worst["pn_linear"],
                                  np.abs(P - idx * P[0]).max() / max(abs(P[-1]), 1.0))
@@ -342,7 +323,8 @@ def exact_oracles(kind: str, **params) -> EvolutionResult:
 
     kind "t1-translation": unitary first flow, a_n(t) = t, b_n = sqrt(n).
     kind "t2-scaling": second flow; ensemble "volterra" gives
-    B_n = n/(1-2t); ensemble "orthogonal" the banded closed forms.  Both
+    B_n = n/(1-2t); ensemble "orthogonal" the manifold window at
+    W^{-1} = 1/(2(1-2t)) and W^k = 2.  Both
     blow up at t = 1/2, so later times raise PreBreakingViolated.  Keywords:
     times, n_sites, and for t2-scaling ensemble, k_pos and k_neg; any other
     keyword, any size that is not an integer and any time that is not
@@ -357,7 +339,8 @@ def exact_oracles(kind: str, **params) -> EvolutionResult:
     if not np.all(np.isfinite(times)):
         raise ValueError(f"oracle times must be finite, got {times}")
     n_sites = _checked_int("n_sites", params.get("n_sites", 16), 1)
-    k_pos, k_neg = (_checked_int(name, params.get(name, 6)) for name in ("k_pos", "k_neg"))
+    k_pos, k_neg = (_checked_int(name, params.get(name, 6), low)
+                    for name, low in (("k_pos", 0), ("k_neg", 2)))
     if kind == "t1-translation":
         b = np.sqrt(np.arange(1.0, n_sites))
         states = [TodaLax(np.full(n_sites, t), b) for t in times]
@@ -372,15 +355,8 @@ def exact_oracles(kind: str, **params) -> EvolutionResult:
         states = [VolterraState(base / (1.0 - 2.0 * t)) for t in times]
         return EvolutionResult(times, states, {"kind": kind})
     if ensemble == "orthogonal":
-        lax0 = goe_lax_init(n_sites, k_pos, k_neg)
-        states = []
-        w = lax0.w.copy()                          # one buffer: each PfaffLax copies it
-        for t in times:
-            s = 1.0 - 2.0 * t
-            w[k_neg - 2] = lax0.w[k_neg - 2] / s       # w^-2 row
-            w[k_neg - 1] = lax0.w[k_neg - 1] / s       # w^-1 row
-            w[k_neg] = lax0.w[k_neg] / s               # w^0 row
-            states.append(PfaffLax(w, k_neg, k_pos))
+        W = np.full(k_pos, 2.0)
+        states = [_manifold_window(0.5 / (1.0 - 2.0 * t), W, n_sites, k_neg) for t in times]
         return EvolutionResult(times, states, {"kind": kind})
     raise UnsupportedKind(f"no t2-scaling ensemble {ensemble!r}")
 
@@ -490,11 +466,11 @@ def verify_scaling(n_sites: int = 64, tolerance: float = 1e-8) -> IdentityReport
     times = _sample_times(horizon, 4)
     state = VolterraState(np.arange(1.0, n_sites + 1))
     res = evolve_volterra(state, 2, times, h=1e-3)
+    exact = exact_oracles("t2-scaling", times=res.times, n_sites=n_sites)
     worst = 0.0
-    for t, s in zip(res.times, res.states):
-        exact = np.arange(1.0, n_sites + 1) / (1.0 - 2.0 * t)
+    for s, e in zip(res.states, exact.states):
         worst = max(worst, float(np.max(np.abs(s.B[:n_sites - margin]
-                                               - exact[:n_sites - margin]))))
+                                               - e.B[:n_sites - margin]))))
     red = evolve_reduced(ReducedChainState(0.5, np.full(6, 2.0)), times)
     for t, s in zip(red.times, red.states):
         worst = max(worst, abs(s.Wm1 - 0.5 / (1.0 - 2.0 * t)),
@@ -535,17 +511,9 @@ def verify_tau_cross(n_pairs: int = 4, tolerance: float = 1e-6) -> IdentityRepor
     """Band entries recovered from tau-ratio derivatives against closed forms."""
     n_pairs = _checked_int("n_pairs", n_pairs)
     entries = pfaff_entries_from_tau(_T0, n_pairs)
-    worst = 0.0
-    per = {}
-    for n in range(1, n_pairs + 1):
-        c = float(c_coeff(n))
-        expect = {(0, n): c / 2.0,
-                  (1, n): 2.0 * sqrt_ratio_product(n, 1),
-                  (-1, n): 0.5}
-        for key, val in expect.items():
-            err = abs(entries[key] - val)
-            per[f"w[{key[0]}][{key[1]}]"] = err
-            worst = max(worst, err)
+    closed = goe_lax_init(n_pairs, 1, 2)
+    per = {f"w[{ell}][{n}]": abs(val - closed.get(ell, n)) for (ell, n), val in entries.items()}
+    worst = max(per.values())
     meta = {"n_pairs": n_pairs, "per_entry": per}
     return IdentityReport.from_residual("tau-lax-cross", worst, tolerance, meta=meta)
 

@@ -204,32 +204,37 @@ def _embedding_index(n_sites: int, k_neg: int, k_pos: int, dim: int):
     return keep, rows[keep], cols[keep]
 
 
-def goe_lax_init(n_sites: int, k_pos: int, k_neg: int = 6) -> PfaffLax:
-    """Closed-form window at zero couplings.
+def _manifold_window(wm1: float, W, n_sites: int, k_neg: int) -> PfaffLax:
+    """The window on the reduced manifold of (W^{-1}, W^1..W^K), the inverse
+    of `identities._reduced_coordinates`, over n_sites sites and the bands
+    -k_neg..K, k_neg >= 2.
 
-    w^0_n = c_n/2, w^{-1}_n = 1/2, w^{-2}_n = -c_n/2, deeper negatives vanish,
-    and w^k_n for k >= 1 is 2 sqrt(prod_{i=n}^{n+k-1} 2i/(2i-1)).  Band k
-    takes the running product of band k - 1 times the factor at i = n + k - 1,
-    so every site multiplies the factors of `sqrt_ratio_product(n, k)` in
-    its order.
+    w^{-1}_n = W^{-1}, w^0_n = c_n W^{-1}, w^{-2}_n = -w^0_n, deeper negatives
+    vanish, and w^k_n = W^k sqrt(prod_{i=n}^{n+k-1} 2i/(2i-1)).  Band k takes
+    the running product of band k - 1 times the factor at i = n + k - 1, so
+    every site multiplies the factors of `sqrt_ratio_product(n, k)` in its
+    order.
     """
-    n_sites, k_pos = _checked_int("n_sites", n_sites, 1), _checked_int("k_pos", k_pos, 0)
-    k_neg = _checked_int("k_neg", k_neg)
-    if k_neg < 2:
-        raise ValueError("window must reach at least two steps below the diagonal")
-    w = np.zeros((k_neg + k_pos + 1, n_sites))
-    sites = np.arange(1.0, n_sites + 1)
-    c = c_coeff(sites)
-    w[k_neg - 2] = -0.5 * c
-    w[k_neg - 1] = 0.5
-    w[k_neg] = 0.5 * c
-    i = np.arange(1.0, n_sites + k_pos)
+    w = np.zeros((k_neg + len(W) + 1, n_sites))
+    w[k_neg - 1] = wm1
+    w[k_neg] = c_coeff(np.arange(1.0, n_sites + 1)) * wm1
+    w[k_neg - 2] = -w[k_neg]
+    i = np.arange(1.0, n_sites + len(W))
     ratio = 2.0 * i / (2.0 * i - 1.0)          # the factor at i = 1, 2, ...
     acc = np.ones(n_sites)
-    for k in range(1, k_pos + 1):
+    for k, Wk in enumerate(W, 1):
         acc *= ratio[k - 1:k - 1 + n_sites]
-        w[k_neg + k] = 2.0 * np.sqrt(acc)
-    return PfaffLax(w, k_neg, k_pos)
+        w[k_neg + k] = Wk * np.sqrt(acc)
+    return PfaffLax(w, k_neg, len(W))
+
+
+def goe_lax_init(n_sites: int, k_pos: int, k_neg: int = 6) -> PfaffLax:
+    """Closed-form window at zero couplings: the manifold window at
+    W^{-1} = 1/2 and W^k = 2, so w^0_n = c_n/2, w^{-1}_n = 1/2,
+    w^{-2}_n = -c_n/2, deeper negatives vanish, and w^k_n for k >= 1 is
+    2 sqrt(prod_{i=n}^{n+k-1} 2i/(2i-1))."""
+    n_sites, k_pos = _checked_int("n_sites", n_sites, 1), _checked_int("k_pos", k_pos, 0)
+    return _manifold_window(0.5, np.full(k_pos, 2.0), n_sites, _checked_int("k_neg", k_neg, 2))
 
 
 def _parity_hermite_coeffs(count: int) -> np.ndarray:

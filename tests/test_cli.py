@@ -402,6 +402,17 @@ def test_negative_band_count_is_a_config_error(tmp_path, capsys, argv):
     assert json.loads(err)["error"] == "config" and "k_pos" in json.loads(err)["message"]
 
 
+def test_config_that_is_not_an_object_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps([{"N": 4}]))
+    rc, out, err = run(capsys, "--config", str(cfg), "--out", str(tmp_path / "out"),
+                       "lax-init")
+    assert rc == 2 and out == ""
+    assert json.loads(err) == {"error": "config",
+                               "message": "config file must hold a JSON object"}
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_missing_file(tmp_path, capsys):
     rc, _, err = run(capsys, "--config", str(tmp_path / "nope.json"),
                      "tau", "--ensemble", "unitary", "--n", "1")

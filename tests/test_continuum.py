@@ -99,6 +99,15 @@ class TestHopf:
         with pytest.raises(PreBreakingViolated):
             hopf_solve(lambda s: 2.0 * s, 2.0, 1, x, 0.3)
 
+    def test_fold_inside_the_grid_refused(self):
+        # a bump steep enough that the map covers the grid but turns back on it
+        u0 = lambda s: s + 0.6 * s * np.exp(-(s - 1.0) ** 2 / 0.05)
+        x = np.linspace(0.25, 1.5, 11)
+        with pytest.raises(PreBreakingViolated, match="folds on the grid"):
+            hopf_solve(u0, 2.0, 1, x, 0.2)
+        u = hopf_solve(u0, 2.0, 1, x, 0.05)
+        assert np.max(np.abs(u - u0(x + 2.0 * u * 0.05))) <= 1e-12 * np.max(np.abs(u))
+
     @pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf])
     def test_non_finite_speed_refused(self, c):
         # c = inf let "invalid value encountered in multiply" escape
@@ -189,6 +198,13 @@ class TestHydroField:
             HydroChainField(x, bad, good.v, good.k_neg)            # u^0 > 0
         with pytest.raises(ValueError):
             HydroChainField(x, good.u[:4], good.v, 4)
+
+    def test_field_shapes_off_the_grid_refused(self):
+        x = np.linspace(0.5, 1.5, 11)
+        good = HydroChainField.initial(x)
+        for u, v in ((good.u[:, :-1], good.v), (good.u, good.v[:-1])):
+            with pytest.raises(ValueError, match="field shapes must match the grid"):
+                HydroChainField(x, u, v, good.k_neg)
 
     @pytest.mark.parametrize("build, name", [
         (lambda x, f: HydroChainField(x, f.u, f.v, 4.0), "k_neg"),
@@ -341,6 +357,11 @@ class TestHydroChain:
         field = HydroChainField.initial(np.linspace(0.25, 2.25, 21))
         with pytest.raises(ValueError, match="t_target must be finite"):
             evolve_hydro_chain(field, t_target)
+
+    def test_target_before_the_time_stamp_refused(self):
+        field = HydroChainField.scaling(np.linspace(0.25, 2.25, 21), 0.1)
+        with pytest.raises(ValueError, match="must not precede the field's time stamp"):
+            evolve_hydro_chain(field, 0.05)
 
     @pytest.mark.parametrize("t_target", [0.5, 0.6])
     def test_scaling_check_refuses_blow_up_before_the_march(self, monkeypatch, t_target):
@@ -554,6 +575,17 @@ class TestTensors:
             a = nijenhuis(i, j, k, pt)
             assert abs(a + nijenhuis(i, k, j, pt)) < 1e-13
             assert abs(a - nijenhuis_closed_form(i, j, k, pt)) < 1e-12
+
+    def test_closed_form_reads_the_mirrored_entry(self, rng):
+        # the table holds N^3_{04}; N^3_{40} is its mirror
+        W = 9
+        u = rng.uniform(-2.0, 2.0, 2 * W + 1)
+        u[W] = 1.3
+        pt = TensorPoint(u, W)
+        value = nijenhuis_closed_form(3, 4, 0, pt)
+        assert value != 0.0
+        assert value == -nijenhuis_closed_form(3, 0, 4, pt)
+        assert abs(value - nijenhuis(3, 4, 0, pt)) < 1e-12 * abs(value)
 
     def test_haantjes_vanishes(self, rng):
         W = 10

@@ -10,6 +10,8 @@ from taulattice import (CouplingVector, DivergedField, EvolutionResult, PfaffLax
                         VolterraState, couplings, exact_oracles, flows, goe_lax_init,
                         identities, kp_residual, mkp_residuals, moments,
                         observables_check, reduction_invariants, sample_gaussian_ensemble)
+from taulattice.identities import _reduced_coordinates
+from taulattice.lax import _manifold_window
 
 
 def bump_state(n_sites=64, centre=10.0, width=4.0):
@@ -216,6 +218,12 @@ class TestObservables:
         assert report.meta["mu_residual"] > 1e-10
 
 
+@pytest.fixture(scope="module")
+def c04_trajectory():
+    """C04's banded GOE trajectory, as `verify_reduction` runs it."""
+    return flows.evolve_pfaff(goe_lax_init(48, 9, 7), flows._sample_times(0.15, 3), h=1e-3)
+
+
 class TestReductionInvariants:
     def test_scaling_trajectory(self):
         trajectory = exact_oracles("t2-scaling", ensemble="orthogonal",
@@ -252,6 +260,50 @@ class TestReductionInvariants:
         trajectory = exact_oracles("t2-scaling", times=[0.1], n_sites=24)
         with pytest.raises(TypeError):
             reduction_invariants(trajectory)
+
+    @given(st.floats(0.1, 2.0), st.integers(2, 9), st.integers(16, 64), st.integers(2, 7),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_manifold_window_reads_back_its_coordinates(self, wm1, K, N, k_neg, seed):
+        W = np.random.default_rng(seed).uniform(0.5, 3.0, K)
+        n_max = max(4, N - 8)
+        got_wm1, got_W, _, _ = _reduced_coordinates(_manifold_window(wm1, W, N, k_neg),
+                                                     n_max, K)
+        assert np.max(np.abs(got_W - W) / W) <= 4.5e-16
+        # W^-1 is the mean of n_max equal entries, whose sum rounds: at most
+        # 10.5 units of roundoff (5.25 eps) for n_max <= 64
+        assert abs(got_wm1 - wm1) <= 6.0 * np.finfo(float).eps * wm1
+
+    @given(st.floats(0.1, 2.0), st.integers(2, 9), st.integers(16, 64), st.integers(2, 7),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_passes_on_manifold_windows_away_from_the_gaussian_point(self, wm1, K, N, k_neg,
+                                                                     seed):
+        # K + 2 upper bands, so that the check reads W^1 .. W^min(6, K)
+        rng = np.random.default_rng(seed)
+        states = [_manifold_window(wm1 * rng.uniform(0.5, 1.5), rng.uniform(0.5, 3.0, K + 2),
+                                   N, k_neg) for _ in range(3)]
+        report = reduction_invariants(EvolutionResult(np.arange(3.0), states))
+        assert report.passed, report.meta
+        assert report.meta["k_max"] == min(6, K)
+
+    @pytest.mark.parametrize("ell", range(-7, 7))
+    def test_fails_when_one_entry_leaves_the_manifold(self, c04_trajectory, ell):
+        # every band -k_neg .. k_max, every site n <= n_max of the last sample;
+        # deep bands are zero on the manifold, so their entry is set to 1e-6
+        report = reduction_invariants(c04_trajectory)
+        assert report.passed
+        n_max, k_max = report.meta["n_max"], report.meta["k_max"]
+        lax = c04_trajectory.states[-1]
+        assert (lax.k_neg, k_max) == (7, 6)
+        row = ell + lax.k_neg
+        for n in range(n_max):
+            w = lax.w.copy()
+            w[row, n] = 1e-6 if ell < -2 else w[row, n] * (1.0 + 1e-6)
+            states = c04_trajectory.states[:-1] + (PfaffLax(w, lax.k_neg, lax.k_pos),)
+            moved = reduction_invariants(EvolutionResult(c04_trajectory.times, states,
+                                                         c04_trajectory.stats))
+            assert not moved.passed, (ell, n + 1)
 
 
 class TestEnsembleSampling:

@@ -266,6 +266,11 @@ def test_basis_extraction_matches_closed_form(t0):
     assert np.max(np.abs(oracle.w - closed.w)) < 1e-10
 
 
+def test_basis_larger_than_the_skew_matrix_refused(t0):
+    with pytest.raises(ValueError, match="skew matrix of size 6 cannot support 4 pairs"):
+        skew_orthonormal_basis(skew_moment_matrix(t0, 6), 4)
+
+
 def _window(mapping, n_pairs, n_sites, k_band):
     t = CouplingVector.from_mapping(mapping)
     basis = skew_orthonormal_basis(skew_moment_matrix(t, 2 * n_pairs), n_pairs)

@@ -93,6 +93,19 @@ class TestPfaffian:
         with pytest.raises(OddDimension):
             pfaffian(np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+    def test_matrix_that_is_not_square_rejected(self, shape):
+        with pytest.raises(ValueError, match="pfaffian needs a square matrix"):
+            pfaffian(np.zeros(shape))
+
+    def test_empty_matrix_is_one(self):
+        assert pfaffian(np.zeros((0, 0))) == 1.0
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,)])
+    def test_skew_moment_matrix_that_is_not_square_rejected(self, t0, shape):
+        with pytest.raises(ValueError, match="skew moment matrix must be square"):
+            moments.SkewMomentMatrix(np.zeros(shape), t0)
+
     def test_non_antisymmetric_rejected(self):
         with pytest.raises(ValueError):
             pfaffian(np.eye(4))

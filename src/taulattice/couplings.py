@@ -11,8 +11,9 @@ and panel count held to 1e-12 relative (`_POINTS_PER_PANEL`, `_GRID_TOL`).
 The radius is read off an 8193-point scan of z^d rho: it is the scan point
 just past the outermost one where z^d rho is at least 1e-12 times its
 peak.  The panel count then doubles until the mass and a companion high
-moment settle; where the companion would not be a normal number, its
-integrand is taken in logs and shifted by a power of two.
+moment settle.  The companion's integrand is taken in logs and shifted by
+a power of two, fixed once at the 8-panel start, so that it stays a normal
+number where (z / R)^d or rho alone would underflow.
 
 `build_quadrature` keeps the last 32 grids it built in a process-wide
 memo keyed on (couplings, max_degree), so repeated requests share
@@ -29,7 +30,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
@@ -314,10 +314,7 @@ def build_quadrature(t: CouplingVector, *, max_degree: int = 0) -> QuadratureGri
     """
     if not t.integrable:
         raise NonIntegrableWeight(f"weight for couplings {t.as_dict()} has a divergent tail")
-    if isinstance(max_degree, bool) or not isinstance(max_degree, numbers.Integral) \
-            or max_degree < 0:
-        raise ValueError(f"max_degree must be a non-negative integer, got {max_degree!r}")
-    return _converged_grid(t, int(max_degree))
+    return _converged_grid(t, _checked_int("max_degree", max_degree, 0))
 
 
 @lru_cache(maxsize=_GRID_MEMO_SIZE)
@@ -328,10 +325,10 @@ def _converged_grid(t: CouplingVector, max_degree: int) -> QuadratureGrid:
     # so that z^deg cannot overflow at high degree
     deg = 2 * (max_degree // 2)
     panels = 8
-    shift, prev = _companion_shift(t, radius, deg)
+    *_, prev, shift = _convergence_values(t, radius, panels, deg, None)
     while panels <= 4096:
         panels *= 2
-        nodes, weights, rho, cur = _convergence_values(t, radius, panels, deg, shift)
+        nodes, weights, rho, cur, _ = _convergence_values(t, radius, panels, deg, shift)
         if all(abs(c - p) <= _GRID_TOL * abs(c) for c, p in zip(cur, prev)):
             return QuadratureGrid(t, nodes, weights, rho, radius, panels)
         prev = cur
@@ -340,44 +337,34 @@ def _converged_grid(t: CouplingVector, max_degree: int) -> QuadratureGrid:
 
 
 def _convergence_values(t: CouplingVector, radius: float, panels: int, deg: int,
-                        shift: int):
-    """Nodes, weights and rho of the grid on `panels` panels, and the values
-    its panel doubling compares: int(rho) and, for deg > 0, the companion
-    2^shift * int (z / radius)^deg rho.  A nonzero shift takes the
-    companion's integrand in logs, so that it cannot underflow where rho
-    already has; shift 0 is the plain product.  Raises IllConditioned when
-    int(rho) is not finite, so no grid holds a weight past the double
-    range."""
+                        shift: int | None):
+    """Nodes, weights and rho of the grid on `panels` panels, the values its
+    panel doubling compares, and the companion's shift.
+
+    The values are int(rho) and, for deg > 0, the companion
+    2^shift * int (z / radius)^deg rho, its integrand
+    exp(deg log|z / radius| + exponent(z) + shift ln 2) taken in logs so that
+    it cannot underflow where rho already has.  A shift of None is fixed
+    from these logs, as the s <= 1023 that brings their largest to about
+    1; the panel doubling fixes it once, at its 8-panel start.  Raises
+    IllConditioned when int(rho) is not finite, so no grid holds a weight
+    past the double range.
+    """
     nodes, weights = _panel_nodes(radius, panels)
-    rho = weight_eval(nodes, t)
+    exponent = t.exponent(nodes)
+    with np.errstate(over="ignore"):
+        rho = np.exp(exponent)                      # weight_eval's rho
     vals = [float(weights @ rho)]
     if not math.isfinite(vals[0]):
         raise IllConditioned(f"weight for couplings {t.as_dict()} overflows the "
                              f"double range: its mass on {panels} panels is not finite")
-    if deg > 0 and shift == 0:
-        vals.append(float(weights @ ((nodes / radius)**deg * rho)))
-    elif deg > 0:
+    if deg > 0:
         with np.errstate(divide="ignore"):
-            logs = deg * np.log(np.abs(nodes / radius)) + t.exponent(nodes)
+            logs = deg * np.log(np.abs(nodes / radius)) + exponent
+        if shift is None:
+            shift = min(1023, max(0, -math.floor(float(np.max(logs)) / math.log(2.0))))
         vals.append(float(weights @ np.exp(logs + shift * math.log(2.0))))
-    return nodes, weights, rho, vals
-
-
-def _companion_shift(t: CouplingVector, radius: float, deg: int):
-    """(shift, values) of the panel doubling's 8-panel start.
-
-    The shift is 0 unless the companion moment at 8 panels is a finite
-    number below the normal range; then it is the s <= 1023 for which
-    2^s brings the largest (z / radius)^deg rho at the 8-panel nodes to
-    about 1, and `_convergence_values` takes the companion in logs.
-    """
-    nodes, _, _, vals = _convergence_values(t, radius, 8, deg, 0)
-    if deg == 0 or not vals[1] < sys.float_info.min:
-        return 0, vals
-    with np.errstate(divide="ignore"):
-        peak = float(np.max(deg * np.log(np.abs(nodes / radius)) + t.exponent(nodes)))
-    shift = min(1023, max(0, -math.floor(peak / math.log(2.0))))
-    return shift, _convergence_values(t, radius, 8, deg, shift)[3]
+    return nodes, weights, rho, vals, shift
 
 
 def _regrid(grid: QuadratureGrid, radius: float, panels: int) -> QuadratureGrid:

@@ -476,9 +476,10 @@ def test_import_leaves_scipy_out():
 
 
 def test_console_script(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(taulattice.__file__)))
     proc = subprocess.run(
         [sys.executable, "-m", "taulattice.cli", "--out", str(tmp_path),
          "tau", "--ensemble", "orthogonal", "--n", "2"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert abs(json.loads(proc.stdout)["tau"] - math.sqrt(math.pi)) < 1e-10

@@ -325,8 +325,8 @@ def test_equal_keys_share_one_read_only_grid(fresh_grids, monkeypatch):
 def stalled(convergence_values):
     # a panel doubling whose mass never settles
     def values(t, radius, panels, deg, shift):
-        nodes, weights, rho, vals = convergence_values(t, radius, panels, deg, shift)
-        return nodes, weights, rho, [vals[0] * (1.0 + 1e-9 * panels)] + vals[1:]
+        nodes, weights, rho, vals, shift = convergence_values(t, radius, panels, deg, shift)
+        return nodes, weights, rho, [vals[0] * (1.0 + 1e-9 * panels)] + vals[1:], shift
     return values
 
 

@@ -328,6 +328,15 @@ def test_skew_basis_refuses_the_broken_rho2_basis(t0):
             _skew_basis(t0, 217)
 
 
+def test_init_goe_on_224_pairs_names_the_broken_pair():
+    # from 224 pairs max|F| passed 1e12, and a floor scaled by it refused
+    # pair 0, h_0 = 1, as SingularMinor; the cause is pair 202's cancellation
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IllConditioned, match=r"^pair product h_202 = .* cancels terms"):
+            verify_init_goe(217, 6)
+
+
 def test_basis_too_small_rejected(t0):
     basis = skew_orthonormal_basis(skew_moment_matrix(t0, 12), 6)
     with pytest.raises(ValueError):
@@ -431,10 +440,7 @@ def test_skew_gram_schmidt_refuses_a_reversed_gram(t0):
 
 
 @pytest.mark.parametrize("scale, corner, message", [
-    (1e-13, 1e-13, "h_0 = 1.000e-13 is not finite and above the floor 1.000e-12 = "
-                   "1e-12 * max(1, max|F| = 1.414e-13)"),
-    (1.0, 1e13, "h_0 = 1.000e+00 is not finite and above the floor 1.000e+01 = "
-                "1e-12 * max(1, max|F| = 1.000e+13)")])
+    (1e-13, 1e-13, "h_0 = 1.000e-13 is not finite and above the floor 1e-12")])
 def test_skew_gram_schmidt_names_the_floor_it_missed(t0, scale, corner, message):
     # a positive pair product at or below the floor read "is not positive";
     # the scaled Gaussian Gram has its last pair product at `corner`
@@ -443,6 +449,16 @@ def test_skew_gram_schmidt_names_the_floor_it_missed(t0, scale, corner, message)
     F[2, 3], F[3, 2] = corner, -corner
     with pytest.raises(SingularMinor, match=f"^pair product {re.escape(message)}$"):
         _skew_gram_schmidt((F, log_h, a, b), t0)
+
+
+def test_skew_gram_schmidt_floor_ignores_the_largest_gram_entry(t0):
+    # the floor scaled with max|F| and refused h_0 = 1 beside an entry 1e13,
+    # as the Gaussian Gram from 224 pairs did
+    F, log_h, a, b = _stieltjes_basis("orthogonal", 4, t0)
+    F[2, 3], F[3, 2] = 1e13, -1e13
+    h = _skew_gram_schmidt((F, log_h, a, b), t0).h
+    assert h[0] == pytest.approx(1.0, rel=1e-15)
+    assert h[1] == pytest.approx(1e13 * b[3], rel=1e-15)
 
 
 def _unit_basis(t, coeffs, b_value=1.0):

@@ -330,7 +330,9 @@ class TestTauReach:
                 expect = ref.log_tau_closed_form("unitary", n, t2)
                 assert abs(log_tau("unitary", n, t)[1] - expect) < 1e-10, t2
 
-    @pytest.mark.parametrize("mapping", [{2: -0.15}, {}, {2: 0.15}, {4: -0.05}])
+    @pytest.mark.parametrize("mapping", [{2: -0.15}, {}, {2: 0.15}, {4: -0.05},
+                                         {1: 0.05, 3: 0.01, 4: -0.03},
+                                         {2: 0.1, 4: -0.03, 6: -0.002}])
     def test_scaled_companion_moment_keeps_the_grid(self, mapping):
         t = CouplingVector.from_mapping(mapping)
         for deg in range(201):
@@ -399,7 +401,7 @@ class TestTauReach:
         t = CouplingVector.from_mapping(mapping)
         for deg in (2, 240, 600, 1000, 1120, 1200, 1416, 1500, 1600, 1800, 2000, 2048):
             radius = couplings._radius_for(t, deg)
-            shift, start = couplings._companion_shift(t, radius, deg)
+            *_, start, shift = couplings._convergence_values(t, radius, 8, deg, None)
             doubled = couplings._convergence_values(t, radius, 16, deg, shift)[3]
             for value in (start[1], doubled[1]):
                 assert sys.float_info.min <= value < math.inf, deg

@@ -8,10 +8,10 @@ verification suites (`identities`), and the hydrodynamic limit
 """
 
 from .continuum import (HydroChainField, TensorPoint, chain_matrix,
-                        continuum_convergence, evolve_hydro_chain,
-                        haantjes, haantjes_scan, hopf_solve, hydro_chain_rhs,
-                        hydro_scaling_check, nijenhuis, nijenhuis_closed_form,
-                        reduced_continuum_rhs, spatial_derivative)
+                        evolve_hydro_chain, haantjes, haantjes_scan, hopf_solve,
+                        hydro_chain_rhs, hydro_scaling_check, nijenhuis,
+                        nijenhuis_closed_form, reduced_continuum_rhs,
+                        spatial_derivative)
 from .couplings import CouplingVector, QuadratureGrid, build_quadrature
 from .errors import (DivergedField, IllConditioned, IndexOutOfWindow,
                      NonIntegrableWeight, OddDimension, PreBreakingViolated,
@@ -21,8 +21,8 @@ from .flows import (EvolutionResult, ReducedChainState, VolterraState,
                     evolve_pfaff, evolve_reduced, evolve_toda, evolve_volterra,
                     pfaff_chain_rhs, pfaff_commutator_rhs, reduced_chain_rhs,
                     toda_rhs, volterra_rhs)
-from .identities import (exact_oracles, kp_residual, mkp_residuals,
-                         observables_check, reduction_invariants,
+from .identities import (continuum_convergence, exact_oracles, kp_residual,
+                         mkp_residuals, observables_check, reduction_invariants,
                          sample_gaussian_ensemble)
 from .lax import (PfaffLax, TodaLax, c_coeff, goe_lax_init, gue_lax_init,
                   hermite_map_coeffs, nu_values, pfaff_entries_from_tau,

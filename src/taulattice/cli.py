@@ -92,7 +92,9 @@ def _options(command: str) -> dict:
 
 
 def _load_config(path: str | None, command: str) -> dict:
-    """The config file's values; those of the command's flags typed and checked."""
+    """The config file's values; those of the command's flags typed and
+    checked, each type reading the value's JSON text (a JSON string as it
+    is) as it reads the flag's: {"N": 8.9} and {"N": true} are refused."""
     if not path:
         return {}
     with open(path) as f:
@@ -101,9 +103,14 @@ def _load_config(path: str | None, command: str) -> dict:
         raise ValueError("config file must hold a JSON object")
     for dest, action in _options(command).items():
         if dest in cfg:
-            value = cfg[dest] if action.type is None else action.type(cfg[dest])
+            raw = cfg[dest]
+            try:
+                value = raw if action.type is None else action.type(
+                    raw if isinstance(raw, str) else json.dumps(raw))
+            except ValueError:
+                raise ValueError(f"config {dest}={raw!r} is not {action.type.__name__}") from None
             if action.choices is not None and value not in action.choices:
-                raise ValueError(f"config {dest}={cfg[dest]!r} is not one of "
+                raise ValueError(f"config {dest}={raw!r} is not one of "
                                  f"{', '.join(map(repr, action.choices))}")
             cfg[dest] = value
     return cfg
@@ -147,13 +154,8 @@ def _couplings(opt: dict) -> CouplingVector:
 # command handlers
 
 def _cmd_tau(opt: dict, outdir: str) -> int:
-    ensemble = opt.get("ensemble")
-    n = int(opt.get("n"))
-    t = _couplings(opt)
-    if ensemble == "unitary":
-        value = tau_unitary(t, n)
-    else:
-        value = tau_orthogonal(t, n)
+    ensemble, n, t = opt.get("ensemble"), opt.get("n"), _couplings(opt)
+    value = (tau_unitary if ensemble == "unitary" else tau_orthogonal)(t, n)
     summary = {"command": "tau", "ensemble": ensemble, "n": n,
                "couplings": t.as_dict(), "tau": value}
     return _publish(outdir, "tau.json", json.dumps(summary, sort_keys=True, indent=2) + "\n",
@@ -162,14 +164,13 @@ def _cmd_tau(opt: dict, outdir: str) -> int:
 
 def _cmd_lax_init(opt: dict, outdir: str) -> int:
     ensemble = opt.get("ensemble", "goe")
-    N = int(opt.get("N", 8))
+    N = opt.get("N", 8)
     if ensemble == "gue":
         lax = gue_lax_init(N)
         rows = zip(range(1, N + 1), lax.a, np.append(lax.b, 0.0))
         return _publish(outdir, "lax_init.csv", _csv_text(["n", "a", "b"], rows),
                         {"command": "lax-init", "ensemble": "gue", "N": N})
-    k_pos = int(opt.get("k_pos", 6))
-    k_neg = int(opt.get("k_neg", 6))
+    k_pos, k_neg = opt.get("k_pos", 6), opt.get("k_neg", 6)
     return _publish(outdir, "lax_init.json", goe_lax_init(N, k_pos, k_neg).to_json() + "\n",
                     {"command": "lax-init", "ensemble": "goe", "N": N,
                      "K_pos": k_pos, "K_neg": k_neg})
@@ -193,8 +194,7 @@ def _horizon(opt: dict, system: str) -> tuple[int, float]:
     if len(given) != 1:
         names = ", ".join(f"--t{k}" for k in allowed)
         raise ValueError(f"set exactly one of {names}")
-    k, horizon = given[0]
-    return int(k), float(horizon)
+    return given[0]
 
 
 def _cmd_evolve(opt: dict, outdir: str) -> int:
@@ -205,38 +205,33 @@ def _cmd_evolve(opt: dict, outdir: str) -> int:
     summary = {"command": "evolve", "system": system}
 
     if system == "volterra":
-        N = int(opt.get("N", 64))
+        N = opt.get("N", 64)
         res = evolve_volterra(VolterraState(np.arange(1.0, N + 1)), flow, times(horizon),
                               **step)
         summary.update(flow=flow, horizon=horizon, N=N,
                        influence_index=res.stats.get("influence_index"))
     elif system == "toda":
-        N = int(opt.get("N", 32))
+        N = opt.get("N", 32)
         res = evolve_toda(gue_lax_init(N), flow, times(horizon), **step)
         summary.update(flow=flow, horizon=horizon, N=N)
     elif system == "pfaff":
-        N = int(opt.get("N", 32))
-        k_pos = int(opt.get("k_pos", 6))
-        k_neg = int(opt.get("k_neg", 6))
+        N, k_pos, k_neg = opt.get("N", 32), opt.get("k_pos", 6), opt.get("k_neg", 6)
         res = evolve_pfaff(goe_lax_init(N, k_pos, k_neg), times(horizon), **step)
         summary.update(horizon=horizon, N=N, K_pos=k_pos, K_neg=k_neg,
                        influence_index=res.stats.get("influence_index"))
     elif system == "reduced":
-        k_max = int(opt.get("k_pos", 6))
+        k_max = opt.get("k_pos", 6)
         res = evolve_reduced(ReducedChainState(0.5, np.full(k_max, 2.0)), times(horizon),
                              **step)
         summary.update(horizon=horizon, k_max=k_max)
     elif system == "hopf":
-        c = float(opt.get("c", 2.0))
-        k = int(opt.get("k", 1))
-        x = np.linspace(float(opt.get("x_lo", 0.5)), float(opt.get("x_hi", 2.0)),
-                        int(opt.get("n_x", 101)))
+        c, k = opt.get("c", 2.0), opt.get("k", 1)
+        x = np.linspace(opt.get("x_lo", 0.5), opt.get("x_hi", 2.0), opt.get("n_x", 101))
         u = hopf_solve(lambda q: q, c, k, x, horizon)
         summary.update(horizon=horizon, c=c, k=k)
         return _publish(outdir, "evolve_hopf.csv", _csv_text(["x", "u"], zip(x, u)), summary)
     else:  # hydro
-        x = np.linspace(float(opt.get("x_lo", 0.25)), float(opt.get("x_hi", 2.25)),
-                        int(opt.get("n_x", 201)))
+        x = np.linspace(opt.get("x_lo", 0.25), opt.get("x_hi", 2.25), opt.get("n_x", 201))
         field = HydroChainField.initial(x, **_given(opt, {"k_neg": "k_neg", "k_pos": "k_pos"}))
         res, stats = evolve_hydro_chain(field, horizon)
         summary.update(horizon=horizon, n_x=len(x), steps=stats["steps"])

@@ -4,10 +4,8 @@ Interpolating the site index with a slow spatial variable x = eps*n turns the
 Volterra flow into a Hopf-type conservation law and the banded skew-flow into
 an infinite first-order quasilinear chain coupled to one scalar transport
 equation.  This module hosts those limit systems: a characteristic solver, a
-method-of-lines integrator for the chain window, the diagonalizability
-diagnostic for the chain's coefficient matrix (Nijenhuis / Haantjes), and
-convergence harnesses comparing lattice output to the limit solutions under
-grid refinement.
+method-of-lines integrator for the chain window and the diagonalizability
+diagnostic for the chain's coefficient matrix (Nijenhuis / Haantjes).
 
 The monomial table `_matrix_terms` is the single encoding of the chain: the
 RHS that `evolve_hydro_chain` integrates, the coefficient matrix and its
@@ -62,14 +60,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .couplings import _checked_int, _checked_seed, _is_integer, _own_arrays
 from .errors import DivergedField, IndexOutOfWindow, PreBreakingViolated
-from .flows import VolterraState, _csv_text, _rk4_stepper, evolve_pfaff, evolve_volterra
-from .lax import c_coeff, goe_lax_init
+from .flows import _csv_text, _rk4_stepper
 from .report import IdentityReport
 
 __all__ = [
@@ -86,7 +83,6 @@ __all__ = [
     "haantjes",
     "nijenhuis_closed_form",
     "haantjes_scan",
-    "continuum_convergence",
 ]
 
 _CFL, _BOUND = 0.2, 50.0       # the chain march's CFL number and bound on |field|
@@ -222,8 +218,11 @@ class HydroChainField:
 
     @classmethod
     def scaling(cls, x, t: float, k_neg: int = 4, k_pos: int = 6) -> "HydroChainField":
-        """The exact pure-t2 solution of the chain started from `initial`."""
+        """The exact pure-t2 solution of the chain started from `initial`; a t
+        that is not finite raises ValueError, one from 1/2 on PreBreakingViolated."""
         k_neg, k_pos = _checked_int("k_neg", k_neg, 2), _checked_int("k_pos", k_pos, 2)
+        if not math.isfinite(t):
+            raise ValueError(f"t must be finite, got {t!r}")
         if t >= 0.5:
             raise PreBreakingViolated("scaling family blows up at t = 1/2")
         x = np.asarray(x, dtype=float)
@@ -474,21 +473,15 @@ def hydro_scaling_check(*, t_target: float = 0.15, n_x: int = 201,
 
     The window holds rows -4 .. 6 on n_x cells of [0.25, 2.25], marched at
     CFL 0.2.  Boundary strips are driven with the exact solution (inflow
-    data); the comparison covers interior cells only.  A t_target at or
-    past the blow-up at 1/2 raises PreBreakingViolated before the march.
+    data); the comparison covers interior cells only.  The exact field is
+    built first, so `HydroChainField.scaling` refuses t_target before the march.
     """
     k_neg, k_pos = 4, 6
     n_x = _checked_int("n_x", n_x)
-    if t_target >= 0.5:
-        raise PreBreakingViolated("scaling family blows up at t = 1/2")
     x = np.linspace(0.25, 2.25, n_x)
-    start = HydroChainField.initial(x, k_neg, k_pos)
-
-    def drive_exact(xs, t):
-        return _scaling_rows(xs, t, k_neg, k_pos)
-
-    final, stats = evolve_hydro_chain(start, t_target, edge_drive=drive_exact)
     exact = HydroChainField.scaling(x, t_target, k_neg, k_pos)
+    final, stats = evolve_hydro_chain(HydroChainField.initial(x, k_neg, k_pos), t_target,
+                                      edge_drive=partial(_scaling_rows, k_neg=k_neg, k_pos=k_pos))
     interior = slice(2, -2)
     err_u = float(np.max(np.abs(final.u[:, interior] - exact.u[:, interior])))
     err_v = float(np.max(np.abs(final.v[interior] - exact.v[interior])))
@@ -791,16 +784,14 @@ def _matrix_entries(ue: np.ndarray, plan: _TensorPlan):
     return A, dA
 
 
-def _tensor_entries(ue: np.ndarray, plan: _TensorPlan, *, haantjes: bool = True):
-    """N on `plan.n_code` and, with `haantjes`, H on `plan.h_code`, at the
-    point row `ue` (`_point_row`)."""
+def _tensor_entries(ue: np.ndarray, plan: _TensorPlan):
+    """N on `plan.n_code` and H on `plan.h_code` at the point row `ue`
+    (`_point_row`): every query forms both."""
     A, dA = _matrix_entries(ue, plan)
     l, r, slot = plan.n_pairs
     t = np.bincount(slot, A[l] * dA[r], plan.n_size + 1)
     t1, t1s, t3, t3s = t[plan.n_terms]
     N = t1 - t1s - t3 + t3s
-    if not haantjes:
-        return N, None
     V = np.concatenate((A, N))
     l, r, slot = plan.i_pairs
     V = np.concatenate((np.bincount(slot, V[l] * V[r], plan.i_size), V))
@@ -822,7 +813,7 @@ def _component(point: TensorPoint, i: int, j: int, k: int, haantjes: bool) -> fl
     point.guard(i, j, k)
     plan = _tensor_plan(point.window)
     with np.errstate(over="ignore", invalid="ignore"):
-        N, H = _tensor_entries(_point_row(point), plan, haantjes=haantjes)
+        N, H = _tensor_entries(_point_row(point), plan)
     codes, values = (plan.h_code, H) if haantjes else (plan.n_code, N)
     W, n = point.window, plan.n
     swap = haantjes and j > k          # the plan holds H on j < k; H^i_kj = -H^i_jk
@@ -995,52 +986,4 @@ def haantjes_scan(*, window: int = 10, n_points: int = 100, seed: int = 20260823
             "max_haantjes": worst_h, "max_closed_form_error": worst_closed,
             "closed_tol": closed_tol}
     return IdentityReport("chain-diagonalizability", worst_h, worst_h,
-                          tolerance, passed, meta)
-
-
-# ---------------------------------------------------------------------------
-# lattice-to-continuum convergence
-
-def continuum_convergence(*, t2: float = 0.1, tolerance: float = 1e-6) -> IdentityReport:
-    """Compare evolved lattices against their continuum solutions.
-
-    The lattices span x = eps*n in (0, 2] for eps = 1/32, 1/64 and 1/128,
-    and take RK4 steps of 1e-3.
-    Leg 1: Volterra sites B_n(0) = n - 1/4 (genuine O(eps) offset from the
-    linear profile) against the characteristic solution; errors must halve
-    with eps, each ratio in [1.7, 2.3].  Leg 2: the banded skew lattice at
-    the finest eps against the per-site closed form c_n/(2(1-2t)), scaled by
-    eps, to `tolerance`.
-    """
-    x_hi, h, ratio_window = 2.0, 1e-3, (1.7, 2.3)
-    epsilons = (1.0 / 32, 1.0 / 64, 1.0 / 128)
-    xs = x_hi * np.array([0.25, 0.375, 0.5, 0.625, 0.75])
-    exact = hopf_solve(lambda q: q, 2.0, 1, xs, t2)
-
-    errs = []
-    for eps in epsilons:
-        N = int(round(x_hi / eps))
-        B0 = np.arange(1.0, N + 1) - 0.25
-        res = evolve_volterra(VolterraState(B0), 2, [t2], h=h)
-        B = res.states[-1].B
-        sites = np.rint(xs / eps).astype(int)
-        errs.append(float(np.max(np.abs(eps * B[sites - 1] - exact))))
-    ratios = [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
-    ratio_ok = all(ratio_window[0] <= r <= ratio_window[1] for r in ratios)
-
-    eps = epsilons[-1]
-    N = int(round(x_hi / eps))
-    lax = goe_lax_init(N, k_pos=4, k_neg=4)
-    traj = evolve_pfaff(lax, [t2], h=h)
-    w0 = traj.states[-1].w[4]
-    n_idx = np.arange(1, N + 1)
-    w0_exact = c_coeff(n_idx) / (2.0 * (1.0 - 2.0 * t2))
-    lo, hi = 8, N - 16
-    pf_err = float(np.max(np.abs(eps * (w0[lo:hi] - w0_exact[lo:hi]))))
-
-    passed = ratio_ok and pf_err <= tolerance
-    meta = {"epsilons": list(epsilons), "volterra_errors": errs,
-            "volterra_ratios": ratios, "ratio_window": list(ratio_window),
-            "pfaff_error_scaled": pf_err, "pfaff_tol": tolerance, "t2": t2}
-    return IdentityReport("continuum-convergence", pf_err, pf_err,
                           tolerance, passed, meta)

@@ -300,8 +300,10 @@ def _volterra_pad(B: np.ndarray) -> np.ndarray:
 
 def volterra_rhs(B: np.ndarray, flow: int = 2) -> np.ndarray:
     """dB/dt_{flow} of a (sites,) line, or of each column of a (sites, batch)
-    stack; the last flow//2 + 1 sites lean on a linear extension."""
+    stack of at least two sites; the last flow//2 + 1 lean on a linear extension."""
     B = np.asarray(B, dtype=float)
+    if B.ndim == 0 or len(B) < 2:
+        raise ValueError(f"volterra_rhs needs at least two sites, got shape {B.shape}")
     return _volterra_kernel(_volterra_pad(B), flow)(np.empty_like(B))
 
 

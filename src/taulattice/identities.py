@@ -1,5 +1,5 @@
-"""Cross-checks tying the lattice flows to their continuum PDE limits and
-to ensemble statistics.
+"""Cross-checks tying the lattice flows to their continuum PDE limits
+(`continuum_convergence`) and to ensemble statistics.
 
 Everything here is deliberately indirect: coupling derivatives are exact
 Taylor jets, of log tau or of the coded Volterra right-hand side along its
@@ -20,8 +20,8 @@ import math
 
 import numpy as np
 
-# the three continuum checks are SUITES entries, looked up here by name
-from .continuum import continuum_convergence, haantjes_scan, hydro_scaling_check  # noqa: F401
+# the two continuum checks are SUITES entries, looked up here by name
+from .continuum import haantjes_scan, hopf_solve, hydro_scaling_check  # noqa: F401
 from .couplings import (CouplingVector, _checked_int, _checked_seed, build_quadrature,
                         cumulative_integral)
 from .errors import PreBreakingViolated, UnsupportedKind
@@ -41,6 +41,7 @@ __all__ = [
     "observables_check",
     "reduction_invariants",
     "exact_oracles",
+    "continuum_convergence",
     "sample_gaussian_ensemble",
     "verify_init_gue", "verify_init_goe", "verify_scaling", "verify_commute",
     "verify_reduction", "verify_tau_cross", "verify_mkp", "mkp_bump_state", "SUITES",
@@ -359,6 +360,51 @@ def exact_oracles(kind: str, **params) -> EvolutionResult:
         states = [_manifold_window(0.5 / (1.0 - 2.0 * t), W, n_sites, k_neg) for t in times]
         return EvolutionResult(times, states, {"kind": kind})
     raise UnsupportedKind(f"no t2-scaling ensemble {ensemble!r}")
+
+
+# ---------------------------------------------------------------------------
+# lattice-to-continuum convergence
+
+def continuum_convergence(*, t2: float = 0.1, tolerance: float = 1e-6) -> IdentityReport:
+    """Compare evolved lattices against their continuum solutions.
+
+    The lattices span x = eps*n in (0, 2] for eps = 1/32, 1/64 and 1/128,
+    and take RK4 steps of 1e-3.
+    Leg 1: Volterra sites B_n(0) = n - 1/4 (genuine O(eps) offset from the
+    linear profile) against the characteristic solution; errors must halve
+    with eps, each ratio in [1.7, 2.3].  Leg 2: the banded skew lattice at
+    the finest eps against band 0 of the orthogonal t2-scaling window of
+    `exact_oracles`, c_n/(2(1-2t)), scaled by eps, to `tolerance`.
+    """
+    x_hi, h, ratio_window = 2.0, 1e-3, (1.7, 2.3)
+    epsilons = (1.0 / 32, 1.0 / 64, 1.0 / 128)
+    xs = x_hi * np.array([0.25, 0.375, 0.5, 0.625, 0.75])
+    exact = hopf_solve(lambda q: q, 2.0, 1, xs, t2)
+
+    errs = []
+    for eps in epsilons:
+        N = int(round(x_hi / eps))
+        B0 = np.arange(1.0, N + 1) - 0.25
+        B = evolve_volterra(VolterraState(B0), 2, [t2], h=h).states[-1].B
+        sites = np.rint(xs / eps).astype(int)
+        errs.append(float(np.max(np.abs(eps * B[sites - 1] - exact))))
+    ratios = [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
+    ratio_ok = all(ratio_window[0] <= r <= ratio_window[1] for r in ratios)
+
+    eps = epsilons[-1]
+    N = int(round(x_hi / eps))
+    w0 = evolve_pfaff(goe_lax_init(N, k_pos=4, k_neg=4), [t2], h=h).states[-1].w[4]
+    w0_exact = exact_oracles("t2-scaling", ensemble="orthogonal", times=[t2], n_sites=N,
+                             k_pos=4, k_neg=4).states[0].w[4]
+    lo, hi = 8, N - 16
+    pf_err = float(np.max(np.abs(eps * (w0[lo:hi] - w0_exact[lo:hi]))))
+
+    passed = ratio_ok and pf_err <= tolerance
+    meta = {"epsilons": list(epsilons), "volterra_errors": errs,
+            "volterra_ratios": ratios, "ratio_window": list(ratio_window),
+            "pfaff_error_scaled": pf_err, "pfaff_tol": tolerance, "t2": t2}
+    return IdentityReport("continuum-convergence", pf_err, pf_err,
+                          tolerance, passed, meta)
 
 
 # ---------------------------------------------------------------------------

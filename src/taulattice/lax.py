@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,14 +181,21 @@ class PfaffLax:
 
     @classmethod
     def from_json(cls, text: str) -> "PfaffLax":
+        """The window of `to_json`'s text.  A ValueError names N unless it is an integer
+        >= 1, Kpos unless one >= 0, and a key unless "band,site" in the window."""
         data = json.loads(text)
-        n_sites, k_pos = int(data["N"]), int(data["Kpos"])
-        ells = [int(key.split(",")[0]) for key in data["w"]]
-        k_neg = -min(ells) if ells else 0
-        w = np.zeros((k_neg + k_pos + 1, n_sites))
+        n_sites, k_pos = _checked_int("N", data["N"], 1), _checked_int("Kpos", data["Kpos"], 0)
+        entries = {}
         for key, value in data["w"].items():
-            ell, n = (int(part) for part in key.split(","))
-            w[ell + k_neg, n - 1] = float(value)
+            pair = re.fullmatch(r"(-?[0-9]+),([0-9]+)", key)
+            if not (pair and int(pair[1]) <= k_pos and 1 <= int(pair[2]) <= n_sites):
+                raise ValueError(f"window key {key!r} is not 'band,site' with band <= "
+                                 f"Kpos = {k_pos} and site in 1..{n_sites}")
+            entries[int(pair[1]), int(pair[2])] = float(value)
+        k_neg = -min((ell for ell, _ in entries), default=0)
+        w = np.zeros((k_neg + k_pos + 1, n_sites))
+        for (ell, n), value in entries.items():
+            w[ell + k_neg, n - 1] = value
         return cls(w, k_neg, k_pos)
 
 

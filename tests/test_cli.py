@@ -362,6 +362,45 @@ def test_config_value_outside_choices_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("cfg,argv", [
+    ({"N": 8.9, "K": 2}, ("verify", "init-goe")),
+    ({"N": True}, ("verify", "init-goe")),
+    ({"N": 16.5, "samples": 2.7}, ("evolve", "volterra", "--t2", "0.1")),
+    ({"samples": 2.7}, ("evolve", "volterra", "--t2", "0.1")),
+    ({"N": 8.0}, ("lax-init",)),
+    ({"N": [8]}, ("lax-init",)),
+    ({"t2": "0.1x"}, ("evolve", "volterra")),
+])
+def test_config_value_that_its_flag_would_refuse_is_config_error(tmp_path, capsys, cfg, argv):
+    # a config value meets its flag's type as the flag's text does: these ran
+    # on truncated sizes (8 sites, 1 site, 16 sites and 2 samples), while
+    # --N 8.9 and --N 8.0 exit 2
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    rc, out, err = run(capsys, "--config", str(path), "--out", str(tmp_path / "out"), *argv)
+    assert rc == 2 and out == ""
+    error = json.loads(err)
+    key = next(iter(cfg))
+    assert error["error"] == "config" and f"config {key}={cfg[key]!r}" in error["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cfg,argv,summary", [
+    ({"N": "8"}, ("lax-init",), {"N": 8}),
+    ({"N": 8}, ("lax-init",), {"N": 8}),
+    ({"t2": 0.1, "N": 16}, ("evolve", "volterra"), {"horizon": 0.1, "N": 16}),
+    ({"couplings": {"t": {"2": -0.05}}}, ("tau", "--ensemble", "unitary", "--n", "1"),
+     {"couplings": {"2": -0.05}}),
+])
+def test_config_values_of_the_flags_types_run(tmp_path, capsys, cfg, argv, summary):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    rc, out, _ = run(capsys, "--config", str(path), "--out", str(tmp_path), *argv)
+    assert rc == 0
+    printed = json.loads(out)
+    assert {key: printed[key] for key in summary} == summary
+
+
 @pytest.mark.parametrize("couplings", ['[1, 2]', '3', 'null', '{"t": [1]}',
                                        '{"t": {"2": "0.1"}}', '{"t": {"2": true}}'])
 def test_couplings_that_are_not_an_object_of_numbers_are_config_errors(tmp_path, capsys,

@@ -262,6 +262,13 @@ class TestHydroField:
         with pytest.raises(PreBreakingViolated):
             HydroChainField.scaling(x, 0.5)
 
+    @pytest.mark.parametrize("t", [float("nan"), -float("inf")])
+    def test_scaling_family_refuses_a_time_that_is_not_finite(self, t):
+        # NaN failed later as "grid and fields must be finite", -inf as
+        # "u^0 must stay positive"
+        with pytest.raises(ValueError, match=f"t must be finite, got {t!r}"):
+            HydroChainField.scaling(np.linspace(0.5, 1.5, 11), t)
+
     def test_csv_header(self):
         x = np.linspace(0.5, 1.5, 11)
         head = HydroChainField.initial(x, 2, 2).to_csv().splitlines()[0]
@@ -372,6 +379,16 @@ class TestHydroChain:
         monkeypatch.setattr(continuum, "evolve_hydro_chain", no_march)
         with pytest.raises(PreBreakingViolated, match="1/2"):
             hydro_scaling_check(t_target=t_target, n_x=41)
+
+    def test_scaling_check_refuses_a_target_that_is_not_finite_before_the_march(
+            self, monkeypatch):
+        # NaN reached the march, which refused it as "t_target must be finite"
+        def no_march(*args, **kwargs):
+            raise AssertionError("marched to a target that is not finite")
+
+        monkeypatch.setattr(continuum, "evolve_hydro_chain", no_march)
+        with pytest.raises(ValueError, match="t must be finite, got nan"):
+            hydro_scaling_check(t_target=float("nan"), n_x=41)
 
 
 class TestHydroStepper:

@@ -65,6 +65,14 @@ class TestVolterra:
         with pytest.raises(ValueError):
             volterra_rhs(np.ones(6), flow=3)
 
+    @pytest.mark.parametrize("B", [np.ones(1), np.ones(0), np.ones((1, 3)), np.array(1.0)],
+                             ids=["one", "empty", "one-batch", "scalar"])
+    def test_fewer_than_two_sites_refused(self, B):
+        # the linear extension reads the last two sites: one site or none
+        # raised a bare IndexError
+        with pytest.raises(ValueError, match="at least two sites"):
+            volterra_rhs(B)
+
     def test_state_validation(self):
         with pytest.raises(ValueError):
             VolterraState(np.array([1.0, -0.5]))

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import re
 import warnings
@@ -221,6 +222,37 @@ def test_pfaff_lax_json_round_trip():
     back = PfaffLax.from_json(lax.to_json())
     assert back.k_neg == 2 and back.k_pos == 2
     assert np.allclose(back.w, lax.w, rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("n_sites,k_pos,k_neg", [(1, 0, 0), (3, 2, 2), (7, 6, 4)])
+def test_pfaff_lax_json_round_trip_is_byte_identical(n_sites, k_pos, k_neg):
+    rng = np.random.default_rng(n_sites)
+    lax = PfaffLax(rng.uniform(-1.0, 1.0, (k_neg + k_pos + 1, n_sites)), k_neg, k_pos)
+    text = lax.to_json()
+    back = PfaffLax.from_json(text)
+    assert (back.k_neg, back.k_pos) == (k_neg, k_pos)
+    assert back.w.tobytes() == lax.w.tobytes() and back.to_json() == text
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"w": {"0,0": 7.0}}, "key '0,0' is not"),             # wrapped to the last site
+    ({"w": {"0,5": 7.0}}, "key '0,5' is not"),             # raised a bare IndexError
+    ({"w": {"1,1": 7.0}}, "key '1,1' is not"),             # raised a bare IndexError
+    ({"w": {"0,-1": 7.0}}, "key '0,-1' is not"),
+    ({"w": {"0,1,2": 7.0}}, "key '0,1,2' is not"),
+    ({"w": {"0, 1": 7.0}}, "key '0, 1' is not"),
+    ({"w": {"a,1": 7.0}}, "key 'a,1' is not"),
+    ({"N": 2.7}, "N must be an integer, got 2.7"),         # read 2 sites
+    ({"N": True}, "N must be an integer, got True"),
+    ({"N": 0, "w": {}}, "N must be at least 1"),
+    ({"Kpos": -1}, "Kpos must be non-negative"),
+    ({"Kpos": False}, "Kpos must be an integer, got False"),
+    ({"Kpos": 1.0}, "Kpos must be an integer, got 1.0"),
+])
+def test_pfaff_lax_from_json_refuses_what_to_json_cannot_write(fields, message):
+    data = {"N": 2, "Kpos": 0, "w": {"0,1": 1.0, "0,2": 2.0}} | fields
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PfaffLax.from_json(json.dumps(data))
 
 
 def test_pfaff_lax_get_guards():

@@ -370,7 +370,7 @@ def test_config_value_outside_choices_is_config_error(tmp_path, capsys):
     ({"N": 8.0}, ("lax-init",)),
     ({"N": [8]}, ("lax-init",)),
     ({"t2": "0.1x"}, ("evolve", "volterra")),
-])
+], ids=["N-8.9", "N-true", "N-16.5-samples-2.7", "samples-2.7", "N-8.0", "N-list", "t2-text"])
 def test_config_value_that_its_flag_would_refuse_is_config_error(tmp_path, capsys, cfg, argv):
     # a config value meets its flag's type as the flag's text does: these ran
     # on truncated sizes (8 sites, 1 site, 16 sites and 2 samples), while
@@ -391,7 +391,7 @@ def test_config_value_that_its_flag_would_refuse_is_config_error(tmp_path, capsy
     ({"t2": 0.1, "N": 16}, ("evolve", "volterra"), {"horizon": 0.1, "N": 16}),
     ({"couplings": {"t": {"2": -0.05}}}, ("tau", "--ensemble", "unitary", "--n", "1"),
      {"couplings": {"2": -0.05}}),
-])
+], ids=["N-text", "N-int", "t2-float", "couplings-object"])
 def test_config_values_of_the_flags_types_run(tmp_path, capsys, cfg, argv, summary):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))

@@ -276,10 +276,6 @@ def main(argv=None) -> int:
             if unread:
                 raise ValueError(f"{args.command} {choice} does not read " + ", ".join(
                     options[dest].option_strings[0] for dest in sorted(unread)))
-    except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
-        print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
-        return 2
-    try:
         return _HANDLERS[args.command](opt, outdir)
     except TauLatticeError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),

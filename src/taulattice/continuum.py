@@ -219,12 +219,15 @@ class HydroChainField:
     @classmethod
     def scaling(cls, x, t: float, k_neg: int = 4, k_pos: int = 6) -> "HydroChainField":
         """The exact pure-t2 solution of the chain started from `initial`; a t
-        that is not finite raises ValueError, one from 1/2 on PreBreakingViolated."""
+        that is not finite, or whose scale 1 - 2t is not, raises ValueError, one
+        from 1/2 on PreBreakingViolated."""
         k_neg, k_pos = _checked_int("k_neg", k_neg, 2), _checked_int("k_pos", k_pos, 2)
         if not math.isfinite(t):
             raise ValueError(f"t must be finite, got {t!r}")
         if t >= 0.5:
             raise PreBreakingViolated("scaling family blows up at t = 1/2")
+        if not math.isfinite(1.0 - 2.0 * float(t)):
+            raise ValueError(f"t = {float(t)!r} has no finite scale 1 - 2t")
         x = np.asarray(x, dtype=float)
         return cls(x, *_scaling_rows(x, t, k_neg, k_pos), k_neg, t)
 

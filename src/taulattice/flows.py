@@ -63,7 +63,8 @@ positionally, and scalar factors (0.5, h/2, h, h/6) held as 0-d arrays,
 since a Python float operand costs each ufunc call a conversion.
 `evolve` takes fixed steps of at most h, shortened to land on each sample
 time; its public form takes rhs(t, y) returning the rates and adapts it in
-one line.
+one line.  Its sampling loop, `_evolve`, also advances each lattice
+evolver's influence front, from the live state before each segment.
 
 Divergence: each RK4 segment runs with floating-point overflow and invalid
 operations raising, so the first overflowing step ends the run with
@@ -79,7 +80,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .couplings import _own_arrays
+from .couplings import _checked_int, _own_arrays
 from .errors import DivergedField, StructureViolation
 from .lax import PfaffLax, TodaLax, _embedding_index
 
@@ -598,8 +599,9 @@ def _segment_steps(span: float, h: float) -> tuple:
 
 
 def _sample_times(horizon: float, samples: int) -> np.ndarray:
-    """`samples` equally spaced times after 0, the last at `horizon`."""
-    samples = max(int(samples), 1)
+    """`samples` equally spaced times after 0, the last at `horizon`; a count
+    that is not an integer >= 1 raises ValueError."""
+    samples = _checked_int("samples", samples, 1)
     return horizon * np.arange(1, samples + 1) / samples
 
 
@@ -618,9 +620,12 @@ def _rk4_segment(rhs, y, t0, t1, h):
     return steps
 
 
-def _evolve(rhs, y0: np.ndarray, times, h: float):
+def _evolve(rhs, y0: np.ndarray, times, h: float, speed_of=None, start=None):
     """`evolve` for a right-hand side rhs(t, y, out) that writes its rates
-    into out."""
+    into out.  Given speed_of(y) and a start site, it also advances the
+    influence front: before each segment, the first from 0 included, the
+    front moves in by the segment's length times the live state's speed, to
+    no less than site 1; the stats' 'influence_index' is its floor."""
     times = np.asarray(times, dtype=float)
     if not np.isfinite(times).all():
         raise ValueError("times must be finite")
@@ -634,7 +639,10 @@ def _evolve(rhs, y0: np.ndarray, times, h: float):
     y = np.array(y0, dtype=float)
     t_prev = 0.0
     total = 0
+    front = None if speed_of is None else float(start)
     for t in times:
+        if front is not None:
+            front = max(front - (t - t_prev) * speed_of(y), 1.0)
         if t > t_prev:
             total += _rk4_segment(rhs, y, t_prev, t, h)
         if not np.isfinite(y).all():
@@ -643,7 +651,10 @@ def _evolve(rhs, y0: np.ndarray, times, h: float):
                 f"of h={h:g}")
         out.append(y.copy())
         t_prev = t
-    return out, {"stepper": "rk4", "h": h, "steps": total}
+    stats = {"stepper": "rk4", "h": h, "steps": total}
+    if front is not None:
+        stats["influence_index"] = int(math.floor(front))
+    return out, stats
 
 
 def evolve(rhs, y0: np.ndarray, times, *, h: float = 1e-3):
@@ -698,10 +709,8 @@ def evolve_volterra(state: VolterraState, flow: int, times, *,
         np.dot(C, edge, ghosts)
         kernel(out)
 
-    y0 = B0[:n]
-    ys, stats = _evolve(rhs, y0, times, h)
-    front = _influence_front(times, y0, ys, lambda y: 2.0 * abs(y[-1]), n)
-    stats.update({"n_evolve": n, "influence_index": front})
+    ys, stats = _evolve(rhs, B0[:n], times, h, lambda y: 2.0 * abs(y[-1]), n)
+    stats["n_evolve"] = n
     states = []
     for t, y in zip(np.asarray(times, dtype=float), ys):
         B = np.concatenate([y, C @ y[-2:]])
@@ -714,32 +723,19 @@ def evolve_volterra(state: VolterraState, flow: int, times, *,
     return EvolutionResult(times, states, stats)
 
 
-def _influence_front(times, y0, ys, speed_of, start):
-    """Sonic bound on boundary-signal penetration from t = 0: each sampling
-    interval, the first one from 0 included, moves the front in by its
-    length times the speed of the state at its start."""
-    front = float(start)
-    t_prev, y_prev = 0.0, y0
-    for t, y in zip(times, ys):
-        front = max(front - (t - t_prev) * speed_of(y_prev), 1.0)
-        t_prev, y_prev = t, y
-    return int(math.floor(front))
-
-
 def evolve_toda(state: TodaLax, flow: int, times, *, h: float = 1e-3) -> EvolutionResult:
     """Tridiagonal trajectory under the finite-matrix closure.
 
     Raises DivergedField when a sampled off-diagonal entry is not positive.
     """
     N = state.n_sites
-    y0 = np.concatenate([state.a, state.b])
-    ys, stats = _evolve(_toda_kernel(N, flow), y0, times, h)
+    speed = (lambda y: 2.0 * abs(y[-1])) if flow == 1 else (lambda y: 2.0 * y[-1] ** 2)
+    ys, stats = _evolve(_toda_kernel(N, flow), np.concatenate([state.a, state.b]), times, h,
+                        speed, N)
     for t, y in zip(np.asarray(times, dtype=float), ys):
         if np.any(y[N:] <= 0):
             raise DivergedField(f"off-diagonal entry {y[N:].min():.3g} <= 0 at t={t:g} "
                                 f"after RK4 steps of h={h:g}")
-    speed = (lambda y: 2.0 * abs(y[-1])) if flow == 1 else (lambda y: 2.0 * y[-1] ** 2)
-    stats.update(influence_index=_influence_front(times, y0, ys, speed, N))
     states = [TodaLax(y[:N], y[N:]) for y in ys]
     return EvolutionResult(times, states, stats)
 
@@ -778,11 +774,9 @@ def evolve_pfaff(state: PfaffLax, times, *, h: float = 1e-3) -> EvolutionResult:
         np.add(strip, np.multiply(c1, a1, term), strip)
         kernel(out)
 
-    y0 = init[:, :n]                            # the state keeps the window's shape
-    ys, stats = _evolve(rhs, y0, times, h)
     speed = lambda y: abs(y[K1, -1] * y[K1 + 1, -1])     # band 0 sits in row K1
-    stats.update({"n_evolve": n,
-                  "influence_index": _influence_front(times, y0, ys, speed, n)})
+    ys, stats = _evolve(rhs, init[:, :n], times, h, speed, n)   # the window's shape
+    stats["n_evolve"] = n
     states = []
     w = W0.copy()                               # one buffer: each PfaffLax copies it
     for y in ys:
@@ -797,8 +791,8 @@ def evolve_reduced(state: ReducedChainState, times, *, h: float = 1e-3) -> Evolu
     truncation closed by W^{K+1} := W^K."""
     K = state.k_max
     y0 = np.concatenate([[state.Wm1], state.W])
-    ys, stats = _evolve(_reduced_kernel(K), y0, times, h)
-    front = _influence_front(times, y0, ys, lambda y: 2.0 * abs(y[0]) * (K + 1), K)
-    stats.update({"n_evolve": K + 1, "influence_index": front})
+    ys, stats = _evolve(_reduced_kernel(K), y0, times, h,
+                        lambda y: 2.0 * abs(y[0]) * (K + 1), K)
+    stats["n_evolve"] = K + 1
     states = [ReducedChainState(y[0], y[1:]) for y in ys]
     return EvolutionResult(times, states, stats)

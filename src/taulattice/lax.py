@@ -182,7 +182,8 @@ class PfaffLax:
     @classmethod
     def from_json(cls, text: str) -> "PfaffLax":
         """The window of `to_json`'s text.  A ValueError names N unless it is an integer
-        >= 1, Kpos unless one >= 0, and a key unless "band,site" in the window."""
+        >= 1, Kpos unless one >= 0, a key unless "band,site" in the window, and the first
+        missing key of bands -k_neg..Kpos (k_neg = max(0, -lowest band)), sites 1..N."""
         data = json.loads(text)
         n_sites, k_pos = _checked_int("N", data["N"], 1), _checked_int("Kpos", data["Kpos"], 0)
         entries = {}
@@ -192,10 +193,13 @@ class PfaffLax:
                 raise ValueError(f"window key {key!r} is not 'band,site' with band <= "
                                  f"Kpos = {k_pos} and site in 1..{n_sites}")
             entries[int(pair[1]), int(pair[2])] = float(value)
-        k_neg = -min((ell for ell, _ in entries), default=0)
-        w = np.zeros((k_neg + k_pos + 1, n_sites))
-        for (ell, n), value in entries.items():
-            w[ell + k_neg, n - 1] = value
+        k_neg = max(0, -min((ell for ell, _ in entries), default=0))
+        keys = [(ell, n) for ell in range(-k_neg, k_pos + 1) for n in range(1, n_sites + 1)]
+        missing = next((f"{ell},{n}" for ell, n in keys if (ell, n) not in entries), None)
+        if missing is not None:
+            raise ValueError(f"window key '{missing}' is missing from bands {-k_neg}..{k_pos} "
+                             f"and sites 1..{n_sites}")
+        w = np.array([entries[key] for key in keys]).reshape(k_neg + k_pos + 1, n_sites)
         return cls(w, k_neg, k_pos)
 
 

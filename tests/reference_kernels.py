@@ -61,7 +61,10 @@ so it is held to them at 1e-14 relative per evaluation, and
 stepper and the reference chain loop, bound the trajectory drift.
 `toda_rates` is the tridiagonal RHS as written on a validated state, with
 its b clamped at 1e-300; the raw-array kernel must equal it bit for bit on
-healthy trajectories.
+healthy trajectories.  `influence_front` is the influence index as the
+evolvers formed it before `flows._evolve` advanced the front in its
+sampling loop: a second pass over the stored samples, which the loop must
+equal exactly.
 
 `tau_derivative_fd` is the route `moments.tau_coupling_derivative` took
 before it read exact jets of log tau off the Stieltjes basis: central
@@ -317,6 +320,19 @@ def evolve_pfaff(state, times, h: float):
         w[1:-1, n_ev:] = closure(y2d[:, -2:-1], y2d[:, -1:])
         out.append(w)
     return out
+
+
+def influence_front(times, y0, ys, speed_of, start):
+    """Sonic bound on boundary-signal penetration from t = 0, read off the
+    sampled states (ys at times, y0 at t = 0): each sampling interval, the
+    first one from 0 included, moves the front in by its length times the
+    speed of the state at its start, never below site 1."""
+    front = float(start)
+    t_prev, y_prev = 0.0, y0
+    for t, y in zip(times, ys):
+        front = max(front - (t - t_prev) * speed_of(y_prev), 1.0)
+        t_prev, y_prev = t, y
+    return int(math.floor(front))
 
 
 def toda_rates(y: np.ndarray, n: int, flow: int) -> np.ndarray:

@@ -385,6 +385,35 @@ def test_config_value_that_its_flag_would_refuse_is_config_error(tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv,config", [
+    (("volterra", "--t2", "0.1", "--N", "12", "--samples", "0"), None),
+    (("volterra", "--t2", "0.1", "--N", "12", "--samples", "-5"), None),
+    (("reduced", "--t2", "0.1", "--samples", "0"), None),
+    (("toda", "--t1", "0.1", "--N", "8"), {"samples": 0}),
+], ids=["volterra-0", "volterra-minus-5", "reduced-0", "toda-config-0"])
+def test_sample_count_below_one_is_config_error(tmp_path, capsys, argv, config):
+    # both flag values exited 0 and wrote one sample
+    flags = ()
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        flags = ("--config", str(tmp_path / "cfg.json"))
+    rc, out, err = run(capsys, *flags, "--out", str(tmp_path / "out"), "evolve", *argv)
+    assert rc == 2 and out == ""
+    error = json.loads(err)
+    assert error == {"error": "config", "message": error["message"]}
+    assert error["message"].startswith("samples must be at least 1")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("samples,message", [(0, "at least 1, got 0"), (-5, "at least 1"),
+                                             (2.5, "an integer, got 2.5"),
+                                             (True, "an integer, got True")],
+                         ids=["zero", "negative", "fraction", "bool"])
+def test_sample_times_refuses_a_count_it_cannot_mean(samples, message):
+    with pytest.raises(ValueError, match=f"samples must be {message}"):
+        _sample_times(0.1, samples)
+
+
 @pytest.mark.parametrize("cfg,argv,summary", [
     ({"N": "8"}, ("lax-init",), {"N": 8}),
     ({"N": 8}, ("lax-init",), {"N": 8}),

@@ -269,6 +269,20 @@ class TestHydroField:
         with pytest.raises(ValueError, match=f"t must be finite, got {t!r}"):
             HydroChainField.scaling(np.linspace(0.5, 1.5, 11), t)
 
+    @pytest.mark.parametrize("t", [-1e308, np.float64(-1e308), -8.98846567431158e307],
+                             ids=["float", "numpy", "next-below-half-max"])
+    def test_scaling_family_refuses_a_time_whose_scale_overflows(self, t):
+        # 2t overflows below -max/2: this read "u^0 must stay positive on the
+        # grid"; exact_oracles refuses the same times by name
+        with pytest.raises(ValueError, match=re.escape(
+                f"t = {float(t)!r} has no finite scale 1 - 2t")):
+            HydroChainField.scaling(np.linspace(0.5, 1.5, 11), t)
+
+    def test_scaling_family_keeps_the_last_finite_scale(self):
+        t = -np.finfo(float).max / 2                  # 1 - 2t rounds to max itself
+        f = HydroChainField.scaling(np.linspace(0.5, 1.5, 11), t)
+        assert np.isfinite(f.u).all() and f.time == t
+
     def test_csv_header(self):
         x = np.linspace(0.5, 1.5, 11)
         head = HydroChainField.initial(x, 2, 2).to_csv().splitlines()[0]

@@ -181,6 +181,38 @@ def test_bad_step_refused_before_the_march(monkeypatch, march, h):
     _refused_before_the_march(monkeypatch, "h must be finite and positive", march, [0.1], h)
 
 
+# evolver -> (initial state, march over times, edge speed of a state, front's start)
+_FRONTS = {
+    "volterra-2": (VolterraState(np.arange(1.0, 25.0)),
+                   lambda s, times: evolve_volterra(s, 2, times),
+                   lambda s: 2.0 * abs(s.B[19]), 20),
+    "volterra-4": (VolterraState(np.linspace(1.0, 1.5, 12)),
+                   lambda s, times: evolve_volterra(s, 4, times),
+                   lambda s: 2.0 * abs(s.B[7]), 8),
+    "toda-1": (gue_lax_init(16), lambda s, times: evolve_toda(s, 1, times),
+               lambda s: 2.0 * abs(s.b[-1]), 16),
+    "toda-2": (gue_lax_init(16), lambda s, times: evolve_toda(s, 2, times),
+               lambda s: 2.0 * s.b[-1] ** 2, 16),
+    "pfaff": (goe_lax_init(16, 4, 4), evolve_pfaff,              # band 0 is row 4
+              lambda s: abs(s.w[4, 11] * s.w[5, 11]), 12),
+    "reduced": (ReducedChainState(0.5, np.full(6, 2.0)), evolve_reduced,
+                lambda s: 2.0 * abs(s.Wm1) * 7, 6),
+}
+
+
+@pytest.mark.parametrize("evolver", list(_FRONTS))
+@given(st.lists(st.floats(1e-4, 0.2), min_size=1, max_size=5, unique=True), st.booleans())
+@settings(max_examples=15, deadline=None)
+def test_influence_index_is_the_front_over_the_samples(evolver, later, from_zero):
+    # the march advances the front as it samples; a second pass over the
+    # returned states must read the same index
+    state, march, speed, start = _FRONTS[evolver]
+    times = [0.0] * from_zero + sorted(later)
+    res = march(state, times)
+    assert res.stats["influence_index"] == ref.influence_front(times, state, res.states,
+                                                               speed, start)
+
+
 def _orbit(B, flow, order):
     """Taylor coefficients c_0..c_order of the flow's orbit through B."""
     series = B[None, :]

@@ -255,6 +255,21 @@ def test_pfaff_lax_from_json_refuses_what_to_json_cannot_write(fields, message):
         PfaffLax.from_json(json.dumps(data))
 
 
+@pytest.mark.parametrize("data,message", [
+    # returned w^0_2 = 0.0
+    ({"N": 2, "Kpos": 0, "w": {"0,1": 1.0}}, "key '0,2' is missing from bands 0..0 "),
+    # refused as "k_neg must be non-negative, got -1"
+    ({"N": 1, "Kpos": 2, "w": {"1,1": 1.0, "2,1": 2.0}}, "key '0,1' is missing from bands 0..2 "),
+    ({"N": 1, "Kpos": 0, "w": {}}, "key '0,1' is missing"),
+    ({"N": 2, "Kpos": 1, "w": {"-2,1": 0.0, "-2,2": 0.0, "0,1": 1.0, "0,2": 1.0,
+                               "1,1": 1.0, "1,2": 1.0}},
+     "key '-1,1' is missing from bands -2..1 and sites 1..2"),
+], ids=["site-missing", "band-0-missing", "empty", "inner-band-missing"])
+def test_pfaff_lax_from_json_names_the_first_missing_key(data, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PfaffLax.from_json(json.dumps(data))
+
+
 def test_pfaff_lax_get_guards():
     lax = goe_lax_init(3, 2, 2)
     with pytest.raises(IndexError):

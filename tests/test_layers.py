@@ -65,3 +65,29 @@ def test_module_imports_only_what_its_layer_allows(module):
             assert names <= allowed[source], (
                 f"{module} imports {sorted(names - allowed[source])} from {source}")
 
+
+
+def _reads(tree) -> set:
+    """Every name the tree reads: loaded names, attributes, imported names
+    and string constants (a name looked up by getattr or a table)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def test_every_private_helper_has_a_library_caller():
+    trees = {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
+    read = set().union(*map(_reads, trees.values()))
+    helpers = {(module, node.name) for module, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")}
+    unread = sorted(f"{module}.{name}" for module, name in helpers if name not in read)
+    assert not unread, f"private helpers no library code reads: {unread}"

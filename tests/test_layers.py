@@ -66,7 +66,6 @@ def test_module_imports_only_what_its_layer_allows(module):
                 f"{module} imports {sorted(names - allowed[source])} from {source}")
 
 
-
 def _reads(tree) -> set:
     """Every name the tree reads: loaded names, attributes, imported names
     and string constants (a name looked up by getattr or a table)."""

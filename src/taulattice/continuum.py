@@ -86,6 +86,7 @@ __all__ = [
 ]
 
 _CFL, _BOUND = 0.2, 50.0       # the chain march's CFL number and bound on |field|
+_MAX_STEPS = 200000            # the chain march's step budget
 
 
 def _stencil(f: np.ndarray, dx: float, *, edges: bool = True):
@@ -191,8 +192,6 @@ class HydroChainField:
             raise ValueError("need rows down to -2 and up to at least +2")
         if u.shape[1] != len(x) or v.shape != x.shape:
             raise ValueError("field shapes must match the grid")
-        if not (np.isfinite(x).all() and np.isfinite(u).all() and np.isfinite(v).all()):
-            raise ValueError("grid and fields must be finite")
         if np.any(u[self.k_neg] <= 0):
             raise ValueError("u^0 must stay positive on the grid")
         object.__setattr__(self, "time", float(self.time))
@@ -404,7 +403,7 @@ def evolve_hydro_chain(field: HydroChainField, t_target: float, *, edge_drive=No
     return (u_rows, v_vals) imposed after every step.  Returns the final
     field and a stats dict.  Raises DivergedField at the first overflowing
     or invalid operation, when a field magnitude exceeds 50 at the start of
-    a step, or when 200000 steps are spent before t_target.
+    a step, or when `_MAX_STEPS` (200000) steps are spent before t_target.
     """
     if not math.isfinite(t_target):
         raise ValueError(f"t_target must be finite, got {t_target}")
@@ -459,7 +458,7 @@ def evolve_hydro_chain(field: HydroChainField, t_target: float, *, edge_drive=No
                     drive(y, t)
                 h_min, h_max = min(h_min, h), max(h_max, h)
                 steps += 1
-                if steps > 200000:
+                if steps > _MAX_STEPS:
                     raise DivergedField("step budget exhausted before t_target")
     except FloatingPointError as exc:
         raise DivergedField(f"chain march overflowed at t={t:g} after {steps} "
@@ -550,14 +549,9 @@ class TensorPoint:
 
     def __post_init__(self):
         u, = _own_arrays(self, "u")
-        if not _is_integer(self.window):
-            raise ValueError(f"window must be an integer, got {self.window!r}")
-        if self.window < 4:
-            raise ValueError("window must be at least 4")
+        _checked_int("window", self.window, 4)
         if u.shape != (2 * self.window + 1,):
             raise ValueError("u must have length 2*window + 1")
-        if not np.isfinite(u).all():
-            raise ValueError("u must be finite")
 
     def guard(self, *indices):
         g = self.window - 3
@@ -953,12 +947,10 @@ def haantjes_scan(*, window: int = 10, n_points: int = 100, seed: int = 20260823
     Each point draws u^k uniformly from [-3, 3] and then u^0 from [0.5, 2].
     """
     u_bound, (lo, hi), closed_tol = 3.0, (0.5, 2.0), 1e-10
-    window, n_points = _checked_int("window", window), _checked_int("n_points", n_points)
+    window, n_points = _checked_int("window", window), _checked_int("n_points", n_points, 1)
     seed = _checked_seed(seed)
     if window < 10:
         raise ValueError("window must be at least 10 for a meaningful scan")
-    if n_points < 1:
-        raise ValueError(f"n_points must be at least 1, got {n_points}")
     W = window
     # one draw call, the stream of two per point: each row's 2W+1 values on
     # the u bound, then u^0, which replaces the row's middle draw; its last

@@ -159,9 +159,14 @@ def _own_arrays(record, *names) -> tuple:
     """Store a read-only float copy of each named array field of the frozen
     dataclass `record` in the field's place; returns the copies.  Records
     validate these, which no caller can write to, and the caller's arrays
-    stay writable."""
+    stay writable.  A field with a NaN or +-inf entry raises a ValueError
+    naming the record, the field and its first such entry."""
     copies = tuple(np.array(getattr(record, name), dtype=float) for name in names)
     for name, arr in zip(names, copies):
+        finite = np.isfinite(arr)
+        if not finite.all():
+            raise ValueError(f"{type(record).__name__}.{name} must be finite, "
+                             f"got {arr[~finite][0]}")
         arr.setflags(write=False)
         object.__setattr__(record, name, arr)
     return copies

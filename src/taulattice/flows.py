@@ -66,10 +66,12 @@ time; its public form takes rhs(t, y) returning the rates and adapts it in
 one line.  Its sampling loop, `_evolve`, also advances each lattice
 evolver's influence front, from the live state before each segment.
 
-Divergence: each RK4 segment runs with floating-point overflow and invalid
-operations raising, so the first overflowing step ends the run with
-DivergedField naming the segment, at no per-step cost.  The state is also
-checked for NaN or infinity at every sample time, which catches NaN input.
+Divergence: each RK4 segment, and each call of the four public right-hand
+sides, runs with floating-point overflow and invalid operations raising
+(`_guarded`), so the first overflowing step ends the run with DivergedField
+naming the segment, at no per-step cost, and an overflowing rate raises
+DivergedField naming its function.  The state is also checked for NaN or
+infinity at every sample time, which catches NaN input.
 """
 
 from __future__ import annotations
@@ -130,8 +132,8 @@ class ReducedChainState:
         if W.ndim != 1 or len(W) < 2:
             raise ValueError("need at least W^1 and W^2")
         object.__setattr__(self, "Wm1", float(self.Wm1))
-        if not (math.isfinite(self.Wm1) and np.isfinite(W).all()):
-            raise ValueError("W^-1 and W must be finite")
+        if not math.isfinite(self.Wm1):
+            raise ValueError(f"ReducedChainState.Wm1 must be finite, got {self.Wm1}")
 
     @property
     def k_max(self) -> int:
@@ -156,6 +158,9 @@ class EvolutionResult:
         if np.any(np.diff(times) <= 0):
             raise ValueError("sample times must be strictly increasing")
         object.__setattr__(self, "states", tuple(self.states))
+        if len(self.states) != len(times):
+            raise ValueError(f"{len(self.states)} states do not pair with "
+                             f"{len(times)} sample times")
 
     def to_csv(self) -> str:
         heads, rows = _csv_columns(self.states)
@@ -193,6 +198,16 @@ def _csv_columns(states):
 
 # ---------------------------------------------------------------------------
 # right-hand sides
+
+def _guarded(what: str, call, *args):
+    """call(*args) with floating-point overflow and invalid operations
+    raising, as DivergedField("<what> overflowed: <numpy's message>")."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return call(*args)
+    except FloatingPointError as exc:
+        raise DivergedField(f"{what} overflowed: {exc}") from exc
+
 
 def _toda_kernel(n: int, flow: int):
     """Autonomous RHS rates(t, y, out) of the first or second tridiagonal
@@ -239,8 +254,8 @@ def toda_rhs(state: TodaLax, flow: int = 1):
     """(da, db) for the first or second tridiagonal flow, under the
     finite-matrix closure."""
     n = state.n_sites
-    rates = _toda_kernel(n, flow)(0.0, np.concatenate([state.a, state.b]),
-                                  np.empty(2 * n - 1))
+    rates = _guarded("toda_rhs", _toda_kernel(n, flow), 0.0,
+                     np.concatenate([state.a, state.b]), np.empty(2 * n - 1))
     return rates[:n], rates[n:]
 
 
@@ -301,11 +316,15 @@ def _volterra_pad(B: np.ndarray) -> np.ndarray:
 
 def volterra_rhs(B: np.ndarray, flow: int = 2) -> np.ndarray:
     """dB/dt_{flow} of a (sites,) line, or of each column of a (sites, batch)
-    stack of at least two sites; the last flow//2 + 1 lean on a linear extension."""
+    stack of at least two finite sites; the last flow//2 + 1 lean on a linear
+    extension."""
     B = np.asarray(B, dtype=float)
     if B.ndim == 0 or len(B) < 2:
         raise ValueError(f"volterra_rhs needs at least two sites, got shape {B.shape}")
-    return _volterra_kernel(_volterra_pad(B), flow)(np.empty_like(B))
+    finite = np.isfinite(B)
+    if not finite.all():
+        raise ValueError(f"volterra_rhs needs finite sites, got {B[~finite][0]}")
+    return _guarded("volterra_rhs", _volterra_kernel(_volterra_pad(B), flow), np.empty_like(B))
 
 
 def _volterra_jet(C: np.ndarray, flow: int, k: int) -> np.ndarray:
@@ -452,7 +471,7 @@ def pfaff_chain_rhs(state: PfaffLax) -> np.ndarray:
     pad = max(k_neg, k_pos) + 1
     Q = np.zeros((k_neg + k_pos + 3, 1 + n + pad))
     Q[1:-1, 1:n + 1] = state.w
-    return _chain_kernel(Q, k_neg, k_pos, n)(np.empty(state.w.shape))
+    return _guarded("pfaff_chain_rhs", _chain_kernel(Q, k_neg, k_pos, n), np.empty(state.w.shape))
 
 
 def _dense_embedding(state: PfaffLax) -> np.ndarray:
@@ -543,7 +562,7 @@ def reduced_chain_rhs(state: ReducedChainState, *, ghost: str = "copy"):
     if ghost != "copy":
         raise ValueError(f"reduced ghost must be 'copy', got {ghost!r}")
     y = np.concatenate([[state.Wm1], state.W])
-    rates = _reduced_kernel(state.k_max)(0.0, y, np.empty(len(y)))
+    rates = _guarded("reduced_chain_rhs", _reduced_kernel(state.k_max), 0.0, y, np.empty(len(y)))
     return rates[0], rates[1:]
 
 
@@ -610,13 +629,12 @@ def _rk4_segment(rhs, y, t0, t1, h):
     dy/dt = rhs(t, y, out); returns the step count."""
     steps, hs = _segment_steps(t1 - t0, h)
     step = _rk4_stepper(rhs, y)
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            for i in range(steps):
-                step(t0 + i * hs, hs)
-    except FloatingPointError as exc:
-        raise DivergedField(f"RK4 segment [{t0:g}, {t1:g}] ({steps} steps of "
-                            f"h={hs:g}) overflowed: {exc}") from exc
+
+    def march():
+        for i in range(steps):
+            step(t0 + i * hs, hs)
+
+    _guarded(f"RK4 segment [{t0:g}, {t1:g}] ({steps} steps of h={hs:g})", march)
     return steps
 
 

@@ -23,11 +23,13 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .couplings import CouplingVector, _checked_int, _own_arrays, build_quadrature
+from .couplings import (CouplingVector, _checked_int, _is_integer, _own_arrays,
+                        build_quadrature)
 from .errors import IllConditioned, SingularMinor, StructureViolation
 from .moments import SkewMomentMatrix, _log_tau_jets, _skew_products, _stieltjes_basis
 from .report import IdentityReport
@@ -104,8 +106,6 @@ class TodaLax:
         a, b = _own_arrays(self, "a", "b")
         if a.ndim != 1 or b.ndim != 1 or len(b) != len(a) - 1:
             raise ValueError("need len(b) == len(a) - 1")
-        if not (np.isfinite(a).all() and np.isfinite(b).all()):
-            raise ValueError("a and b must be finite")
         if np.any(b <= 0):
             raise ValueError("off-diagonal entries must be positive")
 
@@ -158,8 +158,6 @@ class PfaffLax:
         if w.ndim != 2 or w.shape[0] != self.k_neg + self.k_pos + 1:
             raise ValueError(
                 f"window array must have {self.k_neg + self.k_pos + 1} rows")
-        if not np.isfinite(w).all():
-            raise ValueError("window entries must be finite")
 
     @property
     def n_sites(self) -> int:
@@ -181,17 +179,31 @@ class PfaffLax:
 
     @classmethod
     def from_json(cls, text: str) -> "PfaffLax":
-        """The window of `to_json`'s text.  A ValueError names N unless it is an integer
-        >= 1, Kpos unless one >= 0, a key unless "band,site" in the window, and the first
-        missing key of bands -k_neg..Kpos (k_neg = max(0, -lowest band)), sites 1..N."""
+        """The window of `to_json`'s text.  A ValueError names the text unless it is an
+        object with fields N, Kpos and w, w unless an object, N unless an integer >= 1,
+        Kpos unless one >= 0, a key unless "band,site" in the window, spelled as `to_json`
+        spells it (no leading zero, no sign on 0 or a site), a value unless a JSON number
+        (bool not) in the double range, and the first missing key of bands -k_neg..Kpos
+        (k_neg = max(0, -lowest band)), sites 1..N."""
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError(f"window text must be a JSON object, got {type(data).__name__}")
+        field = next((name for name in ("N", "Kpos", "w") if name not in data), None)
+        if field is not None:
+            raise ValueError(f"window text has no field {field!r}")
+        if not isinstance(data["w"], dict):
+            raise ValueError(f"window field 'w' must be an object, got {type(data['w']).__name__}")
         n_sites, k_pos = _checked_int("N", data["N"], 1), _checked_int("Kpos", data["Kpos"], 0)
         entries = {}
         for key, value in data["w"].items():
-            pair = re.fullmatch(r"(-?[0-9]+),([0-9]+)", key)
-            if not (pair and int(pair[1]) <= k_pos and 1 <= int(pair[2]) <= n_sites):
+            pair = re.fullmatch(r"(0|-?[1-9][0-9]*),([1-9][0-9]*)", key)
+            if not (pair and int(pair[1]) <= k_pos and int(pair[2]) <= n_sites):
                 raise ValueError(f"window key {key!r} is not 'band,site' with band <= "
                                  f"Kpos = {k_pos} and site in 1..{n_sites}")
+            if not (isinstance(value, float)
+                    or _is_integer(value) and abs(value) <= sys.float_info.max):
+                raise ValueError(f"window value at key {key!r} must be a JSON number in "
+                                 f"the double range, got {value!r}")
             entries[int(pair[1]), int(pair[2])] = float(value)
         k_neg = max(0, -min((ell for ell, _ in entries), default=0))
         keys = [(ell, n) for ell in range(-k_neg, k_pos + 1) for n in range(1, n_sites + 1)]

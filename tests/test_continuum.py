@@ -349,6 +349,14 @@ class TestHydroChain:
             with pytest.raises(DivergedField, match="chain march overflowed"):
                 evolve_hydro_chain(field, 0.3)
 
+    def test_step_budget_raises_typed_error(self, monkeypatch):
+        # the budget's refusal was never reached: 0.01 at CFL 0.2 on 41 cells
+        # takes more than 3 steps
+        monkeypatch.setattr(continuum, "_MAX_STEPS", 3)
+        field = HydroChainField.initial(np.linspace(0.25, 2.25, 41))
+        with pytest.raises(DivergedField, match="step budget exhausted before t_target"):
+            evolve_hydro_chain(field, 0.01)
+
     def test_rhs_evaluates_past_the_march_bound(self):
         # u^0 reaches 112 at t = 0.49; the RHS used to refuse any field past 50
         x = np.linspace(0.25, 2.25, 81)
@@ -543,6 +551,16 @@ class TestReducedContinuum:
             ReducedChainState(0.7, np.array([1.5, 2.5, 2.0])))
         assert abs(dwm1 - l_dwm1) < 1e-12
         assert np.max(np.abs(dw[:-1] - l_dw[:-1])) < 1e-12
+
+    def test_rates_off_the_manifold_raise_typed_error(self, monkeypatch):
+        # the manifold's refusal was never reached: rates that depend on x
+        def sloped(field):
+            du, dv = hydro_chain_rhs(field)
+            return du + field.x, dv
+
+        monkeypatch.setattr(continuum, "hydro_chain_rhs", sloped)
+        with pytest.raises(DivergedField, match="left the x-independent reduction manifold"):
+            reduced_continuum_rhs(0.5, [2.0, 2.0, 2.0])
 
     def test_matches_lattice_reduction_past_the_march_bound(self):
         # W^1 = 60 lies past the march's bound, which the RHS no longer reads

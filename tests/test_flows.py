@@ -73,6 +73,12 @@ class TestVolterra:
         with pytest.raises(ValueError, match="at least two sites"):
             volterra_rhs(B)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_line_refused(self, value):
+        # a NaN site gave NaN rates silently
+        with pytest.raises(ValueError, match=f"volterra_rhs needs finite sites, got {value}"):
+            volterra_rhs(np.array([1.0, value, 2.0, 3.0]))
+
     def test_state_validation(self):
         with pytest.raises(ValueError):
             VolterraState(np.array([1.0, -0.5]))
@@ -154,6 +160,23 @@ _EVERY_MARCH = pytest.mark.parametrize("march", [
     lambda times, h=1e-3: evolve_reduced(ReducedChainState(0.5, np.full(4, 2.0)), times, h=h),
     lambda times, h=1e-3: evolve(lambda t, y: y, np.ones(2), times, h=h),
 ], ids=["volterra", "toda", "pfaff", "reduced", "evolve"])
+
+
+# each returned inf or NaN, with a RuntimeWarning
+_OVERFLOWING_RATES = {
+    "volterra_rhs": lambda: volterra_rhs(np.full(6, 1e200), 4),
+    "toda_rhs": lambda: toda_rhs(TodaLax(np.full(6, 1e200), np.full(5, 1e200)), 2),
+    "pfaff_chain_rhs": lambda: pfaff_chain_rhs(PfaffLax(np.full((5, 6), 1e200), 2, 2)),
+    "reduced_chain_rhs": lambda: reduced_chain_rhs(ReducedChainState(0.5, np.full(4, 1e200))),
+}
+
+
+@pytest.mark.parametrize("name", _OVERFLOWING_RATES)
+def test_rhs_overflow_raises_typed_error(name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergedField, match=f"{name} overflowed"):
+            _OVERFLOWING_RATES[name]()
 
 
 def _refused_before_the_march(monkeypatch, match, march, *args):
@@ -811,6 +834,12 @@ class TestEvolutionResult:
         with pytest.raises(ValueError):
             EvolutionResult(np.array([0.0, 0.0]),
                             [VolterraState(np.ones(2))] * 2)
+
+    @pytest.mark.parametrize("n_states", [0, 1, 3])
+    def test_states_must_pair_with_times(self, n_states):
+        # one state for two times was accepted, and to_csv dropped the second row
+        with pytest.raises(ValueError, match=f"{n_states} states do not pair with 2 sample times"):
+            EvolutionResult(np.array([0.1, 0.2]), [VolterraState(np.ones(2))] * n_states)
 
     def test_csv_layouts(self):
         res = exact_oracles("t2-scaling", times=[0.0, 0.25], n_sites=2)

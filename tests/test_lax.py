@@ -270,6 +270,35 @@ def test_pfaff_lax_from_json_names_the_first_missing_key(data, message):
         PfaffLax.from_json(json.dumps(data))
 
 
+_ONE_SITE = '{"N": 1, "Kpos": 0, "w": %s}'
+_NOT_A_NUMBER = "window value at key '0,1' must be a JSON number in the double range, got "
+
+
+@pytest.mark.parametrize("text,message", [
+    # "00,1" overwrote "0,1", and "-0,1" and "0,01" read as "0,1"
+    (_ONE_SITE % '{"0,1": 1.0, "00,1": 2.0}', "key '00,1' is not"),
+    (_ONE_SITE % '{"-0,1": 1.0}', "key '-0,1' is not"),
+    (_ONE_SITE % '{"0,01": 1.0}', "key '0,01' is not"),
+    ('{"N": 1, "Kpos": 1, "w": {"0,1": 1.0, "01,1": 1.0}}', "key '01,1' is not"),
+    # "1.5" and true read as 1.5 and 1.0; null and a 401-digit integer raised
+    # a bare TypeError and OverflowError
+    (_ONE_SITE % '{"0,1": "1.5"}', _NOT_A_NUMBER + "'1.5'"),
+    (_ONE_SITE % '{"0,1": true}', _NOT_A_NUMBER + "True"),
+    (_ONE_SITE % '{"0,1": null}', _NOT_A_NUMBER + "None"),
+    (_ONE_SITE % ('{"0,1": 1%s}' % ("0" * 400)), _NOT_A_NUMBER + "1000"),
+    # a bare TypeError, KeyError and AttributeError
+    ("[1, 2]", "window text must be a JSON object, got list"),
+    ('{"N": 1, "Kpos": 0}', "window text has no field 'w'"),
+    ('{"Kpos": 0, "w": {}}', "window text has no field 'N'"),
+    (_ONE_SITE % "[1.0]", "window field 'w' must be an object, got list"),
+], ids=["key-00", "key-minus-0", "key-site-01", "key-band-01", "value-string",
+        "value-bool", "value-null", "value-past-double", "text-list", "no-w", "no-N",
+        "w-list"])
+def test_pfaff_lax_from_json_reads_only_what_to_json_writes(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PfaffLax.from_json(text)
+
+
 def test_pfaff_lax_get_guards():
     lax = goe_lax_init(3, 2, 2)
     with pytest.raises(IndexError):
@@ -424,7 +453,7 @@ def test_pfaff_lax_refuses_entries_that_are_not_finite(value):
     # a NaN window gave NaN chain rates
     w = np.ones((5, 6))
     w[2, 3] = value
-    with pytest.raises(ValueError, match="window entries must be finite"):
+    with pytest.raises(ValueError, match=re.escape(f"PfaffLax.w must be finite, got {value}")):
         PfaffLax(w, 2, 2)
 
 

@@ -90,3 +90,25 @@ def test_every_private_helper_has_a_library_caller():
                and node.name.startswith("_") and not node.name.startswith("__")}
     unread = sorted(f"{module}.{name}" for module, name in helpers if name not in read)
     assert not unread, f"private helpers no library code reads: {unread}"
+
+
+def test_every_record_array_passes_through_own_arrays():
+    # `couplings._own_arrays` is the one place a record copies, freezes and
+    # checks the finiteness of its arrays, so every np.ndarray field of a
+    # public dataclass is named in a call of it in the class's __post_init__
+    fields, missed = 0, []
+    for path in SRC.glob("*.py"):
+        for cls in ast.parse(path.read_text()).body:
+            if not (isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+                    and any("dataclass" in ast.unparse(d) for d in cls.decorator_list)):
+                continue
+            arrays = {node.target.id for node in cls.body if isinstance(node, ast.AnnAssign)
+                      and ast.unparse(node.annotation) == "np.ndarray"}
+            post = [node for node in cls.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "__post_init__"]
+            owned = {arg.value for call in ast.walk(ast.Module(post, []))
+                     if isinstance(call, ast.Call) and ast.unparse(call.func) == "_own_arrays"
+                     for arg in call.args[1:] if isinstance(arg, ast.Constant)}
+            fields += len(arrays)
+            missed += [f"{path.stem}.{cls.name}.{name}" for name in sorted(arrays - owned)]
+    assert fields and not missed, f"array fields not passed to _own_arrays: {missed}"

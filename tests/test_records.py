@@ -1,8 +1,10 @@
 """Records hold read-only copies of the arrays they are given: the caller's
 arrays stay writable, and no later write to them, or to their base, reaches
-a record that has already validated its fields."""
+a record that has already validated its fields.  No record holds a NaN or
++-inf entry in any array field."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -56,3 +58,18 @@ def test_record_owns_its_arrays(cls):
             held[...] = -5.0
     # the held copies still pass the record's own checks
     dataclasses.replace(record)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("cls,name", [pytest.param(cls, name, id=f"{cls.__name__}.{name}")
+                                      for cls, (values, _) in RECORDS.items()
+                                      for name in values])
+def test_record_refuses_non_finite_array_entries(cls, name, value):
+    # VolterraState took inf, EvolutionResult NaN times, QuadratureGrid,
+    # SkewMomentMatrix and SkewOrthoBasis either
+    values, others = RECORDS[cls]
+    bad = values[name].copy()
+    bad.flat[bad.size // 2] = value
+    with pytest.raises(ValueError, match=re.escape(f"{cls.__name__}.{name} must be finite, "
+                                                   f"got {value}")):
+        cls(**(values | {name: bad}), **others)

@@ -66,7 +66,7 @@ import numpy as np
 
 from .couplings import _checked_int, _checked_seed, _is_integer, _own_arrays
 from .errors import DivergedField, IndexOutOfWindow, PreBreakingViolated
-from .flows import _csv_text, _rk4_stepper
+from .flows import _csv_text, _guarded, _rk4_stepper
 from .report import IdentityReport
 
 __all__ = [
@@ -147,7 +147,7 @@ def spatial_derivative(f: np.ndarray, dx: float) -> np.ndarray:
     if not (math.isfinite(dx) and dx != 0.0):
         raise ValueError(f"dx must be finite and nonzero, got {dx!r}")
     g, apply = _stencil(f, dx)
-    apply()
+    _guarded("spatial_derivative", apply)
     return g
 
 
@@ -386,11 +386,8 @@ def hydro_chain_rhs(field: HydroChainField):
     Raises DivergedField when a rate overflows or turns invalid.
     """
     y = np.vstack((field.u, field.v))
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            rates = _hydro_kernel(field.dx, y.shape, field.k_neg)(y, np.empty_like(y))
-    except FloatingPointError as exc:
-        raise DivergedField(f"chain rates overflowed: {exc}") from exc
+    rates = _guarded("chain rates", _hydro_kernel(field.dx, y.shape, field.k_neg), y,
+                     np.empty_like(y))
     return rates[:-1], rates[-1]
 
 
@@ -802,7 +799,7 @@ def chain_matrix(point: TensorPoint) -> np.ndarray:
     """The quasilinear coefficient matrix A at the point, (2W+1)x(2W+1)."""
     plan = _tensor_plan(point.window)
     A = np.zeros(plan.n ** 2)
-    A[plan.a_code] = _matrix_entries(_point_row(point), plan)[0]
+    A[plan.a_code] = _guarded("chain_matrix", _matrix_entries, _point_row(point), plan)[0]
     return A.reshape(plan.n, plan.n)
 
 

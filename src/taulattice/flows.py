@@ -66,12 +66,14 @@ time; its public form takes rhs(t, y) returning the rates and adapts it in
 one line.  Its sampling loop, `_evolve`, also advances each lattice
 evolver's influence front, from the live state before each segment.
 
-Divergence: each RK4 segment, and each call of the four public right-hand
+Divergence: each RK4 segment, and each call of the five public right-hand
 sides, runs with floating-point overflow and invalid operations raising
 (`_guarded`), so the first overflowing step ends the run with DivergedField
 naming the segment, at no per-step cost, and an overflowing rate raises
-DivergedField naming its function.  The state is also checked for NaN or
-infinity at every sample time, which catches NaN input.
+DivergedField naming its function.  At each sample the loop refuses a NaN
+or infinite state, which catches NaN input, and builds the sample's record;
+a record's refusal (a site or off-diagonal entry that is not positive)
+ends the march there with DivergedField naming the time and step count.
 """
 
 from __future__ import annotations
@@ -113,7 +115,8 @@ class VolterraState:
         if B.ndim != 1 or len(B) == 0:
             raise ValueError("B must be a non-empty vector")
         if not np.all(B > 0):
-            raise ValueError("B must stay positive")
+            n = int(np.argmin(B > 0))
+            raise ValueError(f"B must stay positive, got B_{n + 1} = {B[n]:.3g}")
 
     @property
     def n_sites(self) -> int:
@@ -154,9 +157,7 @@ class EvolutionResult:
     stats: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        times, = _own_arrays(self, "times")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("sample times must be strictly increasing")
+        times = _checked_times(*_own_arrays(self, "times"))
         object.__setattr__(self, "states", tuple(self.states))
         if len(self.states) != len(times):
             raise ValueError(f"{len(self.states)} states do not pair with "
@@ -505,13 +506,16 @@ def pfaff_commutator_rhs(state: PfaffLax) -> np.ndarray:
     interior rows by more than 1e-10 max(1, max|w|)^3.
     """
     L = _dense_embedding(state)
-    Pi = _skew_block_projection(L @ L)
-    D = L @ Pi - Pi @ L
+    scale = np.float64(max(1.0, float(np.abs(state.w).max())))
+
+    def commutator():
+        Pi = _skew_block_projection(L @ L)
+        return L @ Pi - Pi @ L, 1e-10 * scale ** 3
+
+    D, thresh = _guarded("pfaff_commutator_rhs", commutator)
     n, k_neg, k_pos = state.n_sites, state.k_neg, state.k_pos
     dim = 2 * n
     kmax = max(k_neg, k_pos)
-    scale = max(1.0, float(np.abs(state.w).max()))
-    thresh = 1e-10 * scale ** 3
     g = max(min(2 * (n - (kmax + 2)), dim), 0)
     r, c = np.ogrid[:g, :g]
     protected = ((r + c) % 2 == 0) | (c > r + 1)
@@ -638,17 +642,26 @@ def _rk4_segment(rhs, y, t0, t1, h):
     return steps
 
 
-def _evolve(rhs, y0: np.ndarray, times, h: float, speed_of=None, start=None):
-    """`evolve` for a right-hand side rhs(t, y, out) that writes its rates
-    into out.  Given speed_of(y) and a start site, it also advances the
-    influence front: before each segment, the first from 0 included, the
-    front moves in by the segment's length times the live state's speed, to
-    no less than site 1; the stats' 'influence_index' is its floor."""
+def _checked_times(times) -> np.ndarray:
+    """times as a float vector; a ValueError unless they are finite, and then
+    a non-empty, 1-d, strictly increasing vector."""
     times = np.asarray(times, dtype=float)
     if not np.isfinite(times).all():
         raise ValueError("times must be finite")
     if times.ndim != 1 or len(times) == 0 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be a strictly increasing vector")
+    return times
+
+
+def _evolve(rhs, y0: np.ndarray, times, h: float, record, speed_of=None, start=None):
+    """`evolve` for a right-hand side rhs(t, y, out) that writes its rates
+    into out.  Returns record(y) of the live state at each sample, and
+    stats; a ValueError from record ends the march with DivergedField at
+    that sample.  Given speed_of(y) and a start site, it also advances the
+    influence front: before each segment, the first from 0 included, the
+    front moves in by the segment's length times the live state's speed, to
+    no less than site 1; the stats' 'influence_index' is its floor."""
+    times = _checked_times(times)
     if times[0] < 0:
         raise ValueError("sampling starts at t >= 0")
     if not 0.0 < h < math.inf:
@@ -663,11 +676,14 @@ def _evolve(rhs, y0: np.ndarray, times, h: float, speed_of=None, start=None):
             front = max(front - (t - t_prev) * speed_of(y), 1.0)
         if t > t_prev:
             total += _rk4_segment(rhs, y, t_prev, t, h)
+        where = f"at t={t:g} after {total} RK4 steps of h={h:g}"
         if not np.isfinite(y).all():
-            raise DivergedField(
-                f"trajectory not finite at t={t:g} after {total} RK4 steps "
-                f"of h={h:g}")
-        out.append(y.copy())
+            raise DivergedField(f"trajectory not finite {where}")
+        try:
+            state = record(y)
+        except ValueError as exc:
+            raise DivergedField(f"{exc} {where}") from exc
+        out.append(state)
         t_prev = t
     stats = {"stepper": "rk4", "h": h, "steps": total}
     if front is not None:
@@ -682,7 +698,7 @@ def evolve(rhs, y0: np.ndarray, times, *, h: float = 1e-3):
     sample.  Returns (states, stats).  Raises DivergedField when a segment
     overflows or a sampled state is not finite.
     """
-    return _evolve(lambda t, y, out: np.copyto(out, rhs(t, y)), y0, times, h)
+    return _evolve(lambda t, y, out: np.copyto(out, rhs(t, y)), y0, times, h, np.copy)
 
 
 def _ghost_closure(i2, i1, init_ghost):
@@ -727,17 +743,10 @@ def evolve_volterra(state: VolterraState, flow: int, times, *,
         np.dot(C, edge, ghosts)
         kernel(out)
 
-    ys, stats = _evolve(rhs, B0[:n], times, h, lambda y: 2.0 * abs(y[-1]), n)
+    states, stats = _evolve(rhs, B0[:n], times, h,
+                            lambda y: VolterraState(np.concatenate([y, C @ y[-2:]])),
+                            lambda y: 2.0 * abs(y[-1]), n)
     stats["n_evolve"] = n
-    states = []
-    for t, y in zip(np.asarray(times, dtype=float), ys):
-        B = np.concatenate([y, C @ y[-2:]])
-        if not np.all(B > 0):
-            site = int(np.argmin(B > 0))
-            where = " (closure)" if site >= n else ""
-            raise DivergedField(f"site B_{site + 1}{where} = {B[site]:.3g} <= 0 at "
-                                f"t={t:g} after RK4 steps of h={h:g}")
-        states.append(VolterraState(B))
     return EvolutionResult(times, states, stats)
 
 
@@ -748,13 +757,8 @@ def evolve_toda(state: TodaLax, flow: int, times, *, h: float = 1e-3) -> Evoluti
     """
     N = state.n_sites
     speed = (lambda y: 2.0 * abs(y[-1])) if flow == 1 else (lambda y: 2.0 * y[-1] ** 2)
-    ys, stats = _evolve(_toda_kernel(N, flow), np.concatenate([state.a, state.b]), times, h,
-                        speed, N)
-    for t, y in zip(np.asarray(times, dtype=float), ys):
-        if np.any(y[N:] <= 0):
-            raise DivergedField(f"off-diagonal entry {y[N:].min():.3g} <= 0 at t={t:g} "
-                                f"after RK4 steps of h={h:g}")
-    states = [TodaLax(y[:N], y[N:]) for y in ys]
+    states, stats = _evolve(_toda_kernel(N, flow), np.concatenate([state.a, state.b]), times, h,
+                            lambda y: TodaLax(y[:N], y[N:]), speed, N)
     return EvolutionResult(times, states, stats)
 
 
@@ -792,15 +796,16 @@ def evolve_pfaff(state: PfaffLax, times, *, h: float = 1e-3) -> EvolutionResult:
         np.add(strip, np.multiply(c1, a1, term), strip)
         kernel(out)
 
-    speed = lambda y: abs(y[K1, -1] * y[K1 + 1, -1])     # band 0 sits in row K1
-    ys, stats = _evolve(rhs, init[:, :n], times, h, speed, n)   # the window's shape
-    stats["n_evolve"] = n
-    states = []
     w = W0.copy()                               # one buffer: each PfaffLax copies it
-    for y in ys:
+
+    def record(y):
         w[1:-1, :n] = y
         w[1:-1, n:] = c2 * y[:, -2:-1] + c1 * y[:, -1:]
-        states.append(PfaffLax(w, k_neg, k_pos))
+        return PfaffLax(w, k_neg, k_pos)
+
+    speed = lambda y: abs(y[K1, -1] * y[K1 + 1, -1])     # band 0 sits in row K1
+    states, stats = _evolve(rhs, init[:, :n], times, h, record, speed, n)   # the window's shape
+    stats["n_evolve"] = n
     return EvolutionResult(times, states, stats)
 
 
@@ -809,8 +814,8 @@ def evolve_reduced(state: ReducedChainState, times, *, h: float = 1e-3) -> Evolu
     truncation closed by W^{K+1} := W^K."""
     K = state.k_max
     y0 = np.concatenate([[state.Wm1], state.W])
-    ys, stats = _evolve(_reduced_kernel(K), y0, times, h,
-                        lambda y: 2.0 * abs(y[0]) * (K + 1), K)
+    states, stats = _evolve(_reduced_kernel(K), y0, times, h,
+                            lambda y: ReducedChainState(y[0], y[1:]),
+                            lambda y: 2.0 * abs(y[0]) * (K + 1), K)
     stats["n_evolve"] = K + 1
-    states = [ReducedChainState(y[0], y[1:]) for y in ys]
     return EvolutionResult(times, states, stats)

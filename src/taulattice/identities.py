@@ -26,9 +26,9 @@ from .couplings import (CouplingVector, _checked_int, _checked_seed, build_quadr
                         cumulative_integral)
 from .errors import PreBreakingViolated, UnsupportedKind
 from .flows import (EvolutionResult, ReducedChainState, VolterraState,
-                    _sample_times, _volterra_jet, evolve_pfaff, evolve_reduced,
-                    evolve_volterra, pfaff_chain_rhs, pfaff_commutator_rhs,
-                    reduced_chain_rhs)
+                    _checked_times, _sample_times, _volterra_jet, evolve_pfaff,
+                    evolve_reduced, evolve_volterra, pfaff_chain_rhs,
+                    pfaff_commutator_rhs, reduced_chain_rhs)
 from .lax import (PfaffLax, TodaLax, _manifold_window, _skew_basis, _skew_gram_schmidt,
                   goe_lax_init, pfaff_entries_from_tau, pfaff_lax_from_basis,
                   skew_hermite_map_check, sqrt_ratio_product)
@@ -328,17 +328,16 @@ def exact_oracles(kind: str, **params) -> EvolutionResult:
     W^{-1} = 1/(2(1-2t)) and W^k = 2.  Both
     blow up at t = 1/2, so later times raise PreBreakingViolated.  Keywords:
     times, n_sites, and for t2-scaling ensemble, k_pos and k_neg; any other
-    keyword, any size that is not an integer and any time that is not
-    finite, or whose t2 scale 1 - 2t is not, raise a ValueError.
+    keyword, any size that is not an integer, times that are not a finite,
+    non-empty, strictly increasing vector and a time whose t2 scale 1 - 2t
+    is not finite raise a ValueError.
     """
     if kind not in _ORACLE_KEYWORDS:
         raise UnsupportedKind(f"unknown oracle kind {kind!r}")
     unread = sorted(set(params) - _ORACLE_KEYWORDS[kind])
     if unread:
         raise ValueError(f"oracle kind {kind!r} reads no keyword {unread[0]!r}")
-    times = np.asarray(params.get("times", [0.0]), dtype=float)
-    if not np.all(np.isfinite(times)):
-        raise ValueError(f"oracle times must be finite, got {times}")
+    times = _checked_times(params.get("times", [0.0]))
     n_sites = _checked_int("n_sites", params.get("n_sites", 16), 1)
     k_pos, k_neg = (_checked_int(name, params.get(name, 6), low)
                     for name, low in (("k_pos", 0), ("k_neg", 2)))

@@ -107,7 +107,8 @@ class TodaLax:
         if a.ndim != 1 or b.ndim != 1 or len(b) != len(a) - 1:
             raise ValueError("need len(b) == len(a) - 1")
         if np.any(b <= 0):
-            raise ValueError("off-diagonal entries must be positive")
+            n = int(np.argmax(b <= 0))
+            raise ValueError(f"off-diagonal entries must be positive, got b_{n + 1} = {b[n]:.3g}")
 
     @property
     def n_sites(self) -> int:

@@ -56,6 +56,13 @@ class TestSpatialDerivative:
             with pytest.raises(ValueError, match="dx"):
                 spatial_derivative(np.arange(6.0), dx)
 
+    def test_overflow_raises_typed_error(self):
+        # returned inf with a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergedField, match="spatial_derivative overflowed"):
+                spatial_derivative(np.array([1e308, -1e308] * 5), 0.1)
+
     @given(st.sampled_from([(5,), (9,), (201,), (3, 7), (15, 201), (2, 3, 11)]),
            st.booleans(), st.floats(1e-3, 1.0), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -526,6 +533,13 @@ class TestChainTable:
         assert t_stats == r_stats
         assert np.max(np.abs(table.u - rows.u)) <= 1e-12
         assert np.max(np.abs(table.v - rows.v)) <= 1e-12
+
+    def test_matrix_overflow_raises_typed_error(self):
+        # returned inf with a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergedField, match="chain_matrix overflowed"):
+                chain_matrix(TensorPoint(np.full(9, 1e200), 4))
 
     @given(st.integers(4, 14), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -40,6 +41,7 @@ class TestTridiagonal:
     @pytest.mark.parametrize("times, h, match", [
         ([3.0], 0.8, "segment"),            # the step overflows
         ([1.2], 1.2, "off-diagonal"),       # a finite sample has b <= 0
+        ([1.2, 50.0], 1.2, "off-diagonal"),  # named at t = 1.2, before the step to 50 overflows
     ])
     def test_non_positive_b_raises_typed_error(self, times, h, match):
         with pytest.raises(DivergedField, match=match):
@@ -87,6 +89,14 @@ class TestVolterra:
         with pytest.raises(ValueError):
             VolterraState(np.array([1.0, np.nan, 2.0]))
 
+    @pytest.mark.parametrize("B, message", [
+        ([1.0, -0.5], "B must stay positive, got B_2 = -0.5"),
+        ([1.0, 0.0, -3.0], "B must stay positive, got B_2 = 0"),
+    ])
+    def test_state_names_its_first_non_positive_site(self, B, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            VolterraState(np.array(B))
+
     def test_past_blow_up_raises(self):
         # B_n = n/(1-2t) blows up at t = 1/2
         with np.errstate(over="ignore", invalid="ignore"):
@@ -96,11 +106,26 @@ class TestVolterra:
 
     def test_site_that_turns_non_positive_is_named(self):
         # a closure site extrapolated below 0 ended in VolterraState's bare
-        # "B must stay positive"
+        # "B must stay positive"; site 40 of the 40-site line is a closure site
         B = np.random.default_rng(1).uniform(0.5, 1.5, 40)
-        with pytest.raises(DivergedField, match=r"site B_40 \(closure\) = -0\.0429 <= 0 "
-                                                r"at t=0\.3 after RK4 steps of h=0\.001"):
+        with pytest.raises(DivergedField, match=r"B must stay positive, got B_40 = -0\.0429 "
+                                                r"at t=0\.3 after 300 RK4 steps of h=0\.001"):
             evolve_volterra(VolterraState(B), 4, [0.1, 0.2, 0.3], h=1e-3)
+
+    def test_refused_sample_stops_the_march(self, monkeypatch):
+        # the sample at t = 0.3 is refused, so none of the 9 later segments runs
+        segments = []
+        march = flows._rk4_segment
+
+        def counting(*args):
+            segments.append(args[2:4])
+            return march(*args)
+
+        monkeypatch.setattr(flows, "_rk4_segment", counting)
+        B = np.random.default_rng(1).uniform(0.5, 1.5, 40)
+        with pytest.raises(DivergedField, match=r"at t=0\.3 after 300 RK4 steps"):
+            evolve_volterra(VolterraState(B), 4, np.linspace(0.1, 1.2, 12), h=1e-3)
+        assert len(segments) == 3
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4]),
            st.lists(st.floats(1e-3, 0.3), min_size=1, max_size=3, unique=True).map(sorted))
@@ -168,6 +193,7 @@ _OVERFLOWING_RATES = {
     "toda_rhs": lambda: toda_rhs(TodaLax(np.full(6, 1e200), np.full(5, 1e200)), 2),
     "pfaff_chain_rhs": lambda: pfaff_chain_rhs(PfaffLax(np.full((5, 6), 1e200), 2, 2)),
     "reduced_chain_rhs": lambda: reduced_chain_rhs(ReducedChainState(0.5, np.full(4, 1e200))),
+    "pfaff_commutator_rhs": lambda: pfaff_commutator_rhs(PfaffLax(np.full((7, 12), 1e200), 3, 3)),
 }
 
 
@@ -719,6 +745,16 @@ class TestDenseCommutator:
         else:
             assert new == old == message
 
+    def test_threshold_overflow_is_typed(self):
+        # the structure threshold 1e-10 max(1, max|w|)^3 raised a bare
+        # OverflowError from one entry of 1e103
+        w = goe_lax_init(12, 3, 3).w.copy()
+        w[0, 3] = 1e103
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergedField, match="pfaff_commutator_rhs overflowed"):
+                pfaff_commutator_rhs(PfaffLax(w, 3, 3))
+
     @given(st.integers(3, 30), st.integers(2, 6), st.integers(1, 6),
            st.integers(0, 2**32 - 1), st.booleans())
     @settings(max_examples=60, deadline=None)
@@ -834,6 +870,14 @@ class TestEvolutionResult:
         with pytest.raises(ValueError):
             EvolutionResult(np.array([0.0, 0.0]),
                             [VolterraState(np.ones(2))] * 2)
+
+    @pytest.mark.parametrize("times, n_states", [(0.1, 1), ([[0.1, 0.2]], 1), ([], 0)],
+                             ids=["scalar", "2-d", "empty"])
+    def test_times_must_be_a_vector(self, times, n_states):
+        # a 2-d row and an empty result were accepted, and the empty
+        # result's to_csv raised a bare IndexError
+        with pytest.raises(ValueError, match="^times must be a strictly increasing vector$"):
+            EvolutionResult(np.array(times), [VolterraState(np.ones(2))] * n_states)
 
     @pytest.mark.parametrize("n_states", [0, 1, 3])
     def test_states_must_pair_with_times(self, n_states):

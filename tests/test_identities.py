@@ -376,8 +376,17 @@ def test_oracles_refuse_unread_keywords_and_sizes_that_are_not_integers(kind, pa
 def test_oracles_refuse_times_that_are_not_finite(kind, params):
     # the orthogonal window at t = nan held nan rows
     for times in ([math.nan], [0.0, math.inf], [-math.inf, 0.1]):
-        with pytest.raises(ValueError, match="oracle times must be finite"):
+        with pytest.raises(ValueError, match="times must be finite"):
             exact_oracles(kind, times=times, n_sites=6, **params)
+
+
+@pytest.mark.parametrize("times", [0.1, [[0.1, 0.2]], []], ids=["scalar", "2-d", "empty"])
+@pytest.mark.parametrize("kind, params", [("t1-translation", {}), ("t2-scaling", {}),
+                                          ("t2-scaling", {"ensemble": "orthogonal"})])
+def test_oracles_refuse_times_that_are_not_a_vector(kind, params, times):
+    # a scalar raised a bare TypeError and an empty list returned an empty result
+    with pytest.raises(ValueError, match="^times must be a strictly increasing vector$"):
+        exact_oracles(kind, times=times, n_sites=6, **params)
 
 
 @pytest.mark.parametrize("ensemble", ["volterra", "orthogonal"])

@@ -427,6 +427,9 @@ def test_basis_too_small_rejected(t0):
     (np.array([np.nan, 0.0]), np.ones(1), "finite"),
     (np.zeros(3), np.array([1.0, np.inf]), "finite"),
     (np.zeros(3), np.array([np.nan, 1.0]), "finite"),
+    # the first entry that is not positive is named
+    (np.zeros(3), np.array([1.0, -2.0]), "^off-diagonal entries must be positive, got b_2 = -2$"),
+    (np.zeros(3), np.array([0.0, -2.0]), "^off-diagonal entries must be positive, got b_1 = 0$"),
 ])
 def test_toda_lax_refuses_bad_shapes_and_signs(a, b, match):
     with pytest.raises(ValueError, match=match):

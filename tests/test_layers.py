@@ -24,7 +24,7 @@ LAYERS = {
     "lax": {"couplings": ANY, "errors": ANY, "moments": ANY, "report": ANY},
     "flows": {"couplings": ANY, "errors": ANY, "lax": ANY},
     "continuum": {"couplings": ANY, "errors": ANY, "report": ANY,
-                  "flows": {"_rk4_stepper", "_csv_text"}},
+                  "flows": {"_rk4_stepper", "_csv_text", "_guarded"}},
 }
 _BELOW = list(LAYERS)
 LAYERS["identities"] = dict.fromkeys(_BELOW, ANY)
@@ -112,3 +112,25 @@ def test_every_record_array_passes_through_own_arrays():
             fields += len(arrays)
             missed += [f"{path.stem}.{cls.name}.{name}" for name in sorted(arrays - owned)]
     assert fields and not missed, f"array fields not passed to _own_arrays: {missed}"
+
+
+# (module, top-level function) -> why it catches FloatingPointError itself
+_FLOATING_POINT_HANDLERS = {
+    ("flows", "_guarded"): "the one guard: overflow -> DivergedField naming the call",
+    ("continuum", "evolve_hydro_chain"): "its message names the march's t and step count",
+    ("moments", "pfaffian"): "its partial-product fallback",
+}
+
+
+def test_floating_point_errors_are_caught_only_where_listed():
+    # every other overflow guard goes through `flows._guarded`
+    found = set()
+    for path in SRC.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.ExceptHandler) and node.type is not None
+                        and "FloatingPointError" in ast.unparse(node.type)):
+                    found.add((path.stem, getattr(top, "name", "<module>")))
+    assert found <= set(_FLOATING_POINT_HANDLERS), (
+        f"FloatingPointError caught outside flows._guarded: "
+        f"{sorted(found - set(_FLOATING_POINT_HANDLERS))}")

@@ -192,8 +192,10 @@ class HydroChainField:
             raise ValueError("need rows down to -2 and up to at least +2")
         if u.shape[1] != len(x) or v.shape != x.shape:
             raise ValueError("field shapes must match the grid")
-        if np.any(u[self.k_neg] <= 0):
-            raise ValueError("u^0 must stay positive on the grid")
+        if not np.all(u[self.k_neg] > 0):
+            i = int(np.argmin(u[self.k_neg] > 0))
+            raise ValueError(f"u^0 must stay positive, got u^0 = {u[self.k_neg, i]:.3g} "
+                             f"at x = {x[i]:.3g}")
         object.__setattr__(self, "time", float(self.time))
 
     @property
@@ -461,7 +463,10 @@ def evolve_hydro_chain(field: HydroChainField, t_target: float, *, edge_drive=No
         raise DivergedField(f"chain march overflowed at t={t:g} after {steps} "
                             f"steps: {exc}") from exc
 
-    out = HydroChainField(x, y[:-1], y[-1], k_neg, t_target)
+    try:
+        out = HydroChainField(x, y[:-1], y[-1], k_neg, t_target)
+    except ValueError as exc:
+        raise DivergedField(f"{exc} at t={t:g} after {steps} steps") from exc
     stats = {"steps": steps, "cfl": _CFL, "h_min": h_min if steps else 0.0, "h_max": h_max}
     return out, stats
 

@@ -70,10 +70,12 @@ Divergence: each RK4 segment, and each call of the five public right-hand
 sides, runs with floating-point overflow and invalid operations raising
 (`_guarded`), so the first overflowing step ends the run with DivergedField
 naming the segment, at no per-step cost, and an overflowing rate raises
-DivergedField naming its function.  At each sample the loop refuses a NaN
-or infinite state, which catches NaN input, and builds the sample's record;
-a record's refusal (a site or off-diagonal entry that is not positive)
-ends the march there with DivergedField naming the time and step count.
+DivergedField naming its function.  At each sample the loop builds the
+sample's record; a record's refusal (a NaN or infinite entry, as NaN input
+gives without an invalid operation, or a site or off-diagonal entry that
+is not positive) ends the march there with DivergedField naming the time and
+step count.  `evolve`'s record is a copy that refuses a NaN or infinite
+state.
 """
 
 from __future__ import annotations
@@ -676,13 +678,10 @@ def _evolve(rhs, y0: np.ndarray, times, h: float, record, speed_of=None, start=N
             front = max(front - (t - t_prev) * speed_of(y), 1.0)
         if t > t_prev:
             total += _rk4_segment(rhs, y, t_prev, t, h)
-        where = f"at t={t:g} after {total} RK4 steps of h={h:g}"
-        if not np.isfinite(y).all():
-            raise DivergedField(f"trajectory not finite {where}")
         try:
             state = record(y)
         except ValueError as exc:
-            raise DivergedField(f"{exc} {where}") from exc
+            raise DivergedField(f"{exc} at t={t:g} after {total} RK4 steps of h={h:g}") from exc
         out.append(state)
         t_prev = t
     stats = {"stepper": "rk4", "h": h, "steps": total}
@@ -698,7 +697,12 @@ def evolve(rhs, y0: np.ndarray, times, *, h: float = 1e-3):
     sample.  Returns (states, stats).  Raises DivergedField when a segment
     overflows or a sampled state is not finite.
     """
-    return _evolve(lambda t, y, out: np.copyto(out, rhs(t, y)), y0, times, h, np.copy)
+    def record(y):
+        if not np.isfinite(y).all():
+            raise ValueError("trajectory not finite")
+        return y.copy()
+
+    return _evolve(lambda t, y, out: np.copyto(out, rhs(t, y)), y0, times, h, record)
 
 
 def _ghost_closure(i2, i1, init_ghost):

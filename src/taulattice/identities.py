@@ -22,8 +22,7 @@ import numpy as np
 
 # the two continuum checks are SUITES entries, looked up here by name
 from .continuum import haantjes_scan, hopf_solve, hydro_scaling_check  # noqa: F401
-from .couplings import (CouplingVector, _checked_int, _checked_seed, build_quadrature,
-                        cumulative_integral)
+from .couplings import CouplingVector, _checked_int, _checked_seed
 from .errors import PreBreakingViolated, UnsupportedKind
 from .flows import (EvolutionResult, ReducedChainState, VolterraState,
                     _checked_times, _sample_times, _volterra_jet, evolve_pfaff,
@@ -32,7 +31,7 @@ from .flows import (EvolutionResult, ReducedChainState, VolterraState,
 from .lax import (PfaffLax, TodaLax, _manifold_window, _skew_basis, _skew_gram_schmidt,
                   goe_lax_init, pfaff_entries_from_tau, pfaff_lax_from_basis,
                   skew_hermite_map_check, sqrt_ratio_product)
-from .moments import _log_tau_jets, _log_tau_of_basis, _stieltjes_basis
+from .moments import _log_tau_jets, _log_tau_of_basis, _stieltjes_basis, skew_moment_matrix
 from .report import IdentityReport
 
 __all__ = [
@@ -170,22 +169,16 @@ def kp_residual(n: int = 2, t: CouplingVector = _T0, *,
 # ---------------------------------------------------------------------------
 # small-ensemble observables
 
-def _triangle_moments(t: CouplingVector, max_degree: int):
-    """T[i, j] = int_{x<y} x^i y^j rho(x) rho(y) dx dy, spectrally accurate."""
-    grid = build_quadrature(t, max_degree=2 * max_degree + 2)
-    powers = grid.nodes[None, :] ** np.arange(max_degree + 1)[:, None]
-    cums, _ = cumulative_integral(grid, powers * grid.rho)
-    return cums @ (powers * (grid.weights * grid.rho)).T
-
-
-def _pair_expectation(poly: dict, T: np.ndarray) -> float:
+def _pair_expectation(poly: dict, m: np.ndarray) -> float:
     """E over the ordered pair z1 < z2 of a symmetric polynomial, given as
-    {(i, j): coeff} for z1^i z2^j, under the density (z2 - z1) rho rho."""
+    {(i, j): coeff} for z1^i z2^j, under the density (z2 - z1) rho rho,
+    from the skew moments m[i][j] = <x^i, y^j> = (T[i][j] - T[j][i]) / 2,
+    T[i][j] the integral of z1^i z2^j rho rho over z1 < z2: for symmetric
+    coefficients the ratio below equals that of the T terms exactly."""
     num = 0.0
     for (i, j), cf in poly.items():
-        num += cf * (T[i, j + 1] - T[i + 1, j])
-    Z = T[0, 1] - T[1, 0]
-    return num / Z
+        num += cf * (m[i, j + 1] - m[i + 1, j])
+    return num / (m[0, 1] - m[1, 0])
 
 
 def observables_check(n: int = 1, t: CouplingVector = _T0, *,
@@ -200,8 +193,9 @@ def observables_check(n: int = 1, t: CouplingVector = _T0, *,
     leading blocks of its skew Gram, so (i) tests the Pfaffian pivots
     against the skew Gram-Schmidt, not the quadrature.  For n = 1,
     (ii) E[(z1+z2)^2] = w0_1 w1_1 and (iii) E[z1^2+z2^2] = 2 w^-1_1 +
-    w0_1 w1_1 against direct two-eigenvalue quadrature, with the entries
-    of pair 1 from Pfaffian tau-ratios.
+    w0_1 w1_1 against two-eigenvalue moments, ratios of skew moments
+    (`skew_moment_matrix`), with the entries of pair 1 from Pfaffian
+    tau-ratios.
     """
     n = _checked_int("n", n, 1)
     stieltjes = _stieltjes_basis("orthogonal", 2 * n + 4, t)
@@ -218,10 +212,10 @@ def observables_check(n: int = 1, t: CouplingVector = _T0, *,
     residual = res_mu * (tolerance / 1e-12)  # budget-normalized: (i) is held to 1e-12
     if n == 1:
         entries = pfaff_entries_from_tau(t, 1)
-        T = _triangle_moments(t, 4)
+        m = skew_moment_matrix(t, 8).m   # indices up to 3, on the grid of degree 10
         e_sum_sq = _pair_expectation({(0, 0): 0.0, (2, 0): 1.0, (0, 2): 1.0,
-                                      (1, 1): 2.0}, T)
-        e_sq_sum = _pair_expectation({(2, 0): 1.0, (0, 2): 1.0}, T)
+                                      (1, 1): 2.0}, m)
+        e_sq_sum = _pair_expectation({(2, 0): 1.0, (0, 2): 1.0}, m)
         w0, w1 = entries[(0, 1)], entries[(1, 1)]
         wm1 = entries[(-1, 1)]
         res2 = abs(e_sum_sq - w0 * w1) / max(abs(e_sum_sq), 1.0)

@@ -28,10 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .couplings import (CouplingVector, _checked_int, _is_integer, _own_arrays,
-                        build_quadrature)
+from .couplings import CouplingVector, _checked_int, _is_integer, _own_arrays
 from .errors import IllConditioned, SingularMinor, StructureViolation
-from .moments import SkewMomentMatrix, _log_tau_jets, _skew_products, _stieltjes_basis
+from .moments import SkewMomentMatrix, _log_tau_jets, _skew_gram, _stieltjes_basis
 from .report import IdentityReport
 
 __all__ = [
@@ -57,6 +56,11 @@ __all__ = [
 # h_n is 1 at zero coupling and about 4.4 at pair 202.
 _PAIR_FLOOR = 1e-12
 
+# `skew_hermite_map_check`'s monomial route cancels as the degree grows: its
+# residual reads 5.0e-10 at 16 pairs and 3.2e-9 at 17, past the default
+# tolerance 1e-9, so it refuses more pairs than this.
+_SKEW_MAP_REACH = 16
+
 
 def c_coeff(n) -> np.ndarray | float:
     """sqrt(2n(2n-1)), the site-dependent factor of the Gaussian skew window,
@@ -64,7 +68,10 @@ def c_coeff(n) -> np.ndarray | float:
     n = np.asarray(n, dtype=float)
     if not np.all(n >= 1.0):            # NaN fails too
         raise ValueError(f"sites must be at least 1, got {np.min(n)}")
-    out = np.sqrt(2.0 * n * (2.0 * n - 1.0))
+    with np.errstate(over="ignore"):    # refused below
+        out = np.sqrt(2.0 * n * (2.0 * n - 1.0))
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"sites must keep 2n(2n - 1) in the double range, got {np.max(n):g}")
     return float(out) if out.ndim == 0 else out
 
 
@@ -75,8 +82,11 @@ def nu_values(count: int) -> np.ndarray:
     if count == 0:
         return nu
     nu[0] = math.sqrt(math.pi)
-    for m in range(count - 1):
-        nu[m + 1] = nu[m] * (2 * m + 1) * (m + 1) / 2.0
+    with np.errstate(over="ignore"):    # refused below, by the first count past the range
+        for m in range(count - 1):
+            nu[m + 1] = nu[m] * (2 * m + 1) * (m + 1) / 2.0
+    if nu[-1] == math.inf:
+        raise ValueError(f"count must be at most {int(np.argmax(nu == math.inf))}, got {count}")
     return nu
 
 
@@ -441,10 +451,15 @@ def hermite_map_coeffs(n_pairs: int) -> np.ndarray:
     Q_{2n+1} = P_{2n+1} - n P_{2n-1}, P monic parity-Hermite."""
     n_pairs = _checked_int("n_pairs", n_pairs, 1)
     dim = 2 * n_pairs
-    C = _parity_hermite_coeffs(dim)
-    Q = C.copy()
-    for n in range(1, n_pairs):
-        Q[2 * n + 1] -= n * C[2 * n - 1]
+    with np.errstate(over="ignore", invalid="ignore"):   # refused below
+        C = _parity_hermite_coeffs(dim)
+        Q = C.copy()
+        for n in range(1, n_pairs):
+            Q[2 * n + 1] -= n * C[2 * n - 1]
+    # row k depends on rows below it only, so the first bad row's pair is the reach
+    bad = ~np.isfinite(Q).all(axis=1)
+    if bad.any():
+        raise ValueError(f"n_pairs must be at most {int(np.argmax(bad)) // 2}, got {n_pairs}")
     return Q
 
 
@@ -452,16 +467,18 @@ def skew_hermite_map_check(n_pairs: int = 6, *, tolerance: float = 1e-9) -> Iden
     """Verify the closed-form pair basis is skew-orthogonal at zero coupling.
 
     Builds Q from hermite_map_coeffs and checks <Q_{2n}, Q_{2m+1}> =
-    nu_n delta_{mn} (and zero same-parity pairings) by quadrature; the
-    residual is the largest violation of the nu-scaled Gram.
+    nu_n delta_{mn} (and zero same-parity pairings) on the skew Gram of
+    `moments._skew_gram`; the residual is the largest violation of the
+    nu-scaled Gram.  Refuses more than _SKEW_MAP_REACH (16) pairs, where the
+    monomials cancel past 1e-9.
     """
     n_pairs = _checked_int("n_pairs", n_pairs, 1)
-    t0 = CouplingVector.from_mapping({})
-    dim = 2 * n_pairs
-    grid = build_quadrature(t0, max_degree=dim + 2)
+    if n_pairs > _SKEW_MAP_REACH:
+        raise ValueError(f"n_pairs must be at most {_SKEW_MAP_REACH}, the reach of the "
+                         f"monomial route, got {n_pairs}")
     nu = nu_values(n_pairs)
     Qs = hermite_map_coeffs(n_pairs) / np.repeat(np.sqrt(nu), 2)[:, None]
-    S = _skew_products(grid, Qs @ grid.nodes ** np.arange(dim)[:, None], grid.rho)
+    S = _skew_gram(CouplingVector.from_mapping({}), Qs)
     expected = np.kron(np.eye(n_pairs), [[0.0, 1.0], [-1.0, 0.0]])
     residual = float(np.abs(S - expected).max())
     meta = {"n_pairs": n_pairs, "<Q0,Q1>": float(S[0, 1] * nu[0])}

@@ -19,10 +19,16 @@ basis.  Coupling derivatives of log tau are exact jets on the same basis:
 shifting t_a multiplies rho by e^{s z^a}, and z q = J q with J the Jacobi
 matrix of the recurrence (Gautschi 2004; Adler & van Moerbeke 2002).
 
-Every tau route (the skew moments, the Stieltjes bases and their jets, and
-the skew bases and small-ensemble moments built on them) reads grids of
-`build_quadrature`'s one recipe: 24-point panels whose radius and panel
-count are held to 1e-12 relative.  No route chooses a tolerance.
+This is the one module that builds grids and integrates on them: `lax` and
+`identities` read its results.  Every route (the skew moments, the
+Stieltjes bases and their jets, and the skew bases and small-ensemble
+moments built on them) reads grids of `build_quadrature`'s one recipe:
+24-point panels whose radius and panel count are held to 1e-12 relative.
+No route chooses a tolerance.  Outside the Stieltjes bases, one routine,
+`_skew_gram`, takes the skew products of polynomials given by monomial
+coefficients; it serves the skew moment matrix, the skew-map check
+(`lax.skew_hermite_map_check`) and C09's two-eigenvalue moments, which are
+ratios of skew moments (`identities.observables_check`).
 """
 
 from __future__ import annotations
@@ -77,14 +83,21 @@ class SkewMomentMatrix:
         return self.m.shape[0]
 
 
+def _skew_gram(t: CouplingVector, coeffs: np.ndarray) -> np.ndarray:
+    """The skew products `_skew_products` under rho of the polynomials whose
+    monomial coefficients are the rows of coeffs, on the grid of degree
+    coeffs.shape[1] + 2."""
+    grid = build_quadrature(t, max_degree=coeffs.shape[1] + 2)
+    powers = grid.nodes[None, :] ** np.arange(coeffs.shape[1])[:, None]
+    return _skew_products(grid, coeffs @ powers, grid.rho)
+
+
 def skew_moment_matrix(t: CouplingVector, size: int) -> SkewMomentMatrix:
     """Skew products m[i][j] = <x^i, y^j> for i, j < size (size even)."""
     size = _checked_int("size", size, 1)
     if size % 2:
         raise ValueError(f"size must be a positive even integer, got {size}")
-    grid = build_quadrature(t, max_degree=size + 2)
-    powers = grid.nodes[None, :] ** np.arange(size)[:, None]
-    return SkewMomentMatrix(_skew_products(grid, powers, grid.rho), t)
+    return SkewMomentMatrix(_skew_gram(t, np.eye(size)), t)
 
 
 def _pfaffian_pivots(A: np.ndarray):

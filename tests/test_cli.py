@@ -93,6 +93,13 @@ def test_sizes_with_nothing_to_check_are_config_errors(tmp_path, capsys, argv):
     assert json.loads(err)["error"] == "config"
 
 
+def test_skew_map_past_its_reach_is_a_config_error(tmp_path, capsys):
+    # exited 1 with a failing report: the monomial route, not the identity, failed
+    rc, _, err = run(capsys, "--out", str(tmp_path), "verify", "skew-map", "--n", "17")
+    assert rc == 2
+    assert json.loads(err)["error"] == "config"
+
+
 def test_verify_init_goe_on_one_site(tmp_path, capsys):
     # the meta read w^1_2, which a one-site window does not have, and the
     # IndexError escaped main; it reads NaN there, as w^2_1 does without band 2

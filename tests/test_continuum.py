@@ -206,6 +206,16 @@ class TestHydroField:
         with pytest.raises(ValueError):
             HydroChainField(x, good.u[:4], good.v, 4)
 
+    def test_first_non_positive_u0_cell_is_named(self):
+        # read "u^0 must stay positive on the grid", naming no cell
+        x = np.linspace(0.5, 1.5, 11)
+        good = HydroChainField.initial(x)
+        bad = good.u.copy()
+        bad[good.k_neg, [3, 6]] = -0.25, 0.0
+        with pytest.raises(ValueError, match=re.escape(
+                "u^0 must stay positive, got u^0 = -0.25 at x = 0.8")):
+            HydroChainField(x, bad, good.v, good.k_neg)
+
     def test_field_shapes_off_the_grid_refused(self):
         x = np.linspace(0.5, 1.5, 11)
         good = HydroChainField.initial(x)
@@ -311,6 +321,20 @@ class TestHydroChain:
         report = hydro_scaling_check(t_target=0.1, n_x=101)
         assert report.passed
         assert report.residual_abs < 1e-7
+
+    def test_march_that_ends_on_a_non_positive_u0_raises_typed_error(self):
+        # a drawn u^0 and u^1 drive u^0 through zero inside the bound: the
+        # returned field's record raised a bare ValueError
+        x = np.linspace(0.25, 2.25, 41)
+        f = HydroChainField.initial(x, 4, 6)
+        rng = np.random.default_rng(4361)
+        u = f.u.copy()
+        u[4] = rng.uniform(0.001, 2.0, 41)
+        u[5] = rng.uniform(-3.0, 3.0, 41)
+        with pytest.raises(DivergedField, match=re.escape(
+                "u^0 must stay positive, got u^0 = -0.777 at x = 0.95 at t=0.02 "
+                "after 19 steps")):
+            evolve_hydro_chain(HydroChainField(x, u, f.v, 4), 0.02)
 
     # u^0 must stay positive, so it is pushed past the bound upwards only
     @pytest.mark.parametrize("row,sign", [("u^-3", 1.0), ("u^-3", -1.0), ("u^0", 1.0),

@@ -325,6 +325,16 @@ def test_skew_map_check_report(t0):
     assert abs(report.meta["<Q2,Q3>"] - 0.5 * SQRT_PI) < 1e-11
 
 
+def test_skew_map_check_refuses_pairs_past_its_reach():
+    # 17 pairs failed the check's own tolerance 1e-9 (residual 3.2e-9) by
+    # monomial cancellation, and 100 overflowed
+    assert skew_hermite_map_check(16).passed
+    for n_pairs in (17, 100):
+        with pytest.raises(ValueError, match=f"n_pairs must be at most 16, the reach of the "
+                                             f"monomial route, got {n_pairs}"):
+            skew_hermite_map_check(n_pairs)
+
+
 def _monic_h(basis):
     """The pair products of `basis` in the monic scale: h_n r_{2n}^2, with
     r_k^2 = exp(log_h[k]) the monic norms of the same Stieltjes basis."""
@@ -473,10 +483,15 @@ def test_pfaff_lax_stores_numpy_band_counts_as_ints():
     (lambda: sqrt_ratio_product(1.5, 2), "start must be an integer, got 1.5"),
     (lambda: sqrt_ratio_product(1, 2.5), "count must be an integer, got 2.5"),
     (lambda: hermite_map_coeffs(True), "n_pairs must be an integer, got True"),
-    (lambda: hermite_map_coeffs(2.5), "n_pairs must be an integer, got 2.5")])
+    (lambda: hermite_map_coeffs(2.5), "n_pairs must be an integer, got 2.5"),
+    (lambda: nu_values(100), "count must be at most 99, got 100"),
+    (lambda: hermite_map_coeffs(168), "n_pairs must be at most 167, got 168"),
+    (lambda: c_coeff(6.71e153), re.escape("sites must keep 2n(2n - 1) in the double range, "
+                                          "got 6.71e+153"))])
 def test_closed_forms_refuse_sizes_by_name(call, message):
     # nu_values and sqrt_ratio_product raised numpy's or range's messages,
-    # and hermite_map_coeffs(True) returned a one-pair basis
+    # and hermite_map_coeffs(True) returned a one-pair basis; sizes past the
+    # double range warned and returned inf
     with pytest.raises(ValueError, match=message):
         call()
 

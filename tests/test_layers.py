@@ -21,13 +21,15 @@ LAYERS = {
     "numdiff": {},
     "couplings": {"errors": ANY},
     "moments": {"couplings": ANY, "errors": ANY},
-    "lax": {"couplings": ANY, "errors": ANY, "moments": ANY, "report": ANY},
+    "lax": {"couplings": {"CouplingVector", "_checked_int", "_is_integer", "_own_arrays"},
+            "errors": ANY, "moments": ANY, "report": ANY},
     "flows": {"couplings": ANY, "errors": ANY, "lax": ANY},
     "continuum": {"couplings": ANY, "errors": ANY, "report": ANY,
                   "flows": {"_rk4_stepper", "_csv_text", "_guarded"}},
 }
 _BELOW = list(LAYERS)
 LAYERS["identities"] = dict.fromkeys(_BELOW, ANY)
+LAYERS["identities"]["couplings"] = {"CouplingVector", "_checked_int", "_checked_seed"}
 LAYERS["cli"] = dict.fromkeys(_BELOW + ["identities"], ANY)
 
 

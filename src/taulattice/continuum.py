@@ -10,7 +10,10 @@ diagnostic for the chain's coefficient matrix (Nijenhuis / Haantjes).
 The monomial table `_matrix_terms` is the single encoding of the chain: the
 RHS that `evolve_hydro_chain` integrates, the coefficient matrix and its
 gradient all read it, compiled once per window shape into index arrays, so
-the Haantjes scan certifies the matrix of the chain being integrated.
+the Haantjes scan certifies the matrix of the chain being integrated.  The
+x-independent reduction has one encoding too: `reduced_continuum_rhs`
+builds its field with one linear row map and holds the chain's rates to
+that map's tangent.
 
 Each RHS evaluation makes one stencil pass over one buffer holding the
 window, its two closure rows (each a copy of the window's edge row: the
@@ -169,7 +172,8 @@ class HydroChainField:
 
     The grid is uniform with x > 0 throughout; u^0 must stay positive since
     it divides both the reduction ansatz and the fixed source closure of the
-    v equation.  Row ell of `u` lives at index ell + k_neg.
+    v equation.  Row ell of `u` lives at index ell + k_neg.  The time stamp
+    is a finite number (a bool is refused).
     """
 
     x: np.ndarray
@@ -196,6 +200,8 @@ class HydroChainField:
             i = int(np.argmin(u[self.k_neg] > 0))
             raise ValueError(f"u^0 must stay positive, got u^0 = {u[self.k_neg, i]:.3g} "
                              f"at x = {x[i]:.3g}")
+        if isinstance(self.time, (bool, np.bool_)) or not math.isfinite(self.time):
+            raise ValueError(f"time must be a finite number, got {self.time!r}")
         object.__setattr__(self, "time", float(self.time))
 
     @property
@@ -403,9 +409,11 @@ def evolve_hydro_chain(field: HydroChainField, t_target: float, *, edge_drive=No
     field and a stats dict.  Raises DivergedField at the first overflowing
     or invalid operation, when a field magnitude exceeds 50 at the start of
     a step, or when `_MAX_STEPS` (200000) steps are spent before t_target.
+    A t_target that is a bool, not finite or before the field's time raises
+    ValueError before the march.
     """
-    if not math.isfinite(t_target):
-        raise ValueError(f"t_target must be finite, got {t_target}")
+    if isinstance(t_target, (bool, np.bool_)) or not math.isfinite(t_target):
+        raise ValueError(f"t_target must be finite and not a bool, got {t_target}")
     if t_target < field.time:
         raise ValueError("t_target must not precede the field's time stamp")
     x, dx, k_neg = field.x, field.dx, field.k_neg
@@ -500,38 +508,31 @@ def reduced_continuum_rhs(wm1: float, w):
     """Rates of the x-independent reduction, read off the full chain RHS.
 
     On the manifold u^{-k}=0 (k>1), u^{-1}=wm1, u^0=2x*wm1, u^k=w[k-1] the
-    chain collapses to one ODE system in t alone.  This routine builds the
-    constrained field on 41 cells of [0.5, 1.5], evaluates hydro_chain_rhs,
-    verifies the collapse to 1e-9 of the rates' scale (negative rows stay
-    zero, rates are x-independent, the u^0 rate is 2x times the u^{-1}
-    rate) and returns (dwm1, dw, meta).  The window's bottom row u^{-3} is
-    zero on the manifold, so its copied closure row is zero too; the top
+    chain collapses to one ODE system in t alone.  The linear map rows(wm1,
+    w) builds that field on 41 cells of [0.5, 1.5]; the chain's rates must
+    meet its tangent rows(dwm1, dw), at their row means, to 1e-9 of their
+    scale.  Returns (dwm1, dw, {"tangent_gap": gap}).  The bottom row u^{-3}
+    is zero on the manifold, so its copied closure row is zero too; the top
     closure copies u^K, as the lattice reduced chain sets W^{K+1} := W^K.
     """
-    w = np.asarray(w, dtype=float)
-    K = len(w)
+    wm1, w = float(wm1), np.asarray(w, dtype=float)
     x = np.linspace(0.5, 1.5, 41)
     k_neg = 3
-    rows = np.zeros((k_neg + K + 1, len(x)))
-    rows[k_neg - 1] = float(wm1)
-    rows[k_neg] = 2.0 * x * float(wm1)
-    for k in range(1, K + 1):
-        rows[k_neg + k] = w[k - 1]
-    field = HydroChainField(x, rows, np.full_like(x, -float(wm1) / 2.0), k_neg)
-    du, dv = hydro_chain_rhs(field)
 
-    deep = float(np.max(np.abs(du[:k_neg - 1])))
-    spread = float(max(np.ptp(du[k_neg - 1]),
-                       max(np.ptp(du[k_neg + k]) for k in range(1, K + 1))))
+    def rows(wm1, w):
+        u = np.zeros((k_neg + len(w) + 1, len(x)))
+        u[k_neg - 1] = wm1
+        u[k_neg] = 2.0 * x * wm1
+        u[k_neg + 1:] = w[:, None]
+        return u
+
+    du = hydro_chain_rhs(HydroChainField(x, rows(wm1, w), np.full_like(x, -wm1 / 2.0), k_neg))[0]
     dwm1 = float(np.mean(du[k_neg - 1]))
-    proportional = float(np.max(np.abs(du[k_neg] - 2.0 * x * dwm1)))
-    scale = float(np.max(np.abs(du))) + 1.0
-    if max(deep, spread, proportional) > 1e-9 * scale:
-        raise DivergedField("field left the x-independent reduction manifold")
     dw = du[k_neg + 1:].mean(axis=1)
-    meta = {"deep_rows": deep, "x_independence": spread,
-            "u0_proportionality": proportional}
-    return dwm1, dw, meta
+    gap = float(np.max(np.abs(du - rows(dwm1, dw))))
+    if gap > 1e-9 * (float(np.max(np.abs(du))) + 1.0):
+        raise DivergedField("field left the x-independent reduction manifold")
+    return dwm1, dw, {"tangent_gap": gap}
 
 
 # ---------------------------------------------------------------------------

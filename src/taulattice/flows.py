@@ -219,7 +219,7 @@ def _toda_kernel(n: int, flow: int):
     Out-of-window b is zero (finite-matrix closure, exact for the truncated
     operator); under it a_{n+1} only ever appears multiplied by b_n.
     """
-    if flow not in (1, 2):
+    if _checked_int("flow", flow) not in (1, 2):
         raise ValueError(f"tridiagonal flows are 1 or 2, got {flow}")
     bsq = np.zeros(n + 1)                      # b_0^2, b_1^2..b_{n-1}^2, b_n^2 = 0
     bsq_in, bsq_hi, bsq_lo = bsq[1:n], bsq[1:], bsq[:-1]
@@ -274,7 +274,7 @@ def _volterra_kernel(Bp: np.ndarray, flow: int):
     B_n (B_{n-1} B_{n+1} + V4_{n-1} + V4_n + V4_{n+1}) with V4 the flow-4
     potential, and the rates are B_n (V_{n+1} - V_{n-1}).
     """
-    if flow not in (2, 4, 6):
+    if _checked_int("flow", flow) not in (2, 4, 6):
         raise ValueError(f"Volterra flows are 2, 4 or 6, got {flow}")
     mul, add, sub = np.multiply, np.add, np.subtract
     mid, c = Bp[4:-4], Bp[3:-3]               # the rated sites; potential sites
@@ -662,12 +662,16 @@ def _evolve(rhs, y0: np.ndarray, times, h: float, record, speed_of=None, start=N
     that sample.  Given speed_of(y) and a start site, it also advances the
     influence front: before each segment, the first from 0 included, the
     front moves in by the segment's length times the live state's speed, to
-    no less than site 1; the stats' 'influence_index' is its floor."""
+    no less than site 1; the stats' 'influence_index' is its floor.  A
+    step h that is a bool, not finite and positive, or without a finite
+    step count up to the last sample raises ValueError before any step."""
     times = _checked_times(times)
     if times[0] < 0:
         raise ValueError("sampling starts at t >= 0")
-    if not 0.0 < h < math.inf:
+    if isinstance(h, (bool, np.bool_)) or not 0.0 < h < math.inf:
         raise ValueError(f"h must be finite and positive, got {h}")
+    if not float(times[-1]) / float(h) < math.inf:
+        raise ValueError(f"h = {h} gives no finite step count up to t = {times[-1]:g}")
     out = []
     y = np.array(y0, dtype=float)
     t_prev = 0.0

@@ -230,6 +230,28 @@ def test_bad_step_refused_before_the_march(monkeypatch, march, h):
     _refused_before_the_march(monkeypatch, "h must be finite and positive", march, [0.1], h)
 
 
+@_EVERY_MARCH
+def test_step_without_a_finite_step_count_refused_before_the_march(monkeypatch, march):
+    # 1/1e-320 overflows: the march ended in a bare OverflowError
+    _refused_before_the_march(monkeypatch, "h = 1e-320 gives no finite step count up to t = 1",
+                              march, [0.5, 1.0], 1e-320)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: evolve_toda(gue_lax_init(6), True, [0.1]),
+    lambda: toda_rhs(gue_lax_init(6), True),
+    lambda: toda_rhs(gue_lax_init(6), 1.0),
+    lambda: volterra_rhs(np.ones(6), 4.0),
+    lambda: volterra_rhs(np.ones(6), "2"),
+    lambda: evolve_volterra(VolterraState(np.arange(1.0, 9.0)), 2.0, [0.1]),
+], ids=["evolve_toda-bool", "toda_rhs-bool", "toda_rhs-float", "volterra_rhs-float",
+        "volterra_rhs-str", "evolve_volterra-float"])
+def test_flow_index_that_is_not_an_integer_refused(call):
+    # True ran flow 1 and 4.0 flow 4; "2" was told that flows are 2, 4 or 6
+    with pytest.raises(ValueError, match="flow must be an integer, got "):
+        call()
+
+
 # evolver -> (initial state, march over times, edge speed of a state, front's start)
 _FRONTS = {
     "volterra-2": (VolterraState(np.arange(1.0, 25.0)),

@@ -287,6 +287,24 @@ class TestReductionInvariants:
         assert report.passed, report.meta
         assert report.meta["k_max"] == min(6, K)
 
+    @given(st.floats(-3.0, 0.3), st.integers(2, 9), st.integers(16, 64), st.integers(2, 7),
+           st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_each_band_is_held_on_its_own_scale(self, log_wm1, K, N, k_neg, seed, data):
+        # W^-1 from 1e-3 to 2: w^-1 is held over its own size W^-1, so a
+        # relative 1e-6 move of one entry fails however small W^-1 is; over
+        # max(1, W^-1) or the window's largest entry it passes below 0.01
+        rng = np.random.default_rng(seed)
+        states = [_manifold_window(10.0 ** log_wm1 * rng.uniform(0.5, 1.5),
+                                   rng.uniform(0.5, 3.0, K + 2),
+                                   N, k_neg) for _ in range(3)]
+        assert reduction_invariants(EvolutionResult(np.arange(3.0), states)).passed
+        sample, site = data.draw(st.integers(0, 2)), data.draw(st.integers(0, N - 9))
+        w = states[sample].w.copy()
+        w[k_neg - 1, site] *= 1.0 + 1e-6
+        states[sample] = PfaffLax(w, k_neg, K + 2)
+        assert not reduction_invariants(EvolutionResult(np.arange(3.0), states)).passed
+
     @pytest.mark.parametrize("ell", range(-7, 7))
     def test_fails_when_one_entry_leaves_the_manifold(self, c04_trajectory, ell):
         # every band -k_neg .. k_max, every site n <= n_max of the last sample;

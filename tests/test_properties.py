@@ -2,14 +2,20 @@
 and generates the arrays with default_rng so shrinking stays cheap."""
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from taulattice import (CouplingVector, HydroChainField, PfaffLax,
-                        TensorPoint, build_quadrature, hydro_chain_rhs,
+from taulattice import (CouplingVector, HydroChainField, PfaffLax, ReducedChainState,
+                        TauLatticeError, TensorPoint, VolterraState, build_quadrature,
+                        evolve_hydro_chain, evolve_pfaff, evolve_reduced, evolve_toda,
+                        evolve_volterra, goe_lax_init, gue_lax_init, hydro_chain_rhs,
                         nijenhuis, nijenhuis_closed_form, pfaff_chain_rhs,
-                        pfaff_commutator_rhs, pfaffian, spatial_derivative)
+                        pfaff_commutator_rhs, pfaffian, spatial_derivative, toda_rhs,
+                        volterra_rhs)
 
 couplings = st.dictionaries(
     st.integers(min_value=1, max_value=8),
@@ -104,3 +110,58 @@ def test_v_equation_closure_source_cancels(seed):
     u0 = rng.uniform(0.2, 3.0, len(x))
     term = u0 * spatial_derivative(u0 * (1.0 / (2.0 * u0)), dx)
     assert np.max(np.abs(term)) < 1e-11
+
+
+# The entry-point contract, scoped to flow indices, step sizes and a field's
+# time stamp: what an argument cannot mean is refused with a ValueError or a
+# TauLatticeError, never a bare OverflowError, a RuntimeWarning or a return.
+
+def _refused(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises((ValueError, TauLatticeError)):
+            call()
+
+
+@given(st.one_of(st.booleans(), st.floats(), st.integers(max_value=0)),
+       st.sampled_from(["toda_rhs", "volterra_rhs", "evolve_toda", "evolve_volterra"]))
+@settings(max_examples=60, deadline=None)
+def test_flow_index_that_names_no_flow_is_refused(flow, call):
+    # every float, NaN, +-inf, 0.0, negatives and subnormals included, is no flow
+    _refused({"toda_rhs": lambda: toda_rhs(gue_lax_init(4), flow),
+              "volterra_rhs": lambda: volterra_rhs(np.ones(6), flow),
+              "evolve_toda": lambda: evolve_toda(gue_lax_init(4), flow, [0.1]),
+              "evolve_volterra": lambda: evolve_volterra(VolterraState(np.ones(8)), flow,
+                                                         [0.1])}[call])
+
+
+@given(st.one_of(st.booleans(), st.floats(max_value=0.0), st.just(math.nan), st.just(math.inf),
+                 st.floats(min_value=5e-324, max_value=2.2250738585072014e-308,
+                           exclude_max=True)),
+       st.sampled_from(["volterra", "toda", "pfaff", "reduced"]))
+@settings(max_examples=60, deadline=None)
+def test_step_that_names_no_march_is_refused(h, march):
+    # over [0, 10] no subnormal h has a finite step count; a count that is
+    # finite but past any budget is marched
+    times = [10.0]
+    _refused({"volterra": lambda: evolve_volterra(VolterraState(np.ones(8)), 2, times, h=h),
+              "toda": lambda: evolve_toda(gue_lax_init(4), 1, times, h=h),
+              "pfaff": lambda: evolve_pfaff(goe_lax_init(12, 4, 4), times, h=h),
+              "reduced": lambda: evolve_reduced(ReducedChainState(0.5, np.full(4, 2.0)), times,
+                                                h=h)}[march])
+
+
+@given(st.one_of(st.booleans(), st.floats()))
+@settings(max_examples=60, deadline=None)
+def test_field_time_is_a_finite_number_or_refused(time):
+    # 0, negative and subnormal times are times: the field keeps them and
+    # marches from them; bool, NaN and +-inf are refused
+    start = HydroChainField.initial(np.linspace(0.5, 1.5, 11))
+    if isinstance(time, bool) or not math.isfinite(time):
+        _refused(lambda: evolve_hydro_chain(replace(start, time=time), 0.1))
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        field = replace(start, time=time)
+        out, _ = evolve_hydro_chain(field, time + 1e-3)
+    assert field.time == time and out.time == time + 1e-3

@@ -52,8 +52,11 @@ lattice evolvers' RK4 stepper, `flows._rk4_stepper`, whose stage buffers
 are made once per march and whose right-hand sides write their rates into
 a buffer it passes (`rhs(t, y, out)`).  The march zeroes the rates of its
 boundary strips, so its kernel skips their one-sided derivatives.  The
-RHS only computes; the march alone holds its state to magnitude 50 before
-each step.  Overflow and invalid operations raise DivergedField in both.
+RHS only computes; the march alone holds its state to magnitude 50, at the
+start and after every step, so no field it returns is past 50.  Overflow
+and invalid operations raise DivergedField in both, through the lattice
+marches' guard `flows._guarded`, and the march spends at most their step
+budget `flows._MAX_STEPS`.
 
 Sign conventions follow the lattice: the k>=0 half of the chain never reads
 negative-index fields, so it can be integrated on its own.
@@ -69,7 +72,7 @@ import numpy as np
 
 from .couplings import _checked_int, _checked_seed, _is_integer, _own_arrays
 from .errors import DivergedField, IndexOutOfWindow, PreBreakingViolated
-from .flows import _csv_text, _guarded, _rk4_stepper
+from .flows import _MAX_STEPS, _csv_text, _guarded, _rk4_stepper
 from .report import IdentityReport
 
 __all__ = [
@@ -89,7 +92,6 @@ __all__ = [
 ]
 
 _CFL, _BOUND = 0.2, 50.0       # the chain march's CFL number and bound on |field|
-_MAX_STEPS = 200000            # the chain march's step budget
 
 
 def _stencil(f: np.ndarray, dx: float, *, edges: bool = True):
@@ -256,7 +258,9 @@ def hopf_solve(u0, c: float, k: int, x, t: float) -> np.ndarray:
     point's root is then found by one vectorised bisection on its cell.
     u0 must accept arrays, c must be finite, k an integer with a double
     value (|k| up to about 1.8e308) and the grid x a non-empty, finite and
-    strictly ascending 1-d array.
+    strictly ascending 1-d array.  A value of u0 that is not finite, at
+    t = 0 or among the returned values, raises ValueError naming the first
+    such grid point.
     """
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
@@ -273,7 +277,7 @@ def hopf_solve(u0, c: float, k: int, x, t: float) -> np.ndarray:
         raise ValueError(f"grid x must be non-empty, finite and strictly ascending, "
                          f"got {np.array2string(x, threshold=6)}")
     if t == 0.0:
-        return np.broadcast_to(np.asarray(u0(x), dtype=float), x.shape).copy()
+        return _profile_on(x, u0(x))
 
     X = np.errstate(over="ignore", divide="ignore", invalid="ignore")(   # inf is refused below
         lambda s: s - c * np.asarray(u0(s), dtype=float) ** k * t)
@@ -310,8 +314,17 @@ def hopf_solve(u0, c: float, k: int, x, t: float) -> np.ndarray:
         below = X(mid) < x
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
-    root = 0.5 * (lo + hi)
-    return np.broadcast_to(np.asarray(u0(root), dtype=float), x.shape).copy()
+    return _profile_on(x, u0(0.5 * (lo + hi)))
+
+
+def _profile_on(x: np.ndarray, values) -> np.ndarray:
+    """values of the profile for the grid x, as a fresh array of x's shape;
+    a ValueError names the first grid point whose value is not finite."""
+    u = np.broadcast_to(np.asarray(values, dtype=float), x.shape).copy()
+    bad = np.flatnonzero(~np.isfinite(u))
+    if len(bad):
+        raise ValueError(f"u0 must be finite, got {u[bad[0]]} at x = {float(x[bad[0]])}")
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +420,8 @@ def evolve_hydro_chain(field: HydroChainField, t_target: float, *, edge_drive=No
     are frozen at their current values, otherwise edge_drive(x_strip, t) must
     return (u_rows, v_vals) imposed after every step.  Returns the final
     field and a stats dict.  Raises DivergedField at the first overflowing
-    or invalid operation, when a field magnitude exceeds 50 at the start of
-    a step, or when `_MAX_STEPS` (200000) steps are spent before t_target.
+    or invalid operation, when a field magnitude exceeds 50 at the start or
+    after a step, or when `_MAX_STEPS` (200000) steps are spent before t_target.
     A t_target that is a bool, not finite or before the field's time raises
     ValueError before the march.
     """
@@ -422,7 +435,7 @@ def evolve_hydro_chain(field: HydroChainField, t_target: float, *, edge_drive=No
     # the strips' rates are zeroed, so the kernel skips their derivatives
     kernel = _hydro_kernel(dx, y.shape, k_neg, edges=False)
     x_strip = np.concatenate((x[:2], x[-2:]))
-    h_min, h_max = math.inf, 0.0
+    h_min, h_max, steps = math.inf, 0.0, 0
     last = [None]                              # time of the last drive call
     strip = np.empty((len(y), 4))              # its (u, v) values, stacked
     strip_lo, strip_hi = strip[:, :2], strip[:, 2:]
@@ -450,26 +463,27 @@ def evolve_hydro_chain(field: HydroChainField, t_target: float, *, edge_drive=No
         out[:, -2:] = 0.0
 
     step = _rk4_stepper(rhs, y)
-    steps = 0
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            while t < t_target - 1e-15:
-                if y.max() > _BOUND or y.min() < -_BOUND:
-                    raise DivergedField(f"field magnitude exceeded {_BOUND} at t={t:g} "
-                                        f"after {steps} steps")
-                speed = float(np.abs(np.multiply(u0, u1, speeds), speeds).max()) + 1e-30
-                h = min(_CFL * dx / speed, t_target - t)
-                step(t, h)
-                t += h
-                if edge_drive is not None:
-                    drive(y, t)
-                h_min, h_max = min(h_min, h), max(h_max, h)
-                steps += 1
-                if steps > _MAX_STEPS:
-                    raise DivergedField("step budget exhausted before t_target")
-    except FloatingPointError as exc:
-        raise DivergedField(f"chain march overflowed at t={t:g} after {steps} "
-                            f"steps: {exc}") from exc
+
+    def march():
+        nonlocal t, steps, h_min, h_max
+        while True:
+            if y.max() > _BOUND or y.min() < -_BOUND:
+                raise DivergedField(f"field magnitude exceeded {_BOUND} at t={t:g} "
+                                    f"after {steps} steps")
+            if not t < t_target - 1e-15:
+                return
+            speed = float(np.abs(np.multiply(u0, u1, speeds), speeds).max()) + 1e-30
+            h = min(_CFL * dx / speed, t_target - t)
+            step(t, h)
+            t += h
+            if edge_drive is not None:
+                drive(y, t)
+            h_min, h_max = min(h_min, h), max(h_max, h)
+            steps += 1
+            if steps > _MAX_STEPS:
+                raise DivergedField("step budget exhausted before t_target")
+
+    _guarded(lambda: f"chain march at t={t:g} after {steps} steps", march)
 
     try:
         out = HydroChainField(x, y[:-1], y[-1], k_neg, t_target)

@@ -132,11 +132,13 @@ class CouplingVector:
         return self.get(2) < 0.5
 
     def exponent(self, z):
-        """-z^2/2 + sum_k t_k z^k, vectorized over z."""
+        """-z^2/2 + sum_k t_k z^k, vectorized over z; a term past the double
+        range saturates to +-inf without a warning."""
         z = np.asarray(z, dtype=float)
         out = -0.5 * z * z
-        for k, v in self.entries:
-            out = out + v * z**k
+        with np.errstate(over="ignore"):
+            for k, v in self.entries:
+                out = out + v * z**k
         return out
 
     def shifted(self, delta: Mapping[int, float]) -> "CouplingVector":

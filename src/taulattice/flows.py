@@ -70,7 +70,9 @@ Divergence: each RK4 segment, and each call of the five public right-hand
 sides, runs with floating-point overflow and invalid operations raising
 (`_guarded`), so the first overflowing step ends the run with DivergedField
 naming the segment, at no per-step cost, and an overflowing rate raises
-DivergedField naming its function.  At each sample the loop builds the
+DivergedField naming its function.  Every march, here and in `continuum`,
+has the one step budget `_MAX_STEPS` and the one guard `_guarded`: `_evolve`
+refuses an h that passes the budget before any step, so no march hangs.  At each sample the loop builds the
 sample's record; a record's refusal (a NaN or infinite entry, as NaN input
 gives without an invalid operation, or a site or off-diagonal entry that
 is not positive) ends the march there with DivergedField naming the time and
@@ -105,6 +107,8 @@ __all__ = [
     "evolve_pfaff",
     "evolve_reduced",
 ]
+
+_MAX_STEPS = 200000            # the step budget of every march, lattice and chain
 
 @dataclass(frozen=True)
 class VolterraState:
@@ -202,14 +206,15 @@ def _csv_columns(states):
 # ---------------------------------------------------------------------------
 # right-hand sides
 
-def _guarded(what: str, call, *args):
+def _guarded(what, call, *args):
     """call(*args) with floating-point overflow and invalid operations
-    raising, as DivergedField("<what> overflowed: <numpy's message>")."""
+    raising, as DivergedField("<what> overflowed: <numpy's message>"), what
+    called for its text then only if it is a callable."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             return call(*args)
     except FloatingPointError as exc:
-        raise DivergedField(f"{what} overflowed: {exc}") from exc
+        raise DivergedField(f"{what() if callable(what) else what} overflowed: {exc}") from exc
 
 
 def _toda_kernel(n: int, flow: int):
@@ -663,15 +668,15 @@ def _evolve(rhs, y0: np.ndarray, times, h: float, record, speed_of=None, start=N
     influence front: before each segment, the first from 0 included, the
     front moves in by the segment's length times the live state's speed, to
     no less than site 1; the stats' 'influence_index' is its floor.  A
-    step h that is a bool, not finite and positive, or without a finite
-    step count up to the last sample raises ValueError before any step."""
+    step h that is a bool, not finite and positive, or past `_MAX_STEPS`
+    steps up to the last sample raises ValueError before any step."""
     times = _checked_times(times)
     if times[0] < 0:
         raise ValueError("sampling starts at t >= 0")
     if isinstance(h, (bool, np.bool_)) or not 0.0 < h < math.inf:
         raise ValueError(f"h must be finite and positive, got {h}")
-    if not float(times[-1]) / float(h) < math.inf:
-        raise ValueError(f"h = {h} gives no finite step count up to t = {times[-1]:g}")
+    if float(times[-1]) / float(h) > _MAX_STEPS:
+        raise ValueError(f"h = {h} passes the step budget {_MAX_STEPS} up to t = {times[-1]:g}")
     out = []
     y = np.array(y0, dtype=float)
     t_prev = 0.0

@@ -217,12 +217,14 @@ class PfaffLax:
                                  f"the double range, got {value!r}")
             entries[int(pair[1]), int(pair[2])] = float(value)
         k_neg = max(0, -min((ell for ell, _ in entries), default=0))
-        keys = [(ell, n) for ell in range(-k_neg, k_pos + 1) for n in range(1, n_sites + 1)]
-        missing = next((f"{ell},{n}" for ell, n in keys if (ell, n) not in entries), None)
-        if missing is not None:
+        if len(entries) < (k_neg + k_pos + 1) * n_sites:   # each entry is a window key
+            missing = next(f"{ell},{n}" for ell in range(-k_neg, k_pos + 1)
+                           for n in range(1, n_sites + 1) if (ell, n) not in entries)
             raise ValueError(f"window key '{missing}' is missing from bands {-k_neg}..{k_pos} "
                              f"and sites 1..{n_sites}")
-        w = np.array([entries[key] for key in keys]).reshape(k_neg + k_pos + 1, n_sites)
+        w = np.empty((k_neg + k_pos + 1, n_sites))
+        for (ell, n), value in entries.items():
+            w[ell + k_neg, n - 1] = value
         return cls(w, k_neg, k_pos)
 
 

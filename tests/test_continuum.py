@@ -192,6 +192,21 @@ class TestHopf:
             with pytest.raises(ValueError, match="grid"):
                 hopf_solve(lambda s: s, 2.0, 1, x, t)
 
+    @pytest.mark.parametrize("u0,t,message", [
+        # t = 0 returned u0(x) unchecked, an array of NaN
+        (lambda q: q * np.nan, 0.0, "u0 must be finite, got nan at x = 0.5"),
+        (lambda q: np.where(q > 1.2, np.inf, 1.0), 0.0, "u0 must be finite, got inf at x = 1.25"),
+        # finite on the bracket, NaN on the 5 roots: t > 0 returned them
+        (lambda q: np.where(np.size(q) == 5, np.nan, 1.0 + 0.1 * q), 0.1,
+         "u0 must be finite, got nan at x = 0.5"),
+    ], ids=["nan-at-0", "inf-at-0", "nan-at-the-roots"])
+    def test_profile_that_is_not_finite_is_refused(self, u0, t, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                hopf_solve(u0, 2.0, 1, np.linspace(0.5, 1.5, 5), t)
+
+
 class TestHydroField:
     def test_validation(self):
         x = np.linspace(0.5, 1.5, 11)
@@ -351,9 +366,11 @@ class TestHydroChain:
                                           ("u^2", 1.0), ("u^2", -1.0),
                                           ("v", 1.0), ("v", -1.0)])
     def test_bound_guard(self, monkeypatch, row, sign):
-        # the march holds its state to the bound 50 before each step: 50
-        # marches, and the next double past it raises before any kernel
-        # call; the RHS evaluates both fields
+        # the march holds its state to the bound 50 at the start and after
+        # each step: 50 takes its one step of 1e-6, which four rows end past
+        # 50 and are refused after, and the next double past it raises
+        # before any kernel call; the RHS evaluates both fields
+        ends_past = {("u^-3", 1.0), ("u^-3", -1.0), ("u^0", 1.0), ("v", -1.0)}
         x = np.linspace(0.25, 2.25, 41)
         f = HydroChainField.initial(x)
 
@@ -376,8 +393,14 @@ class TestHydroChain:
                     m.setattr(continuum, "_hydro_kernel", no_rates)
                     with pytest.raises(DivergedField, match="exceeded 50.0 at t=0 after 0"):
                         evolve_hydro_chain(field, 1e-6)
+            elif (row, sign) in ends_past:
+                with pytest.raises(DivergedField, match=re.escape(
+                        "field magnitude exceeded 50.0 at t=1e-06 after 1 steps")):
+                    evolve_hydro_chain(field, 1e-6)
             else:
-                assert evolve_hydro_chain(field, 1e-6)[1]["steps"] == 1
+                out, stats = evolve_hydro_chain(field, 1e-6)
+                assert stats["steps"] == 1
+                assert max(np.abs(out.u).max(), np.abs(out.v).max()) <= 50.0
 
     def test_overflow_raises_typed_error(self, monkeypatch):
         # without the magnitude bound, CFL 5 overflows within a few steps;
@@ -387,7 +410,8 @@ class TestHydroChain:
         field = HydroChainField.initial(np.linspace(0.25, 2.25, 81))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DivergedField, match="chain march overflowed"):
+            with pytest.raises(DivergedField, match=r"chain march at t=\S+ after \d+ steps "
+                                                    r"overflowed: overflow encountered"):
                 evolve_hydro_chain(field, 0.3)
 
     def test_step_budget_raises_typed_error(self, monkeypatch):

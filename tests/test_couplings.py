@@ -1,12 +1,13 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference_kernels as ref
-from taulattice import CouplingVector, build_quadrature, couplings
+from taulattice import CouplingVector, build_quadrature, couplings, log_tau
 from taulattice.couplings import (_cumulative_matrix, _gauss_legendre, _radius_for,
                                   cumulative_integral, weight_eval)
 from taulattice.errors import IllConditioned, NonIntegrableWeight, ToleranceUnreachable
@@ -358,6 +359,23 @@ def test_weight_past_the_double_range_refused_before_doubling(fresh_grids, monke
     with pytest.raises(IllConditioned, match=r"\{1: 38.0\} overflows the double range"):
         build_quadrature(CouplingVector.from_mapping({1: 38}))
     assert panels == [8]
+
+
+@pytest.mark.parametrize("ensemble,mapping,want", [
+    ("unitary", {400: -1.0}, (1.0, -5.512615829665184)),
+    ("orthogonal", {400: -1.0}, (1.0, -5.465346821145294)),
+    ("unitary", {10**8: -1.0}, (1.0, -5.492806963013038)),
+    ("orthogonal", {10**8: -1.0}, (1.0, -5.453524347863329)),
+], ids=["unitary-400", "orthogonal-400", "unitary-1e8", "orthogonal-1e8"])
+def test_exponent_past_the_double_range_saturates_without_a_warning(fresh_grids, ensemble,
+                                                                   mapping, want):
+    # z^400 past the double range warned "overflow encountered in power";
+    # the values are those read with the warning suppressed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert log_tau(ensemble, 4, CouplingVector.from_mapping(mapping)) == want
+        with pytest.raises(NonIntegrableWeight):
+            log_tau(ensemble, 4, CouplingVector.from_mapping({1: 1e300}))
 
 
 def test_weight_just_inside_the_double_range_builds(fresh_grids):

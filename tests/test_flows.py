@@ -233,8 +233,18 @@ def test_bad_step_refused_before_the_march(monkeypatch, march, h):
 @_EVERY_MARCH
 def test_step_without_a_finite_step_count_refused_before_the_march(monkeypatch, march):
     # 1/1e-320 overflows: the march ended in a bare OverflowError
-    _refused_before_the_march(monkeypatch, "h = 1e-320 gives no finite step count up to t = 1",
+    _refused_before_the_march(monkeypatch, "h = 1e-320 passes the step budget 200000 up to t = 1",
                               march, [0.5, 1.0], 1e-320)
+
+
+@pytest.mark.parametrize("times,h,message", [
+    # a count of 1e300: the reduced chain was still marching after 5 s
+    ([1.0], 1e-300, "h = 1e-300 passes the step budget 200000 up to t = 1"),
+    ([0.5, 1.0], 1e-6, "h = 1e-06 passes the step budget 200000 up to t = 1"),
+], ids=["count-1e300", "count-1e6"])
+@_EVERY_MARCH
+def test_step_past_the_budget_refused_before_the_march(monkeypatch, march, times, h, message):
+    _refused_before_the_march(monkeypatch, re.escape(message), march, times, h)
 
 
 @pytest.mark.parametrize("call", [

@@ -25,7 +25,7 @@ LAYERS = {
             "errors": ANY, "moments": ANY, "report": ANY},
     "flows": {"couplings": ANY, "errors": ANY, "lax": ANY},
     "continuum": {"couplings": ANY, "errors": ANY, "report": ANY,
-                  "flows": {"_rk4_stepper", "_csv_text", "_guarded"}},
+                  "flows": {"_MAX_STEPS", "_rk4_stepper", "_csv_text", "_guarded"}},
 }
 _BELOW = list(LAYERS)
 LAYERS["identities"] = dict.fromkeys(_BELOW, ANY)
@@ -119,7 +119,6 @@ def test_every_record_array_passes_through_own_arrays():
 # (module, top-level function) -> why it catches FloatingPointError itself
 _FLOATING_POINT_HANDLERS = {
     ("flows", "_guarded"): "the one guard: overflow -> DivergedField naming the call",
-    ("continuum", "evolve_hydro_chain"): "its message names the march's t and step count",
     ("moments", "pfaffian"): "its partial-product fallback",
 }
 

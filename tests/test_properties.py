@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from taulattice import (CouplingVector, HydroChainField, PfaffLax, ReducedChainState,
                         TauLatticeError, TensorPoint, VolterraState, build_quadrature,
@@ -16,6 +16,7 @@ from taulattice import (CouplingVector, HydroChainField, PfaffLax, ReducedChainS
                         nijenhuis, nijenhuis_closed_form, pfaff_chain_rhs,
                         pfaff_commutator_rhs, pfaffian, spatial_derivative, toda_rhs,
                         volterra_rhs)
+from taulattice import flows
 
 couplings = st.dictionaries(
     st.integers(min_value=1, max_value=8),
@@ -137,12 +138,14 @@ def test_flow_index_that_names_no_flow_is_refused(flow, call):
 
 @given(st.one_of(st.booleans(), st.floats(max_value=0.0), st.just(math.nan), st.just(math.inf),
                  st.floats(min_value=5e-324, max_value=2.2250738585072014e-308,
+                           exclude_max=True),
+                 st.floats(min_value=5e-324, max_value=10.0 / flows._MAX_STEPS,
                            exclude_max=True)),
        st.sampled_from(["volterra", "toda", "pfaff", "reduced"]))
 @settings(max_examples=60, deadline=None)
 def test_step_that_names_no_march_is_refused(h, march):
-    # over [0, 10] no subnormal h has a finite step count; a count that is
-    # finite but past any budget is marched
+    # over [0, 10] no subnormal h has a finite step count, and no h below
+    # 10 / _MAX_STEPS a count within the step budget
     times = [10.0]
     _refused({"volterra": lambda: evolve_volterra(VolterraState(np.ones(8)), 2, times, h=h),
               "toda": lambda: evolve_toda(gue_lax_init(4), 1, times, h=h),
@@ -165,3 +168,24 @@ def test_field_time_is_a_finite_number_or_refused(time):
         field = replace(start, time=time)
         out, _ = evolve_hydro_chain(field, time + 1e-3)
     assert field.time == time and out.time == time + 1e-3
+
+
+@given(st.integers(0, 2**32 - 1))
+@example(1982)
+@settings(max_examples=40, deadline=None)
+def test_chain_march_returns_a_field_within_its_bound_or_raises(seed):
+    # 41 cells, u^0 and u^1 drawn: seed 1982 returned a field of size
+    # 2.66e13, grown past the bound 50 in the march's last step
+    x = np.linspace(0.25, 2.25, 41)
+    f = HydroChainField.initial(x, 4, 6)
+    rng = np.random.default_rng(seed)
+    u = f.u.copy()
+    u[4] = rng.uniform(0.001, 2.0, 41)
+    u[5] = rng.uniform(-3.0, 3.0, 41)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            out, _ = evolve_hydro_chain(HydroChainField(x, u, f.v, 4), 0.02)
+        except TauLatticeError:
+            return
+    assert max(np.abs(out.u).max(), np.abs(out.v).max()) <= 50.0

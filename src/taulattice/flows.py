@@ -71,13 +71,13 @@ sides, runs with floating-point overflow and invalid operations raising
 (`_guarded`), so the first overflowing step ends the run with DivergedField
 naming the segment, at no per-step cost, and an overflowing rate raises
 DivergedField naming its function.  Every march, here and in `continuum`,
-has the one step budget `_MAX_STEPS` and the one guard `_guarded`: `_evolve`
-refuses an h that passes the budget before any step, so no march hangs.  At each sample the loop builds the
-sample's record; a record's refusal (a NaN or infinite entry, as NaN input
-gives without an invalid operation, or a site or off-diagonal entry that
-is not positive) ends the march there with DivergedField naming the time and
-step count.  `evolve`'s record is a copy that refuses a NaN or infinite
-state.
+has the one step budget `_MAX_STEPS` and the one guard `_guarded`:
+`_evolve` refuses an h that passes the budget before any step, so no march
+hangs.  At each sample the loop builds the sample's record; a record's
+refusal (a NaN or infinite entry, as NaN input gives without an invalid
+operation, or a site or off-diagonal entry that is not positive) ends the
+march there with DivergedField naming the time and step count.  `evolve`'s
+record is a copy that refuses a NaN or infinite state.
 """
 
 from __future__ import annotations
@@ -208,8 +208,8 @@ def _csv_columns(states):
 
 def _guarded(what, call, *args):
     """call(*args) with floating-point overflow and invalid operations
-    raising, as DivergedField("<what> overflowed: <numpy's message>"), what
-    called for its text then only if it is a callable."""
+    raising, as DivergedField("<what> overflowed: <numpy's message>"); a
+    callable what is called for that text only when the guard fires."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             return call(*args)

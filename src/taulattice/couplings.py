@@ -133,12 +133,22 @@ class CouplingVector:
 
     def exponent(self, z):
         """-z^2/2 + sum_k t_k z^k, vectorized over z; a term past the double
-        range saturates to +-inf without a warning."""
+        range saturates to +-inf without a warning, and where saturated terms
+        of both signs meet, the one of the largest log magnitude sets the sign."""
         z = np.asarray(z, dtype=float)
         out = -0.5 * z * z
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             for k, v in self.entries:
                 out = out + v * z**k
+        lost = np.isnan(out) & ~np.isnan(z)   # inf - inf
+        if lost.any():
+            coeffs = {**self.as_dict(), 2: self.get(2) - 0.5}
+            terms = [(k, v) for k, v in sorted(coeffs.items(), reverse=True) if v]
+            zl = z[lost]   # ties (z = +-inf) go to the highest power, listed first
+            logs = [math.log(abs(v)) + k * np.log(np.abs(zl)) for k, v in terms]
+            signs = np.array([np.sign(v) * np.sign(zl) ** k for k, v in terms])
+            out = np.array(out)
+            out[lost] = signs[np.argmax(logs, axis=0), np.arange(zl.size)] * math.inf
         return out
 
     def shifted(self, delta: Mapping[int, float]) -> "CouplingVector":

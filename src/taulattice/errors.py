@@ -18,10 +18,6 @@ class ToleranceUnreachable(TauLatticeError):
     """Panel refinement stalled before reaching the requested tolerance."""
 
 
-class OddDimension(TauLatticeError):
-    """A Pfaffian was requested for an odd-dimensional matrix."""
-
-
 class IllConditioned(TauLatticeError):
     """A recurrence or skew elimination broke down, or tau has no double value."""
 

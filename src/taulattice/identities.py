@@ -7,13 +7,13 @@ own flows, never the algebraic identity under test, so a bug in the flow
 module cannot certify itself.  The mKP check's jets read only that
 right-hand side, as evolving the lattice would, and never the mKP algebra;
 C03's scaling family and C12's flow commutation test the right-hand side
-along other routes.  Likewise the
-observables check holds a log-tau increment (Pfaffian pivots of the skew
-Gram) against a skew-window entry (skew Gram-Schmidt of the same Gram),
-so an error in the pivot elimination or in the Gram-Schmidt shows; one in
-the grid or the skew Gram, which both sides share, does not.  The
-reduction check writes the manifold once: each sample's bands are held to
-`lax._manifold_window` of the sample's own read-off (W^{-1}, W).
+along other routes.  Likewise the observables check holds a log-tau
+increment (Pfaffian pivots of the skew Gram) against a skew-window entry
+(skew Gram-Schmidt of the same Gram), so an error in the pivot elimination
+or in the Gram-Schmidt shows; one in the grid or the skew Gram, which both
+sides and the pair moments share, does not.  The reduction check writes
+the manifold once: each sample's bands are held to `lax._manifold_window`
+of the sample's own read-off (W^{-1}, W).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .flows import (EvolutionResult, ReducedChainState, VolterraState,
 from .lax import (PfaffLax, TodaLax, _manifold_window, _skew_basis, _skew_gram_schmidt,
                   goe_lax_init, pfaff_entries_from_tau, pfaff_lax_from_basis,
                   skew_hermite_map_check, sqrt_ratio_product)
-from .moments import _log_tau_jets, _log_tau_of_basis, _stieltjes_basis, skew_moment_matrix
+from .moments import _log_tau_jets, _log_tau_of_basis, _stieltjes_basis
 from .report import IdentityReport
 
 __all__ = [
@@ -183,6 +183,16 @@ def _pair_expectation(poly: dict, m: np.ndarray) -> float:
     return num / (m[0, 1] - m[1, 0])
 
 
+def _monomial_skew_moments(F: np.ndarray, b0: float, J: np.ndarray, size: int) -> np.ndarray:
+    """<x^i, y^j>, i, j < size, from the skew Gram F of the q_k with Jacobi
+    matrix J: x^0 = b0 q_0 and x^{i+1} = J x^i in the q_k, so m = X F X^T."""
+    X = np.zeros((size, len(F)))
+    X[0, 0] = b0
+    for i in range(1, size):
+        X[i] = J @ X[i - 1]
+    return X @ F @ X.T
+
+
 def observables_check(n: int = 1, t: CouplingVector = _T0, *,
                       tolerance: float = 1e-8) -> IdentityReport:
     """Orthogonal-ensemble observable identities at coupling t.
@@ -196,17 +206,18 @@ def observables_check(n: int = 1, t: CouplingVector = _T0, *,
     against the skew Gram-Schmidt, not the quadrature.  For n = 1,
     (ii) E[(z1+z2)^2] = w0_1 w1_1 and (iii) E[z1^2+z2^2] = 2 w^-1_1 +
     w0_1 w1_1 against two-eigenvalue moments, ratios of skew moments
-    (`skew_moment_matrix`), with the entries of pair 1 from Pfaffian
-    tau-ratios.
+    (`_monomial_skew_moments` of the same F), with the entries of pair 1
+    from Pfaffian tau-ratios.
     """
     n = _checked_int("n", n, 1)
     stieltjes = _stieltjes_basis("orthogonal", 2 * n + 4, t)
-    F, log_h = stieltjes[:2]
+    F, log_h, _, b = stieltjes
     # the pivots overwrite F, so each size eliminates a copy of its block
     lo, mid, hi = (_log_tau_of_basis(F[:m, :m].copy(), log_h[:m])[1]
                    for m in (2 * n, 2 * n + 2, 2 * n + 4))
     dmu = lo + hi - 2.0 * mid
-    window = pfaff_lax_from_basis(_skew_gram_schmidt(stieltjes, t), n + 1, 1, 1)
+    basis = _skew_gram_schmidt(stieltjes, t)
+    window = pfaff_lax_from_basis(basis, n + 1, 1, 1)
     w0_next = float(window.w[1, n])
     log_w0 = math.log(w0_next) if w0_next > 0.0 else math.inf   # w0 <= 0 fails
     res_mu = abs(dmu - 2.0 * log_w0) / max(abs(dmu), 1.0)
@@ -214,7 +225,7 @@ def observables_check(n: int = 1, t: CouplingVector = _T0, *,
     residual = res_mu * (tolerance / 1e-12)  # budget-normalized: (i) is held to 1e-12
     if n == 1:
         entries = pfaff_entries_from_tau(t, 1)
-        m = skew_moment_matrix(t, 8).m   # indices up to 3, on the grid of degree 10
+        m = _monomial_skew_moments(F, b[0], basis.jacobi.matrix(), 4)   # indices up to 3
         e_sum_sq = _pair_expectation({(0, 0): 0.0, (2, 0): 1.0, (0, 2): 1.0,
                                       (1, 1): 2.0}, m)
         e_sq_sum = _pair_expectation({(2, 0): 1.0, (0, 2): 1.0}, m)

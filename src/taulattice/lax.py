@@ -15,7 +15,7 @@ The skew-orthonormal pairs come from a skew Gram-Schmidt on the basis of
 rho^2, in the scale of its orthonormal q_k, one block step per pair that
 removes every earlier pair at once, and the window is read off its Jacobi
 matrix with the operator's fixed pattern checked by array reductions; the
-parity-Hermite polynomials here serve the closed-form side only.
+parity-Hermite pairs serve the closed-form side only, written in the q_k.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from .couplings import CouplingVector, _checked_int, _is_integer, _own_arrays
 from .errors import IllConditioned, SingularMinor, StructureViolation
-from .moments import SkewMomentMatrix, _log_tau_jets, _skew_gram, _stieltjes_basis
+from .moments import SkewMomentMatrix, _log_tau_jets, _stieltjes_basis
 from .report import IdentityReport
 
 __all__ = [
@@ -56,10 +56,9 @@ __all__ = [
 # h_n is 1 at zero coupling and about 4.4 at pair 202.
 _PAIR_FLOOR = 1e-12
 
-# `skew_hermite_map_check`'s monomial route cancels as the degree grows: its
-# residual reads 5.0e-10 at 16 pairs and 3.2e-9 at 17, past the default
-# tolerance 1e-9, so it refuses more pairs than this.
-_SKEW_MAP_REACH = 16
+# `skew_hermite_map_check` reads the rho^2 basis, whose recurrence fails past
+# this many pairs: the residual is 7.1e-14 at 160, 3.3e-12 at 163, 1.3e-9 at 167.
+_SKEW_MAP_REACH = 160
 
 
 def c_coeff(n) -> np.ndarray | float:
@@ -465,24 +464,34 @@ def hermite_map_coeffs(n_pairs: int) -> np.ndarray:
     return Q
 
 
+def _hermite_map_q(n_pairs: int) -> np.ndarray:
+    """`hermite_map_coeffs` over sqrt(nu_n) in the orthonormal q_k of rho^2 at
+    zero coupling: q_{2n} and sqrt((2n+1)/2) q_{2n+1} - sqrt(n) q_{2n-1}."""
+    k = np.arange(n_pairs)
+    Qs = np.eye(2 * n_pairs)
+    Qs[2 * k + 1, 2 * k + 1] = np.sqrt(k + 0.5)
+    Qs[2 * k[1:] + 1, 2 * k[1:] - 1] = -np.sqrt(k[1:])
+    return Qs
+
+
 def skew_hermite_map_check(n_pairs: int = 6, *, tolerance: float = 1e-9) -> IdentityReport:
     """Verify the closed-form pair basis is skew-orthogonal at zero coupling.
 
-    Builds Q from hermite_map_coeffs and checks <Q_{2n}, Q_{2m+1}> =
-    nu_n delta_{mn} (and zero same-parity pairings) on the skew Gram of
-    `moments._skew_gram`; the residual is the largest violation of the
-    nu-scaled Gram.  Refuses more than _SKEW_MAP_REACH (16) pairs, where the
-    monomials cancel past 1e-9.
+    Writes hermite_map_coeffs' pairs over sqrt(nu_n) in the q_k of rho^2
+    (`_hermite_map_q`) and checks <Q_{2n}, Q_{2m+1}> = nu_n delta_{mn}, and
+    zero same-parity pairings, on their skew Gram F: the residual is the
+    largest violation of the nu-scaled Gram.  Refuses past _SKEW_MAP_REACH.
     """
     n_pairs = _checked_int("n_pairs", n_pairs, 1)
     if n_pairs > _SKEW_MAP_REACH:
         raise ValueError(f"n_pairs must be at most {_SKEW_MAP_REACH}, the reach of the "
-                         f"monomial route, got {n_pairs}")
-    nu = nu_values(n_pairs)
-    Qs = hermite_map_coeffs(n_pairs) / np.repeat(np.sqrt(nu), 2)[:, None]
-    S = _skew_gram(CouplingVector.from_mapping({}), Qs)
+                         f"rho^2 basis, got {n_pairs}")
+    Qs = _hermite_map_q(n_pairs)
+    F = _stieltjes_basis("orthogonal", 2 * n_pairs, CouplingVector.from_mapping({}))[0]
+    S = Qs @ F @ Qs.T
     expected = np.kron(np.eye(n_pairs), [[0.0, 1.0], [-1.0, 0.0]])
     residual = float(np.abs(S - expected).max())
+    nu = nu_values(min(n_pairs, 2))
     meta = {"n_pairs": n_pairs, "<Q0,Q1>": float(S[0, 1] * nu[0])}
     if n_pairs >= 2:
         meta["<Q2,Q1>"] = float(S[2, 1] * math.sqrt(nu[1] * nu[0]))

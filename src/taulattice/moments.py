@@ -20,15 +20,13 @@ shifting t_a multiplies rho by e^{s z^a}, and z q = J q with J the Jacobi
 matrix of the recurrence (Gautschi 2004; Adler & van Moerbeke 2002).
 
 This is the one module that builds grids and integrates on them: `lax` and
-`identities` read its results.  Every route (the skew moments, the
-Stieltjes bases and their jets, and the skew bases and small-ensemble
-moments built on them) reads grids of `build_quadrature`'s one recipe:
-24-point panels whose radius and panel count are held to 1e-12 relative.
-No route chooses a tolerance.  Outside the Stieltjes bases, one routine,
-`_skew_gram`, takes the skew products of polynomials given by monomial
-coefficients; it serves the skew moment matrix, the skew-map check
-(`lax.skew_hermite_map_check`) and C09's two-eigenvalue moments, which are
-ratios of skew moments (`identities.observables_check`).
+`identities` read its results.  Every route reads grids of
+`build_quadrature`'s one recipe, 24-point panels whose radius and panel
+count are held to 1e-12 relative, and none chooses a tolerance.  Each check
+that takes skew products reads the skew Gram F of the rho^2 basis, and each
+Pfaffian is `_pfaffian_pivots`; the monomial skew moments
+(`skew_moment_matrix`), which cancel as the degree grows (Gautschi 2004,
+sec. 2.1), serve outside callers only.
 """
 
 from __future__ import annotations
@@ -41,12 +39,11 @@ import numpy as np
 
 from .couplings import (CouplingVector, QuadratureGrid, _checked_int, _is_integer, _own_arrays,
                         _regrid, build_quadrature, cumulative_integral)
-from .errors import IllConditioned, OddDimension
+from .errors import IllConditioned
 
 __all__ = [
     "SkewMomentMatrix",
     "skew_moment_matrix",
-    "pfaffian",
     "log_tau",
     "tau_unitary",
     "tau_orthogonal",
@@ -83,21 +80,14 @@ class SkewMomentMatrix:
         return self.m.shape[0]
 
 
-def _skew_gram(t: CouplingVector, coeffs: np.ndarray) -> np.ndarray:
-    """The skew products `_skew_products` under rho of the polynomials whose
-    monomial coefficients are the rows of coeffs, on the grid of degree
-    coeffs.shape[1] + 2."""
-    grid = build_quadrature(t, max_degree=coeffs.shape[1] + 2)
-    powers = grid.nodes[None, :] ** np.arange(coeffs.shape[1])[:, None]
-    return _skew_products(grid, coeffs @ powers, grid.rho)
-
-
 def skew_moment_matrix(t: CouplingVector, size: int) -> SkewMomentMatrix:
     """Skew products m[i][j] = <x^i, y^j> for i, j < size (size even)."""
     size = _checked_int("size", size, 1)
     if size % 2:
         raise ValueError(f"size must be a positive even integer, got {size}")
-    return SkewMomentMatrix(_skew_gram(t, np.eye(size)), t)
+    grid = build_quadrature(t, max_degree=size + 2)
+    powers = grid.nodes[None, :] ** np.arange(size)[:, None]
+    return SkewMomentMatrix(_skew_products(grid, powers, grid.rho), t)
 
 
 def _pfaffian_pivots(A: np.ndarray):
@@ -121,39 +111,6 @@ def _pfaffian_pivots(A: np.ndarray):
         A[k + 2:, k + 2:] += np.outer(tau, col) - np.outer(col, tau)
     pivots[-1] = A[n - 2, n - 1]
     return sign, pivots
-
-
-def pfaffian(m) -> float:
-    """Pfaffian of an even-dimensional antisymmetric matrix.
-
-    Skew-symmetric elimination with partial pivoting; the sign convention
-    makes pf of the canonical block matrix diag([[0,1],[-1,0]], ...) equal +1.
-    A zero pivot gives 0.0; a pf with no normal double raises IllConditioned.
-    """
-    A = np.asarray(m.m if isinstance(m, SkewMomentMatrix) else m, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("pfaffian needs a square matrix")
-    n = A.shape[0]
-    if n % 2:
-        raise OddDimension(f"pfaffian undefined for odd dimension {n}")
-    if n == 0:
-        return 1.0
-    if not np.isfinite(A).all():
-        raise ValueError("pfaffian needs finite entries")
-    scale = max(1.0, float(np.abs(A).max()))
-    if float(np.abs(A + A.T).max()) > 1e-12 * scale:
-        raise ValueError("matrix is not antisymmetric")
-    sign, pivots = _pfaffian_pivots(0.5 * (A - A.T))
-    if not pivots.all():
-        return 0.0
-    log_abs = float(np.log(np.abs(pivots)).sum())
-    if not _LOG_RANGE[0] < log_abs < _LOG_RANGE[1]:
-        raise IllConditioned(f"pfaffian of order {n} has log|pf| = {log_abs:.6g}: no double value")
-    try:
-        with np.errstate(over="raise", under="raise"):
-            return sign * float(np.prod(pivots))
-    except FloatingPointError:   # a partial product left the normal range
-        return sign * float(np.prod(np.sign(pivots))) * math.exp(log_abs)
 
 
 def _stieltjes(nodes: np.ndarray, measure: np.ndarray, count: int):

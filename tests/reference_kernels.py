@@ -93,7 +93,7 @@ import math
 
 import numpy as np
 
-from taulattice import continuum, flows, lax, pfaffian
+from taulattice import continuum, flows, lax
 from taulattice.couplings import (_GRID_TOL, _panel_nodes, _regrid, build_quadrature,
                                   cumulative_integral, weight_eval)
 from taulattice.moments import (_log_tau_of_basis, _skew_products, _stieltjes, _tau_grid,
@@ -709,6 +709,27 @@ def log_tau_unitary_monomial(t, n):
     return 2.0 * float(np.log(np.diag(L)).sum())
 
 
+def pfaffian(m):
+    """Pfaffian of an even antisymmetric matrix by skew elimination with
+    partial pivoting, pf diag([[0,1],[-1,0]], ...) = +1; 0.0 at a zero pivot."""
+    A = np.array(m, dtype=float)
+    n = len(A)
+    pf = 1.0
+    for k in range(0, n, 2):
+        kp = k + 1 + int(np.abs(A[k + 1:, k]).argmax())
+        if A[kp, k] == 0.0:
+            return 0.0
+        if kp != k + 1:
+            A[[k + 1, kp]] = A[[kp, k + 1]]
+            A[:, [k + 1, kp]] = A[:, [kp, k + 1]]
+            pf = -pf
+        pf *= A[k, k + 1]
+        tau = A[k + 2:, k] / A[k + 1, k]
+        col = A[k + 2:, k + 1].copy()
+        A[k + 2:, k + 2:] += np.outer(tau, col) - np.outer(col, tau)
+    return pf
+
+
 def log_tau_orthogonal_monomial(t, size):
     """log pf of the size x size monomial skew moment matrix."""
     grid = build_quadrature(t, max_degree=size + 2)
@@ -825,6 +846,38 @@ def log_tau_quartic_mp(n, t2, t4, dps=60):
             for j in range(i % 2, n, 2):
                 H[i, j] = even[(i + j) // 2]
         return mpmath.log(mpmath.det(H))
+
+
+def log_tau_even_mp(ensemble, mapping, cuts, p=24, dps=20):
+    """log tau_1 (unitary) or log tau_2 (orthogonal) of the even weight
+    rho = exp(-z^2/2 + sum_k t_k z^k), by p-point Gauss-Legendre rules in
+    mpmath on the panels between `cuts`, ascending from 0 to a point past
+    which rho is negligible.
+
+    With S(u) the integral of rho over [0, u], tau_1 = 2 S(inf) and tau_2 =
+    m[0][1] = (1/4) int int |x - y| rho(x) rho(y) = int_0^inf 2 u S(u) rho(u)
+    du, the inner S read at each outer node by the same rule.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        x, w = gauss_legendre_mp(p, dps)
+        coeffs = [(k, mpmath.mpf(v)) for k, v in mapping.items()]
+
+        def rho(z):
+            return mpmath.exp(-z * z / 2 + sum(v * z ** k for k, v in coeffs))
+
+        def rule(f, a, b):
+            h = (b - a) / 2
+            return h * sum(wi * f(a + h * (1 + xi)) for xi, wi in zip(x, w))
+
+        cuts = [mpmath.mpf(c) for c in cuts]
+        S = tau = mpmath.mpf(0)
+        for a, b in zip(cuts, cuts[1:]):
+            if ensemble == "orthogonal":
+                tau += rule(lambda u: 2 * u * (S + rule(rho, a, u)) * rho(u), a, b)
+            S += rule(rho, a, b)
+        return float(mpmath.log(2 * S if ensemble == "unitary" else tau))
 
 
 def hydro_scaling_run(rhs=None, march=None, **kwargs):

@@ -94,8 +94,11 @@ def test_sizes_with_nothing_to_check_are_config_errors(tmp_path, capsys, argv):
 
 
 def test_skew_map_past_its_reach_is_a_config_error(tmp_path, capsys):
-    # exited 1 with a failing report: the monomial route, not the identity, failed
-    rc, _, err = run(capsys, "--out", str(tmp_path), "verify", "skew-map", "--n", "17")
+    # 17 pairs were refused where the monomial route reached 16; the rho^2
+    # basis reaches 160
+    rc, out, _ = run(capsys, "--out", str(tmp_path), "verify", "skew-map", "--n", "17")
+    assert rc == 0 and json.loads(out)["pass"] is True
+    rc, _, err = run(capsys, "--out", str(tmp_path), "verify", "skew-map", "--n", "161")
     assert rc == 2
     assert json.loads(err)["error"] == "config"
 

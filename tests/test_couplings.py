@@ -378,6 +378,28 @@ def test_exponent_past_the_double_range_saturates_without_a_warning(fresh_grids,
             log_tau(ensemble, 4, CouplingVector.from_mapping({1: 1e300}))
 
 
+@pytest.mark.parametrize("ensemble, size", [("unitary", 1), ("orthogonal", 2)])
+def test_saturated_terms_of_both_signs_take_the_sign_of_the_largest(fresh_grids, ensemble,
+                                                                    size):
+    # far out t_398 z^398 reads +inf and t_400 z^400 -inf: the sum read NaN
+    # with "invalid value encountered in add", and without the warning the
+    # weight, which decays past |z| = 1, was refused as NonIntegrableWeight
+    mapping = {400: -1.0, 398: 1.0}
+    t = CouplingVector.from_mapping(mapping)
+    want = ref.log_tau_even_mp(ensemble, mapping,
+                               [0, 0.5, 0.9, 0.97, 1, 1.005, 1.01, 1.02, 1.04])
+    z = np.linspace(-8.0, 8.0, 161)   # z^398 overflows past |z| = 5.95
+    with np.errstate(over="ignore", invalid="ignore"):
+        plain = -0.5 * z * z + z**398 - z**400
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sign, got = log_tau(ensemble, size, t)
+        saturated = np.isnan(plain)
+        assert saturated.any() and (t.exponent(z)[saturated] == -math.inf).all()
+        assert np.array_equal(t.exponent(z)[~saturated], plain[~saturated])
+    assert sign == 1.0 and abs(got - want) < 1e-14, (got, want)
+
+
 def test_weight_just_inside_the_double_range_builds(fresh_grids):
     # rho peaks at e^703.125; its mass is sqrt(2 pi) e^703.125
     grid = build_quadrature(CouplingVector.from_mapping({1: 37.5}))

@@ -7,9 +7,10 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import herm2poly
 
 import reference_kernels as ref
-from taulattice import (CouplingVector, PfaffLax, TodaLax, c_coeff, couplings,
+from taulattice import (CouplingVector, PfaffLax, TodaLax, c_coeff, couplings, lax,
                         goe_lax_init, gue_lax_init,
                         hermite_map_coeffs, nu_values, pfaff_entries_from_tau,
                         pfaff_lax_from_basis, skew_hermite_map_check,
@@ -340,13 +341,29 @@ def test_skew_map_check_report(t0):
 
 
 def test_skew_map_check_refuses_pairs_past_its_reach():
-    # 17 pairs failed the check's own tolerance 1e-9 (residual 3.2e-9) by
-    # monomial cancellation, and 100 overflowed
-    assert skew_hermite_map_check(16).passed
-    for n_pairs in (17, 100):
-        with pytest.raises(ValueError, match=f"n_pairs must be at most 16, the reach of the "
-                                             f"monomial route, got {n_pairs}"):
-            skew_hermite_map_check(n_pairs)
+    # on monomials 17 pairs failed the check's own tolerance 1e-9 (residual
+    # 3.2e-9) and were refused; the rho^2 basis holds to its reach 160
+    reach = lax._SKEW_MAP_REACH
+    for n_pairs in (17, reach):
+        assert skew_hermite_map_check(n_pairs).passed
+    with pytest.raises(ValueError, match=rf"^n_pairs must be at most {reach}, the reach of the "
+                                         rf"rho\^2 basis, got {reach + 1}$"):
+        skew_hermite_map_check(reach + 1)
+
+
+def test_hermite_map_in_the_q_basis_is_the_hermite_map_over_root_nu():
+    # q_k = H_k / (2^k r_k), r_k^2 = sqrt(pi) k! / 2^k, are the orthonormal
+    # polynomials of e^{-z^2}: the check's pairs written back in monomials
+    # are hermite_map_coeffs over sqrt(nu_n)
+    for n_pairs in range(1, 9):
+        dim = 2 * n_pairs
+        q = np.zeros((dim, dim))
+        for k in range(dim):
+            H = herm2poly(np.eye(dim)[k])   # trailing zeros trimmed
+            q[k, :len(H)] = H / math.sqrt(SQRT_PI * math.factorial(k) * 2.0 ** k)
+        want = hermite_map_coeffs(n_pairs) / np.sqrt(np.repeat(nu_values(n_pairs), 2))[:, None]
+        got = lax._hermite_map_q(n_pairs) @ q
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), n_pairs
 
 
 def _monic_h(basis):

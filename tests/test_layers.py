@@ -22,7 +22,9 @@ LAYERS = {
     "couplings": {"errors": ANY},
     "moments": {"couplings": ANY, "errors": ANY},
     "lax": {"couplings": {"CouplingVector", "_checked_int", "_is_integer", "_own_arrays"},
-            "errors": ANY, "moments": ANY, "report": ANY},
+            "errors": ANY, "report": ANY,
+            # the skew Gram F of the Stieltjes basis is the one skew route
+            "moments": {"SkewMomentMatrix", "_log_tau_jets", "_stieltjes_basis"}},
     "flows": {"couplings": ANY, "errors": ANY, "lax": ANY},
     "continuum": {"couplings": ANY, "errors": ANY, "report": ANY,
                   "flows": {"_MAX_STEPS", "_rk4_stepper", "_csv_text", "_guarded"}},
@@ -30,6 +32,7 @@ LAYERS = {
 _BELOW = list(LAYERS)
 LAYERS["identities"] = dict.fromkeys(_BELOW, ANY)
 LAYERS["identities"]["couplings"] = {"CouplingVector", "_checked_int", "_checked_seed"}
+LAYERS["identities"]["moments"] = {"_log_tau_jets", "_log_tau_of_basis", "_stieltjes_basis"}
 LAYERS["cli"] = dict.fromkeys(_BELOW + ["identities"], ANY)
 
 
@@ -119,12 +122,12 @@ def test_every_record_array_passes_through_own_arrays():
 # (module, top-level function) -> why it catches FloatingPointError itself
 _FLOATING_POINT_HANDLERS = {
     ("flows", "_guarded"): "the one guard: overflow -> DivergedField naming the call",
-    ("moments", "pfaffian"): "its partial-product fallback",
 }
 
 
 def test_floating_point_errors_are_caught_only_where_listed():
-    # every other overflow guard goes through `flows._guarded`
+    # every overflow guard goes through `flows._guarded`, and a listed
+    # handler that is gone fails too
     found = set()
     for path in SRC.glob("*.py"):
         for top in ast.parse(path.read_text()).body:
@@ -132,6 +135,6 @@ def test_floating_point_errors_are_caught_only_where_listed():
                 if (isinstance(node, ast.ExceptHandler) and node.type is not None
                         and "FloatingPointError" in ast.unparse(node.type)):
                     found.add((path.stem, getattr(top, "name", "<module>")))
-    assert found <= set(_FLOATING_POINT_HANDLERS), (
-        f"FloatingPointError caught outside flows._guarded: "
-        f"{sorted(found - set(_FLOATING_POINT_HANDLERS))}")
+    assert found == set(_FLOATING_POINT_HANDLERS), (
+        f"FloatingPointError caught in {sorted(found)}, listed "
+        f"{sorted(_FLOATING_POINT_HANDLERS)}")

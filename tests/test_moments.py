@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 import reference_kernels as ref
 from taulattice import (CouplingVector, build_quadrature, couplings,
-                        log_tau, moments, pfaffian, skew_moment_matrix,
+                        log_tau, moments, skew_moment_matrix,
                         tau_coupling_derivative, tau_orthogonal, tau_unitary)
-from taulattice.errors import IllConditioned, OddDimension
+from taulattice.errors import IllConditioned
 from taulattice.lax import pfaff_entries_from_tau, toda_lax_from_quadrature
 
 SQRT_PI = math.sqrt(math.pi)
@@ -74,77 +74,76 @@ class TestSkewMoments:
         assert np.abs(m - expect).max() <= 1e-14 * np.abs(expect).max()
 
 
+def pf(A):
+    """sign * prod(pivots) of `moments._pfaffian_pivots`, the one elimination:
+    the Pfaffian of A, eliminated in a copy."""
+    sign, pivots = moments._pfaffian_pivots(np.array(A, dtype=float))
+    return sign * float(np.prod(pivots))
+
+
 class TestPfaffian:
     def test_canonical_block(self):
         J = np.zeros((6, 6))
         for i in range(3):
             J[2 * i, 2 * i + 1] = 1.0
             J[2 * i + 1, 2 * i] = -1.0
-        assert abs(pfaffian(J) - 1.0) < 1e-14
+        assert abs(pf(J) - 1.0) < 1e-14
 
     def test_squares_to_determinant(self, rng):
         for dim in (2, 4, 6, 8):
             A = rng.standard_normal((dim, dim))
             S = A - A.T
             det = np.linalg.det(S)
-            assert abs(pfaffian(S) ** 2 - det) < 1e-9 * max(abs(det), 1.0)
-
-    def test_odd_dimension_rejected(self):
-        with pytest.raises(OddDimension):
-            pfaffian(np.zeros((3, 3)))
-
-    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
-    def test_matrix_that_is_not_square_rejected(self, shape):
-        with pytest.raises(ValueError, match="pfaffian needs a square matrix"):
-            pfaffian(np.zeros(shape))
+            assert abs(pf(S) ** 2 - det) < 1e-9 * max(abs(det), 1.0)
 
     def test_empty_matrix_is_one(self):
-        assert pfaffian(np.zeros((0, 0))) == 1.0
+        # tau_0 = 1: the empty skew Gram takes no elimination
+        assert moments._log_tau_of_basis(np.zeros((0, 0)), np.zeros(0)) == (1.0, 0.0)
 
     @pytest.mark.parametrize("shape", [(2, 3), (4,)])
     def test_skew_moment_matrix_that_is_not_square_rejected(self, t0, shape):
         with pytest.raises(ValueError, match="skew moment matrix must be square"):
             moments.SkewMomentMatrix(np.zeros(shape), t0)
 
-    def test_non_antisymmetric_rejected(self):
-        with pytest.raises(ValueError):
-            pfaffian(np.eye(4))
-
     def test_non_finite_rejected(self):
-        # a NaN pair passes the antisymmetry test's `>`; inf + -inf warns
+        # a NaN or infinite pivot is refused by the route log_tau reads
         nan_pair = np.zeros((4, 4))
         nan_pair[0, 1] = nan_pair[1, 0] = np.nan
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for A in (nan_pair, np.array([[0.0, np.inf], [-np.inf, 0.0]])):
-                with pytest.raises(ValueError, match="finite"):
-                    pfaffian(A)
+                with pytest.raises(IllConditioned, match="zero or non-finite pivot"):
+                    moments._log_tau_of_basis(A, np.zeros(len(A)))
 
     def test_singular_matrix(self):
         S = np.zeros((4, 4))
         S[0, 1], S[1, 0] = 1.0, -1.0
-        assert pfaffian(S) == 0.0
+        assert pf(S) == 0.0
 
     def test_product_in_range_is_kept_exact(self):
         # in-range pivots multiply as they are (pf of 2 * the canonical block
-        # is 8.0, not 7.999999999999998); a partial product that underflows
-        # (1e-320) falls back to the log sum, not the subnormal's few digits
-        assert pfaffian(np.kron(np.eye(3), [[0.0, 2.0], [-2.0, 0.0]])) == 8.0
+        # is 8.0, not 7.999999999999998); pivots whose partial product
+        # underflows (1e-320) sum in logs without a warning
+        assert pf(np.kron(np.eye(3), [[0.0, 2.0], [-2.0, 0.0]])) == 8.0
         A = np.kron(np.diag([1e-160, 1e-160, 1e200]), [[0.0, 1.0], [-1.0, 0.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert abs(pfaffian(A) / 1e-120 - 1.0) < 1e-13
+            sign, log_abs = moments._log_tau_of_basis(A, np.zeros(6))
+        assert sign == 1.0 and abs(log_abs / math.log(1e-120) - 1.0) < 1e-13
 
     @pytest.mark.parametrize("entry, log_abs", [(1e40, "921.034"), (1e-40, "-921.034")])
     def test_product_past_the_double_range_is_refused(self, entry, log_abs):
-        # pf = 1e400 returned inf with a RuntimeWarning, and pf = 1e-400 a
-        # silent 0.0
+        # pf = 1e400 and pf = 1e-400 have no double: log tau reads them, tau
+        # refuses them
         A = np.kron(np.eye(10), [[0.0, entry], [-entry, 0.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(IllConditioned, match=f"order 20 has log\\|pf\\| = {log_abs}: no double"):
-                pfaffian(A)
-        assert abs(pfaffian(A[:14, :14]) / entry ** 7 - 1.0) < 1e-13
+            sign, got = moments._log_tau_of_basis(A.copy(), np.zeros(20))
+            assert sign == 1.0 and f"{got:.6g}" == log_abs
+            with pytest.raises(IllConditioned, match=f"orthogonal tau_20 has sign \\+1 and "
+                                                     f"log\\|tau\\| = {log_abs}: no positive"):
+                moments._tau_value("orthogonal", 20, sign, got)
+        assert abs(pf(A[:14, :14]) / entry ** 7 - 1.0) < 1e-13
 
 
 class TestTauOrthogonal:

@@ -14,9 +14,9 @@ from taulattice import (CouplingVector, HydroChainField, PfaffLax, ReducedChainS
                         evolve_hydro_chain, evolve_pfaff, evolve_reduced, evolve_toda,
                         evolve_volterra, goe_lax_init, gue_lax_init, hydro_chain_rhs,
                         nijenhuis, nijenhuis_closed_form, pfaff_chain_rhs,
-                        pfaff_commutator_rhs, pfaffian, spatial_derivative, toda_rhs,
+                        pfaff_commutator_rhs, skew_moment_matrix, spatial_derivative, toda_rhs,
                         volterra_rhs)
-from taulattice import flows
+from taulattice import flows, identities, lax, moments
 
 couplings = st.dictionaries(
     st.integers(min_value=1, max_value=8),
@@ -38,8 +38,25 @@ def test_pfaffian_squares_to_determinant(half_dim, seed):
     n = 2 * half_dim
     a = rng.normal(size=(n, n))
     m = a - a.T
-    pf = pfaffian(m)
+    sign, pivots = moments._pfaffian_pivots(m.copy())   # the one elimination
+    pf = sign * float(np.prod(pivots))
     assert abs(pf * pf - np.linalg.det(m)) < 1e-9 * max(abs(pf * pf), 1.0)
+
+
+@given(st.floats(-0.2, 0.2), st.floats(-0.08, -0.005), st.booleans(),
+       st.floats(-0.1, 0.1), st.floats(-0.02, 0.02), st.sampled_from([2, 4, 6, 8]))
+@settings(max_examples=25, deadline=None)
+def test_pair_moments_of_the_skew_gram_match_the_monomial_route(t2, t4, odd, t1, t3, size):
+    # C09's pair moments X F X^T, with x^i written in the q_k of the Stieltjes
+    # basis, against the public skew products of monomials
+    t = CouplingVector.from_mapping({1: t1 * odd, 2: t2, 3: t3 * odd, 4: t4})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stieltjes = moments._stieltjes_basis("orthogonal", size, t)
+        jacobi = lax._skew_gram_schmidt(stieltjes, t).jacobi.matrix()
+        got = identities._monomial_skew_moments(stieltjes[0], stieltjes[3][0], jacobi, size)
+        want = skew_moment_matrix(t, size).m
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 @given(st.floats(min_value=-0.2, max_value=0.2),

@@ -37,9 +37,15 @@ strided views of sliding windows, are made once, with the temporaries, so
 an evaluation is arithmetic only, and the differences of the product
 w0 w1 that several bands read are formed once per call.  Each evolver
 builds its right-hand side once per call, with its buffers, views and
-closure coefficients, and caches nothing beyond it; the Volterra closure
-is one product of a (4, 2) coefficient matrix with the two edge sites,
-written into the padded line.  The tridiagonal and reduced chains'
+closure coefficients, and caches nothing beyond it.  `evolve_volterra`
+keeps two padded lines, one holding the live state and one the RK4 stage,
+with the stencil bound once to each: every stage is written straight into
+the line its stencil reads, so no evaluation copies its argument, and the
+closure, one product of a (4, 2) coefficient matrix with the two edge
+sites, is written into the ghosts of the line the RHS is handed.
+`evolve_pfaff` copies each stage into its one padded window: its state is
+a stack of strided band rows, and staging them in a second window read no
+faster (0.92-1.00x at N 32-600).  The tridiagonal and reduced chains'
 kernels work on flat arrays, (a, b) and (W^{-1}, W^1..W^K), the latter
 truncated by its one closure W^{K+1} := W^K; `toda_rhs` and
 `reduced_chain_rhs` wrap them for one state.
@@ -50,21 +56,25 @@ padded stencil once on a complex stack of the series' values on a circle
 and taking one FFT.  Coefficients of a flow's orbit follow one from the
 last, so coupling derivatives of a line need no time step.
 
-Stepping: every evolver, here and in `continuum`, takes classical RK4
-steps through `_rk4_stepper`, the one place the RK4 weights are written
-(Hairer, Norsett & Wanner, Solving ODEs I, sec. II.1).  It advances the
-state in place, and its four rates, stage state and weighted sum live in
-buffers of the state's shape made once per segment (once per march in
-`continuum`).  Right-hand sides take (t, y, out) and write their rates into
+Stepping: every evolver, here and in `continuum`, takes classical RK4 steps
+through `_rk4_stepper`, the one place the RK4 weights are written (Hairer,
+Norsett & Wanner, Solving ODEs I, sec. II.1).  It advances the state in
+place, and its four rates, stage state and weighted sum live in buffers of
+the state's shape made once per segment (once per march in `continuum`);
+the Volterra march hands `_evolve` its two lines' sites as the state it
+marches and the stage it writes, private arguments that `_rk4_segment`
+passes on.  Right-hand sides take (t, y, out) and write their rates into
 out, so a step allocates nothing; each stage takes the same floating-point
 operations, in the same order, as the step written with fresh arrays.  The
 stepper and the kernels take numpy's cheapest call: the output passed
 positionally, and scalar factors (0.5, h/2, h, h/6) held as 0-d arrays,
-since a Python float operand costs each ufunc call a conversion.
-`evolve` takes fixed steps of at most h, shortened to land on each sample
-time; its public form takes rhs(t, y) returning the rates and adapts it in
-one line.  Its sampling loop, `_evolve`, also advances each lattice
-evolver's influence front, from the live state before each segment.
+since a Python float operand costs each ufunc call a conversion; the
+Volterra closure calls its coefficient matrix's own `dot`, np.dot's product
+at less call cost.  `evolve` takes fixed steps of at most h, shortened to
+land on each sample time; its public form takes rhs(t, y) returning the
+rates and adapts it in one line.  Its sampling loop, `_evolve`, also
+advances each lattice evolver's influence front, from the live state before
+each segment.
 
 Divergence: each RK4 segment, and each call of the five public right-hand
 sides, runs with floating-point overflow and invalid operations raising
@@ -580,22 +590,28 @@ def reduced_chain_rhs(state: ReducedChainState, *, ghost: str = "copy"):
 # ---------------------------------------------------------------------------
 # steppers
 
-def _rk4_stepper(rhs, y: np.ndarray):
+def _rk4_stepper(rhs, y: np.ndarray, stage=None):
     """Classical RK4 on y in place, as step(t, h): one step of
     dy/dt = rhs(t, y, out) from (t, y) to t + h.
 
-    rhs writes its rates into out.  The four rates, the stage state and the
-    weighted sum live in buffers of y's shape made here once, and each stage
-    takes the same floating-point operations, in the same order, as
-    y + (h/2) k1, y + (h/2) k2, y + h k3 and
+    rhs writes its rates into out.  The four rates and the weighted sum live
+    in buffers of y's shape made here once, and so does the stage state
+    unless the caller owns it: given `stage`, an array of y's shape, every
+    stage is written into it, so an evolver whose rhs reads the state from
+    a padded line can hand the stepper a view of that line and copy no
+    stage.  Each stage takes the same floating-point operations, in the
+    same order, as y + (h/2) k1, y + (h/2) k2, y + h k3 and
     y + (h/6) (k1 + 2 k2 + 2 k3 + k4) written with fresh arrays.  The
     factors h/2, h and h/6 are held as 0-d arrays, set again only when h
     changes, since a Python float operand costs each ufunc call a
-    conversion.  Every rhs call after the first reads the stage buffer, so
-    a rhs may write into the state it is given; at the first stage that is
-    y itself.
+    conversion.  The first rhs call of a step is handed y itself and the
+    other three the stage buffer, which the stepper writes before it reads
+    it: a rhs may write into the stage it is handed, and what it writes
+    into y at the first call stays in the step, as in the fresh-array step.
     """
-    k1, k2, k3, k4, stage, acc = (np.empty_like(y) for _ in range(6))
+    k1, k2, k3, k4, acc = (np.empty_like(y) for _ in range(5))
+    if stage is None:
+        stage = np.empty_like(y)
     factors = np.empty(3)
     half, full, sixth = (factors[i, ...] for i in range(3))
     size = [None, 0.0]                          # h and h/2 of the factors
@@ -635,11 +651,12 @@ def _sample_times(horizon: float, samples: int) -> np.ndarray:
     return horizon * np.arange(1, samples + 1) / samples
 
 
-def _rk4_segment(rhs, y, t0, t1, h):
+def _rk4_segment(rhs, y, t0, t1, h, stage=None):
     """Advance y in place from t0 to t1 by equal RK4 steps of at most h on
-    dy/dt = rhs(t, y, out); returns the step count."""
+    dy/dt = rhs(t, y, out), staging in `stage` when given (see
+    `_rk4_stepper`); returns the step count."""
     steps, hs = _segment_steps(t1 - t0, h)
-    step = _rk4_stepper(rhs, y)
+    step = _rk4_stepper(rhs, y, stage)
 
     def march():
         for i in range(steps):
@@ -660,16 +677,21 @@ def _checked_times(times) -> np.ndarray:
     return times
 
 
-def _evolve(rhs, y0: np.ndarray, times, h: float, record, speed_of=None, start=None):
+def _evolve(rhs, y0: np.ndarray, times, h: float, record, speed_of=None, start=None,
+            buffers=None):
     """`evolve` for a right-hand side rhs(t, y, out) that writes its rates
     into out.  Returns record(y) of the live state at each sample, and
     stats; a ValueError from record ends the march with DivergedField at
-    that sample.  Given speed_of(y) and a start site, it also advances the
-    influence front: before each segment, the first from 0 included, the
-    front moves in by the segment's length times the live state's speed, to
-    no less than site 1; the stats' 'influence_index' is its floor.  A
-    step h that is a bool, not finite and positive, or past `_MAX_STEPS`
-    steps up to the last sample raises ValueError before any step."""
+    that sample.  The live state is a fresh copy of y0, or, given buffers =
+    (state, stage), the caller's two arrays of y0's shape: y0 is copied
+    into state, which is marched in place, and every RK4 stage is written
+    into stage, so a rhs bound to both reads either without a copy.  Given
+    speed_of(y) and a start site, it also advances the influence front:
+    before each segment, the first from 0 included, the front moves in by
+    the segment's length times the live state's speed, to no less than site
+    1; the stats' 'influence_index' is its floor.  A step h that is a bool,
+    not finite and positive, or past `_MAX_STEPS` steps up to the last
+    sample raises ValueError before any step."""
     times = _checked_times(times)
     if times[0] < 0:
         raise ValueError("sampling starts at t >= 0")
@@ -678,7 +700,11 @@ def _evolve(rhs, y0: np.ndarray, times, h: float, record, speed_of=None, start=N
     if float(times[-1]) / float(h) > _MAX_STEPS:
         raise ValueError(f"h = {h} passes the step budget {_MAX_STEPS} up to t = {times[-1]:g}")
     out = []
-    y = np.array(y0, dtype=float)
+    if buffers is None:
+        y, stage = np.array(y0, dtype=float), None
+    else:
+        y, stage = buffers
+        y[...] = y0
     t_prev = 0.0
     total = 0
     front = None if speed_of is None else float(start)
@@ -686,7 +712,7 @@ def _evolve(rhs, y0: np.ndarray, times, h: float, record, speed_of=None, start=N
         if front is not None:
             front = max(front - (t - t_prev) * speed_of(y), 1.0)
         if t > t_prev:
-            total += _rk4_segment(rhs, y, t_prev, t, h)
+            total += _rk4_segment(rhs, y, t_prev, t, h, stage)
         try:
             state = record(y)
         except ValueError as exc:
@@ -737,6 +763,12 @@ def evolve_volterra(state: VolterraState, flow: int, times, *,
     """Volterra trajectory; the outer 4 sites of `state` anchor the closure,
     so a line needs at least 6 sites.
 
+    The influence front moves in from the last evolved site, of value B_N,
+    at c |B_N|^(flow/2) with c = 2, 12, 60 for flows 2, 4, 6: the peak
+    group velocity of the flow's stencil linearised about a constant line
+    B_N.  It is an estimate, not a bound: off a constant line the closure
+    can reach sites below it.
+
     Raises DivergedField when a sampled site, the closure's included, is
     not positive.
     """
@@ -746,19 +778,27 @@ def evolve_volterra(state: VolterraState, flow: int, times, *,
         raise ValueError("need at least 6 sites: 2 evolved and 4 anchors")
     # ghosts = C @ (a2, a1)
     C = np.column_stack(_ghost_closure(B0[n - 2], B0[n - 1], B0[n:]))
-    Bp = np.zeros(n + 8)                        # left ghosts stay 0
-    sites, edge, ghosts = Bp[4:-4], Bp[n + 2:n + 4], Bp[-4:]
 
-    kernel = _volterra_kernel(Bp, flow)
+    def line():
+        # a padded line, its sites, and what its rhs reads: the edge sites,
+        # the ghosts the closure writes and the stencil bound to the line
+        Bp = np.zeros(n + 8)                    # left ghosts stay 0
+        return Bp[4:-4], (Bp[n + 2:n + 4], Bp[-4:], _volterra_kernel(Bp, flow))
 
-    def rhs(t, y, out):
-        sites[:] = y
-        np.dot(C, edge, ghosts)
+    # the live state and the RK4 stage each sit in a line of their own
+    sites, live = line()
+    stage, staged = line()
+    speed = {2: 2.0, 4: 12.0, 6: 60.0}[flow]
+    closure = C.dot                             # np.dot's product at less call cost
+
+    def rhs(t, v, out):
+        edge, ghosts, kernel = staged if v is stage else live
+        closure(edge, ghosts)
         kernel(out)
 
     states, stats = _evolve(rhs, B0[:n], times, h,
                             lambda y: VolterraState(np.concatenate([y, C @ y[-2:]])),
-                            lambda y: 2.0 * abs(y[-1]), n)
+                            lambda y: speed * abs(y[-1]) ** (flow // 2), n, (sites, stage))
     stats["n_evolve"] = n
     return EvolutionResult(times, states, stats)
 

@@ -2,7 +2,8 @@
 hand-written hydrodynamic chain and its RK4 march, the derivative stencil
 on fresh arrays, the reduced chain on
 concatenated rows, the site-by-site dense commutator, an RK4 step with its
-stages in fresh arrays, and a 50-digit Gauss-Legendre rule.
+stages in fresh arrays, the Volterra march on one padded line that every
+stage is copied into, and a 50-digit Gauss-Legendre rule.
 
 These are the straightforward forms of the Pfaff-chain and Volterra
 right-hand sides, of the continuum chain's RHS written row by row and read
@@ -287,6 +288,40 @@ def evolve_volterra(B0: np.ndarray, flow: int, times, h: float):
 
     ys, _ = flows.evolve(rhs, B0[:n_ev], times, h=h)
     return [np.concatenate([y, line(y[-2], y[-1])]) for y in ys]
+
+
+def volterra_march(B0: np.ndarray, flow: int, times, h: float):
+    """flows.evolve_volterra as it stepped before it kept its live state and
+    its RK4 stage in padded lines of their own: one padded line that every
+    stage is copied into, the coefficient closure of `flows._ghost_closure`
+    written by np.dot, and `rk4_step`'s fresh-array steps of at most h,
+    evened out to land on each sample.  Returns the sampled lines and the
+    stats, the influence front moved in before each segment at
+    c |B_N|^(flow/2), c = 2, 12, 60 for flows 2, 4, 6, from the state at
+    the segment's start."""
+    n = len(B0) - 4
+    C = np.column_stack(flows._ghost_closure(B0[n - 2], B0[n - 1], B0[n:]))
+    Bp = np.zeros(n + 8)
+    kernel = flows._volterra_kernel(Bp, flow)
+
+    def f(t, y):
+        Bp[4:-4] = y
+        np.dot(C, Bp[n + 2:n + 4], Bp[-4:])
+        return kernel(np.empty(n))
+
+    speed = {2: 2.0, 4: 12.0, 6: 60.0}[flow]
+    y, t_prev, steps, front, lines = B0[:n].copy(), 0.0, 0, float(n), []
+    for t in times:
+        front = max(front - (t - t_prev) * speed * abs(y[-1]) ** (flow // 2), 1.0)
+        if t > t_prev:
+            count, hs = flows._segment_steps(t - t_prev, h)
+            for i in range(count):
+                y = rk4_step(f, t_prev + i * hs, y, hs)
+            steps += count
+        lines.append(np.concatenate([y, C @ y[-2:]]))
+        t_prev = t
+    return lines, {"stepper": "rk4", "h": h, "steps": steps,
+                   "influence_index": int(math.floor(front)), "n_evolve": n}
 
 
 def evolve_pfaff(state, times, h: float):

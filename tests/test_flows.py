@@ -159,6 +159,24 @@ class TestVolterra:
                               [0.05, 0.1], h=1e-3)
         assert res.stats["influence_index"] < res.stats["n_evolve"]
 
+    @given(st.sampled_from([2, 4, 6]), st.integers(6, 64), st.sampled_from([2.5e-4, 5e-4, 1e-3]),
+           st.lists(st.tuples(st.integers(0, 12), st.floats(0.05, 1.0)), min_size=2,
+                    max_size=2),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_march_equals_the_one_line_reference(self, flow, N, h, spans, from_zero, seed):
+        # the live state and the stage in lines of their own repeat the
+        # march that copied each stage into one line, bit for bit; each
+        # segment's span is not a whole number of steps, so its steps are
+        # evened out, and the two segments step at different sizes
+        B0 = np.random.default_rng(seed).uniform(0.8, 1.2, N)
+        times = np.cumsum([h * (m + f) for m, f in spans])
+        times = np.r_[0.0, times] if from_zero else times
+        res = evolve_volterra(VolterraState(B0), flow, times, h=h)
+        lines, stats = ref.volterra_march(B0, flow, times, h)
+        assert [s.B.tobytes() for s in res.states] == [b.tobytes() for b in lines]
+        assert res.stats == stats
+
     @given(st.integers(8, 256), st.floats(1e-6, 0.2))
     @settings(max_examples=20, deadline=None)
     def test_influence_front_counts_from_zero(self, N, horizon):
@@ -269,7 +287,10 @@ _FRONTS = {
                    lambda s: 2.0 * abs(s.B[19]), 20),
     "volterra-4": (VolterraState(np.linspace(1.0, 1.5, 12)),
                    lambda s, times: evolve_volterra(s, 4, times),
-                   lambda s: 2.0 * abs(s.B[7]), 8),
+                   lambda s: 12.0 * s.B[7] ** 2, 8),
+    "volterra-6": (VolterraState(np.linspace(0.5, 0.7, 12)),
+                   lambda s, times: evolve_volterra(s, 6, times),
+                   lambda s: 60.0 * s.B[7] ** 3, 8),
     "toda-1": (gue_lax_init(16), lambda s, times: evolve_toda(s, 1, times),
                lambda s: 2.0 * abs(s.b[-1]), 16),
     "toda-2": (gue_lax_init(16), lambda s, times: evolve_toda(s, 2, times),
@@ -363,18 +384,24 @@ def _stepper_system(kind, shape, seed):
     return lambda t, y: y * y + 1.0        # blows up at t = pi/2 - arctan(y0)
 
 
-def _counted(f):
+def _counted(f, scribble=False):
     """(rhs(t, y, out), reference f(t, y), calls): both evaluate f and
-    append to calls."""
+    append to calls.  With scribble, each then scales the array it was
+    handed by 0.75 in place, after evaluating f."""
     calls = []
 
     def rhs(t, y, out):
         calls.append(t)
         out[...] = f(t, y)
+        if scribble:
+            y *= 0.75
 
     def direct(t, y):
         calls.append(t)
-        return f(t, y)
+        rates = f(t, y)
+        if scribble:
+            y *= 0.75
+        return rates
     return rhs, direct, calls
 
 
@@ -383,26 +410,45 @@ class TestStepper:
            st.sampled_from([(), (1,), (7,), (5, 3)]),
            st.sampled_from([4e-3, 0.02, 0.05, 0.2]),
            st.sampled_from([0.0, 0.3]), st.sampled_from([0.01, 0.25, 1.0]),
-           st.integers(0, 2**32 - 1))
+           st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_stepper_equals_reference_rk4(self, kind, shape, h, t0, span, seed):
+    def test_stepper_equals_reference_rk4(self, kind, shape, h, t0, span, seed, own_stage,
+                                          scribble):
         # the stage buffers repeat the fresh-array RK4 step bit for bit,
-        # with each stage at its time
+        # with each stage at its time.  A stage buffer the caller owns, a
+        # view into a padded array as the Volterra march hands it, is handed
+        # to the rhs at stages 2-4, y itself at stage 1, and nothing outside
+        # the view is written; a rhs that writes into the array it is handed
+        # changes the step as it changes the fresh-array step
         f = _stepper_system(kind, shape, seed)
         y0 = np.random.default_rng(seed + 1).uniform(-0.5, 0.5, shape)
         t1 = t0 + span
         steps, hs = flows._segment_steps(t1 - t0, h)
-        rhs, direct, calls = _counted(f)
+        rhs, direct, calls = _counted(f, scribble)
         expect = np.array(y0)
         with np.errstate(over="raise", invalid="raise"):
             for i in range(steps):
-                expect = ref.rk4_step(direct, t0 + i * hs, expect, hs)
+                expect = np.array(ref.rk4_step(direct, t0 + i * hs, expect, hs))
         ref_calls = calls[:]
         calls.clear()
         y = np.array(y0)
-        assert flows._rk4_segment(rhs, y, t0, t1, h) == steps
-        assert y.tobytes() == np.asarray(expect).tobytes()
+        padded = np.full((shape[0] + 4,) + shape[1:] if shape else (3,), np.nan)
+        inside = slice(2, -2) if shape else 1
+        stage = padded[inside, ...] if own_stage else None
+        handed = []
+
+        def seen(t, v, out):
+            handed.append(v)
+            rhs(t, v, out)
+
+        assert flows._rk4_segment(seen, y, t0, t1, h, stage) == steps
+        assert y.tobytes() == expect.tobytes()
         assert calls == ref_calls
+        if own_stage:
+            assert all(v is (stage if i % 4 else y) for i, v in enumerate(handed))
+            outside = np.ones(padded.shape, bool)
+            outside[inside] = False
+            assert np.isnan(padded[outside]).all()
         # the public contract, rhs(t, y) -> array, samples the same states
         times = t0 + span * np.array([0.5, 1.0])
         states, stats = evolve(f, y0, times, h=h)

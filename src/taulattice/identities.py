@@ -33,7 +33,8 @@ from .flows import (EvolutionResult, ReducedChainState, VolterraState,
 from .lax import (PfaffLax, TodaLax, _manifold_window, _skew_basis, _skew_gram_schmidt,
                   goe_lax_init, pfaff_entries_from_tau, pfaff_lax_from_basis,
                   skew_hermite_map_check, sqrt_ratio_product)
-from .moments import _log_tau_jets, _log_tau_of_basis, _stieltjes_basis
+from .moments import (_log_tau_jets, _log_tau_of_basis, _monomial_skew_moments,
+                      _stieltjes_basis)
 from .report import IdentityReport
 
 __all__ = [
@@ -181,16 +182,6 @@ def _pair_expectation(poly: dict, m: np.ndarray) -> float:
     for (i, j), cf in poly.items():
         num += cf * (m[i, j + 1] - m[i + 1, j])
     return num / (m[0, 1] - m[1, 0])
-
-
-def _monomial_skew_moments(F: np.ndarray, b0: float, J: np.ndarray, size: int) -> np.ndarray:
-    """<x^i, y^j>, i, j < size, from the skew Gram F of the q_k with Jacobi
-    matrix J: x^0 = b0 q_0 and x^{i+1} = J x^i in the q_k, so m = X F X^T."""
-    X = np.zeros((size, len(F)))
-    X[0, 0] = b0
-    for i in range(1, size):
-        X[i] = J @ X[i - 1]
-    return X @ F @ X.T
 
 
 def observables_check(n: int = 1, t: CouplingVector = _T0, *,
@@ -483,14 +474,14 @@ def verify_init_goe(n_sites: int = 8, k_band: int = 6,
     """Closed-form band entries against the skew Gram-Schmidt oracle, which
     orthogonalizes the Stieltjes basis of rho^2 on N + K + 1 pairs, built
     from the couplings alone."""
-    n_sites, k_band = _checked_int("n_sites", n_sites, 1), _checked_int("k_band", k_band)
+    n_sites, k_band = _checked_int("n_sites", n_sites, 1), _checked_int("k_band", k_band, 2)
     n_pairs = n_sites + k_band + 1
     oracle = pfaff_lax_from_basis(_skew_basis(_T0, n_pairs), n_sites, k_band, k_band)
     closed = goe_lax_init(n_sites, k_band, k_band)
     resid = float(np.max(np.abs(oracle.w - closed.w)))
     meta = {"n_sites": n_sites, "k_band": k_band,
             "w[1][2]": float(oracle.w[k_band + 1, 1]) if n_sites >= 2 else math.nan,
-            "w[2][1]": float(oracle.w[k_band + 2, 0]) if k_band >= 2 else math.nan}
+            "w[2][1]": float(oracle.w[k_band + 2, 0])}
     return IdentityReport.from_residual("goe-initial-data", resid, tolerance, meta=meta)
 
 

@@ -174,6 +174,9 @@ class PfaffLax:
         return self.w.shape[1]
 
     def get(self, ell: int, n: int) -> float:
+        for name, q in (("band index", ell), ("site", n)):
+            if not _is_integer(q):
+                raise ValueError(f"{name} must be an integer, got {q!r}")
         if not -self.k_neg <= ell <= self.k_pos:
             raise IndexError(f"band index {ell} outside [-{self.k_neg}, {self.k_pos}]")
         if not 1 <= n <= self.n_sites:

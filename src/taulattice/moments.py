@@ -24,9 +24,11 @@ This is the one module that builds grids and integrates on them: `lax` and
 `build_quadrature`'s one recipe, 24-point panels whose radius and panel
 count are held to 1e-12 relative, and none chooses a tolerance.  Each check
 that takes skew products reads the skew Gram F of the rho^2 basis, and each
-Pfaffian is `_pfaffian_pivots`; the monomial skew moments
-(`skew_moment_matrix`), which cancel as the degree grows (Gautschi 2004,
-sec. 2.1), serve outside callers only.
+Pfaffian is `_pfaffian_pivots`.  The monomial skew moments are a view of F
+too: `skew_moment_matrix` writes x^i in the q_k by the recurrence and reads
+m = X F X^T (`_monomial_skew_moments`), so no module evaluates a monomial
+at grid nodes, whose skew products cancel as the degree grows (Gautschi
+2004, sec. 2.1).
 """
 
 from __future__ import annotations
@@ -81,13 +83,35 @@ class SkewMomentMatrix:
 
 
 def skew_moment_matrix(t: CouplingVector, size: int) -> SkewMomentMatrix:
-    """Skew products m[i][j] = <x^i, y^j> for i, j < size (size even)."""
+    """Skew products m[i][j] = <x^i, y^j> for i, j < size (size even), read
+    off the skew Gram F of the rho^2 Stieltjes basis of that size by
+    `_monomial_skew_moments`, exactly antisymmetric.  A ValueError names a
+    size whose moments pass the double range."""
     size = _checked_int("size", size, 1)
     if size % 2:
         raise ValueError(f"size must be a positive even integer, got {size}")
-    grid = build_quadrature(t, max_degree=size + 2)
-    powers = grid.nodes[None, :] ** np.arange(size)[:, None]
-    return SkewMomentMatrix(_skew_products(grid, powers, grid.rho), t)
+    F, _, a, b = _stieltjes_basis("orthogonal", size, t)
+    with np.errstate(over="ignore", invalid="ignore"):   # refused below
+        m = _monomial_skew_moments(F, b[0], _jacobi_matrix(a, b), size)
+        m = 0.5 * (m - m.T)
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"skew moments of size {size} pass the double range")
+    return SkewMomentMatrix(m, t)
+
+
+def _jacobi_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Jacobi matrix J of a `_stieltjes` recurrence (a, b): z q = J q."""
+    return np.diag(a) + np.diag(b[1:], 1) + np.diag(b[1:], -1)
+
+
+def _monomial_skew_moments(F: np.ndarray, b0: float, J: np.ndarray, size: int) -> np.ndarray:
+    """<x^i, y^j>, i, j < size, from the skew Gram F of the q_k with Jacobi
+    matrix J: x^0 = b0 q_0 and x^{i+1} = J x^i in the q_k, so m = X F X^T."""
+    X = np.zeros((size, len(F)))
+    X[0, 0] = b0
+    for i in range(1, size):
+        X[i] = J @ X[i - 1]
+    return X @ F @ X.T
 
 
 def _pfaffian_pivots(A: np.ndarray):
@@ -235,7 +259,7 @@ def _log_tau_jets(ensemble: str, sizes, t: CouplingVector, axes: tuple, tops) ->
     reach = max(degree) if ensemble == "orthogonal" else -(-max(degree) // 2)
     top = max(sizes)
     F, log_h, a, b = _stieltjes_basis(ensemble, top + reach + 2, t)
-    J = np.diag(a) + np.diag(b[1:], 1) + np.diag(b[1:], -1)
+    J = _jacobi_matrix(a, b)
     rows = np.stack([np.linalg.matrix_power(J, d)[:top] / math.prod(map(math.factorial, g))
                      for g, d in zip(monos, degree)])   # E(s)'s leading rows
     i, j, k = np.array([(i, j, monos.index(s)) for i, g in enumerate(monos) for j, h in

@@ -734,6 +734,34 @@ def skew_moment_rows(t, size, grid):
     return 0.5 * (m - m.T)
 
 
+def gaussian_skew_moments(size, dps=60):
+    """Exact m[i][j] = <x^i, y^j> at t = 0 (rho = exp(-z^2/2)), i, j < size.
+
+    With u = (y - x)/sqrt(2) and v = (y + x)/sqrt(2), rho(x) rho(y) =
+    exp(-(u^2 + v^2)/2) and sgn(y - x) = sgn(u).  Write (v - u)^i (v + u)^j =
+    sum_k c_k v^k u^(n-k), n = i + j; the v integral of v^k is sqrt(2 pi)
+    (k-1)!! for even k and that of sgn(u) u^l is 2 (l-1)!! for odd l, so
+    m[i][j] = sqrt(pi) 2^((1-n)/2) sum_(k even) c_k (k-1)!! (n-k-1)!! for odd
+    n and 0 for even n: an integer times 2^((1-n)/2) sqrt(pi), rounded once
+    from `dps` digits."""
+    import mpmath
+    dfact = [1, 1]   # dfact[k + 1] = k!!, from (-1)!! = 1
+    for k in range(1, 2 * size):
+        dfact.append(k * dfact[-2])
+    m = np.zeros((size, size))
+    with mpmath.workdps(dps):
+        root_pi = mpmath.sqrt(mpmath.pi)
+        for i in range(size):
+            c = [math.comb(i, l) * (-1) ** l for l in range(i + 1)]   # (1 - u)^i
+            for j in range(size):
+                n = i + j
+                if n % 2:   # c holds (1 - u)^i (1 + u)^j by powers l of u, k = n - l
+                    total = sum(c[n - k] * dfact[k] * dfact[n - k] for k in range(0, n, 2))
+                    m[i, j] = float(root_pi * total / mpmath.mpf(2) ** ((n - 1) // 2))
+                c = [x + y for x, y in zip(c + [0], [0] + c)]   # times (1 + u)
+    return m
+
+
 def log_tau_unitary_monomial(t, n):
     """log det of the n x n monomial Hankel matrix, by Cholesky."""
     grid = build_quadrature(t, max_degree=2 * (n - 1))

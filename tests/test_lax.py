@@ -10,7 +10,7 @@ import pytest
 from numpy.polynomial.hermite import herm2poly
 
 import reference_kernels as ref
-from taulattice import (CouplingVector, PfaffLax, TodaLax, c_coeff, couplings, lax,
+from taulattice import (CouplingVector, PfaffLax, TodaLax, c_coeff, couplings, identities, lax,
                         goe_lax_init, gue_lax_init,
                         hermite_map_coeffs, nu_values, pfaff_entries_from_tau,
                         pfaff_lax_from_basis, skew_hermite_map_check,
@@ -322,6 +322,19 @@ def test_pfaff_lax_get_guards():
         lax.get(0, 4)
 
 
+@pytest.mark.parametrize("ell, n, message", [
+    (True, 1, "band index must be an integer, got True"),
+    (1.5, 1, "band index must be an integer, got 1.5"),
+    (1, False, "site must be an integer, got False"),
+    (1, 2.0, "site must be an integer, got 2.0")])
+def test_pfaff_lax_get_refuses_an_index_that_is_not_an_integer(ell, n, message):
+    # True read as band 1 and returned w^1_1; 1.5 raised numpy's bare IndexError
+    lax = goe_lax_init(3, 2, 2)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        lax.get(ell, n)
+    assert lax.get(np.int64(1), np.int64(1)) == lax.get(1, 1)
+
+
 def test_hermite_map_coefficients():
     Q = hermite_map_coeffs(2)
     # Q_2 = z^2 - 1/2, Q_3 = z^3 - (5/2) z
@@ -418,6 +431,15 @@ def test_window_independent_of_basis_size(mapping):
     _, small = _window(mapping, 14, 10, 4)
     _, large = _window(mapping, 22, 10, 4)
     assert np.max(np.abs(small.w - large.w)) < 1e-12
+
+
+@pytest.mark.parametrize("k_band", [1, 0, -1])
+def test_init_goe_refuses_a_band_below_two_by_name(k_band, monkeypatch):
+    # 1 was refused as "k_neg must be at least 2" and -1 as "k_pos must be
+    # non-negative", both after the basis was built
+    monkeypatch.setattr(identities, "_skew_basis", lambda *args: pytest.fail("basis built"))
+    with pytest.raises(ValueError, match=f"^k_band must be at least 2, got {k_band}$"):
+        verify_init_goe(4, k_band)
 
 
 def test_skew_basis_reaches_past_the_monic_range(t0):

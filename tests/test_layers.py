@@ -32,7 +32,8 @@ LAYERS = {
 _BELOW = list(LAYERS)
 LAYERS["identities"] = dict.fromkeys(_BELOW, ANY)
 LAYERS["identities"]["couplings"] = {"CouplingVector", "_checked_int", "_checked_seed"}
-LAYERS["identities"]["moments"] = {"_log_tau_jets", "_log_tau_of_basis", "_stieltjes_basis"}
+LAYERS["identities"]["moments"] = {"_log_tau_jets", "_log_tau_of_basis", "_monomial_skew_moments",
+                                   "_stieltjes_basis"}
 LAYERS["cli"] = dict.fromkeys(_BELOW + ["identities"], ANY)
 
 
@@ -69,6 +70,25 @@ def test_module_imports_only_what_its_layer_allows(module):
         if allowed[source] is not ANY:
             assert names <= allowed[source], (
                 f"{module} imports {sorted(names - allowed[source])} from {source}")
+
+
+def test_no_module_raises_grid_nodes_to_a_power():
+    # skew products of monomials at the nodes cancel as the degree grows;
+    # the library writes x^i in the q_k of the Stieltjes basis instead
+    # (`moments._monomial_skew_moments`)
+    found = []
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+                base = node.left
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) == "np.power":
+                base = node.args[0]
+            else:
+                continue
+            if any(isinstance(n, ast.Name) and n.id == "nodes"
+                   or isinstance(n, ast.Attribute) and n.attr == "nodes" for n in ast.walk(base)):
+                found.append(f"{path.stem}:{node.lineno}")
+    assert not found, f"grid nodes raised to a power at {found}"
 
 
 def _reads(tree) -> set:

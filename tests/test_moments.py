@@ -67,11 +67,32 @@ class TestSkewMoments:
             skew_moment_matrix(t0, 5)
 
     def test_matches_per_row_kernel(self):
+        # the skew Gram's view against skew products of monomials at the
+        # nodes of the grid that route read at size 12
         t = CouplingVector.from_mapping({1: 0.2, 4: -0.05})
         m = skew_moment_matrix(t, 12).m
-        grid = build_quadrature(t, max_degree=14)   # the memo's grid of size 12
+        grid = build_quadrature(t, max_degree=14)
         expect = ref.skew_moment_rows(t, 12, grid)
         assert np.abs(m - expect).max() <= 1e-14 * np.abs(expect).max()
+
+    def test_gaussian_moments_match_the_closed_form(self, t0):
+        # the monomial route at the nodes read 3.3e-15 at size 8 and 1.6e-14
+        # at 40; the skew Gram's view reads at most 1.3e-15 (size 34), most
+        # of it the rounding of F and the recurrence, not of X F X^T
+        exact = ref.gaussian_skew_moments(40)
+        for size in range(8, 41, 2):
+            m, want = skew_moment_matrix(t0, size).m, exact[:size, :size]
+            assert np.abs(m - want).max() <= 2e-15 * np.abs(want).max(), size
+
+    def test_size_past_the_double_range_is_refused(self):
+        # the moments of degree near 600 pass 1e308; numpy's overflow
+        # warning escaped and the record refused an inf it did not explain
+        t = CouplingVector.from_mapping({4: -0.05})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(skew_moment_matrix(t, 240).m).all()
+            with pytest.raises(ValueError, match="skew moments of size 300 pass the double range"):
+                skew_moment_matrix(t, 300)
 
 
 def pf(A):

@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import reference_kernels as ref
 from taulattice import (CouplingVector, HydroChainField, PfaffLax, ReducedChainState,
                         TauLatticeError, TensorPoint, VolterraState, build_quadrature,
                         evolve_hydro_chain, evolve_pfaff, evolve_reduced, evolve_toda,
                         evolve_volterra, goe_lax_init, gue_lax_init, hydro_chain_rhs,
                         nijenhuis, nijenhuis_closed_form, pfaff_chain_rhs,
-                        pfaff_commutator_rhs, skew_moment_matrix, spatial_derivative, toda_rhs,
-                        volterra_rhs)
-from taulattice import flows, identities, lax, moments
+                        pfaff_commutator_rhs, spatial_derivative, toda_rhs, volterra_rhs)
+from taulattice import flows, lax, moments
 
 couplings = st.dictionaries(
     st.integers(min_value=1, max_value=8),
@@ -48,14 +48,14 @@ def test_pfaffian_squares_to_determinant(half_dim, seed):
 @settings(max_examples=25, deadline=None)
 def test_pair_moments_of_the_skew_gram_match_the_monomial_route(t2, t4, odd, t1, t3, size):
     # C09's pair moments X F X^T, with x^i written in the q_k of the Stieltjes
-    # basis, against the public skew products of monomials
+    # basis, against skew products of monomials at the nodes of a grid
     t = CouplingVector.from_mapping({1: t1 * odd, 2: t2, 3: t3 * odd, 4: t4})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         stieltjes = moments._stieltjes_basis("orthogonal", size, t)
         jacobi = lax._skew_gram_schmidt(stieltjes, t).jacobi.matrix()
-        got = identities._monomial_skew_moments(stieltjes[0], stieltjes[3][0], jacobi, size)
-        want = skew_moment_matrix(t, size).m
+        got = moments._monomial_skew_moments(stieltjes[0], stieltjes[3][0], jacobi, size)
+        want = ref.skew_moment_rows(t, size, build_quadrature(t, max_degree=size + 2))
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 

@@ -9,8 +9,8 @@ diagnostic for the chain's coefficient matrix (Nijenhuis / Haantjes).
 
 The monomial table `_matrix_terms` is the single encoding of the chain: the
 RHS that `evolve_hydro_chain` integrates, the coefficient matrix and its
-gradient all read it, compiled once per window shape into index arrays, so
-the Haantjes scan certifies the matrix of the chain being integrated.  The
+gradient all read it, compiled once per window shape, so the Haantjes scan
+certifies the matrix of the chain being integrated.  The
 x-independent reduction has one encoding too: `reduced_continuum_rhs`
 builds its field with one linear row map and holds the chain's rates to
 that map's tangent.
@@ -18,12 +18,17 @@ that map's tangent.
 Each RHS evaluation makes one stencil pass over one buffer holding the
 window, its two closure rows (each a copy of the window's edge row: the
 chain's one truncation) and the two sources of the v equation, then
-forms the u rates as one product with the dense (rows x terms) coefficient
-matrix S compiled from the table.  `_hydro_kernel` binds the RHS once per
-march: the buffers, the stencil's views and the monomial buffer are made
-there, so an evaluation is arithmetic only, in the operations and order of
-the formulas on fresh arrays.  `hydro_chain_rhs` binds it for one call,
-and `spatial_derivative` runs the same bound stencil.
+forms the u rates from the table compiled in column blocks
+(`_rhs_plan`).  Every monomial multiplies one column's derivative: the
+u^0_x column holds one field or a field times u^1, the u^1_x column u^0
+times one field, and every other column u^0 alone, so the rates are
+(L_a ext + (L_b ext) u^1) u^0_x + u^0 ((L_c ext) u^1_x + L_d u_x): one
+product of the stacked [L_a; L_b; L_c] with the buffer, one of L_d with
+its derivatives, and seven row operations.  `_hydro_kernel` binds the RHS
+once per march: the buffers, the stencil's views and the blocks' buffer
+are made there, so an evaluation is arithmetic only, in the operations and
+order of the formulas on fresh arrays.  `hydro_chain_rhs` binds it for one
+call, and `spatial_derivative` runs the same bound stencil.
 
 The Nijenhuis and Haantjes tensors are evaluated sparsely: once per
 window, `_tensor_plan` compiles from the same table which entries of A, its
@@ -332,20 +337,45 @@ def _profile_on(x: np.ndarray, values) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _rhs_plan(k_neg: int, k_pos: int):
-    """(S, first factor, second factor, column) of the monomials of rows
-    -k_neg .. k_pos in table order.  Factors and columns index the rows of
-    the `ext` buffer in `_hydro_kernel`; S is the dense (rows, terms) matrix
-    of the monomials' coefficients, so row r's rate is S[r] @ (monomial
-    values)."""
+    """(L, L_d): the monomials of rows -k_neg .. k_pos in three column
+    blocks and the rest.
+
+    Every monomial of the table multiplies one column's derivative.  The
+    u^0_x column holds one field (block a) or a field times u^1 (block b),
+    the u^1_x column u^0 times one field (block c, where u^0 alone reads
+    the ones row), and every other column u^0 alone (L_d).  So the rates
+    are
+
+        (L_a ext + (L_b ext) u^1) u^0_x + u^0 ((L_c ext) u^1_x + L_d u_x)
+
+    over the rows of the `ext` buffer in `_hydro_kernel` and their
+    derivatives u_x.  L stacks [L_a; L_b; L_c], a (3 rows, ext rows)
+    matrix, and L_d is (rows, u_x rows); each entry sums the coefficients
+    of its monomials.  A table term that fits no block, or reads a field
+    past the closure rows, raises ValueError naming it.
+    """
     W = max(k_neg, k_pos) + 1
     R = k_neg + k_pos + 1
-    row, col, coef, factors = _chain_table(W)
-    keep = np.flatnonzero((row >= W - k_neg) & (row <= W + k_pos))
-    shift = k_neg + 1 - W
-    f = np.where(factors[keep] == 2 * W + 1, R + 4, factors[keep] + shift)
-    S = np.zeros((R, len(keep)))
-    S[row[keep] - (W - k_neg), np.arange(len(keep))] = coef[keep]
-    return S, f[:, 0], f[:, 1], col[keep] + shift
+    L, L_d = np.zeros((3, R, R + 5)), np.zeros((R, R + 4))
+    for term in _matrix_terms(W):
+        i, j, c, f = term
+        if not -k_neg <= i <= k_pos:
+            continue
+        # the block and the one field q it reads (None: the ones row)
+        if j == 0 and len(f) == 1:
+            block, q = L[0], f[0]
+        elif j == 0 and len(f) == 2 and 1 in f:
+            block, q = L[1], f[f.index(1) - 1]              # the other factor
+        elif j == 1 and 0 in f:
+            block, q = L[2], f[f.index(0) - 1] if len(f) == 2 else None
+        elif f == (0,):
+            block, q = L_d, j
+        else:
+            block, q = None, math.inf
+        if not (q is None or -k_neg - 1 <= q <= k_pos + 1):
+            raise ValueError(f"chain table term {term} fits no column block")
+        block[i + k_neg, R + 4 if q is None else q + k_neg + 1] += c
+    return L.reshape(3 * R, R + 5), L_d
 
 
 def _hydro_kernel(dx, shape, k_neg, *, edges: bool = True):
@@ -356,27 +386,31 @@ def _hydro_kernel(dx, shape, k_neg, *, edges: bool = True):
     computes; its caller sets the floating-point error rule.
 
     One buffer `ext` holds the rows: bottom closure, the window, top
-    closure, the two sources of the v equation, and the ones row of
-    one-factor monomials; one stencil pass differentiates all but the ones
-    row.  The buffers, with the ones row written in once, the stencil's
-    views and the monomial buffer are made here, so a call is arithmetic
-    only, in the operations and order of the formulas written on fresh
-    arrays.  With edges=False the derivative's two cells at each end are
-    not formed, and the rates there are not the chain's: for a caller that
-    discards them.
+    closure, the two sources of the v equation, and the ones row; one
+    stencil pass differentiates all but the ones row.  The u rates are
+    `_rhs_plan`'s column blocks: one product of the stacked blocks with
+    `ext`, one of L_d with the derivatives, written into `out`, and seven
+    row operations that scale the blocks by u^1, u^0_x, u^1_x and u^0.  The
+    buffers, with the ones row written in once, the stencil's views and the
+    blocks' buffer are made here, so a call is arithmetic only, in the
+    operations and order of the formulas written on fresh arrays.  With
+    edges=False the derivative's two cells at each end are not formed, and
+    the rates there are not the chain's: for a caller that discards them.
     """
     R, n = shape[0] - 1, shape[1]
-    S, fa, fb, col = _rhs_plan(k_neg, R - 1 - k_neg)
+    L, L_d = _rhs_plan(k_neg, R - 1 - k_neg)
     ext = np.empty((R + 5, n))
     ext[R + 4] = 1.0
     ux, stencil = _stencil(ext[:-1], dx, edges=edges)
     window, first, last, low, high = ext[1:R + 1], ext[1], ext[R], ext[0], ext[R + 1]
     u0, u1, src, closure_src = ext[k_neg + 1], ext[k_neg + 2], ext[R + 2], ext[R + 3]
+    u0_x, u1_x = ux[k_neg + 1], ux[k_neg + 2]
     um1_x, src_x, closure_x = ux[k_neg], ux[R + 2], ux[R + 3]     # um1_x: u^{-1}_x
-    M = np.empty((len(fa), n))
+    P = np.empty((3 * R, n))
+    a, b, c = P[:R], P[R:2 * R], P[2 * R:]
     T = np.empty(n)
     one, two = np.array(1.0), np.array(2.0)
-    mul, add, div, copyto = np.multiply, np.add, np.divide, np.copyto
+    mul, add, div, copyto, matmul = np.multiply, np.add, np.divide, np.copyto, np.matmul
 
     def rates(y, out):
         copyto(window, y[:R])
@@ -389,9 +423,16 @@ def _hydro_kernel(dx, shape, k_neg, *, edges: bool = True):
         div(one, mul(two, u0, closure_src), closure_src)
         mul(u0, closure_src, closure_src)
         stencil()
-        mul(ext[fa], ext[fb], M)
-        mul(M, ux[col], M)
-        np.matmul(S, M, out[:R])
+        matmul(L, ext, P)
+        du = out[:R]
+        matmul(L_d, ux, du)
+        mul(b, u1, b)
+        add(a, b, a)
+        mul(a, u0_x, a)
+        mul(c, u1_x, c)
+        add(du, c, du)
+        mul(du, u0, du)
+        add(du, a, du)
         v_rate = out[R]
         add(src_x, mul(u0, um1_x, T), v_rate)
         add(v_rate, mul(u0, closure_x, T), v_rate)

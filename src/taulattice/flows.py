@@ -87,7 +87,10 @@ hangs.  At each sample the loop builds the sample's record; a record's
 refusal (a NaN or infinite entry, as NaN input gives without an invalid
 operation, or a site or off-diagonal entry that is not positive) ends the
 march there with DivergedField naming the time and step count.  `evolve`'s
-record is a copy that refuses a NaN or infinite state.
+record is a copy that refuses a NaN or infinite state.  `evolve_pfaff`
+also refuses, before each step, a step past its RK4 stability edge,
+h max|w0 w1| > `_PFAFF_EDGE`: past it the march lost the exact windows
+without an overflow.
 """
 
 from __future__ import annotations
@@ -119,6 +122,7 @@ __all__ = [
 ]
 
 _MAX_STEPS = 200000            # the step budget of every march, lattice and chain
+_PFAFF_EDGE = 1.6              # evolve_pfaff's bound on h max|w0 w1|, its RK4 stability edge
 
 @dataclass(frozen=True)
 class VolterraState:
@@ -651,16 +655,20 @@ def _sample_times(horizon: float, samples: int) -> np.ndarray:
     return horizon * np.arange(1, samples + 1) / samples
 
 
-def _rk4_segment(rhs, y, t0, t1, h, stage=None):
+def _rk4_segment(rhs, y, t0, t1, h, stage=None, before_step=None):
     """Advance y in place from t0 to t1 by equal RK4 steps of at most h on
     dy/dt = rhs(t, y, out), staging in `stage` when given (see
-    `_rk4_stepper`); returns the step count."""
+    `_rk4_stepper`), and calling before_step(t, h, y), when given, before
+    each step, where it may refuse the step; returns the step count."""
     steps, hs = _segment_steps(t1 - t0, h)
     step = _rk4_stepper(rhs, y, stage)
 
     def march():
         for i in range(steps):
-            step(t0 + i * hs, hs)
+            t = t0 + i * hs
+            if before_step is not None:
+                before_step(t, hs, y)
+            step(t, hs)
 
     _guarded(f"RK4 segment [{t0:g}, {t1:g}] ({steps} steps of h={hs:g})", march)
     return steps
@@ -678,7 +686,7 @@ def _checked_times(times) -> np.ndarray:
 
 
 def _evolve(rhs, y0: np.ndarray, times, h: float, record, speed_of=None, start=None,
-            buffers=None):
+            buffers=None, before_step=None):
     """`evolve` for a right-hand side rhs(t, y, out) that writes its rates
     into out.  Returns record(y) of the live state at each sample, and
     stats; a ValueError from record ends the march with DivergedField at
@@ -689,9 +697,10 @@ def _evolve(rhs, y0: np.ndarray, times, h: float, record, speed_of=None, start=N
     speed_of(y) and a start site, it also advances the influence front:
     before each segment, the first from 0 included, the front moves in by
     the segment's length times the live state's speed, to no less than site
-    1; the stats' 'influence_index' is its floor.  A step h that is a bool,
-    not finite and positive, or past `_MAX_STEPS` steps up to the last
-    sample raises ValueError before any step."""
+    1; the stats' 'influence_index' is its floor.  before_step(t, h, y) is
+    called on the live state before each step (`_rk4_segment`).  A step h
+    that is a bool, not finite and positive, or past `_MAX_STEPS` steps up
+    to the last sample raises ValueError before any step."""
     times = _checked_times(times)
     if times[0] < 0:
         raise ValueError("sampling starts at t >= 0")
@@ -712,7 +721,7 @@ def _evolve(rhs, y0: np.ndarray, times, h: float, record, speed_of=None, start=N
         if front is not None:
             front = max(front - (t - t_prev) * speed_of(y), 1.0)
         if t > t_prev:
-            total += _rk4_segment(rhs, y, t_prev, t, h, stage)
+            total += _rk4_segment(rhs, y, t_prev, t, h, stage, before_step)
         try:
             state = record(y)
         except ValueError as exc:
@@ -824,6 +833,13 @@ def evolve_pfaff(state: PfaffLax, times, *, h: float = 1e-3) -> EvolutionResult:
     the window needs k_neg >= 3, k_pos >= 2 and 2 evolved sites.  Returned
     windows have the full input shape with ghost strips filled by the
     closure.
+
+    Before each step the march refuses, with DivergedField naming t, the
+    step count and s, a step whose s = h max|w0 w1| over the evolved sites
+    passes `_PFAFF_EDGE` (1.6), the RK4 stability edge measured on the
+    t2-scaling windows: past it the march returned windows far from the
+    exact ones, or overflowed.  The stats' 'max_h_speed' is the largest s
+    of the steps taken.
     """
     k_neg, k_pos, N = state.k_neg, state.k_pos, state.n_sites
     K1, K2 = k_neg - 1, k_pos - 1               # evolved bands below and above
@@ -857,8 +873,20 @@ def evolve_pfaff(state: PfaffLax, times, *, h: float = 1e-3) -> EvolutionResult:
         return PfaffLax(w, k_neg, k_pos)
 
     speed = lambda y: abs(y[K1, -1] * y[K1 + 1, -1])     # band 0 sits in row K1
-    states, stats = _evolve(rhs, init[:, :n], times, h, record, speed, n)   # the window's shape
+    speeds, taken, max_s = np.empty(n), 0, 0.0
+
+    def before_step(t, h, y):
+        nonlocal taken, max_s
+        s = float(h * np.abs(np.multiply(y[K1], y[K1 + 1], speeds), speeds).max())
+        if s > _PFAFF_EDGE:
+            raise DivergedField(f"pfaff march at t={t:g} after {taken} RK4 steps: "
+                                f"h*max|w0 w1| = {s:.4g} passes the stability edge {_PFAFF_EDGE}")
+        taken, max_s = taken + 1, max(max_s, s)
+
+    states, stats = _evolve(rhs, init[:, :n], times, h, record, speed, n,   # the window's shape
+                            before_step=before_step)
     stats["n_evolve"] = n
+    stats["max_h_speed"] = max_s
     return EvolutionResult(times, states, stats)
 
 

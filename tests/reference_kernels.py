@@ -433,13 +433,14 @@ def _closure_row(u: np.ndarray, edge: int, spec) -> np.ndarray:
 
 
 def table_rhs_arrays(dx, y, k_neg, top, bottom, out=None):
-    """The chain RHS read from the monomial table (`continuum._rhs_plan`),
-    every buffer fresh at every call: what `continuum._hydro_kernel` binds
-    once.  `y` stacks the window rows u over the row v and the rates come
-    back stacked the same way, in `out` when it is given."""
+    """The chain RHS read from the monomial table in its column blocks
+    (`continuum._rhs_plan`), every buffer fresh at every call: what
+    `continuum._hydro_kernel` binds once.  `y` stacks the window rows u over
+    the row v and the rates come back stacked the same way, in `out` when it
+    is given."""
     R = y.shape[0] - 1
     u, v = y[:R], y[R]
-    S, fa, fb, col = _rhs_plan(k_neg, R - 1 - k_neg)
+    L, L_d = _rhs_plan(k_neg, R - 1 - k_neg)
     ext = np.empty((R + 5, y.shape[1]))
     ext[0] = _closure_row(u, 0, bottom)
     ext[1:R + 1] = u
@@ -449,8 +450,9 @@ def table_rhs_arrays(dx, y, k_neg, top, bottom, out=None):
     ext[R + 3] = u0 * (1.0 / (2.0 * u0))
     ext[R + 4] = 1.0
     ux = spatial_derivative(ext[:-1], dx)
+    a, b, c = np.split(L @ ext, 3)
     rates = np.empty_like(y) if out is None else out
-    np.matmul(S, ext[fa] * ext[fb] * ux[col], out=rates[:R])
+    rates[:R] = (a + b * u1) * ux[k_neg + 1] + u0 * (L_d @ ux + c * ux[k_neg + 2])
     rates[R] = ux[R + 2] + u0 * ux[k_neg] + u0 * ux[R + 3]
     return rates
 

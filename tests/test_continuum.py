@@ -591,6 +591,35 @@ class TestChainTable:
         assert np.max(np.abs(du - ref_du)) <= 1e-13 * np.max(np.abs(ref_du))
         assert np.array_equal(dv, ref_dv)
 
+    def test_every_window_compiles_to_the_coefficient_matrix(self):
+        # the column blocks of rows -k_neg .. k_pos at one point, each block
+        # scaled by its factor, are those rows of A over the columns
+        # -k_neg - 1 .. k_pos + 1; the source rows are read by no block
+        u = np.random.default_rng(7).uniform(0.5, 2.0, 21)
+        A = ref.chain_matrix(TensorPoint(u, 10))
+        for k_neg, k_pos in itertools.product(range(2, 10), repeat=2):
+            R = k_neg + k_pos + 1
+            L, L_d = continuum._rhs_plan(k_neg, k_pos)
+            near = slice(9 - k_neg, 12 + k_pos)
+            a, b, c = np.split(L @ np.append(u[near], [0.0, 0.0, 1.0]), 3)
+            got = u[10] * L_d[:, :R + 2]
+            got[:, k_neg + 1] += a + b * u[11]
+            got[:, k_neg + 2] += c * u[10]
+            want = A[10 - k_neg:11 + k_pos, near]
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+            assert not L[:, R + 2:R + 4].any() and not L_d[:, R + 2:].any()
+
+    @pytest.mark.parametrize("term", [
+        (2, 3, 1.0, (0, 1)), (2, 0, 1.0, (2, 3)), (2, 1, 1.0, (2,)), (2, 3, 1.0, (2,)),
+        (2, 0, 1.0, (8,))], ids=["two-factors", "no-u1", "no-u0", "not-u0", "past-closure"])
+    def test_term_that_fits_no_block_is_refused(self, monkeypatch, term):
+        terms = continuum._matrix_terms
+        monkeypatch.setattr(continuum, "_matrix_terms", lambda W: terms(W) + (term,))
+        continuum._rhs_plan.cache_clear()
+        with pytest.raises(ValueError, match=re.escape(f"chain table term {term} fits no "
+                                                       f"column block")):
+            continuum._rhs_plan(4, 6)
+
     def test_march_matches_written_rows(self):
         table, t_stats = ref.hydro_scaling_run(t_target=0.1, n_x=101)
         rows, r_stats = ref.hydro_scaling_run(ref.chain_rhs_arrays,

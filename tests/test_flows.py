@@ -577,12 +577,41 @@ class TestBandedChain:
             with pytest.raises(DivergedField):
                 evolve_pfaff(goe_lax_init(768, 5, 7), [0.2], h=1e-3)
 
-    def test_overflow_stops_the_segment(self):
-        # the first overflow ends the run: no RuntimeWarning, no further steps
+    def test_overflow_stops_the_segment(self, monkeypatch):
+        # the first overflow ends the run: no RuntimeWarning, no further
+        # steps.  The stability edge refuses this run first, so it is lifted
+        monkeypatch.setattr(flows, "_PFAFF_EDGE", np.inf)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DivergedField, match="segment"):
                 evolve_pfaff(goe_lax_init(768, 5, 7), [0.2], h=1e-3)
+
+    def test_march_past_the_stability_edge_is_refused(self):
+        # perfbench's pfaff_scaling shape: this march returned windows 108
+        # off the exact ones (relative, sites below N - 8), silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergedField, match=(
+                    r"^pfaff march at t=0\.161 after 161 RK4 steps: "
+                    r"h\*max\|w0 w1\| = 1\.605 passes the stability edge 1\.6$")):
+                evolve_pfaff(goe_lax_init(550, 6, 6), 0.2 * np.arange(1, 5) / 4, h=1e-3)
+
+    def test_edge_check_reads_the_state_only(self, monkeypatch):
+        # sampled at every step, so the state before each step is a sample;
+        # the check's largest s is h max|w0 w1| over those states' evolved sites
+        state, h = goe_lax_init(256, 6, 6), 1e-3
+        times = h * np.arange(201)
+        res = evolve_pfaff(state, times, h=h)
+        n = res.stats["n_evolve"]
+        s = [float((t1 - t0) * np.abs(w.w[6, :n] * w.w[7, :n]).max())
+             for t0, t1, w in zip(times, times[1:], res.states)]
+        assert res.stats["max_h_speed"] == max(s) and 0.8 < max(s) <= flows._PFAFF_EDGE
+        evolve = flows._evolve
+        monkeypatch.setattr(flows, "_evolve",
+                            lambda *args, before_step=None, **kw: evolve(*args, **kw))
+        bare = evolve_pfaff(state, times, h=h)
+        assert all(a.w.tobytes() == b.w.tobytes() for a, b in zip(res.states, bare.states))
+        assert {**res.stats, "max_h_speed": 0.0} == bare.stats
 
     def test_evolution_preserves_container(self):
         res = evolve_pfaff(goe_lax_init(12, 3, 3), [0.01], h=1e-3)

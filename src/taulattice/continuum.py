@@ -19,16 +19,15 @@ Each RHS evaluation makes one stencil pass over one buffer holding the
 window, its two closure rows (each a copy of the window's edge row: the
 chain's one truncation) and the two sources of the v equation, then
 forms the u rates from the table compiled in column blocks
-(`_rhs_plan`).  Every monomial multiplies one column's derivative: the
-u^0_x column holds one field or a field times u^1, the u^1_x column u^0
-times one field, and every other column u^0 alone, so the rates are
-(L_a ext + (L_b ext) u^1) u^0_x + u^0 ((L_c ext) u^1_x + L_d u_x): one
-product of the stacked [L_a; L_b; L_c] with the buffer, one of L_d with
-its derivatives, and seven row operations.  `_hydro_kernel` binds the RHS
-once per march: the buffers, the stencil's views and the blocks' buffer
-are made there, so an evaluation is arithmetic only, in the operations and
-order of the formulas on fresh arrays.  `hydro_chain_rhs` binds it for one
-call, and `spatial_derivative` runs the same bound stencil.
+(`_rhs_plan`): every monomial multiplies one column's derivative, and the
+columns u^0_x, u^1_x and the rest each hold monomials of one shape, so the
+rates are one product of the stacked blocks with the buffer, one of the
+rest with its derivatives, and seven row operations.  `_hydro_kernel`
+binds the RHS once per march: the buffers, the stencil's views and the
+blocks' buffer are made there, so an evaluation is arithmetic only, in the
+operations and order of the formulas on fresh arrays.  `hydro_chain_rhs`
+binds it for one call, and `spatial_derivative` runs the same bound
+stencil.
 
 The Nijenhuis and Haantjes tensors are evaluated sparsely: once per
 window, `_tensor_plan` compiles from the same table which entries of A, its

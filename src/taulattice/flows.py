@@ -880,7 +880,7 @@ def evolve_pfaff(state: PfaffLax, times, *, h: float = 1e-3) -> EvolutionResult:
         s = float(h * np.abs(np.multiply(y[K1], y[K1 + 1], speeds), speeds).max())
         if s > _PFAFF_EDGE:
             raise DivergedField(f"pfaff march at t={t:g} after {taken} RK4 steps: "
-                                f"h*max|w0 w1| = {s:.4g} passes the stability edge {_PFAFF_EDGE}")
+                                f"h*max|w0 w1| = {s:.6g} passes the stability edge {_PFAFF_EDGE}")
         taken, max_s = taken + 1, max(max_s, s)
 
     states, stats = _evolve(rhs, init[:, :n], times, h, record, speed, n,   # the window's shape

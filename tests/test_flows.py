@@ -593,7 +593,7 @@ class TestBandedChain:
             warnings.simplefilter("error")
             with pytest.raises(DivergedField, match=(
                     r"^pfaff march at t=0\.161 after 161 RK4 steps: "
-                    r"h\*max\|w0 w1\| = 1\.605 passes the stability edge 1\.6$")):
+                    r"h\*max\|w0 w1\| = 1\.60472 passes the stability edge 1\.6$")):
                 evolve_pfaff(goe_lax_init(550, 6, 6), 0.2 * np.arange(1, 5) / 4, h=1e-3)
 
     def test_edge_check_reads_the_state_only(self, monkeypatch):

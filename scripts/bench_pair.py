@@ -22,8 +22,13 @@ parent's quartile spread q3 - q1, whether the medians differ by more than
 that spread, and whether the change's median is worse than the parent's by
 more than the metric's `bound` in `BENCHMARK.json`, read as a fraction of
 the parent's median; and, per workload, the seeds of any pair whose
-attempted or failed counts differ.  Nothing is gated: the exit status is 0
-whenever every run completed.
+attempted or failed counts differ.  Each run also records, per workload,
+the benchmark process's wall seconds and its CPU seconds (user plus
+system, the `getrusage(RUSAGE_CHILDREN)` delta across the process), and
+the summary gives each side's median of both, so that a change in a rate
+can be told from a change in machine load: a rate that falls while CPU
+seconds per run hold still is load.  Nothing is gated: the exit status is
+0 whenever every run completed.
 
 Both sides start with the same bytecode caches: every `__pycache__`
 directory under either checkout is emptied before the first pair, and the
@@ -38,10 +43,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import shutil
 import statistics
 import subprocess
 import sys
+import time
 
 SIDES = ("parent", "change")
 
@@ -62,14 +69,17 @@ def _empty_bytecode_caches(checkout: str) -> None:
 
 def _run(checkout: str, names: list, seed: int, seconds: float) -> dict:
     """One benchmark run in `checkout`, one process per workload: per
-    workload, its record's counts, metric values and provenance."""
+    workload, its record's counts, metric values and provenance, and the
+    process's wall and CPU seconds."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
     out = {}
     for name in names:
+        before, start = _children_cpu_s(), time.perf_counter()
         proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", name,
                                "--seed", str(seed), "--seconds", str(seconds),
                                "--trace", "0"],
                               cwd=checkout, env=env, capture_output=True, text=True)
+        wall_s, cpu_s = time.perf_counter() - start, _children_cpu_s() - before
         if proc.returncode != 0:
             raise RuntimeError("benchmark failed in %s (%s, seed %d):\n%s"
                                % (checkout, name, seed, proc.stderr[-2000:]))
@@ -78,8 +88,14 @@ def _run(checkout: str, names: list, seed: int, seconds: float) -> dict:
             record = json.load(f)
         out[name] = {"attempted": record["attempted"], "failed": record["failed"],
                      "metrics": {k: v[0] for k, v in record["metrics"].items()},
-                     "provenance": record["provenance"]}
+                     "wall_s": wall_s, "cpu_s": cpu_s, "provenance": record["provenance"]}
     return out
+
+
+def _children_cpu_s() -> float:
+    """User plus system CPU seconds of every waited-for child so far."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
 
 
 def _quartiles(xs: list) -> dict:
@@ -118,6 +134,15 @@ def summarize(runs: list, names: list, end_to_end: list) -> dict:
     return out
 
 
+def process_seconds(runs: list, names: list) -> dict:
+    """Per workload and side, the median wall and CPU seconds of the
+    benchmark processes."""
+    return {name: {side: {key: statistics.median(r[side][name][key] for r in runs)
+                          for key in ("wall_s", "cpu_s")}
+                   for side in SIDES}
+            for name in names}
+
+
 def count_mismatches(runs: list, names: list) -> dict:
     """Per workload, the seeds of the pairs whose two sides differ in
     attempted or failed tasks."""
@@ -154,8 +179,9 @@ def main(argv=None) -> int:
         for side in order:
             run[side] = _run(dirs[side], names, seed, seconds)
             print("seed %d %-6s %s" % (seed, side, "  ".join(
-                "%s %.4g/s %d/%d" % (n, run[side][n]["metrics"]["checks_per_s"],
-                                     run[side][n]["attempted"], run[side][n]["failed"])
+                "%s %.4g/s %d/%d %.1f s wall %.1f s cpu" % (
+                    n, run[side][n]["metrics"]["checks_per_s"], run[side][n]["attempted"],
+                    run[side][n]["failed"], run[side][n]["wall_s"], run[side][n]["cpu_s"])
                 for n in names)), flush=True)
         runs.append(run)
 
@@ -175,6 +201,7 @@ def main(argv=None) -> int:
               "workloads": names, "seeds": [r["seed"] for r in runs],
               "machine": machine,
               "sides": sides, "summary": summarize(runs, names, spec["end_to_end"]),
+              "process_s": process_seconds(runs, names),
               "counts_differ": count_mismatches(runs, names), "runs": runs}
     with open(args.out, "w") as f:
         json.dump(result, f, indent=1)
@@ -188,6 +215,9 @@ def main(argv=None) -> int:
                      "%d/%d" % (e["change_wins"], e["pairs"]) if "change_wins" in e else "-",
                      e["parent_spread"], "yes" if e["resolved"] else "no",
                      {True: "yes", False: "no"}.get(e.get("past_bound"), "-")))
+        print("%-16s process seconds, median: %s" % (name, "  ".join(
+            "%s %.2f wall %.2f cpu" % (side, times["wall_s"], times["cpu_s"])
+            for side, times in result["process_s"][name].items())))
         seeds = result["counts_differ"][name]
         print("%-16s attempted/failed %s" % (name, "differ at seeds %s" % seeds if seeds
                                              else "equal in every pair"))

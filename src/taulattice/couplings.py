@@ -18,7 +18,9 @@ number where (z / R)^d or rho alone would underflow.
 `build_quadrature` keeps the last 32 grids it built in a process-wide
 memo keyed on (couplings, max_degree), so repeated requests share
 one grid.  Grids are frozen records with read-only arrays, so sharing
-them is safe; failed builds are not kept.
+them is safe; failed builds are not kept.  The bound, `_GRID_MEMO_SIZE`,
+is shared by the basis and jets memos of `moments` and the skew-basis memo
+of `lax`.
 
 The reference Gauss-Legendre rule on each panel is computed here, once:
 Golub-Welsch starting nodes (eigenvalues of the Jacobi matrix) polished by
@@ -233,7 +235,7 @@ class QuadratureGrid:
 
 _POINTS_PER_PANEL = 24                          # Gauss points of every grid's panels
 _GRID_TOL = 1e-12                               # relative tolerance of every grid's radius and panels
-_GRID_MEMO_SIZE = 32                            # grids build_quadrature keeps, least recently used out
+_GRID_MEMO_SIZE = 32                            # entries kept by each process memo, LRU out
 _SCAN_POINTS = 8193                             # points of the radius search's scan
 
 

@@ -30,9 +30,9 @@ from .flows import (EvolutionResult, ReducedChainState, VolterraState,
                     _checked_times, _sample_times, _volterra_jet, evolve_pfaff,
                     evolve_reduced, evolve_volterra, pfaff_chain_rhs,
                     pfaff_commutator_rhs, reduced_chain_rhs)
-from .lax import (PfaffLax, TodaLax, _manifold_window, _skew_basis, _skew_gram_schmidt,
-                  goe_lax_init, pfaff_entries_from_tau, pfaff_lax_from_basis,
-                  skew_hermite_map_check, sqrt_ratio_product)
+from .lax import (PfaffLax, TodaLax, _manifold_window, _skew_basis, goe_lax_init,
+                  pfaff_entries_from_tau, pfaff_lax_from_basis, skew_hermite_map_check,
+                  sqrt_ratio_product)
 from .moments import (_log_tau_jets, _log_tau_of_basis, _monomial_skew_moments,
                       _stieltjes_basis)
 from .report import IdentityReport
@@ -201,13 +201,12 @@ def observables_check(n: int = 1, t: CouplingVector = _T0, *,
     from Pfaffian tau-ratios.
     """
     n = _checked_int("n", n, 1)
-    stieltjes = _stieltjes_basis("orthogonal", 2 * n + 4, t)
-    F, log_h, _, b = stieltjes
+    F, log_h, _, b = _stieltjes_basis("orthogonal", 2 * n + 4, t)
     # the pivots overwrite F, so each size eliminates a copy of its block
     lo, mid, hi = (_log_tau_of_basis(F[:m, :m].copy(), log_h[:m])[1]
                    for m in (2 * n, 2 * n + 2, 2 * n + 4))
     dmu = lo + hi - 2.0 * mid
-    basis = _skew_gram_schmidt(stieltjes, t)
+    basis = _skew_basis(t, n + 2)
     window = pfaff_lax_from_basis(basis, n + 1, 1, 1)
     w0_next = float(window.w[1, n])
     log_w0 = math.log(w0_next) if w0_next > 0.0 else math.inf   # w0 <= 0 fails

@@ -16,6 +16,14 @@ rho^2, in the scale of its orthonormal q_k, one block step per pair that
 removes every earlier pair at once, and the window is read off its Jacobi
 matrix with the operator's fixed pattern checked by array reductions; the
 parity-Hermite pairs serve the closed-form side only, written in the q_k.
+
+`_skew_basis` keeps its last 32 skew bases in a process memo keyed on
+(couplings, pairs), beside the memos of `moments` and with their bound
+(`couplings._GRID_MEMO_SIZE`); a basis is a frozen record with read-only
+arrays, its coefficients 32 p^2 bytes for p pairs (1.0 MB at 180), and a
+Gram-Schmidt that raised is not kept.  The loop-closure pipeline
+`skew_orthonormal_basis(skew_moment_matrix(t, 2p), p)` reads one kept
+rho^2 basis for both calls.
 """
 
 from __future__ import annotations
@@ -25,10 +33,11 @@ import math
 import re
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .couplings import CouplingVector, _checked_int, _is_integer, _own_arrays
+from .couplings import _GRID_MEMO_SIZE, CouplingVector, _checked_int, _is_integer, _own_arrays
 from .errors import IllConditioned, SingularMinor, StructureViolation
 from .moments import SkewMomentMatrix, _log_tau_jets, _stieltjes_basis
 from .report import IdentityReport
@@ -326,9 +335,11 @@ def skew_orthonormal_basis(m: SkewMomentMatrix, n_pairs: int) -> SkewOrthoBasis:
     return _skew_basis(m.couplings, n_pairs)
 
 
+@lru_cache(maxsize=_GRID_MEMO_SIZE)
 def _skew_basis(t: CouplingVector, n_pairs: int) -> SkewOrthoBasis:
     """Skew Gram-Schmidt on the skew Gram of the Stieltjes basis that
-    `log_tau` uses for the orthogonal tau, at couplings t."""
+    `log_tau` uses for the orthogonal tau, at couplings t.  The last 32
+    bases are kept, keyed on (t, n_pairs); a basis that raises is not."""
     return _skew_gram_schmidt(_stieltjes_basis("orthogonal", 2 * n_pairs, t), t)
 
 

@@ -29,6 +29,20 @@ too: `skew_moment_matrix` writes x^i in the q_k by the recurrence and reads
 m = X F X^T (`_monomial_skew_moments`), so no module evaluates a monomial
 at grid nodes, whose skew products cancel as the degree grows (Gautschi
 2004, sec. 2.1).
+
+Two process memos sit beside `build_quadrature`'s grid memo, each keeping
+its last 32 entries (`couplings._GRID_MEMO_SIZE`), least recently used
+out, and never a call that raised.  `_stieltjes_basis` keeps bases keyed
+on (ensemble, n, couplings), with read-only arrays; an orthogonal entry is
+dominated by its F, 8 n^2 bytes: 2.5 MB at order 554, where the Gaussian
+rho^2 basis stops, and 18 MB at order 1500, which {8: -1} reaches, so 32
+such entries hold 79 MB and 576 MB; a unitary entry is 24 n bytes.
+`_kept_jets` keeps the jets of `_log_tau_jets`, keyed on (ensemble,
+sizes, couplings, axes, tops) made hashable by that function, which
+hands each caller dicts of its own; an entry is a few floats per size and
+multi-index.  A hit builds no grid, so it never reaches
+`build_quadrature`.  `log_tau` and every reader of F eliminate a copy of
+it, since the Pfaffian pivots overwrite their matrix.
 """
 
 from __future__ import annotations
@@ -36,11 +50,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .couplings import (CouplingVector, QuadratureGrid, _checked_int, _is_integer, _own_arrays,
-                        _regrid, build_quadrature, cumulative_integral)
+from .couplings import (_GRID_MEMO_SIZE, CouplingVector, QuadratureGrid, _checked_int, _is_integer,
+                        _own_arrays, _regrid, build_quadrature, cumulative_integral)
 from .errors import IllConditioned
 
 __all__ = [
@@ -186,11 +201,13 @@ def _tau_grid(ensemble: str, n: int, t: CouplingVector) -> QuadratureGrid:
     return grid if grid.panels >= n / 4 else _regrid(grid, grid.radius, -(-n // 4))
 
 
+@lru_cache(maxsize=_GRID_MEMO_SIZE)
 def _stieltjes_basis(ensemble: str, n: int, t: CouplingVector):
     """(F, log_h, a, b): the Stieltjes basis q_k, k < n, of rho dz (unitary)
     or rho^2 dz (orthogonal), see `_stieltjes`, on `_tau_grid(ensemble, n)`.
     F is the skew Gram `_skew_products` of the q_k under rho for orthogonal
-    and None for unitary."""
+    and None for unitary.  The arrays are read-only: the last 32 bases are
+    kept, keyed on (ensemble, n, t), and a basis that raises is not."""
     grid = _tau_grid(ensemble, n, t)
     rho = grid.rho
     measure = grid.weights * rho
@@ -199,6 +216,9 @@ def _stieltjes_basis(ensemble: str, n: int, t: CouplingVector):
             measure = measure * rho
     q, log_h, a, b = _stieltjes(grid.nodes, measure, n)
     F = _skew_products(grid, q, rho) if ensemble == "orthogonal" else None
+    for arr in (F, log_h, a, b):
+        if arr is not None:
+            arr.setflags(write=False)
     return F, log_h, a, b
 
 
@@ -213,7 +233,7 @@ def log_tau(ensemble: str, n: int, t: CouplingVector) -> tuple[float, float]:
     if n == 0:
         return 1.0, 0.0
     F, log_h, _, _ = _stieltjes_basis(ensemble, n, t)
-    return _log_tau_of_basis(F, log_h)
+    return _log_tau_of_basis(None if F is None else F.copy(), log_h)
 
 
 def _check_size(ensemble: str, n: int) -> int:
@@ -228,7 +248,8 @@ def _check_size(ensemble: str, n: int) -> int:
 def _log_tau_of_basis(F: np.ndarray | None, log_h: np.ndarray) -> tuple[float, float]:
     """(sign, log|tau|) of the size of a `_stieltjes_basis` (F, log_h): the
     Hankel product for unitary (F None), the Pfaffian of F times the
-    normalizations for orthogonal.  The Pfaffian pivots overwrite F."""
+    normalizations for orthogonal.  The Pfaffian pivots overwrite F, so
+    callers pass a copy of the basis's read-only F."""
     if F is None or not len(F):   # unitary, or tau_0 = 1
         return 1.0, float(log_h.sum())
     sign, pivots = _pfaffian_pivots(F)
@@ -244,6 +265,18 @@ def _log_tau_jets(ensemble: str, sizes, t: CouplingVector, axes: tuple, tops) ->
     (orders in the couplings `axes`) to the Taylor coefficient of s^g in
     log tau_m(t + s) - log tau_m(t), s_a shifting the coupling axes[a].
 
+    The arguments are made hashable here for `_kept_jets`, which keeps the
+    last 32 results; each caller gets its own dicts.
+    """
+    sizes = tuple(_check_size(ensemble, m) for m in sizes)
+    kept = _kept_jets(ensemble, sizes, t, tuple(axes), tuple(map(tuple, tops)))
+    return {m: (sign, log_abs, dict(jet)) for m, (sign, log_abs, jet) in kept.items()}
+
+
+@lru_cache(maxsize=_GRID_MEMO_SIZE)
+def _kept_jets(ensemble: str, sizes: tuple, t: CouplingVector, axes: tuple, tops: tuple) -> dict:
+    """`_log_tau_jets` on checked, hashable arguments, behind its memo.
+
     Shifting t_a multiplies rho by e^{s_a z^a}, and z q = J q for the basis q
     with Jacobi matrix J, so the weight acts as E(s) = exp(sum_a s_a J^a),
     whose coefficient of s^g is J^{sum_a a g_a} / g!.  The jet is tr log E_[m]
@@ -251,8 +284,6 @@ def _log_tau_jets(ensemble: str, sizes, t: CouplingVector, axes: tuple, tops) ->
     (orthogonal).  It is exact on m + p/2 (unitary) or m + p (orthogonal)
     basis terms, p the highest power of J read; two more are taken.
     """
-    for m in sizes:
-        _check_size(ensemble, m)
     monos = sorted({g for top in tops for g in itertools.product(*(range(k + 1) for k in top))},
                    key=lambda g: (sum(g), g))   # by total order, 0 first
     degree = [sum(a * k for a, k in zip(axes, g)) for g in monos]

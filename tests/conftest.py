@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from taulattice import CouplingVector, couplings
+from taulattice import CouplingVector, couplings, lax, moments
 
 
 def pytest_configure(config):
@@ -34,11 +34,21 @@ def t0():
     return CouplingVector.from_mapping({})
 
 
+PROCESS_MEMOS = (couplings._converged_grid, moments._stieltjes_basis, moments._kept_jets,
+                 lax._skew_basis)
+
+
 @pytest.fixture
 def fresh_grids():
-    """An empty grid memo, so that a test counting radius solves sees every
-    grid its code builds, not one an earlier test left in the memo."""
-    couplings._converged_grid.cache_clear()
+    """Empty process memos (grids, Stieltjes bases, jets and skew bases),
+    before the test and after it: a test counting radius solves sees every
+    grid its code builds, not one an earlier test left in a memo, and
+    nothing a test builds under a patched helper outlives it."""
+    for memo in PROCESS_MEMOS:
+        memo.cache_clear()
+    yield
+    for memo in PROCESS_MEMOS:
+        memo.cache_clear()
 
 
 @pytest.fixture

@@ -66,3 +66,39 @@ def test_pairs_whose_counts_differ_are_flagged():
                   ((75, 18), (76, 18))])
     assert bench_pair.count_mismatches(runs, ["w"]) == {"w": [101, 103]}
     assert bench_pair.count_mismatches(runs[:1], ["w"]) == {"w": []}
+
+
+def test_process_seconds_are_each_sides_medians():
+    runs = _runs({"checks_per_s": ([1.0] * 3, [1.0] * 3)}, [((1, 0), (1, 0))] * 3)
+    for run, (wall, cpu) in zip(runs, [(16.0, 15.0), (18.0, 12.0), (17.0, 14.0)]):
+        run["parent"]["w"].update(wall_s=wall, cpu_s=cpu)
+        run["change"]["w"].update(wall_s=wall - 1.0, cpu_s=cpu / 2)
+    assert bench_pair.process_seconds(runs, ["w"]) == {
+        "w": {"parent": {"wall_s": 17.0, "cpu_s": 14.0},
+              "change": {"wall_s": 16.0, "cpu_s": 7.0}}}
+
+
+_STUB_RUN = '''
+import argparse, json, os, time
+p = argparse.ArgumentParser()
+for flag in ("--workload", "--seed", "--seconds", "--trace"):
+    p.add_argument(flag)
+args = p.parse_args()
+end = time.process_time() + 0.2
+while time.process_time() < end:
+    pass
+os.makedirs(".perfbench", exist_ok=True)
+with open(".perfbench/%s-seed%s-trace0.json" % (args.workload, args.seed), "w") as f:
+    json.dump({"attempted": 3, "failed": 1, "metrics": {"checks_per_s": [2.0, "1/s"]},
+               "provenance": {}}, f)
+'''
+
+
+def test_a_run_records_its_process_wall_and_cpu_seconds(tmp_path):
+    # a stub benchmark that spends 0.2 s of CPU time before writing its record
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(_STUB_RUN)
+    record = bench_pair._run(str(tmp_path), ["w"], 5, 1)["w"]
+    assert (record["attempted"], record["failed"]) == (3, 1)
+    assert record["metrics"] == {"checks_per_s": 2.0}
+    assert 0.2 <= record["cpu_s"] <= record["wall_s"] + 0.05

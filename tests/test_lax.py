@@ -11,7 +11,7 @@ from numpy.polynomial.hermite import herm2poly
 
 import reference_kernels as ref
 from taulattice import (CouplingVector, PfaffLax, TodaLax, c_coeff, couplings, identities, lax,
-                        goe_lax_init, gue_lax_init,
+                        moments, goe_lax_init, gue_lax_init,
                         hermite_map_coeffs, nu_values, pfaff_entries_from_tau,
                         pfaff_lax_from_basis, skew_hermite_map_check,
                         skew_moment_matrix, skew_orthonormal_basis,
@@ -401,6 +401,22 @@ def test_basis_larger_than_the_skew_matrix_refused(t0):
         skew_orthonormal_basis(skew_moment_matrix(t0, 6), 4)
 
 
+def test_loop_closure_pipeline_runs_one_stieltjes_recurrence(fresh_grids, monkeypatch):
+    # the moment matrix and the skew basis read one kept rho^2 basis; the
+    # pipeline ran the recurrence and its skew Gram once for each
+    sizes, run = [], moments._stieltjes
+
+    def counted(nodes, measure, count):
+        sizes.append(count)
+        return run(nodes, measure, count)
+
+    monkeypatch.setattr(moments, "_stieltjes", counted)
+    t = CouplingVector.from_mapping({2: 0.1, 4: -0.05})
+    basis = skew_orthonormal_basis(skew_moment_matrix(t, 28), 14)
+    assert sizes == [28]
+    assert basis is _skew_basis(t, 14)
+
+
 def _window(mapping, n_pairs, n_sites, k_band):
     t = CouplingVector.from_mapping(mapping)
     basis = skew_orthonormal_basis(skew_moment_matrix(t, 2 * n_pairs), n_pairs)
@@ -602,6 +618,7 @@ def test_skew_gram_schmidt_floor_ignores_the_largest_gram_entry(t0):
     # the floor scaled with max|F| and refused h_0 = 1 beside an entry 1e13,
     # as the Gaussian Gram from 224 pairs did
     F, log_h, a, b = _stieltjes_basis("orthogonal", 4, t0)
+    F = F.copy()   # the basis's own F is read-only
     F[2, 3], F[3, 2] = 1e13, -1e13
     h = _skew_gram_schmidt((F, log_h, a, b), t0).h
     assert h[0] == pytest.approx(1.0, rel=1e-15)

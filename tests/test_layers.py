@@ -21,7 +21,8 @@ LAYERS = {
     "numdiff": {},
     "couplings": {"errors": ANY},
     "moments": {"couplings": ANY, "errors": ANY},
-    "lax": {"couplings": {"CouplingVector", "_checked_int", "_is_integer", "_own_arrays"},
+    "lax": {"couplings": {"CouplingVector", "_GRID_MEMO_SIZE", "_checked_int", "_is_integer",
+                          "_own_arrays"},
             "errors": ANY, "report": ANY,
             # the skew Gram F of the Stieltjes basis is the one skew route
             "moments": {"SkewMomentMatrix", "_log_tau_jets", "_stieltjes_basis"}},

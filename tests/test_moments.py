@@ -272,7 +272,7 @@ def test_jets_meet_the_gaussian_closed_form(ensemble, size, t1, t2):
         assert gap <= 1e-10 * max(np.max(np.abs(want)), 1.0), (order, gap)
 
 
-def test_jet_sizes_share_one_basis(t0, monkeypatch):
+def test_jet_sizes_share_one_basis(t0, monkeypatch, fresh_grids):
     calls = []
     build = moments._stieltjes_basis
 
@@ -437,13 +437,13 @@ class TestTauReach:
                                match=f"overflowed at degree {degree}"):
                 log_tau("orthogonal", size, t0)
 
-    def test_zero_pfaffian_pivot_raises(self, t0, monkeypatch):
+    def test_zero_pfaffian_pivot_raises(self, t0, monkeypatch, fresh_grids):
         monkeypatch.setattr(moments, "_skew_products",
                             lambda grid, rows, rho: np.zeros((len(rows), len(rows))))
         with pytest.raises(IllConditioned):
             log_tau("orthogonal", 4, t0)
 
-    def test_negative_tau_raises(self, t0, monkeypatch):
+    def test_negative_tau_raises(self, t0, monkeypatch, fresh_grids):
         # a skew Gram with pf = -1: log_tau reports the sign, tau refuses it
         F = np.zeros((4, 4))
         F[0, 1], F[2, 3] = 1.0, -1.0

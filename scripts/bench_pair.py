@@ -25,10 +25,11 @@ the parent's median; and, per workload, the seeds of any pair whose
 attempted or failed counts differ.  Each run also records, per workload,
 the benchmark process's wall seconds and its CPU seconds (user plus
 system, the `getrusage(RUSAGE_CHILDREN)` delta across the process), and
-the summary gives each side's median of both, so that a change in a rate
-can be told from a change in machine load: a rate that falls while CPU
-seconds per run hold still is load.  Nothing is gated: the exit status is
-0 whenever every run completed.
+the summary gives each side's median of both.  A run does a fixed number
+of tasks, so wall seconds above CPU seconds are time the process waited
+for a core, and CPU seconds that move with the rate on unchanged code are
+a slower core, not a change in the work.  Nothing is gated: the exit
+status is 0 whenever every run completed.
 
 Both sides start with the same bytecode caches: every `__pycache__`
 directory under either checkout is emptied before the first pair, and the

@@ -11,7 +11,7 @@ from numpy.polynomial.hermite import herm2poly
 
 import reference_kernels as ref
 from taulattice import (CouplingVector, PfaffLax, TodaLax, c_coeff, couplings, identities, lax,
-                        moments, goe_lax_init, gue_lax_init,
+                        goe_lax_init, gue_lax_init,
                         hermite_map_coeffs, nu_values, pfaff_entries_from_tau,
                         pfaff_lax_from_basis, skew_hermite_map_check,
                         skew_moment_matrix, skew_orthonormal_basis,
@@ -399,22 +399,6 @@ def test_basis_extraction_matches_closed_form(t0):
 def test_basis_larger_than_the_skew_matrix_refused(t0):
     with pytest.raises(ValueError, match="skew matrix of size 6 cannot support 4 pairs"):
         skew_orthonormal_basis(skew_moment_matrix(t0, 6), 4)
-
-
-def test_loop_closure_pipeline_runs_one_stieltjes_recurrence(fresh_grids, monkeypatch):
-    # the moment matrix and the skew basis read one kept rho^2 basis; the
-    # pipeline ran the recurrence and its skew Gram once for each
-    sizes, run = [], moments._stieltjes
-
-    def counted(nodes, measure, count):
-        sizes.append(count)
-        return run(nodes, measure, count)
-
-    monkeypatch.setattr(moments, "_stieltjes", counted)
-    t = CouplingVector.from_mapping({2: 0.1, 4: -0.05})
-    basis = skew_orthonormal_basis(skew_moment_matrix(t, 28), 14)
-    assert sizes == [28]
-    assert basis is _skew_basis(t, 14)
 
 
 def _window(mapping, n_pairs, n_sites, k_band):

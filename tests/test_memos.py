@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from taulattice import (CouplingVector, IllConditioned, NonIntegrableWeight, log_tau,
-                        tau_coupling_derivative)
+                        skew_moment_matrix, skew_orthonormal_basis, tau_coupling_derivative)
 from taulattice import couplings, lax, moments
 
 _MEMOS = {"basis": moments._stieltjes_basis, "skew": lax._skew_basis, "jets": moments._kept_jets}
@@ -52,6 +52,15 @@ def test_log_tau_leaves_the_kept_gram_as_it_was(fresh_grids, monkeypatch):
     assert np.array(log_tau("orthogonal", 10, _T)).tobytes() == first.tobytes()
     assert F.tobytes() == kept
     assert calls == [10]
+
+
+def test_loop_closure_pipeline_runs_one_stieltjes_recurrence(fresh_grids, monkeypatch):
+    # the moment matrix and the skew basis read one kept rho^2 basis; the
+    # pipeline ran the recurrence and its skew Gram once for each
+    calls = counted_stieltjes(monkeypatch)
+    basis = skew_orthonormal_basis(skew_moment_matrix(_T, 28), 14)
+    assert calls == [28]
+    assert basis is lax._skew_basis(_T, 14)
 
 
 @pytest.mark.parametrize("memo, call, error", [

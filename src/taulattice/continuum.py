@@ -219,6 +219,8 @@ class HydroChainField:
         return self.u.shape[0] - 1 - self.k_neg
 
     def u_at(self, ell: int) -> np.ndarray:
+        if not _is_integer(ell):
+            raise ValueError(f"row must be an integer, got {ell!r}")
         if not -self.k_neg <= ell <= self.k_pos:
             raise IndexOutOfWindow(f"row {ell} outside [-{self.k_neg}, {self.k_pos}]")
         return self.u[ell + self.k_neg]

@@ -13,14 +13,9 @@ just past the outermost one where z^d rho is at least 1e-12 times its
 peak.  The panel count then doubles until the mass and a companion high
 moment settle.  The companion's integrand is taken in logs and shifted by
 a power of two, fixed once at the 8-panel start, so that it stays a normal
-number where (z / R)^d or rho alone would underflow.
-
-`build_quadrature` keeps the last 32 grids it built in a process-wide
-memo keyed on (couplings, max_degree), so repeated requests share
-one grid.  Grids are frozen records with read-only arrays, so sharing
-them is safe; failed builds are not kept.  The bound, `_GRID_MEMO_SIZE`,
-is shared by the basis and jets memos of `moments` and the skew-basis memo
-of `lax`.
+number where (z / R)^d or rho alone would underflow.  `build_quadrature`
+keeps nothing: each call builds its grid, a frozen record with read-only
+arrays.
 
 The reference Gauss-Legendre rule on each panel is computed here, once:
 Golub-Welsch starting nodes (eigenvalues of the Jacobi matrix) polished by
@@ -235,7 +230,6 @@ class QuadratureGrid:
 
 _POINTS_PER_PANEL = 24                          # Gauss points of every grid's panels
 _GRID_TOL = 1e-12                               # relative tolerance of every grid's radius and panels
-_GRID_MEMO_SIZE = 32                            # entries kept by each process memo, LRU out
 _SCAN_POINTS = 8193                             # points of the radius search's scan
 
 
@@ -326,19 +320,10 @@ def build_quadrature(t: CouplingVector, *, max_degree: int = 0) -> QuadratureGri
     relatively.
     `max_degree` widens the radius so that high moments keep full accuracy;
     the default 0 is the bare-weight rule.
-
-    The last 32 grids built are kept, keyed on (t, max_degree): a
-    repeated request returns the grid already built, the same frozen
-    record with read-only arrays.  A build that raises is not kept.
     """
     if not t.integrable:
         raise NonIntegrableWeight(f"weight for couplings {t.as_dict()} has a divergent tail")
-    return _converged_grid(t, _checked_int("max_degree", max_degree, 0))
-
-
-@lru_cache(maxsize=_GRID_MEMO_SIZE)
-def _converged_grid(t: CouplingVector, max_degree: int) -> QuadratureGrid:
-    """`build_quadrature` on validated arguments, behind its memo."""
+    max_degree = _checked_int("max_degree", max_degree, 0)
     radius = _radius_for(t, max_degree)
     # even companion moment for the convergence test, in units of the radius
     # so that z^deg cannot overflow at high degree

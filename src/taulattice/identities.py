@@ -154,7 +154,7 @@ def kp_residual(n: int = 2, t: CouplingVector = _T0, *,
     n = _checked_int("n", n)
     if n < 1 or n > 32:
         raise ValueError("determinant size n must be 1..32")
-    jet = _log_tau_jets("unitary", [n], t, (1, 2, 3), [(6, 0, 0), (3, 0, 1), (2, 2, 0)])[n][2]
+    jet = _log_tau_jets("unitary", (n,), t, (1, 2, 3), ((6, 0, 0), (3, 0, 1), (2, 2, 0)))[n][2]
 
     d = lambda *g: 2.0 * math.prod(map(math.factorial, g)) * jet[g]   # 2 d^g log tau
     u0, ux, uxx, uxxxx = d(2, 0, 0), d(3, 0, 0), d(4, 0, 0), d(6, 0, 0)
@@ -198,12 +198,14 @@ def observables_check(n: int = 1, t: CouplingVector = _T0, *,
     (ii) E[(z1+z2)^2] = w0_1 w1_1 and (iii) E[z1^2+z2^2] = 2 w^-1_1 +
     w0_1 w1_1 against two-eigenvalue moments, ratios of skew moments
     (`_monomial_skew_moments` of the same F), with the entries of pair 1
-    from Pfaffian tau-ratios.
+    from Pfaffian tau-ratios.  The residual is scaled by tolerance / 1e-12,
+    so a tolerance that is not finite and positive raises ValueError.
     """
     n = _checked_int("n", n, 1)
+    if not 0.0 < tolerance < math.inf:   # NaN fails too
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
     F, log_h, _, b = _stieltjes_basis("orthogonal", 2 * n + 4, t)
-    # the pivots overwrite F, so each size eliminates a copy of its block
-    lo, mid, hi = (_log_tau_of_basis(F[:m, :m].copy(), log_h[:m])[1]
+    lo, mid, hi = (_log_tau_of_basis(F[:m, :m], log_h[:m])[1]
                    for m in (2 * n, 2 * n + 2, 2 * n + 4))
     dmu = lo + hi - 2.0 * mid
     basis = _skew_basis(t, n + 2)

@@ -17,11 +17,11 @@ removes every earlier pair at once, and the window is read off its Jacobi
 matrix with the operator's fixed pattern checked by array reductions; the
 parity-Hermite pairs serve the closed-form side only, written in the q_k.
 
-`_skew_basis` keeps its last 32 skew bases in a process memo keyed on
-(couplings, pairs), beside the memos of `moments` and with their bound
-(`couplings._GRID_MEMO_SIZE`); a basis is a frozen record with read-only
-arrays, its coefficients 32 p^2 bytes for p pairs (1.0 MB at 180), and a
-Gram-Schmidt that raised is not kept.  The loop-closure pipeline
+`_skew_basis` keeps its last skew bases in a process memo keyed on
+(couplings, pairs), under the bound and the rule of the memos of `moments`
+(`moments._MEMO_SIZE`): a basis is a frozen record with read-only arrays,
+handed out as it is, its coefficients 32 p^2 bytes for p pairs (1.0 MB at
+180), and a Gram-Schmidt that raised is not kept.  The loop-closure pipeline
 `skew_orthonormal_basis(skew_moment_matrix(t, 2p), p)` reads one kept
 rho^2 basis for both calls.
 """
@@ -37,9 +37,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .couplings import _GRID_MEMO_SIZE, CouplingVector, _checked_int, _is_integer, _own_arrays
+from .couplings import CouplingVector, _checked_int, _is_integer, _own_arrays
 from .errors import IllConditioned, SingularMinor, StructureViolation
-from .moments import SkewMomentMatrix, _log_tau_jets, _stieltjes_basis
+from .moments import _MEMO_SIZE, SkewMomentMatrix, _log_tau_jets, _stieltjes_basis
 from .report import IdentityReport
 
 __all__ = [
@@ -335,7 +335,7 @@ def skew_orthonormal_basis(m: SkewMomentMatrix, n_pairs: int) -> SkewOrthoBasis:
     return _skew_basis(m.couplings, n_pairs)
 
 
-@lru_cache(maxsize=_GRID_MEMO_SIZE)
+@lru_cache(maxsize=_MEMO_SIZE)
 def _skew_basis(t: CouplingVector, n_pairs: int) -> SkewOrthoBasis:
     """Skew Gram-Schmidt on the skew Gram of the Stieltjes basis that
     `log_tau` uses for the orthogonal tau, at couplings t.  The last 32
@@ -446,7 +446,7 @@ def pfaff_entries_from_tau(t: CouplingVector, n_pairs: int) -> dict:
     """
     n_pairs = _checked_int("n_pairs", n_pairs, 1)
     jets = _log_tau_jets("orthogonal", range(0, 2 * n_pairs + 3, 2), t, (1, 2),
-                         [(2, 0), (0, 1)])
+                         ((2, 0), (0, 1)))
     log_t = {size: log_abs for size, (_, log_abs, _) in jets.items()}
     # tau''/tau and tau'/tau from the Taylor coefficients c of log tau
     d11 = {size: 2.0 * c[2, 0] + c[1, 0] ** 2 for size, (_, _, c) in jets.items()}

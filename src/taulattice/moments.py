@@ -30,32 +30,30 @@ m = X F X^T (`_monomial_skew_moments`), so no module evaluates a monomial
 at grid nodes, whose skew products cancel as the degree grows (Gautschi
 2004, sec. 2.1).
 
-Two process memos sit beside `build_quadrature`'s grid memo, each keeping
-its last 32 entries (`couplings._GRID_MEMO_SIZE`), least recently used
-out, and never a call that raised.  `_stieltjes_basis` keeps bases keyed
-on (ensemble, n, couplings), with read-only arrays; an orthogonal entry is
-dominated by its F, 8 n^2 bytes: 2.5 MB at order 554, where the Gaussian
-rho^2 basis stops, and 18 MB at order 1500, which {8: -1} reaches, so 32
-such entries hold 79 MB and 576 MB; a unitary entry is 24 n bytes.
-`_kept_jets` keeps the jets of `_log_tau_jets`, keyed on (ensemble,
-sizes, couplings, axes, tops) made hashable by that function, which
-hands each caller dicts of its own; an entry is a few floats per size and
-multi-index.  A hit builds no grid, so it never reaches
-`build_quadrature`.  `log_tau` and every reader of F eliminate a copy of
-it, since the Pfaffian pivots overwrite their matrix.
+Three process memos are the only caches in front of quadrature, each
+keeping its last `_MEMO_SIZE` = 32 entries, least recently used out, and
+never a call that raised: `_stieltjes_basis` keyed on (ensemble, n,
+couplings), `_kept_jets` on (ensemble, sizes, couplings, axes, tops) and
+`lax._skew_basis` on (couplings, pairs).  A kept result is read-only
+(frozen arrays, jets behind `types.MappingProxyType`) and handed out as it
+is; only a routine that writes copies, as `_log_tau_of_basis` does of F for
+the Pfaffian pivots.  A hit builds no grid.  An orthogonal basis is 8 n^2
+bytes of F: 2.5 MB at order 554, where the Gaussian rho^2 basis stops, and
+18 MB at order 1500, which {8: -1} reaches, so 32 hold 79 MB and 576 MB.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import types
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .couplings import (_GRID_MEMO_SIZE, CouplingVector, QuadratureGrid, _checked_int, _is_integer,
-                        _own_arrays, _regrid, build_quadrature, cumulative_integral)
+from .couplings import (CouplingVector, QuadratureGrid, _checked_int, _is_integer, _own_arrays,
+                        _regrid, build_quadrature, cumulative_integral)
 from .errors import IllConditioned
 
 __all__ = [
@@ -69,6 +67,7 @@ __all__ = [
 
 # log|tau| outside this range has no normal double value.
 _LOG_RANGE = tuple(np.log([np.finfo(float).tiny, np.finfo(float).max]))
+_MEMO_SIZE = 32                                 # entries kept by each process memo, LRU out
 
 
 def _skew_products(grid: QuadratureGrid, rows: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -201,7 +200,7 @@ def _tau_grid(ensemble: str, n: int, t: CouplingVector) -> QuadratureGrid:
     return grid if grid.panels >= n / 4 else _regrid(grid, grid.radius, -(-n // 4))
 
 
-@lru_cache(maxsize=_GRID_MEMO_SIZE)
+@lru_cache(maxsize=_MEMO_SIZE)
 def _stieltjes_basis(ensemble: str, n: int, t: CouplingVector):
     """(F, log_h, a, b): the Stieltjes basis q_k, k < n, of rho dz (unitary)
     or rho^2 dz (orthogonal), see `_stieltjes`, on `_tau_grid(ensemble, n)`.
@@ -233,7 +232,7 @@ def log_tau(ensemble: str, n: int, t: CouplingVector) -> tuple[float, float]:
     if n == 0:
         return 1.0, 0.0
     F, log_h, _, _ = _stieltjes_basis(ensemble, n, t)
-    return _log_tau_of_basis(None if F is None else F.copy(), log_h)
+    return _log_tau_of_basis(F, log_h)
 
 
 def _check_size(ensemble: str, n: int) -> int:
@@ -248,34 +247,35 @@ def _check_size(ensemble: str, n: int) -> int:
 def _log_tau_of_basis(F: np.ndarray | None, log_h: np.ndarray) -> tuple[float, float]:
     """(sign, log|tau|) of the size of a `_stieltjes_basis` (F, log_h): the
     Hankel product for unitary (F None), the Pfaffian of F times the
-    normalizations for orthogonal.  The Pfaffian pivots overwrite F, so
-    callers pass a copy of the basis's read-only F."""
+    normalizations for orthogonal.  The Pfaffian pivots overwrite their
+    matrix, so they eliminate a copy of F, which may be a kept block."""
     if F is None or not len(F):   # unitary, or tau_0 = 1
         return 1.0, float(log_h.sum())
-    sign, pivots = _pfaffian_pivots(F)
+    sign, pivots = _pfaffian_pivots(F.copy())
     if not np.all(np.isfinite(pivots) & (pivots != 0.0)):
         raise IllConditioned(f"skew Gram of order {len(F)} has a zero or non-finite pivot")
     sign *= float(np.prod(np.sign(pivots)))
     return sign, float(np.log(np.abs(pivots)).sum() + 0.5 * log_h.sum())
 
 
-def _log_tau_jets(ensemble: str, sizes, t: CouplingVector, axes: tuple, tops) -> dict:
+def _log_tau_jets(ensemble: str, sizes, t: CouplingVector, axes: tuple,
+                  tops: tuple) -> types.MappingProxyType:
     """{m: (sign, log|tau_m|, jet)} for every size m in `sizes`, from one
     Stieltjes basis.  jet maps each multi-index g at or below one of `tops`
-    (orders in the couplings `axes`) to the Taylor coefficient of s^g in
-    log tau_m(t + s) - log tau_m(t), s_a shifting the coupling axes[a].
+    (a tuple of order tuples in the couplings `axes`) to the Taylor
+    coefficient of s^g in log tau_m(t + s) - log tau_m(t), s_a shifting
+    the coupling axes[a].
 
-    The arguments are made hashable here for `_kept_jets`, which keeps the
-    last 32 results; each caller gets its own dicts.
+    The sizes are checked here, ahead of the memo `_kept_jets`, which would
+    key True, 1.0 and 1 alike; the result is the kept read-only mapping.
     """
-    sizes = tuple(_check_size(ensemble, m) for m in sizes)
-    kept = _kept_jets(ensemble, sizes, t, tuple(axes), tuple(map(tuple, tops)))
-    return {m: (sign, log_abs, dict(jet)) for m, (sign, log_abs, jet) in kept.items()}
+    return _kept_jets(ensemble, tuple(_check_size(ensemble, m) for m in sizes), t, axes, tops)
 
 
-@lru_cache(maxsize=_GRID_MEMO_SIZE)
-def _kept_jets(ensemble: str, sizes: tuple, t: CouplingVector, axes: tuple, tops: tuple) -> dict:
-    """`_log_tau_jets` on checked, hashable arguments, behind its memo.
+@lru_cache(maxsize=_MEMO_SIZE)
+def _kept_jets(ensemble: str, sizes: tuple, t: CouplingVector, axes: tuple,
+               tops: tuple) -> types.MappingProxyType:
+    """`_log_tau_jets` on checked sizes, behind its memo.
 
     Shifting t_a multiplies rho by e^{s_a z^a}, and z q = J q for the basis q
     with Jacobi matrix J, so the weight acts as E(s) = exp(sum_a s_a J^a),
@@ -304,15 +304,16 @@ def _kept_jets(ensemble: str, sizes: tuple, t: CouplingVector, axes: tuple, tops
     S = rows[:, :, :top] if F is None else product(rows @ F, rows.transpose(0, 2, 1))
     out = {}
     for m in sizes:
-        sign, log_abs = _log_tau_of_basis(None if F is None else F[:m, :m].copy(), log_h[:m])
+        sign, log_abs = _log_tau_of_basis(None if F is None else F[:m, :m], log_h[:m])
         X = S[:, :m, :m] @ (np.eye(m) if F is None else np.linalg.inv(F[:m, :m]))
         X[0] = 0.0   # the identity: expand tr log(I + X)
         coeffs, power = np.zeros(len(monos)), X
         for order in range(1, sum(monos[-1]) + 1):
             coeffs += (-1) ** (order + 1) / order * np.trace(power, axis1=1, axis2=2)
             power = product(power, X)
-        out[m] = sign, log_abs, dict(zip(monos, (1.0 if F is None else 0.5) * coeffs))
-    return out
+        jet = dict(zip(monos, (1.0 if F is None else 0.5) * coeffs))
+        out[m] = sign, log_abs, types.MappingProxyType(jet)
+    return types.MappingProxyType(out)
 
 
 def _tau_value(ensemble: str, n: int, sign: float, log_abs: float) -> float:
@@ -354,7 +355,7 @@ def tau_coupling_derivative(ensemble: str, n: int, t: CouplingVector,
     if sum(orders.values()) > 4:
         raise ValueError("total derivative order must be <= 4")
     axes, top = tuple(sorted(orders)), tuple(p for _, p in sorted(orders.items()))
-    sign, log_abs, jet = _log_tau_jets(ensemble, [n], t, axes, [top])[n]
+    sign, log_abs, jet = _log_tau_jets(ensemble, (n,), t, axes, (top,))[n]
     tau = _tau_value(ensemble, n, sign, log_abs)
     # E = exp(L) by g_i E_g = sum_a a_i L_a E_{g-a}, i the first axis of g
     exp_jet = {}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from taulattice import CouplingVector, couplings, lax, moments
+from taulattice import CouplingVector, lax, moments
 
 
 def pytest_configure(config):
@@ -34,16 +34,16 @@ def t0():
     return CouplingVector.from_mapping({})
 
 
-PROCESS_MEMOS = (couplings._converged_grid, moments._stieltjes_basis, moments._kept_jets,
-                 lax._skew_basis)
+PROCESS_MEMOS = (moments._stieltjes_basis, moments._kept_jets, lax._skew_basis)
 
 
 @pytest.fixture
 def fresh_grids():
-    """Empty process memos (grids, Stieltjes bases, jets and skew bases),
-    before the test and after it: a test counting radius solves sees every
-    grid its code builds, not one an earlier test left in a memo, and
-    nothing a test builds under a patched helper outlives it."""
+    """Empty the three process memos (`moments._stieltjes_basis`,
+    `moments._kept_jets` and `lax._skew_basis`), the only caches in front
+    of quadrature, before the test and after it: a test counting radius
+    solves sees every grid its code builds, not a basis an earlier test left
+    in a memo, and nothing a test builds under a patched helper outlives it."""
     for memo in PROCESS_MEMOS:
         memo.cache_clear()
     yield

@@ -329,6 +329,15 @@ def test_verify_tight_tolerance_fails(tmp_path, capsys):
     assert json.loads(out)["pass"] is False
 
 
+@pytest.mark.parametrize("n", ["1", "2"])
+def test_verify_observables_zero_tolerance_is_a_config_error(tmp_path, capsys, n):
+    # at n = 2 a zero tolerance scaled the residual to 0.0 and exited 0
+    rc, out, err = run(capsys, "--out", str(tmp_path), "verify", "observables",
+                       "--n", n, "--tolerance", "0")
+    assert rc == 2 and out == ""
+    assert "tolerance" in json.loads(err)["message"]
+
+
 def test_scan_determinism(tmp_path, capsys):
     args = ("verify", "haantjes", "--window", "10", "--points", "3", "--seed", "5")
     rc1, out1, _ = run(capsys, "--out", str(tmp_path / "a"), *args)

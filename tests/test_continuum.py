@@ -297,6 +297,15 @@ class TestHydroField:
         with pytest.raises(IndexOutOfWindow):
             f.u_at(6)
 
+    @pytest.mark.parametrize("row", [True, 1.5, np.float64(1.0), "1"],
+                             ids=["bool", "float", "numpy-float", "str"])
+    def test_row_that_is_not_an_integer_refused(self, row):
+        # True read row 1; 1.5 and np.float64(1.0) raised numpy's bare IndexError
+        f = HydroChainField.initial(np.linspace(0.5, 1.5, 11), 3, 5)
+        with pytest.raises(ValueError, match="integer"):
+            f.u_at(row)
+        assert np.all(f.u_at(np.int64(-1)) == 0.5)
+
     def test_scaling_family_limits(self):
         x = np.linspace(0.5, 1.5, 11)
         f = HydroChainField.scaling(x, 0.25)

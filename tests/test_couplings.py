@@ -311,18 +311,6 @@ def counted_radii(monkeypatch):
     return calls
 
 
-def test_equal_keys_share_one_read_only_grid(fresh_grids, monkeypatch):
-    calls = counted_radii(monkeypatch)
-    grid = build_quadrature(CouplingVector.from_mapping({2: 0.1, 4: -0.05}), max_degree=12)
-    again = build_quadrature(CouplingVector.from_mapping({4: -0.05, 2: 0.1}),
-                             max_degree=np.int64(12))
-    assert again is grid and len(calls) == 1
-    for arr in (grid.nodes, grid.weights, grid.rho):
-        assert not arr.flags.writeable
-    assert build_quadrature(grid.couplings, max_degree=13) is not grid
-    assert len(calls) == 2
-
-
 def stalled(convergence_values):
     # a panel doubling whose mass never settles
     def values(t, radius, panels, deg, shift):
@@ -344,7 +332,6 @@ def test_failed_builds_are_not_kept(fresh_grids, monkeypatch, mapping, error):
         with pytest.raises(error):
             build_quadrature(t)
     assert len(calls) == 2
-    assert couplings._converged_grid.cache_info().currsize == 0
 
 
 def test_weight_past_the_double_range_refused_before_doubling(fresh_grids, monkeypatch):
@@ -413,18 +400,3 @@ def test_weight_just_inside_the_double_range_builds(fresh_grids):
 def test_nonsense_degrees_refused(fresh_grids, t0, max_degree):
     with pytest.raises(ValueError, match="max_degree"):
         build_quadrature(t0, max_degree=max_degree)
-    assert couplings._converged_grid.cache_info().currsize == 0
-
-
-def test_memo_stays_within_its_bound(fresh_grids, monkeypatch):
-    calls = counted_radii(monkeypatch)
-    size = couplings._GRID_MEMO_SIZE
-    vectors = [CouplingVector.from_mapping({2: 0.01 * k}) for k in range(size + 8)]
-    for t in vectors:
-        build_quadrature(t)
-        assert couplings._converged_grid.cache_info().currsize <= size
-    assert couplings._converged_grid.cache_info().currsize == size
-    build_quadrature(vectors[-1])                   # kept
-    assert len(calls) == size + 8
-    build_quadrature(vectors[0])                    # dropped, least recently used
-    assert len(calls) == size + 9

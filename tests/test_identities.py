@@ -170,6 +170,13 @@ class TestObservables:
             assert report.passed, (n, report.meta)
             assert report.meta["mu_residual"] <= 1e-14, n
 
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-8, float("inf"), float("nan")])
+    def test_tolerance_that_is_not_finite_and_positive_refused(self, tolerance):
+        # the residual is scaled by tolerance / 1e-12: at 0 it read 0.0 and
+        # passed, at inf it read inf and passed
+        with pytest.raises(ValueError, match="tolerance"):
+            observables_check(2, tolerance=tolerance)
+
     def test_tau_ratios_only_for_the_first_pair(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("pair entries are read only at n = 1")

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import conftest
 import taulattice
 
 SRC = Path(taulattice.__file__).parent
@@ -21,11 +22,10 @@ LAYERS = {
     "numdiff": {},
     "couplings": {"errors": ANY},
     "moments": {"couplings": ANY, "errors": ANY},
-    "lax": {"couplings": {"CouplingVector", "_GRID_MEMO_SIZE", "_checked_int", "_is_integer",
-                          "_own_arrays"},
+    "lax": {"couplings": {"CouplingVector", "_checked_int", "_is_integer", "_own_arrays"},
             "errors": ANY, "report": ANY,
             # the skew Gram F of the Stieltjes basis is the one skew route
-            "moments": {"SkewMomentMatrix", "_log_tau_jets", "_stieltjes_basis"}},
+            "moments": {"SkewMomentMatrix", "_MEMO_SIZE", "_log_tau_jets", "_stieltjes_basis"}},
     "flows": {"couplings": ANY, "errors": ANY, "lax": ANY},
     "continuum": {"couplings": ANY, "errors": ANY, "report": ANY,
                   "flows": {"_MAX_STEPS", "_rk4_stepper", "_csv_text", "_guarded"}},
@@ -159,3 +159,63 @@ def test_floating_point_errors_are_caught_only_where_listed():
     assert found == set(_FLOATING_POINT_HANDLERS), (
         f"FloatingPointError caught in {sorted(found)}, listed "
         f"{sorted(_FLOATING_POINT_HANDLERS)}")
+
+
+# (module, function) -> why it keeps results in an lru_cache.  Process
+# memos keep results keyed on couplings, bounded by `moments._MEMO_SIZE`;
+# plans depend on a few small integers or on nothing.
+_PROCESS_MEMOS = {
+    ("moments", "_stieltjes_basis"): "Stieltjes bases, the one cache in front of quadrature",
+    ("moments", "_kept_jets"): "log-tau jets read off one kept basis",
+    ("lax", "_skew_basis"): "skew Gram-Schmidt on one kept basis",
+}
+_LRU_CACHES = {
+    **_PROCESS_MEMOS,
+    ("couplings", "_gauss_legendre"): "plan: the one reference Gauss-Legendre rule",
+    ("couplings", "_cumulative_matrix"): "plan: the panel's cumulative-integration matrix",
+    ("continuum", "_rhs_plan"): "plan: the chain RHS's monomial blocks per window",
+    ("continuum", "_chain_table"): "plan: the chain table as arrays per window",
+    ("continuum", "_tensor_plan"): "plan: the Haantjes contractions per window",
+    ("continuum", "_closed_layout"): "plan: the Haantjes scan's closed-form layout per window",
+    ("numdiff", "stencil"): "plan: central-difference weights per order",
+    ("cli", "_parser"): "plan: the one argument parser",
+}
+
+
+def _lru_caches() -> dict:
+    """{(module, function): its lru_cache decorator, unparsed} over the library."""
+    found = {}
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                for dec in node.decorator_list:
+                    if "lru_cache" in ast.unparse(dec):
+                        found[path.stem, node.name] = ast.unparse(dec)
+    return found
+
+
+def test_every_lru_cache_is_listed():
+    # a cache added beside the basis memo, or a listed one that is gone, fails
+    found = _lru_caches()
+    assert set(found) == set(_LRU_CACHES), (
+        f"lru_cache on {sorted(found)}, listed {sorted(_LRU_CACHES)}")
+    bounded = {key for key, dec in found.items() if "_MEMO_SIZE" in dec}
+    assert bounded == set(_PROCESS_MEMOS), f"bounded by _MEMO_SIZE: {sorted(bounded)}"
+
+
+def test_the_fixture_clears_exactly_the_process_memos():
+    listed = {getattr(getattr(taulattice, module), name) for module, name in _PROCESS_MEMOS}
+    assert set(conftest.PROCESS_MEMOS) == listed
+    assert len(conftest.PROCESS_MEMOS) == len(listed)
+
+
+def test_build_quadrature_has_one_library_caller():
+    # every grid the library builds goes through the basis memo
+    callers = set()
+    for path in SRC.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == (
+                        "build_quadrature"):
+                    callers.add((path.stem, getattr(top, "name", "<module>")))
+    assert callers == {("moments", "_tau_grid")}, f"build_quadrature called from {sorted(callers)}"

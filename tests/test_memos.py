@@ -1,19 +1,21 @@
-"""The process memos beside the grid memo: Stieltjes bases, skew bases and
-log-tau jets.  Equal keys share one read-only result, a call that raises
-is not kept, the shared bound drops the least recently used key, each
-jets caller owns its dicts, and a hit equals the cold call byte for byte."""
+"""The process memos, the only caches in front of quadrature: Stieltjes
+bases, skew bases and log-tau jets.  Equal keys share one read-only result,
+handed out as it is; a repeated key builds no grid; a call that raises is
+not kept; the shared bound drops the least recently used key; and a hit
+equals the cold call byte for byte."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from taulattice import (CouplingVector, IllConditioned, NonIntegrableWeight, log_tau,
-                        skew_moment_matrix, skew_orthonormal_basis, tau_coupling_derivative)
+                        skew_moment_matrix, skew_orthonormal_basis, tau_coupling_derivative,
+                        toda_lax_from_quadrature)
 from taulattice import couplings, lax, moments
 
 _MEMOS = {"basis": moments._stieltjes_basis, "skew": lax._skew_basis, "jets": moments._kept_jets}
 _T = CouplingVector.from_mapping({2: 0.1, 4: -0.05})
-_JETS = ("orthogonal", [0, 2, 4], _T, (1, 2), [(2, 0), (0, 1)])
+_JETS = ("orthogonal", (0, 2, 4), _T, (1, 2), ((2, 0), (0, 1)))
 
 
 def counted_stieltjes(monkeypatch):
@@ -71,7 +73,7 @@ def test_loop_closure_pipeline_runs_one_stieltjes_recurrence(fresh_grids, monkey
     ("skew", lambda: lax._skew_basis(CouplingVector(), 300), IllConditioned),
     ("skew", lambda: lax._skew_basis(CouplingVector.from_mapping({4: 0.1}), 2),
      NonIntegrableWeight),
-    ("jets", lambda: moments._log_tau_jets("orthogonal", [598], CouplingVector(), (2,), [(1,)]),
+    ("jets", lambda: moments._log_tau_jets("orthogonal", (598,), CouplingVector(), (2,), ((1,),)),
      IllConditioned),
     ("jets", lambda: tau_coupling_derivative("unitary", 4, CouplingVector.from_mapping({4: 0.1}),
                                              {2: 1}),
@@ -93,11 +95,11 @@ def _shifted(k):
 @pytest.mark.parametrize("memo, call", [
     ("basis", lambda k: moments._stieltjes_basis("unitary", 2, _shifted(k))),
     ("skew", lambda k: lax._skew_basis(_shifted(k), 1)),
-    ("jets", lambda k: moments._log_tau_jets("unitary", [1], _shifted(k), (1,), [(1,)])),
+    ("jets", lambda k: moments._log_tau_jets("unitary", (1,), _shifted(k), (1,), ((1,),))),
 ], ids=["basis", "skew", "jets"])
 def test_the_bound_drops_the_least_recently_used_key(fresh_grids, memo, call):
     memo = _MEMOS[memo]
-    size = couplings._GRID_MEMO_SIZE
+    size = moments._MEMO_SIZE
     for k in range(size):
         call(k)
     call(0)                      # a hit: key 0 is now the most recently used
@@ -110,16 +112,47 @@ def test_the_bound_drops_the_least_recently_used_key(fresh_grids, memo, call):
     assert memo.cache_info().misses == size + 2
 
 
-def test_each_jets_caller_owns_its_dicts(fresh_grids):
+def test_a_jets_hit_hands_out_the_kept_read_only_mapping(fresh_grids):
     first = moments._log_tau_jets(*_JETS)
-    second = moments._log_tau_jets(*_JETS)
+    assert moments._log_tau_jets(*_JETS) is first
     assert moments._kept_jets.cache_info().hits == 1
-    assert first == second and first is not second
-    assert all(first[m][2] is not second[m][2] for m in first)
-    first[2][2][0, 1] = 99.0
-    first[4] = None
-    del first[0]
-    assert moments._log_tau_jets(*_JETS) == second
+    with pytest.raises(TypeError):
+        first[4] = None
+    with pytest.raises(TypeError):
+        first[2][2][0, 1] = 99.0
+
+
+def counted_radii(monkeypatch):
+    """The keys of every grid's radius solve from here on."""
+    calls = []
+    solve = couplings._radius_for
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(couplings, "_radius_for", counted)
+    return calls
+
+
+@pytest.mark.parametrize("call", [
+    lambda: log_tau("orthogonal", 10, _T),
+    lambda: log_tau("unitary", 10, _T),
+    lambda: toda_lax_from_quadrature(_T, 6),
+    lambda: tau_coupling_derivative("unitary", 4, _T, {2: 1, 4: 1}),
+    lambda: tau_coupling_derivative("orthogonal", 4, _T, {2: 2}),
+    lambda: lax._skew_basis(_T, 5),
+    lambda: skew_moment_matrix(_T, 10),
+], ids=["log-tau-orthogonal", "log-tau-unitary", "toda", "jets-unitary", "jets-orthogonal",
+        "skew-basis", "skew-moments"])
+def test_a_repeated_key_builds_no_grid(fresh_grids, monkeypatch, call):
+    # the basis memo is the one cache in front of quadrature: each route to
+    # the basis solves one radius per distinct basis key, however often
+    # the same key is asked for
+    calls = counted_radii(monkeypatch)
+    call()
+    call()
+    assert len(calls) == moments._stieltjes_basis.cache_info().currsize == 1
 
 
 def _values(ensemble, n, t, pairs, orders):

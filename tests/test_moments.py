@@ -258,8 +258,8 @@ def test_jets_meet_the_gaussian_closed_form(ensemble, size, t1, t2):
     # order's derivatives relative to the largest of them (several vanish)
     n = size + size % 2 if ensemble == "orthogonal" else size
     t = CouplingVector.from_mapping({1: t1, 2: t2})
-    tops = [(4, 0), (3, 1), (2, 2), (1, 3), (0, 4)]
-    sign, log_abs, jet = moments._log_tau_jets(ensemble, [n], t, (1, 2), tops)[n]
+    tops = ((4, 0), (3, 1), (2, 2), (1, 3), (0, 4))
+    sign, log_abs, jet = moments._log_tau_jets(ensemble, (n,), t, (1, 2), tops)[n]
     assert sign == 1.0
     assert abs(log_abs - log_tau(ensemble, n, t)[1]) <= 1e-12 * max(abs(log_abs), 1.0)
     for order in range(1, 5):
@@ -281,7 +281,7 @@ def test_jet_sizes_share_one_basis(t0, monkeypatch, fresh_grids):
         return build(ensemble, n, *args, **kwargs)
 
     monkeypatch.setattr(moments, "_stieltjes_basis", counted)
-    jets = moments._log_tau_jets("orthogonal", [0, 2, 4, 6], t0, (1, 2), [(2, 0), (0, 1)])
+    jets = moments._log_tau_jets("orthogonal", (0, 2, 4, 6), t0, (1, 2), ((2, 0), (0, 1)))
     # highest power J^2: the orthogonal basis reaches 6 + 2 + 2
     assert calls == [10]
     assert jets[0] == (1.0, 0.0, dict.fromkeys([(0, 0), (0, 1), (1, 0), (2, 0)], 0.0))

@@ -21,7 +21,11 @@ Beside these it records what a reading of the result turns on: the
 parent's quartile spread q3 - q1, whether the medians differ by more than
 that spread, and whether the change's median is worse than the parent's by
 more than the metric's `bound` in `BENCHMARK.json`, read as a fraction of
-the parent's median; and, per workload, the seeds of any pair whose
+the parent's median; whether the parent's spread is itself wider than
+that bound, and whether every change run reads better than every parent
+run (a metric whose spread is past its bound is unresolved, not
+unchanged, unless the change always reads better, and the printed table
+says "unresolved" there); and, per workload, the seeds of any pair whose
 attempted or failed counts differ.  Each run also records, per workload,
 the benchmark process's wall seconds and its CPU seconds (user plus
 system, the `getrusage(RUSAGE_CHILDREN)` delta across the process), and
@@ -111,8 +115,10 @@ def summarize(runs: list, names: list, end_to_end: list) -> dict:
     change/parent of the medians, the parent's quartile spread and whether
     the medians differ by more than it.  For a metric of `end_to_end`
     (`BENCHMARK.json`'s list, each with `better` and `bound`), also the
-    change's wins over the pairs and whether its median is worse than the
-    parent's by more than `bound` times the parent's median."""
+    change's wins over the pairs, whether its median is worse than the
+    parent's by more than `bound` times the parent's median, whether the
+    parent's spread exceeds that much, and whether every change run reads
+    better than every parent run."""
     declared = {m["name"]: m for m in end_to_end}
     out = {}
     for name in names:
@@ -129,10 +135,29 @@ def summarize(runs: list, names: list, end_to_end: list) -> dict:
                 entry["change_wins"] = sum(sign * (c - p) > 0
                                            for p, c in zip(vals["parent"], vals["change"]))
                 entry["pairs"] = len(runs)
-                entry["past_bound"] = sign * (base - med) > declared[metric]["bound"] * abs(base)
+                allowed = declared[metric]["bound"] * abs(base)
+                entry["past_bound"] = sign * (base - med) > allowed
+                entry["spread_past_bound"] = entry["parent_spread"] > allowed
+                entry["change_always_better"] = (min(sign * c for c in vals["change"])
+                                                 > max(sign * p for p in vals["parent"]))
             per_metric[metric] = entry
         out[name] = per_metric
     return out
+
+
+def table_row(name: str, metric: str, e: dict) -> str:
+    """One metric's line of the printed table, ending in "unresolved" when
+    the parent's spread is past the bound and the change does not always
+    read better."""
+    unresolved = e.get("spread_past_bound") and not e["change_always_better"]
+    return ("%-16s %-20s parent %-10.4g change %-10.4g ratio %-7.3f wins %-5s "
+            "spread %-9.3g resolved %-3s past bound %-3s%s"
+            % (name, metric, e["parent"]["median"], e["change"]["median"],
+               e["ratio"] if e["ratio"] is not None else float("nan"),
+               "%d/%d" % (e["change_wins"], e["pairs"]) if "change_wins" in e else "-",
+               e["parent_spread"], "yes" if e["resolved"] else "no",
+               {True: "yes", False: "no"}.get(e.get("past_bound"), "-"),
+               "  unresolved" if unresolved else ""))
 
 
 def process_seconds(runs: list, names: list) -> dict:
@@ -209,13 +234,7 @@ def main(argv=None) -> int:
         f.write("\n")
     for name in names:
         for metric, e in result["summary"][name].items():
-            print("%-16s %-20s parent %-10.4g change %-10.4g ratio %-7.3f wins %-5s "
-                  "spread %-9.3g resolved %-3s past bound %s"
-                  % (name, metric, e["parent"]["median"], e["change"]["median"],
-                     e["ratio"] if e["ratio"] is not None else float("nan"),
-                     "%d/%d" % (e["change_wins"], e["pairs"]) if "change_wins" in e else "-",
-                     e["parent_spread"], "yes" if e["resolved"] else "no",
-                     {True: "yes", False: "no"}.get(e.get("past_bound"), "-")))
+            print(table_row(name, metric, e))
         print("%-16s process seconds, median: %s" % (name, "  ".join(
             "%s %.2f wall %.2f cpu" % (side, times["wall_s"], times["cpu_s"])
             for side, times in result["process_s"][name].items())))

@@ -42,5 +42,6 @@ class DivergedField(TauLatticeError):
     """An integrated field became non-finite, or exceeded a magnitude bound."""
 
 
-class IndexOutOfWindow(TauLatticeError):
-    """A tensor component was requested outside the truncation-safe window."""
+class IndexOutOfWindow(TauLatticeError, IndexError):
+    """An entry was requested outside its window: a PfaffLax band or site, a
+    chain row, or a tensor component past the truncation-safe range."""

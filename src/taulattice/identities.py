@@ -198,12 +198,9 @@ def observables_check(n: int = 1, t: CouplingVector = _T0, *,
     (ii) E[(z1+z2)^2] = w0_1 w1_1 and (iii) E[z1^2+z2^2] = 2 w^-1_1 +
     w0_1 w1_1 against two-eigenvalue moments, ratios of skew moments
     (`_monomial_skew_moments` of the same F), with the entries of pair 1
-    from Pfaffian tau-ratios.  The residual is scaled by tolerance / 1e-12,
-    so a tolerance that is not finite and positive raises ValueError.
+    from Pfaffian tau-ratios.  The residual is scaled by tolerance / 1e-12.
     """
     n = _checked_int("n", n, 1)
-    if not 0.0 < tolerance < math.inf:   # NaN fails too
-        raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
     F, log_h, _, b = _stieltjes_basis("orthogonal", 2 * n + 4, t)
     lo, mid, hi = (_log_tau_of_basis(F[:m, :m], log_h[:m])[1]
                    for m in (2 * n, 2 * n + 2, 2 * n + 4))
@@ -398,10 +395,15 @@ def sample_gaussian_ensemble(beta: int, n: int, count: int, seed: int) -> dict:
     """Trace moments of n x n Gaussian ensembles by direct sampling.
 
     beta=1: real symmetric, diagonal N(0,1), off-diagonal N(0,1/2).
-    beta=2: complex Hermitian, off-diagonal (a+ib)/sqrt(2).  Uses a
-    counter-based generator so results are bit-reproducible for a seed;
-    returns {"trace": (mean, stderr), ...} computed in one pass.  Each
-    argument must be an integer, and n at least 1.
+    beta=2: complex Hermitian, off-diagonal (a+ib)/sqrt(2).  Both are drawn
+    as the tridiagonal model of Dumitriu & Edelman (J. Math. Phys. 43 (2002)
+    5830), diagonal d ~ N(0,1) and off-diagonal sqrt(chi2_{beta(n-i)}/2),
+    i < n, to which Householder reduction takes the dense matrix with its
+    eigenvalues kept: so tr H = sum d and tr H^2 = sum d^2 + sum chi2 equal
+    the dense ensemble's in law, and no n x n array is formed.  Each batch
+    draws d, then the chi-squares, from a counter-based generator, so results
+    are bit-reproducible for a seed; returns {"trace": (mean, stderr), ...}
+    computed in one pass.  Each argument must be an integer, and n at least 1.
     """
     beta, n = _checked_int("beta", beta), _checked_int("n", n, 1)
     if beta not in (1, 2):
@@ -411,24 +413,17 @@ def sample_gaussian_ensemble(beta: int, n: int, count: int, seed: int) -> dict:
         raise ValueError(f"count out of supported range, got {count}")
     seed = _checked_seed(seed)
     rng = np.random.Generator(np.random.Philox(seed))
-    pairs = n * (n - 1) // 2
+    dof = beta * np.arange(n - 1, 0, -1.0)
+    rows = max(1, min(250_000, 2 ** 20 // n))
     sums = np.zeros(3)
     sumsq = np.zeros(3)
     left = count
     while left:
-        m = min(left, 250_000)
-        diag = rng.standard_normal((m, n))
-        tr = diag.sum(axis=1)
-        off_sq = np.zeros(m)
-        if pairs:
-            if beta == 1:
-                off = rng.standard_normal((m, pairs)) * math.sqrt(0.5)
-                off_sq = (off ** 2).sum(axis=1)
-            else:
-                re = rng.standard_normal((m, pairs)) * math.sqrt(0.5)
-                im = rng.standard_normal((m, pairs)) * math.sqrt(0.5)
-                off_sq = (re ** 2 + im ** 2).sum(axis=1)
-        tr2 = (diag ** 2).sum(axis=1) + 2.0 * off_sq
+        m = min(left, rows)
+        d = rng.standard_normal((m, n))
+        chi2 = rng.chisquare(dof, size=(m, n - 1))
+        tr = d.sum(axis=1)
+        tr2 = (d ** 2).sum(axis=1) + chi2.sum(axis=1)
         batch = np.stack([tr, tr ** 2, tr2])
         sums += batch.sum(axis=1)
         sumsq += (batch ** 2).sum(axis=1)
@@ -438,11 +433,7 @@ def sample_gaussian_ensemble(beta: int, n: int, count: int, seed: int) -> dict:
     se = np.sqrt(var / count)
     names = ("trace", "trace_squared", "trace_of_square")
     out = {nm: (float(mu), float(s)) for nm, mu, s in zip(names, mean, se)}
-    out["count"] = count
-    out["seed"] = seed
-    out["beta"] = beta
-    out["n"] = n
-    return out
+    return {**out, "count": count, "seed": seed, "beta": beta, "n": n}
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .couplings import CouplingVector, _checked_int, _is_integer, _own_arrays
-from .errors import IllConditioned, SingularMinor, StructureViolation
+from .errors import IllConditioned, IndexOutOfWindow, SingularMinor, StructureViolation
 from .moments import _MEMO_SIZE, SkewMomentMatrix, _log_tau_jets, _stieltjes_basis
 from .report import IdentityReport
 
@@ -187,9 +187,9 @@ class PfaffLax:
             if not _is_integer(q):
                 raise ValueError(f"{name} must be an integer, got {q!r}")
         if not -self.k_neg <= ell <= self.k_pos:
-            raise IndexError(f"band index {ell} outside [-{self.k_neg}, {self.k_pos}]")
+            raise IndexOutOfWindow(f"band index {ell} outside [-{self.k_neg}, {self.k_pos}]")
         if not 1 <= n <= self.n_sites:
-            raise IndexError(f"site {n} outside [1, {self.n_sites}]")
+            raise IndexOutOfWindow(f"site {n} outside [1, {self.n_sites}]")
         return float(self.w[ell + self.k_neg, n - 1])
 
     def to_json(self) -> str:

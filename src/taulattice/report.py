@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 
@@ -12,7 +13,8 @@ class IdentityReport:
 
     residual_abs is the max absolute residual over whatever set of sites,
     times, or sample points the check covered; residual_rel divides by the
-    natural scale of the identity's terms (1 when no scale applies).
+    natural scale of the identity's terms (1 when no scale applies).  A
+    tolerance that is not finite and positive raises ValueError.
     """
 
     identity: str
@@ -21,6 +23,10 @@ class IdentityReport:
     tolerance: float
     passed: bool
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not 0.0 < self.tolerance < math.inf:   # NaN fails too
+            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
 
     @classmethod
     def from_residual(cls, identity: str, residual: float, tolerance: float,

@@ -102,3 +102,34 @@ def test_a_run_records_its_process_wall_and_cpu_seconds(tmp_path):
     assert (record["attempted"], record["failed"]) == (3, 1)
     assert record["metrics"] == {"checks_per_s": 2.0}
     assert 0.2 <= record["cpu_s"] <= record["wall_s"] + 0.05
+
+
+@pytest.mark.parametrize("parent, change, spread_past, always_better, unresolved", [
+    # spread 1.875 of a median 10.75: past a bound of 0.1 of it, change not always better
+    ([9.0, 10.0, 11.5, 12.0], [9.5, 10.0, 11.0, 12.0], True, False, True),
+    # the same spread, but every change run beats every parent run
+    ([9.0, 10.0, 11.5, 12.0], [12.5, 13.0, 13.5, 14.0], True, True, False),
+    # spread 0.15 of a median 10.15: inside the bound, so resolved or not, not unresolved
+    ([10.0, 10.1, 10.2, 10.3], [9.0, 10.0, 11.0, 12.0], False, False, False)])
+def test_a_spread_past_the_bound_is_unresolved_unless_the_change_always_wins(
+        parent, change, spread_past, always_better, unresolved):
+    end_to_end = [{"name": "checks_per_s", "better": "higher", "bound": 0.1}]
+    runs = _runs({"checks_per_s": (parent, change)}, [((1, 0), (1, 0))] * 4)
+    e = bench_pair.summarize(runs, ["w"], end_to_end)["w"]["checks_per_s"]
+    assert (e["spread_past_bound"], e["change_always_better"]) == (spread_past, always_better)
+    assert bench_pair.table_row("w", "checks_per_s", e).endswith("unresolved") is unresolved
+
+
+def test_always_better_reads_the_direction_of_the_metric():
+    # lower is better: every change run below every parent run, with a tie not enough
+    runs = _runs({"check_ms.p50": ([2.0, 2.2, 2.4], [1.0, 1.5, 1.9])}, [((1, 0), (1, 0))] * 3)
+    assert bench_pair.summarize(runs, ["w"], END_TO_END)["w"]["check_ms.p50"][
+        "change_always_better"]
+    runs = _runs({"check_ms.p50": ([2.0, 2.2, 2.4], [1.0, 1.5, 2.0])}, [((1, 0), (1, 0))] * 3)
+    assert not bench_pair.summarize(runs, ["w"], END_TO_END)["w"]["check_ms.p50"][
+        "change_always_better"]
+    # a metric without a bound gets neither field, and its row no mark
+    rss = bench_pair.summarize(_runs({"peak_rss_mb": ([1.0] * 3, [9.0] * 3)},
+                                     [((1, 0), (1, 0))] * 3), ["w"], END_TO_END)["w"]["peak_rss_mb"]
+    assert "spread_past_bound" not in rss and "change_always_better" not in rss
+    assert not bench_pair.table_row("w", "peak_rss_mb", rss).endswith("unresolved")

@@ -338,6 +338,14 @@ def test_verify_observables_zero_tolerance_is_a_config_error(tmp_path, capsys, n
     assert "tolerance" in json.loads(err)["message"]
 
 
+@pytest.mark.parametrize("suite", ["kp", "observables"])
+def test_verify_inf_tolerance_is_a_config_error(tmp_path, capsys, suite):
+    # kp passed at inf and exited 0, where observables exited 2
+    rc, out, err = run(capsys, "--out", str(tmp_path), "verify", suite, "--tolerance", "inf")
+    assert rc == 2 and out == ""
+    assert "tolerance must be finite and positive" in json.loads(err)["message"]
+
+
 def test_scan_determinism(tmp_path, capsys):
     args = ("verify", "haantjes", "--window", "10", "--points", "3", "--seed", "5")
     rc1, out1, _ = run(capsys, "--out", str(tmp_path / "a"), *args)

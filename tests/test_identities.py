@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_kernels as ref
-from taulattice import (CouplingVector, DivergedField, EvolutionResult, PfaffLax,
-                        VolterraState, couplings, exact_oracles, flows, goe_lax_init,
+from taulattice import (CouplingVector, DivergedField, EvolutionResult, IdentityReport,
+                        PfaffLax, VolterraState, couplings, exact_oracles, flows, goe_lax_init,
                         identities, kp_residual, mkp_residuals, moments,
                         observables_check, reduction_invariants, sample_gaussian_ensemble)
 from taulattice.identities import _reduced_coordinates
@@ -354,6 +356,51 @@ class TestEnsembleSampling:
         mean, se = out["trace_of_square"]
         assert abs(mean - 4.0) < 5.0 * se
 
+    @pytest.mark.parametrize("beta", [1, 2])
+    def test_known_moments_at_six(self, beta):
+        # n = 2 has one off-diagonal; at n = 6 each of the five chi-square
+        # degrees of freedom beta (n - i) shows in E[tr M^2] = n + beta n(n-1)/2
+        out = sample_gaussian_ensemble(beta, 6, 100_000, seed=7)
+        for key, expect in (("trace", 0.0), ("trace_squared", 6.0),
+                            ("trace_of_square", 6.0 + 15.0 * beta)):
+            mean, se = out[key]
+            assert abs(mean - expect) < 5.0 * se, key
+
+    def test_one_by_one(self):
+        # one Gaussian entry and no off-diagonal: tr M^2 is tr^2, of mean 1
+        out = sample_gaussian_ensemble(2, 1, 100_000, seed=7)
+        assert out["trace_of_square"] == out["trace_squared"]
+        for key, expect in (("trace", 0.0), ("trace_squared", 1.0)):
+            mean, se = out[key]
+            assert abs(mean - expect) < 5.0 * se, key
+
+    def test_draw_order(self):
+        # per batch of min(250 000, 2**20 // n) rows: d of shape (m, n), then
+        # the chi-squares of shape (m, n - 1), all from one Philox stream
+        n, rows, count = 20, 52_428, 60_000
+        rng = np.random.Generator(np.random.Philox(3))
+        tr, tr2 = [], []
+        for m in (rows, count - rows):
+            d = rng.standard_normal((m, n))
+            chi2 = rng.chisquare(2.0 * np.arange(n - 1, 0, -1), size=(m, n - 1))
+            tr.append(d.sum(axis=1))
+            tr2.append((d ** 2).sum(axis=1) + chi2.sum(axis=1))
+        tr, tr2 = np.concatenate(tr), np.concatenate(tr2)
+        out = sample_gaussian_ensemble(2, n, count, seed=3)
+        for key, x in (("trace", tr), ("trace_squared", tr ** 2), ("trace_of_square", tr2)):
+            assert out[key][0] == pytest.approx(x.mean(), rel=1e-12), key
+
+    def test_memory_follows_the_draws_not_the_matrix(self):
+        # the dense constructions drew every off-diagonal entry of 250 000-row
+        # batches: about 300 MB traced here
+        tracemalloc.start()
+        try:
+            sample_gaussian_ensemble(2, 20, 50_000, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+
     def test_validation(self):
         with pytest.raises(ValueError):
             sample_gaussian_ensemble(3, 2, 100, seed=1)
@@ -471,6 +518,24 @@ def test_suite_records_a_numpy_integer_size_as_an_int(suite, keyword):
     check = getattr(identities, identities.SUITES[suite][0])
     size = SMALLEST[suite, keyword]
     assert check(**{keyword: np.int64(size)}).to_json() == check(**{keyword: size}).to_json()
+
+
+@pytest.mark.parametrize("suite", list(identities.SUITES))
+def test_suite_refuses_a_nan_tolerance(suite):
+    # all but observables returned a failed report at NaN (and passed at inf)
+    check = getattr(identities, identities.SUITES[suite][0])
+    with pytest.raises(ValueError, match="tolerance must be finite and positive, got nan"):
+        check(tolerance=math.nan)
+
+
+@pytest.mark.parametrize("tolerance", [0.0, -1.0, math.inf, math.nan])
+def test_report_refuses_a_tolerance_that_is_not_finite_and_positive(tolerance):
+    # no residual passed at NaN, 0 or -1, and every one passed at inf
+    message = re.escape(f"tolerance must be finite and positive, got {tolerance}")
+    with pytest.raises(ValueError, match=message):
+        IdentityReport.from_residual("identity", 0.0, tolerance)
+    with pytest.raises(ValueError, match=message):
+        IdentityReport("identity", 0.0, 0.0, tolerance, True)
 
 
 @pytest.mark.parametrize("check", [identities.verify_commute, identities.haantjes_scan])

@@ -16,7 +16,8 @@ from taulattice import (CouplingVector, PfaffLax, TodaLax, c_coeff, couplings, i
                         pfaff_lax_from_basis, skew_hermite_map_check,
                         skew_moment_matrix, skew_orthonormal_basis,
                         sqrt_ratio_product, toda_lax_from_quadrature)
-from taulattice.errors import IllConditioned, SingularMinor, StructureViolation
+from taulattice.errors import (IllConditioned, IndexOutOfWindow, SingularMinor,
+                               StructureViolation, TauLatticeError)
 from taulattice.identities import verify_init_goe, verify_init_gue, verify_tau_cross
 from taulattice.lax import SkewOrthoBasis, _skew_basis, _skew_gram_schmidt
 from taulattice.moments import _stieltjes_basis
@@ -320,6 +321,17 @@ def test_pfaff_lax_get_guards():
         lax.get(3, 1)
     with pytest.raises(IndexError):
         lax.get(0, 4)
+
+
+@pytest.mark.parametrize("ell, n, message", [(3, 1, "band index 3 outside [-2, 2]"),
+                                             (0, 4, "site 4 outside [1, 3]")])
+def test_pfaff_lax_get_outside_the_window_is_index_out_of_window(ell, n, message):
+    # a bare IndexError, where the chain field's rows and the tensor
+    # components raise IndexOutOfWindow; an IndexError handler still catches it
+    lax = goe_lax_init(3, 2, 2)
+    with pytest.raises(IndexOutOfWindow, match=re.escape(message)) as info:
+        lax.get(ell, n)
+    assert isinstance(info.value, TauLatticeError) and isinstance(info.value, IndexError)
 
 
 @pytest.mark.parametrize("ell, n, message", [

@@ -29,7 +29,11 @@ says "unresolved" there); and, per workload, the seeds of any pair whose
 attempted or failed counts differ.  Each run also records, per workload,
 the benchmark process's wall seconds and its CPU seconds (user plus
 system, the `getrusage(RUSAGE_CHILDREN)` delta across the process), and
-the summary gives each side's median of both.  A run does a fixed number
+the summary gives each side's median of both.  Each run also keeps, per
+workload, the median task time (`ms`) and the task count of each task
+kind in the record's `tasks`, and the summary gives each side's median of
+these over the pairs, so a move in `check_ms.p50` or `check_ms.tail` can
+be traced to the kinds whose times sit there.  A run does a fixed number
 of tasks, so wall seconds above CPU seconds are time the process waited
 for a core, and CPU seconds that move with the rate on unchanged code are
 a slower core, not a change in the work.  Nothing is gated: the exit
@@ -74,8 +78,8 @@ def _empty_bytecode_caches(checkout: str) -> None:
 
 def _run(checkout: str, names: list, seed: int, seconds: float) -> dict:
     """One benchmark run in `checkout`, one process per workload: per
-    workload, its record's counts, metric values and provenance, and the
-    process's wall and CPU seconds."""
+    workload, its record's counts, metric values, per-kind task times and
+    provenance, and the process's wall and CPU seconds."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
     out = {}
     for name in names:
@@ -93,8 +97,17 @@ def _run(checkout: str, names: list, seed: int, seconds: float) -> dict:
             record = json.load(f)
         out[name] = {"attempted": record["attempted"], "failed": record["failed"],
                      "metrics": {k: v[0] for k, v in record["metrics"].items()},
-                     "wall_s": wall_s, "cpu_s": cpu_s, "provenance": record["provenance"]}
+                     "kind_ms": _kind_ms(record["tasks"]), "wall_s": wall_s, "cpu_s": cpu_s, "provenance": record["provenance"]}
     return out
+
+
+def _kind_ms(tasks: list) -> dict:
+    """{kind: its task count and median `ms`} over a run record's tasks."""
+    by_kind = {}
+    for task in tasks:
+        by_kind.setdefault(task["kind"], []).append(task["ms"])
+    return {kind: {"tasks": len(ms), "ms": statistics.median(ms)}
+            for kind, ms in sorted(by_kind.items())}
 
 
 def _children_cpu_s() -> float:
@@ -169,6 +182,23 @@ def process_seconds(runs: list, names: list) -> dict:
             for name in names}
 
 
+def kind_ms(runs: list, names: list) -> dict:
+    """Per workload, side and task kind, the medians over the pairs of the
+    kind's task count and of its median task time in each run."""
+    out = {}
+    for name in names:
+        out[name] = {}
+        for side in SIDES:
+            kinds = {}
+            for r in runs:
+                for kind, e in r[side][name]["kind_ms"].items():
+                    kinds.setdefault(kind, []).append(e)
+            out[name][side] = {kind: {key: statistics.median(e[key] for e in es)
+                                      for key in ("tasks", "ms")}
+                               for kind, es in sorted(kinds.items())}
+    return out
+
+
 def count_mismatches(runs: list, names: list) -> dict:
     """Per workload, the seeds of the pairs whose two sides differ in
     attempted or failed tasks."""
@@ -227,7 +257,7 @@ def main(argv=None) -> int:
               "workloads": names, "seeds": [r["seed"] for r in runs],
               "machine": machine,
               "sides": sides, "summary": summarize(runs, names, spec["end_to_end"]),
-              "process_s": process_seconds(runs, names),
+              "process_s": process_seconds(runs, names), "kind_ms": kind_ms(runs, names),
               "counts_differ": count_mismatches(runs, names), "runs": runs}
     with open(args.out, "w") as f:
         json.dump(result, f, indent=1)
@@ -238,6 +268,11 @@ def main(argv=None) -> int:
         print("%-16s process seconds, median: %s" % (name, "  ".join(
             "%s %.2f wall %.2f cpu" % (side, times["wall_s"], times["cpu_s"])
             for side, times in result["process_s"][name].items())))
+        kinds = result["kind_ms"][name]
+        for kind in sorted(set(kinds["parent"]) | set(kinds["change"])):
+            print("%-16s task ms of %-20s %s" % (name, kind, "  ".join(
+                "%s %.4g (%g tasks)" % (side, kinds[side][kind]["ms"], kinds[side][kind]["tasks"])
+                if kind in kinds[side] else "%s -" % side for side in SIDES)))
         seeds = result["counts_differ"][name]
         print("%-16s attempted/failed %s" % (name, "differ at seeds %s" % seeds if seeds
                                              else "equal in every pair"))

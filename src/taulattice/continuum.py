@@ -149,12 +149,13 @@ def _stencil(f: np.ndarray, dx: float, *, edges: bool = True):
 def spatial_derivative(f: np.ndarray, dx: float) -> np.ndarray:
     """d/dx along the last axis: 4th-order central stencil on the interior,
     2nd-order one-sided on the two cells at each end (exact for linear data,
-    which is all the boundary strips ever carry in the checks here)."""
+    which is all the boundary strips ever carry in the checks here).  A dx
+    that is a bool, not finite or zero raises ValueError."""
     f = np.ascontiguousarray(f, dtype=float)
     if f.shape[-1] < 5:
         raise ValueError("need at least five grid points")
-    if not (math.isfinite(dx) and dx != 0.0):
-        raise ValueError(f"dx must be finite and nonzero, got {dx!r}")
+    if isinstance(dx, (bool, np.bool_)) or not (math.isfinite(dx) and dx != 0.0):
+        raise ValueError(f"dx must be finite, nonzero and not a bool, got {dx!r}")
     g, apply = _stencil(f, dx)
     _guarded("spatial_derivative", apply)
     return g
@@ -218,13 +219,6 @@ class HydroChainField:
     def k_pos(self) -> int:
         return self.u.shape[0] - 1 - self.k_neg
 
-    def u_at(self, ell: int) -> np.ndarray:
-        if not _is_integer(ell):
-            raise ValueError(f"row must be an integer, got {ell!r}")
-        if not -self.k_neg <= ell <= self.k_pos:
-            raise IndexOutOfWindow(f"row {ell} outside [-{self.k_neg}, {self.k_pos}]")
-        return self.u[ell + self.k_neg]
-
     @classmethod
     def initial(cls, x, k_neg: int = 4, k_pos: int = 6) -> "HydroChainField":
         """Lattice-derived initial data: u^{-k}=0 (k>1), u^{-1}=1/2, u^0=x,
@@ -262,16 +256,15 @@ def hopf_solve(u0, c: float, k: int, x, t: float) -> np.ndarray:
     ends cover it: the map must be finite and strictly increasing over the
     grid's span (else the profile has started to break), and every grid
     point's root is then found by one vectorised bisection on its cell.
-    u0 must accept arrays, c must be finite, k an integer with a double
-    value (|k| up to about 1.8e308) and the grid x a non-empty, finite and
-    strictly ascending 1-d array.  A value of u0 that is not finite, at
-    t = 0 or among the returned values, raises ValueError naming the first
-    such grid point.
+    u0 must accept arrays, c and t must be finite numbers (a bool is
+    refused), k an integer with a double value (|k| up to about 1.8e308)
+    and the grid x a non-empty, finite and strictly ascending 1-d array.
+    A value of u0 that is not finite, at t = 0 or among the returned
+    values, raises ValueError naming the first such grid point.
     """
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
-    if not math.isfinite(c):
-        raise ValueError(f"c must be finite, got {c}")
+    for name, q in (("t", t), ("c", c)):
+        if isinstance(q, (bool, np.bool_)) or not math.isfinite(q):
+            raise ValueError(f"{name} must be finite and not a bool, got {q}")
     k = _checked_int("k", k)
     try:
         float(k)                   # the power u0(s) ** k takes k as a double
@@ -668,18 +661,6 @@ def _matrix_terms(window: int):
     return tuple(terms)
 
 
-@lru_cache(maxsize=None)
-def _chain_table(window: int):
-    """`_matrix_terms(window)` as arrays in table order: rows, columns,
-    coefficients and (terms, 2) factor pairs.  Indices count from -window;
-    a one-factor monomial's second factor is 2*window + 1, a ones entry."""
-    W = window
-    row, col, coef, a, b = map(np.array, zip(*[
-        (i + W, j + W, c, f[0] + W, f[1] + W if len(f) == 2 else 2 * W + 1)
-        for i, j, c, f in _matrix_terms(W)]))
-    return row, col, coef, np.stack([a, b], axis=1)
-
-
 def _products(spec: str, left: np.ndarray, right: np.ndarray, keep) -> tuple:
     """The products of the contraction `spec`, written as for `np.einsum`
     (such as "pj,pik->ijk"), of two operands given as dense maps of their
@@ -755,7 +736,13 @@ def _tensor_plan(window: int) -> _TensorPlan:
     """
     W = window
     n = 2 * W + 1
-    row, col, coef, factors = _chain_table(W)
+    # the monomial table as arrays in table order: rows, columns, coefficients
+    # and (terms, 2) factor pairs.  Indices count from -W; a one-factor
+    # monomial's second factor is n = 2W + 1, a ones entry
+    row, col, coef, a, b = map(np.array, zip(*[
+        (i + W, j + W, c, f[0] + W, f[1] + W if len(f) == 2 else n)
+        for i, j, c, f in _matrix_terms(W)]))
+    factors = np.stack([a, b], axis=1)
 
     def numbered(pos, start=0):
         # map numbering the distinct positions `pos` in order from `start`

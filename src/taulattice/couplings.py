@@ -24,7 +24,6 @@ Newton steps on the three-term recurrence.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -147,21 +146,6 @@ class CouplingVector:
             out = np.array(out)
             out[lost] = signs[np.argmax(logs, axis=0), np.arange(zl.size)] * math.inf
         return out
-
-    def shifted(self, delta: Mapping[int, float]) -> "CouplingVector":
-        """New vector with delta added entrywise."""
-        d = self.as_dict()
-        for k, dv in CouplingVector.from_mapping(delta).entries:
-            d[k] = d.get(k, 0.0) + dv
-        return CouplingVector.from_mapping(d)
-
-    def to_json(self) -> str:
-        return json.dumps({"t": {str(k): v for k, v in self.entries}})
-
-    @classmethod
-    def from_json(cls, text: str) -> "CouplingVector":
-        """Couplings from JSON text, read as `from_object` reads its value."""
-        return cls.from_object(json.loads(text))
 
 
 def _own_arrays(record, *names) -> tuple:

@@ -44,4 +44,5 @@ class DivergedField(TauLatticeError):
 
 class IndexOutOfWindow(TauLatticeError, IndexError):
     """An entry was requested outside its window: a PfaffLax band or site, a
-    chain row, or a tensor component past the truncation-safe range."""
+    site past a trajectory's window, or a tensor component past the
+    truncation-safe range."""

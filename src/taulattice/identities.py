@@ -25,7 +25,7 @@ import numpy as np
 # the two continuum checks are SUITES entries, looked up here by name
 from .continuum import haantjes_scan, hopf_solve, hydro_scaling_check  # noqa: F401
 from .couplings import CouplingVector, _checked_int, _checked_seed
-from .errors import PreBreakingViolated, UnsupportedKind
+from .errors import IndexOutOfWindow, PreBreakingViolated, UnsupportedKind
 from .flows import (EvolutionResult, ReducedChainState, VolterraState,
                     _checked_times, _sample_times, _volterra_jet, evolve_pfaff,
                     evolve_reduced, evolve_volterra, pfaff_chain_rhs,
@@ -257,7 +257,8 @@ def reduction_invariants(trajectory: EvolutionResult, *,
     The checks read the sites n <= n_max = max(4, min(influence index,
     N - 8)) and the bands -k_neg..k_max with k_max = min(6, k_pos - 2).
     The window must hold k_neg >= 2 and k_pos >= 4 (ValueError), since the
-    reduced chain needs W^1 and W^2, and at least 4 sites (IndexError).
+    reduced chain needs W^1 and W^2, and at least 4 sites (IndexOutOfWindow,
+    also an IndexError).
     """
     states = trajectory.states
     if not isinstance(states[0], PfaffLax):
@@ -271,8 +272,8 @@ def reduction_invariants(trajectory: EvolutionResult, *,
     n_max = max(4, min(influence, lax0.n_sites - 8))
     k_max = min(6, lax0.k_pos - 2)
     if n_max > lax0.n_sites:
-        raise IndexError(f"the checks read {n_max} sites, past the window's "
-                         f"{lax0.n_sites}")
+        raise IndexOutOfWindow(f"the checks read {n_max} sites, past the window's "
+                               f"{lax0.n_sites}")
     worst = {"window": 0.0, "ode": 0.0}
     for lax in states:
         wm1_bar, W, dWm1_chain, dW = _reduced_coordinates(lax, n_max, k_max)

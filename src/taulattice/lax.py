@@ -30,8 +30,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -198,45 +196,6 @@ class PfaffLax:
             for col in range(self.n_sites):
                 entries[f"{ell},{col + 1}"] = self.w[row, col]
         return json.dumps({"N": self.n_sites, "Kpos": self.k_pos, "w": entries})
-
-    @classmethod
-    def from_json(cls, text: str) -> "PfaffLax":
-        """The window of `to_json`'s text.  A ValueError names the text unless it is an
-        object with fields N, Kpos and w, w unless an object, N unless an integer >= 1,
-        Kpos unless one >= 0, a key unless "band,site" in the window, spelled as `to_json`
-        spells it (no leading zero, no sign on 0 or a site), a value unless a JSON number
-        (bool not) in the double range, and the first missing key of bands -k_neg..Kpos
-        (k_neg = max(0, -lowest band)), sites 1..N."""
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ValueError(f"window text must be a JSON object, got {type(data).__name__}")
-        field = next((name for name in ("N", "Kpos", "w") if name not in data), None)
-        if field is not None:
-            raise ValueError(f"window text has no field {field!r}")
-        if not isinstance(data["w"], dict):
-            raise ValueError(f"window field 'w' must be an object, got {type(data['w']).__name__}")
-        n_sites, k_pos = _checked_int("N", data["N"], 1), _checked_int("Kpos", data["Kpos"], 0)
-        entries = {}
-        for key, value in data["w"].items():
-            pair = re.fullmatch(r"(0|-?[1-9][0-9]*),([1-9][0-9]*)", key)
-            if not (pair and int(pair[1]) <= k_pos and int(pair[2]) <= n_sites):
-                raise ValueError(f"window key {key!r} is not 'band,site' with band <= "
-                                 f"Kpos = {k_pos} and site in 1..{n_sites}")
-            if not (isinstance(value, float)
-                    or _is_integer(value) and abs(value) <= sys.float_info.max):
-                raise ValueError(f"window value at key {key!r} must be a JSON number in "
-                                 f"the double range, got {value!r}")
-            entries[int(pair[1]), int(pair[2])] = float(value)
-        k_neg = max(0, -min((ell for ell, _ in entries), default=0))
-        if len(entries) < (k_neg + k_pos + 1) * n_sites:   # each entry is a window key
-            missing = next(f"{ell},{n}" for ell in range(-k_neg, k_pos + 1)
-                           for n in range(1, n_sites + 1) if (ell, n) not in entries)
-            raise ValueError(f"window key '{missing}' is missing from bands {-k_neg}..{k_pos} "
-                             f"and sites 1..{n_sites}")
-        w = np.empty((k_neg + k_pos + 1, n_sites))
-        for (ell, n), value in entries.items():
-            w[ell + k_neg, n - 1] = value
-        return cls(w, k_neg, k_pos)
 
 
 def _embedding_index(n_sites: int, k_neg: int, k_pos: int, dim: int):

@@ -6,6 +6,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class IdentityReport:
@@ -14,7 +16,8 @@ class IdentityReport:
     residual_abs is the max absolute residual over whatever set of sites,
     times, or sample points the check covered; residual_rel divides by the
     natural scale of the identity's terms (1 when no scale applies).  A
-    tolerance that is not finite and positive raises ValueError.
+    tolerance that is a bool, or not finite and positive, raises ValueError
+    before any conversion.
     """
 
     identity: str
@@ -25,8 +28,7 @@ class IdentityReport:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not 0.0 < self.tolerance < math.inf:   # NaN fails too
-            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
+        _check_tolerance(self.tolerance)
 
     @classmethod
     def from_residual(cls, identity: str, residual: float, tolerance: float,
@@ -34,6 +36,7 @@ class IdentityReport:
                       meta: dict | None = None) -> "IdentityReport":
         """Build a report; the tolerance applies to residual_rel, the
         residual over `scale` (1 by default, which checks residual_abs)."""
+        _check_tolerance(tolerance)   # float(True) would read 1.0
         residual = float(abs(residual))
         scale = max(float(abs(scale)), 1e-300)
         rel = residual / scale
@@ -52,3 +55,8 @@ class IdentityReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+
+
+def _check_tolerance(tolerance) -> None:
+    if isinstance(tolerance, (bool, np.bool_)) or not 0.0 < tolerance < math.inf:   # NaN fails too
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance}")

@@ -102,8 +102,8 @@ import math
 import numpy as np
 
 from taulattice import continuum, flows, lax
-from taulattice.couplings import (_GRID_TOL, _panel_nodes, _regrid, build_quadrature,
-                                  cumulative_integral, weight_eval)
+from taulattice.couplings import (_GRID_TOL, CouplingVector, _panel_nodes, _regrid,
+                                  build_quadrature, cumulative_integral, weight_eval)
 from taulattice.moments import (_log_tau_of_basis, _skew_products, _stieltjes, _tau_grid,
                                 _tau_value)
 from taulattice.numdiff import mixed_derivative
@@ -721,7 +721,8 @@ def tau_derivative_fd(ensemble, n, t, multi_index, step=5e-3):
 
     def tau_at(shift):
         # the Stieltjes basis of the shifted weight on the shared grid
-        rho = weight_eval(grid.nodes, t.shifted(shift))
+        rho = weight_eval(grid.nodes, CouplingVector.from_mapping(
+            {k: t.get(k) + shift.get(k, 0.0) for k in t.as_dict().keys() | shift.keys()}))
         measure = grid.weights * rho
         if ensemble == "orthogonal":
             measure = measure * rho

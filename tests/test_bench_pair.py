@@ -90,8 +90,25 @@ while time.process_time() < end:
 os.makedirs(".perfbench", exist_ok=True)
 with open(".perfbench/%s-seed%s-trace0.json" % (args.workload, args.seed), "w") as f:
     json.dump({"attempted": 3, "failed": 1, "metrics": {"checks_per_s": [2.0, "1/s"]},
-               "provenance": {}}, f)
+               "provenance": {}, "tasks": [{"kind": "b", "ms": 7.0}, {"kind": "a", "ms": 1.0},
+                                           {"kind": "a", "ms": 4.0}]}, f)
 '''
+
+
+def test_kind_times_are_medians_over_the_pairs_per_side():
+    # a p50 that falls among the many short tasks and a tail the few long ones set
+    tasks = [{"kind": "scan", "ms": ms} for ms in (2.0, 2.2, 2.4, 2.6)] + [
+        {"kind": "march", "ms": ms} for ms in (70.0, 78.0)]
+    per_run = bench_pair._kind_ms(tasks)
+    assert per_run == {"march": {"tasks": 2, "ms": 74.0}, "scan": {"tasks": 4, "ms": 2.3}}
+    runs = _runs({"checks_per_s": ([1.0] * 3, [1.0] * 3)}, [((6, 0), (6, 0))] * 3)
+    for run, scale in zip(runs, (1.0, 3.0, 2.0)):
+        run["parent"]["w"]["kind_ms"] = {kind: {"tasks": e["tasks"], "ms": e["ms"] * scale}
+                                         for kind, e in per_run.items()}
+        run["change"]["w"]["kind_ms"] = {"scan": {"tasks": 4 + scale, "ms": scale}}
+    assert bench_pair.kind_ms(runs, ["w"]) == {
+        "w": {"parent": {"march": {"tasks": 2, "ms": 148.0}, "scan": {"tasks": 4, "ms": 4.6}},
+              "change": {"scan": {"tasks": 6.0, "ms": 2.0}}}}
 
 
 def test_a_run_records_its_process_wall_and_cpu_seconds(tmp_path):
@@ -101,6 +118,7 @@ def test_a_run_records_its_process_wall_and_cpu_seconds(tmp_path):
     record = bench_pair._run(str(tmp_path), ["w"], 5, 1)["w"]
     assert (record["attempted"], record["failed"]) == (3, 1)
     assert record["metrics"] == {"checks_per_s": 2.0}
+    assert record["kind_ms"] == {"a": {"tasks": 2, "ms": 2.5}, "b": {"tasks": 1, "ms": 7.0}}
     assert 0.2 <= record["cpu_s"] <= record["wall_s"] + 0.05
 
 

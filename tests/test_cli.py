@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import taulattice
-from taulattice import IdentityReport, PfaffLax, cli, goe_lax_init, identities
+from taulattice import IdentityReport, cli, goe_lax_init, identities
 from taulattice.cli import main
 from taulattice.continuum import HydroChainField, evolve_hydro_chain
 from taulattice.flows import _sample_times, evolve_pfaff
@@ -132,8 +132,12 @@ def test_lax_init_goe_round_trip(tmp_path, capsys):
                      "--N", "6", "--K-pos", "4", "--K-neg", "4")
     assert rc == 0
     path = json.loads(out)["artifact"]
-    back = PfaffLax.from_json(open(path).read())
-    assert np.allclose(back.w, goe_lax_init(6, 4, 4).w, rtol=0, atol=0)
+    data = json.loads(open(path).read())
+    w = goe_lax_init(6, 4, 4).w
+    assert (data["N"], data["Kpos"]) == (6, 4)
+    # every "band,site" entry, bands -4..4 then sites 1..6, is w's bit for bit
+    assert list(data["w"]) == [f"{ell},{n}" for ell in range(-4, 5) for n in range(1, 7)]
+    assert np.array(list(data["w"].values())).tobytes() == w.tobytes()
 
 
 def test_evolve_volterra(tmp_path, capsys):

@@ -50,8 +50,9 @@ class TestSpatialDerivative:
         with pytest.raises(ValueError):
             spatial_derivative(np.ones(4), 0.1)
 
-    @pytest.mark.parametrize("dx", [0.0, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dx", [0.0, np.nan, np.inf, -np.inf, True, np.True_])
     def test_bad_spacing_refused(self, dx):
+        # True differentiated with dx = 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="dx"):
@@ -121,6 +122,18 @@ class TestHopf:
         # c = inf let "invalid value encountered in multiply" escape
         with pytest.raises(ValueError, match="c must be finite"):
             hopf_solve(lambda s: s, c, 1, np.linspace(0.5, 2.0, 11), 0.1)
+
+    @pytest.mark.parametrize("c", [True, np.True_])
+    def test_bool_speed_refused(self, c):
+        # solved with c = 1
+        with pytest.raises(ValueError, match=f"c must be finite and not a bool, got {c}"):
+            hopf_solve(lambda s: s, c, 1, np.linspace(0.5, 2.0, 11), 0.1)
+
+    @pytest.mark.parametrize("t", [True, np.True_])
+    def test_bool_time_refused(self, t):
+        # read t = True as 1
+        with pytest.raises(ValueError, match=f"t must be finite and not a bool, got {t}"):
+            hopf_solve(lambda s: s, 0.1, 1, np.linspace(0.5, 2.0, 11), t)
 
     @pytest.mark.parametrize("k", [0.5, 1.0, True])
     def test_power_that_is_not_an_integer_refused(self, k):
@@ -289,27 +302,17 @@ class TestHydroField:
     def test_initial_rows(self):
         x = np.linspace(0.5, 1.5, 11)
         f = HydroChainField.initial(x, 3, 5)
-        assert np.all(f.u_at(-3) == 0.0) and np.all(f.u_at(-2) == 0.0)
-        assert np.all(f.u_at(-1) == 0.5)
-        assert np.allclose(f.u_at(0), x, rtol=0)
-        assert np.all(f.u_at(5) == 2.0)
+        assert f.u.shape == (9, 11) and f.k_pos == 5
+        assert np.all(f.u[-3 + f.k_neg] == 0.0) and np.all(f.u[-2 + f.k_neg] == 0.0)
+        assert np.all(f.u[-1 + f.k_neg] == 0.5)
+        assert np.allclose(f.u[0 + f.k_neg], x, rtol=0)
+        assert np.all(f.u[5 + f.k_neg] == 2.0)
         assert np.all(f.v == -0.25)
-        with pytest.raises(IndexOutOfWindow):
-            f.u_at(6)
-
-    @pytest.mark.parametrize("row", [True, 1.5, np.float64(1.0), "1"],
-                             ids=["bool", "float", "numpy-float", "str"])
-    def test_row_that_is_not_an_integer_refused(self, row):
-        # True read row 1; 1.5 and np.float64(1.0) raised numpy's bare IndexError
-        f = HydroChainField.initial(np.linspace(0.5, 1.5, 11), 3, 5)
-        with pytest.raises(ValueError, match="integer"):
-            f.u_at(row)
-        assert np.all(f.u_at(np.int64(-1)) == 0.5)
 
     def test_scaling_family_limits(self):
         x = np.linspace(0.5, 1.5, 11)
         f = HydroChainField.scaling(x, 0.25)
-        assert np.allclose(f.u_at(0), 2.0 * x, rtol=1e-15)
+        assert np.allclose(f.u[0 + f.k_neg], 2.0 * x, rtol=1e-15)
         with pytest.raises(PreBreakingViolated):
             HydroChainField.scaling(x, 0.5)
 

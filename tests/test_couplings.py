@@ -23,11 +23,21 @@ def test_zero_entries_dropped_and_equal():
     assert a.as_dict() == {4: -0.1}
 
 
+def _text(t: CouplingVector) -> str:
+    # couplings as the --couplings flag and a config's "couplings" spell them
+    return json.dumps({"t": {str(k): v for k, v in t.as_dict().items()}})
+
+
+def _read(text: str) -> CouplingVector:
+    # the CLI's one reader of couplings text
+    return CouplingVector.from_object(json.loads(text))
+
+
 def test_json_round_trip():
     t = CouplingVector.from_mapping({1: 0.2, 3: -0.05})
-    back = CouplingVector.from_json(t.to_json())
+    back = _read(_text(t))
     assert back == t
-    parsed = json.loads(t.to_json())
+    parsed = json.loads(_text(t))
     assert parsed == {"t": {"1": 0.2, "3": -0.05}}
 
 
@@ -41,7 +51,7 @@ def test_bad_indices_rejected():
 @pytest.mark.parametrize("text", ['{"2": 0.1, "4": -0.05}', '{"t": {"2": 0.1, "4": -0.05}}'])
 def test_from_json_reads_a_bare_object_or_one_under_t(text):
     # a bare object was read as no couplings at all
-    assert CouplingVector.from_json(text).as_dict() == {2: 0.1, 4: -0.05}
+    assert _read(text).as_dict() == {2: 0.1, 4: -0.05}
 
 
 @pytest.mark.parametrize("text", ['[1]', '3', 'null', '"2"', '{"t": [1]}', '{"t": 3}',
@@ -51,7 +61,7 @@ def test_from_json_reads_a_bare_object_or_one_under_t(text):
 def test_from_json_refuses_what_is_not_an_object_of_numbers(text):
     # '[1]', '3' and '{"t": [1]}' raised AttributeError, '{"2": true}' read t_2 = 1
     with pytest.raises(ValueError):
-        CouplingVector.from_json(text)
+        _read(text)
 
 
 @pytest.mark.parametrize("index", [2.5, 2.0, True, np.float64(2.0), "2", -1, 0])
@@ -61,8 +71,6 @@ def test_coupling_index_must_be_a_positive_integer(index):
         CouplingVector.from_mapping({index: 0.1})
     with pytest.raises(ValueError, match="coupling index"):
         CouplingVector(((index, 0.1),))
-    with pytest.raises(ValueError, match="coupling index"):
-        CouplingVector.from_mapping({2: 0.1}).shifted({index: 0.1})
 
 
 @pytest.mark.filterwarnings("error")
@@ -79,15 +87,14 @@ def test_coupling_value_must_be_a_number(value):
     # "0.1" was read as 0.1 and True as 1.0
     with pytest.raises(ValueError, match="coupling t_2 must be a number"):
         CouplingVector.from_mapping({2: value})
-    with pytest.raises(ValueError, match="coupling t_2 must be a number"):
-        CouplingVector.from_mapping({4: -0.1}).shifted({2: value})
 
 
 def test_numpy_indices_and_values_are_taken():
     t = CouplingVector.from_mapping({np.int64(2): np.float64(0.1), np.int32(4): -0.05})
     assert t == CouplingVector.from_mapping({2: 0.1, 4: -0.05})
     assert all(type(k) is int and type(v) is float for k, v in t.entries)
-    assert t.shifted({np.int64(2): 0.1}).as_dict() == {2: 0.2, 4: -0.05}
+    shifted = CouplingVector.from_mapping({np.int64(2): t.get(2) + 0.1, 4: t.get(4)})
+    assert shifted.as_dict() == {2: 0.2, 4: -0.05}
 
 
 @pytest.mark.parametrize("mapping, even", [
@@ -96,9 +103,11 @@ def test_parity_read_off_entries(mapping, even):
     t = CouplingVector.from_mapping(mapping)
     assert t.parity_even_only is even
     # an odd shift breaks an even weight; cancelling it restores the parity
-    assert t.shifted({1: 0.1}).parity_even_only is False
-    assert t.shifted({1: 0.1}).shifted({1: -0.1}).parity_even_only is even
-    assert CouplingVector.from_json(t.to_json()).parity_even_only is even
+    odd = CouplingVector.from_mapping({**mapping, 1: 0.1})
+    assert odd.parity_even_only is False
+    back = CouplingVector.from_mapping({**odd.as_dict(), 1: odd.get(1) - 0.1})
+    assert back.parity_even_only is even
+    assert _read(_text(t)).parity_even_only is even
 
 
 def test_integrable_classification():
@@ -115,7 +124,7 @@ def test_exponent_and_shift():
     z = np.array([-1.0, 0.0, 2.0])
     expect = -0.5 * z**2 + 0.3 * z - 0.1 * z**2
     assert np.allclose(t.exponent(z), expect, atol=0, rtol=1e-15)
-    shifted = t.shifted({1: -0.3})
+    shifted = CouplingVector.from_mapping({**t.as_dict(), 1: t.get(1) - 0.3})
     assert shifted.as_dict() == {2: -0.1}
 
 

@@ -12,6 +12,7 @@ from taulattice import (CouplingVector, DivergedField, EvolutionResult, Identity
                         PfaffLax, VolterraState, couplings, exact_oracles, flows, goe_lax_init,
                         identities, kp_residual, mkp_residuals, moments,
                         observables_check, reduction_invariants, sample_gaussian_ensemble)
+from taulattice.errors import IndexOutOfWindow, TauLatticeError
 from taulattice.identities import _reduced_coordinates
 from taulattice.lax import _manifold_window
 
@@ -257,6 +258,15 @@ class TestReductionInvariants:
                                    times=[0.05], n_sites=3, k_pos=6, k_neg=6)
         with pytest.raises(IndexError, match="4 sites"):
             reduction_invariants(trajectory)
+
+    def test_a_window_of_three_sites_is_out_of_window(self):
+        # raised a bare IndexError, not a TauLatticeError
+        trajectory = exact_oracles("t2-scaling", ensemble="orthogonal", times=[0.1],
+                                   n_sites=3, k_pos=4, k_neg=2)
+        with pytest.raises(IndexOutOfWindow, match=re.escape(
+                "the checks read 4 sites, past the window's 3")) as info:
+            reduction_invariants(trajectory)
+        assert isinstance(info.value, TauLatticeError) and isinstance(info.value, IndexError)
 
     def test_reads_the_smallest_window_it_accepts(self):
         trajectory = exact_oracles("t2-scaling", ensemble="orthogonal",
@@ -528,14 +538,27 @@ def test_suite_refuses_a_nan_tolerance(suite):
         check(tolerance=math.nan)
 
 
-@pytest.mark.parametrize("tolerance", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("tolerance", [0.0, -1.0, math.inf, math.nan, True, np.True_])
 def test_report_refuses_a_tolerance_that_is_not_finite_and_positive(tolerance):
-    # no residual passed at NaN, 0 or -1, and every one passed at inf
+    # no residual passed at NaN, 0 or -1, and every one passed at inf;
+    # from_residual read True as 1.0, and a report built directly kept it
     message = re.escape(f"tolerance must be finite and positive, got {tolerance}")
     with pytest.raises(ValueError, match=message):
         IdentityReport.from_residual("identity", 0.0, tolerance)
     with pytest.raises(ValueError, match=message):
         IdentityReport("identity", 0.0, 0.0, tolerance, True)
+
+
+def test_kp_residual_refuses_a_bool_tolerance():
+    # passed at tolerance 1.0
+    with pytest.raises(ValueError, match="tolerance must be finite and positive, got True"):
+        kp_residual(tolerance=True)
+
+
+def test_haantjes_scan_refuses_a_bool_tolerance():
+    # kept True and wrote "tolerance": true into its report
+    with pytest.raises(ValueError, match="tolerance must be finite and positive, got True"):
+        identities.haantjes_scan(n_points=1, tolerance=True)
 
 
 @pytest.mark.parametrize("check", [identities.verify_commute, identities.haantjes_scan])

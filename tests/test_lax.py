@@ -2,7 +2,6 @@ import dataclasses
 import json
 import math
 import re
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -220,11 +219,22 @@ def test_lax_inits_take_numpy_integers():
     assert goe_lax_init(np.int32(4), np.int64(3)).to_json() == goe_lax_init(4, 3).to_json()
 
 
+def _read_window(text: str, k_neg: int):
+    """The fields of `to_json`'s text read with json.loads, and its w array
+    rebuilt from the "band,site" keys, NaN where a key is missing."""
+    data = json.loads(text)
+    w = np.full((k_neg + data["Kpos"] + 1, data["N"]), np.nan)
+    for key, value in data["w"].items():
+        ell, n = map(int, key.split(","))
+        w[ell + k_neg, n - 1] = value
+    return data, w
+
+
 def test_pfaff_lax_json_round_trip():
     lax = goe_lax_init(3, 2, 2)
-    back = PfaffLax.from_json(lax.to_json())
-    assert back.k_neg == 2 and back.k_pos == 2
-    assert np.allclose(back.w, lax.w, rtol=0, atol=0)
+    data, w = _read_window(lax.to_json(), 2)
+    assert (data["N"], data["Kpos"]) == (3, 2)
+    assert np.allclose(w, lax.w, rtol=0, atol=0)
 
 
 @pytest.mark.parametrize("n_sites,k_pos,k_neg", [(1, 0, 0), (3, 2, 2), (7, 6, 4)])
@@ -232,87 +242,11 @@ def test_pfaff_lax_json_round_trip_is_byte_identical(n_sites, k_pos, k_neg):
     rng = np.random.default_rng(n_sites)
     lax = PfaffLax(rng.uniform(-1.0, 1.0, (k_neg + k_pos + 1, n_sites)), k_neg, k_pos)
     text = lax.to_json()
-    back = PfaffLax.from_json(text)
-    assert (back.k_neg, back.k_pos) == (k_neg, k_pos)
-    assert back.w.tobytes() == lax.w.tobytes() and back.to_json() == text
-
-
-@pytest.mark.parametrize("fields,message", [
-    ({"w": {"0,0": 7.0}}, "key '0,0' is not"),             # wrapped to the last site
-    ({"w": {"0,5": 7.0}}, "key '0,5' is not"),             # raised a bare IndexError
-    ({"w": {"1,1": 7.0}}, "key '1,1' is not"),             # raised a bare IndexError
-    ({"w": {"0,-1": 7.0}}, "key '0,-1' is not"),
-    ({"w": {"0,1,2": 7.0}}, "key '0,1,2' is not"),
-    ({"w": {"0, 1": 7.0}}, "key '0, 1' is not"),
-    ({"w": {"a,1": 7.0}}, "key 'a,1' is not"),
-    ({"N": 2.7}, "N must be an integer, got 2.7"),         # read 2 sites
-    ({"N": True}, "N must be an integer, got True"),
-    ({"N": 0, "w": {}}, "N must be at least 1"),
-    ({"Kpos": -1}, "Kpos must be non-negative"),
-    ({"Kpos": False}, "Kpos must be an integer, got False"),
-    ({"Kpos": 1.0}, "Kpos must be an integer, got 1.0"),
-])
-def test_pfaff_lax_from_json_refuses_what_to_json_cannot_write(fields, message):
-    data = {"N": 2, "Kpos": 0, "w": {"0,1": 1.0, "0,2": 2.0}} | fields
-    with pytest.raises(ValueError, match=re.escape(message)):
-        PfaffLax.from_json(json.dumps(data))
-
-
-@pytest.mark.parametrize("data,message", [
-    # returned w^0_2 = 0.0
-    ({"N": 2, "Kpos": 0, "w": {"0,1": 1.0}}, "key '0,2' is missing from bands 0..0 "),
-    # refused as "k_neg must be non-negative, got -1"
-    ({"N": 1, "Kpos": 2, "w": {"1,1": 1.0, "2,1": 2.0}}, "key '0,1' is missing from bands 0..2 "),
-    ({"N": 1, "Kpos": 0, "w": {}}, "key '0,1' is missing"),
-    ({"N": 2, "Kpos": 1, "w": {"-2,1": 0.0, "-2,2": 0.0, "0,1": 1.0, "0,2": 1.0,
-                               "1,1": 1.0, "1,2": 1.0}},
-     "key '-1,1' is missing from bands -2..1 and sites 1..2"),
-], ids=["site-missing", "band-0-missing", "empty", "inner-band-missing"])
-def test_pfaff_lax_from_json_names_the_first_missing_key(data, message):
-    with pytest.raises(ValueError, match=re.escape(message)):
-        PfaffLax.from_json(json.dumps(data))
-
-
-def test_pfaff_lax_from_json_names_a_missing_key_without_listing_the_window():
-    # the 3 x 10^6 keys of the window were listed first: 4.4 s and 288 MB
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match=re.escape(
-                "window key '0,1' is missing from bands 0..2 and sites 1..1000000")):
-            PfaffLax.from_json('{"N": 1000000, "Kpos": 2, "w": {}}')
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
-
-
-_ONE_SITE = '{"N": 1, "Kpos": 0, "w": %s}'
-_NOT_A_NUMBER = "window value at key '0,1' must be a JSON number in the double range, got "
-
-
-@pytest.mark.parametrize("text,message", [
-    # "00,1" overwrote "0,1", and "-0,1" and "0,01" read as "0,1"
-    (_ONE_SITE % '{"0,1": 1.0, "00,1": 2.0}', "key '00,1' is not"),
-    (_ONE_SITE % '{"-0,1": 1.0}', "key '-0,1' is not"),
-    (_ONE_SITE % '{"0,01": 1.0}', "key '0,01' is not"),
-    ('{"N": 1, "Kpos": 1, "w": {"0,1": 1.0, "01,1": 1.0}}', "key '01,1' is not"),
-    # "1.5" and true read as 1.5 and 1.0; null and a 401-digit integer raised
-    # a bare TypeError and OverflowError
-    (_ONE_SITE % '{"0,1": "1.5"}', _NOT_A_NUMBER + "'1.5'"),
-    (_ONE_SITE % '{"0,1": true}', _NOT_A_NUMBER + "True"),
-    (_ONE_SITE % '{"0,1": null}', _NOT_A_NUMBER + "None"),
-    (_ONE_SITE % ('{"0,1": 1%s}' % ("0" * 400)), _NOT_A_NUMBER + "1000"),
-    # a bare TypeError, KeyError and AttributeError
-    ("[1, 2]", "window text must be a JSON object, got list"),
-    ('{"N": 1, "Kpos": 0}', "window text has no field 'w'"),
-    ('{"Kpos": 0, "w": {}}', "window text has no field 'N'"),
-    (_ONE_SITE % "[1.0]", "window field 'w' must be an object, got list"),
-], ids=["key-00", "key-minus-0", "key-site-01", "key-band-01", "value-string",
-        "value-bool", "value-null", "value-past-double", "text-list", "no-w", "no-N",
-        "w-list"])
-def test_pfaff_lax_from_json_reads_only_what_to_json_writes(text, message):
-    with pytest.raises(ValueError, match=re.escape(message)):
-        PfaffLax.from_json(text)
+    data, w = _read_window(text, k_neg)
+    assert (data["N"], data["Kpos"]) == (n_sites, k_pos)
+    assert set(data["w"]) == {f"{ell},{n}" for ell in range(-k_neg, k_pos + 1)
+                              for n in range(1, n_sites + 1)}
+    assert w.tobytes() == lax.w.tobytes() and PfaffLax(w, k_neg, k_pos).to_json() == text
 
 
 def test_pfaff_lax_get_guards():

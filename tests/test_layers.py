@@ -118,6 +118,19 @@ def test_every_private_helper_has_a_library_caller():
     assert not unread, f"private helpers no library code reads: {unread}"
 
 
+def test_every_public_record_method_has_a_library_caller():
+    # a method or property of a public dataclass that only tests call is
+    # uncalled code; matched by name, as the helper check is
+    trees = {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
+    read = set().union(*map(_reads, trees.values()))
+    unread = sorted(f"{cls.name}.{node.name}" for tree in trees.values() for cls in tree.body
+                    if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+                    and any("dataclass" in ast.unparse(d) for d in cls.decorator_list)
+                    for node in cls.body if isinstance(node, ast.FunctionDef)
+                    and not node.name.startswith("_") and node.name not in read)
+    assert not unread, f"record methods no library code reads: {unread}"
+
+
 def test_every_record_array_passes_through_own_arrays():
     # `couplings._own_arrays` is the one place a record copies, freezes and
     # checks the finiteness of its arrays, so every np.ndarray field of a
@@ -174,7 +187,6 @@ _LRU_CACHES = {
     ("couplings", "_gauss_legendre"): "plan: the one reference Gauss-Legendre rule",
     ("couplings", "_cumulative_matrix"): "plan: the panel's cumulative-integration matrix",
     ("continuum", "_rhs_plan"): "plan: the chain RHS's monomial blocks per window",
-    ("continuum", "_chain_table"): "plan: the chain table as arrays per window",
     ("continuum", "_tensor_plan"): "plan: the Haantjes contractions per window",
     ("continuum", "_closed_layout"): "plan: the Haantjes scan's closed-form layout per window",
     ("numdiff", "stencil"): "plan: central-difference weights per order",

@@ -16,18 +16,17 @@ builds its field with one linear row map and holds the chain's rates to
 that map's tangent.
 
 Each RHS evaluation makes one stencil pass over one buffer holding the
-window, its two closure rows (each a copy of the window's edge row: the
-chain's one truncation) and the two sources of the v equation, then
-forms the u rates from the table compiled in column blocks
-(`_rhs_plan`): every monomial multiplies one column's derivative, and the
-columns u^0_x, u^1_x and the rest each hold monomials of one shape, so the
-rates are one product of the stacked blocks with the buffer, one of the
-rest with its derivatives, and seven row operations.  `_hydro_kernel`
-binds the RHS once per march: the buffers, the stencil's views and the
-blocks' buffer are made there, so an evaluation is arithmetic only, in the
-operations and order of the formulas on fresh arrays.  `hydro_chain_rhs`
-binds it for one call, and `spatial_derivative` runs the same bound
-stencil.
+window and the two sources of the v equation, then forms the u rates from
+the table compiled in column blocks (`_rhs_plan`): every monomial
+multiplies one column's derivative, and the columns u^0_x, u^1_x and the
+rest each hold monomials of one shape, so the rates are one product of the
+stacked blocks with the buffer, one of the rest with its derivatives, and
+seven row operations.  The chain's one truncation, each closure row a copy
+of an edge row, is folded into the plan, the closed window's symbol.
+`_hydro_kernel` binds the RHS once per march, buffers and views included,
+so an evaluation is arithmetic only, in the operations and order of the
+formulas on fresh arrays; `hydro_chain_rhs` binds it for one call, and
+`spatial_derivative` runs the same bound stencil.
 
 The Nijenhuis and Haantjes tensors are evaluated sparsely: once per
 window, `_tensor_plan` compiles from the same table which entries of A, its
@@ -52,15 +51,14 @@ and N is compared with the table on those entries only (208 at window 10,
 352 at window 14).
 
 The chain march stacks u over v in one array and steps it in place with the
-lattice evolvers' RK4 stepper, `flows._rk4_stepper`, whose stage buffers
-are made once per march and whose right-hand sides write their rates into
-a buffer it passes (`rhs(t, y, out)`).  The march zeroes the rates of its
-boundary strips, so its kernel skips their one-sided derivatives.  The
-RHS only computes; the march alone holds its state to magnitude 50, at the
-start and after every step, so no field it returns is past 50.  Overflow
-and invalid operations raise DivergedField in both, through the lattice
-marches' guard `flows._guarded`, and the march spends at most their step
-budget `flows._MAX_STEPS`.
+lattice evolvers' RK4 stepper, `flows._rk4_stepper` (`rhs(t, y, out)`).
+Every state its kernel reads holds the drive's boundary strips at its
+stage time and no rate is zeroed: the march sets the strips where the
+stepper left them stale, so the kernel skips their one-sided derivatives.
+The RHS only computes; the march alone holds its state finite and within
+magnitude 50, at the start and after every step.  Overflow and invalid
+operations raise DivergedField in both, through `flows._guarded`, and the
+march spends at most the lattice marches' step budget `flows._MAX_STEPS`.
 
 Sign conventions follow the lattice: the k>=0 half of the chain never reads
 negative-index fields, so it can be integrated on its own.
@@ -343,15 +341,16 @@ def _rhs_plan(k_neg: int, k_pos: int):
         (L_a ext + (L_b ext) u^1) u^0_x + u^0 ((L_c ext) u^1_x + L_d u_x)
 
     over the rows of the `ext` buffer in `_hydro_kernel` and their
-    derivatives u_x.  L stacks [L_a; L_b; L_c], a (3 rows, ext rows)
-    matrix, and L_d is (rows, u_x rows); each entry sums the coefficients
-    of its monomials.  A table term that fits no block, or reads a field
-    past the closure rows, raises ValueError naming it.
+    derivatives u_x.  The closure copies each edge row one row outward, so
+    a column of u^{-k_neg-1} or u^{k_pos+1} adds onto its edge row's: the
+    plan is the closed window's symbol.  L stacks [L_a; L_b; L_c], a (3
+    rows, ext rows) matrix, and L_d is (rows, u_x rows); each entry sums
+    the coefficients of its monomials.  A table term that fits no block, or
+    reads a field past the closure rows, raises ValueError naming it.
     """
-    W = max(k_neg, k_pos) + 1
     R = k_neg + k_pos + 1
-    L, L_d = np.zeros((3, R, R + 5)), np.zeros((R, R + 4))
-    for term in _matrix_terms(W):
+    L, L_d = np.zeros((3, R, R + 3)), np.zeros((R, R + 2))
+    for term in _matrix_terms(max(k_neg, k_pos) + 1):
         i, j, c, f = term
         if not -k_neg <= i <= k_pos:
             continue
@@ -368,38 +367,37 @@ def _rhs_plan(k_neg: int, k_pos: int):
             block, q = None, math.inf
         if not (q is None or -k_neg - 1 <= q <= k_pos + 1):
             raise ValueError(f"chain table term {term} fits no column block")
-        block[i + k_neg, R + 4 if q is None else q + k_neg + 1] += c
-    return L.reshape(3 * R, R + 5), L_d
+        block[i + k_neg, R + 2 if q is None else min(max(q, -k_neg), k_pos) + k_neg] += c
+    return L.reshape(3 * R, R + 3), L_d
 
 
 def _hydro_kernel(dx, shape, k_neg, *, edges: bool = True):
     """The chain RHS bound to states of `shape`, as rates(y, out): `y`
     stacks the window rows u over the row v, and the rates are written into
     `out`, stacked the same way, which is returned.  The band window is
-    closed by copying each edge row one row outward.  A call only
-    computes; its caller sets the floating-point error rule.
+    closed by copying each edge row one row outward, in `_rhs_plan`.  A call
+    only computes; its caller sets the floating-point error rule.
 
-    One buffer `ext` holds the rows: bottom closure, the window, top
-    closure, the two sources of the v equation, and the ones row; one
-    stencil pass differentiates all but the ones row.  The u rates are
-    `_rhs_plan`'s column blocks: one product of the stacked blocks with
-    `ext`, one of L_d with the derivatives, written into `out`, and seven
-    row operations that scale the blocks by u^1, u^0_x, u^1_x and u^0.  The
-    buffers, with the ones row written in once, the stencil's views and the
-    blocks' buffer are made here, so a call is arithmetic only, in the
-    operations and order of the formulas written on fresh arrays.  With
-    edges=False the derivative's two cells at each end are not formed, and
-    the rates there are not the chain's: for a caller that discards them.
+    One buffer `ext` holds the window, the two sources of the v equation
+    and the ones row; one stencil pass differentiates all but the ones row.
+    The u rates are `_rhs_plan`'s column blocks: one product of the stacked
+    blocks with `ext`, one of L_d with the derivatives, written into `out`,
+    and seven row operations that scale the blocks by u^1, u^0_x, u^1_x and
+    u^0.  The buffers, with the ones row written in once, the stencil's
+    views and the blocks' buffer are made here, so a call is arithmetic
+    only, in the operations and order of the formulas written on fresh
+    arrays.  With edges=False the derivative's two cells at each end are
+    not formed, and the rates there are not the chain's: for a caller that
+    overwrites the strips they step.
     """
     R, n = shape[0] - 1, shape[1]
     L, L_d = _rhs_plan(k_neg, R - 1 - k_neg)
-    ext = np.empty((R + 5, n))
-    ext[R + 4] = 1.0
+    ext = np.empty((R + 3, n))
+    ext[R + 2] = 1.0
     ux, stencil = _stencil(ext[:-1], dx, edges=edges)
-    window, first, last, low, high = ext[1:R + 1], ext[1], ext[R], ext[0], ext[R + 1]
-    u0, u1, src, closure_src = ext[k_neg + 1], ext[k_neg + 2], ext[R + 2], ext[R + 3]
-    u0_x, u1_x = ux[k_neg + 1], ux[k_neg + 2]
-    um1_x, src_x, closure_x = ux[k_neg], ux[R + 2], ux[R + 3]     # um1_x: u^{-1}_x
+    window, u0, u1, src, closure_src = ext[:R], ext[k_neg], ext[k_neg + 1], ext[R], ext[R + 1]
+    u0_x, u1_x = ux[k_neg], ux[k_neg + 1]
+    um1_x, src_x, closure_x = ux[k_neg - 1], ux[R], ux[R + 1]     # um1_x: u^{-1}_x
     P = np.empty((3 * R, n))
     a, b, c = P[:R], P[R:2 * R], P[2 * R:]
     T = np.empty(n)
@@ -408,8 +406,6 @@ def _hydro_kernel(dx, shape, k_neg, *, edges: bool = True):
 
     def rates(y, out):
         copyto(window, y[:R])
-        copyto(low, first)
-        copyto(high, last)
         mul(u0, u1, src)
         mul(src, y[R], src)
         # the closure source u0 * 1/(2 u0) is written out literally so its
@@ -437,10 +433,8 @@ def _hydro_kernel(dx, shape, k_neg, *, edges: bool = True):
 
 def hydro_chain_rhs(field: HydroChainField):
     """Time derivatives (du, dv) of the chain window, closed by copying each
-    edge row one row outward.
-
-    Raises DivergedField when a rate overflows or turns invalid.
-    """
+    edge row one row outward.  Raises DivergedField when a rate overflows or
+    turns invalid."""
     y = np.vstack((field.u, field.v))
     rates = _guarded("chain rates", _hydro_kernel(field.dx, y.shape, field.k_neg), y,
                      np.empty_like(y))
@@ -451,14 +445,16 @@ def evolve_hydro_chain(field: HydroChainField, t_target: float, *, edge_drive=No
     """March the chain with RK4 under the step bound h <= 0.2*dx/max|u0 u1|,
     the band window closed as in `hydro_chain_rhs`.
 
-    The two cells at each end are boundary strips: with edge_drive=None they
-    are frozen at their current values, otherwise edge_drive(x_strip, t) must
-    return (u_rows, v_vals) imposed after every step.  Returns the final
-    field and a stats dict.  Raises DivergedField at the first overflowing
-    or invalid operation, when a field magnitude exceeds 50 at the start or
-    after a step, or when `_MAX_STEPS` (200000) steps are spent before t_target.
-    A t_target that is a bool, not finite or before the field's time raises
-    ValueError before the march.
+    The two cells at each end are boundary strips: every state the RHS
+    reads, and the state after each step, holds edge_drive(x_strip, t) at
+    its time, (u_rows, v_vals) of shapes (rows, 4) and (4,), or the start's
+    strips with edge_drive=None.  Returns the final field and a stats dict.
+    Raises DivergedField at the first overflowing or invalid operation, when
+    the field is not finite or exceeds magnitude 50 at the start or after a
+    step, or when `_MAX_STEPS` (200000) steps are spent before t_target.  A
+    t_target that is a bool, not finite or before the field's time raises
+    ValueError before the march, a drive return of another shape one naming
+    the time and both shapes.
     """
     if isinstance(t_target, (bool, np.bool_)) or not math.isfinite(t_target):
         raise ValueError(f"t_target must be finite and not a bool, got {t_target}")
@@ -466,53 +462,52 @@ def evolve_hydro_chain(field: HydroChainField, t_target: float, *, edge_drive=No
         raise ValueError("t_target must not precede the field's time stamp")
     x, dx, k_neg = field.x, field.dx, field.k_neg
     y = np.vstack((field.u, field.v))          # rows u^{-k_neg} .. u^{k_pos}, then v
-    t = field.time
-    # the strips' rates are zeroed, so the kernel skips their derivatives
+    stage, t = np.empty_like(y), field.time    # the stepper's stage state
+    # the drive sets every strip the kernel reads, so it skips their derivatives
     kernel = _hydro_kernel(dx, y.shape, k_neg, edges=False)
     x_strip = np.concatenate((x[:2], x[-2:]))
+    strip = np.concatenate((y[:, :2], y[:, -2:]), axis=1)   # the drive's (u, v), stacked
+    if edge_drive is None:
+        held = strip[:-1].copy(), strip[-1].copy()
+        edge_drive = lambda x_strip, ts: held
+    strip_lo, strip_hi = strip[:, :2], strip[:, 2:]
     h_min, h_max, steps = math.inf, 0.0, 0
     last = [None]                              # time of the last drive call
-    strip = np.empty((len(y), 4))              # its (u, v) values, stacked
-    strip_lo, strip_hi = strip[:, :2], strip[:, 2:]
     u0, u1, speeds = y[k_neg], y[k_neg + 1], np.empty(y.shape[1])
 
-    def drive(y, ts):
+    def drive(s, ts):
         # a step's stages repeat t + h/2, and its last stage time t + h is
         # where the strips are set after the step and where the next begins
         if ts != last[0]:
-            strip[:-1], strip[-1] = edge_drive(x_strip, ts)
+            u_rows, v_vals = edge_drive(x_strip, ts)
+            if np.shape(u_rows) != strip[:-1].shape or np.shape(v_vals) != (4,):
+                raise ValueError(f"edge_drive at t={ts!r} returned shapes {np.shape(u_rows)} "
+                                 f"and {np.shape(v_vals)}, need {strip[:-1].shape} and (4,)")
+            strip[:-1], strip[-1] = u_rows, v_vals
             last[0] = ts
-        y[:, :2] = strip_lo
-        y[:, -2:] = strip_hi
+        s[:, :2] = strip_lo
+        s[:, -2:] = strip_hi
 
-    def rhs(ts, y, out):
-        # stage states see the prescribed strip values at the stage time, so
-        # interior stencils near the edge stay O(h^4) consistent.  Driving in
-        # place is safe: stages 2-4 read the stepper's stage buffer, and the
-        # strips of the first stage's state, the march's own y, have zero
-        # rate and are reset after the step.
-        if edge_drive is not None:
-            drive(y, ts)
-        kernel(y, out)
-        out[:, :2] = 0.0
-        out[:, -2:] = 0.0
+    def rhs(ts, s, out):
+        if s is stage or not steps:            # stages 2-4, and the start's first
+            drive(s, ts)
+        kernel(s, out)
 
-    step = _rk4_stepper(rhs, y)
+    step = _rk4_stepper(rhs, y, stage)
 
     def march():
         nonlocal t, steps, h_min, h_max
         while True:
-            if y.max() > _BOUND or y.min() < -_BOUND:
-                raise DivergedField(f"field magnitude exceeded {_BOUND} at t={t:g} "
-                                    f"after {steps} steps")
+            if not (-_BOUND <= y.min() and y.max() <= _BOUND):        # NaN fails too
+                what = "is not finite" if np.isnan(y).any() else f"magnitude exceeded {_BOUND}"
+                raise DivergedField(f"field {what} at t={t:g} after {steps} steps")
             if not t < t_target - 1e-15:
                 return
             speed = float(np.abs(np.multiply(u0, u1, speeds), speeds).max()) + 1e-30
             h = min(_CFL * dx / speed, t_target - t)
             step(t, h)
             t += h
-            if edge_drive is not None:
-                drive(y, t)
+            drive(y, t)
             h_min, h_max = min(h_min, h), max(h_max, h)
             steps += 1
             if steps > _MAX_STEPS:
@@ -534,9 +529,12 @@ def hydro_scaling_check(*, t_target: float = 0.15, n_x: int = 201,
 
     The window holds rows -4 .. 6 on n_x cells of [0.25, 2.25], marched at
     CFL 0.2.  Boundary strips are driven with the exact solution (inflow
-    data); the comparison covers interior cells only.  The exact field is
-    built first, so `HydroChainField.scaling` refuses t_target before the march.
+    data); the comparison covers interior cells only.  A t_target that is a
+    bool or not positive (a march of nothing) raises ValueError, and the
+    exact field, built first, refuses the rest before the march.
     """
+    if isinstance(t_target, (bool, np.bool_)) or t_target <= 0.0:
+        raise ValueError(f"t_target must be positive and not a bool, got {t_target!r}")
     k_neg, k_pos = 4, 6
     n_x = _checked_int("n_x", n_x)
     x = np.linspace(0.25, 2.25, n_x)
@@ -560,9 +558,9 @@ def reduced_continuum_rhs(wm1: float, w):
     chain collapses to one ODE system in t alone.  The linear map rows(wm1,
     w) builds that field on 41 cells of [0.5, 1.5]; the chain's rates must
     meet its tangent rows(dwm1, dw), at their row means, to 1e-9 of their
-    scale.  Returns (dwm1, dw, {"tangent_gap": gap}).  The bottom row u^{-3}
-    is zero on the manifold, so its copied closure row is zero too; the top
-    closure copies u^K, as the lattice reduced chain sets W^{K+1} := W^K.
+    scale.  Returns (dwm1, dw, {"tangent_gap": gap}).  The plan's copy
+    closure reads the zero row u^{-3} for u^{-4}, as pinning 0 would, and
+    u^K for u^{K+1}, as the lattice reduced chain sets W^{K+1} := W^K.
     """
     wm1, w = float(wm1), np.asarray(w, dtype=float)
     x = np.linspace(0.5, 1.5, 41)

@@ -437,23 +437,25 @@ def table_rhs_arrays(dx, y, k_neg, top, bottom, out=None):
     (`continuum._rhs_plan`), every buffer fresh at every call: what
     `continuum._hydro_kernel` binds once.  `y` stacks the window rows u over
     the row v and the rates come back stacked the same way, in `out` when it
-    is given."""
+    is given.  The plan holds the copy closure in its edge columns, so
+    `top` and `bottom` must both be "copy"; `chain_rhs_arrays` closes the
+    window with rows of its own."""
+    if (top, bottom) != ("copy", "copy"):
+        raise ValueError("the folded plan closes the window by copying its edge rows")
     R = y.shape[0] - 1
     u, v = y[:R], y[R]
     L, L_d = _rhs_plan(k_neg, R - 1 - k_neg)
-    ext = np.empty((R + 5, y.shape[1]))
-    ext[0] = _closure_row(u, 0, bottom)
-    ext[1:R + 1] = u
-    ext[R + 1] = _closure_row(u, -1, top)
-    u0, u1 = ext[k_neg + 1], ext[k_neg + 2]
-    ext[R + 2] = u0 * u1 * v
-    ext[R + 3] = u0 * (1.0 / (2.0 * u0))
-    ext[R + 4] = 1.0
+    ext = np.empty((R + 3, y.shape[1]))
+    ext[:R] = u
+    u0, u1 = ext[k_neg], ext[k_neg + 1]
+    ext[R] = u0 * u1 * v
+    ext[R + 1] = u0 * (1.0 / (2.0 * u0))
+    ext[R + 2] = 1.0
     ux = spatial_derivative(ext[:-1], dx)
     a, b, c = np.split(L @ ext, 3)
     rates = np.empty_like(y) if out is None else out
-    rates[:R] = (a + b * u1) * ux[k_neg + 1] + u0 * (L_d @ ux + c * ux[k_neg + 2])
-    rates[R] = ux[R + 2] + u0 * ux[k_neg] + u0 * ux[R + 3]
+    rates[:R] = (a + b * u1) * ux[k_neg] + u0 * (L_d @ ux + c * ux[k_neg + 1])
+    rates[R] = ux[R] + u0 * ux[k_neg - 1] + u0 * ux[R + 1]
     return rates
 
 

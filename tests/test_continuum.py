@@ -496,6 +496,48 @@ class TestHydroChain:
         with pytest.raises(ValueError, match="t must be finite, got nan"):
             hydro_scaling_check(t_target=float("nan"), n_x=41)
 
+    @pytest.mark.parametrize("t_target", [0.0, -0.1, -np.inf, True, np.True_])
+    def test_scaling_check_refuses_a_target_that_compares_nothing(self, monkeypatch,
+                                                                  t_target):
+        # 0.0 passed with residual 0 after 0 steps; True marched to t = 1
+        # and raised PreBreakingViolated
+        def no_field(*args, **kwargs):
+            raise AssertionError("built a field for a target that compares nothing")
+
+        monkeypatch.setattr(HydroChainField, "scaling", no_field)
+        with pytest.raises(ValueError, match=re.escape(
+                f"t_target must be positive and not a bool, got {t_target!r}")):
+            hydro_scaling_check(t_target=t_target, n_x=41)
+
+    @pytest.mark.parametrize("shapes", [((), ()), ((4,), (4,)), ((11, 1), (4,)),
+                                        ((11, 4), (1,)), ((11, 4), (4, 1))],
+                             ids=["scalars", "u-row", "u-column", "v-one", "v-column"])
+    def test_malformed_drive_return_refused(self, shapes):
+        # each returned a field: the strips broadcast the drive's values
+        x = np.linspace(0.25, 2.25, 41)
+        u_shape, v_shape = shapes
+
+        def drive(xs, t):
+            return np.full(u_shape, 2.0), np.full(v_shape, -0.25)
+
+        with pytest.raises(ValueError, match=re.escape(
+                f"edge_drive at t=0.0 returned shapes {u_shape} and {v_shape}, "
+                f"need (11, 4) and (4,)")):
+            evolve_hydro_chain(HydroChainField.initial(x), 0.01, edge_drive=drive)
+
+    def test_drive_that_turns_nan_is_refused_at_a_finite_time(self):
+        # the NaN passed the bound, so the march stepped with h = NaN and
+        # refused "at t=nan after 2 steps"
+        x = np.linspace(0.25, 2.25, 41)
+        exact, _ = ref.counted_scaling_drive()
+
+        def drive(xs, t):
+            u, v = exact(xs, t)
+            return u, v * (np.nan if t > 0.0 else 1.0)
+
+        with pytest.raises(DivergedField, match=r"field is not finite at t=0\.\d+ after 1 steps$"):
+            evolve_hydro_chain(HydroChainField.initial(x), 0.05, edge_drive=drive)
+
 
 class TestHydroStepper:
     """The march on the shared RK4 step equals the stages written out on the
@@ -526,6 +568,26 @@ class TestHydroStepper:
         assert l_stats == r_stats and l_stats["steps"] > 1
         assert np.array_equal(lib.u, loop.u) and np.array_equal(lib.v, loop.v)
 
+    @given(st.integers(2, 9), st.integers(2, 9), st.integers(9, 241),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_frozen_strips_are_the_start_driven(self, k_neg, k_pos, n_x, seed):
+        # with no drive the strips hold the start's values at every time: the
+        # march equals one driven by those values, and the reference march,
+        # which zeroes the strips' rates, bit for bit
+        x = np.linspace(0.25, 2.25, n_x)
+        start = HydroChainField.initial(x, k_neg, k_pos)
+        u = start.u + 0.01 * np.random.default_rng(seed).standard_normal(start.u.shape)
+        field = HydroChainField(x, u, start.v, k_neg)
+        strips = np.r_[0:2, n_x - 2:n_x]
+        held = (field.u[:, strips], field.v[strips])
+        frozen, f_stats = evolve_hydro_chain(field, 0.02)
+        driven, d_stats = evolve_hydro_chain(field, 0.02, edge_drive=lambda xs, t: held)
+        loop, r_stats = ref.evolve_hydro_chain(field, 0.02)
+        assert f_stats == d_stats == r_stats
+        for lib in (frozen, driven):
+            assert lib.u.tobytes() == loop.u.tobytes() and lib.v.tobytes() == loop.v.tobytes()
+
 
 def _chain_state(rng, k_neg, k_pos, n_x):
     y = rng.uniform(-2.0, 2.0, (k_neg + k_pos + 2, n_x))
@@ -554,7 +616,8 @@ class TestHydroKernel:
             want = ref.table_rhs_arrays(dx, y, k_neg, "copy", "copy")
             assert full(y, out) is out
             assert out.tobytes() == want.tobytes()
-            # the march's kernel leaves the strips' rates, which it zeroes
+            # the march's kernel leaves the strips' rates, whose steps the
+            # march overwrites with the drive's values
             inner(y, out_inner)
             assert out_inner[:, 2:-2].tobytes() == want[:, 2:-2].tobytes()
         # the public RHS binds the same kernel for one call
@@ -568,8 +631,9 @@ class TestHydroKernel:
     @pytest.mark.parametrize("k_neg,k_pos,n_x,driven", [
         (4, 6, 201, True), (3, 4, 57, True), (2, 2, 9, False), (9, 9, 241, False)])
     def test_skipped_strip_march_bitwise(self, k_neg, k_pos, n_x, driven):
-        # the march skips the strips' derivatives, whose rates it zeroes; the
-        # reference loop forms them full width at every stage
+        # the march skips the strips' derivatives and sets the strips at every
+        # stage it reads; the reference loop forms them full width at every
+        # stage and zeroes the strips' rates
         x = np.linspace(0.25, 2.25, n_x)
         start = HydroChainField.initial(x, k_neg, k_pos)
         u = start.u + 0.01 * np.random.default_rng(n_x).standard_normal(start.u.shape)
@@ -605,21 +669,27 @@ class TestChainTable:
 
     def test_every_window_compiles_to_the_coefficient_matrix(self):
         # the column blocks of rows -k_neg .. k_pos at one point, each block
-        # scaled by its factor, are those rows of A over the columns
-        # -k_neg - 1 .. k_pos + 1; the source rows are read by no block
+        # scaled by its factor, are those rows of A over the window's
+        # columns at the point whose closure entries -k_neg - 1 and
+        # k_pos + 1 copy the edge entries, with the closure columns added
+        # onto the edge columns they copy; the source rows are read by no block
         u = np.random.default_rng(7).uniform(0.5, 2.0, 21)
-        A = ref.chain_matrix(TensorPoint(u, 10))
         for k_neg, k_pos in itertools.product(range(2, 10), repeat=2):
             R = k_neg + k_pos + 1
             L, L_d = continuum._rhs_plan(k_neg, k_pos)
-            near = slice(9 - k_neg, 12 + k_pos)
-            a, b, c = np.split(L @ np.append(u[near], [0.0, 0.0, 1.0]), 3)
-            got = u[10] * L_d[:, :R + 2]
-            got[:, k_neg + 1] += a + b * u[11]
-            got[:, k_neg + 2] += c * u[10]
-            want = A[10 - k_neg:11 + k_pos, near]
+            rows = slice(10 - k_neg, 11 + k_pos)
+            closed = u.copy()
+            closed[9 - k_neg], closed[11 + k_pos] = u[10 - k_neg], u[10 + k_pos]
+            A = ref.chain_matrix(TensorPoint(closed, 10))
+            a, b, c = np.split(L @ np.append(u[rows], [0.0, 0.0, 1.0]), 3)
+            got = u[10] * L_d[:, :R]
+            got[:, k_neg] += a + b * u[11]
+            got[:, k_neg + 1] += c * u[10]
+            want = A[rows, rows].copy()
+            want[:, 0] += A[rows, 9 - k_neg]
+            want[:, -1] += A[rows, 11 + k_pos]
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-            assert not L[:, R + 2:R + 4].any() and not L_d[:, R + 2:].any()
+            assert not L[:, R:R + 2].any() and not L_d[:, R:].any()
 
     @pytest.mark.parametrize("term", [
         (2, 3, 1.0, (0, 1)), (2, 0, 1.0, (2, 3)), (2, 1, 1.0, (2,)), (2, 3, 1.0, (2,)),
@@ -696,7 +766,9 @@ class TestReducedContinuum:
     @settings(max_examples=60, deadline=None)
     def test_copied_bottom_row_is_the_zero_row(self, K, wm1, seed):
         # on the x-independent manifold the window's bottom row is zero, so
-        # copying it closes the window as pinning 0 does, bit for bit
+        # copying it closes the window as pinning 0 does, bit for bit on the
+        # written rows' closure rows; the library reads the copy closure
+        # folded into its plan, as the allocating table RHS does
         w = np.random.default_rng(seed).uniform(-3.0, 3.0, K)
         x = np.linspace(0.5, 1.5, 41)
         k_neg = 3
@@ -705,10 +777,15 @@ class TestReducedContinuum:
         rows[k_neg] = 2.0 * x * wm1
         rows[k_neg + 1:] = w[:, None]
         field = HydroChainField(x, rows, np.full_like(x, -wm1 / 2.0), k_neg)
+        y = np.vstack([field.u, field.v])
         du, dv = hydro_chain_rhs(field)
-        want = ref.table_rhs_arrays(field.dx, np.vstack([field.u, field.v]), k_neg,
-                                    "copy", 0.0)
-        assert du.tobytes() == want[:-1].tobytes() and dv.tobytes() == want[-1].tobytes()
+        table = ref.table_rhs_arrays(field.dx, y, k_neg, "copy", "copy")
+        assert du.tobytes() == table[:-1].tobytes() and dv.tobytes() == table[-1].tobytes()
+        pinned = ref.chain_rhs_arrays(field.dx, y, k_neg, "copy", 0.0)
+        assert pinned.tobytes() == ref.chain_rhs_arrays(field.dx, y, k_neg, "copy",
+                                                        "copy").tobytes()
+        assert np.max(np.abs(du - pinned[:-1])) <= 1e-13 * np.max(np.abs(pinned[:-1]))
+        assert np.array_equal(dv, pinned[-1])
 
 
 class TestTensors:

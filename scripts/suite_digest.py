@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Print two sha256 digests that tell whether a change moved any number.
 
-    PYTHONPATH=src python3 scripts/suite_digest.py [--suites NAME ...]
+    PYTHONPATH=src python3 scripts/suite_digest.py
 
 The first line hashes the `identities.SUITES` reports at their defaults,
 `json.dumps(report.to_dict(), sort_keys=True)` of each in `SUITES` order
-(every suite unless `--suites` names some; the reports hold no timings).
+(the reports hold no timings).
 The second hashes a fixed sweep of the hydrodynamic chain march: from the
 scaling family at t = 0 and from a perturbation of it, with the boundary
 strips driven by the exact solution and frozen, on 41, 101 and 201 cells
@@ -16,7 +16,6 @@ lines: equal digests mean byte-identical results.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 from functools import partial
@@ -61,12 +60,8 @@ def march_digest() -> str:
     return h.hexdigest()
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--suites", nargs="+", choices=list(identities.SUITES),
-                        help="hash only these suites (default: all)")
-    args = parser.parse_args(argv)
-    print(f"suites {suite_digest(args.suites)}")
+def main() -> int:
+    print(f"suites {suite_digest()}")
     print(f"march  {march_digest()}")
     return 0
 

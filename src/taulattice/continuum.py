@@ -53,8 +53,9 @@ and N is compared with the table on those entries only (208 at window 10,
 The chain march stacks u over v in one array and steps it in place with the
 lattice evolvers' RK4 stepper, `flows._rk4_stepper` (`rhs(t, y, out)`).
 Every state its kernel reads holds the drive's boundary strips at its
-stage time and no rate is zeroed: the march sets the strips where the
-stepper left them stale, so the kernel skips their one-sided derivatives.
+stage time and no rate is zeroed: the march writes the strips at every
+stage and after every step, so the kernel skips their one-sided
+derivatives.
 The RHS only computes; the march alone holds its state finite and within
 magnitude 50, at the start and after every step.  Overflow and invalid
 operations raise DivergedField in both, through `flows._guarded`, and the
@@ -462,7 +463,7 @@ def evolve_hydro_chain(field: HydroChainField, t_target: float, *, edge_drive=No
         raise ValueError("t_target must not precede the field's time stamp")
     x, dx, k_neg = field.x, field.dx, field.k_neg
     y = np.vstack((field.u, field.v))          # rows u^{-k_neg} .. u^{k_pos}, then v
-    stage, t = np.empty_like(y), field.time    # the stepper's stage state
+    t = field.time
     # the drive sets every strip the kernel reads, so it skips their derivatives
     kernel = _hydro_kernel(dx, y.shape, k_neg, edges=False)
     x_strip = np.concatenate((x[:2], x[-2:]))
@@ -489,11 +490,10 @@ def evolve_hydro_chain(field: HydroChainField, t_target: float, *, edge_drive=No
         s[:, -2:] = strip_hi
 
     def rhs(ts, s, out):
-        if s is stage or not steps:            # stages 2-4, and the start's first
-            drive(s, ts)
+        drive(s, ts)
         kernel(s, out)
 
-    step = _rk4_stepper(rhs, y, stage)
+    step = _rk4_stepper(rhs, y)
 
     def march():
         nonlocal t, steps, h_min, h_max
@@ -530,11 +530,11 @@ def hydro_scaling_check(*, t_target: float = 0.15, n_x: int = 201,
     The window holds rows -4 .. 6 on n_x cells of [0.25, 2.25], marched at
     CFL 0.2.  Boundary strips are driven with the exact solution (inflow
     data); the comparison covers interior cells only.  A t_target that is a
-    bool or not positive (a march of nothing) raises ValueError, and the
+    bool or at most 1e-15 (reached in 0 steps) raises ValueError, and the
     exact field, built first, refuses the rest before the march.
     """
-    if isinstance(t_target, (bool, np.bool_)) or t_target <= 0.0:
-        raise ValueError(f"t_target must be positive and not a bool, got {t_target!r}")
+    if isinstance(t_target, (bool, np.bool_)) or t_target <= 1e-15:
+        raise ValueError(f"t_target must exceed 1e-15 and not be a bool, got {t_target!r}")
     k_neg, k_pos = 4, 6
     n_x = _checked_int("n_x", n_x)
     x = np.linspace(0.25, 2.25, n_x)

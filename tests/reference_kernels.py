@@ -432,19 +432,17 @@ def _closure_row(u: np.ndarray, edge: int, spec) -> np.ndarray:
     return np.full(u.shape[1], float(spec))
 
 
-def table_rhs_arrays(dx, y, k_neg, top, bottom, out=None):
+def table_rhs_arrays(dx, y, k_neg, out=None, *, plan=None):
     """The chain RHS read from the monomial table in its column blocks
-    (`continuum._rhs_plan`), every buffer fresh at every call: what
-    `continuum._hydro_kernel` binds once.  `y` stacks the window rows u over
-    the row v and the rates come back stacked the same way, in `out` when it
-    is given.  The plan holds the copy closure in its edge columns, so
-    `top` and `bottom` must both be "copy"; `chain_rhs_arrays` closes the
-    window with rows of its own."""
-    if (top, bottom) != ("copy", "copy"):
-        raise ValueError("the folded plan closes the window by copying its edge rows")
+    (`continuum._rhs_plan`, or `plan` where given), every buffer fresh at
+    every call: what `continuum._hydro_kernel` binds once.  `y` stacks the
+    window rows u over the row v and the rates come back stacked the same
+    way, in `out` when it is given.  The plan holds the copy closure in its
+    edge columns; `chain_rhs_arrays` closes the window with rows of its
+    own."""
     R = y.shape[0] - 1
     u, v = y[:R], y[R]
-    L, L_d = _rhs_plan(k_neg, R - 1 - k_neg)
+    L, L_d = _rhs_plan(k_neg, R - 1 - k_neg) if plan is None else plan
     ext = np.empty((R + 3, y.shape[1]))
     ext[:R] = u
     u0, u1 = ext[k_neg], ext[k_neg + 1]
@@ -459,20 +457,32 @@ def table_rhs_arrays(dx, y, k_neg, top, bottom, out=None):
     return rates
 
 
+def pinned_bottom_plan(k_neg, k_pos):
+    """The plan of the window closed at the bottom by pinning u^{-k_neg-1}
+    at 0 where `continuum._rhs_plan` copies u^{-k_neg}: the plan of the
+    window one row deeper without that row and its column, which is the
+    only one its other rows read past the window.  Its matrices have the
+    shapes of `_rhs_plan(k_neg, k_pos)`'s and differ from them in the
+    column of u^{-k_neg} alone."""
+    L, L_d = _rhs_plan(k_neg + 1, k_pos)
+    R = k_neg + k_pos + 1
+    return L.reshape(3, R + 1, R + 4)[:, 1:, 1:].reshape(3 * R, R + 3), L_d[1:, 1:].copy()
+
+
 def kernel_of(rhs_arrays):
     """An allocating RHS (`table_rhs_arrays`, `chain_rhs_arrays`) in the
     calling convention of `continuum._hydro_kernel`, whose window is closed
     by copying its edge rows."""
     def bind(dx, shape, k_neg, *, edges=True):
-        return lambda y, out: rhs_arrays(dx, y, k_neg, "copy", "copy", out)
+        return lambda y, out: rhs_arrays(dx, y, k_neg, out=out)
     return bind
 
 
-def chain_rhs_arrays(dx, y, k_neg, top, bottom, out=None):
+def chain_rhs_arrays(dx, y, k_neg, top="copy", bottom="copy", out=None):
     """Hydrodynamic chain RHS with every row written out; `top`/`bottom`
-    close the band window by copying the edge row or pinning a constant.
-    Same calling convention as `table_rhs_arrays`: `y` stacks u over v, and
-    so do the rates, written into `out` when it is given."""
+    close the band window by copying the edge row (the default) or pinning
+    a constant.  Same calling convention as `table_rhs_arrays`: `y` stacks
+    u over v, and so do the rates, written into `out` when it is given."""
     u, v = y[:-1], y[-1]
     K = u.shape[0] - 1 - k_neg
     ext = np.vstack([_closure_row(u, 0, bottom)[None, :], u,
@@ -512,8 +522,7 @@ def chain_rhs_arrays(dx, y, k_neg, top, bottom, out=None):
     return out
 
 
-def evolve_hydro_chain(field, t_target, *, top="copy", bottom="copy",
-                       edge_drive=None, max_steps=200000):
+def evolve_hydro_chain(field, t_target, *, edge_drive=None, max_steps=200000):
     """continuum.evolve_hydro_chain with its RK4 stages written out on the
     (u, v) pair and the edge drive called at every stage; the RHS is
     `table_rhs_arrays`, full width, with the strip rates zeroed after.  The
@@ -536,7 +545,7 @@ def evolve_hydro_chain(field, t_target, *, top="copy", bottom="copy",
             vc = vc.copy()
             uc[:, strip] = ud
             vc[strip] = vd
-        rates = table_rhs_arrays(dx, np.vstack([uc, vc]), k_neg, top, bottom)
+        rates = table_rhs_arrays(dx, np.vstack([uc, vc]), k_neg)
         du, dv = rates[:-1], rates[-1]
         du[:, strip] = 0.0
         dv[strip] = 0.0

@@ -496,17 +496,18 @@ class TestHydroChain:
         with pytest.raises(ValueError, match="t must be finite, got nan"):
             hydro_scaling_check(t_target=float("nan"), n_x=41)
 
-    @pytest.mark.parametrize("t_target", [0.0, -0.1, -np.inf, True, np.True_])
+    @pytest.mark.parametrize("t_target", [0.0, 1e-16, 1e-15, -0.1, -np.inf, True, np.True_])
     def test_scaling_check_refuses_a_target_that_compares_nothing(self, monkeypatch,
                                                                   t_target):
-        # 0.0 passed with residual 0 after 0 steps; True marched to t = 1
-        # and raised PreBreakingViolated
+        # 0.0 and 1e-16 passed after 0 steps, comparing the start with an
+        # exact field all but equal to it; True marched to t = 1 and raised
+        # PreBreakingViolated
         def no_field(*args, **kwargs):
             raise AssertionError("built a field for a target that compares nothing")
 
         monkeypatch.setattr(HydroChainField, "scaling", no_field)
         with pytest.raises(ValueError, match=re.escape(
-                f"t_target must be positive and not a bool, got {t_target!r}")):
+                f"t_target must exceed 1e-15 and not be a bool, got {t_target!r}")):
             hydro_scaling_check(t_target=t_target, n_x=41)
 
     @pytest.mark.parametrize("shapes", [((), ()), ((4,), (4,)), ((11, 1), (4,)),
@@ -613,7 +614,7 @@ class TestHydroKernel:
         out, out_inner = np.full_like(states[0], np.nan), np.full_like(states[0], np.nan)
         # two states through the same kernel and buffers, each against a fresh call
         for y in states:
-            want = ref.table_rhs_arrays(dx, y, k_neg, "copy", "copy")
+            want = ref.table_rhs_arrays(dx, y, k_neg)
             assert full(y, out) is out
             assert out.tobytes() == want.tobytes()
             # the march's kernel leaves the strips' rates, whose steps the
@@ -624,8 +625,7 @@ class TestHydroKernel:
         field = HydroChainField(np.linspace(0.25, 2.25, n_x), states[1][:-1].copy(),
                                 states[1][-1].copy(), k_neg)
         du, dv = hydro_chain_rhs(field)
-        want = ref.table_rhs_arrays(field.dx, np.vstack([field.u, field.v]), k_neg,
-                                    "copy", "copy")
+        want = ref.table_rhs_arrays(field.dx, np.vstack([field.u, field.v]), k_neg)
         assert du.tobytes() == want[:-1].tobytes() and dv.tobytes() == want[-1].tobytes()
 
     @pytest.mark.parametrize("k_neg,k_pos,n_x,driven", [
@@ -766,9 +766,10 @@ class TestReducedContinuum:
     @settings(max_examples=60, deadline=None)
     def test_copied_bottom_row_is_the_zero_row(self, K, wm1, seed):
         # on the x-independent manifold the window's bottom row is zero, so
-        # copying it closes the window as pinning 0 does, bit for bit on the
-        # written rows' closure rows; the library reads the copy closure
-        # folded into its plan, as the allocating table RHS does
+        # copying it closes the window as pinning 0 does, bit for bit: the
+        # library's plan, with the copy folded into the column of u^{-3},
+        # against the plan that pins u^{-4} at 0, and the written rows with
+        # their explicit closure rows
         w = np.random.default_rng(seed).uniform(-3.0, 3.0, K)
         x = np.linspace(0.5, 1.5, 41)
         k_neg = 3
@@ -779,7 +780,9 @@ class TestReducedContinuum:
         field = HydroChainField(x, rows, np.full_like(x, -wm1 / 2.0), k_neg)
         y = np.vstack([field.u, field.v])
         du, dv = hydro_chain_rhs(field)
-        table = ref.table_rhs_arrays(field.dx, y, k_neg, "copy", "copy")
+        plan = ref.pinned_bottom_plan(k_neg, K)
+        assert not np.array_equal(plan[0], continuum._rhs_plan(k_neg, K)[0])
+        table = ref.table_rhs_arrays(field.dx, y, k_neg, plan=plan)
         assert du.tobytes() == table[:-1].tobytes() and dv.tobytes() == table[-1].tobytes()
         pinned = ref.chain_rhs_arrays(field.dx, y, k_neg, "copy", 0.0)
         assert pinned.tobytes() == ref.chain_rhs_arrays(field.dx, y, k_neg, "copy",

@@ -25,8 +25,10 @@ def test_suite_digest_hashes_the_reports_in_suites_order():
     assert suite_digest.suite_digest(["kp"]) != h.hexdigest()
 
 
-def test_main_prints_the_suite_and_march_digests(capsys):
-    assert suite_digest.main(["--suites", "kp", "skew-map"]) == 0
+def test_main_prints_the_suite_and_march_digests(capsys, monkeypatch):
+    monkeypatch.setattr(identities, "SUITES", {name: identities.SUITES[name]
+                                               for name in ("kp", "skew-map")})
+    assert suite_digest.main() == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == ["suites", "march"]
     assert all(re.fullmatch(r"[0-9a-f]{64}", line.split()[1]) for line in lines)

@@ -57,7 +57,8 @@ stage time and no rate is zeroed: the march writes the strips at every
 stage and after every step, so the kernel skips their one-sided
 derivatives.
 The RHS only computes; the march alone holds its state finite and within
-magnitude 50, at the start and after every step.  Overflow and invalid
+magnitude 50, at the start and after every step, and refuses a drive value
+that is not finite at the call that brings it.  Overflow and invalid
 operations raise DivergedField in both, through `flows._guarded`, and the
 march spends at most the lattice marches' step budget `flows._MAX_STEPS`.
 
@@ -455,7 +456,8 @@ def evolve_hydro_chain(field: HydroChainField, t_target: float, *, edge_drive=No
     step, or when `_MAX_STEPS` (200000) steps are spent before t_target.  A
     t_target that is a bool, not finite or before the field's time raises
     ValueError before the march, a drive return of another shape one naming
-    the time and both shapes.
+    the time and both shapes; a drive return that is not finite raises
+    DivergedField naming the drive time.
     """
     if isinstance(t_target, (bool, np.bool_)) or not math.isfinite(t_target):
         raise ValueError(f"t_target must be finite and not a bool, got {t_target}")
@@ -485,6 +487,8 @@ def evolve_hydro_chain(field: HydroChainField, t_target: float, *, edge_drive=No
                 raise ValueError(f"edge_drive at t={ts!r} returned shapes {np.shape(u_rows)} "
                                  f"and {np.shape(v_vals)}, need {strip[:-1].shape} and (4,)")
             strip[:-1], strip[-1] = u_rows, v_vals
+            if not np.isfinite(strip).all():
+                raise DivergedField(f"edge_drive at t={ts!r} returned a value that is not finite")
             last[0] = ts
         s[:, :2] = strip_lo
         s[:, -2:] = strip_hi

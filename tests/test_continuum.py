@@ -526,17 +526,20 @@ class TestHydroChain:
                 f"need (11, 4) and (4,)")):
             evolve_hydro_chain(HydroChainField.initial(x), 0.01, edge_drive=drive)
 
-    def test_drive_that_turns_nan_is_refused_at_a_finite_time(self):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_drive_that_turns_nan_is_refused_at_a_finite_time(self, bad):
         # the NaN passed the bound, so the march stepped with h = NaN and
-        # refused "at t=nan after 2 steps"
+        # refused "at t=nan after 2 steps"; the strip is now checked at the
+        # drive call that brings it, the first stage time past 0
         x = np.linspace(0.25, 2.25, 41)
         exact, _ = ref.counted_scaling_drive()
 
         def drive(xs, t):
             u, v = exact(xs, t)
-            return u, v * (np.nan if t > 0.0 else 1.0)
+            return u, v * (bad if t > 0.0 else 1.0)
 
-        with pytest.raises(DivergedField, match=r"field is not finite at t=0\.\d+ after 1 steps$"):
+        with pytest.raises(DivergedField, match=r"^edge_drive at t=0\.\d+ returned a value "
+                                                r"that is not finite$"):
             evolve_hydro_chain(HydroChainField.initial(x), 0.05, edge_drive=drive)
 
 

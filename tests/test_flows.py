@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -682,9 +683,78 @@ class TestKernelEquivalence:
             assert np.array_equal(rates[:, j], volterra_rhs(stack[:, j], flow))
             assert np.array_equal(rates[:, j], ref.volterra_rhs_line(stack[:, j], flow))
 
-    @pytest.mark.parametrize("shape", [(64, 6, 6), (48, 9, 7)])
+    @given(st.integers(0, 9), st.integers(0, 9), st.integers(3, 120),
+           st.floats(80.0, 160.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_chain_kernel_raises_where_the_band_loop_raises(self, k_neg, k_pos, n_sites,
+                                                            scale, seed):
+        # entries up to 10^scale, and the columns no site reads, outside the
+        # product's two rows, near 1e300: a gap cell of the flat operands
+        # never overflows where the sites do not
+        Q = _padded_window(seed, k_neg, k_pos, n_sites)
+        rng = np.random.default_rng(seed + 1)
+        Q *= 10.0 ** rng.uniform(0.0, scale, Q.shape)
+        rows = np.r_[:k_neg + 1, k_neg + 3:k_neg + k_pos + 3]
+        Q[rows, n_sites + 2:] = 1e300 * rng.uniform(-1.0, 1.0, (len(rows), Q.shape[1] - n_sites - 2))
+        kernel = flows._chain_kernel(Q, k_neg, k_pos, n_sites)
+        out = np.empty((k_neg + k_pos + 1, n_sites))
+
+        def rates(call, *args):
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    return call(*args)
+            except FloatingPointError:
+                return None
+
+        expected = rates(ref.pfaff_rates, Q, k_neg, k_pos, n_sites)
+        got = rates(kernel, out)
+        assert (got is None) == (expected is None)
+        assert expected is None or np.array_equal(got, expected)
+
+    def test_chain_kernel_refuses_a_strided_buffer(self):
+        # a flat slice of a strided buffer would be a copy, read once
+        with pytest.raises(ValueError, match="C-contiguous"):
+            flows._chain_kernel(np.asfortranarray(_padded_window(0, 3, 3, 10)), 3, 3, 10)
+
+    def test_chain_kernel_call_allocates_nothing(self):
+        # every stack, view and temporary is bound with the kernel; a call
+        # on the strided 2-D operands grew tracemalloc's peak by 21 KB here
+        Q = _padded_window(7, 7, 6, 200)
+        kernel, out = flows._chain_kernel(Q, 7, 6, 200), np.empty((14, 200))
+
+        def calls(count):
+            for _ in range(count):
+                kernel(out)
+
+        calls(100)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            calls(100)
+            grown = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 1024
+
+    def test_pfaff_overflow_names_the_same_step(self, monkeypatch):
+        # sampled at every step, the overflowing segment names its step
+        monkeypatch.setattr(flows, "_PFAFF_EDGE", np.inf)
+        h = 4e-3
+        messages = []
+        for kernel in (flows._chain_kernel, ref.chain_kernel):
+            monkeypatch.setattr(flows, "_chain_kernel", kernel)
+            with np.errstate(over="ignore"):
+                with pytest.raises(DivergedField) as err:
+                    evolve_pfaff(goe_lax_init(400, 9, 4), h * np.arange(1, 51), h=h)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] == (
+            "RK4 segment [0.044, 0.048] (1 steps of h=0.004) overflowed: "
+            "overflow encountered in multiply")
+
+    @pytest.mark.parametrize("shape", [(64, 6, 6), (48, 9, 7), (64, 3, 3), (520, 6, 6)])
     def test_pfaff_trajectory_bitwise(self, monkeypatch, shape):
-        # C03 / C04 shapes: the scaling window and the asymmetric band window
+        # C03 / C04 shapes: the scaling window and the asymmetric band window;
+        # a one-band family on each side; a window of 512 evolved sites
         state = goe_lax_init(*shape)
         times = [0.05, 0.1]
         new = evolve_pfaff(state, times, h=1e-3)

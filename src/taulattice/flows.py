@@ -35,7 +35,7 @@ in one expression each.  `_chain_kernel` binds it to one C-contiguous
 padded buffer, and every operand of a family is a flat slice of row stride
 L, the buffer's width, so each ufunc call takes numpy's contiguous path
 (0.38-0.55 us a call at n = 30-250, against 0.9-1.5 us with a strided 2-D
-operand): the cells between rows are gap cells, computed and dropped, and
+operand, numpy 2.4 on a shared Xeon core): the cells between rows are gap cells, computed and dropped, and
 the shifted windows of the product w0 w1 and of w0, and the rows broadcast
 over a family, are copied at each call into zeroed stacks of that width,
 which put a zero factor in every product of a gap cell.  The views, stacks
@@ -411,7 +411,8 @@ def _chain_kernel(Q: np.ndarray, k_neg: int, k_pos: int, n: int):
     gap cell never overflows where the sites would not.  Why: a ufunc call
     with a strided 2-D operand takes numpy's general iterator, 0.9 us at
     n = 30 and 1.4-1.5 us at n = 250, while the same call on contiguous
-    operands takes 0.38 and 0.55 us, and a copy about 0.4 us.  Bands -1, 0
+    operands takes 0.38 and 0.55 us, and a copy about 0.4 us (numpy 2.4
+    on a shared Xeon core).  Bands -1, 0
     and 1 run on 1-D rows, and one copy of the rates buffer's sites into
     out ends the call.  Every site takes the same floating-point operations,
     in the same order, as the band loop.  Every view, stack and temporary is
@@ -454,9 +455,9 @@ def _chain_kernel(Q: np.ndarray, k_neg: int, k_pos: int, n: int):
         return flat(buf, 0, 0, rows), flat(buf, 1, 0, rows)
 
     m = max(m_neg, m_pos)
-    Tst = np.empty((m, L))
     if m >= 2:                                    # rows broadcast over a family
         Dst, W00st, W0mst = stack(D, m), stack(W00, m), stack(W0m, m)
+        Tst = np.empty((m, L))
 
     def broadcast(rows):
         # D, W00, W0m and a temporary over the family's rows

@@ -528,9 +528,8 @@ class TestHydroChain:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_drive_that_turns_nan_is_refused_at_a_finite_time(self, bad):
-        # the NaN passed the bound, so the march stepped with h = NaN and
-        # refused "at t=nan after 2 steps"; the strip is now checked at the
-        # drive call that brings it, the first stage time past 0
+        # refused at the drive call that brings the value, the first stage
+        # time past 0, before any step reads it
         x = np.linspace(0.25, 2.25, 41)
         exact, _ = ref.counted_scaling_drive()
 

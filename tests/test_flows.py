@@ -717,8 +717,8 @@ class TestKernelEquivalence:
             flows._chain_kernel(np.asfortranarray(_padded_window(0, 3, 3, 10)), 3, 3, 10)
 
     def test_chain_kernel_call_allocates_nothing(self):
-        # every stack, view and temporary is bound with the kernel; a call
-        # on the strided 2-D operands grew tracemalloc's peak by 21 KB here
+        # every stack, view and temporary is bound with the kernel, and no
+        # operand is strided, so no ufunc call buffers
         Q = _padded_window(7, 7, 6, 200)
         kernel, out = flows._chain_kernel(Q, 7, 6, 200), np.empty((14, 200))
 

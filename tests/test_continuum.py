@@ -526,8 +526,7 @@ class TestHydroChain:
                 f"need (11, 4) and (4,)")):
             evolve_hydro_chain(HydroChainField.initial(x), 0.01, edge_drive=drive)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_drive_that_turns_nan_is_refused_at_a_finite_time(self, bad):
+    def test_drive_that_turns_nan_is_refused_at_a_finite_time(self):
         # refused at the drive call that brings the value, the first stage
         # time past 0, before any step reads it
         x = np.linspace(0.25, 2.25, 41)
@@ -535,7 +534,7 @@ class TestHydroChain:
 
         def drive(xs, t):
             u, v = exact(xs, t)
-            return u, v * (bad if t > 0.0 else 1.0)
+            return u, v * (np.nan if t > 0.0 else 1.0)
 
         with pytest.raises(DivergedField, match=r"^edge_drive at t=0\.\d+ returned a value "
                                                 r"that is not finite$"):

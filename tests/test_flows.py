@@ -754,7 +754,7 @@ class TestKernelEquivalence:
     @pytest.mark.parametrize("shape", [(64, 6, 6), (48, 9, 7), (64, 3, 3), (520, 6, 6)])
     def test_pfaff_trajectory_bitwise(self, monkeypatch, shape):
         # C03 / C04 shapes: the scaling window and the asymmetric band window;
-        # a one-band family on each side; a window of 512 evolved sites
+        # a one-band family on each side; a window of 514 evolved sites
         state = goe_lax_init(*shape)
         times = [0.05, 0.1]
         new = evolve_pfaff(state, times, h=1e-3)

@@ -53,9 +53,9 @@ and N is compared with the table on those entries only (208 at window 10,
 The chain march stacks u over v in one array and steps it in place with the
 lattice evolvers' RK4 stepper, `flows._rk4_stepper` (`rhs(t, y, out)`).
 Every state its kernel reads holds the drive's boundary strips at its
-stage time and no rate is zeroed: the march writes the strips at every
-stage and after every step, so the kernel skips their one-sided
-derivatives.
+stage time and no rate is zeroed: the march writes the strips into the
+start, before its bound check and first step size, at every stage and
+after every step, so the kernel skips their one-sided derivatives.
 The RHS only computes; the march alone holds its state finite and within
 magnitude 50, at the start and after every step, and refuses a drive value
 that is not finite at the call that brings it.  Overflow and invalid
@@ -447,10 +447,11 @@ def evolve_hydro_chain(field: HydroChainField, t_target: float, *, edge_drive=No
     """March the chain with RK4 under the step bound h <= 0.2*dx/max|u0 u1|,
     the band window closed as in `hydro_chain_rhs`.
 
-    The two cells at each end are boundary strips: every state the RHS
-    reads, and the state after each step, holds edge_drive(x_strip, t) at
-    its time, (u_rows, v_vals) of shapes (rows, 4) and (4,), or the start's
-    strips with edge_drive=None.  Returns the final field and a stats dict.
+    The two cells at each end are boundary strips: the start, before its
+    bound check and its first step size, every state the RHS reads, and the
+    state after each step hold edge_drive(x_strip, t) at their time,
+    (u_rows, v_vals) of shapes (rows, 4) and (4,), or the start's strips
+    with edge_drive=None.  Returns the final field and a stats dict.
     Raises DivergedField at the first overflowing or invalid operation, when
     the field is not finite or exceeds magnitude 50 at the start or after a
     step, or when `_MAX_STEPS` (200000) steps are spent before t_target.  A
@@ -502,6 +503,7 @@ def evolve_hydro_chain(field: HydroChainField, t_target: float, *, edge_drive=No
     def march():
         nonlocal t, steps, h_min, h_max
         while True:
+            drive(y, t)                        # the start's too, before its bound and speed
             if not (-_BOUND <= y.min() and y.max() <= _BOUND):        # NaN fails too
                 what = "is not finite" if np.isnan(y).any() else f"magnitude exceeded {_BOUND}"
                 raise DivergedField(f"field {what} at t={t:g} after {steps} steps")
@@ -511,7 +513,6 @@ def evolve_hydro_chain(field: HydroChainField, t_target: float, *, edge_drive=No
             h = min(_CFL * dx / speed, t_target - t)
             step(t, h)
             t += h
-            drive(y, t)
             h_min, h_max = min(h_min, h), max(h_max, h)
             steps += 1
             if steps > _MAX_STEPS:

@@ -19,8 +19,9 @@ there; a doubling test is the empirical guard elsewhere.  One routine,
 `_ghost_closure`, resolves the closure when an evolver starts: it returns
 per-ghost coefficients with ghosts = c2 a2 + c1 a1 in the two current edge
 values (a2, a1), for the Volterra line (scalar edges) and for every row of
-the band window at once ((rows, 1) edge columns).  The RHS and the ghost
-strips of the returned states read the same coefficients.
+the band window at once ((rows, 1) edge columns).  Each evolver forms its
+ghosts from those coefficients by one routine, which its RHS and the ghost
+strips of its returned states both call.
 
 Kernels: each RHS evaluation is a fixed handful of array operations, not a
 loop over sites or bands, and it writes its rates into a buffer it is
@@ -76,11 +77,9 @@ stepper and the kernels take numpy's cheapest call: the output passed
 positionally, and scalar factors (0.5, h/2, h, h/6) held as 0-d arrays,
 since a Python float operand costs each ufunc call a conversion; the
 Volterra closure calls its coefficient matrix's own `dot`, np.dot's product
-at less call cost.  `evolve` takes fixed steps of at most h, shortened to
-land on each sample time; its public form takes rhs(t, y) returning the
-rates and adapts it in one line.  Its sampling loop, `_evolve`, also
-advances each lattice evolver's influence front, from the live state before
-each segment.
+at less call cost.  The one sampling loop, `_evolve`, takes fixed steps of
+at most h, shortened to land on each sample time, and advances the lattice
+evolver's influence front from the live state before each segment.
 
 Divergence: each RK4 segment, and each call of the five public right-hand
 sides, runs with floating-point overflow and invalid operations raising
@@ -92,11 +91,11 @@ has the one step budget `_MAX_STEPS` and the one guard `_guarded`:
 hangs.  At each sample the loop builds the sample's record; a record's
 refusal (a NaN or infinite entry, as NaN input gives without an invalid
 operation, or a site or off-diagonal entry that is not positive) ends the
-march there with DivergedField naming the time and step count.  `evolve`'s
-record is a copy that refuses a NaN or infinite state.  `evolve_pfaff`
-also refuses, before each step, a step past its RK4 stability edge,
-h max|w0 w1| > `_PFAFF_EDGE`: past it the march lost the exact windows
-without an overflow.
+march there with DivergedField naming the time and step count.  A front
+speed past the double range reads inf, so the segment's guard, not the
+speed, names such a state.  `evolve_pfaff` also refuses, before each step,
+a step past its RK4 stability edge, h max|w0 w1| > `_PFAFF_EDGE`: past it
+the march lost the exact windows without an overflow.
 """
 
 from __future__ import annotations
@@ -120,7 +119,6 @@ __all__ = [
     "pfaff_chain_rhs",
     "pfaff_commutator_rhs",
     "reduced_chain_rhs",
-    "evolve",
     "evolve_volterra",
     "evolve_toda",
     "evolve_pfaff",
@@ -749,22 +747,24 @@ def _checked_times(times) -> np.ndarray:
     return times
 
 
-def _evolve(rhs, y0: np.ndarray, times, h: float, record, speed_of=None, start=None,
+def _evolve(rhs, y0: np.ndarray, times, h: float, record, speed_of, start,
             buffers=None, before_step=None):
-    """`evolve` for a right-hand side rhs(t, y, out) that writes its rates
-    into out.  Returns record(y) of the live state at each sample, and
-    stats; a ValueError from record ends the march with DivergedField at
-    that sample.  The live state is a fresh copy of y0, or, given buffers =
+    """Integrate dy/dt = rhs(t, y, out), rhs writing its rates into out, from
+    t = 0 by RK4 steps of at most h, shortened to land on each of `times`.
+    Returns record(y) of the live state at each sample, and stats; a
+    ValueError from record ends the march with DivergedField at that
+    sample.  The live state is a fresh copy of y0, or, given buffers =
     (state, stage), the caller's two arrays of y0's shape: y0 is copied
     into state, which is marched in place, and every RK4 stage is written
-    into stage, so a rhs bound to both reads either without a copy.  Given
-    speed_of(y) and a start site, it also advances the influence front:
-    before each segment, the first from 0 included, the front moves in by
-    the segment's length times the live state's speed, to no less than site
-    1; the stats' 'influence_index' is its floor.  before_step(t, h, y) is
-    called on the live state before each step (`_rk4_segment`).  A step h
-    that is a bool, not finite and positive, or past `_MAX_STEPS` steps up
-    to the last sample raises ValueError before any step."""
+    into stage, so a rhs bound to both reads either without a copy.  The
+    influence front starts at site `start`: before each segment, the first
+    from 0 included, it moves in by the segment's length times speed_of(y)
+    of the live state, to no less than site 1; the stats' 'influence_index'
+    is its floor.  A speed that overflows reads inf, with no warning, and
+    the segment's guard names the state.  before_step(t, h, y) is called
+    on the live state before each step (`_rk4_segment`).  A step h that is
+    a bool, not finite and positive, or past `_MAX_STEPS` steps up to the
+    last sample raises ValueError before any step."""
     times = _checked_times(times)
     if times[0] < 0:
         raise ValueError("sampling starts at t >= 0")
@@ -780,11 +780,11 @@ def _evolve(rhs, y0: np.ndarray, times, h: float, record, speed_of=None, start=N
         y[...] = y0
     t_prev = 0.0
     total = 0
-    front = None if speed_of is None else float(start)
+    front = float(start)
     for t in times:
-        if front is not None:
-            front = max(front - (t - t_prev) * speed_of(y), 1.0)
         if t > t_prev:
+            with np.errstate(over="ignore"):
+                front = max(front - (t - t_prev) * speed_of(y), 1.0)
             total += _rk4_segment(rhs, y, t_prev, t, h, stage, before_step)
         try:
             state = record(y)
@@ -792,25 +792,9 @@ def _evolve(rhs, y0: np.ndarray, times, h: float, record, speed_of=None, start=N
             raise DivergedField(f"{exc} at t={t:g} after {total} RK4 steps of h={h:g}") from exc
         out.append(state)
         t_prev = t
-    stats = {"stepper": "rk4", "h": h, "steps": total}
-    if front is not None:
-        stats["influence_index"] = int(math.floor(front))
+    stats = {"stepper": "rk4", "h": h, "steps": total,
+             "influence_index": int(math.floor(front))}
     return out, stats
-
-
-def evolve(rhs, y0: np.ndarray, times, *, h: float = 1e-3):
-    """Integrate dy/dt = rhs(t, y) from t=0, sampling at `times`.
-
-    Classical RK4 with steps of at most h, shortened to land on each
-    sample.  Returns (states, stats).  Raises DivergedField when a segment
-    overflows or a sampled state is not finite.
-    """
-    def record(y):
-        if not np.isfinite(y).all():
-            raise ValueError("trajectory not finite")
-        return y.copy()
-
-    return _evolve(lambda t, y, out: np.copyto(out, rhs(t, y)), y0, times, h, record)
 
 
 def _ghost_closure(i2, i1, init_ghost):
@@ -870,7 +854,7 @@ def evolve_volterra(state: VolterraState, flow: int, times, *,
         kernel(out)
 
     states, stats = _evolve(rhs, B0[:n], times, h,
-                            lambda y: VolterraState(np.concatenate([y, C @ y[-2:]])),
+                            lambda y: VolterraState(np.concatenate([y, closure(y[-2:])])),
                             lambda y: speed * abs(y[-1]) ** (flow // 2), n, (sites, stage))
     stats["n_evolve"] = n
     return EvolutionResult(times, states, stats)
@@ -922,18 +906,18 @@ def evolve_pfaff(state: PfaffLax, times, *, h: float = 1e-3) -> EvolutionResult:
     a2, a1 = Q[1:-1, n - 1:n], Q[1:-1, n:n + 1]
     kernel = _chain_kernel(Q, K1, K2, n)
     term = np.empty_like(strip)
+    closure = lambda e2, e1, out: np.add(np.multiply(c2, e2, out), np.multiply(c1, e1, term), out)
 
     def rhs(t, y, out):
         sites[:] = y
-        np.multiply(c2, a2, strip)
-        np.add(strip, np.multiply(c1, a1, term), strip)
+        closure(a2, a1, strip)
         kernel(out)
 
     w = W0.copy()                               # one buffer: each PfaffLax copies it
 
     def record(y):
         w[1:-1, :n] = y
-        w[1:-1, n:] = c2 * y[:, -2:-1] + c1 * y[:, -1:]
+        closure(y[:, -2:-1], y[:, -1:], w[1:-1, n:])
         return PfaffLax(w, k_neg, k_pos)
 
     speed = lambda y: abs(y[K1, -1] * y[K1 + 1, -1])     # band 0 sits in row K1

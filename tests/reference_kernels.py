@@ -67,6 +67,10 @@ evaluated at every RHS call.  It rounds differently from the coefficients,
 so it is held to them at 1e-14 relative per evaluation, and
 `evolve_volterra` and `evolve_pfaff` here, which run it with the shared
 stepper and the reference chain loop, bound the trajectory drift.
+`evolve` takes a right-hand side rhs(t, y) that returns its rates and
+marches it through `flows._evolve`, the lattice evolvers' sampling loop:
+the tests hold the shared stepper's order, stage times and sample
+refusals through it.
 `toda_rates` is the tridiagonal RHS as written on a validated state, with
 its b clamped at 1e-300; the raw-array kernel must equal it bit for bit on
 healthy trajectories.  `influence_front` is the influence index as the
@@ -151,6 +155,23 @@ def rk4_step(f, t, y, h):
     k3 = f(t + half, y + half * k2)
     k4 = f(t + h, y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def evolve(rhs, y0: np.ndarray, times, *, h: float = 1e-3):
+    """Integrate dy/dt = rhs(t, y) from t = 0, sampled at `times`, through
+    the library's sampling loop `flows._evolve`: RK4 steps of at most h,
+    shortened to land on each sample.  Returns (states, stats) without an
+    influence front; a segment that overflows, or a sample that is not
+    finite, raises DivergedField."""
+    def record(y):
+        if not np.isfinite(y).all():
+            raise ValueError("trajectory not finite")
+        return y.copy()
+
+    states, stats = flows._evolve(lambda t, y, out: np.copyto(out, rhs(t, y)), y0, times, h,
+                                  record, lambda y: 0.0, 1)
+    del stats["influence_index"]
+    return states, stats
 
 
 def mkp_fields_nested(B0: np.ndarray, shifts, h: float) -> dict:
@@ -293,7 +314,7 @@ def evolve_volterra(B0: np.ndarray, flow: int, times, h: float):
         Bp[4 + n_ev:] = line(y[-2], y[-1])
         return kernel(np.empty(n_ev))
 
-    ys, _ = flows.evolve(rhs, B0[:n_ev], times, h=h)
+    ys, _ = evolve(rhs, B0[:n_ev], times, h=h)
     return [np.concatenate([y, line(y[-2], y[-1])]) for y in ys]
 
 
@@ -353,7 +374,7 @@ def evolve_pfaff(state, times, h: float):
         Q[1:-1, n_ev + 1:] = closure(y2d[:, -2:-1], y2d[:, -1:])[:, :pad]
         return pfaff_rates(Q, K1, K2, n_ev).ravel()
 
-    ys, _ = flows.evolve(rhs, init_active[:, :n_ev].ravel(), times, h=h)
+    ys, _ = evolve(rhs, init_active[:, :n_ev].ravel(), times, h=h)
     out = []
     for y in ys:
         y2d = y.reshape(n_rows, n_ev)
@@ -524,10 +545,10 @@ def chain_rhs_arrays(dx, y, k_neg, top="copy", bottom="copy", out=None):
 
 def evolve_hydro_chain(field, t_target, *, edge_drive=None, max_steps=200000):
     """continuum.evolve_hydro_chain with its RK4 stages written out on the
-    (u, v) pair and the edge drive called at every stage; the RHS is
-    `table_rhs_arrays`, full width, with the strip rates zeroed after.  The
-    step number 0.2 and the magnitude bound 50, checked on the state before
-    each step, are the march's."""
+    (u, v) pair and the edge drive called at the start, at every stage and
+    after every step; the RHS is `table_rhs_arrays`, full width, with the
+    strip rates zeroed after.  The step number 0.2 and the magnitude bound
+    50, checked on the state before each step, are the march's."""
     if t_target < field.time:
         raise ValueError("t_target must not precede the field's time stamp")
     x, dx, k_neg = field.x, field.dx, field.k_neg
@@ -551,7 +572,14 @@ def evolve_hydro_chain(field, t_target, *, edge_drive=None, max_steps=200000):
         dv[strip] = 0.0
         return du, dv
 
+    def set_strips(ts):
+        if edge_drive is not None:
+            ud, vd = edge_drive(x[strip], ts)
+            u[:, strip] = ud
+            v[strip] = vd
+
     steps = 0
+    set_strips(t)                      # the start's, before its bound check and first h
     while t < t_target - 1e-15:
         if max(np.max(np.abs(u)), np.max(np.abs(v))) > bound:
             raise DivergedField(f"field magnitude exceeded {bound}")
@@ -564,10 +592,7 @@ def evolve_hydro_chain(field, t_target, *, edge_drive=None, max_steps=200000):
         u = u + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
         v = v + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
         t += h
-        if edge_drive is not None:
-            ud, vd = edge_drive(x[strip], t)
-            u[:, strip] = ud
-            v[strip] = vd
+        set_strips(t)
         h_used.append(h)
         steps += 1
         if steps > max_steps:

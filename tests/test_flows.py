@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference_kernels as ref
+from reference_kernels import evolve
 from taulattice import (DivergedField, EvolutionResult, PfaffLax,
                         PreBreakingViolated, ReducedChainState, StructureViolation,
                         TauLatticeError, TodaLax,
@@ -16,7 +17,6 @@ from taulattice import (DivergedField, EvolutionResult, PfaffLax,
                         pfaff_chain_rhs, pfaff_commutator_rhs,
                         reduced_chain_rhs, toda_rhs, volterra_rhs)
 from taulattice import cli, flows
-from taulattice.flows import evolve
 
 
 class TestTridiagonal:
@@ -743,13 +743,27 @@ class TestKernelEquivalence:
         messages = []
         for kernel in (flows._chain_kernel, ref.chain_kernel):
             monkeypatch.setattr(flows, "_chain_kernel", kernel)
-            with np.errstate(over="ignore"):
-                with pytest.raises(DivergedField) as err:
-                    evolve_pfaff(goe_lax_init(400, 9, 4), h * np.arange(1, 51), h=h)
+            with pytest.raises(DivergedField) as err:
+                evolve_pfaff(goe_lax_init(400, 9, 4), h * np.arange(1, 51), h=h)
             messages.append(str(err.value))
         assert messages[0] == messages[1] == (
             "RK4 segment [0.044, 0.048] (1 steps of h=0.004) overflowed: "
             "overflow encountered in multiply")
+
+    @pytest.mark.parametrize("march", [
+        lambda: evolve_volterra(VolterraState(np.full(12, 1e160)), 4, [1e-3]),
+        lambda: evolve_volterra(VolterraState(np.full(12, 2e102)), 6, [1e-3]),
+        lambda: evolve_toda(TodaLax(np.zeros(8), np.full(7, 1e160)), 2, [1e-3]),
+    ], ids=["volterra-flow4", "volterra-flow6", "toda-flow2"])
+    def test_front_speed_past_the_double_range_warns_nothing(self, march):
+        # the front's speed overflows before the segment does: it reads inf,
+        # and the segment's guard names the state
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergedField, match=re.escape(
+                    "RK4 segment [0, 0.001] (1 steps of h=0.001) overflowed: "
+                    "overflow encountered in multiply")):
+                march()
 
     @pytest.mark.parametrize("shape", [(64, 6, 6), (48, 9, 7), (64, 3, 3), (520, 6, 6)])
     def test_pfaff_trajectory_bitwise(self, monkeypatch, shape):

@@ -11,6 +11,7 @@ import pytest
 
 import conftest
 import taulattice
+from taulattice import identities
 
 SRC = Path(taulattice.__file__).parent
 
@@ -116,6 +117,37 @@ def test_every_private_helper_has_a_library_caller():
                and node.name.startswith("_") and not node.name.startswith("__")}
     unread = sorted(f"{module}.{name}" for module, name in helpers if name not in read)
     assert not unread, f"private helpers no library code reads: {unread}"
+
+
+# (module, public name) -> why it stays in the library though no entry point
+# reads it
+_UNREAD_PUBLIC = {
+    ("numdiff", "mixed_derivative"): "perfbench's --trace 1 looks numdiff up by name; the "
+                                     "module moves to the tests with the benchmark's change "
+                                     "(ROADMAP items 10 and 33)",
+}
+
+
+def _loads(tree) -> set:
+    """The names the tree reads as code: loaded names and attributes, not
+    imported names or strings (an `__all__` entry, a command's name)."""
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_public_function_is_an_entry_point_or_has_a_library_reader():
+    # a public top-level function or class is in the package's __all__, is
+    # a check named in SUITES, or is read by library code; else only tests
+    # call it, and it belongs with them
+    trees = {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
+    read = set().union(*map(_loads, trees.values()))
+    entry = set(taulattice.__all__) | {function for function, _ in identities.SUITES.values()}
+    unread = {(module, node.name) for module, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in entry | read}
+    assert unread == set(_UNREAD_PUBLIC), (
+        f"public names no entry point or library code reads: {sorted(unread)}, "
+        f"listed {sorted(_UNREAD_PUBLIC)}")
 
 
 def test_every_public_record_method_has_a_library_caller():

@@ -74,7 +74,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .couplings import _checked_int, _checked_seed, _is_integer, _own_arrays
+from .couplings import _checked_int, _checked_real, _own_arrays
 from .errors import DivergedField, IndexOutOfWindow, PreBreakingViolated
 from .flows import _MAX_STEPS, _csv_text, _guarded, _rk4_stepper
 from .report import IdentityReport
@@ -154,8 +154,9 @@ def spatial_derivative(f: np.ndarray, dx: float) -> np.ndarray:
     f = np.ascontiguousarray(f, dtype=float)
     if f.shape[-1] < 5:
         raise ValueError("need at least five grid points")
-    if isinstance(dx, (bool, np.bool_)) or not (math.isfinite(dx) and dx != 0.0):
-        raise ValueError(f"dx must be finite, nonzero and not a bool, got {dx!r}")
+    dx = _checked_real("dx", dx)
+    if dx == 0.0:
+        raise ValueError(f"dx must be nonzero, got {dx}")
     g, apply = _stencil(f, dx)
     _guarded("spatial_derivative", apply)
     return g
@@ -207,9 +208,7 @@ class HydroChainField:
             i = int(np.argmin(u[self.k_neg] > 0))
             raise ValueError(f"u^0 must stay positive, got u^0 = {u[self.k_neg, i]:.3g} "
                              f"at x = {x[i]:.3g}")
-        if isinstance(self.time, (bool, np.bool_)) or not math.isfinite(self.time):
-            raise ValueError(f"time must be a finite number, got {self.time!r}")
-        object.__setattr__(self, "time", float(self.time))
+        object.__setattr__(self, "time", _checked_real("time", self.time))
 
     @property
     def dx(self) -> float:
@@ -231,12 +230,11 @@ class HydroChainField:
         that is not finite, or whose scale 1 - 2t is not, raises ValueError, one
         from 1/2 on PreBreakingViolated."""
         k_neg, k_pos = _checked_int("k_neg", k_neg, 2), _checked_int("k_pos", k_pos, 2)
-        if not math.isfinite(t):
-            raise ValueError(f"t must be finite, got {t!r}")
+        t = _checked_real("t", t)
         if t >= 0.5:
             raise PreBreakingViolated("scaling family blows up at t = 1/2")
-        if not math.isfinite(1.0 - 2.0 * float(t)):
-            raise ValueError(f"t = {float(t)!r} has no finite scale 1 - 2t")
+        if not math.isfinite(1.0 - 2.0 * t):
+            raise ValueError(f"t = {t!r} has no finite scale 1 - 2t")
         x = np.asarray(x, dtype=float)
         return cls(x, *_scaling_rows(x, t, k_neg, k_pos), k_neg, t)
 
@@ -262,10 +260,7 @@ def hopf_solve(u0, c: float, k: int, x, t: float) -> np.ndarray:
     A value of u0 that is not finite, at t = 0 or among the returned
     values, raises ValueError naming the first such grid point.
     """
-    for name, q in (("t", t), ("c", c)):
-        if isinstance(q, (bool, np.bool_)) or not math.isfinite(q):
-            raise ValueError(f"{name} must be finite and not a bool, got {q}")
-    k = _checked_int("k", k)
+    t, c, k = _checked_real("t", t), _checked_real("c", c), _checked_int("k", k)
     try:
         float(k)                   # the power u0(s) ** k takes k as a double
     except OverflowError:
@@ -460,8 +455,7 @@ def evolve_hydro_chain(field: HydroChainField, t_target: float, *, edge_drive=No
     the time and both shapes; a drive return that is not finite raises
     DivergedField naming the drive time.
     """
-    if isinstance(t_target, (bool, np.bool_)) or not math.isfinite(t_target):
-        raise ValueError(f"t_target must be finite and not a bool, got {t_target}")
+    t_target = _checked_real("t_target", t_target)
     if t_target < field.time:
         raise ValueError("t_target must not precede the field's time stamp")
     x, dx, k_neg = field.x, field.dx, field.k_neg
@@ -535,11 +529,13 @@ def hydro_scaling_check(*, t_target: float = 0.15, n_x: int = 201,
     The window holds rows -4 .. 6 on n_x cells of [0.25, 2.25], marched at
     CFL 0.2.  Boundary strips are driven with the exact solution (inflow
     data); the comparison covers interior cells only.  A t_target that is a
-    bool or at most 1e-15 (reached in 0 steps) raises ValueError, and the
-    exact field, built first, refuses the rest before the march.
+    bool, not finite or at most 1e-15 (reached in 0 steps) raises
+    ValueError, and the exact field, built first, refuses the rest before
+    the march.
     """
-    if isinstance(t_target, (bool, np.bool_)) or t_target <= 1e-15:
-        raise ValueError(f"t_target must exceed 1e-15 and not be a bool, got {t_target!r}")
+    t_target = _checked_real("t_target", t_target)
+    if t_target <= 1e-15:
+        raise ValueError(f"t_target must exceed 1e-15, got {t_target!r}")
     k_neg, k_pos = 4, 6
     n_x = _checked_int("n_x", n_x)
     x = np.linspace(0.25, 2.25, n_x)
@@ -567,7 +563,7 @@ def reduced_continuum_rhs(wm1: float, w):
     closure reads the zero row u^{-3} for u^{-4}, as pinning 0 would, and
     u^K for u^{K+1}, as the lattice reduced chain sets W^{K+1} := W^K.
     """
-    wm1, w = float(wm1), np.asarray(w, dtype=float)
+    wm1, w = _checked_real("wm1", wm1), np.asarray(w, dtype=float)
     x = np.linspace(0.5, 1.5, 41)
     k_neg = 3
 
@@ -611,9 +607,7 @@ class TensorPoint:
     def guard(self, *indices):
         g = self.window - 3
         for q in indices:
-            if not _is_integer(q):
-                raise ValueError(f"tensor index must be an integer, got {q!r}")
-            if abs(q) > g:
+            if abs(_checked_int("tensor index", q)) > g:
                 raise IndexOutOfWindow(f"index {q} outside guarded range |.| <= {g}")
 
 
@@ -958,15 +952,15 @@ def _closed_layout(window: int) -> np.ndarray:
     """Which closed-form value each entry the scan compares must equal.
 
     The scan compares N on its entries inside the guarded block
-    |.| <= g = window - 3 (`plan.n_guarded`, in that order), followed, in
-    position order, by any position of the block that the table names and
-    N has no entry at (none, on every window up to 60), which N reads as 0.
-    Its signed table row lays rows -g .. g of `_closed_table` end to end in
-    table order, then their negations, then one 0: entry (j, k) of row i is
-    N^i_{jk}, its negation N^i_{kj}, and an entry the table leaves out
-    reads the 0.  Returns the place in that row of each compared entry,
-    read off one dense map of the block.  Where the table lands depends on
-    the row alone.
+    |.| <= g = window - 3 (`plan.n_guarded`, in that order).  A position
+    of the block that the table names and N has no entry at could never be
+    compared, so it raises ValueError here (none does, on every window up
+    to 60).  The signed table row lays rows -g .. g of `_closed_table` end
+    to end in table order, then their negations, then one 0: entry (j, k)
+    of row i is N^i_{jk}, its negation N^i_{kj}, and an entry the table
+    leaves out reads the 0.  Returns the place in that row of each compared
+    entry, read off one dense map of the block.  Where the table lands
+    depends on the row alone.
     """
     g = window - 3
     plan = _tensor_plan(window)
@@ -982,7 +976,11 @@ def _closed_layout(window: int) -> np.ndarray:
     place[i, j, k], place[i, k, j] = src, src + size
     named = place < 2 * size
     named.flat[plan.block_code] = False
-    return np.concatenate((place.flat[plan.block_code], place[named]))
+    if named.any():
+        i, j, k = np.argwhere(named)[0] - g
+        raise ValueError(f"closed table names N^{i}_({j},{k}) of window {window}, "
+                         f"where N has no entry")
+    return place.flat[plan.block_code]
 
 
 def haantjes_scan(*, window: int = 10, n_points: int = 100, seed: int = 20260823,
@@ -997,7 +995,8 @@ def haantjes_scan(*, window: int = 10, n_points: int = 100, seed: int = 20260823
     """
     u_bound, (lo, hi), closed_tol = 3.0, (0.5, 2.0), 1e-10
     window, n_points = _checked_int("window", window), _checked_int("n_points", n_points, 1)
-    seed = _checked_seed(seed)
+    seed = _checked_int("seed", seed, 0)
+    tolerance = _checked_real("tolerance", tolerance, positive=True)
     if window < 10:
         raise ValueError("window must be at least 10 for a meaningful scan")
     W = window
@@ -1017,14 +1016,11 @@ def haantjes_scan(*, window: int = 10, n_points: int = 100, seed: int = 20260823
     for p in range(n_points):
         N[p], H[p] = _tensor_entries(ue[p], plan)
     worst_h = float(np.max(np.abs(H), initial=0.0))
-    # N on the compared entries at every point; positions N lacks read 0
-    got = np.zeros((n_points, len(at)))
-    got[:, :len(plan.n_guarded)] = N[:, plan.n_guarded]
     g, sq = W - 3, _u0_squares(u)
     table = np.stack([v for i in range(-g, g + 1)
                       for v in _closed_table(u, sq, i).values()], axis=1)
     signed = np.concatenate((table, -table, np.zeros((n_points, 1))), axis=1)
-    worst_closed = float(np.max(np.abs(got - signed[:, at])))
+    worst_closed = float(np.max(np.abs(N[:, plan.n_guarded] - signed[:, at])))
     passed = worst_h <= tolerance and worst_closed <= closed_tol
     meta = {"window": window, "n_points": n_points, "seed": seed,
             "max_haantjes": worst_h, "max_closed_form_error": worst_closed,

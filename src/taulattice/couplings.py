@@ -20,6 +20,11 @@ arrays.
 The reference Gauss-Legendre rule on each panel is computed here, once:
 Golub-Welsch starting nodes (eigenvalues of the Jacobi matrix) polished by
 Newton steps on the three-term recurrence.
+
+Every scalar argument of the package passes one of the two gates here:
+`_checked_int` (an integer, optionally bounded below) or `_checked_real` (a
+finite real, positive for a step or a tolerance).  Neither takes a bool;
+each raises a ValueError naming the argument and its value.
 """
 
 from __future__ import annotations
@@ -49,9 +54,8 @@ class CouplingVector:
 
     Entries are stored as a sorted tuple of (k, t_k) pairs with exact zeros
     dropped, so equal vectors compare and hash equal.  An index must be a
-    positive integer (numpy's included, bool not) and a value a finite
-    number (not a string or a bool); a ValueError names the entry that is
-    not.
+    positive integer (numpy's included, bool not) and a value pass
+    `_checked_real`; a ValueError names the entry that is not.
     """
 
     entries: tuple[tuple[int, float], ...] = ()
@@ -62,11 +66,8 @@ class CouplingVector:
         for k, v in self.entries:
             if not _is_integer(k) or k < 1:
                 raise ValueError(f"coupling index must be a positive integer, got {k!r}")
-            if isinstance(v, (str, bytes, bool, np.bool_)):
-                raise ValueError(f"coupling t_{k} must be a number, got {v!r}")
-            k, v = int(k), float(v)
-            if not math.isfinite(v):
-                raise ValueError(f"coupling t_{k} must be finite, got {v!r}")
+            k = int(k)
+            v = _checked_real(f"coupling t_{k}", v)
             if k in seen:
                 raise ValueError(f"duplicate coupling index {k}")
             seen.add(k)
@@ -85,8 +86,7 @@ class CouplingVector:
         bare or under "t", its indices decimal strings or integers.  Anything
         else raises a ValueError."""
         t = data.get("t", data) if isinstance(data, dict) else data
-        if not isinstance(t, dict) or not all(isinstance(v, numbers.Real)
-                                              and not isinstance(v, bool) for v in t.values()):
+        if not isinstance(t, dict):
             raise ValueError(f"couplings must be a JSON object of index -> number, "
                              f"got {data!r}")
         entries = []
@@ -180,10 +180,20 @@ def _checked_int(name: str, value, low=None) -> int:
     return int(value)
 
 
-def _checked_seed(seed) -> int:
-    """`seed` as an int; a ValueError naming it unless it is a non-negative
-    integer."""
-    return _checked_int("seed", seed, 0)
+def _checked_real(name: str, value, positive=False) -> float:
+    """`value` as a float; a ValueError naming `name` unless it is a real
+    number (numpy's are), not a bool, finite as a double and, when
+    `positive`, above 0."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:                       # an integer past the double range
+        x = math.inf
+    if not (0.0 < x < math.inf if positive else math.isfinite(x)):
+        shown = repr(value) if isinstance(value, (str, bytes)) else value
+        raise ValueError(f"{name} must be finite and {'positive' if positive else 'not a bool'}, "
+                         f"got {shown}")
+    return x
 
 
 def weight_eval(z, t: CouplingVector):

@@ -106,7 +106,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .couplings import _checked_int, _own_arrays
+from .couplings import _checked_int, _checked_real, _own_arrays
 from .errors import DivergedField, StructureViolation
 from .lax import PfaffLax, TodaLax, _embedding_index
 
@@ -149,7 +149,8 @@ class VolterraState:
 
 @dataclass(frozen=True)
 class ReducedChainState:
-    """W^{-1} and W^1..W^K of the one-dimensional reduced chain."""
+    """W^{-1} and W^1..W^K of the one-dimensional reduced chain; W^{-1} is a
+    finite number (a bool is refused)."""
 
     Wm1: float
     W: np.ndarray
@@ -158,9 +159,7 @@ class ReducedChainState:
         W, = _own_arrays(self, "W")
         if W.ndim != 1 or len(W) < 2:
             raise ValueError("need at least W^1 and W^2")
-        object.__setattr__(self, "Wm1", float(self.Wm1))
-        if not math.isfinite(self.Wm1):
-            raise ValueError(f"ReducedChainState.Wm1 must be finite, got {self.Wm1}")
+        object.__setattr__(self, "Wm1", _checked_real("ReducedChainState.Wm1", self.Wm1))
 
     @property
     def k_max(self) -> int:
@@ -768,8 +767,7 @@ def _evolve(rhs, y0: np.ndarray, times, h: float, record, speed_of, start,
     times = _checked_times(times)
     if times[0] < 0:
         raise ValueError("sampling starts at t >= 0")
-    if isinstance(h, (bool, np.bool_)) or not 0.0 < h < math.inf:
-        raise ValueError(f"h must be finite and positive, got {h}")
+    h = _checked_real("h", h, positive=True)
     if float(times[-1]) / float(h) > _MAX_STEPS:
         raise ValueError(f"h = {h} passes the step budget {_MAX_STEPS} up to t = {times[-1]:g}")
     out = []

@@ -24,7 +24,7 @@ import numpy as np
 
 # the two continuum checks are SUITES entries, looked up here by name
 from .continuum import haantjes_scan, hopf_solve, hydro_scaling_check  # noqa: F401
-from .couplings import CouplingVector, _checked_int, _checked_seed
+from .couplings import CouplingVector, _checked_int, _checked_real
 from .errors import IndexOutOfWindow, PreBreakingViolated, UnsupportedKind
 from .flows import (EvolutionResult, ReducedChainState, VolterraState,
                     _checked_times, _sample_times, _volterra_jet, evolve_pfaff,
@@ -201,6 +201,7 @@ def observables_check(n: int = 1, t: CouplingVector = _T0, *,
     from Pfaffian tau-ratios.  The residual is scaled by tolerance / 1e-12.
     """
     n = _checked_int("n", n, 1)
+    tolerance = _checked_real("tolerance", tolerance, positive=True)
     F, log_h, _, b = _stieltjes_basis("orthogonal", 2 * n + 4, t)
     lo, mid, hi = (_log_tau_of_basis(F[:m, :m], log_h[:m])[1]
                    for m in (2 * n, 2 * n + 2, 2 * n + 4))
@@ -356,8 +357,10 @@ def continuum_convergence(*, t2: float = 0.1, tolerance: float = 1e-6) -> Identi
     linear profile) against the characteristic solution; errors must halve
     with eps, each ratio in [1.7, 2.3].  Leg 2: the banded skew lattice at
     the finest eps against band 0 of the orthogonal t2-scaling window of
-    `exact_oracles`, c_n/(2(1-2t)), scaled by eps, to `tolerance`.
+    `exact_oracles`, c_n/(2(1-2t)), scaled by eps, to `tolerance`.  A t2
+    that is a bool or not finite raises ValueError naming it.
     """
+    t2, tolerance = _checked_real("t2", t2), _checked_real("tolerance", tolerance, positive=True)
     x_hi, h, ratio_window = 2.0, 1e-3, (1.7, 2.3)
     epsilons = (1.0 / 32, 1.0 / 64, 1.0 / 128)
     xs = x_hi * np.array([0.25, 0.375, 0.5, 0.625, 0.75])
@@ -412,7 +415,7 @@ def sample_gaussian_ensemble(beta: int, n: int, count: int, seed: int) -> dict:
     count = _checked_int("count", count)
     if count < 2 or count > 10_000_000:
         raise ValueError(f"count out of supported range, got {count}")
-    seed = _checked_seed(seed)
+    seed = _checked_int("seed", seed, 0)
     rng = np.random.Generator(np.random.Philox(seed))
     dof = beta * np.arange(n - 1, 0, -1.0)
     rows = max(1, min(250_000, 2 ** 20 // n))
@@ -507,7 +510,7 @@ def verify_commute(seed: int = 811, tolerance: float = 1e-12) -> IdentityReport:
     interior columns only, the 12 that keep clear of the 8 edge columns."""
     n_states, n_sites, k_band = 20, 20, 6
     interior = n_sites - 8
-    seed = _checked_seed(seed)
+    seed = _checked_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_states):

@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .couplings import CouplingVector, _checked_int, _is_integer, _own_arrays
+from .couplings import CouplingVector, _checked_int, _checked_real, _own_arrays
 from .errors import IllConditioned, IndexOutOfWindow, SingularMinor, StructureViolation
 from .moments import _MEMO_SIZE, SkewMomentMatrix, _log_tau_jets, _stieltjes_basis
 from .report import IdentityReport
@@ -181,9 +181,7 @@ class PfaffLax:
         return self.w.shape[1]
 
     def get(self, ell: int, n: int) -> float:
-        for name, q in (("band index", ell), ("site", n)):
-            if not _is_integer(q):
-                raise ValueError(f"{name} must be an integer, got {q!r}")
+        ell, n = _checked_int("band index", ell), _checked_int("site", n)
         if not -self.k_neg <= ell <= self.k_pos:
             raise IndexOutOfWindow(f"band index {ell} outside [-{self.k_neg}, {self.k_pos}]")
         if not 1 <= n <= self.n_sites:
@@ -360,8 +358,7 @@ def pfaff_lax_from_basis(basis: SkewOrthoBasis, n_sites: int, k_pos: int,
     """
     n_sites = _checked_int("n_sites", n_sites, 1)
     k_pos, k_neg = _checked_int("k_pos", k_pos, 0), _checked_int("k_neg", k_neg, 0)
-    if not 0.0 < check_tol < math.inf:   # NaN fails too
-        raise ValueError(f"check_tol must be finite and positive, got {check_tol}")
+    check_tol = _checked_real("check_tol", check_tol, positive=True)
     n_pairs = basis.n_pairs
     if n_sites + max(k_pos, k_neg) > n_pairs or n_sites >= n_pairs:
         raise ValueError("basis too small for the requested window")

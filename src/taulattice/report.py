@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
-import numpy as np
+from .couplings import _checked_real
 
 
 @dataclass(frozen=True)
@@ -15,8 +14,9 @@ class IdentityReport:
 
     residual_abs is the max absolute residual over whatever set of sites,
     times, or sample points the check covered; residual_rel divides by the
-    natural scale of the identity's terms (1 when no scale applies).  A
-    tolerance that is a bool, or not finite and positive, raises ValueError
+    natural scale of the identity's terms (1 when no scale applies).  The
+    tolerance passes `couplings._checked_real` as a positive number, so a
+    bool, a string or one that is not finite and positive raises ValueError
     before any conversion.
     """
 
@@ -28,7 +28,7 @@ class IdentityReport:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        _check_tolerance(self.tolerance)
+        _checked_real("tolerance", self.tolerance, positive=True)
 
     @classmethod
     def from_residual(cls, identity: str, residual: float, tolerance: float,
@@ -36,11 +36,11 @@ class IdentityReport:
                       meta: dict | None = None) -> "IdentityReport":
         """Build a report; the tolerance applies to residual_rel, the
         residual over `scale` (1 by default, which checks residual_abs)."""
-        _check_tolerance(tolerance)   # float(True) would read 1.0
+        tolerance = _checked_real("tolerance", tolerance, positive=True)
         residual = float(abs(residual))
         scale = max(float(abs(scale)), 1e-300)
         rel = residual / scale
-        return cls(identity, residual, rel, float(tolerance),
+        return cls(identity, residual, rel, tolerance,
                    bool(rel <= tolerance), dict(meta or {}))
 
     def to_dict(self) -> dict:
@@ -55,8 +55,3 @@ class IdentityReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-
-def _check_tolerance(tolerance) -> None:
-    if isinstance(tolerance, (bool, np.bool_)) or not 0.0 < tolerance < math.inf:   # NaN fails too
-        raise ValueError(f"tolerance must be finite and positive, got {tolerance}")

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import re
 import subprocess
@@ -250,7 +251,7 @@ class TestHydroField:
         # a NaN time marched to 0.1 returned the unmarched field stamped 0.1
         # after 0 steps, and -inf marched 626 steps to report "t=-inf"
         good = HydroChainField.initial(np.linspace(0.5, 1.5, 11))
-        with pytest.raises(ValueError, match=re.escape(f"time must be a finite number, "
+        with pytest.raises(ValueError, match=re.escape(f"time must be finite and not a bool, "
                                                        f"got {time!r}")):
             evolve_hydro_chain(HydroChainField(good.x, good.u, good.v, good.k_neg, time), 0.1)
 
@@ -320,7 +321,7 @@ class TestHydroField:
     def test_scaling_family_refuses_a_time_that_is_not_finite(self, t):
         # NaN failed later as "grid and fields must be finite", -inf as
         # "u^0 must stay positive"
-        with pytest.raises(ValueError, match=f"t must be finite, got {t!r}"):
+        with pytest.raises(ValueError, match=f"t must be finite and not a bool, got {t!r}"):
             HydroChainField.scaling(np.linspace(0.5, 1.5, 11), t)
 
     @pytest.mark.parametrize("t", [-1e308, np.float64(-1e308), -8.98846567431158e307],
@@ -493,7 +494,7 @@ class TestHydroChain:
             raise AssertionError("marched to a target that is not finite")
 
         monkeypatch.setattr(continuum, "evolve_hydro_chain", no_march)
-        with pytest.raises(ValueError, match="t must be finite, got nan"):
+        with pytest.raises(ValueError, match="^t_target must be finite and not a bool, got nan"):
             hydro_scaling_check(t_target=float("nan"), n_x=41)
 
     @pytest.mark.parametrize("t_target", [0.0, 1e-16, 1e-15, -0.1, -np.inf, True, np.True_])
@@ -506,8 +507,10 @@ class TestHydroChain:
             raise AssertionError("built a field for a target that compares nothing")
 
         monkeypatch.setattr(HydroChainField, "scaling", no_field)
+        gated = isinstance(t_target, (bool, np.bool_)) or not math.isfinite(t_target)
         with pytest.raises(ValueError, match=re.escape(
-                f"t_target must exceed 1e-15 and not be a bool, got {t_target!r}")):
+                f"t_target must be finite and not a bool, got {t_target}" if gated
+                else f"t_target must exceed 1e-15, got {t_target!r}")):
             hydro_scaling_check(t_target=t_target, n_x=41)
 
     @pytest.mark.parametrize("shapes", [((), ()), ((4,), (4,)), ((11, 1), (4,)),
@@ -983,6 +986,20 @@ class TestTensors:
                    for j, k in _closed_table(np.ones((1, 2 * W + 1)), np.ones(1), i))
         assert len(at) == len(plan.n_guarded)
         assert np.count_nonzero(at < at.max()) == 2 * kept
+
+    def test_layout_refuses_a_tabulated_position_that_n_lacks(self, monkeypatch):
+        # the scan read N as 0 at such a position, so the table's value
+        # there was held to nothing N computes
+        table = continuum._closed_table
+        monkeypatch.setattr(continuum, "_closed_table", lambda u, sq, i: (
+            {**table(u, sq, i), (0, 0): sq} if i == 1 else table(u, sq, i)))
+        _closed_layout.cache_clear()
+        try:
+            with pytest.raises(ValueError, match=re.escape(
+                    "closed table names N^1_(0,0) of window 10, where N has no entry")):
+                _closed_layout(10)
+        finally:
+            _closed_layout.cache_clear()
 
     def test_compiling_and_scanning_leave_numpy_ma_out(self):
         # a plain np.unique imports numpy.ma, about 1 MB of memory

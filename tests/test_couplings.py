@@ -85,7 +85,7 @@ def test_coupling_value_must_be_finite(index, value):
 @pytest.mark.parametrize("value", ["0.1", b"0.1", True, False, np.bool_(True)])
 def test_coupling_value_must_be_a_number(value):
     # "0.1" was read as 0.1 and True as 1.0
-    with pytest.raises(ValueError, match="coupling t_2 must be a number"):
+    with pytest.raises(ValueError, match="coupling t_2 must be finite and not a bool"):
         CouplingVector.from_mapping({2: value})
 
 

@@ -19,11 +19,12 @@ SRC = Path(taulattice.__file__).parent
 ANY = None
 LAYERS = {
     "errors": {},
-    "report": {},
+    # the tolerance's gate is the argument gate of every module
+    "report": {"couplings": {"_checked_real"}},
     "numdiff": {},
     "couplings": {"errors": ANY},
     "moments": {"couplings": ANY, "errors": ANY},
-    "lax": {"couplings": {"CouplingVector", "_checked_int", "_is_integer", "_own_arrays"},
+    "lax": {"couplings": {"CouplingVector", "_checked_int", "_checked_real", "_own_arrays"},
             "errors": ANY, "report": ANY,
             # the skew Gram F of the Stieltjes basis is the one skew route
             "moments": {"SkewMomentMatrix", "_MEMO_SIZE", "_log_tau_jets", "_stieltjes_basis"}},
@@ -33,7 +34,7 @@ LAYERS = {
 }
 _BELOW = list(LAYERS)
 LAYERS["identities"] = dict.fromkeys(_BELOW, ANY)
-LAYERS["identities"]["couplings"] = {"CouplingVector", "_checked_int", "_checked_seed"}
+LAYERS["identities"]["couplings"] = {"CouplingVector", "_checked_int", "_checked_real"}
 LAYERS["identities"]["moments"] = {"_log_tau_jets", "_log_tau_of_basis", "_monomial_skew_moments",
                                    "_stieltjes_basis"}
 LAYERS["cli"] = dict.fromkeys(_BELOW + ["identities"], ANY)
@@ -72,6 +73,22 @@ def test_module_imports_only_what_its_layer_allows(module):
         if allowed[source] is not ANY:
             assert names <= allowed[source], (
                 f"{module} imports {sorted(names - allowed[source])} from {source}")
+
+
+def test_only_couplings_names_a_bool_in_an_isinstance_call():
+    # a scalar argument's gate is `couplings._checked_int` or
+    # `_checked_real`; a module that refuses a bool by hand writes a second
+    # policy beside them
+    found = []
+    for path in SRC.glob("*.py"):
+        if path.stem == "couplings":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance"
+                    and len(node.args) == 2
+                    and {"bool", "np.bool_"} & {ast.unparse(n) for n in ast.walk(node.args[1])}):
+                found.append(f"{path.stem}:{node.lineno}")
+    assert not found, f"bool named in an isinstance call at {sorted(found)}"
 
 
 def test_no_module_raises_grid_nodes_to_a_power():

@@ -3,6 +3,7 @@ and generates the arrays with default_rng so shrinking stays cheap."""
 
 import json
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -11,12 +12,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference_kernels as ref
-from taulattice import (CouplingVector, HydroChainField, PfaffLax, ReducedChainState,
-                        TauLatticeError, TensorPoint, VolterraState, build_quadrature,
-                        evolve_hydro_chain, evolve_pfaff, evolve_reduced, evolve_toda,
-                        evolve_volterra, goe_lax_init, gue_lax_init, hydro_chain_rhs,
-                        nijenhuis, nijenhuis_closed_form, pfaff_chain_rhs,
-                        pfaff_commutator_rhs, spatial_derivative, toda_rhs, volterra_rhs)
+from taulattice import (CouplingVector, HydroChainField, IdentityReport, PfaffLax,
+                        ReducedChainState, TauLatticeError, TensorPoint, VolterraState,
+                        build_quadrature, continuum_convergence, evolve_hydro_chain,
+                        evolve_pfaff, evolve_reduced, evolve_toda, evolve_volterra,
+                        goe_lax_init, gue_lax_init, haantjes_scan, hopf_solve,
+                        hydro_chain_rhs, hydro_scaling_check, nijenhuis,
+                        nijenhuis_closed_form, observables_check, pfaff_chain_rhs, pfaff_commutator_rhs, pfaff_lax_from_basis,
+                        reduced_continuum_rhs, spatial_derivative, toda_rhs, volterra_rhs)
 from taulattice import flows, lax, moments
 
 couplings = st.dictionaries(
@@ -132,9 +135,10 @@ def test_v_equation_closure_source_cancels(seed):
     assert np.max(np.abs(term)) < 1e-11
 
 
-# The entry-point contract, scoped to flow indices, step sizes and a field's
-# time stamp: what an argument cannot mean is refused with a ValueError or a
-# TauLatticeError, never a bare OverflowError, a RuntimeWarning or a return.
+# The entry-point contract, scoped to flow indices, step sizes, a field's
+# time stamp and every real argument: what an argument cannot mean is
+# refused with a ValueError or a TauLatticeError, never a bare OverflowError
+# or TypeError, a RuntimeWarning or a return.
 
 def _refused(call):
     with warnings.catch_warnings():
@@ -187,6 +191,55 @@ def test_field_time_is_a_finite_number_or_refused(time):
         field = replace(start, time=time)
         out, _ = evolve_hydro_chain(field, time + 1e-3)
     assert field.time == time and out.time == time + 1e-3
+
+
+_X = np.linspace(0.5, 1.5, 11)
+# id -> (the name its refusal gives, whether it must be positive, a call
+# with the value); each argument passes `couplings._checked_real`
+_REAL_ARGUMENTS = {
+    "h": ("h", True, lambda q: evolve_volterra(VolterraState(np.ones(8)), 2, [0.1], h=q)),
+    "Wm1": ("ReducedChainState.Wm1", False, lambda q: ReducedChainState(q, np.full(4, 2.0))),
+    "dx": ("dx", False, lambda q: spatial_derivative(np.ones(8), q)),
+    "time": ("time", False, lambda q: replace(HydroChainField.initial(_X), time=q)),
+    "scaling-t": ("t", False, lambda q: HydroChainField.scaling(_X, q)),
+    "hopf-t": ("t", False, lambda q: hopf_solve(lambda s: s, 2.0, 1, _X, q)),
+    "hopf-c": ("c", False, lambda q: hopf_solve(lambda s: s, q, 1, _X, 0.1)),
+    "march-t_target": ("t_target", False,
+                       lambda q: evolve_hydro_chain(HydroChainField.initial(_X), q)),
+    "check-t_target": ("t_target", False, lambda q: hydro_scaling_check(t_target=q, n_x=41)),
+    "wm1": ("wm1", False, lambda q: reduced_continuum_rhs(q, np.full(4, 2.0))),
+    "check_tol": ("check_tol", True, lambda q: pfaff_lax_from_basis(
+        lax._skew_basis(CouplingVector(), 8), 2, 2, 2, check_tol=q)),
+    "report-tolerance": ("tolerance", True, lambda q: IdentityReport("x", 0.0, 0.0, q, True)),
+    "residual-tolerance": ("tolerance", True,
+                           lambda q: IdentityReport.from_residual("x", 0.0, q)),
+    "coupling": ("coupling t_2", False, lambda q: CouplingVector.from_mapping({2: q})),
+    "t2": ("t2", False, lambda q: continuum_convergence(t2=q)),
+    # the suites that read their tolerance before they build a report
+    "convergence-tolerance": ("tolerance", True, lambda q: continuum_convergence(tolerance=q)),
+    "haantjes-tolerance": ("tolerance", True, lambda q: haantjes_scan(tolerance=q)),
+    "observables-tolerance": ("tolerance", True, lambda q: observables_check(tolerance=q)),
+}
+_NOT_REAL = [True, False, np.True_, np.False_, "0.5", None, math.nan, math.inf, -math.inf]
+_NOT_POSITIVE = [0.0, -0.0, -1.0, -5e-324]
+
+
+@pytest.mark.parametrize("argument, value", [
+    pytest.param(argument, value, id=f"{argument}-{value!r}")
+    for argument, (_, positive, _) in _REAL_ARGUMENTS.items()
+    for value in _NOT_REAL + _NOT_POSITIVE * positive])
+def test_real_argument_that_is_no_finite_number_is_refused_by_name(argument, value):
+    # pfaff_lax_from_basis(check_tol=True) returned a window,
+    # ReducedChainState(True or "0.5", W) and reduced_continuum_rhs("0.5", w)
+    # returned, and a string step, tolerance, target, dx or Hopf time raised
+    # a bare TypeError; each is refused before the call's work
+    name, positive, call = _REAL_ARGUMENTS[argument]
+    wording = "positive" if positive else "not a bool"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be finite and {wording}, "
+                                             f"got "):
+            call(value)
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -528,10 +528,9 @@ def hydro_scaling_check(*, t_target: float = 0.15, n_x: int = 201,
 
     The window holds rows -4 .. 6 on n_x cells of [0.25, 2.25], marched at
     CFL 0.2.  Boundary strips are driven with the exact solution (inflow
-    data); the comparison covers interior cells only.  A t_target that is a
-    bool, not finite or at most 1e-15 (reached in 0 steps) raises
-    ValueError, and the exact field, built first, refuses the rest before
-    the march.
+    data); the comparison covers interior cells only.  A t_target that is
+    not finite or at most 1e-15 (reached in 0 steps) raises ValueError, and
+    one from 1/2 on PreBreakingViolated, before the march.
     """
     t_target = _checked_real("t_target", t_target)
     if t_target <= 1e-15:

@@ -54,7 +54,7 @@ class CouplingVector:
 
     Entries are stored as a sorted tuple of (k, t_k) pairs with exact zeros
     dropped, so equal vectors compare and hash equal.  An index must be a
-    positive integer (numpy's included, bool not) and a value pass
+    positive integer (numpy's included, bool not) and a value must pass
     `_checked_real`; a ValueError names the entry that is not.
     """
 

@@ -768,7 +768,7 @@ def _evolve(rhs, y0: np.ndarray, times, h: float, record, speed_of, start,
     if times[0] < 0:
         raise ValueError("sampling starts at t >= 0")
     h = _checked_real("h", h, positive=True)
-    if float(times[-1]) / float(h) > _MAX_STEPS:
+    if float(times[-1]) / h > _MAX_STEPS:
         raise ValueError(f"h = {h} passes the step budget {_MAX_STEPS} up to t = {times[-1]:g}")
     out = []
     if buffers is None:

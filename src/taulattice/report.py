@@ -1,4 +1,7 @@
-"""Uniform pass/fail record for every verification routine."""
+"""Uniform pass/fail record for every verification routine.
+
+Its one argument check, of the tolerance, is `couplings._checked_real`.
+"""
 
 from __future__ import annotations
 
@@ -14,10 +17,8 @@ class IdentityReport:
 
     residual_abs is the max absolute residual over whatever set of sites,
     times, or sample points the check covered; residual_rel divides by the
-    natural scale of the identity's terms (1 when no scale applies).  The
-    tolerance passes `couplings._checked_real` as a positive number, so a
-    bool, a string or one that is not finite and positive raises ValueError
-    before any conversion.
+    natural scale of the identity's terms (1 when no scale applies).  A
+    tolerance that is not finite and positive raises ValueError.
     """
 
     identity: str

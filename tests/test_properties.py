@@ -18,8 +18,9 @@ from taulattice import (CouplingVector, HydroChainField, IdentityReport, PfaffLa
                         evolve_pfaff, evolve_reduced, evolve_toda, evolve_volterra,
                         goe_lax_init, gue_lax_init, haantjes_scan, hopf_solve,
                         hydro_chain_rhs, hydro_scaling_check, nijenhuis,
-                        nijenhuis_closed_form, observables_check, pfaff_chain_rhs, pfaff_commutator_rhs, pfaff_lax_from_basis,
-                        reduced_continuum_rhs, spatial_derivative, toda_rhs, volterra_rhs)
+                        nijenhuis_closed_form, observables_check, pfaff_chain_rhs,
+                        pfaff_commutator_rhs, pfaff_lax_from_basis, reduced_continuum_rhs,
+                        spatial_derivative, toda_rhs, volterra_rhs)
 from taulattice import flows, lax, moments
 
 couplings = st.dictionaries(

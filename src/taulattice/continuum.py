@@ -199,8 +199,8 @@ class HydroChainField:
             raise ValueError("grid must be uniform and increasing")
         if x[0] <= 0:
             raise ValueError("grid must satisfy x > 0")
-        object.__setattr__(self, "k_neg", _checked_int("k_neg", self.k_neg))
-        if self.k_neg < 2 or u.ndim != 2 or u.shape[0] < self.k_neg + 3:
+        object.__setattr__(self, "k_neg", _checked_int("k_neg", self.k_neg, 2))
+        if u.ndim != 2 or u.shape[0] < self.k_neg + 3:
             raise ValueError("need rows down to -2 and up to at least +2")
         if u.shape[1] != len(x) or v.shape != x.shape:
             raise ValueError("field shapes must match the grid")
@@ -532,6 +532,7 @@ def hydro_scaling_check(*, t_target: float = 0.15, n_x: int = 201,
     not finite or at most 1e-15 (reached in 0 steps) raises ValueError, and
     one from 1/2 on PreBreakingViolated, before the march.
     """
+    tolerance = _checked_real("tolerance", tolerance, positive=True)
     t_target = _checked_real("t_target", t_target)
     if t_target <= 1e-15:
         raise ValueError(f"t_target must exceed 1e-15, got {t_target!r}")
@@ -993,11 +994,9 @@ def haantjes_scan(*, window: int = 10, n_points: int = 100, seed: int = 20260823
     Each point draws u^k uniformly from [-3, 3] and then u^0 from [0.5, 2].
     """
     u_bound, (lo, hi), closed_tol = 3.0, (0.5, 2.0), 1e-10
-    window, n_points = _checked_int("window", window), _checked_int("n_points", n_points, 1)
-    seed = _checked_int("seed", seed, 0)
     tolerance = _checked_real("tolerance", tolerance, positive=True)
-    if window < 10:
-        raise ValueError("window must be at least 10 for a meaningful scan")
+    window, n_points = _checked_int("window", window, 10), _checked_int("n_points", n_points, 1)
+    seed = _checked_int("seed", seed, 0)
     W = window
     # one draw call, the stream of two per point: each row's 2W+1 values on
     # the u bound, then u^0, which replaces the row's middle draw; its last

@@ -22,9 +22,10 @@ Golub-Welsch starting nodes (eigenvalues of the Jacobi matrix) polished by
 Newton steps on the three-term recurrence.
 
 Every scalar argument of the package passes one of the two gates here:
-`_checked_int` (an integer, optionally bounded below) or `_checked_real` (a
-finite real, positive for a step or a tolerance).  Neither takes a bool;
-each raises a ValueError naming the argument and its value.
+`_checked_int` (an integer, with its lower bound, as for a size, an index
+or a derivative order) or `_checked_real` (a finite real, positive for a
+step or a tolerance).  Neither takes a bool; each raises a ValueError
+naming the argument and its value.  Each check calls them before its work.
 """
 
 from __future__ import annotations
@@ -53,9 +54,9 @@ class CouplingVector:
     """Finite map k -> t_k.
 
     Entries are stored as a sorted tuple of (k, t_k) pairs with exact zeros
-    dropped, so equal vectors compare and hash equal.  An index must be a
-    positive integer (numpy's included, bool not) and a value must pass
-    `_checked_real`; a ValueError names the entry that is not.
+    dropped, so equal vectors compare and hash equal.  An index must pass
+    `_checked_int` at least 1 and a value `_checked_real`; a ValueError
+    names the entry that does not.
     """
 
     entries: tuple[tuple[int, float], ...] = ()
@@ -64,9 +65,7 @@ class CouplingVector:
         cleaned = []
         seen = set()
         for k, v in self.entries:
-            if not _is_integer(k) or k < 1:
-                raise ValueError(f"coupling index must be a positive integer, got {k!r}")
-            k = int(k)
+            k = _checked_int("coupling index", k, 1)
             v = _checked_real(f"coupling t_{k}", v)
             if k in seen:
                 raise ValueError(f"duplicate coupling index {k}")
@@ -94,8 +93,7 @@ class CouplingVector:
             try:
                 entries.append((int(k) if isinstance(k, str) else k, v))
             except ValueError:
-                raise ValueError(f"coupling index must be a positive integer, "
-                                 f"got {k!r}") from None
+                raise ValueError(f"coupling index must be an integer, got {k!r}") from None
         return cls(tuple(entries))
 
     def as_dict(self) -> dict[int, float]:
@@ -165,14 +163,10 @@ def _own_arrays(record, *names) -> tuple:
     return copies
 
 
-def _is_integer(q) -> bool:
-    return isinstance(q, numbers.Integral) and not isinstance(q, bool)
-
-
 def _checked_int(name: str, value, low=None) -> int:
     """`value` as an int; a ValueError naming `name` when it is not an
     integer (numpy's are), is a bool or is below `low`."""
-    if not _is_integer(value):
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if low is not None and value < low:
         bound = "non-negative" if low == 0 else f"at least {low}"

@@ -84,9 +84,8 @@ def mkp_residuals(n: int, state: VolterraState, *,
     worst relative one with the printed-variant block reduced to its best
     candidate.  Raises DivergedField when a jet is not finite.
     """
-    n = _checked_int("n", n)
-    if n < 2:
-        raise ValueError("need n >= 2 so that psi = B_{n-1} exists")
+    tolerance = _checked_real("tolerance", tolerance, positive=True)
+    n = _checked_int("n", n, 2)                 # psi = B_{n-1} exists
     if state.n_sites < n + 8:
         raise ValueError("site too close to the window edge")
     (phx, psx), (phxx, psxx), (phxxx, psxxx), (phy, psy), (pht, pst), (phxy, _) = (
@@ -151,8 +150,9 @@ def kp_residual(n: int = 2, t: CouplingVector = _T0, *,
     every derivative read off one exact jet of log tau_n in (t1, t2, t3)
     (`moments._log_tau_jets`).  tau_n never sees the flow modules.
     """
-    n = _checked_int("n", n)
-    if n < 1 or n > 32:
+    tolerance = _checked_real("tolerance", tolerance, positive=True)
+    n = _checked_int("n", n, 1)
+    if n > 32:
         raise ValueError("determinant size n must be 1..32")
     jet = _log_tau_jets("unitary", (n,), t, (1, 2, 3), ((6, 0, 0), (3, 0, 1), (2, 2, 0)))[n][2]
 
@@ -412,8 +412,8 @@ def sample_gaussian_ensemble(beta: int, n: int, count: int, seed: int) -> dict:
     beta, n = _checked_int("beta", beta), _checked_int("n", n, 1)
     if beta not in (1, 2):
         raise ValueError(f"beta must be 1 or 2, got {beta}")
-    count = _checked_int("count", count)
-    if count < 2 or count > 10_000_000:
+    count = _checked_int("count", count, 2)
+    if count > 10_000_000:
         raise ValueError(f"count out of supported range, got {count}")
     seed = _checked_int("seed", seed, 0)
     rng = np.random.Generator(np.random.Philox(seed))
@@ -451,6 +451,7 @@ def verify_init_gue(n_max: int = 10, tolerance: float = 1e-8) -> IdentityReport:
     Each side of the law is a sum of monic log norms of a Stieltjes basis on
     its own grid; the basis at zero couplings also gives the Jacobi data.
     """
+    tolerance = _checked_real("tolerance", tolerance, positive=True)
     n_max = _checked_int("n_max", n_max, 2)
     _, log_h, a, b = _stieltjes_basis("unitary", n_max, _T0)
     _, log_h_shifted, _, _ = _stieltjes_basis("unitary", n_max, _GUE_SHIFT)
@@ -470,6 +471,7 @@ def verify_init_goe(n_sites: int = 8, k_band: int = 6,
     """Closed-form band entries against the skew Gram-Schmidt oracle, which
     orthogonalizes the Stieltjes basis of rho^2 on N + K + 1 pairs, built
     from the couplings alone."""
+    tolerance = _checked_real("tolerance", tolerance, positive=True)
     n_sites, k_band = _checked_int("n_sites", n_sites, 1), _checked_int("k_band", k_band, 2)
     n_pairs = n_sites + k_band + 1
     oracle = pfaff_lax_from_basis(_skew_basis(_T0, n_pairs), n_sites, k_band, k_band)
@@ -484,10 +486,9 @@ def verify_init_goe(n_sites: int = 8, k_band: int = 6,
 def verify_scaling(n_sites: int = 64, tolerance: float = 1e-8) -> IdentityReport:
     """Integrated pure-t2 trajectories against the exact scaling family, at
     four times up to the horizon 0.2, off the last 8 sites."""
+    tolerance = _checked_real("tolerance", tolerance, positive=True)
     horizon, margin = 0.2, 8
-    n_sites = _checked_int("n_sites", n_sites)
-    if n_sites <= margin:
-        raise ValueError(f"n_sites must exceed the margin {margin}, got {n_sites}")
+    n_sites = _checked_int("n_sites", n_sites, margin + 1)
     times = _sample_times(horizon, 4)
     state = VolterraState(np.arange(1.0, n_sites + 1))
     res = evolve_volterra(state, 2, times, h=1e-3)
@@ -508,6 +509,7 @@ def verify_commute(seed: int = 811, tolerance: float = 1e-12) -> IdentityReport:
     """Banded chain right-hand side against the projected dense commutator at
     20 random structurally valid states of 20 sites and 6 bands each side;
     interior columns only, the 12 that keep clear of the 8 edge columns."""
+    tolerance = _checked_real("tolerance", tolerance, positive=True)
     n_states, n_sites, k_band = 20, 20, 6
     interior = n_sites - 8
     seed = _checked_int("seed", seed, 0)
@@ -528,12 +530,14 @@ def verify_commute(seed: int = 811, tolerance: float = 1e-12) -> IdentityReport:
 
 def verify_reduction(n_sites: int = 48, tolerance: float = 1e-8) -> IdentityReport:
     """`reduction_invariants` along a banded GOE trajectory to t = 0.15."""
+    tolerance = _checked_real("tolerance", tolerance, positive=True)
     traj = evolve_pfaff(goe_lax_init(n_sites, 9, 7), _sample_times(0.15, 3), h=1e-3)
     return reduction_invariants(traj, tolerance=tolerance)
 
 
 def verify_tau_cross(n_pairs: int = 4, tolerance: float = 1e-6) -> IdentityReport:
     """Band entries recovered from tau-ratio derivatives against closed forms."""
+    tolerance = _checked_real("tolerance", tolerance, positive=True)
     n_pairs = _checked_int("n_pairs", n_pairs)
     entries = pfaff_entries_from_tau(_T0, n_pairs)
     closed = goe_lax_init(n_pairs, 1, 2)

@@ -452,6 +452,7 @@ def skew_hermite_map_check(n_pairs: int = 6, *, tolerance: float = 1e-9) -> Iden
     zero same-parity pairings, on their skew Gram F: the residual is the
     largest violation of the nu-scaled Gram.  Refuses past _SKEW_MAP_REACH.
     """
+    tolerance = _checked_real("tolerance", tolerance, positive=True)
     n_pairs = _checked_int("n_pairs", n_pairs, 1)
     if n_pairs > _SKEW_MAP_REACH:
         raise ValueError(f"n_pairs must be at most {_SKEW_MAP_REACH}, the reach of the "

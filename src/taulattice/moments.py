@@ -33,11 +33,14 @@ at grid nodes, whose skew products cancel as the degree grows (Gautschi
 Three process memos are the only caches in front of quadrature, each
 keeping its last `_MEMO_SIZE` = 32 entries, least recently used out, and
 never a call that raised: `_stieltjes_basis` keyed on (ensemble, n,
-couplings), `_kept_jets` on (ensemble, sizes, couplings, axes, tops) and
-`lax._skew_basis` on (couplings, pairs).  A kept result is read-only
-(frozen arrays, jets behind `types.MappingProxyType`) and handed out as it
-is; only a routine that writes copies, as `_log_tau_of_basis` does of F for
-the Pfaffian pivots.  A hit builds no grid.  An orthogonal basis is 8 n^2
+couplings), `_log_tau_jets` on (ensemble, sizes, couplings, axes, tops) and
+`lax._skew_basis` on (couplings, pairs).  Each caller gates its sizes
+before it asks (`couplings._checked_int`, `_check_size`), so the jets memo
+takes ints of a tau that exists and never keys True, 1.0 and 1 apart.  A
+kept result is read-only (frozen arrays, jets behind
+`types.MappingProxyType`) and handed out as it is; only a routine that
+writes copies, as `_log_tau_of_basis` does of F for the Pfaffian pivots.
+A hit builds no grid.  An orthogonal basis is 8 n^2
 bytes of F: 2.5 MB at order 554, where the Gaussian rho^2 basis stops, and
 18 MB at order 1500, which {8: -1} reaches, so 32 hold 79 MB and 576 MB.
 """
@@ -47,13 +50,14 @@ from __future__ import annotations
 import itertools
 import math
 import types
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .couplings import (CouplingVector, QuadratureGrid, _checked_int, _is_integer, _own_arrays,
-                        _regrid, build_quadrature, cumulative_integral)
+from .couplings import (CouplingVector, QuadratureGrid, _checked_int, _own_arrays, _regrid,
+                        build_quadrature, cumulative_integral)
 from .errors import IllConditioned
 
 __all__ = [
@@ -258,24 +262,15 @@ def _log_tau_of_basis(F: np.ndarray | None, log_h: np.ndarray) -> tuple[float, f
     return sign, float(np.log(np.abs(pivots)).sum() + 0.5 * log_h.sum())
 
 
-def _log_tau_jets(ensemble: str, sizes, t: CouplingVector, axes: tuple,
+@lru_cache(maxsize=_MEMO_SIZE)
+def _log_tau_jets(ensemble: str, sizes: tuple, t: CouplingVector, axes: tuple,
                   tops: tuple) -> types.MappingProxyType:
     """{m: (sign, log|tau_m|, jet)} for every size m in `sizes`, from one
-    Stieltjes basis.  jet maps each multi-index g at or below one of `tops`
-    (a tuple of order tuples in the couplings `axes`) to the Taylor
-    coefficient of s^g in log tau_m(t + s) - log tau_m(t), s_a shifting
-    the coupling axes[a].
-
-    The sizes are checked here, ahead of the memo `_kept_jets`, which would
-    key True, 1.0 and 1 alike; the result is the kept read-only mapping.
-    """
-    return _kept_jets(ensemble, tuple(_check_size(ensemble, m) for m in sizes), t, axes, tops)
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def _kept_jets(ensemble: str, sizes: tuple, t: CouplingVector, axes: tuple,
-               tops: tuple) -> types.MappingProxyType:
-    """`_log_tau_jets` on checked sizes, behind its memo.
+    Stieltjes basis, as a kept read-only mapping.  jet maps each multi-index
+    g at or below one of `tops` (a tuple of order tuples in the couplings
+    `axes`) to the Taylor coefficient of s^g in log tau_m(t + s) -
+    log tau_m(t), s_a shifting the coupling axes[a].  The sizes are ints
+    that `_check_size` passes: its callers gate them.
 
     Shifting t_a multiplies rho by e^{s_a z^a}, and z q = J q for the basis q
     with Jacobi matrix J, so the weight acts as E(s) = exp(sum_a s_a J^a),
@@ -338,22 +333,25 @@ def tau_orthogonal(t: CouplingVector, two_n: int) -> float:
 
 
 def tau_coupling_derivative(ensemble: str, n: int, t: CouplingVector,
-                            multi_index: dict) -> float:
+                            multi_index: Mapping) -> float:
     """Mixed coupling derivative of tau_n, exact from the jet of log tau_n.
 
     ensemble is "unitary" or "orthogonal" (n is the matrix size subscript in
-    both cases, even for orthogonal).  multi_index maps positive integer
-    coupling indices to non-negative integer orders, total order <= 4.
+    both cases, even for orthogonal).  multi_index is a mapping of coupling
+    indices (integers >= 1) to orders (integers >= 0), total order <= 4;
+    a ValueError names whichever argument is not.
     With L(s) = log tau_n(t + s) - log tau_n(t) from `_log_tau_jets`, the
     derivative is tau_n(t) times that of exp(L) at s = 0.
     """
-    if not all(_is_integer(k) and k > 0 and _is_integer(p) and p >= 0
-               for k, p in multi_index.items()):
-        raise ValueError("multi_index must map positive integer coupling indices "
-                         f"to non-negative integer orders, got {multi_index!r}")
-    orders = {int(k): int(p) for k, p in multi_index.items() if p}
+    if not isinstance(multi_index, Mapping):
+        raise ValueError(f"multi_index must be a mapping of coupling index to order, "
+                         f"got {multi_index!r}")
+    orders = {_checked_int("multi_index key", k, 1): _checked_int("multi_index order", p, 0)
+              for k, p in multi_index.items()}
+    orders = {k: p for k, p in orders.items() if p}
     if sum(orders.values()) > 4:
         raise ValueError("total derivative order must be <= 4")
+    n = _check_size(ensemble, n)
     axes, top = tuple(sorted(orders)), tuple(p for _, p in sorted(orders.items()))
     sign, log_abs, jet = _log_tau_jets(ensemble, (n,), t, axes, (top,))[n]
     tau = _tau_value(ensemble, n, sign, log_abs)

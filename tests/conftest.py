@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from taulattice import CouplingVector, lax, moments
+from taulattice import CouplingVector, couplings, lax, moments
 
 
 def pytest_configure(config):
@@ -34,21 +34,36 @@ def t0():
     return CouplingVector.from_mapping({})
 
 
-PROCESS_MEMOS = (moments._stieltjes_basis, moments._kept_jets, lax._skew_basis)
+# the library's process memos, the only caches in front of quadrature; the
+# tests name them here alone
+PROCESS_MEMOS = (moments._stieltjes_basis, moments._log_tau_jets, lax._skew_basis)
 
 
 @pytest.fixture
 def fresh_grids():
-    """Empty the three process memos (`moments._stieltjes_basis`,
-    `moments._kept_jets` and `lax._skew_basis`), the only caches in front
-    of quadrature, before the test and after it: a test counting radius
-    solves sees every grid its code builds, not a basis an earlier test left
-    in a memo, and nothing a test builds under a patched helper outlives it."""
+    """Empty the process memos `PROCESS_MEMOS` before the test and after
+    it: a test counting radius solves sees every grid its code builds, not
+    a basis an earlier test left in a memo, and nothing a test builds under
+    a patched helper outlives it."""
     for memo in PROCESS_MEMOS:
         memo.cache_clear()
     yield
     for memo in PROCESS_MEMOS:
         memo.cache_clear()
+
+
+@pytest.fixture
+def counted_radii(monkeypatch):
+    """The keys of every grid's radius solve during the test."""
+    calls = []
+    solve = couplings._radius_for
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(couplings, "_radius_for", counted)
+    return calls
 
 
 @pytest.fixture

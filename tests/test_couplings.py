@@ -67,7 +67,7 @@ def test_from_json_refuses_what_is_not_an_object_of_numbers(text):
 @pytest.mark.parametrize("index", [2.5, 2.0, True, np.float64(2.0), "2", -1, 0])
 def test_coupling_index_must_be_a_positive_integer(index):
     # 2.5 was read as 2 and True as 1
-    with pytest.raises(ValueError, match="coupling index must be a positive integer"):
+    with pytest.raises(ValueError, match="^coupling index must be (an integer|at least 1), got "):
         CouplingVector.from_mapping({index: 0.1})
     with pytest.raises(ValueError, match="coupling index"):
         CouplingVector(((index, 0.1),))
@@ -308,18 +308,6 @@ def test_radius_covers_a_dense_scan(t1, t3, t4, degree):
 
 # the grid memo
 
-def counted_radii(monkeypatch):
-    calls = []
-    solve = couplings._radius_for
-
-    def counted(*args):
-        calls.append(args)
-        return solve(*args)
-
-    monkeypatch.setattr(couplings, "_radius_for", counted)
-    return calls
-
-
 def stalled(convergence_values):
     # a panel doubling whose mass never settles
     def values(t, radius, panels, deg, shift):
@@ -332,15 +320,14 @@ def stalled(convergence_values):
     ({3: 0.2}, NonIntegrableWeight),                # no radius brackets the tail
     ({2: 0.1}, ToleranceUnreachable),               # the panel doubling stalls
 ])
-def test_failed_builds_are_not_kept(fresh_grids, monkeypatch, mapping, error):
-    calls = counted_radii(monkeypatch)
+def test_failed_builds_are_not_kept(fresh_grids, counted_radii, monkeypatch, mapping, error):
     monkeypatch.setattr(couplings, "_convergence_values",
                         stalled(couplings._convergence_values))
     t = CouplingVector.from_mapping(mapping)
     for _ in range(2):
         with pytest.raises(error):
             build_quadrature(t)
-    assert len(calls) == 2
+    assert len(counted_radii) == 2
 
 
 def test_weight_past_the_double_range_refused_before_doubling(fresh_grids, monkeypatch):

@@ -23,7 +23,10 @@ LAYERS = {
     "report": {"couplings": {"_checked_real"}},
     "numdiff": {},
     "couplings": {"errors": ANY},
-    "moments": {"couplings": ANY, "errors": ANY},
+    # the grid recipe, the records and the integer gate; no second policy
+    "moments": {"couplings": {"CouplingVector", "QuadratureGrid", "_checked_int", "_own_arrays",
+                              "_regrid", "build_quadrature", "cumulative_integral"},
+                "errors": ANY},
     "lax": {"couplings": {"CouplingVector", "_checked_int", "_checked_real", "_own_arrays"},
             "errors": ANY, "report": ANY,
             # the skew Gram F of the Stieltjes basis is the one skew route
@@ -75,10 +78,14 @@ def test_module_imports_only_what_its_layer_allows(module):
                 f"{module} imports {sorted(names - allowed[source])} from {source}")
 
 
+# bool, numpy's bool and the `numbers` ABCs, by their last dotted part
+_SCALAR_TYPES = {"bool", "bool_", "Number", "Complex", "Real", "Rational", "Integral"}
+
+
 def test_only_couplings_names_a_bool_in_an_isinstance_call():
     # a scalar argument's gate is `couplings._checked_int` or
-    # `_checked_real`; a module that refuses a bool by hand writes a second
-    # policy beside them
+    # `_checked_real`; a module that tests for a bool or a `numbers` ABC by
+    # hand writes a second policy beside them
     found = []
     for path in SRC.glob("*.py"):
         if path.stem == "couplings":
@@ -86,9 +93,10 @@ def test_only_couplings_names_a_bool_in_an_isinstance_call():
         for node in ast.walk(ast.parse(path.read_text())):
             if (isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance"
                     and len(node.args) == 2
-                    and {"bool", "np.bool_"} & {ast.unparse(n) for n in ast.walk(node.args[1])}):
+                    and _SCALAR_TYPES & {ast.unparse(n).rpartition(".")[2]
+                                         for n in ast.walk(node.args[1])}):
                 found.append(f"{path.stem}:{node.lineno}")
-    assert not found, f"bool named in an isinstance call at {sorted(found)}"
+    assert not found, f"bool or numbers ABC named in an isinstance call at {sorted(found)}"
 
 
 def test_no_module_raises_grid_nodes_to_a_power():
@@ -224,13 +232,10 @@ def test_floating_point_errors_are_caught_only_where_listed():
 
 
 # (module, function) -> why it keeps results in an lru_cache.  Process
-# memos keep results keyed on couplings, bounded by `moments._MEMO_SIZE`;
-# plans depend on a few small integers or on nothing.
-_PROCESS_MEMOS = {
-    ("moments", "_stieltjes_basis"): "Stieltjes bases, the one cache in front of quadrature",
-    ("moments", "_kept_jets"): "log-tau jets read off one kept basis",
-    ("lax", "_skew_basis"): "skew Gram-Schmidt on one kept basis",
-}
+# memos (`conftest.PROCESS_MEMOS`) keep results keyed on couplings, bounded
+# by `moments._MEMO_SIZE`; plans depend on a few small integers or on nothing.
+_PROCESS_MEMOS = {(memo.__module__.rpartition(".")[2], memo.__name__): "process memo"
+                  for memo in conftest.PROCESS_MEMOS}
 _LRU_CACHES = {
     **_PROCESS_MEMOS,
     ("couplings", "_gauss_legendre"): "plan: the one reference Gauss-Legendre rule",
@@ -262,12 +267,6 @@ def test_every_lru_cache_is_listed():
         f"lru_cache on {sorted(found)}, listed {sorted(_LRU_CACHES)}")
     bounded = {key for key, dec in found.items() if "_MEMO_SIZE" in dec}
     assert bounded == set(_PROCESS_MEMOS), f"bounded by _MEMO_SIZE: {sorted(bounded)}"
-
-
-def test_the_fixture_clears_exactly_the_process_memos():
-    listed = {getattr(getattr(taulattice, module), name) for module, name in _PROCESS_MEMOS}
-    assert set(conftest.PROCESS_MEMOS) == listed
-    assert len(conftest.PROCESS_MEMOS) == len(listed)
 
 
 def test_build_quadrature_has_one_library_caller():

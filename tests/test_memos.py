@@ -11,9 +11,10 @@ from hypothesis import given, settings, strategies as st
 from taulattice import (CouplingVector, IllConditioned, NonIntegrableWeight, log_tau,
                         skew_moment_matrix, skew_orthonormal_basis, tau_coupling_derivative,
                         toda_lax_from_quadrature)
-from taulattice import couplings, lax, moments
+import conftest
+from taulattice import lax, moments
 
-_MEMOS = {"basis": moments._stieltjes_basis, "skew": lax._skew_basis, "jets": moments._kept_jets}
+_MEMOS = {memo.__name__: memo for memo in conftest.PROCESS_MEMOS}
 _T = CouplingVector.from_mapping({2: 0.1, 4: -0.05})
 _JETS = ("orthogonal", (0, 2, 4), _T, (1, 2), ((2, 0), (0, 1)))
 
@@ -66,16 +67,16 @@ def test_loop_closure_pipeline_runs_one_stieltjes_recurrence(fresh_grids, monkey
 
 
 @pytest.mark.parametrize("memo, call, error", [
-    ("basis", lambda: moments._stieltjes_basis("orthogonal", 600, CouplingVector()),
+    ("_stieltjes_basis", lambda: moments._stieltjes_basis("orthogonal", 600, CouplingVector()),
      IllConditioned),
-    ("basis", lambda: log_tau("unitary", 4, CouplingVector.from_mapping({4: 0.1})),
+    ("_stieltjes_basis", lambda: log_tau("unitary", 4, CouplingVector.from_mapping({4: 0.1})),
      NonIntegrableWeight),
-    ("skew", lambda: lax._skew_basis(CouplingVector(), 300), IllConditioned),
-    ("skew", lambda: lax._skew_basis(CouplingVector.from_mapping({4: 0.1}), 2),
+    ("_skew_basis", lambda: lax._skew_basis(CouplingVector(), 300), IllConditioned),
+    ("_skew_basis", lambda: lax._skew_basis(CouplingVector.from_mapping({4: 0.1}), 2),
      NonIntegrableWeight),
-    ("jets", lambda: moments._log_tau_jets("orthogonal", (598,), CouplingVector(), (2,), ((1,),)),
+    ("_log_tau_jets", lambda: moments._log_tau_jets("orthogonal", (598,), CouplingVector(), (2,), ((1,),)),
      IllConditioned),
-    ("jets", lambda: tau_coupling_derivative("unitary", 4, CouplingVector.from_mapping({4: 0.1}),
+    ("_log_tau_jets", lambda: tau_coupling_derivative("unitary", 4, CouplingVector.from_mapping({4: 0.1}),
                                              {2: 1}),
      NonIntegrableWeight),
 ], ids=["basis-600", "basis-divergent", "skew-300", "skew-divergent", "jets-598",
@@ -93,9 +94,9 @@ def _shifted(k):
 
 
 @pytest.mark.parametrize("memo, call", [
-    ("basis", lambda k: moments._stieltjes_basis("unitary", 2, _shifted(k))),
-    ("skew", lambda k: lax._skew_basis(_shifted(k), 1)),
-    ("jets", lambda k: moments._log_tau_jets("unitary", (1,), _shifted(k), (1,), ((1,),))),
+    ("_stieltjes_basis", lambda k: moments._stieltjes_basis("unitary", 2, _shifted(k))),
+    ("_skew_basis", lambda k: lax._skew_basis(_shifted(k), 1)),
+    ("_log_tau_jets", lambda k: moments._log_tau_jets("unitary", (1,), _shifted(k), (1,), ((1,),))),
 ], ids=["basis", "skew", "jets"])
 def test_the_bound_drops_the_least_recently_used_key(fresh_grids, memo, call):
     memo = _MEMOS[memo]
@@ -115,24 +116,11 @@ def test_the_bound_drops_the_least_recently_used_key(fresh_grids, memo, call):
 def test_a_jets_hit_hands_out_the_kept_read_only_mapping(fresh_grids):
     first = moments._log_tau_jets(*_JETS)
     assert moments._log_tau_jets(*_JETS) is first
-    assert moments._kept_jets.cache_info().hits == 1
+    assert moments._log_tau_jets.cache_info().hits == 1
     with pytest.raises(TypeError):
         first[4] = None
     with pytest.raises(TypeError):
         first[2][2][0, 1] = 99.0
-
-
-def counted_radii(monkeypatch):
-    """The keys of every grid's radius solve from here on."""
-    calls = []
-    solve = couplings._radius_for
-
-    def counted(*args):
-        calls.append(args)
-        return solve(*args)
-
-    monkeypatch.setattr(couplings, "_radius_for", counted)
-    return calls
 
 
 @pytest.mark.parametrize("call", [
@@ -145,14 +133,13 @@ def counted_radii(monkeypatch):
     lambda: skew_moment_matrix(_T, 10),
 ], ids=["log-tau-orthogonal", "log-tau-unitary", "toda", "jets-unitary", "jets-orthogonal",
         "skew-basis", "skew-moments"])
-def test_a_repeated_key_builds_no_grid(fresh_grids, monkeypatch, call):
+def test_a_repeated_key_builds_no_grid(fresh_grids, counted_radii, call):
     # the basis memo is the one cache in front of quadrature: each route to
     # the basis solves one radius per distinct basis key, however often
     # the same key is asked for
-    calls = counted_radii(monkeypatch)
     call()
     call()
-    assert len(calls) == moments._stieltjes_basis.cache_info().currsize == 1
+    assert len(counted_radii) == moments._stieltjes_basis.cache_info().currsize == 1
 
 
 def _values(ensemble, n, t, pairs, orders):
@@ -173,9 +160,9 @@ def test_a_hit_equals_the_cold_call(t2, t4, pairs, ensemble, orders):
     with pytest.MonkeyPatch.context() as mp:
         # every memo bypassed: each value is computed afresh
         for module in (moments, lax):
-            mp.setattr(module, "_stieltjes_basis", _MEMOS["basis"].__wrapped__)
-        mp.setattr(moments, "_kept_jets", _MEMOS["jets"].__wrapped__)
-        mp.setattr(lax, "_skew_basis", _MEMOS["skew"].__wrapped__)
+            mp.setattr(module, "_stieltjes_basis", _MEMOS["_stieltjes_basis"].__wrapped__)
+        mp.setattr(moments, "_log_tau_jets", _MEMOS["_log_tau_jets"].__wrapped__)
+        mp.setattr(lax, "_skew_basis", _MEMOS["_skew_basis"].__wrapped__)
         cold = _values(ensemble, n, t, pairs, orders)
     _values(ensemble, n, t, pairs, orders)   # fills the memos, if they did not hold it
     hits = {name: memo.cache_info().hits for name, memo in _MEMOS.items()}

@@ -17,11 +17,13 @@ from taulattice import (CouplingVector, HydroChainField, IdentityReport, PfaffLa
                         build_quadrature, continuum_convergence, evolve_hydro_chain,
                         evolve_pfaff, evolve_reduced, evolve_toda, evolve_volterra,
                         goe_lax_init, gue_lax_init, haantjes_scan, hopf_solve,
-                        hydro_chain_rhs, hydro_scaling_check, nijenhuis,
-                        nijenhuis_closed_form, observables_check, pfaff_chain_rhs,
-                        pfaff_commutator_rhs, pfaff_lax_from_basis, reduced_continuum_rhs,
-                        spatial_derivative, toda_rhs, volterra_rhs)
-from taulattice import flows, lax, moments
+                        hydro_chain_rhs, hydro_scaling_check, kp_residual, mkp_residuals,
+                        nijenhuis, nijenhuis_closed_form, observables_check,
+                        pfaff_chain_rhs, pfaff_commutator_rhs, pfaff_lax_from_basis,
+                        reduced_continuum_rhs, sample_gaussian_ensemble, spatial_derivative,
+                        tau_coupling_derivative, toda_rhs, volterra_rhs)
+from taulattice import flows, identities, lax, moments
+from taulattice.identities import SUITES, mkp_bump_state, verify_scaling
 
 couplings = st.dictionaries(
     st.integers(min_value=1, max_value=8),
@@ -241,6 +243,64 @@ def test_real_argument_that_is_no_finite_number_is_refused_by_name(argument, val
         with pytest.raises(ValueError, match=f"^{re.escape(name)} must be finite and {wording}, "
                                              f"got "):
             call(value)
+
+
+# id -> (the name its refusal gives, its lower bound, a call with the
+# value); each argument passes `couplings._checked_int` with that bound
+_INTEGER_ARGUMENTS = {
+    "mkp-n": ("n", 2, lambda q: mkp_residuals(q, mkp_bump_state(32))),
+    "kp-n": ("n", 1, lambda q: kp_residual(q)),
+    "scaling-n_sites": ("n_sites", 9, lambda q: verify_scaling(n_sites=q)),
+    "haantjes-window": ("window", 10, lambda q: haantjes_scan(window=q)),
+    "k_neg": ("k_neg", 2, lambda q: replace(HydroChainField.initial(_X), k_neg=q)),
+    "count": ("count", 2, lambda q: sample_gaussian_ensemble(1, 2, q, 1)),
+    "coupling-index": ("coupling index", 1, lambda q: CouplingVector(((q, 0.1),))),
+    "multi_index-key": ("multi_index key", 1,
+                        lambda q: tau_coupling_derivative("unitary", 2, CouplingVector(), {q: 1})),
+    "multi_index-order": ("multi_index order", 0,
+                          lambda q: tau_coupling_derivative("unitary", 2, CouplingVector(), {2: q})),
+}
+_NOT_INTEGER = [True, np.True_, 2.5, "2", None]
+
+
+@pytest.mark.parametrize("argument, value", [
+    pytest.param(argument, value, id=f"{argument}-{value!r}")
+    for argument, (_, low, _) in _INTEGER_ARGUMENTS.items()
+    for value in _NOT_INTEGER + [low - 1]])
+def test_integer_argument_outside_its_bound_is_refused_by_name(argument, value):
+    # each bound is the gate's, not a second check after it
+    name, low, call = _INTEGER_ARGUMENTS[argument]
+    if type(value) is int:                      # low - 1
+        wording = f"{'non-negative' if low == 0 else f'at least {low}'}, got {value}$"
+    else:
+        wording = "an integer, got "
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be {wording}"):
+            call(value)
+
+
+@pytest.mark.parametrize("multi_index", [[(2, 1)], None], ids=["list", "None"])
+def test_multi_index_that_is_no_mapping_is_refused_by_name(multi_index):
+    # both raised a bare AttributeError
+    with pytest.raises(ValueError, match="^multi_index must be a mapping"):
+        tau_coupling_derivative("unitary", 2, CouplingVector(), multi_index)
+
+
+@pytest.mark.parametrize("check", [check for check, _ in SUITES.values()])
+@pytest.mark.parametrize("tolerance", [math.nan, 0.0, True, "0.5"], ids=repr)
+def test_every_suite_refuses_its_tolerance_before_its_work(monkeypatch, check, tolerance):
+    # ten of the thirteen checks reached their report, after the whole
+    # check, before the tolerance was refused
+    def reached(*args, **kwargs):
+        raise AssertionError(f"{check} reached its report")
+
+    monkeypatch.setattr(IdentityReport, "from_residual", reached)
+    monkeypatch.setattr(IdentityReport, "__post_init__", reached)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^tolerance must be finite and positive, got "):
+            getattr(identities, check)(tolerance=tolerance)
 
 
 @given(st.integers(0, 2**32 - 1))

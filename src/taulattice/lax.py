@@ -401,7 +401,7 @@ def pfaff_entries_from_tau(t: CouplingVector, n_pairs: int) -> dict:
     orthogonal Stieltjes basis.
     """
     n_pairs = _checked_int("n_pairs", n_pairs, 1)
-    jets = _log_tau_jets("orthogonal", range(0, 2 * n_pairs + 3, 2), t, (1, 2),
+    jets = _log_tau_jets("orthogonal", tuple(range(0, 2 * n_pairs + 3, 2)), t, (1, 2),
                          ((2, 0), (0, 1)))
     log_t = {size: log_abs for size, (_, log_abs, _) in jets.items()}
     # tau''/tau and tau'/tau from the Taylor coefficients c of log tau

@@ -40,9 +40,9 @@ takes ints of a tau that exists and never keys True, 1.0 and 1 apart.  A
 kept result is read-only (frozen arrays, jets behind
 `types.MappingProxyType`) and handed out as it is; only a routine that
 writes copies, as `_log_tau_of_basis` does of F for the Pfaffian pivots.
-A hit builds no grid.  An orthogonal basis is 8 n^2
-bytes of F: 2.5 MB at order 554, where the Gaussian rho^2 basis stops, and
-18 MB at order 1500, which {8: -1} reaches, so 32 hold 79 MB and 576 MB.
+A hit builds no grid.  An orthogonal basis is 8 n^2 bytes of F: 2.5 MB at
+order 554, where the Gaussian rho^2 basis stops, and 18 MB at order 1500,
+which {8: -1} reaches, so 32 hold 79 MB and 576 MB.
 """
 
 from __future__ import annotations

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import conftest
 from taulattice import (CouplingVector, IllConditioned, NonIntegrableWeight, log_tau,
                         skew_moment_matrix, skew_orthonormal_basis, tau_coupling_derivative,
                         toda_lax_from_quadrature)
-import conftest
 from taulattice import lax, moments
 
 _MEMOS = {memo.__name__: memo for memo in conftest.PROCESS_MEMOS}
@@ -74,10 +74,11 @@ def test_loop_closure_pipeline_runs_one_stieltjes_recurrence(fresh_grids, monkey
     ("_skew_basis", lambda: lax._skew_basis(CouplingVector(), 300), IllConditioned),
     ("_skew_basis", lambda: lax._skew_basis(CouplingVector.from_mapping({4: 0.1}), 2),
      NonIntegrableWeight),
-    ("_log_tau_jets", lambda: moments._log_tau_jets("orthogonal", (598,), CouplingVector(), (2,), ((1,),)),
+    ("_log_tau_jets",
+     lambda: moments._log_tau_jets("orthogonal", (598,), CouplingVector(), (2,), ((1,),)),
      IllConditioned),
-    ("_log_tau_jets", lambda: tau_coupling_derivative("unitary", 4, CouplingVector.from_mapping({4: 0.1}),
-                                             {2: 1}),
+    ("_log_tau_jets",
+     lambda: tau_coupling_derivative("unitary", 4, CouplingVector.from_mapping({4: 0.1}), {2: 1}),
      NonIntegrableWeight),
 ], ids=["basis-600", "basis-divergent", "skew-300", "skew-divergent", "jets-598",
         "jets-divergent"])
@@ -96,7 +97,8 @@ def _shifted(k):
 @pytest.mark.parametrize("memo, call", [
     ("_stieltjes_basis", lambda k: moments._stieltjes_basis("unitary", 2, _shifted(k))),
     ("_skew_basis", lambda k: lax._skew_basis(_shifted(k), 1)),
-    ("_log_tau_jets", lambda k: moments._log_tau_jets("unitary", (1,), _shifted(k), (1,), ((1,),))),
+    ("_log_tau_jets",
+     lambda k: moments._log_tau_jets("unitary", (1,), _shifted(k), (1,), ((1,),))),
 ], ids=["basis", "skew", "jets"])
 def test_the_bound_drops_the_least_recently_used_key(fresh_grids, memo, call):
     memo = _MEMOS[memo]

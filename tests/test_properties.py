@@ -139,9 +139,11 @@ def test_v_equation_closure_source_cancels(seed):
 
 
 # The entry-point contract, scoped to flow indices, step sizes, a field's
-# time stamp and every real argument: what an argument cannot mean is
-# refused with a ValueError or a TauLatticeError, never a bare OverflowError
-# or TypeError, a RuntimeWarning or a return.
+# time stamp, every real argument, every integer lower bound and derivative
+# order, and every suite's tolerance: what an argument cannot mean is
+# refused with a ValueError or a TauLatticeError, never a bare OverflowError,
+# AttributeError or TypeError, a RuntimeWarning or a return, and a suite
+# refuses its tolerance before its work.
 
 def _refused(call):
     with warnings.catch_warnings():
@@ -255,10 +257,10 @@ _INTEGER_ARGUMENTS = {
     "k_neg": ("k_neg", 2, lambda q: replace(HydroChainField.initial(_X), k_neg=q)),
     "count": ("count", 2, lambda q: sample_gaussian_ensemble(1, 2, q, 1)),
     "coupling-index": ("coupling index", 1, lambda q: CouplingVector(((q, 0.1),))),
-    "multi_index-key": ("multi_index key", 1,
-                        lambda q: tau_coupling_derivative("unitary", 2, CouplingVector(), {q: 1})),
-    "multi_index-order": ("multi_index order", 0,
-                          lambda q: tau_coupling_derivative("unitary", 2, CouplingVector(), {2: q})),
+    "multi_index-key": ("multi_index key", 1, lambda q: tau_coupling_derivative(
+        "unitary", 2, CouplingVector(), {q: 1})),
+    "multi_index-order": ("multi_index order", 0, lambda q: tau_coupling_derivative(
+        "unitary", 2, CouplingVector(), {2: q})),
 }
 _NOT_INTEGER = [True, np.True_, 2.5, "2", None]
 
@@ -283,8 +285,10 @@ def test_integer_argument_outside_its_bound_is_refused_by_name(argument, value):
 @pytest.mark.parametrize("multi_index", [[(2, 1)], None], ids=["list", "None"])
 def test_multi_index_that_is_no_mapping_is_refused_by_name(multi_index):
     # both raised a bare AttributeError
-    with pytest.raises(ValueError, match="^multi_index must be a mapping"):
-        tau_coupling_derivative("unitary", 2, CouplingVector(), multi_index)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^multi_index must be a mapping"):
+            tau_coupling_derivative("unitary", 2, CouplingVector(), multi_index)
 
 
 @pytest.mark.parametrize("check", [check for check, _ in SUITES.values()])

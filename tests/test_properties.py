@@ -251,7 +251,7 @@ def test_real_argument_that_is_no_finite_number_is_refused_by_name(argument, val
 # value); each argument passes `couplings._checked_int` with that bound
 _INTEGER_ARGUMENTS = {
     "mkp-n": ("n", 2, lambda q: mkp_residuals(q, mkp_bump_state(32))),
-    "kp-n": ("n", 1, lambda q: kp_residual(q)),
+    "kp-n": ("n", 1, kp_residual),
     "scaling-n_sites": ("n_sites", 9, lambda q: verify_scaling(n_sites=q)),
     "haantjes-window": ("window", 10, lambda q: haantjes_scan(window=q)),
     "k_neg": ("k_neg", 2, lambda q: replace(HydroChainField.initial(_X), k_neg=q)),
